@@ -1,0 +1,638 @@
+//! `repro <name> [--fast]` — regenerates one table, figure or study of the
+//! evaluation (§5); `repro --list` names them all.
+//!
+//! Every figure is the same three steps — run traditional Path ORAM and a
+//! set of scheme columns over the Table 2 mixes, reduce each run against
+//! its baseline to one number, print the table — so most figures below are
+//! one [`MixFigure`] row: {title, baseline, columns, cell, paper note}.
+//! The rest (sweeps that summarise all mixes per row, the PARSEC suite,
+//! the two tables) are short functions over the same helpers. `--fast` shortens the
+//! runs (see [`MissBudget`]); the expected shapes are in EXPERIMENTS.md.
+
+use fp_bench::{
+    caching_schemes, fork_with_mac, fork_with_queue, print_cols, print_row, print_title,
+};
+use fp_core::{CacheChoice, ForkConfig, ForkPathController, NoFeedback};
+use fp_crypto::Xoshiro256;
+use fp_dram::{DramConfig, DramSystem};
+use fp_path_oram::{Op, OramConfig, PosMapHierarchy};
+use fp_sim::experiment::{
+    run_all_mixes, run_all_mixes_reported, run_mix, run_mix_with_pipeline, MissBudget, SweepOutcome,
+};
+use fp_sim::metrics::{geomean, RunResult};
+use fp_sim::report::{sweep_to_json, to_csv, write_results_file};
+use fp_sim::{run_workload, Scheme, SystemConfig};
+use fp_workloads::cpu::{MultiCoreWorkload, PipelineKind};
+use fp_workloads::mixes::{self, Mix};
+use fp_workloads::parsec;
+
+/// A reproducible artefact: name, what it shows, how to produce it.
+type Figure = (&'static str, &'static str, fn(MissBudget));
+
+const FIGURES: [Figure; 15] = [
+    ("table1", "Table 1 — system configuration", table1),
+    ("table2", "Table 2 — mixed benchmarks", table2),
+    ("fig10", "path length + DRAM latency vs queue size", fig10),
+    ("fig11", "normalized ORAM request count", fig11),
+    ("fig12", "ORAM latency vs label-queue size", fig12),
+    ("fig13", "ORAM latency vs caching design", fig13),
+    ("fig14", "full-system slowdown", fig14),
+    ("fig15", "ORAM memory-system energy", fig15),
+    ("fig16", "in-order vs out-of-order", fig16),
+    ("fig17", "thread-count and ORAM-size sensitivity", fig17),
+    ("fig18", "DRAM-channel sensitivity", fig18),
+    ("fig19", "PARSEC multithreaded workloads", fig19),
+    (
+        "ablation",
+        "per-technique breakdown (beyond the paper)",
+        ablation,
+    ),
+    (
+        "stash_study",
+        "stash occupancy vs traditional (§3.6)",
+        stash_study,
+    ),
+    (
+        "prefetch_study",
+        "static super-block prefetching",
+        prefetch_study,
+    ),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--list") {
+        for (name, what, _) in FIGURES {
+            println!("{name:<15} {what}");
+        }
+        return;
+    }
+    let name = args.iter().find(|a| !a.starts_with("--"));
+    match FIGURES
+        .iter()
+        .find(|(n, ..)| Some(*n) == name.map(String::as_str))
+    {
+        Some((.., run)) => run(MissBudget::from_args(&args)),
+        None => {
+            eprintln!("usage: repro <name> [--fast] | repro --list");
+            std::process::exit(2);
+        }
+    }
+}
+
+// ---- per-mix figures: one row of {title, columns, cell, note} each ----
+
+/// One run reduced against its baseline run (same mix, same system).
+type Cell = fn(&RunResult, &RunResult) -> f64;
+
+fn latency(r: &RunResult, base: &RunResult) -> f64 {
+    r.oram_latency_ns / base.oram_latency_ns
+}
+
+struct Column {
+    label: String,
+    cfg: SystemConfig,
+    scheme: Scheme,
+}
+
+/// Columns over the paper's default system.
+fn paper_columns<L: ToString>(schemes: impl IntoIterator<Item = (L, Scheme)>) -> Vec<Column> {
+    let column = |(label, scheme): (L, Scheme)| Column {
+        label: label.to_string(),
+        cfg: SystemConfig::paper_default(),
+        scheme,
+    };
+    schemes.into_iter().map(column).collect()
+}
+
+fn queue_columns() -> Vec<Column> {
+    paper_columns([1usize, 8, 64, 128].map(|q| (format!("q={q}"), fork_with_queue(q))))
+}
+
+/// A figure with one row per Table 2 mix and one column per scheme, each
+/// cell a run reduced against `baseline` on the same mix and system.
+struct MixFigure {
+    title: &'static str,
+    baseline: Scheme,
+    columns: Vec<Column>,
+    cell: Cell,
+    note: &'static str,
+}
+
+/// The sweeps behind a [`MixFigure`], per column: the baseline's and the
+/// column scheme's. Failed mixes are recorded in the outcomes.
+struct MixRuns {
+    base: Vec<SweepOutcome>,
+    runs: Vec<SweepOutcome>,
+}
+
+impl MixFigure {
+    fn run(&self, budget: MissBudget) -> MixRuns {
+        let mut base: Vec<SweepOutcome> = Vec::new();
+        let mut runs = Vec::new();
+        for (i, c) in self.columns.iter().enumerate() {
+            // Columns sharing a system share one baseline sweep.
+            let shared = (i > 0 && self.columns[i - 1].cfg == c.cfg).then(|| base[i - 1].clone());
+            let sweep = |scheme| run_all_mixes_reported(&c.cfg, scheme, budget);
+            base.push(shared.unwrap_or_else(|| sweep(&self.baseline)));
+            runs.push(sweep(&c.scheme));
+        }
+        MixRuns { base, runs }
+    }
+
+    /// Per column, `cell` of every mix that survived every sweep — rows
+    /// are joined by workload name, so a mix that failed under one scheme
+    /// is skipped everywhere instead of misaligning the table.
+    fn cells<'r>(&self, r: &'r MixRuns, cell: Cell) -> (Vec<&'r str>, Vec<Vec<f64>>) {
+        let survived = |w: &&str| {
+            r.base
+                .iter()
+                .chain(&r.runs)
+                .all(|o| o.result_for(w).is_some())
+        };
+        let names = r.base[0].results.iter().map(|b| b.workload.as_str());
+        let names: Vec<&str> = names.filter(survived).collect();
+        let of = |o: &'r SweepOutcome, w: &str| o.result_for(w).expect("joined on survivors");
+        let column = |(run, base): (&'r SweepOutcome, &'r SweepOutcome)| {
+            names
+                .iter()
+                .map(|w| cell(of(run, w), of(base, w)))
+                .collect()
+        };
+        let columns = r.runs.iter().zip(&r.base).map(column).collect();
+        (names, columns)
+    }
+
+    /// Prints the table (one row per mix, then the geomean row) and the
+    /// note; returns the geomeans.
+    fn print(&self, r: &MixRuns) -> Vec<f64> {
+        let (names, columns) = self.cells(r, self.cell);
+        print_cols(
+            "mix",
+            &self.columns.iter().map(|c| &c.label).collect::<Vec<_>>(),
+        );
+        for (i, name) in names.iter().enumerate() {
+            print_row(name, &columns.iter().map(|c| c[i]).collect::<Vec<_>>());
+        }
+        let means: Vec<f64> = columns.iter().map(|c| geomean(c.iter().copied())).collect();
+        print_row("geomean", &means);
+        print!("{}", self.note);
+        means
+    }
+
+    fn show(&self, budget: MissBudget) -> Vec<f64> {
+        print_title(self.title);
+        self.print(&self.run(budget))
+    }
+}
+
+fn fig11(budget: MissBudget) {
+    let fig = MixFigure {
+        title: "Fig 11: ORAM request inflation (total / real) vs label queue size",
+        baseline: Scheme::Traditional,
+        columns: queue_columns(),
+        cell: |r, _| r.request_inflation(),
+        note: "",
+    };
+    print_title(fig.title);
+    let runs = fig.run(budget);
+    fig.print(&runs);
+    // Merging keeps blocks in the stash longer, so Fork Path also removes
+    // real accesses through stash hits; shown apart from the dummy
+    // overhead the figure is about.
+    print_title("(side effect) real accesses vs baseline (stash-hit / PLB-like savings)");
+    let (_, saved) = fig.cells(&runs, |r, b| {
+        r.real_accesses as f64 / b.oram_accesses as f64
+    });
+    let means: Vec<f64> = saved.iter().map(|c| geomean(c.iter().copied())).collect();
+    print_row("geomean", &means);
+    println!("\n(paper: mean inflation ~5% at q=128; low-intensity mixes like Mix2");
+    println!(" reach ~25%)");
+}
+
+fn fig12(budget: MissBudget) {
+    let fig = MixFigure {
+        title: "Fig 12: normalized ORAM latency vs label queue size",
+        baseline: Scheme::Traditional,
+        columns: queue_columns(),
+        cell: latency,
+        note: "\n(paper: best around q=64; q=128's extra dummies erode the gain)\n",
+    };
+    print_title(fig.title);
+    let runs = fig.run(budget);
+    let sweeps = std::iter::once(&runs.base[0]).chain(&runs.runs);
+    let raw: Vec<RunResult> = sweeps.flat_map(|o| o.results.clone()).collect();
+    if let Ok(path) = write_results_file("fig12.csv", &to_csv(&raw)) {
+        println!("(raw data written to {})", path.display());
+    }
+    fig.print(&runs);
+}
+
+fn fig13(budget: MissBudget) {
+    MixFigure {
+        title: "Fig 13: normalized ORAM latency with different caching designs",
+        baseline: Scheme::Traditional,
+        columns: paper_columns(caching_schemes()),
+        cell: latency,
+        note: "\n(paper: MAC at ~1/4 the capacity matches treetop caching)\n",
+    }
+    .show(budget);
+}
+
+fn fig14(budget: MissBudget) {
+    // The insecure processor is both the baseline and the last column
+    // (all 1.0, as the paper draws it).
+    let mut schemes = vec![("Traditional", Scheme::Traditional)];
+    schemes.extend(caching_schemes());
+    schemes.push(("Insecure", Scheme::Insecure));
+    let fig = MixFigure {
+        title: "Fig 14: full-system slowdown vs insecure processor",
+        baseline: Scheme::Insecure,
+        columns: paper_columns(schemes),
+        cell: |r, b| r.exec_time_ps as f64 / b.exec_time_ps as f64,
+        note: "",
+    };
+    print_title(fig.title);
+    let runs = fig.run(budget);
+    let means = fig.print(&runs);
+
+    // Every scheme's raw results *and* its failed mixes, so a partial
+    // sweep is visible in the artifact rather than only on stderr.
+    let mut labeled = vec![("Insecure".to_string(), &runs.base[0])];
+    let schemes = fig
+        .columns
+        .iter()
+        .zip(&runs.runs)
+        .take(fig.columns.len() - 1);
+    labeled.extend(schemes.map(|(c, o)| (c.label.clone(), o)));
+    match write_results_file("fig14_sweep.json", &sweep_to_json("fig14", &labeled)) {
+        Ok(path) => println!("\nsweep report written to {}", path.display()),
+        Err(e) => eprintln!("warning: could not write sweep report: {e}"),
+    }
+    println!(
+        "\nExecution-time reduction, Merge+1M MAC vs traditional: {:.0}% (paper: 58%)",
+        (1.0 - means[4] / means[0]) * 100.0
+    );
+}
+
+fn fig15(budget: MissBudget) {
+    let means = MixFigure {
+        title: "Fig 15: normalized ORAM memory-system energy",
+        baseline: Scheme::Traditional,
+        columns: paper_columns(caching_schemes()),
+        cell: |r, b| r.energy.total_pj() as f64 / b.energy.total_pj() as f64,
+        note: "",
+    }
+    .show(budget);
+    println!(
+        "\nEnergy reduction, Merge+1M MAC vs traditional: {:.0}% (paper: 38%); \
+         vs 1M treetop: {:.0}% (paper: 15%)",
+        (1.0 - means[3]) * 100.0,
+        (1.0 - means[3] / means[4]) * 100.0
+    );
+}
+
+fn fig18(budget: MissBudget) {
+    let column = |channels: usize| Column {
+        label: format!("{channels}-ch"),
+        cfg: SystemConfig::with_channels(channels),
+        scheme: Scheme::ForkDefault,
+    };
+    MixFigure {
+        title: "Fig 18: ORAM latency speedup (traditional / fork) vs channel count",
+        baseline: Scheme::Traditional,
+        columns: [1, 2, 4].map(column).into(),
+        cell: |r, b| b.oram_latency_ns / r.oram_latency_ns,
+        note: "\n(paper: speedup decreases as channels increase)\n",
+    }
+    .show(budget);
+}
+
+fn stash_study(budget: MissBudget) {
+    // §3.6: merging and scheduling must not change the stash-overflow
+    // story. Fork Path holds the merged prefix between accesses, so it
+    // rests higher, but far below the provisioned capacity.
+    print_title("Stash occupancy: traditional vs Fork Path (S3.6)");
+    let cfg = SystemConfig::paper_default();
+    let base = run_all_mixes(&cfg, &Scheme::Traditional, budget);
+    let fork = run_all_mixes(&cfg, &Scheme::ForkDefault, budget);
+    print_cols("mix", &["tradHW", "forkHW"]);
+    for (b, f) in base.iter().zip(&fork) {
+        let row = [b.stash_high_water as f64, f.stash_high_water as f64];
+        print_row(&b.workload, &row);
+    }
+    let worst = fork.iter().map(|f| f.stash_high_water).max().unwrap_or(0);
+    let capacity = cfg.oram.stash_capacity as f64;
+    println!(
+        "\nworst Fork Path high water: {worst} of C = {capacity} provisioned \
+         ({:.0}% headroom)",
+        (1.0 - worst as f64 / capacity) * 100.0
+    );
+}
+
+// ---- sweeps: one row per variant, summarising every mix ----
+
+/// All mixes under one variant, reduced against the traditional sweep.
+type Summary = fn(&[RunResult], &[RunResult]) -> f64;
+
+fn total(results: &[RunResult], field: fn(&RunResult) -> u64) -> f64 {
+    results.iter().map(field).sum::<u64>() as f64
+}
+
+/// Prints one row per scheme variant and one column per summary.
+fn variant_table(
+    first: &str,
+    variants: &[(String, Scheme)],
+    columns: &[(&str, Summary)],
+    budget: MissBudget,
+) {
+    let cfg = SystemConfig::paper_default();
+    let baseline = run_all_mixes(&cfg, &Scheme::Traditional, budget);
+    print_cols(
+        first,
+        &columns.iter().map(|(head, _)| head).collect::<Vec<_>>(),
+    );
+    for (label, scheme) in variants {
+        // The traditional variant is the baseline sweep itself.
+        let rerun = *scheme != Scheme::Traditional;
+        let results = if rerun {
+            run_all_mixes(&cfg, scheme, budget)
+        } else {
+            baseline.clone()
+        };
+        let row: Vec<f64> = columns
+            .iter()
+            .map(|(_, f)| f(&results, &baseline))
+            .collect();
+        print_row(label, &row);
+    }
+}
+
+fn path_len(results: &[RunResult], _: &[RunResult]) -> f64 {
+    geomean(results.iter().map(|r| r.avg_path_len))
+}
+
+fn fig10(budget: MissBudget) {
+    print_title("Fig 10: avg ORAM path length / normalized DRAM latency vs label queue size");
+    let queues = [1usize, 2, 4, 8, 16, 32, 64, 128];
+    let mut variants = vec![("traditional".to_string(), Scheme::Traditional)];
+    variants.extend(queues.map(|q| (format!("merging q={q}"), fork_with_queue(q))));
+    fn busy(results: &[RunResult]) -> f64 {
+        geomean(results.iter().map(|r| r.dram_busy_ns_per_access))
+    }
+    let columns: [(&str, Summary); 2] = [
+        ("path", path_len),
+        ("normBusy", |results, base| busy(results) / busy(base)),
+    ];
+    variant_table("queue size", &variants, &columns, budget);
+    println!("\n(paper: path falls from 25 toward ~17 as the queue grows; DRAM");
+    println!(" latency falls at least proportionally)");
+}
+
+fn ablation(budget: MissBudget) {
+    let mac = CacheChoice::MergingAware {
+        bytes: 1 << 20,
+        ways: 4,
+    };
+    let fork = |label: &str, merging, scheduling, replacing, cache, plb_blocks| {
+        let knobs = ForkConfig {
+            merging,
+            scheduling,
+            replacing,
+            cache,
+            plb_blocks,
+            ..ForkConfig::default()
+        };
+        (label.to_string(), Scheme::Fork(knobs))
+    };
+    let variants = [
+        ("traditional".to_string(), Scheme::Traditional),
+        ("merge only (q=1)".to_string(), fork_with_queue(1)),
+        fork("merge, no sched", true, false, true, CacheChoice::None, 0),
+        fork(
+            "merge+sched, no repl",
+            true,
+            true,
+            false,
+            CacheChoice::None,
+            0,
+        ),
+        fork("merge+sched+repl", true, true, true, CacheChoice::None, 0),
+        fork("all + 1M MAC", true, true, true, mac, 0),
+        fork("all + MAC + PLB64", true, true, true, mac, 64),
+    ];
+    print_title("Ablation: marginal contribution of each Fork Path technique");
+    let columns: [(&str, Summary); 4] = [
+        ("normLat", |results, base| {
+            geomean(results.iter().zip(base).map(|(r, b)| latency(r, b)))
+        }),
+        ("path", path_len),
+        ("dummyFrac", |results, _| {
+            total(results, |r| r.dummy_accesses) / total(results, |r| r.oram_accesses).max(1.0)
+        }),
+        ("acc/req", |results, _| {
+            total(results, |r| r.oram_accesses) / total(results, |r| r.llc_requests).max(1.0)
+        }),
+    ];
+    variant_table("variant", &variants, &columns, budget);
+    println!("\n(each row adds one mechanism; DESIGN.md S6 motivates the study)");
+}
+
+/// Traditional and `fork` on every mix through `run`: (baseline, fork).
+fn mix_pairs(
+    fork: &Scheme,
+    run: impl Fn(&Scheme, &Mix) -> RunResult,
+) -> Vec<(RunResult, RunResult)> {
+    let pair = |mix: &Mix| (run(&Scheme::Traditional, mix), run(fork, mix));
+    mixes::all().iter().map(pair).collect()
+}
+
+fn latency_geomean(pairs: &[(RunResult, RunResult)]) -> f64 {
+    geomean(pairs.iter().map(|(base, fork)| latency(fork, base)))
+}
+
+fn dummy_fraction(r: &RunResult) -> f64 {
+    r.dummy_accesses as f64 / r.oram_accesses.max(1) as f64
+}
+
+fn fig16(budget: MissBudget) {
+    print_title("Fig 16: normalized ORAM latency, in-order vs out-of-order");
+    let cfg = SystemConfig::paper_default();
+    print_cols("pipeline", &["fork/trad", "dummyFrac"]);
+    for (name, pipeline) in [
+        ("Out-of-order", PipelineKind::OutOfOrder),
+        ("In-order", PipelineKind::InOrder),
+    ] {
+        let pairs = mix_pairs(&Scheme::ForkDefault, |scheme, mix| {
+            run_mix_with_pipeline(&cfg, scheme, mix, pipeline, 4, budget)
+        });
+        let dummies: f64 = pairs.iter().map(|(_, fork)| dummy_fraction(fork)).sum();
+        print_row(
+            name,
+            &[latency_geomean(&pairs), dummies / pairs.len() as f64],
+        );
+    }
+    println!("\n(paper: in-order executes many more dummy requests, eroding the");
+    println!(" latency advantage; a smaller queue would suit in-order cores)");
+}
+
+fn fig17(budget: MissBudget) {
+    print_title("Fig 17(a): normalized ORAM latency vs thread count");
+    let cfg = SystemConfig::paper_default();
+    print_cols("threads", &["fork/trad"]);
+    for threads in [1usize, 2, 4, 8] {
+        let pairs = mix_pairs(&Scheme::ForkDefault, |scheme, mix| {
+            run_mix_with_pipeline(&cfg, scheme, mix, PipelineKind::OutOfOrder, threads, budget)
+        });
+        print_row(&threads.to_string(), &[latency_geomean(&pairs)]);
+    }
+    println!("(paper: the advantage grows with thread count)");
+
+    print_title("Fig 17(b): normalized ORAM latency vs ORAM capacity (4 threads)");
+    print_cols("capacity", &["fork+mac/trad", "path"]);
+    for gb in [1u64, 4, 16, 32] {
+        let cfg = SystemConfig::with_capacity(gb << 30);
+        let pairs = mix_pairs(&fork_with_mac(1 << 20), |scheme, mix| {
+            run_mix(&cfg, scheme, mix, budget)
+        });
+        let path = geomean(pairs.iter().map(|(base, _)| base.avg_path_len));
+        print_row(&format!("{gb}GB"), &[latency_geomean(&pairs), path]);
+    }
+    println!("(paper: efficiency degrades moderately as the tree deepens)");
+}
+
+fn fig19(budget: MissBudget) {
+    print_title("Fig 19: normalized ORAM latency, PARSEC multithreaded (4 threads)");
+    let cfg = SystemConfig::paper_default();
+    print_cols("workload", &["fork+mac/trad", "dummyFrac"]);
+    let mut pairs = Vec::new();
+    for def in parsec::all() {
+        let run = |scheme| {
+            let wl = MultiCoreWorkload::from_parsec(&def, 4, budget.misses_per_core(), cfg.seed);
+            run_workload(&cfg, scheme, wl)
+        };
+        let (base, fork) = (run(Scheme::Traditional), run(fork_with_mac(1 << 20)));
+        print_row(
+            def.profile.name,
+            &[latency(&fork, &base), dummy_fraction(&fork)],
+        );
+        pairs.push((base, fork));
+    }
+    print_row("geomean", &[latency_geomean(&pairs)]);
+    println!("\n(paper: significant reduction across the suite; the gain tracks");
+    println!(" memory intensity via the dummy-request count)");
+}
+
+// Static super-block prefetching (related work: Ren et al. [18] static
+// super blocks; Yu et al. [19] PrORAM): grouping helps sequential scans
+// (one path access serves several requests) and hurts random traffic
+// (bigger groups dilute each path's useful payload).
+fn prefetch_study(budget: MissBudget) {
+    let requests = match budget {
+        MissBudget::Fast => 400,
+        MissBudget::Full => 2_000,
+    };
+    let accesses_per_request = |super_block: u64, locality: f64| {
+        let mut cfg = OramConfig::paper_default(4 << 30);
+        cfg.super_block = super_block;
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram, 77);
+        let mut rng = Xoshiro256::new(5);
+        let mut addr = 0u64;
+        let span = 1u64 << 20;
+        for _ in 0..requests {
+            addr = if rng.gen_bool(locality) {
+                (addr + 1) % span
+            } else {
+                rng.next_below(span)
+            };
+            ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+            if rng.gen_bool(0.2) {
+                ctl.run_to_idle();
+            }
+        }
+        while ctl
+            .process_one(&mut NoFeedback)
+            .expect("controller invariant violated")
+        {}
+        ctl.stats().accesses_per_request()
+    };
+
+    print_title("Super-block prefetching: ORAM accesses per LLC request");
+    let sizes = [1u64, 2, 4, 8];
+    print_cols("locality", &sizes.map(|sb| format!("sb={sb}")));
+    for (name, locality) in [
+        ("sequential 0.9", 0.9f64),
+        ("mixed 0.5", 0.5),
+        ("random 0.1", 0.1),
+    ] {
+        print_row(name, &sizes.map(|sb| accesses_per_request(sb, locality)));
+    }
+    println!("\n(grouping pays on spatially local traffic and costs little on");
+    println!(" random traffic in access count; latency follows the same trend)");
+}
+
+// ---- the two tables ----
+
+fn table1(_: MissBudget) {
+    let cfg = SystemConfig::paper_default();
+    let (oram, dram) = (&cfg.oram, &cfg.dram);
+    let h = PosMapHierarchy::new(oram);
+    let row = |key: &str, value: String| println!("{key:<26}{value}");
+
+    print_title("Table 1: Processor / ORAM / memory configuration");
+    row(
+        "Core",
+        "out-of-order, 4 cores, 2 GHz (workload model)".into(),
+    );
+    row("Data block size", format!("{} B", oram.block_bytes));
+    let gb = (oram.data_blocks * oram.block_bytes as u64) >> 30;
+    let path = format!("(L = {}, path = {} buckets)", oram.levels, oram.path_len());
+    row("Data ORAM capacity", format!("{gb} GB {path}"));
+    row("Block slots per bucket Z", oram.z.to_string());
+    row("Stash capacity", format!("{} blocks", oram.stash_capacity));
+    let (in_tree, on_chip) = (h.posmap_levels(), h.onchip_entries());
+    let kib = (on_chip * 4) >> 10;
+    let recursion = format!("{in_tree} levels in-tree, {on_chip} entries on chip ({kib} KiB)");
+    row("PosMap recursion", recursion);
+    row(
+        "Unified tree blocks",
+        format!("{} (data + posmap)", h.total_blocks()),
+    );
+    row(
+        "Memory type",
+        format!("DDR3-1600 (tCK = {} ps)", dram.timing.t_ck),
+    );
+    row("Memory channels", dram.channels.to_string());
+    // 2 transfers/clock x 8 bytes on a x64 bus: 16000 / tCK(ps) GB/s.
+    let peak = dram.channels as f64 * 16_000.0 / dram.timing.t_ck as f64;
+    row("Peak bandwidth", format!("{peak:.1} GB/s"));
+    row("Row size", format!("{} KiB", dram.row_bytes >> 10));
+    row("Banks per rank", dram.banks_per_rank.to_string());
+}
+
+fn table2(_: MissBudget) {
+    print_title("Table 2: Mixed benchmarks from SPEC 2006 (synthetic profiles)");
+    for mix in mixes::all() {
+        let names: Vec<_> = mix.programs.iter().map(|p| p.name).collect();
+        println!("{:<6} {}", mix.name, names.join(", "));
+    }
+
+    print_title("Synthetic profile parameters (see DESIGN.md S2)");
+    println!(
+        "{:<16} {:>6} {:>10} {:>12} {:>7} {:>9} {:>5}",
+        "benchmark", "group", "gap(ns)", "ws(blocks)", "wr%", "locality", "mlp"
+    );
+    for p in fp_workloads::spec::all() {
+        println!(
+            "{:<16} {:>6} {:>10.0} {:>12} {:>7.0} {:>9.2} {:>5}",
+            p.name,
+            if p.is_high_overhead() { "HG" } else { "LG" },
+            p.avg_gap_ns,
+            p.working_set_blocks,
+            p.write_fraction * 100.0,
+            p.locality,
+            p.mlp
+        );
+    }
+}

@@ -1,12 +1,10 @@
-//! Trace-spine dump and self-check: drives a ~1k-access mixed workload
-//! through the Fork Path controller with the event ring enabled, verifies
-//! that the trace counters agree with the legacy aggregate statistics
-//! ([`fp_core::ForkPathController::stats`]) and the DRAM command counters,
-//! then prints the full spine as JSON (counters, latency/occupancy
-//! histograms, and the most recent events).
+//! Trace-spine dump: drives a ~1k-access mixed workload through the Fork
+//! Path controller with the event ring enabled and prints the full spine
+//! as validated JSON (counters, latency/occupancy histograms, and the
+//! most recent events).
 //!
 //! Usage: `trace_dump [--trace <path>]` — with `--trace` the JSON goes to
-//! the file instead of stdout (only the verdict line is printed). Pipe the
+//! the file instead of stdout (only the summary line is printed). Pipe the
 //! output into the figure scripts or inspect `events[]` directly to see
 //! per-access fork levels and DRAM command interleaving.
 
@@ -14,19 +12,9 @@ use fp_core::{ForkConfig, ForkPathController};
 use fp_dram::{DramConfig, DramSystem};
 use fp_path_oram::{Op, OramConfig};
 use fp_sim::experiment::trace_path_from_args;
-use fp_trace::Counter;
 
 /// Number of LLC requests driven through the controller.
 const REQUESTS: u64 = 1_000;
-
-fn check(label: &str, trace_value: u64, stats_value: u64, failures: &mut u32) {
-    if trace_value == stats_value {
-        println!("  {label:<24} {trace_value:>10}  ok");
-    } else {
-        println!("  {label:<24} trace={trace_value} stats={stats_value}  MISMATCH");
-        *failures += 1;
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,119 +45,13 @@ fn main() {
     }
     ctl.run_to_idle();
 
-    let trace = ctl.trace().clone();
-    let stats = ctl.stats().clone();
-    let dram_stats = ctl.dram().stats().clone();
-
-    println!("== trace counters vs ForkPathController::stats ==");
-    let mut failures = 0u32;
-    check(
-        "sched_rounds",
-        trace.counter(Counter::SchedRounds),
-        stats.sched_rounds,
-        &mut failures,
-    );
-    check(
-        "sched_ready_reals",
-        trace.counter(Counter::SchedReadyReals),
-        stats.sched_ready_reals,
-        &mut failures,
-    );
-    check(
-        "dummy_accesses",
-        trace.counter(Counter::DummiesExecuted),
-        stats.dummy_accesses,
-        &mut failures,
-    );
-    check(
-        "dummies_replaced",
-        trace.counter(Counter::DummiesReplaced),
-        stats.dummies_replaced,
-        &mut failures,
-    );
-    check(
-        "cache_hits",
-        trace.counter(Counter::CacheHits),
-        stats.cache_hits,
-        &mut failures,
-    );
-    check(
-        "cache_misses",
-        trace.counter(Counter::CacheMisses),
-        stats.cache_misses,
-        &mut failures,
-    );
-    check(
-        "dram_blocks_read",
-        trace.counter(Counter::DramBlocksRead),
-        stats.dram_blocks_read,
-        &mut failures,
-    );
-    check(
-        "dram_blocks_written",
-        trace.counter(Counter::DramBlocksWritten),
-        stats.dram_blocks_written,
-        &mut failures,
-    );
-    check(
-        "buckets_written",
-        trace.counter(Counter::BucketsWritten),
-        stats.buckets_written,
-        &mut failures,
-    );
-
-    println!("== trace counters vs fp-dram DramStats ==");
-    check(
-        "dram_acts",
-        trace.counter(Counter::DramActs),
-        dram_stats.activations,
-        &mut failures,
-    );
-    check(
-        "dram_reads",
-        trace.counter(Counter::DramReads),
-        dram_stats.reads,
-        &mut failures,
-    );
-    check(
-        "dram_writes",
-        trace.counter(Counter::DramWrites),
-        dram_stats.writes,
-        &mut failures,
-    );
-    check(
-        "dram_refs",
-        trace.counter(Counter::DramRefs),
-        dram_stats.refreshes,
-        &mut failures,
-    );
-    check(
-        "dram_refs_skipped",
-        trace.counter(Counter::DramRefsSkipped),
-        dram_stats.refreshes_skipped,
-        &mut failures,
-    );
-
-    // The stash balance invariant: pushes - evicts == residency.
-    let balance = trace.counter(Counter::StashPushes) - trace.counter(Counter::StashEvicts);
-    check(
-        "stash balance",
-        balance,
-        ctl.state().stash().len() as u64,
-        &mut failures,
-    );
-
+    let trace = ctl.trace();
     let json = trace.to_json();
-    if let Err(e) = fp_stats::json::validate(&json) {
-        println!("trace JSON INVALID: {e}");
-        failures += 1;
-    }
-
-    assert_eq!(failures, 0, "{failures} trace/stats mismatches");
+    fp_stats::json::validate(&json).expect("trace JSON must validate");
     println!(
-        "all checks passed over {} requests ({} oram accesses, {} events kept, {} dropped)",
+        "{} requests: {} oram accesses, {} events kept, {} dropped",
         REQUESTS,
-        stats.oram_accesses,
+        ctl.stats().oram_accesses,
         trace.len(),
         trace.dropped()
     );

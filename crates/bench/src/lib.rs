@@ -1,28 +1,20 @@
 //! # fp-bench
 //!
-//! The experiment harness: one binary per table and figure of the paper's
-//! evaluation (§5), plus Criterion micro-benchmarks of the core data
-//! structures.
+//! The experiment harness: one `repro` binary regenerating every table and
+//! figure of the paper's evaluation (§5), the tracked wall-clock and
+//! serving benches, and micro-benchmarks of the core data structures.
 //!
-//! Every binary accepts `--fast` (shorter runs for CI) and prints
-//! machine-readable rows. See `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured values.
-//!
-//! | Binary | Reproduces |
+//! | Binary | Does |
 //! |---|---|
-//! | `table1` | Table 1 — system configuration |
-//! | `table2` | Table 2 — mixed benchmarks |
-//! | `fig10`  | Path length + DRAM latency vs label-queue size |
-//! | `fig11`  | Normalized ORAM request count |
-//! | `fig12`  | ORAM latency vs label-queue size |
-//! | `fig13`  | ORAM latency vs caching design |
-//! | `fig14`  | Full-system slowdown |
-//! | `fig15`  | ORAM memory-system energy |
-//! | `fig16`  | In-order vs out-of-order |
-//! | `fig17`  | Thread-count and ORAM-size sensitivity |
-//! | `fig18`  | DRAM-channel sensitivity |
-//! | `fig19`  | PARSEC multithreaded workloads |
-//! | `ablation` | Per-technique breakdown (beyond the paper) |
+//! | `repro <name>` | Tables 1–2, Figs 10–19, `ablation`, `stash_study`, `prefetch_study` (`repro --list`; `--fast` for CI-length runs) |
+//! | `perf_gate` | Tracked wall-clock + simulated throughput (`BENCH_perf.json`) |
+//! | `service_bench` | Sharded serving layer, closed loop or Zipf replay |
+//! | `net_bench` | Wire-level load over loopback |
+//! | `security_audit` | Statistical tests on the label sequence |
+//! | `trace_dump` | The fp-trace spine of a mixed run, as JSON |
+//!
+//! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
+//! paper-vs-measured values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +52,7 @@ pub fn print_row(label: &str, values: &[f64]) {
 }
 
 /// Prints the column header of a row table.
-pub fn print_cols(first: &str, cols: &[String]) {
+pub fn print_cols(first: &str, cols: &[impl std::fmt::Display]) {
     print!("{first:<22}");
     for c in cols {
         print!(" {c:>9}");

@@ -1,5 +1,9 @@
 //! Fork Path controller configuration.
 
+use fp_path_oram::cache::{BucketCache, NoCache, TreetopCache};
+
+use crate::mac::MergingAwareCache;
+
 /// On-chip bucket-cache selection for the Fork Path controller (Fig 13/14
 /// compare all three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +100,32 @@ impl ForkConfig {
         self.derived_len_overlap().saturating_sub(4).max(1)
     }
 
+    /// Builds the configured bucket-cache policy for a tree of `path_len`
+    /// buckets per path, `bucket_bytes` each — what the controller hands
+    /// to [`fp_path_oram::WritebackEngine::with_cache`].
+    pub fn build_cache(&self, bucket_bytes: u64, path_len: u32) -> Box<dyn BucketCache + Send> {
+        match self.cache {
+            CacheChoice::None => Box::new(NoCache),
+            CacheChoice::Treetop { bytes } => {
+                Box::new(TreetopCache::with_capacity_bytes(bytes, bucket_bytes))
+            }
+            CacheChoice::MergingAware { bytes, ways } => {
+                let m1 = self
+                    .mac_bypass_levels
+                    .unwrap_or_else(|| self.derived_mac_bypass());
+                // Clamp the cacheable window to the real tree: levels past
+                // the leaf (path_len - 1) must not own cache sets.
+                Box::new(MergingAwareCache::with_capacity_bytes_for_tree(
+                    bytes,
+                    bucket_bytes,
+                    ways,
+                    m1,
+                    path_len.saturating_sub(1),
+                ))
+            }
+        }
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -164,10 +194,67 @@ mod tests {
         assert!(c.validate().is_err());
     }
 }
-// (appended tests)
 #[cfg(test)]
-mod bypass_tests {
+mod cache_tests {
     use super::*;
+    use fp_dram::{DramConfig, DramSystem};
+    use fp_path_oram::{OramConfig, WritebackEngine};
+
+    /// A writeback engine over the configured cache for a tree of
+    /// `levels + 1` buckets per path, 256 B each.
+    fn writeback(fork: &ForkConfig, levels: u32) -> (WritebackEngine, DramSystem) {
+        let oram = OramConfig {
+            levels,
+            block_bytes: 64,
+            ..OramConfig::small_test()
+        };
+        let dram = DramSystem::new(DramConfig::ddr3_1600(1));
+        let cache = fork.build_cache(oram.bucket_bytes(), oram.path_len());
+        (
+            WritebackEngine::with_cache(cache, &oram, dram.config()),
+            dram,
+        )
+    }
+
+    fn mac_64k() -> ForkConfig {
+        ForkConfig {
+            cache: CacheChoice::MergingAware {
+                bytes: 64 << 10,
+                ways: 4,
+            },
+            mac_bypass_levels: Some(2),
+            ..ForkConfig::default()
+        }
+    }
+
+    #[test]
+    fn mac_buckets_commit_instantly_and_hit_on_read() {
+        let (mut wb, mut d) = writeback(&mac_64k(), 10);
+        // A deep bucket (level >= m1) is cacheable by the MAC.
+        let node = (1u64 << 8) + 3;
+        let t = wb.write_bucket(&mut d, node, 1_000);
+        assert_eq!(t, 1_000, "cached commit is instantaneous");
+        let finish = wb.read_path(&mut d, &[node], 2_000);
+        assert_eq!(finish, 2_000, "cache hit needs no DRAM");
+        assert!(wb.resident() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside tree")]
+    fn mac_window_is_clamped_to_tree_depth() {
+        // A 64 KiB MAC on a 5-bucket path (leaf level 4): unclamped sizing
+        // dedicates sets to levels 5..=9, so a (buggy) write to a node past
+        // the leaf was silently absorbed by a phantom set and committed
+        // instantly — this test did NOT panic on the pre-fix code. With the
+        // depth threaded through, the MAC refuses the phantom bucket and the
+        // layout rejects the nonexistent node loudly.
+        let (mut wb, mut d) = writeback(&mac_64k(), 4);
+        // Real in-window levels cache and commit instantly.
+        let real = (1u64 << 3) + 1;
+        assert_eq!(wb.write_bucket(&mut d, real, 1_000), 1_000);
+        let phantom = (1u64 << 6) + 1; // level 6 > leaf level 4
+        let _ = wb.write_bucket(&mut d, phantom, 1_000);
+    }
 
     #[test]
     fn mac_bypass_tracks_queue_size_conservatively() {

@@ -1,19 +1,23 @@
 //! The Fork Path ORAM controller (§4, Fig 9) — a thin facade over the
 //! staged pipeline.
 //!
-//! Each paper technique lives in its own stage module (see
-//! [`crate::pipeline`]): request reordering in [`RequestScheduler`], fork
-//! geometry in [`PathMerger`], dummy materialization and mid-refill
-//! replacement in [`DummyReplacer`], and the bucket cache plus DRAM batch
-//! generation in [`WritebackEngine`]. The facade owns the trusted ORAM
-//! state, the address queue, the in-flight posmap chains
+//! Each paper technique lives in its own stage module: request reordering
+//! in [`RequestScheduler`] (§3.4/§4.2), fork geometry in [`PathMerger`]
+//! (§3.2/§4.1), dummy materialization and mid-refill replacement in
+//! [`DummyReplacer`] (§3.3/§4.3), and the bucket cache plus DRAM batch
+//! generation in [`WritebackEngine`] (§3.5/§4.4, shared with the baseline
+//! controller). Every stage reports into one [`TraceHandle`] spine, which
+//! is also where the statistics are read from. The facade owns the
+//! trusted ORAM state, the address queue, the in-flight posmap chains
 //! ([`crate::flight`]), and the clock, and sequences the stages per
 //! access. Accessors and the timing-protection surface live in the
 //! `controller_api` child module.
 
 use fp_dram::DramSystem;
-use fp_path_oram::{Completion, LlcRequest, Op, OramConfig, OramState, OramStats};
-use fp_trace::{EventKind, TraceHandle};
+use fp_path_oram::{
+    AccessTimes, Completion, CompletionLog, LlcRequest, Op, OramConfig, OramState, WritebackEngine,
+};
+use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::address_queue::{AddressQueue, SubmitEffect};
 use crate::config::ForkConfig;
@@ -25,7 +29,6 @@ use crate::plb::PosMapLookasideBuffer;
 use crate::queue::{Entry, EntryKind};
 use crate::reactive::{NoFeedback, ReactiveSource};
 use crate::scheduler::RequestScheduler;
-use crate::writeback::WritebackEngine;
 
 #[path = "controller_api.rs"]
 mod controller_api;
@@ -49,7 +52,7 @@ macro_rules! step_ctx {
             plb: &mut $self.plb,
             aq: &mut $self.aq,
             sched: &mut $self.sched,
-            stats: &mut $self.stats,
+            times: &mut $self.times,
             completions: &mut $self.completions,
             trace: &$self.trace,
         }
@@ -75,10 +78,8 @@ pub struct ForkPathController {
     /// when no real work exists, so the access stream never pauses.
     fixed_rate: bool,
     plb: PosMapLookasideBuffer,
-    stats: OramStats,
-    completions: Vec<Completion>,
-    /// Completions before this index have been fed to the reactive source.
-    feedback_cursor: usize,
+    times: AccessTimes,
+    completions: CompletionLog,
     label_trace: Option<Vec<u64>>,
     /// The shared trace spine every stage reports into. Counters are
     /// always exact; the event ring only fills once a capacity is set
@@ -112,12 +113,10 @@ impl ForkPathController {
     ) -> Result<Self, ControllerError> {
         fork.validate().map_err(ControllerError::InvalidConfig)?;
         let trace = TraceHandle::default();
-        let mut writeback = WritebackEngine::new(
-            &fork,
-            cfg.bucket_bytes(),
-            cfg.path_len(),
-            dram.config().row_bytes,
-            dram.config().burst_bytes,
+        let mut writeback = WritebackEngine::with_cache(
+            fork.build_cache(cfg.bucket_bytes(), cfg.path_len()),
+            &cfg,
+            dram.config(),
         );
         writeback.attach_trace(trace.clone());
         let mut state = OramState::new(cfg, seed);
@@ -148,9 +147,8 @@ impl ForkPathController {
             clock_ps: 0,
             fixed_rate: false,
             plb: PosMapLookasideBuffer::new(fork.plb_blocks),
-            stats: OramStats::default(),
-            completions: Vec::new(),
-            feedback_cursor: 0,
+            times: AccessTimes::default(),
+            completions: CompletionLog::default(),
             label_trace: None,
             trace,
             path_nodes: Vec::new(),
@@ -233,8 +231,7 @@ impl ForkPathController {
         match self.aq.submit(req) {
             SubmitEffect::Queued => {}
             SubmitEffect::Forwarded { data } => {
-                self.stats.completed_requests += 1;
-                self.stats.sum_latency_ps += ONCHIP_ANSWER_PS;
+                self.times.sum_latency_ps += ONCHIP_ANSWER_PS;
                 self.trace.record(
                     arrival_ps + ONCHIP_ANSWER_PS,
                     EventKind::RequestCompleted { id },
@@ -251,8 +248,11 @@ impl ForkPathController {
             }
             SubmitEffect::CancelledOlderWrite { cancelled_id } => {
                 // The cancelled write is acknowledged: superseded on chip.
+                // It gets a completion record, but is not a completed
+                // request in the statistics.
                 self.trace
                     .record(arrival_ps, EventKind::RequestCompleted { id: cancelled_id });
+                self.trace.bump(Counter::WritesCancelled);
                 self.trace.record_latency(0);
                 self.completions.push(Completion {
                     id: cancelled_id,
@@ -312,7 +312,7 @@ impl ForkPathController {
                 // never surface them; and their feedback may submit new
                 // work, so loop rather than flush-and-return.
                 None => {
-                    if self.feedback_cursor == self.completions.len() {
+                    if self.completions.all_fed() {
                         return Ok(false);
                     }
                 }
@@ -383,7 +383,6 @@ impl ForkPathController {
         let mut nodes = std::mem::take(&mut self.path_nodes);
         self.state
             .load_path_range_into(cur.label, read_lo, levels, &mut nodes)?;
-        self.stats.buckets_read += nodes.len() as u64;
         let read_end =
             self.writeback.read_path(&mut self.dram, &nodes, start) + CTRL_PHASE_LATENCY_PS;
         self.path_nodes = nodes;
@@ -392,7 +391,6 @@ impl ForkPathController {
         match cur.kind {
             EntryKind::Dummy => self.dummy.note_executed(),
             EntryKind::Real { flight } => {
-                self.stats.real_accesses += 1;
                 let completed = {
                     let mut ctx = step_ctx!(self);
                     self.flights
@@ -404,16 +402,12 @@ impl ForkPathController {
                 }
             }
         }
-        self.stats.oram_accesses += 1;
 
         // --- Refill with pending selection and dummy replacing ---
         self.refill(cur.label, read_end)?;
-        self.stats.access_busy_ps += self.clock_ps.saturating_sub(start);
-        self.stats.stash_size_sum += self.state.stash().len() as u64;
-        self.stats.stash_samples += 1;
+        self.times.access_busy_ps += self.clock_ps.saturating_sub(start);
+        self.times.finish_time_ps = self.clock_ps;
         self.trace.record_occupancy(self.state.stash().len() as u64);
-        self.stats.finish_time_ps = self.clock_ps;
-        self.sync_stats();
         Ok(())
     }
 

@@ -7,14 +7,9 @@ use fp_path_oram::{Completion, OramState, OramStats};
 use fp_trace::TraceHandle;
 
 use super::ForkPathController;
-use crate::dummy::DummyReplacer;
 use crate::error::{must, ControllerError};
-use crate::merge::PathMerger;
-use crate::pipeline::PipelineStage;
 use crate::queue::Entry;
 use crate::reactive::{NoFeedback, ReactiveSource};
-use crate::scheduler::RequestScheduler;
-use crate::writeback::WritebackEngine;
 
 impl ForkPathController {
     /// Whether any real work (queued, stalled, or in flight) exists.
@@ -33,7 +28,7 @@ impl ForkPathController {
     pub fn has_pending_work(&self) -> bool {
         self.has_real_work()
             || self.current.as_ref().is_some_and(|c| !c.is_dummy())
-            || self.feedback_cursor < self.completions.len()
+            || !self.completions.all_fed()
     }
 
     /// Routes every not-yet-fed completion through `source`, submitting any
@@ -42,9 +37,7 @@ impl ForkPathController {
         &mut self,
         source: &mut S,
     ) -> Result<(), ControllerError> {
-        while self.feedback_cursor < self.completions.len() {
-            let completion = self.completions[self.feedback_cursor].clone();
-            self.feedback_cursor += 1;
+        while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
                 self.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag)?;
             }
@@ -73,9 +66,9 @@ impl ForkPathController {
         Ok(self.sched.select_initial(levels, anchor, t))
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &OramStats {
-        &self.stats
+    /// Statistics so far: the shared view over the trace spine.
+    pub fn stats(&self) -> OramStats {
+        OramStats::view(&self.trace, self.times)
     }
 
     /// The shared trace spine every pipeline stage, the stash, and the
@@ -107,26 +100,6 @@ impl ForkPathController {
         self.clock_ps
     }
 
-    /// The scheduling stage (per-stage stats / tests).
-    pub fn scheduler(&self) -> &RequestScheduler {
-        &self.sched
-    }
-
-    /// The path-merging stage (per-stage stats / tests).
-    pub fn merger(&self) -> &PathMerger {
-        &self.merge
-    }
-
-    /// The dummy-replacing stage (per-stage stats / tests).
-    pub fn dummy_replacer(&self) -> &DummyReplacer {
-        &self.dummy
-    }
-
-    /// The writeback stage (per-stage stats / tests).
-    pub fn writeback(&self) -> &WritebackEngine {
-        &self.writeback
-    }
-
     /// Starts recording the externally visible label sequence.
     pub fn enable_label_trace(&mut self) {
         self.label_trace = Some(Vec::new());
@@ -147,9 +120,7 @@ impl ForkPathController {
     /// anything newer is delivered on a later drain (after the next
     /// [`ForkPathController::process_one`] flushes it).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let flushed: Vec<Completion> = self.completions.drain(..self.feedback_cursor).collect();
-        self.feedback_cursor = 0;
-        flushed
+        self.completions.drain_fed()
     }
 
     /// Enables or disables fixed-rate (timing-protection) mode; see
@@ -207,22 +178,5 @@ impl ForkPathController {
             Some(t) => t > self.clock_ps + interval_ps,
             None => true,
         }
-    }
-
-    /// Copies the cumulative per-stage counters into the aggregate
-    /// [`OramStats`] record existing consumers read.
-    pub(super) fn sync_stats(&mut self) {
-        let s = self.sched.stats();
-        self.stats.sched_rounds = s.rounds;
-        self.stats.sched_ready_reals = s.ready_reals;
-        let d = self.dummy.stats();
-        self.stats.dummy_accesses = d.executed;
-        self.stats.dummies_replaced = d.replaced;
-        let w = self.writeback.stats();
-        self.stats.cache_hits = w.cache_hits;
-        self.stats.cache_misses = w.cache_misses;
-        self.stats.dram_blocks_read = w.dram_blocks_read;
-        self.stats.dram_blocks_written = w.dram_blocks_written;
-        self.stats.buckets_written = w.buckets_written;
     }
 }

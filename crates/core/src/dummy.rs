@@ -16,23 +16,8 @@ use fp_path_oram::path::overlap_degree;
 use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::error::ControllerError;
-use crate::pipeline::PipelineStage;
 use crate::queue::Entry;
 use crate::scheduler::RequestScheduler;
-
-/// Statistics of the dummy stage — a view over the trace spine's
-/// counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DummyStats {
-    /// Conceptual padding materialized as an executable pending dummy.
-    pub materialized: u64,
-    /// Pending dummies replaced mid-refill by a late real request (§3.3).
-    pub replaced: u64,
-    /// Dummy accesses actually executed (read + refill).
-    pub executed: u64,
-    /// Selected padding dummies dropped while draining to idle.
-    pub trailing_discarded: u64,
-}
 
 /// The dummy-request replacing stage.
 #[derive(Debug, Clone)]
@@ -143,35 +128,9 @@ impl DummyReplacer {
         Ok(true)
     }
 
-    /// Records that a dummy access executed (for the stats record).
+    /// Records that a dummy access executed.
     pub fn note_executed(&mut self) {
         self.trace.bump(Counter::DummiesExecuted);
-    }
-}
-
-impl PipelineStage for DummyReplacer {
-    type Stats = DummyStats;
-
-    fn name(&self) -> &'static str {
-        "dummy"
-    }
-
-    fn stats(&self) -> DummyStats {
-        DummyStats {
-            materialized: self.trace.counter(Counter::DummiesMaterialized),
-            replaced: self.trace.counter(Counter::DummiesReplaced),
-            executed: self.trace.counter(Counter::DummiesExecuted),
-            trailing_discarded: self.trace.counter(Counter::DummiesTrailingDiscarded),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        self.trace.reset_counters(&[
-            Counter::DummiesMaterialized,
-            Counter::DummiesReplaced,
-            Counter::DummiesExecuted,
-            Counter::DummiesTrailingDiscarded,
-        ]);
     }
 }
 
@@ -199,8 +158,8 @@ mod tests {
         assert!(picked.as_ref().is_some_and(|e| !e.is_dummy()));
         let out = d.finalize(picked, true, false, 0, || panic!("must not draw a label"));
         assert!(out.is_some_and(|e| !e.is_dummy()));
-        assert_eq!(d.stats().materialized, 0);
-        assert_eq!(d.stats().trailing_discarded, 0);
+        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 0);
+        assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 0);
     }
 
     #[test]
@@ -208,16 +167,16 @@ mod tests {
         let mut d = DummyReplacer::new(true);
         // Idle, no fixed rate: nothing pending, nothing materialized.
         assert!(d.finalize(None, false, false, 10, || 5).is_none());
-        assert_eq!(d.stats().materialized, 0);
+        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 0);
         // Real work exists but none was schedulable: padding materializes.
         let out = d.finalize(None, true, false, 10, || 5).unwrap();
         assert!(out.is_dummy());
         assert_eq!(out.label, 5);
         assert_eq!(out.ready_ps, 10);
-        assert_eq!(d.stats().materialized, 1);
+        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 1);
         // Fixed-rate mode materializes even when idle.
         assert!(d.finalize(None, false, true, 20, || 6).is_some());
-        assert_eq!(d.stats().materialized, 2);
+        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 2);
     }
 
     #[test]
@@ -225,11 +184,11 @@ mod tests {
         let mut d = DummyReplacer::new(true);
         let pad = Entry::dummy(9, 0);
         assert!(d.finalize(Some(pad), false, false, 0, || 1).is_none());
-        assert_eq!(d.stats().trailing_discarded, 1);
+        assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 1);
         // ...but kept under fixed-rate protection.
         let pad = Entry::dummy(9, 0);
         assert!(d.finalize(Some(pad), false, true, 0, || 1).is_some());
-        assert_eq!(d.stats().trailing_discarded, 1);
+        assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 1);
     }
 
     #[test]
@@ -246,7 +205,7 @@ mod tests {
             .unwrap();
         assert!(changed);
         assert!(pending.is_some_and(|e| !e.is_dummy()));
-        assert_eq!(d.stats().replaced, 1);
+        assert_eq!(d.trace.counter(Counter::DummiesReplaced), 1);
     }
 
     #[test]
@@ -265,7 +224,7 @@ mod tests {
             .unwrap();
         assert!(changed);
         assert_eq!(
-            d.stats().replaced,
+            d.trace.counter(Counter::DummiesReplaced),
             0,
             "a displaced real is not a replaced dummy"
         );

@@ -40,8 +40,8 @@ use std::collections::BinaryHeap;
 
 use fp_dram::{AccessKind, DramSystem};
 use fp_path_oram::{
-    BaselineController, Completion, NewRequest, NoFeedback, Op, OramConfig, OramStats,
-    ReactiveSource,
+    AccessTimes, BaselineController, Completion, CompletionLog, NewRequest, NoFeedback, Op,
+    OramConfig, OramStats, ReactiveSource,
 };
 use fp_trace::{Counter, EventKind, TraceHandle};
 
@@ -104,8 +104,9 @@ pub trait OramEngine {
     /// Current engine clock, picoseconds.
     fn clock_ps(&self) -> u64;
 
-    /// Aggregate statistics so far.
-    fn stats(&self) -> &OramStats;
+    /// Aggregate statistics so far — a by-value view assembled from the
+    /// trace spine's counters (see [`OramStats::view`]).
+    fn stats(&self) -> OramStats;
 
     /// The engine's trace spine (counters, histograms, event ring).
     fn trace(&self) -> &TraceHandle;
@@ -152,7 +153,7 @@ impl<E: OramEngine + ?Sized> OramEngine for Box<E> {
     fn clock_ps(&self) -> u64 {
         (**self).clock_ps()
     }
-    fn stats(&self) -> &OramStats {
+    fn stats(&self) -> OramStats {
         (**self).stats()
     }
     fn trace(&self) -> &TraceHandle {
@@ -194,7 +195,7 @@ impl OramEngine for ForkPathController {
     fn clock_ps(&self) -> u64 {
         ForkPathController::clock_ps(self)
     }
-    fn stats(&self) -> &OramStats {
+    fn stats(&self) -> OramStats {
         ForkPathController::stats(self)
     }
     fn trace(&self) -> &TraceHandle {
@@ -227,7 +228,7 @@ impl OramEngine for BaselineController {
     fn clock_ps(&self) -> u64 {
         BaselineController::clock_ps(self)
     }
-    fn stats(&self) -> &OramStats {
+    fn stats(&self) -> OramStats {
         BaselineController::stats(self)
     }
     fn trace(&self) -> &TraceHandle {
@@ -291,11 +292,10 @@ pub struct InsecureEngine {
     pending: BinaryHeap<Reverse<PendingAccess>>,
     /// In-flight accesses, earliest finish first.
     outstanding: BinaryHeap<Reverse<OutstandingAccess>>,
-    completions: Vec<Completion>,
-    feedback_cursor: usize,
+    completions: CompletionLog,
     clock_ps: u64,
     next_id: u64,
-    stats: OramStats,
+    times: AccessTimes,
     trace: TraceHandle,
 }
 
@@ -311,19 +311,16 @@ impl InsecureEngine {
             block_bytes: block_bytes as u64,
             pending: BinaryHeap::new(),
             outstanding: BinaryHeap::new(),
-            completions: Vec::new(),
-            feedback_cursor: 0,
+            completions: CompletionLog::default(),
             clock_ps: 0,
             next_id: 0,
-            stats: OramStats::default(),
+            times: AccessTimes::default(),
             trace,
         }
     }
 
     fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) -> Result<(), ControllerError> {
-        while self.feedback_cursor < self.completions.len() {
-            let completion = self.completions[self.feedback_cursor].clone();
-            self.feedback_cursor += 1;
+        while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
                 OramEngine::submit(self, r)?;
             }
@@ -356,14 +353,11 @@ impl OramEngine for InsecureEngine {
             // Issue preference on ties keeps the interleaving chronological.
             (Some(ti), done) if done.is_none_or(|tc| ti <= tc) => {
                 let Reverse(p) = self.pending.pop().expect("peeked");
-                let kind = match p.op {
-                    Op::Read => AccessKind::Read,
-                    Op::Write => AccessKind::Write,
+                let (kind, blocks) = match p.op {
+                    Op::Read => (AccessKind::Read, Counter::DramBlocksRead),
+                    Op::Write => (AccessKind::Write, Counter::DramBlocksWritten),
                 };
-                match kind {
-                    AccessKind::Read => self.stats.dram_blocks_read += 1,
-                    AccessKind::Write => self.stats.dram_blocks_written += 1,
-                }
+                self.trace.bump(blocks);
                 let res = self.dram.access(ti, p.addr * self.block_bytes, kind);
                 self.clock_ps = self.clock_ps.max(ti);
                 self.outstanding.push(Reverse(OutstandingAccess {
@@ -385,16 +379,10 @@ impl OramEngine for InsecureEngine {
                 }) = self.outstanding.pop().expect("peeked");
                 self.clock_ps = self.clock_ps.max(finish);
                 let latency = finish.saturating_sub(arrival);
-                self.stats.completed_requests += 1;
-                self.stats.sum_latency_ps += latency;
-                self.stats.finish_time_ps = self.stats.finish_time_ps.max(finish);
-                self.stats.oram_accesses += 1;
-                self.stats.real_accesses += 1;
-                self.stats.access_busy_ps += latency;
-                // One "bucket" in and out per access so the shared
-                // avg-path-length metric reads 1.0 for plain DRAM.
-                self.stats.buckets_read += 1;
-                self.stats.buckets_written += 1;
+                self.times.sum_latency_ps += latency;
+                self.times.finish_time_ps = self.times.finish_time_ps.max(finish);
+                self.times.access_busy_ps += latency;
+                // The access count: one "full read" per plain-DRAM access.
                 self.trace.bump(Counter::FullReads);
                 self.trace
                     .record(finish, EventKind::RequestCompleted { id });
@@ -417,9 +405,7 @@ impl OramEngine for InsecureEngine {
     }
 
     fn drain_completions(&mut self) -> Vec<Completion> {
-        let flushed: Vec<Completion> = self.completions.drain(..self.feedback_cursor).collect();
-        self.feedback_cursor = 0;
-        flushed
+        self.completions.drain_fed()
     }
 
     fn has_pending_work(&self) -> bool {
@@ -430,8 +416,15 @@ impl OramEngine for InsecureEngine {
         self.clock_ps
     }
 
-    fn stats(&self) -> &OramStats {
-        &self.stats
+    fn stats(&self) -> OramStats {
+        // One "bucket" in and out per access, so the shared avg-path-length
+        // metric reads 1.0 for plain DRAM.
+        let view = OramStats::view(&self.trace, self.times);
+        OramStats {
+            buckets_read: view.oram_accesses,
+            buckets_written: view.oram_accesses,
+            ..view
+        }
     }
 
     fn trace(&self) -> &TraceHandle {

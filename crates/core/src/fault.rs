@@ -277,7 +277,7 @@ impl<E: OramEngine> OramEngine for FaultInjector<E> {
         self.inner.clock_ps() + self.penalty_ps
     }
 
-    fn stats(&self) -> &OramStats {
+    fn stats(&self) -> OramStats {
         self.inner.stats()
     }
 

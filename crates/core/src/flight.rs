@@ -9,8 +9,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use fp_path_oram::{Completion, LlcRequest, OramConfig, OramState, OramStats};
-use fp_trace::{EventKind, TraceHandle};
+use fp_path_oram::{AccessTimes, Completion, CompletionLog, LlcRequest, OramConfig, OramState};
+use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::address_queue::AddressQueue;
 use crate::controller::ONCHIP_ANSWER_PS;
@@ -45,8 +45,8 @@ pub(crate) struct StepCtx<'a> {
     pub plb: &'a mut PosMapLookasideBuffer,
     pub aq: &'a mut AddressQueue,
     pub sched: &'a mut RequestScheduler,
-    pub stats: &'a mut OramStats,
-    pub completions: &'a mut Vec<Completion>,
+    pub times: &'a mut AccessTimes,
+    pub completions: &'a mut CompletionLog,
     pub trace: &'a TraceHandle,
 }
 
@@ -232,8 +232,7 @@ impl FlightTable {
             let (data, _) = ctx.state.apply_op(block, new_label, wdata.as_deref());
             let flight = self.remove(flight_id)?;
             ctx.aq.complete(flight.req.addr, flight.req.op);
-            ctx.stats.completed_requests += 1;
-            ctx.stats.sum_latency_ps += read_end_ps.saturating_sub(flight.req.arrival_ps);
+            ctx.times.sum_latency_ps += read_end_ps.saturating_sub(flight.req.arrival_ps);
             ctx.trace.record(
                 read_end_ps,
                 EventKind::RequestCompleted { id: flight.req.id },
@@ -300,7 +299,7 @@ impl FlightTable {
             if shortcut_ok {
                 // On-chip fast path: relabel + payload handling, no access.
                 self.release_block(block, step.flight)?;
-                ctx.stats.stash_hits += 1;
+                ctx.trace.bump(Counter::StashHits);
                 ready += ONCHIP_ANSWER_PS;
                 if !at_last_step {
                     let flight = self.get(step.flight)?;
@@ -320,8 +319,7 @@ impl FlightTable {
                 let (data, _) = ctx.state.apply_op(real_block, new_label, wdata.as_deref());
                 let flight = self.remove(step.flight)?;
                 ctx.aq.complete(flight.req.addr, flight.req.op);
-                ctx.stats.completed_requests += 1;
-                ctx.stats.sum_latency_ps += ready.saturating_sub(flight.req.arrival_ps);
+                ctx.times.sum_latency_ps += ready.saturating_sub(flight.req.arrival_ps);
                 ctx.trace
                     .record(ready, EventKind::RequestCompleted { id: flight.req.id });
                 ctx.trace

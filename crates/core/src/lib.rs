@@ -70,26 +70,22 @@ pub mod fault;
 mod flight;
 mod mac;
 pub mod merge;
-pub mod pipeline;
 mod plb;
 mod queue;
 pub mod reactive;
 pub mod scheduler;
 pub mod timing;
-pub mod writeback;
 
 pub use address_queue::{AddressQueue, SubmitEffect};
 pub use config::{CacheChoice, ForkConfig};
 pub use controller::ForkPathController;
-pub use dummy::{DummyReplacer, DummyStats};
+pub use dummy::DummyReplacer;
 pub use engine::{InsecureEngine, OramEngine, Scheme};
 pub use error::ControllerError;
 pub use fault::{FaultConfig, FaultInjector};
 pub use mac::MergingAwareCache;
-pub use merge::{MergeStats, PathMerger};
-pub use pipeline::PipelineStage;
+pub use merge::PathMerger;
 pub use plb::PosMapLookasideBuffer;
 pub use queue::{Entry, EntryKind, LabelQueue};
 pub use reactive::{NewRequest, NoFeedback, ReactiveSource};
-pub use scheduler::{RequestScheduler, SchedulerStats};
-pub use writeback::{WritebackEngine, WritebackStats};
+pub use scheduler::RequestScheduler;

@@ -16,24 +16,6 @@
 use fp_path_oram::path::{divergence_level, node_at_level};
 use fp_trace::{Counter, EventKind, TraceHandle};
 
-use crate::pipeline::PipelineStage;
-
-/// Statistics of the merge stage — a view over the trace spine's
-/// counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Read phases that skipped a shared prefix.
-    pub merged_reads: u64,
-    /// Read phases that fetched the full path (cold start / after idle).
-    pub full_reads: u64,
-    /// Total levels skipped across read phases (shared-prefix buckets the
-    /// stash already held).
-    pub read_levels_skipped: u64,
-    /// Times the previous-path anchor was dropped (idle drain, fixed-rate
-    /// exit) so the next read takes a full path.
-    pub resets: u64,
-}
-
 /// The path-merging stage: fork-point computation over consecutive labels.
 #[derive(Debug, Clone)]
 pub struct PathMerger {
@@ -138,32 +120,6 @@ impl PathMerger {
     }
 }
 
-impl PipelineStage for PathMerger {
-    type Stats = MergeStats;
-
-    fn name(&self) -> &'static str {
-        "merge"
-    }
-
-    fn stats(&self) -> MergeStats {
-        MergeStats {
-            merged_reads: self.trace.counter(Counter::MergedReads),
-            full_reads: self.trace.counter(Counter::FullReads),
-            read_levels_skipped: self.trace.counter(Counter::ReadLevelsSkipped),
-            resets: self.trace.counter(Counter::MergeResets),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        self.trace.reset_counters(&[
-            Counter::MergedReads,
-            Counter::FullReads,
-            Counter::ReadLevelsSkipped,
-            Counter::MergeResets,
-        ]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,9 +157,12 @@ mod tests {
         // Everything above `floor` is in the common prefix; `floor` is not.
         let prefix = PathMerger::common_prefix(levels, 5, 7);
         assert_eq!(floor as usize, prefix.len());
-        assert_eq!(m.stats().merged_reads, 1);
-        assert_eq!(m.stats().full_reads, 1);
-        assert_eq!(m.stats().read_levels_skipped, prefix.len() as u64);
+        assert_eq!(m.trace.counter(Counter::MergedReads), 1);
+        assert_eq!(m.trace.counter(Counter::FullReads), 1);
+        assert_eq!(
+            m.trace.counter(Counter::ReadLevelsSkipped),
+            prefix.len() as u64
+        );
     }
 
     #[test]
@@ -243,9 +202,9 @@ mod tests {
         m.commit(4);
         m.reset();
         assert_eq!(m.prev_label(), None);
-        assert_eq!(m.stats().resets, 1);
+        assert_eq!(m.trace.counter(Counter::MergeResets), 1);
         m.reset(); // idempotent: no anchor to drop
-        assert_eq!(m.stats().resets, 1);
+        assert_eq!(m.trace.counter(Counter::MergeResets), 1);
         assert_eq!(m.read_floor(10, 4), 0);
     }
 }

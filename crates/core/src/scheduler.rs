@@ -11,23 +11,11 @@
 //!   back rather than executed.
 //!
 //! Aging/starvation, FIFO tie-breaking and dummy padding semantics live in
-//! [`LabelQueue`]; this stage adds the policy wiring and the stats.
+//! [`LabelQueue`]; this stage adds the policy wiring and the counters.
 
 use fp_trace::{Counter, EventKind, TraceHandle};
 
-use crate::pipeline::PipelineStage;
 use crate::queue::{Entry, EntryKind, LabelQueue};
-
-/// Statistics of the scheduling stage — a view over the trace spine's
-/// counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Refill-time scheduling rounds (one per executed access).
-    pub rounds: u64,
-    /// Ready real candidates summed over those rounds (`ready_reals /
-    /// rounds` is the paper's mean schedulable-window occupancy).
-    pub ready_reals: u64,
-}
 
 /// The request-reordering stage: a label queue plus selection policy.
 #[derive(Debug, Clone)]
@@ -176,26 +164,6 @@ impl RequestScheduler {
     }
 }
 
-impl PipelineStage for RequestScheduler {
-    type Stats = SchedulerStats;
-
-    fn name(&self) -> &'static str {
-        "scheduler"
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            rounds: self.trace.counter(Counter::SchedRounds),
-            ready_reals: self.trace.counter(Counter::SchedReadyReals),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        self.trace
-            .reset_counters(&[Counter::SchedRounds, Counter::SchedReadyReals]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,8 +208,12 @@ mod tests {
         s.insert_real(3, real(2), 5_000).unwrap(); // not ready yet
         s.pad_with(|| 0);
         let _ = s.select_pending(3, 1, 0);
-        assert_eq!(s.stats().rounds, 1);
-        assert_eq!(s.stats().ready_reals, 2, "future entry is not ready");
+        assert_eq!(s.trace.counter(Counter::SchedRounds), 1);
+        assert_eq!(
+            s.trace.counter(Counter::SchedReadyReals),
+            2,
+            "future entry is not ready"
+        );
     }
 
     #[test]
@@ -252,7 +224,7 @@ mod tests {
         let picked = s.select_initial(3, 7, 0).unwrap();
         assert_eq!(picked.kind, real(9), "dummies are skipped, not executed");
         assert_eq!(
-            s.stats().rounds,
+            s.trace.counter(Counter::SchedRounds),
             0,
             "initial pick is not a scheduling round"
         );

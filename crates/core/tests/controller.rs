@@ -352,31 +352,6 @@ fn stash_stays_bounded() {
 }
 
 #[test]
-fn stage_stats_match_aggregate_record() {
-    use fp_core::PipelineStage;
-    let mut ctl = fork(ForkConfig::default());
-    for a in 0..48u64 {
-        ctl.submit(a, Op::Read, vec![], a * 200_000);
-    }
-    ctl.run_to_idle();
-    let agg = ctl.stats().clone();
-    assert_eq!(agg.sched_rounds, ctl.scheduler().stats().rounds);
-    assert_eq!(agg.sched_ready_reals, ctl.scheduler().stats().ready_reals);
-    assert_eq!(agg.dummy_accesses, ctl.dummy_replacer().stats().executed);
-    assert_eq!(agg.dummies_replaced, ctl.dummy_replacer().stats().replaced);
-    assert_eq!(agg.buckets_written, ctl.writeback().stats().buckets_written);
-    assert_eq!(
-        agg.dram_blocks_read,
-        ctl.writeback().stats().dram_blocks_read
-    );
-    assert_eq!(
-        ctl.merger().stats().merged_reads + ctl.merger().stats().full_reads,
-        agg.oram_accesses,
-        "every access takes exactly one read-floor decision"
-    );
-}
-
-#[test]
 fn submit_batch_matches_sequential_submits() {
     // The batch handoff (one pump after N enqueues) must complete the same
     // requests with the same data as N pumped submits; ids stay in order.

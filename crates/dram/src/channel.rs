@@ -5,7 +5,6 @@ use std::collections::VecDeque;
 use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::config::{DramConfig, Location};
-use crate::stats::DramStats;
 use crate::system::AccessKind;
 
 /// State of one DRAM bank.
@@ -87,7 +86,6 @@ impl Channel {
         loc: Location,
         kind: AccessKind,
         earliest: u64,
-        stats: &mut DramStats,
         trace: &TraceHandle,
     ) -> Scheduled {
         let t = &cfg.timing;
@@ -110,15 +108,12 @@ impl Channel {
                 // proportional to idle time.
                 let skipped = 1 + (earliest - rank.next_refresh_due - t.t_rfc) / t.t_refi;
                 rank.next_refresh_due += skipped * t.t_refi;
-                stats.refreshes_skipped += skipped;
                 trace.add(Counter::DramRefsSkipped, skipped);
             }
             if earliest >= rank.next_refresh_due {
                 let due = rank.next_refresh_due;
                 earliest = due + t.t_rfc;
                 rank.next_refresh_due += t.t_refi;
-                stats.refreshes += 1;
-                stats.ref_energy_pj += cfg.ref_energy_pj;
                 trace.record(due, EventKind::DramRef);
             }
             earliest
@@ -136,7 +131,7 @@ impl Channel {
                 // Precharge the old row first.
                 let pre_at = earliest.max(bank.next_pre).max(bank.act_time + t.t_ras);
                 act_at = act_at.max(pre_at + t.t_rp);
-                stats.precharges += 1;
+                trace.bump(Counter::DramPrecharges);
             }
             // Rank-level activation constraints.
             {
@@ -159,11 +154,7 @@ impl Channel {
             bank.act_time = act_at;
             bank.open_row = Some(loc.row);
             cas_ready = cas_ready.max(act_at + t.t_rcd);
-            stats.activations += 1;
-            stats.row_misses += 1;
             trace.record(act_at, EventKind::DramAct);
-        } else {
-            stats.row_hits += 1;
         }
 
         // -- Column command phase ----------------------------------------
@@ -195,19 +186,12 @@ impl Channel {
         match kind {
             AccessKind::Read => {
                 bank.next_pre = bank.next_pre.max(cas_at + t.t_rtp);
-                stats.reads += 1;
-                stats.read_energy_pj += cfg.read_energy_pj;
                 trace.record(data_start, EventKind::DramRead);
             }
             AccessKind::Write => {
                 bank.next_pre = bank.next_pre.max(data_end + t.t_wr);
-                stats.writes += 1;
-                stats.write_energy_pj += cfg.write_energy_pj;
                 trace.record(data_start, EventKind::DramWrite);
             }
-        }
-        if !row_hit {
-            stats.act_energy_pj += cfg.act_pre_energy_pj;
         }
         // ACT after PRE: next_act tracks "row closed and precharged"; derive
         // lazily when the next conflicting access arrives.
@@ -226,6 +210,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::DramStats;
 
     fn loc(bank: usize, row: u64) -> Location {
         Location {
@@ -236,76 +221,72 @@ mod tests {
         }
     }
 
-    fn setup() -> (DramConfig, Channel, DramStats, TraceHandle) {
+    fn setup() -> (DramConfig, Channel, TraceHandle) {
         let cfg = DramConfig::ddr3_1600(1);
         let ch = Channel::new(&cfg);
-        (cfg, ch, DramStats::default(), TraceHandle::default())
+        (cfg, ch, TraceHandle::default())
     }
 
     #[test]
     fn first_access_pays_act_plus_cas() {
-        let (cfg, mut ch, mut st, tr) = setup();
-        let s = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &mut st, &tr);
+        let (cfg, mut ch, tr) = setup();
+        let s = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &tr);
         let t = &cfg.timing;
         assert_eq!(s.finish, t.t_rcd + t.t_cl + t.t_burst);
         assert!(!s.row_hit);
+        let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.activations, 1);
         assert_eq!(st.row_misses, 1);
     }
 
     #[test]
     fn row_hit_is_faster_than_miss() {
-        let (cfg, mut ch, mut st, tr) = setup();
-        let first = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &mut st, &tr);
-        let hit = ch.schedule(
-            &cfg,
-            loc(0, 5),
-            AccessKind::Read,
-            first.finish,
-            &mut st,
-            &tr,
-        );
+        let (cfg, mut ch, tr) = setup();
+        let first = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &tr);
+        let hit = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, first.finish, &tr);
         assert!(hit.row_hit);
         let hit_latency = hit.finish - first.finish;
 
-        let (cfg2, mut ch2, mut st2, tr2) = setup();
-        let f = ch2.schedule(&cfg2, loc(0, 5), AccessKind::Read, 0, &mut st2, &tr2);
-        let miss = ch2.schedule(&cfg2, loc(0, 9), AccessKind::Read, f.finish, &mut st2, &tr2);
+        let (cfg2, mut ch2, tr2) = setup();
+        let f = ch2.schedule(&cfg2, loc(0, 5), AccessKind::Read, 0, &tr2);
+        let miss = ch2.schedule(&cfg2, loc(0, 9), AccessKind::Read, f.finish, &tr2);
         assert!(!miss.row_hit);
         let miss_latency = miss.finish - f.finish;
         assert!(
             miss_latency > hit_latency,
             "{miss_latency} vs {hit_latency}"
         );
+        let st2 = DramStats::view(&tr2.counters(), &cfg2);
         assert_eq!(st2.precharges, 1, "conflict forced a precharge");
     }
 
     #[test]
     fn data_bus_serializes_parallel_banks() {
-        let (cfg, mut ch, mut st, tr) = setup();
+        let (cfg, mut ch, tr) = setup();
         // Two different banks activated in parallel still share the bus.
-        let a = ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &mut st, &tr);
-        let b = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &mut st, &tr);
+        let a = ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &tr);
+        let b = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &tr);
         assert!(b.finish >= a.finish + cfg.timing.t_burst);
     }
 
     #[test]
     fn write_to_read_turnaround_applies() {
-        let (cfg, mut ch, mut st, tr) = setup();
-        let w = ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &mut st, &tr);
-        let r = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &mut st, &tr);
+        let (cfg, mut ch, tr) = setup();
+        let w = ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &tr);
+        let r = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &tr);
         assert!(r.finish >= w.finish + cfg.timing.t_wtr + cfg.timing.t_burst);
     }
 
     #[test]
     fn faw_limits_burst_of_activations() {
-        let (cfg, mut ch, mut st, tr) = setup();
+        let (cfg, mut ch, tr) = setup();
         // 5 activations to distinct banks at time 0: the 5th must wait tFAW.
         let mut finishes = Vec::new();
         for bank in 0..5 {
-            let s = ch.schedule(&cfg, loc(bank, 1), AccessKind::Read, 0, &mut st, &tr);
+            let s = ch.schedule(&cfg, loc(bank, 1), AccessKind::Read, 0, &tr);
             finishes.push(s.finish);
         }
+        let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.activations, 5);
         // The 5th ACT is at >= tFAW, so its data can't finish before
         // tFAW + tRCD + tCL + tBURST.
@@ -315,9 +296,10 @@ mod tests {
 
     #[test]
     fn energy_accumulates_per_command() {
-        let (cfg, mut ch, mut st, tr) = setup();
-        ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &mut st, &tr);
-        ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &mut st, &tr);
+        let (cfg, mut ch, tr) = setup();
+        ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &tr);
+        ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &tr);
+        let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.act_energy_pj, cfg.act_pre_energy_pj);
         assert_eq!(st.read_energy_pj, cfg.read_energy_pj);
         assert_eq!(st.write_energy_pj, cfg.write_energy_pj);
@@ -327,12 +309,12 @@ mod tests {
 #[cfg(test)]
 mod refresh_tests {
     use super::*;
+    use crate::stats::DramStats;
 
     #[test]
     fn refresh_delays_overlapping_access() {
         let cfg = DramConfig::ddr3_1600(1);
         let mut ch = Channel::new(&cfg);
-        let mut st = DramStats::default();
         let tr = TraceHandle::default();
         let loc = Location {
             channel: 0,
@@ -342,8 +324,9 @@ mod refresh_tests {
         };
         // Land exactly on the first refresh due time.
         let due = cfg.timing.t_refi;
-        let s = ch.schedule(&cfg, loc, AccessKind::Read, due, &mut st, &tr);
+        let s = ch.schedule(&cfg, loc, AccessKind::Read, due, &tr);
         assert!(s.finish >= due + cfg.timing.t_rfc, "command waits out tRFC");
+        let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.refreshes, 1);
         assert_eq!(st.refreshes_skipped, 0);
         assert_eq!(st.ref_energy_pj, cfg.ref_energy_pj);
@@ -354,7 +337,6 @@ mod refresh_tests {
     fn idle_refreshes_advance_schedule_silently() {
         let cfg = DramConfig::ddr3_1600(1);
         let mut ch = Channel::new(&cfg);
-        let mut st = DramStats::default();
         let tr = TraceHandle::default();
         let loc = Location {
             channel: 0,
@@ -367,7 +349,8 @@ mod refresh_tests {
         // executed and charged no energy (the pre-fix code inflated
         // `refreshes` and with it the Fig 15 REF energy).
         let t = cfg.timing.t_refi * 10 + cfg.timing.t_refi / 2;
-        let s = ch.schedule(&cfg, loc, AccessKind::Read, t, &mut st, &tr);
+        let s = ch.schedule(&cfg, loc, AccessKind::Read, t, &tr);
+        let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.refreshes, 0, "idle refreshes are not executed");
         assert!(st.refreshes_skipped >= 10);
         assert_eq!(st.ref_energy_pj, 0, "skipped refreshes cost no energy");
@@ -381,7 +364,6 @@ mod refresh_tests {
     fn refresh_energy_matches_idd_expectation() {
         let cfg = DramConfig::ddr3_1600(1);
         let mut ch = Channel::new(&cfg);
-        let mut st = DramStats::default();
         let tr = TraceHandle::default();
         let loc = Location {
             channel: 0,
@@ -394,8 +376,9 @@ mod refresh_tests {
         // the schedule as skips).
         for k in 1..=6u64 {
             let due = cfg.timing.t_refi * (2 * k);
-            ch.schedule(&cfg, loc, AccessKind::Read, due, &mut st, &tr);
+            ch.schedule(&cfg, loc, AccessKind::Read, due, &tr);
         }
+        let st = DramStats::view(&tr.counters(), &cfg);
         assert!(st.refreshes >= 6);
         assert!(st.refreshes_skipped > 0);
         // IDD-based expectation: exactly ref_energy_pj per modeled REF,

@@ -1,6 +1,15 @@
-//! Command and energy counters.
+//! Command and energy statistics — a by-value view over the fp-trace
+//! counters the channel model bumps.
+
+use fp_trace::Counter;
+
+use crate::config::DramConfig;
 
 /// Aggregate DRAM statistics: command counts, row-buffer behaviour, energy.
+///
+/// Nothing here is accumulated separately: [`DramStats::view`] assembles
+/// the record from the trace counters (one per DRAM command kind) and the
+/// configuration's per-command energies.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Read bursts serviced.
@@ -34,6 +43,35 @@ pub struct DramStats {
 }
 
 impl DramStats {
+    /// Assembles the record from a counter snapshot
+    /// ([`fp_trace::TraceHandle::counters`]) of the spine the DRAM system
+    /// reports into. Every column access either hits the open row or
+    /// activates one, so misses are the activations and hits the rest;
+    /// each energy is its command count times `cfg`'s per-command energy.
+    pub fn view(counters: &[u64; Counter::COUNT], cfg: &DramConfig) -> Self {
+        let c = |c: Counter| counters[c as usize];
+        let (reads, writes, acts) = (
+            c(Counter::DramReads),
+            c(Counter::DramWrites),
+            c(Counter::DramActs),
+        );
+        let refreshes = c(Counter::DramRefs);
+        Self {
+            reads,
+            writes,
+            activations: acts,
+            precharges: c(Counter::DramPrecharges),
+            row_hits: reads + writes - acts,
+            row_misses: acts,
+            act_energy_pj: acts * cfg.act_pre_energy_pj,
+            read_energy_pj: reads * cfg.read_energy_pj,
+            write_energy_pj: writes * cfg.write_energy_pj,
+            refreshes,
+            refreshes_skipped: c(Counter::DramRefsSkipped),
+            ref_energy_pj: refreshes * cfg.ref_energy_pj,
+        }
+    }
+
     /// Total accesses (reads + writes).
     pub fn accesses(&self) -> u64 {
         self.reads + self.writes

@@ -60,7 +60,6 @@ impl BatchResult {
 pub struct DramSystem {
     config: DramConfig,
     channels: Vec<Channel>,
-    stats: DramStats,
     trace: TraceHandle,
     scratch: FrFcfsScratch,
 }
@@ -115,7 +114,6 @@ impl DramSystem {
         Self {
             config,
             channels,
-            stats: DramStats::default(),
             trace: TraceHandle::default(),
             scratch: FrFcfsScratch::default(),
         }
@@ -137,22 +135,18 @@ impl DramSystem {
         &self.config
     }
 
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &DramStats {
-        &self.stats
+    /// Cumulative statistics: a view over the attached spine's DRAM
+    /// command counters (so a spine shared with another DRAM system, or
+    /// swapped by [`DramSystem::attach_trace`] mid-run, is what it shows).
+    pub fn stats(&self) -> DramStats {
+        DramStats::view(&self.trace.counters(), &self.config)
     }
 
     /// Performs one access arriving at `now_ps`.
     pub fn access(&mut self, now_ps: u64, addr: u64, kind: AccessKind) -> AccessResult {
         let loc = self.config.decompose(addr);
-        let sched = self.channels[loc.channel].schedule(
-            &self.config,
-            loc,
-            kind,
-            now_ps,
-            &mut self.stats,
-            &self.trace,
-        );
+        let sched =
+            self.channels[loc.channel].schedule(&self.config, loc, kind, now_ps, &self.trace);
         AccessResult {
             finish_ps: sched.finish,
             row_hit: sched.row_hit,
@@ -269,7 +263,6 @@ impl DramSystem {
                     s.locs[idx],
                     accesses[idx].1,
                     now_ps,
-                    &mut self.stats,
                     &self.trace,
                 );
                 finish[idx] = sched.finish;
@@ -407,14 +400,8 @@ mod tests {
                     .position(|&idx| channel.is_row_hit(locs[idx]))
                     .unwrap_or(0);
                 let idx = pending.remove(pick_pos);
-                let sched = channel.schedule(
-                    &sys.config,
-                    locs[idx],
-                    accesses[idx].1,
-                    now_ps,
-                    &mut sys.stats,
-                    &sys.trace,
-                );
+                let sched =
+                    channel.schedule(&sys.config, locs[idx], accesses[idx].1, now_ps, &sys.trace);
                 finish[idx] = sched.finish;
                 batch_finish = batch_finish.max(sched.finish);
             }

@@ -6,9 +6,9 @@
 //! | Rule | Invariant |
 //! |---|---|
 //! | `wall-clock-in-sim` | Simulated results are a pure function of the seed: no `Instant`/`SystemTime` outside the wall-clock harness crates (`fp-bench`, `fp-net`) |
-//! | `poisonable-lock` | Supervised-thread crates (`fp-service`, `fp-net`) never panic on a poisoned mutex: `.lock().unwrap()`/`.expect(..)` must route through `fp_service::sync::relock` |
+//! | `poisonable-lock` | Crates whose locks outlive a panicking thread (`fp-trace`, `fp-service`, `fp-net`) never panic on a poisoned mutex: `.lock().unwrap()`/`.expect(..)` must route through `fp_trace::sync::relock` (re-exported as `fp_service::sync::relock`) |
 //! | `stdout-in-library` | Library crates report through JSON/return values, never `println!`/`eprintln!`/`dbg!` |
-//! | `hot-path-alloc` | Functions marked `// fp-lint: hot-path` stay allocation-free (`.clone()`, `.to_vec()`, `format!`, `Vec::new`, `vec!`) |
+//! | `hot-path-alloc` | Functions marked `// fp-lint: hot-path` stay allocation- and lock-free (`.clone()`, `.to_vec()`, `format!`, `Vec::new`, `vec!`, `.lock()`) |
 //! | `bad-pragma` | Suppressions parse, name a real rule, and carry a reason |
 //! | `unused-allow` | Suppressions that stop suppressing anything are removed |
 
@@ -103,14 +103,20 @@ fn wall_clock_in_sim(file: &SourceFile) -> Vec<Finding> {
     findings
 }
 
-/// Crates whose worker threads run under panic supervision: a poisoned
-/// mutex must degrade, not cascade.
-const SUPERVISED_CRATES: [&str; 2] = ["crates/service/src/", "crates/net/src/"];
+/// Crates whose shared locks outlive a panicking thread — worker threads
+/// under panic supervision, and the trace spine those workers report
+/// into: a poisoned mutex must degrade, not cascade.
+const SUPERVISED_CRATES: [&str; 3] = [
+    "crates/trace/src/",
+    "crates/service/src/",
+    "crates/net/src/",
+];
 
 /// `poisonable-lock`: in supervised-thread crates, `.lock().unwrap()` /
 /// `.lock().expect(..)` turns one panicking worker into a panic cascade
 /// through supervisor, dispatcher, and stats paths. Route through
-/// `fp_service::sync::relock`, which recovers the guard.
+/// `fp_trace::sync::relock` (re-exported as `fp_service::sync::relock`),
+/// which recovers the guard.
 fn poisonable_lock(file: &SourceFile) -> Vec<Finding> {
     if !SUPERVISED_CRATES.iter().any(|c| file.path().starts_with(c)) {
         return Vec::new();
@@ -130,7 +136,7 @@ fn poisonable_lock(file: &SourceFile) -> Vec<Finding> {
                     file.path(),
                     line,
                     "poisonable `.lock().unwrap()/.expect(..)` in a supervised-thread crate — \
-                     use `fp_service::sync::relock` so a panicked holder degrades instead of \
+                     use `relock` (`fp_trace::sync`) so a panicked holder degrades instead of \
                      cascading"
                         .to_string(),
                 ));
@@ -180,13 +186,22 @@ fn is_library_source(path: &str) -> bool {
         && !path.contains("/tests/")
 }
 
-/// Allocation patterns audited inside `// fp-lint: hot-path` functions.
-const ALLOC_PATTERNS: [&str; 5] = [".clone()", ".to_vec()", "format!", "Vec::new", "vec!"];
+/// Allocation patterns — and direct mutex acquisition — audited inside
+/// `// fp-lint: hot-path` functions.
+const ALLOC_PATTERNS: [&str; 6] = [
+    ".clone()",
+    ".to_vec()",
+    "format!",
+    "Vec::new",
+    "vec!",
+    ".lock()",
+];
 
 /// `hot-path-alloc`: the per-access loops that PR 3 made allocation-free
-/// (PLB touch, MAC probe, FR-FCFS pick, shard pump) are annotated; any
-/// allocation pattern reappearing inside them is flagged so the win
-/// cannot silently regress.
+/// (PLB touch, MAC probe, FR-FCFS pick, shard pump), the writeback
+/// engine's batch generation and the trace counter bump are annotated;
+/// any allocation pattern — or a lock — reappearing inside them is
+/// flagged so the win cannot silently regress.
 fn hot_path_alloc(file: &SourceFile, pragmas: &[PlacedPragma]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for p in pragmas {
@@ -226,7 +241,7 @@ fn hot_path_alloc(file: &SourceFile, pragmas: &[PlacedPragma]) -> Vec<Finding> {
                     line,
                     format!(
                         "`{pat}` inside a `fp-lint: hot-path` function — this loop is \
-                             allocation-free by contract (see DESIGN.md §12)"
+                             allocation- and lock-free by contract (see DESIGN.md §12)"
                     ),
                 ));
             }

@@ -88,6 +88,11 @@ fn poisonable_lock_fires_in_supervised_crates() {
         fired(&lint("crates/net/src/x.rs", src), "poisonable-lock").len(),
         1
     );
+    assert_eq!(
+        fired(&lint("crates/trace/src/handle.rs", src), "poisonable-lock").len(),
+        1,
+        "the trace spine's lock outlives a panicking worker too"
+    );
 }
 
 #[test]
@@ -103,19 +108,11 @@ fn poisonable_lock_fires_across_line_breaks() {
 fn poisonable_lock_accepts_relock_and_other_crates() {
     let relock = "fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {\n\
                   \x20   m.lock().unwrap_or_else(PoisonError::into_inner)\n}\n";
-    assert!(fired(
-        &lint("crates/service/src/sync.rs", relock),
-        "poisonable-lock"
-    )
-    .is_empty());
+    assert!(fired(&lint("crates/trace/src/sync.rs", relock), "poisonable-lock").is_empty());
     let plain = "fn f(m: &Mutex<u32>) { let _ = m.lock().unwrap(); }\n";
     assert!(
-        fired(
-            &lint("crates/trace/src/handle.rs", plain),
-            "poisonable-lock"
-        )
-        .is_empty(),
-        "fp-trace is not a supervised-thread crate"
+        fired(&lint("crates/sim/src/report.rs", plain), "poisonable-lock").is_empty(),
+        "fp-sim holds no lock a supervised thread can poison"
     );
 }
 
@@ -185,20 +182,22 @@ fn hot(&mut self) {
     let z = Vec::new();
     let w = vec![0u8; 4];
     let u = self.v.to_vec();
+    let g = self.m.lock();
 }
 
 fn cold(&mut self) {
     let x = self.v.clone();
+    let g = self.m.lock();
 }
 ";
     let f = lint("crates/core/src/x.rs", src);
     let hits = fired(&f, "hot-path-alloc");
     assert_eq!(
         hits.len(),
-        5,
-        "one per allocation pattern, in the hot fn only"
+        6,
+        "one per allocation pattern plus the lock, in the hot fn only"
     );
-    assert!(hits.iter().all(|h| (3..=7).contains(&h.line)));
+    assert!(hits.iter().all(|h| (3..=8).contains(&h.line)));
 }
 
 #[test]

@@ -7,16 +7,16 @@
 
 use std::collections::VecDeque;
 
-use fp_dram::layout::{SubtreeLayout, TreeLayout};
-use fp_dram::{AccessKind, DramSystem};
+use fp_dram::DramSystem;
 use fp_trace::{Counter, EventKind, TraceHandle};
 
-use crate::cache::{BucketCache, NoCache, TreetopCache, WriteOutcome};
+use crate::cache::{BucketCache, NoCache, TreetopCache};
 use crate::config::OramConfig;
 use crate::integrity::IntegrityError;
-use crate::reactive::{NoFeedback, ReactiveSource};
+use crate::reactive::{CompletionLog, NoFeedback, ReactiveSource};
 use crate::state::OramState;
-use crate::stats::OramStats;
+use crate::stats::{AccessTimes, OramStats};
+use crate::writeback::WritebackEngine;
 
 /// LLC request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,24 +85,18 @@ const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 pub struct BaselineController {
     state: OramState,
     dram: DramSystem,
-    layout: SubtreeLayout,
-    cache: Box<dyn BucketCache + Send>,
+    writeback: WritebackEngine,
     queue: VecDeque<LlcRequest>,
     clock_ps: u64,
     next_id: u64,
-    stats: OramStats,
-    completions: Vec<Completion>,
-    /// Completions before this index have been fed to the reactive source.
-    feedback_cursor: usize,
+    times: AccessTimes,
+    completions: CompletionLog,
     /// The shared trace spine (counters, histograms, event ring) the
     /// controller, stash, and DRAM system report into.
     trace: TraceHandle,
     label_trace: Option<Vec<u64>>,
-    bursts_per_bucket: u64,
     /// Reusable node-id buffer for the per-access read phase.
     path_nodes: Vec<u64>,
-    /// Reusable DRAM burst batch buffer.
-    batch_scratch: Vec<(u64, AccessKind)>,
 }
 
 impl BaselineController {
@@ -124,13 +118,9 @@ impl BaselineController {
         seed: u64,
         cache: Box<dyn BucketCache + Send>,
     ) -> Self {
-        let layout =
-            SubtreeLayout::fit_row(cfg.path_len(), cfg.bucket_bytes(), dram.config().row_bytes);
-        let bursts_per_bucket = cfg
-            .bucket_bytes()
-            .div_ceil(dram.config().burst_bytes)
-            .max(1);
         let trace = TraceHandle::default();
+        let mut writeback = WritebackEngine::with_cache(cache, &cfg, dram.config());
+        writeback.attach_trace(trace.clone());
         let mut state = OramState::new(cfg, seed);
         state.attach_trace(trace.clone());
         let mut dram = dram;
@@ -138,19 +128,15 @@ impl BaselineController {
         Self {
             state,
             dram,
-            layout,
-            cache,
+            writeback,
             queue: VecDeque::new(),
             clock_ps: 0,
             next_id: 0,
-            stats: OramStats::default(),
-            completions: Vec::new(),
-            feedback_cursor: 0,
+            times: AccessTimes::default(),
+            completions: CompletionLog::default(),
             trace,
             label_trace: None,
-            bursts_per_bucket,
             path_nodes: Vec::new(),
-            batch_scratch: Vec::new(),
         }
     }
 
@@ -221,9 +207,7 @@ impl BaselineController {
     /// Routes every not-yet-fed completion through `source`, submitting any
     /// follow-up requests it produces, until quiescent.
     fn flush_feedback<S: ReactiveSource + ?Sized>(&mut self, source: &mut S) {
-        while self.feedback_cursor < self.completions.len() {
-            let completion = self.completions[self.feedback_cursor].clone();
-            self.feedback_cursor += 1;
+        while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
                 self.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag);
             }
@@ -235,9 +219,7 @@ impl BaselineController {
     /// anything newer is delivered on a later drain (after the next
     /// [`BaselineController::process_one`] flushes it).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let flushed: Vec<Completion> = self.completions.drain(..self.feedback_cursor).collect();
-        self.feedback_cursor = 0;
-        flushed
+        self.completions.drain_fed()
     }
 
     /// Whether any submitted request is still waiting to be processed.
@@ -288,9 +270,15 @@ impl BaselineController {
         self.label_trace.as_deref()
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &OramStats {
-        &self.stats
+    /// Statistics so far: the shared view over the trace spine, with
+    /// every executed dummy a background eviction (the baseline has no
+    /// other kind).
+    pub fn stats(&self) -> OramStats {
+        let view = OramStats::view(&self.trace, self.times);
+        OramStats {
+            background_evictions: view.dummy_accesses,
+            ..view
+        }
     }
 
     /// The DRAM system (for command/energy stats).
@@ -324,7 +312,7 @@ impl BaselineController {
         let (mut old, mut new, _) = self.state.start_chain(req.addr);
 
         if self.state.stash_hit(req.addr) {
-            self.stats.stash_hits += 1;
+            self.trace.bump(Counter::StashHits);
         }
 
         let mut data = Vec::new();
@@ -336,7 +324,7 @@ impl BaselineController {
             // group on chip (the relabel must not orphan tree residents).
             if self.state.stash_hit(u) && (i + 1 < chain.len() || self.state.group_shortcut_safe(u))
             {
-                self.stats.stash_hits += 1;
+                self.trace.bump(Counter::StashHits);
                 if i + 1 < chain.len() {
                     let (o, n, _) = self.state.chain_step(u, new, chain[i + 1]);
                     old = o;
@@ -356,9 +344,7 @@ impl BaselineController {
             let mut nodes = std::mem::take(&mut self.path_nodes);
             self.state
                 .load_path_range_into(old, 0, levels, &mut nodes)?;
-            let read_end = self.read_phase_timing(&nodes);
-            self.stats.buckets_read += nodes.len() as u64;
-            self.trace.bump(Counter::FullReads);
+            let read_end = self.read_phase(&nodes);
             self.path_nodes = nodes;
 
             // Block handling between the phases.
@@ -373,18 +359,13 @@ impl BaselineController {
                 done_ps = read_end;
                 self.refill(old, read_end);
             }
-            self.stats.oram_accesses += 1;
-            self.stats.real_accesses += 1;
-            self.stats.access_busy_ps += self.clock_ps.saturating_sub(access_start);
-            self.stats.stash_size_sum += self.state.stash().len() as u64;
-            self.stats.stash_samples += 1;
+            self.times.access_busy_ps += self.clock_ps.saturating_sub(access_start);
             self.trace.record_occupancy(self.state.stash().len() as u64);
         }
         self.drain_stash_pressure()?;
 
-        self.stats.completed_requests += 1;
-        self.stats.sum_latency_ps += done_ps.saturating_sub(req.arrival_ps);
-        self.stats.finish_time_ps = self.clock_ps;
+        self.times.sum_latency_ps += done_ps.saturating_sub(req.arrival_ps);
+        self.times.finish_time_ps = self.clock_ps;
         self.trace
             .record(done_ps, EventKind::RequestCompleted { id: req.id });
         self.trace
@@ -412,64 +393,18 @@ impl BaselineController {
         for level in (0..=levels).rev() {
             self.trace.set_now(t);
             let node = self.state.evict_level(leaf, level);
-            match self.cache.insert_on_write(node) {
-                WriteOutcome::Cached => {}
-                WriteOutcome::WriteThrough => t = self.write_bucket_at(node, t),
-                WriteOutcome::CachedEvicting { victim } => t = self.write_bucket_at(victim, t),
-            }
-            self.stats.buckets_written += 1;
-            self.trace.bump(Counter::BucketsWritten);
+            t = self.writeback.write_bucket(&mut self.dram, node, t);
         }
         self.clock_ps = t + CTRL_PHASE_LATENCY_PS;
     }
 
-    /// Issues DRAM reads for `nodes` (minus cache hits) at the current
-    /// clock; returns when the data is available.
-    fn read_phase_timing(&mut self, nodes: &[u64]) -> u64 {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        batch.clear();
-        for &node in nodes {
-            if self.cache.lookup_for_read(node) {
-                self.stats.cache_hits += 1;
-                self.trace.bump(Counter::CacheHits);
-                continue;
-            }
-            self.stats.cache_misses += 1;
-            self.trace.bump(Counter::CacheMisses);
-            self.push_bucket_bursts(&mut batch, node, AccessKind::Read);
-        }
-        let end = if batch.is_empty() {
-            self.clock_ps + CTRL_PHASE_LATENCY_PS
-        } else {
-            self.stats.dram_blocks_read += batch.len() as u64;
-            self.trace.add(Counter::DramBlocksRead, batch.len() as u64);
-            self.dram
-                .access_batch(self.clock_ps, &batch)
-                .batch_finish_ps
-                + CTRL_PHASE_LATENCY_PS
-        };
-        self.batch_scratch = batch;
-        end
-    }
-
-    /// Writes one bucket's bursts starting at `t`; returns the commit time.
-    fn write_bucket_at(&mut self, node: u64, t: u64) -> u64 {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        batch.clear();
-        self.push_bucket_bursts(&mut batch, node, AccessKind::Write);
-        self.stats.dram_blocks_written += batch.len() as u64;
-        self.trace
-            .add(Counter::DramBlocksWritten, batch.len() as u64);
-        let end = self.dram.access_batch(t, &batch).batch_finish_ps;
-        self.batch_scratch = batch;
-        end
-    }
-
-    fn push_bucket_bursts(&self, batch: &mut Vec<(u64, AccessKind)>, node: u64, kind: AccessKind) {
-        let base = self.layout.bucket_address(node);
-        for i in 0..self.bursts_per_bucket {
-            batch.push((base + i * self.dram.config().burst_bytes, kind));
-        }
+    /// One complete-path read phase over `nodes` at the current clock;
+    /// returns when the data is available.
+    fn read_phase(&mut self, nodes: &[u64]) -> u64 {
+        self.trace.bump(Counter::FullReads);
+        self.writeback
+            .read_path(&mut self.dram, nodes, self.clock_ps)
+            + CTRL_PHASE_LATENCY_PS
     }
 
     /// Background eviction (Ren et al. [18]): if the stash exceeds its
@@ -485,14 +420,9 @@ impl BaselineController {
             let mut nodes = std::mem::take(&mut self.path_nodes);
             self.state
                 .load_path_range_into(label, 0, levels, &mut nodes)?;
-            let read_end = self.read_phase_timing(&nodes);
-            self.stats.buckets_read += nodes.len() as u64;
-            self.trace.bump(Counter::FullReads);
+            let read_end = self.read_phase(&nodes);
             self.path_nodes = nodes;
             self.refill(label, read_end);
-            self.stats.oram_accesses += 1;
-            self.stats.dummy_accesses += 1;
-            self.stats.background_evictions += 1;
             self.trace.bump(Counter::DummiesExecuted);
             guard += 1;
         }

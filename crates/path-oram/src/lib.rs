@@ -62,13 +62,15 @@ mod stash;
 mod state;
 mod stats;
 mod tree;
+mod writeback;
 
 pub use config::{CipherMode, OramConfig};
 pub use controller::{BaselineController, Completion, LlcRequest, Op};
 pub use integrity::IntegrityError;
 pub use posmap::PosMapHierarchy;
-pub use reactive::{NewRequest, NoFeedback, ReactiveSource};
+pub use reactive::{CompletionLog, NewRequest, NoFeedback, ReactiveSource};
 pub use stash::{Block, Stash};
 pub use state::{AccessOutcome, OramState};
-pub use stats::OramStats;
+pub use stats::{AccessTimes, OramStats};
 pub use tree::TreeStore;
+pub use writeback::WritebackEngine;

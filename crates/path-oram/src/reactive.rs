@@ -50,3 +50,42 @@ impl ReactiveSource for NoFeedback {
         Vec::new()
     }
 }
+
+/// An engine's completion records on their way out: produced, then fed to
+/// the driver's [`ReactiveSource`] (whose follow-up requests may complete
+/// at once and join the log behind the cursor), then drained.
+#[derive(Debug, Default)]
+pub struct CompletionLog {
+    records: Vec<Completion>,
+    /// Records before this index have been fed to the reactive source.
+    fed: usize,
+}
+
+impl CompletionLog {
+    /// Appends a completion record.
+    pub fn push(&mut self, completion: Completion) {
+        self.records.push(completion);
+    }
+
+    /// The oldest record not yet fed to the reactive source, marking it
+    /// fed. The engine's feedback loop calls this until `None`,
+    /// submitting what the source returns in between.
+    pub fn next_unfed(&mut self) -> Option<Completion> {
+        let next = self.records.get(self.fed).cloned();
+        self.fed += usize::from(next.is_some());
+        next
+    }
+
+    /// Whether every record has been fed. A record that has not cannot
+    /// be drained yet, so an engine holding one still has pending work.
+    pub fn all_fed(&self) -> bool {
+        self.fed == self.records.len()
+    }
+
+    /// Removes and returns the records that have been fed; anything
+    /// newer is delivered by a later drain, after the next feedback pass.
+    pub fn drain_fed(&mut self) -> Vec<Completion> {
+        let fed = std::mem::take(&mut self.fed);
+        self.records.drain(..fed).collect()
+    }
+}

@@ -1,7 +1,27 @@
-//! Controller-level statistics shared by the baseline and Fork Path
-//! controllers.
+//! Controller-level statistics shared by every engine — a by-value view
+//! over the engine's fp-trace spine.
+
+use fp_trace::{Counter, TraceHandle};
+
+/// The quantities no trace counter carries: picosecond sums and the finish
+/// time. The engine owns these as plain fields (counters tally events; a
+/// time sum or a gauge in the counter table would read as events).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AccessTimes {
+    /// Sum of LLC-request latencies (arrival -> data return), picoseconds.
+    pub sum_latency_ps: u64,
+    /// Total memory-bus busy time across accesses, picoseconds.
+    pub access_busy_ps: u64,
+    /// Time the last access finished, picoseconds.
+    pub finish_time_ps: u64,
+}
 
 /// Counters describing ORAM behaviour over a simulation run.
+///
+/// Nothing here is accumulated separately: [`OramStats::view`] assembles
+/// the record on demand from the engine's trace counters, the stash
+/// occupancy histogram's exact count and sum, and the engine-owned
+/// [`AccessTimes`].
 ///
 /// The paper's headline metrics map onto these fields:
 ///
@@ -35,12 +55,11 @@ pub struct OramStats {
     pub dram_blocks_written: u64,
     /// On-chip bucket-cache hits.
     pub cache_hits: u64,
-    /// On-chip bucket-cache misses (for cacheable levels only).
+    /// Read-phase buckets that went to DRAM (every bucket, when there is
+    /// no on-chip cache).
     pub cache_misses: u64,
     /// Sum of LLC-request latencies (arrival -> data return), picoseconds.
     pub sum_latency_ps: u64,
-    /// Blocks materialized on first touch (lazy initialization).
-    pub created_blocks: u64,
     /// Background-eviction dummies forced by stash pressure.
     pub background_evictions: u64,
     /// Stash-hit fast returns (block found on chip at request time).
@@ -63,6 +82,44 @@ pub struct OramStats {
 }
 
 impl OramStats {
+    /// Assembles the record from the spine an engine reports into.
+    ///
+    /// The derived fields rest on three facts every engine keeps: each
+    /// access's read phase is counted once as a full or a merged read;
+    /// each bucket of a read phase is looked up in the bucket cache once
+    /// (a hit or a miss); and a cancelled write produces a completion
+    /// record but is not a completed request. `background_evictions` is
+    /// 0 here — only the baseline runs them, and fills it in.
+    pub fn view(trace: &TraceHandle, times: AccessTimes) -> Self {
+        let counters = trace.counters();
+        let c = |c: Counter| counters[c as usize];
+        let occupancy = trace.occupancy_hist();
+        let oram_accesses = c(Counter::FullReads) + c(Counter::MergedReads);
+        let dummy_accesses = c(Counter::DummiesExecuted);
+        Self {
+            completed_requests: c(Counter::RequestsCompleted) - c(Counter::WritesCancelled),
+            oram_accesses,
+            real_accesses: oram_accesses - dummy_accesses,
+            dummy_accesses,
+            dummies_replaced: c(Counter::DummiesReplaced),
+            buckets_read: c(Counter::CacheHits) + c(Counter::CacheMisses),
+            buckets_written: c(Counter::BucketsWritten),
+            dram_blocks_read: c(Counter::DramBlocksRead),
+            dram_blocks_written: c(Counter::DramBlocksWritten),
+            cache_hits: c(Counter::CacheHits),
+            cache_misses: c(Counter::CacheMisses),
+            sum_latency_ps: times.sum_latency_ps,
+            background_evictions: 0,
+            stash_hits: c(Counter::StashHits),
+            finish_time_ps: times.finish_time_ps,
+            access_busy_ps: times.access_busy_ps,
+            stash_size_sum: occupancy.sum(),
+            stash_samples: occupancy.count(),
+            sched_ready_reals: c(Counter::SchedReadyReals),
+            sched_rounds: c(Counter::SchedRounds),
+        }
+    }
+
     /// Average buckets touched per phase — the Fig 10 path-length metric.
     pub fn avg_path_len(&self) -> f64 {
         if self.oram_accesses == 0 {

@@ -1,0 +1,163 @@
+//! **Caching and deferred writeback** of tree buckets (§3.5, §4.4) — the
+//! one place bucket node ids become DRAM traffic, shared by the baseline
+//! and Fork Path controllers.
+//!
+//! Owns everything that touches bucket bytes: the on-chip bucket cache
+//! (any [`BucketCache`] policy), the subtree-aligned DRAM layout, and the
+//! burst-level batch generation for path reads and the leaf-to-root
+//! refill stream. A controller deals only in bucket node ids and commit
+//! times; this engine decides which of those become DRAM traffic.
+
+use fp_dram::layout::{SubtreeLayout, TreeLayout};
+use fp_dram::{AccessKind, DramConfig, DramSystem};
+use fp_trace::{Counter, TraceHandle};
+
+use crate::cache::{BucketCache, WriteOutcome};
+use crate::config::OramConfig;
+
+/// Bucket cache + DRAM batch generation.
+#[derive(Debug)]
+pub struct WritebackEngine {
+    cache: Box<dyn BucketCache + Send>,
+    layout: SubtreeLayout,
+    bursts_per_bucket: u64,
+    burst_bytes: u64,
+    trace: TraceHandle,
+    /// Reusable DRAM burst batch buffer.
+    batch: Vec<(u64, AccessKind)>,
+}
+
+impl WritebackEngine {
+    /// Creates the engine around a cache policy for `oram`'s tree
+    /// geometry laid out over `dram`'s rows and bursts.
+    pub fn with_cache(
+        cache: Box<dyn BucketCache + Send>,
+        oram: &OramConfig,
+        dram: &DramConfig,
+    ) -> Self {
+        let bucket_bytes = oram.bucket_bytes();
+        Self {
+            cache,
+            layout: SubtreeLayout::fit_row(oram.path_len(), bucket_bytes, dram.row_bytes),
+            bursts_per_bucket: bucket_bytes.div_ceil(dram.burst_bytes).max(1),
+            burst_bytes: dram.burst_bytes,
+            trace: TraceHandle::default(),
+            batch: Vec::new(),
+        }
+    }
+
+    /// Attaches a shared trace spine; writeback counters report there
+    /// from now on.
+    pub fn attach_trace(&mut self, trace: TraceHandle) {
+        self.trace = trace;
+    }
+
+    /// DRAM reads for a path range, minus cache hits, FR-FCFS batched.
+    /// Returns the batch finish time (or `now_ps` when every bucket hit
+    /// the cache); the controller adds its pipeline latency on top.
+    // fp-lint: hot-path
+    pub fn read_path(&mut self, dram: &mut DramSystem, nodes: &[u64], now_ps: u64) -> u64 {
+        self.batch.clear();
+        for &node in nodes {
+            if self.cache.lookup_for_read(node) {
+                self.trace.bump(Counter::CacheHits);
+                continue;
+            }
+            self.trace.bump(Counter::CacheMisses);
+            self.push_bursts(node, AccessKind::Read);
+        }
+        if self.batch.is_empty() {
+            return now_ps;
+        }
+        self.trace
+            .add(Counter::DramBlocksRead, self.batch.len() as u64);
+        dram.access_batch(now_ps, &self.batch).batch_finish_ps
+    }
+
+    /// Commits one refill bucket through the cache; returns its commit
+    /// time. A cached bucket commits instantly; a write-through or an
+    /// eviction victim pays the DRAM write.
+    // fp-lint: hot-path
+    pub fn write_bucket(&mut self, dram: &mut DramSystem, node: u64, t_ps: u64) -> u64 {
+        self.trace.bump(Counter::BucketsWritten);
+        let to_dram = match self.cache.insert_on_write(node) {
+            WriteOutcome::Cached => return t_ps,
+            WriteOutcome::WriteThrough => node,
+            WriteOutcome::CachedEvicting { victim } => victim,
+        };
+        self.batch.clear();
+        self.push_bursts(to_dram, AccessKind::Write);
+        self.trace
+            .add(Counter::DramBlocksWritten, self.batch.len() as u64);
+        dram.access_batch(t_ps, &self.batch).batch_finish_ps
+    }
+
+    /// Buckets currently resident in the on-chip cache.
+    pub fn resident(&self) -> usize {
+        self.cache.resident()
+    }
+
+    fn push_bursts(&mut self, node: u64, kind: AccessKind) {
+        let base = self.layout.bucket_address(node);
+        for i in 0..self.bursts_per_bucket {
+            self.batch.push((base + i * self.burst_bytes, kind));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::{NoCache, TreetopCache};
+
+    fn engine(cache: Box<dyn BucketCache + Send>) -> (WritebackEngine, DramSystem, TraceHandle) {
+        let dram = DramSystem::new(DramConfig::ddr3_1600(1));
+        let mut wb = WritebackEngine::with_cache(cache, &OramConfig::small_test(), dram.config());
+        let trace = TraceHandle::default();
+        wb.attach_trace(trace.clone());
+        (wb, dram, trace)
+    }
+
+    #[test]
+    fn uncached_path_read_hits_dram_per_bucket() {
+        let (mut wb, mut d, trace) = engine(Box::new(NoCache));
+        let nodes: Vec<u64> = (1..=8).collect();
+        let finish = wb.read_path(&mut d, &nodes, 0);
+        assert!(finish > 0);
+        assert_eq!(trace.counter(Counter::CacheMisses), 8);
+        assert_eq!(trace.counter(Counter::CacheHits), 0);
+        assert_eq!(
+            trace.counter(Counter::DramBlocksRead) % 8,
+            0,
+            "whole bursts per bucket"
+        );
+    }
+
+    #[test]
+    fn empty_read_batch_costs_no_dram_time() {
+        let (mut wb, mut d, trace) = engine(Box::new(NoCache));
+        assert_eq!(wb.read_path(&mut d, &[], 42), 42);
+        assert_eq!(trace.counter(Counter::DramBlocksRead), 0);
+    }
+
+    #[test]
+    fn no_cache_writes_through() {
+        let (mut wb, mut d, trace) = engine(Box::new(NoCache));
+        let t = wb.write_bucket(&mut d, 5, 0);
+        assert!(t > 0, "write-through pays DRAM time");
+        assert!(trace.counter(Counter::DramBlocksWritten) > 0);
+        assert_eq!(trace.counter(Counter::BucketsWritten), 1);
+        assert_eq!(wb.resident(), 0);
+    }
+
+    #[test]
+    fn cached_buckets_commit_instantly_and_hit_on_read() {
+        let (mut wb, mut d, trace) = engine(Box::new(TreetopCache::new(3)));
+        let t = wb.write_bucket(&mut d, 2, 1_000);
+        assert_eq!(t, 1_000, "cached commit is instantaneous");
+        let finish = wb.read_path(&mut d, &[2], 2_000);
+        assert_eq!(finish, 2_000, "cache hit needs no DRAM");
+        assert_eq!(trace.counter(Counter::CacheHits), 1);
+        assert_eq!(trace.counter(Counter::DramBlocksWritten), 0);
+    }
+}

@@ -38,10 +38,7 @@ impl ShardSnapshot {
             queue_len: shared.queue.len(),
             queue_high_water: shared.queue.high_water(),
             latency: shared.trace.latency_hist(),
-            trace_counters: Counter::ALL
-                .iter()
-                .map(|&c| shared.trace.counter(c))
-                .collect(),
+            trace_counters: shared.trace.counters().to_vec(),
             health: shared.health(),
             fault: shared.fault(),
         }
@@ -345,11 +342,10 @@ impl ServiceStats {
             .field_u64("oram_accesses", self.oram_accesses())
             .field_u64("accesses_saved", self.coalesce_accesses_saved());
 
-        let counters = json::array(
-            self.trace_counter_totals()
-                .into_iter()
-                .map(|v| v.to_string()),
-        );
+        let mut counters = JsonObject::new();
+        for (c, total) in Counter::ALL.iter().zip(self.trace_counter_totals()) {
+            counters.field_u64(c.name(), total);
+        }
 
         let mut health = JsonObject::new();
         health
@@ -375,7 +371,7 @@ impl ServiceStats {
             .field_raw("latency", &latency.finish())
             .field_raw("coalescing", &coalescing.finish())
             .field_raw("health", &health.finish())
-            .field_raw("trace_counter_totals", &counters)
+            .field_raw("trace_counter_totals", &counters.finish())
             .field_raw(
                 "per_shard",
                 &json::array(self.per_shard.iter().map(|s| s.to_json())),
@@ -446,6 +442,9 @@ mod tests {
         assert!(s.contains("\"shard_failovers\""));
         assert!(s.contains("\"coalescing\""));
         assert!(s.contains("\"accesses_saved\""));
+        // Counters ship by name, not by position.
+        assert!(s.contains("\"trace_counter_totals\":{\"requests_submitted\":1,"));
+        assert!(s.contains("\"writes_cancelled\":1}"));
         // Quantile keys carry the upper-bound marker, not exact values.
         assert!(s.contains("\"p50_le_ps\""));
         assert!(s.contains("\"p99_le_ps\""));

@@ -1,18 +1,10 @@
-//! Poison-tolerant locking.
-//!
-//! A shard worker that panics mid-access poisons whatever `Mutex` it held.
-//! The supervisor still needs those structures afterwards — to drain
-//! completions, snapshot partial counters, and report which shard died —
-//! so the service never treats poison as fatal: the data under the lock is
-//! plain bookkeeping (counters, queues of owned values) that stays
-//! structurally valid even if the last update was cut short.
+//! Poison-tolerant locking for the serving layer: [`relock`] (shared with
+//! fp-trace, where the rationale is written down) plus its `Condvar`
+//! counterpart.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, MutexGuard, PoisonError};
 
-/// Locks `m`, recovering the guard if a previous holder panicked.
-pub fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+pub use fp_trace::sync::relock;
 
 /// [`Condvar::wait`] that survives poisoning, mirroring [`relock`].
 pub fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {

@@ -1,4 +1,4 @@
-//! Sweep helpers shared by the figure-regeneration binaries.
+//! Sweep helpers behind `repro`, the figure-regeneration binary.
 
 use std::thread;
 
@@ -6,7 +6,7 @@ use fp_workloads::cpu::{MultiCoreWorkload, PipelineKind};
 use fp_workloads::mixes::{self, Mix};
 
 use crate::config::{Scheme, SystemConfig};
-use crate::metrics::{geomean, RunResult};
+use crate::metrics::RunResult;
 use crate::system::run_workload;
 
 /// How many LLC misses each core issues per run. The figure binaries use
@@ -190,32 +190,6 @@ pub fn run_mix_with_pipeline(
     r
 }
 
-/// Geometric mean of ORAM latency across results.
-pub fn geomean_latency(results: &[RunResult]) -> f64 {
-    geomean(results.iter().map(|r| r.oram_latency_ns))
-}
-
-/// Latency of each result normalized against a matching baseline list
-/// (same order), plus the geomean appended last — the layout of the paper's
-/// per-mix bar charts. A zero-latency baseline (empty run) normalizes to
-/// 0.0 ("no data") instead of inf/NaN; the geomean skips such entries.
-pub fn normalized_latency(results: &[RunResult], baseline: &[RunResult]) -> Vec<f64> {
-    assert_eq!(results.len(), baseline.len());
-    let mut out: Vec<f64> = results
-        .iter()
-        .zip(baseline)
-        .map(|(r, b)| {
-            if b.oram_latency_ns > 0.0 {
-                r.oram_latency_ns / b.oram_latency_ns
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    out.push(geomean(out.iter().copied()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,40 +210,6 @@ mod tests {
         );
         assert_eq!(trace_path_from_args(&args[..2].to_vec()), None);
         assert_eq!(trace_path_from_args(&[]), None);
-    }
-
-    #[test]
-    fn normalized_latency_appends_geomean() {
-        let make = |lat: f64| RunResult {
-            scheme: "s".into(),
-            workload: "w".into(),
-            oram_latency_ns: lat,
-            avg_path_len: 0.0,
-            dram_busy_ns_per_access: 0.0,
-            llc_requests: 0,
-            oram_accesses: 0,
-            real_accesses: 0,
-            dummy_accesses: 0,
-            dummies_replaced: 0,
-            exec_time_ps: 0,
-            energy: Default::default(),
-            row_hit_rate: 0.0,
-            dram_blocks_read: 0,
-            dram_blocks_written: 0,
-            stash_high_water: 0,
-            sched_ready_reals: 0.0,
-        };
-        let results = vec![make(50.0), make(200.0)];
-        let baseline = vec![make(100.0), make(100.0)];
-        let norm = normalized_latency(&results, &baseline);
-        assert_eq!(norm.len(), 3);
-        assert!((norm[0] - 0.5).abs() < 1e-12);
-        assert!((norm[1] - 2.0).abs() < 1e-12);
-        assert!((norm[2] - 1.0).abs() < 1e-12, "geomean of 0.5 and 2.0");
-        // An empty-run baseline must not produce inf/NaN anywhere.
-        let norm = normalized_latency(&results, &[make(0.0), make(100.0)]);
-        assert_eq!(norm[0], 0.0);
-        assert!(norm.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -103,11 +103,20 @@ pub enum Counter {
     /// in-flight window, the global connection limit, or the owning
     /// shard's bounded queue was full.
     NetBusyRejections,
+    /// DRAM precharges (PRE commands): a row conflict closed the open row
+    /// before the activation. Idle precharge is not modelled.
+    DramPrecharges,
+    /// Chain steps answered from the stash with no ORAM access (the
+    /// paper's Step 1: a hit is "returned to LLC immediately").
+    StashHits,
+    /// Queued writes superseded on chip by a younger write to the same
+    /// address: acknowledged with a completion record, never executed.
+    WritesCancelled,
 }
 
 impl Counter {
     /// All counters, in discriminant order.
-    pub const ALL: [Counter; 43] = [
+    pub const ALL: [Counter; 46] = [
         Counter::RequestsSubmitted,
         Counter::RequestsScheduled,
         Counter::RequestsMerged,
@@ -151,6 +160,9 @@ impl Counter {
         Counter::NetWireBytesOut,
         Counter::NetProtocolErrors,
         Counter::NetBusyRejections,
+        Counter::DramPrecharges,
+        Counter::StashHits,
+        Counter::WritesCancelled,
     ];
 
     /// Number of distinct counters (the counter array length).
@@ -202,6 +214,9 @@ impl Counter {
             Counter::NetWireBytesOut => "net_wire_bytes_out",
             Counter::NetProtocolErrors => "net_protocol_errors",
             Counter::NetBusyRejections => "net_busy_rejections",
+            Counter::DramPrecharges => "dram_precharges",
+            Counter::StashHits => "stash_hits",
+            Counter::WritesCancelled => "writes_cancelled",
         }
     }
 }
@@ -260,6 +275,22 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every counter an event kind contributes to — their sum is the
+    /// number of events ever recorded.
+    pub const COUNTERS: [Counter; 11] = [
+        Counter::RequestsSubmitted,
+        Counter::RequestsScheduled,
+        Counter::RequestsMerged,
+        Counter::RequestsReplaced,
+        Counter::RequestsCompleted,
+        Counter::DramActs,
+        Counter::DramReads,
+        Counter::DramWrites,
+        Counter::DramRefs,
+        Counter::StashPushes,
+        Counter::StashEvicts,
+    ];
+
     /// The monotonic counter this event contributes to.
     pub fn counter(&self) -> Counter {
         match self {
@@ -371,17 +402,24 @@ mod tests {
     }
 
     #[test]
-    fn every_event_maps_to_its_counter() {
-        let cases = [
-            (EventKind::DramAct, Counter::DramActs),
-            (EventKind::StashPush { addr: 1 }, Counter::StashPushes),
-            (
-                EventKind::RequestCompleted { id: 9 },
-                Counter::RequestsCompleted,
-            ),
+    fn every_event_maps_to_a_listed_counter() {
+        let all = [
+            EventKind::RequestSubmitted { id: 0 },
+            EventKind::RequestScheduled { label: 0 },
+            EventKind::RequestMerged {
+                label: 0,
+                fork_level: 0,
+            },
+            EventKind::RequestReplaced { label: 0 },
+            EventKind::RequestCompleted { id: 0 },
+            EventKind::DramAct,
+            EventKind::DramRead,
+            EventKind::DramWrite,
+            EventKind::DramRef,
+            EventKind::StashPush { addr: 0 },
+            EventKind::StashEvict { addr: 0 },
         ];
-        for (e, c) in cases {
-            assert_eq!(e.counter(), c);
-        }
+        let mapped: Vec<Counter> = all.iter().map(EventKind::counter).collect();
+        assert_eq!(mapped, EventKind::COUNTERS);
     }
 }

@@ -1,61 +1,49 @@
-//! The shared trace spine: counters + event ring + histograms behind a
+//! The shared trace spine: lock-free counters, plus an event ring and
+//! two histograms behind one poison-tolerant mutex, all reached through a
 //! cheap-to-clone handle.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use fp_stats::json::JsonObject;
 
 use crate::event::{Counter, EventKind, TraceEvent};
 use crate::hist::Log2Hist;
+use crate::sync::relock;
 
-#[derive(Debug)]
-struct TraceInner {
-    counters: [u64; Counter::COUNT],
+/// What the mutex guards: the retained events and the two histograms.
+#[derive(Debug, Default)]
+struct Ring {
     events: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-    now_ps: u64,
     latency: Log2Hist,
     occupancy: Log2Hist,
 }
 
-impl TraceInner {
-    fn new(capacity: usize) -> Self {
-        Self {
-            counters: [0; Counter::COUNT],
-            events: VecDeque::with_capacity(capacity.min(1 << 16)),
-            capacity,
-            dropped: 0,
-            now_ps: 0,
-            latency: Log2Hist::new(),
-            occupancy: Log2Hist::new(),
-        }
-    }
-
-    fn push(&mut self, ev: TraceEvent) {
-        self.counters[ev.kind.counter() as usize] += 1;
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
+#[derive(Debug)]
+struct Spine {
+    /// The counter table. Counters publish no other data, so every
+    /// access is `Relaxed`.
+    counters: [AtomicU64; Counter::COUNT],
+    /// Ring capacity. Written only while `ring` is locked; `record`
+    /// reads it unlocked first so capacity 0 never takes the lock.
+    capacity: AtomicUsize,
+    /// Coarse timestamp for [`TraceHandle::record_now`].
+    now_ps: AtomicU64,
+    ring: Mutex<Ring>,
 }
 
 /// A shared handle onto one trace spine.
 ///
 /// Clones are shallow: every component the controller attaches a clone to
-/// reports into the same counters, ring, and histograms. The default
-/// handle has ring capacity 0 — counters and histograms stay exact while
-/// no events are retained, so always-on tracing costs one atomic
-/// refcount plus a mutex lock per record.
+/// reports into the same counters, ring, and histograms. Counters are
+/// atomics: [`TraceHandle::bump`], [`TraceHandle::add`] and — at ring
+/// capacity 0, the default — [`TraceHandle::record`] take no lock. The
+/// mutex is taken only to retain an event (capacity > 0), to add a
+/// histogram sample, or to read the ring, and it is poison-tolerant: a
+/// thread that panicked while holding it costs at most its own update.
 #[derive(Debug, Clone)]
-pub struct TraceHandle(Arc<Mutex<TraceInner>>);
+pub struct TraceHandle(Arc<Spine>);
 
 impl Default for TraceHandle {
     fn default() -> Self {
@@ -67,11 +55,16 @@ impl TraceHandle {
     /// A fresh spine retaining up to `capacity` events (ring semantics:
     /// once full, the oldest event is dropped for each new one).
     pub fn new(capacity: usize) -> Self {
-        Self(Arc::new(Mutex::new(TraceInner::new(capacity))))
+        Self(Arc::new(Spine {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            capacity: AtomicUsize::new(capacity),
+            now_ps: AtomicU64::new(0),
+            ring: Mutex::default(),
+        }))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceInner> {
-        self.0.lock().expect("trace mutex poisoned")
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        relock(&self.0.ring)
     }
 
     /// Whether two handles share the same spine.
@@ -81,27 +74,43 @@ impl TraceHandle {
 
     /// Records a typed event at simulated time `t_ps`, bumping its
     /// matching counter.
+    // fp-lint: hot-path
     pub fn record(&self, t_ps: u64, kind: EventKind) {
-        self.lock().push(TraceEvent { t_ps, kind });
+        self.add(kind.counter(), 1);
+        if self.0.capacity.load(Relaxed) == 0 {
+            return;
+        }
+        let mut ring = self.ring();
+        // Re-read under the lock: `set_capacity` may have shrunk the ring
+        // since the unlocked check.
+        let capacity = self.0.capacity.load(Relaxed);
+        if capacity == 0 {
+            return;
+        }
+        if ring.events.len() == capacity {
+            ring.events.pop_front();
+        }
+        ring.events.push_back(TraceEvent { t_ps, kind });
     }
 
     /// Records a typed event at the last time set via
     /// [`TraceHandle::set_now`] — for components (stash, merge stage)
     /// that have no clock of their own; the controller stamps each phase.
     pub fn record_now(&self, kind: EventKind) {
-        let mut g = self.lock();
-        let t_ps = g.now_ps;
-        g.push(TraceEvent { t_ps, kind });
+        self.record(self.0.now_ps.load(Relaxed), kind);
     }
 
     /// Sets the coarse timestamp used by [`TraceHandle::record_now`].
     pub fn set_now(&self, t_ps: u64) {
-        self.lock().now_ps = t_ps;
+        self.0.now_ps.store(t_ps, Relaxed);
     }
 
-    /// Adds `n` to a counter (no event is recorded).
+    /// Adds `n` to a counter (no event is recorded). Counters that back
+    /// an [`EventKind`] are bumped by [`TraceHandle::record`] only, which
+    /// is what lets [`TraceHandle::dropped`] be derived from them.
+    // fp-lint: hot-path
     pub fn add(&self, c: Counter, n: u64) {
-        self.lock().counters[c as usize] += n;
+        self.0.counters[c as usize].fetch_add(n, Relaxed);
     }
 
     /// Adds 1 to a counter (no event is recorded).
@@ -113,63 +122,57 @@ impl TraceHandle {
     /// mark; no event is recorded). Unlike [`TraceHandle::add`], calling
     /// this repeatedly with the same value is idempotent.
     pub fn raise(&self, c: Counter, v: u64) {
-        let mut g = self.lock();
-        let slot = &mut g.counters[c as usize];
-        *slot = (*slot).max(v);
+        self.0.counters[c as usize].fetch_max(v, Relaxed);
     }
 
     /// Current value of a counter.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.lock().counters[c as usize]
+        self.0.counters[c as usize].load(Relaxed)
     }
 
-    /// Resets the given counters to zero (events and histograms keep
-    /// their contents) — the per-stage `reset_stats` primitive.
-    pub fn reset_counters(&self, which: &[Counter]) {
-        let mut g = self.lock();
-        for &c in which {
-            g.counters[c as usize] = 0;
-        }
+    /// Snapshot of the whole counter table, indexed by `Counter as usize`.
+    /// Each counter is read atomically; the table as a whole is not one
+    /// atomic cut, which only matters while other threads still write.
+    pub fn counters(&self) -> [u64; Counter::COUNT] {
+        std::array::from_fn(|i| self.0.counters[i].load(Relaxed))
     }
 
     /// Adds a request latency sample (picoseconds).
     pub fn record_latency(&self, ps: u64) {
-        self.lock().latency.add(ps);
+        self.ring().latency.add(ps);
     }
 
     /// Adds a stash occupancy sample (blocks resident after a refill).
     pub fn record_occupancy(&self, blocks: u64) {
-        self.lock().occupancy.add(blocks);
+        self.ring().occupancy.add(blocks);
     }
 
     /// Snapshot of the latency histogram.
     pub fn latency_hist(&self) -> Log2Hist {
-        self.lock().latency.clone()
+        self.ring().latency.clone()
     }
 
     /// Snapshot of the occupancy histogram.
     pub fn occupancy_hist(&self) -> Log2Hist {
-        self.lock().occupancy.clone()
+        self.ring().occupancy.clone()
     }
 
     /// Changes the ring capacity. Shrinking drops the oldest events.
     pub fn set_capacity(&self, capacity: usize) {
-        let mut g = self.lock();
-        while g.events.len() > capacity {
-            g.events.pop_front();
-            g.dropped += 1;
-        }
-        g.capacity = capacity;
+        let mut ring = self.ring();
+        let excess = ring.events.len().saturating_sub(capacity);
+        ring.events.drain(..excess);
+        self.0.capacity.store(capacity, Relaxed);
     }
 
     /// Ring capacity currently in effect.
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.0.capacity.load(Relaxed)
     }
 
     /// Number of events currently retained in the ring.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.ring().events.len()
     }
 
     /// Whether the ring holds no events.
@@ -177,23 +180,29 @@ impl TraceHandle {
         self.len() == 0
     }
 
-    /// Events recorded but not retained (ring overflow or capacity 0).
+    /// Events recorded but not retained (ring overflow or capacity 0):
+    /// every recorded event bumped its counter, so this is the sum of the
+    /// event-backed counters minus what the ring still holds.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        let ring = self.ring();
+        self.recorded() - ring.events.len() as u64
+    }
+
+    fn recorded(&self) -> u64 {
+        EventKind::COUNTERS.iter().map(|&c| self.counter(c)).sum()
     }
 
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.iter().copied().collect()
+        self.ring().events.iter().copied().collect()
     }
 
     /// Serializes the counter table as one JSON object keyed by
     /// [`Counter::name`].
     pub fn counters_json(&self) -> String {
-        let g = self.lock();
         let mut o = JsonObject::new();
         for c in Counter::ALL {
-            o.field_u64(c.name(), g.counters[c as usize]);
+            o.field_u64(c.name(), self.counter(c));
         }
         o.finish()
     }
@@ -201,15 +210,15 @@ impl TraceHandle {
     /// Serializes the whole spine — counters, histograms, and the
     /// retained event timeline — as one JSON object.
     pub fn to_json(&self) -> String {
-        let counters = self.counters_json();
-        let g = self.lock();
-        let events = fp_stats::json::array(g.events.iter().map(TraceEvent::to_json));
+        let ring = self.ring();
+        let retained = ring.events.len() as u64;
+        let events = fp_stats::json::array(ring.events.iter().map(TraceEvent::to_json));
         let mut o = JsonObject::new();
-        o.field_raw("counters", &counters)
-            .field_raw("latency_ps", &g.latency.to_json())
-            .field_raw("stash_occupancy", &g.occupancy.to_json())
-            .field_u64("events_dropped", g.dropped)
-            .field_u64("events_retained", g.events.len() as u64)
+        o.field_raw("counters", &self.counters_json())
+            .field_raw("latency_ps", &ring.latency.to_json())
+            .field_raw("stash_occupancy", &ring.occupancy.to_json())
+            .field_u64("events_dropped", self.recorded() - retained)
+            .field_u64("events_retained", retained)
             .field_raw("events", &events);
         o.finish()
     }
@@ -277,16 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_counters_is_selective() {
-        let t = TraceHandle::default();
-        t.bump(Counter::SchedRounds);
-        t.bump(Counter::MergedReads);
-        t.reset_counters(&[Counter::SchedRounds]);
-        assert_eq!(t.counter(Counter::SchedRounds), 0);
-        assert_eq!(t.counter(Counter::MergedReads), 1);
-    }
-
-    #[test]
     fn shrinking_capacity_drops_oldest() {
         let t = TraceHandle::new(8);
         for i in 0..6 {
@@ -315,8 +314,51 @@ mod tests {
     }
 
     #[test]
-    fn handle_is_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<TraceHandle>();
+    fn handle_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TraceHandle>();
+    }
+
+    #[test]
+    fn concurrent_bumps_and_records_are_exact() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 100_000;
+        for capacity in [0usize, 64] {
+            let t = TraceHandle::new(capacity);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        for i in 0..PER_THREAD {
+                            t.bump(Counter::CacheHits);
+                            t.record(i, EventKind::DramRead);
+                        }
+                    });
+                }
+            });
+            let total = THREADS * PER_THREAD;
+            assert_eq!(t.counter(Counter::CacheHits), total);
+            assert_eq!(t.counter(Counter::DramReads), total);
+            assert_eq!(t.len(), capacity);
+            assert_eq!(t.dropped(), total - capacity as u64);
+        }
+    }
+
+    #[test]
+    fn panic_under_the_ring_lock_does_not_stop_later_use() {
+        let t = TraceHandle::new(4);
+        t.record(1, EventKind::DramAct);
+        let poisoner = t.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = poisoner.ring();
+            panic!("holder dies with the ring locked");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(t.0.ring.is_poisoned());
+        t.record(2, EventKind::DramRead);
+        t.record_latency(5);
+        assert_eq!(t.events().len(), 2);
+        assert_eq!(t.latency_hist().count(), 1);
+        assert!(fp_stats::json::validate(&t.to_json()).is_ok());
     }
 }

@@ -4,8 +4,10 @@
 //! Every simulation crate (DRAM channel model, stash, the four controller
 //! pipeline stages) reports into one [`TraceHandle`]:
 //!
-//! * **Monotonic counters** ([`Counter`]) — always on, exact, and cheap.
-//!   The per-stage stats structs in `fp-core` are thin views over these.
+//! * **Monotonic counters** ([`Counter`]) — always on, exact, lock-free
+//!   atomics. This table is the only place an event is counted: the
+//!   `OramStats` / `DramStats` records are by-value views assembled from
+//!   it on demand.
 //! * **Typed events** ([`EventKind`]) — an optional fixed-capacity ring
 //!   buffer of timestamped records (request lifecycle, DRAM commands,
 //!   stash traffic). Capacity 0 (the default) keeps counters only.
@@ -15,10 +17,11 @@
 //! Everything exports through `fp_stats::json`, so `--trace <path>` runs
 //! and `trace_dump` emit one consistent schema for the paper's figures.
 //!
-//! The handle is a cheap-to-clone shared reference (`Arc<Mutex<..>>`):
-//! the controller creates one spine and attaches clones to each component.
-//! It is `Send`, so traced controllers still move across threads in the
-//! experiment runner.
+//! The handle is a cheap-to-clone shared reference: the controller
+//! creates one spine and attaches clones to each component. It is `Send +
+//! Sync`; counters are `Relaxed` atomics, and the event ring and
+//! histograms sit behind one poison-tolerant mutex ([`sync::relock`])
+//! that is only taken when an event is retained or a sample is added.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,7 @@
 mod event;
 mod handle;
 mod hist;
+pub mod sync;
 
 pub use event::{Counter, EventKind, TraceEvent};
 pub use handle::TraceHandle;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: format, lint, hermetic release build, full test
-# suite. The workspace has zero external dependencies, so everything runs
-# --offline.
+# Tier-1 verification gate: format, lint, hermetic release build, and the
+# test suite of every workspace member (--workspace: a bare `cargo test`
+# from the root package would skip the crates' own tests). The workspace
+# has zero external dependencies, so everything runs --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +19,7 @@ cargo run --release --offline -q -p fp-lint -- --format json --out results/LINT.
 grep -q '"tool":"fp-lint"' results/LINT.json
 grep -q '"findings":0' results/LINT.json
 
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 # Documentation gate: every public item is documented (workspace crates set
 # #![warn(missing_docs)]) and no rustdoc warnings (broken intra-doc links,

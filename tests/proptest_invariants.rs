@@ -504,16 +504,17 @@ fn fork_floor_stays_inside_the_path() {
     });
 }
 
-// ---------- trace spine vs legacy statistics --------------------------
+// ---------- trace spine vs driver-side ground truth --------------------
 
 #[test]
-fn trace_counters_match_legacy_stats_exactly() {
+fn trace_counters_track_request_lifecycle_and_stash_flow() {
     use fork_path_oram::trace::Counter;
     // A 10k-access mixed workload (reads, writes, hot-set reuse, bursts):
-    // every counter the trace spine accumulates must agree exactly with
-    // the independently-stored aggregate OramStats and DramStats records.
+    // the spine's lifecycle counters and histograms must agree exactly
+    // with what the driver submitted and drained, and the stash's
+    // push/evict counters with its residency.
     run_cases(
-        "trace_counters_match_legacy_stats_exactly",
+        "trace_counters_track_request_lifecycle_and_stash_flow",
         2,
         |g: &mut Gen| {
             let seed = g.below(1000);
@@ -543,36 +544,14 @@ fn trace_counters_match_legacy_stats_exactly() {
             }
             completions += ctl.run_to_idle().len() as u64;
 
-            let t = ctl.trace().clone();
-            let s = ctl.stats().clone();
-            let d = ctl.dram().stats().clone();
-            // Request lifecycle counters.
+            let t = ctl.trace();
             assert_eq!(t.counter(Counter::RequestsSubmitted), submitted);
             assert_eq!(t.counter(Counter::RequestsCompleted), completions);
             assert_eq!(t.latency_hist().count(), completions);
-            // Stage counters vs the independently-stored aggregate record.
-            assert_eq!(t.counter(Counter::SchedRounds), s.sched_rounds);
-            assert_eq!(t.counter(Counter::SchedReadyReals), s.sched_ready_reals);
-            assert_eq!(t.counter(Counter::DummiesExecuted), s.dummy_accesses);
-            assert_eq!(t.counter(Counter::DummiesReplaced), s.dummies_replaced);
-            assert_eq!(t.counter(Counter::CacheHits), s.cache_hits);
-            assert_eq!(t.counter(Counter::CacheMisses), s.cache_misses);
-            assert_eq!(t.counter(Counter::DramBlocksRead), s.dram_blocks_read);
-            assert_eq!(t.counter(Counter::DramBlocksWritten), s.dram_blocks_written);
-            assert_eq!(t.counter(Counter::BucketsWritten), s.buckets_written);
-            // DRAM command stream vs the channel's own stats record.
-            assert_eq!(t.counter(Counter::DramActs), d.activations);
-            assert_eq!(t.counter(Counter::DramReads), d.reads);
-            assert_eq!(t.counter(Counter::DramWrites), d.writes);
-            assert_eq!(t.counter(Counter::DramRefs), d.refreshes);
-            assert_eq!(t.counter(Counter::DramRefsSkipped), d.refreshes_skipped);
-            // Stash flow conservation.
             assert_eq!(
                 t.counter(Counter::StashPushes) - t.counter(Counter::StashEvicts),
                 ctl.state().stash().len() as u64
             );
-            // Occupancy histogram sampled once per access.
-            assert_eq!(t.occupancy_hist().count(), s.oram_accesses);
         },
     );
 }

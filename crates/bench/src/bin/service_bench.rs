@@ -52,7 +52,7 @@ use fp_service::{OramService, ServiceConfig, ServiceRequest, ServiceStats};
 use fp_stats::json::{self, JsonObject};
 use fp_workloads::{mixes, zipf};
 
-/// Fixed service seed (decorrelated from perf_gate's workload seed).
+/// Fixed service seed.
 const BENCH_SEED: u64 = 0x5E2F_1CE0;
 
 struct Args {

@@ -1,13 +1,13 @@
 //! # fp-bench
 //!
 //! The experiment harness: one `repro` binary regenerating every table and
-//! figure of the paper's evaluation (§5), the tracked wall-clock and
-//! serving benches, and micro-benchmarks of the core data structures.
+//! figure of the paper's evaluation (§5), and the serving and wire load
+//! generators. Wall-clock performance is tracked by the repo's one
+//! benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 //!
 //! | Binary | Does |
 //! |---|---|
 //! | `repro <name>` | Tables 1–2, Figs 10–19, `ablation`, `stash_study`, `prefetch_study` (`repro --list`; `--fast` for CI-length runs) |
-//! | `perf_gate` | Tracked wall-clock + simulated throughput (`BENCH_perf.json`) |
 //! | `service_bench` | Sharded serving layer, closed loop or Zipf replay |
 //! | `net_bench` | Wire-level load over loopback |
 //! | `security_audit` | Statistical tests on the label sequence |

@@ -10,8 +10,8 @@
 //! (e.g. a ring-ORAM engine) drops in without touching them.
 //!
 //! [`Scheme`] names the engines and [`Scheme::build`] constructs one; the
-//! [`registry`] maps the stable scheme names used by `perf_gate` /
-//! `service_bench` reports onto configurations.
+//! [`registry`] maps the stable scheme names used by the `service_bench` /
+//! `repro` reports onto configurations.
 //!
 //! # Example
 //!
@@ -544,7 +544,7 @@ pub fn fork_with_treetop(bytes: u64) -> Scheme {
 }
 
 /// The shared engine registry: every scheme name the harness binaries
-/// (`perf_gate`, `service_bench`, the fig bins) accept or print, with its
+/// (`service_bench`, `net_bench`, `repro`) accept or print, with its
 /// configuration. One place defines the names, so reports stay comparable
 /// across binaries and PRs.
 pub fn registry() -> Vec<(&'static str, Scheme)> {

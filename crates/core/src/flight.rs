@@ -208,15 +208,7 @@ impl FlightTable {
         self.release_block(key, flight_id)?;
 
         if !at_last_step {
-            let flight = self.get(flight_id)?;
-            let next_block = flight.chain[idx + 1];
-            let new_label = flight.new_label;
-            let (o, n, _) = ctx.state.chain_step(block, new_label, next_block);
-            note_posmap_use(ctx.state, ctx.plb, block);
-            let flight = self.get_mut(flight_id)?;
-            flight.idx += 1;
-            flight.old_label = o;
-            flight.new_label = n;
+            self.advance_chain(ctx, flight_id)?;
             let step = StalledStep {
                 flight: flight_id,
                 ready_ps: read_end_ps,
@@ -226,29 +218,63 @@ impl FlightTable {
             }
             Ok(false)
         } else {
-            let flight = self.get_mut(flight_id)?;
-            let new_label = flight.new_label;
-            let wdata = flight.req.data.clone();
-            let (data, _) = ctx.state.apply_op(block, new_label, wdata.as_deref());
-            let flight = self.remove(flight_id)?;
-            ctx.aq.complete(flight.req.addr, flight.req.op);
-            ctx.times.sum_latency_ps += read_end_ps.saturating_sub(flight.req.arrival_ps);
-            ctx.trace.record(
-                read_end_ps,
-                EventKind::RequestCompleted { id: flight.req.id },
-            );
-            ctx.trace
-                .record_latency(read_end_ps.saturating_sub(flight.req.arrival_ps));
-            ctx.completions.push(Completion {
-                id: flight.req.id,
-                addr: flight.req.addr,
-                data,
-                arrival_ps: flight.req.arrival_ps,
-                done_ps: read_end_ps,
-                tag: flight.req.tag,
-            });
+            self.finish(ctx, flight_id, read_end_ps)?;
             Ok(true)
         }
+    }
+
+    /// Advances a flight one posmap chain step: relabels the current chain
+    /// block, reads the next block's label out of it, and moves the flight
+    /// to that block. The caller has checked a next block exists.
+    fn advance_chain(
+        &mut self,
+        ctx: &mut StepCtx<'_>,
+        flight_id: u64,
+    ) -> Result<(), ControllerError> {
+        let flight = self.get_mut(flight_id)?;
+        let (block, next_block) = (flight.chain[flight.idx], flight.chain[flight.idx + 1]);
+        let (o, n, _) = ctx.state.chain_step(block, flight.new_label, next_block);
+        flight.idx += 1;
+        flight.old_label = o;
+        flight.new_label = n;
+        note_posmap_use(ctx.state, ctx.plb, block);
+        Ok(())
+    }
+
+    /// Finishes a flight standing on its data block at `done_ps`: applies
+    /// the request's operation, retires it from the address queue, and
+    /// accounts and publishes the completion.
+    fn finish(
+        &mut self,
+        ctx: &mut StepCtx<'_>,
+        flight_id: u64,
+        done_ps: u64,
+    ) -> Result<(), ControllerError> {
+        let Flight {
+            req,
+            chain,
+            idx,
+            new_label,
+            ..
+        } = self.remove(flight_id)?;
+        let (data, _) = ctx
+            .state
+            .apply_op(chain[idx], new_label, req.data.as_deref());
+        ctx.aq.complete(req.addr, req.op);
+        let latency_ps = done_ps.saturating_sub(req.arrival_ps);
+        ctx.times.sum_latency_ps += latency_ps;
+        ctx.trace
+            .record(done_ps, EventKind::RequestCompleted { id: req.id });
+        ctx.trace.record_latency(latency_ps);
+        ctx.completions.push(Completion {
+            id: req.id,
+            addr: req.addr,
+            data,
+            arrival_ps: req.arrival_ps,
+            done_ps,
+            tag: req.tag,
+        });
+        Ok(())
     }
 
     /// Places a flight's current chain step: consecutive steps whose block
@@ -302,36 +328,10 @@ impl FlightTable {
                 ctx.trace.bump(Counter::StashHits);
                 ready += ONCHIP_ANSWER_PS;
                 if !at_last_step {
-                    let flight = self.get(step.flight)?;
-                    let next_block = flight.chain[idx + 1];
-                    let new_label = flight.new_label;
-                    let (o, n, _) = ctx.state.chain_step(real_block, new_label, next_block);
-                    note_posmap_use(ctx.state, ctx.plb, real_block);
-                    let flight = self.get_mut(step.flight)?;
-                    flight.idx += 1;
-                    flight.old_label = o;
-                    flight.new_label = n;
+                    self.advance_chain(ctx, step.flight)?;
                     continue;
                 }
-                let flight = self.get_mut(step.flight)?;
-                let new_label = flight.new_label;
-                let wdata = flight.req.data.clone();
-                let (data, _) = ctx.state.apply_op(real_block, new_label, wdata.as_deref());
-                let flight = self.remove(step.flight)?;
-                ctx.aq.complete(flight.req.addr, flight.req.op);
-                ctx.times.sum_latency_ps += ready.saturating_sub(flight.req.arrival_ps);
-                ctx.trace
-                    .record(ready, EventKind::RequestCompleted { id: flight.req.id });
-                ctx.trace
-                    .record_latency(ready.saturating_sub(flight.req.arrival_ps));
-                ctx.completions.push(Completion {
-                    id: flight.req.id,
-                    addr: flight.req.addr,
-                    data,
-                    arrival_ps: flight.req.arrival_ps,
-                    done_ps: ready,
-                    tag: flight.req.tag,
-                });
+                self.finish(ctx, step.flight, ready)?;
                 return Ok(true);
             }
             // Ownership (queue front) is already held; a failed label-queue

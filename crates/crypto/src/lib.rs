@@ -15,8 +15,6 @@
 //!   for bit-faithful modelling).
 //! * [`BlockCipher`] — counter-mode encryption of fixed-size ORAM blocks with
 //!   a per-write nonce, the property Path ORAM actually relies on.
-//! * [`Prf`] — a keyed pseudo-random function used to derive initial leaf
-//!   labels and dummy payloads deterministically.
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, fast, seedable RNGs used across
 //!   the simulator so every experiment is reproducible from a single seed.
 //!
@@ -34,14 +32,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 mod aes;
 mod cipher;
-mod prf;
 mod rng;
 
 pub use aes::Aes128;
 pub use cipher::{BlockCipher, Nonce, StreamCipher};
-pub use prf::Prf;
 pub use rng::{SplitMix64, Xoshiro256};

@@ -21,11 +21,11 @@
 //! it, but it is exact on the idiomatic Rust this workspace contains —
 //! and the fixture tests pin the cases that matter.
 
-/// One scanned source file: raw text plus the derived views rules use.
+/// One scanned source file: the derived views rules use.
 #[derive(Debug)]
 pub struct SourceFile {
     path: String,
-    raw_lines: Vec<String>,
+    line_count: usize,
     stripped: String,
     line_starts: Vec<usize>,
     comments: Vec<Option<String>>,
@@ -48,7 +48,6 @@ impl SourceFile {
     /// (use repo-relative, forward-slash paths).
     pub fn parse(path: &str, raw: &str) -> SourceFile {
         let (stripped, comments) = strip(raw);
-        let raw_lines: Vec<String> = raw.lines().map(str::to_string).collect();
         let mut line_starts = vec![0usize];
         for (i, c) in stripped.char_indices() {
             if c == '\n' {
@@ -58,7 +57,7 @@ impl SourceFile {
         let in_test = mark_test_regions(&stripped, line_starts.len());
         SourceFile {
             path: path.to_string(),
-            raw_lines,
+            line_count: raw.lines().count(),
             stripped,
             line_starts,
             comments,
@@ -80,7 +79,7 @@ impl SourceFile {
 
     /// Number of lines.
     pub fn line_count(&self) -> usize {
-        self.raw_lines.len()
+        self.line_count
     }
 
     /// 1-based line number of a byte offset into [`SourceFile::stripped`].
@@ -102,13 +101,6 @@ impl SourceFile {
             .get(line)
             .map_or(self.stripped.len(), |&e| e - 1);
         &self.stripped[start..end]
-    }
-
-    /// The raw text of a 1-based line (empty for out-of-range).
-    pub fn line_raw(&self, line: usize) -> &str {
-        self.raw_lines
-            .get(line.wrapping_sub(1))
-            .map_or("", String::as_str)
     }
 
     /// The `//` comment text on a 1-based line, if any (text after the
@@ -402,6 +394,5 @@ mod tests {
         let f = SourceFile::parse("x.rs", "aaa\nbbb\nccc\n");
         let off = f.stripped().find("ccc").unwrap();
         assert_eq!(f.line_of(off), 3);
-        assert_eq!(f.line_raw(2), "bbb");
     }
 }

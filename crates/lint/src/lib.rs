@@ -1,33 +1,28 @@
 //! fp-lint: in-repo static analysis for the Fork Path workspace.
 //!
-//! The workspace has invariants rustc and clippy cannot express:
-//! simulated code must never read wall-clock time (same-seed runs must
-//! be byte-identical), supervised-thread crates must never panic on a
-//! poisoned mutex, the trace-counter registry must agree across five
-//! definition sites, every wire frame must round-trip, library crates
-//! must not write to the process streams, and the hot per-access loops
-//! must stay allocation-free. `fp-lint` walks the workspace sources
-//! with a comment/string-stripping lexer (no rustc dependency, std
-//! only), applies those rules, and emits a deterministic report — human
-//! text or validated JSON (`results/LINT.json`) — exiting nonzero on
-//! any unallowed finding. `scripts/tier1.sh` runs it before the test
-//! suite.
+//! Most of the workspace's invariants are held by construction — a
+//! type, a single declaration, rustc, or clippy under `-D warnings`
+//! (DESIGN.md §12 has the table). Two cannot be said that way:
+//! supervised-thread crates must never panic on a poisoned mutex, and the
+//! hot per-access loops must stay allocation- and lock-free. `fp-lint`
+//! walks the workspace sources with a comment/string-stripping lexer (no
+//! rustc dependency, std only), applies those rules, and emits a
+//! deterministic report — human text or validated JSON
+//! (`results/LINT.json`) — exiting nonzero on any unallowed finding.
+//! `scripts/tier1.sh` runs it before the test suite.
 //!
 //! Suppressions are explicit and audited: inline pragmas (see
-//! [`pragma`]) must carry a reason and must suppress something, and the
-//! checked-in baseline ([`report::Baseline`]) is a visible debt list.
-//! Rule catalog and rationale live in DESIGN.md §12.
+//! [`pragma`]) must carry a reason and must suppress something.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexer;
 pub mod pragma;
-pub mod registry;
 pub mod report;
 pub mod rules;
 pub mod workspace;
 
 pub use lexer::SourceFile;
-pub use report::{Baseline, Finding, Report};
+pub use report::{Finding, Report};
 pub use rules::{lint_file, RULES};

@@ -3,14 +3,11 @@
 //!
 //! ```text
 //! fp-lint [--root <dir>] [--format text|json] [--out <path>]
-//!         [--baseline <path>] [--write-baseline]
 //! ```
 //!
-//! Defaults: root = current directory, format = text, baseline =
-//! `<root>/LINT_BASELINE.txt`. `--out` writes the report to a file
-//! (creating parent directories) in addition to the gate verdict on
-//! stderr. `--write-baseline` regenerates the baseline from the current
-//! findings instead of checking, and always exits 0.
+//! Defaults: root = current directory, format = text. `--out` writes the
+//! report to a file (creating parent directories) in addition to the gate
+//! verdict on stderr.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +15,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fp_lint::report::Baseline;
 use fp_lint::{workspace, RULES};
 
 /// Parsed command line.
@@ -26,8 +22,6 @@ struct Args {
     root: PathBuf,
     format: Format,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
 }
 
 #[derive(PartialEq)]
@@ -41,8 +35,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         format: Format::Text,
         out: None,
-        baseline: None,
-        write_baseline: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -57,8 +49,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => args.write_baseline = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -73,35 +63,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("LINT_BASELINE.txt"));
-
-    if args.write_baseline {
-        return match workspace::baseline_keys(&args.root) {
-            Ok(keys) => {
-                let text = Baseline::render(&keys);
-                if let Err(e) = fs::write(&baseline_path, text) {
-                    eprintln!("fp-lint: writing {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!(
-                    "fp-lint: wrote {} entr{} to {}",
-                    keys.len(),
-                    if keys.len() == 1 { "y" } else { "ies" },
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("fp-lint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let report = match workspace::lint_workspace(&args.root, &baseline_path) {
+    let report = match workspace::lint_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("fp-lint: {e}");
@@ -152,12 +114,7 @@ fn main() -> ExitCode {
     } else {
         for f in report.unallowed() {
             if args.out.is_some() || args.format == Format::Json {
-                let loc = if f.line == 0 {
-                    f.path.clone()
-                } else {
-                    format!("{}:{}", f.path, f.line)
-                };
-                eprintln!("{loc}: {}: {}", f.rule, f.message);
+                eprintln!("{}:{}: {}: {}", f.path, f.line, f.rule, f.message);
             }
         }
         eprintln!("fp-lint: {unallowed} unallowed finding(s)");

@@ -132,7 +132,7 @@ fn next_code_line(file: &SourceFile, line: usize) -> Option<usize> {
 mod tests {
     use super::*;
 
-    const RULES: [&str; 2] = ["wall-clock-in-sim", "stdout-in-library"];
+    const RULES: [&str; 2] = ["poisonable-lock", "hot-path-alloc"];
 
     fn scan(src: &str) -> (Vec<PlacedPragma>, Vec<Finding>) {
         collect(&SourceFile::parse("x.rs", src), &RULES)
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn trailing_allow_targets_its_own_line() {
-        let src = "let t = now(); // fp-lint: allow(wall-clock-in-sim) reason=bench harness\n";
+        let src = "let t = now(); // fp-lint: allow(poisonable-lock) reason=bench harness\n";
         let (p, bad) = scan(src);
         assert!(bad.is_empty());
         assert_eq!(p.len(), 1);
@@ -148,7 +148,7 @@ mod tests {
         assert_eq!(
             p[0].pragma,
             Pragma::Allow {
-                rule: "wall-clock-in-sim".into(),
+                rule: "poisonable-lock".into(),
                 reason: "bench harness".into()
             }
         );
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn own_line_allow_targets_next_code_line() {
-        let src = "// fp-lint: allow(stdout-in-library) reason=operator warning\n\nprintln!();\n";
+        let src = "// fp-lint: allow(hot-path-alloc) reason=operator warning\n\nprintln!();\n";
         let (p, bad) = scan(src);
         assert!(bad.is_empty());
         assert_eq!(p[0].line, 1);
@@ -175,10 +175,10 @@ mod tests {
     fn unknown_rule_missing_reason_and_bad_form_are_findings() {
         for src in [
             "// fp-lint: allow(no-such-rule) reason=x\nfn f() {}\n",
-            "// fp-lint: allow(wall-clock-in-sim)\nfn f() {}\n",
-            "// fp-lint: allow(wall-clock-in-sim) reason=\nfn f() {}\n",
+            "// fp-lint: allow(poisonable-lock)\nfn f() {}\n",
+            "// fp-lint: allow(poisonable-lock) reason=\nfn f() {}\n",
             "// fp-lint: frobnicate\nfn f() {}\n",
-            "// fp-lint: allow(wall-clock-in-sim) reason=dangling\n",
+            "// fp-lint: allow(poisonable-lock) reason=dangling\n",
         ] {
             let (p, bad) = scan(src);
             assert!(p.is_empty(), "{src}");

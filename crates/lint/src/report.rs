@@ -1,8 +1,7 @@
-//! Findings, suppression accounting, the baseline, and the two output
-//! formats (human text, machine JSON via `fp_stats::json`).
+//! Findings, suppression accounting, and the two output formats (human
+//! text, machine JSON via `fp_stats::json`).
 
 use std::collections::BTreeMap;
-use std::collections::HashSet;
 
 use fp_stats::json::{array, escape, JsonObject};
 
@@ -13,14 +12,12 @@ pub struct Finding {
     pub rule: &'static str,
     /// Repo-relative, forward-slash path.
     pub path: String,
-    /// 1-based line, or 0 for file/registry-level findings.
+    /// 1-based line.
     pub line: usize,
     /// What is wrong and what the fix direction is.
     pub message: String,
     /// The pragma reason, when an `allow` pragma suppressed this finding.
     pub allowed: Option<String>,
-    /// Whether the checked-in baseline suppressed this finding.
-    pub baselined: bool,
 }
 
 impl Finding {
@@ -32,84 +29,13 @@ impl Finding {
             line,
             message,
             allowed: None,
-            baselined: false,
         }
     }
 
-    /// Whether the finding counts against the gate (neither pragma- nor
-    /// baseline-suppressed).
+    /// Whether the finding counts against the gate (no pragma suppressed
+    /// it).
     pub fn is_unallowed(&self) -> bool {
-        self.allowed.is_none() && !self.baselined
-    }
-
-    /// Line-number-independent identity used by the baseline, so a
-    /// baselined finding survives unrelated edits above it. `snippet` is
-    /// the trimmed source line for line findings and the message for
-    /// file-level ones.
-    pub fn key(&self, snippet: &str) -> String {
-        let what = if self.line == 0 {
-            &self.message
-        } else {
-            snippet
-        };
-        format!("{}|{}|{}", self.rule, self.path, what.trim())
-    }
-}
-
-/// The checked-in suppression budget: one [`Finding::key`] per line.
-/// Kept deliberately dumb (text, sorted, commented) so diffs to it are
-/// obvious in review.
-#[derive(Debug, Default, Clone)]
-pub struct Baseline {
-    keys: HashSet<String>,
-}
-
-impl Baseline {
-    /// Parses baseline text: `#` comments and blank lines are ignored,
-    /// every other line is one suppression key.
-    pub fn parse(text: &str) -> Baseline {
-        let keys = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(str::to_string)
-            .collect();
-        Baseline { keys }
-    }
-
-    /// Whether the baseline suppresses this key.
-    pub fn contains(&self, key: &str) -> bool {
-        self.keys.contains(key)
-    }
-
-    /// Number of suppression entries.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the baseline has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Renders baseline text for the given keys (sorted, deduplicated,
-    /// with the explanatory header) — the `--write-baseline` output.
-    pub fn render(keys: &[String]) -> String {
-        let mut sorted: Vec<&String> = keys.iter().collect();
-        sorted.sort();
-        sorted.dedup();
-        let mut out = String::from(
-            "# fp-lint baseline: known findings exempted from the gate.\n\
-             # One `rule|path|snippet` key per line; regenerate with\n\
-             # `cargo run -p fp-lint -- --write-baseline`. Every entry is a\n\
-             # debt item — prefer fixing the site or adding an inline\n\
-             # `fp-lint: allow(...) reason=...` pragma next to it.\n",
-        );
-        for k in sorted {
-            out.push_str(k);
-            out.push('\n');
-        }
-        out
+        self.allowed.is_none()
     }
 }
 
@@ -141,14 +67,12 @@ impl Report {
         self.unallowed().next().is_none()
     }
 
-    /// Per-rule suppression counts (pragma + baseline) — the visible
-    /// "allow budget" documented in DESIGN.md §12.
+    /// Per-rule pragma-suppression counts — the visible "allow budget"
+    /// documented in DESIGN.md §12.
     pub fn allow_budget(&self) -> BTreeMap<&'static str, u64> {
         let mut budget = BTreeMap::new();
-        for f in &self.findings {
-            if !f.is_unallowed() {
-                *budget.entry(f.rule).or_insert(0) += 1;
-            }
+        for f in self.findings.iter().filter(|f| !f.is_unallowed()) {
+            *budget.entry(f.rule).or_insert(0) += 1;
         }
         budget
     }
@@ -157,19 +81,16 @@ impl Report {
     pub fn to_text(&self, rules: &[&str]) -> String {
         let mut out = String::new();
         for f in self.unallowed() {
-            let loc = if f.line == 0 {
-                f.path.clone()
-            } else {
-                format!("{}:{}", f.path, f.line)
-            };
-            out.push_str(&format!("{loc}: {}: {}\n", f.rule, f.message));
+            out.push_str(&format!(
+                "{}:{}: {}: {}\n",
+                f.path, f.line, f.rule, f.message
+            ));
         }
         let unallowed = self.unallowed().count();
-        let allowed = self.findings.iter().filter(|f| f.allowed.is_some()).count();
-        let baselined = self.findings.iter().filter(|f| f.baselined).count();
+        let allowed = self.findings.len() - unallowed;
         out.push_str(&format!(
             "fp-lint: {} file(s), {} rule(s): {unallowed} finding(s), \
-             {allowed} allowed by pragma, {baselined} baselined\n",
+             {allowed} allowed by pragma\n",
             self.files_scanned,
             rules.len(),
         ));
@@ -187,15 +108,9 @@ impl Report {
             &array(rules.iter().map(|r| format!("\"{}\"", escape(r)))),
         );
         o.field_u64("files_scanned", self.files_scanned as u64);
-        o.field_u64("findings", self.unallowed().count() as u64);
-        o.field_u64(
-            "allowed",
-            self.findings.iter().filter(|f| f.allowed.is_some()).count() as u64,
-        );
-        o.field_u64(
-            "baselined",
-            self.findings.iter().filter(|f| f.baselined).count() as u64,
-        );
+        let unallowed = self.unallowed().count();
+        o.field_u64("findings", unallowed as u64);
+        o.field_u64("allowed", (self.findings.len() - unallowed) as u64);
         let mut budget = JsonObject::new();
         for (rule, n) in self.allow_budget() {
             budget.field_u64(rule, n);
@@ -214,16 +129,14 @@ impl Report {
         );
         o.field_raw(
             "suppressed",
-            &array(self.findings.iter().filter(|f| !f.is_unallowed()).map(|f| {
+            &array(self.findings.iter().filter_map(|f| {
+                let reason = f.allowed.as_ref()?;
                 let mut e = JsonObject::new();
                 e.field_str("rule", f.rule)
                     .field_str("path", &f.path)
-                    .field_u64("line", f.line as u64);
-                match &f.allowed {
-                    Some(reason) => e.field_str("reason", reason),
-                    None => e.field_str("reason", "baseline"),
-                };
-                e.finish()
+                    .field_u64("line", f.line as u64)
+                    .field_str("reason", reason);
+                Some(e.finish())
             })),
         );
         o.finish()
@@ -235,62 +148,32 @@ mod tests {
     use super::*;
 
     fn sample() -> Report {
-        let mut allowed = Finding::new("stdout-in-library", "b.rs", 2, "println".into());
-        allowed.allowed = Some("operator warning".into());
-        let mut baselined = Finding::new("wall-clock-in-sim", "c.rs", 3, "Instant".into());
-        baselined.baselined = true;
+        let mut allowed = Finding::new("hot-path-alloc", "b.rs", 2, "vec!".into());
+        allowed.allowed = Some("one-time warm-up".into());
         Report {
             findings: vec![
-                Finding::new("wall-clock-in-sim", "a.rs", 7, "Instant".into()),
+                Finding::new("poisonable-lock", "a.rs", 7, ".lock().unwrap()".into()),
                 allowed,
-                baselined,
             ],
-            files_scanned: 3,
+            files_scanned: 2,
         }
     }
 
     #[test]
-    fn accounting_splits_three_ways() {
+    fn accounting_splits_allowed_from_unallowed() {
         let r = sample();
         assert_eq!(r.unallowed().count(), 1);
         assert!(!r.is_clean());
-        assert_eq!(r.allow_budget().values().sum::<u64>(), 2);
+        assert_eq!(r.allow_budget().get("hot-path-alloc"), Some(&1));
     }
 
     #[test]
     fn json_is_valid_and_counts_unallowed_only() {
         let r = sample();
-        let s = r.to_json(&["wall-clock-in-sim", "stdout-in-library"]);
+        let s = r.to_json(&["hot-path-alloc", "poisonable-lock"]);
         fp_stats::json::validate(&s).expect("valid JSON");
         assert!(s.contains("\"findings\":1"));
         assert!(s.contains("\"allowed\":1"));
-        assert!(s.contains("\"baselined\":1"));
-        assert!(s.contains("\"reason\":\"operator warning\""));
-    }
-
-    #[test]
-    fn baseline_round_trips() {
-        let keys = vec![
-            "rule|b.rs|let y = 2;".to_string(),
-            "rule|a.rs|let x = 1;".to_string(),
-            "rule|a.rs|let x = 1;".to_string(),
-        ];
-        let text = Baseline::render(&keys);
-        let b = Baseline::parse(&text);
-        assert_eq!(b.len(), 2, "sorted + deduplicated");
-        assert!(b.contains("rule|a.rs|let x = 1;"));
-        assert!(!b.contains("rule|c.rs|other"));
-        // Idempotent: rendering what we parsed yields the same text.
-        let mut back: Vec<String> = keys.clone();
-        back.sort();
-        back.dedup();
-        assert_eq!(Baseline::render(&back), text);
-    }
-
-    #[test]
-    fn empty_baseline_is_clean() {
-        let b = Baseline::parse("# only comments\n\n");
-        assert!(b.is_empty());
-        assert_eq!(b.len(), 0);
+        assert!(s.contains("\"reason\":\"one-time warm-up\""));
     }
 }

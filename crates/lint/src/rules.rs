@@ -1,14 +1,13 @@
-//! The rule engine and the per-file rules.
+//! The rule engine and the rules.
 //!
-//! Each rule guards an invariant the compiler cannot see (the registry
-//! rules live in [`crate::registry`]):
+//! Each rule guards an invariant that no type, declaration, rustc lint or
+//! clippy lint can state (DESIGN.md §12 lists the ones that can, and where
+//! they are held instead):
 //!
 //! | Rule | Invariant |
 //! |---|---|
-//! | `wall-clock-in-sim` | Simulated results are a pure function of the seed: no `Instant`/`SystemTime` outside the wall-clock harness crates (`fp-bench`, `fp-net`) |
-//! | `poisonable-lock` | Crates whose locks outlive a panicking thread (`fp-trace`, `fp-service`, `fp-net`) never panic on a poisoned mutex: `.lock().unwrap()`/`.expect(..)` must route through `fp_trace::sync::relock` (re-exported as `fp_service::sync::relock`) |
-//! | `stdout-in-library` | Library crates report through JSON/return values, never `println!`/`eprintln!`/`dbg!` |
 //! | `hot-path-alloc` | Functions marked `// fp-lint: hot-path` stay allocation- and lock-free (`.clone()`, `.to_vec()`, `format!`, `Vec::new`, `vec!`, `.lock()`) |
+//! | `poisonable-lock` | Crates whose locks outlive a panicking thread (`fp-trace`, `fp-service`, `fp-net`) never panic on a poisoned mutex: `.lock().unwrap()`/`.expect(..)` must route through `fp_trace::sync::relock` (re-exported as `fp_service::sync::relock`) |
 //! | `bad-pragma` | Suppressions parse, name a real rule, and carry a reason |
 //! | `unused-allow` | Suppressions that stop suppressing anything are removed |
 
@@ -17,26 +16,19 @@ use crate::pragma::{self, PlacedPragma, Pragma};
 use crate::report::Finding;
 
 /// Every rule name, in documentation order. Pragmas may only name these.
-pub const RULES: [&str; 8] = [
-    "wall-clock-in-sim",
-    "poisonable-lock",
-    "stdout-in-library",
+pub const RULES: [&str; 4] = [
     "hot-path-alloc",
-    "trace-registry",
-    "wire-exhaustiveness",
+    "poisonable-lock",
     "bad-pragma",
     "unused-allow",
 ];
 
-/// Lints one file: runs every file-scope rule, applies `allow` pragmas,
-/// and reports malformed or unused pragmas. Registry rules run
-/// separately (they span files); see [`crate::registry`].
+/// Lints one file: runs every rule, applies `allow` pragmas, and reports
+/// malformed or unused pragmas.
 pub fn lint_file(file: &SourceFile) -> Vec<Finding> {
     let (pragmas, mut findings) = pragma::collect(file, &RULES);
-    findings.extend(wall_clock_in_sim(file));
-    findings.extend(poisonable_lock(file));
-    findings.extend(stdout_in_library(file));
     findings.extend(hot_path_alloc(file, &pragmas));
+    findings.extend(poisonable_lock(file));
     apply_allows(file, &pragmas, &mut findings);
     findings
 }
@@ -71,36 +63,6 @@ fn apply_allows(file: &SourceFile, pragmas: &[PlacedPragma], findings: &mut Vec<
             ));
         }
     }
-}
-
-/// Crates whose entire purpose is wall-clock measurement or wall-clock
-/// protocol deadlines; `Instant`/`SystemTime` are legitimate anywhere in
-/// them (and still surface in editors via clippy `disallowed-methods`,
-/// `#[allow]`ed at each site).
-const WALL_CLOCK_CRATES: [&str; 2] = ["crates/bench/", "crates/net/"];
-
-/// `wall-clock-in-sim`: simulated-path code must not read host time —
-/// the equivalence propchecks and the `net_bench --verify` gate all rely
-/// on same-seed ⇒ byte-identical results.
-fn wall_clock_in_sim(file: &SourceFile) -> Vec<Finding> {
-    if WALL_CLOCK_CRATES.iter().any(|c| file.path().starts_with(c)) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for token in ["Instant", "SystemTime"] {
-        for line in match_lines(file.stripped(), token, file) {
-            findings.push(Finding::new(
-                "wall-clock-in-sim",
-                file.path(),
-                line,
-                format!(
-                    "`{token}` in simulated-path code — wall time breaks same-seed determinism; \
-                     use the simulated clock, or justify with an allow pragma"
-                ),
-            ));
-        }
-    }
-    findings
 }
 
 /// Crates whose shared locks outlive a panicking thread — worker threads
@@ -144,46 +106,6 @@ fn poisonable_lock(file: &SourceFile) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// `stdout-in-library`: library crates communicate through return values
-/// and validated JSON, never the process streams. Binaries, examples,
-/// benches, and tests are exempt; so is `fp-bench` (a reporting crate).
-fn stdout_in_library(file: &SourceFile) -> Vec<Finding> {
-    if !is_library_source(file.path()) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    for token in ["println!", "eprintln!", "print!", "eprint!", "dbg!"] {
-        for line in match_lines(file.stripped(), token, file) {
-            if file.in_test(line) {
-                continue;
-            }
-            findings.push(Finding::new(
-                "stdout-in-library",
-                file.path(),
-                line,
-                format!(
-                    "`{token}` in a library crate — report through JSON or return values, \
-                     or justify with an allow pragma"
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-/// Whether a path is library (non-binary, non-test, non-example) source.
-fn is_library_source(path: &str) -> bool {
-    let in_lib_tree = (path.starts_with("crates/") && !path.starts_with("crates/bench/"))
-        || path.starts_with("src/");
-    in_lib_tree
-        && (path.contains("/src/") || path.starts_with("src/"))
-        && !path.contains("/bin/")
-        && !path.ends_with("/main.rs")
-        && !path.contains("/examples/")
-        && !path.contains("/benches/")
-        && !path.contains("/tests/")
 }
 
 /// Allocation patterns — and direct mutex acquisition — audited inside
@@ -284,38 +206,11 @@ fn fn_body_span(file: &SourceFile, line: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// Lines (1-based, deduplicated) where `token` occurs with identifier
-/// boundaries on both sides.
-fn match_lines(text: &str, token: &str, file: &SourceFile) -> Vec<usize> {
-    let mut lines = Vec::new();
-    let mut from = 0;
-    while let Some(at) = text[from..].find(token) {
-        let at = from + at;
-        from = at + token.len();
-        if !boundary_before(text, at) || !boundary_after(text, at + token.len()) {
-            continue;
-        }
-        let line = file.line_of(at);
-        if lines.last() != Some(&line) {
-            lines.push(line);
-        }
-    }
-    lines
-}
-
 /// Whether the character before byte `at` ends an identifier boundary.
 fn boundary_before(text: &str, at: usize) -> bool {
     text[..at]
         .chars()
         .next_back()
-        .is_none_or(|c| !c.is_alphanumeric() && c != '_')
-}
-
-/// Whether the character at byte `at` starts an identifier boundary.
-fn boundary_after(text: &str, at: usize) -> bool {
-    text[at..]
-        .chars()
-        .next()
         .is_none_or(|c| !c.is_alphanumeric() && c != '_')
 }
 
@@ -332,12 +227,6 @@ mod tests {
             .iter()
             .filter(|f| f.rule == rule && f.is_unallowed())
             .collect()
-    }
-
-    #[test]
-    fn wall_clock_boundary_rejects_substrings() {
-        let f = lint("crates/sim/src/x.rs", "let x = MyInstantaneous::new();\n");
-        assert!(unallowed(&f, "wall-clock-in-sim").is_empty());
     }
 
     #[test]

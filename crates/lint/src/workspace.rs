@@ -3,22 +3,17 @@
 //! The walk order is sorted-lexicographic so the report (and therefore
 //! `results/LINT.json`) is byte-identical across machines and runs.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::SourceFile;
-use crate::registry;
-use crate::report::{Baseline, Finding, Report};
+use crate::report::Report;
 use crate::rules;
 
 /// Directories (relative to the workspace root) searched for Rust
 /// sources. `target/` and everything else is ignored.
 const ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
-
-/// Docs scanned by the `trace-registry` prose check.
-const PROSE_DOCS: [&str; 3] = ["EXPERIMENTS.md", "DESIGN.md", "README.md"];
 
 /// All `.rs` files under the lint roots, as repo-relative forward-slash
 /// paths, sorted.
@@ -65,111 +60,23 @@ fn rel(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Lints the whole workspace under `root`: every file-scope rule on
-/// every source, both registry rules, then the baseline. The returned
-/// report is sorted and final.
+/// Lints the whole workspace under `root`: every rule on every source.
+/// The returned report is sorted and final.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures reading sources or the baseline file.
-pub fn lint_workspace(root: &Path, baseline_path: &Path) -> io::Result<Report> {
+/// Propagates I/O failures reading sources.
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let sources = rust_sources(root)?;
-    let files_scanned = sources.len();
     let mut findings = Vec::new();
-
     for path in &sources {
         let raw = fs::read_to_string(path)?;
-        let file = SourceFile::parse(&rel(root, path), &raw);
-        findings.extend(rules::lint_file(&file));
-        if file.path() == "crates/trace/src/event.rs" {
-            findings.extend(run_trace_registry(root, &file)?);
-        }
-        if file.path() == "crates/net/src/wire.rs" {
-            findings.extend(registry::check_wire(&file));
-        }
+        findings.extend(rules::lint_file(&SourceFile::parse(&rel(root, path), &raw)));
     }
-
-    let baseline = match fs::read_to_string(baseline_path) {
-        Ok(text) => Baseline::parse(&text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(e),
-    };
-    if !baseline.is_empty() {
-        let mut cache = HashMap::new();
-        for f in &mut findings {
-            if f.is_unallowed() && baseline.contains(&finding_key(root, f, &mut cache)) {
-                f.baselined = true;
-            }
-        }
-    }
-
     let mut report = Report {
         findings,
-        files_scanned,
+        files_scanned: sources.len(),
     };
     report.sort();
     Ok(report)
-}
-
-/// Baseline keys for every finding that is currently unallowed *before*
-/// baseline suppression — the `--write-baseline` payload, sorted and
-/// deduplicated.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying lint run.
-pub fn baseline_keys(root: &Path) -> io::Result<Vec<String>> {
-    // Lint against a deliberately-absent baseline so existing entries
-    // are re-derived rather than preserved blindly.
-    let report = lint_workspace(root, &root.join("..does-not-exist.fp-lint"))?;
-    let mut cache = HashMap::new();
-    let mut keys: Vec<String> = report
-        .unallowed()
-        .map(|f| finding_key(root, f, &mut cache))
-        .collect();
-    keys.sort();
-    keys.dedup();
-    Ok(keys)
-}
-
-/// The baseline key of a finding: its line's raw source text for line
-/// findings, its message for file-level ones ([`Finding::key`]). File
-/// contents are cached per path; unreadable files yield an empty
-/// snippet, which degrades to a key that simply never matches.
-fn finding_key(root: &Path, f: &Finding, cache: &mut HashMap<String, String>) -> String {
-    let snippet = if f.line == 0 {
-        String::new()
-    } else {
-        let text = cache
-            .entry(f.path.clone())
-            .or_insert_with(|| fs::read_to_string(root.join(&f.path)).unwrap_or_default());
-        text.lines().nth(f.line - 1).unwrap_or("").to_string()
-    };
-    f.key(&snippet)
-}
-
-/// Runs the trace-registry rule with the real on-disk docs.
-fn run_trace_registry(root: &Path, event: &SourceFile) -> io::Result<Vec<Finding>> {
-    let experiments_text = read_optional(&root.join("EXPERIMENTS.md"))?;
-    let mut prose = Vec::new();
-    for doc in PROSE_DOCS {
-        if let Some(text) = read_optional(&root.join(doc))? {
-            prose.push((doc, text));
-        }
-    }
-    let prose_refs: Vec<(&str, &str)> = prose.iter().map(|(p, t)| (*p, t.as_str())).collect();
-    Ok(registry::check_trace_registry(
-        event,
-        experiments_text.as_deref().map(|t| ("EXPERIMENTS.md", t)),
-        &prose_refs,
-    ))
-}
-
-/// Reads a file, mapping "not found" to `None`.
-fn read_optional(path: &Path) -> io::Result<Option<String>> {
-    match fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
 }

@@ -181,43 +181,15 @@ impl Stash {
         z: usize,
     ) -> Vec<(u32, Vec<Block>)> {
         debug_assert!(level_lo <= level_hi && level_hi <= levels);
-        // Bucket candidate depth for every stash block, collected into the
-        // reusable scratch buffer.
-        let mut candidates = std::mem::take(&mut self.plan_scratch);
-        candidates.clear();
-        candidates.extend(
-            self.blocks
-                .values()
-                .filter(|b| !self.pinned.contains(&b.addr))
-                .map(|b| (divergence_level(levels, leaf, b.leaf), b.addr)),
-        );
-        // Deepest-eligible blocks first so they land as low as possible.
-        candidates.sort_unstable_by(|a, b| b.cmp(a));
-
-        let mut out = Vec::with_capacity((level_hi - level_lo + 1) as usize);
+        let candidates = self.eviction_candidates(levels, leaf);
         let mut cursor = 0usize;
-        for level in (level_lo..=level_hi).rev() {
-            let mut chosen = Vec::with_capacity(z);
-            // Blocks are sorted by eligible depth descending; every block
-            // with eligible depth >= level can go here.
-            while chosen.len() < z && cursor < candidates.len() {
-                let (depth, addr) = candidates[cursor];
-                if depth >= level {
-                    cursor += 1;
-                    // The block may have been consumed by a deeper level in
-                    // a previous iteration of an overlapping plan — it can't
-                    // here because each addr appears once, but guard anyway.
-                    if let Some(block) = self.blocks.remove(&addr) {
-                        debug_assert!(placement_legal(levels, leaf, block.leaf, level));
-                        self.trace.record_now(EventKind::StashEvict { addr });
-                        chosen.push(block);
-                    }
-                } else {
-                    break;
-                }
-            }
-            out.push((level, chosen));
-        }
+        let out = (level_lo..=level_hi)
+            .rev()
+            .map(|level| {
+                let chosen = self.take_for_level(&candidates, &mut cursor, levels, leaf, level, z);
+                (level, chosen)
+            })
+            .collect();
         self.plan_scratch = candidates;
         out
     }
@@ -234,6 +206,16 @@ impl Stash {
         z: usize,
     ) -> Vec<Block> {
         debug_assert!(level <= levels);
+        let candidates = self.eviction_candidates(levels, leaf);
+        let chosen = self.take_for_level(&candidates, &mut 0, levels, leaf, level, z);
+        self.plan_scratch = candidates;
+        chosen
+    }
+
+    /// `(deepest eligible level, addr)` of every unpinned block, deepest
+    /// first so blocks land as low as possible. Built in the reusable
+    /// scratch buffer, which the caller hands back to `plan_scratch`.
+    fn eviction_candidates(&mut self, levels: u32, leaf: u64) -> Vec<(u32, u64)> {
         let mut candidates = std::mem::take(&mut self.plan_scratch);
         candidates.clear();
         candidates.extend(
@@ -243,29 +225,36 @@ impl Stash {
                 .map(|b| (divergence_level(levels, leaf, b.leaf), b.addr)),
         );
         candidates.sort_unstable_by(|a, b| b.cmp(a));
-        let mut chosen = Vec::with_capacity(z);
-        for &(depth, addr) in candidates.iter() {
-            if chosen.len() >= z || depth < level {
-                break;
-            }
-            if let Some(block) = self.blocks.remove(&addr) {
-                debug_assert!(placement_legal(levels, leaf, block.leaf, level));
-                self.trace.record_now(EventKind::StashEvict { addr });
-                chosen.push(block);
-            }
-        }
-        self.plan_scratch = candidates;
-        chosen
+        candidates
     }
 
-    /// Like [`Stash::plan_eviction`] for the full path (levels `0..=L`).
-    pub fn plan_full_eviction(
+    /// Removes from the stash up to `z` blocks for the bucket at `level`,
+    /// taking `candidates` in order from `*cursor` while they are eligible
+    /// that deep, and advances the cursor past the ones taken.
+    fn take_for_level(
         &mut self,
+        candidates: &[(u32, u64)],
+        cursor: &mut usize,
         levels: u32,
         leaf: u64,
+        level: u32,
         z: usize,
-    ) -> Vec<(u32, Vec<Block>)> {
-        self.plan_eviction(levels, leaf, 0, levels, z)
+    ) -> Vec<Block> {
+        let mut chosen = Vec::with_capacity(z);
+        while chosen.len() < z {
+            match candidates.get(*cursor) {
+                Some(&(depth, addr)) if depth >= level => {
+                    *cursor += 1;
+                    if let Some(block) = self.blocks.remove(&addr) {
+                        debug_assert!(placement_legal(levels, leaf, block.leaf, level));
+                        self.trace.record_now(EventKind::StashEvict { addr });
+                        chosen.push(block);
+                    }
+                }
+                _ => break,
+            }
+        }
+        chosen
     }
 }
 
@@ -307,7 +296,7 @@ mod tests {
         assert_eq!(tr.counter(Counter::StashPushes), 6);
         s.remove(5);
         s.remove(99); // absent: not an eviction
-        let plan = s.plan_full_eviction(3, 1, 4);
+        let plan = s.plan_eviction(3, 1, 0, 3, 4);
         let planned: u64 = plan.iter().map(|(_, b)| b.len() as u64).sum();
         assert_eq!(tr.counter(Counter::StashEvicts), 1 + planned);
         // Pushes - evictions always equals residency.
@@ -336,7 +325,7 @@ mod tests {
         for (addr, leaf) in [(0u64, 1u64), (1, 1), (2, 3), (3, 7), (4, 0), (5, 5)] {
             s.insert(block(addr, leaf));
         }
-        let plan = s.plan_full_eviction(levels, 1, 4);
+        let plan = s.plan_eviction(levels, 1, 0, levels, 4);
         for (level, blocks) in &plan {
             for b in blocks {
                 assert!(
@@ -358,7 +347,7 @@ mod tests {
         let mut s = Stash::new(50);
         // A block mapped exactly to leaf 1 must land at the leaf bucket.
         s.insert(block(42, 1));
-        let plan = s.plan_full_eviction(levels, 1, 4);
+        let plan = s.plan_eviction(levels, 1, 0, levels, 4);
         let (leaf_level, leaf_blocks) = &plan[0];
         assert_eq!(*leaf_level, 3);
         assert_eq!(leaf_blocks.len(), 1);
@@ -389,7 +378,7 @@ mod tests {
         for addr in 0..10 {
             s.insert(block(addr, 0));
         }
-        let plan = s.plan_full_eviction(levels, 0, 4);
+        let plan = s.plan_eviction(levels, 0, 0, levels, 4);
         for (_, blocks) in &plan {
             assert!(blocks.len() <= 4);
         }

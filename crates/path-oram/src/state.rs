@@ -251,9 +251,6 @@ impl OramState {
     ) -> (u64, u64, AccessOutcome) {
         let slot = self.hierarchy.entry_slot(child_addr);
         let child_new = self.random_label();
-        #[cfg(feature = "trace-labels")]
-        // fp-lint: allow(stdout-in-library) reason=opt-in trace-labels debug output, compiled out by default
-        eprintln!("chain_step parent={parent_addr} -> leaf {parent_new_leaf}, child={child_addr} newlabel={child_new}");
         let (parent, _) = self.fetch_block(parent_addr, parent_new_leaf);
         let offset = (slot * 4) as usize;
         let raw = u32::from_le_bytes(parent.data[offset..offset + 4].try_into().unwrap());
@@ -367,9 +364,6 @@ impl OramState {
             AccessOutcome::Created
         };
         self.existing.insert(addr);
-        #[cfg(feature = "trace-labels")]
-        // fp-lint: allow(stdout-in-library) reason=opt-in trace-labels debug output, compiled out by default
-        eprintln!("fetch_block addr={addr} -> leaf {new_leaf} ({outcome:?})");
         let block = self.stash.get_mut(addr).expect("just ensured present");
         block.leaf = new_leaf;
         (block, outcome)

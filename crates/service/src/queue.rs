@@ -144,8 +144,8 @@ mod tests {
         let q = SubmissionQueue::new(2);
         q.try_push(req(0)).unwrap();
         q.try_push(req(1)).unwrap();
+        // Busy must come back immediately in wall time, which needs a wall clock.
         #[allow(clippy::disallowed_methods)]
-        // fp-lint: allow(wall-clock-in-sim) reason=test asserts Busy is returned immediately in wall time, which needs a wall clock
         let start = std::time::Instant::now();
         assert_eq!(q.try_push(req(2)), Err(SubmitError::Busy));
         assert!(

@@ -22,7 +22,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-// fp-lint: allow(wall-clock-in-sim) reason=wall_requests_per_sec measures real serving throughput; simulated results never depend on it
 use std::time::Instant;
 
 use fp_workloads::service::ServiceClientPool;
@@ -272,8 +271,9 @@ impl OramService {
             cfg: Arc::clone(&cfg),
             shards: Arc::clone(&shards),
         };
+        // wall_requests_per_sec only: measures real serving throughput and
+        // never feeds back into the simulation.
         #[allow(clippy::disallowed_methods)]
-        // fp-lint: allow(wall-clock-in-sim) reason=wall-clock throughput measurement only; does not feed back into the simulation
         let start = Instant::now();
         let (driver_out, failures) = std::thread::scope(|scope| {
             let workers: Vec<_> = engines
@@ -349,8 +349,9 @@ impl OramService {
             per_shard[shard].push(req);
         }
         let (engines, shareds) = Self::build(&cfg);
+        // wall_requests_per_sec only: measures real serving throughput and
+        // never feeds back into the simulation.
         #[allow(clippy::disallowed_methods)]
-        // fp-lint: allow(wall-clock-in-sim) reason=wall-clock throughput measurement only; does not feed back into the simulation
         let start = Instant::now();
         let failures = std::thread::scope(|scope| {
             let workers: Vec<_> = engines
@@ -419,8 +420,9 @@ impl OramService {
         }
         let (engines, shareds) = Self::build(&cfg);
         let n = cfg.shards as u64;
+        // wall_requests_per_sec only: measures real serving throughput and
+        // never feeds back into the simulation.
         #[allow(clippy::disallowed_methods)]
-        // fp-lint: allow(wall-clock-in-sim) reason=wall-clock throughput measurement only; does not feed back into the simulation
         let start = Instant::now();
         let failures = std::thread::scope(|scope| {
             let workers: Vec<_> = engines

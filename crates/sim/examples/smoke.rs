@@ -1,9 +1,8 @@
-#![allow(clippy::disallowed_methods)] // example: reports its own wall-clock runtime
+#![allow(clippy::disallowed_methods)] // example: shows the operator its own wall-clock runtime, not a simulated quantity
 
 use fp_sim::experiment::{mix_workload, run_mix, trace_path_from_args, MissBudget};
 use fp_sim::{run_workload_traced, Scheme, SystemConfig};
 use fp_workloads::mixes;
-// fp-lint: allow(wall-clock-in-sim) reason=example prints its own wall-clock runtime for the operator
 use std::time::Instant;
 
 fn main() {
@@ -20,7 +19,6 @@ fn main() {
             Scheme::ForkDefault,
             Scheme::Fork(fp_core::ForkConfig::paper_best()),
         ] {
-            // fp-lint: allow(wall-clock-in-sim) reason=wall-clock runtime shown to the operator; not a simulated quantity
             let t0 = Instant::now();
             let r = run_mix(&cfg, &scheme, &mix, MissBudget::Fast);
             if r.scheme == "insecure" {

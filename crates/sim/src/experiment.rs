@@ -147,8 +147,14 @@ pub fn run_mixes_reported(
                         .map(String::as_str)
                         .or_else(|| panic.downcast_ref::<&str>().copied())
                         .unwrap_or("unknown panic");
-                    // fp-lint: allow(stdout-in-library) reason=operator warning; the failure is also recorded in MixFailure for the JSON report
-                    eprintln!("warning: mix {name} failed: {msg}; continuing with remaining mixes");
+                    // Operator warning; the failure is also recorded in
+                    // MixFailure for the JSON report.
+                    #[allow(clippy::print_stderr)]
+                    {
+                        eprintln!(
+                            "warning: mix {name} failed: {msg}; continuing with remaining mixes"
+                        );
+                    }
                     outcome.failures.push(MixFailure {
                         mix: name.to_string(),
                         error: msg.to_string(),

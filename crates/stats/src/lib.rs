@@ -17,6 +17,7 @@
 //! percentile so randomized CI runs stay deterministic in practice.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -1,224 +1,148 @@
 //! Typed trace events and the monotonic counter namespace.
 
-/// One monotonic counter. Counters are always recorded exactly,
-/// independent of the event ring's capacity.
-///
-/// The discriminant doubles as the index into the counter array, so the
-/// enum must stay dense (no explicit discriminants, no gaps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares the counter namespace once. Each `/// doc  Variant =>
+/// "json_name",` row becomes an enum variant (its discriminant is the
+/// row's position, which is also its index into the counter array), an
+/// entry of [`Counter::ALL`] and an arm of [`Counter::name`], so the
+/// three cannot disagree. The EXPERIMENTS.md registry block is held
+/// against the table by a unit test below.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
+        /// One monotonic counter. Counters are always recorded exactly,
+        /// independent of the event ring's capacity.
+        ///
+        /// The discriminant doubles as the index into the counter array;
+        /// `counters!` keeps the enum dense by construction.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl Counter {
+            /// All counters, in discriminant order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant,)+];
+
+            /// Number of distinct counters (the counter array length).
+            pub const COUNT: usize = [$($name,)+].len();
+
+            /// Stable snake_case name used as the JSON key.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+// Append new counters: snapshots are positional (`[u64; COUNT]`), so an
+// insertion would renumber every later one.
+counters! {
     /// Requests submitted to the controller (before forwarding/cancelling).
-    RequestsSubmitted,
+    RequestsSubmitted => "requests_submitted",
     /// Requests selected out of the label queue to become an access.
-    RequestsScheduled,
+    RequestsScheduled => "requests_scheduled",
     /// Accesses whose read path was merged with the previous path.
-    RequestsMerged,
+    RequestsMerged => "requests_merged",
     /// Dummy slots replaced by late-arriving real requests (Fig 5).
-    RequestsReplaced,
+    RequestsReplaced => "requests_replaced",
     /// Completion records produced (answered, written back, or cancelled).
-    RequestsCompleted,
+    RequestsCompleted => "requests_completed",
     /// Scheduling rounds run by the request scheduler.
-    SchedRounds,
+    SchedRounds => "sched_rounds",
     /// Real requests that were ready when a scheduling round ran.
-    SchedReadyReals,
+    SchedReadyReals => "sched_ready_reals",
     /// Path reads that started above the root (merged with predecessor).
-    MergedReads,
+    MergedReads => "merged_reads",
     /// Path reads that read the full path from the root.
-    FullReads,
+    FullReads => "full_reads",
     /// Tree levels skipped across all merged reads.
-    ReadLevelsSkipped,
+    ReadLevelsSkipped => "read_levels_skipped",
     /// Merge-anchor resets (idle gaps, fixed-rate mode exits).
-    MergeResets,
+    MergeResets => "merge_resets",
     /// Dummy accesses materialized by the scheduler's padding.
-    DummiesMaterialized,
+    DummiesMaterialized => "dummies_materialized",
     /// Dummies replaced by real requests mid-refill.
-    DummiesReplaced,
+    DummiesReplaced => "dummies_replaced",
     /// Dummy ORAM accesses actually executed.
-    DummiesExecuted,
+    DummiesExecuted => "dummies_executed",
     /// Trailing dummies discarded unexecuted at idle.
-    DummiesTrailingDiscarded,
+    DummiesTrailingDiscarded => "dummies_trailing_discarded",
     /// Bucket reads served from the merging-aware on-chip cache.
-    CacheHits,
+    CacheHits => "cache_hits",
     /// Bucket reads that had to go to DRAM.
-    CacheMisses,
+    CacheMisses => "cache_misses",
     /// Blocks fetched from DRAM by the writeback engine.
-    DramBlocksRead,
+    DramBlocksRead => "dram_blocks_read",
     /// Blocks stored to DRAM by the writeback engine.
-    DramBlocksWritten,
+    DramBlocksWritten => "dram_blocks_written",
     /// Buckets written back (cached or written through).
-    BucketsWritten,
+    BucketsWritten => "buckets_written",
     /// DRAM row activations (ACT commands).
-    DramActs,
+    DramActs => "dram_acts",
     /// DRAM column reads (RD commands, burst granularity).
-    DramReads,
+    DramReads => "dram_reads",
     /// DRAM column writes (WR commands, burst granularity).
-    DramWrites,
+    DramWrites => "dram_writes",
     /// DRAM refreshes actually stalled for / modeled (REF commands).
-    DramRefs,
+    DramRefs => "dram_refs",
     /// DRAM refreshes skipped while the rank was idle (not modeled).
-    DramRefsSkipped,
+    DramRefsSkipped => "dram_refs_skipped",
     /// Blocks inserted into the stash (occupancy-increasing inserts).
-    StashPushes,
+    StashPushes => "stash_pushes",
     /// Blocks evicted or removed from the stash.
-    StashEvicts,
+    StashEvicts => "stash_evicts",
     /// Transient faults injected by a `FaultInjector` engine wrapper
     /// (flipped MAC/ciphertext detections, forced overflows).
-    FaultsInjected,
+    FaultsInjected => "faults_injected",
     /// Retries spent recovering from injected transient faults.
-    FaultRetries,
+    FaultRetries => "fault_retries",
     /// Completion-latency spikes injected by a `FaultInjector`.
-    LatencySpikes,
+    LatencySpikes => "latency_spikes",
     /// Shards declared dead by the serving layer's supervisor.
-    ShardFailovers,
+    ShardFailovers => "shard_failovers",
     /// Duplicate-address reads attached as waiters to an in-flight
     /// access by the serving layer's coalescing index (no ORAM access).
-    CoalescedReads,
+    CoalescedReads => "coalesced_reads",
     /// Duplicate-address writes absorbed by the coalescing index
     /// (last-writer-wins; no immediate ORAM access).
-    CoalescedWrites,
+    CoalescedWrites => "coalesced_writes",
     /// Write-back accesses issued to flush coalesced-write data after
     /// the anchor access completed.
-    CoalesceFlushes,
+    CoalesceFlushes => "coalesce_flushes",
     /// High-water mark of the per-shard coalescing index (distinct
     /// in-flight addresses). Monotonic-max, not a sum.
-    CoalesceIndexHighWater,
+    CoalesceIndexHighWater => "coalesce_index_high_water",
     /// TCP connections accepted by the network front end.
-    NetConnectionsOpened,
+    NetConnectionsOpened => "net_connections_opened",
     /// TCP connections that finished (client EOF, protocol error, or
     /// server shutdown).
-    NetConnectionsClosed,
+    NetConnectionsClosed => "net_connections_closed",
     /// Wire frames decoded from clients (handshakes, requests, control).
-    NetFramesIn,
+    NetFramesIn => "net_frames_in",
     /// Wire frames encoded to clients (responses, control replies).
-    NetFramesOut,
+    NetFramesOut => "net_frames_out",
     /// Bytes received on the wire, including length prefixes.
-    NetWireBytesIn,
+    NetWireBytesIn => "net_wire_bytes_in",
     /// Bytes sent on the wire, including length prefixes.
-    NetWireBytesOut,
+    NetWireBytesOut => "net_wire_bytes_out",
     /// Malformed or out-of-protocol frames (bad magic, version mismatch,
     /// truncation, oversize, unknown kinds); each closes its connection.
-    NetProtocolErrors,
+    NetProtocolErrors => "net_protocol_errors",
     /// Requests rejected with a `Busy` status frame: the per-connection
     /// in-flight window, the global connection limit, or the owning
     /// shard's bounded queue was full.
-    NetBusyRejections,
+    NetBusyRejections => "net_busy_rejections",
     /// DRAM precharges (PRE commands): a row conflict closed the open row
     /// before the activation. Idle precharge is not modelled.
-    DramPrecharges,
+    DramPrecharges => "dram_precharges",
     /// Chain steps answered from the stash with no ORAM access (the
     /// paper's Step 1: a hit is "returned to LLC immediately").
-    StashHits,
+    StashHits => "stash_hits",
     /// Queued writes superseded on chip by a younger write to the same
     /// address: acknowledged with a completion record, never executed.
-    WritesCancelled,
-}
-
-impl Counter {
-    /// All counters, in discriminant order.
-    pub const ALL: [Counter; 46] = [
-        Counter::RequestsSubmitted,
-        Counter::RequestsScheduled,
-        Counter::RequestsMerged,
-        Counter::RequestsReplaced,
-        Counter::RequestsCompleted,
-        Counter::SchedRounds,
-        Counter::SchedReadyReals,
-        Counter::MergedReads,
-        Counter::FullReads,
-        Counter::ReadLevelsSkipped,
-        Counter::MergeResets,
-        Counter::DummiesMaterialized,
-        Counter::DummiesReplaced,
-        Counter::DummiesExecuted,
-        Counter::DummiesTrailingDiscarded,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::DramBlocksRead,
-        Counter::DramBlocksWritten,
-        Counter::BucketsWritten,
-        Counter::DramActs,
-        Counter::DramReads,
-        Counter::DramWrites,
-        Counter::DramRefs,
-        Counter::DramRefsSkipped,
-        Counter::StashPushes,
-        Counter::StashEvicts,
-        Counter::FaultsInjected,
-        Counter::FaultRetries,
-        Counter::LatencySpikes,
-        Counter::ShardFailovers,
-        Counter::CoalescedReads,
-        Counter::CoalescedWrites,
-        Counter::CoalesceFlushes,
-        Counter::CoalesceIndexHighWater,
-        Counter::NetConnectionsOpened,
-        Counter::NetConnectionsClosed,
-        Counter::NetFramesIn,
-        Counter::NetFramesOut,
-        Counter::NetWireBytesIn,
-        Counter::NetWireBytesOut,
-        Counter::NetProtocolErrors,
-        Counter::NetBusyRejections,
-        Counter::DramPrecharges,
-        Counter::StashHits,
-        Counter::WritesCancelled,
-    ];
-
-    /// Number of distinct counters (the counter array length).
-    pub const COUNT: usize = Counter::ALL.len();
-
-    /// Stable snake_case name used as the JSON key.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::RequestsSubmitted => "requests_submitted",
-            Counter::RequestsScheduled => "requests_scheduled",
-            Counter::RequestsMerged => "requests_merged",
-            Counter::RequestsReplaced => "requests_replaced",
-            Counter::RequestsCompleted => "requests_completed",
-            Counter::SchedRounds => "sched_rounds",
-            Counter::SchedReadyReals => "sched_ready_reals",
-            Counter::MergedReads => "merged_reads",
-            Counter::FullReads => "full_reads",
-            Counter::ReadLevelsSkipped => "read_levels_skipped",
-            Counter::MergeResets => "merge_resets",
-            Counter::DummiesMaterialized => "dummies_materialized",
-            Counter::DummiesReplaced => "dummies_replaced",
-            Counter::DummiesExecuted => "dummies_executed",
-            Counter::DummiesTrailingDiscarded => "dummies_trailing_discarded",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::DramBlocksRead => "dram_blocks_read",
-            Counter::DramBlocksWritten => "dram_blocks_written",
-            Counter::BucketsWritten => "buckets_written",
-            Counter::DramActs => "dram_acts",
-            Counter::DramReads => "dram_reads",
-            Counter::DramWrites => "dram_writes",
-            Counter::DramRefs => "dram_refs",
-            Counter::DramRefsSkipped => "dram_refs_skipped",
-            Counter::StashPushes => "stash_pushes",
-            Counter::StashEvicts => "stash_evicts",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::FaultRetries => "fault_retries",
-            Counter::LatencySpikes => "latency_spikes",
-            Counter::ShardFailovers => "shard_failovers",
-            Counter::CoalescedReads => "coalesced_reads",
-            Counter::CoalescedWrites => "coalesced_writes",
-            Counter::CoalesceFlushes => "coalesce_flushes",
-            Counter::CoalesceIndexHighWater => "coalesce_index_high_water",
-            Counter::NetConnectionsOpened => "net_connections_opened",
-            Counter::NetConnectionsClosed => "net_connections_closed",
-            Counter::NetFramesIn => "net_frames_in",
-            Counter::NetFramesOut => "net_frames_out",
-            Counter::NetWireBytesIn => "net_wire_bytes_in",
-            Counter::NetWireBytesOut => "net_wire_bytes_out",
-            Counter::NetProtocolErrors => "net_protocol_errors",
-            Counter::NetBusyRejections => "net_busy_rejections",
-            Counter::DramPrecharges => "dram_precharges",
-            Counter::StashHits => "stash_hits",
-            Counter::WritesCancelled => "writes_cancelled",
-        }
-    }
+    WritesCancelled => "writes_cancelled",
 }
 
 /// A typed, timestamped occurrence in the simulated system.
@@ -377,12 +301,41 @@ mod tests {
     }
 
     #[test]
-    fn counter_names_are_unique() {
+    fn counter_names_are_unique_and_snake_case() {
         for (i, a) in Counter::ALL.iter().enumerate() {
+            let name = a.name();
+            assert!(
+                !name.is_empty()
+                    && name.starts_with(|c: char| c.is_ascii_lowercase())
+                    && name
+                        .chars()
+                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+                "{a:?} has a non-snake_case JSON name {name:?}"
+            );
             for b in &Counter::ALL[i + 1..] {
-                assert_ne!(a.name(), b.name());
+                assert_ne!(name, b.name());
             }
         }
+    }
+
+    /// The registry block of EXPERIMENTS.md lists every counter name, in
+    /// `Counter::ALL` order, and nothing else.
+    #[test]
+    fn experiments_registry_block_matches_the_table() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let (_, rest) = doc
+            .split_once("<!-- fp-lint: counter-registry begin -->")
+            .expect("EXPERIMENTS.md has the registry begin marker");
+        let (block, _) = rest
+            .split_once("<!-- fp-lint: counter-registry end -->")
+            .expect("EXPERIMENTS.md has the registry end marker");
+        // Names are the backtick-quoted spans: the odd pieces of a split.
+        let documented: Vec<&str> = block.split('`').skip(1).step_by(2).collect();
+        let declared: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(
+            documented, declared,
+            "EXPERIMENTS.md counter registry is out of step with counters!"
+        );
     }
 
     #[test]

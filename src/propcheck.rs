@@ -103,8 +103,11 @@ pub fn run_cases(name: &str, cases: u64, mut prop: impl FnMut(&mut Gen)) {
         let seed = case_seed(name, case);
         let outcome = catch_unwind(AssertUnwindSafe(|| prop(&mut Gen::new(seed))));
         if let Err(panic) = outcome {
-            // fp-lint: allow(stdout-in-library) reason=replay instructions printed only when a property already failed
-            eprintln!("property `{name}` failed on case {case}: replay with Gen::new({seed})");
+            // Replay instructions, printed only when a property already failed.
+            #[allow(clippy::print_stderr)]
+            {
+                eprintln!("property `{name}` failed on case {case}: replay with Gen::new({seed})");
+            }
             resume_unwind(panic);
         }
     }

@@ -17,10 +17,11 @@
 //! Every serve-based test runs under a watchdog thread so a regression to
 //! the old dead-shard hang fails the test quickly instead of wedging CI.
 
-#![allow(clippy::disallowed_methods)] // watchdog deadlines; see the fp-lint pragmas below
+// Watchdog deadlines only: a livelock fails the test instead of hanging
+// CI; no wall time reaches a simulated measurement.
+#![allow(clippy::disallowed_methods)]
 
 use std::sync::mpsc;
-// fp-lint: allow(wall-clock-in-sim) reason=watchdog deadline bounding a hung test, not a simulated measurement
 use std::time::{Duration, Instant};
 
 use fork_path_oram::core::engine::registry;
@@ -90,10 +91,8 @@ fn integrity_failure_kills_one_shard_while_survivor_serves() {
         let err = OramService::serve(cfg, |h| {
             // Feed both shards; with 2 shards, even addresses route to
             // shard 0 (the doomed one) and odd to shard 1 (the survivor).
-            // fp-lint: allow(wall-clock-in-sim) reason=watchdog deadline so a livelock fails the test instead of hanging CI
             let deadline = Instant::now() + Duration::from_secs(60);
             let mut tag = 0u64;
-            // fp-lint: allow(wall-clock-in-sim) reason=watchdog deadline check, see above
             while Instant::now() < deadline {
                 match h.submit(ServiceRequest::read(0, 0, tag)) {
                     Err(SubmitError::ShardDown) => saw_down = true,

@@ -8,10 +8,11 @@
 //! byte-for-byte (same-address operations apply in program order, so
 //! read data is pacing-independent), writes as payload-free acks.
 
-#![allow(clippy::disallowed_methods)] // watchdog deadlines; see the fp-lint pragmas below
+// Watchdog deadlines only: a livelock fails the test instead of hanging
+// CI; no wall time reaches a simulated measurement.
+#![allow(clippy::disallowed_methods)]
 
 use std::collections::HashMap;
-// fp-lint: allow(wall-clock-in-sim) reason=watchdog deadline bounding a hung test, not a simulated measurement
 use std::time::{Duration, Instant};
 
 use fork_path_oram::core::FaultConfig;
@@ -212,12 +213,10 @@ fn dead_shard_answers_shard_down_while_survivors_serve() {
 
     // With 2 shards, even addresses route to shard 0 (the doomed one)
     // and odd addresses to shard 1 (the survivor).
-    // fp-lint: allow(wall-clock-in-sim) reason=watchdog deadline so a dead-shard livelock fails the test instead of hanging CI
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut tag = 0u64;
     let mut saw_shard_down = false;
     let mut survivor_ok_after_death = 0u64;
-    // fp-lint: allow(wall-clock-in-sim) reason=watchdog deadline check, see above
     while Instant::now() < deadline && survivor_ok_after_death < 8 {
         for addr in [0u64, 1] {
             client

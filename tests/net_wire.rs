@@ -86,6 +86,73 @@ fn arbitrary_frames_round_trip() {
     });
 }
 
+/// Walks the [`Frame`] variants: the sample after `prev` (`None` starts
+/// the walk). The match has no wildcard, so a new variant does not compile
+/// until it joins the chain.
+fn sample_after(prev: Option<&Frame>) -> Option<Frame> {
+    Some(match prev {
+        None => Frame::Hello { version: VERSION },
+        Some(Frame::Hello { .. }) => Frame::HelloAck {
+            version: VERSION,
+            data_blocks: 1 << 16,
+            block_bytes: 64,
+            shards: 4,
+        },
+        Some(Frame::HelloAck { .. }) => Frame::Request(WireRequest {
+            tag: 7,
+            op: WireOp::Write,
+            addr: 42,
+            deadline_rel_ns: 1_000,
+            payload: vec![0xAB; 64],
+        }),
+        Some(Frame::Request(_)) => Frame::Response(WireResponse {
+            tag: 7,
+            status: WireStatus::Late,
+            latency_ps: 123_456,
+            data: vec![1, 2, 3],
+        }),
+        Some(Frame::Response(_)) => Frame::StatsReq,
+        Some(Frame::StatsReq) => Frame::StatsResp {
+            json: "{\"ok\":true}".into(),
+        },
+        Some(Frame::StatsResp { .. }) => Frame::HealthReq,
+        Some(Frame::HealthReq) => Frame::HealthResp {
+            shards: vec![WireHealth::Healthy, WireHealth::Dead],
+        },
+        Some(Frame::HealthResp { .. }) => Frame::Shutdown,
+        Some(Frame::Shutdown) => return None,
+    })
+}
+
+/// One sample of every variant round-trips under its own kind code, no two
+/// variants share a code, and `decode` answers every other code with
+/// `UnknownKind` — the kind table, `kind()` and `decode()` agree.
+#[test]
+fn every_variant_round_trips_and_no_other_kind_decodes() {
+    let mut defined = [false; 256];
+    for frame in std::iter::successors(sample_after(None), |f| sample_after(Some(f))) {
+        let mut buf = Vec::new();
+        frame.encode(&mut buf);
+        assert_eq!(buf[4], frame.kind(), "encode writes kind()");
+        assert_eq!(
+            Frame::decode(frame.kind(), &buf[5..]).as_ref(),
+            Ok(&frame),
+            "{} must round-trip",
+            frame.kind_name()
+        );
+        assert!(
+            !std::mem::replace(&mut defined[usize::from(frame.kind())], true),
+            "kind code {} belongs to two variants",
+            frame.kind()
+        );
+    }
+    for code in 0..=u8::MAX {
+        if !defined[usize::from(code)] {
+            assert_eq!(Frame::decode(code, &[]), Err(WireError::UnknownKind(code)));
+        }
+    }
+}
+
 /// A stream of several frames decodes back frame-by-frame, in order, and
 /// ends with a clean EOF (`Ok(None)`), never an error.
 #[test]

@@ -110,6 +110,39 @@ fn eviction_only_places_legal_blocks() {
     });
 }
 
+/// The multi-level planner and the single-level planner are one algorithm:
+/// for a random stash (some blocks pinned), leaf and `lo..=hi`,
+/// `plan_eviction` chooses exactly what `plan_eviction_level` chooses when
+/// called per level from `hi` down to `lo`.
+#[test]
+fn plan_eviction_equals_per_level_calls() {
+    run_cases(
+        "plan_eviction_equals_per_level_calls",
+        CASES,
+        |g: &mut Gen| {
+            let levels = 8u32;
+            let leaf = g.below(256);
+            let lo = g.range_u32(0, levels);
+            let hi = g.range_u32(lo, levels);
+            let z = g.range_usize(1, 5);
+            let mut whole = Stash::new(256);
+            for (i, bl) in g.vec(0, 96, |g| g.below(256)).into_iter().enumerate() {
+                whole.insert(Block::new(i as u64, bl, vec![i as u8]));
+                if g.below(8) == 0 {
+                    whole.pin(i as u64);
+                }
+            }
+            let mut stepwise = whole.clone();
+            let plan = whole.plan_eviction(levels, leaf, lo, hi, z);
+            let per_level: Vec<(u32, Vec<Block>)> = (lo..=hi)
+                .rev()
+                .map(|level| (level, stepwise.plan_eviction_level(levels, leaf, level, z)))
+                .collect();
+            assert_eq!(plan, per_level);
+        },
+    );
+}
+
 // ---------- MAC geometry --------------------------------------------
 
 #[test]

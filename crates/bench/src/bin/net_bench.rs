@@ -29,6 +29,7 @@
 //! being written (default `results/BENCH_net.json`). See EXPERIMENTS.md
 //! ("Network front end") for the schema.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::disallowed_methods)] // wall-clock measurement is this harness's purpose
 
 use std::collections::HashMap;

@@ -9,6 +9,8 @@
 //! the two tables) are short functions over the same helpers. `--fast` shortens the
 //! runs (see [`MissBudget`]); the expected shapes are in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use fp_bench::{
     caching_schemes, fork_with_mac, fork_with_queue, print_cols, print_row, print_title,
 };

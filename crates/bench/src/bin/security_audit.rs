@@ -11,6 +11,8 @@
 //! 4. the overlap-degree distribution against its closed form
 //!    P(overlap >= k) = 2^-(k-1).
 
+#![forbid(unsafe_code)]
+
 use fp_core::{ForkConfig, ForkPathController};
 use fp_dram::{DramConfig, DramSystem};
 use fp_path_oram::path::overlap_degree;

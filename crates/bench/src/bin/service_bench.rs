@@ -45,6 +45,8 @@
 //! being written (default `results/BENCH_service.json`). See
 //! EXPERIMENTS.md ("Serving layer") for the schema.
 
+#![forbid(unsafe_code)]
+
 use fp_bench::{by_name, registry};
 use fp_core::{FaultConfig, Scheme};
 use fp_path_oram::Op;

@@ -8,6 +8,8 @@
 //! output into the figure scripts or inspect `events[]` directly to see
 //! per-access fork levels and DRAM command interleaving.
 
+#![forbid(unsafe_code)]
+
 use fp_core::{ForkConfig, ForkPathController};
 use fp_dram::{DramConfig, DramSystem};
 use fp_path_oram::{Op, OramConfig};

@@ -303,7 +303,7 @@ mod tests {
     use super::*;
     use crate::engine::Scheme;
     use fp_dram::DramConfig;
-    use fp_path_oram::{NoFeedback, Op, OramConfig};
+    use fp_path_oram::{Op, OramConfig};
 
     fn engine(scheme: Scheme, seed: u64) -> Box<dyn OramEngine + Send> {
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));

@@ -227,7 +227,7 @@ impl MergingAwareCache {
 }
 
 impl BucketCache for MergingAwareCache {
-    // fp-lint: hot-path
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
     fn lookup_for_read(&mut self, node: u64) -> bool {
         if !self.cacheable(node) {
             return false;
@@ -247,7 +247,7 @@ impl BucketCache for MergingAwareCache {
         }
     }
 
-    // fp-lint: hot-path
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
     fn insert_on_write(&mut self, node: u64) -> WriteOutcome {
         if !self.cacheable(node) {
             return WriteOutcome::WriteThrough;

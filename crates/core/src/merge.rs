@@ -13,7 +13,7 @@
 //! It also owns the previous-path label, whose lifecycle (commit on a
 //! merged refill, reset across idle gaps) defines when merging applies.
 
-use fp_path_oram::path::{divergence_level, node_at_level};
+use fp_path_oram::path::divergence_level;
 use fp_trace::{Counter, EventKind, TraceHandle};
 
 /// The path-merging stage: fork-point computation over consecutive labels.
@@ -110,42 +110,11 @@ impl PathMerger {
             self.trace.bump(Counter::MergeResets);
         }
     }
-
-    /// The exact set of buckets two paths share — the prefix above their
-    /// divergence level. Exposed for invariant checks and tests; the data
-    /// path only needs the fork levels.
-    pub fn common_prefix(levels: u32, a: u64, b: u64) -> Vec<u64> {
-        let d = divergence_level(levels, a, b);
-        (0..=d).map(|l| node_at_level(levels, a, l)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fp_path_oram::path::path_nodes;
-
-    /// (a) The merge computation yields the exact common-prefix bucket set
-    /// for two labels, cross-checked against explicit path intersection.
-    #[test]
-    fn common_prefix_is_exact_path_intersection() {
-        let levels = 10u32;
-        for (a, b) in [
-            (0u64, 0u64),
-            (0, 1),
-            (3, 515),
-            (1023, 0),
-            (700, 701),
-            (512, 513),
-        ] {
-            let pa = path_nodes(levels, a);
-            let pb = path_nodes(levels, b);
-            let expected: Vec<u64> = pa.iter().copied().filter(|n| pb.contains(n)).collect();
-            let got = PathMerger::common_prefix(levels, a, b);
-            assert_eq!(got, expected, "labels ({a}, {b})");
-            assert!(!got.is_empty(), "paths always share the root");
-        }
-    }
 
     #[test]
     fn read_floor_skips_exactly_the_shared_prefix() {
@@ -154,14 +123,15 @@ mod tests {
         assert_eq!(m.read_floor(levels, 5), 0, "cold start reads the full path");
         m.commit(5);
         let floor = m.read_floor(levels, 7);
-        // Everything above `floor` is in the common prefix; `floor` is not.
-        let prefix = PathMerger::common_prefix(levels, 5, 7);
-        assert_eq!(floor as usize, prefix.len());
+        // Levels 0..=divergence are the common prefix; `floor` is the
+        // first level below it.
+        let shared = divergence_level(levels, 5, 7) + 1;
+        assert_eq!(floor, shared);
         assert_eq!(m.trace.counter(Counter::MergedReads), 1);
         assert_eq!(m.trace.counter(Counter::FullReads), 1);
         assert_eq!(
             m.trace.counter(Counter::ReadLevelsSkipped),
-            prefix.len() as u64
+            u64::from(shared)
         );
     }
 

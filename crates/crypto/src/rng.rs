@@ -104,19 +104,10 @@ impl Xoshiro256 {
         self.next_f64() < p
     }
 
-    /// Draws from a geometric-ish distribution: number of failures before a
-    /// success with probability `p`. Used for inter-arrival gaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `(0, 1]`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
-        if p >= 1.0 {
-            return 0;
-        }
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
+    /// Draws from the unit-mean exponential distribution — the
+    /// inter-arrival and think-time gaps of every workload generator.
+    pub fn exponential(&mut self) -> f64 {
+        -(self.next_f64().max(f64::MIN_POSITIVE)).ln()
     }
 }
 
@@ -177,20 +168,13 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_close_to_theory() {
+    fn exponential_is_positive_with_unit_mean() {
         let mut rng = Xoshiro256::new(11);
-        let p = 0.25;
         let n = 50_000;
-        let sum: u64 = (0..n).map(|_| rng.geometric(p)).sum();
-        let mean = sum as f64 / n as f64;
-        let theory = (1.0 - p) / p; // 3.0
-        assert!((mean - theory).abs() < 0.15, "mean={mean}");
-    }
-
-    #[test]
-    fn geometric_p_one_is_zero() {
-        let mut rng = Xoshiro256::new(1);
-        assert_eq!(rng.geometric(1.0), 0);
+        let draws: Vec<f64> = (0..n).map(|_| rng.exponential()).collect();
+        assert!(draws.iter().all(|&x| x >= 0.0 && x.is_finite()));
+        let mean = draws.iter().sum::<f64>() / n as f64;
+        assert!((mean - 1.0).abs() < 0.02, "mean={mean}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Channel {
     }
 
     /// Schedules a single burst at or after `earliest`, updating all state.
-    // fp-lint: hot-path
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
     pub(crate) fn schedule(
         &mut self,
         cfg: &DramConfig,

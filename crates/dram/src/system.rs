@@ -158,9 +158,8 @@ impl DramSystem {
     /// serviced first, then the oldest.
     ///
     /// Returns per-access completion times in input order.
-    // fp-lint: hot-path
+    // Allocates the returned buffer and nothing else once warm: tests/hot_path_alloc.rs.
     pub fn access_batch(&mut self, now_ps: u64, accesses: &[(u64, AccessKind)]) -> BatchResult {
-        // fp-lint: allow(hot-path-alloc) reason=the output buffer is the one allocation access_batch returns to the caller
         let mut finish = vec![0u64; accesses.len()];
         let mut batch_finish = now_ps;
 
@@ -171,14 +170,12 @@ impl DramSystem {
         // Reset the reusable scratch (no per-batch allocation once warm).
         let s = &mut self.scratch;
         s.locs.clear();
-        // fp-lint: allow(hot-path-alloc) reason=one-time warm-up of the reusable scratch; no allocation once warm
         s.chan_q.resize_with(self.config.channels, Vec::new);
         for q in &mut s.chan_q {
             q.clear();
         }
         s.chan_cursor.clear();
         s.chan_cursor.resize(self.config.channels, 0);
-        // fp-lint: allow(hot-path-alloc) reason=one-time warm-up of the reusable scratch; no allocation once warm
         s.bank_q.resize_with(num_queues, Vec::new);
         for q in &mut s.bank_q {
             q.clear();

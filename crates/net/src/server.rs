@@ -37,11 +37,6 @@
 //! shard it has observed dead for several consecutive iterations and
 //! answers them [`WireStatus::ShardDown`].
 
-// This file is the wall-clock boundary: it maps wire deadlines onto the
-// simulated clock (see module docs), so the workspace-wide clippy
-// disallowed-methods ban on wall-clock reads does not apply here.
-#![allow(clippy::disallowed_methods)]
-
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -273,6 +268,9 @@ impl NetServer {
         cfg.validate().map_err(NetError::Config)?;
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let local = listener.local_addr()?;
+        // The wall-clock epoch wire deadlines are mapped from (module docs).
+        #[expect(clippy::disallowed_methods)]
+        let start = Instant::now();
         let shared = Arc::new(NetShared {
             cfg,
             trace: TraceHandle::default(),
@@ -280,7 +278,7 @@ impl NetServer {
             next_tag: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
-            start: Instant::now(),
+            start,
             local,
         });
         let worker_shared = Arc::clone(&shared);
@@ -386,8 +384,11 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &Arc<NetShared>
             scope.spawn(move || write_responses(writer, rx, shared));
             scope.spawn(move || serve_connection(reader, conn_id, tx, inflight, handle, shared));
         }
-        // Drain: give in-flight requests a bounded chance to complete.
+        // Drain: give in-flight requests a bounded chance to complete. The
+        // bound is wall time by definition, hence the two clock reads.
+        #[expect(clippy::disallowed_methods)]
         let deadline = Instant::now() + Duration::from_millis(shared.cfg.drain_wait_ms);
+        #[expect(clippy::disallowed_methods)]
         while Instant::now() < deadline && !relock(&shared.pending).is_empty() {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -722,6 +723,8 @@ mod tests {
     /// from sweeping a dead shard and answering its stranded requests.
     /// Before `relock`, the first map access after the panic would
     /// itself panic, taking the dispatcher (and the final report) down.
+    // Poisoning the maps on purpose takes the raw `lock` the rule bans.
+    #[allow(clippy::disallowed_methods)]
     #[test]
     fn sweep_survives_poisoned_maps() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");

@@ -24,6 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
+use fp_core::ControllerError;
 use fp_workloads::service::ServiceClientPool;
 use fp_workloads::BenchmarkProfile;
 
@@ -217,31 +218,81 @@ impl OramService {
         ServiceStats::aggregate(cfg.shards, cfg.queue_depth, snaps, wall_ns)
     }
 
-    /// Joins supervised workers, turning abnormal exits into
-    /// [`ShardFailure`]s. Each worker returns `None` on a clean exit or
-    /// `Some((panicked, error))` otherwise.
-    fn collect_failures(
-        workers: Vec<std::thread::ScopedJoinHandle<'_, Option<(bool, String)>>>,
-    ) -> Vec<ShardFailure> {
-        let mut failures = Vec::new();
-        for (shard, w) in workers.into_iter().enumerate() {
-            match w.join() {
-                Ok(None) => {}
-                Ok(Some((panicked, error))) => failures.push(ShardFailure {
-                    shard,
-                    panicked,
-                    error,
-                }),
-                // catch_unwind should make this unreachable; record it
-                // rather than panic the supervisor.
-                Err(_) => failures.push(ShardFailure {
-                    shard,
-                    panicked: true,
-                    error: "worker died outside supervision".to_string(),
-                }),
-            }
+    /// The supervisor every run mode shares: spawns one worker per shard
+    /// (`job_for(shard)` builds the worker's job on the calling thread,
+    /// just before its spawn), runs `driver` on the calling thread, joins
+    /// the workers and snapshots the shards. A job that returns an error
+    /// has already marked its shard dead (the `ShardEngine::run_*`
+    /// contract); a job that panics is caught here and its shard marked
+    /// dead, which closes its queue at once.
+    fn supervise<J, R>(
+        cfg: &ServiceConfig,
+        engines: Vec<ShardEngine>,
+        shards: &[Arc<ShardShared>],
+        mut job_for: impl FnMut(usize) -> J,
+        driver: impl FnOnce() -> R,
+    ) -> Result<(ServiceStats, R), ServeError>
+    where
+        J: FnOnce(ShardEngine) -> Result<(), ControllerError> + Send,
+    {
+        // wall_requests_per_sec only: measures real serving throughput and
+        // never feeds back into the simulation.
+        #[expect(clippy::disallowed_methods)]
+        let start = Instant::now();
+        let (out, failures) = std::thread::scope(|scope| {
+            let workers: Vec<_> = engines
+                .into_iter()
+                .zip(shards)
+                .enumerate()
+                .map(|(shard, (engine, shared))| {
+                    let job = job_for(shard);
+                    scope.spawn(move || {
+                        let (panicked, error) =
+                            match catch_unwind(AssertUnwindSafe(move || job(engine))) {
+                                Ok(Ok(())) => return None,
+                                Ok(Err(e)) => (false, e.to_string()),
+                                Err(payload) => {
+                                    let msg = panic_message(payload.as_ref());
+                                    shared.mark_dead(&format!("worker panicked: {msg}"));
+                                    (true, msg)
+                                }
+                            };
+                        Some(ShardFailure {
+                            shard,
+                            panicked,
+                            error,
+                        })
+                    })
+                })
+                .collect();
+            let out = driver();
+            let failures: Vec<ShardFailure> = workers
+                .into_iter()
+                .enumerate()
+                .filter_map(|(shard, w)| {
+                    // catch_unwind should make a join error unreachable;
+                    // record it rather than panic the supervisor.
+                    w.join().unwrap_or_else(|_| {
+                        Some(ShardFailure {
+                            shard,
+                            panicked: true,
+                            error: "worker died outside supervision".to_string(),
+                        })
+                    })
+                })
+                .collect();
+            (out, failures)
+        });
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        let stats = Self::snapshot(cfg, shards, wall_ns);
+        if failures.is_empty() {
+            Ok((stats, out))
+        } else {
+            Err(ServeError::Shards {
+                failures,
+                stats: Box::new(stats),
+            })
         }
-        failures
     }
 
     /// Runs the service in external-submission mode: spawns one worker per
@@ -271,47 +322,20 @@ impl OramService {
             cfg: Arc::clone(&cfg),
             shards: Arc::clone(&shards),
         };
-        // wall_requests_per_sec only: measures real serving throughput and
-        // never feeds back into the simulation.
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let (driver_out, failures) = std::thread::scope(|scope| {
-            let workers: Vec<_> = engines
-                .into_iter()
-                .zip(shards.iter())
-                .map(|(engine, shared)| {
-                    let shared = Arc::clone(shared);
-                    scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(move || engine.run_external())) {
-                            Ok(Ok(())) => None,
-                            // run_external already marked the shard dead.
-                            Ok(Err(e)) => Some((false, e.to_string())),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                shared.mark_dead(&format!("worker panicked: {msg}"));
-                                Some((true, msg))
-                            }
-                        }
-                    })
-                })
-                .collect();
-            let out = driver(&handle);
-            // Begin drain: reject new work, wake idle workers.
-            for shared in shards.iter() {
-                shared.queue.close();
-            }
-            (out, Self::collect_failures(workers))
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let stats = Self::snapshot(&cfg, &shards, wall_ns);
-        if failures.is_empty() {
-            Ok((stats, driver_out))
-        } else {
-            Err(ServeError::Shards {
-                failures,
-                stats: Box::new(stats),
-            })
-        }
+        Self::supervise(
+            &cfg,
+            engines,
+            &shards,
+            |_| ShardEngine::run_external,
+            || {
+                let out = driver(&handle);
+                // Begin drain: reject new work, wake idle workers.
+                for shared in shards.iter() {
+                    shared.queue.close();
+                }
+                out
+            },
+        )
     }
 
     /// Runs the deterministic trace-replay mode: `requests` (global
@@ -349,35 +373,11 @@ impl OramService {
             per_shard[shard].push(req);
         }
         let (engines, shareds) = Self::build(&cfg);
-        // wall_requests_per_sec only: measures real serving throughput and
-        // never feeds back into the simulation.
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let failures = std::thread::scope(|scope| {
-            let workers: Vec<_> = engines
-                .into_iter()
-                .zip(shareds.iter())
-                .zip(per_shard)
-                .map(|((engine, shared), schedule)| {
-                    let shared = Arc::clone(shared);
-                    scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(move || engine.run_schedule(schedule)))
-                        {
-                            Ok(Ok(())) => None,
-                            Ok(Err(e)) => Some((false, e.to_string())),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                shared.mark_dead(&format!("worker panicked: {msg}"));
-                                Some((true, msg))
-                            }
-                        }
-                    })
-                })
-                .collect();
-            Self::collect_failures(workers)
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let stats = Self::snapshot(&cfg, &shareds, wall_ns);
+        let job_for = |shard: usize| {
+            let schedule = std::mem::take(&mut per_shard[shard]);
+            move |engine: ShardEngine| engine.run_schedule(schedule)
+        };
+        let (stats, ()) = Self::supervise(&cfg, engines, &shareds, job_for, || ())?;
         let mut completions = Vec::new();
         for (i, shared) in shareds.iter().enumerate() {
             let mut done = relock(&shared.completions);
@@ -386,14 +386,7 @@ impl OramService {
                 completions.push(c);
             }
         }
-        if failures.is_empty() {
-            Ok((stats, completions))
-        } else {
-            Err(ServeError::Shards {
-                failures,
-                stats: Box::new(stats),
-            })
-        }
+        Ok((stats, completions))
     }
 
     /// Runs the deterministic closed-loop mode: each shard gets a private
@@ -420,50 +413,18 @@ impl OramService {
         }
         let (engines, shareds) = Self::build(&cfg);
         let n = cfg.shards as u64;
-        // wall_requests_per_sec only: measures real serving throughput and
-        // never feeds back into the simulation.
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let failures = std::thread::scope(|scope| {
-            let workers: Vec<_> = engines
-                .into_iter()
-                .zip(shareds.iter())
-                .enumerate()
-                .map(|(shard, (engine, shared))| {
-                    let budget = total_budget / n + u64::from((shard as u64) < total_budget % n);
-                    let pool = ServiceClientPool::from_profiles(
-                        profiles,
-                        cfg.shard_blocks(),
-                        budget,
-                        // Pool seed decorrelated from the controller seed.
-                        cfg.shard_seed(shard) ^ 0xC1EE_7C1E_E7C1_EE7C,
-                    );
-                    let shared = Arc::clone(shared);
-                    scope.spawn(move || {
-                        match catch_unwind(AssertUnwindSafe(move || engine.run_closed_loop(pool))) {
-                            Ok(Ok(())) => None,
-                            Ok(Err(e)) => Some((false, e.to_string())),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                shared.mark_dead(&format!("worker panicked: {msg}"));
-                                Some((true, msg))
-                            }
-                        }
-                    })
-                })
-                .collect();
-            Self::collect_failures(workers)
-        });
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let stats = Self::snapshot(&cfg, &shareds, wall_ns);
-        if failures.is_empty() {
-            Ok(stats)
-        } else {
-            Err(ServeError::Shards {
-                failures,
-                stats: Box::new(stats),
-            })
-        }
+        let job_for = |shard: usize| {
+            let budget = total_budget / n + u64::from((shard as u64) < total_budget % n);
+            let pool = ServiceClientPool::from_profiles(
+                profiles,
+                cfg.shard_blocks(),
+                budget,
+                // Pool seed decorrelated from the controller seed.
+                cfg.shard_seed(shard) ^ 0xC1EE_7C1E_E7C1_EE7C,
+            );
+            move |engine: ShardEngine| engine.run_closed_loop(pool)
+        };
+        Self::supervise(&cfg, engines, &shareds, job_for, || ()).map(|(stats, ())| stats)
     }
 }
 

@@ -285,15 +285,10 @@ impl<E: OramEngine> ShardEngine<E> {
     ///
     /// Propagates controller failures (integrity violations, stash
     /// overflow, config errors) after marking the shard [`ShardHealth::Dead`].
-    pub fn run_external(mut self) -> Result<(), ControllerError> {
-        let result = self.run_external_inner();
-        if let Err(e) = &result {
-            self.fail(&e.to_string());
-        }
-        result
+    pub fn run_external(self) -> Result<(), ControllerError> {
+        self.or_fail(Self::run_external_inner)
     }
 
-    // fp-lint: hot-path
     fn run_external_inner(&mut self) -> Result<(), ControllerError> {
         loop {
             let batch = if self.ctl.has_pending_work() {
@@ -329,16 +324,24 @@ impl<E: OramEngine> ShardEngine<E> {
         }
     }
 
-    /// Error-exit cleanup: marks the shard dead (which closes the queue so
-    /// producers stop retrying `Busy`), publishes whatever completions the
-    /// engine had finished, and records final counters. Publishing is
+    /// Runs one of the worker loops with the error-exit cleanup every mode
+    /// shares: marks the shard dead (which closes the queue so producers
+    /// stop retrying `Busy`), publishes whatever completions the engine
+    /// had finished, and records final counters. Publishing is
     /// best-effort: a broken engine may reject the coalescing layer's
     /// flush write-backs, but client completions drained so far are
     /// published before any flush is submitted.
-    fn fail(&mut self, error: &str) {
-        self.shared.mark_dead(error);
-        let _ = self.publish_completions();
-        self.finish();
+    fn or_fail(
+        mut self,
+        run: impl FnOnce(&mut Self) -> Result<(), ControllerError>,
+    ) -> Result<(), ControllerError> {
+        let result = run(&mut self);
+        if let Err(e) = &result {
+            self.shared.mark_dead(&e.to_string());
+            let _ = self.publish_completions();
+            self.finish();
+        }
+        result
     }
 
     /// Admits a batch: expires requests whose deadline already passed,
@@ -568,12 +571,8 @@ impl<E: OramEngine> ShardEngine<E> {
     /// # Errors
     ///
     /// Propagates controller failures after marking the shard dead.
-    pub fn run_schedule(mut self, schedule: Vec<ServiceRequest>) -> Result<(), ControllerError> {
-        let result = self.run_schedule_inner(schedule);
-        if let Err(e) = &result {
-            self.fail(&e.to_string());
-        }
-        result
+    pub fn run_schedule(self, schedule: Vec<ServiceRequest>) -> Result<(), ControllerError> {
+        self.or_fail(|shard| shard.run_schedule_inner(schedule))
     }
 
     fn run_schedule_inner(
@@ -625,7 +624,7 @@ impl<E: OramEngine> ShardEngine<E> {
     /// Records the shard's final simulated clock and settles health: a
     /// shard that absorbed injected faults (but recovered via retries)
     /// reports [`ShardHealth::Degraded`] instead of `Healthy`. Called
-    /// from clean drains *and* from [`ShardEngine::fail`], so it must
+    /// from clean drains *and* from [`ShardEngine::or_fail`], so it must
     /// tolerate in-flight requests left unanswered by a dying engine;
     /// clean exits assert emptiness via [`ShardEngine::finish_drained`].
     fn finish(&self) {
@@ -648,12 +647,8 @@ impl<E: OramEngine> ShardEngine<E> {
     /// # Errors
     ///
     /// Propagates controller failures.
-    pub fn run_closed_loop(mut self, pool: ServiceClientPool) -> Result<(), ControllerError> {
-        let result = self.run_closed_loop_inner(pool);
-        if let Err(e) = &result {
-            self.fail(&e.to_string());
-        }
-        result
+    pub fn run_closed_loop(self, pool: ServiceClientPool) -> Result<(), ControllerError> {
+        self.or_fail(|shard| shard.run_closed_loop_inner(pool))
     }
 
     fn run_closed_loop_inner(&mut self, pool: ServiceClientPool) -> Result<(), ControllerError> {
@@ -771,7 +766,7 @@ mod tests {
             cfg.shard_seed(0),
         );
         engine.run_closed_loop(pool).unwrap();
-        let c = *shared.counters.lock().unwrap();
+        let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 200);
         assert_eq!(c.admitted, 200);
         assert_eq!(c.completed, 200);
@@ -797,7 +792,7 @@ mod tests {
         shared.note_enqueued();
         shared.queue.close();
         engine.run_external().unwrap();
-        let c = *shared.counters.lock().unwrap();
+        let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 8);
         assert_eq!(c.expired, 1);
@@ -805,7 +800,7 @@ mod tests {
         // completion (this double-count once inflated reported req/s).
         assert_eq!(c.completed, 8);
         assert_eq!(c.enqueued, c.admitted + c.expired);
-        let done = shared.completions.lock().unwrap();
+        let done = relock(&shared.completions);
         assert_eq!(
             done.len(),
             9,
@@ -837,7 +832,7 @@ mod tests {
         // A cold address for contrast.
         reqs.push(ServiceRequest::read(9, 8, 8));
         engine.run_schedule(reqs).unwrap();
-        let c = *shared.counters.lock().unwrap();
+        let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 9);
         assert_eq!(c.completed, 9, "flushes are not client completions");
@@ -845,7 +840,7 @@ mod tests {
             + shared.trace.counter(Counter::CoalescedWrites);
         assert!(coalesced > 0, "duplicates must attach as waiters");
         assert!(shared.trace.counter(Counter::CoalesceIndexHighWater) >= 1);
-        let done = shared.completions.lock().unwrap();
+        let done = relock(&shared.completions);
         assert_eq!(done.len(), 9);
         // Every write acknowledges with empty data; every read of addr 5
         // observes the youngest earlier write's payload.

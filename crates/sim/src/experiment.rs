@@ -149,7 +149,7 @@ pub fn run_mixes_reported(
                         .unwrap_or("unknown panic");
                     // Operator warning; the failure is also recorded in
                     // MixFailure for the JSON report.
-                    #[allow(clippy::print_stderr)]
+                    #[expect(clippy::print_stderr)]
                     {
                         eprintln!(
                             "warning: mix {name} failed: {msg}; continuing with remaining mixes"

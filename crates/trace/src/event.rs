@@ -324,10 +324,10 @@ mod tests {
     fn experiments_registry_block_matches_the_table() {
         let doc = include_str!("../../../EXPERIMENTS.md");
         let (_, rest) = doc
-            .split_once("<!-- fp-lint: counter-registry begin -->")
+            .split_once("<!-- counter-registry begin -->")
             .expect("EXPERIMENTS.md has the registry begin marker");
         let (block, _) = rest
-            .split_once("<!-- fp-lint: counter-registry end -->")
+            .split_once("<!-- counter-registry end -->")
             .expect("EXPERIMENTS.md has the registry end marker");
         // Names are the backtick-quoted spans: the odd pieces of a split.
         let documented: Vec<&str> = block.split('`').skip(1).step_by(2).collect();

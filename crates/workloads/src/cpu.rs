@@ -135,7 +135,7 @@ impl CoreModel {
         self.issued += 1;
         self.outstanding += 1;
         // Think time to the next miss, exponential around the profile gap.
-        let gap_ns = self.profile.avg_gap_ns * exponential(&mut self.rng);
+        let gap_ns = self.profile.avg_gap_ns * self.rng.exponential();
         self.next_issue_ps = now_ps.max(self.next_issue_ps) + (gap_ns * 1000.0) as u64;
 
         let addr = self.next_address();
@@ -157,7 +157,7 @@ impl CoreModel {
             PipelineKind::InOrder => {
                 // The blocked core resumes compute only after the data
                 // returns.
-                let gap_ns = self.profile.avg_gap_ns * exponential(&mut self.rng);
+                let gap_ns = self.profile.avg_gap_ns * self.rng.exponential();
                 self.next_issue_ps = done_ps + (gap_ns * 1000.0) as u64;
             }
             PipelineKind::OutOfOrder => {
@@ -199,10 +199,6 @@ impl CoreModel {
             self.region_base + (addr - self.region_base + stride) % self.private_blocks
         }
     }
-}
-
-fn exponential(rng: &mut Xoshiro256) -> f64 {
-    -(rng.next_f64().max(f64::MIN_POSITIVE)).ln()
 }
 
 /// One core per program: the unit the system simulator drives.

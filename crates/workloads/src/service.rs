@@ -56,7 +56,7 @@ impl Client {
             return None;
         }
         self.issued += 1;
-        let think_ns = self.gap_ns * exponential(&mut self.rng);
+        let think_ns = self.gap_ns * self.rng.exponential();
         let arrival_ps = now_ps + (think_ns * 1000.0) as u64;
         let addr = if self.rng.gen_bool(self.locality) {
             let stride = 1 + self.rng.next_below(8);
@@ -77,10 +77,6 @@ impl Client {
             client,
         })
     }
-}
-
-fn exponential(rng: &mut Xoshiro256) -> f64 {
-    -(rng.next_f64().max(f64::MIN_POSITIVE)).ln()
 }
 
 /// A deterministic closed-loop client pool for one shard.

@@ -169,7 +169,7 @@ pub fn generate(cfg: &ZipfConfig) -> Vec<ScheduledRequest> {
     let mut out = Vec::with_capacity(usize::try_from(cfg.requests).unwrap_or(0));
     let mut now_ps = 0u64;
     for tag in 0..cfg.requests {
-        let gap_ns = cfg.mean_gap_ns * exponential(&mut rng);
+        let gap_ns = cfg.mean_gap_ns * rng.exponential();
         now_ps = now_ps.saturating_add((gap_ns * 1000.0) as u64);
         let addr = sampler.sample(&mut rng);
         let op = if rng.gen_bool(cfg.write_fraction) {
@@ -199,10 +199,6 @@ pub fn write_payload(addr: u64, tag: u64, block_bytes: usize) -> Vec<u8> {
         d[8..16].copy_from_slice(&tag.to_le_bytes());
     }
     d
-}
-
-fn exponential(rng: &mut Xoshiro256) -> f64 {
-    -(rng.next_f64().max(f64::MIN_POSITIVE)).ln()
 }
 
 #[cfg(test)]

@@ -104,7 +104,7 @@ pub fn run_cases(name: &str, cases: u64, mut prop: impl FnMut(&mut Gen)) {
         let outcome = catch_unwind(AssertUnwindSafe(|| prop(&mut Gen::new(seed))));
         if let Err(panic) = outcome {
             // Replay instructions, printed only when a property already failed.
-            #[allow(clippy::print_stderr)]
+            #[expect(clippy::print_stderr)]
             {
                 eprintln!("property `{name}` failed on case {case}: replay with Gen::new({seed})");
             }

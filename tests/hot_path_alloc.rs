@@ -1,0 +1,175 @@
+//! The allocation contract of the per-access kernels, measured.
+//!
+//! Every structure the Fig 9 pipeline touches once per bucket — the PLB,
+//! the merging-aware cache (§3.5), the FR-FCFS batch scheduler, the
+//! writeback bursts, the trace counters — must not allocate once warm, or
+//! allocates exactly what it hands back. A global allocator that counts
+//! holds that through every callee, whatever the allocation is spelled
+//! like. The counts are exact, never a tolerance; a new per-access kernel
+//! joins this file (DESIGN.md §12).
+//!
+//! The `GlobalAlloc` forwarder below is the only `unsafe` in the
+//! repository: the trait cannot be implemented without it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use fork_path_oram::core::{MergingAwareCache, PosMapLookasideBuffer};
+use fork_path_oram::crypto::Xoshiro256;
+use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
+use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
+use fork_path_oram::path_oram::{OramConfig, WritebackEngine};
+use fork_path_oram::trace::{Counter, EventKind, TraceHandle};
+
+thread_local! {
+    /// Allocations made by this thread. Per thread, so the harness's own
+    /// threads cannot pollute a measurement; `const`-initialised and
+    /// without a destructor, so reading it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// integer. `alloc_zeroed` is the provided method, which calls `alloc`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations the current thread makes while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.get();
+    f();
+    ALLOCATIONS.get() - before
+}
+
+const CALLS: u64 = 4096;
+
+#[test]
+fn per_access_kernels_keep_their_allocation_contract() {
+    let mut rng = Xoshiro256::new(7);
+
+    // PLB at capacity: hits relink, misses evict the LRU entry.
+    let mut plb = PosMapLookasideBuffer::new(1024);
+    for addr in 0..1024 {
+        plb.touch(addr);
+    }
+    let n = allocations(|| {
+        for _ in 0..CALLS {
+            black_box(plb.touch(rng.next_below(2048)));
+        }
+    });
+    assert_eq!(n, 0, "PosMapLookasideBuffer::touch");
+
+    // Merging-aware cache: inserts (evicting once the sets fill) and lookups.
+    let oram = OramConfig::small_test();
+    let levels = oram.levels;
+    let mut mac = MergingAwareCache::new_for_tree(16, 4, 2, levels);
+    let n = allocations(|| {
+        for _ in 0..CALLS {
+            let level = 2 + rng.next_below(u64::from(levels - 1)) as u32;
+            let node = (1u64 << level) + rng.next_below(1 << level);
+            black_box(mac.insert_on_write(node));
+            black_box(mac.lookup_for_read(node));
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "MergingAwareCache::{{insert_on_write, lookup_for_read}}"
+    );
+
+    // Trace spine: counters always; events with retention off and on a
+    // ring that is already full.
+    let counters_only = TraceHandle::default();
+    let ring = TraceHandle::new(64);
+    for t in 0..64 {
+        ring.record(t, EventKind::DramAct);
+    }
+    let n = allocations(|| {
+        for t in 0..CALLS {
+            counters_only.add(Counter::DramBlocksRead, 8);
+            counters_only.bump(Counter::FullReads);
+            counters_only.record(t, EventKind::DramAct);
+            ring.record(t, EventKind::DramAct);
+        }
+    });
+    assert_eq!(n, 0, "TraceHandle::{{add, bump, record}}");
+    assert_eq!(ring.len(), 64, "the ring stayed full");
+
+    // FR-FCFS batch (Channel::schedule runs under it): the BatchResult
+    // buffer it returns is the one allocation of a call.
+    let dram_cfg = DramConfig::ddr3_1600(2);
+    let mut dram = DramSystem::new(dram_cfg.clone());
+    let batch: Vec<(u64, AccessKind)> = (0..64)
+        .map(|i| {
+            let kind = [AccessKind::Read, AccessKind::Write][i % 2];
+            (rng.next_below(1 << 20) * dram_cfg.burst_bytes, kind)
+        })
+        .collect();
+    let mut now = dram.access_batch(0, &batch).batch_finish_ps;
+    let n = allocations(|| {
+        for _ in 0..CALLS {
+            now = dram.access_batch(now, &batch).batch_finish_ps;
+        }
+    });
+    assert_eq!(
+        n, CALLS,
+        "DramSystem::access_batch allocates its result only"
+    );
+
+    // Writeback without a cache: every call issues exactly one DRAM batch.
+    let path: Vec<u64> = (0..=levels).map(|l| (1u64 << l) + 1).collect();
+    let mut wb = WritebackEngine::with_cache(Box::new(NoCache), &oram, &dram_cfg);
+    now = wb.read_path(&mut dram, &path, now);
+    let n = allocations(|| {
+        for _ in 0..CALLS {
+            now = wb.read_path(&mut dram, &path, now);
+        }
+    });
+    assert_eq!(n, CALLS, "WritebackEngine::read_path, one batch per call");
+    let n = allocations(|| {
+        for i in 0..CALLS {
+            now = wb.write_bucket(&mut dram, path[(i % 10) as usize], now);
+        }
+    });
+    assert_eq!(
+        n, CALLS,
+        "WritebackEngine::write_bucket, one batch per call"
+    );
+
+    // Writeback behind the MAC: buckets the cache absorbs issue no batch.
+    // 64 sets x 4 ways hold levels 2..=7 whole, one slot per bucket.
+    let absorbed: Vec<u64> = (2..=7).map(|l| (1u64 << l) + 1).collect();
+    let mac: Box<dyn BucketCache + Send> =
+        Box::new(MergingAwareCache::new_for_tree(64, 4, 2, levels));
+    let mut wb = WritebackEngine::with_cache(mac, &oram, &dram_cfg);
+    let n = allocations(|| {
+        for _ in 0..CALLS {
+            for &node in &absorbed {
+                assert_eq!(wb.write_bucket(&mut dram, node, now), now);
+            }
+            assert_eq!(wb.read_path(&mut dram, &absorbed, now), now);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "cache-absorbed buckets reach neither DRAM nor the heap"
+    );
+}

@@ -409,7 +409,8 @@ fn state_invariants_hold_under_random_access_mix() {
                 let chain = st.chain(addr);
                 let (mut old, mut new, _) = st.start_chain(addr);
                 for (i, &u) in chain.iter().enumerate() {
-                    st.load_path_range(old, 0, levels);
+                    st.load_path_range(old, 0, levels)
+                        .expect("integrity holds on an untampered tree");
                     if i + 1 < chain.len() {
                         let (o, n, _) = st.chain_step(u, new, chain[i + 1]);
                         st.evict_range(old, 0, levels);

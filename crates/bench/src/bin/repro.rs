@@ -1,5 +1,6 @@
 //! `repro <name> [--fast]` — regenerates one table, figure or study of the
-//! evaluation (§5); `repro --list` names them all.
+//! evaluation (§5), the §3.6 security audit, or the trace-spine dump
+//! (`repro trace [--trace <path>]`); `repro --list` names them all.
 //!
 //! Every figure is the same three steps — run traditional Path ORAM and a
 //! set of scheme columns over the Table 2 mixes, reduce each run against
@@ -17,13 +18,19 @@ use fp_bench::{
 use fp_core::{CacheChoice, ForkConfig, ForkPathController, NoFeedback};
 use fp_crypto::Xoshiro256;
 use fp_dram::{DramConfig, DramSystem};
-use fp_path_oram::{Op, OramConfig, PosMapHierarchy};
+use fp_path_oram::path::overlap_degree;
+use fp_path_oram::{BaselineController, Op, OramConfig, PosMapHierarchy};
 use fp_sim::experiment::{
-    run_all_mixes, run_all_mixes_reported, run_mix, run_mix_with_pipeline, MissBudget, SweepOutcome,
+    run_all_mixes, run_all_mixes_reported, run_mix, run_mix_with_pipeline, trace_path_from_args,
+    MissBudget, SweepOutcome,
 };
 use fp_sim::metrics::{geomean, RunResult};
 use fp_sim::report::{sweep_to_json, to_csv, write_results_file};
 use fp_sim::{run_workload, Scheme, SystemConfig};
+use fp_stats::{
+    autocorrelation, chi_square_critical, chi_square_two_sample, chi_square_uniform, ks_critical,
+    ks_uniform,
+};
 use fp_workloads::cpu::{MultiCoreWorkload, PipelineKind};
 use fp_workloads::mixes::{self, Mix};
 use fp_workloads::parsec;
@@ -31,7 +38,7 @@ use fp_workloads::parsec;
 /// A reproducible artefact: name, what it shows, how to produce it.
 type Figure = (&'static str, &'static str, fn(MissBudget));
 
-const FIGURES: [Figure; 15] = [
+const FIGURES: [Figure; 17] = [
     ("table1", "Table 1 — system configuration", table1),
     ("table2", "Table 2 — mixed benchmarks", table2),
     ("fig10", "path length + DRAM latency vs queue size", fig10),
@@ -59,7 +66,31 @@ const FIGURES: [Figure; 15] = [
         "static super-block prefetching",
         prefetch_study,
     ),
+    (
+        "security_audit",
+        "statistical battery on the label sequence (§3.6)",
+        security_audit,
+    ),
+    (
+        "trace",
+        "fp-trace spine of a mixed run as JSON [--trace <path>]",
+        trace,
+    ),
 ];
+
+/// The figure name: the first argument that is neither a flag nor the
+/// path that follows `--trace`.
+fn figure_name(args: &[String]) -> Option<&str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--trace" {
+            args.next();
+        } else if !arg.starts_with("--") {
+            return Some(arg);
+        }
+    }
+    None
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,14 +100,11 @@ fn main() {
         }
         return;
     }
-    let name = args.iter().find(|a| !a.starts_with("--"));
-    match FIGURES
-        .iter()
-        .find(|(n, ..)| Some(*n) == name.map(String::as_str))
-    {
+    let name = figure_name(&args);
+    match FIGURES.iter().find(|(n, ..)| Some(*n) == name) {
         Some((.., run)) => run(MissBudget::from_args(&args)),
         None => {
-            eprintln!("usage: repro <name> [--fast] | repro --list");
+            eprintln!("usage: repro <name> [--fast] [--trace <path>] | repro --list");
             std::process::exit(2);
         }
     }
@@ -537,8 +565,7 @@ fn prefetch_study(budget: MissBudget) {
     let accesses_per_request = |super_block: u64, locality: f64| {
         let mut cfg = OramConfig::paper_default(4 << 30);
         cfg.super_block = super_block;
-        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram, 77);
+        let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), 77);
         let mut rng = Xoshiro256::new(5);
         let mut addr = 0u64;
         let span = 1u64 << 20;
@@ -636,5 +663,246 @@ fn table2(_: MissBudget) {
             p.locality,
             p.mlp
         );
+    }
+}
+
+// ---- security audit (§3.6) ----
+//
+// Statistical battery over the externally visible label sequence, for the
+// traditional and the Fork Path controller:
+// 1. marginal uniformity of leaf labels (chi-square + KS),
+// 2. indistinguishability across two very different programs (two-sample
+//    chi-square),
+// 3. serial structure (lag-1..4 autocorrelation; with overlap scheduling
+//    the reordering is a public-information function, so correlation is
+//    expected — shown for contrast against the FIFO configuration),
+// 4. the overlap-degree distribution against its closed form
+//    P(overlap >= k) = 2^-(k-1).
+
+/// The paper's memory system: two DDR3-1600 channels.
+fn dram() -> DramSystem {
+    DramSystem::new(DramConfig::ddr3_1600(2))
+}
+
+fn fork_labels(pattern: &[u64], scheduling: bool, seed: u64) -> (Vec<u64>, u64) {
+    let cfg = OramConfig::small_test();
+    let leaves = cfg.leaf_count();
+    let fork_cfg = ForkConfig {
+        scheduling,
+        ..ForkConfig::default()
+    };
+    let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), seed);
+    ctl.enable_label_trace();
+    for &addr in pattern {
+        ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+        if addr % 5 == 0 {
+            ctl.run_to_idle();
+        }
+    }
+    ctl.run_to_idle();
+    (ctl.label_trace().unwrap().to_vec(), leaves)
+}
+
+fn verdict(ok: bool) -> &'static str {
+    if ok {
+        "PASS"
+    } else {
+        "FAIL"
+    }
+}
+
+fn security_audit(_: MissBudget) {
+    let n = 4000u64;
+    let sequential: Vec<u64> = (0..n).map(|i| i % 400).collect();
+    let hot: Vec<u64> = (0..n).map(|i| (i * i) % 16).collect();
+
+    print_title("1. Marginal uniformity of the label sequence");
+    for (name, trace, leaves) in [
+        ("fork/sequential", fork_labels(&sequential, true, 1)),
+        ("fork/hot-set", fork_labels(&hot, true, 2)),
+    ]
+    .map(|(n, (t, l))| (n, t, l))
+    {
+        let bins = 64usize;
+        let mut counts = vec![0u64; bins];
+        for &l in &trace {
+            counts[(l as u128 * bins as u128 / leaves as u128) as usize] += 1;
+        }
+        let chi2 = chi_square_uniform(&counts);
+        let crit = chi_square_critical(bins as f64 - 1.0, 3.09);
+        let mut unit: Vec<f64> = trace.iter().map(|&l| l as f64 / leaves as f64).collect();
+        let d = ks_uniform(&mut unit);
+        let dc = ks_critical(trace.len(), 0.001);
+        println!(
+            "{name:<18} n={:<6} chi2={chi2:8.1} (<{crit:.1}) {}   KS={d:.4} (<{dc:.4}) {}",
+            trace.len(),
+            verdict(chi2 < crit),
+            verdict(d < dc)
+        );
+    }
+
+    print_title("2. Two-sample indistinguishability (different programs)");
+    {
+        let (t1, leaves) = fork_labels(&sequential, true, 3);
+        let (t2, _) = fork_labels(&hot, true, 3);
+        let bins = 32usize;
+        let hist = |t: &[u64]| {
+            let mut h = vec![0u64; bins];
+            for &l in t {
+                h[(l as u128 * bins as u128 / leaves as u128) as usize] += 1;
+            }
+            h
+        };
+        let chi2 = chi_square_two_sample(&hist(&t1), &hist(&t2));
+        let crit = chi_square_critical(bins as f64 - 1.0, 3.09);
+        println!(
+            "sequential vs hot-set: chi2={chi2:.1} (<{crit:.1}) {}",
+            verdict(chi2 < crit)
+        );
+    }
+
+    print_title("3. Serial correlation (scheduling reorders on public info)");
+    for (name, scheduling) in [("FIFO queue", false), ("overlap scheduling", true)] {
+        let (trace, leaves) = fork_labels(&sequential, scheduling, 4);
+        let xs: Vec<f64> = trace.iter().map(|&l| l as f64 / leaves as f64).collect();
+        let rho: Vec<f64> = (1..=4).map(|k| autocorrelation(&xs, k)).collect();
+        let bound = 4.0 / (xs.len() as f64).sqrt();
+        let flat = rho.iter().all(|r| r.abs() < bound);
+        println!(
+            "{name:<20} rho(1..4) = [{:+.3} {:+.3} {:+.3} {:+.3}]  {}",
+            rho[0],
+            rho[1],
+            rho[2],
+            rho[3],
+            if scheduling {
+                "(correlation expected: overlap-first order)"
+            } else {
+                verdict(flat)
+            }
+        );
+    }
+
+    print_title("4. Overlap-degree distribution vs P(ovl >= k) = 2^-(k-1)");
+    {
+        let cfg = OramConfig::small_test();
+        let levels = cfg.levels;
+        let mut base = BaselineController::new(cfg, dram(), 5);
+        base.enable_label_trace();
+        for i in 0..3000u64 {
+            base.access_sync(i % 300, Op::Read, vec![]);
+        }
+        let trace = base.label_trace().unwrap();
+        let mut ge = [0u64; 8];
+        let pairs = trace.len() - 1;
+        for w in trace.windows(2) {
+            let o = overlap_degree(levels, w[0], w[1]) as usize;
+            for (k, slot) in ge.iter_mut().enumerate() {
+                if o > k {
+                    *slot += 1;
+                }
+            }
+        }
+        let mut ok = true;
+        print!("k:        ");
+        for k in 1..=6 {
+            print!(" {k:>7}");
+        }
+        print!("\nmeasured: ");
+        for k in 1..=6usize {
+            let p = ge[k - 1] as f64 / pairs as f64;
+            print!(" {p:>7.4}");
+            let theory = 0.5f64.powi(k as i32 - 1);
+            if (p - theory).abs() > 4.0 * (theory / pairs as f64).sqrt() + 0.01 {
+                ok = false;
+            }
+        }
+        print!("\ntheory:   ");
+        for k in 1..=6 {
+            print!(" {:>7.4}", 0.5f64.powi(k - 1));
+        }
+        println!("\nconsecutive labels independent: {}", verdict(ok));
+    }
+}
+
+// ---- trace-spine dump ----
+
+/// Drives a ~1k-access mixed workload through the Fork Path controller
+/// with the event ring enabled and prints the full spine as validated JSON
+/// (counters, latency/occupancy histograms, the most recent events). With
+/// `--trace <path>` the JSON goes to the file and only the summary line is
+/// printed.
+fn trace(_: MissBudget) {
+    /// Number of LLC requests driven through the controller.
+    const REQUESTS: u64 = 1_000;
+    // The one entry with an argument of its own (`--trace <path>`), so it
+    // reads the command line itself instead of widening every figure's
+    // signature.
+    let args: Vec<String> = std::env::args().collect();
+    let cfg = OramConfig::small_test();
+    let data_blocks = cfg.data_blocks;
+    let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), 0xf0f0);
+    ctl.set_trace_capacity(8192);
+
+    // A mixed read/write workload with reuse (hot set) and strides, in
+    // bursts so the scheduler sees contention and idle gaps alike.
+    for i in 0..REQUESTS {
+        let addr = match i % 4 {
+            0 => (i * 17) % data_blocks,              // stride
+            1 => i % 16,                              // hot set
+            2 => (i * i) % data_blocks,               // irregular
+            _ => (data_blocks - 1 - i) % data_blocks, // reverse stride
+        };
+        let op = if i % 3 == 0 { Op::Write } else { Op::Read };
+        let data = match op {
+            Op::Write => vec![(i & 0xff) as u8; 64],
+            Op::Read => vec![],
+        };
+        ctl.submit(addr, op, data, ctl.clock_ps());
+        if i % 7 == 0 {
+            ctl.run_to_idle();
+        }
+    }
+    ctl.run_to_idle();
+
+    let trace = ctl.trace();
+    let json = trace.to_json();
+    fp_stats::json::validate(&json).expect("trace JSON must validate");
+    println!(
+        "{} requests: {} oram accesses, {} events kept, {} dropped",
+        REQUESTS,
+        ctl.stats().oram_accesses,
+        trace.len(),
+        trace.dropped()
+    );
+    match trace_path_from_args(&args) {
+        Some(path) => {
+            std::fs::write(&path, &json).expect("write trace dump");
+            println!("trace written to {}", path.display());
+        }
+        None => println!("{json}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_names_are_unique() {
+        let mut names: Vec<&str> = FIGURES.iter().map(|(n, ..)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len());
+    }
+
+    #[test]
+    fn figure_name_skips_flags_and_the_trace_path() {
+        let args = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
+        let trace = Some("trace");
+        assert_eq!(figure_name(&args(&["trace", "--trace", "out.json"])), trace);
+        assert_eq!(figure_name(&args(&["--trace", "out.json", "trace"])), trace);
+        assert_eq!(figure_name(&args(&["--fast", "fig10"])), Some("fig10"));
+        assert_eq!(figure_name(&args(&["--trace", "out.json"])), None);
+        assert_eq!(figure_name(&[]), None);
     }
 }

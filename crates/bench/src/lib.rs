@@ -1,17 +1,13 @@
 //! # fp-bench
 //!
 //! The experiment harness: one `repro` binary regenerating every table and
-//! figure of the paper's evaluation (§5), and the serving and wire load
-//! generators. Wall-clock performance is tracked by the repo's one
-//! benchmark (`benchmark/`, `BENCHMARK.json`), not here.
+//! figure of the paper's evaluation (§5), all in simulated time. Wall-clock
+//! performance is tracked by the repo's one benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here.
 //!
 //! | Binary | Does |
 //! |---|---|
-//! | `repro <name>` | Tables 1–2, Figs 10–19, `ablation`, `stash_study`, `prefetch_study` (`repro --list`; `--fast` for CI-length runs) |
-//! | `service_bench` | Sharded serving layer, closed loop or Zipf replay |
-//! | `net_bench` | Wire-level load over loopback |
-//! | `security_audit` | Statistical tests on the label sequence |
-//! | `trace_dump` | The fp-trace spine of a mixed run, as JSON |
+//! | `repro <name>` | Tables 1–2, Figs 10–19, `ablation`, `stash_study`, `prefetch_study`, `security_audit` (statistical tests on the label sequence), `trace` (the fp-trace spine of a mixed run, as JSON); `repro --list` names them, `--fast` gives CI-length runs |
 //!
 //! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured values.
@@ -21,9 +17,9 @@
 
 use fp_sim::Scheme;
 
-// Scheme constructors come from the shared engine registry in
-// `fp_core::engine`, so every binary names schemes consistently.
-pub use fp_core::engine::{by_name, fork_with_mac, fork_with_queue, fork_with_treetop, registry};
+// Scheme constructors come from `fp_core::engine`, beside the shared
+// registry, so every figure labels schemes the way the benchmark does.
+pub use fp_core::engine::{fork_with_mac, fork_with_queue, fork_with_treetop};
 
 /// The caching-design scheme set of Figs 13–15: merge-only, MAC at
 /// 128 K/256 K/1 M, and 1 M treetop.

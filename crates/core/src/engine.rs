@@ -6,12 +6,12 @@
 //! pipeline one access at a time with closed-loop feedback, drain
 //! completions, and read the shared statistics/trace surface. Drivers
 //! (`fp-sim`'s generic system loop, `fp-service`'s shard workers, the
-//! bench binaries) are written once against the trait, so a new scheme
+//! `repro` figures) are written once against the trait, so a new scheme
 //! (e.g. a ring-ORAM engine) drops in without touching them.
 //!
 //! [`Scheme`] names the engines and [`Scheme::build`] constructs one; the
-//! [`registry`] maps the stable scheme names used by the `service_bench` /
-//! `repro` reports onto configurations.
+//! [`registry`] maps the stable scheme names used by the benchmark's
+//! workloads and the golden-stats tests onto configurations.
 //!
 //! # Example
 //!
@@ -543,10 +543,9 @@ pub fn fork_with_treetop(bytes: u64) -> Scheme {
     })
 }
 
-/// The shared engine registry: every scheme name the harness binaries
-/// (`service_bench`, `net_bench`, `repro`) accept or print, with its
-/// configuration. One place defines the names, so reports stay comparable
-/// across binaries and PRs.
+/// The shared engine registry: every scheme name the benchmark's
+/// workloads and the test suites select by, with its configuration. One
+/// place defines the names, so reports stay comparable across PRs.
 pub fn registry() -> Vec<(&'static str, Scheme)> {
     vec![
         ("insecure", Scheme::Insecure),

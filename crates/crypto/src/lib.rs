@@ -10,9 +10,6 @@
 //! scratch on a ChaCha20-class stream cipher:
 //!
 //! * [`StreamCipher`] — the ARX keystream generator.
-//! * [`Aes128`] — FIPS-197 AES-128 with counter mode, the exact primitive
-//!   the paper's hardware engine implements (slower in software; provided
-//!   for bit-faithful modelling).
 //! * [`BlockCipher`] — counter-mode encryption of fixed-size ORAM blocks with
 //!   a per-write nonce, the property Path ORAM actually relies on.
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, fast, seedable RNGs used across
@@ -35,10 +32,8 @@
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
-mod aes;
 mod cipher;
 mod rng;
 
-pub use aes::Aes128;
 pub use cipher::{BlockCipher, Nonce, StreamCipher};
 pub use rng::{SplitMix64, Xoshiro256};

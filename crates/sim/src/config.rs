@@ -1,8 +1,8 @@
 //! System-level configuration (Table 1) and the schemes under comparison.
 //!
-//! The [`Scheme`] enum itself now lives in [`fp_core::engine`], next to
-//! the engine registry every harness binary shares; it is re-exported
-//! here so simulator callers keep their historical import path.
+//! The [`Scheme`] enum itself lives in [`fp_core::engine`], next to the
+//! shared engine registry; it is re-exported here so simulator callers
+//! keep their import path.
 
 use fp_dram::DramConfig;
 use fp_path_oram::{CipherMode, OramConfig};

@@ -15,7 +15,7 @@
 //!   occupancy distributions, bucketed by bit length.
 //!
 //! Everything exports through `fp_stats::json`, so `--trace <path>` runs
-//! and `trace_dump` emit one consistent schema for the paper's figures.
+//! and `repro trace` emit one consistent schema for the paper's figures.
 //!
 //! The handle is a cheap-to-clone shared reference: the controller
 //! creates one spine and attaches clones to each component. It is `Send +

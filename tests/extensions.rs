@@ -1,10 +1,9 @@
 //! Integration tests for the beyond-the-paper extensions: Merkle integrity
 //! riding on ORAM traffic, fixed-rate timing protection, the PosMap
-//! Lookaside Buffer, AES counter mode, and trace record/replay.
+//! Lookaside Buffer, and trace record/replay.
 
 use fork_path_oram::core::timing::{enforce_fixed_rate, idle_cost, NoFeedback};
 use fork_path_oram::core::{ForkConfig, ForkPathController};
-use fork_path_oram::crypto::{Aes128, BlockCipher, Nonce};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::integrity::{siphash24, MerkleTree};
 use fork_path_oram::path_oram::{Op, OramConfig};
@@ -149,29 +148,6 @@ fn plb_improves_system_latency_on_hot_working_sets() {
         plain.oram_accesses
     );
     assert!(plb.oram_latency_ns <= plain.oram_latency_ns * 1.05);
-}
-
-// ---------- AES counter mode ---------------------------------------------
-
-#[test]
-fn aes_and_chacha_are_interchangeable_probabilistic_ciphers() {
-    // Same API contract: fresh nonce => fresh ciphertext, roundtrip exact.
-    let aes = Aes128::new([3u8; 16]);
-    let chacha = BlockCipher::new([3u8; 32]);
-    let plain = vec![0x5Au8; 64];
-
-    let mut aes_a = plain.clone();
-    aes.apply_ctr([1u8; 12], &mut aes_a);
-    let mut aes_b = plain.clone();
-    aes.apply_ctr([2u8; 12], &mut aes_b);
-    assert_ne!(aes_a, aes_b);
-    aes.apply_ctr([1u8; 12], &mut aes_a);
-    assert_eq!(aes_a, plain);
-
-    let cha_a = chacha.encrypt(Nonce::new(1, 0), &plain);
-    let cha_b = chacha.encrypt(Nonce::new(2, 0), &plain);
-    assert_ne!(cha_a, cha_b);
-    assert_eq!(chacha.decrypt(Nonce::new(1, 0), &cha_a), plain);
 }
 
 // ---------- Trace record / replay ----------------------------------------

@@ -21,28 +21,21 @@
 // CI; no wall time reaches a simulated measurement.
 #![allow(clippy::disallowed_methods)]
 
+mod common;
+
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use common::small_cfg;
 use fork_path_oram::core::engine::registry;
 use fork_path_oram::core::{FaultConfig, FaultInjector, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::{NewRequest, Op, OramConfig};
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
-    OramService, ServeError, ServiceConfig, ServiceRequest, ShardEngine, ShardHealth,
-    ShardSnapshot, SubmitError,
+    OramService, ServeError, ServiceRequest, ShardEngine, ShardHealth, ShardSnapshot, SubmitError,
 };
 use fork_path_oram::workloads::mixes;
-
-/// The shrunken service geometry the service-level suite uses.
-fn small_cfg(shards: usize) -> ServiceConfig {
-    let mut cfg = ServiceConfig::fast_test(shards);
-    cfg.oram.data_blocks = 1 << 12;
-    cfg.oram.levels = 11;
-    cfg.oram.onchip_posmap_entries = 1 << 6;
-    cfg
-}
 
 /// Runs `f` on a helper thread and fails the test if it neither finishes
 /// nor panics within `secs` — the bound that turns a livelock regression

@@ -1,38 +1,32 @@
 //! Loopback integration tests for the network front end (`fp-net`): real
 //! sockets, pipelined clients, and the sharded service behind them.
 //!
-//! The headline property mirrors `net_bench --verify`: the socket
-//! boundary must be semantically invisible. Every request answered over
-//! the wire must carry the same `{status, data}` the in-process
-//! [`OramService::run_trace`] replay produces for the same tag — reads
-//! byte-for-byte (same-address operations apply in program order, so
-//! read data is pacing-independent), writes as payload-free acks.
+//! The headline property: the socket boundary must be semantically
+//! invisible. Every request answered over the wire must carry the same
+//! `{status, data}` the in-process [`OramService::run_trace`] replay
+//! produces for the same tag — reads byte-for-byte (same-address operations
+//! apply in program order, so read data is pacing-independent), writes as
+//! payload-free acks.
 
 // Watchdog deadlines only: a livelock fails the test instead of hanging
 // CI; no wall time reaches a simulated measurement.
 #![allow(clippy::disallowed_methods)]
 
+mod common;
+
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use common::{service_request, small_cfg};
 use fork_path_oram::core::FaultConfig;
 use fork_path_oram::net::{
     NetClient, NetConfig, NetServer, WireHealth, WireOp, WireRequest, WireStatus,
 };
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::propcheck::{run_cases, Gen};
-use fork_path_oram::service::{OramService, ServiceConfig, ServiceRequest};
+use fork_path_oram::service::{OramService, ServiceRequest};
+use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::zipf::{self, ScheduledRequest, ZipfConfig};
-
-/// The shrunken geometry the service-level suites use: small enough that
-/// a few hundred requests finish in tens of milliseconds per shard.
-fn small_cfg(shards: usize) -> ServiceConfig {
-    let mut cfg = ServiceConfig::fast_test(shards);
-    cfg.oram.data_blocks = 1 << 12;
-    cfg.oram.levels = 11;
-    cfg.oram.onchip_posmap_entries = 1 << 6;
-    cfg
-}
 
 fn wire_request(r: &ScheduledRequest, block_bytes: usize) -> WireRequest {
     let (op, payload) = match r.op {
@@ -78,18 +72,22 @@ fn run_client(
 
 /// N pipelined clients against a 4-shard server over loopback: the wire
 /// run's per-tag `{status, data}` must match the in-process trace replay
-/// of the same schedule. The schedule is a Zipfian hotspot, so hot
-/// addresses carry long read/write dependency chains — exactly the case
-/// where a reordering or stale-forwarding bug in the network plane would
-/// surface as divergent read data.
+/// of the same schedule, the service ledger must close and the wire
+/// counters must be live with no protocol error. The cases alternate
+/// between the uniform schedule (the serving path itself) and the Zipfian
+/// hotspot, whose hot addresses carry long read/write dependency chains —
+/// exactly the case where a reordering or stale-forwarding bug in the
+/// network plane would surface as divergent read data.
 #[test]
 fn wire_responses_match_in_process_replay() {
+    let mut workloads = [ZipfConfig::uniform, ZipfConfig::hot].into_iter().cycle();
     run_cases("net-loopback-equivalence", 2, |g: &mut Gen| {
         let conns = 1 << g.range(1, 2); // 2 or 4 clients
         let window = g.range_usize(4, 16);
         let service = small_cfg(4);
         let block_bytes = service.oram.block_bytes;
-        let zc = ZipfConfig::hot(
+        let workload = workloads.next().expect("cycle never ends");
+        let zc = workload(
             service.oram.data_blocks,
             600,
             block_bytes,
@@ -141,21 +139,24 @@ fn wire_responses_match_in_process_replay() {
             report.failures
         );
         assert_eq!(wire.len(), sched.len(), "every request must be answered");
+        assert_eq!(
+            report.stats.completed(),
+            report.stats.admitted(),
+            "service ledger must close"
+        );
+        for live in [
+            Counter::NetFramesIn,
+            Counter::NetWireBytesIn,
+            Counter::NetWireBytesOut,
+        ] {
+            assert!(report.net_counter(live) > 0, "{} must be live", live.name());
+        }
+        assert_eq!(report.net_counter(Counter::NetProtocolErrors), 0);
 
         // The in-process replay of the same schedule.
         let requests: Vec<ServiceRequest> = sched
             .iter()
-            .map(|r| ServiceRequest {
-                addr: r.addr,
-                op: r.op,
-                data: match r.op {
-                    Op::Write => zipf::write_payload(r.addr, r.tag, block_bytes),
-                    Op::Read => Vec::new(),
-                },
-                arrival_ps: r.arrival_ps,
-                deadline_ps: None,
-                tag: r.tag,
-            })
+            .map(|r| service_request(r, block_bytes))
             .collect();
         let (_, completions) = OramService::run_trace(service, requests).expect("replay");
         assert_eq!(

@@ -3,11 +3,13 @@
 //! scaling, and the cross-rerun determinism property the closed-loop mode
 //! guarantees.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fork_path_oram::core::Scheme;
-use fork_path_oram::path_oram::Op;
+use common::{service_request, small_cfg};
+use fork_path_oram::core::engine::registry;
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
     CompletionStatus, OramService, ServiceConfig, ServiceRequest, SubmitError,
@@ -15,23 +17,13 @@ use fork_path_oram::service::{
 use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::{mixes, zipf};
 
-/// A small config for tests: the fast-test geometry shrunk further so each
-/// case stays in tens of milliseconds.
-fn small_cfg(shards: usize) -> ServiceConfig {
-    let mut cfg = ServiceConfig::fast_test(shards);
-    cfg.oram.data_blocks = 1 << 12;
-    cfg.oram.levels = 11;
-    cfg.oram.onchip_posmap_entries = 1 << 6;
-    cfg
-}
-
 // ---------- determinism (the closed-loop property) ------------------
 
 /// Same seed + shard count => bit-identical aggregate trace counters and
 /// request accounting, no matter how the host scheduler interleaves the
-/// worker threads. This is the property that makes `service_bench` numbers
-/// comparable across PRs; it holds because each shard's client pool is
-/// driven by the shard's own completions in *simulated* time.
+/// worker threads. This is the property that makes the benchmark's
+/// `svc_closed` `sim_*` values exact pins; it holds because each shard's
+/// client pool is driven by the shard's own completions in *simulated* time.
 #[test]
 fn closed_loop_reruns_are_counter_identical() {
     run_cases("service-closed-loop-determinism", 4, |g: &mut Gen| {
@@ -57,38 +49,36 @@ fn closed_loop_reruns_are_counter_identical() {
 }
 
 /// The scheme-agnostic engine layer end to end: the *same* `ShardEngine`
-/// worker path serves both traditional Path ORAM and Fork Path, selected
-/// only by `ServiceConfig::scheme`. Both runs are rerun-deterministic
+/// worker path serves every scheme the shared registry names, selected
+/// only by `ServiceConfig::scheme`. Every run is rerun-deterministic
 /// (identical per-shard fingerprints), and Fork Path's redundancy removal
-/// shows up as strictly higher aggregate simulated throughput.
+/// shows up as strictly higher aggregate simulated throughput than
+/// traditional Path ORAM's.
 #[test]
 fn traditional_and_fork_serve_through_the_same_engine_path() {
-    let run = |scheme: Scheme| {
-        let cfg = || {
-            let mut cfg = small_cfg(4);
-            cfg.scheme = scheme.clone();
-            cfg
-        };
-        let a = OramService::run_closed_loop(cfg(), &mixes::all()[0].programs, 512)
-            .expect("closed loop must not fail");
-        let b = OramService::run_closed_loop(cfg(), &mixes::all()[0].programs, 512)
-            .expect("closed loop must not fail");
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "scheme {}: reruns diverged",
-            scheme.label()
-        );
-        assert_eq!(a.completed(), 512, "scheme {}", scheme.label());
-        a
-    };
-    let traditional = run(Scheme::Traditional);
-    let fork = run(Scheme::ForkDefault);
+    let sim_rps: BTreeMap<&str, f64> = registry()
+        .into_iter()
+        .map(|(name, scheme)| {
+            let run = || {
+                let mut cfg = small_cfg(4);
+                cfg.scheme = scheme.clone();
+                OramService::run_closed_loop(cfg, &mixes::all()[0].programs, 512)
+                    .unwrap_or_else(|e| panic!("scheme {name}: closed loop failed: {e}"))
+            };
+            let (a, b) = (run(), run());
+            assert_eq!(
+                a.fingerprint(),
+                b.fingerprint(),
+                "scheme {name}: reruns diverged"
+            );
+            assert_eq!(a.completed(), 512, "scheme {name}");
+            (name, a.sim_requests_per_sec())
+        })
+        .collect();
+    let (fork, traditional) = (sim_rps["fork"], sim_rps["traditional"]);
     assert!(
-        fork.sim_requests_per_sec() > traditional.sim_requests_per_sec(),
-        "fork {:.0} req/s must beat traditional {:.0} req/s",
-        fork.sim_requests_per_sec(),
-        traditional.sim_requests_per_sec()
+        fork > traditional,
+        "fork {fork:.0} req/s must beat traditional {traditional:.0} req/s"
     );
 }
 
@@ -277,7 +267,7 @@ fn post_drain_submissions_are_refused() {
 /// Aggregate *simulated* throughput must grow with the shard count on a
 /// fixed workload: shards serve smaller trees and their simulated clocks
 /// advance concurrently. (Wall-clock throughput is host-dependent and not
-/// asserted here; `service_bench` tracks it.)
+/// asserted here; the benchmark's `svc_closed` workload tracks it.)
 #[test]
 fn sim_throughput_scales_with_shards() {
     let run = |shards: usize| {
@@ -343,20 +333,7 @@ fn replay(
     let block_bytes = cfg.oram.block_bytes;
     let requests: Vec<ServiceRequest> = schedule
         .iter()
-        .map(|r| {
-            let data = match r.op {
-                Op::Write => zipf::write_payload(r.addr, r.tag, block_bytes),
-                Op::Read => Vec::new(),
-            };
-            ServiceRequest {
-                addr: r.addr,
-                op: r.op,
-                data,
-                arrival_ps: r.arrival_ps,
-                deadline_ps: None,
-                tag: r.tag,
-            }
-        })
+        .map(|r| service_request(r, block_bytes))
         .collect();
     let (stats, done) = OramService::run_trace(cfg, requests).expect("trace replay must not fail");
     let by_tag = done
@@ -371,7 +348,7 @@ fn replay(
 /// schedule serve every request with an identical status and identical
 /// data, tag by tag — while the coalesced run submits strictly fewer
 /// requests to the ORAM engines. This is the data-equivalence property
-/// that makes the `--coalesce` flag safe to enable: attaching a request
+/// that makes `ServiceConfig::coalesce` safe to enable: attaching a request
 /// as a waiter instead of running its own access never changes what the
 /// client observes (the engine's per-address hazard rules already
 /// serialize same-address operations in arrival order; the coalescing
@@ -411,8 +388,8 @@ fn coalescing_preserves_per_request_results() {
         };
         let attached = coal.coalesced_reads() + coal.coalesced_writes();
         assert!(
-            attached > 0,
-            "a hot Zipf schedule (theta={:.2}) must coalesce something",
+            coal.coalesced_reads() > 0,
+            "a hot Zipf schedule (theta={:.2}) must coalesce reads",
             zc.theta
         );
         assert_eq!(

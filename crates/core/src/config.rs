@@ -10,7 +10,7 @@ use crate::mac::MergingAwareCache;
 pub enum CacheChoice {
     /// No on-chip bucket cache ("Merge only").
     None,
-    /// Treetop caching of the given capacity (prior art, Phantom [13]).
+    /// Treetop caching of the given capacity (prior art, Phantom \[13\]).
     Treetop {
         /// Capacity in bytes.
         bytes: u64,
@@ -47,7 +47,7 @@ pub struct ForkConfig {
     /// len_overlap + 1`; `None` derives it from the queue size as
     /// `floor(log2(M)) + 1` (the expected scheduled overlap).
     pub mac_bypass_levels: Option<u32>,
-    /// PosMap Lookaside Buffer capacity in posmap blocks (Freecursive [12];
+    /// PosMap Lookaside Buffer capacity in posmap blocks (Freecursive \[12\];
     /// 0 disables). An extension beyond the paper — see `fp_core::plb`.
     pub plb_blocks: usize,
 }
@@ -102,7 +102,7 @@ impl ForkConfig {
 
     /// Builds the configured bucket-cache policy for a tree of `path_len`
     /// buckets per path, `bucket_bytes` each — what the controller hands
-    /// to [`fp_path_oram::WritebackEngine::with_cache`].
+    /// to [`fp_path_oram::Datapath::new`].
     pub fn build_cache(&self, bucket_bytes: u64, path_len: u32) -> Box<dyn BucketCache + Send> {
         match self.cache {
             CacheChoice::None => Box::new(NoCache),

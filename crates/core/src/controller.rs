@@ -4,20 +4,21 @@
 //! Each paper technique lives in its own stage module: request reordering
 //! in [`RequestScheduler`] (§3.4/§4.2), fork geometry in [`PathMerger`]
 //! (§3.2/§4.1), dummy materialization and mid-refill replacement in
-//! [`DummyReplacer`] (§3.3/§4.3), and the bucket cache plus DRAM batch
-//! generation in [`WritebackEngine`] (§3.5/§4.4, shared with the baseline
-//! controller). Every stage reports into one [`TraceHandle`] spine, which
-//! is also where the statistics are read from. The facade owns the
-//! trusted ORAM state, the address queue, the in-flight posmap chains
-//! ([`crate::flight`]), and the clock, and sequences the stages per
-//! access. Accessors and the timing-protection surface live in the
-//! `controller_api` child module.
+//! [`DummyReplacer`] (§3.3/§4.3). The two phases of an access — path read
+//! and streaming refill over tree, stash, bucket cache (§3.5/§4.4) and DRAM
+//! — are the [`Datapath`] the baseline controller drives too; it owns the
+//! trusted ORAM state and the one trace spine every stage reports into,
+//! which is also where the statistics are read from. The facade owns the
+//! address queue, the in-flight posmap chains ([`crate::flight`]), and the
+//! clock, and sequences the stages per access. Accessors and the
+//! timing-protection surface live in the `controller_api` child module.
 
 use fp_dram::DramSystem;
 use fp_path_oram::{
-    AccessTimes, Completion, CompletionLog, LlcRequest, Op, OramConfig, OramState, WritebackEngine,
+    AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, Op, OramConfig,
+    CTRL_PHASE_LATENCY_PS,
 };
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, EventKind};
 
 use crate::address_queue::{AddressQueue, SubmitEffect};
 use crate::config::ForkConfig;
@@ -33,8 +34,6 @@ use crate::scheduler::RequestScheduler;
 #[path = "controller_api.rs"]
 mod controller_api;
 
-/// Fixed controller pipeline latency charged once per phase.
-pub(crate) const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 /// Latency of answering a request on chip (forwarding / hazard shortcut).
 pub(crate) const ONCHIP_ANSWER_PS: u64 = 5_000; // 5 ns
 /// How far ahead of the refill a queued real request may be and still get
@@ -48,13 +47,12 @@ pub(crate) const DUMMY_BRIDGE_HORIZON_PS: u64 = 10_000_000; // 10 us
 macro_rules! step_ctx {
     ($self:ident) => {
         StepCtx {
-            state: &mut $self.state,
+            path: &mut $self.path,
             plb: &mut $self.plb,
             aq: &mut $self.aq,
             sched: &mut $self.sched,
             times: &mut $self.times,
             completions: &mut $self.completions,
-            trace: &$self.trace,
         }
     };
 }
@@ -62,13 +60,11 @@ macro_rules! step_ctx {
 /// The Fork Path ORAM controller (see the crate docs for an example).
 #[derive(Debug)]
 pub struct ForkPathController {
-    state: OramState,
-    dram: DramSystem,
+    path: Datapath,
     aq: AddressQueue,
     sched: RequestScheduler,
     merge: PathMerger,
     dummy: DummyReplacer,
-    writeback: WritebackEngine,
     flights: FlightTable,
     next_req_id: u64,
     /// The already-revealed next access (selected during the last refill).
@@ -80,13 +76,6 @@ pub struct ForkPathController {
     plb: PosMapLookasideBuffer,
     times: AccessTimes,
     completions: CompletionLog,
-    label_trace: Option<Vec<u64>>,
-    /// The shared trace spine every stage reports into. Counters are
-    /// always exact; the event ring only fills once a capacity is set
-    /// (`ForkPathController::set_trace_capacity`).
-    trace: TraceHandle,
-    /// Reusable node-id buffer for the per-access read phase.
-    path_nodes: Vec<u64>,
 }
 
 impl ForkPathController {
@@ -112,17 +101,9 @@ impl ForkPathController {
         seed: u64,
     ) -> Result<Self, ControllerError> {
         fork.validate().map_err(ControllerError::InvalidConfig)?;
-        let trace = TraceHandle::default();
-        let mut writeback = WritebackEngine::with_cache(
-            fork.build_cache(cfg.bucket_bytes(), cfg.path_len()),
-            &cfg,
-            dram.config(),
-        );
-        writeback.attach_trace(trace.clone());
-        let mut state = OramState::new(cfg, seed);
-        state.attach_trace(trace.clone());
-        let mut dram = dram;
-        dram.attach_trace(trace.clone());
+        let cache = fork.build_cache(cfg.bucket_bytes(), cfg.path_len());
+        let path = Datapath::new(cfg, dram, seed, cache);
+        let trace = path.trace();
         let mut sched = RequestScheduler::new(
             fork.label_queue_size,
             fork.starvation_threshold,
@@ -134,13 +115,11 @@ impl ForkPathController {
         let mut dummy = DummyReplacer::new(fork.replacing);
         dummy.attach_trace(trace.clone());
         Ok(Self {
-            state,
-            dram,
+            path,
             aq: AddressQueue::new(),
             sched,
             merge,
             dummy,
-            writeback,
             flights: FlightTable::default(),
             next_req_id: 0,
             current: None,
@@ -149,9 +128,6 @@ impl ForkPathController {
             plb: PosMapLookasideBuffer::new(fork.plb_blocks),
             times: AccessTimes::default(),
             completions: CompletionLog::default(),
-            label_trace: None,
-            trace,
-            path_nodes: Vec::new(),
         })
     }
 
@@ -226,17 +202,17 @@ impl ForkPathController {
             arrival_ps,
             tag,
         };
-        self.trace
-            .record(arrival_ps, EventKind::RequestSubmitted { id });
+        let trace = self.path.trace();
+        trace.record(arrival_ps, EventKind::RequestSubmitted { id });
         match self.aq.submit(req) {
             SubmitEffect::Queued => {}
             SubmitEffect::Forwarded { data } => {
                 self.times.sum_latency_ps += ONCHIP_ANSWER_PS;
-                self.trace.record(
+                trace.record(
                     arrival_ps + ONCHIP_ANSWER_PS,
                     EventKind::RequestCompleted { id },
                 );
-                self.trace.record_latency(ONCHIP_ANSWER_PS);
+                trace.record_latency(ONCHIP_ANSWER_PS);
                 self.completions.push(Completion {
                     id,
                     addr,
@@ -250,10 +226,9 @@ impl ForkPathController {
                 // The cancelled write is acknowledged: superseded on chip.
                 // It gets a completion record, but is not a completed
                 // request in the statistics.
-                self.trace
-                    .record(arrival_ps, EventKind::RequestCompleted { id: cancelled_id });
-                self.trace.bump(Counter::WritesCancelled);
-                self.trace.record_latency(0);
+                trace.record(arrival_ps, EventKind::RequestCompleted { id: cancelled_id });
+                trace.bump(Counter::WritesCancelled);
+                trace.record_latency(0);
                 self.completions.push(Completion {
                     id: cancelled_id,
                     addr,
@@ -340,8 +315,9 @@ impl ForkPathController {
             let Some(req) = self.aq.pop_ready(u64::MAX) else {
                 break;
             };
-            let (old, new, _) = self.state.start_chain(req.addr);
-            let chain = self.state.chain(req.addr);
+            let state = self.path.state_mut();
+            let (old, new, _) = state.start_chain(req.addr);
+            let chain = state.chain(req.addr);
             let arrival = req.arrival_ps;
             let flight_id = self.flights.open(req, chain, old, new);
             let step = StalledStep {
@@ -355,7 +331,7 @@ impl ForkPathController {
         }
 
         // Keep the queue padded with dummies (Fig 7b).
-        let state = &mut self.state;
+        let state = self.path.state_mut();
         self.sched.pad_with(|| state.random_label());
         Ok(())
     }
@@ -366,26 +342,17 @@ impl ForkPathController {
         cur: Entry,
         source: &mut S,
     ) -> Result<(), ControllerError> {
-        let levels = self.state.config().levels;
+        let levels = self.path.state().config().levels;
         let start = self.clock_ps.max(cur.ready_ps);
         self.clock_ps = start;
-        self.trace.set_now(start);
-
-        if let Some(trace) = &mut self.label_trace {
-            trace.push(cur.label);
-        }
+        self.path.trace().set_now(start);
 
         // --- Read phase: skip the prefix shared with the previous path ---
         // The fork floor is clamped to the leaf level, so a merged read
         // always touches at least one bucket (the leaf is re-read even on
         // identical consecutive labels).
         let read_lo = self.merge.read_floor(levels, cur.label);
-        let mut nodes = std::mem::take(&mut self.path_nodes);
-        self.state
-            .load_path_range_into(cur.label, read_lo, levels, &mut nodes)?;
-        let read_end =
-            self.writeback.read_path(&mut self.dram, &nodes, start) + CTRL_PHASE_LATENCY_PS;
-        self.path_nodes = nodes;
+        let read_end = self.path.read_path(cur.label, read_lo, start)?;
 
         // --- Block handling ---
         match cur.kind {
@@ -407,14 +374,16 @@ impl ForkPathController {
         self.refill(cur.label, read_end)?;
         self.times.access_busy_ps += self.clock_ps.saturating_sub(start);
         self.times.finish_time_ps = self.clock_ps;
-        self.trace.record_occupancy(self.state.stash().len() as u64);
+        self.path
+            .trace()
+            .record_occupancy(self.path.state().stash().len() as u64);
         Ok(())
     }
 
     /// The refill: an ordered leaf-to-root bucket stream stopping above the
     /// divergence with the pending request, with mid-stream replacement.
     fn refill(&mut self, leaf: u64, read_end: u64) -> Result<(), ControllerError> {
-        let levels = self.state.config().levels;
+        let levels = self.path.state().config().levels;
         let sel_time = read_end;
         self.pump()?;
 
@@ -437,7 +406,7 @@ impl ForkPathController {
             && next_real_ready
                 .is_some_and(|r| r <= sel_time.saturating_add(DUMMY_BRIDGE_HORIZON_PS));
         let fixed_rate = self.fixed_rate;
-        let state = &mut self.state;
+        let state = self.path.state_mut();
         let mut pending =
             self.dummy
                 .finalize(selected, work_imminent, fixed_rate, sel_time, || {
@@ -448,6 +417,7 @@ impl ForkPathController {
             .merge
             .write_stop(levels, leaf, pending.as_ref().map(|p| p.label));
 
+        self.path.begin_refill(leaf);
         let mut t = read_end;
         let mut level = levels as i64;
         while level >= stop as i64 {
@@ -462,14 +432,12 @@ impl ForkPathController {
                 &mut pending,
             )? {
                 let p = pending.as_ref().ok_or(ControllerError::MissingPending)?;
-                stop = PathMerger::replacement_stop(levels, leaf, p.label);
+                stop = self.merge.write_stop(levels, leaf, Some(p.label));
                 if (level as u32) < stop {
                     break;
                 }
             }
-            self.trace.set_now(t);
-            let node = self.state.evict_level(leaf, level as u32);
-            t = self.writeback.write_bucket(&mut self.dram, node, t);
+            t = self.path.refill_level(level as u32, t);
             level -= 1;
         }
         self.clock_ps = t + CTRL_PHASE_LATENCY_PS;

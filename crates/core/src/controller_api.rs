@@ -51,7 +51,7 @@ impl ForkPathController {
         if !self.has_real_work() {
             return Ok(None);
         }
-        let levels = self.state.config().levels;
+        let levels = self.path.state().config().levels;
         let anchor = self.merge.prev_label().unwrap_or(0);
         let earliest = self
             .sched
@@ -68,7 +68,7 @@ impl ForkPathController {
 
     /// Statistics so far: the shared view over the trace spine.
     pub fn stats(&self) -> OramStats {
-        OramStats::view(&self.trace, self.times)
+        OramStats::view(self.path.trace(), self.times)
     }
 
     /// The shared trace spine every pipeline stage, the stash, and the
@@ -76,23 +76,23 @@ impl ForkPathController {
     /// ring is empty until [`ForkPathController::set_trace_capacity`]
     /// gives it room.
     pub fn trace(&self) -> &TraceHandle {
-        &self.trace
+        self.path.trace()
     }
 
     /// Sizes the trace event ring (0 = counters only). The ring keeps
     /// the most recent `capacity` events.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace.set_capacity(capacity);
+        self.path.trace().set_capacity(capacity);
     }
 
     /// The DRAM system (for command/energy statistics).
     pub fn dram(&self) -> &DramSystem {
-        &self.dram
+        self.path.dram()
     }
 
     /// The trusted ORAM state (for invariant checks in tests).
     pub fn state(&self) -> &OramState {
-        &self.state
+        self.path.state()
     }
 
     /// Current controller clock, picoseconds.
@@ -102,17 +102,12 @@ impl ForkPathController {
 
     /// Starts recording the externally visible label sequence.
     pub fn enable_label_trace(&mut self) {
-        self.label_trace = Some(Vec::new());
+        self.path.enable_label_trace();
     }
 
     /// The recorded label sequence.
     pub fn label_trace(&self) -> Option<&[u64]> {
-        self.label_trace.as_deref()
-    }
-
-    /// Number of buckets currently resident in the on-chip cache.
-    pub fn cache_resident(&self) -> usize {
-        self.writeback.resident()
+        self.path.label_trace()
     }
 
     /// Completions produced since the last drain. Only completions that
@@ -139,44 +134,20 @@ impl ForkPathController {
         }
     }
 
-    /// Executes one dummy ORAM access immediately (timing-protection
-    /// padding). Uses the revealed pending access if one exists.
-    pub fn force_dummy_access(&mut self) {
-        self.force_dummy_at(self.clock_ps);
-    }
-
-    /// Like [`ForkPathController::force_dummy_access`], but the access
-    /// starts no earlier than `not_before_ps` — the pacing primitive of the
-    /// fixed-rate stream (one access per interval, not back-to-back).
+    /// Executes one dummy ORAM access (timing-protection padding) starting
+    /// no earlier than `not_before_ps` — the pacing primitive of the
+    /// fixed-rate stream (one access per interval, not back-to-back). Uses
+    /// the revealed pending access if one exists.
     pub fn force_dummy_at(&mut self, not_before_ps: u64) {
         let mut cur = match self.current.take() {
             Some(c) => c,
             None => {
-                let label = self.state.random_label();
+                let label = self.path.state_mut().random_label();
                 Entry::dummy(label, self.clock_ps)
             }
         };
         cur.ready_ps = cur.ready_ps.max(not_before_ps);
         let mut source = NoFeedback;
         must(self.execute(cur, &mut source));
-    }
-
-    /// Whether the next schedulable work would leave an idle bus gap longer
-    /// than `interval_ps` (used by the fixed-rate enforcer).
-    pub fn next_work_gap(&self, interval_ps: u64) -> bool {
-        let mut next: Option<u64> = None;
-        if let Some(c) = &self.current {
-            next = Some(c.ready_ps);
-        }
-        if let Some(t) = self.sched.earliest_real_ready() {
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-        if let Some(t) = self.aq.head_arrival() {
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-        match next {
-            Some(t) => t > self.clock_ps + interval_ps,
-            None => true,
-        }
     }
 }

@@ -107,7 +107,7 @@ impl From<fp_path_oram::IntegrityError> for ControllerError {
 }
 
 /// Converts an internal-invariant error into a panic at the infallible API
-/// boundary (`submit`, `run_to_idle`, `force_dummy_access`).
+/// boundary (`submit`, `run_to_idle`, `force_dummy_at`).
 pub(crate) fn must<T>(r: Result<T, ControllerError>) -> T {
     match r {
         Ok(v) => v,

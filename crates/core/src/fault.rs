@@ -111,15 +111,6 @@ impl FaultConfig {
         }
         Ok(())
     }
-
-    /// Whether this configuration can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.fault_rate > 0.0
-            || self.latency_spike_rate > 0.0
-            || self.fail_at_access.is_some()
-            || self.overflow_at_access.is_some()
-            || self.panic_at_access.is_some()
-    }
 }
 
 /// A deterministic fault-injecting [`OramEngine`] wrapper.

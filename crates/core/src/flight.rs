@@ -9,8 +9,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use fp_path_oram::{AccessTimes, Completion, CompletionLog, LlcRequest, OramConfig, OramState};
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_path_oram::{
+    AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, OramConfig, OramState,
+};
+use fp_trace::{Counter, EventKind};
 
 use crate::address_queue::AddressQueue;
 use crate::controller::ONCHIP_ANSWER_PS;
@@ -39,15 +41,15 @@ pub(crate) struct StalledStep {
 }
 
 /// The controller state a chain step may touch while being placed:
-/// disjoint mutable borrows of the facade's other fields.
+/// disjoint mutable borrows of the facade's other fields. Of the datapath a
+/// step uses the trusted state and the trace spine, never a phase.
 pub(crate) struct StepCtx<'a> {
-    pub state: &'a mut OramState,
+    pub path: &'a mut Datapath,
     pub plb: &'a mut PosMapLookasideBuffer,
     pub aq: &'a mut AddressQueue,
     pub sched: &'a mut RequestScheduler,
     pub times: &'a mut AccessTimes,
     pub completions: &'a mut CompletionLog,
-    pub trace: &'a TraceHandle,
 }
 
 /// Serialization key of a block: posmap blocks serialize on themselves;
@@ -204,7 +206,7 @@ impl FlightTable {
         }
         let block = flight.chain[idx];
         let at_last_step = idx + 1 >= len;
-        let key = serialize_key(ctx.state.config(), block);
+        let key = serialize_key(ctx.path.state().config(), block);
         self.release_block(key, flight_id)?;
 
         if !at_last_step {
@@ -233,11 +235,12 @@ impl FlightTable {
     ) -> Result<(), ControllerError> {
         let flight = self.get_mut(flight_id)?;
         let (block, next_block) = (flight.chain[flight.idx], flight.chain[flight.idx + 1]);
-        let (o, n, _) = ctx.state.chain_step(block, flight.new_label, next_block);
+        let state = ctx.path.state_mut();
+        let (o, n, _) = state.chain_step(block, flight.new_label, next_block);
         flight.idx += 1;
         flight.old_label = o;
         flight.new_label = n;
-        note_posmap_use(ctx.state, ctx.plb, block);
+        note_posmap_use(state, ctx.plb, block);
         Ok(())
     }
 
@@ -258,14 +261,15 @@ impl FlightTable {
             ..
         } = self.remove(flight_id)?;
         let (data, _) = ctx
-            .state
+            .path
+            .state_mut()
             .apply_op(chain[idx], new_label, req.data.as_deref());
         ctx.aq.complete(req.addr, req.op);
         let latency_ps = done_ps.saturating_sub(req.arrival_ps);
         ctx.times.sum_latency_ps += latency_ps;
-        ctx.trace
-            .record(done_ps, EventKind::RequestCompleted { id: req.id });
-        ctx.trace.record_latency(latency_ps);
+        let trace = ctx.path.trace();
+        trace.record(done_ps, EventKind::RequestCompleted { id: req.id });
+        trace.record_latency(latency_ps);
         ctx.completions.push(Completion {
             id: req.id,
             addr: req.addr,
@@ -304,7 +308,7 @@ impl FlightTable {
                 });
             }
             let real_block = flight.chain[idx];
-            let block = serialize_key(ctx.state.config(), real_block);
+            let block = serialize_key(ctx.path.state().config(), real_block);
             // Join (or verify ownership of) the block's waiter queue.
             {
                 let waiters = self.busy.entry(block).or_default();
@@ -320,12 +324,13 @@ impl FlightTable {
                 }
             }
             let at_last_step = idx + 1 >= len;
-            let shortcut_ok = ctx.state.stash_hit(real_block)
-                && (!at_last_step || ctx.state.group_shortcut_safe(real_block));
+            let state = ctx.path.state();
+            let shortcut_ok = state.stash_hit(real_block)
+                && (!at_last_step || state.group_shortcut_safe(real_block));
             if shortcut_ok {
                 // On-chip fast path: relabel + payload handling, no access.
                 self.release_block(block, step.flight)?;
-                ctx.trace.bump(Counter::StashHits);
+                ctx.path.trace().bump(Counter::StashHits);
                 ready += ONCHIP_ANSWER_PS;
                 if !at_last_step {
                     self.advance_chain(ctx, step.flight)?;

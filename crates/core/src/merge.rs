@@ -81,20 +81,15 @@ impl PathMerger {
     /// Shallowest level the refill of `leaf` must commit given the pending
     /// request's label: one below their divergence (clamped to the leaf
     /// level, like [`PathMerger::read_floor`]), or 0 (commit the whole
-    /// path) when idle or merging is disabled.
+    /// path) when idle or merging is disabled. A mid-refill replacement
+    /// retargets the stream with the same rule: it forks with the incoming
+    /// path only if that path's read will skip the shared prefix, so with
+    /// merging disabled the refill still commits every level.
     pub fn write_stop(&self, levels: u32, leaf: u64, pending_label: Option<u64>) -> u32 {
         match pending_label {
             Some(next) if self.enabled => (divergence_level(levels, leaf, next) + 1).min(levels),
             _ => 0,
         }
-    }
-
-    /// Write stop after a mid-refill replacement: the replacement itself
-    /// creates a fork with the incoming path, so the stream stops above the
-    /// divergence even when merging of ordinary accesses is disabled
-    /// (replacing is a separate technique and implies this fork).
-    pub fn replacement_stop(levels: u32, leaf: u64, next: u64) -> u32 {
-        (divergence_level(levels, leaf, next) + 1).min(levels)
     }
 
     /// Records that a refill of `leaf` handed its shared prefix to a
@@ -149,7 +144,6 @@ mod tests {
             levels,
             "only the leaf is written"
         );
-        assert_eq!(PathMerger::replacement_stop(levels, 9, 9), levels);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! §2.2: the *number* of ORAM requests leaks the LLC hit rate, so "a
 //! nonstop stream of accesses to the external memory" is used — requests
 //! issue at data-independent times whether or not real misses exist
-//! (Fletcher et al. [25]). The simulator normally elides the nonstop stream
+//! (Fletcher et al. \[25\]). The simulator normally elides the nonstop stream
 //! (finite workloads must terminate); this module enforces it explicitly
 //! for a bounded horizon, which is both the faithful model and a way to
 //! measure the protection's bandwidth/energy cost.

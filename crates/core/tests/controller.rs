@@ -181,6 +181,17 @@ fn merging_off_reads_full_paths() {
     }
     ctl.run_to_idle();
     assert_eq!(ctl.stats().avg_path_len(), 10.0);
+
+    // Staggered arrivals land inside refills, so pending dummies get
+    // replaced mid-stream (replacing stays on). The next read is still a
+    // full path, so the retargeted refill must still commit every level.
+    let mut ctl = fork(cfg);
+    for a in 0..48u64 {
+        ctl.submit(a, Op::Read, vec![], a * 400_000);
+    }
+    ctl.run_to_idle();
+    assert!(ctl.stats().dummies_replaced > 0, "replacement fired");
+    assert_eq!(ctl.stats().avg_path_len(), 10.0);
 }
 
 #[test]

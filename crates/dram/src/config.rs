@@ -163,11 +163,6 @@ impl DramConfig {
         }
     }
 
-    /// Total banks across the system.
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
-    }
-
     /// Decomposes a physical byte address into `(channel, rank, bank, row)`.
     ///
     /// The column is implied by the low `burst_bytes` bits; the simulator
@@ -235,7 +230,6 @@ mod tests {
     #[test]
     fn ddr3_totals() {
         let cfg = DramConfig::ddr3_1600(2);
-        assert_eq!(cfg.total_banks(), 16);
         assert_eq!(cfg.timing.t_ck, 1250);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The naive (breadth-first) layout scatters a path's buckets across rows:
 //! every level past the first few lives in a different row, so a path access
-//! pays ~L row activations. The *subtree layout* of Ren et al. [18] (adopted
+//! pays ~L row activations. The *subtree layout* of Ren et al. \[18\] (adopted
 //! by the paper, §5.1) instead packs each depth-`s` subtree contiguously so
 //! it fills exactly one DRAM row; a root-to-leaf path then touches only
 //! `ceil((L+1)/s)` rows.
@@ -106,8 +106,8 @@ impl SubtreeLayout {
     ///
     /// Panics if a single bucket does not fit in one row (see
     /// [`SubtreeLayout::try_fit_row`]): there is no subtree depth for which
-    /// the row-alignment guarantees (`subtrees_per_path`, one activation per
-    /// subtree) hold, so proceeding would silently straddle rows.
+    /// the row-alignment guarantee (one activation per subtree) holds, so
+    /// proceeding would silently straddle rows.
     pub fn fit_row(levels: u32, bucket_bytes: u64, row_bytes: u64) -> Self {
         Self::try_fit_row(levels, bucket_bytes, row_bytes).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -115,8 +115,7 @@ impl SubtreeLayout {
     /// Fallible [`SubtreeLayout::fit_row`]: returns `Err` when even a
     /// depth-1 subtree (a single bucket of `bucket_bytes`) exceeds
     /// `row_bytes`, instead of silently building a layout whose subtrees
-    /// straddle DRAM rows while `subtrees_per_path()` still reports
-    /// row-aligned counts.
+    /// straddle DRAM rows.
     pub fn try_fit_row(levels: u32, bucket_bytes: u64, row_bytes: u64) -> Result<Self, String> {
         if bucket_bytes > row_bytes {
             return Err(format!(
@@ -139,11 +138,6 @@ impl SubtreeLayout {
     /// The subtree depth chosen for this layout.
     pub fn subtree_levels(&self) -> u32 {
         self.subtree_levels
-    }
-
-    /// Number of distinct subtrees (rows) a full root-to-leaf path touches.
-    pub fn subtrees_per_path(&self) -> u32 {
-        self.levels.div_ceil(self.subtree_levels)
     }
 }
 
@@ -232,7 +226,6 @@ mod tests {
     #[test]
     fn path_touches_few_subtrees() {
         let layout = SubtreeLayout::new(25, 256, 5);
-        assert_eq!(layout.subtrees_per_path(), 5);
         // Walk a root-to-leaf path and count distinct 8 KiB-aligned regions
         // (stride-aligned), which correspond to subtree rows.
         let leaf = (1u64 << 24) + 12345;

@@ -14,7 +14,7 @@
 //!   its bucket blocks at once).
 //! * **Energy accounting** from command counts (activation, read, write)
 //!   plus rank background power — the inputs of Fig 15.
-//! * **Subtree layout** ([`layout::SubtreeLayout`], Ren et al. [18]): ORAM
+//! * **Subtree layout** ([`layout::SubtreeLayout`], Ren et al. \[18\]): ORAM
 //!   tree buckets are packed so that a path descent touches few DRAM rows.
 //!
 //! # Example

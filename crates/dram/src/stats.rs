@@ -99,24 +99,6 @@ impl DramStats {
         // mW * ps = 1e-3 J/s * 1e-12 s = 1e-15 J = 1e-3 pJ.
         elapsed_ps.saturating_mul(ranks).saturating_mul(mw_per_rank) / 1000
     }
-
-    /// Difference of two snapshots (`self` later than `earlier`).
-    pub fn since(&self, earlier: &DramStats) -> DramStats {
-        DramStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            activations: self.activations - earlier.activations,
-            precharges: self.precharges - earlier.precharges,
-            row_hits: self.row_hits - earlier.row_hits,
-            row_misses: self.row_misses - earlier.row_misses,
-            act_energy_pj: self.act_energy_pj - earlier.act_energy_pj,
-            read_energy_pj: self.read_energy_pj - earlier.read_energy_pj,
-            write_energy_pj: self.write_energy_pj - earlier.write_energy_pj,
-            refreshes: self.refreshes - earlier.refreshes,
-            refreshes_skipped: self.refreshes_skipped - earlier.refreshes_skipped,
-            ref_energy_pj: self.ref_energy_pj - earlier.ref_energy_pj,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,23 +115,5 @@ mod tests {
         // 1 second, 2 ranks, 150 mW each => 0.3 J = 3e11 pJ.
         let pj = DramStats::background_energy_pj(1_000_000_000_000, 2, 150);
         assert_eq!(pj, 300_000_000_000);
-    }
-
-    #[test]
-    fn since_subtracts_fields() {
-        let early = DramStats {
-            reads: 2,
-            writes: 1,
-            ..Default::default()
-        };
-        let late = DramStats {
-            reads: 10,
-            writes: 5,
-            ..Default::default()
-        };
-        let d = late.since(&early);
-        assert_eq!(d.reads, 8);
-        assert_eq!(d.writes, 4);
-        assert_eq!(d.accesses(), 12);
     }
 }

@@ -34,13 +34,6 @@ pub struct BatchResult {
     pub batch_finish_ps: u64,
 }
 
-impl BatchResult {
-    /// Latency of the slowest access relative to issue time `now`.
-    pub fn batch_latency(&self, now: u64) -> u64 {
-        self.batch_finish_ps.saturating_sub(now)
-    }
-}
-
 /// A multi-channel DDR3 memory system with FR-FCFS batch scheduling.
 ///
 /// State (open rows, bus occupancy) persists across calls, so back-to-back
@@ -450,15 +443,5 @@ mod tests {
             assert_eq!(fast.stats().row_hits, slow.stats().row_hits);
             assert_eq!(fast.stats().activations, slow.stats().activations);
         }
-    }
-
-    #[test]
-    fn batch_latency_helper() {
-        let r = BatchResult {
-            finish_ps: vec![10, 20],
-            batch_finish_ps: 20,
-        };
-        assert_eq!(r.batch_latency(5), 15);
-        assert_eq!(r.batch_latency(25), 0);
     }
 }

@@ -149,14 +149,18 @@ impl NetClient {
 
     /// Takes the next response (pumping the socket as needed). Responses
     /// arrive in the server's completion order, matched to requests by
-    /// tag. Call only with requests outstanding — with none, this would
-    /// wait for a frame that never comes.
+    /// tag.
     ///
     /// # Errors
     ///
-    /// Any [`NetError`] from the underlying socket or frame codec.
+    /// [`NetError::Protocol`] when nothing is buffered and nothing is in
+    /// flight (the server owes no frame, so waiting would never end);
+    /// otherwise any [`NetError`] from the underlying socket or frame codec.
     pub fn recv(&mut self) -> Result<WireResponse, NetError> {
         while self.ready.is_empty() {
+            if self.inflight == 0 {
+                return Err(NetError::Protocol("recv with no request in flight".into()));
+            }
             self.pump()?;
         }
         Ok(self.ready.pop_front().expect("loop ensures non-empty"))

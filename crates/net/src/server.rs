@@ -183,15 +183,6 @@ impl NetReport {
             .position(|&n| n == c)
             .map_or(0, |i| self.net[i])
     }
-
-    /// The network-plane counters as a JSON object keyed by counter name.
-    pub fn net_json(&self) -> String {
-        let mut o = JsonObject::new();
-        for (c, v) in NET_COUNTERS.iter().zip(&self.net) {
-            o.field_u64(c.name(), *v);
-        }
-        o.finish()
-    }
 }
 
 /// One network request awaiting its service completion.

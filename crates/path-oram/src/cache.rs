@@ -2,7 +2,7 @@
 //!
 //! The ORAM controller can dedicate on-chip SRAM to tree buckets so that
 //! part of a path access never reaches DRAM. The prior art is *treetop
-//! caching* (Phantom [13]): pin the top levels of the tree, which are
+//! caching* (Phantom \[13\]): pin the top levels of the tree, which are
 //! touched by every path. `fp-core` adds the paper's *merging-aware cache*
 //! on the same interface.
 //!
@@ -58,7 +58,7 @@ impl BucketCache for NoCache {
     }
 }
 
-/// Treetop caching (Phantom [13]): the top `cached_levels` of the tree are
+/// Treetop caching (Phantom \[13\]): the top `cached_levels` of the tree are
 /// pinned on chip. A bucket at level `< cached_levels` always hits; deeper
 /// buckets always go to DRAM.
 ///

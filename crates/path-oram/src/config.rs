@@ -39,7 +39,7 @@ pub struct OramConfig {
     pub onchip_posmap_entries: u64,
     /// Whether tree contents are really encrypted.
     pub cipher_mode: CipherMode,
-    /// Static super-block size (Ren et al. [18]): this many adjacent data
+    /// Static super-block size (Ren et al. \[18\]): this many adjacent data
     /// blocks share one leaf label and move together, so one path load can
     /// serve several spatially local requests. 1 disables grouping.
     pub super_block: u64,

@@ -2,8 +2,8 @@
 //!
 //! Requests are processed strictly in order; every ORAM access traverses a
 //! *complete* path: read all `L + 1` buckets, then refill all `L + 1`
-//! buckets (§2.3 steps 1–5). The Fork Path controller in `fp-core` shares
-//! all the underlying machinery but replaces this orchestration.
+//! buckets (§2.3 steps 1–5). The Fork Path controller in `fp-core` drives
+//! the same [`Datapath`] and replaces this orchestration.
 
 use std::collections::VecDeque;
 
@@ -12,11 +12,11 @@ use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::cache::{BucketCache, NoCache, TreetopCache};
 use crate::config::OramConfig;
+use crate::datapath::{Datapath, CTRL_PHASE_LATENCY_PS};
 use crate::integrity::IntegrityError;
 use crate::reactive::{CompletionLog, NoFeedback, ReactiveSource};
 use crate::state::OramState;
 use crate::stats::{AccessTimes, OramStats};
-use crate::writeback::WritebackEngine;
 
 /// LLC request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +62,6 @@ pub struct Completion {
     pub tag: u64,
 }
 
-/// Fixed controller pipeline latency charged once per phase (decrypt,
-/// stash/posmap logic); the rest overlaps DRAM as in §4.
-const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
-
 /// The baseline Path ORAM controller.
 ///
 /// # Example
@@ -83,20 +79,12 @@ const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 /// ```
 #[derive(Debug)]
 pub struct BaselineController {
-    state: OramState,
-    dram: DramSystem,
-    writeback: WritebackEngine,
+    path: Datapath,
     queue: VecDeque<LlcRequest>,
     clock_ps: u64,
     next_id: u64,
     times: AccessTimes,
     completions: CompletionLog,
-    /// The shared trace spine (counters, histograms, event ring) the
-    /// controller, stash, and DRAM system report into.
-    trace: TraceHandle,
-    label_trace: Option<Vec<u64>>,
-    /// Reusable node-id buffer for the per-access read phase.
-    path_nodes: Vec<u64>,
 }
 
 impl BaselineController {
@@ -118,25 +106,13 @@ impl BaselineController {
         seed: u64,
         cache: Box<dyn BucketCache + Send>,
     ) -> Self {
-        let trace = TraceHandle::default();
-        let mut writeback = WritebackEngine::with_cache(cache, &cfg, dram.config());
-        writeback.attach_trace(trace.clone());
-        let mut state = OramState::new(cfg, seed);
-        state.attach_trace(trace.clone());
-        let mut dram = dram;
-        dram.attach_trace(trace.clone());
         Self {
-            state,
-            dram,
-            writeback,
+            path: Datapath::new(cfg, dram, seed, cache),
             queue: VecDeque::new(),
             clock_ps: 0,
             next_id: 0,
             times: AccessTimes::default(),
             completions: CompletionLog::default(),
-            trace,
-            label_trace: None,
-            path_nodes: Vec::new(),
         }
     }
 
@@ -160,7 +136,8 @@ impl BaselineController {
             Op::Write => Some(data),
             Op::Read => None,
         };
-        self.trace
+        self.path
+            .trace()
             .record(arrival_ps, EventKind::RequestSubmitted { id });
         self.queue.push_back(LlcRequest {
             id,
@@ -251,30 +228,30 @@ impl BaselineController {
     /// empty until [`BaselineController::set_trace_capacity`] gives it
     /// room.
     pub fn trace(&self) -> &TraceHandle {
-        &self.trace
+        self.path.trace()
     }
 
     /// Sizes the trace event ring (0 = counters only). The ring keeps the
     /// most recent `capacity` events.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace.set_capacity(capacity);
+        self.path.trace().set_capacity(capacity);
     }
 
     /// Starts recording the externally visible leaf-label sequence.
     pub fn enable_label_trace(&mut self) {
-        self.label_trace = Some(Vec::new());
+        self.path.enable_label_trace();
     }
 
     /// The recorded label sequence, if tracing was enabled.
     pub fn label_trace(&self) -> Option<&[u64]> {
-        self.label_trace.as_deref()
+        self.path.label_trace()
     }
 
     /// Statistics so far: the shared view over the trace spine, with
     /// every executed dummy a background eviction (the baseline has no
     /// other kind).
     pub fn stats(&self) -> OramStats {
-        let view = OramStats::view(&self.trace, self.times);
+        let view = OramStats::view(self.path.trace(), self.times);
         OramStats {
             background_evictions: view.dummy_accesses,
             ..view
@@ -283,12 +260,12 @@ impl BaselineController {
 
     /// The DRAM system (for command/energy stats).
     pub fn dram(&self) -> &DramSystem {
-        &self.dram
+        self.path.dram()
     }
 
     /// The trusted ORAM state (for invariant checks in tests).
     pub fn state(&self) -> &OramState {
-        &self.state
+        self.path.state()
     }
 
     /// Current controller clock, picoseconds.
@@ -306,13 +283,12 @@ impl BaselineController {
 
     fn process(&mut self, req: LlcRequest) -> Result<Completion, IntegrityError> {
         self.clock_ps = self.clock_ps.max(req.arrival_ps);
-        self.trace.set_now(self.clock_ps);
-        let levels = self.state.config().levels;
-        let chain = self.state.chain(req.addr);
-        let (mut old, mut new, _) = self.state.start_chain(req.addr);
+        self.path.trace().set_now(self.clock_ps);
+        let chain = self.path.state().chain(req.addr);
+        let (mut old, mut new, _) = self.path.state_mut().start_chain(req.addr);
 
-        if self.state.stash_hit(req.addr) {
-            self.trace.bump(Counter::StashHits);
+        if self.path.state().stash_hit(req.addr) {
+            self.path.trace().bump(Counter::StashHits);
         }
 
         let mut data = Vec::new();
@@ -322,54 +298,45 @@ impl BaselineController {
             // no ORAM access ("returned to LLC immediately"). Under
             // super-block grouping the shortcut also requires the whole
             // group on chip (the relabel must not orphan tree residents).
-            if self.state.stash_hit(u) && (i + 1 < chain.len() || self.state.group_shortcut_safe(u))
-            {
-                self.trace.bump(Counter::StashHits);
+            let state = self.path.state_mut();
+            if state.stash_hit(u) && (i + 1 < chain.len() || state.group_shortcut_safe(u)) {
                 if i + 1 < chain.len() {
-                    let (o, n, _) = self.state.chain_step(u, new, chain[i + 1]);
-                    old = o;
-                    new = n;
+                    (old, new, _) = state.chain_step(u, new, chain[i + 1]);
                 } else {
-                    let (read, _) = self.state.apply_op(u, new, req.data.as_deref());
-                    data = read;
+                    (data, _) = state.apply_op(u, new, req.data.as_deref());
                     done_ps = self.clock_ps;
                 }
+                self.path.trace().bump(Counter::StashHits);
                 continue;
-            }
-            if let Some(trace) = &mut self.label_trace {
-                trace.push(old);
             }
             // Read phase: the complete path.
             let access_start = self.clock_ps;
-            let mut nodes = std::mem::take(&mut self.path_nodes);
-            self.state
-                .load_path_range_into(old, 0, levels, &mut nodes)?;
-            let read_end = self.read_phase(&nodes);
-            self.path_nodes = nodes;
+            let read_end = self.read_full_path(old)?;
 
             // Block handling between the phases.
+            let state = self.path.state_mut();
             if i + 1 < chain.len() {
-                let (o, n, _) = self.state.chain_step(u, new, chain[i + 1]);
-                self.refill(old, read_end);
+                let (o, n, _) = state.chain_step(u, new, chain[i + 1]);
+                self.refill_full_path(old, read_end);
                 old = o;
                 new = n;
             } else {
-                let (read, _) = self.state.apply_op(u, new, req.data.as_deref());
-                data = read;
+                (data, _) = state.apply_op(u, new, req.data.as_deref());
                 done_ps = read_end;
-                self.refill(old, read_end);
+                self.refill_full_path(old, read_end);
             }
             self.times.access_busy_ps += self.clock_ps.saturating_sub(access_start);
-            self.trace.record_occupancy(self.state.stash().len() as u64);
+            self.path
+                .trace()
+                .record_occupancy(self.path.state().stash().len() as u64);
         }
         self.drain_stash_pressure()?;
 
         self.times.sum_latency_ps += done_ps.saturating_sub(req.arrival_ps);
         self.times.finish_time_ps = self.clock_ps;
-        self.trace
-            .record(done_ps, EventKind::RequestCompleted { id: req.id });
-        self.trace
-            .record_latency(done_ps.saturating_sub(req.arrival_ps));
+        let trace = self.path.trace();
+        trace.record(done_ps, EventKind::RequestCompleted { id: req.id });
+        trace.record_latency(done_ps.saturating_sub(req.arrival_ps));
         Ok(Completion {
             id: req.id,
             addr: req.addr,
@@ -380,50 +347,34 @@ impl BaselineController {
         })
     }
 
-    /// Refills the full path and advances the clock past the write phase.
-    ///
-    /// The refill is an *ordered* leaf-to-root stream of bucket writes —
-    /// the order the adversary observes, which the Fork Path
-    /// dummy-replacing window is defined over — so buckets are committed
-    /// one at a time rather than as a freely reordered batch.
-    fn refill(&mut self, leaf: u64, read_end: u64) {
-        let levels = self.state.config().levels;
-        self.clock_ps = read_end;
-        let mut t = read_end;
-        for level in (0..=levels).rev() {
-            self.trace.set_now(t);
-            let node = self.state.evict_level(leaf, level);
-            t = self.writeback.write_bucket(&mut self.dram, node, t);
-        }
-        self.clock_ps = t + CTRL_PHASE_LATENCY_PS;
+    /// One complete-path read phase at the current clock; returns when the
+    /// data is available.
+    fn read_full_path(&mut self, leaf: u64) -> Result<u64, IntegrityError> {
+        let read_end = self.path.read_path(leaf, 0, self.clock_ps)?;
+        self.path.trace().bump(Counter::FullReads);
+        Ok(read_end)
     }
 
-    /// One complete-path read phase over `nodes` at the current clock;
-    /// returns when the data is available.
-    fn read_phase(&mut self, nodes: &[u64]) -> u64 {
-        self.trace.bump(Counter::FullReads);
-        self.writeback
-            .read_path(&mut self.dram, nodes, self.clock_ps)
-            + CTRL_PHASE_LATENCY_PS
+    /// Refills the full path, leaf to root, and advances the clock past the
+    /// write phase.
+    fn refill_full_path(&mut self, leaf: u64, read_end: u64) {
+        self.path.begin_refill(leaf);
+        let mut t = read_end;
+        for level in (0..=self.path.state().config().levels).rev() {
+            t = self.path.refill_level(level, t);
+        }
+        self.clock_ps = t + CTRL_PHASE_LATENCY_PS;
     }
 
     /// Background eviction (Ren et al. [18]): if the stash exceeds its
     /// nominal capacity, issue dummy accesses until pressure subsides.
     fn drain_stash_pressure(&mut self) -> Result<(), IntegrityError> {
-        let levels = self.state.config().levels;
         let mut guard = 0;
-        while self.state.stash().over_capacity() && guard < 64 {
-            let label = self.state.random_label();
-            if let Some(trace) = &mut self.label_trace {
-                trace.push(label);
-            }
-            let mut nodes = std::mem::take(&mut self.path_nodes);
-            self.state
-                .load_path_range_into(label, 0, levels, &mut nodes)?;
-            let read_end = self.read_phase(&nodes);
-            self.path_nodes = nodes;
-            self.refill(label, read_end);
-            self.trace.bump(Counter::DummiesExecuted);
+        while self.path.state().stash().over_capacity() && guard < 64 {
+            let label = self.path.state_mut().random_label();
+            let read_end = self.read_full_path(label)?;
+            self.refill_full_path(label, read_end);
+            self.path.trace().bump(Counter::DummiesExecuted);
             guard += 1;
         }
         Ok(())

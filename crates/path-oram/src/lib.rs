@@ -15,13 +15,19 @@
 //!   initialized bucket store with counter-mode probabilistic re-encryption
 //!   on every bucket write.
 //! * [`Stash`] — the trusted on-chip block buffer with greedy deepest-first
-//!   eviction.
+//!   eviction, consumed as a stream: candidates ordered once per refill,
+//!   one bucket taken per level.
 //! * [`PosMapHierarchy`] — unified hierarchical position map (Fig 2): posmap
 //!   ORAMs share the data ORAM's tree and address space; recursion continues
 //!   until the top map fits on chip.
-//! * [`OramState`] — the combined trusted state with the phase primitives
-//!   (`load_path_range`, `finish_access`, `evict_range`) that both the
-//!   baseline and the Fork Path controllers drive.
+//! * [`OramState`] — the combined trusted state (tree, stash, posmap, label
+//!   RNG) with the block handling between the phases (`chain_step`,
+//!   `apply_op`).
+//! * [`Datapath`] — the one datapath under both controllers: owns the
+//!   state, the DRAM system, the [`WritebackEngine`] and the trace spine,
+//!   and exposes the two phases of an access — `read_path` from a floor
+//!   down, and the refill stream `begin_refill` + `refill_level`, leaf to
+//!   root for as many levels as the controller decides.
 //! * [`BaselineController`] — the traditional Path ORAM controller: every
 //!   access reads and refills a complete path, driven either synchronously
 //!   ([`BaselineController::access_sync`]) or incrementally through the
@@ -30,7 +36,7 @@
 //!   ([`NewRequest`], [`ReactiveSource`], [`NoFeedback`]) shared by every
 //!   incremental engine from the baseline to Fork Path.
 //! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
-//!   [`cache::TreetopCache`] policy (Phantom [13]).
+//!   [`cache::TreetopCache`] policy (Phantom \[13\]).
 //! * [`integrity`] — Merkle-tree verification over the ORAM tree, the
 //!   combinable defence against active attacks the paper points to (§2.2).
 //!
@@ -55,6 +61,7 @@
 pub mod cache;
 mod config;
 mod controller;
+mod datapath;
 pub mod integrity;
 pub mod path;
 mod posmap;
@@ -67,6 +74,7 @@ mod writeback;
 
 pub use config::{CipherMode, OramConfig};
 pub use controller::{BaselineController, Completion, LlcRequest, Op};
+pub use datapath::{Datapath, CTRL_PHASE_LATENCY_PS};
 pub use integrity::IntegrityError;
 pub use posmap::PosMapHierarchy;
 pub use reactive::{CompletionLog, NewRequest, NoFeedback, ReactiveSource};

@@ -178,11 +178,6 @@ impl OnChipMap {
     pub(crate) fn set(&mut self, index: u64, leaf: u64) {
         self.entries[index as usize] = Some(leaf);
     }
-
-    /// Bytes of on-chip SRAM this map would occupy at 4 B per entry.
-    pub(crate) fn footprint_bytes(&self) -> usize {
-        self.entries.len() * 4
-    }
 }
 
 #[cfg(test)]
@@ -284,6 +279,5 @@ mod tests {
         assert_eq!(m.get(3), None);
         m.set(3, 42);
         assert_eq!(m.get(3), Some(42));
-        assert_eq!(m.footprint_bytes(), 32);
     }
 }

@@ -1,4 +1,4 @@
-//! The on-chip stash and its greedy deepest-first eviction planner.
+//! The on-chip stash and its greedy deepest-first eviction stream.
 
 use std::collections::{HashMap, HashSet};
 
@@ -51,10 +51,15 @@ pub struct Stash {
     high_water: usize,
     /// Trace spine (clones share it); push/evict events report here.
     trace: TraceHandle,
-    /// Reusable candidate buffer for [`Stash::plan_eviction`] — the planner
-    /// runs on every access, so its scratch must not be reallocated per
-    /// call.
-    plan_scratch: Vec<(u32, u64)>,
+    /// The eviction stream ([`Stash::begin_eviction`]): `(deepest eligible
+    /// level, addr)` of every block that was unpinned when it began,
+    /// deepest first. A refill runs on every access, so the buffer is
+    /// reused, never reallocated per stream.
+    candidates: Vec<(u32, u64)>,
+    /// First candidate the stream has not considered yet.
+    cursor: usize,
+    /// `(levels, leaf)` of the path the stream evicts onto.
+    stream_path: (u32, u64),
 }
 
 impl Stash {
@@ -63,12 +68,8 @@ impl Stash {
     /// C >= 200 at Z = 4 — and is used for the overflow watermark.
     pub fn new(capacity: usize) -> Self {
         Self {
-            blocks: HashMap::new(),
-            pinned: HashSet::new(),
             capacity,
-            high_water: 0,
-            trace: TraceHandle::default(),
-            plan_scratch: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -156,95 +157,48 @@ impl Stash {
         self.pinned.remove(&addr);
     }
 
-    /// Number of pinned addresses.
-    pub fn pinned_len(&self) -> usize {
-        self.pinned.len()
-    }
-
-    /// Plans a greedy deepest-first eviction onto the path to `leaf` for
-    /// bucket levels in `level_lo..=level_hi`, removing the chosen blocks
-    /// from the stash.
-    ///
-    /// Returns one entry per level (deepest first): the blocks to store in
-    /// that bucket (at most `z`; the bucket is padded with dummies by the
-    /// tree store).
+    /// Starts a greedy deepest-first eviction stream onto the path to
+    /// `leaf`: every unpinned block becomes a candidate, keyed by the
+    /// deepest level it may occupy and ordered once, deepest first, so
+    /// blocks land as low as possible. [`Stash::evict_next`] then consumes
+    /// the order bucket by bucket for as many levels as the refill commits.
     ///
     /// A block mapped to leaf `b` may live at level `d` of the path to
     /// `leaf` iff the two paths still coincide at depth `d`, i.e.
     /// `d <= divergence_level(leaf, b)` — exactly the Path ORAM invariant.
-    pub fn plan_eviction(
-        &mut self,
-        levels: u32,
-        leaf: u64,
-        level_lo: u32,
-        level_hi: u32,
-        z: usize,
-    ) -> Vec<(u32, Vec<Block>)> {
-        debug_assert!(level_lo <= level_hi && level_hi <= levels);
-        let candidates = self.eviction_candidates(levels, leaf);
-        let mut cursor = 0usize;
-        let out = (level_lo..=level_hi)
-            .rev()
-            .map(|level| {
-                let chosen = self.take_for_level(&candidates, &mut cursor, levels, leaf, level, z);
-                (level, chosen)
-            })
-            .collect();
-        self.plan_scratch = candidates;
-        out
-    }
-
-    /// Single-level variant of [`Stash::plan_eviction`]: returns the blocks
-    /// for the bucket at `level` only, choosing exactly as
-    /// `plan_eviction(levels, leaf, level, level, z)` would but without the
-    /// per-level plan `Vec`.
-    pub fn plan_eviction_level(
-        &mut self,
-        levels: u32,
-        leaf: u64,
-        level: u32,
-        z: usize,
-    ) -> Vec<Block> {
-        debug_assert!(level <= levels);
-        let candidates = self.eviction_candidates(levels, leaf);
-        let chosen = self.take_for_level(&candidates, &mut 0, levels, leaf, level, z);
-        self.plan_scratch = candidates;
-        chosen
-    }
-
-    /// `(deepest eligible level, addr)` of every unpinned block, deepest
-    /// first so blocks land as low as possible. Built in the reusable
-    /// scratch buffer, which the caller hands back to `plan_scratch`.
-    fn eviction_candidates(&mut self, levels: u32, leaf: u64) -> Vec<(u32, u64)> {
-        let mut candidates = std::mem::take(&mut self.plan_scratch);
-        candidates.clear();
-        candidates.extend(
+    ///
+    /// The stream is a snapshot: a block inserted after this call waits for
+    /// the next stream, and no resident block may be relabelled or pinned
+    /// until the stream's last bucket is taken (a refill does no block
+    /// handling, so the controllers satisfy this by construction).
+    pub fn begin_eviction(&mut self, levels: u32, leaf: u64) {
+        self.candidates.clear();
+        self.candidates.extend(
             self.blocks
                 .values()
                 .filter(|b| !self.pinned.contains(&b.addr))
                 .map(|b| (divergence_level(levels, leaf, b.leaf), b.addr)),
         );
-        candidates.sort_unstable_by(|a, b| b.cmp(a));
-        candidates
+        self.candidates.sort_unstable_by(|a, b| b.cmp(a));
+        self.cursor = 0;
+        self.stream_path = (levels, leaf);
     }
 
-    /// Removes from the stash up to `z` blocks for the bucket at `level`,
-    /// taking `candidates` in order from `*cursor` while they are eligible
-    /// that deep, and advances the cursor past the ones taken.
-    fn take_for_level(
-        &mut self,
-        candidates: &[(u32, u64)],
-        cursor: &mut usize,
-        levels: u32,
-        leaf: u64,
-        level: u32,
-        z: usize,
-    ) -> Vec<Block> {
+    /// Removes from the stash the blocks for the bucket at `level` of the
+    /// current stream's path (at most `z`; the tree store pads the bucket
+    /// with dummies): the next candidates in order while they are eligible
+    /// that deep. Levels are taken leaf to root, each at most once; the
+    /// stream may be abandoned at any level, and every block it has not
+    /// chosen is still in the stash.
+    // Allocates the returned bucket only: tests/hot_path_alloc.rs.
+    pub fn evict_next(&mut self, level: u32, z: usize) -> Vec<Block> {
+        let (levels, leaf) = self.stream_path;
+        debug_assert!(level <= levels);
         let mut chosen = Vec::with_capacity(z);
         while chosen.len() < z {
-            match candidates.get(*cursor) {
+            match self.candidates.get(self.cursor) {
                 Some(&(depth, addr)) if depth >= level => {
-                    *cursor += 1;
+                    self.cursor += 1;
                     if let Some(block) = self.blocks.remove(&addr) {
                         debug_assert!(placement_legal(levels, leaf, block.leaf, level));
                         self.trace.record_now(EventKind::StashEvict { addr });
@@ -255,6 +209,22 @@ impl Stash {
             }
         }
         chosen
+    }
+
+    /// The blocks for the bucket at `level` of the path to `leaf` alone: a
+    /// fresh stream of which one bucket is taken. Per-level calls from the
+    /// leaf up choose what one stream chooses — the reference the stream is
+    /// held against (`tests/proptest_invariants.rs`) — at the cost of
+    /// collecting and ordering the candidates once per bucket.
+    pub fn plan_eviction_level(
+        &mut self,
+        levels: u32,
+        leaf: u64,
+        level: u32,
+        z: usize,
+    ) -> Vec<Block> {
+        self.begin_eviction(levels, leaf);
+        self.evict_next(level, z)
     }
 }
 
@@ -270,6 +240,20 @@ mod tests {
 
     fn block(addr: u64, leaf: u64) -> Block {
         Block::new(addr, leaf, vec![addr as u8])
+    }
+
+    /// One eviction stream over levels `hi` down to `lo`: `(level, bucket)`
+    /// per level taken, deepest first.
+    fn evict_path(
+        s: &mut Stash,
+        levels: u32,
+        leaf: u64,
+        lo: u32,
+        hi: u32,
+        z: usize,
+    ) -> Vec<(u32, Vec<Block>)> {
+        s.begin_eviction(levels, leaf);
+        (lo..=hi).rev().map(|l| (l, s.evict_next(l, z))).collect()
     }
 
     #[test]
@@ -296,7 +280,7 @@ mod tests {
         assert_eq!(tr.counter(Counter::StashPushes), 6);
         s.remove(5);
         s.remove(99); // absent: not an eviction
-        let plan = s.plan_eviction(3, 1, 0, 3, 4);
+        let plan = evict_path(&mut s, 3, 1, 0, 3, 4);
         let planned: u64 = plan.iter().map(|(_, b)| b.len() as u64).sum();
         assert_eq!(tr.counter(Counter::StashEvicts), 1 + planned);
         // Pushes - evictions always equals residency.
@@ -325,7 +309,7 @@ mod tests {
         for (addr, leaf) in [(0u64, 1u64), (1, 1), (2, 3), (3, 7), (4, 0), (5, 5)] {
             s.insert(block(addr, leaf));
         }
-        let plan = s.plan_eviction(levels, 1, 0, levels, 4);
+        let plan = evict_path(&mut s, levels, 1, 0, levels, 4);
         for (level, blocks) in &plan {
             for b in blocks {
                 assert!(
@@ -347,7 +331,7 @@ mod tests {
         let mut s = Stash::new(50);
         // A block mapped exactly to leaf 1 must land at the leaf bucket.
         s.insert(block(42, 1));
-        let plan = s.plan_eviction(levels, 1, 0, levels, 4);
+        let plan = evict_path(&mut s, levels, 1, 0, levels, 4);
         let (leaf_level, leaf_blocks) = &plan[0];
         assert_eq!(*leaf_level, 3);
         assert_eq!(leaf_blocks.len(), 1);
@@ -364,7 +348,7 @@ mod tests {
         // Block that can live at the leaf of path 0.
         s.insert(block(2, 0));
         // Merged refill that skips levels 0..=1: only levels 2..=3 written.
-        let plan = s.plan_eviction(levels, 0, 2, 3, 4);
+        let plan = evict_path(&mut s, levels, 0, 2, 3, 4);
         let total: usize = plan.iter().map(|(_, b)| b.len()).sum();
         assert_eq!(total, 1, "only the deep block is evictable");
         assert!(s.contains(1), "root-only block stays in stash");
@@ -378,7 +362,7 @@ mod tests {
         for addr in 0..10 {
             s.insert(block(addr, 0));
         }
-        let plan = s.plan_eviction(levels, 0, 0, levels, 4);
+        let plan = evict_path(&mut s, levels, 0, 0, levels, 4);
         for (_, blocks) in &plan {
             assert!(blocks.len() <= 4);
         }

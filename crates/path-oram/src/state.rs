@@ -1,23 +1,17 @@
-//! The combined trusted ORAM state and the phase primitives controllers
-//! drive.
+//! The combined trusted ORAM state and the block handling between the two
+//! phases of an access.
 //!
 //! [`OramState`] owns the tree store (untrusted memory contents), the stash,
-//! the posmap hierarchy and its on-chip fragment, and the label RNG. Both
-//! the baseline controller and `fp-core`'s Fork Path controller are thin
-//! orchestration layers over three primitives:
-//!
-//! 1. [`OramState::load_path_range`] — the read phase (or the non-overlapped
-//!    part of it, under path merging),
-//! 2. [`OramState::chain_step`] / [`OramState::apply_op`] — block handling
-//!    between the phases (posmap entry extraction/update, data read/write),
-//! 3. [`OramState::evict_range`] — the refill phase (full path, or the part
-//!    not shared with the next request).
+//! the posmap hierarchy and its on-chip fragment, and the label RNG. The
+//! phases themselves — path read and streaming refill — belong to
+//! [`crate::Datapath`], which owns the state; between them a controller
+//! calls [`OramState::chain_step`] / [`OramState::apply_op`] (posmap entry
+//! extraction/update, data read/write).
 
 use fp_crypto::Xoshiro256;
 
 use crate::config::OramConfig;
-use crate::integrity::IntegrityError;
-use crate::path::{node_at_level, path_contains};
+use crate::path::path_contains;
 use crate::posmap::{OnChipMap, PosMapHierarchy};
 use crate::stash::{Block, Stash};
 use crate::tree::TreeStore;
@@ -40,19 +34,24 @@ pub enum AccessOutcome {
 /// # Example
 ///
 /// ```
-/// use fp_path_oram::{OramConfig, OramState};
+/// use fp_path_oram::{AccessOutcome, OramConfig, OramState};
 /// let mut state = OramState::new(OramConfig::small_test(), 7);
-/// let label = state.random_label();
-/// let nodes = state.load_path_range(label, 0, state.config().levels).unwrap();
-/// assert_eq!(nodes.len() as u32, state.config().path_len());
-/// state.evict_range(label, 0, state.config().levels);
+/// // First touch of data block 3: the on-chip map assigns its label and
+/// // the block materializes inside the trusted boundary.
+/// let (_old_leaf, new_leaf, _) = state.start_chain(3);
+/// let (before, outcome) = state.apply_op(3, new_leaf, Some(&[9]));
+/// assert_eq!(outcome, AccessOutcome::Created);
+/// assert!(before.iter().all(|&b| b == 0));
+/// assert!(state.stash_hit(3));
 /// state.check_invariants().unwrap();
 /// ```
 #[derive(Debug)]
 pub struct OramState {
     cfg: OramConfig,
-    tree: TreeStore,
-    stash: Stash,
+    /// Crate-visible, like `stash`, for [`crate::Datapath`]: its two phase
+    /// primitives are the only code that moves blocks between the two.
+    pub(crate) tree: TreeStore,
+    pub(crate) stash: Stash,
     hierarchy: PosMapHierarchy,
     onchip: OnChipMap,
     label_rng: Xoshiro256,
@@ -140,11 +139,6 @@ impl OramState {
         self.created_blocks
     }
 
-    /// On-chip SRAM footprint of the resident position-map fragment.
-    pub fn onchip_map_bytes(&self) -> usize {
-        self.onchip.footprint_bytes()
-    }
-
     /// Pins `addr` in the stash (exempt from eviction) — the hook a posmap
     /// lookaside buffer uses to keep hot posmap blocks on chip.
     pub fn pin_block(&mut self, addr: u64) {
@@ -186,51 +180,6 @@ impl OramState {
     /// The top-down chain of unified addresses for data block `addr`.
     pub fn chain(&self, addr: u64) -> Vec<u64> {
         self.hierarchy.chain(addr)
-    }
-
-    /// Read phase: decrypts the buckets at `level_lo..=level_hi` of the path
-    /// to `leaf` into the stash. Returns the bucket node ids in level order,
-    /// or the [`IntegrityError`] of the first bucket whose stored image
-    /// failed to decode (tampering / transient memory fault).
-    pub fn load_path_range(
-        &mut self,
-        leaf: u64,
-        level_lo: u32,
-        level_hi: u32,
-    ) -> Result<Vec<u64>, IntegrityError> {
-        let mut nodes = Vec::with_capacity((level_hi - level_lo + 1) as usize);
-        self.load_path_range_into(leaf, level_lo, level_hi, &mut nodes)?;
-        Ok(nodes)
-    }
-
-    /// [`OramState::load_path_range`] into a caller-provided node buffer
-    /// (cleared first), so per-access controllers can reuse one allocation.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first bucket that fails to decode and returns its
-    /// [`IntegrityError`]; `nodes` holds the levels loaded so far.
-    pub fn load_path_range_into(
-        &mut self,
-        leaf: u64,
-        level_lo: u32,
-        level_hi: u32,
-        nodes: &mut Vec<u64>,
-    ) -> Result<(), IntegrityError> {
-        debug_assert!(level_lo <= level_hi && level_hi <= self.cfg.levels);
-        nodes.clear();
-        for level in level_lo..=level_hi {
-            let node = node_at_level(self.cfg.levels, leaf, level);
-            // Draining the bucket moves its contents to the stash and leaves
-            // the stale tree copy empty (it is rewritten at refill), keeping
-            // the "block is in stash XOR on its path" invariant checkable —
-            // without cloning blocks or re-encrypting an empty bucket.
-            for block in self.tree.try_take_bucket(node)? {
-                self.stash.insert(block);
-            }
-            nodes.push(node);
-        }
-        Ok(())
     }
 
     /// Completes a posmap chain step: takes the parent posmap block from the
@@ -322,37 +271,6 @@ impl OramState {
             .all(|m| !self.existing.contains(&m) || self.stash.contains(m))
     }
 
-    /// Refill phase: greedily evicts stash blocks into the buckets at
-    /// `level_lo..=level_hi` of the path to `leaf`, re-encrypting and
-    /// writing each bucket. Returns node ids in leaf-to-root write order —
-    /// the order the refill commits on the bus, which the dummy-replacing
-    /// window is defined over.
-    pub fn evict_range(&mut self, leaf: u64, level_lo: u32, level_hi: u32) -> Vec<u64> {
-        let plan = self
-            .stash
-            .plan_eviction(self.cfg.levels, leaf, level_lo, level_hi, self.cfg.z);
-        let mut nodes = Vec::with_capacity(plan.len());
-        for (level, blocks) in plan {
-            let node = node_at_level(self.cfg.levels, leaf, level);
-            self.tree.write_bucket(node, blocks);
-            nodes.push(node);
-        }
-        nodes
-    }
-
-    /// Refill phase for a single level — the streaming variant of
-    /// [`OramState::evict_range`] for controllers that commit the refill
-    /// bucket by bucket (leaf to root), avoiding a `Vec` per bucket.
-    /// Returns the written bucket's node id.
-    pub fn evict_level(&mut self, leaf: u64, level: u32) -> u64 {
-        let blocks = self
-            .stash
-            .plan_eviction_level(self.cfg.levels, leaf, level, self.cfg.z);
-        let node = node_at_level(self.cfg.levels, leaf, level);
-        self.tree.write_bucket(node, blocks);
-        node
-    }
-
     /// Takes `addr` from the stash or materializes it (first touch).
     fn fetch_block(&mut self, addr: u64, new_leaf: u64) -> (&mut Block, AccessOutcome) {
         let outcome = if self.stash.contains(addr) {
@@ -422,119 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn full_access_cycle_preserves_invariants() {
-        let mut s = state();
-        let levels = s.config().levels;
-        for addr in 0..16u64 {
-            let (old, new, _) = s.start_chain(addr);
-            // Non-recursive shortcut: drive the data access directly.
-            s.load_path_range(old, 0, levels).unwrap();
-            let _ = s.apply_op(addr, new, Some(&[addr as u8]));
-            s.evict_range(old, 0, levels);
-            s.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn written_data_reads_back_via_chain() {
-        let mut s = state();
-        let levels = s.config().levels;
-        let payload = vec![0xCD; 16];
-
-        // Full hierarchical write then read of data block 37.
-        for (pass, write) in [(0, true), (1, false)] {
-            let chain = s.chain(37);
-            let (mut old, mut new, _) = s.start_chain(37);
-            for (i, &u) in chain.iter().enumerate() {
-                s.load_path_range(old, 0, levels).unwrap();
-                if i + 1 < chain.len() {
-                    let (o, n, _) = s.chain_step(u, new, chain[i + 1]);
-                    s.evict_range(old, 0, levels);
-                    old = o;
-                    new = n;
-                } else {
-                    let (read, _) = s.apply_op(u, new, if write { Some(&payload) } else { None });
-                    s.evict_range(old, 0, levels);
-                    if pass == 1 {
-                        assert_eq!(read, payload, "read back what was written");
-                    }
-                }
-            }
-            s.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn chain_step_persists_child_label() {
-        let mut s = state();
-        let levels = s.config().levels;
-        let chain = s.chain(5);
-        let (old, new, _) = s.start_chain(5);
-        s.load_path_range(old, 0, levels).unwrap();
-        let (child_old1, child_new1, outcome1) = s.chain_step(chain[0], new, chain[1]);
-        s.evict_range(old, 0, levels);
-        assert_eq!(outcome1, AccessOutcome::Created);
-        let _ = child_old1;
-
-        // Second traversal of the same chain: the stored label must be the
-        // one we just assigned.
-        let (old2, new2, outcome2) = s.start_chain(5);
-        assert_eq!(outcome2, AccessOutcome::Found);
-        s.load_path_range(old2, 0, levels).unwrap();
-        let (child_old2, _, outcome3) = s.chain_step(chain[0], new2, chain[1]);
-        s.evict_range(old2, 0, levels);
-        assert_eq!(outcome3, AccessOutcome::Found);
-        assert_eq!(
-            child_old2, child_new1,
-            "child label survives in parent payload"
-        );
-    }
-
-    #[test]
     fn onchip_remap_changes_label() {
         let mut s = state();
         let (_, new1, _) = s.start_chain(0);
         let (old2, _, outcome) = s.start_chain(0);
         assert_eq!(outcome, AccessOutcome::Found);
         assert_eq!(old2, new1);
-    }
-
-    #[test]
-    fn load_clears_tree_copy() {
-        let mut s = state();
-        let levels = s.config().levels;
-        let (old, new, _) = s.start_chain(3);
-        s.load_path_range(old, 0, levels).unwrap();
-        let _ = s.apply_op(3, new, Some(&[1]));
-        s.evict_range(old, 0, levels);
-        // Re-read the same path: every real block must now be in exactly one
-        // place.
-        let (old2, _, _) = s.start_chain(3);
-        s.load_path_range(old2, 0, levels).unwrap();
-        s.check_invariants().unwrap();
-        // Clean up for good measure.
-        s.evict_range(old2, 0, levels);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn partial_refill_keeps_shared_prefix_in_stash() {
-        let mut s = state();
-        let levels = s.config().levels;
-        let (old, new, _) = s.start_chain(9);
-        s.load_path_range(old, 0, levels).unwrap();
-        let _ = s.apply_op(9, new, Some(&[9]));
-        // Merged refill: pretend the next path shares levels 0..=2.
-        s.evict_range(old, 3, levels);
-        s.check_invariants().unwrap();
-        // Blocks that could only live in levels 0..=2 must still be stashed.
-        // (At minimum, nothing was lost: the data block is somewhere.)
-        let in_stash = s.stash().contains(9);
-        let in_tree = s
-            .tree()
-            .iter_buckets()
-            .any(|(_, blocks)| blocks.iter().any(|b| b.addr == 9));
-        assert!(in_stash ^ in_tree, "block 9 in exactly one place");
     }
 
     #[test]
@@ -545,20 +356,6 @@ mod tests {
         assert!(labels.iter().all(|&l| l < leaves));
         let distinct: std::collections::HashSet<_> = labels.iter().collect();
         assert!(distinct.len() > 16, "labels vary");
-    }
-
-    #[test]
-    fn corrupt_path_bucket_surfaces_integrity_error() {
-        let mut s = state();
-        let levels = s.config().levels;
-        let (old, new, _) = s.start_chain(3);
-        s.load_path_range(old, 0, levels).unwrap();
-        let _ = s.apply_op(3, new, Some(&[1]));
-        let written = s.evict_range(old, 0, levels);
-        let victim = *written.first().expect("refill wrote buckets");
-        assert!(s.tree_mut().corrupt_bucket(victim));
-        let err = s.load_path_range(old, 0, levels).unwrap_err();
-        assert_eq!(err.node, victim);
     }
 
     #[test]

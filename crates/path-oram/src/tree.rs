@@ -96,9 +96,13 @@ impl TreeStore {
         match self.buckets.remove(&node) {
             None => Ok(Vec::new()),
             Some(StoredBucket::Plain(blocks)) => Ok(blocks),
-            Some(StoredBucket::Sealed { nonce, ciphertext }) => {
-                let plain = self.cipher.decrypt(nonce, &ciphertext);
-                deserialize_bucket(&plain, self.z, self.block_bytes, node)
+            Some(StoredBucket::Sealed {
+                nonce,
+                ciphertext: mut image,
+            }) => {
+                // The removed image is owned, so it is unsealed where it is.
+                self.cipher.decrypt_in_place(nonce, &mut image);
+                deserialize_bucket(&image, self.z, self.block_bytes, node)
             }
         }
     }
@@ -156,8 +160,8 @@ impl TreeStore {
             CipherMode::Transparent => StoredBucket::Plain(blocks),
             CipherMode::Real => {
                 let nonce = Nonce::new(self.write_counter, node as u32);
-                let plain = serialize_bucket(&blocks, self.z, self.block_bytes);
-                let ciphertext = self.cipher.encrypt(nonce, &plain);
+                let mut ciphertext = serialize_bucket(&blocks, self.z, self.block_bytes);
+                self.cipher.encrypt_in_place(nonce, &mut ciphertext);
                 StoredBucket::Sealed { nonce, ciphertext }
             }
         };

@@ -1,12 +1,12 @@
 //! **Caching and deferred writeback** of tree buckets (§3.5, §4.4) — the
-//! one place bucket node ids become DRAM traffic, shared by the baseline
-//! and Fork Path controllers.
+//! one place bucket node ids become DRAM traffic, and the timing-only half
+//! of [`crate::Datapath`], which owns it.
 //!
-//! Owns everything that touches bucket bytes: the on-chip bucket cache
-//! (any [`BucketCache`] policy), the subtree-aligned DRAM layout, and the
-//! burst-level batch generation for path reads and the leaf-to-root
-//! refill stream. A controller deals only in bucket node ids and commit
-//! times; this engine decides which of those become DRAM traffic.
+//! Holds the on-chip bucket cache (any [`BucketCache`] policy), the
+//! subtree-aligned DRAM layout, and the burst-level batch generation for
+//! path reads and the leaf-to-root refill stream. It deals only in bucket
+//! node ids and commit times and decides which of those become DRAM
+//! traffic; the blocks themselves move in the datapath.
 
 use fp_dram::layout::{SubtreeLayout, TreeLayout};
 use fp_dram::{AccessKind, DramConfig, DramSystem};

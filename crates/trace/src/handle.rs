@@ -67,11 +67,6 @@ impl TraceHandle {
         relock(&self.0.ring)
     }
 
-    /// Whether two handles share the same spine.
-    pub fn same_spine(&self, other: &TraceHandle) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
     /// Records a typed event at simulated time `t_ps`, bumping its
     /// matching counter.
     // Allocation-free once warm: tests/hot_path_alloc.rs.
@@ -260,10 +255,8 @@ mod tests {
         let a = TraceHandle::new(8);
         let b = a.clone();
         b.record(1, EventKind::StashPush { addr: 42 });
-        assert!(a.same_spine(&b));
         assert_eq!(a.counter(Counter::StashPushes), 1);
         assert_eq!(a.events().len(), 1);
-        assert!(!a.same_spine(&TraceHandle::default()));
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl ServiceClientPool {
         self.completed == self.issued && self.clients.iter().all(|c| c.issued >= c.budget)
     }
 
-    /// Number of clients.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Total request budget across clients.
     pub fn budget(&self) -> u64 {
         self.clients.iter().map(|c| c.budget).sum()
@@ -201,7 +196,6 @@ mod tests {
     fn budget_splits_exactly() {
         let p = pool(1);
         assert_eq!(p.budget(), 103);
-        assert_eq!(p.client_count(), 4);
     }
 
     #[test]

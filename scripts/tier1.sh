@@ -20,10 +20,12 @@ cargo build --release --offline
 
 cargo test -q --offline --workspace
 
-# Documentation gate: every public item is documented (workspace crates set
-# #![warn(missing_docs)]) and no rustdoc warnings (broken intra-doc links,
-# invalid code fences) slip through.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
+# Documentation gate over every workspace member (--workspace: a bare
+# `cargo doc` from the root documents the root package alone): every public
+# item is documented (the crates set #![warn(missing_docs)]) and no rustdoc
+# warning (broken intra-doc link, invalid code fence) slips through. A
+# bracketed citation in a doc comment reads as a link: write `\[13\]`.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q --workspace
 
 # The repo's benchmark (benchmark/, BENCHMARK.json) is a package of its
 # own that reaches the crates only through public items: fmt, clippy and

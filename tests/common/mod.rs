@@ -4,6 +4,9 @@
 // Each suite compiles its own copy and none uses every item.
 #![allow(dead_code)]
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::service::{ServiceConfig, ServiceRequest};
 use fork_path_oram::workloads::zipf::{self, ScheduledRequest};
@@ -16,6 +19,32 @@ pub fn small_cfg(shards: usize) -> ServiceConfig {
     cfg.oram.levels = 11;
     cfg.oram.onchip_posmap_entries = 1 << 6;
     cfg
+}
+
+/// Runs `f` on a helper thread and fails the test if it neither finishes
+/// nor panics within `secs` — the bound that turns a hang or livelock
+/// regression into a fast, attributable failure.
+pub fn with_watchdog<T: Send + 'static>(
+    name: &str,
+    secs: u64,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(v) => {
+            worker.join().expect("watchdog worker");
+            v
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            // The closure panicked: propagate its panic.
+            worker.join().expect("watchdog worker panicked");
+            unreachable!("disconnected sender implies a panic");
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{name}: hung past {secs}s watchdog"),
+    }
 }
 
 /// One scheduled request as the in-process trace replay takes it: writes

@@ -23,10 +23,9 @@
 
 mod common;
 
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use common::small_cfg;
+use common::{small_cfg, with_watchdog};
 use fork_path_oram::core::engine::registry;
 use fork_path_oram::core::{FaultConfig, FaultInjector, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
@@ -36,32 +35,6 @@ use fork_path_oram::service::{
     OramService, ServeError, ServiceRequest, ShardEngine, ShardHealth, ShardSnapshot, SubmitError,
 };
 use fork_path_oram::workloads::mixes;
-
-/// Runs `f` on a helper thread and fails the test if it neither finishes
-/// nor panics within `secs` — the bound that turns a livelock regression
-/// into a fast, attributable failure.
-fn with_watchdog<T: Send + 'static>(
-    name: &str,
-    secs: u64,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(v) => {
-            worker.join().expect("watchdog worker");
-            v
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            // The closure panicked: propagate its panic.
-            worker.join().expect("watchdog worker panicked");
-            unreachable!("disconnected sender implies a panic");
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{name}: hung past {secs}s watchdog"),
-    }
-}
 
 // ---------- hard fault: fail-fast + survivor continuity --------------
 

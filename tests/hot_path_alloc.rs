@@ -2,7 +2,8 @@
 //!
 //! Every structure the Fig 9 pipeline touches once per bucket — the PLB,
 //! the merging-aware cache (§3.5), the FR-FCFS batch scheduler, the
-//! writeback bursts, the trace counters — must not allocate once warm, or
+//! writeback bursts, the stash's eviction stream, the trace counters —
+//! must not allocate once warm, or
 //! allocates exactly what it hands back. A global allocator that counts
 //! holds that through every callee, whatever the allocation is spelled
 //! like. The counts are exact, never a tolerance; a new per-access kernel
@@ -19,7 +20,7 @@ use fork_path_oram::core::{MergingAwareCache, PosMapLookasideBuffer};
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
-use fork_path_oram::path_oram::{OramConfig, WritebackEngine};
+use fork_path_oram::path_oram::{Block, OramConfig, Stash, WritebackEngine};
 use fork_path_oram::trace::{Counter, EventKind, TraceHandle};
 
 thread_local! {
@@ -172,4 +173,37 @@ fn per_access_kernels_keep_their_allocation_contract() {
         n, 0,
         "cache-absorbed buckets reach neither DRAM nor the heap"
     );
+
+    // Eviction stream on a bare stash, near-empty and at the occupancy the
+    // wire workloads run at: once the candidate buffer is sized, starting
+    // a refill allocates nothing, and each level taken allocates exactly
+    // the bucket it hands back (which the Plain tree store keeps).
+    for resident in [3u64, 64] {
+        const REFILLS: u64 = 256;
+        let mut stash = Stash::new(oram.stash_capacity);
+        let (mut begins, mut takes) = (0, 0);
+        for refill in 0..=REFILLS {
+            for addr in 0..resident {
+                let leaf = rng.next_below(oram.leaf_count());
+                stash.insert(Block::new(addr, leaf, vec![0; oram.block_bytes]));
+            }
+            let leaf = rng.next_below(oram.leaf_count());
+            let begin = allocations(|| stash.begin_eviction(levels, leaf));
+            let take = allocations(|| {
+                for level in (0..=levels).rev() {
+                    black_box(stash.evict_next(level, oram.z));
+                }
+            });
+            if refill > 0 {
+                begins += begin;
+                takes += take;
+            }
+        }
+        assert_eq!(begins, 0, "Stash::begin_eviction at {resident} blocks");
+        assert_eq!(
+            takes,
+            REFILLS * u64::from(levels + 1),
+            "Stash::evict_next at {resident} blocks, one bucket per level"
+        );
+    }
 }

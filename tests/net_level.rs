@@ -17,10 +17,10 @@ mod common;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use common::{service_request, small_cfg};
+use common::{service_request, small_cfg, with_watchdog};
 use fork_path_oram::core::FaultConfig;
 use fork_path_oram::net::{
-    NetClient, NetConfig, NetServer, WireHealth, WireOp, WireRequest, WireStatus,
+    NetClient, NetConfig, NetError, NetServer, WireHealth, WireOp, WireRequest, WireStatus,
 };
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::propcheck::{run_cases, Gen};
@@ -262,4 +262,98 @@ fn dead_shard_answers_shard_down_while_survivors_serve() {
         report.failures
     );
     assert_eq!(report.failures[0].shard, 0);
+}
+
+// ---------- control frames and client edge cases ---------------------
+
+/// A one-shard loopback server for the control-plane tests.
+fn control_plane_server() -> NetServer {
+    NetServer::start(NetConfig {
+        service: small_cfg(1),
+        port: 0,
+        max_connections: 2,
+        max_inflight_per_conn: 8,
+        drain_wait_ms: 2_000,
+    })
+    .expect("server start")
+}
+
+fn read_request(tag: u64) -> WireRequest {
+    WireRequest {
+        tag,
+        op: WireOp::Read,
+        addr: tag,
+        deadline_rel_ns: 0,
+        payload: Vec::new(),
+    }
+}
+
+/// `recv` with nothing buffered and nothing in flight must fail at once:
+/// the server owes no frame, so pumping the socket would wait forever.
+#[test]
+fn recv_with_nothing_in_flight_errors_instead_of_blocking() {
+    with_watchdog("recv-nothing-in-flight", 30, || {
+        let server = control_plane_server();
+        let mut client = NetClient::connect(server.local_addr(), 8).expect("client connect");
+        assert!(matches!(client.recv(), Err(NetError::Protocol(_))));
+
+        // Still an error once a served request has been taken.
+        client.submit(read_request(1)).expect("submit");
+        assert_eq!(client.recv().expect("recv").status, WireStatus::Ok);
+        assert!(matches!(client.recv(), Err(NetError::Protocol(_))));
+
+        server.shutdown();
+        server.join().expect("server join");
+    });
+}
+
+/// The value of `"name":<u64>` in a flat-enough JSON text.
+fn json_u64(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let at = json.find(&key).unwrap_or_else(|| panic!("{name} missing")) + key.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{name} not a number"))
+}
+
+/// The two client-sent control frames the data-path tests never send:
+/// `StatsReq` answers live, named counters of both planes, and `Shutdown`
+/// drains the server on its own — `join` returns with a closed ledger and
+/// a later request is refused, never served.
+#[test]
+fn stats_and_shutdown_frames_are_served() {
+    with_watchdog("stats-and-shutdown", 60, || {
+        let server = control_plane_server();
+        let mut client = NetClient::connect(server.local_addr(), 8).expect("client connect");
+        for tag in 0..32 {
+            client.submit(read_request(tag)).expect("submit");
+        }
+        let answered = client.drain().expect("drain");
+        assert_eq!(answered.len(), 32);
+        assert!(answered.iter().all(|r| r.status == WireStatus::Ok));
+
+        let json = client.stats_json().expect("stats");
+        fork_path_oram::stats::json::validate(&json).expect("stats JSON must validate");
+        assert!(json.starts_with("{\"net\":{"), "net object first: {json}");
+        assert!(json.contains("\"service\":{"), "service object: {json}");
+        assert!(json_u64(&json, "net_frames_in") > 32, "requests + control");
+        assert_eq!(json_u64(&json, "net_protocol_errors"), 0);
+        assert_eq!(json_u64(&json, "requests_completed"), 32);
+
+        client.shutdown_server().expect("shutdown frame");
+        // The reader sees this request after the Shutdown frame; it is
+        // refused unless the drain closed the socket first (an `Err`).
+        if let Ok(resp) = client.submit(read_request(99)).and_then(|()| client.recv()) {
+            assert_eq!(resp.status, WireStatus::Shutdown);
+        }
+        // No `server.shutdown()`: the frame alone must end the run.
+        let report = server.join().expect("server join");
+        assert!(report.failures.is_empty());
+        assert_eq!(report.stats.completed(), 32);
+        assert_eq!(report.stats.completed(), report.stats.admitted());
+    });
 }

@@ -11,11 +11,11 @@ use fork_path_oram::core::{
     ForkConfig, ForkPathController, MergingAwareCache, PosMapLookasideBuffer,
 };
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::cache::{BucketCache, WriteOutcome};
+use fork_path_oram::path_oram::cache::{BucketCache, NoCache, WriteOutcome};
 use fork_path_oram::path_oram::path::{
     divergence_level, node_at_level, node_level, overlap_degree, path_contains, path_nodes,
 };
-use fork_path_oram::path_oram::{Block, Op, OramConfig, OramState, Stash};
+use fork_path_oram::path_oram::{Block, Datapath, Op, OramConfig, Stash};
 use fork_path_oram::propcheck::{run_cases, Gen};
 
 const CASES: u64 = 64;
@@ -93,15 +93,15 @@ fn eviction_only_places_legal_blocks() {
             stash.insert(Block::new(i as u64, bl, vec![0u8; 8]));
         }
         let before = stash.len();
-        let plan = stash.plan_eviction(levels, leaf, lo, hi, 4);
+        stash.begin_eviction(levels, leaf);
         let mut evicted = 0usize;
-        for (level, blocks) in &plan {
+        for level in (lo..=hi).rev() {
+            let blocks = stash.evict_next(level, 4);
             assert!(blocks.len() <= 4, "bucket capacity");
-            assert!((lo..=hi).contains(level));
-            for b in blocks {
+            for b in &blocks {
                 // Path ORAM invariant: the block's path passes through the
                 // bucket it is placed in.
-                let bucket = node_at_level(levels, leaf, *level);
+                let bucket = node_at_level(levels, leaf, level);
                 assert!(path_contains(levels, b.leaf, bucket));
                 evicted += 1;
             }
@@ -110,35 +110,50 @@ fn eviction_only_places_legal_blocks() {
     });
 }
 
-/// The multi-level planner and the single-level planner are one algorithm:
-/// for a random stash (some blocks pinned), leaf and `lo..=hi`,
-/// `plan_eviction` chooses exactly what `plan_eviction_level` chooses when
-/// called per level from `hi` down to `lo`.
+/// Ordering the candidates once is the same algorithm as ordering them per
+/// bucket: for a random stash (some blocks pinned), leaf and `lo..=hi`, one
+/// eviction stream taken from `hi` down to a drawn stop level chooses
+/// exactly what `plan_eviction_level` chooses when called afresh per level
+/// — and a stream abandoned above `lo` leaves every block it did not choose
+/// in the stash, the pinned ones in any case.
 #[test]
-fn plan_eviction_equals_per_level_calls() {
+fn eviction_stream_equals_per_level_calls() {
     run_cases(
-        "plan_eviction_equals_per_level_calls",
+        "eviction_stream_equals_per_level_calls",
         CASES,
         |g: &mut Gen| {
             let levels = 8u32;
             let leaf = g.below(256);
-            let lo = g.range_u32(0, levels);
-            let hi = g.range_u32(lo, levels);
+            let lo = g.range_u32(0, levels + 1);
+            let hi = g.range_u32(lo, levels + 1);
+            let stop = g.range_u32(lo, hi + 1);
             let z = g.range_usize(1, 5);
-            let mut whole = Stash::new(256);
+            let mut streamed = Stash::new(256);
+            let mut pinned = Vec::new();
             for (i, bl) in g.vec(0, 96, |g| g.below(256)).into_iter().enumerate() {
-                whole.insert(Block::new(i as u64, bl, vec![i as u8]));
+                streamed.insert(Block::new(i as u64, bl, vec![i as u8]));
                 if g.below(8) == 0 {
-                    whole.pin(i as u64);
+                    streamed.pin(i as u64);
+                    pinned.push(i as u64);
                 }
             }
-            let mut stepwise = whole.clone();
-            let plan = whole.plan_eviction(levels, leaf, lo, hi, z);
-            let per_level: Vec<(u32, Vec<Block>)> = (lo..=hi)
+            let mut stepwise = streamed.clone();
+            let before = streamed.len();
+
+            streamed.begin_eviction(levels, leaf);
+            let stream: Vec<Vec<Block>> = (stop..=hi)
                 .rev()
-                .map(|level| (level, stepwise.plan_eviction_level(levels, leaf, level, z)))
+                .map(|level| streamed.evict_next(level, z))
                 .collect();
-            assert_eq!(plan, per_level);
+            let per_level: Vec<Vec<Block>> = (stop..=hi)
+                .rev()
+                .map(|level| stepwise.plan_eviction_level(levels, leaf, level, z))
+                .collect();
+            assert_eq!(stream, per_level);
+
+            let chosen: usize = stream.iter().map(Vec::len).sum();
+            assert_eq!(chosen + streamed.len(), before, "unchosen blocks stay");
+            assert!(pinned.iter().all(|&a| streamed.contains(a)), "pins hold");
         },
     );
 }
@@ -404,25 +419,28 @@ fn state_invariants_hold_under_random_access_mix() {
             let addrs = g.vec(1, 40, |g| g.below(512));
             let cfg = OramConfig::small_test();
             let levels = cfg.levels;
-            let mut st = OramState::new(cfg, seed);
+            let mut dp = Datapath::new(cfg, dram(), seed, Box::new(NoCache));
+            let mut t = 0;
             for &addr in &addrs {
-                let chain = st.chain(addr);
-                let (mut old, mut new, _) = st.start_chain(addr);
+                let chain = dp.state().chain(addr);
+                let (mut old, mut new, _) = dp.state_mut().start_chain(addr);
                 for (i, &u) in chain.iter().enumerate() {
-                    st.load_path_range(old, 0, levels)
+                    t = dp
+                        .read_path(old, 0, t)
                         .expect("integrity holds on an untampered tree");
+                    let leaf = old;
                     if i + 1 < chain.len() {
-                        let (o, n, _) = st.chain_step(u, new, chain[i + 1]);
-                        st.evict_range(old, 0, levels);
-                        old = o;
-                        new = n;
+                        (old, new, _) = dp.state_mut().chain_step(u, new, chain[i + 1]);
                     } else {
-                        let _ = st.apply_op(u, new, Some(&[addr as u8]));
-                        st.evict_range(old, 0, levels);
+                        let _ = dp.state_mut().apply_op(u, new, Some(&[addr as u8]));
+                    }
+                    dp.begin_refill(leaf);
+                    for level in (0..=levels).rev() {
+                        t = dp.refill_level(level, t);
                     }
                 }
             }
-            assert!(st.check_invariants().is_ok());
+            assert!(dp.state().check_invariants().is_ok());
         },
     );
 }
@@ -530,11 +548,13 @@ fn fork_floor_stays_inside_the_path() {
             // Exactly the buckets below the divergence are new.
             assert_eq!(buckets_read, levels - divergence_level(levels, a, b));
         }
-        // The refill stops obey the same clamp.
+        // The refill stop — initial or after a mid-refill replacement —
+        // obeys the same clamp, and is the root when the next read will
+        // not merge.
         let mut m2 = PathMerger::new(true);
         m2.commit(a);
         assert!(m2.write_stop(levels, a, Some(b)) <= levels);
-        assert!(PathMerger::replacement_stop(levels, a, b) <= levels);
+        assert_eq!(PathMerger::new(false).write_stop(levels, a, Some(b)), 0);
     });
 }
 

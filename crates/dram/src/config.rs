@@ -163,6 +163,37 @@ impl DramConfig {
         }
     }
 
+    /// Validates the geometry and the one timing value the model divides
+    /// by.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.channels == 0 {
+            return Err("channels must be at least 1".into());
+        }
+        if self.ranks_per_channel == 0 {
+            return Err("ranks_per_channel must be at least 1".into());
+        }
+        if self.banks_per_rank == 0 {
+            return Err("banks_per_rank must be at least 1".into());
+        }
+        if self.burst_bytes == 0 {
+            return Err("burst_bytes must be positive".into());
+        }
+        if self.row_bytes == 0 || !self.row_bytes.is_multiple_of(self.burst_bytes) {
+            return Err(format!(
+                "row_bytes {} must be a non-zero multiple of burst_bytes {}",
+                self.row_bytes, self.burst_bytes
+            ));
+        }
+        if self.timing.t_refi == 0 {
+            return Err("timing.t_refi must be positive".into());
+        }
+        Ok(())
+    }
+
     /// Decomposes a physical byte address into `(channel, rank, bank, row)`.
     ///
     /// The column is implied by the low `burst_bytes` bits; the simulator
@@ -170,43 +201,44 @@ impl DramConfig {
     pub fn decompose(&self, addr: u64) -> Location {
         let burst = addr / self.burst_bytes;
         let bursts_per_row = self.row_bytes / self.burst_bytes;
-        match self.mapping {
+        // Low to high: column : channel : bank : rank : row, or
+        // channel : column : bank : rank : row when channel-interleaved.
+        let (channel, rest) = match self.mapping {
             AddressMapping::RowBankChannelColumn => {
-                // column : channel : bank : rank : row (low → high)
-                let col = burst % bursts_per_row;
                 let rest = burst / bursts_per_row;
-                let channel = (rest % self.channels as u64) as usize;
-                let rest = rest / self.channels as u64;
-                let bank = (rest % self.banks_per_rank as u64) as usize;
-                let rest = rest / self.banks_per_rank as u64;
-                let rank = (rest % self.ranks_per_channel as u64) as usize;
-                let row = rest / self.ranks_per_channel as u64;
-                let _ = col;
-                Location {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                }
+                (rest % self.channels as u64, rest / self.channels as u64)
             }
-            AddressMapping::ChannelInterleaved => {
-                let channel = (burst % self.channels as u64) as usize;
-                let rest = burst / self.channels as u64;
-                let col = rest % bursts_per_row;
-                let rest = rest / bursts_per_row;
-                let bank = (rest % self.banks_per_rank as u64) as usize;
-                let rest = rest / self.banks_per_rank as u64;
-                let rank = (rest % self.ranks_per_channel as u64) as usize;
-                let row = rest / self.ranks_per_channel as u64;
-                let _ = col;
-                Location {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                }
-            }
+            AddressMapping::ChannelInterleaved => (
+                burst % self.channels as u64,
+                burst / self.channels as u64 / bursts_per_row,
+            ),
+        };
+        let bank = (rest % self.banks_per_rank as u64) as usize;
+        let rest = rest / self.banks_per_rank as u64;
+        let rank = (rest % self.ranks_per_channel as u64) as usize;
+        let row = rest / self.ranks_per_channel as u64;
+        Location {
+            channel: channel as usize,
+            rank,
+            bank,
+            row,
         }
+    }
+
+    /// The aligned address range around `addr` over which
+    /// [`DramConfig::decompose`] is constant, and past which it is not: a
+    /// whole row when the column bits sit lowest (with one channel both
+    /// mappings do that), a single burst when consecutive bursts alternate
+    /// channels. [`crate::DramSystem::access_batch`] splits a batch into
+    /// same-location runs with one range test per burst against it.
+    pub(crate) fn location_span(&self, addr: u64) -> std::ops::Range<u64> {
+        let span = match self.mapping {
+            AddressMapping::ChannelInterleaved if self.channels > 1 => self.burst_bytes,
+            _ => self.row_bytes,
+        };
+        let start = addr - addr % span;
+        // Saturating: the last span of the address space only splits finer.
+        start..start.saturating_add(span)
     }
 }
 
@@ -265,5 +297,74 @@ mod tests {
             distinct_banks.len() >= 8,
             "rows spread over banks: {distinct_banks:?}"
         );
+    }
+
+    #[test]
+    fn decompose_is_constant_exactly_over_the_location_span() {
+        // The one fact the run split of `access_batch` rests on.
+        for mapping in [
+            AddressMapping::RowBankChannelColumn,
+            AddressMapping::ChannelInterleaved,
+        ] {
+            for channels in [1usize, 2, 3] {
+                let cfg = DramConfig {
+                    mapping,
+                    ranks_per_channel: 2,
+                    ..DramConfig::ddr3_1600(channels)
+                };
+                for k in 0..500u64 {
+                    // Multiplicative hashing: scattered 34-bit addresses.
+                    let addr = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 30;
+                    let span = cfg.location_span(addr);
+                    assert!(span.contains(&addr));
+                    assert!(span.start.is_multiple_of(span.end - span.start));
+                    let loc = cfg.decompose(addr);
+                    let case = format!("{mapping:?} x{channels} addr {addr:#x}");
+                    assert_eq!(cfg.decompose(span.start), loc, "{case}");
+                    assert_eq!(cfg.decompose(span.end - 1), loc, "{case}");
+                    assert_ne!(cfg.decompose(span.end), loc, "{case}: next span");
+                }
+            }
+        }
+    }
+
+    /// The error `validate` gives the paper's configuration after `break_it`.
+    fn rejected(break_it: impl FnOnce(&mut DramConfig)) -> String {
+        let mut cfg = DramConfig::ddr3_1600(2);
+        assert_eq!(cfg.validate(), Ok(()));
+        break_it(&mut cfg);
+        cfg.validate().expect_err("must be rejected")
+    }
+
+    #[test]
+    fn validate_rejects_zero_channels() {
+        assert!(rejected(|c| c.channels = 0).contains("channels"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_ranks() {
+        assert!(rejected(|c| c.ranks_per_channel = 0).contains("ranks_per_channel"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_banks() {
+        assert!(rejected(|c| c.banks_per_rank = 0).contains("banks_per_rank"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_burst_bytes() {
+        assert!(rejected(|c| c.burst_bytes = 0).contains("burst_bytes"));
+    }
+
+    #[test]
+    fn validate_rejects_rows_that_are_not_whole_bursts() {
+        for row_bytes in [0, 32, 8 * 1024 + 32] {
+            assert!(rejected(|c| c.row_bytes = row_bytes).contains("row_bytes"));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_refresh_interval() {
+        assert!(rejected(|c| c.timing.t_refi = 0).contains("t_refi"));
     }
 }

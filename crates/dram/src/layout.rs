@@ -3,9 +3,11 @@
 //! The naive (breadth-first) layout scatters a path's buckets across rows:
 //! every level past the first few lives in a different row, so a path access
 //! pays ~L row activations. The *subtree layout* of Ren et al. \[18\] (adopted
-//! by the paper, §5.1) instead packs each depth-`s` subtree contiguously so
-//! it fills exactly one DRAM row; a root-to-leaf path then touches only
-//! `ceil((L+1)/s)` rows.
+//! by the paper, §5.1) instead packs each depth-`s` subtree contiguously, in
+//! no more bytes than a DRAM row holds; a root-to-leaf path then crosses
+//! only `ceil((L+1)/s)` subtrees. Subtrees lie end to end at their own size,
+//! not at row boundaries, so most of them span two rows
+//! ([`SubtreeLayout`]; DESIGN.md §7 item 8).
 
 /// Strategy for placing tree buckets in physical memory.
 pub trait TreeLayout {
@@ -61,8 +63,13 @@ pub struct SubtreeLayout {
     subtree_levels: u32,
     /// Byte offset where each layer starts.
     layer_base: Vec<u64>,
-    /// Padded byte size of one subtree in each layer (padded to the nominal
-    /// full-subtree size so rows stay aligned).
+    /// Distance between subtrees in every layer: the full-subtree size
+    /// `(2^s - 1) * bucket_bytes` (a shallower last layer is padded up to
+    /// it). It is *not* rounded up to the row size — 7,936 B against
+    /// 8,192 B rows at the paper's geometry — so each subtree starts 256 B
+    /// further from a row boundary than the one before, 30 of every 32
+    /// depth-5 subtrees straddle one, and a 16-level path touches 5.4 rows
+    /// on average rather than 4.
     subtree_stride: u64,
 }
 
@@ -105,9 +112,9 @@ impl SubtreeLayout {
     /// # Panics
     ///
     /// Panics if a single bucket does not fit in one row (see
-    /// [`SubtreeLayout::try_fit_row`]): there is no subtree depth for which
-    /// the row-alignment guarantee (one activation per subtree) holds, so
-    /// proceeding would silently straddle rows.
+    /// [`SubtreeLayout::try_fit_row`]): no subtree depth fits. A subtree
+    /// that fits is still placed at a multiple of its own size, not of
+    /// `row_bytes`, so "fits a row" bounds it to two activations, not one.
     pub fn fit_row(levels: u32, bucket_bytes: u64, row_bytes: u64) -> Self {
         Self::try_fit_row(levels, bucket_bytes, row_bytes).unwrap_or_else(|e| panic!("{e}"))
     }

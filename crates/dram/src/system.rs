@@ -25,11 +25,12 @@ pub struct AccessResult {
 }
 
 /// Result of a batch of accesses issued together.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchResult {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchResult<'a> {
     /// Completion time of each access, in the order given to
-    /// [`DramSystem::access_batch`].
-    pub finish_ps: Vec<u64>,
+    /// [`DramSystem::access_batch`]; borrowed from the system's scratch,
+    /// which the next batch overwrites.
+    pub finish_ps: &'a [u64],
     /// Completion of the whole batch.
     pub batch_finish_ps: u64,
 }
@@ -59,48 +60,96 @@ pub struct DramSystem {
 
 /// Sentinel: the bank's first-row-hit cache is stale (its open row changed
 /// since the last scan).
-const HIT_STALE: u64 = u64::MAX;
+const HIT_STALE: usize = usize::MAX;
 /// Sentinel: the bank's queue holds no row-hit under its current open row.
-const HIT_NONE: u64 = u64::MAX - 1;
+const HIT_NONE: usize = usize::MAX - 1;
 
 /// Reusable per-batch scheduling state for [`DramSystem::access_batch`].
 ///
-/// FR-FCFS picks "the first row-hit in arrival order, else the oldest".
-/// Row-hit status of a queued request can only change when *its own bank*
-/// is serviced (scheduling never touches another bank's open row), so the
-/// batch is partitioned into per-bank arrival-order queues and each bank
-/// caches the request index of its first row-hit; the cache goes stale only
-/// for the bank just serviced. The oldest pending request comes from an
-/// amortized-O(1) per-channel cursor. A pick therefore costs one sweep over
-/// the channel's banks (a handful of loads) plus one amortized hit rescan —
-/// the old `O(queue²)` full-rescan arbiter becomes `O(queue × banks)`.
+/// FR-FCFS picks "the first row-hit in arrival order, else the oldest",
+/// and the arbiter makes that pick once per *run* — a stretch of
+/// consecutive requests sharing a [`Location`], which is what a bucket's
+/// bursts are — then schedules the whole run back to back. That is the
+/// per-request order exactly, for any split into same-location contiguous
+/// runs: row-hit status of a queued request can only change when *its own
+/// bank* is serviced, so once a run's first request is picked (as the
+/// earliest hit, or as the oldest when nothing hits) its row is open, the
+/// rest of the run hits, and no pending hit can be older — it would have
+/// been picked first, and a run is a contiguous index range.
+///
+/// Runs wait in per-bank arrival-order queues and each bank caches its
+/// first row-hit; the cache goes stale only for the bank just serviced. A
+/// pick is one sweep over the channel's banks *that hold runs of this
+/// batch* (one, for a bucket write) plus one amortized hit rescan.
 #[derive(Debug, Clone, Default)]
 struct FrFcfsScratch {
-    /// Decomposed location of each batch request.
-    locs: Vec<Location>,
-    /// Arrival-ordered request indices per channel.
-    chan_q: Vec<Vec<usize>>,
-    /// First possibly-unserviced position in each channel queue.
-    chan_cursor: Vec<usize>,
-    /// Arrival-ordered request indices, one queue per (channel, rank, bank).
-    bank_q: Vec<Vec<usize>>,
-    /// First possibly-unserviced position in each bank queue.
-    bank_head: Vec<usize>,
-    /// Cached request index of the bank's first row-hit, or a sentinel.
-    hit_idx: Vec<u64>,
-    /// Queue position of the cached hit (valid when `hit_idx` holds one).
-    hit_pos: Vec<usize>,
-    /// Where to resume the bank's next hit scan (monotone while the bank's
-    /// open row is unchanged).
-    scan_from: Vec<usize>,
-    /// Whether each request has been serviced (hits are removed from the
-    /// middle of a bank queue; cursors skip over them lazily).
-    done: Vec<bool>,
+    /// Completion time of each request of the batch, in input order.
+    finish: Vec<u64>,
+    /// The batch split into runs, in arrival order.
+    runs: Vec<Run>,
+    /// One queue per (channel, rank, bank); sized by the first batch.
+    banks: Vec<BankQueue>,
+    /// Per channel, the `banks` indices that hold runs of this batch. Only
+    /// these are swept, and only these are cleared afterwards.
+    active: Vec<Vec<usize>>,
+}
+
+/// Consecutive batch requests `start..end` that share a location.
+#[derive(Debug, Clone)]
+struct Run {
+    loc: Location,
+    start: usize,
+    end: usize,
+    /// Serviced (hits leave the middle of a bank queue; cursors skip them).
+    done: bool,
+}
+
+/// The runs of one batch waiting on one bank.
+#[derive(Debug, Clone, Default)]
+struct BankQueue {
+    /// Arrival-ordered indices into `runs`.
+    queue: Vec<usize>,
+    /// First possibly-unserviced queue position.
+    head: usize,
+    /// Cached run index of the bank's first row-hit, or a sentinel.
+    hit: usize,
+    /// Where the next hit scan resumes (monotone while the bank's open row
+    /// is unchanged); the queue position of the cached hit when `hit`
+    /// holds one.
+    scan_from: usize,
+}
+
+impl BankQueue {
+    /// Advances `head` past serviced runs and recomputes the cached hit
+    /// under the bank's current open row.
+    fn rescan(&mut self, runs: &[Run], channel: &Channel) {
+        let len = self.queue.len();
+        while self.head < len && runs[self.queue[self.head]].done {
+            self.head += 1;
+        }
+        let mut pos = self.scan_from.max(self.head);
+        while pos < len {
+            let run = &runs[self.queue[pos]];
+            if !run.done && channel.is_row_hit(run.loc) {
+                break;
+            }
+            pos += 1;
+        }
+        self.scan_from = pos;
+        self.hit = self.queue.get(pos).copied().unwrap_or(HIT_NONE);
+    }
 }
 
 impl DramSystem {
     /// Creates a memory system from `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`DramConfig::validate`].
     pub fn new(config: DramConfig) -> Self {
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid DRAM config: {e}"));
         let channels = (0..config.channels)
             .map(|_| Channel::new(&config))
             .collect();
@@ -151,123 +200,99 @@ impl DramSystem {
     /// serviced first, then the oldest.
     ///
     /// Returns per-access completion times in input order.
-    // Allocates the returned buffer and nothing else once warm: tests/hot_path_alloc.rs.
-    pub fn access_batch(&mut self, now_ps: u64, accesses: &[(u64, AccessKind)]) -> BatchResult {
-        let mut finish = vec![0u64; accesses.len()];
-        let mut batch_finish = now_ps;
-
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
+    pub fn access_batch(&mut self, now_ps: u64, accesses: &[(u64, AccessKind)]) -> BatchResult<'_> {
         let banks_per_rank = self.config.banks_per_rank;
         let banks_per_channel = self.config.ranks_per_channel * banks_per_rank;
-        let num_queues = self.config.channels * banks_per_channel;
-
-        // Reset the reusable scratch (no per-batch allocation once warm).
-        let s = &mut self.scratch;
-        s.locs.clear();
-        s.chan_q.resize_with(self.config.channels, Vec::new);
-        for q in &mut s.chan_q {
-            q.clear();
+        let FrFcfsScratch {
+            finish,
+            runs,
+            banks,
+            active,
+        } = &mut self.scratch;
+        if banks.is_empty() {
+            banks.resize_with(self.config.channels * banks_per_channel, BankQueue::default);
+            active.resize_with(self.config.channels, Vec::new);
         }
-        s.chan_cursor.clear();
-        s.chan_cursor.resize(self.config.channels, 0);
-        s.bank_q.resize_with(num_queues, Vec::new);
-        for q in &mut s.bank_q {
-            q.clear();
-        }
-        s.bank_head.clear();
-        s.bank_head.resize(num_queues, 0);
-        s.hit_idx.clear();
-        s.hit_idx.resize(num_queues, HIT_STALE);
-        s.hit_pos.clear();
-        s.hit_pos.resize(num_queues, 0);
-        s.scan_from.clear();
-        s.scan_from.resize(num_queues, 0);
-        s.done.clear();
-        s.done.resize(accesses.len(), false);
+        // Every slot is overwritten below: each request is in one run and
+        // each run is picked once.
+        finish.resize(accesses.len(), 0);
 
-        // Partition by channel and by (channel, rank, bank), preserving
-        // arrival order.
+        // Split into runs, queued per bank in arrival order.
+        runs.clear();
+        let mut span = 0..0;
         for (idx, &(addr, _)) in accesses.iter().enumerate() {
+            if span.contains(&addr) {
+                if let Some(run) = runs.last_mut() {
+                    run.end = idx + 1;
+                }
+                continue;
+            }
+            span = self.config.location_span(addr);
             let loc = self.config.decompose(addr);
             let q = loc.channel * banks_per_channel + loc.rank * banks_per_rank + loc.bank;
-            s.chan_q[loc.channel].push(idx);
-            s.bank_q[q].push(idx);
-            s.locs.push(loc);
+            let bank = &mut banks[q];
+            if bank.queue.is_empty() {
+                // The bank's first run of this batch: every cursor starts
+                // afresh and the hit cache stale.
+                active[loc.channel].push(q);
+                bank.head = 0;
+                bank.scan_from = 0;
+                bank.hit = HIT_STALE;
+            }
+            bank.queue.push(runs.len());
+            runs.push(Run {
+                loc,
+                start: idx,
+                end: idx + 1,
+                done: false,
+            });
         }
 
-        for ch_idx in 0..self.config.channels {
-            let channel = &mut self.channels[ch_idx];
-            let q_base = ch_idx * banks_per_channel;
-            for _ in 0..s.chan_q[ch_idx].len() {
+        let mut batch_finish = now_ps;
+        for (channel, active) in self.channels.iter_mut().zip(active) {
+            let pending: usize = active.iter().map(|&q| banks[q].queue.len()).sum();
+            for _ in 0..pending {
                 // FR-FCFS: first row-hit in arrival order, else the oldest.
                 // Only the bank serviced by the previous pick can have a
                 // stale hit cache, so this sweep does one amortized rescan
                 // plus a handful of loads.
-                let mut best = HIT_NONE;
-                let mut best_q = q_base;
-                for q in q_base..q_base + banks_per_channel {
-                    if s.hit_idx[q] == HIT_STALE {
-                        let qq = &s.bank_q[q];
-                        let len = qq.len();
-                        let mut head = s.bank_head[q];
-                        while head < len && s.done[qq[head]] {
-                            head += 1;
-                        }
-                        s.bank_head[q] = head;
-                        let mut pos = s.scan_from[q].max(head);
-                        while pos < len {
-                            let idx = qq[pos];
-                            if !s.done[idx] && channel.is_row_hit(s.locs[idx]) {
-                                break;
-                            }
-                            pos += 1;
-                        }
-                        s.scan_from[q] = pos;
-                        if pos < len {
-                            s.hit_idx[q] = qq[pos] as u64;
-                            s.hit_pos[q] = pos;
-                        } else {
-                            s.hit_idx[q] = HIT_NONE;
-                        }
+                let mut first_hit = (HIT_NONE, 0);
+                let mut oldest = (usize::MAX, 0);
+                for &q in active.iter() {
+                    let bank = &mut banks[q];
+                    if bank.hit == HIT_STALE {
+                        bank.rescan(runs, channel);
                     }
-                    if s.hit_idx[q] < best {
-                        best = s.hit_idx[q];
-                        best_q = q;
+                    if bank.hit < first_hit.0 {
+                        first_hit = (bank.hit, q);
+                    }
+                    // `head` is current: only a rescan follows a service.
+                    if let Some(&r) = bank.queue.get(bank.head) {
+                        if r < oldest.0 {
+                            oldest = (r, q);
+                        }
                     }
                 }
-                let (idx, q, was_hit) = if best < HIT_NONE {
-                    (best as usize, best_q, true)
-                } else {
-                    // No hit anywhere: the channel's oldest pending request.
-                    let cq = &s.chan_q[ch_idx];
-                    let mut c = s.chan_cursor[ch_idx];
-                    while s.done[cq[c]] {
-                        c += 1;
-                    }
-                    s.chan_cursor[ch_idx] = c;
-                    let idx = cq[c];
-                    let loc = s.locs[idx];
-                    (idx, q_base + loc.rank * banks_per_rank + loc.bank, false)
-                };
-                let sched = channel.schedule(
-                    &self.config,
-                    s.locs[idx],
-                    accesses[idx].1,
-                    now_ps,
-                    &self.trace,
-                );
-                finish[idx] = sched.finish;
-                batch_finish = batch_finish.max(sched.finish);
-                s.done[idx] = true;
-                if was_hit {
-                    // Open row unchanged; the next hit (same row) is at or
-                    // after the consumed position.
-                    s.scan_from[q] = s.hit_pos[q] + 1;
-                } else {
-                    // The bank opened a new row: every cached decision for
-                    // this bank is stale. Rescan from its head.
-                    s.scan_from[q] = 0;
+                let was_hit = first_hit.0 < HIT_NONE;
+                let (r, q) = if was_hit { first_hit } else { oldest };
+                let run = &mut runs[r];
+                run.done = true;
+                let span = run.start..run.end;
+                for (&(_, kind), finish) in accesses[span.clone()].iter().zip(&mut finish[span]) {
+                    let sched = channel.schedule(&self.config, run.loc, kind, now_ps, &self.trace);
+                    *finish = sched.finish;
+                    batch_finish = batch_finish.max(sched.finish);
                 }
-                s.hit_idx[q] = HIT_STALE;
+                let bank = &mut banks[q];
+                // After a hit the open row is unchanged and the next hit
+                // (same row) lies past the consumed position; after a miss
+                // the bank opened a new row, so rescan from its head.
+                bank.scan_from = if was_hit { bank.scan_from + 1 } else { 0 };
+                bank.hit = HIT_STALE;
+            }
+            for q in active.drain(..) {
+                banks[q].queue.clear();
             }
         }
 
@@ -342,12 +367,12 @@ mod tests {
     fn state_persists_across_batches() {
         let mut dram = DramSystem::new(DramConfig::ddr3_1600(1));
         let b1: Vec<_> = (0..4u64).map(|i| (i * 64, AccessKind::Read)).collect();
-        let r1 = dram.access_batch(0, &b1);
+        let t1 = dram.access_batch(0, &b1).batch_finish_ps;
         // Second batch to the same row: all hits.
         let hits_before = dram.stats().row_hits;
-        let r2 = dram.access_batch(r1.batch_finish_ps, &b1);
+        let t2 = dram.access_batch(t1, &b1).batch_finish_ps;
         assert_eq!(dram.stats().row_hits, hits_before + 4);
-        assert!(r2.batch_finish_ps > r1.batch_finish_ps);
+        assert!(t2 > t1);
     }
 
     #[test]
@@ -365,13 +390,14 @@ mod tests {
     }
 
     /// The pre-optimization arbiter, verbatim: rescan the whole pending
-    /// queue per pick. Kept as the semantic reference for the per-bank
-    /// indexed scheduler.
+    /// queue per pick, one request per pick. Kept as the semantic reference
+    /// for the per-bank run scheduler; hands back `(finish_ps,
+    /// batch_finish_ps)`.
     fn access_batch_reference(
         sys: &mut DramSystem,
         now_ps: u64,
         accesses: &[(u64, AccessKind)],
-    ) -> BatchResult {
+    ) -> (Vec<u64>, u64) {
         let mut finish = vec![0u64; accesses.len()];
         let mut batch_finish = now_ps;
         let mut per_channel: Vec<Vec<usize>> = vec![Vec::new(); sys.config.channels];
@@ -396,9 +422,18 @@ mod tests {
                 batch_finish = batch_finish.max(sched.finish);
             }
         }
-        BatchResult {
-            finish_ps: finish,
-            batch_finish_ps: batch_finish,
+        (finish, batch_finish)
+    }
+
+    /// A splitmix64 stream.
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut xs = seed;
+        move || {
+            xs = xs.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = xs;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
         }
     }
 
@@ -407,14 +442,7 @@ mod tests {
         // The per-bank indexed scheduler must be pick-for-pick identical to
         // the full-rescan reference: same per-access finish times and same
         // hit/activation counts, across batches and persisting bank state.
-        let mut xs = 0x9E3779B97F4A7C15u64; // splitmix64 stream
-        let mut next = move || {
-            xs = xs.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = xs;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix(0x9E3779B97F4A7C15);
         for &channels in &[1usize, 2] {
             let cfg = DramConfig::ddr3_1600(channels);
             let row_bytes = cfg.row_bytes;
@@ -427,7 +455,7 @@ mod tests {
                     .map(|_| {
                         let row = next() % 48;
                         let col = (next() % 64) * 64;
-                        let kind = if next() % 4 == 0 {
+                        let kind = if next().is_multiple_of(4) {
                             AccessKind::Write
                         } else {
                             AccessKind::Read
@@ -437,11 +465,71 @@ mod tests {
                     .collect();
                 let a = fast.access_batch(now, &batch);
                 let b = access_batch_reference(&mut slow, now, &batch);
-                assert_eq!(a, b, "divergence at channels={channels}");
+                assert_eq!(
+                    (a.finish_ps, a.batch_finish_ps),
+                    (&b.0[..], b.1),
+                    "divergence at channels={channels}"
+                );
                 now = a.batch_finish_ps;
             }
             assert_eq!(fast.stats().row_hits, slow.stats().row_hits);
             assert_eq!(fast.stats().activations, slow.stats().activations);
+        }
+    }
+
+    #[test]
+    fn run_arbiter_matches_reference_on_bucket_shaped_batches() {
+        // The traffic the ORAM makes: whole buckets of contiguous bursts,
+        // so a batch is a few multi-burst runs. 320 B buckets straddle the
+        // 8 KiB rows (one bucket, two runs); a flipped burst changes kind
+        // inside a run; idle gaps let refreshes fall due inside one.
+        let mut next = splitmix(0x0B0C_4E75);
+        for mapping in [
+            crate::AddressMapping::RowBankChannelColumn,
+            crate::AddressMapping::ChannelInterleaved,
+        ] {
+            for (channels, ranks) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
+                for bucket_bytes in [64u64, 256, 320] {
+                    let cfg = DramConfig {
+                        mapping,
+                        ranks_per_channel: ranks,
+                        ..DramConfig::ddr3_1600(channels)
+                    };
+                    let case = format!("{mapping:?} x{channels} ranks={ranks} {bucket_bytes} B");
+                    let buckets = 48 * cfg.row_bytes / bucket_bytes;
+                    let bursts = bucket_bytes / cfg.burst_bytes;
+                    let mut fast = DramSystem::new(cfg.clone());
+                    let mut slow = DramSystem::new(cfg.clone());
+                    let mut now = 0u64;
+                    for round in 0..40 {
+                        let mut batch = Vec::new();
+                        for _ in 0..1 + next() % 24 {
+                            let base = next() % buckets * bucket_bytes;
+                            let kind = [AccessKind::Read, AccessKind::Write][(next() % 2) as usize];
+                            for i in 0..bursts {
+                                let kind = match (next() % 16, kind) {
+                                    (0, AccessKind::Read) => AccessKind::Write,
+                                    (0, AccessKind::Write) => AccessKind::Read,
+                                    _ => kind,
+                                };
+                                batch.push((base + i * cfg.burst_bytes, kind));
+                            }
+                        }
+                        let a = fast.access_batch(now, &batch);
+                        let b = access_batch_reference(&mut slow, now, &batch);
+                        assert_eq!(
+                            (a.finish_ps, a.batch_finish_ps),
+                            (&b.0[..], b.1),
+                            "{case}, batch {round}"
+                        );
+                        now = a.batch_finish_ps;
+                        if round % 3 == 2 {
+                            now += next() % 40_000_000;
+                        }
+                    }
+                    assert_eq!(fast.stats(), slow.stats(), "{case}");
+                }
+            }
         }
     }
 }

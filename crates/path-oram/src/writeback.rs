@@ -55,7 +55,7 @@ impl WritebackEngine {
     /// DRAM reads for a path range, minus cache hits, FR-FCFS batched.
     /// Returns the batch finish time (or `now_ps` when every bucket hit
     /// the cache); the controller adds its pipeline latency on top.
-    // Allocates only through the DRAM batch it issues: tests/hot_path_alloc.rs.
+    // Allocation-free once warm, the DRAM batch it issues included: tests/hot_path_alloc.rs.
     pub fn read_path(&mut self, dram: &mut DramSystem, nodes: &[u64], now_ps: u64) -> u64 {
         self.batch.clear();
         for &node in nodes {
@@ -77,7 +77,7 @@ impl WritebackEngine {
     /// Commits one refill bucket through the cache; returns its commit
     /// time. A cached bucket commits instantly; a write-through or an
     /// eviction victim pays the DRAM write.
-    // Allocates only through the DRAM batch it issues: tests/hot_path_alloc.rs.
+    // Allocation-free once warm, the DRAM batch it issues included: tests/hot_path_alloc.rs.
     pub fn write_bucket(&mut self, dram: &mut DramSystem, node: u64, t_ps: u64) -> u64 {
         self.trace.bump(Counter::BucketsWritten);
         let to_dram = match self.cache.insert_on_write(node) {

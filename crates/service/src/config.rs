@@ -124,6 +124,9 @@ impl ServiceConfig {
         self.shard_oram()
             .validate()
             .map_err(|e| format!("derived shard geometry invalid: {e}"))?;
+        self.dram
+            .validate()
+            .map_err(|e| format!("dram config: {e}"))?;
         if let Some(fault) = &self.fault {
             fault.validate().map_err(|e| format!("fault config: {e}"))?;
         }

@@ -12,10 +12,26 @@ use common::{service_request, small_cfg};
 use fork_path_oram::core::engine::registry;
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
-    CompletionStatus, OramService, ServiceConfig, ServiceRequest, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceConfig, ServiceRequest, SubmitError,
 };
 use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::{mixes, zipf};
+
+// ---------- configuration ---------------------------------------------
+
+/// A DRAM geometry the model would divide by zero on is refused before
+/// anything is spawned, not by a panic on a shard worker's first access.
+#[test]
+fn dram_geometry_is_validated_with_the_service_config() {
+    let mut cfg = small_cfg(2);
+    cfg.dram.channels = 0;
+    let err = cfg.validate().expect_err("zero channels");
+    assert!(err.starts_with("dram config:"), "{err}");
+    assert!(matches!(
+        OramService::run_trace(cfg, Vec::new()),
+        Err(ServeError::Config(_))
+    ));
+}
 
 // ---------- determinism (the closed-loop property) ------------------
 

@@ -24,7 +24,7 @@ use crate::address_queue::{AddressQueue, SubmitEffect};
 use crate::config::ForkConfig;
 use crate::dummy::DummyReplacer;
 use crate::error::{must, ControllerError};
-use crate::flight::{FlightTable, StalledStep, StepCtx};
+use crate::flight::{FlightTable, StepCtx};
 use crate::merge::PathMerger;
 use crate::plb::PosMapLookasideBuffer;
 use crate::queue::{Entry, EntryKind};
@@ -320,14 +320,8 @@ impl ForkPathController {
             let chain = state.chain(req.addr);
             let arrival = req.arrival_ps;
             let flight_id = self.flights.open(req, chain, old, new);
-            let step = StalledStep {
-                flight: flight_id,
-                ready_ps: arrival,
-            };
             let mut ctx = step_ctx!(self);
-            if !self.flights.try_enqueue_step(&mut ctx, step)? {
-                self.flights.push_stalled(step);
-            }
+            self.flights.place_or_stall(&mut ctx, flight_id, arrival)?;
         }
 
         // Keep the queue padded with dummies (Fig 7b).
@@ -380,6 +374,19 @@ impl ForkPathController {
         Ok(())
     }
 
+    /// The earliest moment the replacement check can fire in a refill whose
+    /// pending request was selected at `sel_time`:
+    /// [`RequestScheduler::take_replacement`] only returns a real entry with
+    /// `sel_time < ready_ps <= now`, so it is the smallest such `ready_ps`
+    /// queued. `None` when replacing is off or no real became ready after
+    /// the selection.
+    fn replacement_candidate_ps(&self, sel_time: u64) -> Option<u64> {
+        if !self.dummy.replacing() {
+            return None;
+        }
+        self.sched.earliest_real_ready_after(sel_time)
+    }
+
     /// The refill: an ordered leaf-to-root bucket stream stopping above the
     /// divergence with the pending request, with mid-stream replacement.
     fn refill(&mut self, leaf: u64, read_end: u64) -> Result<(), ControllerError> {
@@ -417,20 +424,32 @@ impl ForkPathController {
             .merge
             .write_stop(levels, leaf, pending.as_ref().map(|p| p.label));
 
+        // Nothing joins the label queue while the refill streams — no pump
+        // runs — except a displaced real that a replacement restores. So
+        // the moment the first replacement candidate exists is found by one
+        // scan here, and by one more after each replacement that fires.
+        let mut candidate_ps = self.replacement_candidate_ps(sel_time);
+
         self.path.begin_refill(leaf);
         let mut t = read_end;
         let mut level = levels as i64;
         while level >= stop as i64 {
-            // Replacement check before committing this bucket (Fig 5).
-            if self.dummy.try_replace(
-                &mut self.sched,
-                levels,
-                leaf,
-                sel_time,
-                t,
-                level as u32,
-                &mut pending,
-            )? {
+            // Replacement check before committing this bucket (Fig 5),
+            // skipped while no candidate exists: the cached moment is what
+            // a fresh scan of the queue finds.
+            debug_assert_eq!(candidate_ps, self.replacement_candidate_ps(sel_time));
+            if candidate_ps.is_some_and(|ready| ready <= t)
+                && self.dummy.try_replace(
+                    &mut self.sched,
+                    levels,
+                    leaf,
+                    sel_time,
+                    t,
+                    level as u32,
+                    &mut pending,
+                )?
+            {
+                candidate_ps = self.replacement_candidate_ps(sel_time);
                 let p = pending.as_ref().ok_or(ControllerError::MissingPending)?;
                 stop = self.merge.write_stop(levels, leaf, Some(p.label));
                 if (level as u32) < stop {

@@ -32,12 +32,24 @@ pub(crate) struct Flight {
     pub new_label: u64,
 }
 
-/// A chain step that could not enter the label queue yet (same-block
-/// serialization or a queue full of real requests).
+/// Why a chain step could not be placed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stall {
+    /// Parked behind the owner of this serialization key: only that
+    /// owner's [`FlightTable::release_block`] can let it move.
+    Parked(u64),
+    /// It owns its key, but the label queue is full of real requests. A
+    /// `select` frees a slot and a block arriving in the stash completes
+    /// the step on chip, so this is re-tried on every pump.
+    QueueFull,
+}
+
+/// A chain step that could not enter the label queue yet, and why.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StalledStep {
-    pub flight: u64,
-    pub ready_ps: u64,
+struct StalledStep {
+    flight: u64,
+    ready_ps: u64,
+    why: Stall,
 }
 
 /// The controller state a chain step may touch while being placed:
@@ -77,6 +89,24 @@ pub(crate) fn note_posmap_use(state: &mut OramState, plb: &mut PosMapLookasideBu
 }
 
 /// Live flights plus the serialization and retry bookkeeping around them.
+///
+/// **Wake invariant.** A stalled step is re-tried only when its outcome can
+/// have changed. A step stalled on [`Stall::QueueFull`] is re-tried by
+/// every scan. A step parked on key K may be skipped: until it is the front
+/// of `busy[K]` a re-try finds another owner, finds itself already among
+/// the waiters and returns — no side effect — and the front of `busy[K]`
+/// changes only in [`FlightTable::release_block`], which notes K in
+/// `released` whenever it leaves waiters behind. A scan
+/// ([`FlightTable::retry_stalled`]) therefore re-tries the parked steps
+/// whose key was released since the steps *before them in the FIFO* were
+/// last tried, in two generations: keys released before the scan started,
+/// and keys released during it by a step earlier in the FIFO. The first
+/// generation is dropped when the scan ends (every step has seen it); the
+/// second is kept for the next scan, because the steps ahead of the
+/// releaser had already been passed. That is retry for retry the order of
+/// re-trying every step on every scan, and a `debug_assert!` on every
+/// skipped step (it is still a waiter, not the front, of `busy[K]`) holds
+/// the equivalence in every debug test.
 #[derive(Debug, Default)]
 pub(crate) struct FlightTable {
     flights: HashMap<u64, Flight>,
@@ -89,6 +119,9 @@ pub(crate) struct FlightTable {
     /// one, which would let it run with a stale label).
     busy: HashMap<u64, VecDeque<u64>>,
     stalled: VecDeque<StalledStep>,
+    /// Keys whose owner left waiters behind, oldest release first; emptied
+    /// by the scans (see the wake invariant above).
+    released: Vec<u64>,
 }
 
 impl FlightTable {
@@ -138,30 +171,75 @@ impl FlightTable {
             .ok_or(ControllerError::UnknownFlight(id))
     }
 
-    /// Parks a step that could not be placed.
-    pub fn push_stalled(&mut self, step: StalledStep) {
-        self.stalled.push_back(step);
-    }
-
-    /// Retries every stalled chain step once (they are older than anything
-    /// the address queue could produce).
+    /// Places a flight's current chain step, or parks it at the back of
+    /// the stalled FIFO with the reason it could not be placed.
     ///
     /// # Errors
     ///
     /// Propagates invariant violations from step placement.
-    pub fn retry_stalled(&mut self, ctx: &mut StepCtx<'_>) -> Result<(), ControllerError> {
-        let mut requeue = VecDeque::new();
-        while let Some(step) = self.stalled.pop_front() {
-            if !self.try_enqueue_step(ctx, step)? {
-                requeue.push_back(step);
-            }
+    pub fn place_or_stall(
+        &mut self,
+        ctx: &mut StepCtx<'_>,
+        flight: u64,
+        ready_ps: u64,
+    ) -> Result<(), ControllerError> {
+        if let Some(why) = self.try_enqueue_step(ctx, flight, ready_ps)? {
+            self.stalled.push_back(StalledStep {
+                flight,
+                ready_ps,
+                why,
+            });
         }
-        self.stalled = requeue;
         Ok(())
     }
 
+    /// One scan of the stalled FIFO, oldest step first (they are older than
+    /// anything the address queue could produce): re-tries the steps whose
+    /// outcome can have changed — see the wake invariant on
+    /// [`FlightTable`] — and keeps the rest, in order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invariant violations from step placement.
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
+    pub fn retry_stalled(&mut self, ctx: &mut StepCtx<'_>) -> Result<(), ControllerError> {
+        let released_before = self.released.len();
+        for _ in 0..self.stalled.len() {
+            let Some(mut step) = self.stalled.pop_front() else {
+                break;
+            };
+            let woken = match step.why {
+                Stall::QueueFull => true,
+                Stall::Parked(key) => self.released.contains(&key),
+            };
+            if woken {
+                match self.try_enqueue_step(ctx, step.flight, step.ready_ps)? {
+                    None => continue,
+                    Some(why) => step.why = why,
+                }
+            } else {
+                debug_assert!(self.is_parked(&step), "skipped a step that could move");
+            }
+            self.stalled.push_back(step);
+        }
+        self.released.drain(..released_before);
+        Ok(())
+    }
+
+    /// Whether `step` waits in its key's queue behind another owner, so
+    /// that re-trying it would change nothing.
+    fn is_parked(&self, step: &StalledStep) -> bool {
+        let Stall::Parked(key) = step.why else {
+            return false;
+        };
+        self.busy.get(&key).is_some_and(|waiters| {
+            waiters.front() != Some(&step.flight) && waiters.contains(&step.flight)
+        })
+    }
+
     /// Releases a flight's ownership of `block`, passing it to the oldest
-    /// parked waiter (which will claim it on its next stalled retry).
+    /// parked waiter (which will claim it on its next stalled retry: the
+    /// key is noted so that retry happens).
     ///
     /// # Errors
     ///
@@ -175,6 +253,8 @@ impl FlightTable {
             waiters.pop_front();
             if waiters.is_empty() {
                 self.busy.remove(&block);
+            } else {
+                self.released.push(block);
             }
         }
         Ok(())
@@ -211,13 +291,7 @@ impl FlightTable {
 
         if !at_last_step {
             self.advance_chain(ctx, flight_id)?;
-            let step = StalledStep {
-                flight: flight_id,
-                ready_ps: read_end_ps,
-            };
-            if !self.try_enqueue_step(ctx, step)? {
-                self.push_stalled(step);
-            }
+            self.place_or_stall(ctx, flight_id, read_end_ps)?;
             Ok(false)
         } else {
             self.finish(ctx, flight_id, read_end_ps)?;
@@ -283,26 +357,28 @@ impl FlightTable {
 
     /// Places a flight's current chain step: consecutive steps whose block
     /// is already in the stash are completed on chip with no ORAM access;
-    /// the first missing step enters the label queue. Returns `false`
-    /// (leaving the step stalled) when the target block already has a live
-    /// entry (same-block serialization) or the queue is full of reals.
+    /// the first missing step enters the label queue. Returns `None` when
+    /// the step was placed (or the request completed on chip), else why it
+    /// stays stalled: the target block already has a live entry (same-block
+    /// serialization) or the queue is full of reals.
     ///
     /// # Errors
     ///
     /// Propagates bookkeeping invariant violations (unknown flight, chain
     /// index overrun, foreign block release).
-    pub fn try_enqueue_step(
+    fn try_enqueue_step(
         &mut self,
         ctx: &mut StepCtx<'_>,
-        step: StalledStep,
-    ) -> Result<bool, ControllerError> {
-        let mut ready = step.ready_ps;
+        flight_id: u64,
+        ready_ps: u64,
+    ) -> Result<Option<Stall>, ControllerError> {
+        let mut ready = ready_ps;
         loop {
-            let flight = self.get(step.flight)?;
+            let flight = self.get(flight_id)?;
             let (idx, len) = (flight.idx, flight.chain.len());
             if idx >= len {
                 return Err(ControllerError::ChainIndexOutOfRange {
-                    flight: step.flight,
+                    flight: flight_id,
                     idx,
                     len,
                 });
@@ -313,14 +389,14 @@ impl FlightTable {
             {
                 let waiters = self.busy.entry(block).or_default();
                 match waiters.front() {
-                    Some(&owner) if owner != step.flight => {
-                        if !waiters.contains(&step.flight) {
-                            waiters.push_back(step.flight);
+                    Some(&owner) if owner != flight_id => {
+                        if !waiters.contains(&flight_id) {
+                            waiters.push_back(flight_id);
                         }
-                        return Ok(false);
+                        return Ok(Some(Stall::Parked(block)));
                     }
                     Some(_) => {} // already the owner (retry)
-                    None => waiters.push_back(step.flight),
+                    None => waiters.push_back(flight_id),
                 }
             }
             let at_last_step = idx + 1 >= len;
@@ -329,33 +405,223 @@ impl FlightTable {
                 && (!at_last_step || state.group_shortcut_safe(real_block));
             if shortcut_ok {
                 // On-chip fast path: relabel + payload handling, no access.
-                self.release_block(block, step.flight)?;
+                self.release_block(block, flight_id)?;
                 ctx.path.trace().bump(Counter::StashHits);
                 ready += ONCHIP_ANSWER_PS;
                 if !at_last_step {
-                    self.advance_chain(ctx, step.flight)?;
+                    self.advance_chain(ctx, flight_id)?;
                     continue;
                 }
-                self.finish(ctx, step.flight, ready)?;
-                return Ok(true);
+                self.finish(ctx, flight_id, ready)?;
+                return Ok(None);
             }
             // Ownership (queue front) is already held; a failed label-queue
             // insertion keeps it so later same-block steps stay parked.
-            let label = self.get(step.flight)?.old_label;
-            if ctx
-                .sched
-                .insert_real(
-                    label,
-                    EntryKind::Real {
-                        flight: step.flight,
-                    },
-                    ready,
-                )
-                .is_err()
-            {
-                return Ok(false);
+            let label = self.get(flight_id)?.old_label;
+            let kind = EntryKind::Real { flight: flight_id };
+            if ctx.sched.insert_real(label, kind, ready).is_err() {
+                return Ok(Some(Stall::QueueFull));
             }
-            return Ok(true);
+            return Ok(None);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fp_dram::{DramConfig, DramSystem};
+    use fp_path_oram::cache::NoCache;
+    use fp_path_oram::Op;
+
+    /// A flight table with the controller state a chain step touches, and
+    /// no controller: the tests decide when an access returns and when a
+    /// scan runs. One posmap level: `chain(addr)` is `[1024 + addr / 4,
+    /// addr]`, so four neighbouring addresses share a posmap block.
+    struct Rig {
+        path: Datapath,
+        plb: PosMapLookasideBuffer,
+        aq: AddressQueue,
+        sched: RequestScheduler,
+        times: AccessTimes,
+        completions: CompletionLog,
+        flights: FlightTable,
+    }
+
+    impl Rig {
+        fn new(label_queue_size: usize) -> Self {
+            let cfg = OramConfig {
+                onchip_posmap_entries: 256,
+                ..OramConfig::small_test()
+            };
+            let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+            Self {
+                path: Datapath::new(cfg, dram, 7, Box::new(NoCache)),
+                plb: PosMapLookasideBuffer::new(0),
+                aq: AddressQueue::new(),
+                sched: RequestScheduler::new(label_queue_size, 64, true),
+                times: AccessTimes::default(),
+                completions: CompletionLog::default(),
+                flights: FlightTable::default(),
+            }
+        }
+
+        fn split(&mut self) -> (&mut FlightTable, StepCtx<'_>) {
+            let ctx = StepCtx {
+                path: &mut self.path,
+                plb: &mut self.plb,
+                aq: &mut self.aq,
+                sched: &mut self.sched,
+                times: &mut self.times,
+                completions: &mut self.completions,
+            };
+            (&mut self.flights, ctx)
+        }
+
+        /// Opens a read of `addr` walking `chain` and tries to place its
+        /// first step, as `pump` does for a request off the address queue.
+        fn open_chain(&mut self, addr: u64, chain: Vec<u64>) -> u64 {
+            let state = self.path.state_mut();
+            let (old, new) = (state.random_label(), state.random_label());
+            let req = LlcRequest {
+                id: self.flights.next_flight,
+                addr,
+                op: Op::Read,
+                data: None,
+                arrival_ps: 0,
+                tag: 0,
+            };
+            let (flights, mut ctx) = self.split();
+            let id = flights.open(req, chain, old, new);
+            flights.place_or_stall(&mut ctx, id, 0).unwrap();
+            id
+        }
+
+        /// A read of `addr` from the top of its posmap chain.
+        fn open(&mut self, addr: u64) -> u64 {
+            let chain = self.path.state().chain(addr);
+            self.open_chain(addr, chain)
+        }
+
+        /// The access of `flight`, the one real in the label queue, returns.
+        fn access(&mut self, flight: u64) {
+            let picked = self.sched.select_pending(9, 0, u64::MAX).unwrap();
+            assert_eq!(picked.kind, EntryKind::Real { flight });
+            let (flights, mut ctx) = self.split();
+            flights
+                .advance_after_access(&mut ctx, flight, 1_000)
+                .unwrap();
+        }
+
+        fn scan(&mut self) {
+            let (flights, mut ctx) = self.split();
+            flights.retry_stalled(&mut ctx).unwrap();
+        }
+
+        /// The stalled FIFO, front first.
+        fn stalled(&self) -> Vec<(u64, Stall)> {
+            let steps = self.flights.stalled.iter();
+            steps.map(|s| (s.flight, s.why)).collect()
+        }
+
+        fn done(&self, flight: u64) -> bool {
+            self.flights.get(flight).is_err()
+        }
+    }
+
+    /// (a) A step parked behind an owner sleeps through a pump that
+    /// released nothing, and the first pump after the owner's release
+    /// places it.
+    #[test]
+    fn parked_step_sleeps_until_its_owner_releases() {
+        let mut rig = Rig::new(4);
+        let owner = rig.open(4);
+        let parked = rig.open(5);
+        assert_eq!(rig.stalled(), [(parked, Stall::Parked(1025))]);
+
+        // With the flight's record hidden any re-try of its step fails
+        // with `UnknownFlight`; a skipped step is never looked up.
+        let record = rig.flights.flights.remove(&parked).unwrap();
+        rig.scan();
+        rig.flights.flights.insert(parked, record);
+        assert_eq!(rig.stalled(), [(parked, Stall::Parked(1025))]);
+
+        // The owner's access returns: its posmap block stays in the stash,
+        // so the woken step walks through it on chip to its data block.
+        rig.access(owner);
+        assert_eq!(rig.flights.released, [1025]);
+        rig.scan();
+        assert_eq!(rig.stalled(), []);
+        assert_eq!(rig.flights.get(parked).unwrap().idx, 1);
+        assert_eq!(rig.sched.real_count(), 2, "both data steps are queued");
+        assert_eq!(rig.flights.released, []);
+    }
+
+    /// (b) The two generations. A re-try that completes on chip mid-scan
+    /// releases its key: the waiter later in the FIFO moves in the same
+    /// scan, the waiter earlier in the FIFO — already passed — in the next
+    /// one, as when every scan re-tried every step.
+    #[test]
+    fn release_mid_scan_wakes_later_steps_now_and_earlier_steps_next_scan() {
+        let mut rig = Rig::new(1);
+        let owner = rig.open(4);
+        // `earlier` takes the first FIFO slot parked on the posmap block;
+        // `releaser` and `later` already stand on data block 7.
+        let earlier = rig.open(7);
+        let releaser = rig.open_chain(7, vec![7]);
+        let later = rig.open_chain(7, vec![7]);
+        assert_eq!(
+            rig.stalled(),
+            [
+                (earlier, Stall::Parked(1025)),
+                (releaser, Stall::QueueFull),
+                (later, Stall::Parked(7)),
+            ]
+        );
+
+        // `earlier` is woken, walks through the posmap block on chip and
+        // parks on block 7 behind the other two, keeping its FIFO slot.
+        rig.access(owner);
+        rig.scan();
+        assert_eq!(
+            rig.stalled(),
+            [
+                (earlier, Stall::Parked(7)),
+                (releaser, Stall::QueueFull),
+                (later, Stall::Parked(7)),
+            ]
+        );
+
+        // Block 7 reaches the stash (another access's path carried it).
+        let state = rig.path.state_mut();
+        let leaf = state.random_label();
+        state.apply_op(7, leaf, None);
+        rig.scan();
+        assert!(rig.done(releaser) && rig.done(later), "the same scan");
+        assert_eq!(rig.stalled(), [(earlier, Stall::Parked(7))]);
+        rig.scan();
+        assert!(rig.done(earlier), "the next scan");
+        assert_eq!(rig.stalled(), []);
+        assert_eq!(rig.flights.released, []);
+    }
+
+    /// (c) A step stalled on a label queue full of reals is re-tried by
+    /// every pump — no release wakes it — and placed as soon as a
+    /// selection frees a slot.
+    #[test]
+    fn queue_full_step_is_retried_by_every_pump() {
+        let mut rig = Rig::new(1);
+        let queued = rig.open(4);
+        let waiting = rig.open(8);
+        assert_eq!(rig.stalled(), [(waiting, Stall::QueueFull)]);
+        rig.scan();
+        assert_eq!(rig.stalled(), [(waiting, Stall::QueueFull)]);
+
+        let picked = rig.sched.select_pending(9, 0, 0).unwrap();
+        assert_eq!(picked.kind, EntryKind::Real { flight: queued });
+        rig.scan();
+        assert_eq!(rig.stalled(), []);
+        assert_eq!(rig.sched.real_count(), 1);
+        assert_eq!(rig.flights.released, [], "no release was involved");
     }
 }

@@ -53,11 +53,7 @@ impl RequestScheduler {
     /// the ready entry with the highest overlap degree, reals outranking
     /// dummy padding. Counts a scheduling round.
     pub fn select_pending(&mut self, levels: u32, current: u64, now_ps: u64) -> Option<Entry> {
-        let ready = self
-            .lq
-            .iter()
-            .filter(|e| !e.is_dummy() && e.ready_ps <= now_ps)
-            .count() as u64;
+        let ready = self.real_ready_times().filter(|&r| r <= now_ps).count() as u64;
         self.trace.add(Counter::SchedReadyReals, ready);
         self.trace.bump(Counter::SchedRounds);
         let picked = self.lq.select(levels, current, now_ps, self.scheduling);
@@ -120,13 +116,21 @@ impl RequestScheduler {
         self.lq.has_space_for_real()
     }
 
+    /// Ready times of the queued real entries, in queue order.
+    fn real_ready_times(&self) -> impl Iterator<Item = u64> + '_ {
+        let reals = self.lq.iter().filter(|e| !e.is_dummy());
+        reals.map(|e| e.ready_ps)
+    }
+
     /// Earliest time any queued real entry becomes schedulable.
     pub fn earliest_real_ready(&self) -> Option<u64> {
-        self.lq
-            .iter()
-            .filter(|e| !e.is_dummy())
-            .map(|e| e.ready_ps)
-            .min()
+        self.real_ready_times().min()
+    }
+
+    /// Earliest ready time among the queued real entries that became
+    /// ready after `after_ps` — the lower edge of a replacement window.
+    pub fn earliest_real_ready_after(&self, after_ps: u64) -> Option<u64> {
+        self.real_ready_times().filter(|&r| r > after_ps).min()
     }
 
     /// Searches for a mid-refill replacement candidate (§3.3); see
@@ -249,6 +253,26 @@ mod tests {
         s.insert_real(1, real(0), 700).unwrap();
         s.insert_real(1, real(1), 300).unwrap();
         assert_eq!(s.earliest_real_ready(), Some(300));
+    }
+
+    #[test]
+    fn earliest_real_ready_after_opens_the_window_strictly() {
+        let mut s = RequestScheduler::new(4, 64, true);
+        s.pad_with(|| 0);
+        s.insert_real(1, real(0), 300).unwrap();
+        s.insert_real(1, real(1), 700).unwrap();
+        assert_eq!(s.earliest_real_ready_after(0), Some(300));
+        assert_eq!(s.earliest_real_ready_after(299), Some(300));
+        assert_eq!(
+            s.earliest_real_ready_after(300),
+            Some(700),
+            "strictly after"
+        );
+        assert_eq!(
+            s.earliest_real_ready_after(700),
+            None,
+            "padding never counts"
+        );
     }
 
     #[test]

@@ -190,11 +190,12 @@ impl Stash {
     /// that deep. Levels are taken leaf to root, each at most once; the
     /// stream may be abandoned at any level, and every block it has not
     /// chosen is still in the stash.
-    // Allocates the returned bucket only: tests/hot_path_alloc.rs.
+    // Allocates the returned bucket only, and only when a block goes into
+    // it (the first push sizes it for four): tests/hot_path_alloc.rs.
     pub fn evict_next(&mut self, level: u32, z: usize) -> Vec<Block> {
         let (levels, leaf) = self.stream_path;
         debug_assert!(level <= levels);
-        let mut chosen = Vec::with_capacity(z);
+        let mut chosen = Vec::new();
         while chosen.len() < z {
             match self.candidates.get(self.cursor) {
                 Some(&(depth, addr)) if depth >= level => {

@@ -53,7 +53,8 @@ impl TreeStore {
         }
     }
 
-    /// Number of buckets that have ever been written.
+    /// Number of buckets currently stored: written and not taken since
+    /// ([`TreeStore::try_take_bucket`] removes the entry it returns).
     pub fn touched_buckets(&self) -> usize {
         self.buckets.len()
     }

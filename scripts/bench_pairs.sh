@@ -3,18 +3,29 @@
 # session (choosing-metrics guide, section 8): the parent revision against
 # the working tree.
 #
-#   scripts/bench_pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S]
+#   scripts/bench_pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seed X]
 #
 # <parent-rev> is exported with `git archive` into a temporary directory
 # (under $TMPDIR, removed on exit; nothing is registered in .git) and built
 # into a target directory of its own there. Each pair runs benchmark/run.sh
 # once per side, and the side that goes first flips every pair. Defaults:
-# 10 pairs, all six workloads, the benchmark's own run length. Every run's
-# result file is kept under benchmark/results/pairs/ (ignored by git), and
-# the summary prints, per workload and end-to-end metric of BENCHMARK.json,
-# each side's median and quartiles over the runs, the pairs the change won
-# (ties count for neither), and whether every `exact` value and
-# `failed_share` matched. Needs bash, git, cargo and python3; no network.
+# 10 pairs, all six workloads, the benchmark's own run length and seed
+# (`--seed 0xB10C` is the held-out one). Every run's result file is kept
+# under benchmark/results/pairs/ (ignored by git), and the summary prints,
+# per workload and end-to-end metric of BENCHMARK.json, each side's median
+# and quartiles over the runs, the pairs the change won (ties count for
+# neither), the verdict of the guide's rule on those numbers, and whether
+# every `exact` value and `failed_share` matched:
+#
+#   gain        the change won at least nine tenths of the pairs and the
+#               medians differ by more than the parent's q1-q3 distance
+#   worse       the change's median is worse than the parent's by more than
+#               the metric's `bound` in BENCHMARK.json
+#   unresolved  the parent's q1-q3 distance over its median exceeds that
+#               bound, and not every change run beat every parent run
+#   same        none of the above
+#
+# Needs bash, git, cargo and python3; no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +44,7 @@ while [ $# -gt 0 ]; do
     case $1 in
         --workload) workload=$2; run_args+=(--workload "$2") ;;
         --pairs) pairs=$2 ;;
-        --seconds) run_args+=(--seconds "$2") ;;
+        --seconds | --seed) run_args+=("$1" "$2") ;;
         *) usage ;;
     esac
     shift 2
@@ -98,10 +109,25 @@ def quartiles(xs):
     return statistics.quantiles(xs, n=4, method="inclusive")
 
 
+def verdict(spec, av, bv, wins):
+    """The header's rule for one row; `wins` = pairs the change won."""
+    sign = 1 if spec["better"] == "lower" else -1
+    (aq1, amed, aq3), (_, bmed, _) = quartiles(av), quartiles(bv)
+    better_by = sign * (amed - bmed)
+    if 10 * wins >= 9 * len(av) and better_by > aq3 - aq1:
+        return "gain"
+    if -better_by > spec["bound"] * abs(amed):
+        return "worse"
+    swept = all(sign * (a - b) > 0 for a in av for b in bv)
+    if aq3 - aq1 > spec["bound"] * abs(amed) and not swept:
+        return "unresolved"
+    return "same"
+
+
 runs = [(load(p, "parent"), load(p, "change")) for p in range(1, pairs + 1)]
 print("| workload | metric | parent median (q1-q3) | change median (q1-q3) "
-      "| change | wins | exact, failed_share |")
-print("|---|---|---|---|---|---|---|")
+      "| change | wins | verdict | exact, failed_share |")
+print("|---|---|---|---|---|---|---|---|")
 incorrect = 0
 for name in runs[0][0]:
     sides = [(a[name], b[name]) for a, b in runs if name in a and name in b]
@@ -119,6 +145,7 @@ for name in runs[0][0]:
         (aq1, amed, aq3), (bq1, bmed, bq3) = quartiles(av), quartiles(bv)
         print(f"| `{name}` | `{m}` | {amed:.4g} ({aq1:.4g}-{aq3:.4g}) | "
               f"{bmed:.4g} ({bq1:.4g}-{bq3:.4g}) | {(bmed - amed) / amed:+.1%} | "
-              f"{wins} of {len(sides)} | {'match' if pinned else 'DIFFER'} |")
+              f"{wins} of {len(sides)} | {verdict(spec, av, bv, wins)} | "
+              f"{'match' if pinned else 'DIFFER'} |")
 print(f"{pairs} pairs, {incorrect} runs not `correct`; every run's file is in {out}")
 PY

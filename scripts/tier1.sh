@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate, six steps: format, lint, hermetic release
+# Tier-1 verification gate, seven steps: format, lint, hermetic release
 # build, the test suite of every workspace member (--workspace: a bare
 # `cargo test` from the root package would skip the crates' own tests),
+# three of its suites again in the release build the benchmark measures,
 # rustdoc, and the benchmark package's own check. Every assertion about
-# library behaviour is a named test under step four; nothing here runs a
-# binary and inspects its output. The workspace has zero external
+# library behaviour is a named test under steps four and five; nothing here
+# runs a binary and inspects its output. The workspace has zero external
 # dependencies, so everything runs --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,6 +20,10 @@ cargo clippy --offline --workspace -- -D warnings
 cargo build --release --offline
 
 cargo test -q --offline --workspace
+# Step four runs in debug, where the `debug_assert!` oracles live; the
+# benchmark runs --release, where they are compiled out. The golden
+# statistics, the allocation contract and engine equivalence hold there too.
+cargo test -q --offline --release --test stats_golden --test hot_path_alloc --test engine_equivalence
 
 # Documentation gate over every workspace member (--workspace: a bare
 # `cargo doc` from the root documents the root package alone): every public

@@ -2,8 +2,8 @@
 //!
 //! Every structure the Fig 9 pipeline touches once per bucket — the PLB,
 //! the merging-aware cache (§3.5), the FR-FCFS batch scheduler, the
-//! writeback bursts, the stash's eviction stream, the trace counters —
-//! must not allocate once warm, or
+//! writeback bursts, the stash's eviction stream, the stalled chain steps
+//! a pump scans, the trace counters — must not allocate once warm, or
 //! allocates exactly what it hands back. A global allocator that counts
 //! holds that through every callee, whatever the allocation is spelled
 //! like. The counts are exact, never a tolerance; a new per-access kernel
@@ -16,11 +16,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use fork_path_oram::core::engine::{by_name, OramEngine};
 use fork_path_oram::core::{MergingAwareCache, PosMapLookasideBuffer};
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
-use fork_path_oram::path_oram::{Block, OramConfig, Stash, WritebackEngine};
+use fork_path_oram::path_oram::{Block, NewRequest, Op, OramConfig, Stash, WritebackEngine};
 use fork_path_oram::trace::{Counter, EventKind, TraceHandle};
 
 thread_local! {
@@ -178,11 +179,12 @@ fn per_access_kernels_keep_their_allocation_contract() {
     // Eviction stream on a bare stash, near-empty and at the occupancy the
     // wire workloads run at: once the candidate buffer is sized, starting
     // a refill allocates nothing, and each level taken allocates exactly
-    // the bucket it hands back (which the Plain tree store keeps).
+    // the bucket it hands back (which the Plain tree store keeps) — when
+    // it holds a block: an empty bucket owns no memory.
     for resident in [3u64, 64] {
         const REFILLS: u64 = 256;
         let mut stash = Stash::new(oram.stash_capacity);
-        let (mut begins, mut takes) = (0, 0);
+        let (mut begins, mut takes, mut non_empty) = (0, 0, 0);
         for refill in 0..=REFILLS {
             for addr in 0..resident {
                 let leaf = rng.next_below(oram.leaf_count());
@@ -190,21 +192,49 @@ fn per_access_kernels_keep_their_allocation_contract() {
             }
             let leaf = rng.next_below(oram.leaf_count());
             let begin = allocations(|| stash.begin_eviction(levels, leaf));
+            let mut filled = 0;
             let take = allocations(|| {
                 for level in (0..=levels).rev() {
-                    black_box(stash.evict_next(level, oram.z));
+                    let bucket = black_box(stash.evict_next(level, oram.z));
+                    filled += u64::from(!bucket.is_empty());
                 }
             });
             if refill > 0 {
                 begins += begin;
                 takes += take;
+                non_empty += filled;
             }
         }
         assert_eq!(begins, 0, "Stash::begin_eviction at {resident} blocks");
+        assert!(non_empty > 0 && non_empty < REFILLS * u64::from(levels + 1));
         assert_eq!(
-            takes,
-            REFILLS * u64::from(levels + 1),
-            "Stash::evict_next at {resident} blocks, one bucket per level"
+            takes, non_empty,
+            "Stash::evict_next at {resident} blocks, one allocation per non-empty bucket"
         );
     }
+
+    // A pump over parked chain steps. Twelve reads of distinct addresses
+    // under one top-level posmap block (it maps sixteen), and no access
+    // run: the first flight owns that block in the label queue, the other
+    // eleven stay parked behind it, and every pump scans them in place.
+    let mut engine = by_name("fork")
+        .unwrap()
+        .build(oram.clone(), DramSystem::new(dram_cfg), 7);
+    for addr in 0..12 {
+        let read = NewRequest {
+            addr,
+            op: Op::Read,
+            data: Vec::new(),
+            arrival_ps: 0,
+            tag: addr,
+        };
+        engine.submit(read).unwrap();
+    }
+    let n = allocations(|| {
+        for _ in 0..CALLS {
+            engine.pump().unwrap();
+        }
+    });
+    assert_eq!(n, 0, "OramEngine::pump over eleven parked chain steps");
+    assert_eq!(engine.run_to_idle().unwrap().len(), 12);
 }

@@ -4,10 +4,12 @@
 
 use std::collections::HashMap;
 
+use fork_path_oram::core::engine::{by_name, Scheme};
+use fork_path_oram::core::reactive::{NewRequest, ReactiveSource};
 use fork_path_oram::core::{ForkConfig, ForkPathController};
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{BaselineController, CipherMode, Op, OramConfig};
+use fork_path_oram::path_oram::{BaselineController, CipherMode, Completion, Op, OramConfig};
 
 fn dram() -> DramSystem {
     DramSystem::new(DramConfig::ddr3_1600(2))
@@ -73,6 +75,113 @@ fn fork_random_storm_with_real_encryption() {
     let mut cfg = OramConfig::small_test();
     cfg.cipher_mode = CipherMode::Real;
     storm_fork(cfg, 3, 250, 128);
+}
+
+/// The closed loop of the parking stress: a plain-RAM model that checks
+/// every read it gets back and answers each completion with one new
+/// request, arriving 30 ns later — inside the refill of the access that
+/// completed it, where dummy replacing looks for it.
+struct ParkingLoop {
+    rng: Xoshiro256,
+    reference: HashMap<u64, Vec<u8>>,
+    /// Tag of each outstanding read -> the data it must return.
+    expected: HashMap<u64, Vec<u8>>,
+    issued: u64,
+    budget: u64,
+    block_bytes: usize,
+    data_blocks: u64,
+}
+
+impl ParkingLoop {
+    /// The next request in program order: four in five to the sixteen
+    /// addresses of four super-block groups under one posmap block.
+    fn next_request(&mut self, arrival_ps: u64) -> NewRequest {
+        let addr = if self.rng.gen_bool(0.8) {
+            self.rng.next_below(16)
+        } else {
+            self.rng.next_below(self.data_blocks)
+        };
+        let tag = self.issued;
+        self.issued += 1;
+        let (op, data) = if self.rng.gen_bool(0.4) {
+            let mut payload = vec![tag as u8; self.block_bytes];
+            payload[0] = addr as u8;
+            self.reference.insert(addr, payload.clone());
+            (Op::Write, payload)
+        } else {
+            let want = self.reference.get(&addr).cloned();
+            let zeros = vec![0u8; self.block_bytes];
+            self.expected.insert(tag, want.unwrap_or(zeros));
+            (Op::Read, Vec::new())
+        };
+        NewRequest {
+            addr,
+            op,
+            data,
+            arrival_ps,
+            tag,
+        }
+    }
+}
+
+impl ReactiveSource for ParkingLoop {
+    fn on_complete(&mut self, c: &Completion) -> Vec<NewRequest> {
+        // A cancelled write's acknowledgement carries the tag of the write
+        // that superseded it, never a read's.
+        if let Some(want) = self.expected.remove(&c.tag) {
+            assert_eq!(c.data, want, "read {} returned wrong data", c.addr);
+        }
+        if self.issued == self.budget {
+            return Vec::new();
+        }
+        vec![self.next_request(c.done_ps + 30_000)]
+    }
+}
+
+/// Parking-heavy closed loop, 32 requests outstanding throughout: most
+/// chain steps park behind the owner of a super-block group or a posmap
+/// block, and every completion's follow-up lands in a refill window, where
+/// it displaces a pending real of lower overlap (the queue never runs dry,
+/// so no dummy is pending). Debug builds hold each skipped stalled step and
+/// each refill's replacement bound against a fresh look (the
+/// `debug_assert!`s of `FlightTable::retry_stalled` and
+/// `ForkPathController::refill`).
+#[test]
+fn fork_parking_stress_with_32_outstanding_matches_reference() {
+    for name in ["fork", "fork+mac"] {
+        let fork_cfg = match by_name(name).unwrap() {
+            Scheme::ForkDefault => ForkConfig::default(),
+            Scheme::Fork(f) => f,
+            other => panic!("{name} is not a fork scheme: {other:?}"),
+        };
+        let cfg = OramConfig {
+            super_block: 4,
+            ..OramConfig::small_test()
+        };
+        let mut source = ParkingLoop {
+            rng: Xoshiro256::new(0x9A7E),
+            reference: HashMap::new(),
+            expected: HashMap::new(),
+            issued: 0,
+            budget: 1500,
+            block_bytes: cfg.block_bytes,
+            data_blocks: cfg.data_blocks,
+        };
+        let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), 21);
+        for _ in 0..32 {
+            let r = source.next_request(0);
+            ctl.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag)
+                .unwrap();
+        }
+        while ctl.process_one(&mut source).unwrap() {}
+        assert_eq!(ctl.drain_completions().len() as u64, source.budget);
+        assert!(source.expected.is_empty(), "{name}: all reads completed");
+        assert!(
+            ctl.stats().stash_hits > 0,
+            "{name}: steps completed on chip"
+        );
+        ctl.state().check_invariants().unwrap();
+    }
 }
 
 #[test]

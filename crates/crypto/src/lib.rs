@@ -7,13 +7,20 @@
 //! ciphertexts are indistinguishable even when the underlying plaintexts are
 //! identical (dummy blocks included). The paper assumes a counter-mode
 //! hardware engine; this crate provides the software equivalent, built from
-//! scratch on a ChaCha20-class stream cipher:
+//! scratch on the ChaCha20 stream cipher:
 //!
-//! * [`StreamCipher`] — the ARX keystream generator.
+//! * [`StreamCipher`] — the ChaCha20 keystream generator (RFC 8439).
 //! * [`BlockCipher`] — counter-mode encryption of fixed-size ORAM blocks with
 //!   a per-write nonce, the property Path ORAM actually relies on.
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, fast, seedable RNGs used across
 //!   the simulator so every experiment is reproducible from a single seed.
+//!
+//! The keystream is computed several 64-byte blocks at a time, one block
+//! per vector lane; the lanes of a pass are consecutive blocks of one nonce,
+//! never of different keys or nonces. How many lanes is a property of the
+//! build — eight where the compilation target has AVX2 (the workspace's
+//! `.cargo/config.toml` builds for the host CPU), one otherwise — and every
+//! build produces the same bytes.
 //!
 //! # Example
 //!

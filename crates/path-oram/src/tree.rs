@@ -68,8 +68,10 @@ impl TreeStore {
             None => Ok(Vec::new()),
             Some(StoredBucket::Plain(blocks)) => Ok(blocks.clone()),
             Some(StoredBucket::Sealed { nonce, ciphertext }) => {
-                let plain = self.cipher.decrypt(*nonce, ciphertext);
-                deserialize_bucket(&plain, self.z, self.block_bytes, node)
+                // The store keeps the sealed image: unseal a copy in place.
+                let mut image = ciphertext.clone();
+                self.cipher.decrypt_in_place(*nonce, &mut image);
+                deserialize_bucket(&image, self.z, self.block_bytes, node)
             }
         }
     }
@@ -144,8 +146,9 @@ impl TreeStore {
     ///
     /// # Panics
     ///
-    /// Panics if more than `Z` blocks are supplied or a payload has the
-    /// wrong size.
+    /// Panics if more than `Z` blocks are supplied, a payload has the wrong
+    /// size, or a block carries the address reserved for dummy slots
+    /// (`u64::MAX`).
     pub fn write_bucket(&mut self, node: u64, blocks: Vec<Block>) {
         assert!(
             blocks.len() <= self.z,
@@ -155,6 +158,7 @@ impl TreeStore {
         );
         for b in &blocks {
             assert_eq!(b.data.len(), self.block_bytes, "payload size mismatch");
+            assert_ne!(b.addr, DUMMY_ADDR, "address reserved for dummy slots");
         }
         self.write_counter += 1;
         let stored = match self.mode {
@@ -184,21 +188,31 @@ impl TreeStore {
     }
 }
 
+/// The address no real block has: it marks a dummy slot of a serialized
+/// bucket (the paper's ⊥). Block addresses are bounded by the tree's
+/// `total_blocks`, far below.
+const DUMMY_ADDR: u64 = u64::MAX;
+
 /// Serialized bucket layout: Z slots of
-/// `[valid: u8][addr: u64 le][leaf: u64 le][payload: block_bytes]`.
+/// `[addr: u64 le][leaf: u64 le][payload: block_bytes]`, a dummy slot being
+/// one whose address is [`DUMMY_ADDR`]. At Z = 4 and 64 B blocks the image
+/// is 320 B, five keystream blocks exactly.
 fn slot_bytes(block_bytes: usize) -> usize {
-    1 + 8 + 8 + block_bytes
+    8 + 8 + block_bytes
 }
 
 fn serialize_bucket(blocks: &[Block], z: usize, block_bytes: usize) -> Vec<u8> {
     let sb = slot_bytes(block_bytes);
     let mut out = vec![0u8; z * sb];
-    for (i, b) in blocks.iter().enumerate() {
-        let base = i * sb;
-        out[base] = 1;
-        out[base + 1..base + 9].copy_from_slice(&b.addr.to_le_bytes());
-        out[base + 9..base + 17].copy_from_slice(&b.leaf.to_le_bytes());
-        out[base + 17..base + 17 + block_bytes].copy_from_slice(&b.data);
+    for (i, slot) in out.chunks_exact_mut(sb).enumerate() {
+        match blocks.get(i) {
+            Some(b) => {
+                slot[..8].copy_from_slice(&b.addr.to_le_bytes());
+                slot[8..16].copy_from_slice(&b.leaf.to_le_bytes());
+                slot[16..].copy_from_slice(&b.data);
+            }
+            None => slot[..8].copy_from_slice(&DUMMY_ADDR.to_le_bytes()),
+        }
     }
     out
 }
@@ -214,14 +228,13 @@ fn deserialize_bucket(
         return Err(IntegrityError { node });
     }
     let mut blocks = Vec::new();
-    for i in 0..z {
-        let base = i * sb;
-        if bytes[base] != 1 {
+    for slot in bytes.chunks_exact(sb) {
+        let addr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
+        if addr == DUMMY_ADDR {
             continue;
         }
-        let addr = u64::from_le_bytes(bytes[base + 1..base + 9].try_into().unwrap());
-        let leaf = u64::from_le_bytes(bytes[base + 9..base + 17].try_into().unwrap());
-        let data = bytes[base + 17..base + 17 + block_bytes].to_vec();
+        let leaf = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
+        let data = slot[16..].to_vec();
         blocks.push(Block { addr, leaf, data });
     }
     Ok(blocks)
@@ -281,6 +294,36 @@ mod tests {
         let a = store.raw_bucket(1).unwrap();
         let b = store.raw_bucket(2).unwrap();
         assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn sealed_image_is_five_keystream_blocks() {
+        // Z = 4 slots of 8 addr + 8 leaf + 64 data: no sixth ChaCha block
+        // for a handful of flag bytes.
+        let mut c = cfg(CipherMode::Real);
+        c.block_bytes = 64;
+        assert_eq!(c.z, 4);
+        let mut store = TreeStore::new(&c, [1; 32]);
+        store.write_bucket(1, vec![Block::new(3, 5, vec![7; 64])]);
+        assert_eq!(store.raw_bucket(1).unwrap().len(), 320);
+    }
+
+    #[test]
+    fn all_zero_block_roundtrips_sealed() {
+        // Address 0, leaf 0, zero payload: the slot is all zero bytes and
+        // must still read back as a real block, beside three dummy slots.
+        let mut store = TreeStore::new(&cfg(CipherMode::Real), [42; 32]);
+        let blocks = vec![Block::new(0, 0, vec![0; 16])];
+        store.write_bucket(10, blocks.clone());
+        assert_eq!(store.read_bucket(10), blocks);
+        assert_eq!(store.take_bucket(10), blocks);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for dummy slots")]
+    fn reserved_address_panics() {
+        let mut store = TreeStore::new(&cfg(CipherMode::Real), [0; 32]);
+        store.write_bucket(1, vec![Block::new(u64::MAX, 0, vec![0; 16])]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate, seven steps: format, lint, hermetic release
+# Tier-1 verification gate, eight steps: format, lint, hermetic release
 # build, the test suite of every workspace member (--workspace: a bare
 # `cargo test` from the root package would skip the crates' own tests),
 # three of its suites again in the release build the benchmark measures,
+# the sealed data path's two crates again for the portable x86-64 target,
 # rustdoc, and the benchmark package's own check. Every assertion about
 # library behaviour is a named test under steps four and five; nothing here
 # runs a binary and inspects its output. The workspace has zero external
@@ -24,6 +25,12 @@ cargo test -q --offline --workspace
 # benchmark runs --release, where they are compiled out. The golden
 # statistics, the allocation contract and engine equivalence hold there too.
 cargo test -q --offline --release --test stats_golden --test hot_path_alloc --test engine_equivalence
+# Everything above is built under .cargo/config.toml's `target-cpu=native`,
+# where an AVX2 host selects fp-crypto's eight-lane keystream and would
+# never again run the one-lane build a portable binary gets. RUSTFLAGS
+# overrides `build.rustflags`: the cipher and the tree store that seals
+# with it, once more as that binary would run them.
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --offline -p fp-crypto -p fp-path-oram
 
 # Documentation gate over every workspace member (--workspace: a bare
 # `cargo doc` from the root documents the root package alone): every public

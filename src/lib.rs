@@ -5,7 +5,7 @@
 //! Re-exports the subsystem crates so examples and downstream users can
 //! depend on a single crate:
 //!
-//! * [`crypto`] — counter-mode probabilistic encryption, PRF, seedable RNGs.
+//! * [`crypto`] — ChaCha20 counter-mode probabilistic encryption, seedable RNGs.
 //! * [`dram`] — DDR3 timing/energy simulator with subtree layout.
 //! * [`path_oram`] — baseline Path ORAM: tree, stash, recursion, controller.
 //! * [`core`] — the paper's contribution: path merging, request scheduling,

@@ -3,11 +3,11 @@
 //! Every structure the Fig 9 pipeline touches once per bucket — the PLB,
 //! the merging-aware cache (§3.5), the FR-FCFS batch scheduler, the
 //! writeback bursts, the stash's eviction stream, the stalled chain steps
-//! a pump scans, the trace counters — must not allocate once warm, or
-//! allocates exactly what it hands back. A global allocator that counts
-//! holds that through every callee, whatever the allocation is spelled
-//! like. The counts are exact, never a tolerance; a new per-access kernel
-//! joins this file (DESIGN.md §12).
+//! a pump scans, the trace counters, the sealed tree store and its cipher —
+//! must not allocate once warm, or allocates exactly what it hands back. A
+//! global allocator that counts holds that through every callee, whatever
+//! the allocation is spelled like. The counts are exact, never a tolerance;
+//! a new per-access kernel joins this file (DESIGN.md §12).
 //!
 //! The `GlobalAlloc` forwarder below is the only `unsafe` in the
 //! repository: the trait cannot be implemented without it.
@@ -18,10 +18,12 @@ use std::hint::black_box;
 
 use fork_path_oram::core::engine::{by_name, OramEngine};
 use fork_path_oram::core::{MergingAwareCache, PosMapLookasideBuffer};
-use fork_path_oram::crypto::Xoshiro256;
+use fork_path_oram::crypto::{BlockCipher, Nonce, Xoshiro256};
 use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
-use fork_path_oram::path_oram::{Block, NewRequest, Op, OramConfig, Stash, WritebackEngine};
+use fork_path_oram::path_oram::{
+    Block, CipherMode, NewRequest, Op, OramConfig, Stash, TreeStore, WritebackEngine,
+};
 use fork_path_oram::trace::{Counter, EventKind, TraceHandle};
 
 thread_local! {
@@ -237,4 +239,50 @@ fn per_access_kernels_keep_their_allocation_contract() {
     });
     assert_eq!(n, 0, "OramEngine::pump over eleven parked chain steps");
     assert_eq!(engine.run_to_idle().unwrap().len(), 12);
+}
+
+/// The sealed data path (`CipherMode::Real`): the keystream runs in place,
+/// a sealed write allocates the image it stores and nothing else, and a
+/// sealed take allocates what it hands back — the `Vec<Block>` and one
+/// payload per real block, so nothing for an empty bucket.
+#[test]
+fn sealed_path_keeps_its_allocation_contract() {
+    let cipher = BlockCipher::new([7; 32]);
+    let mut image = vec![0u8; 320];
+    let n = allocations(|| {
+        for counter in 0..CALLS {
+            cipher.encrypt_in_place(Nonce::new(counter, 1), black_box(&mut image));
+        }
+    });
+    assert_eq!(n, 0, "BlockCipher::encrypt_in_place over a 320 B image");
+
+    // A warm store: every node below was written and taken once, so the
+    // map behind it never grows again.
+    const NODES: u64 = 64;
+    let mut oram = OramConfig::small_test();
+    oram.cipher_mode = CipherMode::Real;
+    let mut store = TreeStore::new(&oram, [7; 32]);
+    for node in 1..=NODES {
+        store.write_bucket(node, Vec::new());
+    }
+    for node in 1..=NODES {
+        assert!(store.take_bucket(node).is_empty());
+    }
+    for call in 0..CALLS {
+        let node = 1 + call % NODES;
+        let k = call % (oram.z as u64 + 1);
+        let blocks: Vec<Block> = (0..k)
+            .map(|addr| Block::new(addr, call, vec![0; oram.block_bytes]))
+            .collect();
+        let n = allocations(|| store.write_bucket(node, blocks));
+        assert_eq!(
+            n, 1,
+            "sealed TreeStore::write_bucket of {k} blocks: the image"
+        );
+        let mut taken = Vec::new();
+        let n = allocations(|| taken = store.take_bucket(node));
+        assert_eq!(taken.len() as u64, k);
+        let expected = if k == 0 { 0 } else { 1 + k };
+        assert_eq!(n, expected, "sealed TreeStore::take_bucket of {k} blocks");
+    }
 }

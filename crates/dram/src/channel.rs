@@ -9,6 +9,7 @@ use crate::system::AccessKind;
 
 /// State of one DRAM bank.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Bank {
     /// Currently open row, if any.
     open_row: Option<u64>,
@@ -25,6 +26,7 @@ struct Bank {
 /// Per-rank activation history for tFAW / tRRD enforcement, plus the
 /// periodic-refresh schedule.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct RankWindow {
     last_act: Option<u64>,
     recent_acts: VecDeque<u64>,
@@ -34,6 +36,7 @@ struct RankWindow {
 
 /// One DRAM channel: a set of banks sharing a command/data bus.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct Channel {
     banks: Vec<Bank>,
     ranks: Vec<RankWindow>,
@@ -44,12 +47,16 @@ pub(crate) struct Channel {
     banks_per_rank: usize,
 }
 
-/// Outcome of scheduling one burst on a channel.
+/// Outcome of scheduling a run of bursts on a channel. Burst `k` of the
+/// run (from 0) finishes at `finish + k * column_stride`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Scheduled {
-    /// When the data transfer finishes (data fully read or written).
+    /// When the first burst's data transfer finishes (data fully read or
+    /// written).
     pub finish: u64,
-    /// Whether the access hit the open row.
+    /// When the last burst's does.
+    pub last_finish: u64,
+    /// Whether the first burst hit the open row (the others always do).
     pub row_hit: bool,
 }
 
@@ -79,12 +86,38 @@ impl Channel {
     }
 
     /// Schedules a single burst at or after `earliest`, updating all state.
-    // Allocation-free once warm: tests/hot_path_alloc.rs.
     pub(crate) fn schedule(
         &mut self,
         cfg: &DramConfig,
         loc: Location,
         kind: AccessKind,
+        earliest: u64,
+        trace: &TraceHandle,
+    ) -> Scheduled {
+        self.schedule_run(cfg, loc, kind, 1, earliest, trace)
+    }
+
+    /// Schedules `n >= 1` bursts of one kind to one location, all at or
+    /// after `earliest`, leaving the channel and the trace exactly as `n`
+    /// calls of [`Channel::schedule`] would.
+    ///
+    /// Only the first burst is scheduled command by command. Each later
+    /// one hits the row the first opened, follows a transfer of its own
+    /// kind (no turnaround) and meets no refresh: the first burst left
+    /// `earliest < next_refresh_due` (it skipped every elapsed REF and
+    /// stalled for a due one, after which `earliest < due + tRFC < due +
+    /// tREFI` — `DramConfig::validate` holds tRFC below tREFI). So its
+    /// column command waits only for its bank (`tCCD` after the previous
+    /// one) and for the data bus (`tBURST` after the previous transfer
+    /// began), both of which lie past `earliest`: the column commands are
+    /// an arithmetic progression, and only the last one's state survives.
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
+    pub(crate) fn schedule_run(
+        &mut self,
+        cfg: &DramConfig,
+        loc: Location,
+        kind: AccessKind,
+        n: u64,
         earliest: u64,
         trace: &TraceHandle,
     ) -> Scheduled {
@@ -180,28 +213,34 @@ impl Channel {
         let data_start = cas_at + cas_latency;
         let data_end = data_start + t.t_burst;
 
+        // -- The run's other bursts (closed form) ---------------------------
+        let stride = t.column_stride();
+        let last_cas = cas_at + (n - 1) * stride;
+        let last_end = data_end + (n - 1) * stride;
+
         // -- State updates -------------------------------------------------
         let bank = &mut self.banks[bank_idx];
-        bank.next_cas = cas_at + t.t_ccd;
+        bank.next_cas = last_cas + t.t_ccd;
         match kind {
             AccessKind::Read => {
-                bank.next_pre = bank.next_pre.max(cas_at + t.t_rtp);
-                trace.record(data_start, EventKind::DramRead);
+                bank.next_pre = bank.next_pre.max(last_cas + t.t_rtp);
+                trace.record_run(EventKind::DramRead, n, data_start, stride);
             }
             AccessKind::Write => {
-                bank.next_pre = bank.next_pre.max(data_end + t.t_wr);
-                trace.record(data_start, EventKind::DramWrite);
+                bank.next_pre = bank.next_pre.max(last_end + t.t_wr);
+                trace.record_run(EventKind::DramWrite, n, data_start, stride);
             }
         }
         // ACT after PRE: next_act tracks "row closed and precharged"; derive
         // lazily when the next conflicting access arrives.
         bank.next_act = bank.next_act.max(bank.act_time + t.t_ras + t.t_rp);
 
-        self.bus_free = data_end;
+        self.bus_free = last_end;
         self.last_kind = Some(kind);
 
         Scheduled {
             finish: data_end,
+            last_finish: last_end,
             row_hit,
         }
     }
@@ -303,6 +342,97 @@ mod tests {
         assert_eq!(st.act_energy_pj, cfg.act_pre_energy_pj);
         assert_eq!(st.read_energy_pj, cfg.read_energy_pj);
         assert_eq!(st.write_energy_pj, cfg.write_energy_pj);
+    }
+}
+
+#[cfg(test)]
+mod run_tests {
+    use super::*;
+    use crate::config::DramTiming;
+
+    #[test]
+    fn a_row_closes_only_after_the_last_burst_of_a_run_recovers() {
+        // A conflicting read behind a run long enough to outlast tRAS: its
+        // precharge waits out the run's *last* burst — tWR from the end of
+        // written data, tRTP from the last read command.
+        let cfg = DramConfig::ddr3_1600(1);
+        let t = &cfg.timing;
+        let row = |row| Location {
+            channel: 0,
+            rank: 0,
+            bank: 0,
+            row,
+        };
+        let (open, other) = (row(1), row(2));
+        for kind in [AccessKind::Write, AccessKind::Read] {
+            for via_run in [true, false] {
+                let mut ch = Channel::new(&cfg);
+                let tr = TraceHandle::default();
+                let last_finish = if via_run {
+                    ch.schedule_run(&cfg, open, kind, 8, 0, &tr).last_finish
+                } else {
+                    (0..8).fold(0, |_, _| ch.schedule(&cfg, open, kind, 0, &tr).finish)
+                };
+                let pre_at = match kind {
+                    AccessKind::Write => last_finish + t.t_wr,
+                    AccessKind::Read => last_finish - t.t_burst - t.t_cl + t.t_rtp,
+                };
+                assert!(pre_at > t.t_ras, "tRAS must not be what binds");
+                let conflict = ch.schedule(&cfg, other, AccessKind::Read, 0, &tr);
+                assert_eq!(
+                    conflict.finish,
+                    pre_at + t.t_rp + t.t_rcd + t.t_cl + t.t_burst,
+                    "{kind:?}, via_run={via_run}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_run_leaves_the_channel_as_n_schedules_do() {
+        // Runs of every length and both kinds, over two rows of two banks
+        // and two ranks (hits, conflicts, turnarounds), at arrival times
+        // that sit still, creep, and jump past refreshes due and elapsed.
+        for (_, timing) in DramTiming::stride_tables() {
+            let cfg = DramConfig {
+                timing,
+                ranks_per_channel: 2,
+                ..DramConfig::ddr3_1600(1)
+            };
+            let (mut run, mut each) = (Channel::new(&cfg), Channel::new(&cfg));
+            let (run_trace, each_trace) = (TraceHandle::new(1 << 12), TraceHandle::new(1 << 12));
+            let mut now = 0;
+            for step in 0..400u64 {
+                let loc = Location {
+                    channel: 0,
+                    rank: (step / 2 % 2) as usize,
+                    bank: (step / 5 % 2) as usize,
+                    row: step / 3 % 2,
+                };
+                let kind = [AccessKind::Read, AccessKind::Write][(step / 7 % 2) as usize];
+                let n = 1 + step % 9;
+                let got = run.schedule_run(&cfg, loc, kind, n, now, &run_trace);
+                let finishes: Vec<u64> = (0..n)
+                    .map(|_| each.schedule(&cfg, loc, kind, now, &each_trace).finish)
+                    .collect();
+                let case = format!("step {step}: {n} x {kind:?} at {loc:?}");
+                let stride = cfg.timing.column_stride();
+                let closed_form: Vec<u64> = (0..n).map(|k| got.finish + k * stride).collect();
+                assert_eq!(closed_form, finishes, "{case}");
+                assert_eq!(got.last_finish, finishes[finishes.len() - 1], "{case}");
+                assert_eq!(run, each, "{case}");
+                assert_eq!(run_trace.events(), each_trace.events(), "{case}");
+                assert_eq!(run_trace.counters(), each_trace.counters(), "{case}");
+                now = match step % 4 {
+                    0 => now,
+                    1 => now + 20_000,
+                    2 => got.last_finish,
+                    _ => now + cfg.timing.t_refi * (1 + step % 3) - 100_000,
+                };
+            }
+            assert!(run_trace.counter(Counter::DramRefs) > 0);
+            assert!(run_trace.counter(Counter::DramRefsSkipped) > 0);
+        }
     }
 }
 

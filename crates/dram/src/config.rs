@@ -83,6 +83,13 @@ impl DramTiming {
             t_rfc: 260_000,
         }
     }
+
+    /// Distance between consecutive column commands streaming one kind of
+    /// burst out of one open row: the bank's CAS-to-CAS minimum or the data
+    /// bus's occupancy per burst, whichever is longer.
+    pub(crate) fn column_stride(&self) -> u64 {
+        self.t_ccd.max(self.t_burst)
+    }
 }
 
 /// How a flat physical address is split into channel/bank/row/column.
@@ -163,8 +170,8 @@ impl DramConfig {
         }
     }
 
-    /// Validates the geometry and the one timing value the model divides
-    /// by.
+    /// Validates the geometry, the one timing value the model divides by,
+    /// and that a rank leaves refresh before its next one falls due.
     ///
     /// # Errors
     ///
@@ -190,6 +197,15 @@ impl DramConfig {
         }
         if self.timing.t_refi == 0 {
             return Err("timing.t_refi must be positive".into());
+        }
+        // A rank with tRFC >= tREFI starts healthy, then stalls every
+        // command behind the next REF for good. `Channel::schedule_run`
+        // also rests on it: the bursts after a run's first meet no refresh.
+        if self.timing.t_rfc >= self.timing.t_refi {
+            return Err(format!(
+                "timing.t_rfc must be below timing.t_refi ({} >= {})",
+                self.timing.t_rfc, self.timing.t_refi
+            ));
         }
         Ok(())
     }
@@ -229,8 +245,8 @@ impl DramConfig {
     /// [`DramConfig::decompose`] is constant, and past which it is not: a
     /// whole row when the column bits sit lowest (with one channel both
     /// mappings do that), a single burst when consecutive bursts alternate
-    /// channels. [`crate::DramSystem::access_batch`] splits a batch into
-    /// same-location runs with one range test per burst against it.
+    /// channels. [`crate::DramSystem`] cuts every batch into same-location
+    /// runs by arithmetic on it.
     pub(crate) fn location_span(&self, addr: u64) -> std::ops::Range<u64> {
         let span = match self.mapping {
             AddressMapping::ChannelInterleaved if self.channels > 1 => self.burst_bytes,
@@ -253,6 +269,30 @@ pub struct Location {
     pub bank: usize,
     /// Row index within the bank.
     pub row: u64,
+}
+
+#[cfg(test)]
+impl DramTiming {
+    /// DDR3-1600 has `tCCD == tBURST`; a run's stride is the larger of the
+    /// two, so tests of it also run with each one the larger.
+    pub(crate) fn stride_tables() -> [(&'static str, Self); 3] {
+        let ddr3 = Self::ddr3_1600();
+        let slow_bank = Self {
+            t_ccd: 7_500,
+            t_burst: 5_000,
+            ..ddr3.clone()
+        };
+        let slow_bus = Self {
+            t_ccd: 5_000,
+            t_burst: 7_500,
+            ..ddr3.clone()
+        };
+        [
+            ("ddr3-1600", ddr3),
+            ("tCCD > tBURST", slow_bank),
+            ("tBURST > tCCD", slow_bus),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +341,7 @@ mod tests {
 
     #[test]
     fn decompose_is_constant_exactly_over_the_location_span() {
-        // The one fact the run split of `access_batch` rests on.
+        // The one fact the run split of `DramSystem` rests on.
         for mapping in [
             AddressMapping::RowBankChannelColumn,
             AddressMapping::ChannelInterleaved,
@@ -366,5 +406,14 @@ mod tests {
     #[test]
     fn validate_rejects_zero_refresh_interval() {
         assert!(rejected(|c| c.timing.t_refi = 0).contains("t_refi"));
+    }
+
+    #[test]
+    fn validate_rejects_a_rank_that_never_leaves_refresh() {
+        for t_rfc in [7_800_000, 9_000_000] {
+            let why = rejected(|c| c.timing.t_rfc = t_rfc);
+            assert!(why.contains("timing.t_rfc must be below timing.t_refi"));
+        }
+        assert_eq!(DramConfig::ddr3_1066(2).validate(), Ok(()));
     }
 }

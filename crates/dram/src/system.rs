@@ -64,18 +64,20 @@ const HIT_STALE: usize = usize::MAX;
 /// Sentinel: the bank's queue holds no row-hit under its current open row.
 const HIT_NONE: usize = usize::MAX - 1;
 
-/// Reusable per-batch scheduling state for [`DramSystem::access_batch`].
+/// Reusable per-batch scheduling state of a [`DramSystem`].
 ///
 /// FR-FCFS picks "the first row-hit in arrival order, else the oldest",
 /// and the arbiter makes that pick once per *run* — a stretch of
-/// consecutive requests sharing a [`Location`], which is what a bucket's
-/// bursts are — then schedules the whole run back to back. That is the
-/// per-request order exactly, for any split into same-location contiguous
-/// runs: row-hit status of a queued request can only change when *its own
-/// bank* is serviced, so once a run's first request is picked (as the
-/// earliest hit, or as the oldest when nothing hits) its row is open, the
-/// rest of the run hits, and no pending hit can be older — it would have
-/// been picked first, and a run is a contiguous index range.
+/// consecutive bursts of one kind sharing a [`Location`], which is what a
+/// bucket's bursts are — then schedules the whole run back to back. That is
+/// the per-request order exactly, for any split into same-location
+/// contiguous runs: row-hit status of a queued request can only change when
+/// *its own bank* is serviced, so once a run's first request is picked (as
+/// the earliest hit, or as the oldest when nothing hits) its row is open,
+/// the rest of the run hits, and no pending hit can be older — it would
+/// have been picked first, and a run is a contiguous index range. A run cut
+/// short where the kind changes is followed by the next run of its row,
+/// which is then the earliest hit for the same reason.
 ///
 /// Runs wait in per-bank arrival-order queues and each bank caches its
 /// first row-hit; the cache goes stale only for the bank just serviced. A
@@ -83,7 +85,8 @@ const HIT_NONE: usize = usize::MAX - 1;
 /// batch* (one, for a bucket write) plus one amortized hit rescan.
 #[derive(Debug, Clone, Default)]
 struct FrFcfsScratch {
-    /// Completion time of each request of the batch, in input order.
+    /// Completion time of each burst of the batch, in input order; only
+    /// [`DramSystem::access_batch`] fills it.
     finish: Vec<u64>,
     /// The batch split into runs, in arrival order.
     runs: Vec<Run>,
@@ -94,14 +97,17 @@ struct FrFcfsScratch {
     active: Vec<Vec<usize>>,
 }
 
-/// Consecutive batch requests `start..end` that share a location.
+/// Consecutive bursts of a batch that share a location and a kind.
 #[derive(Debug, Clone)]
 struct Run {
     loc: Location,
-    start: usize,
-    end: usize,
+    kind: AccessKind,
+    bursts: u64,
     /// Serviced (hits leave the middle of a bank queue; cursors skip them).
     done: bool,
+    /// Once serviced: when the first burst's data transfer finished. Each
+    /// later burst finishes one column stride after the one before.
+    first_finish: u64,
 }
 
 /// The runs of one batch waiting on one bank.
@@ -199,56 +205,131 @@ impl DramSystem {
     /// FR-FCFS per channel: among pending requests, open-row hits are
     /// serviced first, then the oldest.
     ///
-    /// Returns per-access completion times in input order.
+    /// Returns per-access completion times in input order. This is the
+    /// per-burst door: any addresses, any mix of kinds. A caller that moves
+    /// whole buckets and wants only the batch finish uses
+    /// [`DramSystem::access_spans`], which is the same model.
     // Allocation-free once warm: tests/hot_path_alloc.rs.
     pub fn access_batch(&mut self, now_ps: u64, accesses: &[(u64, AccessKind)]) -> BatchResult<'_> {
+        self.split(accesses.iter().map(|&(addr, kind)| (addr, 1, kind)));
+        let batch_finish_ps = self.arbitrate(now_ps);
+        let stride = self.config.timing.column_stride();
+        let FrFcfsScratch { finish, runs, .. } = &mut self.scratch;
+        finish.clear();
+        finish.reserve(accesses.len());
+        // The runs partition the batch in input order.
+        for run in runs.iter() {
+            finish.extend((0..run.bursts).map(|k| run.first_finish + k * stride));
+        }
+        BatchResult {
+            finish_ps: finish,
+            batch_finish_ps,
+        }
+    }
+
+    /// Performs a batch of `kind` accesses all arriving at `now_ps`, each
+    /// one `bursts` consecutive bursts starting at an address of `bases` —
+    /// a path's buckets — scheduled as [`DramSystem::access_batch`]
+    /// schedules the same bursts listed one by one. Returns the completion
+    /// of the whole batch, `now_ps` for an empty one.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fp_dram::{AccessKind, DramConfig, DramSystem};
+    /// let mut dram = DramSystem::new(DramConfig::ddr3_1600(2));
+    /// // Two 256 B buckets, four 64 B bursts each.
+    /// let done = dram.access_spans(0, AccessKind::Read, &[0x1000, 0x8000], 4);
+    /// assert!(done > 0);
+    /// assert_eq!(dram.stats().reads, 8);
+    /// ```
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
+    pub fn access_spans(
+        &mut self,
+        now_ps: u64,
+        kind: AccessKind,
+        bases: &[u64],
+        bursts: u64,
+    ) -> u64 {
+        self.split(bases.iter().map(|&base| (base, bursts, kind)));
+        self.arbitrate(now_ps)
+    }
+
+    /// Splits a batch of `(base, bursts, kind)` spans into runs, queued per
+    /// bank in arrival order. A run ends where the location or the kind
+    /// changes: a span contributes one piece per location span it reaches
+    /// into (a 256 B bucket is one piece, or two where it straddles a row),
+    /// and a piece extends the run before it when both match.
+    fn split(&mut self, spans: impl Iterator<Item = (u64, u64, AccessKind)>) {
+        let burst_bytes = self.config.burst_bytes;
         let banks_per_rank = self.config.banks_per_rank;
         let banks_per_channel = self.config.ranks_per_channel * banks_per_rank;
         let FrFcfsScratch {
-            finish,
             runs,
             banks,
             active,
+            ..
         } = &mut self.scratch;
         if banks.is_empty() {
             banks.resize_with(self.config.channels * banks_per_channel, BankQueue::default);
             active.resize_with(self.config.channels, Vec::new);
         }
-        // Every slot is overwritten below: each request is in one run and
-        // each run is picked once.
-        finish.resize(accesses.len(), 0);
 
-        // Split into runs, queued per bank in arrival order.
         runs.clear();
         let mut span = 0..0;
-        for (idx, &(addr, _)) in accesses.iter().enumerate() {
-            if span.contains(&addr) {
-                if let Some(run) = runs.last_mut() {
-                    run.end = idx + 1;
+        let mut span_kind = AccessKind::Read;
+        for (base, bursts, kind) in spans {
+            let mut taken = 0;
+            while taken < bursts {
+                let addr = base + taken * burst_bytes;
+                if !(span.contains(&addr) && kind == span_kind) {
+                    span = self.config.location_span(addr);
+                    span_kind = kind;
+                    let loc = self.config.decompose(addr);
+                    let q = loc.channel * banks_per_channel + loc.rank * banks_per_rank + loc.bank;
+                    let bank = &mut banks[q];
+                    if bank.queue.is_empty() {
+                        // The bank's first run of this batch: every cursor
+                        // starts afresh and the hit cache stale.
+                        active[loc.channel].push(q);
+                        bank.head = 0;
+                        bank.scan_from = 0;
+                        bank.hit = HIT_STALE;
+                    }
+                    bank.queue.push(runs.len());
+                    runs.push(Run {
+                        loc,
+                        kind,
+                        bursts: 0,
+                        done: false,
+                        first_finish: 0,
+                    });
                 }
-                continue;
+                // The bursts that start inside the location span: usually
+                // all that are left (no division), else up to its end.
+                let left = bursts - taken;
+                let fit = if addr.saturating_add(left * burst_bytes) <= span.end {
+                    left
+                } else {
+                    (span.end - addr).div_ceil(burst_bytes)
+                };
+                if let Some(run) = runs.last_mut() {
+                    run.bursts += fit;
+                }
+                taken += fit;
             }
-            span = self.config.location_span(addr);
-            let loc = self.config.decompose(addr);
-            let q = loc.channel * banks_per_channel + loc.rank * banks_per_rank + loc.bank;
-            let bank = &mut banks[q];
-            if bank.queue.is_empty() {
-                // The bank's first run of this batch: every cursor starts
-                // afresh and the hit cache stale.
-                active[loc.channel].push(q);
-                bank.head = 0;
-                bank.scan_from = 0;
-                bank.hit = HIT_STALE;
-            }
-            bank.queue.push(runs.len());
-            runs.push(Run {
-                loc,
-                start: idx,
-                end: idx + 1,
-                done: false,
-            });
         }
+    }
 
+    /// Services every queued run, all arriving at `now_ps`, FR-FCFS per
+    /// channel; returns the completion of the last one.
+    fn arbitrate(&mut self, now_ps: u64) -> u64 {
+        let FrFcfsScratch {
+            runs,
+            banks,
+            active,
+            ..
+        } = &mut self.scratch;
         let mut batch_finish = now_ps;
         for (channel, active) in self.channels.iter_mut().zip(active) {
             let pending: usize = active.iter().map(|&q| banks[q].queue.len()).sum();
@@ -278,12 +359,16 @@ impl DramSystem {
                 let (r, q) = if was_hit { first_hit } else { oldest };
                 let run = &mut runs[r];
                 run.done = true;
-                let span = run.start..run.end;
-                for (&(_, kind), finish) in accesses[span.clone()].iter().zip(&mut finish[span]) {
-                    let sched = channel.schedule(&self.config, run.loc, kind, now_ps, &self.trace);
-                    *finish = sched.finish;
-                    batch_finish = batch_finish.max(sched.finish);
-                }
+                let sched = channel.schedule_run(
+                    &self.config,
+                    run.loc,
+                    run.kind,
+                    run.bursts,
+                    now_ps,
+                    &self.trace,
+                );
+                run.first_finish = sched.finish;
+                batch_finish = batch_finish.max(sched.last_finish);
                 let bank = &mut banks[q];
                 // After a hit the open row is unchanged and the next hit
                 // (same row) lies past the consumed position; after a miss
@@ -295,11 +380,7 @@ impl DramSystem {
                 banks[q].queue.clear();
             }
         }
-
-        BatchResult {
-            finish_ps: finish,
-            batch_finish_ps: batch_finish,
-        }
+        batch_finish
     }
 
     /// Total rank count (for background-energy accounting).
@@ -311,6 +392,7 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DramTiming;
 
     #[test]
     fn single_access_returns_positive_latency() {
@@ -437,6 +519,23 @@ mod tests {
         }
     }
 
+    /// Two systems of one configuration, each retaining every event it
+    /// records: the model under test and the one the reference drives.
+    fn traced_pair(cfg: &DramConfig) -> (DramSystem, DramSystem) {
+        let traced = || {
+            let mut sys = DramSystem::new(cfg.clone());
+            sys.attach_trace(TraceHandle::new(1 << 16));
+            sys
+        };
+        (traced(), traced())
+    }
+
+    /// Same commands at the same times in the same order, nothing dropped.
+    fn assert_same_events(fast: &DramSystem, slow: &DramSystem, case: &str) {
+        assert_eq!(fast.trace().events(), slow.trace().events(), "{case}");
+        assert_eq!(fast.trace().dropped(), 0, "{case}: ring too small");
+    }
+
     #[test]
     fn indexed_arbiter_matches_reference_on_random_batches() {
         // The per-bank indexed scheduler must be pick-for-pick identical to
@@ -446,8 +545,7 @@ mod tests {
         for &channels in &[1usize, 2] {
             let cfg = DramConfig::ddr3_1600(channels);
             let row_bytes = cfg.row_bytes;
-            let mut fast = DramSystem::new(cfg.clone());
-            let mut slow = DramSystem::new(cfg);
+            let (mut fast, mut slow) = traced_pair(&cfg);
             let mut now = 0u64;
             for _ in 0..6 {
                 let len = 1 + (next() % 200) as usize;
@@ -471,9 +569,9 @@ mod tests {
                     "divergence at channels={channels}"
                 );
                 now = a.batch_finish_ps;
+                assert_same_events(&fast, &slow, &format!("channels={channels}"));
             }
-            assert_eq!(fast.stats().row_hits, slow.stats().row_hits);
-            assert_eq!(fast.stats().activations, slow.stats().activations);
+            assert_eq!(fast.stats(), slow.stats());
         }
     }
 
@@ -498,8 +596,7 @@ mod tests {
                     let case = format!("{mapping:?} x{channels} ranks={ranks} {bucket_bytes} B");
                     let buckets = 48 * cfg.row_bytes / bucket_bytes;
                     let bursts = bucket_bytes / cfg.burst_bytes;
-                    let mut fast = DramSystem::new(cfg.clone());
-                    let mut slow = DramSystem::new(cfg.clone());
+                    let (mut fast, mut slow) = traced_pair(&cfg);
                     let mut now = 0u64;
                     for round in 0..40 {
                         let mut batch = Vec::new();
@@ -523,6 +620,7 @@ mod tests {
                             "{case}, batch {round}"
                         );
                         now = a.batch_finish_ps;
+                        assert_same_events(&fast, &slow, &format!("{case}, batch {round}"));
                         if round % 3 == 2 {
                             now += next() % 40_000_000;
                         }
@@ -531,5 +629,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn span_door_matches_reference() {
+        // The door the ORAM engine uses, on the batches it makes — whole
+        // buckets of one kind, a path of them or a single one — against
+        // the reference fed the same bursts one by one. 320 B buckets
+        // straddle rows; idle gaps skip refreshes and every eighth batch
+        // arrives while one is due; every stride table.
+        let mut next = splitmix(0x5BA2_D002);
+        for (table, timing) in DramTiming::stride_tables() {
+            for mapping in [
+                crate::AddressMapping::RowBankChannelColumn,
+                crate::AddressMapping::ChannelInterleaved,
+            ] {
+                for (channels, ranks) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
+                    for bucket_bytes in [64u64, 256, 320] {
+                        let cfg = DramConfig {
+                            mapping,
+                            ranks_per_channel: ranks,
+                            timing: timing.clone(),
+                            ..DramConfig::ddr3_1600(channels)
+                        };
+                        let case = format!(
+                            "{table} {mapping:?} x{channels} ranks={ranks} {bucket_bytes} B"
+                        );
+                        let buckets = 48 * cfg.row_bytes / bucket_bytes;
+                        let bursts = bucket_bytes / cfg.burst_bytes;
+                        let (mut fast, mut slow) = traced_pair(&cfg);
+                        let mut now = 0u64;
+                        for round in 0..40 {
+                            let kind = [AccessKind::Read, AccessKind::Write][(next() % 2) as usize];
+                            let len = if next().is_multiple_of(3) {
+                                1
+                            } else {
+                                1 + next() % 24
+                            };
+                            let bases: Vec<u64> =
+                                (0..len).map(|_| next() % buckets * bucket_bytes).collect();
+                            let per_burst: Vec<(u64, AccessKind)> = bases
+                                .iter()
+                                .flat_map(|&base| {
+                                    (0..bursts).map(move |i| (base + i * cfg.burst_bytes, kind))
+                                })
+                                .collect();
+                            let a = fast.access_spans(now, kind, &bases, bursts);
+                            let b = access_batch_reference(&mut slow, now, &per_burst);
+                            assert_eq!(a, b.1, "{case}, batch {round}");
+                            assert_same_events(&fast, &slow, &format!("{case}, batch {round}"));
+                            now = a;
+                            if round % 3 == 2 {
+                                now += next() % 40_000_000;
+                            }
+                            if round % 8 == 5 {
+                                // Land inside the next refresh.
+                                let t = &cfg.timing;
+                                now = (now / t.t_refi + 1) * t.t_refi + next() % t.t_rfc;
+                            }
+                        }
+                        assert_eq!(fast.stats(), slow.stats(), "{case}");
+                        assert!(fast.stats().refreshes > 0, "{case}: no REF fell due");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_doors_are_one_model() {
+        // The per-burst door fed a bucket batch burst by burst lands where
+        // the span door does, and reports each burst's finish.
+        let cfg = DramConfig::ddr3_1600(2);
+        let (mut spans, mut each) = traced_pair(&cfg);
+        // The second bucket straddles a row; the third repeats the first.
+        let bases = [0x1_0000, 0x2_0000 - 128, 0x1_0000];
+        let per_burst: Vec<(u64, AccessKind)> = bases
+            .iter()
+            .flat_map(|&base| (0..4).map(move |i| (base + i * 64, AccessKind::Write)))
+            .collect();
+        let finish = spans.access_spans(0, AccessKind::Write, &bases, 4);
+        let result = each.access_batch(0, &per_burst);
+        assert_eq!(result.batch_finish_ps, finish);
+        assert_eq!(result.finish_ps.len(), 12);
+        assert_eq!(result.finish_ps.iter().max(), Some(&finish));
+        assert_same_events(&spans, &each, "three buckets");
+        assert_eq!(spans.access_spans(finish, AccessKind::Read, &[], 4), finish);
+    }
+
+    #[test]
+    fn the_top_of_the_address_space_is_one_more_location() {
+        // `location_span` saturates there; the split must still advance.
+        let mut dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let top = [
+            (u64::MAX, AccessKind::Read),
+            (u64::MAX - 63, AccessKind::Write),
+        ];
+        let result = dram.access_batch(0, &top);
+        assert_eq!(result.finish_ps.len(), 2);
+        assert_eq!(dram.stats().accesses(), 2);
     }
 }

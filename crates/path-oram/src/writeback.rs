@@ -2,11 +2,11 @@
 //! one place bucket node ids become DRAM traffic, and the timing-only half
 //! of [`crate::Datapath`], which owns it.
 //!
-//! Holds the on-chip bucket cache (any [`BucketCache`] policy), the
-//! subtree-aligned DRAM layout, and the burst-level batch generation for
-//! path reads and the leaf-to-root refill stream. It deals only in bucket
-//! node ids and commit times and decides which of those become DRAM
-//! traffic; the blocks themselves move in the datapath.
+//! Holds the on-chip bucket cache (any [`BucketCache`] policy) and the
+//! subtree-aligned DRAM layout. Bucket node ids and commit times come in;
+//! the ones the cache does not absorb go out to the DRAM model as bucket
+//! base addresses, a path's worth per batch — it cuts them into bursts and
+//! rows itself. The blocks themselves move in the datapath.
 
 use fp_dram::layout::{SubtreeLayout, TreeLayout};
 use fp_dram::{AccessKind, DramConfig, DramSystem};
@@ -21,10 +21,9 @@ pub struct WritebackEngine {
     cache: Box<dyn BucketCache + Send>,
     layout: SubtreeLayout,
     bursts_per_bucket: u64,
-    burst_bytes: u64,
     trace: TraceHandle,
-    /// Reusable DRAM burst batch buffer.
-    batch: Vec<(u64, AccessKind)>,
+    /// Reusable batch buffer: base addresses of the buckets to read.
+    bases: Vec<u64>,
 }
 
 impl WritebackEngine {
@@ -40,9 +39,8 @@ impl WritebackEngine {
             cache,
             layout: SubtreeLayout::fit_row(oram.path_len(), bucket_bytes, dram.row_bytes),
             bursts_per_bucket: bucket_bytes.div_ceil(dram.burst_bytes).max(1),
-            burst_bytes: dram.burst_bytes,
             trace: TraceHandle::default(),
-            batch: Vec::new(),
+            bases: Vec::new(),
         }
     }
 
@@ -57,21 +55,27 @@ impl WritebackEngine {
     /// the cache); the controller adds its pipeline latency on top.
     // Allocation-free once warm, the DRAM batch it issues included: tests/hot_path_alloc.rs.
     pub fn read_path(&mut self, dram: &mut DramSystem, nodes: &[u64], now_ps: u64) -> u64 {
-        self.batch.clear();
+        self.bases.clear();
         for &node in nodes {
-            if self.cache.lookup_for_read(node) {
-                self.trace.bump(Counter::CacheHits);
-                continue;
+            if !self.cache.lookup_for_read(node) {
+                self.bases.push(self.layout.bucket_address(node));
             }
-            self.trace.bump(Counter::CacheMisses);
-            self.push_bursts(node, AccessKind::Read);
         }
-        if self.batch.is_empty() {
+        let misses = self.bases.len() as u64;
+        self.trace
+            .add(Counter::CacheHits, nodes.len() as u64 - misses);
+        self.trace.add(Counter::CacheMisses, misses);
+        if misses == 0 {
             return now_ps;
         }
         self.trace
-            .add(Counter::DramBlocksRead, self.batch.len() as u64);
-        dram.access_batch(now_ps, &self.batch).batch_finish_ps
+            .add(Counter::DramBlocksRead, misses * self.bursts_per_bucket);
+        dram.access_spans(
+            now_ps,
+            AccessKind::Read,
+            &self.bases,
+            self.bursts_per_bucket,
+        )
     }
 
     /// Commits one refill bucket through the cache; returns its commit
@@ -85,23 +89,15 @@ impl WritebackEngine {
             WriteOutcome::WriteThrough => node,
             WriteOutcome::CachedEvicting { victim } => victim,
         };
-        self.batch.clear();
-        self.push_bursts(to_dram, AccessKind::Write);
         self.trace
-            .add(Counter::DramBlocksWritten, self.batch.len() as u64);
-        dram.access_batch(t_ps, &self.batch).batch_finish_ps
+            .add(Counter::DramBlocksWritten, self.bursts_per_bucket);
+        let base = self.layout.bucket_address(to_dram);
+        dram.access_spans(t_ps, AccessKind::Write, &[base], self.bursts_per_bucket)
     }
 
     /// Buckets currently resident in the on-chip cache.
     pub fn resident(&self) -> usize {
         self.cache.resident()
-    }
-
-    fn push_bursts(&mut self, node: u64, kind: AccessKind) {
-        let base = self.layout.bucket_address(node);
-        for i in 0..self.bursts_per_bucket {
-            self.batch.push((base + i * self.burst_bytes, kind));
-        }
     }
 }
 

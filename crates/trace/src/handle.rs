@@ -25,7 +25,7 @@ struct Spine {
     /// The counter table. Counters publish no other data, so every
     /// access is `Relaxed`.
     counters: [AtomicU64; Counter::COUNT],
-    /// Ring capacity. Written only while `ring` is locked; `record`
+    /// Ring capacity. Written only while `ring` is locked; `record_run`
     /// reads it unlocked first so capacity 0 never takes the lock.
     capacity: AtomicUsize,
     /// Coarse timestamp for [`TraceHandle::record_now`].
@@ -38,7 +38,8 @@ struct Spine {
 /// Clones are shallow: every component the controller attaches a clone to
 /// reports into the same counters, ring, and histograms. Counters are
 /// atomics: [`TraceHandle::bump`], [`TraceHandle::add`] and — at ring
-/// capacity 0, the default — [`TraceHandle::record`] take no lock. The
+/// capacity 0, the default — [`TraceHandle::record`] and
+/// [`TraceHandle::record_run`] take no lock. The
 /// mutex is taken only to retain an event (capacity > 0), to add a
 /// histogram sample, or to read the ring, and it is poison-tolerant: a
 /// thread that panicked while holding it costs at most its own update.
@@ -71,7 +72,16 @@ impl TraceHandle {
     /// matching counter.
     // Allocation-free once warm: tests/hot_path_alloc.rs.
     pub fn record(&self, t_ps: u64, kind: EventKind) {
-        self.add(kind.counter(), 1);
+        self.record_run(kind, 1, t_ps, 0);
+    }
+
+    /// Records `n` events of one kind, the first at `first_t_ps` and each
+    /// `stride_ps` after the one before — what `n` calls of
+    /// [`TraceHandle::record`] with those stamps would leave, counter and
+    /// ring, for one counter update and at most one lock.
+    // Allocation-free once warm: tests/hot_path_alloc.rs.
+    pub fn record_run(&self, kind: EventKind, n: u64, first_t_ps: u64, stride_ps: u64) {
+        self.add(kind.counter(), n);
         if self.0.capacity.load(Relaxed) == 0 {
             return;
         }
@@ -82,10 +92,13 @@ impl TraceHandle {
         if capacity == 0 {
             return;
         }
-        if ring.events.len() == capacity {
-            ring.events.pop_front();
+        for k in 0..n {
+            if ring.events.len() == capacity {
+                ring.events.pop_front();
+            }
+            let t_ps = first_t_ps + k * stride_ps;
+            ring.events.push_back(TraceEvent { t_ps, kind });
         }
-        ring.events.push_back(TraceEvent { t_ps, kind });
     }
 
     /// Records a typed event at the last time set via
@@ -101,8 +114,9 @@ impl TraceHandle {
     }
 
     /// Adds `n` to a counter (no event is recorded). Counters that back
-    /// an [`EventKind`] are bumped by [`TraceHandle::record`] only, which
-    /// is what lets [`TraceHandle::dropped`] be derived from them.
+    /// an [`EventKind`] are bumped by [`TraceHandle::record`] and
+    /// [`TraceHandle::record_run`] only, which is what lets
+    /// [`TraceHandle::dropped`] be derived from them.
     // Allocation-free once warm: tests/hot_path_alloc.rs.
     pub fn add(&self, c: Counter, n: u64) {
         self.0.counters[c as usize].fetch_add(n, Relaxed);
@@ -235,6 +249,27 @@ mod tests {
         let evs = t.events();
         assert_eq!(evs[0].t_ps, 3, "ring keeps the most recent events");
         assert_eq!(evs[1].t_ps, 4);
+    }
+
+    #[test]
+    fn record_run_is_n_records() {
+        // Counter, retained events, their order and what overflow drops:
+        // on a ring that never fills, one that fills mid-run, and none.
+        for capacity in [0usize, 3, 64] {
+            let (run, each) = (TraceHandle::new(capacity), TraceHandle::new(capacity));
+            for t in [&run, &each] {
+                t.record(5, EventKind::DramAct);
+            }
+            run.record_run(EventKind::DramWrite, 6, 100, 7);
+            for k in 0..6 {
+                each.record(100 + k * 7, EventKind::DramWrite);
+            }
+            run.record_run(EventKind::DramRead, 0, 900, 1);
+            assert_eq!(run.counters(), each.counters(), "capacity {capacity}");
+            assert_eq!(run.counter(Counter::DramWrites), 6);
+            assert_eq!(run.events(), each.events(), "capacity {capacity}");
+            assert_eq!(run.dropped(), each.dropped(), "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The allocation contract of the per-access kernels, measured.
 //!
 //! Every structure the Fig 9 pipeline touches once per bucket — the PLB,
-//! the merging-aware cache (§3.5), the FR-FCFS batch scheduler, the
-//! writeback bursts, the stash's eviction stream, the stalled chain steps
-//! a pump scans, the trace counters, the sealed tree store and its cipher —
-//! must not allocate once warm, or allocates exactly what it hands back. A
-//! global allocator that counts holds that through every callee, whatever
-//! the allocation is spelled like. The counts are exact, never a tolerance;
-//! a new per-access kernel joins this file (DESIGN.md §12).
+//! the merging-aware cache (§3.5), the FR-FCFS batch scheduler behind both
+//! its doors, the writeback batches, the stash's eviction stream, the
+//! stalled chain steps a pump scans, the trace counters, the sealed tree
+//! store and its cipher — must not allocate once warm, or allocates
+//! exactly what it hands back. A global allocator that counts holds that
+//! through every callee, whatever the allocation is spelled like. The
+//! counts are exact, never a tolerance; a new per-access kernel joins this
+//! file (DESIGN.md §12).
 //!
 //! The `GlobalAlloc` forwarder below is the only `unsafe` in the
 //! repository: the trait cannot be implemented without it.
@@ -112,14 +113,16 @@ fn per_access_kernels_keep_their_allocation_contract() {
             counters_only.bump(Counter::FullReads);
             counters_only.record(t, EventKind::DramAct);
             ring.record(t, EventKind::DramAct);
+            counters_only.record_run(EventKind::DramRead, 4, t, 5_000);
+            ring.record_run(EventKind::DramRead, 4, t, 5_000);
         }
     });
-    assert_eq!(n, 0, "TraceHandle::{{add, bump, record}}");
+    assert_eq!(n, 0, "TraceHandle::{{add, bump, record, record_run}}");
     assert_eq!(ring.len(), 64, "the ring stayed full");
 
-    // FR-FCFS batch (Channel::schedule runs under it), in both shapes the
-    // ORAM issues: 64 unrelated bursts, and one bucket of four contiguous
-    // write bursts. The result borrows the scheduler's scratch.
+    // FR-FCFS batch (Channel::schedule_run runs under it) through the
+    // per-burst door: 64 unrelated bursts, and one bucket of four
+    // contiguous write bursts. The result borrows the scheduler's scratch.
     let dram_cfg = DramConfig::ddr3_1600(2);
     let mut dram = DramSystem::new(dram_cfg.clone());
     let scattered: Vec<(u64, AccessKind)> = (0..64)
@@ -140,6 +143,25 @@ fn per_access_kernels_keep_their_allocation_contract() {
             }
         });
         assert_eq!(n, 0, "DramSystem::access_batch, {shape}");
+    }
+
+    // The same arbiter through the door the engine uses, in the two shapes
+    // it makes: a 16-bucket path read and a one-bucket write.
+    let bursts = oram.bucket_bytes().div_ceil(dram_cfg.burst_bytes);
+    let path_bases: Vec<u64> = (0..16)
+        .map(|_| rng.next_below(1 << 18) * oram.bucket_bytes())
+        .collect();
+    for (kind, bases, shape) in [
+        (AccessKind::Read, &path_bases[..], "a 16-bucket read"),
+        (AccessKind::Write, &path_bases[..1], "a one-bucket write"),
+    ] {
+        now = dram.access_spans(now, kind, bases, bursts);
+        let n = allocations(|| {
+            for _ in 0..CALLS {
+                now = dram.access_spans(now, kind, bases, bursts);
+            }
+        });
+        assert_eq!(n, 0, "DramSystem::access_spans, {shape}");
     }
 
     // Writeback without a cache: every call issues exactly one DRAM batch.

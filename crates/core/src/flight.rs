@@ -7,8 +7,9 @@
 //! queue. Stash-hit steps are completed on chip here (the paper's Step 1 —
 //! a hit is "returned to LLC immediately").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use fp_path_oram::keyed::U64Map;
 use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, OramConfig, OramState,
 };
@@ -109,7 +110,7 @@ pub(crate) fn note_posmap_use(state: &mut OramState, plb: &mut PosMapLookasideBu
 /// the equivalence in every debug test.
 #[derive(Debug, Default)]
 pub(crate) struct FlightTable {
-    flights: HashMap<u64, Flight>,
+    flights: U64Map<Flight>,
     next_flight: u64,
     /// FIFO of flights waiting to access each unified block. The front is
     /// the owner; everyone else is parked. A step joins the queue the
@@ -117,7 +118,7 @@ pub(crate) struct FlightTable {
     /// — so same-block steps from different flights always execute in
     /// creation order (a newly created step can never overtake a parked
     /// one, which would let it run with a stale label).
-    busy: HashMap<u64, VecDeque<u64>>,
+    busy: U64Map<VecDeque<u64>>,
     stalled: VecDeque<StalledStep>,
     /// Keys whose owner left waiters behind, oldest release first; emptied
     /// by the scans (see the wake invariant above).

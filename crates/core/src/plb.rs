@@ -20,7 +20,7 @@
 //! The PLB sits on the per-posmap-step hot path, so this matters at
 //! paper-scale sweeps.
 
-use std::collections::HashMap;
+use fp_path_oram::keyed::U64Map;
 
 /// Sentinel for "no node" in the intrusive list.
 const NIL: u32 = u32::MAX;
@@ -48,7 +48,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct PosMapLookasideBuffer {
     /// Address → slot in `nodes`.
-    map: HashMap<u64, u32>,
+    map: U64Map<u32>,
     /// Slab of list nodes; never exceeds `capacity` entries.
     nodes: Vec<Node>,
     /// Least recently used slot.
@@ -68,7 +68,7 @@ impl PosMapLookasideBuffer {
     /// Creates a PLB holding up to `capacity` posmap blocks (0 disables).
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::with_capacity(capacity),
+            map: U64Map::with_capacity_and_hasher(capacity, Default::default()),
             nodes: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,

@@ -12,8 +12,8 @@
 //!   ("overlap degree") computation that path merging and request scheduling
 //!   are built on.
 //! * [`TreeStore`] — the untrusted external memory: a sparse, lazily
-//!   initialized bucket store with counter-mode probabilistic re-encryption
-//!   on every bucket write.
+//!   initialized bucket store, paged by depth-5 subtree, with counter-mode
+//!   probabilistic re-encryption on every bucket write.
 //! * [`Stash`] — the trusted on-chip block buffer with greedy deepest-first
 //!   eviction, consumed as a stream: candidates ordered once per refill,
 //!   one bucket taken per level.
@@ -37,6 +37,8 @@
 //!   incremental engine from the baseline to Fork Path.
 //! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
 //!   [`cache::TreetopCache`] policy (Phantom \[13\]).
+//! * [`keyed`] — the `u64`-keyed map and set aliases (one-multiply hasher)
+//!   for keys the program makes itself: node ids, block addresses, tags.
 //! * [`integrity`] — Merkle-tree verification over the ORAM tree, the
 //!   combinable defence against active attacks the paper points to (§2.2).
 //!
@@ -63,6 +65,7 @@ mod config;
 mod controller;
 mod datapath;
 pub mod integrity;
+pub mod keyed;
 pub mod path;
 mod posmap;
 pub mod reactive;

@@ -1,9 +1,8 @@
 //! The on-chip stash and its greedy deepest-first eviction stream.
 
-use std::collections::{HashMap, HashSet};
-
 use fp_trace::{EventKind, TraceHandle};
 
+use crate::keyed::{U64Map, U64Set};
 use crate::path::{divergence_level, overlap_degree};
 
 /// One memory block as held inside the trusted boundary: unified program
@@ -43,10 +42,10 @@ impl Block {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Stash {
-    blocks: HashMap<u64, Block>,
+    blocks: U64Map<Block>,
     /// Addresses exempt from eviction (e.g. blocks held by a posmap
     /// lookaside buffer). Pinned blocks still count against occupancy.
-    pinned: HashSet<u64>,
+    pinned: U64Set,
     capacity: usize,
     high_water: usize,
     /// Trace spine (clones share it); push/evict events report here.

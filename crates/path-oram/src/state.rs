@@ -11,6 +11,7 @@
 use fp_crypto::Xoshiro256;
 
 use crate::config::OramConfig;
+use crate::keyed::U64Set;
 use crate::path::path_contains;
 use crate::posmap::{OnChipMap, PosMapHierarchy};
 use crate::stash::{Block, Stash};
@@ -58,7 +59,7 @@ pub struct OramState {
     created_blocks: u64,
     /// Every block ever materialized (used to reason about lazily
     /// nonexistent super-block members).
-    existing: std::collections::HashSet<u64>,
+    existing: U64Set,
 }
 
 impl OramState {
@@ -90,7 +91,7 @@ impl OramState {
             onchip,
             label_rng: Xoshiro256::new(seed ^ 0x5EED_1ABE1),
             created_blocks: 0,
-            existing: std::collections::HashSet::new(),
+            existing: U64Set::default(),
         }
         .with_stash_capacity()
     }
@@ -305,7 +306,7 @@ impl OramState {
     /// Returns a description of the first violation found: a block stored
     /// off its labelled path, an overfull bucket, or a duplicate address.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = U64Set::default();
         for (node, blocks) in self.tree.iter_buckets() {
             if blocks.len() > self.cfg.z {
                 return Err(format!("bucket {node} holds {} > Z blocks", blocks.len()));
@@ -354,7 +355,7 @@ mod tests {
         let leaves = s.config().leaf_count();
         let labels: Vec<u64> = (0..64).map(|_| s.random_label()).collect();
         assert!(labels.iter().all(|&l| l < leaves));
-        let distinct: std::collections::HashSet<_> = labels.iter().collect();
+        let distinct: U64Set = labels.iter().copied().collect();
         assert!(distinct.len() > 16, "labels vary");
     }
 

@@ -2,13 +2,13 @@
 # Tier-1 verification gate, eight steps: format, lint, hermetic release
 # build, the test suite of every workspace member (--workspace: a bare
 # `cargo test` from the root package would skip the crates' own tests),
-# three of its suites and the DRAM model's own again in the release build
-# the benchmark measures (step five, two invocations), the sealed data
-# path's two crates again for the portable x86-64 target, rustdoc, and the
-# benchmark package's own check. Every assertion about library behaviour is
-# a named test under steps four and five; nothing here runs a binary and
-# inspects its output. The workspace has zero external dependencies, so
-# everything runs --offline.
+# three of its suites, the DRAM model's own and the tree store's crate's
+# own again in the release build the benchmark measures (step five, three
+# invocations), the sealed data path's two crates again for the portable
+# x86-64 target, rustdoc, and the benchmark package's own check. Every
+# assertion about library behaviour is a named test under steps four and
+# five; nothing here runs a binary and inspects its output. The workspace
+# has zero external dependencies, so everything runs --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,12 @@ cargo test -q --offline --release --test stats_golden --test hot_path_alloc --te
 # debug panics on overflow, --release wraps silently. Its reference
 # propchecks, once more where a wrap would show as a wrong finish time.
 cargo test -q --offline --release -p fp-dram
+# The tree store's subtree arithmetic (`63 - leading_zeros`, the slot
+# offset, the sealed image's trailer split) is subtractions and shifts: the
+# same split between debug and --release. Its model propcheck over trees of
+# 1..=17 levels, once more where a wrap would store a bucket in the wrong
+# slot.
+cargo test -q --offline --release -p fp-path-oram
 # Everything above is built under .cargo/config.toml's `target-cpu=native`,
 # where an AVX2 host selects fp-crypto's eight-lane keystream and would
 # never again run the one-lane build a portable binary gets. RUSTFLAGS

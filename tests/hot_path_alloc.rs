@@ -3,12 +3,13 @@
 //! Every structure the Fig 9 pipeline touches once per bucket — the PLB,
 //! the merging-aware cache (§3.5), the FR-FCFS batch scheduler behind both
 //! its doors, the writeback batches, the stash's eviction stream, the
-//! stalled chain steps a pump scans, the trace counters, the sealed tree
-//! store and its cipher — must not allocate once warm, or allocates
-//! exactly what it hands back. A global allocator that counts holds that
-//! through every callee, whatever the allocation is spelled like. The
-//! counts are exact, never a tolerance; a new per-access kernel joins this
-//! file (DESIGN.md §12).
+//! stalled chain steps a pump scans, the trace counters, the tree store in
+//! both cipher modes and its cipher — must not allocate once warm, or
+//! allocates exactly what it hands back; and the tree store allocates by
+//! touched subtree, never by the size of the tree. A global allocator that
+//! counts holds that through every callee, whatever the allocation is
+//! spelled like. The per-call counts are exact, never a tolerance; a new
+//! per-access kernel joins this file (DESIGN.md §12).
 //!
 //! The `GlobalAlloc` forwarder below is the only `unsafe` in the
 //! repository: the trait cannot be implemented without it.
@@ -22,6 +23,7 @@ use fork_path_oram::core::{MergingAwareCache, PosMapLookasideBuffer};
 use fork_path_oram::crypto::{BlockCipher, Nonce, Xoshiro256};
 use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
+use fork_path_oram::path_oram::path::{leaf_node, path_nodes};
 use fork_path_oram::path_oram::{
     Block, CipherMode, NewRequest, Op, OramConfig, Stash, TreeStore, WritebackEngine,
 };
@@ -32,16 +34,20 @@ thread_local! {
     /// threads cannot pollute a measurement; `const`-initialised and
     /// without a destructor, so reading it never allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its whole new
+    /// size): what the lazy tree store is held to.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// integer. `alloc_zeroed` is the provided method, which calls `alloc`.
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// integers. `alloc_zeroed` is the provided method, which calls `alloc`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        BYTES.set(BYTES.get() + layout.size() as u64);
         System.alloc(layout)
     }
 
@@ -51,6 +57,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        BYTES.set(BYTES.get() + new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,6 +70,13 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.get();
     f();
     ALLOCATIONS.get() - before
+}
+
+/// `(allocations, bytes asked for)` by the current thread while `f` runs.
+fn allocated(f: impl FnOnce()) -> (u64, u64) {
+    let before = BYTES.get();
+    let n = allocations(f);
+    (n, BYTES.get() - before)
 }
 
 const CALLS: u64 = 4096;
@@ -278,8 +292,8 @@ fn sealed_path_keeps_its_allocation_contract() {
     });
     assert_eq!(n, 0, "BlockCipher::encrypt_in_place over a 320 B image");
 
-    // A warm store: every node below was written and taken once, so the
-    // map behind it never grows again.
+    // A warm store: every node below was written and taken once, so its
+    // subtree has a page and the directory never grows again.
     const NODES: u64 = 64;
     let mut oram = OramConfig::small_test();
     oram.cipher_mode = CipherMode::Real;
@@ -306,5 +320,77 @@ fn sealed_path_keeps_its_allocation_contract() {
         assert_eq!(taken.len() as u64, k);
         let expected = if k == 0 { 0 } else { 1 + k };
         assert_eq!(n, expected, "sealed TreeStore::take_bucket of {k} blocks");
+    }
+}
+
+/// The tree store is lazy by subtree page (DESIGN.md §1): at the paper
+/// geometry (L = 24) nothing is sized by the tree, a path costs at most its
+/// five pages, and a warm page is written and taken without the allocator.
+#[test]
+fn tree_store_allocates_one_page_per_touched_subtree() {
+    /// 31 slots of 24 B.
+    const PAGE_BYTES: u64 = 744;
+    let paper = OramConfig::paper_default(4 << 30);
+    let levels = paper.levels;
+    assert_eq!(levels, 24);
+    for mode in [CipherMode::Transparent, CipherMode::Real] {
+        let mut cfg = paper.clone();
+        cfg.cipher_mode = mode;
+        let (n, bytes) = allocated(|| drop(black_box(TreeStore::new(&cfg, [7; 32]))));
+        assert_eq!((n, bytes), (0, 0), "TreeStore::new, {mode:?}");
+    }
+    let mut store = TreeStore::new(&paper, [7; 32]);
+    let (_, bytes) = allocated(|| store.write_bucket(leaf_node(levels, 0), Vec::new()));
+    assert!(bytes < 16 << 10, "first leaf-level write: {bytes} B");
+
+    // 256 fresh random paths, 25 buckets each: five pages a path at most,
+    // plus the doubling growth of a 1,280-entry directory (16 B entries)
+    // and page vector (8 B) — under 128 KB between them.
+    const PATHS: u64 = 256;
+    let mut rng = Xoshiro256::new(24);
+    let (_, bytes) = allocated(|| {
+        for _ in 0..PATHS {
+            // Leaf to root, the order of a refill. `path_nodes` allocates
+            // its 25 ids: 200 B a path, inside the slack below.
+            for node in path_nodes(levels, rng.next_below(1 << levels))
+                .into_iter()
+                .rev()
+            {
+                store.write_bucket(node, Vec::new());
+            }
+        }
+    });
+    assert!(
+        bytes <= PATHS * 5 * PAGE_BYTES + (128 << 10),
+        "{PATHS} paths: {bytes} B"
+    );
+    assert!(bytes >= PATHS * 3 * PAGE_BYTES, "the paths were fresh");
+
+    // Warm pages, exact. Six subtrees of the 10-level test tree: the top
+    // one and five of the 32 under it. The directory and the page vector
+    // grew for the fifth and have room for three more, so a first write
+    // into a sixth untouched subtree is its page and nothing else.
+    let small = OramConfig::small_test();
+    let mut store = TreeStore::new(&small, [7; 32]);
+    for node in [1, 32, 33, 34, 35] {
+        store.write_bucket(node, Vec::new());
+    }
+    let fresh = allocated(|| store.write_bucket(36, Vec::new()));
+    assert_eq!(fresh, (1, PAGE_BYTES), "first write into a subtree");
+    for call in 0..CALLS {
+        let node = [1, 2, 31, 32, 65, 36 << 4][(call % 6) as usize];
+        let k = call % (small.z as u64 + 1);
+        let blocks: Vec<Block> = (0..k)
+            .map(|addr| Block::new(addr, call, vec![0; small.block_bytes]))
+            .collect();
+        let n = allocations(|| store.write_bucket(node, blocks));
+        assert_eq!(
+            n, 0,
+            "plain TreeStore::write_bucket keeps the Vec it is handed"
+        );
+        let mut taken = Vec::new();
+        let n = allocations(|| taken = store.take_bucket(node));
+        assert_eq!(n, 0, "plain TreeStore::take_bucket hands it back");
+        assert_eq!(taken.len() as u64, k);
     }
 }

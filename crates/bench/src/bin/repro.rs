@@ -21,8 +21,7 @@ use fp_dram::{DramConfig, DramSystem};
 use fp_path_oram::path::overlap_degree;
 use fp_path_oram::{BaselineController, Op, OramConfig, PosMapHierarchy};
 use fp_sim::experiment::{
-    run_all_mixes, run_all_mixes_reported, run_mix, run_mix_with_pipeline, trace_path_from_args,
-    MissBudget, SweepOutcome,
+    run_mix, run_mix_with_pipeline, run_mixes, trace_path_from_args, MissBudget, SweepOutcome,
 };
 use fp_sim::metrics::{geomean, RunResult};
 use fp_sim::report::{sweep_to_json, to_csv, write_results_file};
@@ -163,7 +162,7 @@ impl MixFigure {
         for (i, c) in self.columns.iter().enumerate() {
             // Columns sharing a system share one baseline sweep.
             let shared = (i > 0 && self.columns[i - 1].cfg == c.cfg).then(|| base[i - 1].clone());
-            let sweep = |scheme| run_all_mixes_reported(&c.cfg, scheme, budget);
+            let sweep = |scheme| run_mixes(&c.cfg, scheme, budget, &mixes::all());
             base.push(shared.unwrap_or_else(|| sweep(&self.baseline)));
             runs.push(sweep(&c.scheme));
         }
@@ -344,8 +343,8 @@ fn stash_study(budget: MissBudget) {
     // rests higher, but far below the provisioned capacity.
     print_title("Stash occupancy: traditional vs Fork Path (S3.6)");
     let cfg = SystemConfig::paper_default();
-    let base = run_all_mixes(&cfg, &Scheme::Traditional, budget);
-    let fork = run_all_mixes(&cfg, &Scheme::ForkDefault, budget);
+    let base = run_mixes(&cfg, &Scheme::Traditional, budget, &mixes::all()).results;
+    let fork = run_mixes(&cfg, &Scheme::ForkDefault, budget, &mixes::all()).results;
     print_cols("mix", &["tradHW", "forkHW"]);
     for (b, f) in base.iter().zip(&fork) {
         let row = [b.stash_high_water as f64, f.stash_high_water as f64];
@@ -377,7 +376,7 @@ fn variant_table(
     budget: MissBudget,
 ) {
     let cfg = SystemConfig::paper_default();
-    let baseline = run_all_mixes(&cfg, &Scheme::Traditional, budget);
+    let baseline = run_mixes(&cfg, &Scheme::Traditional, budget, &mixes::all()).results;
     print_cols(
         first,
         &columns.iter().map(|(head, _)| head).collect::<Vec<_>>(),
@@ -386,7 +385,7 @@ fn variant_table(
         // The traditional variant is the baseline sweep itself.
         let rerun = *scheme != Scheme::Traditional;
         let results = if rerun {
-            run_all_mixes(&cfg, scheme, budget)
+            run_mixes(&cfg, scheme, budget, &mixes::all()).results
         } else {
             baseline.clone()
         };

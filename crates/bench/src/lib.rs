@@ -13,6 +13,7 @@
 //! paper-vs-measured values.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 use fp_sim::Scheme;

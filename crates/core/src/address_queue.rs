@@ -17,7 +17,7 @@ use fp_path_oram::{LlcRequest, Op};
 
 /// What `submit` did with the request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitEffect {
+pub(crate) enum SubmitEffect {
     /// Queued normally.
     Queued,
     /// A read was satisfied by forwarding from an in-flight or queued write.
@@ -32,23 +32,10 @@ pub enum SubmitEffect {
     },
 }
 
-/// FIFO of LLC requests awaiting transformation into ORAM requests.
-///
-/// # Example
-///
-/// ```
-/// use fp_core::{AddressQueue, SubmitEffect};
-/// use fp_path_oram::{LlcRequest, Op};
-///
-/// let mut aq = AddressQueue::new();
-/// let w = LlcRequest { id: 1, addr: 9, op: Op::Write, data: Some(vec![7]), arrival_ps: 0, tag: 0 };
-/// let r = LlcRequest { id: 2, addr: 9, op: Op::Read, data: None, arrival_ps: 10, tag: 0 };
-/// assert_eq!(aq.submit(w), SubmitEffect::Queued);
-/// // Write-before-Read: forwarded without an ORAM access.
-/// assert_eq!(aq.submit(r), SubmitEffect::Forwarded { data: vec![7] });
-/// ```
+/// FIFO of LLC requests awaiting transformation into ORAM requests
+/// (Write-before-Read forwarding is `write_before_read_forwards` below).
 #[derive(Debug, Clone, Default)]
-pub struct AddressQueue {
+pub(crate) struct AddressQueue {
     queue: VecDeque<LlcRequest>,
     /// Data addresses with an in-flight (transformed, not yet completed)
     /// read, for Read-before-Write stalling.
@@ -59,23 +46,18 @@ pub struct AddressQueue {
 
 impl AddressQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Requests waiting for transformation.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether no requests are waiting.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
     /// Applies the §4 hazard rules and queues the request (unless it was
     /// forwarded).
-    pub fn submit(&mut self, req: LlcRequest) -> SubmitEffect {
+    pub(crate) fn submit(&mut self, req: LlcRequest) -> SubmitEffect {
         match req.op {
             Op::Read => {
                 // Write-before-Read: forward from the youngest earlier write.
@@ -129,7 +111,7 @@ impl AddressQueue {
     /// already collapsed by cancellation at submit; this closes the
     /// popped-but-not-yet-complete window, so same-address writes apply
     /// in program order under any arrival pacing.
-    pub fn pop_ready(&mut self, now_ps: u64) -> Option<LlcRequest> {
+    pub(crate) fn pop_ready(&mut self, now_ps: u64) -> Option<LlcRequest> {
         let head = self.queue.front()?;
         if head.arrival_ps > now_ps {
             return None;
@@ -151,12 +133,12 @@ impl AddressQueue {
     }
 
     /// Arrival time of the head request, if any.
-    pub fn head_arrival(&self) -> Option<u64> {
+    pub(crate) fn head_arrival(&self) -> Option<u64> {
         self.queue.front().map(|r| r.arrival_ps)
     }
 
     /// Marks a transformed request as complete, releasing hazards.
-    pub fn complete(&mut self, addr: u64, op: Op) {
+    pub(crate) fn complete(&mut self, addr: u64, op: Op) {
         match op {
             Op::Read => {
                 if let Some(pos) = self.inflight_reads.iter().position(|&a| a == addr) {
@@ -203,7 +185,7 @@ mod tests {
         let mut aq = AddressQueue::new();
         assert_eq!(aq.submit(read(1, 5, 0)), SubmitEffect::Queued);
         assert_eq!(aq.submit(read(2, 5, 1)), SubmitEffect::Queued);
-        assert_eq!(aq.len(), 2);
+        assert_eq!(aq.queue.len(), 2);
     }
 
     #[test]
@@ -230,7 +212,7 @@ mod tests {
         aq.submit(write(1, 5, 0xAA, 0));
         let effect = aq.submit(read(2, 5, 1));
         assert_eq!(effect, SubmitEffect::Forwarded { data: vec![0xAA] });
-        assert_eq!(aq.len(), 1, "only the write remains queued");
+        assert_eq!(aq.queue.len(), 1, "only the write remains queued");
     }
 
     #[test]
@@ -267,7 +249,7 @@ mod tests {
             effect,
             SubmitEffect::CancelledOlderWrite { cancelled_id: 1 }
         );
-        assert_eq!(aq.len(), 1);
+        assert_eq!(aq.queue.len(), 1);
         let survivor = aq.pop_ready(10).unwrap();
         assert_eq!(survivor.id, 2);
     }

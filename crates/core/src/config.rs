@@ -31,9 +31,6 @@ pub enum CacheChoice {
 pub struct ForkConfig {
     /// Label queue capacity `M` (Fig 10/11/12 sweep 1..=128; default 64).
     pub label_queue_size: usize,
-    /// Age (in scheduling rounds) after which a pending entry is promoted to
-    /// the head of the queue to avoid starvation (§4).
-    pub starvation_threshold: u32,
     /// Enable path merging (§3.2). Disabling degenerates to full paths —
     /// used for ablation benches.
     pub merging: bool,
@@ -56,7 +53,6 @@ impl Default for ForkConfig {
     fn default() -> Self {
         Self {
             label_queue_size: 64,
-            starvation_threshold: 512,
             merging: true,
             scheduling: true,
             replacing: true,
@@ -82,7 +78,7 @@ impl ForkConfig {
 
     /// Derived `len_overlap` estimate: expected overlap degree of the best
     /// of `M` uniform labels is about `log2(M) + 1`.
-    pub fn derived_len_overlap(&self) -> u32 {
+    pub(crate) fn derived_len_overlap(&self) -> u32 {
         if !self.scheduling || self.label_queue_size <= 1 {
             // Plain merging overlaps ~2 buckets on average.
             2
@@ -103,7 +99,11 @@ impl ForkConfig {
     /// Builds the configured bucket-cache policy for a tree of `path_len`
     /// buckets per path, `bucket_bytes` each — what the controller hands
     /// to [`fp_path_oram::Datapath::new`].
-    pub fn build_cache(&self, bucket_bytes: u64, path_len: u32) -> Box<dyn BucketCache + Send> {
+    pub(crate) fn build_cache(
+        &self,
+        bucket_bytes: u64,
+        path_len: u32,
+    ) -> Box<dyn BucketCache + Send> {
         match self.cache {
             CacheChoice::None => Box::new(NoCache),
             CacheChoice::Treetop { bytes } => {
@@ -131,12 +131,9 @@ impl ForkConfig {
     /// # Errors
     ///
     /// Returns a message describing the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.label_queue_size == 0 {
             return Err("label queue must hold at least one entry".into());
-        }
-        if self.starvation_threshold == 0 {
-            return Err("starvation threshold must be positive".into());
         }
         if let CacheChoice::MergingAware { bytes, ways } = self.cache {
             if ways == 0 {

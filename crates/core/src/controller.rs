@@ -2,7 +2,7 @@
 //! staged pipeline.
 //!
 //! Each paper technique lives in its own stage module: request reordering
-//! in [`RequestScheduler`] (§3.4/§4.2), fork geometry in [`PathMerger`]
+//! in [`LabelQueue`] (§3.4/§4.2), fork geometry in [`PathMerger`]
 //! (§3.2/§4.1), dummy materialization and mid-refill replacement in
 //! [`DummyReplacer`] (§3.3/§4.3). The two phases of an access — path read
 //! and streaming refill over tree, stash, bucket cache (§3.5/§4.4) and DRAM
@@ -15,8 +15,8 @@
 
 use fp_dram::DramSystem;
 use fp_path_oram::{
-    AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, Op, OramConfig,
-    CTRL_PHASE_LATENCY_PS,
+    AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, NewRequest, NoFeedback, Op,
+    OramConfig, ReactiveSource, CTRL_PHASE_LATENCY_PS,
 };
 use fp_trace::{Counter, EventKind};
 
@@ -27,9 +27,7 @@ use crate::error::{must, ControllerError};
 use crate::flight::{FlightTable, StepCtx};
 use crate::merge::PathMerger;
 use crate::plb::PosMapLookasideBuffer;
-use crate::queue::{Entry, EntryKind};
-use crate::reactive::{NoFeedback, ReactiveSource};
-use crate::scheduler::RequestScheduler;
+use crate::queue::{Entry, EntryKind, LabelQueue};
 
 #[path = "controller_api.rs"]
 mod controller_api;
@@ -62,7 +60,7 @@ macro_rules! step_ctx {
 pub struct ForkPathController {
     path: Datapath,
     aq: AddressQueue,
-    sched: RequestScheduler,
+    sched: LabelQueue,
     merge: PathMerger,
     dummy: DummyReplacer,
     flights: FlightTable,
@@ -104,11 +102,7 @@ impl ForkPathController {
         let cache = fork.build_cache(cfg.bucket_bytes(), cfg.path_len());
         let path = Datapath::new(cfg, dram, seed, cache);
         let trace = path.trace();
-        let mut sched = RequestScheduler::new(
-            fork.label_queue_size,
-            fork.starvation_threshold,
-            fork.scheduling,
-        );
+        let mut sched = LabelQueue::new(fork.label_queue_size, fork.scheduling);
         sched.attach_trace(trace.clone());
         let mut merge = PathMerger::new(fork.merging);
         merge.attach_trace(trace.clone());
@@ -168,7 +162,7 @@ impl ForkPathController {
     /// Surfaces internal bookkeeping invariant violations.
     pub fn submit_batch(
         &mut self,
-        batch: impl IntoIterator<Item = crate::reactive::NewRequest>,
+        batch: impl IntoIterator<Item = NewRequest>,
     ) -> Result<Vec<u64>, ControllerError> {
         let ids = batch
             .into_iter()
@@ -261,7 +255,7 @@ impl ForkPathController {
     /// # Errors
     ///
     /// Surfaces internal bookkeeping invariant violations.
-    pub fn process_one_at<S: ReactiveSource + ?Sized>(
+    pub(crate) fn process_one_at<S: ReactiveSource + ?Sized>(
         &mut self,
         source: &mut S,
         not_before_ps: u64,
@@ -376,7 +370,7 @@ impl ForkPathController {
 
     /// The earliest moment the replacement check can fire in a refill whose
     /// pending request was selected at `sel_time`:
-    /// [`RequestScheduler::take_replacement`] only returns a real entry with
+    /// [`LabelQueue::take_replacement`] only returns a real entry with
     /// `sel_time < ready_ps <= now`, so it is the smallest such `ready_ps`
     /// queued. `None` when replacing is off or no real became ready after
     /// the selection.

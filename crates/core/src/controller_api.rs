@@ -3,13 +3,12 @@
 //! fields; the access data path itself stays in `controller.rs`.
 
 use fp_dram::DramSystem;
-use fp_path_oram::{Completion, OramState, OramStats};
+use fp_path_oram::{Completion, NoFeedback, OramState, OramStats, ReactiveSource};
 use fp_trace::TraceHandle;
 
 use super::ForkPathController;
 use crate::error::{must, ControllerError};
 use crate::queue::Entry;
-use crate::reactive::{NoFeedback, ReactiveSource};
 
 impl ForkPathController {
     /// Whether any real work (queued, stalled, or in flight) exists.
@@ -86,7 +85,7 @@ impl ForkPathController {
     }
 
     /// The DRAM system (for command/energy statistics).
-    pub fn dram(&self) -> &DramSystem {
+    pub(crate) fn dram(&self) -> &DramSystem {
         self.path.dram()
     }
 
@@ -123,7 +122,7 @@ impl ForkPathController {
     /// select a pending request (materializing dummies when idle), so
     /// [`ForkPathController::run_to_idle`] would not terminate — drive the
     /// controller with an explicit horizon instead.
-    pub fn set_fixed_rate(&mut self, on: bool) {
+    pub(crate) fn set_fixed_rate(&mut self, on: bool) {
         self.fixed_rate = on;
         if !on && self.current.as_ref().is_some_and(|c| c.is_dummy()) && !self.has_real_work() {
             // Drop a revealed-but-unexecuted trailing dummy so the
@@ -138,7 +137,7 @@ impl ForkPathController {
     /// no earlier than `not_before_ps` — the pacing primitive of the
     /// fixed-rate stream (one access per interval, not back-to-back). Uses
     /// the revealed pending access if one exists.
-    pub fn force_dummy_at(&mut self, not_before_ps: u64) {
+    pub(crate) fn force_dummy_at(&mut self, not_before_ps: u64) {
         let mut cur = match self.current.take() {
             Some(c) => c,
             None => {

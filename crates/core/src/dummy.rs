@@ -16,12 +16,11 @@ use fp_path_oram::path::overlap_degree;
 use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::error::ControllerError;
-use crate::queue::Entry;
-use crate::scheduler::RequestScheduler;
+use crate::queue::{Entry, LabelQueue};
 
 /// The dummy-request replacing stage.
 #[derive(Debug, Clone)]
-pub struct DummyReplacer {
+pub(crate) struct DummyReplacer {
     replacing: bool,
     trace: TraceHandle,
 }
@@ -29,7 +28,7 @@ pub struct DummyReplacer {
 impl DummyReplacer {
     /// Creates the stage; `replacing` toggles mid-refill replacement
     /// (false = the ablation baseline where pending dummies always run).
-    pub fn new(replacing: bool) -> Self {
+    pub(crate) fn new(replacing: bool) -> Self {
         Self {
             replacing,
             trace: TraceHandle::default(),
@@ -38,12 +37,12 @@ impl DummyReplacer {
 
     /// Attaches a shared trace spine; dummy-stage counters and events
     /// report there from now on.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
 
     /// Whether mid-refill replacement is active.
-    pub fn replacing(&self) -> bool {
+    pub(crate) fn replacing(&self) -> bool {
         self.replacing
     }
 
@@ -56,7 +55,7 @@ impl DummyReplacer {
     /// * when nothing was selected but imminent work (or fixed-rate mode)
     ///   demands a pending request, padding is materialized as a dummy
     ///   with a fresh uniform label, ready at `sel_time_ps`.
-    pub fn finalize(
+    pub(crate) fn finalize(
         &mut self,
         mut pending: Option<Entry>,
         work_imminent: bool,
@@ -79,16 +78,16 @@ impl DummyReplacer {
     /// the bucket at `level` (Fig 5 case 3). Returns `true` when the
     /// pending request changed — the caller must recompute its write stop.
     /// A replaced dummy is cancelled outright; a displaced real goes back
-    /// into the scheduler.
+    /// into the label queue.
     ///
     /// # Errors
     ///
     /// [`ControllerError::MissingPending`] if the pending slot emptied
     /// mid-swap (an internal invariant violation).
     #[allow(clippy::too_many_arguments)]
-    pub fn try_replace(
+    pub(crate) fn try_replace(
         &mut self,
-        sched: &mut RequestScheduler,
+        sched: &mut LabelQueue,
         levels: u32,
         leaf: u64,
         window_lo_ps: u64,
@@ -129,7 +128,7 @@ impl DummyReplacer {
     }
 
     /// Records that a dummy access executed.
-    pub fn note_executed(&mut self) {
+    pub(crate) fn note_executed(&mut self) {
         self.trace.bump(Counter::DummiesExecuted);
     }
 }
@@ -139,7 +138,7 @@ mod tests {
     use super::*;
     use crate::queue::EntryKind;
 
-    fn real_entry(sched: &mut RequestScheduler, label: u64, flight: u64, ready: u64) {
+    fn real_entry(sched: &mut LabelQueue, label: u64, flight: u64, ready: u64) {
         sched
             .insert_real(label, EntryKind::Real { flight }, ready)
             .unwrap();
@@ -151,7 +150,7 @@ mod tests {
     #[test]
     fn never_materializes_when_a_real_was_selected() {
         let mut d = DummyReplacer::new(true);
-        let mut s = RequestScheduler::new(4, 64, true);
+        let mut s = LabelQueue::new(4, true);
         real_entry(&mut s, 3, 7, 0);
         s.pad_with(|| 1);
         let picked = s.select_pending(3, 3, 0);
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn replaces_pending_dummy_with_late_real() {
         let mut d = DummyReplacer::new(true);
-        let mut s = RequestScheduler::new(4, 64, true);
+        let mut s = LabelQueue::new(4, true);
         // A real arriving at t=50, inside the (0, 100] replacement window.
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
@@ -211,11 +210,11 @@ mod tests {
     #[test]
     fn displaced_real_returns_to_scheduler() {
         let mut d = DummyReplacer::new(true);
-        let mut s = RequestScheduler::new(4, 64, true);
+        let mut s = LabelQueue::new(4, true);
         // Incoming real with perfect overlap (same leaf).
         real_entry(&mut s, 3, 2, 50);
         // Pending real with zero overlap, pulled out of a scratch queue.
-        let mut scratch = RequestScheduler::new(1, 64, true);
+        let mut scratch = LabelQueue::new(1, true);
         real_entry(&mut scratch, 4, 9, 0);
         let mut pending = scratch.select_pending(3, 4, 0);
         assert!(pending.as_ref().is_some_and(|e| !e.is_dummy()));
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn replacing_off_never_fires() {
         let mut d = DummyReplacer::new(false);
-        let mut s = RequestScheduler::new(4, 64, true);
+        let mut s = LabelQueue::new(4, true);
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
         assert!(!d

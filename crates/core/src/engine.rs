@@ -285,7 +285,7 @@ struct OutstandingAccess {
 /// time reaches it), so DRAM state advances monotonically exactly as in
 /// the pre-engine `run_insecure` driver.
 #[derive(Debug)]
-pub struct InsecureEngine {
+pub(crate) struct InsecureEngine {
     dram: DramSystem,
     block_bytes: u64,
     /// Not-yet-issued accesses, chronologically ordered.
@@ -302,7 +302,7 @@ pub struct InsecureEngine {
 impl InsecureEngine {
     /// Creates an insecure engine over `dram` with `block_bytes` per LLC
     /// block.
-    pub fn new(dram: DramSystem, block_bytes: usize) -> Self {
+    pub(crate) fn new(dram: DramSystem, block_bytes: usize) -> Self {
         let trace = TraceHandle::default();
         let mut dram = dram;
         dram.attach_trace(trace.clone());
@@ -358,10 +358,12 @@ impl OramEngine for InsecureEngine {
                     Op::Write => (AccessKind::Write, Counter::DramBlocksWritten),
                 };
                 self.trace.bump(blocks);
-                let res = self.dram.access(ti, p.addr * self.block_bytes, kind);
+                let finish_ps = self
+                    .dram
+                    .access_spans(ti, kind, &[p.addr * self.block_bytes], 1);
                 self.clock_ps = self.clock_ps.max(ti);
                 self.outstanding.push(Reverse(OutstandingAccess {
-                    finish_ps: res.finish_ps,
+                    finish_ps,
                     arrival_ps: p.arrival_ps,
                     id: p.id,
                     addr: p.addr,

@@ -1,9 +1,9 @@
 //! Typed controller errors.
 //!
 //! The Fork Path controller is deterministic and its internal bookkeeping
-//! invariants (every label-queue entry names a live flight, every eviction
-//! range yields a bucket, …) are unreachable-by-construction. They used to
-//! be enforced with `unwrap`/`expect`; they are now surfaced as a typed
+//! invariants (every label-queue entry names a live flight, every chain
+//! index stays inside its chain, …) are unreachable-by-construction. They
+//! used to be enforced with `unwrap`/`expect`; they are now surfaced as a typed
 //! [`ControllerError`] propagated through the fallible API
 //! ([`crate::ForkPathController::submit_tagged`],
 //! [`crate::ForkPathController::process_one`]). The infallible convenience
@@ -28,13 +28,6 @@ pub enum ControllerError {
         idx: usize,
         /// The chain length.
         len: usize,
-    },
-    /// A single-level eviction range produced no bucket.
-    EmptyEviction {
-        /// The leaf whose path was being refilled.
-        leaf: u64,
-        /// The level that produced no bucket.
-        level: u32,
     },
     /// The refill's pending request vanished mid-replacement.
     MissingPending,
@@ -70,12 +63,6 @@ impl fmt::Display for ControllerError {
                 write!(
                     f,
                     "flight {flight}: chain index {idx} out of range (len {len})"
-                )
-            }
-            Self::EmptyEviction { leaf, level } => {
-                write!(
-                    f,
-                    "refill of leaf {leaf} produced no bucket at level {level}"
                 )
             }
             Self::MissingPending => write!(f, "pending request vanished mid-replacement"),

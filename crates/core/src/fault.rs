@@ -124,8 +124,7 @@ impl FaultConfig {
 /// # Example
 ///
 /// ```
-/// use fp_core::engine::{OramEngine, Scheme};
-/// use fp_core::fault::{FaultConfig, FaultInjector};
+/// use fp_core::{FaultConfig, FaultInjector, OramEngine, Scheme};
 /// use fp_dram::{DramConfig, DramSystem};
 /// use fp_path_oram::OramConfig;
 ///
@@ -166,26 +165,6 @@ impl<E: OramEngine> FaultInjector<E> {
             accesses: 0,
             penalty_ps: 0,
         }
-    }
-
-    /// The wrapped engine (read-only).
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Unwraps the injector, returning the engine.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-
-    /// Accesses processed so far (the index deterministic triggers fire on).
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Simulated time charged to fault retries so far.
-    pub fn penalty_ps(&self) -> u64 {
-        self.penalty_ps
     }
 
     /// Rolls the per-access fault machinery. `Ok(())` means clean or
@@ -351,10 +330,10 @@ mod tests {
         let retries = faulty.trace().counter(Counter::FaultRetries);
         assert!(injected > 0, "rate 0.3 over 128+ accesses must fire");
         assert!(retries >= injected, "every fault costs at least one retry");
-        assert!(faulty.penalty_ps() > 0);
+        assert!(faulty.penalty_ps > 0);
         assert_eq!(
             faulty.clock_ps(),
-            faulty.inner().clock_ps() + faulty.penalty_ps()
+            faulty.inner.clock_ps() + faulty.penalty_ps
         );
     }
 

@@ -19,8 +19,7 @@ use crate::address_queue::AddressQueue;
 use crate::controller::ONCHIP_ANSWER_PS;
 use crate::error::ControllerError;
 use crate::plb::PosMapLookasideBuffer;
-use crate::queue::EntryKind;
-use crate::scheduler::RequestScheduler;
+use crate::queue::{EntryKind, LabelQueue};
 
 /// An in-progress LLC request walking its posmap chain.
 #[derive(Debug, Clone)]
@@ -60,7 +59,7 @@ pub(crate) struct StepCtx<'a> {
     pub path: &'a mut Datapath,
     pub plb: &'a mut PosMapLookasideBuffer,
     pub aq: &'a mut AddressQueue,
-    pub sched: &'a mut RequestScheduler,
+    pub sched: &'a mut LabelQueue,
     pub times: &'a mut AccessTimes,
     pub completions: &'a mut CompletionLog,
 }
@@ -127,12 +126,12 @@ pub(crate) struct FlightTable {
 
 impl FlightTable {
     /// Whether any request is in flight.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.flights.is_empty()
     }
 
     /// Registers a new flight; returns its id.
-    pub fn open(
+    pub(crate) fn open(
         &mut self,
         req: LlcRequest,
         chain: Vec<u64>,
@@ -154,19 +153,19 @@ impl FlightTable {
         id
     }
 
-    pub fn get(&self, id: u64) -> Result<&Flight, ControllerError> {
+    pub(crate) fn get(&self, id: u64) -> Result<&Flight, ControllerError> {
         self.flights
             .get(&id)
             .ok_or(ControllerError::UnknownFlight(id))
     }
 
-    pub fn get_mut(&mut self, id: u64) -> Result<&mut Flight, ControllerError> {
+    pub(crate) fn get_mut(&mut self, id: u64) -> Result<&mut Flight, ControllerError> {
         self.flights
             .get_mut(&id)
             .ok_or(ControllerError::UnknownFlight(id))
     }
 
-    pub fn remove(&mut self, id: u64) -> Result<Flight, ControllerError> {
+    pub(crate) fn remove(&mut self, id: u64) -> Result<Flight, ControllerError> {
         self.flights
             .remove(&id)
             .ok_or(ControllerError::UnknownFlight(id))
@@ -178,7 +177,7 @@ impl FlightTable {
     /// # Errors
     ///
     /// Propagates invariant violations from step placement.
-    pub fn place_or_stall(
+    pub(crate) fn place_or_stall(
         &mut self,
         ctx: &mut StepCtx<'_>,
         flight: u64,
@@ -203,7 +202,7 @@ impl FlightTable {
     ///
     /// Propagates invariant violations from step placement.
     // Allocation-free once warm: tests/hot_path_alloc.rs.
-    pub fn retry_stalled(&mut self, ctx: &mut StepCtx<'_>) -> Result<(), ControllerError> {
+    pub(crate) fn retry_stalled(&mut self, ctx: &mut StepCtx<'_>) -> Result<(), ControllerError> {
         let released_before = self.released.len();
         for _ in 0..self.stalled.len() {
             let Some(mut step) = self.stalled.pop_front() else {
@@ -246,7 +245,7 @@ impl FlightTable {
     ///
     /// [`ControllerError::NotBlockOwner`] if `flight` is not at the front
     /// of the block's waiter queue.
-    pub fn release_block(&mut self, block: u64, flight: u64) -> Result<(), ControllerError> {
+    pub(crate) fn release_block(&mut self, block: u64, flight: u64) -> Result<(), ControllerError> {
         if let Some(waiters) = self.busy.get_mut(&block) {
             if waiters.front() != Some(&flight) {
                 return Err(ControllerError::NotBlockOwner { block, flight });
@@ -270,7 +269,7 @@ impl FlightTable {
     /// # Errors
     ///
     /// Propagates bookkeeping invariant violations.
-    pub fn advance_after_access(
+    pub(crate) fn advance_after_access(
         &mut self,
         ctx: &mut StepCtx<'_>,
         flight_id: u64,
@@ -443,7 +442,7 @@ mod tests {
         path: Datapath,
         plb: PosMapLookasideBuffer,
         aq: AddressQueue,
-        sched: RequestScheduler,
+        sched: LabelQueue,
         times: AccessTimes,
         completions: CompletionLog,
         flights: FlightTable,
@@ -460,7 +459,7 @@ mod tests {
                 path: Datapath::new(cfg, dram, 7, Box::new(NoCache)),
                 plb: PosMapLookasideBuffer::new(0),
                 aq: AddressQueue::new(),
-                sched: RequestScheduler::new(label_queue_size, 64, true),
+                sched: LabelQueue::new(label_queue_size, true),
                 times: AccessTimes::default(),
                 completions: CompletionLog::default(),
                 flights: FlightTable::default(),

@@ -13,11 +13,10 @@
 //!   *previous* path (they are still in the stash); the refill skips buckets
 //!   shared with the *next* path (they stay in the stash). Two consecutive
 //!   accesses touch memory in the shape of a fork.
-//! * **ORAM request scheduling** (§3.4): a fixed-size label queue
-//!   ([`LabelQueue`]) is kept full (padded with dummies), and the pending
-//!   request with the highest overlap degree is merged next; real requests
-//!   beat dummies on ties, and per-entry age counters prevent starvation
-//!   (Algorithm 1).
+//! * **ORAM request scheduling** (§3.4): a fixed-size label queue is kept
+//!   full (padded with dummies), and the pending request with the highest
+//!   overlap degree is merged next; real requests beat dummies on ties, and
+//!   per-entry age counters prevent starvation (Algorithm 1).
 //! * **Dummy request replacing** (§3.3): a dummy selected for merging can be
 //!   replaced by a late-arriving real request up until the refill commits
 //!   the bucket where the two paths cross (Fig 5, cases 1–3).
@@ -58,35 +57,30 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 mod address_queue;
 mod config;
 mod controller;
-pub mod dummy;
+mod dummy;
 pub mod engine;
-pub mod error;
-pub mod fault;
+mod error;
+mod fault;
 mod flight;
 mod mac;
-pub mod merge;
+mod merge;
 mod plb;
 mod queue;
-pub mod reactive;
-pub mod scheduler;
 pub mod timing;
 
-pub use address_queue::{AddressQueue, SubmitEffect};
 pub use config::{CacheChoice, ForkConfig};
 pub use controller::ForkPathController;
-pub use dummy::DummyReplacer;
-pub use engine::{InsecureEngine, OramEngine, Scheme};
+pub use engine::{OramEngine, Scheme};
 pub use error::ControllerError;
 pub use fault::{FaultConfig, FaultInjector};
+pub use fp_path_oram::{NewRequest, NoFeedback, ReactiveSource};
 pub use mac::MergingAwareCache;
 pub use merge::PathMerger;
 pub use plb::PosMapLookasideBuffer;
-pub use queue::{Entry, EntryKind, LabelQueue};
-pub use reactive::{NewRequest, NoFeedback, ReactiveSource};
-pub use scheduler::RequestScheduler;

@@ -64,10 +64,9 @@ const EMPTY: Line = Line {
 /// use fp_core::MergingAwareCache;
 /// use fp_path_oram::cache::BucketCache;
 ///
-/// // 1 MiB of 256 B buckets, 4-way, bypassing the top 7 levels.
-/// let mut mac = MergingAwareCache::with_capacity_bytes(1 << 20, 256, 4, 7);
-/// assert_eq!(mac.m1(), 7);
-/// assert_eq!(mac.m2(), 12, "block-granular density: levels 7..=12 resident");
+/// // 1 MiB of 256 B buckets, 4-way, bypassing the top 7 levels of a tree
+/// // whose leaves sit at level 24.
+/// let mut mac = MergingAwareCache::with_capacity_bytes_for_tree(1 << 20, 256, 4, 7, 24);
 /// // A root write bypasses the cache entirely.
 /// assert!(!mac.lookup_for_read(1));
 /// ```
@@ -149,7 +148,9 @@ impl MergingAwareCache {
         }
     }
 
-    /// Sizes the MAC from a byte budget (Fig 13 sweeps 128 KiB – 1 MiB).
+    /// Sizes the MAC from a byte budget (Fig 13 sweeps 128 KiB – 1 MiB)
+    /// for a tree whose deepest level is `leaf_level`: levels past the leaf
+    /// own no sets.
     ///
     /// Unlike the treetop cache, the MAC stores only *real* blocks (Fig 9:
     /// each line holds a decrypted data block plus its program address and
@@ -159,12 +160,6 @@ impl MergingAwareCache {
     /// this density is what lets a ~256 KiB MAC match a 1 MiB treetop cache
     /// (Fig 13). Tag/metadata SRAM is excluded from the capacity figure, as
     /// in conventional cache sizing.
-    pub fn with_capacity_bytes(bytes: u64, bucket_bytes: u64, ways: usize, m1: u32) -> Self {
-        Self::with_capacity_bytes_for_tree(bytes, bucket_bytes, ways, m1, u32::MAX)
-    }
-
-    /// Like [`MergingAwareCache::with_capacity_bytes`], clamped to a tree
-    /// whose deepest level is `leaf_level`.
     pub fn with_capacity_bytes_for_tree(
         bytes: u64,
         bucket_bytes: u64,
@@ -178,14 +173,23 @@ impl MergingAwareCache {
         Self::new_for_tree(num_sets, ways, m1, leaf_level)
     }
 
+    /// [`MergingAwareCache::with_capacity_bytes_for_tree`] for a tree of
+    /// unbounded depth.
+    #[cfg(test)]
+    pub(crate) fn with_capacity_bytes(bytes: u64, bucket_bytes: u64, ways: usize, m1: u32) -> Self {
+        Self::with_capacity_bytes_for_tree(bytes, bucket_bytes, ways, m1, u32::MAX)
+    }
+
     /// Shallowest cached level (`len_overlap + 1`).
-    pub fn m1(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn m1(&self) -> u32 {
         self.m1
     }
 
     /// Deepest fully resident level (`m1 - 1` when the cache is too small
     /// to hold any whole level).
-    pub fn m2(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn m2(&self) -> u32 {
         // Equals m1 - 1 when full_levels is 0 (guarded by m1 >= 1).
         self.m1 + self.full_levels - 1
     }

@@ -37,18 +37,13 @@ impl PathMerger {
 
     /// Attaches a shared trace spine; merge counters and events report
     /// there from now on.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
 
     /// The previous access's label (`None` = next read takes a full path).
-    pub fn prev_label(&self) -> Option<u64> {
+    pub(crate) fn prev_label(&self) -> Option<u64> {
         self.prev_label
-    }
-
-    /// Whether merging is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Shallowest level the read phase of an access to `label` must fetch:
@@ -100,7 +95,7 @@ impl PathMerger {
 
     /// Drops the anchor: the controller went idle (full path written), so
     /// the next read must fetch a complete path.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         if self.prev_label.take().is_some() {
             self.trace.bump(Counter::MergeResets);
         }

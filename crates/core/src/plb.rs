@@ -77,7 +77,7 @@ impl PosMapLookasideBuffer {
     }
 
     /// Whether the PLB is disabled.
-    pub fn is_disabled(&self) -> bool {
+    pub(crate) fn is_disabled(&self) -> bool {
         self.capacity == 0
     }
 

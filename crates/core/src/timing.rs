@@ -12,9 +12,10 @@
 //! access *starts* at least every `interval_ps` until `horizon_ps`,
 //! inserting merged dummy accesses whenever the program supplies no work.
 
+use fp_path_oram::{NoFeedback, ReactiveSource};
+
 use crate::controller::ForkPathController;
 use crate::error::must;
-use crate::reactive::ReactiveSource;
 
 /// Outcome of a fixed-rate enforcement run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,9 +69,6 @@ pub fn enforce_fixed_rate<S: ReactiveSource>(
     report.end_ps = ctl.clock_ps();
     report
 }
-
-/// A [`ReactiveSource`] that never produces follow-up work (open loop).
-pub use crate::reactive::NoFeedback;
 
 /// Convenience: measure how many protection dummies a silent period costs.
 pub fn idle_cost(

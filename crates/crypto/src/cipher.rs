@@ -37,18 +37,8 @@ const BLOCK_BYTES: usize = 64;
 /// computed at once, one per lane; lanes never mix nonces or keys. How many
 /// is a property of the build (the target's vector width), not of the
 /// cipher value: every build produces the same keystream.
-///
-/// # Example
-///
-/// ```
-/// use fp_crypto::StreamCipher;
-/// let c = StreamCipher::new([1u8; 32]);
-/// let block0 = c.keystream_block(0, [0u8; 12]);
-/// let block1 = c.keystream_block(1, [0u8; 12]);
-/// assert_ne!(block0, block1);
-/// ```
 #[derive(Clone)]
-pub struct StreamCipher {
+pub(crate) struct StreamCipher {
     key_words: [u32; 8],
 }
 
@@ -121,7 +111,7 @@ fn blocks<const N: usize>(init: &[u32; 16], counter: u32) -> [[u32; N]; 16] {
 
 impl StreamCipher {
     /// Creates a cipher from a 256-bit key.
-    pub fn new(key: [u8; 32]) -> Self {
+    pub(crate) fn new(key: [u8; 32]) -> Self {
         let mut key_words = [0u32; 8];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             key_words[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -141,8 +131,10 @@ impl StreamCipher {
         state
     }
 
-    /// Produces the 64-byte keystream block for `(counter, nonce)`.
-    pub fn keystream_block(&self, counter: u32, nonce: [u8; 12]) -> [u8; 64] {
+    /// Produces the 64-byte keystream block for `(counter, nonce)`: the
+    /// one-block reference the RFC vectors and the lane tests check.
+    #[cfg(test)]
+    pub(crate) fn keystream_block(&self, counter: u32, nonce: [u8; 12]) -> [u8; 64] {
         let words = blocks::<1>(&self.initial_state(nonce), counter);
         let mut out = [0u8; BLOCK_BYTES];
         for (bytes, [word]) in out.chunks_exact_mut(4).zip(words) {
@@ -152,7 +144,7 @@ impl StreamCipher {
     }
 
     /// XORs `data` in place with the keystream starting at block `counter`.
-    pub fn apply_keystream(&self, counter: u32, nonce: [u8; 12], data: &mut [u8]) {
+    pub(crate) fn apply_keystream(&self, counter: u32, nonce: [u8; 12], data: &mut [u8]) {
         self.xor_keystream::<LANES>(counter, nonce, data);
     }
 
@@ -267,6 +259,15 @@ impl BlockCipher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn consecutive_counters_give_distinct_blocks() {
+        let c = StreamCipher::new([1u8; 32]);
+        assert_ne!(
+            c.keystream_block(0, [0u8; 12]),
+            c.keystream_block(1, [0u8; 12])
+        );
+    }
 
     /// The key `00 01 .. 1f` both RFC 8439 vectors use.
     fn rfc_key() -> [u8; 32] {

@@ -9,9 +9,9 @@
 //! hardware engine; this crate provides the software equivalent, built from
 //! scratch on the ChaCha20 stream cipher:
 //!
-//! * [`StreamCipher`] — the ChaCha20 keystream generator (RFC 8439).
 //! * [`BlockCipher`] — counter-mode encryption of fixed-size ORAM blocks with
-//!   a per-write nonce, the property Path ORAM actually relies on.
+//!   a per-write nonce, the property Path ORAM actually relies on, over a
+//!   private ChaCha20 keystream generator (RFC 8439).
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, fast, seedable RNGs used across
 //!   the simulator so every experiment is reproducible from a single seed.
 //!
@@ -36,11 +36,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 mod cipher;
 mod rng;
 
-pub use cipher::{BlockCipher, Nonce, StreamCipher};
+pub use cipher::{BlockCipher, Nonce};
 pub use rng::{SplitMix64, Xoshiro256};

@@ -56,8 +56,6 @@ pub(crate) struct Scheduled {
     pub finish: u64,
     /// When the last burst's does.
     pub last_finish: u64,
-    /// Whether the first burst hit the open row (the others always do).
-    pub row_hit: bool,
 }
 
 impl Channel {
@@ -85,7 +83,9 @@ impl Channel {
         self.banks[loc.rank * self.banks_per_rank + loc.bank].open_row == Some(loc.row)
     }
 
-    /// Schedules a single burst at or after `earliest`, updating all state.
+    /// Schedules a single burst at or after `earliest`, updating all state:
+    /// the reference [`Channel::schedule_run`] is held to.
+    #[cfg(test)]
     pub(crate) fn schedule(
         &mut self,
         cfg: &DramConfig,
@@ -241,7 +241,6 @@ impl Channel {
         Scheduled {
             finish: data_end,
             last_finish: last_end,
-            row_hit,
         }
     }
 }
@@ -272,7 +271,6 @@ mod tests {
         let s = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &tr);
         let t = &cfg.timing;
         assert_eq!(s.finish, t.t_rcd + t.t_cl + t.t_burst);
-        assert!(!s.row_hit);
         let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.activations, 1);
         assert_eq!(st.row_misses, 1);
@@ -283,19 +281,19 @@ mod tests {
         let (cfg, mut ch, tr) = setup();
         let first = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &tr);
         let hit = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, first.finish, &tr);
-        assert!(hit.row_hit);
+        assert_eq!(DramStats::view(&tr.counters(), &cfg).row_hits, 1);
         let hit_latency = hit.finish - first.finish;
 
         let (cfg2, mut ch2, tr2) = setup();
         let f = ch2.schedule(&cfg2, loc(0, 5), AccessKind::Read, 0, &tr2);
         let miss = ch2.schedule(&cfg2, loc(0, 9), AccessKind::Read, f.finish, &tr2);
-        assert!(!miss.row_hit);
         let miss_latency = miss.finish - f.finish;
         assert!(
             miss_latency > hit_latency,
             "{miss_latency} vs {hit_latency}"
         );
         let st2 = DramStats::view(&tr2.counters(), &cfg2);
+        assert_eq!(st2.row_hits, 0);
         assert_eq!(st2.precharges, 1, "conflict forced a precharge");
     }
 

@@ -41,7 +41,7 @@ pub struct DramTiming {
 
 impl DramTiming {
     /// DDR3-1600 (11-11-11) timing.
-    pub fn ddr3_1600() -> Self {
+    pub(crate) fn ddr3_1600() -> Self {
         Self {
             t_ck: 1_250,
             t_rcd: 13_750,
@@ -59,28 +59,6 @@ impl DramTiming {
             t_faw: 30_000,
             t_refi: 7_800_000, // 7.8 us
             t_rfc: 260_000,    // 4 Gb-class device
-        }
-    }
-
-    /// DDR3-1066 (7-7-7) timing — a slower-memory sensitivity point.
-    pub fn ddr3_1066() -> Self {
-        Self {
-            t_ck: 1_875,
-            t_rcd: 13_125,
-            t_rp: 13_125,
-            t_cl: 13_125,
-            t_cwl: 11_250,
-            t_ras: 37_500,
-            t_burst: 7_500,
-            t_ccd: 7_500,
-            t_rtp: 7_500,
-            t_wr: 15_000,
-            t_wtr: 7_500,
-            t_rtw: 3_750,
-            t_rrd: 7_500,
-            t_faw: 37_500,
-            t_refi: 7_800_000,
-            t_rfc: 260_000,
         }
     }
 
@@ -136,15 +114,6 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
-    /// DDR3-1066 variant of [`DramConfig::ddr3_1600`] for slower-memory
-    /// sensitivity studies.
-    pub fn ddr3_1066(channels: usize) -> Self {
-        Self {
-            timing: DramTiming::ddr3_1066(),
-            ..Self::ddr3_1600(channels)
-        }
-    }
-
     /// The paper's memory system: DDR3-1600 with `channels` channels
     /// (Table 1 uses 2), 8 banks, 8 KiB rows, 64 B bursts.
     ///
@@ -214,7 +183,7 @@ impl DramConfig {
     ///
     /// The column is implied by the low `burst_bytes` bits; the simulator
     /// only needs row identity for row-buffer behaviour.
-    pub fn decompose(&self, addr: u64) -> Location {
+    pub(crate) fn decompose(&self, addr: u64) -> Location {
         let burst = addr / self.burst_bytes;
         let bursts_per_row = self.row_bytes / self.burst_bytes;
         // Low to high: column : channel : bank : rank : row, or
@@ -260,7 +229,7 @@ impl DramConfig {
 
 /// A decomposed physical location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Location {
+pub(crate) struct Location {
     /// Channel index.
     pub channel: usize,
     /// Rank index within the channel.
@@ -414,6 +383,5 @@ mod tests {
             let why = rejected(|c| c.timing.t_rfc = t_rfc);
             assert!(why.contains("timing.t_rfc must be below timing.t_refi"));
         }
-        assert_eq!(DramConfig::ddr3_1066(2).validate(), Ok(()));
     }
 }

@@ -19,40 +19,6 @@ pub trait TreeLayout {
     fn footprint_bytes(&self) -> u64;
 }
 
-/// Breadth-first (level-order) layout: bucket `n` at `(n - 1) * bucket_bytes`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinearLayout {
-    levels: u32,
-    bucket_bytes: u64,
-}
-
-impl LinearLayout {
-    /// Creates a layout for a tree with `levels` levels (root = level 0, so
-    /// a tree of `levels = L + 1`) and `bucket_bytes` per bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is zero.
-    pub fn new(levels: u32, bucket_bytes: u64) -> Self {
-        assert!(levels > 0, "tree must have at least one level");
-        Self {
-            levels,
-            bucket_bytes,
-        }
-    }
-}
-
-impl TreeLayout for LinearLayout {
-    fn bucket_address(&self, node: u64) -> u64 {
-        debug_assert!(node >= 1);
-        (node - 1) * self.bucket_bytes
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        ((1u64 << self.levels) - 1) * self.bucket_bytes
-    }
-}
-
 /// Subtree layout: the tree is sliced into layers of `s` levels; each layer
 /// is a forest of depth-`s` subtrees, and each subtree's `2^s - 1` buckets
 /// are stored contiguously (one DRAM row when sized right).
@@ -83,7 +49,7 @@ impl SubtreeLayout {
     /// # Panics
     ///
     /// Panics if `levels` or `subtree_levels` is zero.
-    pub fn new(levels: u32, bucket_bytes: u64, subtree_levels: u32) -> Self {
+    pub(crate) fn new(levels: u32, bucket_bytes: u64, subtree_levels: u32) -> Self {
         assert!(levels > 0, "tree must have at least one level");
         assert!(subtree_levels > 0, "subtree must have at least one level");
         let s = subtree_levels;
@@ -112,7 +78,7 @@ impl SubtreeLayout {
     /// # Panics
     ///
     /// Panics if a single bucket does not fit in one row (see
-    /// [`SubtreeLayout::try_fit_row`]): no subtree depth fits. A subtree
+    /// `SubtreeLayout::try_fit_row`): no subtree depth fits. A subtree
     /// that fits is still placed at a multiple of its own size, not of
     /// `row_bytes`, so "fits a row" bounds it to two activations, not one.
     pub fn fit_row(levels: u32, bucket_bytes: u64, row_bytes: u64) -> Self {
@@ -123,7 +89,11 @@ impl SubtreeLayout {
     /// depth-1 subtree (a single bucket of `bucket_bytes`) exceeds
     /// `row_bytes`, instead of silently building a layout whose subtrees
     /// straddle DRAM rows.
-    pub fn try_fit_row(levels: u32, bucket_bytes: u64, row_bytes: u64) -> Result<Self, String> {
+    pub(crate) fn try_fit_row(
+        levels: u32,
+        bucket_bytes: u64,
+        row_bytes: u64,
+    ) -> Result<Self, String> {
         if bucket_bytes > row_bytes {
             return Err(format!(
                 "bucket of {bucket_bytes} B exceeds the {row_bytes} B DRAM row: \
@@ -140,11 +110,6 @@ impl SubtreeLayout {
             }
         }
         Ok(Self::new(levels, bucket_bytes, best))
-    }
-
-    /// The subtree depth chosen for this layout.
-    pub fn subtree_levels(&self) -> u32 {
-        self.subtree_levels
     }
 }
 
@@ -186,17 +151,6 @@ mod tests {
 
     fn all_nodes(levels: u32) -> impl Iterator<Item = u64> {
         1..(1u64 << levels)
-    }
-
-    #[test]
-    fn linear_layout_is_dense_and_unique() {
-        let layout = LinearLayout::new(6, 256);
-        let addrs: HashSet<u64> = all_nodes(6).map(|n| layout.bucket_address(n)).collect();
-        assert_eq!(addrs.len(), 63);
-        assert_eq!(layout.footprint_bytes(), 63 * 256);
-        assert!(addrs
-            .iter()
-            .all(|a| a % 256 == 0 && *a < layout.footprint_bytes()));
     }
 
     #[test]
@@ -253,7 +207,7 @@ mod tests {
         // 256 B buckets, 8 KiB rows: 2^5 - 1 = 31 buckets = 7936 B fits;
         // 2^6 - 1 = 63 buckets = 16128 B does not.
         let layout = SubtreeLayout::fit_row(25, 256, 8 * 1024);
-        assert_eq!(layout.subtree_levels(), 5);
+        assert_eq!(layout.subtree_levels, 5);
     }
 
     #[test]
@@ -271,7 +225,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one level")]
     fn zero_levels_panics() {
-        let _ = LinearLayout::new(0, 64);
+        let _ = SubtreeLayout::new(0, 64, 5);
     }
 
     #[test]
@@ -282,7 +236,7 @@ mod tests {
         assert!(err.contains("exceeds"), "got: {err}");
         // Exactly one bucket per row is fine.
         let layout = SubtreeLayout::try_fit_row(10, 8 * 1024, 8 * 1024).unwrap();
-        assert_eq!(layout.subtree_levels(), 1);
+        assert_eq!(layout.subtree_levels, 1);
     }
 
     #[test]

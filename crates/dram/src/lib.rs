@@ -23,12 +23,13 @@
 //! use fp_dram::{AccessKind, DramConfig, DramSystem};
 //!
 //! let mut dram = DramSystem::new(DramConfig::ddr3_1600(2));
-//! let done = dram.access(0, 4096, AccessKind::Read);
-//! assert!(done.finish_ps > 0);
+//! let done = dram.access_spans(0, AccessKind::Read, &[4096], 1);
+//! assert!(done > 0);
 //! assert_eq!(dram.stats().reads, 1);
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
@@ -40,4 +41,4 @@ mod system;
 
 pub use config::{AddressMapping, DramConfig, DramTiming};
 pub use stats::DramStats;
-pub use system::{AccessKind, AccessResult, BatchResult, DramSystem};
+pub use system::{AccessKind, BatchResult, DramSystem};

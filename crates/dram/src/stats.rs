@@ -7,7 +7,7 @@ use crate::config::DramConfig;
 
 /// Aggregate DRAM statistics: command counts, row-buffer behaviour, energy.
 ///
-/// Nothing here is accumulated separately: [`DramStats::view`] assembles
+/// Nothing here is accumulated separately: `DramStats::view` assembles
 /// the record from the trace counters (one per DRAM command kind) and the
 /// configuration's per-command energies.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl DramStats {
     /// reports into. Every column access either hits the open row or
     /// activates one, so misses are the activations and hits the rest;
     /// each energy is its command count times `cfg`'s per-command energy.
-    pub fn view(counters: &[u64; Counter::COUNT], cfg: &DramConfig) -> Self {
+    pub(crate) fn view(counters: &[u64; Counter::COUNT], cfg: &DramConfig) -> Self {
         let c = |c: Counter| counters[c as usize];
         let (reads, writes, acts) = (
             c(Counter::DramReads),

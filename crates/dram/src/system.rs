@@ -15,15 +15,6 @@ pub enum AccessKind {
     Write,
 }
 
-/// Result of a single access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessResult {
-    /// Time the data transfer completed (ps).
-    pub finish_ps: u64,
-    /// Whether the access hit an open row.
-    pub row_hit: bool,
-}
-
 /// Result of a batch of accesses issued together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchResult<'a> {
@@ -173,11 +164,6 @@ impl DramSystem {
         self.trace = trace;
     }
 
-    /// The trace spine this system reports into.
-    pub fn trace(&self) -> &TraceHandle {
-        &self.trace
-    }
-
     /// The configuration this system was built with.
     pub fn config(&self) -> &DramConfig {
         &self.config
@@ -188,17 +174,6 @@ impl DramSystem {
     /// swapped by [`DramSystem::attach_trace`] mid-run, is what it shows).
     pub fn stats(&self) -> DramStats {
         DramStats::view(&self.trace.counters(), &self.config)
-    }
-
-    /// Performs one access arriving at `now_ps`.
-    pub fn access(&mut self, now_ps: u64, addr: u64, kind: AccessKind) -> AccessResult {
-        let loc = self.config.decompose(addr);
-        let sched =
-            self.channels[loc.channel].schedule(&self.config, loc, kind, now_ps, &self.trace);
-        AccessResult {
-            finish_ps: sched.finish,
-            row_hit: sched.row_hit,
-        }
     }
 
     /// Performs a batch of accesses all arriving at `now_ps`, scheduled
@@ -397,9 +372,9 @@ mod tests {
     #[test]
     fn single_access_returns_positive_latency() {
         let mut dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        let r = dram.access(1000, 0, AccessKind::Read);
-        assert!(r.finish_ps > 1000);
-        assert!(!r.row_hit);
+        let finish = dram.access_spans(1000, AccessKind::Read, &[0], 1);
+        assert!(finish > 1000);
+        assert_eq!(dram.stats().row_hits, 0);
     }
 
     #[test]
@@ -429,7 +404,7 @@ mod tests {
         let mut dram = DramSystem::new(DramConfig::ddr3_1600(1));
         let row = dram.config().row_bytes;
         // Open row 0 first.
-        dram.access(0, 0, AccessKind::Read);
+        dram.access_spans(0, AccessKind::Read, &[0], 1);
         // Batch: a conflicting row-miss first, then a row-hit. FR-FCFS
         // services the hit first, so the hit's finish < miss's finish.
         let batch = vec![
@@ -532,8 +507,8 @@ mod tests {
 
     /// Same commands at the same times in the same order, nothing dropped.
     fn assert_same_events(fast: &DramSystem, slow: &DramSystem, case: &str) {
-        assert_eq!(fast.trace().events(), slow.trace().events(), "{case}");
-        assert_eq!(fast.trace().dropped(), 0, "{case}: ring too small");
+        assert_eq!(fast.trace.events(), slow.trace.events(), "{case}");
+        assert_eq!(fast.trace.dropped(), 0, "{case}: ring too small");
     }
 
     #[test]

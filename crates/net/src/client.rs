@@ -15,19 +15,6 @@ use std::net::{TcpStream, ToSocketAddrs};
 use crate::server::NetError;
 use crate::wire::{read_frame, write_frame, Frame, WireHealth, WireRequest, WireResponse, VERSION};
 
-/// Service geometry advertised by the server in its handshake reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerInfo {
-    /// Protocol version the server speaks.
-    pub version: u16,
-    /// Global program-visible block count.
-    pub data_blocks: u64,
-    /// Bytes per block — writes must carry exactly this many.
-    pub block_bytes: u32,
-    /// Shard count behind the server.
-    pub shards: u32,
-}
-
 /// A pipelined connection to a [`crate::NetServer`].
 pub struct NetClient {
     stream: TcpStream,
@@ -36,9 +23,6 @@ pub struct NetClient {
     ready: VecDeque<WireResponse>,
     stats: Option<String>,
     health: Option<Vec<WireHealth>>,
-    info: ServerInfo,
-    frames_out: u64,
-    frames_in: u64,
     bytes_out: u64,
     bytes_in: u64,
 }
@@ -62,25 +46,12 @@ impl NetClient {
         bytes_out += write_frame(&mut stream, &Frame::Hello { version: VERSION })? as u64;
         let (frame, n) = read_frame(&mut stream)?
             .ok_or_else(|| NetError::Protocol("server closed during handshake".into()))?;
-        let info = match frame {
-            Frame::HelloAck {
-                version,
-                data_blocks,
-                block_bytes,
-                shards,
-            } => ServerInfo {
-                version,
-                data_blocks,
-                block_bytes,
-                shards,
-            },
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected hello_ack, got {}",
-                    other.kind_name()
-                )))
-            }
-        };
+        if !matches!(frame, Frame::HelloAck { .. }) {
+            return Err(NetError::Protocol(format!(
+                "expected hello_ack, got {}",
+                frame.kind_name()
+            )));
+        }
         Ok(Self {
             stream,
             window,
@@ -88,38 +59,15 @@ impl NetClient {
             ready: VecDeque::new(),
             stats: None,
             health: None,
-            info,
-            frames_out: 1,
-            frames_in: 1,
             bytes_out,
             bytes_in: n as u64,
         })
-    }
-
-    /// The geometry the server advertised at handshake.
-    pub fn info(&self) -> ServerInfo {
-        self.info
-    }
-
-    /// Requests currently in flight (submitted, response not yet read).
-    pub fn inflight(&self) -> usize {
-        self.inflight
     }
 
     /// Responses read off the wire but not yet taken with
     /// [`NetClient::recv`].
     pub fn ready(&self) -> usize {
         self.ready.len()
-    }
-
-    /// Total frames this client put on the wire.
-    pub fn frames_out(&self) -> u64 {
-        self.frames_out
-    }
-
-    /// Total frames this client read off the wire.
-    pub fn frames_in(&self) -> u64 {
-        self.frames_in
     }
 
     /// Total bytes this client put on the wire.
@@ -224,7 +172,6 @@ impl NetClient {
 
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
         let n = write_frame(&mut self.stream, frame)?;
-        self.frames_out += 1;
         self.bytes_out += n as u64;
         Ok(())
     }
@@ -234,7 +181,6 @@ impl NetClient {
     fn pump(&mut self) -> Result<(), NetError> {
         let (frame, n) = read_frame(&mut self.stream)?
             .ok_or_else(|| NetError::Protocol("server closed the connection".into()))?;
-        self.frames_in += 1;
         self.bytes_in += n as u64;
         match frame {
             Frame::Response(r) => {

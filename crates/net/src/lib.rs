@@ -35,8 +35,16 @@
 //! ```
 //! use fp_net::{NetClient, NetConfig, NetServer};
 //! use fp_net::wire::{WireOp, WireRequest, WireStatus};
+//! use fp_service::ServiceConfig;
 //!
-//! let server = NetServer::start(NetConfig::fast_test(2)).unwrap();
+//! let cfg = NetConfig {
+//!     service: ServiceConfig::fast_test(2),
+//!     port: 0, // ephemeral
+//!     max_connections: 64,
+//!     max_inflight_per_conn: 64,
+//!     drain_wait_ms: 2_000,
+//! };
+//! let server = NetServer::start(cfg).unwrap();
 //! let mut client = NetClient::connect(server.local_addr(), 8).unwrap();
 //! for tag in 0..4 {
 //!     client
@@ -58,6 +66,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
@@ -65,6 +74,6 @@ mod client;
 mod server;
 pub mod wire;
 
-pub use client::{NetClient, ServerInfo};
-pub use server::{NetConfig, NetError, NetReport, NetServer, NET_COUNTERS};
+pub use client::NetClient;
+pub use server::{NetConfig, NetError, NetReport, NetServer};
 pub use wire::{Frame, WireError, WireHealth, WireOp, WireRequest, WireResponse, WireStatus};

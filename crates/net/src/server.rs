@@ -60,7 +60,7 @@ use crate::wire::{
 
 /// The network-plane counters, in the order they appear in
 /// [`NetReport::net`] and the stats JSON.
-pub const NET_COUNTERS: [Counter; 8] = [
+pub(crate) const NET_COUNTERS: [Counter; 8] = [
     Counter::NetConnectionsOpened,
     Counter::NetConnectionsClosed,
     Counter::NetFramesIn,
@@ -95,7 +95,8 @@ pub struct NetConfig {
 impl NetConfig {
     /// A small, fast configuration for tests: the service fast-test
     /// geometry, an ephemeral port, and generous windows.
-    pub fn fast_test(shards: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn fast_test(shards: usize) -> Self {
         Self {
             service: ServiceConfig::fast_test(shards),
             port: 0,
@@ -111,7 +112,7 @@ impl NetConfig {
     /// # Errors
     ///
     /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.service.validate()?;
         if self.max_connections == 0 {
             return Err("max_connections must be at least 1".into());
@@ -171,7 +172,8 @@ pub struct NetReport {
     pub stats: ServiceStats,
     /// Abnormal shard exits (empty on a clean run).
     pub failures: Vec<ShardFailure>,
-    /// Final network-plane counter values, indexed like [`NET_COUNTERS`].
+    /// Final network-plane counter values, one per `Net*` counter in
+    /// declaration order; [`NetReport::net_counter`] reads one by name.
     pub net: Vec<u64>,
 }
 

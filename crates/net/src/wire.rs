@@ -142,7 +142,7 @@ pub enum WireOp {
 
 impl WireOp {
     /// Wire code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             WireOp::Read => 0,
             WireOp::Write => 1,
@@ -154,7 +154,7 @@ impl WireOp {
     /// # Errors
     ///
     /// [`WireError::UnknownOp`] for undefined codes.
-    pub fn from_code(c: u8) -> Result<Self, WireError> {
+    pub(crate) fn from_code(c: u8) -> Result<Self, WireError> {
         match c {
             0 => Ok(WireOp::Read),
             1 => Ok(WireOp::Write),
@@ -204,7 +204,7 @@ impl WireStatus {
     ];
 
     /// Wire code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             WireStatus::Ok => 0,
             WireStatus::Late => 1,
@@ -222,7 +222,7 @@ impl WireStatus {
     /// # Errors
     ///
     /// [`WireError::UnknownStatus`] for undefined codes.
-    pub fn from_code(c: u8) -> Result<Self, WireError> {
+    pub(crate) fn from_code(c: u8) -> Result<Self, WireError> {
         WireStatus::ALL
             .get(c as usize)
             .copied()
@@ -257,7 +257,7 @@ pub enum WireHealth {
 
 impl WireHealth {
     /// Wire code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             WireHealth::Healthy => 0,
             WireHealth::Degraded => 1,
@@ -270,7 +270,7 @@ impl WireHealth {
     /// # Errors
     ///
     /// [`WireError::UnknownHealth`] for undefined codes.
-    pub fn from_code(c: u8) -> Result<Self, WireError> {
+    pub(crate) fn from_code(c: u8) -> Result<Self, WireError> {
         match c {
             0 => Ok(WireHealth::Healthy),
             1 => Ok(WireHealth::Degraded),
@@ -373,25 +373,25 @@ pub enum Frame {
 /// [`Frame::kind`] and [`Frame::decode`] match on these names, so a code
 /// assigned twice is an unreachable `decode` arm (a clippy-gate error),
 /// and a [`Frame`] variant without a `kind` arm does not compile.
-pub mod kind {
+pub(crate) mod kind {
     /// [`Frame::Hello`](super::Frame::Hello).
-    pub const HELLO: u8 = 0;
+    pub(crate) const HELLO: u8 = 0;
     /// [`Frame::HelloAck`](super::Frame::HelloAck).
-    pub const HELLO_ACK: u8 = 1;
+    pub(crate) const HELLO_ACK: u8 = 1;
     /// [`Frame::Request`](super::Frame::Request).
-    pub const REQUEST: u8 = 2;
+    pub(crate) const REQUEST: u8 = 2;
     /// [`Frame::Response`](super::Frame::Response).
-    pub const RESPONSE: u8 = 3;
+    pub(crate) const RESPONSE: u8 = 3;
     /// [`Frame::StatsReq`](super::Frame::StatsReq).
-    pub const STATS_REQ: u8 = 4;
+    pub(crate) const STATS_REQ: u8 = 4;
     /// [`Frame::StatsResp`](super::Frame::StatsResp).
-    pub const STATS_RESP: u8 = 5;
+    pub(crate) const STATS_RESP: u8 = 5;
     /// [`Frame::HealthReq`](super::Frame::HealthReq).
-    pub const HEALTH_REQ: u8 = 6;
+    pub(crate) const HEALTH_REQ: u8 = 6;
     /// [`Frame::HealthResp`](super::Frame::HealthResp).
-    pub const HEALTH_RESP: u8 = 7;
+    pub(crate) const HEALTH_RESP: u8 = 7;
     /// [`Frame::Shutdown`](super::Frame::Shutdown).
-    pub const SHUTDOWN: u8 = 8;
+    pub(crate) const SHUTDOWN: u8 = 8;
 }
 
 /// Bounds-checked sequential reader over a frame body.

@@ -68,8 +68,9 @@ impl BucketCache for NoCache {
 /// use fp_path_oram::cache::{BucketCache, TreetopCache};
 /// // 1 MiB of 256 B buckets pins levels 0..=11 (4095 buckets).
 /// let mut cache = TreetopCache::with_capacity_bytes(1 << 20, 256);
-/// assert_eq!(cache.cached_levels(), 12);
 /// assert!(cache.lookup_for_read(1), "root is always resident");
+/// assert!(cache.lookup_for_read(1 << 11), "level 11 is resident");
+/// assert!(!cache.lookup_for_read(1 << 12), "level 12 is not");
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreetopCache {
@@ -78,7 +79,8 @@ pub struct TreetopCache {
 
 impl TreetopCache {
     /// Pins the top `cached_levels` levels.
-    pub fn new(cached_levels: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(cached_levels: u32) -> Self {
         Self { cached_levels }
     }
 
@@ -93,11 +95,6 @@ impl TreetopCache {
         Self {
             cached_levels: levels,
         }
-    }
-
-    /// Number of pinned levels.
-    pub fn cached_levels(&self) -> u32 {
-        self.cached_levels
     }
 
     fn covers(&self, node: u64) -> bool {
@@ -140,10 +137,10 @@ mod tests {
     fn treetop_capacity_sizing() {
         // 1 MiB / 256 B = 4096 buckets -> levels 0..=11 (4095 buckets).
         let c = TreetopCache::with_capacity_bytes(1 << 20, 256);
-        assert_eq!(c.cached_levels(), 12);
+        assert_eq!(c.cached_levels, 12);
         // 128 KiB / 256 B = 512 buckets -> 9 levels (511 buckets).
         let c = TreetopCache::with_capacity_bytes(128 << 10, 256);
-        assert_eq!(c.cached_levels(), 9);
+        assert_eq!(c.cached_levels, 9);
     }
 
     #[test]

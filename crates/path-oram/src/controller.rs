@@ -100,7 +100,7 @@ impl BaselineController {
     }
 
     /// Creates a controller with an arbitrary cache policy.
-    pub fn with_cache(
+    pub(crate) fn with_cache(
         cfg: OramConfig,
         dram: DramSystem,
         seed: u64,

@@ -73,7 +73,7 @@ impl Datapath {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid (see [`OramState::new`]).
+    /// Panics if `cfg` is invalid (see `OramState::new`).
     pub fn new(
         cfg: OramConfig,
         mut dram: DramSystem,
@@ -389,7 +389,7 @@ mod tests {
         read(&mut dp, old);
         let _ = dp.state_mut().apply_op(3, new, Some(&[1]));
         let victim = refill(&mut dp, old, 0)[0];
-        assert!(dp.state_mut().tree_mut().corrupt_bucket(victim));
+        assert!(dp.state_mut().tree.corrupt_bucket(victim));
         let reads_before = dp.trace().counter(Counter::DramBlocksRead);
         let err = dp.read_path(old, 0, 0).unwrap_err();
         assert_eq!(err.node, victim);

@@ -223,11 +223,6 @@ impl MerkleTree {
         }
         Ok(())
     }
-
-    /// Simulates an adversary overwriting a stored hash (for tests).
-    pub fn tamper_hash(&mut self, node: u64, value: u64) {
-        self.hashes.insert(node, value);
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +279,7 @@ mod tests {
         mt.update_bucket(9, b"honest");
         mt.rehash_path(3, 1);
         // The adversary rewrites an interior hash consistently with nothing.
-        mt.tamper_hash(4, 0xDEAD_BEEF);
+        mt.hashes.insert(4, 0xDEAD_BEEF);
         assert!(mt.verify_bucket(9, b"honest").is_err());
     }
 

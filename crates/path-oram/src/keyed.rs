@@ -3,7 +3,7 @@
 //! Heap node ids, block addresses, flight ids and serialization keys all
 //! come from inside the simulator, so SipHash's protection against keys
 //! crafted to collide buys nothing for them, and it costs more than the
-//! lookup it guards. [`U64Map`] and [`U64Set`] hash with one 128-bit
+//! lookup it guards. [`U64Map`] and `U64Set` hash with one 128-bit
 //! multiply folded to 64 bits instead.
 //!
 //! Every map built on these aliases is bounded by the tree, the stash or
@@ -21,9 +21,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<FoldHasher>>;
 
 /// A `HashSet` of program-made `u64` keys.
-pub type U64Set = HashSet<u64, BuildHasherDefault<FoldHasher>>;
+pub(crate) type U64Set = HashSet<u64, BuildHasherDefault<FoldHasher>>;
 
-/// The hasher behind [`U64Map`] and [`U64Set`]; use it through them.
+/// The hasher behind [`U64Map`] and `U64Set`; use it through them.
 ///
 /// The table takes its bucket from the low bits of a hash and its control
 /// byte from the top seven, so both halves of the product must depend on

@@ -32,8 +32,8 @@
 //!   access reads and refills a complete path, driven either synchronously
 //!   ([`BaselineController::access_sync`]) or incrementally through the
 //!   submit/pump model ([`BaselineController::process_one`]).
-//! * [`reactive`] — the closed-loop feedback vocabulary
-//!   ([`NewRequest`], [`ReactiveSource`], [`NoFeedback`]) shared by every
+//! * The closed-loop feedback vocabulary ([`NewRequest`],
+//!   [`ReactiveSource`], [`NoFeedback`], at the crate root) shared by every
 //!   incremental engine from the baseline to Fork Path.
 //! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
 //!   [`cache::TreetopCache`] policy (Phantom \[13\]).
@@ -57,6 +57,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
@@ -68,7 +69,7 @@ pub mod integrity;
 pub mod keyed;
 pub mod path;
 mod posmap;
-pub mod reactive;
+mod reactive;
 mod stash;
 mod state;
 mod stats;

@@ -18,10 +18,10 @@ use crate::config::OramConfig;
 /// use fp_path_oram::{OramConfig, PosMapHierarchy};
 /// let cfg = OramConfig::small_test();
 /// let h = PosMapHierarchy::new(&cfg);
-/// // Every data access expands to a top-down chain ending at the data block.
-/// let chain = h.chain(5);
-/// assert_eq!(*chain.last().unwrap(), 5);
-/// assert_eq!(chain.len(), h.posmap_levels() + 1);
+/// // The posmap blocks live in the tree beside the data blocks, and the
+/// // top level's labels fit on chip.
+/// assert!(h.total_blocks() > cfg.data_blocks);
+/// assert!(h.onchip_entries() <= cfg.onchip_posmap_entries);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PosMapHierarchy {
@@ -68,11 +68,6 @@ impl PosMapHierarchy {
         self.bases.len()
     }
 
-    /// Labels per posmap block.
-    pub fn fanout(&self) -> u64 {
-        self.fanout
-    }
-
     /// Total blocks in the unified address space (data + posmap).
     pub fn total_blocks(&self) -> u64 {
         self.data_blocks + self.sizes.iter().sum::<u64>()
@@ -86,11 +81,6 @@ impl PosMapHierarchy {
         }
     }
 
-    /// Data blocks per shared label.
-    pub fn super_block(&self) -> u64 {
-        self.super_block
-    }
-
     /// The top-down chain of unified addresses an access to data block
     /// `addr` must traverse: `[pm_k block, ..., pm_1 block, addr]`.
     ///
@@ -100,7 +90,7 @@ impl PosMapHierarchy {
     /// # Panics
     ///
     /// Panics if `addr` is not a data-block address.
-    pub fn chain(&self, addr: u64) -> Vec<u64> {
+    pub(crate) fn chain(&self, addr: u64) -> Vec<u64> {
         assert!(addr < self.data_blocks, "address {addr} out of data range");
         let group = addr / self.super_block;
         let k = self.bases.len();
@@ -115,7 +105,7 @@ impl PosMapHierarchy {
 
     /// For the on-chip lookup that starts a chain: the index into the
     /// on-chip map for data address `addr`.
-    pub fn onchip_index(&self, addr: u64) -> u64 {
+    pub(crate) fn onchip_index(&self, addr: u64) -> u64 {
         let group = addr / self.super_block;
         let k = self.bases.len() as u32;
         if k == 0 {
@@ -127,7 +117,7 @@ impl PosMapHierarchy {
 
     /// Given a chain element `parent` (a posmap block) and the next chain
     /// element `child`, the entry slot of `child` inside `parent`'s payload.
-    pub fn entry_slot(&self, child: u64) -> u64 {
+    pub(crate) fn entry_slot(&self, child: u64) -> u64 {
         // A posmap block at level i covers fanout consecutive blocks of
         // level i-1; the child's slot is its index modulo the fanout.
         let child_index = self.relative_index(child);
@@ -146,7 +136,7 @@ impl PosMapHierarchy {
     }
 
     /// Hierarchy level of a unified address (0 = data, k = top posmap).
-    pub fn level_of(&self, addr: u64) -> usize {
+    pub(crate) fn level_of(&self, addr: u64) -> usize {
         for (i, (base, size)) in self.bases.iter().zip(&self.sizes).enumerate() {
             if addr >= *base && addr < base + size {
                 return i + 1;

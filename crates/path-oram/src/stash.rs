@@ -76,7 +76,7 @@ impl Stash {
     /// there from now on. Event timestamps are phase-granular: the
     /// controller stamps the spine's clock (`TraceHandle::set_now`) at
     /// the start of each access phase.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
 
@@ -95,14 +95,9 @@ impl Stash {
         self.high_water
     }
 
-    /// Nominal capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether occupancy exceeds the nominal capacity (a trigger for
     /// background eviction in the controller).
-    pub fn over_capacity(&self) -> bool {
+    pub(crate) fn over_capacity(&self) -> bool {
         self.blocks.len() > self.capacity
     }
 
@@ -111,13 +106,8 @@ impl Stash {
         self.blocks.contains_key(&addr)
     }
 
-    /// Borrows the block at `addr`.
-    pub fn get(&self, addr: u64) -> Option<&Block> {
-        self.blocks.get(&addr)
-    }
-
     /// Mutably borrows the block at `addr`.
-    pub fn get_mut(&mut self, addr: u64) -> Option<&mut Block> {
+    pub(crate) fn get_mut(&mut self, addr: u64) -> Option<&mut Block> {
         self.blocks.get_mut(&addr)
     }
 
@@ -132,7 +122,8 @@ impl Stash {
     }
 
     /// Removes and returns the block at `addr`.
-    pub fn remove(&mut self, addr: u64) -> Option<Block> {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, addr: u64) -> Option<Block> {
         let removed = self.blocks.remove(&addr);
         if removed.is_some() {
             self.trace.record_now(EventKind::StashEvict { addr });
@@ -141,7 +132,7 @@ impl Stash {
     }
 
     /// Iterates over held blocks in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Block> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Block> {
         self.blocks.values()
     }
 
@@ -152,7 +143,7 @@ impl Stash {
     }
 
     /// Removes an eviction exemption.
-    pub fn unpin(&mut self, addr: u64) {
+    pub(crate) fn unpin(&mut self, addr: u64) {
         self.pinned.remove(&addr);
     }
 
@@ -260,9 +251,9 @@ mod tests {
     fn insert_get_remove_roundtrip() {
         let mut s = Stash::new(10);
         s.insert(block(1, 5));
-        assert_eq!(s.get(1).unwrap().leaf, 5);
+        assert_eq!(s.blocks[&1].leaf, 5);
         assert_eq!(s.remove(1).unwrap().addr, 1);
-        assert!(s.get(1).is_none());
+        assert!(!s.contains(1));
         assert!(s.is_empty());
     }
 

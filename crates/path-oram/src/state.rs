@@ -31,21 +31,6 @@ pub enum AccessOutcome {
 }
 
 /// The trusted contents of the ORAM controller plus the untrusted tree.
-///
-/// # Example
-///
-/// ```
-/// use fp_path_oram::{AccessOutcome, OramConfig, OramState};
-/// let mut state = OramState::new(OramConfig::small_test(), 7);
-/// // First touch of data block 3: the on-chip map assigns its label and
-/// // the block materializes inside the trusted boundary.
-/// let (_old_leaf, new_leaf, _) = state.start_chain(3);
-/// let (before, outcome) = state.apply_op(3, new_leaf, Some(&[9]));
-/// assert_eq!(outcome, AccessOutcome::Created);
-/// assert!(before.iter().all(|&b| b == 0));
-/// assert!(state.stash_hit(3));
-/// state.check_invariants().unwrap();
-/// ```
 #[derive(Debug)]
 pub struct OramState {
     cfg: OramConfig,
@@ -56,7 +41,6 @@ pub struct OramState {
     hierarchy: PosMapHierarchy,
     onchip: OnChipMap,
     label_rng: Xoshiro256,
-    created_blocks: u64,
     /// Every block ever materialized (used to reason about lazily
     /// nonexistent super-block members).
     existing: U64Set,
@@ -70,7 +54,7 @@ impl OramState {
     /// Panics if `cfg` fails validation or uses more than 31 levels (labels
     /// are stored as 32-bit entries in posmap payloads, as in the paper's
     /// 4-byte-label sizing).
-    pub fn new(cfg: OramConfig, seed: u64) -> Self {
+    pub(crate) fn new(cfg: OramConfig, seed: u64) -> Self {
         cfg.validate().expect("invalid ORAM config");
         assert!(cfg.levels <= 31, "labels must fit in 32-bit posmap entries");
         let hierarchy = PosMapHierarchy::new(&cfg);
@@ -90,7 +74,6 @@ impl OramState {
             hierarchy,
             onchip,
             label_rng: Xoshiro256::new(seed ^ 0x5EED_1ABE1),
-            created_blocks: 0,
             existing: U64Set::default(),
         }
         .with_stash_capacity()
@@ -103,18 +86,13 @@ impl OramState {
 
     /// Attaches a shared trace spine to the trusted state (currently the
     /// stash: push/evict events).
-    pub fn attach_trace(&mut self, trace: fp_trace::TraceHandle) {
+    pub(crate) fn attach_trace(&mut self, trace: fp_trace::TraceHandle) {
         self.stash.attach_trace(trace);
     }
 
     /// The configuration.
     pub fn config(&self) -> &OramConfig {
         &self.cfg
-    }
-
-    /// The posmap hierarchy layout.
-    pub fn hierarchy(&self) -> &PosMapHierarchy {
-        &self.hierarchy
     }
 
     /// The stash (read-only view).
@@ -125,19 +103,6 @@ impl OramState {
     /// The untrusted tree store (read-only view).
     pub fn tree(&self) -> &TreeStore {
         &self.tree
-    }
-
-    /// The untrusted tree store, mutably — the fault-injection surface
-    /// (e.g. [`TreeStore::corrupt_bucket`]). Untrusted memory is outside
-    /// the security boundary, so handing out mutation is the point: it
-    /// models an adversary or a transient hardware fault.
-    pub fn tree_mut(&mut self) -> &mut TreeStore {
-        &mut self.tree
-    }
-
-    /// Blocks materialized by lazy initialization so far.
-    pub fn created_blocks(&self) -> u64 {
-        self.created_blocks
     }
 
     /// Pins `addr` in the stash (exempt from eviction) — the hook a posmap
@@ -278,7 +243,6 @@ impl OramState {
             AccessOutcome::Found
         } else {
             let payload = self.fresh_payload(addr);
-            self.created_blocks += 1;
             self.stash.insert(Block::new(addr, new_leaf, payload));
             AccessOutcome::Created
         };
@@ -338,6 +302,19 @@ mod tests {
 
     fn state() -> OramState {
         OramState::new(OramConfig::small_test(), 99)
+    }
+
+    #[test]
+    fn a_first_touch_materializes_inside_the_boundary() {
+        let mut state = OramState::new(OramConfig::small_test(), 7);
+        // First touch of data block 3: the on-chip map assigns its label and
+        // the block materializes inside the trusted boundary.
+        let (_old_leaf, new_leaf, _) = state.start_chain(3);
+        let (before, outcome) = state.apply_op(3, new_leaf, Some(&[9]));
+        assert_eq!(outcome, AccessOutcome::Created);
+        assert!(before.iter().all(|&b| b == 0));
+        assert!(state.stash_hit(3));
+        state.check_invariants().unwrap();
     }
 
     #[test]

@@ -221,8 +221,9 @@ impl TreeStore {
     }
 
     /// Number of buckets currently stored: written and not taken since
-    /// ([`TreeStore::try_take_bucket`] empties the slot it returns).
-    pub fn touched_buckets(&self) -> usize {
+    /// (`TreeStore::try_take_bucket` empties the slot it returns).
+    #[cfg(test)]
+    pub(crate) fn touched_buckets(&self) -> usize {
         match &self.slots {
             Slots::Plain { pages, .. } => pages.stored,
             Slots::Sealed(pages) => pages.stored,
@@ -249,7 +250,7 @@ impl TreeStore {
     /// an injected transient fault) as an [`IntegrityError`] instead of a
     /// panic, so the controller can retry or fail the shard structurally.
     /// A node id outside the tree reads as an untouched bucket.
-    pub fn try_read_bucket(&self, node: u64) -> Result<Vec<Block>, IntegrityError> {
+    pub(crate) fn try_read_bucket(&self, node: u64) -> Result<Vec<Block>, IntegrityError> {
         match &self.slots {
             Slots::Plain { poisoned, .. } if poisoned.contains(&node) => {
                 Err(IntegrityError { node })
@@ -269,7 +270,7 @@ impl TreeStore {
     ///
     /// Panics if the stored image is corrupt. Fallible callers (the
     /// controller hot paths) use [`TreeStore::try_read_bucket`] instead.
-    pub fn read_bucket(&self, node: u64) -> Vec<Block> {
+    pub(crate) fn read_bucket(&self, node: u64) -> Vec<Block> {
         self.try_read_bucket(node)
             .unwrap_or_else(|e| panic!("corrupt bucket: {e}"))
     }
@@ -281,7 +282,7 @@ impl TreeStore {
     /// the moment its blocks enter the stash, and the refill overwrites it).
     /// A corrupt image surfaces as an [`IntegrityError`]; the bucket is
     /// still consumed (its bytes are unusable either way).
-    pub fn try_take_bucket(&mut self, node: u64) -> Result<Vec<Block>, IntegrityError> {
+    pub(crate) fn try_take_bucket(&mut self, node: u64) -> Result<Vec<Block>, IntegrityError> {
         match &mut self.slots {
             Slots::Plain { pages, poisoned } => {
                 let blocks = pages.take(node).unwrap_or_default();
@@ -298,7 +299,7 @@ impl TreeStore {
         }
     }
 
-    /// Infallible [`TreeStore::try_take_bucket`]: panics on a corrupt image.
+    /// Infallible `TreeStore::try_take_bucket`: panics on a corrupt image.
     pub fn take_bucket(&mut self, node: u64) -> Vec<Block> {
         self.try_take_bucket(node)
             .unwrap_or_else(|e| panic!("corrupt bucket: {e}"))
@@ -309,7 +310,8 @@ impl TreeStore {
     /// [`IntegrityError`]. Deterministic fault-injection hook; a no-op on
     /// untouched buckets (they hold no bytes to flip). Returns whether a
     /// stored bucket was actually corrupted.
-    pub fn corrupt_bucket(&mut self, node: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn corrupt_bucket(&mut self, node: u64) -> bool {
         match &mut self.slots {
             Slots::Plain { pages, poisoned } => {
                 let stored = pages.get(node).is_some();

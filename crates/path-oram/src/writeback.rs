@@ -46,7 +46,7 @@ impl WritebackEngine {
 
     /// Attaches a shared trace spine; writeback counters report there
     /// from now on.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
 

@@ -68,7 +68,7 @@ pub(crate) struct CoalesceIndex {
 
 impl CoalesceIndex {
     /// An empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -76,14 +76,14 @@ impl CoalesceIndex {
     /// occupancy from [`CoalesceIndex::insert_anchor`]'s return value;
     /// this accessor exists for the unit tests.)
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Parks `waiter` on `addr`'s in-flight entry. Returns the waiter
     /// back when no access to `addr` is outstanding — the caller must
     /// then submit a real access and [`CoalesceIndex::insert_anchor`].
-    pub fn try_attach(&mut self, addr: u64, waiter: Waiter) -> Result<(), Waiter> {
+    pub(crate) fn try_attach(&mut self, addr: u64, waiter: Waiter) -> Result<(), Waiter> {
         match self.entries.get_mut(&addr) {
             Some(entry) => {
                 entry.waiters.push(waiter);
@@ -97,7 +97,7 @@ impl CoalesceIndex {
     /// requests can coalesce onto. `anchor_write` is the payload when the
     /// access itself is a write. Returns the index occupancy after the
     /// insert (for the high-water counter).
-    pub fn insert_anchor(&mut self, addr: u64, anchor_write: Option<Vec<u8>>) -> u64 {
+    pub(crate) fn insert_anchor(&mut self, addr: u64, anchor_write: Option<Vec<u8>>) -> u64 {
         self.entries.insert(
             addr,
             CoalesceEntry {
@@ -113,7 +113,7 @@ impl CoalesceIndex {
     /// needed. `data_as_read` is the completion's payload (what the tree
     /// held). Returns `None` when `addr` has no entry (coalescing
     /// disabled for it, or an engine-internal completion).
-    pub fn resolve(&mut self, addr: u64, data_as_read: Vec<u8>) -> Option<Resolution> {
+    pub(crate) fn resolve(&mut self, addr: u64, data_as_read: Vec<u8>) -> Option<Resolution> {
         let entry = self.entries.remove(&addr)?;
         let mut current = entry.anchor_write.unwrap_or(data_as_read);
         let mut dirty = false;

@@ -152,12 +152,12 @@ impl ServiceConfig {
     }
 
     /// The shard-local address of global address `addr`.
-    pub fn local_addr(&self, addr: u64) -> u64 {
+    pub(crate) fn local_addr(&self, addr: u64) -> u64 {
         addr >> self.shard_shift()
     }
 
     /// Reconstructs the global address from a shard-local one.
-    pub fn global_addr(&self, shard: usize, local: u64) -> u64 {
+    pub(crate) fn global_addr(&self, shard: usize, local: u64) -> u64 {
         (local << self.shard_shift()) | shard as u64
     }
 

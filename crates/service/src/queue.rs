@@ -97,7 +97,7 @@ impl SubmissionQueue {
     ///
     /// `max == 0` trips the same debug assertion as
     /// [`SubmissionQueue::pop_batch`].
-    pub fn try_pop_batch(&self, max: usize) -> Option<Vec<ServiceRequest>> {
+    pub(crate) fn try_pop_batch(&self, max: usize) -> Option<Vec<ServiceRequest>> {
         debug_assert!(max > 0, "try_pop_batch(max = 0) would never take work");
         let mut st = relock(&self.state);
         if st.items.is_empty() && st.closed {
@@ -110,23 +110,18 @@ impl SubmissionQueue {
     /// Closes the queue: subsequent pushes fail with
     /// [`SubmitError::Shutdown`]; consumers drain what remains, then see
     /// `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         relock(&self.state).closed = true;
         self.ready.notify_all();
     }
 
     /// Current occupancy.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         relock(&self.state).items.len()
     }
 
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Highest occupancy ever observed.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         relock(&self.state).high_water
     }
 }

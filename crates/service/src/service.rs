@@ -40,7 +40,7 @@ pub struct ShardFailure {
     /// Which shard died.
     pub shard: usize,
     /// `true` when the worker panicked; `false` for a controller error
-    /// returned through [`ShardEngine::run_external`].
+    /// returned through `ShardEngine::run_external`.
     pub panicked: bool,
     /// Human-readable failure description.
     pub error: String,
@@ -167,17 +167,10 @@ impl ServiceHandle {
         OramService::snapshot(&self.cfg, &self.shards, 0)
     }
 
-    /// Occupancy of shard `shard`'s queue, or `None` for an out-of-range
+    /// Current liveness of shard `shard`, or `None` for an out-of-range
     /// shard index. Probing must never be able to crash the process — a
     /// network front end forwards shard indices that originate from
     /// untrusted clients.
-    pub fn queue_len(&self, shard: usize) -> Option<usize> {
-        self.shards.get(shard).map(|s| s.queue.len())
-    }
-
-    /// Current liveness of shard `shard`, or `None` for an out-of-range
-    /// shard index (same non-panicking contract as
-    /// [`ServiceHandle::queue_len`]).
     pub fn shard_health(&self, shard: usize) -> Option<ShardHealth> {
         self.shards.get(shard).map(|s| s.health())
     }
@@ -341,7 +334,7 @@ impl OramService {
     /// Runs the deterministic trace-replay mode: `requests` (global
     /// addresses) are partitioned across the shards up front, and each
     /// shard worker replays its slice in arrival order through
-    /// [`ShardEngine::run_schedule`] — no queue backpressure or
+    /// `ShardEngine::run_schedule` — no queue backpressure or
     /// host-thread timing effects, so the outcome is a pure function of
     /// the request list and the configuration. This is the mode the
     /// Zipfian service workload and the coalescing benchmarks use:
@@ -523,11 +516,9 @@ mod tests {
         let cfg = ServiceConfig::fast_test(2);
         OramService::serve(cfg, |h| {
             assert_eq!(h.shards(), 2);
-            assert_eq!(h.queue_len(0), Some(0));
             assert_eq!(h.shard_health(1), Some(ShardHealth::Healthy));
             // Out-of-range probes return None instead of panicking: the
             // network front end probes shards on behalf of clients.
-            assert_eq!(h.queue_len(2), None);
             assert_eq!(h.shard_health(99), None);
             assert_eq!(h.config().shards, 2);
         })

@@ -62,7 +62,7 @@ pub enum ShardHealth {
 
 impl ShardHealth {
     /// Stable snake_case name for reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ShardHealth::Healthy => "healthy",
             ShardHealth::Degraded => "degraded",
@@ -147,7 +147,7 @@ impl ShardShared {
     }
 
     /// Notes a `Busy` rejection observed by the front end.
-    pub fn note_rejected(&self) {
+    pub(crate) fn note_rejected(&self) {
         relock(&self.counters).rejected_busy += 1;
     }
 
@@ -157,18 +157,18 @@ impl ShardShared {
     }
 
     /// Current liveness of this shard.
-    pub fn health(&self) -> ShardHealth {
+    pub(crate) fn health(&self) -> ShardHealth {
         ShardHealth::from_u8(self.health.load(Ordering::Acquire))
     }
 
     /// The failure that killed the shard, if it is dead.
-    pub fn fault(&self) -> Option<String> {
+    pub(crate) fn fault(&self) -> Option<String> {
         relock(&self.fault).clone()
     }
 
     /// Marks the shard degraded (faults absorbed, still serving). A dead
     /// shard stays dead.
-    pub fn mark_degraded(&self) {
+    pub(crate) fn mark_degraded(&self) {
         let _ = self.health.compare_exchange(
             ShardHealth::Healthy as u8,
             ShardHealth::Degraded as u8,
@@ -180,7 +180,7 @@ impl ShardShared {
     /// Marks the shard dead: records the failure, closes the queue so
     /// producers see `Shutdown`/`ShardDown` instead of retrying `Busy`
     /// forever, and counts a failover in the trace.
-    pub fn mark_dead(&self, error: &str) {
+    pub(crate) fn mark_dead(&self, error: &str) {
         let was = self.health.swap(ShardHealth::Dead as u8, Ordering::AcqRel);
         if was != ShardHealth::Dead as u8 {
             self.trace.bump(Counter::ShardFailovers);
@@ -285,7 +285,7 @@ impl<E: OramEngine> ShardEngine<E> {
     ///
     /// Propagates controller failures (integrity violations, stash
     /// overflow, config errors) after marking the shard [`ShardHealth::Dead`].
-    pub fn run_external(self) -> Result<(), ControllerError> {
+    pub(crate) fn run_external(self) -> Result<(), ControllerError> {
         self.or_fail(Self::run_external_inner)
     }
 
@@ -571,7 +571,7 @@ impl<E: OramEngine> ShardEngine<E> {
     /// # Errors
     ///
     /// Propagates controller failures after marking the shard dead.
-    pub fn run_schedule(self, schedule: Vec<ServiceRequest>) -> Result<(), ControllerError> {
+    pub(crate) fn run_schedule(self, schedule: Vec<ServiceRequest>) -> Result<(), ControllerError> {
         self.or_fail(|shard| shard.run_schedule_inner(schedule))
     }
 
@@ -647,7 +647,7 @@ impl<E: OramEngine> ShardEngine<E> {
     /// # Errors
     ///
     /// Propagates controller failures.
-    pub fn run_closed_loop(self, pool: ServiceClientPool) -> Result<(), ControllerError> {
+    pub(crate) fn run_closed_loop(self, pool: ServiceClientPool) -> Result<(), ControllerError> {
         self.or_fail(|shard| shard.run_closed_loop_inner(pool))
     }
 

@@ -107,7 +107,7 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// Folds per-shard snapshots into aggregate stats.
-    pub fn aggregate(
+    pub(crate) fn aggregate(
         shards: usize,
         queue_depth: usize,
         per_shard: Vec<ShardSnapshot>,
@@ -192,7 +192,7 @@ impl ServiceStats {
 
     /// Host wall-clock throughput, requests per second. Same served-only
     /// numerator as [`ServiceStats::sim_requests_per_sec`].
-    pub fn wall_requests_per_sec(&self) -> f64 {
+    pub(crate) fn wall_requests_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;
         }
@@ -202,13 +202,13 @@ impl ServiceStats {
     /// Median completion latency *upper bound*, picoseconds: the
     /// histogram stores log2 buckets, so this is the top of the bucket
     /// holding the median (a `2^k - 1` value), not an exact sample.
-    pub fn p50_le_ps(&self) -> u64 {
+    pub(crate) fn p50_le_ps(&self) -> u64 {
         self.latency.quantile(0.50)
     }
 
     /// 99th-percentile completion latency upper bound, picoseconds
     /// (log2-bucket top, like [`ServiceStats::p50_le_ps`]).
-    pub fn p99_le_ps(&self) -> u64 {
+    pub(crate) fn p99_le_ps(&self) -> u64 {
         self.latency.quantile(0.99)
     }
 
@@ -243,7 +243,7 @@ impl ServiceStats {
     }
 
     /// Total injected latency spikes.
-    pub fn latency_spikes(&self) -> u64 {
+    pub(crate) fn latency_spikes(&self) -> u64 {
         self.trace_total(Counter::LatencySpikes)
     }
 
@@ -274,7 +274,7 @@ impl ServiceStats {
 
     /// Net ORAM accesses avoided by coalescing: every coalesced request
     /// skipped one access, minus the flush write-backs the layer issued.
-    pub fn coalesce_accesses_saved(&self) -> u64 {
+    pub(crate) fn coalesce_accesses_saved(&self) -> u64 {
         (self.coalesced_reads() + self.coalesced_writes()).saturating_sub(self.coalesce_flushes())
     }
 

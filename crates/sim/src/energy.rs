@@ -61,7 +61,7 @@ impl EnergyBreakdown {
     }
 
     /// Total energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
+    pub(crate) fn total_mj(&self) -> f64 {
         self.total_pj() as f64 / 1e9
     }
 }

@@ -3,7 +3,7 @@
 use std::thread;
 
 use fp_workloads::cpu::{MultiCoreWorkload, PipelineKind};
-use fp_workloads::mixes::{self, Mix};
+use fp_workloads::mixes::Mix;
 
 use crate::config::{Scheme, SystemConfig};
 use crate::metrics::RunResult;
@@ -51,28 +51,6 @@ pub fn mix_workload(mix: &Mix, budget: MissBudget, seed: u64) -> MultiCoreWorklo
     MultiCoreWorkload::from_mix(mix, budget.misses_per_core(), seed)
 }
 
-/// Runs one scheme over every Table 2 mix (in parallel), returning results
-/// in mix order with workload names filled in.
-///
-/// A mix whose run panics is reported on stderr and dropped from the
-/// results; the remaining mixes still land (a sweep must not lose hours of
-/// results to one bad configuration). Sweeps that persist artifacts should
-/// prefer [`run_all_mixes_reported`], which records the failures instead of
-/// discarding them.
-pub fn run_all_mixes(cfg: &SystemConfig, scheme: &Scheme, budget: MissBudget) -> Vec<RunResult> {
-    run_mixes(cfg, scheme, budget, &mixes::all())
-}
-
-/// Like [`run_all_mixes`], but returns a [`SweepOutcome`] so failed mixes
-/// land in the sweep's report file, not just on stderr.
-pub fn run_all_mixes_reported(
-    cfg: &SystemConfig,
-    scheme: &Scheme,
-    budget: MissBudget,
-) -> SweepOutcome {
-    run_mixes_reported(cfg, scheme, budget, &mixes::all())
-}
-
 /// One mix that failed during a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MixFailure {
@@ -100,23 +78,15 @@ impl SweepOutcome {
     }
 }
 
-/// Runs one scheme over the given mixes (in parallel), returning the
-/// surviving results in mix order. See [`run_all_mixes`] for the
-/// panic-isolation contract.
+/// Runs one scheme over the given mixes (in parallel; every Table 2 mix is
+/// `fp_workloads::mixes::all()`), returning the surviving results in mix
+/// order with workload names filled in, and the failed mixes.
+///
+/// A mix whose run panics is echoed to stderr and recorded as a
+/// [`MixFailure`]; the remaining mixes still land (a sweep must not lose
+/// hours of results to one bad configuration). Report writers consume the
+/// whole [`SweepOutcome`], so failures reach the artifact.
 pub fn run_mixes(
-    cfg: &SystemConfig,
-    scheme: &Scheme,
-    budget: MissBudget,
-    mixes: &[Mix],
-) -> Vec<RunResult> {
-    run_mixes_reported(cfg, scheme, budget, mixes).results
-}
-
-/// Runs one scheme over the given mixes (in parallel), recording both the
-/// surviving results and the failed mixes. Failures are still echoed to
-/// stderr as they happen, but the returned [`SweepOutcome`] is what report
-/// writers must consume so failures reach the artifact.
-pub fn run_mixes_reported(
     cfg: &SystemConfig,
     scheme: &Scheme,
     budget: MissBudget,
@@ -220,7 +190,7 @@ mod tests {
 
     #[test]
     fn one_panicking_mix_does_not_sink_the_sweep() {
-        // Regression: `run_all_mixes` used to `h.join().expect(...)`, so a
+        // Regression: the sweep used to `h.join().expect(...)`, so a
         // single bad configuration (e.g. a working set exceeding the ORAM
         // capacity) re-panicked on the collector thread and threw away every
         // other mix's result. Pre-fix this test dies; post-fix the surviving
@@ -237,8 +207,7 @@ mod tests {
             // Far beyond the fast_test ORAM capacity: run_workload panics.
             p.working_set_blocks = 1 << 40;
         }
-        let outcome =
-            run_mixes_reported(&cfg, &Scheme::ForkDefault, MissBudget::Fast, &[good, bad]);
+        let outcome = run_mixes(&cfg, &Scheme::ForkDefault, MissBudget::Fast, &[good, bad]);
         assert_eq!(outcome.results.len(), 1, "the healthy mix must survive");
         assert_eq!(outcome.results[0].workload, "GoodMix");
         assert!(outcome.results[0].oram_latency_ns > 0.0);

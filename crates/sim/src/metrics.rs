@@ -66,7 +66,7 @@ impl RunResult {
 
     /// Renders the record as a JSON object (hermetic hand-rolled emission
     /// via [`fp_stats::json`]; the workspace carries no serde dependency).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut o = JsonObject::new();
         o.field_str("scheme", &self.scheme)
             .field_str("workload", &self.workload)
@@ -90,7 +90,7 @@ impl RunResult {
 }
 
 /// Renders a result list as a JSON array (one object per run).
-pub fn results_to_json(results: &[RunResult]) -> String {
+pub(crate) fn results_to_json(results: &[RunResult]) -> String {
     json::array(results.iter().map(RunResult::to_json))
 }
 

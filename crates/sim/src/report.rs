@@ -1,4 +1,4 @@
-//! Result reporting: CSV and Markdown emitters for experiment sweeps.
+//! Result reporting: CSV and JSON emitters for experiment sweeps.
 //!
 //! The figure binaries print human-readable rows; these helpers produce
 //! machine-readable artifacts (`results/*.csv`) so plots and regression
@@ -49,37 +49,6 @@ pub fn to_csv(results: &[RunResult]) -> String {
             r.dram_blocks_written,
             r.stash_high_water,
         );
-    }
-    out
-}
-
-/// Renders a Markdown table of one metric across `(row, column)` cells —
-/// the layout of the paper's per-mix bar charts.
-///
-/// # Panics
-///
-/// Panics if `cells` is not `rows.len() x cols.len()`.
-pub fn to_markdown_table(
-    title: &str,
-    rows: &[String],
-    cols: &[String],
-    cells: &[Vec<f64>],
-) -> String {
-    assert_eq!(cells.len(), rows.len(), "one cell row per row label");
-    let mut out = format!("### {title}\n\n| |");
-    for c in cols {
-        let _ = write!(out, " {c} |");
-    }
-    out.push_str("\n|---|");
-    out.push_str(&"---|".repeat(cols.len()));
-    out.push('\n');
-    for (label, row) in rows.iter().zip(cells) {
-        assert_eq!(row.len(), cols.len(), "one cell per column");
-        let _ = write!(out, "| {label} |");
-        for v in row {
-            let _ = write!(out, " {v:.3} |");
-        }
-        out.push('\n');
     }
     out
 }
@@ -171,25 +140,6 @@ mod tests {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn markdown_table_shape() {
-        let md = to_markdown_table(
-            "Latency",
-            &["Mix1".into(), "Mix2".into()],
-            &["q=1".into(), "q=64".into()],
-            &[vec![0.8, 0.5], vec![0.9, 0.6]],
-        );
-        assert!(md.contains("### Latency"));
-        assert!(md.contains("| Mix1 | 0.800 | 0.500 |"));
-        assert_eq!(md.lines().count(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cell per column")]
-    fn markdown_table_validates_shape() {
-        let _ = to_markdown_table("x", &["r".into()], &["a".into(), "b".into()], &[vec![1.0]]);
     }
 
     #[test]

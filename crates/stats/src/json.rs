@@ -29,7 +29,7 @@ pub fn escape(s: &str) -> String {
 
 /// Formats an `f64` as a JSON number (non-finite values become `null`,
 /// which JSON cannot represent as numbers).
-pub fn number(v: f64) -> String {
+pub(crate) fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

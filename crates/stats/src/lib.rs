@@ -10,76 +10,17 @@
 //!   uniform distribution on `[0, 1)`.
 //! * [`autocorrelation`] — lag-k serial correlation, for detecting
 //!   structure in label sequences.
-//! * [`Histogram`] — fixed-bin histogram with summary statistics.
 //!
 //! All tests are implemented from scratch (no external stats dependency)
 //! and are deliberately conservative: thresholds target the 99.9th
 //! percentile so randomized CI runs stay deterministic in practice.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod json;
-
-/// A fixed-bin histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo < hi, "empty range");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds a sample (out-of-range samples clamp to the edge bins).
-    pub fn add(&mut self, x: f64) {
-        let bins = self.counts.len() as f64;
-        let idx = ((x - self.lo) / (self.hi - self.lo) * bins).clamp(0.0, bins - 1.0) as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of the underlying samples' bin midpoints (coarse mean).
-    pub fn approx_mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut sum = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let mid = self.lo + (i as f64 + 0.5) * width;
-            sum += mid * c as f64;
-        }
-        sum / self.total as f64
-    }
-}
 
 /// Chi-square statistic of observed counts against a uniform expectation.
 ///
@@ -173,17 +114,6 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
     cov / var
 }
 
-/// Sample mean and (population) standard deviation.
-pub fn mean_std(series: &[f64]) -> (f64, f64) {
-    if series.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = series.len() as f64;
-    let mean = series.iter().sum::<f64>() / n;
-    let var = series.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    (mean, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,17 +126,6 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (s >> 11) as f64 / (1u64 << 53) as f64
         }
-    }
-
-    #[test]
-    fn histogram_basics() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [0.1, 0.3, 0.6, 0.9, 1.5, -0.2] {
-            h.add(x);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts(), &[2, 1, 1, 2]); // clamped edges
-        assert!((h.approx_mean() - 0.5).abs() < 0.2);
     }
 
     #[test]
@@ -266,14 +185,6 @@ mod tests {
         let constant = vec![1.0; 100];
         assert_eq!(autocorrelation(&constant, 1), 0.0);
         assert_eq!(autocorrelation(&[1.0], 5), 0.0);
-    }
-
-    #[test]
-    fn mean_std_basics() {
-        let (m, s) = mean_std(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s - 2.0).abs() < 1e-12);
-        assert_eq!(mean_std(&[]), (0.0, 0.0));
     }
 
     #[test]

@@ -147,8 +147,8 @@ counters! {
 
 /// A typed, timestamped occurrence in the simulated system.
 ///
-/// Recording an event also bumps its [matching counter](EventKind::counter),
-/// so counters stay exact even when the ring overflows.
+/// Recording an event also bumps its matching [`Counter`], so counters
+/// stay exact even when the ring overflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A request entered the controller.
@@ -201,7 +201,7 @@ pub enum EventKind {
 impl EventKind {
     /// Every counter an event kind contributes to — their sum is the
     /// number of events ever recorded.
-    pub const COUNTERS: [Counter; 11] = [
+    pub(crate) const COUNTERS: [Counter; 11] = [
         Counter::RequestsSubmitted,
         Counter::RequestsScheduled,
         Counter::RequestsMerged,
@@ -216,7 +216,7 @@ impl EventKind {
     ];
 
     /// The monotonic counter this event contributes to.
-    pub fn counter(&self) -> Counter {
+    pub(crate) fn counter(&self) -> Counter {
         match self {
             EventKind::RequestSubmitted { .. } => Counter::RequestsSubmitted,
             EventKind::RequestScheduled { .. } => Counter::RequestsScheduled,
@@ -233,7 +233,7 @@ impl EventKind {
     }
 
     /// Stable snake_case event name used as the JSON `kind` field.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::RequestSubmitted { .. } => "request_submitted",
             EventKind::RequestScheduled { .. } => "request_scheduled",
@@ -262,7 +262,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Serializes the event as one JSON object (`{"t_ps":..,"kind":..}`
     /// plus the kind's payload fields, if any).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut o = fp_stats::json::JsonObject::new();
         o.field_u64("t_ps", self.t_ps);
         o.field_str("kind", self.kind.name());

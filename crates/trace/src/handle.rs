@@ -208,7 +208,7 @@ impl TraceHandle {
 
     /// Serializes the counter table as one JSON object keyed by
     /// [`Counter::name`].
-    pub fn counters_json(&self) -> String {
+    pub(crate) fn counters_json(&self) -> String {
         let mut o = JsonObject::new();
         for c in Counter::ALL {
             o.field_u64(c.name(), self.counter(c));
@@ -221,7 +221,7 @@ impl TraceHandle {
     pub fn to_json(&self) -> String {
         let ring = self.ring();
         let retained = ring.events.len() as u64;
-        let events = fp_stats::json::array(ring.events.iter().map(TraceEvent::to_json));
+        let events = fp_stats::json::array(ring.events.iter().copied().map(TraceEvent::to_json));
         let mut o = JsonObject::new();
         o.field_raw("counters", &self.counters_json())
             .field_raw("latency_ps", &ring.latency.to_json())

@@ -16,6 +16,8 @@ pub struct Log2Hist {
     bins: [u64; BINS],
     count: u64,
     sum: u64,
+    /// Whether the running sum ever overflowed and saturated; set by `add`
+    /// and `merge`, never cleared.
     saturated: bool,
     min: u64,
     max: u64,
@@ -57,22 +59,15 @@ impl Log2Hist {
         self.count
     }
 
-    /// Sum of all samples. Exact unless [`Log2Hist::sum_saturated`] reports
-    /// overflow, in which case the sum pins at `u64::MAX` (and the mean is
-    /// a lower bound).
+    /// Sum of all samples. Exact unless it overflowed `u64`, in which case
+    /// the sum pins at `u64::MAX` (and the mean is a lower bound); the JSON
+    /// form reports that as `sum_saturated`.
     pub fn sum(&self) -> u64 {
         self.sum
     }
 
-    /// Whether the running sum ever overflowed `u64` and saturated. Set by
-    /// [`Log2Hist::add`] and [`Log2Hist::merge`]; once set it never clears
-    /// (except via [`Log2Hist::clear`]).
-    pub fn sum_saturated(&self) -> bool {
-        self.saturated
-    }
-
     /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -92,11 +87,6 @@ impl Log2Hist {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// The raw bin counts, indexed by sample bit length.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
     }
 
     /// Folds `other` into `self`: bin counts and exact count/sum add,
@@ -143,14 +133,9 @@ impl Log2Hist {
         self.max
     }
 
-    /// Resets the histogram to empty.
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
-
     /// Serializes as a JSON object. `bins` is trimmed at the last
     /// non-empty bucket to keep archives compact.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let last = self.bins.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
         let bins = fp_stats::json::array(self.bins[..last].iter().map(u64::to_string));
         let mut o = JsonObject::new();
@@ -212,12 +197,12 @@ mod tests {
         for v in [0, 1, 2, 3, 4, 7, 8, u64::MAX] {
             h.add(v);
         }
-        assert_eq!(h.bins()[0], 1); // 0
-        assert_eq!(h.bins()[1], 1); // 1
-        assert_eq!(h.bins()[2], 2); // 2, 3
-        assert_eq!(h.bins()[3], 2); // 4, 7
-        assert_eq!(h.bins()[4], 1); // 8
-        assert_eq!(h.bins()[64], 1); // u64::MAX
+        assert_eq!(h.bins[0], 1); // 0
+        assert_eq!(h.bins[1], 1); // 1
+        assert_eq!(h.bins[2], 2); // 2, 3
+        assert_eq!(h.bins[3], 2); // 4, 7
+        assert_eq!(h.bins[4], 1); // 8
+        assert_eq!(h.bins[64], 1); // u64::MAX
         assert_eq!(h.count(), 8);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), u64::MAX);
@@ -239,8 +224,6 @@ mod tests {
             h.add(v);
         }
         assert_eq!(h.mean(), 20.0);
-        h.clear();
-        assert_eq!(h.count(), 0);
     }
 
     #[test]
@@ -308,18 +291,16 @@ mod tests {
     fn sum_saturates_and_flags_overflow() {
         let mut h = Log2Hist::new();
         h.add(u64::MAX);
-        assert!(!h.sum_saturated());
+        assert!(!h.saturated);
         h.add(1);
-        assert!(h.sum_saturated());
+        assert!(h.saturated);
         assert_eq!(h.sum(), u64::MAX, "sum pins at the ceiling");
         // Saturation propagates through merge, and the flag is exported.
         let mut m = Log2Hist::new();
         m.add(3);
         m.merge(&h);
-        assert!(m.sum_saturated());
+        assert!(m.saturated);
         assert!(m.to_json().contains("\"sum_saturated\":true"));
-        m.clear();
-        assert!(!m.sum_saturated());
     }
 
     #[test]

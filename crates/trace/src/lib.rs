@@ -24,6 +24,7 @@
 //! that is only taken when an event is retained or a sample is added.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 

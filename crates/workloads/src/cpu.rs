@@ -4,7 +4,7 @@
 //! 2 GHz; §5.3 also evaluates an in-order variant. For the ORAM controller
 //! the only relevant difference is memory-level parallelism: an out-of-order
 //! core keeps several misses outstanding (bounded by the profile's MLP and
-//! its MSHRs), an in-order core blocks on each miss. [`CoreModel`]
+//! its MSHRs), an in-order core blocks on each miss. `CoreModel`
 //! implements both; [`MultiCoreWorkload`] aggregates one core per program.
 //!
 //! Address streams are deterministic per seed and independent of memory
@@ -29,7 +29,7 @@ pub enum PipelineKind {
 
 /// One core executing one benchmark profile.
 #[derive(Debug, Clone)]
-pub struct CoreModel {
+pub(crate) struct CoreModel {
     profile: BenchmarkProfile,
     pipeline: PipelineKind,
     rng: Xoshiro256,
@@ -49,7 +49,7 @@ pub struct CoreModel {
 
 impl CoreModel {
     /// Creates a core over a private region starting at `region_base`.
-    pub fn new(
+    pub(crate) fn new(
         profile: BenchmarkProfile,
         pipeline: PipelineKind,
         region_base: u64,
@@ -75,7 +75,7 @@ impl CoreModel {
 
     /// Creates a PARSEC-style thread: `shared_blocks` at address 0 are
     /// shared by all threads, the rest of the working set is private.
-    pub fn new_thread(
+    pub(crate) fn new_thread(
         workload: &ParsecWorkload,
         pipeline: PipelineKind,
         thread: usize,
@@ -101,13 +101,8 @@ impl CoreModel {
         }
     }
 
-    /// The profile this core runs.
-    pub fn profile(&self) -> &BenchmarkProfile {
-        &self.profile
-    }
-
     /// Whether all budgeted misses have been issued *and* completed.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.issued >= self.budget && self.outstanding == 0
     }
 
@@ -121,7 +116,7 @@ impl CoreModel {
     }
 
     /// When the next miss can issue, if one can.
-    pub fn next_issue_time(&self) -> Option<u64> {
+    pub(crate) fn next_issue_time(&self) -> Option<u64> {
         self.can_issue().then_some(self.next_issue_ps)
     }
 
@@ -130,7 +125,7 @@ impl CoreModel {
     /// # Panics
     ///
     /// Panics if the core cannot issue (check [`CoreModel::next_issue_time`]).
-    pub fn issue(&mut self, now_ps: u64) -> (u64, Op) {
+    pub(crate) fn issue(&mut self, now_ps: u64) -> (u64, Op) {
         assert!(self.can_issue(), "core cannot issue");
         self.issued += 1;
         self.outstanding += 1;
@@ -148,7 +143,7 @@ impl CoreModel {
     }
 
     /// Records a completed miss at `done_ps`.
-    pub fn complete(&mut self, done_ps: u64) {
+    pub(crate) fn complete(&mut self, done_ps: u64) {
         debug_assert!(self.outstanding > 0);
         let was_blocked = !self.can_issue() && self.issued < self.budget;
         self.outstanding -= 1;
@@ -171,7 +166,7 @@ impl CoreModel {
     }
 
     /// Misses issued so far.
-    pub fn issued(&self) -> u64 {
+    pub(crate) fn issued(&self) -> u64 {
         self.issued
     }
 
@@ -272,11 +267,6 @@ impl MultiCoreWorkload {
         }
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Total distinct blocks the workload can touch.
     pub fn footprint_blocks(&self) -> u64 {
         self.footprint_blocks
@@ -351,7 +341,7 @@ mod tests {
     #[test]
     fn core_respects_mlp() {
         let mut core = CoreModel::new(spec::mcf(), PipelineKind::OutOfOrder, 0, 100, 1);
-        let mlp = core.profile().mlp;
+        let mlp = core.profile.mlp;
         let mut n = 0;
         while core.next_issue_time().is_some() {
             let t = core.next_issue_time().unwrap();

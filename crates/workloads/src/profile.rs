@@ -35,12 +35,13 @@ pub struct BenchmarkProfile {
 }
 
 impl BenchmarkProfile {
-    /// A quick sanity check used by constructors and tests.
+    /// A sanity check of the profile tables' fields.
     ///
     /// # Errors
     ///
     /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.avg_gap_ns <= 0.0 {
             return Err(format!("{}: non-positive gap", self.name));
         }

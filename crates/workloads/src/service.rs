@@ -162,23 +162,15 @@ impl ServiceClientPool {
         r
     }
 
-    /// Requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Completions fed back so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// Whether every budgeted request has been issued and completed.
-    pub fn finished(&self) -> bool {
+    #[cfg(test)]
+    fn finished(&self) -> bool {
         self.completed == self.issued && self.clients.iter().all(|c| c.issued >= c.budget)
     }
 
     /// Total request budget across clients.
-    pub fn budget(&self) -> u64 {
+    #[cfg(test)]
+    fn budget(&self) -> u64 {
         self.clients.iter().map(|c| c.budget).sum()
     }
 }
@@ -226,8 +218,8 @@ mod tests {
                 pending.push(next);
             }
         }
-        assert_eq!(p.issued(), 103);
-        assert_eq!(p.completed(), 103);
+        assert_eq!(p.issued, 103);
+        assert_eq!(p.completed, 103);
     }
 
     #[test]

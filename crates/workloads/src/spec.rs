@@ -12,7 +12,7 @@ macro_rules! profiles {
     ($($fn_name:ident, $name:literal, $group:ident, $gap:literal, $ws:expr, $wr:literal, $loc:literal, $mlp:literal;)*) => {
         $(
             /// Profile for the benchmark named in the function.
-            pub fn $fn_name() -> BenchmarkProfile {
+            pub(crate) fn $fn_name() -> BenchmarkProfile {
                 BenchmarkProfile {
                     name: $name,
                     group: OverheadGroup::$group,
@@ -54,11 +54,6 @@ profiles! {
     calculix,   "454.calculix",   Low, 11000.0, 1 << 18, 0.30, 0.65, 6;
 }
 
-/// Looks up a profile by its SPEC id (e.g. `"429.mcf"`).
-pub fn by_name(name: &str) -> Option<BenchmarkProfile> {
-    all().into_iter().find(|p| p.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +83,6 @@ mod tests {
             .map(|p| p.avg_gap_ns)
             .fold(f64::INFINITY, f64::min);
         assert!(max_hg_gap < min_lg_gap, "{max_hg_gap} vs {min_lg_gap}");
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(by_name("429.mcf").unwrap().name, "429.mcf");
-        assert!(by_name("000.nope").is_none());
     }
 
     #[test]

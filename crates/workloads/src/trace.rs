@@ -5,10 +5,8 @@
 //! (b) feed externally captured miss streams (e.g. from a real gem5 run)
 //! into the ORAM simulators, and (c) archive the exact stimulus behind a
 //! published number. Traces serialize with the line format of
-//! [`Trace::to_text`] and emit JSON via [`fp_stats::json`] for external
-//! tooling — the workspace is hermetic and carries no serde dependency.
-
-use fp_stats::json::{self, JsonObject};
+//! [`Trace::to_text`] — the workspace is hermetic and carries no serde
+//! dependency.
 
 use fp_path_oram::Op;
 
@@ -99,24 +97,6 @@ impl Trace {
         } else {
             total as f64 / n as f64 / 1000.0
         }
-    }
-
-    /// Renders the trace as a JSON object (hand-rolled emission via
-    /// [`fp_stats::json`]) for consumption by external tooling; the repo's
-    /// own round-trip format is [`Trace::to_text`].
-    pub fn to_json(&self) -> String {
-        let records = json::array(self.records.iter().map(|r| {
-            let mut o = JsonObject::new();
-            o.field_u64("issue_ps", r.issue_ps)
-                .field_u64("addr", r.addr)
-                .field_u64("core", u64::from(r.core))
-                .field_bool("is_write", r.is_write);
-            o.finish()
-        }));
-        let mut o = JsonObject::new();
-        o.field_str("source", &self.source)
-            .field_raw("records", &records);
-        o.finish()
     }
 
     /// Serializes to the compact line format parsed by [`Trace::from_text`].
@@ -227,15 +207,6 @@ mod tests {
         assert!(t.write_fraction() > 0.02 && t.write_fraction() < 0.6);
         assert!(t.mean_core_gap_ns() > 1000.0, "LG profiles have long gaps");
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn json_emission_matches_records() {
-        let t = small_trace();
-        let j = t.to_json();
-        assert!(j.starts_with("{\"source\":\"Mix5/seed7\""), "{}", &j[..60]);
-        assert_eq!(j.matches("\"issue_ps\":").count(), t.len());
-        assert!(j.contains("\"is_write\":true") || j.contains("\"is_write\":false"));
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl ZipfConfig {
     /// # Errors
     ///
     /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.blocks == 0 {
             return Err("blocks must be at least 1".into());
         }
@@ -160,7 +160,7 @@ impl ZipfSampler {
 ///
 /// # Panics
 ///
-/// Panics when `cfg` fails [`ZipfConfig::validate`].
+/// Panics when `cfg` fails `ZipfConfig::validate`.
 pub fn generate(cfg: &ZipfConfig) -> Vec<ScheduledRequest> {
     cfg.validate()
         .unwrap_or_else(|e| panic!("zipf config: {e}"));

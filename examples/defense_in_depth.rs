@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example defense_in_depth`
 
-use fork_path_oram::core::timing::{idle_cost, NoFeedback};
-use fork_path_oram::core::{ForkConfig, ForkPathController};
+use fork_path_oram::core::timing::idle_cost;
+use fork_path_oram::core::{ForkConfig, ForkPathController, NoFeedback};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::integrity::MerkleTree;
 use fork_path_oram::path_oram::{Op, OramConfig};

@@ -26,6 +26,7 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod propcheck;

@@ -24,7 +24,7 @@ pub struct Gen {
 
 impl Gen {
     /// A generator replaying the exact value stream of `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             rng: Xoshiro256::new(seed),
         }

@@ -1,15 +1,67 @@
-//! Fixtures shared by the service-level suites (`service_level.rs`,
-//! `net_level.rs`, `fault_tolerance.rs`).
+//! Fixtures shared by the workspace's integration suites: the service and
+//! wire fixtures of `service_level.rs`, `net_level.rs` and
+//! `fault_tolerance.rs`, and the plain-RAM reference model that
+//! `oram_correctness.rs` checks every controller against.
 
 // Each suite compiles its own copy and none uses every item.
 #![allow(dead_code)]
 
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::Duration;
 
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::service::{ServiceConfig, ServiceRequest};
 use fork_path_oram::workloads::zipf::{self, ScheduledRequest};
+
+/// The plain-RAM reference model: the last write to each block (zeros for
+/// a block never written), plus the reads still owed an answer, keyed by
+/// request id or tag.
+pub struct RamModel {
+    block_bytes: usize,
+    memory: HashMap<u64, Vec<u8>>,
+    expected: HashMap<u64, Vec<u8>>,
+}
+
+impl RamModel {
+    /// An empty memory of `block_bytes`-byte blocks.
+    pub fn new(block_bytes: usize) -> Self {
+        Self {
+            block_bytes,
+            memory: HashMap::new(),
+            expected: HashMap::new(),
+        }
+    }
+
+    /// Applies a write of `data` to `addr`.
+    pub fn write(&mut self, addr: u64, data: Vec<u8>) {
+        self.memory.insert(addr, data);
+    }
+
+    /// What a read of `addr` returns now.
+    pub fn read(&self, addr: u64) -> Vec<u8> {
+        let zeros = || vec![0; self.block_bytes];
+        self.memory.get(&addr).cloned().unwrap_or_else(zeros)
+    }
+
+    /// Expects the read known by `key` to return what `addr` holds now.
+    pub fn expect_read(&mut self, key: u64, addr: u64) {
+        self.expected.insert(key, self.read(addr));
+    }
+
+    /// Checks `got`, the data returned under `key`, if `key` names an
+    /// expected read (a write's completion names none).
+    pub fn check(&mut self, key: u64, addr: u64, got: &[u8]) {
+        if let Some(want) = self.expected.remove(&key) {
+            assert_eq!(got, want, "read {addr} returned wrong data");
+        }
+    }
+
+    /// Whether every expected read has been checked.
+    pub fn all_checked(&self) -> bool {
+        self.expected.is_empty()
+    }
+}
 
 /// A small config for tests: the fast-test geometry shrunk further so a
 /// few hundred requests finish in tens of milliseconds per shard.

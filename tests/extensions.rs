@@ -2,8 +2,8 @@
 //! riding on ORAM traffic, fixed-rate timing protection, the PosMap
 //! Lookaside Buffer, and trace record/replay.
 
-use fork_path_oram::core::timing::{enforce_fixed_rate, idle_cost, NoFeedback};
-use fork_path_oram::core::{ForkConfig, ForkPathController};
+use fork_path_oram::core::timing::{enforce_fixed_rate, idle_cost};
+use fork_path_oram::core::{ForkConfig, ForkPathController, NoFeedback};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::integrity::{siphash24, MerkleTree};
 use fork_path_oram::path_oram::{Op, OramConfig};

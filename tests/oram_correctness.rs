@@ -2,11 +2,12 @@
 //! standard RAM against a reference model, under random operation storms,
 //! recursion, scheduling reorders, hazards, and real encryption.
 
-use std::collections::HashMap;
+mod common;
 
+use common::RamModel;
 use fork_path_oram::core::engine::{by_name, Scheme};
-use fork_path_oram::core::reactive::{NewRequest, ReactiveSource};
 use fork_path_oram::core::{ForkConfig, ForkPathController};
+use fork_path_oram::core::{NewRequest, ReactiveSource};
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::{BaselineController, CipherMode, Completion, Op, OramConfig};
@@ -16,45 +17,36 @@ fn dram() -> DramSystem {
 }
 
 /// Drives `ops` random operations through the fork controller, checking
-/// reads against a reference HashMap.
+/// reads against the plain-RAM model.
 fn storm_fork(cfg: OramConfig, seed: u64, ops: usize, addr_space: u64) {
     let block = cfg.block_bytes;
     let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), seed);
     let mut rng = Xoshiro256::new(seed ^ 0xABCD);
-    let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
-    let mut expected: HashMap<u64, Vec<u8>> = HashMap::new(); // id -> data
+    let mut model = RamModel::new(block);
 
     for i in 0..ops {
         let addr = rng.next_below(addr_space);
         if rng.gen_bool(0.45) {
             let mut payload = vec![(i & 0xFF) as u8; block];
             payload[0] = addr as u8;
-            reference.insert(addr, payload.clone());
+            model.write(addr, payload.clone());
             ctl.submit(addr, Op::Write, payload, ctl.clock_ps());
         } else {
-            let want = reference
-                .get(&addr)
-                .cloned()
-                .unwrap_or_else(|| vec![0u8; block]);
             let id = ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
-            expected.insert(id, want);
+            model.expect_read(id, addr);
         }
         // Occasionally let the controller drain, so both batched and
         // incremental processing paths are exercised.
         if rng.gen_bool(0.25) {
             for c in ctl.run_to_idle() {
-                if let Some(want) = expected.remove(&c.id) {
-                    assert_eq!(c.data, want, "read {} returned wrong data", c.addr);
-                }
+                model.check(c.id, c.addr, &c.data);
             }
         }
     }
     for c in ctl.run_to_idle() {
-        if let Some(want) = expected.remove(&c.id) {
-            assert_eq!(c.data, want, "read {} returned wrong data", c.addr);
-        }
+        model.check(c.id, c.addr, &c.data);
     }
-    assert!(expected.is_empty(), "all reads completed");
+    assert!(model.all_checked(), "all reads completed");
     ctl.state().check_invariants().unwrap();
 }
 
@@ -77,15 +69,14 @@ fn fork_random_storm_with_real_encryption() {
     storm_fork(cfg, 3, 250, 128);
 }
 
-/// The closed loop of the parking stress: a plain-RAM model that checks
-/// every read it gets back and answers each completion with one new
-/// request, arriving 30 ns later — inside the refill of the access that
-/// completed it, where dummy replacing looks for it.
+/// The closed loop of the parking stress: checks every read it gets back
+/// against the plain-RAM model (reads keyed by tag) and answers each
+/// completion with one new request, arriving 30 ns later — inside the
+/// refill of the access that completed it, where dummy replacing looks for
+/// it.
 struct ParkingLoop {
     rng: Xoshiro256,
-    reference: HashMap<u64, Vec<u8>>,
-    /// Tag of each outstanding read -> the data it must return.
-    expected: HashMap<u64, Vec<u8>>,
+    model: RamModel,
     issued: u64,
     budget: u64,
     block_bytes: usize,
@@ -106,12 +97,10 @@ impl ParkingLoop {
         let (op, data) = if self.rng.gen_bool(0.4) {
             let mut payload = vec![tag as u8; self.block_bytes];
             payload[0] = addr as u8;
-            self.reference.insert(addr, payload.clone());
+            self.model.write(addr, payload.clone());
             (Op::Write, payload)
         } else {
-            let want = self.reference.get(&addr).cloned();
-            let zeros = vec![0u8; self.block_bytes];
-            self.expected.insert(tag, want.unwrap_or(zeros));
+            self.model.expect_read(tag, addr);
             (Op::Read, Vec::new())
         };
         NewRequest {
@@ -128,9 +117,7 @@ impl ReactiveSource for ParkingLoop {
     fn on_complete(&mut self, c: &Completion) -> Vec<NewRequest> {
         // A cancelled write's acknowledgement carries the tag of the write
         // that superseded it, never a read's.
-        if let Some(want) = self.expected.remove(&c.tag) {
-            assert_eq!(c.data, want, "read {} returned wrong data", c.addr);
-        }
+        self.model.check(c.tag, c.addr, &c.data);
         if self.issued == self.budget {
             return Vec::new();
         }
@@ -160,8 +147,7 @@ fn fork_parking_stress_with_32_outstanding_matches_reference() {
         };
         let mut source = ParkingLoop {
             rng: Xoshiro256::new(0x9A7E),
-            reference: HashMap::new(),
-            expected: HashMap::new(),
+            model: RamModel::new(cfg.block_bytes),
             issued: 0,
             budget: 1500,
             block_bytes: cfg.block_bytes,
@@ -175,7 +161,7 @@ fn fork_parking_stress_with_32_outstanding_matches_reference() {
         }
         while ctl.process_one(&mut source).unwrap() {}
         assert_eq!(ctl.drain_completions().len() as u64, source.budget);
-        assert!(source.expected.is_empty(), "{name}: all reads completed");
+        assert!(source.model.all_checked(), "{name}: all reads completed");
         assert!(
             ctl.stats().stash_hits > 0,
             "{name}: steps completed on chip"
@@ -196,20 +182,16 @@ fn baseline_random_storm_matches_reference() {
     let block = cfg.block_bytes;
     let mut ctl = BaselineController::new(cfg, dram(), 9);
     let mut rng = Xoshiro256::new(77);
-    let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut model = RamModel::new(block);
     for i in 0..500u64 {
         let addr = rng.next_below(200);
         if rng.gen_bool(0.5) {
             let payload = vec![(i & 0xFF) as u8; block];
-            reference.insert(addr, payload.clone());
+            model.write(addr, payload.clone());
             ctl.access_sync(addr, Op::Write, payload);
         } else {
             let got = ctl.access_sync(addr, Op::Read, vec![]);
-            let want = reference
-                .get(&addr)
-                .cloned()
-                .unwrap_or_else(|| vec![0u8; block]);
-            assert_eq!(got, want, "addr {addr}");
+            assert_eq!(got, model.read(addr), "addr {addr}");
         }
     }
     ctl.state().check_invariants().unwrap();

@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::allow_attributes)]
 #![warn(missing_docs)]
 
 use fp_sim::Scheme;

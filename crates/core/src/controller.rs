@@ -27,7 +27,7 @@ use crate::error::{must, ControllerError};
 use crate::flight::{FlightTable, StepCtx};
 use crate::merge::PathMerger;
 use crate::plb::PosMapLookasideBuffer;
-use crate::queue::{Entry, EntryKind, LabelQueue};
+use crate::queue::{Entry, EntryKind, LabelQueue, ReplacementWindow};
 
 #[path = "controller_api.rs"]
 mod controller_api;
@@ -388,7 +388,7 @@ impl ForkPathController {
         let sel_time = read_end;
         self.pump()?;
 
-        let selected = self.sched.select_pending(levels, leaf, sel_time);
+        let selected = self.sched.select_pending(leaf, sel_time);
         // Bridge scheduling bubbles with dummies only while real work is
         // *imminent* — queued work whose ready time is within a few access
         // times of now. Work further out (open-loop schedules can stamp
@@ -432,16 +432,17 @@ impl ForkPathController {
             // skipped while no candidate exists: the cached moment is what
             // a fresh scan of the queue finds.
             debug_assert_eq!(candidate_ps, self.replacement_candidate_ps(sel_time));
+            let window = ReplacementWindow {
+                levels,
+                leaf,
+                lo_ps: sel_time,
+                now_ps: t,
+                level: level as u32,
+            };
             if candidate_ps.is_some_and(|ready| ready <= t)
-                && self.dummy.try_replace(
-                    &mut self.sched,
-                    levels,
-                    leaf,
-                    sel_time,
-                    t,
-                    level as u32,
-                    &mut pending,
-                )?
+                && self
+                    .dummy
+                    .try_replace(&mut self.sched, window, &mut pending)?
             {
                 candidate_ps = self.replacement_candidate_ps(sel_time);
                 let p = pending.as_ref().ok_or(ControllerError::MissingPending)?;

@@ -50,7 +50,6 @@ impl ForkPathController {
         if !self.has_real_work() {
             return Ok(None);
         }
-        let levels = self.path.state().config().levels;
         let anchor = self.merge.prev_label().unwrap_or(0);
         let earliest = self
             .sched
@@ -62,7 +61,7 @@ impl ForkPathController {
         let t = self.clock_ps.max(min_ready);
         self.clock_ps = t;
         self.pump()?;
-        Ok(self.sched.select_initial(levels, anchor, t))
+        Ok(self.sched.select_initial(anchor, t))
     }
 
     /// Statistics so far: the shared view over the trace spine.

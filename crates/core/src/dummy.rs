@@ -12,11 +12,10 @@
 //!   uncommitted may take the pending slot, cancelling a dummy outright or
 //!   swapping out a lower-overlap real ([`DummyReplacer::try_replace`]).
 
-use fp_path_oram::path::overlap_degree;
 use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::error::ControllerError;
-use crate::queue::{Entry, LabelQueue};
+use crate::queue::{Entry, LabelQueue, ReplacementWindow};
 
 /// The dummy-request replacing stage.
 #[derive(Debug, Clone)]
@@ -75,24 +74,19 @@ impl DummyReplacer {
     }
 
     /// Attempts one mid-refill replacement of `pending` before committing
-    /// the bucket at `level` (Fig 5 case 3). Returns `true` when the
-    /// pending request changed — the caller must recompute its write stop.
-    /// A replaced dummy is cancelled outright; a displaced real goes back
-    /// into the label queue.
+    /// the bucket at `w.level` (Fig 5). Returns `true` when the pending
+    /// request changed — the caller must recompute its write stop. A
+    /// replaced dummy is cancelled outright; a displaced real goes back
+    /// into the label queue, with its age.
     ///
     /// # Errors
     ///
     /// [`ControllerError::MissingPending`] if the pending slot emptied
     /// mid-swap (an internal invariant violation).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn try_replace(
         &mut self,
         sched: &mut LabelQueue,
-        levels: u32,
-        leaf: u64,
-        window_lo_ps: u64,
-        now_ps: u64,
-        level: u32,
+        w: ReplacementWindow,
         pending: &mut Option<Entry>,
     ) -> Result<bool, ControllerError> {
         if !self.replacing {
@@ -101,16 +95,7 @@ impl DummyReplacer {
         let Some(p) = pending.as_ref() else {
             return Ok(false);
         };
-        let p_overlap = overlap_degree(levels, leaf, p.label);
-        let Some(incoming) = sched.take_replacement(
-            levels,
-            leaf,
-            window_lo_ps,
-            now_ps,
-            p_overlap,
-            p.is_dummy(),
-            level,
-        ) else {
+        let Some(incoming) = sched.take_replacement(w, p) else {
             return Ok(false);
         };
         let new_label = incoming.label;
@@ -120,7 +105,7 @@ impl DummyReplacer {
         if old.is_dummy() {
             self.trace.bump(Counter::DummiesReplaced);
             self.trace
-                .record(now_ps, EventKind::RequestReplaced { label: new_label });
+                .record(w.now_ps, EventKind::RequestReplaced { label: new_label });
         } else {
             sched.restore(old);
         }
@@ -135,8 +120,22 @@ impl DummyReplacer {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::{Ordering, Reverse};
+
+    use fp_path_oram::path::overlap_degree;
+
     use super::*;
     use crate::queue::EntryKind;
+
+    fn window(levels: u32, leaf: u64, lo_ps: u64, now_ps: u64, level: u32) -> ReplacementWindow {
+        ReplacementWindow {
+            levels,
+            leaf,
+            lo_ps,
+            now_ps,
+            level,
+        }
+    }
 
     fn real_entry(sched: &mut LabelQueue, label: u64, flight: u64, ready: u64) {
         sched
@@ -153,7 +152,7 @@ mod tests {
         let mut s = LabelQueue::new(4, true);
         real_entry(&mut s, 3, 7, 0);
         s.pad_with(|| 1);
-        let picked = s.select_pending(3, 3, 0);
+        let picked = s.select_pending(3, 0);
         assert!(picked.as_ref().is_some_and(|e| !e.is_dummy()));
         let out = d.finalize(picked, true, false, 0, || panic!("must not draw a label"));
         assert!(out.is_some_and(|e| !e.is_dummy()));
@@ -200,7 +199,7 @@ mod tests {
         // Refill of leaf 3 still at the leaf level: every cross-bucket is
         // uncommitted, so the late real is eligible.
         let changed = d
-            .try_replace(&mut s, 3, 3, 0, 100, 3, &mut pending)
+            .try_replace(&mut s, window(3, 3, 0, 100, 3), &mut pending)
             .unwrap();
         assert!(changed);
         assert!(pending.is_some_and(|e| !e.is_dummy()));
@@ -216,10 +215,10 @@ mod tests {
         // Pending real with zero overlap, pulled out of a scratch queue.
         let mut scratch = LabelQueue::new(1, true);
         real_entry(&mut scratch, 4, 9, 0);
-        let mut pending = scratch.select_pending(3, 4, 0);
+        let mut pending = scratch.select_pending(4, 0);
         assert!(pending.as_ref().is_some_and(|e| !e.is_dummy()));
         let changed = d
-            .try_replace(&mut s, 3, 3, 0, 100, 3, &mut pending)
+            .try_replace(&mut s, window(3, 3, 0, 100, 3), &mut pending)
             .unwrap();
         assert!(changed);
         assert_eq!(
@@ -230,6 +229,120 @@ mod tests {
         assert_eq!(s.real_count(), 1, "the displaced real went back");
     }
 
+    /// Where a late real's path crosses the refilled one, relative to the
+    /// bucket about to be committed (Fig 5).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Crossing {
+        /// Above it: that bucket is not written yet.
+        Uncommitted,
+        /// At it: the refill stops short of it if the real takes over.
+        BeingCommitted,
+        /// Below it: the shared bucket is already written.
+        Written,
+    }
+
+    /// Fig 5 over random refills. Before every bucket, a direct model
+    /// reads the queue's entries and names the real a replacement check
+    /// must take: one ready in `(selection, now]` whose crossing bucket is
+    /// uncommitted or being committed, and which beats the pending
+    /// request's overlap unless that is a dummy — the closest, then the
+    /// oldest. `try_replace` must do exactly that; a dummy it replaces is
+    /// counted, and a real it displaces is back in the queue with its age.
+    #[test]
+    fn replacement_follows_fig5_on_random_refills() {
+        let mut rng = fp_crypto::Xoshiro256::new(0xF165);
+        let (mut seen, mut took, mut displaced_age) = ([0u64; 3], [0u64; 2], 0);
+        for case in 0..300 {
+            let levels = 2 + rng.next_below(10) as u32;
+            let leaf = rng.next_below(1 << levels);
+            let label = |rng: &mut fp_crypto::Xoshiro256| rng.next_below(1 << levels);
+            let (mut d, mut s) = (DummyReplacer::new(true), LabelQueue::new(16, true));
+            // The pending request: padding, or a real that lost some rounds
+            // to reals on the refilled path first.
+            let mut pending = Some(Entry::dummy(label(&mut rng), 0));
+            if rng.next_below(2) == 0 {
+                let lost = rng.next_below(5);
+                real_entry(&mut s, label(&mut rng), 0, 0);
+                for flight in 1..=lost {
+                    real_entry(&mut s, leaf, flight, 0);
+                }
+                for _ in 0..=lost {
+                    pending = s.select_pending(leaf, 0);
+                }
+                let p = pending.expect("the real is ready");
+                assert_eq!(
+                    p.age(),
+                    lost as u32,
+                    "case {case}: one round older per loss"
+                );
+            }
+            // Late reals on a 50 ps grid, so some are ready exactly at the
+            // selection (not late) and some exactly at a check.
+            let sel = 1_000;
+            for flight in 100..100 + rng.next_below(8) {
+                real_entry(
+                    &mut s,
+                    label(&mut rng),
+                    flight,
+                    sel - 200 + 50 * rng.next_below(12),
+                );
+            }
+            s.pad_with(|| label(&mut rng));
+
+            let (mut t, mut level) = (sel, levels);
+            loop {
+                t += 25 * rng.next_below(3);
+                let w = window(levels, leaf, sel, t, level);
+                let p = pending.expect("a pending request");
+                let p_overlap = overlap_degree(levels, leaf, p.label);
+                // `entries()` is in `seq` order: an earlier index is older.
+                let late = s.entries().into_iter().enumerate();
+                let late =
+                    late.filter(|(_, e)| !e.is_dummy() && e.ready_ps > sel && e.ready_ps <= t);
+                let mut want = None;
+                for (older, e) in late {
+                    let overlap = overlap_degree(levels, leaf, e.label);
+                    let crossing = match (overlap - 1).cmp(&level) {
+                        Ordering::Less => Crossing::Uncommitted,
+                        Ordering::Equal => Crossing::BeingCommitted,
+                        Ordering::Greater => Crossing::Written,
+                    };
+                    seen[crossing as usize] += 1;
+                    let beats = p.is_dummy() || overlap > p_overlap;
+                    let key = (overlap, Reverse(older));
+                    if crossing != Crossing::Written && beats && want.is_none_or(|(k, _)| key > k) {
+                        want = Some((key, e));
+                    }
+                }
+                let replaced = d.trace.counter(Counter::DummiesReplaced);
+                let changed = d.try_replace(&mut s, w, &mut pending).unwrap();
+                let at = format!("case {case}, level {level}, t {t}");
+                assert_eq!(changed, want.is_some(), "{at}");
+                if let Some((_, e)) = want {
+                    assert_eq!(pending, Some(e), "{at}");
+                    took[usize::from(p.is_dummy())] += 1;
+                    let counted = d.trace.counter(Counter::DummiesReplaced) - replaced;
+                    assert_eq!(counted, u64::from(p.is_dummy()), "{at}");
+                    let back = s.entries().contains(&p);
+                    assert_eq!(back, !p.is_dummy(), "{at}: the displaced real, age and all");
+                    displaced_age = displaced_age.max(p.age());
+                }
+                // The write stop of the pending request; at the root, done.
+                let stop = overlap_degree(levels, leaf, pending.expect("pending").label);
+                if level == 0 || level - 1 < stop {
+                    break;
+                }
+                level -= 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every Fig 5 case: {seen:?}");
+        assert!(
+            took.iter().all(|&n| n > 0),
+            "reals displaced, dummies replaced: {took:?}"
+        );
+        assert!(displaced_age > 0, "a displaced real had lost rounds");
+    }
+
     #[test]
     fn replacing_off_never_fires() {
         let mut d = DummyReplacer::new(false);
@@ -237,7 +350,7 @@ mod tests {
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
         assert!(!d
-            .try_replace(&mut s, 3, 3, 0, 100, 0, &mut pending)
+            .try_replace(&mut s, window(3, 3, 0, 100, 0), &mut pending)
             .unwrap());
         assert!(pending.unwrap().is_dummy());
     }

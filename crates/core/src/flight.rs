@@ -505,7 +505,7 @@ mod tests {
 
         /// The access of `flight`, the one real in the label queue, returns.
         fn access(&mut self, flight: u64) {
-            let picked = self.sched.select_pending(9, 0, u64::MAX).unwrap();
+            let picked = self.sched.select_pending(0, u64::MAX).unwrap();
             assert_eq!(picked.kind, EntryKind::Real { flight });
             let (flights, mut ctx) = self.split();
             flights
@@ -617,7 +617,7 @@ mod tests {
         rig.scan();
         assert_eq!(rig.stalled(), [(waiting, Stall::QueueFull)]);
 
-        let picked = rig.sched.select_pending(9, 0, 0).unwrap();
+        let picked = rig.sched.select_pending(0, 0).unwrap();
         assert_eq!(picked.kind, EntryKind::Real { flight: queued });
         rig.scan();
         assert_eq!(rig.stalled(), []);

@@ -717,7 +717,7 @@ mod tests {
     /// Before `relock`, the first map access after the panic would
     /// itself panic, taking the dispatcher (and the final report) down.
     // Poisoning the maps on purpose takes the raw `lock` the rule bans.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(clippy::disallowed_methods)]
     #[test]
     fn sweep_survives_poisoned_maps() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");

@@ -140,7 +140,7 @@ mod tests {
         q.try_push(req(0)).unwrap();
         q.try_push(req(1)).unwrap();
         // Busy must come back immediately in wall time, which needs a wall clock.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(clippy::disallowed_methods)]
         let start = std::time::Instant::now();
         assert_eq!(q.try_push(req(2)), Err(SubmitError::Busy));
         assert!(

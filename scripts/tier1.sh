@@ -2,13 +2,14 @@
 # Tier-1 verification gate, eight steps: format, lint, hermetic release
 # build, the test suite of every workspace member (--workspace: a bare
 # `cargo test` from the root package would skip the crates' own tests),
-# three of its suites, the DRAM model's own and the tree store's crate's
-# own again in the release build the benchmark measures (step five, three
-# invocations), the sealed data path's two crates again for the portable
-# x86-64 target, rustdoc, and the benchmark package's own check. Every
-# assertion about library behaviour is a named test under steps four and
-# five; nothing here runs a binary and inspects its output. The workspace
-# has zero external dependencies, so everything runs --offline.
+# three of its suites, the DRAM model's own, the tree store's crate's own
+# and fp-core's unit tests again in the release build the benchmark
+# measures (step five, four invocations), the sealed data path's two crates
+# again for the portable x86-64 target, rustdoc, and the benchmark
+# package's own check. Every assertion about library behaviour is a named
+# test under steps four and five; nothing here runs a binary and inspects
+# its output. The workspace has zero external dependencies, so everything
+# runs --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +37,10 @@ cargo test -q --offline --release -p fp-dram
 # 1..=17 levels, once more where a wrap would store a bucket in the wrong
 # slot.
 cargo test -q --offline --release -p fp-path-oram
+# The label queue ages entries by subtracting round numbers (`round - born`,
+# `select_initial`'s rank arithmetic): its propcheck against the reference
+# queue, and the Fig 5 one, once more where a wrap would pass silently.
+cargo test -q --offline --release -p fp-core --lib
 # Everything above is built under .cargo/config.toml's `target-cpu=native`,
 # where an AVX2 host selects fp-crypto's eight-lane keystream and would
 # never again run the one-lane build a portable binary gets. RUSTFLAGS

@@ -70,19 +70,6 @@ impl DramTiming {
     }
 }
 
-/// How a flat physical address is split into channel/bank/row/column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AddressMapping {
-    /// `row : bank : channel : column` — consecutive cache blocks stay in the
-    /// same row, channels interleave at row-ish granularity. Works well with
-    /// the subtree layout: one subtree = one row in one bank.
-    #[default]
-    RowBankChannelColumn,
-    /// `row : bank : column : channel` — consecutive blocks alternate
-    /// channels (fine-grain channel interleaving).
-    ChannelInterleaved,
-}
-
 /// Full DRAM system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
@@ -98,8 +85,6 @@ pub struct DramConfig {
     pub burst_bytes: u64,
     /// Timing parameters.
     pub timing: DramTiming,
-    /// Address mapping scheme.
-    pub mapping: AddressMapping,
     /// Energy per activate+precharge pair, picojoules.
     pub act_pre_energy_pj: u64,
     /// Energy per read burst, picojoules.
@@ -130,7 +115,6 @@ impl DramConfig {
             row_bytes: 8 * 1024,
             burst_bytes: 64,
             timing: DramTiming::ddr3_1600(),
-            mapping: AddressMapping::default(),
             act_pre_energy_pj: 25_000,
             read_energy_pj: 6_000,
             write_energy_pj: 6_500,
@@ -179,25 +163,17 @@ impl DramConfig {
         Ok(())
     }
 
-    /// Decomposes a physical byte address into `(channel, rank, bank, row)`.
+    /// Decomposes a physical byte address into `(channel, rank, bank, row)`,
+    /// low to high `column : channel : bank : rank : row`: consecutive
+    /// bursts stay in one row, and rows rotate over channels, then banks.
+    /// That suits the subtree layout — one subtree, one row in one bank.
     ///
-    /// The column is implied by the low `burst_bytes` bits; the simulator
-    /// only needs row identity for row-buffer behaviour.
+    /// The column is the offset inside the row; the simulator only needs
+    /// row identity for row-buffer behaviour.
     pub(crate) fn decompose(&self, addr: u64) -> Location {
-        let burst = addr / self.burst_bytes;
-        let bursts_per_row = self.row_bytes / self.burst_bytes;
-        // Low to high: column : channel : bank : rank : row, or
-        // channel : column : bank : rank : row when channel-interleaved.
-        let (channel, rest) = match self.mapping {
-            AddressMapping::RowBankChannelColumn => {
-                let rest = burst / bursts_per_row;
-                (rest % self.channels as u64, rest / self.channels as u64)
-            }
-            AddressMapping::ChannelInterleaved => (
-                burst % self.channels as u64,
-                burst / self.channels as u64 / bursts_per_row,
-            ),
-        };
+        let rest = addr / self.row_bytes;
+        let channel = rest % self.channels as u64;
+        let rest = rest / self.channels as u64;
         let bank = (rest % self.banks_per_rank as u64) as usize;
         let rest = rest / self.banks_per_rank as u64;
         let rank = (rest % self.ranks_per_channel as u64) as usize;
@@ -211,19 +187,13 @@ impl DramConfig {
     }
 
     /// The aligned address range around `addr` over which
-    /// [`DramConfig::decompose`] is constant, and past which it is not: a
-    /// whole row when the column bits sit lowest (with one channel both
-    /// mappings do that), a single burst when consecutive bursts alternate
-    /// channels. [`crate::DramSystem`] cuts every batch into same-location
-    /// runs by arithmetic on it.
+    /// [`DramConfig::decompose`] is constant, and past which it is not: its
+    /// row. [`crate::DramSystem`] cuts every batch into same-location runs
+    /// by arithmetic on it.
     pub(crate) fn location_span(&self, addr: u64) -> std::ops::Range<u64> {
-        let span = match self.mapping {
-            AddressMapping::ChannelInterleaved if self.channels > 1 => self.burst_bytes,
-            _ => self.row_bytes,
-        };
-        let start = addr - addr % span;
+        let start = addr - addr % self.row_bytes;
         // Saturating: the last span of the address space only splits finer.
-        start..start.saturating_add(span)
+        start..start.saturating_add(self.row_bytes)
     }
 }
 
@@ -285,18 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn channel_interleaved_alternates_channels() {
-        let mut cfg = DramConfig::ddr3_1600(2);
-        cfg.mapping = AddressMapping::ChannelInterleaved;
-        assert_eq!(cfg.decompose(0).channel, 0);
-        assert_eq!(cfg.decompose(64).channel, 1);
-        assert_eq!(cfg.decompose(128).channel, 0);
-    }
-
-    #[test]
     fn rows_distribute_over_banks() {
         let cfg = DramConfig::ddr3_1600(2);
-        // Consecutive rows (in the default mapping) rotate channel then bank.
+        // Consecutive rows rotate channel then bank.
         let locs: Vec<_> = (0..32u64)
             .map(|i| cfg.decompose(i * cfg.row_bytes))
             .collect();
@@ -311,28 +272,22 @@ mod tests {
     #[test]
     fn decompose_is_constant_exactly_over_the_location_span() {
         // The one fact the run split of `DramSystem` rests on.
-        for mapping in [
-            AddressMapping::RowBankChannelColumn,
-            AddressMapping::ChannelInterleaved,
-        ] {
-            for channels in [1usize, 2, 3] {
-                let cfg = DramConfig {
-                    mapping,
-                    ranks_per_channel: 2,
-                    ..DramConfig::ddr3_1600(channels)
-                };
-                for k in 0..500u64 {
-                    // Multiplicative hashing: scattered 34-bit addresses.
-                    let addr = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 30;
-                    let span = cfg.location_span(addr);
-                    assert!(span.contains(&addr));
-                    assert!(span.start.is_multiple_of(span.end - span.start));
-                    let loc = cfg.decompose(addr);
-                    let case = format!("{mapping:?} x{channels} addr {addr:#x}");
-                    assert_eq!(cfg.decompose(span.start), loc, "{case}");
-                    assert_eq!(cfg.decompose(span.end - 1), loc, "{case}");
-                    assert_ne!(cfg.decompose(span.end), loc, "{case}: next span");
-                }
+        for channels in [1usize, 2, 3] {
+            let cfg = DramConfig {
+                ranks_per_channel: 2,
+                ..DramConfig::ddr3_1600(channels)
+            };
+            for k in 0..500u64 {
+                // Multiplicative hashing: scattered 34-bit addresses.
+                let addr = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 30;
+                let span = cfg.location_span(addr);
+                assert!(span.contains(&addr));
+                assert!(span.start.is_multiple_of(span.end - span.start));
+                let loc = cfg.decompose(addr);
+                let case = format!("x{channels} addr {addr:#x}");
+                assert_eq!(cfg.decompose(span.start), loc, "{case}");
+                assert_eq!(cfg.decompose(span.end - 1), loc, "{case}");
+                assert_ne!(cfg.decompose(span.end), loc, "{case}: next span");
             }
         }
     }

@@ -40,6 +40,6 @@ pub mod layout;
 mod stats;
 mod system;
 
-pub use config::{AddressMapping, DramConfig, DramTiming};
+pub use config::{DramConfig, DramTiming};
 pub use stats::DramStats;
 pub use system::{AccessKind, BatchResult, DramSystem};

@@ -390,10 +390,13 @@ mod tests {
     fn two_channels_overlap_transfers() {
         let cfg1 = DramConfig::ddr3_1600(1);
         let mut one = DramSystem::new(cfg1);
-        let mut cfg2 = DramConfig::ddr3_1600(2);
-        cfg2.mapping = crate::AddressMapping::ChannelInterleaved;
-        let mut two = DramSystem::new(cfg2);
-        let batch: Vec<_> = (0..32u64).map(|i| (i * 64, AccessKind::Read)).collect();
+        let mut two = DramSystem::new(DramConfig::ddr3_1600(2));
+        // Sixteen bursts in each of rows 0 and 1: one channel each when
+        // there are two, two banks behind one bus when there is one.
+        let row = DramConfig::ddr3_1600(1).row_bytes;
+        let batch: Vec<_> = (0..32u64)
+            .map(|i| ((i % 2) * row + i / 2 * 64, AccessKind::Read))
+            .collect();
         let t1 = one.access_batch(0, &batch).batch_finish_ps;
         let t2 = two.access_batch(0, &batch).batch_finish_ps;
         assert!(t2 < t1, "2 channels ({t2}) should beat 1 channel ({t1})");
@@ -557,51 +560,45 @@ mod tests {
         // 8 KiB rows (one bucket, two runs); a flipped burst changes kind
         // inside a run; idle gaps let refreshes fall due inside one.
         let mut next = splitmix(0x0B0C_4E75);
-        for mapping in [
-            crate::AddressMapping::RowBankChannelColumn,
-            crate::AddressMapping::ChannelInterleaved,
-        ] {
-            for (channels, ranks) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
-                for bucket_bytes in [64u64, 256, 320] {
-                    let cfg = DramConfig {
-                        mapping,
-                        ranks_per_channel: ranks,
-                        ..DramConfig::ddr3_1600(channels)
-                    };
-                    let case = format!("{mapping:?} x{channels} ranks={ranks} {bucket_bytes} B");
-                    let buckets = 48 * cfg.row_bytes / bucket_bytes;
-                    let bursts = bucket_bytes / cfg.burst_bytes;
-                    let (mut fast, mut slow) = traced_pair(&cfg);
-                    let mut now = 0u64;
-                    for round in 0..40 {
-                        let mut batch = Vec::new();
-                        for _ in 0..1 + next() % 24 {
-                            let base = next() % buckets * bucket_bytes;
-                            let kind = [AccessKind::Read, AccessKind::Write][(next() % 2) as usize];
-                            for i in 0..bursts {
-                                let kind = match (next() % 16, kind) {
-                                    (0, AccessKind::Read) => AccessKind::Write,
-                                    (0, AccessKind::Write) => AccessKind::Read,
-                                    _ => kind,
-                                };
-                                batch.push((base + i * cfg.burst_bytes, kind));
-                            }
-                        }
-                        let a = fast.access_batch(now, &batch);
-                        let b = access_batch_reference(&mut slow, now, &batch);
-                        assert_eq!(
-                            (a.finish_ps, a.batch_finish_ps),
-                            (&b.0[..], b.1),
-                            "{case}, batch {round}"
-                        );
-                        now = a.batch_finish_ps;
-                        assert_same_events(&fast, &slow, &format!("{case}, batch {round}"));
-                        if round % 3 == 2 {
-                            now += next() % 40_000_000;
+        for (channels, ranks) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
+            for bucket_bytes in [64u64, 256, 320] {
+                let cfg = DramConfig {
+                    ranks_per_channel: ranks,
+                    ..DramConfig::ddr3_1600(channels)
+                };
+                let case = format!("x{channels} ranks={ranks} {bucket_bytes} B");
+                let buckets = 48 * cfg.row_bytes / bucket_bytes;
+                let bursts = bucket_bytes / cfg.burst_bytes;
+                let (mut fast, mut slow) = traced_pair(&cfg);
+                let mut now = 0u64;
+                for round in 0..40 {
+                    let mut batch = Vec::new();
+                    for _ in 0..1 + next() % 24 {
+                        let base = next() % buckets * bucket_bytes;
+                        let kind = [AccessKind::Read, AccessKind::Write][(next() % 2) as usize];
+                        for i in 0..bursts {
+                            let kind = match (next() % 16, kind) {
+                                (0, AccessKind::Read) => AccessKind::Write,
+                                (0, AccessKind::Write) => AccessKind::Read,
+                                _ => kind,
+                            };
+                            batch.push((base + i * cfg.burst_bytes, kind));
                         }
                     }
-                    assert_eq!(fast.stats(), slow.stats(), "{case}");
+                    let a = fast.access_batch(now, &batch);
+                    let b = access_batch_reference(&mut slow, now, &batch);
+                    assert_eq!(
+                        (a.finish_ps, a.batch_finish_ps),
+                        (&b.0[..], b.1),
+                        "{case}, batch {round}"
+                    );
+                    now = a.batch_finish_ps;
+                    assert_same_events(&fast, &slow, &format!("{case}, batch {round}"));
+                    if round % 3 == 2 {
+                        now += next() % 40_000_000;
+                    }
                 }
+                assert_eq!(fast.stats(), slow.stats(), "{case}");
             }
         }
     }
@@ -615,57 +612,49 @@ mod tests {
         // arrives while one is due; every stride table.
         let mut next = splitmix(0x5BA2_D002);
         for (table, timing) in DramTiming::stride_tables() {
-            for mapping in [
-                crate::AddressMapping::RowBankChannelColumn,
-                crate::AddressMapping::ChannelInterleaved,
-            ] {
-                for (channels, ranks) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
-                    for bucket_bytes in [64u64, 256, 320] {
-                        let cfg = DramConfig {
-                            mapping,
-                            ranks_per_channel: ranks,
-                            timing: timing.clone(),
-                            ..DramConfig::ddr3_1600(channels)
+            for (channels, ranks) in [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
+                for bucket_bytes in [64u64, 256, 320] {
+                    let cfg = DramConfig {
+                        ranks_per_channel: ranks,
+                        timing: timing.clone(),
+                        ..DramConfig::ddr3_1600(channels)
+                    };
+                    let case = format!("{table} x{channels} ranks={ranks} {bucket_bytes} B");
+                    let buckets = 48 * cfg.row_bytes / bucket_bytes;
+                    let bursts = bucket_bytes / cfg.burst_bytes;
+                    let (mut fast, mut slow) = traced_pair(&cfg);
+                    let mut now = 0u64;
+                    for round in 0..40 {
+                        let kind = [AccessKind::Read, AccessKind::Write][(next() % 2) as usize];
+                        let len = if next().is_multiple_of(3) {
+                            1
+                        } else {
+                            1 + next() % 24
                         };
-                        let case = format!(
-                            "{table} {mapping:?} x{channels} ranks={ranks} {bucket_bytes} B"
-                        );
-                        let buckets = 48 * cfg.row_bytes / bucket_bytes;
-                        let bursts = bucket_bytes / cfg.burst_bytes;
-                        let (mut fast, mut slow) = traced_pair(&cfg);
-                        let mut now = 0u64;
-                        for round in 0..40 {
-                            let kind = [AccessKind::Read, AccessKind::Write][(next() % 2) as usize];
-                            let len = if next().is_multiple_of(3) {
-                                1
-                            } else {
-                                1 + next() % 24
-                            };
-                            let bases: Vec<u64> =
-                                (0..len).map(|_| next() % buckets * bucket_bytes).collect();
-                            let per_burst: Vec<(u64, AccessKind)> = bases
-                                .iter()
-                                .flat_map(|&base| {
-                                    (0..bursts).map(move |i| (base + i * cfg.burst_bytes, kind))
-                                })
-                                .collect();
-                            let a = fast.access_spans(now, kind, &bases, bursts);
-                            let b = access_batch_reference(&mut slow, now, &per_burst);
-                            assert_eq!(a, b.1, "{case}, batch {round}");
-                            assert_same_events(&fast, &slow, &format!("{case}, batch {round}"));
-                            now = a;
-                            if round % 3 == 2 {
-                                now += next() % 40_000_000;
-                            }
-                            if round % 8 == 5 {
-                                // Land inside the next refresh.
-                                let t = &cfg.timing;
-                                now = (now / t.t_refi + 1) * t.t_refi + next() % t.t_rfc;
-                            }
+                        let bases: Vec<u64> =
+                            (0..len).map(|_| next() % buckets * bucket_bytes).collect();
+                        let per_burst: Vec<(u64, AccessKind)> = bases
+                            .iter()
+                            .flat_map(|&base| {
+                                (0..bursts).map(move |i| (base + i * cfg.burst_bytes, kind))
+                            })
+                            .collect();
+                        let a = fast.access_spans(now, kind, &bases, bursts);
+                        let b = access_batch_reference(&mut slow, now, &per_burst);
+                        assert_eq!(a, b.1, "{case}, batch {round}");
+                        assert_same_events(&fast, &slow, &format!("{case}, batch {round}"));
+                        now = a;
+                        if round % 3 == 2 {
+                            now += next() % 40_000_000;
                         }
-                        assert_eq!(fast.stats(), slow.stats(), "{case}");
-                        assert!(fast.stats().refreshes > 0, "{case}: no REF fell due");
+                        if round % 8 == 5 {
+                            // Land inside the next refresh.
+                            let t = &cfg.timing;
+                            now = (now / t.t_refi + 1) * t.t_refi + next() % t.t_rfc;
+                        }
                     }
+                    assert_eq!(fast.stats(), slow.stats(), "{case}");
+                    assert!(fast.stats().refreshes > 0, "{case}: no REF fell due");
                 }
             }
         }

@@ -33,8 +33,6 @@ pub struct OramConfig {
     /// Number of *data* blocks the ORAM protects (program-visible capacity /
     /// block size).
     pub data_blocks: u64,
-    /// Position-map entries per posmap block (block_bytes / 4-byte label).
-    pub posmap_fanout: u64,
     /// Recursion stops once the top-level map has at most this many entries.
     pub onchip_posmap_entries: u64,
     /// Whether tree contents are really encrypted.
@@ -53,10 +51,9 @@ impl OramConfig {
     pub fn paper_default(capacity_bytes: u64) -> Self {
         let block_bytes = 64usize;
         let data_blocks = capacity_bytes / block_bytes as u64;
-        let posmap_fanout = (block_bytes / 4) as u64;
         // Count posmap blocks from every recursion level.
         let onchip = 1u64 << 16;
-        let total = total_blocks(data_blocks, posmap_fanout, onchip);
+        let total = total_blocks(data_blocks, block_bytes as u64 / 4, onchip);
         // ~50 % utilization with Z = 4: leaves = total / 4 (rounded), i.e.
         // L = round(log2(total)) - 2.
         let levels = (log2_round(total)).saturating_sub(2).max(2);
@@ -66,7 +63,6 @@ impl OramConfig {
             block_bytes,
             stash_capacity: 200,
             data_blocks,
-            posmap_fanout,
             onchip_posmap_entries: onchip,
             cipher_mode: CipherMode::Transparent,
             super_block: 1,
@@ -83,11 +79,16 @@ impl OramConfig {
             block_bytes: 16,
             stash_capacity: 200,
             data_blocks: 1 << 10,
-            posmap_fanout: 4,
             onchip_posmap_entries: 64,
             cipher_mode: CipherMode::Transparent,
             super_block: 1,
         }
+    }
+
+    /// Position-map entries per posmap block: one 4-byte label each, so
+    /// `block_bytes / 4` (at least 2, since a block holds at least 8 B).
+    pub fn posmap_fanout(&self) -> u64 {
+        self.block_bytes as u64 / 4
     }
 
     /// Number of leaves (`2^L`) — the leaf-label space.
@@ -125,9 +126,6 @@ impl OramConfig {
         }
         if self.block_bytes < 8 {
             return Err("block must hold at least 8 bytes".into());
-        }
-        if self.posmap_fanout < 2 {
-            return Err("posmap fanout must be at least 2".into());
         }
         if self.data_blocks == 0 {
             return Err("data_blocks must be positive".into());

@@ -103,10 +103,12 @@ impl Datapath {
     /// finish plus the phase latency. The label is what the adversary sees
     /// of the access, so it joins the label trace here.
     ///
-    /// Draining moves a bucket's contents to the stash and leaves the stale
-    /// tree copy empty (the refill rewrites it), which keeps the "block is
-    /// in the stash XOR on its path" invariant checkable without cloning
-    /// blocks or re-encrypting an empty bucket.
+    /// Draining decodes a bucket's image into the stash, slot by slot, and
+    /// leaves the stale tree copy empty (the refill rewrites it), which
+    /// keeps the "block is in the stash XOR on its path" invariant
+    /// checkable without re-encrypting an empty bucket. The emptied image
+    /// and the payload buffers are recycled: the phase allocates nothing
+    /// once warm.
     ///
     /// # Errors
     ///
@@ -125,11 +127,12 @@ impl Datapath {
             labels.push(leaf);
         }
         self.nodes.clear();
+        let OramState { tree, stash, .. } = &mut self.state;
         for level in floor..=levels {
             let node = node_at_level(levels, leaf, level);
-            for block in self.state.tree.try_take_bucket(node)? {
-                self.state.stash.insert(block);
-            }
+            tree.take_with(node, |addr, leaf, data| {
+                stash.insert_with(addr, leaf, |payload| payload.extend_from_slice(data));
+            })?;
             self.nodes.push(node);
         }
         let batch_end = self
@@ -150,8 +153,10 @@ impl Datapath {
     }
 
     /// Refill phase, one bucket: greedily evicts stash blocks into the
-    /// bucket at `level` of the refill's path, re-encrypts and writes it,
-    /// and commits it through the cache at `t_ps`. Returns the commit time.
+    /// bucket at `level` of the refill's path — each encoded straight into
+    /// the tree store's open bucket — re-encrypts and writes it into a
+    /// recycled image, and commits it through the cache at `t_ps`. Returns
+    /// the commit time.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -164,8 +169,9 @@ impl Datapath {
         let (levels, z) = (cfg.levels, cfg.z);
         self.trace.set_now(t_ps);
         let node = node_at_level(levels, self.refill_leaf, level);
-        let blocks = self.state.stash.evict_next(level, z);
-        self.state.tree.write_bucket(node, blocks);
+        let OramState { tree, stash, .. } = &mut self.state;
+        stash.evict_next(level, z, |block| tree.push_slot(block));
+        tree.store(node);
         self.writeback.write_bucket(&mut self.dram, node, t_ps)
     }
 

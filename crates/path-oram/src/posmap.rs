@@ -39,7 +39,7 @@ impl PosMapHierarchy {
     /// Builds the hierarchy for `cfg`, recursing until the next level would
     /// fit within `cfg.onchip_posmap_entries`.
     pub fn new(cfg: &OramConfig) -> Self {
-        let fanout = cfg.posmap_fanout;
+        let fanout = cfg.posmap_fanout();
         let mut bases = Vec::new();
         let mut sizes = Vec::new();
         let mut next_base = cfg.data_blocks;

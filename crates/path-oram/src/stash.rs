@@ -43,6 +43,10 @@ impl Block {
 #[derive(Debug, Clone, Default)]
 pub struct Stash {
     blocks: U64Map<Block>,
+    /// Payload buffers of blocks that left for the tree, for the next
+    /// blocks to arrive from it: a block's bytes move between an image and
+    /// a payload, its buffer stays here ([`Stash::recycle`]).
+    spare: Vec<Vec<u8>>,
     /// Addresses exempt from eviction (e.g. blocks held by a posmap
     /// lookaside buffer). Pinned blocks still count against occupancy.
     pinned: U64Set,
@@ -121,6 +125,17 @@ impl Stash {
         self.high_water = self.high_water.max(self.blocks.len());
     }
 
+    /// Inserts (or replaces) block `addr` with the payload `fill` writes
+    /// into a spare buffer, emptied (allocated only when none is spare):
+    /// how the read phase decodes a tree slot and a first touch
+    /// materializes a block.
+    pub(crate) fn insert_with(&mut self, addr: u64, leaf: u64, fill: impl FnOnce(&mut Vec<u8>)) {
+        let mut data = self.spare.pop().unwrap_or_default();
+        data.clear();
+        fill(&mut data);
+        self.insert(Block { addr, leaf, data });
+    }
+
     /// Removes and returns the block at `addr`.
     #[cfg(test)]
     pub(crate) fn remove(&mut self, addr: u64) -> Option<Block> {
@@ -129,6 +144,16 @@ impl Stash {
             self.trace.record_now(EventKind::StashEvict { addr });
         }
         removed
+    }
+
+    /// Keeps a payload buffer for the next block to arrive, as long as the
+    /// stash's buffers number no more than its peak occupancy: the
+    /// controllers never bring in more (a first touch takes a spare one),
+    /// a caller inserting blocks of its own may.
+    fn recycle(&mut self, data: Vec<u8>) {
+        if self.spare.len() + self.blocks.len() < self.high_water {
+            self.spare.push(data);
+        }
     }
 
     /// Iterates over held blocks in unspecified order.
@@ -176,30 +201,39 @@ impl Stash {
 
     /// Removes from the stash the blocks for the bucket at `level` of the
     /// current stream's path (at most `z`; the tree store pads the bucket
-    /// with dummies): the next candidates in order while they are eligible
-    /// that deep. Levels are taken leaf to root, each at most once; the
-    /// stream may be abandoned at any level, and every block it has not
-    /// chosen is still in the stash.
-    // Allocates the returned bucket only, and only when a block goes into
-    // it (the first push sizes it for four): tests/hot_path_alloc.rs.
-    pub fn evict_next(&mut self, level: u32, z: usize) -> Vec<Block> {
+    /// with dummies) and hands each to `put`, in order: the next candidates
+    /// while they are eligible that deep. Levels are taken leaf to root,
+    /// each at most once; the stream may be abandoned at any level, and
+    /// every block it has not chosen is still in the stash. A chosen
+    /// block's payload buffer stays for the next block to arrive, so the
+    /// stream allocates nothing (tests/hot_path_alloc.rs).
+    pub fn evict_next(&mut self, level: u32, z: usize, mut put: impl FnMut(&Block)) {
+        for _ in 0..z {
+            let Some(block) = self.next_chosen(level) else {
+                break;
+            };
+            put(&block);
+            self.recycle(block.data);
+        }
+    }
+
+    /// The stream's next block for the bucket at `level`, removed from the
+    /// stash: the next candidate in order, if it is eligible that deep.
+    fn next_chosen(&mut self, level: u32) -> Option<Block> {
         let (levels, leaf) = self.stream_path;
         debug_assert!(level <= levels);
-        let mut chosen = Vec::new();
-        while chosen.len() < z {
-            match self.candidates.get(self.cursor) {
-                Some(&(depth, addr)) if depth >= level => {
-                    self.cursor += 1;
-                    if let Some(block) = self.blocks.remove(&addr) {
-                        debug_assert!(placement_legal(levels, leaf, block.leaf, level));
-                        self.trace.record_now(EventKind::StashEvict { addr });
-                        chosen.push(block);
-                    }
-                }
-                _ => break,
+        while let Some(&(depth, addr)) = self.candidates.get(self.cursor) {
+            if depth < level {
+                break;
+            }
+            self.cursor += 1;
+            if let Some(block) = self.blocks.remove(&addr) {
+                debug_assert!(placement_legal(levels, leaf, block.leaf, level));
+                self.trace.record_now(EventKind::StashEvict { addr });
+                return Some(block);
             }
         }
-        chosen
+        None
     }
 
     /// The blocks for the bucket at `level` of the path to `leaf` alone: a
@@ -215,7 +249,7 @@ impl Stash {
         z: usize,
     ) -> Vec<Block> {
         self.begin_eviction(levels, leaf);
-        self.evict_next(level, z)
+        (0..z).map_while(|_| self.next_chosen(level)).collect()
     }
 }
 
@@ -244,7 +278,14 @@ mod tests {
         z: usize,
     ) -> Vec<(u32, Vec<Block>)> {
         s.begin_eviction(levels, leaf);
-        (lo..=hi).rev().map(|l| (l, s.evict_next(l, z))).collect()
+        (lo..=hi)
+            .rev()
+            .map(|l| {
+                let mut bucket = Vec::new();
+                s.evict_next(l, z, |b| bucket.push(b.clone()));
+                (l, bucket)
+            })
+            .collect()
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl OramState {
         cfg.validate().expect("invalid ORAM config");
         assert!(cfg.levels <= 31, "labels must fit in 32-bit posmap entries");
         let hierarchy = PosMapHierarchy::new(&cfg);
-        assert!(
-            hierarchy.posmap_levels() == 0 || cfg.block_bytes as u64 >= 4 * cfg.posmap_fanout,
-            "block too small to hold {} posmap entries",
-            cfg.posmap_fanout
-        );
         let onchip = OnChipMap::new(hierarchy.onchip_entries());
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&seed.to_le_bytes());
@@ -242,24 +237,21 @@ impl OramState {
         let outcome = if self.stash.contains(addr) {
             AccessOutcome::Found
         } else {
-            let payload = self.fresh_payload(addr);
-            self.stash.insert(Block::new(addr, new_leaf, payload));
+            // Posmap blocks start with all entries invalid, data blocks zero.
+            let byte = if self.hierarchy.level_of(addr) > 0 {
+                0xFF
+            } else {
+                0
+            };
+            let len = self.cfg.block_bytes;
+            self.stash
+                .insert_with(addr, new_leaf, |data| data.resize(len, byte));
             AccessOutcome::Created
         };
         self.existing.insert(addr);
         let block = self.stash.get_mut(addr).expect("just ensured present");
         block.leaf = new_leaf;
         (block, outcome)
-    }
-
-    /// Initial payload for a never-written block: posmap blocks start with
-    /// all entries invalid, data blocks with zeros.
-    fn fresh_payload(&self, addr: u64) -> Vec<u8> {
-        if self.hierarchy.level_of(addr) > 0 {
-            vec![0xFF; self.cfg.block_bytes]
-        } else {
-            vec![0u8; self.cfg.block_bytes]
-        }
     }
 
     /// Verifies the Path ORAM invariants over the whole state. Intended for
@@ -334,14 +326,5 @@ mod tests {
         assert!(labels.iter().all(|&l| l < leaves));
         let distinct: U64Set = labels.iter().copied().collect();
         assert!(distinct.len() > 16, "labels vary");
-    }
-
-    #[test]
-    #[should_panic(expected = "block too small")]
-    fn rejects_block_too_small_for_posmap() {
-        let mut cfg = OramConfig::small_test();
-        cfg.block_bytes = 8;
-        cfg.posmap_fanout = 16;
-        let _ = OramState::new(cfg, 0);
     }
 }

@@ -15,11 +15,26 @@
 //! buckets a read or a refill touches in one subtree cost one directory
 //! lookup between them. Subtree layers are counted from the *leaf* level
 //! up, so the one partial subtree of a tree whose level count is not a
-//! multiple of five is the top one. A slot is 24 B in either cipher mode:
-//! host memory is one 744 B page per touched subtree — about 150 B per
-//! touched bucket while a run is sparse (five path buckets to a page), 24 B
-//! once a subtree fills. Pages are never freed and directory entries never
-//! removed: a take empties the slot and the refill writes it again.
+//! multiple of five is the top one. A slot is 24 B: host memory is one
+//! 744 B page per touched subtree — about 150 B per touched bucket while a
+//! run is sparse (five path buckets to a page), 24 B once a subtree fills —
+//! plus the images the slots hold. Pages are never freed and directory
+//! entries never removed: a take empties the slot and the refill writes it
+//! again.
+//!
+//! **One image in both cipher modes.** A slot holds the bucket's serialized
+//! image: Z slots of `[addr: u64 le][leaf: u64 le][payload: block_bytes]`,
+//! a dummy slot being one whose address is [`DUMMY_ADDR`] (the paper's ⊥).
+//! [`CipherMode::Transparent`] is the identity cipher over those bytes and
+//! leaves out the all-dummy tail, so an empty bucket is a zero-length image
+//! that owns no memory. [`CipherMode::Real`] keeps all Z slots, so an
+//! image's length says nothing about its occupancy, encrypts them with
+//! ChaCha20 under a fresh write counter and appends that counter (8 B,
+//! little-endian; the node id is the other half of the nonce). An image's
+//! buffer is exactly its size. A take decodes the image in slot order and
+//! keeps the emptied buffer, by the slots it holds; a write encodes into
+//! one open bucket and copies that into a kept buffer of its size: neither
+//! phase of an access allocates once warm.
 
 use fp_crypto::{BlockCipher, Nonce};
 
@@ -37,14 +52,24 @@ const PAGE_SLOTS: usize = (1 << PAGE_LEVELS) - 1;
 const NO_PAGE: u32 = u32::MAX;
 /// Length of a sealed image's write-counter trailer.
 const COUNTER_BYTES: usize = 8;
+/// The address no real block has: it marks a dummy slot. Block addresses
+/// are bounded by the tree's `total_blocks`, far below.
+const DUMMY_ADDR: u64 = u64::MAX;
 
-/// Bucket slots paged by subtree; `T` is what a written bucket stores.
+/// A stored bucket: its serialized image (see the module docs).
+type Image = Vec<u8>;
+
+/// Bucket slots paged by subtree.
 #[derive(Debug)]
-struct Pages<T> {
+struct Pages {
     levels: u32,
     /// Levels the top subtree is short of a whole page, `0..PAGE_LEVELS`.
     pad: u32,
-    pages: Vec<Box<[Option<T>; PAGE_SLOTS]>>,
+    #[expect(
+        clippy::vec_box,
+        reason = "a page stays put and the vector grows by 8 B pointers, not 744 B pages"
+    )]
+    pages: Vec<Box<[Option<Image>; PAGE_SLOTS]>>,
     /// Subtree root's node id → index into `pages`; one entry per subtree
     /// ever written, grown by use.
     directory: U64Map<u32>,
@@ -55,7 +80,7 @@ struct Pages<T> {
     stored: usize,
 }
 
-impl<T> Pages<T> {
+impl Pages {
     fn new(levels: u32) -> Self {
         assert!(
             levels < 63,
@@ -110,27 +135,27 @@ impl<T> Pages<T> {
         self.memo.1
     }
 
-    fn get(&self, node: u64) -> Option<&T> {
+    fn get(&self, node: u64) -> Option<&Image> {
         let (root, slot) = self.locate(node)?;
         // `NO_PAGE` indexes past any page vector.
         self.pages.get(self.peek(root) as usize)?[slot].as_ref()
     }
 
     /// The slot of `node` if its subtree has a page.
-    fn slot_mut(&mut self, node: u64) -> Option<&mut Option<T>> {
+    fn slot_mut(&mut self, node: u64) -> Option<&mut Option<Image>> {
         let (root, slot) = self.locate(node)?;
         let page = self.lookup(root) as usize;
         Some(&mut self.pages.get_mut(page)?[slot])
     }
 
-    fn take(&mut self, node: u64) -> Option<T> {
+    fn take(&mut self, node: u64) -> Option<Image> {
         let taken = self.slot_mut(node)?.take();
         self.stored -= usize::from(taken.is_some());
         taken
     }
 
-    /// Stores `value` as bucket `node`, over whatever the slot held.
-    fn put(&mut self, node: u64, value: T) {
+    /// Stores `image` as bucket `node`; returns what the slot held.
+    fn put(&mut self, node: u64, image: Image) -> Option<Image> {
         let Some((root, slot)) = self.locate(node) else {
             panic!(
                 "node {node} is outside the tree: ids are 1..2^{}",
@@ -144,190 +169,222 @@ impl<T> Pages<T> {
             self.directory.insert(root, page);
             self.memo = (root, page);
         }
-        let old = self.pages[page as usize][slot].replace(value);
+        let old = self.pages[page as usize][slot].replace(image);
         self.stored += usize::from(old.is_none());
+        old
     }
 
-    /// Node ids of the stored buckets, in unspecified order.
-    fn nodes(&self) -> impl Iterator<Item = u64> + '_ {
+    /// `(node, image)` of every stored bucket, in unspecified order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Image)> + '_ {
         self.directory.iter().flat_map(|(&root, &page)| {
             let slots = self.pages[page as usize].iter().enumerate();
-            slots.filter_map(move |(slot, s)| s.as_ref().map(|_| Self::node_of(root, slot)))
+            slots.filter_map(move |(slot, s)| Some((Self::node_of(root, slot), s.as_ref()?)))
         })
     }
 }
 
-/// The slots, typed by cipher mode.
-#[derive(Debug)]
-enum Slots {
-    /// [`CipherMode::Transparent`]: a slot is the `Vec<Block>` handed to
-    /// [`TreeStore::write_bucket`]. `poisoned` lists the stored buckets
-    /// [`TreeStore::corrupt_bucket`] hit — decoded blocks have no bytes to
-    /// truncate — and is empty outside fault injection.
-    Plain {
-        pages: Pages<Vec<Block>>,
-        poisoned: Vec<u64>,
-    },
-    /// [`CipherMode::Real`]: a slot is the counter-mode ciphertext of the
-    /// serialized bucket followed by the write counter it was sealed under,
-    /// [`COUNTER_BYTES`] little-endian (the node id is the other half of
-    /// the nonce).
-    Sealed(Pages<Vec<u8>>),
-}
-
-/// Drops `node` from the poisoned list; whether it was on it. The list is
-/// empty outside fault injection, so the hot paths pay one length test.
-fn unpoison(poisoned: &mut Vec<u64>, node: u64) -> bool {
-    if poisoned.is_empty() {
-        return false;
-    }
-    let hit = poisoned.iter().position(|&n| n == node);
-    hit.map(|i| poisoned.swap_remove(i)).is_some()
-}
-
 /// The ORAM tree in untrusted memory.
 ///
-/// Buckets are addressed by heap node id (root = 1). Reading an untouched
+/// Buckets are addressed by heap node id (root = 1). Taking an untouched
 /// bucket yields no real blocks (it is all dummies); writing a bucket
 /// replaces its contents and, in [`CipherMode::Real`], re-encrypts with a
 /// fresh write-counter nonce so ciphertexts never repeat (§2.3).
 #[derive(Debug)]
 pub struct TreeStore {
-    slots: Slots,
-    cipher: BlockCipher,
+    pages: Pages,
+    /// [`CipherMode::Real`]'s cipher; `None` is `Transparent`, the identity.
+    cipher: Option<BlockCipher>,
     z: usize,
     block_bytes: usize,
     write_counter: u64,
+    /// The slots pushed since the last [`TreeStore::store`]: the bucket
+    /// being encoded, with room for Z slots once used.
+    open: Image,
+    /// Emptied images by the slots they hold (`spare[k]`: `k` slots, Z
+    /// when sealed): what a take leaves behind and a write of that size
+    /// fills.
+    spare: Vec<Vec<Image>>,
 }
 
 impl TreeStore {
     /// Creates an empty (all-dummy) tree for `cfg`, keyed by `key`. Nothing
-    /// sized by the tree is allocated: pages and directory grow by use.
+    /// is allocated: pages, directory and images grow by use.
     pub fn new(cfg: &OramConfig, key: [u8; 32]) -> Self {
-        let slots = match cfg.cipher_mode {
-            CipherMode::Transparent => Slots::Plain {
-                pages: Pages::new(cfg.levels),
-                poisoned: Vec::new(),
-            },
-            CipherMode::Real => Slots::Sealed(Pages::new(cfg.levels)),
-        };
         Self {
-            slots,
-            cipher: BlockCipher::new(key),
+            pages: Pages::new(cfg.levels),
+            cipher: (cfg.cipher_mode == CipherMode::Real).then(|| BlockCipher::new(key)),
             z: cfg.z,
             block_bytes: cfg.block_bytes,
             write_counter: 0,
+            open: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
-    /// Number of buckets currently stored: written and not taken since
-    /// (`TreeStore::try_take_bucket` empties the slot it returns).
-    #[cfg(test)]
-    pub(crate) fn touched_buckets(&self) -> usize {
-        match &self.slots {
-            Slots::Plain { pages, .. } => pages.stored,
-            Slots::Sealed(pages) => pages.stored,
+    /// Address, leaf, payload. At Z = 4 and 64 B blocks a sealed image's
+    /// slots are 320 B, five keystream blocks exactly.
+    fn slot_bytes(&self) -> usize {
+        8 + 8 + self.block_bytes
+    }
+
+    /// Bytes after the slots: the write counter when sealed.
+    fn trailer(&self) -> usize {
+        match self.cipher {
+            Some(_) => COUNTER_BYTES,
+            None => 0,
         }
     }
 
-    /// Splits a sealed image into ciphertext and trailer, unseals the
-    /// ciphertext in place and decodes it. A truncated image has a short
-    /// ciphertext whatever its trailer reads, so the decode's length check
-    /// rejects it.
-    fn unseal(&self, mut image: Vec<u8>, node: u64) -> Result<Vec<Block>, IntegrityError> {
-        let Some(at) = image.len().checked_sub(COUNTER_BYTES) else {
+    /// The slots an image of `bytes` bytes holds, if this store writes
+    /// images of that size: exactly Z sealed, up to Z whole ones in the
+    /// clear. Found by comparison, not division: both phases ask once per
+    /// bucket.
+    fn slots_of(&self, bytes: usize) -> Option<usize> {
+        let fewest = if self.cipher.is_some() { self.z } else { 0 };
+        (fewest..=self.z).find(|&k| k * self.slot_bytes() + self.trailer() == bytes)
+    }
+
+    /// The one decoder: unseals `image` in place (`Real`) and hands `each`
+    /// the `(addr, leaf, payload)` of every real slot, in slot order. An
+    /// image of a length this store never writes (memory tampering or an
+    /// injected fault) is an [`IntegrityError`], and none of it is handed
+    /// out.
+    fn decode(
+        &self,
+        image: &mut [u8],
+        node: u64,
+        mut each: impl FnMut(u64, u64, &[u8]),
+    ) -> Result<(), IntegrityError> {
+        if self.slots_of(image.len()).is_none() {
             return Err(IntegrityError { node });
+        }
+        let slots = match &self.cipher {
+            None => image,
+            Some(cipher) => {
+                let (slots, counter) = image.split_at_mut(image.len() - COUNTER_BYTES);
+                let counter = u64::from_le_bytes(counter.try_into().expect("8 bytes"));
+                cipher.decrypt_in_place(Nonce::new(counter, node as u32), slots);
+                slots
+            }
         };
-        let counter = u64::from_le_bytes(image[at..].try_into().expect("8 bytes"));
-        image.truncate(at);
-        self.cipher
-            .decrypt_in_place(Nonce::new(counter, node as u32), &mut image);
-        deserialize_bucket(&image, self.z, self.block_bytes, node)
+        for slot in slots.chunks(self.slot_bytes()) {
+            let addr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
+            if addr != DUMMY_ADDR {
+                let leaf = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
+                each(addr, leaf, &slot[16..]);
+            }
+        }
+        Ok(())
     }
 
-    /// Reads and decrypts the real blocks of bucket `node`, surfacing a
-    /// corrupt stored image (wrong ciphertext length — memory tampering or
-    /// an injected transient fault) as an [`IntegrityError`] instead of a
-    /// panic, so the controller can retry or fail the shard structurally.
-    /// A node id outside the tree reads as an untouched bucket.
-    pub(crate) fn try_read_bucket(&self, node: u64) -> Result<Vec<Block>, IntegrityError> {
-        match &self.slots {
-            Slots::Plain { poisoned, .. } if poisoned.contains(&node) => {
-                Err(IntegrityError { node })
-            }
-            Slots::Plain { pages, .. } => Ok(pages.get(node).cloned().unwrap_or_default()),
-            Slots::Sealed(pages) => match pages.get(node) {
-                None => Ok(Vec::new()),
-                // The store keeps the sealed image: unseal a copy.
-                Some(image) => self.unseal(image.clone(), node),
-            },
+    /// Read phase, one bucket: removes bucket `node` from the store and
+    /// hands `each` its real blocks ([`TreeStore::decode`]). The stale tree
+    /// copy is dead the moment its blocks enter the stash, and the refill
+    /// overwrites it; its buffer is kept for that write. A corrupt image is
+    /// consumed all the same (its bytes are unusable either way). An
+    /// untouched or taken bucket, or a node id outside the tree, holds no
+    /// blocks.
+    pub(crate) fn take_with(
+        &mut self,
+        node: u64,
+        each: impl FnMut(u64, u64, &[u8]),
+    ) -> Result<(), IntegrityError> {
+        let Some(mut image) = self.pages.take(node) else {
+            return Ok(());
+        };
+        let decoded = self.decode(&mut image, node, each);
+        self.recycle(image);
+        decoded
+    }
+
+    /// Keeps an emptied image's buffer for the next write of its size; one
+    /// of a size this store never writes (a corrupt image's) is dropped.
+    fn recycle(&mut self, mut image: Image) {
+        if let Some(slots @ 1..) = self.slots_of(image.capacity()) {
+            image.clear();
+            self.spare_of(slots).push(image);
         }
     }
 
-    /// Reads and decrypts the real blocks of bucket `node`.
+    /// The emptied images of `slots` slots (`0..=Z`; sized on first use).
+    fn spare_of(&mut self, slots: usize) -> &mut Vec<Image> {
+        if self.spare.is_empty() {
+            self.spare.resize_with(self.z + 1, Vec::new);
+        }
+        &mut self.spare[slots]
+    }
+
+    /// The one encoder: appends `block` to the open bucket as its next real
+    /// slot.
     ///
     /// # Panics
     ///
-    /// Panics if the stored image is corrupt. Fallible callers (the
-    /// controller hot paths) use [`TreeStore::try_read_bucket`] instead.
-    pub(crate) fn read_bucket(&self, node: u64) -> Vec<Block> {
-        self.try_read_bucket(node)
-            .unwrap_or_else(|e| panic!("corrupt bucket: {e}"))
+    /// Panics if the open bucket already holds Z blocks, the payload is not
+    /// `block_bytes` long, or the block carries the address reserved for
+    /// dummy slots (`u64::MAX`).
+    pub(crate) fn push_slot(&mut self, block: &Block) {
+        let full = self.z * self.slot_bytes();
+        assert!(
+            self.open.len() < full,
+            "bucket overflow: more than Z={} blocks",
+            self.z
+        );
+        assert_eq!(block.data.len(), self.block_bytes, "payload size mismatch");
+        assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
+        self.open.reserve_exact(full - self.open.len());
+        self.open.extend_from_slice(&block.addr.to_le_bytes());
+        self.open.extend_from_slice(&block.leaf.to_le_bytes());
+        self.open.extend_from_slice(&block.data);
     }
 
-    /// Removes bucket `node` from the store and returns its decrypted real
-    /// blocks. Equivalent to `try_read_bucket` followed by clearing the
-    /// bucket, but without cloning the blocks or re-encrypting an empty
-    /// bucket — this is the read-phase hot path (the stale tree copy is dead
-    /// the moment its blocks enter the stash, and the refill overwrites it).
-    /// A corrupt image surfaces as an [`IntegrityError`]; the bucket is
-    /// still consumed (its bytes are unusable either way).
-    pub(crate) fn try_take_bucket(&mut self, node: u64) -> Result<Vec<Block>, IntegrityError> {
-        match &mut self.slots {
-            Slots::Plain { pages, poisoned } => {
-                let blocks = pages.take(node).unwrap_or_default();
-                if unpoison(poisoned, node) {
-                    return Err(IntegrityError { node });
-                }
-                Ok(blocks)
+    /// Write phase, one bucket: stores the open bucket (the slots pushed
+    /// since the last store) as bucket `node`, over whatever the slot
+    /// held, in a buffer of exactly its size. `Real` pads it with dummy
+    /// slots to Z, seals it under a fresh write counter and appends the
+    /// counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node id of the tree (`1 <= node <
+    /// 2^(L+1)`).
+    pub(crate) fn store(&mut self, node: u64) {
+        self.write_counter += 1;
+        let sb = self.slot_bytes();
+        let slots = match self.cipher {
+            Some(_) => self.z,
+            None => self.slots_of(self.open.len()).expect("whole slots"),
+        };
+        let bytes = slots * sb + self.trailer();
+        let spare = self.spare_of(slots).pop();
+        let mut image = spare.unwrap_or_else(|| Vec::with_capacity(bytes));
+        image.extend_from_slice(&self.open);
+        self.open.clear();
+        if let Some(cipher) = &self.cipher {
+            while image.len() < slots * sb {
+                let at = image.len();
+                image.resize(at + sb, 0);
+                image[at..at + 8].copy_from_slice(&DUMMY_ADDR.to_le_bytes());
             }
-            Slots::Sealed(pages) => match pages.take(node) {
-                None => Ok(Vec::new()),
-                // The taken image is owned, so it is unsealed where it is.
-                Some(image) => self.unseal(image, node),
-            },
+            let counter = self.write_counter;
+            cipher.encrypt_in_place(Nonce::new(counter, node as u32), &mut image);
+            image.extend_from_slice(&counter.to_le_bytes());
+        }
+        if let Some(old) = self.pages.put(node, image) {
+            self.recycle(old);
         }
     }
 
-    /// Infallible `TreeStore::try_take_bucket`: panics on a corrupt image.
+    /// Removes bucket `node` and returns its real blocks, each with a
+    /// payload of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stored image is corrupt.
     pub fn take_bucket(&mut self, node: u64) -> Vec<Block> {
-        self.try_take_bucket(node)
-            .unwrap_or_else(|e| panic!("corrupt bucket: {e}"))
-    }
-
-    /// Corrupts the stored image of bucket `node` (truncates a sealed image
-    /// / poisons a plain bucket) so the next read surfaces an
-    /// [`IntegrityError`]. Deterministic fault-injection hook; a no-op on
-    /// untouched buckets (they hold no bytes to flip). Returns whether a
-    /// stored bucket was actually corrupted.
-    #[cfg(test)]
-    pub(crate) fn corrupt_bucket(&mut self, node: u64) -> bool {
-        match &mut self.slots {
-            Slots::Plain { pages, poisoned } => {
-                let stored = pages.get(node).is_some();
-                if stored && !poisoned.contains(&node) {
-                    poisoned.push(node);
-                }
-                stored
-            }
-            Slots::Sealed(pages) => match pages.slot_mut(node) {
-                Some(Some(image)) => {
-                    image.pop();
-                    true
-                }
-                _ => false,
-            },
-        }
+        let mut blocks = Vec::new();
+        self.take_with(node, collect_into(&mut blocks))
+            .unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
+        blocks
     }
 
     /// Writes bucket `node` with up to `Z` real blocks (the remainder of the
@@ -340,114 +397,56 @@ impl TreeStore {
     /// size, or a block carries the address reserved for dummy slots
     /// (`u64::MAX`).
     pub fn write_bucket(&mut self, node: u64, blocks: Vec<Block>) {
-        assert!(
-            blocks.len() <= self.z,
-            "bucket overflow: {} > Z={}",
-            blocks.len(),
-            self.z
-        );
-        for b in &blocks {
-            assert_eq!(b.data.len(), self.block_bytes, "payload size mismatch");
-            assert_ne!(b.addr, DUMMY_ADDR, "address reserved for dummy slots");
+        for block in &blocks {
+            self.push_slot(block);
         }
-        self.write_counter += 1;
-        match &mut self.slots {
-            Slots::Plain { pages, poisoned } => {
-                pages.put(node, blocks);
-                unpoison(poisoned, node);
-            }
-            Slots::Sealed(pages) => {
-                let mut image = serialize_bucket(&blocks, self.z, self.block_bytes, COUNTER_BYTES);
-                let (ciphertext, trailer) =
-                    image.split_at_mut(self.z * slot_bytes(self.block_bytes));
-                self.cipher
-                    .encrypt_in_place(Nonce::new(self.write_counter, node as u32), ciphertext);
-                trailer.copy_from_slice(&self.write_counter.to_le_bytes());
-                pages.put(node, image);
-            }
-        }
+        self.store(node);
     }
 
-    /// Raw stored bytes of bucket `node` (the ciphertext in `Real` mode,
-    /// without its write-counter trailer) — used by tests to confirm
-    /// nothing recognizable leaks to untrusted memory.
+    /// Raw stored bytes of bucket `node`: the image, without its
+    /// write-counter trailer in `Real` mode (the ciphertext) — used by tests
+    /// to confirm nothing recognizable leaks to untrusted memory.
     pub fn raw_bucket(&self, node: u64) -> Option<Vec<u8>> {
-        match &self.slots {
-            Slots::Plain { pages, .. } => Some(serialize_bucket(
-                pages.get(node)?,
-                self.z,
-                self.block_bytes,
-                0,
-            )),
-            Slots::Sealed(pages) => {
-                let image = pages.get(node)?;
-                Some(image[..image.len().saturating_sub(COUNTER_BYTES)].to_vec())
-            }
-        }
+        let image = self.pages.get(node)?;
+        Some(image[..image.len().saturating_sub(self.trailer())].to_vec())
     }
 
-    /// Iterates over `(node, real blocks)` for every touched bucket.
+    /// Iterates over `(node, real blocks)` for every stored bucket, each
+    /// decoded from a copy of its image.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corrupt image.
     pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, Vec<Block>)> + '_ {
-        let nodes: Vec<u64> = match &self.slots {
-            Slots::Plain { pages, .. } => pages.nodes().collect(),
-            Slots::Sealed(pages) => pages.nodes().collect(),
+        self.pages.iter().map(|(node, image)| {
+            let mut blocks = Vec::new();
+            self.decode(&mut image.clone(), node, collect_into(&mut blocks))
+                .unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
+            (node, blocks)
+        })
+    }
+
+    /// Corrupts the stored image of bucket `node` — one byte appended, in
+    /// either mode — so its next take surfaces an [`IntegrityError`].
+    /// Deterministic fault-injection hook; a no-op on an unstored bucket
+    /// (no bytes to change) and on one corrupt already. Returns whether the
+    /// stored bucket is corrupt now.
+    #[cfg(test)]
+    pub(crate) fn corrupt_bucket(&mut self, node: u64) -> bool {
+        let Some(len) = self.pages.get(node).map(Vec::len) else {
+            return false;
         };
-        nodes.into_iter().map(|n| (n, self.read_bucket(n)))
-    }
-}
-
-/// The address no real block has: it marks a dummy slot of a serialized
-/// bucket (the paper's ⊥). Block addresses are bounded by the tree's
-/// `total_blocks`, far below.
-const DUMMY_ADDR: u64 = u64::MAX;
-
-/// Serialized bucket layout: Z slots of
-/// `[addr: u64 le][leaf: u64 le][payload: block_bytes]`, a dummy slot being
-/// one whose address is [`DUMMY_ADDR`]. At Z = 4 and 64 B blocks the image
-/// is 320 B, five keystream blocks exactly.
-fn slot_bytes(block_bytes: usize) -> usize {
-    8 + 8 + block_bytes
-}
-
-/// The image of `blocks` followed by `trailer` zero bytes, in the one
-/// allocation a sealed slot keeps.
-fn serialize_bucket(blocks: &[Block], z: usize, block_bytes: usize, trailer: usize) -> Vec<u8> {
-    let sb = slot_bytes(block_bytes);
-    let mut out = vec![0u8; z * sb + trailer];
-    for (i, slot) in out[..z * sb].chunks_exact_mut(sb).enumerate() {
-        match blocks.get(i) {
-            Some(b) => {
-                slot[..8].copy_from_slice(&b.addr.to_le_bytes());
-                slot[8..16].copy_from_slice(&b.leaf.to_le_bytes());
-                slot[16..].copy_from_slice(&b.data);
-            }
-            None => slot[..8].copy_from_slice(&DUMMY_ADDR.to_le_bytes()),
+        if self.slots_of(len).is_some() {
+            let image = self.pages.slot_mut(node).and_then(Option::as_mut);
+            image.expect("stored").push(0);
         }
+        true
     }
-    out
 }
 
-fn deserialize_bucket(
-    bytes: &[u8],
-    z: usize,
-    block_bytes: usize,
-    node: u64,
-) -> Result<Vec<Block>, IntegrityError> {
-    let sb = slot_bytes(block_bytes);
-    if bytes.len() != z * sb {
-        return Err(IntegrityError { node });
-    }
-    let mut blocks = Vec::new();
-    for slot in bytes.chunks_exact(sb) {
-        let addr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
-        if addr == DUMMY_ADDR {
-            continue;
-        }
-        let leaf = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
-        let data = slot[16..].to_vec();
-        blocks.push(Block { addr, leaf, data });
-    }
-    Ok(blocks)
+/// A decoder sink that collects each real slot as a [`Block`] of its own.
+fn collect_into(blocks: &mut Vec<Block>) -> impl FnMut(u64, u64, &[u8]) + '_ {
+    |addr, leaf, data| blocks.push(Block::new(addr, leaf, data.to_vec()))
 }
 
 #[cfg(test)]
@@ -463,11 +462,26 @@ mod tests {
         c
     }
 
+    /// The fallible take, its blocks collected.
+    fn try_take(store: &mut TreeStore, node: u64) -> Result<Vec<Block>, IntegrityError> {
+        let mut blocks = Vec::new();
+        store.take_with(node, collect_into(&mut blocks))?;
+        Ok(blocks)
+    }
+
+    /// The stored buckets, decoded, by node id.
+    fn sorted(store: &TreeStore) -> Vec<(u64, Vec<Block>)> {
+        let mut all: Vec<_> = store.iter_buckets().collect();
+        all.sort_by_key(|(node, _)| *node);
+        all
+    }
+
     #[test]
     fn untouched_bucket_reads_empty() {
-        let store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
-        assert!(store.read_bucket(1).is_empty());
-        assert_eq!(store.touched_buckets(), 0);
+        let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
+        assert_eq!(store.iter_buckets().count(), 0);
+        assert!(store.take_bucket(1).is_empty());
+        assert_eq!(store.pages.stored, 0);
     }
 
     #[test]
@@ -475,7 +489,8 @@ mod tests {
         let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
         let blocks = vec![Block::new(3, 5, vec![7; 16]), Block::new(4, 1, vec![9; 16])];
         store.write_bucket(10, blocks.clone());
-        assert_eq!(store.read_bucket(10), blocks);
+        assert_eq!(sorted(&store), [(10, blocks.clone())]);
+        assert_eq!(store.take_bucket(10), blocks);
     }
 
     #[test]
@@ -483,7 +498,8 @@ mod tests {
         let mut store = TreeStore::new(&cfg(CipherMode::Real), [42; 32]);
         let blocks = vec![Block::new(3, 5, vec![7; 16])];
         store.write_bucket(10, blocks.clone());
-        assert_eq!(store.read_bucket(10), blocks);
+        assert_eq!(sorted(&store), [(10, blocks.clone())]);
+        assert_eq!(store.take_bucket(10), blocks);
     }
 
     #[test]
@@ -503,7 +519,7 @@ mod tests {
         // occupies the same bytes on the bus.
         let mut store = TreeStore::new(&cfg(CipherMode::Real), [1; 32]);
         store.write_bucket(1, Vec::new());
-        store.write_bucket(2, vec![Block::new(0, 0, vec![0; 16]); 1]);
+        store.write_bucket(2, vec![Block::new(0, 0, vec![0; 16]); 4]);
         let a = store.raw_bucket(1).unwrap();
         let b = store.raw_bucket(2).unwrap();
         assert_eq!(a.len(), b.len());
@@ -522,13 +538,33 @@ mod tests {
     }
 
     #[test]
+    fn transparent_images_leave_out_the_dummy_tail() {
+        // Identity cipher: the image is the real slots in eviction order, in
+        // a buffer of its size, and an empty bucket is unallocated.
+        let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
+        store.write_bucket(1, Vec::new());
+        assert_eq!(store.raw_bucket(1), Some(Vec::new()));
+        assert_eq!(store.pages.get(1).unwrap().capacity(), 0);
+        let blocks = vec![Block::new(3, 5, vec![7; 16]), Block::new(4, 1, vec![9; 16])];
+        store.write_bucket(2, blocks.clone());
+        assert_eq!(store.pages.get(2).unwrap().capacity(), 2 * 32, "exact size");
+        let mut expected = Vec::new();
+        for b in &blocks {
+            expected.extend_from_slice(&b.addr.to_le_bytes());
+            expected.extend_from_slice(&b.leaf.to_le_bytes());
+            expected.extend_from_slice(&b.data);
+        }
+        assert_eq!(store.raw_bucket(2), Some(expected));
+    }
+
+    #[test]
     fn all_zero_block_roundtrips_sealed() {
         // Address 0, leaf 0, zero payload: the slot is all zero bytes and
         // must still read back as a real block, beside three dummy slots.
         let mut store = TreeStore::new(&cfg(CipherMode::Real), [42; 32]);
         let blocks = vec![Block::new(0, 0, vec![0; 16])];
         store.write_bucket(10, blocks.clone());
-        assert_eq!(store.read_bucket(10), blocks);
+        assert_eq!(sorted(&store), [(10, blocks.clone())]);
         assert_eq!(store.take_bucket(10), blocks);
     }
 
@@ -561,7 +597,7 @@ mod tests {
             let blocks = vec![Block::new(3, 5, vec![7; 16]), Block::new(4, 1, vec![9; 16])];
             store.write_bucket(10, blocks.clone());
             assert_eq!(store.take_bucket(10), blocks);
-            assert!(store.read_bucket(10).is_empty(), "drained after take");
+            assert!(store.take_bucket(10).is_empty(), "drained after take");
             assert!(store.take_bucket(99).is_empty(), "untouched bucket");
         }
     }
@@ -573,33 +609,36 @@ mod tests {
             assert!(!store.corrupt_bucket(10), "untouched bucket: no-op");
             store.write_bucket(10, vec![Block::new(3, 5, vec![7; 16])]);
             assert!(store.corrupt_bucket(10));
-            assert_eq!(store.try_read_bucket(10), Err(IntegrityError { node: 10 }));
-            assert_eq!(store.try_take_bucket(10), Err(IntegrityError { node: 10 }));
+            assert_eq!(try_take(&mut store, 10), Err(IntegrityError { node: 10 }));
             // The corrupt image is consumed by the take; rewrite recovers.
             store.write_bucket(10, vec![Block::new(4, 1, vec![9; 16])]);
-            assert_eq!(store.try_read_bucket(10).unwrap().len(), 1);
+            assert_eq!(sorted(&store)[0].1.len(), 1);
             // A write over a corrupt bucket replaces it without a take.
             assert!(store.corrupt_bucket(10));
             store.write_bucket(10, vec![Block::new(5, 2, vec![1; 16])]);
-            assert_eq!(store.try_read_bucket(10).unwrap()[0].addr, 5);
+            assert_eq!(sorted(&store)[0].1[0].addr, 5);
             // Corrupting one bucket twice fails one take, not two.
             assert!(store.corrupt_bucket(10) && store.corrupt_bucket(10));
-            assert_eq!(store.try_take_bucket(10), Err(IntegrityError { node: 10 }));
+            assert_eq!(try_take(&mut store, 10), Err(IntegrityError { node: 10 }));
             assert!(!store.corrupt_bucket(10), "consumed: nothing to corrupt");
-            assert_eq!(store.try_take_bucket(10), Ok(Vec::new()));
+            assert_eq!(try_take(&mut store, 10), Ok(Vec::new()));
+            // An empty bucket's image is corruptible too.
+            store.write_bucket(10, Vec::new());
+            assert!(store.corrupt_bucket(10));
+            assert_eq!(try_take(&mut store, 10), Err(IntegrityError { node: 10 }));
             store.write_bucket(10, vec![Block::new(6, 3, vec![2; 16])]);
-            assert_eq!(store.try_take_bucket(10).unwrap()[0].addr, 6);
-            assert_eq!(store.touched_buckets(), 0);
+            assert_eq!(try_take(&mut store, 10).unwrap()[0].addr, 6);
+            assert_eq!(store.pages.stored, 0);
         }
     }
 
     #[test]
     #[should_panic(expected = "corrupt bucket")]
-    fn infallible_read_panics_on_corrupt_image() {
+    fn infallible_take_panics_on_corrupt_image() {
         let mut store = TreeStore::new(&cfg(CipherMode::Real), [9; 32]);
         store.write_bucket(10, vec![Block::new(3, 5, vec![7; 16])]);
         store.corrupt_bucket(10);
-        store.read_bucket(10);
+        store.take_bucket(10);
     }
 
     #[test]
@@ -607,7 +646,7 @@ mod tests {
         let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
         store.write_bucket(5, vec![Block::new(1, 1, vec![1; 16])]);
         store.write_bucket(5, vec![Block::new(2, 2, vec![2; 16])]);
-        let blocks = store.read_bucket(5);
+        let blocks = store.take_bucket(5);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].addr, 2);
     }
@@ -620,19 +659,11 @@ mod tests {
         c
     }
 
-    fn page_count(store: &TreeStore) -> usize {
-        match &store.slots {
-            Slots::Plain { pages, .. } => pages.pages.len(),
-            Slots::Sealed(pages) => pages.pages.len(),
-        }
-    }
-
     #[test]
-    fn a_stored_slot_is_24_bytes_in_both_modes() {
+    fn a_stored_slot_is_24_bytes() {
         use std::mem::size_of;
-        assert!(size_of::<Option<Vec<Block>>>() <= 24);
-        assert!(size_of::<Option<Vec<u8>>>() <= 24);
-        assert!(size_of::<[Option<Vec<u8>>; PAGE_SLOTS]>() <= 744);
+        assert!(size_of::<Option<Image>>() <= 24);
+        assert!(size_of::<[Option<Image>; PAGE_SLOTS]>() <= 744);
     }
 
     #[test]
@@ -657,24 +688,23 @@ mod tests {
             let mut store = TreeStore::new(&c, [0; 32]);
             store.write_bucket(1, vec![Block::new(1, 0, vec![0; 16])]);
             for node in [0, 1 << (c.levels + 1), u64::MAX] {
-                assert_eq!(store.try_take_bucket(node), Ok(Vec::new()));
-                assert_eq!(store.try_read_bucket(node), Ok(Vec::new()));
+                assert_eq!(try_take(&mut store, node), Ok(Vec::new()));
                 assert_eq!(store.raw_bucket(node), None);
                 assert!(!store.corrupt_bucket(node));
             }
-            assert_eq!(store.touched_buckets(), 1);
+            assert_eq!(store.pages.stored, 1);
         }
     }
 
     #[test]
     fn every_node_has_its_own_slot_and_the_slot_names_it() {
         for levels in 1..=11 {
-            let pages = Pages::<()>::new(levels);
+            let pages = Pages::new(levels);
             let mut seen = HashSet::new();
             for node in 1..1u64 << (levels + 1) {
                 let (root, slot) = pages.locate(node).unwrap();
                 assert!(slot < PAGE_SLOTS, "L={levels} node {node}");
-                assert_eq!(Pages::<()>::node_of(root, slot), node, "L={levels}");
+                assert_eq!(Pages::node_of(root, slot), node, "L={levels}");
                 assert!(seen.insert((root, slot)), "L={levels} node {node}");
             }
         }
@@ -689,20 +719,13 @@ mod tests {
             for node in path_nodes(levels, label) {
                 store.write_bucket(node, Vec::new());
             }
-            assert_eq!(
-                page_count(&store),
-                (levels as usize + 1).div_ceil(5),
-                "L={levels}"
-            );
+            let pages = (levels as usize + 1).div_ceil(5);
+            assert_eq!(store.pages.pages.len(), pages, "L={levels}");
             // The partial subtree is the top one: the leaf's sibling shares
             // the leaf's page at every L.
             store.write_bucket(leaf_node(levels, label) ^ 1, Vec::new());
-            assert_eq!(
-                page_count(&store),
-                (levels as usize + 1).div_ceil(5),
-                "L={levels}"
-            );
-            assert_eq!(store.touched_buckets(), levels as usize + 2);
+            assert_eq!(store.pages.pages.len(), pages, "L={levels}");
+            assert_eq!(store.pages.stored, levels as usize + 2);
         }
     }
 
@@ -714,7 +737,6 @@ mod tests {
             for mode in [CipherMode::Transparent, CipherMode::Real] {
                 let mut store = TreeStore::new(&cfg_with_levels(mode, levels), [0; 32]);
                 assert!(store.take_bucket(1).is_empty(), "L={levels}");
-                assert!(store.read_bucket(1).is_empty());
                 store.write_bucket(1, vec![Block::new(9, 0, vec![0; 16])]);
                 assert_eq!(store.take_bucket(1)[0].addr, 9);
             }
@@ -730,13 +752,6 @@ mod tests {
     }
 
     impl Model {
-        fn read(&self, node: u64) -> Result<Vec<Block>, IntegrityError> {
-            if self.corrupt.contains(&node) {
-                return Err(IntegrityError { node });
-            }
-            Ok(self.buckets.get(&node).cloned().unwrap_or_default())
-        }
-
         fn take(&mut self, node: u64) -> Result<Vec<Block>, IntegrityError> {
             let blocks = self.buckets.remove(&node).unwrap_or_default();
             if self.corrupt.remove(&node) {
@@ -750,12 +765,18 @@ mod tests {
             self.corrupt.remove(&node);
         }
 
-        fn corrupt(&mut self, node: u64) -> bool {
-            let stored = self.buckets.contains_key(&node);
-            if stored {
-                self.corrupt.insert(node);
+        /// Corrupts a stored bucket whose image has a byte to give up
+        /// (`truncate`), or any stored bucket.
+        fn corrupt(&mut self, node: u64, truncate: bool, mode: CipherMode) -> bool {
+            let Some(blocks) = self.buckets.get(&node) else {
+                return false;
+            };
+            let empty_image = mode == CipherMode::Transparent && blocks.is_empty();
+            if truncate && empty_image && !self.corrupt.contains(&node) {
+                return false;
             }
-            stored
+            self.corrupt.insert(node);
+            true
         }
 
         fn sorted(&self) -> Vec<(u64, Vec<Block>)> {
@@ -763,6 +784,18 @@ mod tests {
             all.sort_by_key(|(node, _)| *node);
             all
         }
+    }
+
+    /// The other corruption: drops an intact image's last byte.
+    fn truncate_bucket(store: &mut TreeStore, node: u64) -> bool {
+        let Some(len) = store.pages.get(node).map(Vec::len) else {
+            return false;
+        };
+        if store.slots_of(len).is_some() {
+            let image = store.pages.slot_mut(node).and_then(Option::as_mut);
+            return image.expect("stored").pop().is_some();
+        }
+        true
     }
 
     /// One run of nodes an operation is applied to: a stretch of a path in
@@ -785,13 +818,14 @@ mod tests {
         run
     }
 
-    /// Random `write / take / read / corrupt / raw_bucket` runs against the
-    /// model, `touched_buckets` after every call and `iter_buckets` after
-    /// every fourth run if it leaves no bucket corrupt (it reads infallibly).
+    /// Random `write / take / corrupt (extend or truncate) / raw_bucket`
+    /// runs against the model, empty and full buckets alike, the stored
+    /// count after every call and `iter_buckets` after every
+    /// fourth run if it leaves no bucket corrupt (it decodes infallibly).
     /// Returns how many times the whole store was compared.
     fn check_against_model(levels: u32, mode: CipherMode) -> u32 {
         let c = cfg_with_levels(mode, levels);
-        let image_bytes = c.z * slot_bytes(c.block_bytes);
+        let slot_bytes = 16 + c.block_bytes;
         let mut rng = Xoshiro256::new(0x5B7E_E000 + u64::from(levels));
         let leaves: Vec<u64> = (0..6).map(|_| rng.next_below(1 << levels)).collect();
         let mut store = TreeStore::new(&c, [3; 32]);
@@ -813,27 +847,34 @@ mod tests {
                         store.write_bucket(node, blocks.clone());
                         model.write(node, blocks);
                     }
-                    0..=9 => assert_eq!(store.try_take_bucket(node), model.take(node), "{at}"),
-                    10 | 11 => assert_eq!(store.try_read_bucket(node), model.read(node), "{at}"),
-                    12 => assert_eq!(store.corrupt_bucket(node), model.corrupt(node), "{at}"),
+                    0..=11 => assert_eq!(try_take(&mut store, node), model.take(node), "{at}"),
+                    12 if round % 2 == 0 => assert_eq!(
+                        store.corrupt_bucket(node),
+                        model.corrupt(node, false, mode),
+                        "{at}"
+                    ),
+                    12 => assert_eq!(
+                        truncate_bucket(&mut store, node),
+                        model.corrupt(node, true, mode),
+                        "{at}"
+                    ),
                     _ => match (store.raw_bucket(node), model.buckets.get(&node)) {
                         (None, None) => {}
-                        (Some(raw), Some(blocks)) if mode == CipherMode::Transparent => {
-                            assert_eq!(raw, serialize_bucket(blocks, c.z, 16, 0), "{at}");
-                        }
-                        (Some(raw), Some(_)) => {
+                        (Some(raw), Some(blocks)) => {
                             let whole = !model.corrupt.contains(&node);
-                            assert_eq!(raw.len() == image_bytes, whole, "{at}");
+                            let len = match mode {
+                                CipherMode::Transparent => blocks.len() * slot_bytes,
+                                CipherMode::Real => c.z * slot_bytes,
+                            };
+                            assert_eq!(raw.len() == len, whole, "{at}");
                         }
                         (raw, _) => panic!("{at}: raw_bucket({node}) = {raw:?}"),
                     },
                 }
-                assert_eq!(store.touched_buckets(), model.buckets.len(), "{at}");
+                assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
             }
             if round % 4 == 0 && model.corrupt.is_empty() {
-                let mut stored: Vec<(u64, Vec<Block>)> = store.iter_buckets().collect();
-                stored.sort_by_key(|(node, _)| *node);
-                assert_eq!(stored, model.sorted(), "{at}");
+                assert_eq!(sorted(&store), model.sorted(), "{at}");
                 compared += 1;
             }
         }

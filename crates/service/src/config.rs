@@ -70,7 +70,6 @@ impl ServiceConfig {
     pub fn fast_test(shards: usize) -> Self {
         let mut oram = OramConfig::small_test();
         oram.block_bytes = 64;
-        oram.posmap_fanout = 16;
         oram.data_blocks = 1 << 16;
         oram.onchip_posmap_entries = 1 << 8;
         oram.levels = 15;

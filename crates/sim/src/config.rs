@@ -54,7 +54,6 @@ impl SystemConfig {
     pub fn fast_test() -> Self {
         let mut oram = OramConfig::small_test();
         oram.block_bytes = 64;
-        oram.posmap_fanout = 16;
         oram.data_blocks = 1 << 16;
         oram.onchip_posmap_entries = 1 << 8;
         oram.levels = 15;

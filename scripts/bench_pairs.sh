@@ -4,6 +4,7 @@
 # the working tree.
 #
 #   scripts/bench_pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seed X]
+#   scripts/bench_pairs.sh <parent-rev> --repro <figure> [--pairs N]
 #
 # <parent-rev> is exported with `git archive` into a temporary directory
 # (under $TMPDIR, removed on exit; nothing is registered in .git) and built
@@ -25,12 +26,19 @@
 #               bound, and not every change run beat every parent run
 #   same        none of the above
 #
+# With --repro each side runs the release `repro <figure>` instead (full
+# budget: the paper geometry, L = 24, which no benchmark row has), from a
+# scratch directory so the figures' files land there. Its rows are the
+# wall seconds and the max RSS in MB (python's getrusage(RUSAGE_CHILDREN)),
+# judged with the bounds of `wall_us_per_access` and `peak_rss_mb`; the
+# last column says whether both sides printed the same.
+#
 # Needs bash, git, cargo and python3; no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,6p' "$0" >&2
+    sed -n '2,7p' "$0" >&2
     exit 2
 }
 [ $# -ge 1 ] || usage
@@ -38,6 +46,7 @@ rev=$1
 shift
 pairs=10
 workload=
+figure=
 run_args=()
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
@@ -45,15 +54,17 @@ while [ $# -gt 0 ]; do
         --workload) workload=$2; run_args+=(--workload "$2") ;;
         --pairs) pairs=$2 ;;
         --seconds | --seed) run_args+=("$1" "$2") ;;
+        --repro) figure=$2 ;;
         *) usage ;;
     esac
     shift 2
 done
+[ -z "$figure" ] || [ ${#run_args[@]} -eq 0 ] || usage
 
 commit=$(git rev-parse --verify "$rev^{commit}")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$tmp/parent"
+mkdir "$tmp/parent" "$tmp/cwd"
 git archive "$commit" | tar -x -C "$tmp/parent"
 
 change=$PWD
@@ -62,12 +73,39 @@ mkdir -p "$out"
 # What one run of run.sh leaves behind: the gathered file, or with
 # --workload that workload's own.
 result=benchmark/results/${workload:-latest}${workload:+.trace0}.json
+# The package each side builds, and where the change side's build lands.
+if [ -n "$figure" ]; then
+    package=(-p fp-bench --bin repro) own_target=target
+else
+    package=(--manifest-path benchmark/Cargo.toml) own_target=benchmark/target
+fi
 
-# run_side <parent|change> <pair>: one benchmark/run.sh in that tree.
+# run_side <parent|change> <pair>: one run in that tree.
 run_side() {
-    local tree=$change target=${CARGO_TARGET_DIR:-$change/benchmark/target}
+    local tree=$change target=${CARGO_TARGET_DIR:-$change/$own_target}
     if [ "$1" = parent ]; then
         tree=$tmp/parent target=$tmp/target
+    fi
+    if [ -n "$figure" ]; then
+        (cd "$tmp/cwd" && python3 - "$target/release/repro" "$figure" "$out/pair$2.$1") <<'PY'
+import hashlib, json, resource, subprocess, sys, time
+
+binary, figure, stem = sys.argv[1:]
+start = time.perf_counter()
+with open(stem + ".txt", "wb") as stdout:
+    code = subprocess.run([binary, figure], stdout=stdout).returncode
+wall = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+with open(stem + ".txt", "rb") as stdout:
+    printed = hashlib.sha256(stdout.read()).hexdigest()
+# The benchmark's result shape, so one summary reads both.
+with open(stem + ".json", "w") as f:
+    json.dump({"workload": f"repro {figure}", "correct": code == 0,
+               "exact": printed, "failed": 0, "attempted": 1,
+               "metrics": {"wall_s": {"value": wall},
+                           "max_rss_mb": {"value": rss_mb}}}, f)
+PY
+        return
     fi
     # A failed operation makes run.sh exit non-zero; the summary reports it.
     (cd "$tree" && CARGO_TARGET_DIR=$target bash benchmark/run.sh "${run_args[@]}") \
@@ -77,8 +115,8 @@ run_side() {
 
 echo "building both sides (parent $commit)" >&2
 (cd "$tmp/parent" && CARGO_TARGET_DIR="$tmp/target" \
-    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+    cargo build --release --offline --quiet "${package[@]}")
+cargo build --release --offline --quiet "${package[@]}"
 
 for ((p = 1; p <= pairs; p++)); do
     n=$(printf '%02d' "$p")
@@ -89,12 +127,16 @@ for ((p = 1; p <= pairs; p++)); do
     done
 done
 
-python3 - "$out" "$pairs" <<'PY'
+python3 - "$out" "$pairs" "$figure" <<'PY'
 import json, statistics, sys
 
-out, pairs = sys.argv[1], int(sys.argv[2])
+out, pairs, figure = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 with open("BENCHMARK.json") as f:
     end_to_end = json.load(f)["end_to_end"]
+if figure:
+    spec = {s["name"]: s for s in end_to_end}
+    end_to_end = [dict(spec["wall_us_per_access"], name="wall_s"),
+                  dict(spec["peak_rss_mb"], name="max_rss_mb")]
 
 
 def load(pair, side):

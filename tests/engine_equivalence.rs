@@ -9,12 +9,20 @@
 //! engine API — submitted in randomized chunks, pumped step by step,
 //! drained mid-flight — must produce bit-identical completions,
 //! statistics, and stash high-water marks, with and without a treetop
-//! cache.
+//! cache. And the two cipher modes are one datapath: every engine with a
+//! tree runs the same with it sealed as in the clear.
 
-use fork_path_oram::core::{NewRequest, NoFeedback, OramEngine};
+use fork_path_oram::core::engine::registry;
+use fork_path_oram::core::{
+    ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine, Scheme,
+};
+use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{BaselineController, Op, OramConfig};
+use fork_path_oram::path_oram::{
+    BaselineController, Block, CipherMode, Completion, Op, OramConfig, OramState,
+};
 use fork_path_oram::propcheck::{run_cases, Gen};
+use fork_path_oram::trace::{Counter, TraceEvent};
 
 fn controller(treetop: bool, seed: u64) -> BaselineController {
     let cfg = OramConfig::small_test();
@@ -156,5 +164,107 @@ fn access_sync_matches_incremental_single_steps() {
             a.state().stash().high_water(),
             b.state().stash().high_water()
         );
+    }
+}
+
+/// What one run shows from outside the engine and of its tree.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    completions: Vec<Completion>,
+    counters: [u64; Counter::COUNT],
+    /// The whole event ring: every stash push and evict, in order.
+    events: Vec<TraceEvent>,
+    stash_high_water: usize,
+    clock_ps: u64,
+    /// `(node, real blocks)` of every stored bucket, by node id.
+    tree: Vec<(u64, Vec<Block>)>,
+}
+
+const CIPHER_SEED: u64 = 0xC1F3_E2D0;
+
+/// One seeded workload on `engine`: 240 reads and writes over all 1024
+/// blocks of `small_test` (so every access walks two posmap levels),
+/// arriving every 200 ns on average — faster than an access completes, so
+/// the label queue fills and the Fork Path schemes merge refills.
+fn drive<E: OramEngine>(mut engine: E, state: fn(&E) -> &OramState) -> Observed {
+    engine.set_trace_capacity(1 << 17);
+    let mut rng = Xoshiro256::new(CIPHER_SEED);
+    let mut arrival_ps = 0;
+    for tag in 0..240u64 {
+        arrival_ps += rng.next_below(400_000);
+        let addr = rng.next_below(1024);
+        let (op, data) = if rng.next_below(3) == 0 {
+            (Op::Write, vec![tag as u8; 16])
+        } else {
+            (Op::Read, Vec::new())
+        };
+        let req = NewRequest {
+            addr,
+            op,
+            data,
+            arrival_ps,
+            tag,
+        };
+        engine.submit(req).expect("submit");
+    }
+    let completions = engine.run_to_idle().expect("run_to_idle");
+    assert_eq!(engine.trace().dropped(), 0, "the ring kept every event");
+    let mut tree: Vec<_> = state(&engine).tree().iter_buckets().collect();
+    tree.sort_by_key(|(node, _)| *node);
+    Observed {
+        completions,
+        counters: engine.trace().counters(),
+        events: engine.trace().events(),
+        stash_high_water: engine.stash_high_water(),
+        clock_ps: engine.clock_ps(),
+        tree,
+    }
+}
+
+/// [`drive`] on the engine `scheme` builds, its tree in `mode`.
+fn observe(scheme: &Scheme, mode: CipherMode) -> Observed {
+    let mut oram = OramConfig::small_test();
+    oram.cipher_mode = mode;
+    let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+    let seed = CIPHER_SEED;
+    match scheme {
+        Scheme::Traditional => drive(
+            BaselineController::new(oram, dram, seed),
+            BaselineController::state,
+        ),
+        Scheme::TraditionalTreetop { bytes } => drive(
+            BaselineController::with_treetop(oram, dram, seed, *bytes),
+            BaselineController::state,
+        ),
+        Scheme::ForkDefault => drive(
+            ForkPathController::new(oram, ForkConfig::default(), dram, seed),
+            ForkPathController::state,
+        ),
+        Scheme::Fork(fork) => drive(
+            ForkPathController::new(oram, *fork, dram, seed),
+            ForkPathController::state,
+        ),
+        Scheme::Insecure => unreachable!("the insecure engine has no tree"),
+    }
+}
+
+/// `CipherMode::Real` seals the same slots `Transparent` keeps in the
+/// clear, in the same order: for every registry scheme with a tree, one
+/// workload gives identical completions, counters, stash high water, clock
+/// and tree contents in both modes.
+#[test]
+fn cipher_modes_are_one_datapath() {
+    for (name, scheme) in registry() {
+        if scheme == Scheme::Insecure {
+            continue;
+        }
+        let clear = observe(&scheme, CipherMode::Transparent);
+        assert_eq!(clear.completions.len(), 240, "{name}");
+        assert!(clear.tree.iter().any(|(_, b)| !b.is_empty()), "{name}");
+        if name.starts_with("fork") {
+            let merged = clear.counters[Counter::MergedReads as usize];
+            assert!(merged > 0, "{name}: no merged refill");
+        }
+        assert_eq!(clear, observe(&scheme, CipherMode::Real), "{name}");
     }
 }

@@ -4,9 +4,10 @@
 //! the merging-aware cache (§3.5), the FR-FCFS batch scheduler behind both
 //! its doors, the writeback batches, the stash's eviction stream, the
 //! stalled chain steps a pump scans, the trace counters, the tree store in
-//! both cipher modes and its cipher — must not allocate once warm, or
-//! allocates exactly what it hands back; and the tree store allocates by
-//! touched subtree, never by the size of the tree. A global allocator that
+//! both cipher modes and its cipher, and the datapath's two phases over
+//! them — must not allocate once warm, or allocates exactly what it hands
+//! back; and the tree store allocates by touched subtree, never by the size
+//! of the tree. A global allocator that
 //! counts holds that through every callee, whatever the allocation is
 //! spelled like. The per-call counts are exact, never a tolerance; a new
 //! per-access kernel joins this file (DESIGN.md §12).
@@ -25,7 +26,7 @@ use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
 use fork_path_oram::path_oram::path::{leaf_node, path_nodes};
 use fork_path_oram::path_oram::{
-    Block, CipherMode, NewRequest, Op, OramConfig, Stash, TreeStore, WritebackEngine,
+    Block, CipherMode, Datapath, NewRequest, Op, OramConfig, Stash, TreeStore, WritebackEngine,
 };
 use fork_path_oram::trace::{Counter, EventKind, TraceHandle};
 
@@ -216,9 +217,9 @@ fn per_access_kernels_keep_their_allocation_contract() {
 
     // Eviction stream on a bare stash, near-empty and at the occupancy the
     // wire workloads run at: once the candidate buffer is sized, starting
-    // a refill allocates nothing, and each level taken allocates exactly
-    // the bucket it hands back (which the Plain tree store keeps) — when
-    // it holds a block: an empty bucket owns no memory.
+    // a refill allocates nothing, and neither does taking a level — a
+    // chosen block is handed over by reference and its payload buffer
+    // stays in the stash.
     for resident in [3u64, 64] {
         const REFILLS: u64 = 256;
         let mut stash = Stash::new(oram.stash_capacity);
@@ -233,8 +234,12 @@ fn per_access_kernels_keep_their_allocation_contract() {
             let mut filled = 0;
             let take = allocations(|| {
                 for level in (0..=levels).rev() {
-                    let bucket = black_box(stash.evict_next(level, oram.z));
-                    filled += u64::from(!bucket.is_empty());
+                    let mut chosen = 0;
+                    stash.evict_next(level, oram.z, |block| {
+                        black_box(block);
+                        chosen += 1;
+                    });
+                    filled += u64::from(chosen > 0);
                 }
             });
             if refill > 0 {
@@ -245,10 +250,7 @@ fn per_access_kernels_keep_their_allocation_contract() {
         }
         assert_eq!(begins, 0, "Stash::begin_eviction at {resident} blocks");
         assert!(non_empty > 0 && non_empty < REFILLS * u64::from(levels + 1));
-        assert_eq!(
-            takes, non_empty,
-            "Stash::evict_next at {resident} blocks, one allocation per non-empty bucket"
-        );
+        assert_eq!(takes, 0, "Stash::evict_next at {resident} blocks");
     }
 
     // A pump over parked chain steps. Twelve reads of distinct addresses
@@ -278,9 +280,10 @@ fn per_access_kernels_keep_their_allocation_contract() {
 }
 
 /// The sealed data path (`CipherMode::Real`): the keystream runs in place,
-/// a sealed write allocates the image it stores and nothing else, and a
-/// sealed take allocates what it hands back — the `Vec<Block>` and one
-/// payload per real block, so nothing for an empty bucket.
+/// and the tree store's two doors for whole buckets of blocks cost what
+/// they hand over — a write fills an image a take emptied and allocates
+/// nothing, a take allocates the `Vec<Block>` it returns and
+/// one payload per real block, so nothing for an empty bucket.
 #[test]
 fn sealed_path_keeps_its_allocation_contract() {
     let cipher = BlockCipher::new([7; 32]);
@@ -293,16 +296,17 @@ fn sealed_path_keeps_its_allocation_contract() {
     assert_eq!(n, 0, "BlockCipher::encrypt_in_place over a 320 B image");
 
     // A warm store: every node below was written and taken once, so its
-    // subtree has a page and the directory never grows again.
+    // subtree has a page, the directory never grows again, the open bucket
+    // has its room and the taken images wait for the next writes.
     const NODES: u64 = 64;
     let mut oram = OramConfig::small_test();
     oram.cipher_mode = CipherMode::Real;
     let mut store = TreeStore::new(&oram, [7; 32]);
     for node in 1..=NODES {
-        store.write_bucket(node, Vec::new());
+        store.write_bucket(node, vec![Block::new(node, 0, vec![0; oram.block_bytes])]);
     }
     for node in 1..=NODES {
-        assert!(store.take_bucket(node).is_empty());
+        assert_eq!(store.take_bucket(node).len(), 1);
     }
     for call in 0..CALLS {
         let node = 1 + call % NODES;
@@ -311,15 +315,67 @@ fn sealed_path_keeps_its_allocation_contract() {
             .map(|addr| Block::new(addr, call, vec![0; oram.block_bytes]))
             .collect();
         let n = allocations(|| store.write_bucket(node, blocks));
-        assert_eq!(
-            n, 1,
-            "sealed TreeStore::write_bucket of {k} blocks: the image"
-        );
+        assert_eq!(n, 0, "sealed TreeStore::write_bucket of {k} blocks");
         let mut taken = Vec::new();
         let n = allocations(|| taken = store.take_bucket(node));
         assert_eq!(taken.len() as u64, k);
         let expected = if k == 0 { 0 } else { 1 + k };
         assert_eq!(n, expected, "sealed TreeStore::take_bucket of {k} blocks");
+    }
+}
+
+/// The datapath under both controllers, in both cipher modes: a read
+/// phase decodes each image into the stash and keeps the emptied buffer,
+/// and the refill encodes what the eviction stream picks and stores it in
+/// one of those buffers, so a warm read of a whole path and its full
+/// refill move every block without the allocator.
+#[test]
+fn a_warm_path_read_and_refill_allocate_nothing() {
+    for mode in [CipherMode::Transparent, CipherMode::Real] {
+        let mut oram = OramConfig::small_test();
+        oram.cipher_mode = mode;
+        let levels = oram.levels;
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let mut dp = Datapath::new(oram.clone(), dram, 7, Box::new(NoCache));
+        // Sixteen blocks the path to leaf 0 holds: ten mapped to it fill
+        // the leaf bucket and the one above and half the next, three share
+        // only the root, three the top three levels.
+        for addr in 0..16u64 {
+            let label = match addr {
+                0..=9 => 0,
+                10..=12 => 1 << (levels - 1),
+                _ => 1 << (levels - 3),
+            };
+            dp.state_mut().apply_op(addr, label, None);
+        }
+        // The first refill writes the images, the first read keeps them.
+        let mut now = 0;
+        for cycle in 0..4 {
+            let pushes = dp.trace().counter(Counter::StashPushes);
+            let n = allocations(|| {
+                now = dp.read_path(0, 0, now).unwrap();
+                dp.begin_refill(0);
+                for level in (0..=levels).rev() {
+                    now = dp.refill_level(level, now);
+                }
+            });
+            if cycle > 1 {
+                assert_eq!(n, 0, "{mode:?}: read_path + a full refill, cycle {cycle}");
+                let moved = dp.trace().counter(Counter::StashPushes) - pushes;
+                assert_eq!(moved, 16, "{mode:?}: every block went through the stash");
+            }
+        }
+        let mut sizes: Vec<usize> = dp
+            .state()
+            .tree()
+            .iter_buckets()
+            .map(|(_, blocks)| blocks.len())
+            .filter(|&k| k > 0)
+            .collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, [2, 3, 3, 4, 4], "{mode:?}: full and partial buckets");
+        assert!(dp.state().stash().is_empty());
+        dp.state().check_invariants().unwrap();
     }
 }
 
@@ -377,6 +433,13 @@ fn tree_store_allocates_one_page_per_touched_subtree() {
     }
     let fresh = allocated(|| store.write_bucket(36, Vec::new()));
     assert_eq!(fresh, (1, PAGE_BYTES), "first write into a subtree");
+    // One image of each size, written and taken: the buffers every write
+    // below reuses.
+    for k in 1..=small.z as u64 {
+        let blocks = (0..k).map(|addr| Block::new(addr, 0, vec![0; small.block_bytes]));
+        store.write_bucket(2, blocks.collect());
+        assert_eq!(store.take_bucket(2).len() as u64, k);
+    }
     for call in 0..CALLS {
         let node = [1, 2, 31, 32, 65, 36 << 4][(call % 6) as usize];
         let k = call % (small.z as u64 + 1);
@@ -386,11 +449,12 @@ fn tree_store_allocates_one_page_per_touched_subtree() {
         let n = allocations(|| store.write_bucket(node, blocks));
         assert_eq!(
             n, 0,
-            "plain TreeStore::write_bucket keeps the Vec it is handed"
+            "plain TreeStore::write_bucket copies into a spare image of its size"
         );
         let mut taken = Vec::new();
         let n = allocations(|| taken = store.take_bucket(node));
-        assert_eq!(n, 0, "plain TreeStore::take_bucket hands it back");
+        let expected = if k == 0 { 0 } else { 1 + k };
+        assert_eq!(n, expected, "plain TreeStore::take_bucket of {k} blocks");
         assert_eq!(taken.len() as u64, k);
     }
 }

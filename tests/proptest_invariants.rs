@@ -96,15 +96,16 @@ fn eviction_only_places_legal_blocks() {
         stash.begin_eviction(levels, leaf);
         let mut evicted = 0usize;
         for level in (lo..=hi).rev() {
-            let blocks = stash.evict_next(level, 4);
-            assert!(blocks.len() <= 4, "bucket capacity");
-            for b in &blocks {
+            let mut placed = 0;
+            stash.evict_next(level, 4, |b| {
                 // Path ORAM invariant: the block's path passes through the
                 // bucket it is placed in.
                 let bucket = node_at_level(levels, leaf, level);
                 assert!(path_contains(levels, b.leaf, bucket));
-                evicted += 1;
-            }
+                placed += 1;
+            });
+            assert!(placed <= 4, "bucket capacity");
+            evicted += placed;
         }
         assert_eq!(evicted + stash.len(), before, "no block lost");
     });
@@ -143,7 +144,11 @@ fn eviction_stream_equals_per_level_calls() {
             streamed.begin_eviction(levels, leaf);
             let stream: Vec<Vec<Block>> = (stop..=hi)
                 .rev()
-                .map(|level| streamed.evict_next(level, z))
+                .map(|level| {
+                    let mut bucket = Vec::new();
+                    streamed.evict_next(level, z, |b| bucket.push(b.clone()));
+                    bucket
+                })
                 .collect();
             let per_level: Vec<Vec<Block>> = (stop..=hi)
                 .rev()

@@ -424,7 +424,7 @@ impl ForkPathController {
         // scan here, and by one more after each replacement that fires.
         let mut candidate_ps = self.replacement_candidate_ps(sel_time);
 
-        self.path.begin_refill(leaf);
+        self.path.begin_refill(leaf, stop);
         let mut t = read_end;
         let mut level = levels as i64;
         while level >= stop as i64 {

@@ -7,11 +7,15 @@
 //! dependency.
 //!
 //! There is one implementation of the rounds, [`blocks`], generic over a
-//! lane count `N`: it computes `N` consecutive keystream blocks of one
-//! nonce side by side, each state word an `N`-wide row, so that a build
-//! whose target has 256-bit integer vectors runs one vector instruction
-//! where the scalar form runs eight. [`LANES`] picks the count from the
-//! build's target features; the keystream is the same bytes at every count.
+//! lane count `N`: it computes `N` keystream blocks side by side, each state
+//! word an `N`-wide row, so that a build whose target has 256-bit integer
+//! vectors runs one vector instruction where the scalar form runs eight.
+//! Only the key and the constants are shared; each lane has its own block
+//! counter and nonce, so a pass may hold consecutive blocks of one nonce
+//! ([`StreamCipher::apply_keystream`]) or the blocks of several nonces
+//! packed end to end ([`StreamCipher::keystreams`]). [`LANES`] picks the
+//! count from the build's target features; the keystream is the same bytes
+//! at every count.
 
 use std::fmt;
 
@@ -21,22 +25,25 @@ const DOUBLE_ROUNDS: usize = 10;
 /// The four "expand 32-byte k" constant words.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
-/// Keystream blocks [`StreamCipher::apply_keystream`] computes per pass: a
-/// fact about the build (`.cargo/config.toml` sets `target-cpu`), never a
-/// run-time choice. Eight `u32` lanes fill one AVX2 register; without AVX2
-/// the lane form does not vectorise and one lane is fastest.
+/// Keystream blocks computed per pass: a fact about the build
+/// (`.cargo/config.toml` sets `target-cpu`), never a run-time choice. Eight
+/// `u32` lanes fill one AVX2 register; without AVX2 the lane form does not
+/// vectorise and one lane is fastest.
 const LANES: usize = if cfg!(target_feature = "avx2") { 8 } else { 1 };
 
 /// Bytes in one keystream block.
 const BLOCK_BYTES: usize = 64;
+/// Words in one keystream block.
+const BLOCK_WORDS: usize = BLOCK_BYTES / 4;
 
 /// A keyed ARX stream cipher producing a 64-byte keystream block per
 /// (counter, nonce) pair.
 ///
-/// Blocks of one nonce are independent of each other, so several are
-/// computed at once, one per lane; lanes never mix nonces or keys. How many
-/// is a property of the build (the target's vector width), not of the
-/// cipher value: every build produces the same keystream.
+/// Every block is independent of every other, so several are computed at
+/// once, one per lane, each lane with its own counter and nonce under the
+/// one key. How many is a property of the build (the target's vector
+/// width), not of the cipher value: every build produces the same
+/// keystream.
 #[derive(Clone)]
 pub(crate) struct StreamCipher {
     key_words: [u32; 8],
@@ -76,19 +83,20 @@ fn quarter_round<const N: usize>(x: &mut [[u32; N]; 16], a: usize, b: usize, c: 
     x[b] = xor_rotl(x[b], x[c], 7);
 }
 
-/// The ChaCha20 block function over `N` blocks at once. `init` is the
-/// state of RFC 8439 §2.3 (its counter word is ignored); the result is
-/// word-major — row `w` holds keystream word `w` of every lane — and lane
-/// `l` is block `counter + l`, wrapping as the 32-bit counter does.
+/// The ChaCha20 block function over `N` blocks at once. Rows 0..12 of the
+/// RFC 8439 §2.3 state — the constants and `key` — are the same in every
+/// lane; `tail` is rows 12..16, the block counter and the three nonce
+/// words, lane by lane. The rounds run on the state word-major, row `w`
+/// holding word `w` of every lane; the result is transposed back to
+/// lane-major, `[l]` being lane `l`'s keystream block as 16 words.
 #[inline(always)]
-fn blocks<const N: usize>(init: &[u32; 16], counter: u32) -> [[u32; N]; 16] {
+fn blocks<const N: usize>(key: &[u32; 8], tail: [[u32; N]; 4]) -> [[u32; BLOCK_WORDS]; N] {
+    const { assert!(N.is_power_of_two() && N <= BLOCK_WORDS) };
     let mut first = [[0u32; N]; 16];
-    for (row, &word) in first.iter_mut().zip(init) {
+    for (row, &word) in first.iter_mut().zip(SIGMA.iter().chain(key)) {
         *row = [word; N];
     }
-    for (l, lane_counter) in first[12].iter_mut().enumerate() {
-        *lane_counter = counter.wrapping_add(l as u32);
-    }
+    first[12..].copy_from_slice(&tail);
 
     let mut x = first;
     for _ in 0..DOUBLE_ROUNDS {
@@ -106,7 +114,36 @@ fn blocks<const N: usize>(init: &[u32; 16], counter: u32) -> [[u32; N]; 16] {
     for (row, &first_row) in x.iter_mut().zip(&first) {
         *row = add(*row, first_row);
     }
-    x
+    let mut lanes = [[0u32; BLOCK_WORDS]; N];
+    for w in (0..BLOCK_WORDS).step_by(N) {
+        let words = transpose(std::array::from_fn(|r| x[w + r]));
+        for (lane, words) in lanes.iter_mut().zip(words) {
+            lane[w..w + N].copy_from_slice(&words);
+        }
+    }
+    lanes
+}
+
+/// Transposes an `N` x `N` matrix of words by `log2 N` perfect shuffles:
+/// each step interleaves row `i` with row `i + N / 2`, first halves into
+/// the even rows, second halves into the odd ones. Every index is a
+/// constant once the steps unroll, so the compiler emits vector shuffles,
+/// not `N * N` scalar moves.
+#[inline(always)]
+fn transpose<const N: usize>(mut rows: [[u32; N]; N]) -> [[u32; N]; N] {
+    for _ in 0..N.ilog2() {
+        rows = std::array::from_fn(|i| {
+            let (a, b, half) = (rows[i / 2], rows[i / 2 + N / 2], i % 2 * N / 2);
+            std::array::from_fn(|j| {
+                if j % 2 == 0 {
+                    a[half + j / 2]
+                } else {
+                    b[half + j / 2]
+                }
+            })
+        });
+    }
+    rows
 }
 
 impl StreamCipher {
@@ -119,25 +156,13 @@ impl StreamCipher {
         Self { key_words }
     }
 
-    /// The RFC 8439 state for `nonce` with the counter word left at zero
-    /// ([`blocks`] sets it per lane).
-    fn initial_state(&self, nonce: [u8; 12]) -> [u32; 16] {
-        let mut state = [0u32; 16];
-        state[..4].copy_from_slice(&SIGMA);
-        state[4..12].copy_from_slice(&self.key_words);
-        for (i, chunk) in nonce.chunks_exact(4).enumerate() {
-            state[13 + i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        state
-    }
-
     /// Produces the 64-byte keystream block for `(counter, nonce)`: the
     /// one-block reference the RFC vectors and the lane tests check.
     #[cfg(test)]
     pub(crate) fn keystream_block(&self, counter: u32, nonce: [u8; 12]) -> [u8; 64] {
-        let words = blocks::<1>(&self.initial_state(nonce), counter);
+        let [words] = blocks::<1>(&self.key_words, shared_tail(counter, nonce_words(nonce)));
         let mut out = [0u8; BLOCK_BYTES];
-        for (bytes, [word]) in out.chunks_exact_mut(4).zip(words) {
+        for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
             bytes.copy_from_slice(&word.to_le_bytes());
         }
         out
@@ -148,29 +173,77 @@ impl StreamCipher {
         self.xor_keystream::<LANES>(counter, nonce, data);
     }
 
-    /// [`StreamCipher::apply_keystream`] at lane count `N`: the state is
-    /// built once, the data walked in groups of `N` blocks and XORed as
-    /// whole little-endian words; only a last partial block has a byte tail.
+    /// [`StreamCipher::apply_keystream`] at lane count `N`: the lanes of a
+    /// pass share the nonce and take consecutive counters; the data is
+    /// walked in groups of `N` blocks and XORed as whole little-endian
+    /// words, and only a last partial block has a byte tail.
     fn xor_keystream<const N: usize>(&self, mut counter: u32, nonce: [u8; 12], data: &mut [u8]) {
-        let init = self.initial_state(nonce);
+        let nonce = nonce_words(nonce);
         for group in data.chunks_mut(BLOCK_BYTES * N) {
-            let keystream = blocks::<N>(&init, counter);
+            let keystream = blocks::<N>(&self.key_words, shared_tail(counter, nonce));
             counter = counter.wrapping_add(N as u32);
-            for (l, block) in group.chunks_mut(BLOCK_BYTES).enumerate() {
-                let whole_words = block.len() / 4;
-                let (words, tail) = block.split_at_mut(whole_words * 4);
-                for (row, word) in keystream.iter().zip(words.chunks_exact_mut(4)) {
-                    let bytes: &mut [u8; 4] = word.try_into().expect("chunks_exact_mut(4)");
-                    *bytes = (u32::from_le_bytes(*bytes) ^ row[l]).to_le_bytes();
+            for (block, data) in keystream.iter().zip(group.chunks_mut(BLOCK_BYTES)) {
+                let (words, tail) = data.as_chunks_mut::<4>();
+                for (word, k) in words.iter_mut().zip(block) {
+                    *word = (u32::from_le_bytes(*word) ^ k).to_le_bytes();
                 }
-                if let Some(row) = keystream.get(whole_words) {
-                    for (byte, k) in tail.iter_mut().zip(row[l].to_le_bytes()) {
+                if let Some(k) = block.get(words.len()) {
+                    for (byte, k) in tail.iter_mut().zip(k.to_le_bytes()) {
                         *byte ^= k;
                     }
                 }
             }
         }
     }
+
+    /// Appends to `out` the first `words` keystream words of each nonce in
+    /// turn, from block counter 0, at lane count `N`. The blocks of all the
+    /// nonces are one sequence dealt to the lanes in order, so a pass
+    /// straddles nonces and only the last one has idle lanes.
+    fn keystreams<const N: usize>(&self, nonces: &[Nonce], words: usize, out: &mut Vec<u32>) {
+        let per_nonce = words.div_ceil(BLOCK_WORDS);
+        let total = nonces.len() * per_nonce;
+        out.reserve(nonces.len() * words);
+        // The next block to deal: block `block` of `nonces[nonce]`.
+        let (mut nonce, mut block) = (0, 0);
+        for dealt in (0..total).step_by(N) {
+            let lanes = (total - dealt).min(N);
+            let mut tail = [[0u32; N]; 4];
+            let mut kept = [0usize; N];
+            for l in 0..lanes {
+                let [n0, n1, n2] = nonce_words(nonces[nonce].to_bytes());
+                for (row, word) in tail.iter_mut().zip([block as u32, n0, n1, n2]) {
+                    row[l] = word;
+                }
+                kept[l] = (words - block * BLOCK_WORDS).min(BLOCK_WORDS);
+                block += 1;
+                if block == per_nonce {
+                    (nonce, block) = (nonce + 1, 0);
+                }
+            }
+            let keystream = blocks::<N>(&self.key_words, tail);
+            for (block, &kept) in keystream[..lanes].iter().zip(&kept) {
+                out.extend_from_slice(&block[..kept]);
+            }
+        }
+    }
+}
+
+/// Rows 12..16 of `N` lanes that share `nonce` and take the consecutive
+/// counters from `counter`, wrapping as the 32-bit counter does.
+#[inline(always)]
+fn shared_tail<const N: usize>(counter: u32, nonce: [u32; 3]) -> [[u32; N]; 4] {
+    [
+        std::array::from_fn(|l| counter.wrapping_add(l as u32)),
+        [nonce[0]; N],
+        [nonce[1]; N],
+        [nonce[2]; N],
+    ]
+}
+
+/// The state words 13..16 of a 12-byte RFC 8439 nonce.
+fn nonce_words(nonce: [u8; 12]) -> [u32; 3] {
+    std::array::from_fn(|i| u32::from_le_bytes(std::array::from_fn(|b| nonce[4 * i + b])))
 }
 
 /// A per-write encryption nonce.
@@ -239,20 +312,39 @@ impl BlockCipher {
 
     /// Decrypts `ciphertext` produced under `nonce`.
     pub fn decrypt(&self, nonce: Nonce, ciphertext: &[u8]) -> Vec<u8> {
-        let mut data = ciphertext.to_vec();
-        self.decrypt_in_place(nonce, &mut data);
-        data
+        // Counter mode is an involution: decryption is re-encryption.
+        self.encrypt(nonce, ciphertext)
     }
 
-    /// Encrypts in place, avoiding an allocation on the hot path.
+    /// Encrypts — or, the same XOR, decrypts — in place, without an
+    /// allocation.
     pub fn encrypt_in_place(&self, nonce: Nonce, data: &mut [u8]) {
         self.inner.apply_keystream(0, nonce.to_bytes(), data);
     }
 
-    /// Decrypts in place.
-    pub fn decrypt_in_place(&self, nonce: Nonce, data: &mut [u8]) {
-        // Counter mode is an involution: decryption is re-encryption.
-        self.encrypt_in_place(nonce, data);
+    /// Replaces `out`'s contents with the keystream of each of `nonces` in
+    /// turn, `bytes` bytes each, as little-endian words: nonce `i`'s are
+    /// `out[i * w..][..w]` with `w = bytes.div_ceil(4)`, and XORing a
+    /// buffer of `bytes` bytes with them is [`BlockCipher::encrypt_in_place`]
+    /// under that nonce. The keystream blocks of all the nonces share the
+    /// passes of the lane kernel — at 320 B and eight lanes, eleven nonces
+    /// take 7 passes where eleven calls of `encrypt_in_place` take 11 — and
+    /// `out` keeps its capacity from call to call.
+    ///
+    /// ```
+    /// use fp_crypto::{BlockCipher, Nonce};
+    /// let cipher = BlockCipher::new([1u8; 32]);
+    /// let nonces = [Nonce::new(1, 2), Nonce::new(3, 4)];
+    /// let mut keystream = Vec::new();
+    /// cipher.keystreams(&nonces, 8, &mut keystream);
+    /// let mut data = [0u8; 8];
+    /// cipher.encrypt_in_place(nonces[1], &mut data);
+    /// assert_eq!(data[..4], keystream[2].to_le_bytes());
+    /// ```
+    pub fn keystreams(&self, nonces: &[Nonce], bytes: usize, out: &mut Vec<u32>) {
+        out.clear();
+        self.inner
+            .keystreams::<LANES>(nonces, bytes.div_ceil(4), out);
     }
 }
 
@@ -314,29 +406,92 @@ mod tests {
     /// Start counters for the lane tests; the last wraps inside a lane group.
     const START_COUNTERS: [u32; 3] = [0, 7, u32::MAX - 2];
 
-    fn assert_lanes_match_single_blocks<const N: usize>(init: &[u32; 16], counter: u32) {
-        let lanes = blocks::<N>(init, counter);
-        for l in 0..N {
-            let single = blocks::<1>(init, counter.wrapping_add(l as u32));
-            for w in 0..16 {
+    /// Lane `l` of one `N`-lane pass over `lanes[l]` = `(counter, nonce)`,
+    /// against the one-block reference.
+    fn assert_lanes_match_single_blocks<const N: usize>(
+        cipher: &StreamCipher,
+        lanes: [(u32, [u8; 12]); N],
+        what: &str,
+    ) {
+        let mut tail = [[0u32; N]; 4];
+        for (l, &(counter, nonce)) in lanes.iter().enumerate() {
+            let [n0, n1, n2] = nonce_words(nonce);
+            for (row, word) in tail.iter_mut().zip([counter, n0, n1, n2]) {
+                row[l] = word;
+            }
+        }
+        let keystream = blocks::<N>(&cipher.key_words, tail);
+        for (l, &(counter, nonce)) in lanes.iter().enumerate() {
+            let single = cipher.keystream_block(counter, nonce);
+            for (w, bytes) in single.chunks_exact(4).enumerate() {
                 assert_eq!(
-                    lanes[w][l], single[w][0],
-                    "N={N} counter={counter} lane {l} word {w}"
+                    keystream[l][w].to_le_bytes(),
+                    bytes,
+                    "{what} N={N} lane {l} word {w}"
                 );
             }
         }
+    }
+
+    /// Both lane shapes at lane count `N`: consecutive counters of one
+    /// nonce from each start counter, and a different nonce and counter in
+    /// every lane, one of them the last counter before the wrap.
+    fn assert_lane_count<const N: usize>(cipher: &StreamCipher) {
+        for counter in START_COUNTERS {
+            let lanes = std::array::from_fn(|l| (counter.wrapping_add(l as u32), [9; 12]));
+            assert_lanes_match_single_blocks::<N>(cipher, lanes, "one nonce");
+        }
+        let mixed = std::array::from_fn(|l| {
+            let counter = [u32::MAX, 0, 4, 1, 7, 2, 3, 5][l % 8];
+            (counter, std::array::from_fn(|b| (l * 12 + b) as u8))
+        });
+        assert_lanes_match_single_blocks::<N>(cipher, mixed, "mixed nonces");
     }
 
     #[test]
     fn every_lane_count_computes_the_same_blocks() {
         // Explicit instantiations: an AVX2 build still tests the scalar
         // kernel and a portable build the eight-lane one.
-        let init = StreamCipher::new(rfc_key()).initial_state([9; 12]);
-        for counter in START_COUNTERS {
-            assert_lanes_match_single_blocks::<1>(&init, counter);
-            assert_lanes_match_single_blocks::<2>(&init, counter);
-            assert_lanes_match_single_blocks::<4>(&init, counter);
-            assert_lanes_match_single_blocks::<8>(&init, counter);
+        let cipher = StreamCipher::new(rfc_key());
+        assert_lane_count::<1>(&cipher);
+        assert_lane_count::<2>(&cipher);
+        assert_lane_count::<4>(&cipher);
+        assert_lane_count::<8>(&cipher);
+    }
+
+    #[test]
+    fn packed_keystreams_match_one_nonce_at_a_time() {
+        // Nonce counts that fill, straddle and underfill the passes; byte
+        // counts of whole blocks (320 B: a sealed bucket), of a partial
+        // block and of a partial word.
+        let cipher = BlockCipher::new(rfc_key());
+        let nonces: Vec<Nonce> = (0..12u64)
+            .map(|i| Nonce::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i as u32 * 3))
+            .collect();
+        let mut out = Vec::new();
+        for bytes in [0usize, 3, 64, 128, 200, 320, 322] {
+            for count in [0, 1, 2, 5, 8, 11, 12] {
+                let nonces = &nonces[..count];
+                let words = bytes.div_ceil(4);
+                let mut expected = Vec::new();
+                for &nonce in nonces {
+                    let mut stream = vec![0u8; words * 4];
+                    cipher.encrypt_in_place(nonce, &mut stream);
+                    let stream = stream.chunks_exact(4);
+                    expected.extend(stream.map(|w| u32::from_le_bytes(w.try_into().unwrap())));
+                }
+                let inner = &cipher.inner;
+                let mut run = |fill: &dyn Fn(&mut Vec<u32>), what: &str| {
+                    out.clear();
+                    fill(&mut out);
+                    assert_eq!(out, expected, "{what} bytes={bytes} count={count}");
+                };
+                run(&|o| cipher.keystreams(nonces, bytes, o), "LANES");
+                run(&|o| inner.keystreams::<1>(nonces, words, o), "N=1");
+                run(&|o| inner.keystreams::<2>(nonces, words, o), "N=2");
+                run(&|o| inner.keystreams::<4>(nonces, words, o), "N=4");
+                run(&|o| inner.keystreams::<8>(nonces, words, o), "N=8");
+            }
         }
     }
 

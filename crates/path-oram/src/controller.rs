@@ -358,7 +358,7 @@ impl BaselineController {
     /// Refills the full path, leaf to root, and advances the clock past the
     /// write phase.
     fn refill_full_path(&mut self, leaf: u64, read_end: u64) {
-        self.path.begin_refill(leaf);
+        self.path.begin_refill(leaf, 0);
         let mut t = read_end;
         for level in (0..=self.path.state().config().levels).rev() {
             t = self.path.refill_level(level, t);

@@ -45,7 +45,7 @@ pub const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 /// let leaf = dp.state_mut().random_label();
 /// // Read the whole path, then refill it leaf to root.
 /// let mut t = dp.read_path(leaf, 0, 0).unwrap();
-/// dp.begin_refill(leaf);
+/// dp.begin_refill(leaf, 0);
 /// for level in (0..=levels).rev() {
 ///     t = dp.refill_level(level, t);
 /// }
@@ -106,9 +106,11 @@ impl Datapath {
     /// Draining decodes a bucket's image into the stash, slot by slot, and
     /// leaves the stale tree copy empty (the refill rewrites it), which
     /// keeps the "block is in the stash XOR on its path" invariant
-    /// checkable without re-encrypting an empty bucket. The emptied image
-    /// and the payload buffers are recycled: the phase allocates nothing
-    /// once warm.
+    /// checkable without re-encrypting an empty bucket. The tree store gets
+    /// the whole path at once, so sealed images are unsealed from one
+    /// keystream computation for all of them
+    /// ([`crate::TreeStore`]'s `take_path_with`). The emptied image and the
+    /// payload buffers are recycled: the phase allocates nothing once warm.
     ///
     /// # Errors
     ///
@@ -127,29 +129,35 @@ impl Datapath {
             labels.push(leaf);
         }
         self.nodes.clear();
+        let path = (floor..=levels).map(|level| node_at_level(levels, leaf, level));
+        self.nodes.extend(path);
         let OramState { tree, stash, .. } = &mut self.state;
-        for level in floor..=levels {
-            let node = node_at_level(levels, leaf, level);
-            tree.take_with(node, |addr, leaf, data| {
-                stash.insert_with(addr, leaf, |payload| payload.extend_from_slice(data));
-            })?;
-            self.nodes.push(node);
-        }
+        tree.take_path_with(&self.nodes, |addr, leaf, data| {
+            stash.insert_with(addr, leaf, |payload| payload.extend_from_slice(data));
+        })?;
         let batch_end = self
             .writeback
             .read_path(&mut self.dram, &self.nodes, start_ps);
         Ok(batch_end + CTRL_PHASE_LATENCY_PS)
     }
 
-    /// Starts the refill of the path to `leaf`: the stash collects and
-    /// orders its eviction candidates once ([`crate::Stash::begin_eviction`]).
+    /// Starts the refill of the path to `leaf`, planned to stop at level
+    /// `stop` (0 commits the whole path): the stash collects and orders its
+    /// eviction candidates once ([`crate::Stash::begin_eviction`]), and a
+    /// sealed tree computes the keystreams of the planned writes, levels
+    /// `L` down to `stop`, in one call. The plan binds nothing — a refill
+    /// may end above `stop` or go on below it, each extra bucket then
+    /// computing its own keystream — and no byte written depends on it.
     /// Call after the access's block handling and before the first
     /// [`Datapath::refill_level`].
-    pub fn begin_refill(&mut self, leaf: u64) {
+    pub fn begin_refill(&mut self, leaf: u64, stop: u32) {
+        let levels = self.state.config().levels;
+        debug_assert!(stop <= levels);
         self.refill_leaf = leaf;
-        self.state
-            .stash
-            .begin_eviction(self.state.config().levels, leaf);
+        self.state.stash.begin_eviction(levels, leaf);
+        let planned = (stop..=levels).rev();
+        let nodes = planned.map(|level| node_at_level(levels, leaf, level));
+        self.state.tree.prepare_writes(nodes);
     }
 
     /// Refill phase, one bucket: greedily evicts stash blocks into the
@@ -230,7 +238,7 @@ mod tests {
     /// written node ids in commit order.
     fn refill(dp: &mut Datapath, leaf: u64, stop: u32) -> Vec<u64> {
         let levels = dp.state().config().levels;
-        dp.begin_refill(leaf);
+        dp.begin_refill(leaf, stop);
         (stop..=levels)
             .rev()
             .map(|level| {
@@ -255,7 +263,7 @@ mod tests {
         assert_eq!(dp.label_trace(), Some(&[5u64][..]));
         assert_eq!(dp.trace().counter(Counter::CacheMisses), path_len);
 
-        dp.begin_refill(5);
+        dp.begin_refill(5, 0);
         let mut t = read_end;
         for level in (0..=levels).rev() {
             let commit = dp.refill_level(level, t);
@@ -279,7 +287,7 @@ mod tests {
         let cfg = OramConfig::small_test();
         let cache = TreetopCache::with_capacity_bytes(16 << 10, cfg.bucket_bytes());
         let mut dp = Datapath::new(cfg, dram, 99, Box::new(cache));
-        dp.begin_refill(0);
+        dp.begin_refill(0, 0);
         assert_eq!(dp.refill_level(0, 500), 500, "the root commits on chip");
         assert_eq!(dp.trace().counter(Counter::DramBlocksWritten), 0);
     }
@@ -404,5 +412,67 @@ mod tests {
             reads_before,
             "a failed read phase issues no DRAM batch"
         );
+    }
+
+    /// What a sealed read phase leaves behind when the bucket at level `j`
+    /// of its path is corrupt: the levels from the floor down to `j` went
+    /// to the stash, `j` was consumed by its failed take, and everything
+    /// below is still in the tree and decodes on its next take.
+    #[test]
+    fn a_sealed_read_stops_at_the_corrupt_bucket() {
+        let mut cfg = OramConfig::small_test();
+        cfg.cipher_mode = crate::config::CipherMode::Real;
+        let levels = cfg.levels;
+        let floor = 2;
+        for j in [floor, 4, levels - 1, levels] {
+            let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+            let mut dp = Datapath::new(cfg.clone(), dram, 99, Box::new(NoCache));
+            // Blocks on every level of the path to leaf 0: sixteen mapped
+            // to it fill the bottom four buckets, four more share only the
+            // top levels.
+            for addr in 0..20u64 {
+                let label = if addr < 16 {
+                    0
+                } else {
+                    1 << (levels - 1 - (addr % 4) as u32)
+                };
+                dp.state_mut().apply_op(addr, label, None);
+            }
+            read(&mut dp, 0);
+            refill(&mut dp, 0, 0);
+            let path: Vec<u64> = (0..=levels).map(|l| node_at_level(levels, 0, l)).collect();
+            let before: Vec<Vec<u64>> = path
+                .iter()
+                .map(|&node| {
+                    let mut tree = dp.state().tree().iter_buckets();
+                    let blocks = tree.find(|(n, _)| *n == node).map(|(_, b)| b);
+                    blocks.unwrap().iter().map(|b| b.addr).collect()
+                })
+                .collect();
+            assert!(before[levels as usize].len() == cfg.z, "j={j}: a full leaf");
+
+            let victim = path[j as usize];
+            assert!(dp.state_mut().tree.corrupt_bucket(victim));
+            assert_eq!(
+                dp.read_path(0, floor, 0),
+                Err(IntegrityError { node: victim })
+            );
+            let state = dp.state_mut();
+            for (level, (&node, addrs)) in path.iter().zip(&before).enumerate() {
+                let level = level as u32;
+                let stored = state.tree.image(node).is_some();
+                let stashed = addrs.iter().all(|&a| state.stash().contains(a));
+                if (floor..j).contains(&level) {
+                    assert!(!stored && stashed, "j={j}: level {level} went to the stash");
+                } else if level == j {
+                    assert!(!stored, "j={j}: the corrupt bucket was consumed");
+                } else {
+                    assert!(stored, "j={j}: level {level} was not taken");
+                    let blocks = state.tree.take_bucket(node);
+                    let taken: Vec<u64> = blocks.iter().map(|b| b.addr).collect();
+                    assert_eq!(&taken, addrs, "j={j}: level {level} decodes");
+                }
+            }
+        }
     }
 }

@@ -35,6 +35,15 @@
 //! keeps the emptied buffer, by the slots it holds; a write encodes into
 //! one open bucket and copies that into a kept buffer of its size: neither
 //! phase of an access allocates once warm.
+//!
+//! **A path's keystreams in one call.** Sealed, both phases work a path at
+//! a time: a read computes the keystreams of all the images it is about to
+//! take, a refill those of the writes it plans, in one
+//! [`BlockCipher::keystreams`] call that packs their blocks into shared
+//! lane passes. A write or take that finds no prepared keystream of its
+//! own `(counter, node)` — one past the planned stop, or through a
+//! one-bucket door — computes its own; either way the bytes are those of
+//! a pass per bucket.
 
 use fp_crypto::{BlockCipher, Nonce};
 
@@ -183,6 +192,140 @@ impl Pages {
     }
 }
 
+/// The shape of the images a store writes: up to Z slots of
+/// [`Format::slot_bytes`], then the write counter when `sealed`.
+#[derive(Debug, Clone, Copy)]
+struct Format {
+    z: usize,
+    block_bytes: usize,
+    sealed: bool,
+}
+
+impl Format {
+    /// Address, leaf, payload. At Z = 4 and 64 B blocks a sealed image's
+    /// slots are 320 B, five keystream blocks exactly.
+    fn slot_bytes(self) -> usize {
+        8 + 8 + self.block_bytes
+    }
+
+    /// Bytes after the slots: the write counter when sealed.
+    fn trailer(self) -> usize {
+        if self.sealed {
+            COUNTER_BYTES
+        } else {
+            0
+        }
+    }
+
+    /// The slots an image of `bytes` bytes holds, if this store writes
+    /// images of that size: exactly Z sealed, up to Z whole ones in the
+    /// clear. Found by comparison, not division: both phases ask once per
+    /// bucket.
+    fn slots_of(self, bytes: usize) -> Option<usize> {
+        let fewest = if self.sealed { self.z } else { 0 };
+        (fewest..=self.z).find(|&k| k * self.slot_bytes() + self.trailer() == bytes)
+    }
+
+    /// The one decoder: unseals `image` in place through `sealer` (`Real`)
+    /// and hands `each` the `(addr, leaf, payload)` of every real slot, in
+    /// slot order. An image of a length this store never writes (memory
+    /// tampering or an injected fault) is an [`IntegrityError`], and none
+    /// of it is handed out.
+    fn decode(
+        self,
+        sealer: Option<&mut Sealer>,
+        image: &mut [u8],
+        node: u64,
+        mut each: impl FnMut(u64, u64, &[u8]),
+    ) -> Result<(), IntegrityError> {
+        if self.slots_of(image.len()).is_none() {
+            return Err(IntegrityError { node });
+        }
+        let slots = match sealer {
+            None => image,
+            Some(sealer) => {
+                let nonce = Nonce::new(counter_of(image), node as u32);
+                let slots = &mut image[..sealer.bytes];
+                sealer.apply(nonce, slots);
+                slots
+            }
+        };
+        for slot in slots.chunks(self.slot_bytes()) {
+            let addr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
+            if addr != DUMMY_ADDR {
+                let leaf = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
+                each(addr, leaf, &slot[16..]);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The write counter a sealed image ends with.
+fn counter_of(image: &[u8]) -> u64 {
+    let trailer = &image[image.len() - COUNTER_BYTES..];
+    u64::from_le_bytes(trailer.try_into().expect("8 bytes"))
+}
+
+/// [`CipherMode::Real`]'s cipher and the keystreams it computed ahead:
+/// `keystream` holds one per entry of `nonces`, in order, and `next` is
+/// the first entry not used yet. One [`BlockCipher::keystreams`] call fills
+/// it, so the keystream blocks of several buckets share the lane kernel's
+/// passes.
+#[derive(Debug)]
+struct Sealer {
+    cipher: BlockCipher,
+    /// Bytes one keystream covers: an image's Z slots.
+    bytes: usize,
+    nonces: Vec<Nonce>,
+    keystream: Vec<u32>,
+    next: usize,
+}
+
+impl Sealer {
+    fn new(cipher: BlockCipher, bytes: usize) -> Self {
+        Self {
+            cipher,
+            bytes,
+            nonces: Vec::new(),
+            keystream: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Computes the keystreams of `nonces` in one call, in place of what
+    /// was prepared before.
+    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) {
+        self.nonces.clear();
+        self.nonces.extend(nonces);
+        self.cipher
+            .keystreams(&self.nonces, self.bytes, &mut self.keystream);
+        self.next = 0;
+    }
+
+    /// Seals or unseals `slots` — one step, counter mode being an
+    /// involution — under `nonce`: XORs them with the next prepared
+    /// keystream when it is `nonce`'s, else with one prepared for `nonce`
+    /// alone. Either way the bytes are [`BlockCipher::encrypt_in_place`]'s.
+    fn apply(&mut self, nonce: Nonce, slots: &mut [u8]) {
+        if self.nonces.get(self.next) != Some(&nonce) {
+            self.prepare([nonce]);
+        }
+        let words = self.bytes.div_ceil(4);
+        let keystream = &self.keystream[self.next * words..][..words];
+        self.next += 1;
+        let (whole, tail) = slots.as_chunks_mut::<4>();
+        for (word, k) in whole.iter_mut().zip(keystream) {
+            *word = (u32::from_le_bytes(*word) ^ k).to_le_bytes();
+        }
+        if let Some(k) = keystream.get(whole.len()) {
+            for (byte, k) in tail.iter_mut().zip(k.to_le_bytes()) {
+                *byte ^= k;
+            }
+        }
+    }
+}
+
 /// The ORAM tree in untrusted memory.
 ///
 /// Buckets are addressed by heap node id (root = 1). Taking an untouched
@@ -192,10 +335,9 @@ impl Pages {
 #[derive(Debug)]
 pub struct TreeStore {
     pages: Pages,
+    format: Format,
     /// [`CipherMode::Real`]'s cipher; `None` is `Transparent`, the identity.
-    cipher: Option<BlockCipher>,
-    z: usize,
-    block_bytes: usize,
+    sealer: Option<Sealer>,
     write_counter: u64,
     /// The slots pushed since the last [`TreeStore::store`]: the bucket
     /// being encoded, with room for Z slots once used.
@@ -210,75 +352,26 @@ impl TreeStore {
     /// Creates an empty (all-dummy) tree for `cfg`, keyed by `key`. Nothing
     /// is allocated: pages, directory and images grow by use.
     pub fn new(cfg: &OramConfig, key: [u8; 32]) -> Self {
-        Self {
-            pages: Pages::new(cfg.levels),
-            cipher: (cfg.cipher_mode == CipherMode::Real).then(|| BlockCipher::new(key)),
+        let format = Format {
             z: cfg.z,
             block_bytes: cfg.block_bytes,
+            sealed: cfg.cipher_mode == CipherMode::Real,
+        };
+        let slots = format.z * format.slot_bytes();
+        Self {
+            pages: Pages::new(cfg.levels),
+            format,
+            sealer: format
+                .sealed
+                .then(|| Sealer::new(BlockCipher::new(key), slots)),
             write_counter: 0,
             open: Vec::new(),
             spare: Vec::new(),
         }
     }
 
-    /// Address, leaf, payload. At Z = 4 and 64 B blocks a sealed image's
-    /// slots are 320 B, five keystream blocks exactly.
-    fn slot_bytes(&self) -> usize {
-        8 + 8 + self.block_bytes
-    }
-
-    /// Bytes after the slots: the write counter when sealed.
-    fn trailer(&self) -> usize {
-        match self.cipher {
-            Some(_) => COUNTER_BYTES,
-            None => 0,
-        }
-    }
-
-    /// The slots an image of `bytes` bytes holds, if this store writes
-    /// images of that size: exactly Z sealed, up to Z whole ones in the
-    /// clear. Found by comparison, not division: both phases ask once per
-    /// bucket.
-    fn slots_of(&self, bytes: usize) -> Option<usize> {
-        let fewest = if self.cipher.is_some() { self.z } else { 0 };
-        (fewest..=self.z).find(|&k| k * self.slot_bytes() + self.trailer() == bytes)
-    }
-
-    /// The one decoder: unseals `image` in place (`Real`) and hands `each`
-    /// the `(addr, leaf, payload)` of every real slot, in slot order. An
-    /// image of a length this store never writes (memory tampering or an
-    /// injected fault) is an [`IntegrityError`], and none of it is handed
-    /// out.
-    fn decode(
-        &self,
-        image: &mut [u8],
-        node: u64,
-        mut each: impl FnMut(u64, u64, &[u8]),
-    ) -> Result<(), IntegrityError> {
-        if self.slots_of(image.len()).is_none() {
-            return Err(IntegrityError { node });
-        }
-        let slots = match &self.cipher {
-            None => image,
-            Some(cipher) => {
-                let (slots, counter) = image.split_at_mut(image.len() - COUNTER_BYTES);
-                let counter = u64::from_le_bytes(counter.try_into().expect("8 bytes"));
-                cipher.decrypt_in_place(Nonce::new(counter, node as u32), slots);
-                slots
-            }
-        };
-        for slot in slots.chunks(self.slot_bytes()) {
-            let addr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
-            if addr != DUMMY_ADDR {
-                let leaf = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
-                each(addr, leaf, &slot[16..]);
-            }
-        }
-        Ok(())
-    }
-
     /// Read phase, one bucket: removes bucket `node` from the store and
-    /// hands `each` its real blocks ([`TreeStore::decode`]). The stale tree
+    /// hands `each` its real blocks ([`Format::decode`]). The stale tree
     /// copy is dead the moment its blocks enter the stash, and the refill
     /// overwrites it; its buffer is kept for that write. A corrupt image is
     /// consumed all the same (its bytes are unusable either way). An
@@ -292,15 +385,57 @@ impl TreeStore {
         let Some(mut image) = self.pages.take(node) else {
             return Ok(());
         };
-        let decoded = self.decode(&mut image, node, each);
+        let decoded = self
+            .format
+            .decode(self.sealer.as_mut(), &mut image, node, each);
         self.recycle(image);
         decoded
+    }
+
+    /// Read phase, a whole path: [`TreeStore::take_with`] on each of
+    /// `nodes` in order, stopping at the first corrupt image, whose error
+    /// it returns — the buckets before it are taken, it is consumed, the
+    /// ones after it are left stored. Sealed, the keystreams of the stored
+    /// images up to that one (the first whose length is wrong) are computed
+    /// first, in one call, from the counters in their trailers; each take
+    /// then unseals from that buffer.
+    pub(crate) fn take_path_with(
+        &mut self,
+        nodes: &[u64],
+        mut each: impl FnMut(u64, u64, &[u8]),
+    ) -> Result<(), IntegrityError> {
+        if let Some(sealer) = &mut self.sealer {
+            let (pages, whole) = (&mut self.pages, sealer.bytes + COUNTER_BYTES);
+            let stored = nodes.iter().filter_map(|&node| {
+                let image = pages.slot_mut(node)?.as_ref()?;
+                Some((image.len() == whole).then(|| Nonce::new(counter_of(image), node as u32)))
+            });
+            sealer.prepare(stored.map_while(|nonce| nonce));
+        }
+        for &node in nodes {
+            self.take_with(node, &mut each)?;
+        }
+        Ok(())
+    }
+
+    /// Refill, before its first write: computes in one call the keystreams
+    /// the next writes take if they store `nodes`, in this order (write
+    /// counters `write_counter + 1 ..`). A write that goes elsewhere, or
+    /// past the end of `nodes`, computes its own; the next call of either
+    /// phase drops what is left. Keystreams depend on the node and the
+    /// counter only, so the sealed bytes are the same either way.
+    pub(crate) fn prepare_writes(&mut self, nodes: impl Iterator<Item = u64>) {
+        if let Some(sealer) = &mut self.sealer {
+            let counters = self.write_counter + 1..;
+            let nonces = nodes.zip(counters);
+            sealer.prepare(nonces.map(|(node, counter)| Nonce::new(counter, node as u32)));
+        }
     }
 
     /// Keeps an emptied image's buffer for the next write of its size; one
     /// of a size this store never writes (a corrupt image's) is dropped.
     fn recycle(&mut self, mut image: Image) {
-        if let Some(slots @ 1..) = self.slots_of(image.capacity()) {
+        if let Some(slots @ 1..) = self.format.slots_of(image.capacity()) {
             image.clear();
             self.spare_of(slots).push(image);
         }
@@ -309,7 +444,7 @@ impl TreeStore {
     /// The emptied images of `slots` slots (`0..=Z`; sized on first use).
     fn spare_of(&mut self, slots: usize) -> &mut Vec<Image> {
         if self.spare.is_empty() {
-            self.spare.resize_with(self.z + 1, Vec::new);
+            self.spare.resize_with(self.format.z + 1, Vec::new);
         }
         &mut self.spare[slots]
     }
@@ -323,13 +458,13 @@ impl TreeStore {
     /// `block_bytes` long, or the block carries the address reserved for
     /// dummy slots (`u64::MAX`).
     pub(crate) fn push_slot(&mut self, block: &Block) {
-        let full = self.z * self.slot_bytes();
+        let Format { z, block_bytes, .. } = self.format;
+        let full = z * self.format.slot_bytes();
         assert!(
             self.open.len() < full,
-            "bucket overflow: more than Z={} blocks",
-            self.z
+            "bucket overflow: more than Z={z} blocks"
         );
-        assert_eq!(block.data.len(), self.block_bytes, "payload size mismatch");
+        assert_eq!(block.data.len(), block_bytes, "payload size mismatch");
         assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
         self.open.reserve_exact(full - self.open.len());
         self.open.extend_from_slice(&block.addr.to_le_bytes());
@@ -340,8 +475,9 @@ impl TreeStore {
     /// Write phase, one bucket: stores the open bucket (the slots pushed
     /// since the last store) as bucket `node`, over whatever the slot
     /// held, in a buffer of exactly its size. `Real` pads it with dummy
-    /// slots to Z, seals it under a fresh write counter and appends the
-    /// counter.
+    /// slots to Z, seals it under a fresh write counter (with the keystream
+    /// [`TreeStore::prepare_writes`] computed for it, if it did) and appends
+    /// the counter.
     ///
     /// # Panics
     ///
@@ -349,24 +485,26 @@ impl TreeStore {
     /// 2^(L+1)`).
     pub(crate) fn store(&mut self, node: u64) {
         self.write_counter += 1;
-        let sb = self.slot_bytes();
-        let slots = match self.cipher {
-            Some(_) => self.z,
-            None => self.slots_of(self.open.len()).expect("whole slots"),
+        let format = self.format;
+        let sb = format.slot_bytes();
+        let slots = if format.sealed {
+            format.z
+        } else {
+            format.slots_of(self.open.len()).expect("whole slots")
         };
-        let bytes = slots * sb + self.trailer();
+        let bytes = slots * sb + format.trailer();
         let spare = self.spare_of(slots).pop();
         let mut image = spare.unwrap_or_else(|| Vec::with_capacity(bytes));
         image.extend_from_slice(&self.open);
         self.open.clear();
-        if let Some(cipher) = &self.cipher {
+        if let Some(sealer) = &mut self.sealer {
             while image.len() < slots * sb {
                 let at = image.len();
                 image.resize(at + sb, 0);
                 image[at..at + 8].copy_from_slice(&DUMMY_ADDR.to_le_bytes());
             }
             let counter = self.write_counter;
-            cipher.encrypt_in_place(Nonce::new(counter, node as u32), &mut image);
+            sealer.apply(Nonce::new(counter, node as u32), &mut image);
             image.extend_from_slice(&counter.to_le_bytes());
         }
         if let Some(old) = self.pages.put(node, image) {
@@ -407,8 +545,14 @@ impl TreeStore {
     /// write-counter trailer in `Real` mode (the ciphertext) — used by tests
     /// to confirm nothing recognizable leaks to untrusted memory.
     pub fn raw_bucket(&self, node: u64) -> Option<Vec<u8>> {
-        let image = self.pages.get(node)?;
-        Some(image[..image.len().saturating_sub(self.trailer())].to_vec())
+        let image = self.image(node)?;
+        Some(image[..image.len().saturating_sub(self.format.trailer())].to_vec())
+    }
+
+    /// The stored image of bucket `node` byte for byte, trailer included:
+    /// what untrusted memory holds, for tests that pin it.
+    pub fn image(&self, node: u64) -> Option<&[u8]> {
+        self.pages.get(node).map(Vec::as_slice)
     }
 
     /// Iterates over `(node, real blocks)` for every stored bucket, each
@@ -418,10 +562,16 @@ impl TreeStore {
     ///
     /// Panics on a corrupt image.
     pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, Vec<Block>)> + '_ {
-        self.pages.iter().map(|(node, image)| {
+        // A sealer of its own: the store's prepared keystreams stay put.
+        let fresh = |s: &Sealer| Sealer::new(s.cipher.clone(), s.bytes);
+        let mut sealer = self.sealer.as_ref().map(fresh);
+        self.pages.iter().map(move |(node, image)| {
             let mut blocks = Vec::new();
-            self.decode(&mut image.clone(), node, collect_into(&mut blocks))
-                .unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
+            let sink = collect_into(&mut blocks);
+            let decoded = self
+                .format
+                .decode(sealer.as_mut(), &mut image.clone(), node, sink);
+            decoded.unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
             (node, blocks)
         })
     }
@@ -436,7 +586,7 @@ impl TreeStore {
         let Some(len) = self.pages.get(node).map(Vec::len) else {
             return false;
         };
-        if self.slots_of(len).is_some() {
+        if self.format.slots_of(len).is_some() {
             let image = self.pages.slot_mut(node).and_then(Option::as_mut);
             image.expect("stored").push(0);
         }
@@ -760,6 +910,18 @@ mod tests {
             Ok(blocks)
         }
 
+        /// A read phase: the takes up to the first corrupt bucket.
+        fn take_path(&mut self, nodes: &[u64]) -> (Vec<Block>, Result<(), IntegrityError>) {
+            let mut taken = Vec::new();
+            for &node in nodes {
+                match self.take(node) {
+                    Ok(blocks) => taken.extend(blocks),
+                    Err(e) => return (taken, Err(e)),
+                }
+            }
+            (taken, Ok(()))
+        }
+
         fn write(&mut self, node: u64, blocks: Vec<Block>) {
             self.buckets.insert(node, blocks);
             self.corrupt.remove(&node);
@@ -791,7 +953,7 @@ mod tests {
         let Some(len) = store.pages.get(node).map(Vec::len) else {
             return false;
         };
-        if store.slots_of(len).is_some() {
+        if store.format.slots_of(len).is_some() {
             let image = store.pages.slot_mut(node).and_then(Option::as_mut);
             return image.expect("stored").pop().is_some();
         }
@@ -822,6 +984,10 @@ mod tests {
     /// runs against the model, empty and full buckets alike, the stored
     /// count after every call and `iter_buckets` after every
     /// fourth run if it leaves no bucket corrupt (it decodes infallibly).
+    /// Half the write runs are planned first (`prepare_writes`) — as
+    /// written, cut short, run on into other nodes, or all elsewhere — and
+    /// half the take runs are one `take_path_with`, so a sealed store
+    /// decodes what it sealed whatever keystreams it had prepared.
     /// Returns how many times the whole store was compared.
     fn check_against_model(levels: u32, mode: CipherMode) -> u32 {
         let c = cfg_with_levels(mode, levels);
@@ -834,7 +1000,32 @@ mod tests {
         for round in 0..300 {
             let at = format!("L={levels} {mode:?} round {round}");
             let op = rng.next_below(16);
-            for node in node_run(&mut rng, levels, &leaves) {
+            let run = node_run(&mut rng, levels, &leaves);
+            let whole_run = rng.next_below(2) == 0;
+            match op {
+                0..=5 if whole_run => {
+                    let mut plan = run.clone();
+                    match rng.next_below(3) {
+                        0 => plan.truncate(rng.next_below(run.len() as u64 + 1) as usize),
+                        1 => plan.extend(node_run(&mut rng, levels, &leaves)),
+                        _ => plan = node_run(&mut rng, levels, &leaves),
+                    }
+                    store.prepare_writes(plan.into_iter());
+                }
+                6..=11 if whole_run => {
+                    let mut taken = Vec::new();
+                    let result = store.take_path_with(&run, collect_into(&mut taken));
+                    assert_eq!((taken, result), model.take_path(&run), "{at}");
+                    assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
+                }
+                _ => {}
+            }
+            let per_node = if (6..=11).contains(&op) && whole_run {
+                &[][..]
+            } else {
+                &run
+            };
+            for &node in per_node {
                 let in_tree = node >= 1 && node < 1 << (levels + 1);
                 match op {
                     0..=5 if in_tree => {
@@ -872,6 +1063,14 @@ mod tests {
                     },
                 }
                 assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
+            }
+            // Every 50 runs, a scrub takes whatever is corrupt (each take
+            // an `IntegrityError`): a bucket no later run revisits would
+            // otherwise end the whole-store comparisons below.
+            if round % 50 == 49 {
+                for node in model.corrupt.clone() {
+                    assert_eq!(try_take(&mut store, node), model.take(node), "{at}");
+                }
             }
             if round % 4 == 0 && model.corrupt.is_empty() {
                 assert_eq!(sorted(&store), model.sorted(), "{at}");

@@ -4,6 +4,7 @@
 # the working tree.
 #
 #   scripts/bench_pairs.sh <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seed X]
+#                          [--trace 0|1] [--layer NAME]...
 #   scripts/bench_pairs.sh <parent-rev> --repro <figure> [--pairs N]
 #
 # <parent-rev> is exported with `git archive` into a temporary directory
@@ -16,7 +17,9 @@
 # per workload and end-to-end metric of BENCHMARK.json, each side's median
 # and quartiles over the runs, the pairs the change won (ties count for
 # neither), the verdict of the guide's rule on those numbers, and whether
-# every `exact` value and `failed_share` matched:
+# every `exact` value and `failed_share` matched (an end-to-end metric
+# the runs do not report has no row; a workload with none has one row
+# for that last column):
 #
 #   gain        the change won at least nine tenths of the pairs and the
 #               medians differ by more than the parent's q1-q3 distance
@@ -25,6 +28,12 @@
 #   unresolved  the parent's q1-q3 distance over its median exceeds that
 #               bound, and not every change run beat every parent run
 #   same        none of the above
+#
+# --trace 1 is passed to run.sh, whose traced pass reports the per-layer
+# metrics of BENCHMARK.json and no end-to-end one. Each --layer NAME (any
+# number of them) adds a row per workload for that per-layer metric: each
+# side's median and quartiles and the change of the medians, with no
+# verdict — a layer explains an end-to-end row, it is not judged alone.
 #
 # With --repro each side runs the release `repro <figure>` instead (full
 # budget: the paper geometry, L = 24, which no benchmark row has), from a
@@ -38,7 +47,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,7p' "$0" >&2
+    sed -n '2,8p' "$0" >&2
     exit 2
 }
 [ $# -ge 1 ] || usage
@@ -47,6 +56,8 @@ shift
 pairs=10
 workload=
 figure=
+trace=0
+layers=()
 run_args=()
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
@@ -54,12 +65,14 @@ while [ $# -gt 0 ]; do
         --workload) workload=$2; run_args+=(--workload "$2") ;;
         --pairs) pairs=$2 ;;
         --seconds | --seed) run_args+=("$1" "$2") ;;
+        --trace) trace=$2; run_args+=(--trace "$2") ;;
+        --layer) layers+=("$2") ;;
         --repro) figure=$2 ;;
         *) usage ;;
     esac
     shift 2
 done
-[ -z "$figure" ] || [ ${#run_args[@]} -eq 0 ] || usage
+[ -z "$figure" ] || [ $((${#run_args[@]} + ${#layers[@]})) -eq 0 ] || usage
 
 commit=$(git rev-parse --verify "$rev^{commit}")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
@@ -72,7 +85,13 @@ out=$change/benchmark/results/pairs
 mkdir -p "$out"
 # What one run of run.sh leaves behind: the gathered file, or with
 # --workload that workload's own.
-result=benchmark/results/${workload:-latest}${workload:+.trace0}.json
+if [ -n "$workload" ]; then
+    result=benchmark/results/$workload.trace$trace.json
+elif [ "$trace" = 1 ]; then
+    result=benchmark/results/latest_trace.json
+else
+    result=benchmark/results/latest.json
+fi
 # The package each side builds, and where the change side's build lands.
 if [ -n "$figure" ]; then
     package=(-p fp-bench --bin repro) own_target=target
@@ -127,10 +146,10 @@ for ((p = 1; p <= pairs; p++)); do
     done
 done
 
-python3 - "$out" "$pairs" "$figure" <<'PY'
+python3 - "$out" "$pairs" "$figure" ${layers[@]+"${layers[@]}"} <<'PY'
 import json, statistics, sys
 
-out, pairs, figure = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+out, pairs, figure, layers = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 with open("BENCHMARK.json") as f:
     end_to_end = json.load(f)["end_to_end"]
 if figure:
@@ -178,7 +197,11 @@ for name in runs[0][0]:
         a["exact"] == b["exact"]
         and a["failed"] * b["attempted"] == b["failed"] * a["attempted"]
         for a, b in sides)
-    for spec in end_to_end:
+    reported = [spec for spec in end_to_end
+                if all(spec["name"] in w["metrics"] for pair in sides for w in pair)]
+    if not reported:
+        print(f"| `{name}` | none reported | | | | | | {'match' if pinned else 'DIFFER'} |")
+    for spec in reported:
         m = spec["name"]
         av = [a["metrics"][m]["value"] for a, _ in sides]
         bv = [b["metrics"][m]["value"] for _, b in sides]
@@ -189,5 +212,22 @@ for name in runs[0][0]:
               f"{bmed:.4g} ({bq1:.4g}-{bq3:.4g}) | {(bmed - amed) / amed:+.1%} | "
               f"{wins} of {len(sides)} | {verdict(spec, av, bv, wins)} | "
               f"{'match' if pinned else 'DIFFER'} |")
+if layers:
+    print()
+    print("| workload | per-layer metric | parent median (q1-q3) | change median (q1-q3) "
+          "| change |")
+    print("|---|---|---|---|---|")
+for name in runs[0][0] if layers else []:
+    sides = [(a[name], b[name]) for a, b in runs if name in a and name in b]
+    for m in layers:
+        av = [a["metrics"][m]["value"] for a, _ in sides if m in a["metrics"]]
+        bv = [b["metrics"][m]["value"] for _, b in sides if m in b["metrics"]]
+        if not av or not bv:
+            print(f"| `{name}` | `{m}` | not reported (per-layer metrics need --trace 1) | | |")
+            continue
+        (aq1, amed, aq3), (bq1, bmed, bq3) = quartiles(av), quartiles(bv)
+        change = f"{(bmed - amed) / abs(amed):+.1%}" if amed else "n/a"
+        print(f"| `{name}` | `{m}` | {amed:.4g} ({aq1:.4g}-{aq3:.4g}) | "
+              f"{bmed:.4g} ({bq1:.4g}-{bq3:.4g}) | {change} |")
 print(f"{pairs} pairs, {incorrect} runs not `correct`; every run's file is in {out}")
 PY

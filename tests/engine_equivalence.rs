@@ -12,7 +12,7 @@
 //! cache. And the two cipher modes are one datapath: every engine with a
 //! tree runs the same with it sealed as in the clear.
 
-use fork_path_oram::core::engine::registry;
+use fork_path_oram::core::engine::{by_name, registry};
 use fork_path_oram::core::{
     ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine, Scheme,
 };
@@ -182,16 +182,32 @@ struct Observed {
 
 const CIPHER_SEED: u64 = 0xC1F3_E2D0;
 
+/// When the requests of [`drive`] arrive.
+#[derive(Debug, Clone, Copy)]
+enum Pacing {
+    /// Gaps drawn below 400 ns, 200 ns on average: faster than an access
+    /// completes, so the label queue fills and the Fork Path schemes merge
+    /// refills.
+    Saturating,
+    /// One request every 800 ns: the label queue runs dry between
+    /// arrivals, so refills carry dummies, and a real that becomes ready
+    /// while one streams replaces its dummy (§3.3) and moves the write stop
+    /// mid-refill — under `fork`, both up and down.
+    Open,
+}
+
 /// One seeded workload on `engine`: 240 reads and writes over all 1024
 /// blocks of `small_test` (so every access walks two posmap levels),
-/// arriving every 200 ns on average — faster than an access completes, so
-/// the label queue fills and the Fork Path schemes merge refills.
-fn drive<E: OramEngine>(mut engine: E, state: fn(&E) -> &OramState) -> Observed {
+/// arriving at `pacing`.
+fn drive<E: OramEngine>(engine: &mut E, state: fn(&E) -> &OramState, pacing: Pacing) -> Observed {
     engine.set_trace_capacity(1 << 17);
     let mut rng = Xoshiro256::new(CIPHER_SEED);
     let mut arrival_ps = 0;
     for tag in 0..240u64 {
-        arrival_ps += rng.next_below(400_000);
+        arrival_ps += match pacing {
+            Pacing::Saturating => rng.next_below(400_000),
+            Pacing::Open => 800_000,
+        };
         let addr = rng.next_below(1024);
         let (op, data) = if rng.next_below(3) == 0 {
             (Op::Write, vec![tag as u8; 16])
@@ -209,7 +225,7 @@ fn drive<E: OramEngine>(mut engine: E, state: fn(&E) -> &OramState) -> Observed 
     }
     let completions = engine.run_to_idle().expect("run_to_idle");
     assert_eq!(engine.trace().dropped(), 0, "the ring kept every event");
-    let mut tree: Vec<_> = state(&engine).tree().iter_buckets().collect();
+    let mut tree: Vec<_> = state(engine).tree().iter_buckets().collect();
     tree.sort_by_key(|(node, _)| *node);
     Observed {
         completions,
@@ -221,28 +237,37 @@ fn drive<E: OramEngine>(mut engine: E, state: fn(&E) -> &OramState) -> Observed 
     }
 }
 
-/// [`drive`] on the engine `scheme` builds, its tree in `mode`.
-fn observe(scheme: &Scheme, mode: CipherMode) -> Observed {
+fn small_test(mode: CipherMode) -> OramConfig {
     let mut oram = OramConfig::small_test();
     oram.cipher_mode = mode;
+    oram
+}
+
+/// [`drive`] on the engine `scheme` builds, its tree in `mode`.
+fn observe(scheme: &Scheme, mode: CipherMode, pacing: Pacing) -> Observed {
+    let oram = small_test(mode);
     let dram = DramSystem::new(DramConfig::ddr3_1600(2));
     let seed = CIPHER_SEED;
     match scheme {
         Scheme::Traditional => drive(
-            BaselineController::new(oram, dram, seed),
+            &mut BaselineController::new(oram, dram, seed),
             BaselineController::state,
+            pacing,
         ),
         Scheme::TraditionalTreetop { bytes } => drive(
-            BaselineController::with_treetop(oram, dram, seed, *bytes),
+            &mut BaselineController::with_treetop(oram, dram, seed, *bytes),
             BaselineController::state,
+            pacing,
         ),
         Scheme::ForkDefault => drive(
-            ForkPathController::new(oram, ForkConfig::default(), dram, seed),
+            &mut ForkPathController::new(oram, ForkConfig::default(), dram, seed),
             ForkPathController::state,
+            pacing,
         ),
         Scheme::Fork(fork) => drive(
-            ForkPathController::new(oram, *fork, dram, seed),
+            &mut ForkPathController::new(oram, *fork, dram, seed),
             ForkPathController::state,
+            pacing,
         ),
         Scheme::Insecure => unreachable!("the insecure engine has no tree"),
     }
@@ -251,20 +276,74 @@ fn observe(scheme: &Scheme, mode: CipherMode) -> Observed {
 /// `CipherMode::Real` seals the same slots `Transparent` keeps in the
 /// clear, in the same order: for every registry scheme with a tree, one
 /// workload gives identical completions, counters, stash high water, clock
-/// and tree contents in both modes.
+/// and tree contents in both modes. The open pacing moves the Fork Path
+/// write stop mid-refill both ways: a sealed refill computes its
+/// keystreams for the planned stop, leaves some unused above a raised
+/// stop and computes one bucket's at a time below a lowered one, and the
+/// tree must still decode to the same blocks.
 #[test]
 fn cipher_modes_are_one_datapath() {
     for (name, scheme) in registry() {
         if scheme == Scheme::Insecure {
             continue;
         }
-        let clear = observe(&scheme, CipherMode::Transparent);
-        assert_eq!(clear.completions.len(), 240, "{name}");
-        assert!(clear.tree.iter().any(|(_, b)| !b.is_empty()), "{name}");
-        if name.starts_with("fork") {
-            let merged = clear.counters[Counter::MergedReads as usize];
-            assert!(merged > 0, "{name}: no merged refill");
+        for pacing in [Pacing::Saturating, Pacing::Open] {
+            let case = format!("{name}, {pacing:?}");
+            let clear = observe(&scheme, CipherMode::Transparent, pacing);
+            assert_eq!(clear.completions.len(), 240, "{case}");
+            assert!(clear.tree.iter().any(|(_, b)| !b.is_empty()), "{case}");
+            let fired = |counter: Counter| clear.counters[counter as usize] > 0;
+            match pacing {
+                Pacing::Saturating if name.starts_with("fork") => {
+                    assert!(fired(Counter::MergedReads), "{case}: no merged refill");
+                }
+                Pacing::Open if name == "fork" => {
+                    assert!(fired(Counter::DummiesReplaced), "{case}: no replacement");
+                }
+                _ => {}
+            }
+            assert_eq!(clear, observe(&scheme, CipherMode::Real, pacing), "{case}");
         }
-        assert_eq!(clear, observe(&scheme, CipherMode::Real), "{name}");
     }
+}
+
+/// FNV-1a, 64 bit: a digest of bytes with no dependency.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The sealed bytes themselves, pinned: a seeded `fork+mac` run in `Real`
+/// mode, open pacing (so replacement moves the write stop), digested over
+/// every stored image — ciphertext and write-counter trailer — in node
+/// order. The literal was recorded when every image was sealed by its own
+/// keystream pass; a keystream that differs in one byte, for one nonce,
+/// changes it.
+#[test]
+fn sealed_images_match_the_recorded_digest() {
+    let Some(Scheme::Fork(fork)) = by_name("fork+mac") else {
+        panic!("fork+mac is a Fork Path scheme");
+    };
+    let oram = small_test(CipherMode::Real);
+    let levels = oram.levels;
+    let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+    let mut engine = ForkPathController::new(oram, fork, dram, CIPHER_SEED);
+    let run = drive(&mut engine, ForkPathController::state, Pacing::Open);
+    assert!(run.counters[Counter::DummiesReplaced as usize] > 0);
+    let tree = engine.state().tree();
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut images = 0;
+    for node in 1..1u64 << (levels + 1) {
+        if let Some(image) = tree.image(node) {
+            digest = fnv1a(digest, &node.to_le_bytes());
+            digest = fnv1a(digest, image);
+            images += 1;
+        }
+    }
+    assert_eq!(
+        (images, digest),
+        (1022, 0xda5c_6ed6_1785_2908),
+        "sealed images"
+    );
 }

@@ -279,8 +279,8 @@ fn per_access_kernels_keep_their_allocation_contract() {
     assert_eq!(engine.run_to_idle().unwrap().len(), 12);
 }
 
-/// The sealed data path (`CipherMode::Real`): the keystream runs in place,
-/// and the tree store's two doors for whole buckets of blocks cost what
+/// The sealed data path (`CipherMode::Real`): the keystream runs in place
+/// or into a buffer that keeps its capacity, and the tree store's two doors for whole buckets of blocks cost what
 /// they hand over — a write fills an image a take emptied and allocates
 /// nothing, a take allocates the `Vec<Block>` it returns and
 /// one payload per real block, so nothing for an empty bucket.
@@ -294,6 +294,16 @@ fn sealed_path_keeps_its_allocation_contract() {
         }
     });
     assert_eq!(n, 0, "BlockCipher::encrypt_in_place over a 320 B image");
+    let mut nonces: Vec<Nonce> = (0..11).map(|node| Nonce::new(0, node)).collect();
+    let mut keystream = Vec::new();
+    cipher.keystreams(&nonces, 320, &mut keystream);
+    let n = allocations(|| {
+        for counter in 0..CALLS {
+            nonces[0].write_counter = counter;
+            cipher.keystreams(black_box(&nonces), 320, &mut keystream);
+        }
+    });
+    assert_eq!(n, 0, "BlockCipher::keystreams of eleven 320 B images, warm");
 
     // A warm store: every node below was written and taken once, so its
     // subtree has a page, the directory never grows again, the open bucket
@@ -354,7 +364,7 @@ fn a_warm_path_read_and_refill_allocate_nothing() {
             let pushes = dp.trace().counter(Counter::StashPushes);
             let n = allocations(|| {
                 now = dp.read_path(0, 0, now).unwrap();
-                dp.begin_refill(0);
+                dp.begin_refill(0, 0);
                 for level in (0..=levels).rev() {
                     now = dp.refill_level(level, now);
                 }

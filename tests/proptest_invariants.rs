@@ -439,7 +439,7 @@ fn state_invariants_hold_under_random_access_mix() {
                     } else {
                         let _ = dp.state_mut().apply_op(u, new, Some(&[addr as u8]));
                     }
-                    dp.begin_refill(leaf);
+                    dp.begin_refill(leaf, 0);
                     for level in (0..=levels).rev() {
                         t = dp.refill_level(level, t);
                     }

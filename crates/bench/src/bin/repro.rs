@@ -15,11 +15,14 @@
 use fp_bench::{
     caching_schemes, fork_with_mac, fork_with_queue, print_cols, print_row, print_title,
 };
-use fp_core::{CacheChoice, ForkConfig, ForkPathController, NoFeedback};
+use fp_core::{
+    BaselineController, CacheChoice, ForkConfig, ForkPathController, NewRequest, NoFeedback,
+    OramEngine,
+};
 use fp_crypto::Xoshiro256;
 use fp_dram::{DramConfig, DramSystem};
 use fp_path_oram::path::overlap_degree;
-use fp_path_oram::{BaselineController, Op, OramConfig, PosMapHierarchy};
+use fp_path_oram::{OramConfig, PosMapHierarchy};
 use fp_sim::experiment::{
     run_mix, run_mix_with_pipeline, run_mixes, trace_path_from_args, MissBudget, SweepOutcome,
 };
@@ -574,9 +577,10 @@ fn prefetch_study(budget: MissBudget) {
             } else {
                 rng.next_below(span)
             };
-            ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+            ctl.submit(NewRequest::read(addr, ctl.clock_ps()))
+                .expect("controller invariant violated");
             if rng.gen_bool(0.2) {
-                ctl.run_to_idle();
+                ctl.run_to_idle().expect("controller invariant violated");
             }
         }
         while ctl
@@ -693,12 +697,13 @@ fn fork_labels(pattern: &[u64], scheduling: bool, seed: u64) -> (Vec<u64>, u64) 
     let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), seed);
     ctl.enable_label_trace();
     for &addr in pattern {
-        ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+        ctl.submit(NewRequest::read(addr, ctl.clock_ps()))
+            .expect("controller invariant violated");
         if addr % 5 == 0 {
-            ctl.run_to_idle();
+            ctl.run_to_idle().expect("controller invariant violated");
         }
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().expect("controller invariant violated");
     (ctl.label_trace().unwrap().to_vec(), leaves)
 }
 
@@ -788,7 +793,9 @@ fn security_audit(_: MissBudget) {
         let mut base = BaselineController::new(cfg, dram(), 5);
         base.enable_label_trace();
         for i in 0..3000u64 {
-            base.access_sync(i % 300, Op::Read, vec![]);
+            base.submit(NewRequest::read(i % 300, base.clock_ps()))
+                .expect("controller invariant violated");
+            base.run_to_idle().expect("controller invariant violated");
         }
         let trace = base.label_trace().unwrap();
         let mut ge = [0u64; 8];
@@ -851,17 +858,17 @@ fn trace(_: MissBudget) {
             2 => (i * i) % data_blocks,               // irregular
             _ => (data_blocks - 1 - i) % data_blocks, // reverse stride
         };
-        let op = if i % 3 == 0 { Op::Write } else { Op::Read };
-        let data = match op {
-            Op::Write => vec![(i & 0xff) as u8; 64],
-            Op::Read => vec![],
+        let req = if i % 3 == 0 {
+            NewRequest::write(addr, vec![(i & 0xff) as u8; 64], ctl.clock_ps())
+        } else {
+            NewRequest::read(addr, ctl.clock_ps())
         };
-        ctl.submit(addr, op, data, ctl.clock_ps());
+        ctl.submit(req).expect("controller invariant violated");
         if i % 7 == 0 {
-            ctl.run_to_idle();
+            ctl.run_to_idle().expect("controller invariant violated");
         }
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().expect("controller invariant violated");
 
     let trace = ctl.trace();
     let json = trace.to_json();

@@ -13,7 +13,9 @@
 
 use std::collections::VecDeque;
 
-use fp_path_oram::{LlcRequest, Op};
+use fp_path_oram::Op;
+
+use crate::engine::LlcRequest;
 
 /// What `submit` did with the request.
 #[derive(Debug, Clone, PartialEq, Eq)]

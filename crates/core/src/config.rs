@@ -162,8 +162,10 @@ mod tests {
 
     #[test]
     fn len_overlap_scales_with_log_queue() {
-        let mut c = ForkConfig::default();
-        c.label_queue_size = 1;
+        let mut c = ForkConfig {
+            label_queue_size: 1,
+            ..ForkConfig::default()
+        };
         assert_eq!(c.derived_len_overlap(), 2);
         c.label_queue_size = 64;
         assert_eq!(c.derived_len_overlap(), 7);
@@ -175,20 +177,25 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_configs() {
-        let mut c = ForkConfig::default();
-        c.label_queue_size = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = ForkConfig::default();
-        c.cache = CacheChoice::MergingAware { bytes: 0, ways: 4 };
-        assert!(c.validate().is_err());
-
-        let mut c = ForkConfig::default();
-        c.cache = CacheChoice::MergingAware {
-            bytes: 1024,
-            ways: 0,
-        };
-        assert!(c.validate().is_err());
+        for c in [
+            ForkConfig {
+                label_queue_size: 0,
+                ..ForkConfig::default()
+            },
+            ForkConfig {
+                cache: CacheChoice::MergingAware { bytes: 0, ways: 4 },
+                ..ForkConfig::default()
+            },
+            ForkConfig {
+                cache: CacheChoice::MergingAware {
+                    bytes: 1024,
+                    ways: 0,
+                },
+                ..ForkConfig::default()
+            },
+        ] {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 }
 #[cfg(test)]

@@ -10,19 +10,21 @@
 //! trusted ORAM state and the one trace spine every stage reports into,
 //! which is also where the statistics are read from. The facade owns the
 //! address queue, the in-flight posmap chains ([`crate::flight`]), and the
-//! clock, and sequences the stages per access. Accessors and the
-//! timing-protection surface live in the `controller_api` child module.
+//! clock, and sequences the stages per access; it is driven through
+//! [`OramEngine`] only. Accessors and the timing-protection surface live
+//! in the `controller_api` child module.
 
 use fp_dram::DramSystem;
 use fp_path_oram::{
-    AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, NewRequest, NoFeedback, Op,
-    OramConfig, ReactiveSource, CTRL_PHASE_LATENCY_PS,
+    AccessTimes, Completion, CompletionLog, Datapath, NewRequest, OramConfig, OramStats,
+    ReactiveSource, CTRL_PHASE_LATENCY_PS,
 };
-use fp_trace::{Counter, EventKind};
+use fp_trace::{Counter, EventKind, TraceHandle};
 
 use crate::address_queue::{AddressQueue, SubmitEffect};
 use crate::config::ForkConfig;
 use crate::dummy::DummyReplacer;
+use crate::engine::{LlcRequest, OramEngine};
 use crate::error::{must, ControllerError};
 use crate::flight::{FlightTable, StepCtx};
 use crate::merge::PathMerger;
@@ -102,12 +104,9 @@ impl ForkPathController {
         let cache = fork.build_cache(cfg.bucket_bytes(), cfg.path_len());
         let path = Datapath::new(cfg, dram, seed, cache);
         let trace = path.trace();
-        let mut sched = LabelQueue::new(fork.label_queue_size, fork.scheduling);
-        sched.attach_trace(trace.clone());
-        let mut merge = PathMerger::new(fork.merging);
-        merge.attach_trace(trace.clone());
-        let mut dummy = DummyReplacer::new(fork.replacing);
-        dummy.attach_trace(trace.clone());
+        let sched = LabelQueue::new(fork.label_queue_size, fork.scheduling, trace.clone());
+        let merge = PathMerger::new(fork.merging, trace.clone());
+        let dummy = DummyReplacer::new(fork.replacing, trace.clone());
         Ok(Self {
             path,
             aq: AddressQueue::new(),
@@ -125,77 +124,14 @@ impl ForkPathController {
         })
     }
 
-    /// Enqueues an LLC request; returns its id. Hazard shortcuts (forwarding
-    /// / cancellation) may complete requests immediately — collect them via
-    /// [`ForkPathController::drain_completions`].
-    pub fn submit(&mut self, addr: u64, op: Op, data: Vec<u8>, arrival_ps: u64) -> u64 {
-        must(self.submit_tagged(addr, op, data, arrival_ps, 0))
-    }
-
-    /// [`ForkPathController::submit`] with an opaque routing tag echoed in
-    /// the completion.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces internal bookkeeping invariant violations.
-    pub fn submit_tagged(
-        &mut self,
-        addr: u64,
-        op: Op,
-        data: Vec<u8>,
-        arrival_ps: u64,
-        tag: u64,
-    ) -> Result<u64, ControllerError> {
-        let id = self.enqueue_request(addr, op, data, arrival_ps, tag);
-        self.pump()?;
-        Ok(id)
-    }
-
-    /// Batch-admission handoff for external drivers (the serving layer):
-    /// every request is enqueued first — hazard shortcuts still fire per
-    /// request — and the pipeline is pumped once at the end, so a batch of
-    /// `n` requests costs one scheduler fill instead of `n`. Returns the
-    /// assigned ids in batch order.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces internal bookkeeping invariant violations.
-    pub fn submit_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = NewRequest>,
-    ) -> Result<Vec<u64>, ControllerError> {
-        let ids = batch
-            .into_iter()
-            .map(|r| self.enqueue_request(r.addr, r.op, r.data, r.arrival_ps, r.tag))
-            .collect();
-        self.pump()?;
-        Ok(ids)
-    }
-
     /// Enqueues one request into the address queue (no pump), applying the
-    /// hazard shortcuts, and returns its id.
-    fn enqueue_request(
-        &mut self,
-        addr: u64,
-        op: Op,
-        data: Vec<u8>,
-        arrival_ps: u64,
-        tag: u64,
-    ) -> u64 {
+    /// hazard shortcuts (forwarding / cancellation may complete requests at
+    /// once), and returns its id.
+    fn enqueue_request(&mut self, req: NewRequest) -> u64 {
         let id = self.next_req_id;
         self.next_req_id += 1;
-        let payload = match op {
-            Op::Write => Some(data),
-            Op::Read => None,
-        };
-        let req = LlcRequest {
-            id,
-            addr,
-            op,
-            data: payload,
-            arrival_ps,
-            tag,
-        };
+        let (addr, arrival_ps, tag) = (req.addr, req.arrival_ps, req.tag);
+        let req = LlcRequest::new(id, req);
         let trace = self.path.trace();
         trace.record(arrival_ps, EventKind::RequestSubmitted { id });
         match self.aq.submit(req) {
@@ -236,21 +172,8 @@ impl ForkPathController {
         id
     }
 
-    /// Executes one ORAM access (read phase, block handling, refill).
-    /// Returns `Ok(false)` when no work remains.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces internal bookkeeping invariant violations.
-    pub fn process_one<S: ReactiveSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<bool, ControllerError> {
-        self.process_one_at(source, 0)
-    }
-
-    /// Like [`ForkPathController::process_one`], but the access starts no
-    /// earlier than `not_before_ps` (the fixed-rate stream's cadence slot).
+    /// Like [`OramEngine::process_one`], but the access starts no earlier
+    /// than `not_before_ps` (the fixed-rate stream's cadence slot).
     ///
     /// # Errors
     ///
@@ -287,41 +210,6 @@ impl ForkPathController {
                 }
             }
         }
-    }
-
-    /// Runs until no real work remains; returns all completions.
-    pub fn run_to_idle(&mut self) -> Vec<Completion> {
-        let mut source = NoFeedback;
-        while must(self.process_one(&mut source)) {}
-        self.drain_completions()
-    }
-
-    /// Moves work forward: stalled chain steps first (they are older), then
-    /// address-queue transformations, as far as space and hazards allow.
-    pub(crate) fn pump(&mut self) -> Result<(), ControllerError> {
-        {
-            let mut ctx = step_ctx!(self);
-            self.flights.retry_stalled(&mut ctx)?;
-        }
-
-        // Transform new LLC requests in order.
-        while self.sched.has_space_for_real() {
-            let Some(req) = self.aq.pop_ready(u64::MAX) else {
-                break;
-            };
-            let state = self.path.state_mut();
-            let (old, new, _) = state.start_chain(req.addr);
-            let chain = state.chain(req.addr);
-            let arrival = req.arrival_ps;
-            let flight_id = self.flights.open(req, chain, old, new);
-            let mut ctx = step_ctx!(self);
-            self.flights.place_or_stall(&mut ctx, flight_id, arrival)?;
-        }
-
-        // Keep the queue padded with dummies (Fig 7b).
-        let state = self.path.state_mut();
-        self.sched.pad_with(|| state.random_label());
-        Ok(())
     }
 
     /// Executes one ORAM access end to end.
@@ -463,5 +351,97 @@ impl ForkPathController {
         }
         self.current = pending;
         Ok(())
+    }
+}
+
+impl OramEngine for ForkPathController {
+    fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
+        let id = self.enqueue_request(req);
+        self.pump()?;
+        Ok(id)
+    }
+
+    /// Batch admission for external drivers (the serving layer): every
+    /// request is enqueued first — hazard shortcuts still fire per request
+    /// — and the pipeline is pumped once at the end, so a batch of `n`
+    /// requests costs one scheduler fill instead of `n`.
+    fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
+        let ids = batch.into_iter().map(|r| self.enqueue_request(r)).collect();
+        self.pump()?;
+        Ok(ids)
+    }
+
+    /// Moves work forward: stalled chain steps first (they are older), then
+    /// address-queue transformations, as far as space and hazards allow.
+    fn pump(&mut self) -> Result<(), ControllerError> {
+        {
+            let mut ctx = step_ctx!(self);
+            self.flights.retry_stalled(&mut ctx)?;
+        }
+
+        // Transform new LLC requests in order.
+        while self.sched.has_space_for_real() {
+            let Some(req) = self.aq.pop_ready(u64::MAX) else {
+                break;
+            };
+            let state = self.path.state_mut();
+            let (old, new, _) = state.start_chain(req.addr);
+            let chain = state.chain(req.addr);
+            let arrival = req.arrival_ps;
+            let flight_id = self.flights.open(req, chain, old, new);
+            let mut ctx = step_ctx!(self);
+            self.flights.place_or_stall(&mut ctx, flight_id, arrival)?;
+        }
+
+        // Keep the queue padded with dummies (Fig 7b).
+        let state = self.path.state_mut();
+        self.sched.pad_with(|| state.random_label());
+        Ok(())
+    }
+
+    /// Executes one ORAM access (read phase, block handling, refill).
+    fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
+        self.process_one_at(source, 0)
+    }
+
+    /// Only completions already routed through the reactive feedback are
+    /// returned; anything newer is delivered by a later drain, after the
+    /// next `process_one` flushes it.
+    fn drain_completions(&mut self) -> Vec<Completion> {
+        self.completions.drain_fed()
+    }
+
+    /// Real work — queued, stalled, in flight, a revealed pending real
+    /// access — or a completion not yet routed through feedback (which
+    /// cannot be drained yet). External drivers (the serving layer's shard
+    /// workers) use this to decide between admitting the next batch and
+    /// processing what is already inside; a request is not done until its
+    /// completion can surface, and one more `process_one` call flushes it.
+    fn has_pending_work(&self) -> bool {
+        self.has_real_work()
+            || self.current.as_ref().is_some_and(|c| !c.is_dummy())
+            || !self.completions.all_fed()
+    }
+
+    fn clock_ps(&self) -> u64 {
+        self.clock_ps
+    }
+
+    fn stats(&self) -> OramStats {
+        OramStats::view(self.path.trace(), self.times)
+    }
+
+    /// The shared trace spine every pipeline stage, the stash, and the
+    /// DRAM system report into.
+    fn trace(&self) -> &TraceHandle {
+        self.path.trace()
+    }
+
+    fn dram(&self) -> &DramSystem {
+        self.path.dram()
+    }
+
+    fn stash_high_water(&self) -> usize {
+        self.state().stash().high_water()
     }
 }

@@ -1,12 +1,13 @@
-//! Introspection and timing-protection surface of [`ForkPathController`] —
-//! a child module of `controller` so it can reach the facade's private
-//! fields; the access data path itself stays in `controller.rs`.
+//! What [`ForkPathController`] offers beyond [`OramEngine`] — the trusted
+//! state, the label trace, the timing-protection hooks — and the helpers
+//! its access loop calls; a child module of `controller` so it can reach
+//! the facade's private fields. The access data path itself and the
+//! engine implementation stay in `controller.rs`.
 
-use fp_dram::DramSystem;
-use fp_path_oram::{Completion, NoFeedback, OramState, OramStats, ReactiveSource};
-use fp_trace::TraceHandle;
+use fp_path_oram::{NoFeedback, OramState, ReactiveSource};
 
 use super::ForkPathController;
+use crate::engine::OramEngine;
 use crate::error::{must, ControllerError};
 use crate::queue::Entry;
 
@@ -14,20 +15,6 @@ impl ForkPathController {
     /// Whether any real work (queued, stalled, or in flight) exists.
     pub(super) fn has_real_work(&self) -> bool {
         !self.aq.is_empty() || !self.flights.is_empty()
-    }
-
-    /// Whether the controller still holds real work — queued, stalled, in
-    /// flight, a revealed pending real access, or a completion that has not
-    /// yet been routed through feedback (and so cannot be drained yet).
-    /// External drivers (the serving layer's shard workers) use this to
-    /// decide between admitting the next batch and processing what is
-    /// already inside; a request is not done until its completion can
-    /// surface, so undrained completions count as pending. One more
-    /// [`process_one`](ForkPathController::process_one) call flushes them.
-    pub fn has_pending_work(&self) -> bool {
-        self.has_real_work()
-            || self.current.as_ref().is_some_and(|c| !c.is_dummy())
-            || !self.completions.all_fed()
     }
 
     /// Routes every not-yet-fed completion through `source`, submitting any
@@ -38,7 +25,7 @@ impl ForkPathController {
     ) -> Result<(), ControllerError> {
         while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
-                self.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag)?;
+                self.submit(r)?;
             }
         }
         Ok(())
@@ -64,38 +51,9 @@ impl ForkPathController {
         Ok(self.sched.select_initial(anchor, t))
     }
 
-    /// Statistics so far: the shared view over the trace spine.
-    pub fn stats(&self) -> OramStats {
-        OramStats::view(self.path.trace(), self.times)
-    }
-
-    /// The shared trace spine every pipeline stage, the stash, and the
-    /// DRAM system report into. Counters are always exact; the event
-    /// ring is empty until [`ForkPathController::set_trace_capacity`]
-    /// gives it room.
-    pub fn trace(&self) -> &TraceHandle {
-        self.path.trace()
-    }
-
-    /// Sizes the trace event ring (0 = counters only). The ring keeps
-    /// the most recent `capacity` events.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.path.trace().set_capacity(capacity);
-    }
-
-    /// The DRAM system (for command/energy statistics).
-    pub(crate) fn dram(&self) -> &DramSystem {
-        self.path.dram()
-    }
-
     /// The trusted ORAM state (for invariant checks in tests).
     pub fn state(&self) -> &OramState {
         self.path.state()
-    }
-
-    /// Current controller clock, picoseconds.
-    pub fn clock_ps(&self) -> u64 {
-        self.clock_ps
     }
 
     /// Starts recording the externally visible label sequence.
@@ -108,18 +66,10 @@ impl ForkPathController {
         self.path.label_trace()
     }
 
-    /// Completions produced since the last drain. Only completions that
-    /// have already been routed through the reactive feedback are returned;
-    /// anything newer is delivered on a later drain (after the next
-    /// [`ForkPathController::process_one`] flushes it).
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        self.completions.drain_fed()
-    }
-
     /// Enables or disables fixed-rate (timing-protection) mode; see
     /// [`crate::timing::enforce_fixed_rate`]. While enabled, refills always
     /// select a pending request (materializing dummies when idle), so
-    /// [`ForkPathController::run_to_idle`] would not terminate — drive the
+    /// [`OramEngine::run_to_idle`] would not terminate — drive the
     /// controller with an explicit horizon instead.
     pub(crate) fn set_fixed_rate(&mut self, on: bool) {
         self.fixed_rate = on;

@@ -25,19 +25,11 @@ pub(crate) struct DummyReplacer {
 }
 
 impl DummyReplacer {
-    /// Creates the stage; `replacing` toggles mid-refill replacement
-    /// (false = the ablation baseline where pending dummies always run).
-    pub(crate) fn new(replacing: bool) -> Self {
-        Self {
-            replacing,
-            trace: TraceHandle::default(),
-        }
-    }
-
-    /// Attaches a shared trace spine; dummy-stage counters and events
-    /// report there from now on.
-    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
+    /// Creates the stage, reporting its counters and events to `trace`;
+    /// `replacing` toggles mid-refill replacement (false = the ablation
+    /// baseline where pending dummies always run).
+    pub(crate) fn new(replacing: bool, trace: TraceHandle) -> Self {
+        Self { replacing, trace }
     }
 
     /// Whether mid-refill replacement is active.
@@ -148,8 +140,8 @@ mod tests {
     /// materialized alongside it.
     #[test]
     fn never_materializes_when_a_real_was_selected() {
-        let mut d = DummyReplacer::new(true);
-        let mut s = LabelQueue::new(4, true);
+        let mut d = DummyReplacer::new(true, TraceHandle::default());
+        let mut s = LabelQueue::new(4, true, TraceHandle::default());
         real_entry(&mut s, 3, 7, 0);
         s.pad_with(|| 1);
         let picked = s.select_pending(3, 0);
@@ -162,7 +154,7 @@ mod tests {
 
     #[test]
     fn materializes_only_when_work_or_fixed_rate_demands_it() {
-        let mut d = DummyReplacer::new(true);
+        let mut d = DummyReplacer::new(true, TraceHandle::default());
         // Idle, no fixed rate: nothing pending, nothing materialized.
         assert!(d.finalize(None, false, false, 10, || 5).is_none());
         assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 0);
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn trailing_dummy_is_dropped_when_draining() {
-        let mut d = DummyReplacer::new(true);
+        let mut d = DummyReplacer::new(true, TraceHandle::default());
         let pad = Entry::dummy(9, 0);
         assert!(d.finalize(Some(pad), false, false, 0, || 1).is_none());
         assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 1);
@@ -191,8 +183,8 @@ mod tests {
 
     #[test]
     fn replaces_pending_dummy_with_late_real() {
-        let mut d = DummyReplacer::new(true);
-        let mut s = LabelQueue::new(4, true);
+        let mut d = DummyReplacer::new(true, TraceHandle::default());
+        let mut s = LabelQueue::new(4, true, TraceHandle::default());
         // A real arriving at t=50, inside the (0, 100] replacement window.
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
@@ -208,12 +200,12 @@ mod tests {
 
     #[test]
     fn displaced_real_returns_to_scheduler() {
-        let mut d = DummyReplacer::new(true);
-        let mut s = LabelQueue::new(4, true);
+        let mut d = DummyReplacer::new(true, TraceHandle::default());
+        let mut s = LabelQueue::new(4, true, TraceHandle::default());
         // Incoming real with perfect overlap (same leaf).
         real_entry(&mut s, 3, 2, 50);
         // Pending real with zero overlap, pulled out of a scratch queue.
-        let mut scratch = LabelQueue::new(1, true);
+        let mut scratch = LabelQueue::new(1, true, TraceHandle::default());
         real_entry(&mut scratch, 4, 9, 0);
         let mut pending = scratch.select_pending(4, 0);
         assert!(pending.as_ref().is_some_and(|e| !e.is_dummy()));
@@ -256,7 +248,10 @@ mod tests {
             let levels = 2 + rng.next_below(10) as u32;
             let leaf = rng.next_below(1 << levels);
             let label = |rng: &mut fp_crypto::Xoshiro256| rng.next_below(1 << levels);
-            let (mut d, mut s) = (DummyReplacer::new(true), LabelQueue::new(16, true));
+            let (mut d, mut s) = (
+                DummyReplacer::new(true, TraceHandle::default()),
+                LabelQueue::new(16, true, TraceHandle::default()),
+            );
             // The pending request: padding, or a real that lost some rounds
             // to reals on the refilled path first.
             let mut pending = Some(Entry::dummy(label(&mut rng), 0));
@@ -345,8 +340,8 @@ mod tests {
 
     #[test]
     fn replacing_off_never_fires() {
-        let mut d = DummyReplacer::new(false);
-        let mut s = LabelQueue::new(4, true);
+        let mut d = DummyReplacer::new(false, TraceHandle::default());
+        let mut s = LabelQueue::new(4, true, TraceHandle::default());
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
         assert!(!d

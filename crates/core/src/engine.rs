@@ -2,12 +2,13 @@
 //!
 //! Every memory system under comparison — insecure DRAM, traditional Path
 //! ORAM (with or without a treetop cache), and Fork Path in any
-//! configuration — implements [`OramEngine`]: submit requests, pump the
-//! pipeline one access at a time with closed-loop feedback, drain
-//! completions, and read the shared statistics/trace surface. Drivers
-//! (`fp-sim`'s generic system loop, `fp-service`'s shard workers, the
-//! `repro` figures) are written once against the trait, so a new scheme
-//! (e.g. a ring-ORAM engine) drops in without touching them.
+//! configuration — implements [`OramEngine`], and that trait is the only
+//! way to drive it: submit requests, pump the pipeline one access at a time
+//! with closed-loop feedback, drain completions, and read the shared
+//! statistics/trace surface. Drivers (`fp-sim`'s generic system loop,
+//! `fp-service`'s shard workers, the `repro` figures) are written once
+//! against the trait, so a new scheme (e.g. a ring-ORAM engine) drops in
+//! without touching them.
 //!
 //! [`Scheme`] names the engines and [`Scheme::build`] constructs one; the
 //! [`registry`] maps the stable scheme names used by the benchmark's
@@ -18,19 +19,11 @@
 //! ```
 //! use fp_core::engine::{OramEngine, Scheme};
 //! use fp_dram::{DramConfig, DramSystem};
-//! use fp_path_oram::{NewRequest, NoFeedback, Op, OramConfig};
+//! use fp_path_oram::{NewRequest, NoFeedback, OramConfig};
 //!
 //! let dram = DramSystem::new(DramConfig::ddr3_1600(2));
 //! let mut engine = Scheme::Traditional.build(OramConfig::small_test(), dram, 7);
-//! engine
-//!     .submit(NewRequest {
-//!         addr: 3,
-//!         op: Op::Read,
-//!         data: vec![],
-//!         arrival_ps: 0,
-//!         tag: 0,
-//!     })
-//!     .unwrap();
+//! engine.submit(NewRequest::read(3, 0)).unwrap();
 //! while engine.process_one(&mut NoFeedback).unwrap() {}
 //! assert_eq!(engine.drain_completions().len(), 1);
 //! ```
@@ -40,19 +33,20 @@ use std::collections::BinaryHeap;
 
 use fp_dram::{AccessKind, DramSystem};
 use fp_path_oram::{
-    AccessTimes, BaselineController, Completion, CompletionLog, NewRequest, NoFeedback, Op,
-    OramConfig, OramStats, ReactiveSource,
+    AccessTimes, Completion, CompletionLog, NewRequest, NoFeedback, Op, OramConfig, OramStats,
+    ReactiveSource,
 };
 use fp_trace::{Counter, EventKind, TraceHandle};
 
+use crate::baseline::BaselineController;
 use crate::config::{CacheChoice, ForkConfig};
 use crate::controller::ForkPathController;
 use crate::error::ControllerError;
 
 /// A scheme-agnostic incremental ORAM (or plain-DRAM) engine.
 ///
-/// The contract mirrors the submit/pump model both controllers expose:
-/// requests enter through [`OramEngine::submit`] (or
+/// The contract is the submit/pump model, and the only API an engine has
+/// for it: requests enter through [`OramEngine::submit`] (or
 /// [`OramEngine::submit_batch`]); [`OramEngine::process_one`] executes one
 /// access end to end, routing completions through the caller's
 /// [`ReactiveSource`] so follow-up requests can join in simulated time;
@@ -111,8 +105,11 @@ pub trait OramEngine {
     /// The engine's trace spine (counters, histograms, event ring).
     fn trace(&self) -> &TraceHandle;
 
-    /// Sizes the trace event ring (0 = counters only).
-    fn set_trace_capacity(&mut self, capacity: usize);
+    /// Sizes the trace event ring (0 = counters only). The ring keeps the
+    /// most recent `capacity` events.
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        self.trace().set_capacity(capacity);
+    }
 
     /// The simulated memory system (for command/energy statistics).
     fn dram(&self) -> &DramSystem;
@@ -131,6 +128,11 @@ pub trait OramEngine {
     }
 }
 
+/// A boxed engine is an engine. Calls on a `Box<dyn OramEngine + Send>`
+/// reach the trait object without this impl; it stays because the
+/// benchmark package (`benchmark/src/drive.rs`) imports the trait for its
+/// boxed engine, and with no impl to resolve through, that import is
+/// unused and fails the package's `-D warnings` check.
 impl<E: OramEngine + ?Sized> OramEngine for Box<E> {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         (**self).submit(req)
@@ -159,89 +161,48 @@ impl<E: OramEngine + ?Sized> OramEngine for Box<E> {
     fn trace(&self) -> &TraceHandle {
         (**self).trace()
     }
-    fn set_trace_capacity(&mut self, capacity: usize) {
-        (**self).set_trace_capacity(capacity)
-    }
     fn dram(&self) -> &DramSystem {
         (**self).dram()
     }
     fn stash_high_water(&self) -> usize {
         (**self).stash_high_water()
     }
-    fn run_to_idle(&mut self) -> Result<Vec<Completion>, ControllerError> {
-        (**self).run_to_idle()
-    }
 }
 
-impl OramEngine for ForkPathController {
-    fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
-        self.submit_tagged(req.addr, req.op, req.data, req.arrival_ps, req.tag)
-    }
-    fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
-        ForkPathController::submit_batch(self, batch)
-    }
-    fn pump(&mut self) -> Result<(), ControllerError> {
-        ForkPathController::pump(self)
-    }
-    fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
-        ForkPathController::process_one(self, source)
-    }
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        ForkPathController::drain_completions(self)
-    }
-    fn has_pending_work(&self) -> bool {
-        ForkPathController::has_pending_work(self)
-    }
-    fn clock_ps(&self) -> u64 {
-        ForkPathController::clock_ps(self)
-    }
-    fn stats(&self) -> OramStats {
-        ForkPathController::stats(self)
-    }
-    fn trace(&self) -> &TraceHandle {
-        ForkPathController::trace(self)
-    }
-    fn set_trace_capacity(&mut self, capacity: usize) {
-        ForkPathController::set_trace_capacity(self, capacity)
-    }
-    fn dram(&self) -> &DramSystem {
-        ForkPathController::dram(self)
-    }
-    fn stash_high_water(&self) -> usize {
-        self.state().stash().high_water()
-    }
+/// A request inside an engine: what was submitted, under the id the
+/// engine assigned it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LlcRequest {
+    /// Engine-assigned id, echoed in the [`Completion`].
+    pub(crate) id: u64,
+    /// Program (data-block) address, in block units.
+    pub(crate) addr: u64,
+    /// Direction.
+    pub(crate) op: Op,
+    /// Payload, for writes only.
+    pub(crate) data: Option<Vec<u8>>,
+    /// Arrival time at the ORAM controller, picoseconds.
+    pub(crate) arrival_ps: u64,
+    /// Opaque caller tag echoed in the [`Completion`] (e.g. the issuing
+    /// core, for closed-loop drivers).
+    pub(crate) tag: u64,
 }
 
-impl OramEngine for BaselineController {
-    fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
-        Ok(self.submit_tagged(req.addr, req.op, req.data, req.arrival_ps, req.tag))
-    }
-    fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
-        BaselineController::process_one(self, source).map_err(ControllerError::from)
-    }
-    fn drain_completions(&mut self) -> Vec<Completion> {
-        BaselineController::drain_completions(self)
-    }
-    fn has_pending_work(&self) -> bool {
-        BaselineController::has_pending_work(self)
-    }
-    fn clock_ps(&self) -> u64 {
-        BaselineController::clock_ps(self)
-    }
-    fn stats(&self) -> OramStats {
-        BaselineController::stats(self)
-    }
-    fn trace(&self) -> &TraceHandle {
-        BaselineController::trace(self)
-    }
-    fn set_trace_capacity(&mut self, capacity: usize) {
-        BaselineController::set_trace_capacity(self, capacity)
-    }
-    fn dram(&self) -> &DramSystem {
-        BaselineController::dram(self)
-    }
-    fn stash_high_water(&self) -> usize {
-        self.state().stash().high_water()
+impl LlcRequest {
+    /// `req` under `id`; a read's payload is dropped.
+    pub(crate) fn new(id: u64, req: NewRequest) -> Self {
+        let data = match req.op {
+            Op::Write => Some(req.data),
+            Op::Read => None,
+        };
+        Self {
+            id,
+            addr: req.addr,
+            op: req.op,
+            data,
+            arrival_ps: req.arrival_ps,
+            tag: req.tag,
+        }
     }
 }
 
@@ -322,7 +283,7 @@ impl InsecureEngine {
     fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) -> Result<(), ControllerError> {
         while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
-                OramEngine::submit(self, r)?;
+                self.submit(r)?;
             }
         }
         Ok(())
@@ -431,10 +392,6 @@ impl OramEngine for InsecureEngine {
 
     fn trace(&self) -> &TraceHandle {
         &self.trace
-    }
-
-    fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace.set_capacity(capacity);
     }
 
     fn dram(&self) -> &DramSystem {
@@ -574,6 +531,7 @@ pub fn by_name(name: &str) -> Option<Scheme> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultInjector};
     use fp_dram::DramConfig;
 
     fn dram() -> DramSystem {
@@ -652,28 +610,12 @@ mod tests {
         let mut engine = InsecureEngine::new(dram(), 64);
         // Submit out of order: the later-submitted request has the earlier
         // arrival and must issue (and finish) first.
-        OramEngine::submit(
-            &mut engine,
-            NewRequest {
-                addr: 9,
-                op: Op::Read,
-                data: vec![],
-                arrival_ps: 5_000_000,
-                tag: 0,
-            },
-        )
-        .unwrap();
-        OramEngine::submit(
-            &mut engine,
-            NewRequest {
-                addr: 1,
-                op: Op::Read,
-                data: vec![],
-                arrival_ps: 0,
-                tag: 1,
-            },
-        )
-        .unwrap();
+        engine.submit(NewRequest::read(9, 5_000_000)).unwrap();
+        let early = NewRequest {
+            tag: 1,
+            ..NewRequest::read(1, 0)
+        };
+        engine.submit(early).unwrap();
         let done = engine.run_to_idle().unwrap();
         assert_eq!(done.len(), 2);
         assert_eq!(done[0].tag, 1, "earlier arrival completes first");
@@ -682,34 +624,29 @@ mod tests {
         assert_eq!(engine.stash_high_water(), 0);
     }
 
+    /// The provided methods and the batch door, on every engine the
+    /// registry builds, bare and under an injector that injects nothing.
     #[test]
-    fn boxed_engine_delegates() {
-        let mut engine: Box<dyn OramEngine + Send> =
-            Scheme::ForkDefault.build(OramConfig::small_test(), dram(), 3);
-        engine.set_trace_capacity(8);
-        assert_eq!(engine.trace().capacity(), 8);
-        engine.pump().unwrap();
-        let ids = engine
-            .submit_batch(vec![
-                NewRequest {
-                    addr: 1,
-                    op: Op::Read,
-                    data: vec![],
-                    arrival_ps: 0,
-                    tag: 0,
-                },
-                NewRequest {
-                    addr: 2,
-                    op: Op::Read,
-                    data: vec![],
-                    arrival_ps: 0,
-                    tag: 1,
-                },
-            ])
-            .unwrap();
-        assert_eq!(ids, vec![0, 1]);
-        assert!(engine.has_pending_work());
-        let done = engine.run_to_idle().unwrap();
-        assert_eq!(done.len(), 2);
+    fn every_engine_answers_the_trait_bare_and_wrapped() {
+        for (name, scheme) in registry() {
+            for wrapped in [false, true] {
+                let case = format!("{name}, wrapped: {wrapped}");
+                let mut engine = scheme.build(OramConfig::small_test(), dram(), 3);
+                if wrapped {
+                    engine = Box::new(FaultInjector::new(engine, FaultConfig::default()));
+                }
+                engine.set_trace_capacity(8);
+                assert_eq!(engine.trace().capacity(), 8, "{case}");
+                engine.pump().unwrap();
+                let batch = vec![NewRequest::read(1, 0), NewRequest::read(2, 0)];
+                assert_eq!(engine.submit_batch(batch).unwrap(), vec![0, 1], "{case}");
+                assert!(engine.has_pending_work(), "{case}");
+                let mut ids: Vec<u64> =
+                    engine.run_to_idle().unwrap().iter().map(|c| c.id).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, vec![0, 1], "{case}");
+                assert!(!engine.has_pending_work(), "{case}");
+            }
+        }
     }
 }

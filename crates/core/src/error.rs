@@ -3,12 +3,12 @@
 //! The Fork Path controller is deterministic and its internal bookkeeping
 //! invariants (every label-queue entry names a live flight, every chain
 //! index stays inside its chain, …) are unreachable-by-construction. They
-//! used to be enforced with `unwrap`/`expect`; they are now surfaced as a typed
-//! [`ControllerError`] propagated through the fallible API
-//! ([`crate::ForkPathController::submit_tagged`],
-//! [`crate::ForkPathController::process_one`]). The infallible convenience
-//! wrappers (`submit`, `run_to_idle`) convert an error into a panic at the
-//! API boundary, keeping their historical signatures.
+//! are surfaced as a typed [`ControllerError`], which every
+//! [`crate::OramEngine`] method that does work returns, alongside the
+//! integrity and stash-overflow faults a driver must survive. Only the
+//! calls that cannot return one — the panicking constructor
+//! [`crate::ForkPathController::new`] and the fixed-rate stream of
+//! [`crate::timing`] — turn an error into a panic.
 
 use std::fmt;
 
@@ -94,7 +94,7 @@ impl From<fp_path_oram::IntegrityError> for ControllerError {
 }
 
 /// Converts an internal-invariant error into a panic at the infallible API
-/// boundary (`submit`, `run_to_idle`, `force_dummy_at`).
+/// boundary (`new`, `force_dummy_at`, the fixed-rate stream).
 pub(crate) fn must<T>(r: Result<T, ControllerError>) -> T {
     match r {
         Ok(v) => v,

@@ -115,8 +115,8 @@ impl FaultConfig {
 
 /// A deterministic fault-injecting [`OramEngine`] wrapper.
 ///
-/// Composes over any engine (it is itself an engine, so injectors nest and
-/// `Box<dyn OramEngine + Send>` drivers take it unchanged). Counters
+/// Composes over any boxed engine (it is itself an engine, so injectors
+/// nest and `Box<dyn OramEngine + Send>` drivers take it unchanged). Counters
 /// ([`Counter::FaultsInjected`], [`Counter::FaultRetries`],
 /// [`Counter::LatencySpikes`]) land on the wrapped engine's own trace
 /// spine, so service-level stats aggregation picks them up for free.
@@ -134,9 +134,8 @@ impl FaultConfig {
 /// // Drive `faulty` exactly like the bare engine.
 /// assert_eq!(faulty.clock_ps(), 0);
 /// ```
-#[derive(Debug)]
-pub struct FaultInjector<E> {
-    inner: E,
+pub struct FaultInjector {
+    inner: Box<dyn OramEngine + Send>,
     cfg: FaultConfig,
     rng: Xoshiro256,
     trace: TraceHandle,
@@ -147,13 +146,13 @@ pub struct FaultInjector<E> {
     penalty_ps: u64,
 }
 
-impl<E: OramEngine> FaultInjector<E> {
+impl FaultInjector {
     /// Wraps `inner`, drawing injection decisions from `cfg.seed`.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`FaultConfig::validate`].
-    pub fn new(inner: E, cfg: FaultConfig) -> Self {
+    pub fn new(inner: Box<dyn OramEngine + Send>, cfg: FaultConfig) -> Self {
         cfg.validate().expect("invalid fault config");
         let rng = Xoshiro256::new(cfg.seed ^ 0xFA17_ED5E_ED00);
         let trace = inner.trace().clone();
@@ -204,7 +203,7 @@ impl<E: OramEngine> FaultInjector<E> {
     }
 }
 
-impl<E: OramEngine> OramEngine for FaultInjector<E> {
+impl OramEngine for FaultInjector {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         self.inner.submit(req)
     }
@@ -255,10 +254,6 @@ impl<E: OramEngine> OramEngine for FaultInjector<E> {
         self.inner.trace()
     }
 
-    fn set_trace_capacity(&mut self, capacity: usize) {
-        self.inner.set_trace_capacity(capacity);
-    }
-
     fn dram(&self) -> &DramSystem {
         self.inner.dram()
     }
@@ -273,21 +268,11 @@ mod tests {
     use super::*;
     use crate::engine::Scheme;
     use fp_dram::DramConfig;
-    use fp_path_oram::{Op, OramConfig};
+    use fp_path_oram::OramConfig;
 
     fn engine(scheme: Scheme, seed: u64) -> Box<dyn OramEngine + Send> {
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
         scheme.build(OramConfig::small_test(), dram, seed)
-    }
-
-    fn req(addr: u64, arrival_ps: u64) -> NewRequest {
-        NewRequest {
-            addr,
-            op: Op::Read,
-            data: vec![],
-            arrival_ps,
-            tag: 0,
-        }
     }
 
     #[test]
@@ -296,8 +281,8 @@ mod tests {
         let mut wrapped =
             FaultInjector::new(engine(Scheme::ForkDefault, 7), FaultConfig::default());
         for i in 0..64u64 {
-            bare.submit(req(i % 13, i * 1000)).unwrap();
-            wrapped.submit(req(i % 13, i * 1000)).unwrap();
+            bare.submit(NewRequest::read(i % 13, i * 1000)).unwrap();
+            wrapped.submit(NewRequest::read(i % 13, i * 1000)).unwrap();
         }
         let a = bare.run_to_idle().unwrap();
         let b = wrapped.run_to_idle().unwrap();
@@ -322,7 +307,7 @@ mod tests {
             },
         );
         for i in 0..128u64 {
-            faulty.submit(req(i % 17, 0)).unwrap();
+            faulty.submit(NewRequest::read(i % 17, 0)).unwrap();
         }
         let done = faulty.run_to_idle().unwrap();
         assert_eq!(done.len(), 128, "all requests survive via retries");
@@ -347,7 +332,7 @@ mod tests {
             },
         );
         for i in 0..8u64 {
-            faulty.submit(req(i, 0)).unwrap();
+            faulty.submit(NewRequest::read(i, 0)).unwrap();
         }
         let err = faulty.run_to_idle().unwrap_err();
         assert!(
@@ -366,7 +351,7 @@ mod tests {
                 ..FaultConfig::default()
             },
         );
-        faulty.submit(req(1, 0)).unwrap();
+        faulty.submit(NewRequest::read(1, 0)).unwrap();
         let err = faulty.run_to_idle().unwrap_err();
         assert!(
             matches!(err, ControllerError::StashOverflow { .. }),
@@ -384,7 +369,7 @@ mod tests {
             },
         );
         for i in 0..4u64 {
-            faulty.submit(req(i, 0)).unwrap();
+            faulty.submit(NewRequest::read(i, 0)).unwrap();
         }
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faulty.run_to_idle()));
         assert!(r.is_err(), "access 1 must panic");
@@ -403,7 +388,7 @@ mod tests {
                 },
             );
             for i in 0..32u64 {
-                e.submit(req(i, 0)).unwrap();
+                e.submit(NewRequest::read(i, 0)).unwrap();
             }
             let done = e.run_to_idle().unwrap();
             let spikes = e.trace().counter(Counter::LatencySpikes);

@@ -10,13 +10,12 @@
 use std::collections::VecDeque;
 
 use fp_path_oram::keyed::U64Map;
-use fp_path_oram::{
-    AccessTimes, Completion, CompletionLog, Datapath, LlcRequest, OramConfig, OramState,
-};
+use fp_path_oram::{AccessTimes, Completion, CompletionLog, Datapath, OramConfig, OramState};
 use fp_trace::{Counter, EventKind};
 
 use crate::address_queue::AddressQueue;
 use crate::controller::ONCHIP_ANSWER_PS;
+use crate::engine::LlcRequest;
 use crate::error::ControllerError;
 use crate::plb::PosMapLookasideBuffer;
 use crate::queue::{EntryKind, LabelQueue};
@@ -433,6 +432,7 @@ mod tests {
     use fp_dram::{DramConfig, DramSystem};
     use fp_path_oram::cache::NoCache;
     use fp_path_oram::Op;
+    use fp_trace::TraceHandle;
 
     /// A flight table with the controller state a chain step touches, and
     /// no controller: the tests decide when an access returns and when a
@@ -459,7 +459,7 @@ mod tests {
                 path: Datapath::new(cfg, dram, 7, Box::new(NoCache)),
                 plb: PosMapLookasideBuffer::new(0),
                 aq: AddressQueue::new(),
-                sched: LabelQueue::new(label_queue_size, true),
+                sched: LabelQueue::new(label_queue_size, true, TraceHandle::default()),
                 times: AccessTimes::default(),
                 completions: CompletionLog::default(),
                 flights: FlightTable::default(),

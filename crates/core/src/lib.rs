@@ -29,17 +29,19 @@
 //! two-queue architecture as Fig 9: an address queue with data-hazard
 //! handling feeding a label queue that schedules the ORAM requests.
 //!
-//! The [`engine`] module abstracts this controller, the baseline
-//! [`fp_path_oram::BaselineController`], and an insecure plain-DRAM engine
-//! behind one scheme-agnostic incremental API ([`OramEngine`]); [`Scheme`]
-//! names and constructs them, so simulators, the serving layer, and the
-//! bench harness drive every memory system through the same loop.
+//! The paper's baseline, traditional Path ORAM ([`BaselineController`]),
+//! lives beside it and drives the same `fp_path_oram::Datapath` with its
+//! own FIFO orchestration. Every memory system — those two and an insecure
+//! plain-DRAM engine — implements one scheme-agnostic incremental API,
+//! [`OramEngine`], and is driven through nothing else; [`Scheme`] names
+//! and constructs them, so simulators, the serving layer, and the bench
+//! harness drive every memory system through the same loop.
 //!
 //! # Example
 //!
 //! ```
-//! use fp_core::{ForkConfig, ForkPathController};
-//! use fp_path_oram::{Op, OramConfig};
+//! use fp_core::{ForkConfig, ForkPathController, NewRequest, OramEngine};
+//! use fp_path_oram::OramConfig;
 //! use fp_dram::{DramConfig, DramSystem};
 //!
 //! let dram = DramSystem::new(DramConfig::ddr3_1600(2));
@@ -49,9 +51,9 @@
 //!     dram,
 //!     1,
 //! );
-//! ctl.submit(9, Op::Write, vec![1; 16], 0);
-//! ctl.submit(9, Op::Read, vec![], 0);
-//! let done = ctl.run_to_idle();
+//! ctl.submit(NewRequest::write(9, vec![1; 16], 0)).unwrap();
+//! ctl.submit(NewRequest::read(9, 0)).unwrap();
+//! let done = ctl.run_to_idle().unwrap();
 //! assert_eq!(done.len(), 2);
 //! assert!(ctl.stats().avg_path_len() < 10.0, "merging shortens paths");
 //! ```
@@ -63,6 +65,7 @@
 #![warn(missing_docs)]
 
 mod address_queue;
+mod baseline;
 mod config;
 mod controller;
 mod dummy;
@@ -76,6 +79,7 @@ mod plb;
 mod queue;
 pub mod timing;
 
+pub use baseline::BaselineController;
 pub use config::{CacheChoice, ForkConfig};
 pub use controller::ForkPathController;
 pub use engine::{OramEngine, Scheme};

@@ -25,20 +25,15 @@ pub struct PathMerger {
 }
 
 impl PathMerger {
-    /// Creates the stage; when `enabled` is false every access degenerates
-    /// to full-path reads and writes (the ablation baseline).
-    pub fn new(enabled: bool) -> Self {
+    /// Creates the stage, reporting its counters and events to `trace`;
+    /// when `enabled` is false every access degenerates to full-path reads
+    /// and writes (the ablation baseline).
+    pub fn new(enabled: bool, trace: TraceHandle) -> Self {
         Self {
             enabled,
             prev_label: None,
-            trace: TraceHandle::default(),
+            trace,
         }
-    }
-
-    /// Attaches a shared trace spine; merge counters and events report
-    /// there from now on.
-    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// The previous access's label (`None` = next read takes a full path).
@@ -109,7 +104,7 @@ mod tests {
     #[test]
     fn read_floor_skips_exactly_the_shared_prefix() {
         let levels = 10u32;
-        let mut m = PathMerger::new(true);
+        let mut m = PathMerger::new(true, TraceHandle::default());
         assert_eq!(m.read_floor(levels, 5), 0, "cold start reads the full path");
         m.commit(5);
         let floor = m.read_floor(levels, 7);
@@ -131,7 +126,7 @@ mod tests {
         // fork level clamps to `levels`, so exactly the leaf bucket is
         // re-read and re-written (never a level beyond the tree).
         let levels = 10u32;
-        let mut m = PathMerger::new(true);
+        let mut m = PathMerger::new(true, TraceHandle::default());
         m.commit(9);
         assert_eq!(m.read_floor(levels, 9), levels, "only the leaf is read");
         assert_eq!(
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn disabled_merging_always_takes_full_paths() {
-        let mut m = PathMerger::new(false);
+        let mut m = PathMerger::new(false, TraceHandle::default());
         m.commit(5);
         assert_eq!(m.read_floor(10, 5), 0);
         assert_eq!(m.write_stop(10, 5, Some(5)), 0);
@@ -151,13 +146,13 @@ mod tests {
 
     #[test]
     fn write_stop_without_pending_commits_whole_path() {
-        let m = PathMerger::new(true);
+        let m = PathMerger::new(true, TraceHandle::default());
         assert_eq!(m.write_stop(10, 123, None), 0);
     }
 
     #[test]
     fn reset_drops_anchor_and_counts() {
-        let mut m = PathMerger::new(true);
+        let mut m = PathMerger::new(true, TraceHandle::default());
         m.commit(4);
         m.reset();
         assert_eq!(m.prev_label(), None);

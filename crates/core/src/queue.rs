@@ -176,9 +176,10 @@ pub(crate) struct LabelQueue {
 }
 
 impl LabelQueue {
-    /// Creates an empty queue with capacity `M`; `scheduling` toggles
-    /// overlap-maximizing selection.
-    pub(crate) fn new(capacity: usize, scheduling: bool) -> Self {
+    /// Creates an empty queue with capacity `M`, reporting its counters and
+    /// events to `trace`; `scheduling` toggles overlap-maximizing
+    /// selection.
+    pub(crate) fn new(capacity: usize, scheduling: bool, trace: TraceHandle) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
             reals: Vec::with_capacity(capacity),
@@ -193,14 +194,8 @@ impl LabelQueue {
             round: FIRST_ROUND,
             starve_round: u64::MAX,
             now_ps: 0,
-            trace: TraceHandle::default(),
+            trace,
         }
-    }
-
-    /// Attaches a shared trace spine; scheduling counters and events
-    /// report there from now on.
-    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// Number of entries (equals capacity once padded).
@@ -553,7 +548,7 @@ mod tests {
 
     /// The queue with overlap-maximizing selection on.
     fn queue(capacity: usize) -> LabelQueue {
-        LabelQueue::new(capacity, true)
+        LabelQueue::new(capacity, true, TraceHandle::default())
     }
 
     #[test]
@@ -668,7 +663,7 @@ mod tests {
 
     #[test]
     fn fifo_mode_ignores_overlap() {
-        let mut q = LabelQueue::new(4, false);
+        let mut q = LabelQueue::new(4, false, TraceHandle::default());
         q.insert_real(4, real(1), 0).unwrap(); // first in
         q.insert_real(0, real(2), 0).unwrap(); // better overlap with current 1
         q.pad_with(|| 6);
@@ -691,7 +686,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = LabelQueue::new(0, true);
+        let _ = LabelQueue::new(0, true, TraceHandle::default());
     }
 
     /// (c) Reordering never breaks per-address program order: requests to
@@ -795,7 +790,7 @@ mod tests {
 
     #[test]
     fn fifo_mode_disables_overlap_ranking() {
-        let mut q = LabelQueue::new(4, false);
+        let mut q = LabelQueue::new(4, false, TraceHandle::default());
         q.insert_real(4, real(1), 0).unwrap(); // poor overlap, first in
         q.insert_real(0, real(2), 0).unwrap(); // perfect overlap with current 1
         q.pad_with(|| 6);

@@ -259,8 +259,7 @@ fn run_case(seed: u64, ops: usize, cov: &mut Coverage) {
     let total: u64 = weights.iter().sum();
     let at = format!("case {seed:#x}: capacity {capacity}, scheduling {scheduling}, L {levels}");
 
-    let mut queue = LabelQueue::new(capacity, scheduling);
-    queue.attach_trace(TraceHandle::new(1 << 16));
+    let mut queue = LabelQueue::new(capacity, scheduling, TraceHandle::new(1 << 16));
     let mut reference = Reference::new(capacity, scheduling, TraceHandle::new(1 << 16));
     let (mut now, mut flight, mut rounds) = (0u64, 0u64, 0u64);
     // Reals taken out, which `restore` may put back.

@@ -15,6 +15,7 @@
 use fp_path_oram::{NoFeedback, ReactiveSource};
 
 use crate::controller::ForkPathController;
+use crate::engine::OramEngine;
 use crate::error::must;
 
 /// Outcome of a fixed-rate enforcement run.
@@ -31,8 +32,8 @@ pub struct FixedRateReport {
 /// Drives `ctl` at a fixed request rate until `horizon_ps`.
 ///
 /// Completions are routed through `source` exactly as in
-/// [`ForkPathController::process_one`], so closed-loop workloads keep
-/// functioning under protection.
+/// [`OramEngine::process_one`], so closed-loop workloads keep functioning
+/// under protection.
 pub fn enforce_fixed_rate<S: ReactiveSource>(
     ctl: &mut ForkPathController,
     source: &mut S,
@@ -86,7 +87,7 @@ mod tests {
     use super::*;
     use crate::config::ForkConfig;
     use fp_dram::{DramConfig, DramSystem};
-    use fp_path_oram::{Op, OramConfig};
+    use fp_path_oram::{NewRequest, OramConfig};
 
     fn ctl() -> ForkPathController {
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
@@ -116,7 +117,8 @@ mod tests {
     fn real_work_displaces_padding() {
         let mut c = ctl();
         for a in 0..32u64 {
-            c.submit(a, Op::Write, vec![a as u8; 16], 0);
+            c.submit(NewRequest::write(a, vec![a as u8; 16], 0))
+                .unwrap();
         }
         let mut source = NoFeedback;
         let report = enforce_fixed_rate(&mut c, &mut source, 50_000_000, 1_000_000);
@@ -131,8 +133,8 @@ mod tests {
             silent_report.forced_dummies
         );
         // And the data is still correct afterwards.
-        c.submit(5, Op::Read, vec![], c.clock_ps());
-        let done = c.run_to_idle();
+        c.submit(NewRequest::read(5, c.clock_ps())).unwrap();
+        let done = c.run_to_idle().unwrap();
         assert_eq!(done.last().unwrap().data[0], 5);
     }
 
@@ -142,10 +144,10 @@ mod tests {
         c.enable_label_trace();
         // Two bursts separated by a long program silence.
         for a in 0..8u64 {
-            c.submit(a, Op::Read, vec![], 0);
+            c.submit(NewRequest::read(a, 0)).unwrap();
         }
         for a in 0..8u64 {
-            c.submit(a, Op::Read, vec![], 40_000_000);
+            c.submit(NewRequest::read(a, 40_000_000)).unwrap();
         }
         let mut source = NoFeedback;
         let report = enforce_fixed_rate(&mut c, &mut source, 60_000_000, 500_000);

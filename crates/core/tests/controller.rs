@@ -1,9 +1,12 @@
 //! End-to-end tests of the [`ForkPathController`] facade, exercising all
 //! four pipeline stages through the public API only.
 
-use fp_core::{CacheChoice, ForkConfig, ForkPathController, NewRequest, ReactiveSource};
+use fp_core::{
+    BaselineController, CacheChoice, ForkConfig, ForkPathController, NewRequest, OramEngine,
+    ReactiveSource,
+};
 use fp_dram::{DramConfig, DramSystem};
-use fp_path_oram::{BaselineController, Completion, Op, OramConfig};
+use fp_path_oram::{Completion, OramConfig};
 
 fn dram() -> DramSystem {
     DramSystem::new(DramConfig::ddr3_1600(2))
@@ -16,10 +19,11 @@ fn fork(cfg: ForkConfig) -> ForkPathController {
 #[test]
 fn write_then_read_roundtrips() {
     let mut ctl = fork(ForkConfig::default());
-    ctl.submit(77, Op::Write, vec![0xEE; 16], 0);
-    let _ = ctl.run_to_idle();
-    ctl.submit(77, Op::Read, vec![], ctl.clock_ps());
-    let done = ctl.run_to_idle();
+    ctl.submit(NewRequest::write(77, vec![0xEE; 16], 0))
+        .unwrap();
+    let _ = ctl.run_to_idle().unwrap();
+    ctl.submit(NewRequest::read(77, ctl.clock_ps())).unwrap();
+    let done = ctl.run_to_idle().unwrap();
     let read = done.iter().find(|c| c.addr == 77).unwrap();
     assert_eq!(read.data, vec![0xEE; 16]);
     ctl.state().check_invariants().unwrap();
@@ -31,13 +35,14 @@ fn many_interleaved_requests_stay_consistent() {
     // Writes to 32 addresses, then reads, submitted in bulk so
     // scheduling reorders aggressively.
     for a in 0..32u64 {
-        ctl.submit(a, Op::Write, vec![a as u8; 16], 0);
+        ctl.submit(NewRequest::write(a, vec![a as u8; 16], 0))
+            .unwrap();
     }
-    let _ = ctl.run_to_idle();
+    let _ = ctl.run_to_idle().unwrap();
     for a in 0..32u64 {
-        ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+        ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
     }
-    let done = ctl.run_to_idle();
+    let done = ctl.run_to_idle().unwrap();
     for c in done {
         assert_eq!(c.data, vec![c.addr as u8; 16], "addr {}", c.addr);
     }
@@ -49,11 +54,11 @@ fn merging_shortens_paths_vs_baseline() {
     let mut base = BaselineController::new(OramConfig::small_test(), dram(), 11);
     let mut ctl = fork(ForkConfig::default());
     for a in 0..64u64 {
-        base.submit(a, Op::Read, vec![], 0);
-        ctl.submit(a, Op::Read, vec![], 0);
+        base.submit(NewRequest::read(a, 0)).unwrap();
+        ctl.submit(NewRequest::read(a, 0)).unwrap();
     }
-    base.run_to_idle();
-    ctl.run_to_idle();
+    base.run_to_idle().unwrap();
+    ctl.run_to_idle().unwrap();
     let full = base.stats().avg_path_len();
     let merged = ctl.stats().avg_path_len();
     assert_eq!(full, 10.0, "baseline reads/writes complete paths");
@@ -63,13 +68,15 @@ fn merging_shortens_paths_vs_baseline() {
 #[test]
 fn bigger_queue_shortens_paths_further() {
     let run = |m: usize| {
-        let mut cfg = ForkConfig::default();
-        cfg.label_queue_size = m;
+        let cfg = ForkConfig {
+            label_queue_size: m,
+            ..ForkConfig::default()
+        };
         let mut ctl = fork(cfg);
         for a in 0..200u64 {
-            ctl.submit(a % 96, Op::Read, vec![], 0);
+            ctl.submit(NewRequest::read(a % 96, 0)).unwrap();
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         ctl.stats().avg_path_len()
     };
     let q1 = run(1);
@@ -84,9 +91,9 @@ fn sparse_arrivals_insert_dummies() {
     // so dummies are materialized.
     let gap = 10_000_000; // 10 us
     for a in 0..8u64 {
-        ctl.submit(a, Op::Read, vec![], a * gap);
+        ctl.submit(NewRequest::read(a, a * gap)).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     assert!(
         ctl.stats().dummy_accesses > 0,
         "sparse arrivals force dummies"
@@ -97,9 +104,9 @@ fn sparse_arrivals_insert_dummies() {
 fn dense_arrivals_avoid_dummies() {
     let mut ctl = fork(ForkConfig::default());
     for a in 0..64u64 {
-        ctl.submit(a, Op::Read, vec![], 0);
+        ctl.submit(NewRequest::read(a, 0)).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     let frac = ctl.stats().dummy_fraction();
     assert!(frac < 0.2, "dense queue rarely needs dummies: {frac}");
 }
@@ -118,13 +125,7 @@ fn replacement_rescues_dummies_in_closed_loop() {
             }
             self.remaining -= 1;
             self.next_addr += 1;
-            vec![NewRequest {
-                addr: self.next_addr,
-                op: Op::Read,
-                data: Vec::new(),
-                arrival_ps: c.done_ps + self.gap_ps,
-                tag: 0,
-            }]
+            vec![NewRequest::read(self.next_addr, c.done_ps + self.gap_ps)]
         }
     }
     // A dependent chain of requests, each arriving shortly after the
@@ -135,7 +136,7 @@ fn replacement_rescues_dummies_in_closed_loop() {
         remaining: 60,
         gap_ps: 30_000,
     };
-    ctl.submit(100, Op::Read, vec![], 0);
+    ctl.submit(NewRequest::read(100, 0)).unwrap();
     while ctl.process_one(&mut src).unwrap() {}
     let s = ctl.stats();
     assert!(
@@ -148,14 +149,16 @@ fn replacement_rescues_dummies_in_closed_loop() {
 #[test]
 fn replacing_flag_controls_replacement() {
     let run = |replacing: bool| {
-        let mut cfg = ForkConfig::default();
-        cfg.replacing = replacing;
+        let cfg = ForkConfig {
+            replacing,
+            ..ForkConfig::default()
+        };
         let mut ctl = fork(cfg);
         // Moderate gaps: some arrivals land inside refill windows.
         for a in 0..48u64 {
-            ctl.submit(a, Op::Read, vec![], a * 400_000);
+            ctl.submit(NewRequest::read(a, a * 400_000)).unwrap();
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         (ctl.stats().dummies_replaced, ctl.stats().dummy_accesses)
     };
     let (replaced_on, _) = run(true);
@@ -173,13 +176,15 @@ fn replacing_flag_controls_replacement() {
 
 #[test]
 fn merging_off_reads_full_paths() {
-    let mut cfg = ForkConfig::default();
-    cfg.merging = false;
+    let cfg = ForkConfig {
+        merging: false,
+        ..ForkConfig::default()
+    };
     let mut ctl = fork(cfg);
     for a in 0..16u64 {
-        ctl.submit(a, Op::Read, vec![], 0);
+        ctl.submit(NewRequest::read(a, 0)).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     assert_eq!(ctl.stats().avg_path_len(), 10.0);
 
     // Staggered arrivals land inside refills, so pending dummies get
@@ -187,9 +192,9 @@ fn merging_off_reads_full_paths() {
     // full path, so the retargeted refill must still commit every level.
     let mut ctl = fork(cfg);
     for a in 0..48u64 {
-        ctl.submit(a, Op::Read, vec![], a * 400_000);
+        ctl.submit(NewRequest::read(a, a * 400_000)).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     assert!(ctl.stats().dummies_replaced > 0, "replacement fired");
     assert_eq!(ctl.stats().avg_path_len(), 10.0);
 }
@@ -197,16 +202,18 @@ fn merging_off_reads_full_paths() {
 #[test]
 fn mac_reduces_dram_traffic() {
     let run = |cache: CacheChoice| {
-        let mut cfg = ForkConfig::default();
-        cfg.cache = cache;
-        cfg.mac_bypass_levels = Some(3);
+        let cfg = ForkConfig {
+            cache,
+            mac_bypass_levels: Some(3),
+            ..ForkConfig::default()
+        };
         let mut ctl = fork(cfg);
         for round in 0..4u64 {
             for a in 0..48u64 {
-                ctl.submit(a, Op::Read, vec![], round);
+                ctl.submit(NewRequest::read(a, round)).unwrap();
             }
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         (
             ctl.stats().dram_blocks_read,
             ctl.stats().dram_blocks_written,
@@ -226,9 +233,9 @@ fn label_trace_is_roughly_uniform() {
     let mut ctl = fork(ForkConfig::default());
     ctl.enable_label_trace();
     for a in 0..256u64 {
-        ctl.submit(a % 100, Op::Read, vec![], 0);
+        ctl.submit(NewRequest::read(a % 100, 0)).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     let trace = ctl.label_trace().unwrap().to_vec();
     assert_eq!(trace.len() as u64, ctl.stats().oram_accesses);
     assert!(
@@ -258,14 +265,16 @@ fn label_trace_is_roughly_uniform() {
 fn hazard_forwarding_and_cancellation_complete_requests() {
     // Queue of one plus a blocker keeps w1 resident in the address
     // queue, exercising the §4 hazard rules.
-    let mut cfg = ForkConfig::default();
-    cfg.label_queue_size = 1;
+    let cfg = ForkConfig {
+        label_queue_size: 1,
+        ..ForkConfig::default()
+    };
     let mut ctl = fork(cfg);
-    let _blocker = ctl.submit(900, Op::Read, vec![], 0);
-    let w1 = ctl.submit(5, Op::Write, vec![1; 16], 0);
-    let w2 = ctl.submit(5, Op::Write, vec![2; 16], 10);
-    let r = ctl.submit(5, Op::Read, vec![], 20);
-    let done = ctl.run_to_idle();
+    let _blocker = ctl.submit(NewRequest::read(900, 0)).unwrap();
+    let w1 = ctl.submit(NewRequest::write(5, vec![1; 16], 0)).unwrap();
+    let w2 = ctl.submit(NewRequest::write(5, vec![2; 16], 10)).unwrap();
+    let r = ctl.submit(NewRequest::read(5, 20)).unwrap();
+    let done = ctl.run_to_idle().unwrap();
     let by_id = |id: u64| done.iter().find(|c| c.id == id).unwrap();
     // w1 cancelled by w2 (Write-before-Write): acknowledged with no data.
     assert!(by_id(w1).data.is_empty());
@@ -273,8 +282,8 @@ fn hazard_forwarding_and_cancellation_complete_requests() {
     assert_eq!(by_id(r).data, vec![2; 16]);
     let _ = by_id(w2);
     // A later read (after the write completed) sees the stored value.
-    ctl.submit(5, Op::Read, vec![], ctl.clock_ps());
-    let done = ctl.run_to_idle();
+    ctl.submit(NewRequest::read(5, ctl.clock_ps())).unwrap();
+    let done = ctl.run_to_idle().unwrap();
     assert_eq!(done[0].data, vec![2; 16]);
 }
 
@@ -289,9 +298,9 @@ fn stash_fast_path_completions_survive_the_final_drain() {
     let mut ctl = fork(ForkConfig::default());
     let mut ids = Vec::new();
     for i in 0..4u64 {
-        ids.push(ctl.submit(42, Op::Read, vec![], i));
+        ids.push(ctl.submit(NewRequest::read(42, i)).unwrap());
     }
-    let done = ctl.run_to_idle();
+    let done = ctl.run_to_idle().unwrap();
     assert!(!ctl.has_pending_work());
     let mut done_ids: Vec<u64> = done.iter().map(|c| c.id).collect();
     done_ids.sort_unstable();
@@ -316,7 +325,7 @@ fn pending_work_covers_undrained_completions() {
     let mut ctl = fork(ForkConfig::default());
     let mut ids = Vec::new();
     for i in 0..6u64 {
-        ids.push(ctl.submit(i * 7, Op::Read, vec![], i * 1_000));
+        ids.push(ctl.submit(NewRequest::read(i * 7, i * 1_000)).unwrap());
     }
     let mut done = Vec::new();
     while ctl.has_pending_work() {
@@ -335,12 +344,12 @@ fn pending_work_covers_undrained_completions() {
 #[test]
 fn idle_gap_resets_merging_cleanly() {
     let mut ctl = fork(ForkConfig::default());
-    ctl.submit(1, Op::Write, vec![7; 16], 0);
-    let _ = ctl.run_to_idle();
+    ctl.submit(NewRequest::write(1, vec![7; 16], 0)).unwrap();
+    let _ = ctl.run_to_idle().unwrap();
     // Long idle; next burst must still behave correctly.
     let later = ctl.clock_ps() + 1_000_000_000;
-    ctl.submit(1, Op::Read, vec![], later);
-    let done = ctl.run_to_idle();
+    ctl.submit(NewRequest::read(1, later)).unwrap();
+    let done = ctl.run_to_idle().unwrap();
     assert_eq!(done[0].data, vec![7; 16]);
     ctl.state().check_invariants().unwrap();
 }
@@ -349,14 +358,14 @@ fn idle_gap_resets_merging_cleanly() {
 fn stash_stays_bounded() {
     let mut ctl = fork(ForkConfig::default());
     for i in 0..400u64 {
-        ctl.submit(
-            i % 80,
-            if i % 3 == 0 { Op::Write } else { Op::Read },
-            vec![3; 16],
-            0,
-        );
+        let req = if i % 3 == 0 {
+            NewRequest::write(i % 80, vec![3; 16], 0)
+        } else {
+            NewRequest::read(i % 80, 0)
+        };
+        ctl.submit(req).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     let hw = ctl.state().stash().high_water();
     assert!(hw < 200, "stash high water {hw}");
     ctl.state().check_invariants().unwrap();
@@ -369,18 +378,16 @@ fn submit_batch_matches_sequential_submits() {
     let run = |batched: bool| {
         let mut ctl = fork(ForkConfig::default());
         for a in 0..16u64 {
-            ctl.submit(a, Op::Write, vec![a as u8; 16], 0);
+            ctl.submit(NewRequest::write(a, vec![a as u8; 16], 0))
+                .unwrap();
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         let t = ctl.clock_ps();
         if batched {
             let batch: Vec<NewRequest> = (0..16u64)
                 .map(|a| NewRequest {
-                    addr: a,
-                    op: Op::Read,
-                    data: vec![],
-                    arrival_ps: t,
                     tag: a,
+                    ..NewRequest::read(a, t)
                 })
                 .collect();
             let ids = ctl.submit_batch(batch).unwrap();
@@ -388,11 +395,12 @@ fn submit_batch_matches_sequential_submits() {
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids in submit order");
         } else {
             for a in 0..16u64 {
-                ctl.submit(a, Op::Read, vec![], t);
+                ctl.submit(NewRequest::read(a, t)).unwrap();
             }
         }
         let mut done: Vec<(u64, Vec<u8>)> = ctl
             .run_to_idle()
+            .unwrap()
             .into_iter()
             .map(|c| (c.addr, c.data))
             .collect();
@@ -410,8 +418,10 @@ fn submit_batch_matches_sequential_submits() {
 #[test]
 fn invalid_config_surfaces_typed_error() {
     use fp_core::ControllerError;
-    let mut cfg = ForkConfig::default();
-    cfg.label_queue_size = 0;
+    let cfg = ForkConfig {
+        label_queue_size: 0,
+        ..ForkConfig::default()
+    };
     let err = ForkPathController::try_new(OramConfig::small_test(), cfg, dram(), 1).unwrap_err();
     assert!(matches!(err, ControllerError::InvalidConfig(_)), "{err}");
 }
@@ -432,9 +442,9 @@ mod plb_tests {
             // Strided reads with posmap-block reuse.
             for round in 0..4u64 {
                 for a in 0..64u64 {
-                    ctl.submit(a, Op::Read, vec![], round);
+                    ctl.submit(NewRequest::read(a, round)).unwrap();
                 }
-                ctl.run_to_idle();
+                ctl.run_to_idle().unwrap();
             }
             (
                 ctl.stats().accesses_per_request(),
@@ -460,13 +470,14 @@ mod plb_tests {
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
         let mut ctl = ForkPathController::new(cfg, fork_cfg, dram, 45);
         for a in 0..80u64 {
-            ctl.submit(a, Op::Write, vec![a as u8; 16], 0);
+            ctl.submit(NewRequest::write(a, vec![a as u8; 16], 0))
+                .unwrap();
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         for a in 0..80u64 {
-            ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+            ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
         }
-        for c in ctl.run_to_idle() {
+        for c in ctl.run_to_idle().unwrap() {
             assert_eq!(c.data[0], c.addr as u8);
         }
         ctl.state().check_invariants().unwrap();
@@ -488,13 +499,14 @@ mod super_block_tests {
         for sb in [2u64, 4, 8] {
             let mut ctl = ctl_with_sb(sb);
             for a in 0..96u64 {
-                ctl.submit(a, Op::Write, vec![a as u8; 16], 0);
+                ctl.submit(NewRequest::write(a, vec![a as u8; 16], 0))
+                    .unwrap();
             }
-            ctl.run_to_idle();
+            ctl.run_to_idle().unwrap();
             for a in 0..96u64 {
-                ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+                ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
             }
-            for c in ctl.run_to_idle() {
+            for c in ctl.run_to_idle().unwrap() {
                 assert_eq!(c.data[0], c.addr as u8, "sb={sb} addr={}", c.addr);
             }
             ctl.state().check_invariants().unwrap();
@@ -507,9 +519,9 @@ mod super_block_tests {
         let run = |sb: u64| {
             let mut ctl = ctl_with_sb(sb);
             for a in 0..128u64 {
-                ctl.submit(a, Op::Read, vec![], 0);
+                ctl.submit(NewRequest::read(a, 0)).unwrap();
             }
-            ctl.run_to_idle();
+            ctl.run_to_idle().unwrap();
             ctl.stats().accesses_per_request()
         };
         let plain = run(1);
@@ -527,14 +539,19 @@ mod super_block_tests {
         let mut ctl = ctl_with_sb(4);
         for round in 0..6u8 {
             for a in 0..4u64 {
-                ctl.submit(a, Op::Write, vec![round * 10 + a as u8; 16], ctl.clock_ps());
+                ctl.submit(NewRequest::write(
+                    a,
+                    vec![round * 10 + a as u8; 16],
+                    ctl.clock_ps(),
+                ))
+                .unwrap();
             }
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         for a in 0..4u64 {
-            ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+            ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
         }
-        for c in ctl.run_to_idle() {
+        for c in ctl.run_to_idle().unwrap() {
             assert_eq!(c.data[0], 50 + c.addr as u8);
         }
         ctl.state().check_invariants().unwrap();

@@ -1,8 +1,8 @@
 //! # fp-path-oram
 //!
-//! The baseline Path ORAM substrate of the Fork Path reproduction (§2.3 of
-//! the paper): everything a secure processor's ORAM controller needs *before*
-//! the Fork Path optimizations are layered on top by `fp-core`.
+//! The Path ORAM substrate of the Fork Path reproduction (§2.3 of the
+//! paper): everything a secure processor's ORAM controller drives, with or
+//! without the Fork Path optimizations `fp-core` layers on top.
 //!
 //! ## Components
 //!
@@ -23,18 +23,14 @@
 //! * [`OramState`] — the combined trusted state (tree, stash, posmap, label
 //!   RNG) with the block handling between the phases (`chain_step`,
 //!   `apply_op`).
-//! * [`Datapath`] — the one datapath under both controllers: owns the
+//! * [`Datapath`] — the one datapath under every controller: owns the
 //!   state, the DRAM system, the [`WritebackEngine`] and the trace spine,
 //!   and exposes the two phases of an access — `read_path` from a floor
 //!   down, and the refill stream `begin_refill` + `refill_level`, leaf to
 //!   root for as many levels as the controller decides.
-//! * [`BaselineController`] — the traditional Path ORAM controller: every
-//!   access reads and refills a complete path, driven either synchronously
-//!   ([`BaselineController::access_sync`]) or incrementally through the
-//!   submit/pump model ([`BaselineController::process_one`]).
-//! * The closed-loop feedback vocabulary ([`NewRequest`],
-//!   [`ReactiveSource`], [`NoFeedback`], at the crate root) shared by every
-//!   incremental engine from the baseline to Fork Path.
+//! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]) and
+//!   the closed-loop feedback ([`ReactiveSource`], [`NoFeedback`],
+//!   [`CompletionLog`]) shared by every engine.
 //! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
 //!   [`cache::TreetopCache`] policy (Phantom \[13\]).
 //! * [`keyed`] — the `u64`-keyed map and set aliases (one-multiply hasher)
@@ -42,19 +38,9 @@
 //! * [`integrity`] — Merkle-tree verification over the ORAM tree, the
 //!   combinable defence against active attacks the paper points to (§2.2).
 //!
-//! # Example
-//!
-//! ```
-//! use fp_path_oram::{BaselineController, OramConfig, Op};
-//! use fp_dram::{DramConfig, DramSystem};
-//!
-//! let cfg = OramConfig::small_test(); // tiny tree for examples/tests
-//! let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-//! let mut ctl = BaselineController::new(cfg, dram, 1234);
-//! ctl.submit(7, Op::Write, vec![0xAB; 16], 0);
-//! let completions = ctl.run_to_idle();
-//! assert_eq!(completions.len(), 1);
-//! ```
+//! The controllers that sequence these phases — traditional Path ORAM
+//! and Fork Path — and the engine trait they are driven through live in
+//! `fp-core`; [`Datapath`]'s own example runs one access by hand.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -64,7 +50,6 @@
 
 pub mod cache;
 mod config;
-mod controller;
 mod datapath;
 pub mod integrity;
 pub mod keyed;
@@ -78,11 +63,10 @@ mod tree;
 mod writeback;
 
 pub use config::{CipherMode, OramConfig};
-pub use controller::{BaselineController, Completion, LlcRequest, Op};
 pub use datapath::{Datapath, CTRL_PHASE_LATENCY_PS};
 pub use integrity::IntegrityError;
 pub use posmap::PosMapHierarchy;
-pub use reactive::{CompletionLog, NewRequest, NoFeedback, ReactiveSource};
+pub use reactive::{Completion, CompletionLog, NewRequest, NoFeedback, Op, ReactiveSource};
 pub use stash::{Block, Stash};
 pub use state::{AccessOutcome, OramState};
 pub use stats::{AccessTimes, OramStats};

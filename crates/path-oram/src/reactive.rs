@@ -1,17 +1,41 @@
-//! Closed-loop request feedback for incremental controllers.
+//! The request and completion vocabulary of every incremental engine, and
+//! closed-loop request feedback.
 //!
 //! A driver implements [`ReactiveSource`] so that a core (or service
 //! client) whose LLC miss completes during an ORAM access can issue its
 //! next miss in time to participate in downstream scheduling — for Fork
 //! Path, that feedback loop is what makes dummy replacement (§3.3) fire at
-//! realistic rates. The types live here, next to [`Completion`], so both
-//! the baseline controller and every optimized engine share one feedback
-//! vocabulary.
+//! realistic rates. The types live here, below every engine, so the
+//! baseline, Fork Path and the insecure reference share one vocabulary.
 
-use crate::controller::{Completion, Op};
+/// LLC request direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Cache-line fill.
+    Read,
+    /// Dirty write-back.
+    Write,
+}
 
-/// A follow-up request produced by a [`ReactiveSource`] when a completion is
-/// delivered mid-simulation.
+/// A completed LLC request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Completion {
+    /// Id the engine assigned the request on submission.
+    pub id: u64,
+    /// Program address.
+    pub addr: u64,
+    /// Data as read (pre-write payload for writes).
+    pub data: Vec<u8>,
+    /// Arrival time, picoseconds.
+    pub arrival_ps: u64,
+    /// Time the data block's read phase delivered the data, picoseconds.
+    pub done_ps: u64,
+    /// Tag from the originating request.
+    pub tag: u64,
+}
+
+/// A request handed to an engine: submitted by a driver, or produced by a
+/// [`ReactiveSource`] when a completion is delivered mid-simulation.
 #[derive(Debug, Clone)]
 pub struct NewRequest {
     /// Program (data-block) address.
@@ -24,6 +48,30 @@ pub struct NewRequest {
     pub arrival_ps: u64,
     /// Opaque routing tag echoed in the completion.
     pub tag: u64,
+}
+
+impl NewRequest {
+    /// A read of `addr` arriving at `arrival_ps`, tag 0.
+    pub fn read(addr: u64, arrival_ps: u64) -> Self {
+        Self {
+            addr,
+            op: Op::Read,
+            data: Vec::new(),
+            arrival_ps,
+            tag: 0,
+        }
+    }
+
+    /// A write of `data` to `addr` arriving at `arrival_ps`, tag 0.
+    pub fn write(addr: u64, data: Vec<u8>, arrival_ps: u64) -> Self {
+        Self {
+            addr,
+            op: Op::Write,
+            data,
+            arrival_ps,
+            tag: 0,
+        }
+    }
 }
 
 /// Closed-loop request feedback: the system simulator implements this so

@@ -100,8 +100,8 @@ impl Stash {
     }
 
     /// Whether occupancy exceeds the nominal capacity (a trigger for
-    /// background eviction in the controller).
-    pub(crate) fn over_capacity(&self) -> bool {
+    /// background eviction in the baseline controller).
+    pub fn over_capacity(&self) -> bool {
         self.blocks.len() > self.capacity
     }
 

@@ -212,12 +212,11 @@ enum ReqMeta {
     Flush,
 }
 
-/// One shard's worker: a scheme-agnostic ORAM engine plus in-flight
-/// request metadata. Defaults to the boxed engine [`ServiceConfig::scheme`]
-/// builds; tests can instantiate it with a concrete engine type.
-pub struct ShardEngine<E: OramEngine = Box<dyn OramEngine + Send>> {
+/// One shard's worker: the scheme-agnostic ORAM engine
+/// [`ServiceConfig::scheme`] builds, plus in-flight request metadata.
+pub struct ShardEngine {
     shard: usize,
-    ctl: E,
+    ctl: Box<dyn OramEngine + Send>,
     shared: Arc<ShardShared>,
     batch_max: usize,
     default_deadline_ps: Option<u64>,
@@ -268,9 +267,7 @@ impl ShardEngine {
             shared,
         )
     }
-}
 
-impl<E: OramEngine> ShardEngine<E> {
     /// External-mode worker loop: drain the queue in batches, advance the
     /// controller, publish completions. Returns when the queue is closed
     /// and all admitted work has completed.

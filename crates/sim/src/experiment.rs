@@ -184,7 +184,7 @@ mod tests {
             trace_path_from_args(&args),
             Some(std::path::PathBuf::from("t.json"))
         );
-        assert_eq!(trace_path_from_args(&args[..2].to_vec()), None);
+        assert_eq!(trace_path_from_args(&args[..2]), None);
         assert_eq!(trace_path_from_args(&[]), None);
     }
 

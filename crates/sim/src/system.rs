@@ -10,7 +10,6 @@
 //! DRAM, traditional Path ORAM (with or without a treetop cache), and
 //! every Fork Path configuration all run through the same code path.
 
-use fp_core::engine::OramEngine;
 use fp_core::NewRequest;
 use fp_core::ReactiveSource;
 use fp_path_oram::{Completion, Op};

@@ -51,7 +51,6 @@ pub mod parsec;
 mod profile;
 pub mod service;
 pub mod spec;
-pub mod trace;
 pub mod zipf;
 
 pub use profile::{BenchmarkProfile, OverheadGroup};

@@ -6,10 +6,10 @@
 //! Run with: `cargo run --release --example defense_in_depth`
 
 use fork_path_oram::core::timing::idle_cost;
-use fork_path_oram::core::{ForkConfig, ForkPathController, NoFeedback};
+use fork_path_oram::core::{ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::integrity::MerkleTree;
-use fork_path_oram::path_oram::{Op, OramConfig};
+use fork_path_oram::path_oram::OramConfig;
 
 fn main() {
     // --- 1. Integrity: a Merkle tree over the ORAM tree -----------------
@@ -44,7 +44,8 @@ fn main() {
 
     // A short program burst...
     for a in 0..16u64 {
-        ctl.submit(a, Op::Write, vec![a as u8; 16], 0);
+        ctl.submit(NewRequest::write(a, vec![a as u8; 16], 0))
+            .expect("controller invariant violated");
     }
     let mut src = NoFeedback;
     while ctl
@@ -67,8 +68,9 @@ fn main() {
     );
 
     // The data survives the padded period, of course.
-    ctl.submit(7, Op::Read, vec![], ctl.clock_ps());
-    let done = ctl.run_to_idle();
+    ctl.submit(NewRequest::read(7, ctl.clock_ps()))
+        .expect("controller invariant violated");
+    let done = ctl.run_to_idle().expect("controller invariant violated");
     assert_eq!(done.last().unwrap().data[0], 7);
     ctl.state().check_invariants().unwrap();
     println!("post-protection read check : OK");

@@ -7,9 +7,9 @@
 //! Fork Path optimizations (path merging, request scheduling, dummy
 //! replacing) cutting the memory traffic of every access.
 
-use fork_path_oram::core::{ForkConfig, ForkPathController};
+use fork_path_oram::core::{ForkConfig, ForkPathController, NewRequest, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{CipherMode, Op, OramConfig};
+use fork_path_oram::path_oram::{CipherMode, OramConfig};
 
 fn main() {
     // A small ORAM with real counter-mode encryption of the tree contents.
@@ -23,16 +23,18 @@ fn main() {
     println!("writing 16 records...");
     for i in 0u64..16 {
         let payload = vec![i as u8; 16];
-        ctl.submit(i, Op::Write, payload, ctl.clock_ps());
+        ctl.submit(NewRequest::write(i, payload, ctl.clock_ps()))
+            .expect("controller invariant violated");
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().expect("controller invariant violated");
 
     // Read them back — every access re-encrypts and re-shuffles.
     println!("reading them back...");
     for i in 0u64..16 {
-        ctl.submit(i, Op::Read, vec![], ctl.clock_ps());
+        ctl.submit(NewRequest::read(i, ctl.clock_ps()))
+            .expect("controller invariant violated");
     }
-    let done = ctl.run_to_idle();
+    let done = ctl.run_to_idle().expect("controller invariant violated");
     for c in &done {
         assert_eq!(c.data, vec![c.addr as u8; 16], "record {} intact", c.addr);
     }

@@ -7,9 +7,9 @@
 
 use std::collections::HashMap;
 
-use fork_path_oram::core::{ForkConfig, ForkPathController};
+use fork_path_oram::core::{ForkConfig, ForkPathController, NewRequest, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{Op, OramConfig};
+use fork_path_oram::path_oram::OramConfig;
 
 /// Fixed-size record store: key -> slot, values padded to one ORAM block.
 struct ObliviousKvStore {
@@ -44,14 +44,22 @@ impl ObliviousKvStore {
         let mut payload = vec![value.len() as u8];
         payload.extend_from_slice(value);
         self.ctl
-            .submit(slot, Op::Write, payload, self.ctl.clock_ps());
-        self.ctl.run_to_idle();
+            .submit(NewRequest::write(slot, payload, self.ctl.clock_ps()))
+            .expect("controller invariant violated");
+        self.ctl
+            .run_to_idle()
+            .expect("controller invariant violated");
     }
 
     fn get(&mut self, key: &str) -> Option<Vec<u8>> {
         let slot = *self.directory.get(key)?;
-        self.ctl.submit(slot, Op::Read, vec![], self.ctl.clock_ps());
-        let done = self.ctl.run_to_idle();
+        self.ctl
+            .submit(NewRequest::read(slot, self.ctl.clock_ps()))
+            .expect("controller invariant violated");
+        let done = self
+            .ctl
+            .run_to_idle()
+            .expect("controller invariant violated");
         let block = &done.last()?.data;
         let len = block[0] as usize;
         Some(block[1..1 + len].to_vec())

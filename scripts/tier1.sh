@@ -19,7 +19,9 @@ cargo fmt --all -- --check
 # outside the sync helpers (both clippy.toml disallowed-methods), no
 # process-stream output from library crates (crate-root denies), and no
 # wire kind code assigned twice (unreachable_patterns in Frame::decode).
-cargo clippy --offline --workspace -- -D warnings
+# --all-targets lints the tests, examples and `#[cfg(test)]` modules too,
+# so an `#[expect]` there is checked like one in library code.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline
 
 cargo test -q --offline --workspace

@@ -1,26 +1,21 @@
-//! Old-vs-new access API equivalence for the baseline Path ORAM
-//! controller.
+//! Drive-pattern equivalence for the baseline Path ORAM controller, and
+//! one datapath under both cipher modes.
 //!
-//! The baseline grew the same incremental submit/pump surface the Fork
-//! Path controller has (and both now implement `fp_core::OramEngine`).
-//! These tests pin the refactor: a request stream driven through the
-//! historical synchronous pattern (`submit` + `run_to_idle` per request,
-//! or `access_sync`) and the same stream driven through the incremental
-//! engine API — submitted in randomized chunks, pumped step by step,
-//! drained mid-flight — must produce bit-identical completions,
-//! statistics, and stash high-water marks, with and without a treetop
-//! cache. And the two cipher modes are one datapath: every engine with a
-//! tree runs the same with it sealed as in the clear.
+//! A request stream driven synchronously (`submit` + `run_to_idle` per
+//! request) and the same stream driven incrementally — submitted in
+//! randomized chunks, pumped step by step, drained mid-flight — must
+//! produce bit-identical completions, statistics, and stash high-water
+//! marks, with and without a treetop cache. And the two cipher modes are
+//! one datapath: every engine with a tree runs the same with it sealed as
+//! in the clear.
 
 use fork_path_oram::core::engine::{by_name, registry};
 use fork_path_oram::core::{
-    ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine, Scheme,
+    BaselineController, ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine, Scheme,
 };
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{
-    BaselineController, Block, CipherMode, Completion, Op, OramConfig, OramState,
-};
+use fork_path_oram::path_oram::{Block, CipherMode, Completion, Op, OramConfig, OramState};
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::trace::{Counter, TraceEvent};
 
@@ -34,39 +29,26 @@ fn controller(treetop: bool, seed: u64) -> BaselineController {
     }
 }
 
-struct Req {
-    addr: u64,
-    op: Op,
-    data: Vec<u8>,
-    arrival_ps: u64,
-}
-
 /// A randomized request stream with non-decreasing arrivals over a small
 /// address space (so stash pressure and path reuse both occur).
-fn gen_stream(g: &mut Gen, n: usize) -> Vec<Req> {
+fn gen_stream(g: &mut Gen, n: usize) -> Vec<NewRequest> {
     let mut t = 0u64;
     (0..n)
         .map(|_| {
             t += g.below(2_000_000);
             let addr = g.below(256);
-            let (op, data) = if g.below(3) == 0 {
-                (Op::Write, vec![(addr % 251) as u8; 16])
+            if g.below(3) == 0 {
+                NewRequest::write(addr, vec![(addr % 251) as u8; 16], t)
             } else {
-                (Op::Read, Vec::new())
-            };
-            Req {
-                addr,
-                op,
-                data,
-                arrival_ps: t,
+                NewRequest::read(addr, t)
             }
         })
         .collect()
 }
 
-/// Same seed, same stream: the old one-request-at-a-time sync pattern and
-/// the new incremental API (random chunked submissions, stepwise pumping,
-/// mid-flight drains) are indistinguishable in every observable output.
+/// Same seed, same stream: one request at a time, each run to idle, and
+/// random chunked submissions with stepwise pumping and mid-flight drains
+/// are indistinguishable in every observable output.
 #[test]
 fn sync_and_incremental_drives_are_equivalent() {
     run_cases("baseline-sync-vs-incremental", 6, |g: &mut Gen| {
@@ -74,44 +56,33 @@ fn sync_and_incremental_drives_are_equivalent() {
         let seed = g.below(u64::MAX);
         let stream = gen_stream(g, 24);
 
-        // Drive A: the historical synchronous pattern.
+        // Drive A: one request at a time, each run to idle.
         let mut a = controller(treetop, seed);
         let mut a_done = Vec::new();
         for r in &stream {
-            a.submit(r.addr, r.op, r.data.clone(), r.arrival_ps);
-            a_done.extend(a.run_to_idle());
+            a.submit(r.clone()).expect("baseline submit");
+            a_done.extend(a.run_to_idle().expect("baseline run_to_idle"));
         }
 
-        // Drive B: the same stream through the engine trait, in random
-        // chunks with interleaved pumping and draining.
+        // Drive B: the same stream in random chunks with interleaved
+        // pumping and draining.
         let mut b = controller(treetop, seed);
         let mut b_done = Vec::new();
         let mut next = 0usize;
         while next < stream.len() {
             let chunk = 1 + g.below(5) as usize;
             for r in stream.iter().skip(next).take(chunk) {
-                OramEngine::submit(
-                    &mut b,
-                    NewRequest {
-                        addr: r.addr,
-                        op: r.op,
-                        data: r.data.clone(),
-                        arrival_ps: r.arrival_ps,
-                        tag: 0,
-                    },
-                )
-                .expect("baseline submit is infallible");
+                b.submit(r.clone()).expect("baseline submit");
             }
             next += chunk;
             for _ in 0..g.below(4) {
-                OramEngine::process_one(&mut b, &mut NoFeedback)
-                    .expect("baseline pump is infallible");
+                b.process_one(&mut NoFeedback).expect("baseline pump");
             }
             if g.below(2) == 0 {
-                b_done.extend(OramEngine::drain_completions(&mut b));
+                b_done.extend(b.drain_completions());
             }
         }
-        b_done.extend(OramEngine::run_to_idle(&mut b).expect("baseline run_to_idle"));
+        b_done.extend(b.run_to_idle().expect("baseline run_to_idle"));
 
         assert_eq!(
             a_done, b_done,
@@ -125,46 +96,6 @@ fn sync_and_incremental_drives_are_equivalent() {
         );
         assert_eq!(a.clock_ps(), b.clock_ps());
     });
-}
-
-/// `access_sync` is a thin wrapper: each call equals one trait-level
-/// submit at the current clock plus a run to idle.
-#[test]
-fn access_sync_matches_incremental_single_steps() {
-    for treetop in [false, true] {
-        let mut a = controller(treetop, 42);
-        let mut b = controller(treetop, 42);
-        for i in 0..16u64 {
-            let addr = (i * 37) % 64;
-            let (op, data) = if i % 3 == 0 {
-                (Op::Write, vec![i as u8; 16])
-            } else {
-                (Op::Read, Vec::new())
-            };
-            let da = a.access_sync(addr, op, data.clone());
-            let arrival_ps = b.clock_ps();
-            let id = OramEngine::submit(
-                &mut b,
-                NewRequest {
-                    addr,
-                    op,
-                    data,
-                    arrival_ps,
-                    tag: 0,
-                },
-            )
-            .expect("baseline submit is infallible");
-            let done = OramEngine::run_to_idle(&mut b).expect("baseline run_to_idle");
-            assert_eq!(done.len(), 1, "treetop={treetop}");
-            assert_eq!(done[0].id, id);
-            assert_eq!(done[0].data, da, "treetop={treetop} i={i}");
-        }
-        assert_eq!(a.stats(), b.stats(), "treetop={treetop}");
-        assert_eq!(
-            a.state().stash().high_water(),
-            b.state().stash().high_water()
-        );
-    }
 }
 
 /// What one run shows from outside the engine and of its tree.

@@ -1,15 +1,15 @@
 //! Integration tests for the beyond-the-paper extensions: Merkle integrity
-//! riding on ORAM traffic, fixed-rate timing protection, the PosMap
-//! Lookaside Buffer, and trace record/replay.
+//! riding on ORAM traffic, fixed-rate timing protection, and the PosMap
+//! Lookaside Buffer.
 
 use fork_path_oram::core::timing::{enforce_fixed_rate, idle_cost};
-use fork_path_oram::core::{ForkConfig, ForkPathController, NoFeedback};
+use fork_path_oram::core::{ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::integrity::{siphash24, MerkleTree};
-use fork_path_oram::path_oram::{Op, OramConfig};
+use fork_path_oram::path_oram::OramConfig;
 use fork_path_oram::sim::{run_workload, Scheme, SystemConfig};
 use fork_path_oram::workloads::cpu::MultiCoreWorkload;
-use fork_path_oram::workloads::{mixes, trace::Trace};
+use fork_path_oram::workloads::mixes;
 
 fn dram() -> DramSystem {
     DramSystem::new(DramConfig::ddr3_1600(2))
@@ -27,9 +27,10 @@ fn merkle_tree_tracks_a_full_oram_run() {
     let mut merkle = MerkleTree::new(levels, [11, 22]);
 
     for a in 0..48u64 {
-        ctl.submit(a, Op::Write, vec![a as u8; 16], ctl.clock_ps());
+        ctl.submit(NewRequest::write(a, vec![a as u8; 16], ctl.clock_ps()))
+            .unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
 
     // Hash the current untrusted state wholesale (a verifier snapshot).
     let contents: Vec<(u64, Vec<u8>)> = ctl
@@ -97,7 +98,7 @@ fn fixed_rate_keeps_access_cadence_data_independent() {
         let mut ctl =
             ForkPathController::new(OramConfig::small_test(), ForkConfig::default(), dram(), 52);
         for a in 0..requests {
-            ctl.submit(a, Op::Read, vec![], 0);
+            ctl.submit(NewRequest::read(a, 0)).unwrap();
         }
         let mut src = NoFeedback;
         let _ = enforce_fixed_rate(&mut ctl, &mut src, 40_000_000, 500_000);
@@ -148,46 +149,4 @@ fn plb_improves_system_latency_on_hot_working_sets() {
         plain.oram_accesses
     );
     assert!(plb.oram_latency_ns <= plain.oram_latency_ns * 1.05);
-}
-
-// ---------- Trace record / replay ----------------------------------------
-
-#[test]
-fn captured_trace_replays_identically_through_the_simulator() {
-    let mut mix = mixes::all()[4].clone();
-    for p in &mut mix.programs {
-        p.working_set_blocks = 1 << 10;
-    }
-    let trace = Trace::capture(MultiCoreWorkload::from_mix(&mix, 60, 55), "Mix5/55");
-    assert_eq!(trace.len(), 240);
-
-    // Feed the trace's records straight into a controller, open loop. Four
-    // per-core regions of 2^10 blocks need a 2^12-block address space.
-    let mut oram_cfg = OramConfig::small_test();
-    oram_cfg.data_blocks = 1 << 12;
-    oram_cfg.levels = 11;
-    let mut ctl = ForkPathController::new(oram_cfg, ForkConfig::default(), dram(), 56);
-    for r in &trace.records {
-        let op = if r.is_write { Op::Write } else { Op::Read };
-        let data = if r.is_write { vec![1u8; 16] } else { vec![] };
-        ctl.submit(r.addr, op, data, r.issue_ps);
-    }
-    let done = ctl.run_to_idle();
-    assert_eq!(
-        done.len() as usize + 0,
-        trace.len() - count_cancelled(&trace)
-    );
-    ctl.state().check_invariants().unwrap();
-
-    // Round-trip through the text format and confirm byte equality.
-    let back = Trace::from_text(&trace.to_text()).unwrap();
-    assert_eq!(back, trace);
-}
-
-/// Writes to the same address back-to-back are cancelled by the WaW hazard;
-/// account for them when comparing completion counts.
-fn count_cancelled(_trace: &Trace) -> usize {
-    // The controller acknowledges cancelled writes with a completion too,
-    // so nothing is actually missing; kept for documentation value.
-    0
 }

@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use fork_path_oram::core::engine::{by_name, OramEngine};
+use fork_path_oram::core::engine::by_name;
 use fork_path_oram::core::{MergingAwareCache, PosMapLookasideBuffer};
 use fork_path_oram::crypto::{BlockCipher, Nonce, Xoshiro256};
 use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};

@@ -6,14 +6,26 @@ mod common;
 
 use common::RamModel;
 use fork_path_oram::core::engine::{by_name, Scheme};
-use fork_path_oram::core::{ForkConfig, ForkPathController};
-use fork_path_oram::core::{NewRequest, ReactiveSource};
+use fork_path_oram::core::{BaselineController, ForkConfig, ForkPathController};
+use fork_path_oram::core::{NewRequest, OramEngine, ReactiveSource};
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{BaselineController, CipherMode, Completion, Op, OramConfig};
+use fork_path_oram::path_oram::{CipherMode, Completion, Op, OramConfig};
 
 fn dram() -> DramSystem {
     DramSystem::new(DramConfig::ddr3_1600(2))
+}
+
+/// Submits `req` at the engine's clock and runs it to completion; returns
+/// the data it read.
+fn access_now(engine: &mut impl OramEngine, req: NewRequest) -> Vec<u8> {
+    let req = NewRequest {
+        arrival_ps: engine.clock_ps(),
+        ..req
+    };
+    engine.submit(req).unwrap();
+    let mut done = engine.run_to_idle().unwrap();
+    done.pop().expect("one completion").data
 }
 
 /// Drives `ops` random operations through the fork controller, checking
@@ -30,20 +42,21 @@ fn storm_fork(cfg: OramConfig, seed: u64, ops: usize, addr_space: u64) {
             let mut payload = vec![(i & 0xFF) as u8; block];
             payload[0] = addr as u8;
             model.write(addr, payload.clone());
-            ctl.submit(addr, Op::Write, payload, ctl.clock_ps());
+            ctl.submit(NewRequest::write(addr, payload, ctl.clock_ps()))
+                .unwrap();
         } else {
-            let id = ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+            let id = ctl.submit(NewRequest::read(addr, ctl.clock_ps())).unwrap();
             model.expect_read(id, addr);
         }
         // Occasionally let the controller drain, so both batched and
         // incremental processing paths are exercised.
         if rng.gen_bool(0.25) {
-            for c in ctl.run_to_idle() {
+            for c in ctl.run_to_idle().unwrap() {
                 model.check(c.id, c.addr, &c.data);
             }
         }
     }
-    for c in ctl.run_to_idle() {
+    for c in ctl.run_to_idle().unwrap() {
         model.check(c.id, c.addr, &c.data);
     }
     assert!(model.all_checked(), "all reads completed");
@@ -156,8 +169,7 @@ fn fork_parking_stress_with_32_outstanding_matches_reference() {
         let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), 21);
         for _ in 0..32 {
             let r = source.next_request(0);
-            ctl.submit_tagged(r.addr, r.op, r.data, r.arrival_ps, r.tag)
-                .unwrap();
+            ctl.submit(r).unwrap();
         }
         while ctl.process_one(&mut source).unwrap() {}
         assert_eq!(ctl.drain_completions().len() as u64, source.budget);
@@ -188,9 +200,9 @@ fn baseline_random_storm_matches_reference() {
         if rng.gen_bool(0.5) {
             let payload = vec![(i & 0xFF) as u8; block];
             model.write(addr, payload.clone());
-            ctl.access_sync(addr, Op::Write, payload);
+            access_now(&mut ctl, NewRequest::write(addr, payload, 0));
         } else {
-            let got = ctl.access_sync(addr, Op::Read, vec![]);
+            let got = access_now(&mut ctl, NewRequest::read(addr, 0));
             assert_eq!(got, model.read(addr), "addr {addr}");
         }
     }
@@ -217,29 +229,29 @@ fn fork_and_baseline_agree_on_final_state() {
 
     let mut base = BaselineController::new(cfg.clone(), dram(), 5);
     for &(addr, w) in &ops {
-        match w {
-            Some(b) => {
-                base.access_sync(addr, Op::Write, vec![b; block]);
-            }
-            None => {
-                base.access_sync(addr, Op::Read, vec![]);
-            }
-        }
+        let req = match w {
+            Some(b) => NewRequest::write(addr, vec![b; block], 0),
+            None => NewRequest::read(addr, 0),
+        };
+        access_now(&mut base, req);
     }
 
     let mut fork = ForkPathController::new(cfg, ForkConfig::default(), dram(), 6);
     for &(addr, w) in &ops {
         match w {
-            Some(b) => fork.submit(addr, Op::Write, vec![b; block], fork.clock_ps()),
-            None => fork.submit(addr, Op::Read, vec![], fork.clock_ps()),
+            Some(b) => fork
+                .submit(NewRequest::write(addr, vec![b; block], fork.clock_ps()))
+                .unwrap(),
+            None => fork
+                .submit(NewRequest::read(addr, fork.clock_ps()))
+                .unwrap(),
         };
     }
-    fork.run_to_idle();
+    fork.run_to_idle().unwrap();
 
     for addr in 0..64u64 {
-        let a = base.access_sync(addr, Op::Read, vec![]);
-        fork.submit(addr, Op::Read, vec![], fork.clock_ps());
-        let b = fork.run_to_idle().pop().unwrap().data;
+        let a = access_now(&mut base, NewRequest::read(addr, 0));
+        let b = access_now(&mut fork, NewRequest::read(addr, 0));
         assert_eq!(a, b, "state diverged at address {addr}");
     }
 }
@@ -255,13 +267,14 @@ fn tiny_queue_and_huge_queue_both_correct() {
         };
         let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), 8);
         for a in 0..40u64 {
-            ctl.submit(a, Op::Write, vec![a as u8; block], 0);
+            ctl.submit(NewRequest::write(a, vec![a as u8; block], 0))
+                .unwrap();
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         for a in 0..40u64 {
-            ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+            ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
         }
-        for c in ctl.run_to_idle() {
+        for c in ctl.run_to_idle().unwrap() {
             assert_eq!(c.data[0], c.addr as u8, "queue={queue}");
         }
         ctl.state().check_invariants().unwrap();
@@ -287,13 +300,14 @@ fn ablation_variants_remain_correct() {
         };
         let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), 10);
         for a in 0..32u64 {
-            ctl.submit(a, Op::Write, vec![!(a as u8); block], 0);
+            ctl.submit(NewRequest::write(a, vec![!(a as u8); block], 0))
+                .unwrap();
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         for a in 0..32u64 {
-            ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+            ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
         }
-        for c in ctl.run_to_idle() {
+        for c in ctl.run_to_idle().unwrap() {
             assert_eq!(
                 c.data[0],
                 !(c.addr as u8),
@@ -324,13 +338,18 @@ fn caches_do_not_change_functional_results() {
         let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), 12);
         for round in 0..3 {
             for a in 0..48u64 {
-                ctl.submit(a, Op::Write, vec![a as u8 ^ round; block], ctl.clock_ps());
+                ctl.submit(NewRequest::write(
+                    a,
+                    vec![a as u8 ^ round; block],
+                    ctl.clock_ps(),
+                ))
+                .unwrap();
             }
-            ctl.run_to_idle();
+            ctl.run_to_idle().unwrap();
             for a in 0..48u64 {
-                ctl.submit(a, Op::Read, vec![], ctl.clock_ps());
+                ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
             }
-            for c in ctl.run_to_idle() {
+            for c in ctl.run_to_idle().unwrap() {
                 assert_eq!(c.data[0], c.addr as u8 ^ round, "{cache:?}");
             }
         }

@@ -8,14 +8,15 @@
 //! [`propcheck`]: fork_path_oram::propcheck
 
 use fork_path_oram::core::{
-    ForkConfig, ForkPathController, MergingAwareCache, PosMapLookasideBuffer,
+    ForkConfig, ForkPathController, MergingAwareCache, NewRequest, OramEngine,
+    PosMapLookasideBuffer,
 };
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache, WriteOutcome};
 use fork_path_oram::path_oram::path::{
     divergence_level, node_at_level, node_level, overlap_degree, path_contains, path_nodes,
 };
-use fork_path_oram::path_oram::{Block, Datapath, Op, OramConfig, Stash};
+use fork_path_oram::path_oram::{Block, Datapath, OramConfig, Stash};
 use fork_path_oram::propcheck::{run_cases, Gen};
 
 const CASES: u64 = 64;
@@ -466,16 +467,17 @@ fn fork_controller_behaves_like_ram() {
             match wr {
                 Some(byte) => {
                     shadow.insert(addr, byte);
-                    ctl.submit(addr, Op::Write, vec![byte; block], ctl.clock_ps());
+                    ctl.submit(NewRequest::write(addr, vec![byte; block], ctl.clock_ps()))
+                        .unwrap();
                 }
                 None => {
                     let want = shadow.get(&addr).copied().unwrap_or(0);
-                    let id = ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+                    let id = ctl.submit(NewRequest::read(addr, ctl.clock_ps())).unwrap();
                     expected.insert(id, want);
                 }
             }
         }
-        for c in ctl.run_to_idle() {
+        for c in ctl.run_to_idle().unwrap() {
             if let Some(want) = expected.remove(&c.id) {
                 assert_eq!(c.data[0], want, "addr {}", c.addr);
             }
@@ -504,15 +506,16 @@ fn label_queue_sizes_never_break_ram_semantics() {
             let mut last: std::collections::HashMap<u64, u8> = Default::default();
             for &(addr, byte) in &ops {
                 last.insert(addr, byte);
-                ctl.submit(addr, Op::Write, vec![byte; block], 0);
+                ctl.submit(NewRequest::write(addr, vec![byte; block], 0))
+                    .unwrap();
             }
-            ctl.run_to_idle();
+            ctl.run_to_idle().unwrap();
             let mut expected = std::collections::HashMap::new();
             for (&addr, &byte) in &last {
-                let id = ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+                let id = ctl.submit(NewRequest::read(addr, ctl.clock_ps())).unwrap();
                 expected.insert(id, byte);
             }
-            for c in ctl.run_to_idle() {
+            for c in ctl.run_to_idle().unwrap() {
                 if let Some(want) = expected.remove(&c.id) {
                     assert_eq!(c.data[0], want);
                 }
@@ -527,13 +530,14 @@ fn label_queue_sizes_never_break_ram_semantics() {
 #[test]
 fn fork_floor_stays_inside_the_path() {
     use fork_path_oram::core::PathMerger;
+    use fork_path_oram::trace::TraceHandle;
     run_cases("fork_floor_stays_inside_the_path", CASES, |g: &mut Gen| {
         let levels = g.range_u32(1, 12);
         let leaves = 1u64 << levels;
         let a = g.below(leaves);
         // Exercise the identical-label corner explicitly in some cases.
         let b = if g.bool() { a } else { g.below(leaves) };
-        let mut m = PathMerger::new(true);
+        let mut m = PathMerger::new(true, TraceHandle::default());
         assert_eq!(m.read_floor(levels, a), 0, "first access reads fully");
         m.commit(a);
         let floor = m.read_floor(levels, b);
@@ -556,10 +560,13 @@ fn fork_floor_stays_inside_the_path() {
         // The refill stop — initial or after a mid-refill replacement —
         // obeys the same clamp, and is the root when the next read will
         // not merge.
-        let mut m2 = PathMerger::new(true);
+        let mut m2 = PathMerger::new(true, TraceHandle::default());
         m2.commit(a);
         assert!(m2.write_stop(levels, a, Some(b)) <= levels);
-        assert_eq!(PathMerger::new(false).write_stop(levels, a, Some(b)), 0);
+        assert_eq!(
+            PathMerger::new(false, TraceHandle::default()).write_stop(levels, a, Some(b)),
+            0
+        );
     });
 }
 
@@ -591,17 +598,18 @@ fn trace_counters_track_request_lifecycle_and_stash_flow() {
                         2 => (submitted * 31) % data_blocks,
                         _ => g.below(64),
                     };
-                    let (op, data) = if g.bool() {
-                        (Op::Write, vec![(submitted & 0xff) as u8; block])
+                    let req = if g.bool() {
+                        let data = vec![(submitted & 0xff) as u8; block];
+                        NewRequest::write(addr, data, ctl.clock_ps())
                     } else {
-                        (Op::Read, vec![])
+                        NewRequest::read(addr, ctl.clock_ps())
                     };
-                    ctl.submit(addr, op, data, ctl.clock_ps());
+                    ctl.submit(req).unwrap();
                     submitted += 1;
                 }
-                completions += ctl.run_to_idle().len() as u64;
+                completions += ctl.run_to_idle().unwrap().len() as u64;
             }
-            completions += ctl.run_to_idle().len() as u64;
+            completions += ctl.run_to_idle().unwrap().len() as u64;
 
             let t = ctl.trace();
             assert_eq!(t.counter(Counter::RequestsSubmitted), submitted);

@@ -2,10 +2,12 @@
 //! visible label sequence must be uniform and independent of the program's
 //! access pattern, and the Fork Path optimizations must not change that.
 
-use fork_path_oram::core::{ForkConfig, ForkPathController};
+use fork_path_oram::core::{
+    BaselineController, ForkConfig, ForkPathController, NewRequest, OramEngine,
+};
 use fork_path_oram::crypto::Xoshiro256;
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{BaselineController, Op, OramConfig};
+use fork_path_oram::path_oram::OramConfig;
 
 fn dram() -> DramSystem {
     DramSystem::new(DramConfig::ddr3_1600(2))
@@ -40,12 +42,12 @@ fn fork_trace(pattern: &[u64], seed: u64) -> (Vec<u64>, u64) {
     let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), seed);
     ctl.enable_label_trace();
     for &addr in pattern {
-        ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+        ctl.submit(NewRequest::read(addr, ctl.clock_ps())).unwrap();
         if addr % 3 == 0 {
-            ctl.run_to_idle();
+            ctl.run_to_idle().unwrap();
         }
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     (ctl.label_trace().unwrap().to_vec(), leaves)
 }
 
@@ -114,12 +116,12 @@ fn consecutive_labels_are_uncorrelated_without_scheduling() {
         let mut ctl = ForkPathController::new(cfg, fork_cfg, dram(), 24);
         ctl.enable_label_trace();
         for &addr in &pattern {
-            ctl.submit(addr, Op::Read, vec![], ctl.clock_ps());
+            ctl.submit(NewRequest::read(addr, ctl.clock_ps())).unwrap();
             if addr % 3 == 0 {
-                ctl.run_to_idle();
+                ctl.run_to_idle().unwrap();
             }
         }
-        ctl.run_to_idle();
+        ctl.run_to_idle().unwrap();
         (ctl.label_trace().unwrap().to_vec(), leaves)
     };
     let n = trace.len() - 1;
@@ -146,7 +148,9 @@ fn baseline_labels_equally_uniform() {
     let mut ctl = BaselineController::new(cfg, dram(), 31);
     ctl.enable_label_trace();
     for i in 0..300u64 {
-        ctl.access_sync(i % 64, Op::Read, vec![]);
+        ctl.submit(NewRequest::read(i % 64, ctl.clock_ps()))
+            .unwrap();
+        ctl.run_to_idle().unwrap();
     }
     let trace = ctl.label_trace().unwrap().to_vec();
     let chi2 = chi_square(&trace, leaves, 16);
@@ -163,14 +167,14 @@ fn merging_does_not_inflate_stash_occupancy_unboundedly() {
     let mut rng = Xoshiro256::new(99);
     for _ in 0..1500 {
         let addr = rng.next_below(300);
-        let op = if rng.gen_bool(0.4) {
-            Op::Write
+        let req = if rng.gen_bool(0.4) {
+            NewRequest::write(addr, vec![1; 16], ctl.clock_ps())
         } else {
-            Op::Read
+            NewRequest::read(addr, ctl.clock_ps())
         };
-        ctl.submit(addr, op, vec![1; 16], ctl.clock_ps());
+        ctl.submit(req).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     let hw = ctl.state().stash().high_water();
     assert!(
         hw < capacity,
@@ -187,9 +191,9 @@ fn refill_never_writes_buckets_shared_with_next_path() {
     let full = cfg.path_len() as f64;
     let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), 33);
     for a in 0..128u64 {
-        ctl.submit(a, Op::Read, vec![], 0);
+        ctl.submit(NewRequest::read(a, 0)).unwrap();
     }
-    ctl.run_to_idle();
+    ctl.run_to_idle().unwrap();
     let s = ctl.stats();
     assert!(s.avg_path_len() < full - 1.0, "merging must shorten paths");
     // And the first access of the session read a complete path (step 0).

@@ -203,6 +203,7 @@ mod cache_tests {
     use super::*;
     use fp_dram::{DramConfig, DramSystem};
     use fp_path_oram::{OramConfig, WritebackEngine};
+    use fp_trace::TraceHandle;
 
     /// A writeback engine over the configured cache for a tree of
     /// `levels + 1` buckets per path, 256 B each.
@@ -215,7 +216,7 @@ mod cache_tests {
         let dram = DramSystem::new(DramConfig::ddr3_1600(1));
         let cache = fork.build_cache(oram.bucket_bytes(), oram.path_len());
         (
-            WritebackEngine::with_cache(cache, &oram, dram.config()),
+            WritebackEngine::with_cache(cache, &oram, dram.config(), TraceHandle::default()),
             dram,
         )
     }

@@ -593,19 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_distinct() {
-        let labels = [
-            Scheme::Insecure.label(),
-            Scheme::Traditional.label(),
-            Scheme::TraditionalTreetop { bytes: 1 << 20 }.label(),
-            Scheme::ForkDefault.label(),
-            Scheme::Fork(ForkConfig::paper_best()).label(),
-        ];
-        let set: std::collections::HashSet<_> = labels.iter().collect();
-        assert_eq!(set.len(), labels.len(), "{labels:?}");
-    }
-
-    #[test]
     fn insecure_engine_interleaves_chronologically() {
         let mut engine = InsecureEngine::new(dram(), 64);
         // Submit out of order: the later-submitted request has the earlier

@@ -159,7 +159,9 @@ impl DramSystem {
     }
 
     /// Attaches a shared trace spine; DRAM command events and counters
-    /// report there from now on.
+    /// report there from now on. A method rather than an argument of
+    /// [`DramSystem::new`] because the benchmark builds a system bare and
+    /// the datapath takes one already built.
     pub fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }

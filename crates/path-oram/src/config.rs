@@ -11,7 +11,10 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CipherMode {
     /// Buckets are stored as counter-mode ciphertext and re-encrypted with a
-    /// fresh nonce on every write.
+    /// fresh nonce on every write: confidentiality against a passive
+    /// observer only. Nothing authenticates a bucket, so a changed or
+    /// replayed image of the right length decrypts without error
+    /// (DESIGN.md §2).
     Real,
     /// Buckets are stored in plaintext (simulation fast path).
     #[default]

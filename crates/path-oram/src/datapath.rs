@@ -19,9 +19,9 @@ use fp_trace::TraceHandle;
 
 use crate::cache::BucketCache;
 use crate::config::OramConfig;
-use crate::integrity::IntegrityError;
 use crate::path::node_at_level;
 use crate::state::OramState;
+use crate::tree::IntegrityError;
 use crate::writeback::WritebackEngine;
 
 /// Fixed controller pipeline latency charged once per phase (decrypt,
@@ -81,10 +81,8 @@ impl Datapath {
         cache: Box<dyn BucketCache + Send>,
     ) -> Self {
         let trace = TraceHandle::default();
-        let mut writeback = WritebackEngine::with_cache(cache, &cfg, dram.config());
-        writeback.attach_trace(trace.clone());
-        let mut state = OramState::new(cfg, seed);
-        state.attach_trace(trace.clone());
+        let writeback = WritebackEngine::with_cache(cache, &cfg, dram.config(), trace.clone());
+        let state = OramState::new(cfg, seed, trace.clone());
         dram.attach_trace(trace.clone());
         Self {
             state,
@@ -115,7 +113,7 @@ impl Datapath {
     /// # Errors
     ///
     /// Stops at the first bucket whose stored image fails to decode
-    /// (tampering / transient memory fault) and returns its
+    /// (a framing error or an injected memory fault) and returns its
     /// [`IntegrityError`]; no DRAM time has been charged then.
     pub fn read_path(
         &mut self,

@@ -13,7 +13,10 @@
 //!   are built on.
 //! * [`TreeStore`] — the untrusted external memory: a sparse, lazily
 //!   initialized bucket store, paged by depth-5 subtree, with counter-mode
-//!   probabilistic re-encryption on every bucket write.
+//!   probabilistic re-encryption on every bucket write. The encryption is
+//!   for confidentiality only; an image's length is the one check, and
+//!   its [`IntegrityError`] catches framing errors and injected faults,
+//!   not tampering (DESIGN.md §2).
 //! * [`Stash`] — the trusted on-chip block buffer with greedy deepest-first
 //!   eviction, consumed as a stream: candidates ordered once per refill,
 //!   one bucket taken per level.
@@ -35,8 +38,6 @@
 //!   [`cache::TreetopCache`] policy (Phantom \[13\]).
 //! * [`keyed`] — the `u64`-keyed map and set aliases (one-multiply hasher)
 //!   for keys the program makes itself: node ids, block addresses, tags.
-//! * [`integrity`] — Merkle-tree verification over the ORAM tree, the
-//!   combinable defence against active attacks the paper points to (§2.2).
 //!
 //! The controllers that sequence these phases — traditional Path ORAM
 //! and Fork Path — and the engine trait they are driven through live in
@@ -51,7 +52,6 @@
 pub mod cache;
 mod config;
 mod datapath;
-pub mod integrity;
 pub mod keyed;
 pub mod path;
 mod posmap;
@@ -64,11 +64,10 @@ mod writeback;
 
 pub use config::{CipherMode, OramConfig};
 pub use datapath::{Datapath, CTRL_PHASE_LATENCY_PS};
-pub use integrity::IntegrityError;
 pub use posmap::PosMapHierarchy;
 pub use reactive::{Completion, CompletionLog, NewRequest, NoFeedback, Op, ReactiveSource};
 pub use stash::{Block, Stash};
 pub use state::{AccessOutcome, OramState};
 pub use stats::{AccessTimes, OramStats};
-pub use tree::TreeStore;
+pub use tree::{IntegrityError, TreeStore};
 pub use writeback::WritebackEngine;

@@ -79,7 +79,8 @@ impl Stash {
     /// Attaches a shared trace spine; stash push/evict events report
     /// there from now on. Event timestamps are phase-granular: the
     /// controller stamps the spine's clock (`TraceHandle::set_now`) at
-    /// the start of each access phase.
+    /// the start of each access phase. A method rather than an argument of
+    /// [`Stash::new`] because the benchmark builds a stash bare.
     pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }

@@ -9,6 +9,7 @@
 //! extraction/update, data read/write).
 
 use fp_crypto::Xoshiro256;
+use fp_trace::TraceHandle;
 
 use crate::config::OramConfig;
 use crate::keyed::U64Set;
@@ -47,42 +48,32 @@ pub struct OramState {
 }
 
 impl OramState {
-    /// Creates a fresh, all-dummy ORAM.
+    /// Creates a fresh, all-dummy ORAM whose stash reports its push/evict
+    /// events into `trace`.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails validation or uses more than 31 levels (labels
     /// are stored as 32-bit entries in posmap payloads, as in the paper's
     /// 4-byte-label sizing).
-    pub(crate) fn new(cfg: OramConfig, seed: u64) -> Self {
+    pub(crate) fn new(cfg: OramConfig, seed: u64, trace: TraceHandle) -> Self {
         cfg.validate().expect("invalid ORAM config");
         assert!(cfg.levels <= 31, "labels must fit in 32-bit posmap entries");
         let hierarchy = PosMapHierarchy::new(&cfg);
         let onchip = OnChipMap::new(hierarchy.onchip_entries());
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&seed.to_le_bytes());
-        let tree = TreeStore::new(&cfg, key);
+        let mut stash = Stash::new(cfg.stash_capacity);
+        stash.attach_trace(trace);
         Self {
-            cfg,
-            tree,
-            stash: Stash::new(0),
+            tree: TreeStore::new(&cfg, key),
+            stash,
             hierarchy,
             onchip,
             label_rng: Xoshiro256::new(seed ^ 0x5EED_1ABE1),
             existing: U64Set::default(),
+            cfg,
         }
-        .with_stash_capacity()
-    }
-
-    fn with_stash_capacity(mut self) -> Self {
-        self.stash = Stash::new(self.cfg.stash_capacity);
-        self
-    }
-
-    /// Attaches a shared trace spine to the trusted state (currently the
-    /// stash: push/evict events).
-    pub(crate) fn attach_trace(&mut self, trace: fp_trace::TraceHandle) {
-        self.stash.attach_trace(trace);
     }
 
     /// The configuration.
@@ -293,12 +284,12 @@ mod tests {
     use super::*;
 
     fn state() -> OramState {
-        OramState::new(OramConfig::small_test(), 99)
+        OramState::new(OramConfig::small_test(), 99, TraceHandle::default())
     }
 
     #[test]
     fn a_first_touch_materializes_inside_the_boundary() {
-        let mut state = OramState::new(OramConfig::small_test(), 7);
+        let mut state = OramState::new(OramConfig::small_test(), 7, TraceHandle::default());
         // First touch of data block 3: the on-chip map assigns its label and
         // the block materializes inside the trusted boundary.
         let (_old_leaf, new_leaf, _) = state.start_chain(3);

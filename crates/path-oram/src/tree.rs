@@ -30,7 +30,10 @@
 //! that owns no memory. [`CipherMode::Real`] keeps all Z slots, so an
 //! image's length says nothing about its occupancy, encrypts them with
 //! ChaCha20 under a fresh write counter and appends that counter (8 B,
-//! little-endian; the node id is the other half of the nonce). An image's
+//! little-endian; the node id is the other half of the nonce). The trailer
+//! is read back only to unseal: the next seal's counter is the store's own,
+//! so rewritten memory cannot make two seals share a keystream. Sealing is
+//! confidentiality only; nothing authenticates an image. An image's
 //! buffer is exactly its size. A take decodes the image in slot order and
 //! keeps the emptied buffer, by the slots it holds; a write encodes into
 //! one open bucket and copies that into a kept buffer of its size: neither
@@ -48,7 +51,6 @@
 use fp_crypto::{BlockCipher, Nonce};
 
 use crate::config::{CipherMode, OramConfig};
-use crate::integrity::IntegrityError;
 use crate::keyed::U64Map;
 use crate::path::node_level;
 use crate::stash::Block;
@@ -67,6 +69,23 @@ const DUMMY_ADDR: u64 = u64::MAX;
 
 /// A stored bucket: its serialized image (see the module docs).
 type Image = Vec<u8>;
+
+/// A stored image failed the one check untrusted memory gets: its length
+/// is not one this store writes. That catches framing errors and injected
+/// faults, not tampering — nothing authenticates an image (DESIGN.md §2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IntegrityError {
+    /// Node whose image failed the check.
+    pub node: u64,
+}
+
+impl std::fmt::Display for IntegrityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "integrity violation at tree node {}", self.node)
+    }
+}
+
+impl std::error::Error for IntegrityError {}
 
 /// Bucket slots paged by subtree.
 #[derive(Debug)]
@@ -228,9 +247,10 @@ impl Format {
 
     /// The one decoder: unseals `image` in place through `sealer` (`Real`)
     /// and hands `each` the `(addr, leaf, payload)` of every real slot, in
-    /// slot order. An image of a length this store never writes (memory
-    /// tampering or an injected fault) is an [`IntegrityError`], and none
-    /// of it is handed out.
+    /// slot order. An image of a length this store never writes (a framing
+    /// error or an injected fault) is an [`IntegrityError`], and none of it
+    /// is handed out. Nothing else is checked: changed bytes of the right
+    /// length decode to changed blocks.
     fn decode(
         self,
         sealer: Option<&mut Sealer>,
@@ -780,6 +800,59 @@ mod tests {
             assert_eq!(try_take(&mut store, 10).unwrap()[0].addr, 6);
             assert_eq!(store.pages.stored, 0);
         }
+    }
+
+    /// Overwrites the write counter in bucket `node`'s stored trailer.
+    fn rewrite_trailer(store: &mut TreeStore, node: u64, counter: u64) {
+        let image = store.pages.slot_mut(node).and_then(Option::as_mut);
+        let image = image.expect("stored");
+        let at = image.len() - COUNTER_BYTES;
+        image[at..].copy_from_slice(&counter.to_le_bytes());
+    }
+
+    #[test]
+    fn sealing_is_confidential_not_authenticated() {
+        // The threat model (DESIGN.md §2). The write counter lives on chip:
+        // whatever memory says its trailers hold, the next seal's counter
+        // is above every earlier one, so no two seals share a keystream.
+        let c = cfg(CipherMode::Real);
+        let mut store = TreeStore::new(&c, [5; 32]);
+        let path = path_nodes(c.levels, 3);
+        let mut seals: Vec<u64> = Vec::new();
+        for round in 0..4 {
+            for &node in &path {
+                store.write_bucket(node, vec![Block::new(node, 3, vec![round; 16])]);
+                let counter = counter_of(store.image(node).expect("stored"));
+                let newest = seals.last().copied().unwrap_or(0);
+                assert!(counter > newest, "round {round} node {node}");
+                seals.push(counter);
+            }
+            // An active adversary runs the root's trailer ahead to the
+            // counter the store seals with next and rewinds the leaf's,
+            // the last one the read takes; the takes decode garbage
+            // without complaint.
+            let newest = *seals.last().expect("sealed");
+            rewrite_trailer(&mut store, path[0], newest + 1);
+            rewrite_trailer(&mut store, path[path.len() - 1], 1);
+            store
+                .take_path_with(&path, |_, _, _| {})
+                .expect("lengths intact");
+        }
+        let distinct: HashSet<u64> = seals.iter().copied().collect();
+        assert_eq!(distinct.len(), seals.len());
+
+        // Nothing authenticates an image: a flipped ciphertext byte is a
+        // flipped plaintext byte, and the take succeeds. A tag would make
+        // this take fail; changing that is a change of threat model.
+        let node = path[2];
+        let blocks = vec![Block::new(7, 3, vec![0x5A; 16])];
+        store.write_bucket(node, blocks.clone());
+        let image = store.pages.slot_mut(node).and_then(Option::as_mut);
+        image.expect("stored")[16] ^= 0x01;
+        let taken = try_take(&mut store, node).expect("no tag to check");
+        assert_eq!((taken[0].addr, taken[0].leaf), (7, 3));
+        assert_eq!(taken[0].data[0], 0x5B, "the flip decrypts in place");
+        assert_eq!(taken[0].data[1..], blocks[0].data[1..]);
     }
 
     #[test]

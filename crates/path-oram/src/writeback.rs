@@ -28,26 +28,22 @@ pub struct WritebackEngine {
 
 impl WritebackEngine {
     /// Creates the engine around a cache policy for `oram`'s tree
-    /// geometry laid out over `dram`'s rows and bursts.
+    /// geometry laid out over `dram`'s rows and bursts, its counters
+    /// reporting into `trace`.
     pub fn with_cache(
         cache: Box<dyn BucketCache + Send>,
         oram: &OramConfig,
         dram: &DramConfig,
+        trace: TraceHandle,
     ) -> Self {
         let bucket_bytes = oram.bucket_bytes();
         Self {
             cache,
             layout: SubtreeLayout::fit_row(oram.path_len(), bucket_bytes, dram.row_bytes),
             bursts_per_bucket: bucket_bytes.div_ceil(dram.burst_bytes).max(1),
-            trace: TraceHandle::default(),
+            trace,
             bases: Vec::new(),
         }
-    }
-
-    /// Attaches a shared trace spine; writeback counters report there
-    /// from now on.
-    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// DRAM reads for a path range, minus cache hits, FR-FCFS batched.
@@ -108,9 +104,9 @@ mod tests {
 
     fn engine(cache: Box<dyn BucketCache + Send>) -> (WritebackEngine, DramSystem, TraceHandle) {
         let dram = DramSystem::new(DramConfig::ddr3_1600(1));
-        let mut wb = WritebackEngine::with_cache(cache, &OramConfig::small_test(), dram.config());
         let trace = TraceHandle::default();
-        wb.attach_trace(trace.clone());
+        let oram = OramConfig::small_test();
+        let wb = WritebackEngine::with_cache(cache, &oram, dram.config(), trace.clone());
         (wb, dram, trace)
     }
 

@@ -1,43 +1,18 @@
-//! Defense in depth: Fork Path ORAM combined with the two orthogonal
-//! countermeasures the paper points to in §2.2 — Merkle-tree integrity
-//! verification (active attacks) and a fixed-rate request stream (timing
-//! channel).
+//! A fixed-rate request stream: Fork Path ORAM combined with the timing
+//! countermeasure the paper points to in §2.2. A short program burst is
+//! followed by a silence the controller pads with dummy accesses at a
+//! fixed cadence, so the access stream does not reveal when the program
+//! went quiet; path merging still applies to the padding.
 //!
-//! Run with: `cargo run --release --example defense_in_depth`
+//! Run with: `cargo run --release --example fixed_rate_stream`
 
 use fork_path_oram::core::timing::idle_cost;
 use fork_path_oram::core::{ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::integrity::MerkleTree;
 use fork_path_oram::path_oram::OramConfig;
 
 fn main() {
-    // --- 1. Integrity: a Merkle tree over the ORAM tree -----------------
-    println!("=== Merkle-tree integrity (vs active attacks) ===");
-    let levels = 9;
-    let mut merkle = MerkleTree::new(levels, [0xfeed, 0xbeef]);
-    // Writes ride along with ORAM refills: hash the bucket, rehash the path.
-    let leaf_node = (1u64 << levels) + 123;
-    merkle.update_bucket(leaf_node, b"encrypted bucket v1");
-    merkle.rehash_path(levels, 123);
-    merkle
-        .verify_bucket(leaf_node, b"encrypted bucket v1")
-        .unwrap();
-    println!(
-        "honest bucket        : verified (root {:016x})",
-        merkle.root()
-    );
-
-    // An active adversary replays the stale version after an update.
-    merkle.update_bucket(leaf_node, b"encrypted bucket v2");
-    merkle.rehash_path(levels, 123);
-    match merkle.verify_bucket(leaf_node, b"encrypted bucket v1") {
-        Err(e) => println!("replayed stale bucket: rejected ({e})"),
-        Ok(()) => unreachable!("replay must be detected"),
-    }
-
-    // --- 2. Timing protection: a fixed-rate ORAM stream ------------------
-    println!("\n=== Fixed-rate stream (vs the timing channel) ===");
+    println!("=== Fixed-rate stream (vs the timing channel) ===");
     let dram = DramSystem::new(DramConfig::ddr3_1600(2));
     let mut ctl =
         ForkPathController::new(OramConfig::small_test(), ForkConfig::default(), dram, 99);

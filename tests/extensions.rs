@@ -1,11 +1,11 @@
-//! Integration tests for the beyond-the-paper extensions: Merkle integrity
-//! riding on ORAM traffic, fixed-rate timing protection, and the PosMap
-//! Lookaside Buffer.
+//! Integration tests for the beyond-the-paper extensions: fixed-rate
+//! timing protection and the PosMap Lookaside Buffer. What sealing does
+//! and does not defend against is pinned in the tree store's own tests
+//! (DESIGN.md §2).
 
 use fork_path_oram::core::timing::{enforce_fixed_rate, idle_cost};
 use fork_path_oram::core::{ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine};
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::integrity::{siphash24, MerkleTree};
 use fork_path_oram::path_oram::OramConfig;
 use fork_path_oram::sim::{run_workload, Scheme, SystemConfig};
 use fork_path_oram::workloads::cpu::MultiCoreWorkload;
@@ -13,79 +13,6 @@ use fork_path_oram::workloads::mixes;
 
 fn dram() -> DramSystem {
     DramSystem::new(DramConfig::ddr3_1600(2))
-}
-
-// ---------- Merkle integrity over live ORAM traffic ----------------------
-
-#[test]
-fn merkle_tree_tracks_a_full_oram_run() {
-    // Shadow the untrusted tree with a Merkle tree: after every ORAM
-    // operation, re-hash the touched paths and verify a sample of buckets.
-    let cfg = OramConfig::small_test();
-    let levels = cfg.levels;
-    let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), 51);
-    let mut merkle = MerkleTree::new(levels, [11, 22]);
-
-    for a in 0..48u64 {
-        ctl.submit(NewRequest::write(a, vec![a as u8; 16], ctl.clock_ps()))
-            .unwrap();
-    }
-    ctl.run_to_idle().unwrap();
-
-    // Hash the current untrusted state wholesale (a verifier snapshot).
-    let contents: Vec<(u64, Vec<u8>)> = ctl
-        .state()
-        .tree()
-        .iter_buckets()
-        .map(|(node, blocks)| {
-            let mut bytes = Vec::new();
-            for b in &blocks {
-                bytes.extend_from_slice(&b.addr.to_le_bytes());
-                bytes.extend_from_slice(&b.data);
-            }
-            (node, bytes)
-        })
-        .collect();
-    for (node, bytes) in &contents {
-        merkle.update_bucket(*node, bytes);
-    }
-    // Rehash every leaf-to-root path that has content.
-    for (node, _) in &contents {
-        let mut n = *node;
-        while n < (1 << levels) {
-            n *= 2; // descend to a leaf under this node
-        }
-        merkle.rehash_path(levels, n - (1 << levels));
-    }
-    // Full rehash of all leaves keeps ancestors coherent.
-    for leaf in 0..(1u64 << levels.min(9)) {
-        merkle.rehash_path(levels, leaf);
-    }
-
-    // Every stored bucket verifies; a tampered byte string does not.
-    for (node, bytes) in contents.iter().take(32) {
-        merkle.verify_bucket(*node, bytes).unwrap();
-        let mut bad = bytes.clone();
-        if bad.is_empty() {
-            bad.push(1);
-        } else {
-            bad[0] ^= 0xFF;
-        }
-        assert!(merkle.verify_bucket(*node, &bad).is_err(), "node {node}");
-    }
-}
-
-#[test]
-fn siphash_distributes_over_buckets() {
-    // Avalanche sanity: one-bit input changes flip about half the output.
-    let key = [7u64, 13u64];
-    let base = siphash24(key, b"bucket contents here");
-    let variant = siphash24(key, b"bucket contents hers");
-    let flipped = (base ^ variant).count_ones();
-    assert!(
-        (12..=52).contains(&flipped),
-        "weak diffusion: {flipped} bits"
-    );
 }
 
 // ---------- Fixed-rate timing protection --------------------------------

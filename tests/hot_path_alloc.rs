@@ -181,7 +181,8 @@ fn per_access_kernels_keep_their_allocation_contract() {
 
     // Writeback without a cache: every call issues exactly one DRAM batch.
     let path: Vec<u64> = (0..=levels).map(|l| (1u64 << l) + 1).collect();
-    let mut wb = WritebackEngine::with_cache(Box::new(NoCache), &oram, &dram_cfg);
+    let mut wb =
+        WritebackEngine::with_cache(Box::new(NoCache), &oram, &dram_cfg, TraceHandle::default());
     now = wb.read_path(&mut dram, &path, now);
     let n = allocations(|| {
         for _ in 0..CALLS {
@@ -201,7 +202,7 @@ fn per_access_kernels_keep_their_allocation_contract() {
     let absorbed: Vec<u64> = (2..=7).map(|l| (1u64 << l) + 1).collect();
     let mac: Box<dyn BucketCache + Send> =
         Box::new(MergingAwareCache::new_for_tree(64, 4, 2, levels));
-    let mut wb = WritebackEngine::with_cache(mac, &oram, &dram_cfg);
+    let mut wb = WritebackEngine::with_cache(mac, &oram, &dram_cfg, TraceHandle::default());
     let n = allocations(|| {
         for _ in 0..CALLS {
             for &node in &absorbed {

@@ -16,10 +16,8 @@ use fp_bench::{
     caching_schemes, fork_with_mac, fork_with_queue, print_cols, print_row, print_title,
 };
 use fp_core::{
-    BaselineController, CacheChoice, ForkConfig, ForkPathController, NewRequest, NoFeedback,
-    OramEngine,
+    BaselineController, CacheChoice, ForkConfig, ForkPathController, NewRequest, OramEngine,
 };
-use fp_crypto::Xoshiro256;
 use fp_dram::{DramConfig, DramSystem};
 use fp_path_oram::path::overlap_degree;
 use fp_path_oram::{OramConfig, PosMapHierarchy};
@@ -40,7 +38,7 @@ use fp_workloads::parsec;
 /// A reproducible artefact: name, what it shows, how to produce it.
 type Figure = (&'static str, &'static str, fn(MissBudget));
 
-const FIGURES: [Figure; 17] = [
+const FIGURES: [Figure; 16] = [
     ("table1", "Table 1 — system configuration", table1),
     ("table2", "Table 2 — mixed benchmarks", table2),
     ("fig10", "path length + DRAM latency vs queue size", fig10),
@@ -62,11 +60,6 @@ const FIGURES: [Figure; 17] = [
         "stash_study",
         "stash occupancy vs traditional (§3.6)",
         stash_study,
-    ),
-    (
-        "prefetch_study",
-        "static super-block prefetching",
-        prefetch_study,
     ),
     (
         "security_audit",
@@ -252,10 +245,13 @@ fn fig12(budget: MissBudget) {
     };
     print_title(fig.title);
     let runs = fig.run(budget);
-    let sweeps = std::iter::once(&runs.base[0]).chain(&runs.runs);
-    let raw: Vec<RunResult> = sweeps.flat_map(|o| o.results.clone()).collect();
-    if let Ok(path) = write_results_file("fig12.csv", &to_csv(&raw)) {
-        println!("(raw data written to {})", path.display());
+    // The committed CSV is the full-length one; a `--fast` pass leaves it be.
+    if budget == MissBudget::Full {
+        let sweeps = std::iter::once(&runs.base[0]).chain(&runs.runs);
+        let raw: Vec<RunResult> = sweeps.flat_map(|o| o.results.clone()).collect();
+        if let Ok(path) = write_results_file("fig12.csv", &to_csv(&raw)) {
+            println!("(raw data written to {})", path.display());
+        }
     }
     fig.print(&runs);
 }
@@ -289,17 +285,20 @@ fn fig14(budget: MissBudget) {
     let means = fig.print(&runs);
 
     // Every scheme's raw results *and* its failed mixes, so a partial
-    // sweep is visible in the artifact rather than only on stderr.
-    let mut labeled = vec![("Insecure".to_string(), &runs.base[0])];
-    let schemes = fig
-        .columns
-        .iter()
-        .zip(&runs.runs)
-        .take(fig.columns.len() - 1);
-    labeled.extend(schemes.map(|(c, o)| (c.label.clone(), o)));
-    match write_results_file("fig14_sweep.json", &sweep_to_json("fig14", &labeled)) {
-        Ok(path) => println!("\nsweep report written to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write sweep report: {e}"),
+    // sweep is visible in the artifact rather than only on stderr. Written
+    // at full length only, like fig12's CSV.
+    if budget == MissBudget::Full {
+        let mut labeled = vec![("Insecure".to_string(), &runs.base[0])];
+        let schemes = fig
+            .columns
+            .iter()
+            .zip(&runs.runs)
+            .take(fig.columns.len() - 1);
+        labeled.extend(schemes.map(|(c, o)| (c.label.clone(), o)));
+        match write_results_file("fig14_sweep.json", &sweep_to_json("fig14", &labeled)) {
+            Ok(path) => println!("\nsweep report written to {}", path.display()),
+            Err(e) => eprintln!("warning: could not write sweep report: {e}"),
+        }
     }
     println!(
         "\nExecution-time reduction, Merge+1M MAC vs traditional: {:.0}% (paper: 58%)",
@@ -553,55 +552,6 @@ fn fig19(budget: MissBudget) {
     print_row("geomean", &[latency_geomean(&pairs)]);
     println!("\n(paper: significant reduction across the suite; the gain tracks");
     println!(" memory intensity via the dummy-request count)");
-}
-
-// Static super-block prefetching (related work: Ren et al. [18] static
-// super blocks; Yu et al. [19] PrORAM): grouping helps sequential scans
-// (one path access serves several requests) and hurts random traffic
-// (bigger groups dilute each path's useful payload).
-fn prefetch_study(budget: MissBudget) {
-    let requests = match budget {
-        MissBudget::Fast => 400,
-        MissBudget::Full => 2_000,
-    };
-    let accesses_per_request = |super_block: u64, locality: f64| {
-        let mut cfg = OramConfig::paper_default(4 << 30);
-        cfg.super_block = super_block;
-        let mut ctl = ForkPathController::new(cfg, ForkConfig::default(), dram(), 77);
-        let mut rng = Xoshiro256::new(5);
-        let mut addr = 0u64;
-        let span = 1u64 << 20;
-        for _ in 0..requests {
-            addr = if rng.gen_bool(locality) {
-                (addr + 1) % span
-            } else {
-                rng.next_below(span)
-            };
-            ctl.submit(NewRequest::read(addr, ctl.clock_ps()))
-                .expect("controller invariant violated");
-            if rng.gen_bool(0.2) {
-                ctl.run_to_idle().expect("controller invariant violated");
-            }
-        }
-        while ctl
-            .process_one(&mut NoFeedback)
-            .expect("controller invariant violated")
-        {}
-        ctl.stats().accesses_per_request()
-    };
-
-    print_title("Super-block prefetching: ORAM accesses per LLC request");
-    let sizes = [1u64, 2, 4, 8];
-    print_cols("locality", &sizes.map(|sb| format!("sb={sb}")));
-    for (name, locality) in [
-        ("sequential 0.9", 0.9f64),
-        ("mixed 0.5", 0.5),
-        ("random 0.1", 0.1),
-    ] {
-        print_row(name, &sizes.map(|sb| accesses_per_request(sb, locality)));
-    }
-    println!("\n(grouping pays on spatially local traffic and costs little on");
-    println!(" random traffic in access count; latency follows the same trend)");
 }
 
 // ---- the two tables ----

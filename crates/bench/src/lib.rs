@@ -7,7 +7,7 @@
 //!
 //! | Binary | Does |
 //! |---|---|
-//! | `repro <name>` | Tables 1–2, Figs 10–19, `ablation`, `stash_study`, `prefetch_study`, `security_audit` (statistical tests on the label sequence), `trace` (the fp-trace spine of a mixed run, as JSON); `repro --list` names them, `--fast` gives CI-length runs |
+//! | `repro <name>` | Tables 1–2, Figs 10–19, `ablation`, `stash_study`, `security_audit` (statistical tests on the label sequence), `trace` (the fp-trace spine of a mixed run, as JSON); `repro --list` names them, `--fast` gives CI-length runs |
 //!
 //! See `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured values.

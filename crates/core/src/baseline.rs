@@ -114,11 +114,9 @@ impl BaselineController {
         let mut done_ps = self.clock_ps;
         for (i, &u) in chain.iter().enumerate() {
             // Step 1: a block already in the stash is handled on chip with
-            // no ORAM access ("returned to LLC immediately"). Under
-            // super-block grouping the shortcut also requires the whole
-            // group on chip (the relabel must not orphan tree residents).
+            // no ORAM access ("returned to LLC immediately").
             let state = self.path.state_mut();
-            if state.stash_hit(u) && (i + 1 < chain.len() || state.group_shortcut_safe(u)) {
+            if state.stash_hit(u) {
                 if i + 1 < chain.len() {
                     (old, new, _) = state.chain_step(u, new, chain[i + 1]);
                 } else {
@@ -218,8 +216,9 @@ impl OramEngine for BaselineController {
     /// `process_one` in any order produces the same completions,
     /// statistics and stash state as submitting everything first.
     ///
-    /// Surfaces [`ControllerError::Integrity`] when a fetched bucket fails
-    /// to decode (memory tampering or an injected transient fault).
+    /// Surfaces [`ControllerError::Integrity`] when a fetched bucket's image
+    /// has a length the tree store never writes (a framing error or an
+    /// injected fault; nothing detects tampering, DESIGN.md §2 item 6).
     fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
         self.flush_feedback(source)?;
         let Some(req) = self.queue.pop_front() else {

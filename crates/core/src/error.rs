@@ -33,13 +33,14 @@ pub enum ControllerError {
     MissingPending,
     /// A block's waiter queue was released by a flight that did not own it.
     NotBlockOwner {
-        /// The serialization key (block / super-block group id).
+        /// The unified address of the block.
         block: u64,
         /// The flight that attempted the release.
         flight: u64,
     },
-    /// A bucket fetched from external memory failed integrity verification
-    /// (tampering, a transient memory fault, or an injected fault).
+    /// A bucket fetched from external memory failed the image-length check
+    /// (a framing error or an injected fault). It does not detect
+    /// tampering: nothing authenticates a bucket (DESIGN.md §2 item 6).
     Integrity {
         /// Tree node whose verification failed.
         node: u64,

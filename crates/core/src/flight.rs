@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use fp_path_oram::keyed::U64Map;
-use fp_path_oram::{AccessTimes, Completion, CompletionLog, Datapath, OramConfig, OramState};
+use fp_path_oram::{AccessTimes, Completion, CompletionLog, Datapath, OramState};
 use fp_trace::{Counter, EventKind};
 
 use crate::address_queue::AddressQueue;
@@ -34,8 +34,9 @@ pub(crate) struct Flight {
 /// Why a chain step could not be placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stall {
-    /// Parked behind the owner of this serialization key: only that
-    /// owner's [`FlightTable::release_block`] can let it move.
+    /// Parked behind the owner of this block (its unified address, the
+    /// serialization key): only that owner's
+    /// [`FlightTable::release_block`] can let it move.
     Parked(u64),
     /// It owns its key, but the label queue is full of real requests. A
     /// `select` frees a slot and a block arriving in the stash completes
@@ -61,18 +62,6 @@ pub(crate) struct StepCtx<'a> {
     pub sched: &'a mut LabelQueue,
     pub times: &'a mut AccessTimes,
     pub completions: &'a mut CompletionLog,
-}
-
-/// Serialization key of a block: posmap blocks serialize on themselves;
-/// data blocks serialize on their super-block group (group members share a
-/// label, so their accesses must stay ordered). Group ids live below the
-/// data-block range, posmap addresses above it — no collisions.
-pub(crate) fn serialize_key(cfg: &OramConfig, block: u64) -> u64 {
-    if block < cfg.data_blocks {
-        block / cfg.super_block
-    } else {
-        block
-    }
 }
 
 /// Records a posmap-block use in the PLB, pinning it in the stash and
@@ -284,11 +273,9 @@ impl FlightTable {
             });
         }
         let block = flight.chain[idx];
-        let at_last_step = idx + 1 >= len;
-        let key = serialize_key(ctx.path.state().config(), block);
-        self.release_block(key, flight_id)?;
+        self.release_block(block, flight_id)?;
 
-        if !at_last_step {
+        if idx + 1 < len {
             self.advance_chain(ctx, flight_id)?;
             self.place_or_stall(ctx, flight_id, read_end_ps)?;
             Ok(false)
@@ -382,8 +369,7 @@ impl FlightTable {
                     len,
                 });
             }
-            let real_block = flight.chain[idx];
-            let block = serialize_key(ctx.path.state().config(), real_block);
+            let block = flight.chain[idx];
             // Join (or verify ownership of) the block's waiter queue.
             {
                 let waiters = self.busy.entry(block).or_default();
@@ -398,16 +384,12 @@ impl FlightTable {
                     None => waiters.push_back(flight_id),
                 }
             }
-            let at_last_step = idx + 1 >= len;
-            let state = ctx.path.state();
-            let shortcut_ok = state.stash_hit(real_block)
-                && (!at_last_step || state.group_shortcut_safe(real_block));
-            if shortcut_ok {
+            if ctx.path.state().stash_hit(block) {
                 // On-chip fast path: relabel + payload handling, no access.
                 self.release_block(block, flight_id)?;
                 ctx.path.trace().bump(Counter::StashHits);
                 ready += ONCHIP_ANSWER_PS;
-                if !at_last_step {
+                if idx + 1 < len {
                     self.advance_chain(ctx, flight_id)?;
                     continue;
                 }
@@ -431,7 +413,7 @@ mod tests {
     use super::*;
     use fp_dram::{DramConfig, DramSystem};
     use fp_path_oram::cache::NoCache;
-    use fp_path_oram::Op;
+    use fp_path_oram::{Op, OramConfig};
     use fp_trace::TraceHandle;
 
     /// A flight table with the controller state a chain step touches, and

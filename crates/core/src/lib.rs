@@ -14,9 +14,12 @@
 //!   shared with the *next* path (they stay in the stash). Two consecutive
 //!   accesses touch memory in the shape of a fork.
 //! * **ORAM request scheduling** (§3.4): a fixed-size label queue is kept
-//!   full (padded with dummies), and the pending request with the highest
-//!   overlap degree is merged next; real requests beat dummies on ties, and
-//!   per-entry age counters prevent starvation (Algorithm 1).
+//!   full (padded with dummies), and the next request merged is any ready
+//!   real one before any dummy, the highest overlap degree within each;
+//!   per-entry age counters prevent starvation (Algorithm 1). §3.4 read
+//!   literally ("highest overlap, reals win ties") lets padding win most
+//!   rounds, so a dummy runs only when no real is ready (DESIGN.md §7
+//!   item 1).
 //! * **Dummy request replacing** (§3.3): a dummy selected for merging can be
 //!   replaced by a late-arriving real request up until the refill commits
 //!   the bucket where the two paths cross (Fig 5, cases 1–3).

@@ -252,8 +252,8 @@ impl LabelQueue {
     }
 
     /// Selects the pending (next) request during a refill of `current`:
-    /// the ready entry with the highest overlap degree, reals outranking
-    /// dummy padding. Counts a scheduling round.
+    /// any ready real before any dummy padding, the highest overlap degree
+    /// within each (DESIGN.md §7 item 1). Counts a scheduling round.
     pub(crate) fn select_pending(&mut self, current: u64, now_ps: u64) -> Option<Entry> {
         self.wake(now_ps);
         self.trace
@@ -300,11 +300,12 @@ impl LabelQueue {
 
     /// One round of Algorithm 1 with the queue woken to its `now_ps`:
     /// selects and removes the next request to merge with the path
-    /// `current` (§3.4) — the ready entry with the highest overlap degree;
-    /// ties prefer real over dummy, then FIFO. An entry whose age reached
-    /// the starvation threshold wins outright (oldest first). Without
-    /// `scheduling` the overlap is ignored: ready-FIFO. Every other
-    /// eligible entry is a round older afterwards.
+    /// `current` (§3.4) — any ready real before any pad, not only on ties
+    /// (DESIGN.md §7 item 1); within each, the highest overlap degree, then
+    /// FIFO. An entry whose age reached the starvation threshold wins
+    /// outright (oldest first). Without `scheduling` the overlap is
+    /// ignored: ready-FIFO. Every other eligible entry is a round older
+    /// afterwards.
     ///
     /// Returns `None` when no entry is ready (the queue is conceptually
     /// full of dummies; the controller materializes one lazily).

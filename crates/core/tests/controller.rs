@@ -484,76 +484,29 @@ mod plb_tests {
     }
 }
 
-mod super_block_tests {
-    use super::*;
-
-    fn ctl_with_sb(sb: u64) -> ForkPathController {
-        let mut cfg = OramConfig::small_test();
-        cfg.super_block = sb;
-        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        ForkPathController::new(cfg, ForkConfig::default(), dram, 61)
-    }
-
-    #[test]
-    fn super_blocks_preserve_ram_semantics() {
-        for sb in [2u64, 4, 8] {
-            let mut ctl = ctl_with_sb(sb);
-            for a in 0..96u64 {
-                ctl.submit(NewRequest::write(a, vec![a as u8; 16], 0))
-                    .unwrap();
-            }
-            ctl.run_to_idle().unwrap();
-            for a in 0..96u64 {
-                ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
-            }
-            for c in ctl.run_to_idle().unwrap() {
-                assert_eq!(c.data[0], c.addr as u8, "sb={sb} addr={}", c.addr);
-            }
-            ctl.state().check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn super_blocks_prefetch_sequential_access() {
-        // Sequential scans hit the prefetched group members on chip.
-        let run = |sb: u64| {
-            let mut ctl = ctl_with_sb(sb);
-            for a in 0..128u64 {
-                ctl.submit(NewRequest::read(a, 0)).unwrap();
-            }
-            ctl.run_to_idle().unwrap();
-            ctl.stats().accesses_per_request()
-        };
-        let plain = run(1);
-        let grouped = run(4);
-        assert!(
-            grouped < plain - 0.1,
-            "super blocks should cut accesses on sequential scans: {grouped:.2} vs {plain:.2}"
-        );
-    }
-
-    #[test]
-    fn interleaved_group_members_stay_consistent() {
-        // Writes and reads ping-ponging within one group exercise the
-        // group-serialization path.
-        let mut ctl = ctl_with_sb(4);
-        for round in 0..6u8 {
-            for a in 0..4u64 {
-                ctl.submit(NewRequest::write(
-                    a,
-                    vec![round * 10 + a as u8; 16],
-                    ctl.clock_ps(),
-                ))
-                .unwrap();
-            }
-        }
-        ctl.run_to_idle().unwrap();
+/// Six rounds of writes to four addresses under one posmap block, all
+/// outstanding at once, then a read of each: every chain step shares the
+/// posmap blocks and same-address writes serialize on their block, so the
+/// reads see the last round.
+#[test]
+fn interleaved_same_address_writes_stay_in_order() {
+    let mut ctl = fork(ForkConfig::default());
+    for round in 0..6u8 {
         for a in 0..4u64 {
-            ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
+            ctl.submit(NewRequest::write(
+                a,
+                vec![round * 10 + a as u8; 16],
+                ctl.clock_ps(),
+            ))
+            .unwrap();
         }
-        for c in ctl.run_to_idle().unwrap() {
-            assert_eq!(c.data[0], 50 + c.addr as u8);
-        }
-        ctl.state().check_invariants().unwrap();
     }
+    ctl.run_to_idle().unwrap();
+    for a in 0..4u64 {
+        ctl.submit(NewRequest::read(a, ctl.clock_ps())).unwrap();
+    }
+    for c in ctl.run_to_idle().unwrap() {
+        assert_eq!(c.data[0], 50 + c.addr as u8);
+    }
+    ctl.state().check_invariants().unwrap();
 }

@@ -40,10 +40,6 @@ pub struct OramConfig {
     pub onchip_posmap_entries: u64,
     /// Whether tree contents are really encrypted.
     pub cipher_mode: CipherMode,
-    /// Static super-block size (Ren et al. \[18\]): this many adjacent data
-    /// blocks share one leaf label and move together, so one path load can
-    /// serve several spatially local requests. 1 disables grouping.
-    pub super_block: u64,
 }
 
 impl OramConfig {
@@ -68,7 +64,6 @@ impl OramConfig {
             data_blocks,
             onchip_posmap_entries: onchip,
             cipher_mode: CipherMode::Transparent,
-            super_block: 1,
         }
     }
 
@@ -84,7 +79,6 @@ impl OramConfig {
             data_blocks: 1 << 10,
             onchip_posmap_entries: 64,
             cipher_mode: CipherMode::Transparent,
-            super_block: 1,
         }
     }
 
@@ -132,9 +126,6 @@ impl OramConfig {
         }
         if self.data_blocks == 0 {
             return Err("data_blocks must be positive".into());
-        }
-        if self.super_block == 0 {
-            return Err("super-block size must be at least 1".into());
         }
         Ok(())
     }

@@ -27,8 +27,6 @@ use crate::config::OramConfig;
 pub struct PosMapHierarchy {
     fanout: u64,
     data_blocks: u64,
-    /// Data blocks per shared leaf label (static super block, [18]).
-    super_block: u64,
     /// `bases[i]` = first unified address of posmap level `i + 1`
     /// (level 0 is the data itself). `sizes[i]` = blocks at that level.
     bases: Vec<u64>,
@@ -43,9 +41,7 @@ impl PosMapHierarchy {
         let mut bases = Vec::new();
         let mut sizes = Vec::new();
         let mut next_base = cfg.data_blocks;
-        // With super blocks, one label covers `super_block` adjacent data
-        // blocks, so the map tracks groups, not blocks.
-        let mut level_entries = cfg.data_blocks.div_ceil(cfg.super_block);
+        let mut level_entries = cfg.data_blocks;
         while level_entries > cfg.onchip_posmap_entries {
             let blocks = level_entries.div_ceil(fanout);
             bases.push(next_base);
@@ -56,7 +52,6 @@ impl PosMapHierarchy {
         Self {
             fanout,
             data_blocks: cfg.data_blocks,
-            super_block: cfg.super_block,
             bases,
             sizes,
         }
@@ -75,10 +70,7 @@ impl PosMapHierarchy {
 
     /// Entries the on-chip map must hold.
     pub fn onchip_entries(&self) -> u64 {
-        match self.sizes.last() {
-            Some(&top_blocks) => top_blocks,
-            None => self.data_blocks.div_ceil(self.super_block),
-        }
+        self.sizes.last().copied().unwrap_or(self.data_blocks)
     }
 
     /// The top-down chain of unified addresses an access to data block
@@ -92,11 +84,10 @@ impl PosMapHierarchy {
     /// Panics if `addr` is not a data-block address.
     pub(crate) fn chain(&self, addr: u64) -> Vec<u64> {
         assert!(addr < self.data_blocks, "address {addr} out of data range");
-        let group = addr / self.super_block;
         let k = self.bases.len();
         let mut chain = Vec::with_capacity(k + 1);
         for level in (1..=k).rev() {
-            let index = group / self.fanout.pow(level as u32);
+            let index = addr / self.fanout.pow(level as u32);
             chain.push(self.bases[level - 1] + index);
         }
         chain.push(addr);
@@ -106,13 +97,7 @@ impl PosMapHierarchy {
     /// For the on-chip lookup that starts a chain: the index into the
     /// on-chip map for data address `addr`.
     pub(crate) fn onchip_index(&self, addr: u64) -> u64 {
-        let group = addr / self.super_block;
-        let k = self.bases.len() as u32;
-        if k == 0 {
-            group
-        } else {
-            group / self.fanout.pow(k)
-        }
+        addr / self.fanout.pow(self.bases.len() as u32)
     }
 
     /// Given a chain element `parent` (a posmap block) and the next chain
@@ -124,15 +109,14 @@ impl PosMapHierarchy {
         child_index % self.fanout
     }
 
-    /// The index of a unified address within its own hierarchy level
-    /// (group index at the data level).
+    /// The index of a unified address within its own hierarchy level.
     fn relative_index(&self, addr: u64) -> u64 {
         for (base, size) in self.bases.iter().zip(&self.sizes) {
             if addr >= *base && addr < base + size {
                 return addr - base;
             }
         }
-        addr / self.super_block // data level: labels are per group
+        addr // data level: the address itself
     }
 
     /// Hierarchy level of a unified address (0 = data, k = top posmap).

@@ -42,9 +42,6 @@ pub struct OramState {
     hierarchy: PosMapHierarchy,
     onchip: OnChipMap,
     label_rng: Xoshiro256,
-    /// Every block ever materialized (used to reason about lazily
-    /// nonexistent super-block members).
-    existing: U64Set,
 }
 
 impl OramState {
@@ -71,7 +68,6 @@ impl OramState {
             hierarchy,
             onchip,
             label_rng: Xoshiro256::new(seed ^ 0x5EED_1ABE1),
-            existing: U64Set::default(),
             cfg,
         }
     }
@@ -183,22 +179,6 @@ impl OramState {
             payload.resize(block_bytes, 0);
             block.data = payload;
         }
-        // Static super blocks ([18]): the whole group shares the label, so
-        // every resident member moves with the access. All members mapped
-        // to the old label are in the stash at this point (the read phase
-        // loads the path; merged-away buckets were already in the stash).
-        let sb = self.cfg.super_block;
-        if sb > 1 {
-            let group_base = addr / sb * sb;
-            for member in group_base..(group_base + sb).min(self.cfg.data_blocks) {
-                if member == addr {
-                    continue;
-                }
-                if let Some(b) = self.stash.get_mut(member) {
-                    b.leaf = new_leaf;
-                }
-            }
-        }
         (read, outcome)
     }
 
@@ -206,21 +186,6 @@ impl OramState {
     /// stash-hit check).
     pub fn stash_hit(&self, addr: u64) -> bool {
         self.stash.contains(addr)
-    }
-
-    /// Whether a *data* access to `addr` may take the on-chip shortcut
-    /// under super-block grouping: every group member must be on chip (or
-    /// never created), because the shortcut relabels the group without a
-    /// path read — a member left in the tree on the old path would be
-    /// orphaned. Always true when grouping is disabled.
-    pub fn group_shortcut_safe(&self, addr: u64) -> bool {
-        let sb = self.cfg.super_block;
-        if sb <= 1 {
-            return true;
-        }
-        let base = addr / sb * sb;
-        (base..(base + sb).min(self.cfg.data_blocks))
-            .all(|m| !self.existing.contains(&m) || self.stash.contains(m))
     }
 
     /// Takes `addr` from the stash or materializes it (first touch).
@@ -239,7 +204,6 @@ impl OramState {
                 .insert_with(addr, new_leaf, |data| data.resize(len, byte));
             AccessOutcome::Created
         };
-        self.existing.insert(addr);
         let block = self.stash.get_mut(addr).expect("just ensured present");
         block.leaf = new_leaf;
         (block, outcome)

@@ -2,14 +2,15 @@
 # Tier-1 verification gate, eight steps: format, lint, hermetic release
 # build, the test suite of every workspace member (--workspace: a bare
 # `cargo test` from the root package would skip the crates' own tests),
-# three of its suites, the DRAM model's own, the tree store's crate's own
-# and fp-core's unit tests again in the release build the benchmark
-# measures (step five, four invocations), the sealed data path's two crates
-# again for the portable x86-64 target, rustdoc, and the benchmark
-# package's own check. Every assertion about library behaviour is a named
-# test under steps four and five; nothing here runs a binary and inspects
-# its output. The workspace has zero external dependencies, so everything
-# runs --offline.
+# three of its suites, the DRAM model's own, the tree store's crate's own,
+# fp-core's unit tests and the `repro --fast` recording again in the
+# release build the benchmark measures, plus one run of each example (step
+# five), the sealed data path's two crates again for the portable x86-64
+# target, rustdoc, and the benchmark package's own check. Every assertion
+# about library behaviour is a named test under steps four and five, or an
+# `assert!` in an example that step five runs; a binary's output is
+# compared only by the named test that holds the `repro` recording. The
+# workspace has zero external dependencies, so everything runs --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,16 @@ cargo test -q --offline --release -p fp-path-oram
 # `select_initial`'s rank arithmetic): its propcheck against the reference
 # queue, and the Fig 5 one, once more where a wrap would pass silently.
 cargo test -q --offline --release -p fp-core --lib
+# Every `repro` target at --fast against results/figures_fast.txt (the
+# `trace` spine by digest): a printed figure that moves fails here. Ignored
+# in the debug step, where the figures take minutes.
+cargo test -q --offline --release -p fp-bench --test figures_fast
+# The examples assert what they show (records read back intact, the key-value
+# store's lookups, the fixed-rate stream's last read); each runs once.
+for example in quickstart secure_kv_store fixed_rate_stream scheme_comparison; do
+  cargo run -q --offline --release --example "$example" > /dev/null
+done
+cargo run -q --offline --release -p fp-sim --example smoke > /dev/null
 # Everything above is built under .cargo/config.toml's `target-cpu=native`,
 # where an AVX2 host selects fp-crypto's eight-lane keystream and would
 # never again run the one-lane build a portable binary gets. RUSTFLAGS

@@ -98,7 +98,8 @@ struct ParkingLoop {
 
 impl ParkingLoop {
     /// The next request in program order: four in five to the sixteen
-    /// addresses of four super-block groups under one posmap block.
+    /// addresses under one top-level posmap block (four level-one posmap
+    /// blocks of four addresses each).
     fn next_request(&mut self, arrival_ps: u64) -> NewRequest {
         let addr = if self.rng.gen_bool(0.8) {
             self.rng.next_below(16)
@@ -139,8 +140,8 @@ impl ReactiveSource for ParkingLoop {
 }
 
 /// Parking-heavy closed loop, 32 requests outstanding throughout: most
-/// chain steps park behind the owner of a super-block group or a posmap
-/// block, and every completion's follow-up lands in a refill window, where
+/// chain steps park behind the owner of a shared posmap block or of the
+/// same address (a write in flight), and every completion's follow-up lands in a refill window, where
 /// it displaces a pending real of lower overlap (the queue never runs dry,
 /// so no dummy is pending). Debug builds hold each skipped stalled step and
 /// each refill's replacement bound against a fresh look (the
@@ -154,10 +155,7 @@ fn fork_parking_stress_with_32_outstanding_matches_reference() {
             Scheme::Fork(f) => f,
             other => panic!("{name} is not a fork scheme: {other:?}"),
         };
-        let cfg = OramConfig {
-            super_block: 4,
-            ..OramConfig::small_test()
-        };
+        let cfg = OramConfig::small_test();
         let mut source = ParkingLoop {
             rng: Xoshiro256::new(0x9A7E),
             model: RamModel::new(cfg.block_bytes),

@@ -73,13 +73,16 @@ impl DramTiming {
 /// Full DRAM system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
-    /// Number of independent channels (each with its own bus).
+    /// Number of independent channels (each with its own bus); a power of
+    /// two, as every field the address mapping splits on.
     pub channels: usize,
-    /// Ranks per channel (modelled for background power and tFAW).
+    /// Ranks per channel (modelled for background power and tFAW); a power
+    /// of two.
     pub ranks_per_channel: usize,
-    /// Banks per rank.
+    /// Banks per rank; a power of two.
     pub banks_per_rank: usize,
-    /// Row (page) size in bytes, per rank (across all chips).
+    /// Row (page) size in bytes, per rank (across all chips); a power of
+    /// two.
     pub row_bytes: u64,
     /// Transfer granularity in bytes (one BL8 burst on a x64 bus = 64 B).
     pub burst_bytes: u64,
@@ -126,25 +129,30 @@ impl DramConfig {
     /// Validates the geometry, the one timing value the model divides by,
     /// and that a rank leaves refresh before its next one falls due.
     ///
+    /// The geometry must be a power of two in every field the address
+    /// mapping splits on (`row_bytes`, `channels`, `banks_per_rank`,
+    /// `ranks_per_channel`), as a DDR part's is: [`crate::DramSystem`]
+    /// decomposes an address by shifts and masks.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.channels == 0 {
-            return Err("channels must be at least 1".into());
-        }
-        if self.ranks_per_channel == 0 {
-            return Err("ranks_per_channel must be at least 1".into());
-        }
-        if self.banks_per_rank == 0 {
-            return Err("banks_per_rank must be at least 1".into());
+        for (name, value) in [
+            ("channels", self.channels),
+            ("ranks_per_channel", self.ranks_per_channel),
+            ("banks_per_rank", self.banks_per_rank),
+        ] {
+            if !value.is_power_of_two() {
+                return Err(format!("{name} must be a power of two, not {value}"));
+            }
         }
         if self.burst_bytes == 0 {
             return Err("burst_bytes must be positive".into());
         }
-        if self.row_bytes == 0 || !self.row_bytes.is_multiple_of(self.burst_bytes) {
+        if !self.row_bytes.is_power_of_two() || !self.row_bytes.is_multiple_of(self.burst_bytes) {
             return Err(format!(
-                "row_bytes {} must be a non-zero multiple of burst_bytes {}",
+                "row_bytes {} must be a power of two and a multiple of burst_bytes {}",
                 self.row_bytes, self.burst_bytes
             ));
         }
@@ -162,14 +170,86 @@ impl DramConfig {
         }
         Ok(())
     }
+}
 
-    /// Decomposes a physical byte address into `(channel, rank, bank, row)`,
-    /// low to high `column : channel : bank : rank : row`: consecutive
-    /// bursts stay in one row, and rows rotate over channels, then banks.
-    /// That suits the subtree layout — one subtree, one row in one bank.
-    ///
-    /// The column is the offset inside the row; the simulator only needs
-    /// row identity for row-buffer behaviour.
+/// The address mapping, low to high `column : channel : bank : rank : row`:
+/// consecutive bursts stay in one row, and rows rotate over channels, then
+/// banks. That suits the subtree layout — one subtree, one row in one bank.
+///
+/// Every field is a bit field, because [`DramConfig::validate`] holds the
+/// geometry to powers of two: [`crate::DramSystem::new`] computes the
+/// shifts and masks once, and a decomposition is shifts and masks only. The
+/// division form, `DramConfig::decompose`, is the unit tests' reference.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AddressMap {
+    /// log2 `row_bytes`: the column bits below everything else.
+    column_bits: u32,
+    /// `(log2 n, n - 1)` of `channels`, `banks_per_rank` and
+    /// `ranks_per_channel`, low to high above the column.
+    channel: (u32, u64),
+    bank: (u32, u64),
+    rank: (u32, u64),
+}
+
+impl AddressMap {
+    /// The mapping of `cfg`, which must pass [`DramConfig::validate`].
+    pub(crate) fn new(cfg: &DramConfig) -> Self {
+        let field = |n: usize| (n.trailing_zeros(), n as u64 - 1);
+        Self {
+            column_bits: cfg.row_bytes.trailing_zeros(),
+            channel: field(cfg.channels),
+            bank: field(cfg.banks_per_rank),
+            rank: field(cfg.ranks_per_channel),
+        }
+    }
+
+    /// Decomposes a physical byte address into `(channel, rank, bank, row)`.
+    /// The column (the offset inside the row) is dropped: the simulator
+    /// only needs row identity for row-buffer behaviour.
+    pub(crate) fn decompose(&self, addr: u64) -> Location {
+        let rest = addr >> self.column_bits;
+        let channel = rest & self.channel.1;
+        let rest = rest >> self.channel.0;
+        let bank = rest & self.bank.1;
+        let rest = rest >> self.bank.0;
+        let rank = rest & self.rank.1;
+        Location {
+            channel: channel as usize,
+            rank: rank as usize,
+            bank: bank as usize,
+            row: rest >> self.rank.0,
+        }
+    }
+
+    /// The aligned address range around `addr` over which
+    /// [`AddressMap::decompose`] is constant, and past which it is not: its
+    /// row. [`crate::DramSystem`] cuts every batch into same-location runs
+    /// by arithmetic on it.
+    pub(crate) fn location_span(&self, addr: u64) -> std::ops::Range<u64> {
+        let start = addr >> self.column_bits << self.column_bits;
+        // Saturating: the last span of the address space only splits finer.
+        start..start.saturating_add(1 << self.column_bits)
+    }
+}
+
+/// A decomposed physical location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Location {
+    /// Channel index.
+    pub channel: usize,
+    /// Rank index within the channel.
+    pub rank: usize,
+    /// Bank index within the rank.
+    pub bank: usize,
+    /// Row index within the bank.
+    pub row: u64,
+}
+
+#[cfg(test)]
+impl DramConfig {
+    /// [`AddressMap::decompose`] by division, the form that needs no
+    /// power-of-two geometry: the reference the shift form is tested
+    /// against.
     pub(crate) fn decompose(&self, addr: u64) -> Location {
         let rest = addr / self.row_bytes;
         let channel = rest % self.channels as u64;
@@ -185,29 +265,6 @@ impl DramConfig {
             row,
         }
     }
-
-    /// The aligned address range around `addr` over which
-    /// [`DramConfig::decompose`] is constant, and past which it is not: its
-    /// row. [`crate::DramSystem`] cuts every batch into same-location runs
-    /// by arithmetic on it.
-    pub(crate) fn location_span(&self, addr: u64) -> std::ops::Range<u64> {
-        let start = addr - addr % self.row_bytes;
-        // Saturating: the last span of the address space only splits finer.
-        start..start.saturating_add(self.row_bytes)
-    }
-}
-
-/// A decomposed physical location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Location {
-    /// Channel index.
-    pub channel: usize,
-    /// Rank index within the channel.
-    pub rank: usize,
-    /// Bank index within the rank.
-    pub bank: usize,
-    /// Row index within the bank.
-    pub row: u64,
 }
 
 #[cfg(test)]
@@ -247,19 +304,21 @@ mod tests {
     #[test]
     fn same_row_maps_to_same_location() {
         let cfg = DramConfig::ddr3_1600(2);
-        let a = cfg.decompose(0);
-        let b = cfg.decompose(cfg.row_bytes - 64);
+        let map = AddressMap::new(&cfg);
+        let a = map.decompose(0);
+        let b = map.decompose(cfg.row_bytes - 64);
         assert_eq!(a, b, "all bursts of a row share channel/bank/row");
-        let c = cfg.decompose(cfg.row_bytes);
+        let c = map.decompose(cfg.row_bytes);
         assert_ne!(a, c, "next row differs in some coordinate");
     }
 
     #[test]
     fn rows_distribute_over_banks() {
         let cfg = DramConfig::ddr3_1600(2);
+        let map = AddressMap::new(&cfg);
         // Consecutive rows rotate channel then bank.
         let locs: Vec<_> = (0..32u64)
-            .map(|i| cfg.decompose(i * cfg.row_bytes))
+            .map(|i| map.decompose(i * cfg.row_bytes))
             .collect();
         let distinct_banks: std::collections::HashSet<_> =
             locs.iter().map(|l| (l.channel, l.bank)).collect();
@@ -271,23 +330,26 @@ mod tests {
 
     #[test]
     fn decompose_is_constant_exactly_over_the_location_span() {
-        // The one fact the run split of `DramSystem` rests on.
-        for channels in [1usize, 2, 3] {
+        // The one fact the run split of `DramSystem` rests on, and the
+        // shift form equal to the division form it replaced.
+        for (channels, ranks) in [(1usize, 1usize), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)] {
             let cfg = DramConfig {
-                ranks_per_channel: 2,
+                ranks_per_channel: ranks,
                 ..DramConfig::ddr3_1600(channels)
             };
+            let map = AddressMap::new(&cfg);
             for k in 0..500u64 {
                 // Multiplicative hashing: scattered 34-bit addresses.
                 let addr = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 30;
-                let span = cfg.location_span(addr);
+                let span = map.location_span(addr);
                 assert!(span.contains(&addr));
                 assert!(span.start.is_multiple_of(span.end - span.start));
-                let loc = cfg.decompose(addr);
-                let case = format!("x{channels} addr {addr:#x}");
-                assert_eq!(cfg.decompose(span.start), loc, "{case}");
-                assert_eq!(cfg.decompose(span.end - 1), loc, "{case}");
-                assert_ne!(cfg.decompose(span.end), loc, "{case}: next span");
+                let loc = map.decompose(addr);
+                let case = format!("x{channels} ranks={ranks} addr {addr:#x}");
+                assert_eq!(map.decompose(span.start), loc, "{case}");
+                assert_eq!(map.decompose(span.end - 1), loc, "{case}");
+                assert_ne!(map.decompose(span.end), loc, "{case}: next span");
+                assert_eq!(cfg.decompose(addr), loc, "{case}: division form");
             }
         }
     }
@@ -313,6 +375,20 @@ mod tests {
     #[test]
     fn validate_rejects_zero_banks() {
         assert!(rejected(|c| c.banks_per_rank = 0).contains("banks_per_rank"));
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_geometry() {
+        let cases = [
+            ("channels", rejected(|c| c.channels = 3)),
+            ("ranks_per_channel", rejected(|c| c.ranks_per_channel = 3)),
+            ("banks_per_rank", rejected(|c| c.banks_per_rank = 6)),
+            ("row_bytes", rejected(|c| c.row_bytes = 6 * 1024)),
+        ];
+        for (field, why) in cases {
+            assert!(why.contains(field), "{field}: {why}");
+            assert!(why.contains("power of two"), "{field}: {why}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use fp_trace::TraceHandle;
 
 use crate::channel::Channel;
-use crate::config::{DramConfig, Location};
+use crate::config::{AddressMap, DramConfig, Location};
 use crate::stats::DramStats;
 
 /// Direction of a memory access.
@@ -44,6 +44,7 @@ pub struct BatchResult<'a> {
 #[derive(Debug, Clone)]
 pub struct DramSystem {
     config: DramConfig,
+    map: AddressMap,
     channels: Vec<Channel>,
     trace: TraceHandle,
     scratch: FrFcfsScratch,
@@ -73,7 +74,9 @@ const HIT_NONE: usize = usize::MAX - 1;
 /// Runs wait in per-bank arrival-order queues and each bank caches its
 /// first row-hit; the cache goes stale only for the bank just serviced. A
 /// pick is one sweep over the channel's banks *that hold runs of this
-/// batch* (one, for a bucket write) plus one amortized hit rescan.
+/// batch* plus one amortized hit rescan. A batch of one run (a bucket
+/// write) never comes here: [`DramSystem::access_spans`] schedules it
+/// directly.
 #[derive(Debug, Clone, Default)]
 struct FrFcfsScratch {
     /// Completion time of each burst of the batch, in input order; only
@@ -151,6 +154,7 @@ impl DramSystem {
             .map(|_| Channel::new(&config))
             .collect();
         Self {
+            map: AddressMap::new(&config),
             config,
             channels,
             trace: TraceHandle::default(),
@@ -210,6 +214,12 @@ impl DramSystem {
     /// schedules the same bursts listed one by one. Returns the completion
     /// of the whole batch, `now_ps` for an empty one.
     ///
+    /// A batch that is one run — one base, `bursts > 0`, and a span that
+    /// ends inside its row, which is every bucket write-back and every
+    /// insecure-engine access — goes straight to the channel: with one run
+    /// FR-FCFS has nothing to choose between, so the split and the arbiter
+    /// are skipped, not changed.
+    ///
     /// # Example
     ///
     /// ```
@@ -228,6 +238,22 @@ impl DramSystem {
         bases: &[u64],
         bursts: u64,
     ) -> u64 {
+        if let [base] = *bases {
+            // `split`'s test for a span that fits its first piece, verbatim.
+            let row = self.map.location_span(base);
+            if bursts > 0 && base.saturating_add(bursts * self.config.burst_bytes) <= row.end {
+                let loc = self.map.decompose(base);
+                let sched = self.channels[loc.channel].schedule_run(
+                    &self.config,
+                    loc,
+                    kind,
+                    bursts,
+                    now_ps,
+                    &self.trace,
+                );
+                return now_ps.max(sched.last_finish);
+            }
+        }
         self.split(bases.iter().map(|&base| (base, bursts, kind)));
         self.arbitrate(now_ps)
     }
@@ -260,9 +286,9 @@ impl DramSystem {
             while taken < bursts {
                 let addr = base + taken * burst_bytes;
                 if !(span.contains(&addr) && kind == span_kind) {
-                    span = self.config.location_span(addr);
+                    span = self.map.location_span(addr);
                     span_kind = kind;
-                    let loc = self.config.decompose(addr);
+                    let loc = self.map.decompose(addr);
                     let q = loc.channel * banks_per_channel + loc.rank * banks_per_rank + loc.bank;
                     let bank = &mut banks[q];
                     if bank.queue.is_empty() {
@@ -412,11 +438,12 @@ mod tests {
         dram.access_spans(0, AccessKind::Read, &[0], 1);
         // Batch: a conflicting row-miss first, then a row-hit. FR-FCFS
         // services the hit first, so the hit's finish < miss's finish.
-        let batch = vec![
-            (row * dram.config().banks_per_rank as u64, AccessKind::Read),
-            (64, AccessKind::Read),
-        ];
-        // Both map to bank 0? ensure second is row 0 same bank: addr 64 is row 0.
+        let (miss, hit) = (row * dram.config().banks_per_rank as u64, 64);
+        let (m, h) = (dram.map.decompose(miss), dram.map.decompose(hit));
+        let bank = |l: Location| (l.channel, l.rank, l.bank);
+        assert_eq!([bank(m), bank(h)], [(0, 0, 0); 2], "both in bank 0");
+        assert_eq!((m.row, h.row), (1, 0), "and they differ in row");
+        let batch = vec![(miss, AccessKind::Read), (hit, AccessKind::Read)];
         let r = dram.access_batch(100_000, &batch);
         assert!(
             r.finish_ps[1] < r.finish_ps[0],
@@ -681,6 +708,69 @@ mod tests {
         assert_eq!(result.finish_ps.iter().max(), Some(&finish));
         assert_same_events(&spans, &each, "three buckets");
         assert_eq!(spans.access_spans(finish, AccessKind::Read, &[], 4), finish);
+    }
+
+    /// `access_spans` of `kind` on a fresh system against the reference fed
+    /// the same bursts one by one: batch finish, counters and event ring.
+    /// Hands back the finish and the system, whose split scratch holds no
+    /// run when the one-run door took the batch.
+    fn spans_match_reference(
+        now: u64,
+        kind: AccessKind,
+        bases: &[u64],
+        bursts: u64,
+        case: &str,
+    ) -> (u64, DramSystem) {
+        let (mut fast, mut slow) = traced_pair(&DramConfig::ddr3_1600(2));
+        let per_burst: Vec<(u64, AccessKind)> = bases
+            .iter()
+            .flat_map(|&base| (0..bursts).map(move |i| (base + i * 64, kind)))
+            .collect();
+        let finish = fast.access_spans(now, kind, bases, bursts);
+        let (_, reference) = access_batch_reference(&mut slow, now, &per_burst);
+        assert_eq!(finish, reference, "{case}");
+        assert_same_events(&fast, &slow, case);
+        assert_eq!(fast.stats(), slow.stats(), "{case}");
+        (finish, fast)
+    }
+
+    #[test]
+    fn one_base_of_no_bursts_is_an_empty_batch() {
+        let (finish, dram) = spans_match_reference(7_000, AccessKind::Write, &[0x4000], 0, "empty");
+        assert_eq!(finish, 7_000);
+        assert_eq!(dram.trace.events(), Vec::new(), "nothing recorded");
+        assert_eq!(dram.stats(), DramStats::default());
+    }
+
+    #[test]
+    fn a_bucket_that_ends_at_a_row_end_is_one_run() {
+        let row = DramConfig::ddr3_1600(2).row_bytes;
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            let (finish, dram) = spans_match_reference(0, kind, &[row - 256], 4, "row end");
+            assert!(finish > 0);
+            assert_eq!(dram.stats().accesses(), 4);
+            assert!(dram.scratch.runs.is_empty(), "{kind:?}: the one-run door");
+        }
+    }
+
+    #[test]
+    fn a_bucket_that_crosses_a_row_end_takes_the_arbiter() {
+        let row = DramConfig::ddr3_1600(2).row_bytes;
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            let (_, dram) = spans_match_reference(0, kind, &[row - 128], 4, "row crossing");
+            assert_eq!(dram.scratch.runs.len(), 2, "{kind:?}: one run per row");
+        }
+    }
+
+    #[test]
+    fn the_last_row_of_the_address_space_is_one_run_through_the_span_door() {
+        // `location_span` saturates there: the span ends at `u64::MAX`, and
+        // a bucket reaching past it still fits, as it does in `split`.
+        for (base, bursts) in [(u64::MAX - 255, 4), (u64::MAX - 63, 1), (u64::MAX, 1)] {
+            let (_, dram) = spans_match_reference(0, AccessKind::Read, &[base], bursts, "top");
+            assert_eq!(dram.stats().accesses(), bursts, "{base:#x}");
+            assert!(dram.scratch.runs.is_empty(), "{base:#x}: the one-run door");
+        }
     }
 
     #[test]

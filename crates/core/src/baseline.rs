@@ -15,7 +15,7 @@ use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, Datapath, NewRequest, OramConfig, OramState, OramStats,
     ReactiveSource, CTRL_PHASE_LATENCY_PS,
 };
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, TraceHandle};
 
 use crate::engine::{LlcRequest, OramEngine};
 use crate::error::ControllerError;
@@ -41,7 +41,6 @@ pub struct BaselineController {
     path: Datapath,
     queue: VecDeque<LlcRequest>,
     clock_ps: u64,
-    next_id: u64,
     times: AccessTimes,
     completions: CompletionLog,
 }
@@ -64,13 +63,14 @@ impl BaselineController {
         seed: u64,
         cache: Box<dyn BucketCache + Send>,
     ) -> Self {
+        let path = Datapath::new(cfg, dram, seed, cache);
+        let completions = CompletionLog::new(path.trace().clone());
         Self {
-            path: Datapath::new(cfg, dram, seed, cache),
+            path,
             queue: VecDeque::new(),
             clock_ps: 0,
-            next_id: 0,
             times: AccessTimes::default(),
-            completions: CompletionLog::default(),
+            completions,
         }
     }
 
@@ -149,11 +149,7 @@ impl BaselineController {
         }
         self.drain_stash_pressure()?;
 
-        self.times.sum_latency_ps += done_ps.saturating_sub(req.arrival_ps);
         self.times.finish_time_ps = self.clock_ps;
-        let trace = self.path.trace();
-        trace.record(done_ps, EventKind::RequestCompleted { id: req.id });
-        trace.record_latency(done_ps.saturating_sub(req.arrival_ps));
         Ok(Completion {
             id: req.id,
             addr: req.addr,
@@ -200,11 +196,7 @@ impl BaselineController {
 
 impl OramEngine for BaselineController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.path
-            .trace()
-            .record(req.arrival_ps, EventKind::RequestSubmitted { id });
+        let id = self.completions.open(req.arrival_ps);
         self.queue.push_back(LlcRequest::new(id, req));
         Ok(id)
     }
@@ -242,14 +234,8 @@ impl OramEngine for BaselineController {
         self.clock_ps
     }
 
-    /// The shared view over the trace spine, with every executed dummy a
-    /// background eviction (the baseline has no other kind).
     fn stats(&self) -> OramStats {
-        let view = OramStats::view(self.path.trace(), self.times);
-        OramStats {
-            background_evictions: view.dummy_accesses,
-            ..view
-        }
+        OramStats::view(self.path.trace(), self.times)
     }
 
     fn trace(&self) -> &TraceHandle {

@@ -19,7 +19,7 @@ use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, Datapath, NewRequest, OramConfig, OramStats,
     ReactiveSource, CTRL_PHASE_LATENCY_PS,
 };
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, TraceHandle};
 
 use crate::address_queue::{AddressQueue, SubmitEffect};
 use crate::config::ForkConfig;
@@ -51,7 +51,6 @@ macro_rules! step_ctx {
             plb: &mut $self.plb,
             aq: &mut $self.aq,
             sched: &mut $self.sched,
-            times: &mut $self.times,
             completions: &mut $self.completions,
         }
     };
@@ -66,7 +65,6 @@ pub struct ForkPathController {
     merge: PathMerger,
     dummy: DummyReplacer,
     flights: FlightTable,
-    next_req_id: u64,
     /// The already-revealed next access (selected during the last refill).
     current: Option<Entry>,
     clock_ps: u64,
@@ -103,7 +101,7 @@ impl ForkPathController {
         fork.validate().map_err(ControllerError::InvalidConfig)?;
         let cache = fork.build_cache(cfg.bucket_bytes(), cfg.path_len());
         let path = Datapath::new(cfg, dram, seed, cache);
-        let trace = path.trace();
+        let trace = path.trace().clone();
         let sched = LabelQueue::new(fork.label_queue_size, fork.scheduling, trace.clone());
         let merge = PathMerger::new(fork.merging, trace.clone());
         let dummy = DummyReplacer::new(fork.replacing, trace.clone());
@@ -114,13 +112,12 @@ impl ForkPathController {
             merge,
             dummy,
             flights: FlightTable::default(),
-            next_req_id: 0,
             current: None,
             clock_ps: 0,
             fixed_rate: false,
             plb: PosMapLookasideBuffer::new(fork.plb_blocks),
             times: AccessTimes::default(),
-            completions: CompletionLog::default(),
+            completions: CompletionLog::new(trace),
         })
     }
 
@@ -128,37 +125,23 @@ impl ForkPathController {
     /// hazard shortcuts (forwarding / cancellation may complete requests at
     /// once), and returns its id.
     fn enqueue_request(&mut self, req: NewRequest) -> u64 {
-        let id = self.next_req_id;
-        self.next_req_id += 1;
+        let id = self.completions.open(req.arrival_ps);
         let (addr, arrival_ps, tag) = (req.addr, req.arrival_ps, req.tag);
-        let req = LlcRequest::new(id, req);
-        let trace = self.path.trace();
-        trace.record(arrival_ps, EventKind::RequestSubmitted { id });
-        match self.aq.submit(req) {
+        match self.aq.submit(LlcRequest::new(id, req)) {
             SubmitEffect::Queued => {}
-            SubmitEffect::Forwarded { data } => {
-                self.times.sum_latency_ps += ONCHIP_ANSWER_PS;
-                trace.record(
-                    arrival_ps + ONCHIP_ANSWER_PS,
-                    EventKind::RequestCompleted { id },
-                );
-                trace.record_latency(ONCHIP_ANSWER_PS);
-                self.completions.push(Completion {
-                    id,
-                    addr,
-                    data,
-                    arrival_ps,
-                    done_ps: arrival_ps + ONCHIP_ANSWER_PS,
-                    tag,
-                });
-            }
+            SubmitEffect::Forwarded { data } => self.completions.push(Completion {
+                id,
+                addr,
+                data,
+                arrival_ps,
+                done_ps: arrival_ps + ONCHIP_ANSWER_PS,
+                tag,
+            }),
             SubmitEffect::CancelledOlderWrite { cancelled_id } => {
                 // The cancelled write is acknowledged: superseded on chip.
                 // It gets a completion record, but is not a completed
                 // request in the statistics.
-                trace.record(arrival_ps, EventKind::RequestCompleted { id: cancelled_id });
-                trace.bump(Counter::WritesCancelled);
-                trace.record_latency(0);
+                self.path.trace().bump(Counter::WritesCancelled);
                 self.completions.push(Completion {
                     id: cancelled_id,
                     addr,
@@ -170,6 +153,34 @@ impl ForkPathController {
             }
         }
         id
+    }
+
+    /// Moves work forward: stalled chain steps first (they are older), then
+    /// address-queue transformations, as far as space and hazards allow.
+    fn pump(&mut self) -> Result<(), ControllerError> {
+        {
+            let mut ctx = step_ctx!(self);
+            self.flights.retry_stalled(&mut ctx)?;
+        }
+
+        // Transform new LLC requests in order.
+        while self.sched.has_space_for_real() {
+            let Some(req) = self.aq.pop_ready(u64::MAX) else {
+                break;
+            };
+            let state = self.path.state_mut();
+            let (old, new, _) = state.start_chain(req.addr);
+            let chain = state.chain(req.addr);
+            let arrival = req.arrival_ps;
+            let flight_id = self.flights.open(req, chain, old, new);
+            let mut ctx = step_ctx!(self);
+            self.flights.place_or_stall(&mut ctx, flight_id, arrival)?;
+        }
+
+        // Keep the queue padded with dummies (Fig 7b).
+        let state = self.path.state_mut();
+        self.sched.pad_with(|| state.random_label());
+        Ok(())
     }
 
     /// Like [`OramEngine::process_one`], but the access starts no earlier
@@ -369,34 +380,6 @@ impl OramEngine for ForkPathController {
         let ids = batch.into_iter().map(|r| self.enqueue_request(r)).collect();
         self.pump()?;
         Ok(ids)
-    }
-
-    /// Moves work forward: stalled chain steps first (they are older), then
-    /// address-queue transformations, as far as space and hazards allow.
-    fn pump(&mut self) -> Result<(), ControllerError> {
-        {
-            let mut ctx = step_ctx!(self);
-            self.flights.retry_stalled(&mut ctx)?;
-        }
-
-        // Transform new LLC requests in order.
-        while self.sched.has_space_for_real() {
-            let Some(req) = self.aq.pop_ready(u64::MAX) else {
-                break;
-            };
-            let state = self.path.state_mut();
-            let (old, new, _) = state.start_chain(req.addr);
-            let chain = state.chain(req.addr);
-            let arrival = req.arrival_ps;
-            let flight_id = self.flights.open(req, chain, old, new);
-            let mut ctx = step_ctx!(self);
-            self.flights.place_or_stall(&mut ctx, flight_id, arrival)?;
-        }
-
-        // Keep the queue padded with dummies (Fig 7b).
-        let state = self.path.state_mut();
-        self.sched.pad_with(|| state.random_label());
-        Ok(())
     }
 
     /// Executes one ORAM access (read phase, block handling, refill).

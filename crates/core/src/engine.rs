@@ -36,7 +36,7 @@ use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, NewRequest, NoFeedback, Op, OramConfig, OramStats,
     ReactiveSource,
 };
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, TraceHandle};
 
 use crate::baseline::BaselineController;
 use crate::config::{CacheChoice, ForkConfig};
@@ -69,16 +69,6 @@ pub trait OramEngine {
     /// Surfaces internal bookkeeping invariant violations.
     fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
         batch.into_iter().map(|r| self.submit(r)).collect()
-    }
-
-    /// Moves internal pipeline work forward without executing an access.
-    /// A no-op for engines without a decoupled pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces internal bookkeeping invariant violations.
-    fn pump(&mut self) -> Result<(), ControllerError> {
-        Ok(())
     }
 
     /// Executes one access (or event step) end to end, feeding completions
@@ -139,9 +129,6 @@ impl<E: OramEngine + ?Sized> OramEngine for Box<E> {
     }
     fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
         (**self).submit_batch(batch)
-    }
-    fn pump(&mut self) -> Result<(), ControllerError> {
-        (**self).pump()
     }
     fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
         (**self).process_one(source)
@@ -255,7 +242,6 @@ pub(crate) struct InsecureEngine {
     outstanding: BinaryHeap<Reverse<OutstandingAccess>>,
     completions: CompletionLog,
     clock_ps: u64,
-    next_id: u64,
     times: AccessTimes,
     trace: TraceHandle,
 }
@@ -272,9 +258,8 @@ impl InsecureEngine {
             block_bytes: block_bytes as u64,
             pending: BinaryHeap::new(),
             outstanding: BinaryHeap::new(),
-            completions: CompletionLog::default(),
+            completions: CompletionLog::new(trace.clone()),
             clock_ps: 0,
-            next_id: 0,
             times: AccessTimes::default(),
             trace,
         }
@@ -292,10 +277,7 @@ impl InsecureEngine {
 
 impl OramEngine for InsecureEngine {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.trace
-            .record(req.arrival_ps, EventKind::RequestSubmitted { id });
+        let id = self.completions.open(req.arrival_ps);
         self.pending.push(Reverse(PendingAccess {
             arrival_ps: req.arrival_ps,
             id,
@@ -341,15 +323,10 @@ impl OramEngine for InsecureEngine {
                     tag,
                 }) = self.outstanding.pop().expect("peeked");
                 self.clock_ps = self.clock_ps.max(finish);
-                let latency = finish.saturating_sub(arrival);
-                self.times.sum_latency_ps += latency;
                 self.times.finish_time_ps = self.times.finish_time_ps.max(finish);
-                self.times.access_busy_ps += latency;
+                self.times.access_busy_ps += finish.saturating_sub(arrival);
                 // The access count: one "full read" per plain-DRAM access.
                 self.trace.bump(Counter::FullReads);
-                self.trace
-                    .record(finish, EventKind::RequestCompleted { id });
-                self.trace.record_latency(latency);
                 self.completions.push(Completion {
                     id,
                     addr,
@@ -612,7 +589,10 @@ mod tests {
     }
 
     /// The provided methods and the batch door, on every engine the
-    /// registry builds, bare and under an injector that injects nothing.
+    /// registry builds, bare and under an injector that injects nothing;
+    /// and the request ledger's contract: every id handed out is one
+    /// `RequestSubmitted`, every latency sample one `RequestCompleted`,
+    /// and the statistics' latency sum is the histogram's.
     #[test]
     fn every_engine_answers_the_trait_bare_and_wrapped() {
         for (name, scheme) in registry() {
@@ -624,15 +604,25 @@ mod tests {
                 }
                 engine.set_trace_capacity(8);
                 assert_eq!(engine.trace().capacity(), 8, "{case}");
-                engine.pump().unwrap();
                 let batch = vec![NewRequest::read(1, 0), NewRequest::read(2, 0)];
-                assert_eq!(engine.submit_batch(batch).unwrap(), vec![0, 1], "{case}");
+                let handed = engine.submit_batch(batch).unwrap();
+                assert_eq!(handed, vec![0, 1], "{case}");
                 assert!(engine.has_pending_work(), "{case}");
                 let mut ids: Vec<u64> =
                     engine.run_to_idle().unwrap().iter().map(|c| c.id).collect();
                 ids.sort_unstable();
                 assert_eq!(ids, vec![0, 1], "{case}");
                 assert!(!engine.has_pending_work(), "{case}");
+                let trace = engine.trace();
+                let latency = trace.latency_hist();
+                let submitted = trace.counter(Counter::RequestsSubmitted);
+                assert_eq!(submitted, handed.len() as u64, "{case}");
+                assert_eq!(
+                    latency.count(),
+                    trace.counter(Counter::RequestsCompleted),
+                    "{case}"
+                );
+                assert_eq!(engine.stats().sum_latency_ps, latency.sum(), "{case}");
             }
         }
     }

@@ -212,10 +212,6 @@ impl OramEngine for FaultInjector {
         self.inner.submit_batch(batch)
     }
 
-    fn pump(&mut self) -> Result<(), ControllerError> {
-        self.inner.pump()
-    }
-
     fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
         let did = self.inner.process_one(source)?;
         if did {

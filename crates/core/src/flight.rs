@@ -10,8 +10,8 @@
 use std::collections::VecDeque;
 
 use fp_path_oram::keyed::U64Map;
-use fp_path_oram::{AccessTimes, Completion, CompletionLog, Datapath, OramState};
-use fp_trace::{Counter, EventKind};
+use fp_path_oram::{Completion, CompletionLog, Datapath, OramState};
+use fp_trace::Counter;
 
 use crate::address_queue::AddressQueue;
 use crate::controller::ONCHIP_ANSWER_PS;
@@ -60,7 +60,6 @@ pub(crate) struct StepCtx<'a> {
     pub plb: &'a mut PosMapLookasideBuffer,
     pub aq: &'a mut AddressQueue,
     pub sched: &'a mut LabelQueue,
-    pub times: &'a mut AccessTimes,
     pub completions: &'a mut CompletionLog,
 }
 
@@ -306,7 +305,7 @@ impl FlightTable {
 
     /// Finishes a flight standing on its data block at `done_ps`: applies
     /// the request's operation, retires it from the address queue, and
-    /// accounts and publishes the completion.
+    /// closes it in the ledger.
     fn finish(
         &mut self,
         ctx: &mut StepCtx<'_>,
@@ -325,11 +324,6 @@ impl FlightTable {
             .state_mut()
             .apply_op(chain[idx], new_label, req.data.as_deref());
         ctx.aq.complete(req.addr, req.op);
-        let latency_ps = done_ps.saturating_sub(req.arrival_ps);
-        ctx.times.sum_latency_ps += latency_ps;
-        let trace = ctx.path.trace();
-        trace.record(done_ps, EventKind::RequestCompleted { id: req.id });
-        trace.record_latency(latency_ps);
         ctx.completions.push(Completion {
             id: req.id,
             addr: req.addr,
@@ -425,7 +419,6 @@ mod tests {
         plb: PosMapLookasideBuffer,
         aq: AddressQueue,
         sched: LabelQueue,
-        times: AccessTimes,
         completions: CompletionLog,
         flights: FlightTable,
     }
@@ -437,13 +430,14 @@ mod tests {
                 ..OramConfig::small_test()
             };
             let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+            let path = Datapath::new(cfg, dram, 7, Box::new(NoCache));
+            let completions = CompletionLog::new(path.trace().clone());
             Self {
-                path: Datapath::new(cfg, dram, 7, Box::new(NoCache)),
+                path,
                 plb: PosMapLookasideBuffer::new(0),
                 aq: AddressQueue::new(),
                 sched: LabelQueue::new(label_queue_size, true, TraceHandle::default()),
-                times: AccessTimes::default(),
-                completions: CompletionLog::default(),
+                completions,
                 flights: FlightTable::default(),
             }
         }
@@ -454,7 +448,6 @@ mod tests {
                 plb: &mut self.plb,
                 aq: &mut self.aq,
                 sched: &mut self.sched,
-                times: &mut self.times,
                 completions: &mut self.completions,
             };
             (&mut self.flights, ctx)

@@ -31,9 +31,9 @@
 //!   and exposes the two phases of an access — `read_path` from a floor
 //!   down, and the refill stream `begin_refill` + `refill_level`, leaf to
 //!   root for as many levels as the controller decides.
-//! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]) and
-//!   the closed-loop feedback ([`ReactiveSource`], [`NoFeedback`],
-//!   [`CompletionLog`]) shared by every engine.
+//! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]), the
+//!   closed-loop feedback ([`ReactiveSource`], [`NoFeedback`]) and the
+//!   request ledger ([`CompletionLog`]) shared by every engine.
 //! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
 //!   [`cache::TreetopCache`] policy (Phantom \[13\]).
 //! * [`keyed`] — the `u64`-keyed map and set aliases (one-multiply hasher)

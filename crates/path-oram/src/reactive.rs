@@ -6,7 +6,10 @@
 //! next miss in time to participate in downstream scheduling — for Fork
 //! Path, that feedback loop is what makes dummy replacement (§3.3) fire at
 //! realistic rates. The types live here, below every engine, so the
-//! baseline, Fork Path and the insecure reference share one vocabulary.
+//! baseline, Fork Path and the insecure reference share one vocabulary,
+//! and one request ledger ([`CompletionLog`]).
+
+use fp_trace::{EventKind, TraceHandle};
 
 /// LLC request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,19 +102,58 @@ impl ReactiveSource for NoFeedback {
     }
 }
 
-/// An engine's completion records on their way out: produced, then fed to
+/// The request ledger under every engine: the one place a request is
+/// numbered on its way in and accounted on its way out. [`open`] hands out
+/// the id and records `RequestSubmitted`; [`push`] records
+/// `RequestCompleted` and the latency sample, then holds the record for
 /// the driver's [`ReactiveSource`] (whose follow-up requests may complete
-/// at once and join the log behind the cursor), then drained.
-#[derive(Debug, Default)]
+/// at once and join the log behind the cursor) until it is drained.
+///
+/// [`open`]: CompletionLog::open
+/// [`push`]: CompletionLog::push
+#[derive(Debug)]
 pub struct CompletionLog {
+    /// The engine's spine, which the ledger's events and samples go to.
+    trace: TraceHandle,
+    /// Id of the next request opened; ids count from 0 in submission
+    /// order.
+    next_id: u64,
     records: Vec<Completion>,
     /// Records before this index have been fed to the reactive source.
     fed: usize,
 }
 
 impl CompletionLog {
-    /// Appends a completion record.
+    /// An empty ledger reporting into `trace`.
+    pub fn new(trace: TraceHandle) -> Self {
+        Self {
+            trace,
+            next_id: 0,
+            records: Vec::new(),
+            fed: 0,
+        }
+    }
+
+    /// Numbers a request arriving at `arrival_ps` and records its
+    /// `RequestSubmitted` event; returns the id.
+    pub fn open(&mut self, arrival_ps: u64) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.trace
+            .record(arrival_ps, EventKind::RequestSubmitted { id });
+        id
+    }
+
+    /// Closes a request: records its `RequestCompleted` event at
+    /// `done_ps` and the latency sample `done_ps - arrival_ps`, then
+    /// appends the record. A cancelled write comes through here too,
+    /// with `done_ps == arrival_ps`.
     pub fn push(&mut self, completion: Completion) {
+        let (id, done_ps) = (completion.id, completion.done_ps);
+        self.trace
+            .record(done_ps, EventKind::RequestCompleted { id });
+        self.trace
+            .record_latency(done_ps.saturating_sub(completion.arrival_ps));
         self.records.push(completion);
     }
 

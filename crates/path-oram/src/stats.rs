@@ -3,13 +3,12 @@
 
 use fp_trace::{Counter, TraceHandle};
 
-/// The quantities no trace counter carries: picosecond sums and the finish
-/// time. The engine owns these as plain fields (counters tally events; a
-/// time sum or a gauge in the counter table would read as events).
+/// The quantities neither a trace counter nor a histogram carries: the
+/// memory-bus busy sum and the finish time. The engine owns these as plain
+/// fields (counters tally events; a time sum or a gauge in the counter
+/// table would read as events).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessTimes {
-    /// Sum of LLC-request latencies (arrival -> data return), picoseconds.
-    pub sum_latency_ps: u64,
     /// Total memory-bus busy time across accesses, picoseconds.
     pub access_busy_ps: u64,
     /// Time the last access finished, picoseconds.
@@ -19,8 +18,8 @@ pub struct AccessTimes {
 /// Counters describing ORAM behaviour over a simulation run.
 ///
 /// Nothing here is accumulated separately: [`OramStats::view`] assembles
-/// the record on demand from the engine's trace counters, the stash
-/// occupancy histogram's exact count and sum, and the engine-owned
+/// the record on demand from the engine's trace counters, the exact sums
+/// of the latency and stash occupancy histograms, and the engine-owned
 /// [`AccessTimes`].
 ///
 /// The paper's headline metrics map onto these fields:
@@ -58,10 +57,10 @@ pub struct OramStats {
     /// Read-phase buckets that went to DRAM (every bucket, when there is
     /// no on-chip cache).
     pub cache_misses: u64,
-    /// Sum of LLC-request latencies (arrival -> data return), picoseconds.
+    /// Sum of LLC-request latencies (arrival -> data return), picoseconds:
+    /// the latency histogram's exact sum. On a coalescing service shard it
+    /// also holds the samples of the waiters the shard answers itself.
     pub sum_latency_ps: u64,
-    /// Background-eviction dummies forced by stash pressure.
-    pub background_evictions: u64,
     /// Stash-hit fast returns (block found on chip at request time).
     pub stash_hits: u64,
     /// Time the last access finished, picoseconds.
@@ -88,8 +87,7 @@ impl OramStats {
     /// access's read phase is counted once as a full or a merged read;
     /// each bucket of a read phase is looked up in the bucket cache once
     /// (a hit or a miss); and a cancelled write produces a completion
-    /// record but is not a completed request. `background_evictions` is
-    /// 0 here — only the baseline runs them, and fills it in.
+    /// record but is not a completed request.
     pub fn view(trace: &TraceHandle, times: AccessTimes) -> Self {
         let counters = trace.counters();
         let c = |c: Counter| counters[c as usize];
@@ -108,8 +106,7 @@ impl OramStats {
             dram_blocks_written: c(Counter::DramBlocksWritten),
             cache_hits: c(Counter::CacheHits),
             cache_misses: c(Counter::CacheMisses),
-            sum_latency_ps: times.sum_latency_ps,
-            background_evictions: 0,
+            sum_latency_ps: trace.latency_hist().sum(),
             stash_hits: c(Counter::StashHits),
             finish_time_ps: times.finish_time_ps,
             access_busy_ps: times.access_busy_ps,

@@ -28,12 +28,6 @@ pub struct ServiceConfig {
     /// Capacity of each shard's bounded submission queue; a full queue
     /// rejects with [`crate::SubmitError::Busy`].
     pub queue_depth: usize,
-    /// Maximum requests a worker admits into its controller per batch.
-    pub batch_max: usize,
-    /// Default *relative* deadline applied to requests that carry none:
-    /// the absolute deadline becomes `arrival_ps + deadline_ps`. `None`
-    /// disables deadline accounting for such requests.
-    pub deadline_ps: Option<u64>,
     /// Global ORAM geometry; per-shard trees are derived from it.
     pub oram: OramConfig,
     /// The ORAM scheme every shard runs — any [`Scheme`] the engine
@@ -53,8 +47,6 @@ pub struct ServiceConfig {
     pub coalesce: bool,
     /// Service seed; shard `i` seeds its controller and clients from it.
     pub seed: u64,
-    /// Per-shard trace event-ring capacity (0 = exact counters only).
-    pub trace_capacity: usize,
     /// Deterministic fault injection applied to shard engines. `None`
     /// (the default) adds zero overhead — engines are not wrapped at all.
     pub fault: Option<FaultConfig>,
@@ -76,14 +68,11 @@ impl ServiceConfig {
         Self {
             shards,
             queue_depth: 64,
-            batch_max: 16,
-            deadline_ps: None,
             oram,
             scheme: Scheme::ForkDefault,
             dram: DramConfig::ddr3_1600(2),
             coalesce: false,
             seed: 0x5EED,
-            trace_capacity: 0,
             fault: None,
             fault_shard: None,
         }
@@ -103,9 +92,6 @@ impl ServiceConfig {
         }
         if self.queue_depth == 0 {
             return Err("queue_depth must be at least 1".into());
-        }
-        if self.batch_max == 0 {
-            return Err("batch_max must be at least 1".into());
         }
         let shift = self.shard_shift();
         if self.oram.data_blocks >> shift == 0 {
@@ -226,9 +212,6 @@ mod tests {
         cfg = ServiceConfig::fast_test(1);
         cfg.queue_depth = 0;
         assert!(cfg.validate().is_err(), "zero queue depth");
-        cfg = ServiceConfig::fast_test(1);
-        cfg.batch_max = 0;
-        assert!(cfg.validate().is_err(), "zero batch size");
         cfg = ServiceConfig::fast_test(8);
         cfg.oram.levels = 5;
         assert!(cfg.validate().is_err(), "tree too shallow for 8 shards");

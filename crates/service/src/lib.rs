@@ -20,11 +20,11 @@
 //! * **Backpressure** ([`SubmissionQueue`]) — each shard is fed by a
 //!   bounded queue; a full queue rejects with [`SubmitError::Busy`]
 //!   without blocking the producer.
-//! * **Deadlines** — requests may carry an absolute deadline (or inherit a
-//!   service-wide relative one). Requests already past their deadline at
-//!   admission are dropped as [`CompletionStatus::Expired`] without
-//!   charging an ORAM access; completions past their deadline are counted
-//!   [`CompletionStatus::Late`].
+//! * **Deadlines** — requests may carry an absolute deadline (fp-net
+//!   stamps the wire's relative one onto it). Requests already past their
+//!   deadline at admission are dropped as [`CompletionStatus::Expired`]
+//!   without charging an ORAM access; completions past their deadline are
+//!   counted [`CompletionStatus::Late`].
 //! * **Drain/shutdown** — closing the queues wakes every idle worker;
 //!   queued and in-flight requests finish before workers exit, so
 //!   shutdown is deadlock-free by construction.

@@ -14,8 +14,7 @@ pub struct ServiceRequest {
     pub data: Vec<u8>,
     /// Arrival time on the simulated clock, picoseconds.
     pub arrival_ps: u64,
-    /// Absolute simulated-time deadline. `None` falls back to the service's
-    /// default relative deadline (if any).
+    /// Absolute simulated-time deadline; `None` means the request has none.
     pub deadline_ps: Option<u64>,
     /// Opaque routing tag echoed in the completion.
     pub tag: u64,

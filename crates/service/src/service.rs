@@ -16,6 +16,9 @@
 //! aggregate statistics — a fault never panics the caller or hangs the
 //! scope.
 //!
+//! [`OramService::run_trace`] runs the deterministic trace-replay mode:
+//! each shard serves its part of a pre-generated request list, so results
+//! are a pure function of the list and the configuration.
 //! [`OramService::run_closed_loop`] runs the deterministic load mode: each
 //! shard embeds a seeded client pool driven by its own completions in
 //! simulated time, so results are a pure function of the configuration.
@@ -187,7 +190,7 @@ impl ServiceHandle {
     }
 }
 
-/// The sharded ORAM service. See the module docs for the two run modes.
+/// The sharded ORAM service. See the crate docs for the three run modes.
 pub struct OramService;
 
 impl OramService {

@@ -5,13 +5,16 @@
 //! so the same worker serves traditional Path ORAM, Fork Path, or any
 //! future scheme.
 //!
-//! In external mode the worker blocks on its queue only while the
-//! controller is idle; with work in flight it polls the queue without
-//! blocking so simulated progress never waits on producers. In closed-loop
-//! mode the pool is a [`ReactiveSource`]: every completion immediately
-//! yields the issuing client's next request in *simulated* time, so the
-//! shard's entire execution is a pure function of its seed — independent of
-//! host thread scheduling.
+//! External and trace-replay mode run one admission loop and differ only
+//! in where the next batch comes from. In external mode the worker blocks
+//! on its queue only while the controller is idle; with work in flight it
+//! polls the queue without blocking so simulated progress never waits on
+//! producers. In trace-replay mode the batch is the schedule's requests
+//! the engine clock has reached. In closed-loop mode the pool is a
+//! [`ReactiveSource`]: every completion immediately yields the issuing
+//! client's next request in *simulated* time, so the shard's entire
+//! execution is a pure function of its seed — independent of host thread
+//! scheduling.
 //!
 //! With [`ServiceConfig::coalesce`] enabled, the worker keeps a
 //! cross-request **coalescing index** (address → in-flight entry): a
@@ -212,14 +215,15 @@ enum ReqMeta {
     Flush,
 }
 
+/// Most requests a worker admits into its engine per batch.
+const BATCH_MAX: usize = 16;
+
 /// One shard's worker: the scheme-agnostic ORAM engine
 /// [`ServiceConfig::scheme`] builds, plus in-flight request metadata.
 pub struct ShardEngine {
     shard: usize,
     ctl: Box<dyn OramEngine + Send>,
     shared: Arc<ShardShared>,
-    batch_max: usize,
-    default_deadline_ps: Option<u64>,
     block_bytes: usize,
     meta: HashMap<u64, ReqMeta>,
     /// Cross-request coalescing index (`Some` iff
@@ -242,7 +246,6 @@ impl ShardEngine {
         let block_bytes = oram.block_bytes;
         let dram = DramSystem::new(cfg.dram.clone());
         let mut ctl = cfg.scheme.build(oram, dram, cfg.shard_seed(shard));
-        ctl.set_trace_capacity(cfg.trace_capacity);
         if let Some(fault) = cfg
             .fault
             .as_ref()
@@ -258,8 +261,6 @@ impl ShardEngine {
                 shard,
                 ctl,
                 shared: Arc::clone(&shared),
-                batch_max: cfg.batch_max,
-                default_deadline_ps: cfg.deadline_ps,
                 block_bytes,
                 meta: HashMap::new(),
                 coalesce: cfg.coalesce.then(CoalesceIndex::new),
@@ -283,42 +284,46 @@ impl ShardEngine {
     /// Propagates controller failures (integrity violations, stash
     /// overflow, config errors) after marking the shard [`ShardHealth::Dead`].
     pub(crate) fn run_external(self) -> Result<(), ControllerError> {
-        self.or_fail(Self::run_external_inner)
+        self.or_fail(|shard| {
+            shard.serve_batches(|shard| {
+                if shard.ctl.has_pending_work() {
+                    shard.shared.queue.try_pop_batch(BATCH_MAX)
+                } else {
+                    // Idle: block until producers push or the service drains.
+                    shard.shared.queue.pop_batch(BATCH_MAX)
+                }
+            })
+        })
     }
 
-    fn run_external_inner(&mut self) -> Result<(), ControllerError> {
-        loop {
-            let batch = if self.ctl.has_pending_work() {
-                self.shared.queue.try_pop_batch(self.batch_max)
-            } else {
-                // Idle: block until producers push or the service drains.
-                self.shared.queue.pop_batch(self.batch_max)
-            };
-            match batch {
-                Some(reqs) => {
-                    if !reqs.is_empty() {
-                        self.admit(reqs)?;
-                    }
-                }
-                None => {
-                    // Closed and drained; finish what is in flight. The
-                    // publish/drain loop repeats because resolving
-                    // coalesced writes submits flush accesses, which are
-                    // new pending work.
-                    loop {
-                        while self.ctl.process_one(&mut NoFeedback)? {}
-                        self.publish_completions()?;
-                        if !self.ctl.has_pending_work() {
-                            break;
-                        }
-                    }
-                    self.finish_drained();
-                    return Ok(());
-                }
+    /// The admission loop of the external and trace-replay modes, which
+    /// differ only in where the next batch comes from: `next` returns it
+    /// (possibly empty), or `None` once the source is exhausted. Each turn
+    /// admits the batch, runs one access and publishes what completed;
+    /// after `None` the loop finishes what is in flight and records final
+    /// counters.
+    fn serve_batches(
+        &mut self,
+        mut next: impl FnMut(&mut Self) -> Option<Vec<ServiceRequest>>,
+    ) -> Result<(), ControllerError> {
+        while let Some(batch) = next(self) {
+            if !batch.is_empty() {
+                self.admit(batch)?;
             }
             self.ctl.process_one(&mut NoFeedback)?;
             self.publish_completions()?;
         }
+        // The publish/drain loop repeats because resolving coalesced
+        // writes submits flush accesses, which are new pending work.
+        loop {
+            while self.ctl.process_one(&mut NoFeedback)? {}
+            self.publish_completions()?;
+            if !self.ctl.has_pending_work() {
+                break;
+            }
+        }
+        self.finish_drained();
+        Ok(())
     }
 
     /// Runs one of the worker loops with the error-exit cleanup every mode
@@ -352,10 +357,7 @@ impl ShardEngine {
         let mut expired = Vec::new();
         let mut coalesced = 0u64;
         for req in reqs {
-            let deadline = req.deadline_ps.or_else(|| {
-                self.default_deadline_ps
-                    .map(|d| req.arrival_ps.saturating_add(d))
-            });
+            let deadline = req.deadline_ps;
             // A deadline in the past at admission time: reject without
             // charging an ORAM access.
             if deadline.is_some_and(|d| d < req.arrival_ps.max(clock)) {
@@ -559,7 +561,7 @@ impl ShardEngine {
     /// Zipfian service workload and the coalescing-equivalence tests use.
     ///
     /// Requests are admitted in arrival order once the engine clock
-    /// reaches them (up to `batch_max` per iteration); when the engine is
+    /// reaches them (up to [`BATCH_MAX`] per iteration); when the engine is
     /// idle with the next arrival still in the future, that request is
     /// admitted directly and the engine's scheduler advances its clock to
     /// the request's ready time. Counters are maintained exactly as in
@@ -580,29 +582,24 @@ impl ShardEngine {
         schedule.sort_by_key(|r| r.arrival_ps);
         let mut pending: VecDeque<ServiceRequest> = schedule.into();
         relock(&self.shared.counters).enqueued += pending.len() as u64;
-        while !pending.is_empty() || self.ctl.has_pending_work() {
-            let clock = self.ctl.clock_ps();
+        self.serve_batches(|shard| {
+            let busy = shard.ctl.has_pending_work();
+            if pending.is_empty() && !busy {
+                return None;
+            }
+            let clock = shard.ctl.clock_ps();
             let mut batch = Vec::new();
-            while batch.len() < self.batch_max
-                && pending.front().is_some_and(|r| r.arrival_ps <= clock)
+            while batch.len() < BATCH_MAX && pending.front().is_some_and(|r| r.arrival_ps <= clock)
             {
                 batch.push(pending.pop_front().expect("front checked"));
             }
-            if batch.is_empty() && !self.ctl.has_pending_work() {
+            if batch.is_empty() && !busy {
                 // Idle with the next arrival in the future: fast-forward
                 // by admitting it; the engine advances to its ready time.
-                if let Some(r) = pending.pop_front() {
-                    batch.push(r);
-                }
+                batch.extend(pending.pop_front());
             }
-            if !batch.is_empty() {
-                self.admit(batch)?;
-            }
-            self.ctl.process_one(&mut NoFeedback)?;
-            self.publish_completions()?;
-        }
-        self.finish_drained();
-        Ok(())
+            Some(batch)
+        })
     }
 
     /// [`ShardEngine::finish`] for clean drains, where every admitted
@@ -687,19 +684,10 @@ impl ShardEngine {
     fn fold_closed_loop(&mut self, src: &mut PoolSource) {
         let done = self.ctl.drain_completions();
         let issued = std::mem::take(&mut src.issued);
-        let mut late = 0u64;
-        if let Some(d) = self.default_deadline_ps {
-            for c in &done {
-                if c.done_ps.saturating_sub(c.arrival_ps) > d {
-                    late += 1;
-                }
-            }
-        }
         let mut ctr = relock(&self.shared.counters);
         ctr.enqueued += issued;
         ctr.admitted += issued;
         ctr.completed += done.len() as u64;
-        ctr.completed_late += late;
     }
 }
 

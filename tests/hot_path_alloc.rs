@@ -258,6 +258,7 @@ fn per_access_kernels_keep_their_allocation_contract() {
     // under one top-level posmap block (it maps sixteen), and no access
     // run: the first flight owns that block in the label queue, the other
     // eleven stay parked behind it, and every pump scans them in place.
+    // An empty batch enqueues nothing and pumps once.
     let mut engine = by_name("fork")
         .unwrap()
         .build(oram.clone(), DramSystem::new(dram_cfg), 7);
@@ -273,10 +274,10 @@ fn per_access_kernels_keep_their_allocation_contract() {
     }
     let n = allocations(|| {
         for _ in 0..CALLS {
-            engine.pump().unwrap();
+            engine.submit_batch(Vec::new()).unwrap();
         }
     });
-    assert_eq!(n, 0, "OramEngine::pump over eleven parked chain steps");
+    assert_eq!(n, 0, "an empty batch's pump over eleven parked chain steps");
     assert_eq!(engine.run_to_idle().unwrap().len(), 12);
 }
 

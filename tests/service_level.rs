@@ -169,22 +169,6 @@ fn deadlines_classify_expired_and_late() {
     );
 }
 
-/// The service-wide relative deadline applies to requests that carry none.
-#[test]
-fn default_relative_deadline_applies() {
-    let mut cfg = small_cfg(1);
-    cfg.deadline_ps = Some(1); // 1 ps after arrival: everything is late
-    let (stats, ()) = OramService::serve(cfg, |h| {
-        for i in 0..4u64 {
-            h.submit(ServiceRequest::read(i * 11, 0, i)).unwrap();
-        }
-    })
-    .unwrap();
-    assert_eq!(stats.completed(), 4);
-    assert_eq!(stats.completed_late(), 4);
-    assert_eq!(stats.expired(), 0);
-}
-
 /// The accounting ledger balances on randomized runs mixing normal and
 /// already-expired requests: every accepted request is either admitted to
 /// the ORAM or shed at admission (`enqueued == admitted + expired`), and at

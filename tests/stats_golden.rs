@@ -105,7 +105,6 @@ fn golden() -> Vec<Golden> {
                 cache_hits: 0,
                 cache_misses: 0,
                 sum_latency_ps: 94_121_253,
-                background_evictions: 0,
                 stash_hits: 0,
                 finish_time_ps: 7_340_482_661,
                 access_busy_ps: 94_121_253,
@@ -146,7 +145,6 @@ fn golden() -> Vec<Golden> {
                 cache_hits: 0,
                 cache_misses: 96_000,
                 sum_latency_ps: 160_879_350_676,
-                background_evictions: 0,
                 stash_hits: 1,
                 finish_time_ps: 7_397_173_750,
                 access_busy_ps: 4_807_613_273,
@@ -187,7 +185,6 @@ fn golden() -> Vec<Golden> {
                 cache_hits: 72_000,
                 cache_misses: 24_000,
                 sum_latency_ps: 23_619_533_570,
-                background_evictions: 0,
                 stash_hits: 1,
                 finish_time_ps: 7_357_676_250,
                 access_busy_ps: 1_640_789_829,
@@ -228,7 +225,6 @@ fn golden() -> Vec<Golden> {
                 cache_hits: 0,
                 cache_misses: 61_464,
                 sum_latency_ps: 60_711_993_154,
-                background_evictions: 0,
                 stash_hits: 1040,
                 finish_time_ps: 7_375_696_250,
                 access_busy_ps: 3_203_786_146,
@@ -269,7 +265,6 @@ fn golden() -> Vec<Golden> {
                 cache_hits: 32_445,
                 cache_misses: 29_750,
                 sum_latency_ps: 27_955_275_784,
-                background_evictions: 0,
                 stash_hits: 1032,
                 finish_time_ps: 7_359_928_750,
                 access_busy_ps: 1_874_512_082,
@@ -310,7 +305,6 @@ fn golden() -> Vec<Golden> {
                 cache_hits: 0,
                 cache_misses: 96_192,
                 sum_latency_ps: 161_479_573_035,
-                background_evictions: 12,
                 stash_hits: 0,
                 finish_time_ps: 7_396_825_000,
                 access_busy_ps: 4_812_438_342,

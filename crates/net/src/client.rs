@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::server::NetError;
-use crate::wire::{read_frame, write_frame, Frame, WireHealth, WireRequest, WireResponse, VERSION};
+use crate::wire::{read_frame, write_frame, Frame, WireRequest, WireResponse, VERSION};
 
 /// A pipelined connection to a [`crate::NetServer`].
 pub struct NetClient {
@@ -22,7 +22,6 @@ pub struct NetClient {
     inflight: usize,
     ready: VecDeque<WireResponse>,
     stats: Option<String>,
-    health: Option<Vec<WireHealth>>,
     bytes_out: u64,
     bytes_in: u64,
 }
@@ -58,7 +57,6 @@ impl NetClient {
             inflight: 0,
             ready: VecDeque::new(),
             stats: None,
-            health: None,
             bytes_out,
             bytes_in: n as u64,
         })
@@ -127,7 +125,8 @@ impl NetClient {
         Ok(self.ready.drain(..).collect())
     }
 
-    /// Fetches the server's stats JSON (`{"net":{...},"service":{...}}`).
+    /// Fetches the server's stats JSON (`{"net":{...},"service":{...}}`),
+    /// the one read path for shard health (`service.per_shard[i].health`).
     /// Pipelined data responses arriving in between are buffered for
     /// [`NetClient::recv`].
     ///
@@ -139,21 +138,6 @@ impl NetClient {
         loop {
             if let Some(json) = self.stats.take() {
                 return Ok(json);
-            }
-            self.pump()?;
-        }
-    }
-
-    /// Fetches per-shard health, in shard order.
-    ///
-    /// # Errors
-    ///
-    /// Any [`NetError`] from the underlying socket or frame codec.
-    pub fn health(&mut self) -> Result<Vec<WireHealth>, NetError> {
-        self.send(&Frame::HealthReq)?;
-        loop {
-            if let Some(h) = self.health.take() {
-                return Ok(h);
             }
             self.pump()?;
         }
@@ -188,7 +172,6 @@ impl NetClient {
                 self.ready.push_back(r);
             }
             Frame::StatsResp { json } => self.stats = Some(json),
-            Frame::HealthResp { shards } => self.health = Some(shards),
             other => {
                 return Err(NetError::Protocol(format!(
                     "unexpected {} frame after handshake",

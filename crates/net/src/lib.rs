@@ -19,7 +19,10 @@
 //!   one completion dispatcher, all inside the service's own serve
 //!   driver. Responses are pipelined out of order and matched by tag;
 //!   submission failures become per-request statuses, not connection
-//!   teardowns.
+//!   teardowns. The dispatcher only routes: the service strips write
+//!   payloads and a dying shard answers every request it accepted
+//!   (`ShardDown`), so every wire request gets exactly one response.
+//!   Shard health is part of the stats JSON (`StatsResp`).
 //! * [`NetClient`] — single-threaded windowed pipelining: submitting
 //!   past the window first pumps arrived responses off the socket.
 //!
@@ -77,4 +80,4 @@ pub mod wire;
 
 pub use client::NetClient;
 pub use server::{NetConfig, NetError, NetReport, NetServer};
-pub use wire::{Frame, WireError, WireHealth, WireOp, WireRequest, WireResponse, WireStatus};
+pub use wire::{Frame, WireError, WireOp, WireRequest, WireResponse, WireStatus};

@@ -14,7 +14,9 @@
 //!   the wire stays fully pipelined;
 //! * one **dispatcher** thread drains service completions and routes each
 //!   back to its connection by the server-allocated service tag, mapping
-//!   it to the client's own tag.
+//!   it to the client's own tag. It keeps no copy of the service's
+//!   bookkeeping: the shard strips write payloads and answers every
+//!   request it accepted, so routing is all that is left.
 //!
 //! ## Deadline mapping
 //!
@@ -30,12 +32,14 @@
 //!
 //! ## Failure containment
 //!
-//! Submission failures ([`SubmitError::Busy`], [`SubmitError::ShardDown`])
-//! become per-request wire statuses on a healthy connection, never
-//! connection teardowns. A shard that dies with requests in flight would
-//! strand their waiters: the dispatcher sweeps pending entries owned by a
-//! shard it has observed dead for several consecutive iterations and
-//! answers them [`WireStatus::ShardDown`].
+//! Failures become per-request wire statuses on a healthy connection,
+//! never connection teardowns, by two paths: a submission the service
+//! refuses ([`SubmitError::Busy`], [`SubmitError::ShardDown`], ...) is
+//! answered at once by the reader, and a request a shard accepted and
+//! then could not serve because its worker died comes back from the
+//! dying shard as a `ShardDown` completion, which the dispatcher maps to
+//! [`WireStatus::ShardDown`] like any other. Shard health is read from
+//! the stats snapshot (`StatsResp`).
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -47,20 +51,20 @@ use std::time::{Duration, Instant};
 use fp_path_oram::Op;
 use fp_service::sync::relock;
 use fp_service::{
-    OramService, ServeError, ServiceConfig, ServiceHandle, ServiceRequest, ServiceStats,
-    ShardFailure, ShardHealth, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceConfig, ServiceHandle, ServiceRequest,
+    ServiceStats, ShardFailure, SubmitError,
 };
 use fp_stats::json::JsonObject;
 use fp_trace::{Counter, TraceHandle};
 
 use crate::wire::{
-    read_frame, write_frame, Frame, WireError, WireHealth, WireRequest, WireResponse, WireStatus,
+    read_frame, write_frame, Frame, WireError, WireOp, WireRequest, WireResponse, WireStatus,
     VERSION,
 };
 
-/// The network-plane counters, in the order they appear in
-/// [`NetReport::net`] and the stats JSON.
-pub(crate) const NET_COUNTERS: [Counter; 8] = [
+/// The network-plane counters, in the order the stats JSON's `"net"`
+/// section lists them.
+const NET_COUNTERS: [Counter; 8] = [
     Counter::NetConnectionsOpened,
     Counter::NetConnectionsClosed,
     Counter::NetFramesIn,
@@ -93,19 +97,6 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// A small, fast configuration for tests: the service fast-test
-    /// geometry, an ephemeral port, and generous windows.
-    #[cfg(test)]
-    pub(crate) fn fast_test(shards: usize) -> Self {
-        Self {
-            service: ServiceConfig::fast_test(shards),
-            port: 0,
-            max_connections: 64,
-            max_inflight_per_conn: 64,
-            drain_wait_ms: 2_000,
-        }
-    }
-
     /// Validates the configuration (including the embedded service
     /// configuration).
     ///
@@ -172,18 +163,15 @@ pub struct NetReport {
     pub stats: ServiceStats,
     /// Abnormal shard exits (empty on a clean run).
     pub failures: Vec<ShardFailure>,
-    /// Final network-plane counter values, one per `Net*` counter in
-    /// declaration order; [`NetReport::net_counter`] reads one by name.
-    pub net: Vec<u64>,
+    /// Final snapshot of the network plane's trace counters, indexed by
+    /// [`Counter`]; [`NetReport::net_counter`] reads one by name.
+    pub net: [u64; Counter::COUNT],
 }
 
 impl NetReport {
     /// Final value of one network-plane counter.
     pub fn net_counter(&self, c: Counter) -> u64 {
-        NET_COUNTERS
-            .iter()
-            .position(|&n| n == c)
-            .map_or(0, |i| self.net[i])
+        self.net[c as usize]
     }
 }
 
@@ -191,11 +179,6 @@ impl NetReport {
 struct PendingEntry {
     conn: u64,
     client_tag: u64,
-    shard: usize,
-    /// Write acks carry no payload: the service echoes the pre-write block
-    /// image in write completions, which depends on how in-flight writes
-    /// interleave — a simulator observable, not a protocol one.
-    is_write: bool,
 }
 
 /// Per-connection state shared between the acceptor, its reader, and the
@@ -315,23 +298,19 @@ impl NetServer {
 /// its driver and folds the outcome into a [`NetReport`].
 fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport, NetError> {
     let service_cfg = shared.cfg.service.clone();
-    let net = |trace: &TraceHandle| NET_COUNTERS.iter().map(|&c| trace.counter(c)).collect();
     let drive_shared = Arc::clone(&shared);
-    match OramService::serve(service_cfg, move |handle| {
+    let (stats, failures) = match OramService::serve(service_cfg, move |handle| {
         drive(&listener, handle, &drive_shared);
     }) {
-        Ok((stats, ())) => Ok(NetReport {
-            stats,
-            failures: Vec::new(),
-            net: net(&shared.trace),
-        }),
-        Err(ServeError::Shards { failures, stats }) => Ok(NetReport {
-            stats: *stats,
-            failures,
-            net: net(&shared.trace),
-        }),
-        Err(ServeError::Config(e)) => Err(NetError::Config(e)),
-    }
+        Ok((stats, ())) => (stats, Vec::new()),
+        Err(ServeError::Shards { failures, stats }) => (*stats, failures),
+        Err(ServeError::Config(e)) => return Err(NetError::Config(e)),
+    };
+    Ok(NetReport {
+        stats,
+        failures,
+        net: shared.trace.counters(),
+    })
 }
 
 /// The network plane: acceptor + dispatcher + per-connection threads,
@@ -499,17 +478,6 @@ fn read_requests(
                     .field_raw("service", &handle.stats().to_json());
                 let _ = tx.send(Frame::StatsResp { json: o.finish() });
             }
-            Frame::HealthReq => {
-                let shards = (0..handle.shards())
-                    .map(|s| match handle.shard_health(s) {
-                        Some(ShardHealth::Healthy) => WireHealth::Healthy,
-                        Some(ShardHealth::Degraded) => WireHealth::Degraded,
-                        // An unknown shard cannot serve; report it dead.
-                        Some(ShardHealth::Dead) | None => WireHealth::Dead,
-                    })
-                    .collect();
-                let _ = tx.send(Frame::HealthResp { shards });
-            }
             Frame::Shutdown => {
                 shared.begin_drain();
             }
@@ -545,9 +513,9 @@ fn handle_request(
         refuse(WireStatus::OutOfRange);
         return;
     }
-    let payload_ok = match req.op {
-        crate::wire::WireOp::Read => req.payload.is_empty(),
-        crate::wire::WireOp::Write => req.payload.len() == cfg.oram.block_bytes,
+    let (op, payload_ok) = match req.op {
+        WireOp::Read => (Op::Read, req.payload.is_empty()),
+        WireOp::Write => (Op::Write, req.payload.len() == cfg.oram.block_bytes),
     };
     if !payload_ok {
         shared.trace.bump(Counter::NetProtocolErrors);
@@ -567,7 +535,6 @@ fn handle_request(
     let arrival_ps = shared.arrival_ps();
     let deadline_ps = (req.deadline_rel_ns > 0)
         .then(|| arrival_ps.saturating_add(req.deadline_rel_ns.saturating_mul(1_000)));
-    let is_write = req.op == crate::wire::WireOp::Write;
     // Register the pending entry AND charge the window slot before
     // submitting: the completion may be published — and the dispatcher may
     // release the slot — before submit() even returns, so adding to
@@ -577,14 +544,12 @@ fn handle_request(
         PendingEntry {
             conn: conn_id,
             client_tag: req.tag,
-            shard: cfg.shard_of(req.addr),
-            is_write,
         },
     );
     inflight.fetch_add(1, Ordering::AcqRel);
     let service_req = ServiceRequest {
         addr: req.addr,
-        op: if is_write { Op::Write } else { Op::Read },
+        op,
         data: req.payload,
         arrival_ps,
         deadline_ps,
@@ -609,44 +574,23 @@ fn handle_request(
     }
 }
 
-/// Dispatcher iterations a shard must be observed dead before its
-/// stranded pending entries are answered [`WireStatus::ShardDown`]. The
-/// delay lets a dying shard's final completion batch (published just
-/// before it marks itself dead) drain normally first.
-const DEAD_SHARD_STRIKES: u32 = 10;
-
-/// The dispatcher: routes service completions back to their connections
-/// and sweeps requests stranded on dead shards.
+/// The dispatcher: routes service completions back to their connections.
 fn dispatch_completions(handle: &ServiceHandle, shared: &NetShared, stop: &AtomicBool) {
-    let mut strikes = vec![0u32; handle.shards()];
     loop {
         let completions = handle.drain_completions();
         let idle = completions.is_empty();
         for c in completions {
-            // Tag 0 marks engine-internal work (coalescing flush
-            // write-backs); no client is waiting on it.
-            if c.tag == 0 {
-                continue;
-            }
             let Some(p) = relock(&shared.pending).remove(&c.tag) else {
                 continue; // its connection closed while it was in flight
             };
-            answer(
-                shared,
-                &p,
-                completion_status(c.status),
-                c.latency_ps,
-                c.data,
-            );
-        }
-        for (shard, strike) in strikes.iter_mut().enumerate() {
-            if handle.shard_health(shard) == Some(ShardHealth::Dead) {
-                *strike += 1;
-                if *strike == DEAD_SHARD_STRIKES {
-                    sweep_dead_shard(shared, shard);
-                }
-            } else {
-                *strike = 0;
+            if let Some(slot) = relock(&shared.conns).get(&p.conn) {
+                slot.inflight.fetch_sub(1, Ordering::AcqRel);
+                let _ = slot.tx.send(Frame::Response(WireResponse {
+                    tag: p.client_tag,
+                    status: completion_status(c.status),
+                    latency_ps: c.latency_ps,
+                    data: c.data,
+                }));
             }
         }
         if stop.load(Ordering::Acquire) {
@@ -658,122 +602,11 @@ fn dispatch_completions(handle: &ServiceHandle, shared: &NetShared, stop: &Atomi
     }
 }
 
-fn completion_status(s: fp_service::CompletionStatus) -> WireStatus {
+fn completion_status(s: CompletionStatus) -> WireStatus {
     match s {
-        fp_service::CompletionStatus::Ok => WireStatus::Ok,
-        fp_service::CompletionStatus::Late => WireStatus::Late,
-        fp_service::CompletionStatus::Expired => WireStatus::Expired,
-    }
-}
-
-/// Sends one response to a pending entry's connection and releases its
-/// window slot.
-fn answer(
-    shared: &NetShared,
-    p: &PendingEntry,
-    status: WireStatus,
-    latency_ps: u64,
-    data: Vec<u8>,
-) {
-    let conns = relock(&shared.conns);
-    if let Some(slot) = conns.get(&p.conn) {
-        slot.inflight.fetch_sub(1, Ordering::AcqRel);
-        let _ = slot.tx.send(Frame::Response(WireResponse {
-            tag: p.client_tag,
-            status,
-            latency_ps,
-            // See `PendingEntry::is_write`: write acks are payload-free.
-            data: if p.is_write { Vec::new() } else { data },
-        }));
-    }
-}
-
-/// Answers every pending request owned by a dead shard with
-/// [`WireStatus::ShardDown`] — their completions will never come.
-fn sweep_dead_shard(shared: &NetShared, shard: usize) {
-    let stranded: Vec<PendingEntry> = {
-        let mut pending = relock(&shared.pending);
-        let tags: Vec<u64> = pending
-            .iter()
-            .filter(|(_, p)| p.shard == shard)
-            .map(|(&t, _)| t)
-            .collect();
-        tags.into_iter()
-            .filter_map(|t| pending.remove(&t))
-            .collect()
-    };
-    for p in stranded {
-        answer(shared, &p, WireStatus::ShardDown, 0, Vec::new());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression for the poisonable-lock fix: a worker that panicked
-    /// while holding `pending` or `conns` must not stop the dispatcher
-    /// from sweeping a dead shard and answering its stranded requests.
-    /// Before `relock`, the first map access after the panic would
-    /// itself panic, taking the dispatcher (and the final report) down.
-    // Poisoning the maps on purpose takes the raw `lock` the rule bans.
-    #[expect(clippy::disallowed_methods)]
-    #[test]
-    fn sweep_survives_poisoned_maps() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let local = listener.local_addr().expect("local addr");
-        let sock = TcpStream::connect(local).expect("connect");
-        let shared = Arc::new(NetShared {
-            cfg: NetConfig::fast_test(1),
-            trace: TraceHandle::default(),
-            draining: AtomicBool::new(false),
-            next_tag: AtomicU64::new(1),
-            pending: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
-            start: Instant::now(),
-            local,
-        });
-        let (tx, rx) = mpsc::channel();
-        let inflight = Arc::new(AtomicUsize::new(1));
-        relock(&shared.conns).insert(
-            7,
-            ConnSlot {
-                tx,
-                inflight: Arc::clone(&inflight),
-                sock,
-            },
-        );
-        relock(&shared.pending).insert(
-            99,
-            PendingEntry {
-                conn: 7,
-                client_tag: 3,
-                shard: 0,
-                is_write: false,
-            },
-        );
-
-        // Poison both maps: a thread panics while holding each lock.
-        let poisoner = Arc::clone(&shared);
-        let _ = std::thread::spawn(move || {
-            let _pending = poisoner.pending.lock().unwrap();
-            let _conns = poisoner.conns.lock().unwrap();
-            panic!("poison both maps");
-        })
-        .join();
-        assert!(shared.pending.lock().is_err(), "pending must be poisoned");
-        assert!(shared.conns.lock().is_err(), "conns must be poisoned");
-
-        sweep_dead_shard(&shared, 0);
-
-        match rx.try_recv().expect("stranded request must be answered") {
-            Frame::Response(r) => {
-                assert_eq!(r.tag, 3, "answered with the client's tag");
-                assert_eq!(r.status, WireStatus::ShardDown);
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-        assert_eq!(inflight.load(Ordering::Acquire), 0);
-        assert!(relock(&shared.pending).is_empty());
+        CompletionStatus::Ok => WireStatus::Ok,
+        CompletionStatus::Late => WireStatus::Late,
+        CompletionStatus::Expired => WireStatus::Expired,
+        CompletionStatus::ShardDown => WireStatus::ShardDown,
     }
 }

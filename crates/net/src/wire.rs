@@ -15,16 +15,18 @@
 //! out-of-band configuration. After the handshake the client pipelines
 //! [`Frame::Request`]s and the server answers with [`Frame::Response`]s
 //! **in completion order, not submission order** — responses are matched
-//! to requests by tag. `Stats`, `Health`, and `Shutdown` are control
-//! frames; see [`Frame`] for the full layout table.
+//! to requests by tag. `StatsReq`/`StatsResp` and `Shutdown` are control
+//! frames; shard health travels in the stats JSON. See [`Frame`] for the
+//! full layout table.
 
 use std::io::{Read, Write};
 
 /// Protocol magic, first field of every [`Frame::Hello`] (`"FPN1"`).
 pub const MAGIC: u32 = 0x4650_4E31;
 
-/// Protocol version spoken by this implementation.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this implementation. Version 2 dropped the
+/// health frames of version 1 and renumbered `Shutdown`.
+pub const VERSION: u16 = 2;
 
 /// Upper bound on `len` (kind + body) of any frame. Caps the allocation a
 /// peer can force; data payloads are at most one ORAM block, so 1 MiB is
@@ -59,8 +61,6 @@ pub enum WireError {
     UnknownOp(u8),
     /// A response carried an undefined status code.
     UnknownStatus(u8),
-    /// A health report carried an undefined health code.
-    UnknownHealth(u8),
     /// The frame body ended before a declared field. Decoding never reads
     /// past the buffer — this is the typed failure for truncated input.
     Truncated {
@@ -105,7 +105,6 @@ impl std::fmt::Display for WireError {
             WireError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::UnknownOp(o) => write!(f, "unknown op code {o}"),
             WireError::UnknownStatus(s) => write!(f, "unknown status code {s}"),
-            WireError::UnknownHealth(h) => write!(f, "unknown health code {h}"),
             WireError::Truncated { kind, needed, got } => {
                 write!(
                     f,
@@ -163,10 +162,11 @@ impl WireOp {
     }
 }
 
-/// How a request left the service, as a wire status code. The first three
-/// mirror the service's completion statuses; the rest surface submission
-/// failures as *statuses on a healthy connection* instead of dropped
-/// connections, so one slow shard never tears down a pipelined client.
+/// How a request left the service, as a wire status code. `Ok`, `Late`,
+/// `Expired` and `ShardDown` mirror the service's completion statuses;
+/// `ShardDown` and the rest also surface submission failures as
+/// *statuses on a healthy connection* instead of dropped connections, so
+/// one slow shard never tears down a pipelined client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireStatus {
     /// Served within its deadline (or it carried none).
@@ -244,42 +244,6 @@ impl WireStatus {
     }
 }
 
-/// One shard's liveness as reported by [`Frame::HealthResp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireHealth {
-    /// Serving normally.
-    Healthy,
-    /// Serving, but absorbed transient faults.
-    Degraded,
-    /// Worker died; the shard no longer serves requests.
-    Dead,
-}
-
-impl WireHealth {
-    /// Wire code.
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            WireHealth::Healthy => 0,
-            WireHealth::Degraded => 1,
-            WireHealth::Dead => 2,
-        }
-    }
-
-    /// Decodes a wire code.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::UnknownHealth`] for undefined codes.
-    pub(crate) fn from_code(c: u8) -> Result<Self, WireError> {
-        match c {
-            0 => Ok(WireHealth::Healthy),
-            1 => Ok(WireHealth::Degraded),
-            2 => Ok(WireHealth::Dead),
-            other => Err(WireError::UnknownHealth(other)),
-        }
-    }
-}
-
 /// One client request frame body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRequest {
@@ -323,9 +287,7 @@ pub struct WireResponse {
 /// | 3    | `Response`  | tag `u64`, status `u8`, latency_ps `u64`, data_len `u32`, data |
 /// | 4    | `StatsReq`  | (empty)                                                   |
 /// | 5    | `StatsResp` | json_len `u32`, UTF-8 JSON                                |
-/// | 6    | `HealthReq` | (empty)                                                   |
-/// | 7    | `HealthResp`| shards `u32`, one health `u8` per shard                   |
-/// | 8    | `Shutdown`  | (empty)                                                   |
+/// | 6    | `Shutdown`  | (empty)                                                   |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Client handshake: magic + version. Decoding checks the magic, so
@@ -352,17 +314,11 @@ pub enum Frame {
     Response(WireResponse),
     /// Control: ask for the server's stats JSON.
     StatsReq,
-    /// Control reply: combined net + service statistics as JSON.
+    /// Control reply: combined net + service statistics as JSON, shard
+    /// health included (`service.per_shard[i].health`).
     StatsResp {
         /// The stats document.
         json: String,
-    },
-    /// Control: ask for per-shard health.
-    HealthReq,
-    /// Control reply: one health code per shard, in shard order.
-    HealthResp {
-        /// Shard liveness, indexed by shard.
-        shards: Vec<WireHealth>,
     },
     /// Control: begin a graceful server drain (stop accepting, answer
     /// everything in flight, then close).
@@ -386,12 +342,8 @@ pub(crate) mod kind {
     pub(crate) const STATS_REQ: u8 = 4;
     /// [`Frame::StatsResp`](super::Frame::StatsResp).
     pub(crate) const STATS_RESP: u8 = 5;
-    /// [`Frame::HealthReq`](super::Frame::HealthReq).
-    pub(crate) const HEALTH_REQ: u8 = 6;
-    /// [`Frame::HealthResp`](super::Frame::HealthResp).
-    pub(crate) const HEALTH_RESP: u8 = 7;
     /// [`Frame::Shutdown`](super::Frame::Shutdown).
-    pub(crate) const SHUTDOWN: u8 = 8;
+    pub(crate) const SHUTDOWN: u8 = 6;
 }
 
 /// Bounds-checked sequential reader over a frame body.
@@ -465,8 +417,6 @@ impl Frame {
             Frame::Response(_) => kind::RESPONSE,
             Frame::StatsReq => kind::STATS_REQ,
             Frame::StatsResp { .. } => kind::STATS_RESP,
-            Frame::HealthReq => kind::HEALTH_REQ,
-            Frame::HealthResp { .. } => kind::HEALTH_RESP,
             Frame::Shutdown => kind::SHUTDOWN,
         }
     }
@@ -480,8 +430,6 @@ impl Frame {
             Frame::Response(_) => "response",
             Frame::StatsReq => "stats_req",
             Frame::StatsResp { .. } => "stats_resp",
-            Frame::HealthReq => "health_req",
-            Frame::HealthResp { .. } => "health_resp",
             Frame::Shutdown => "shutdown",
         }
     }
@@ -527,11 +475,7 @@ impl Frame {
                 out.extend_from_slice(&(json.len() as u32).to_le_bytes());
                 out.extend_from_slice(json.as_bytes());
             }
-            Frame::HealthResp { shards } => {
-                out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-                out.extend(shards.iter().map(|h| h.code()));
-            }
-            Frame::StatsReq | Frame::HealthReq | Frame::Shutdown => {}
+            Frame::StatsReq | Frame::Shutdown => {}
         }
         let len = (out.len() - start - 4) as u32;
         out[start..start + 4].copy_from_slice(&len.to_le_bytes());
@@ -607,21 +551,6 @@ impl Frame {
                 c.finish()?;
                 let json = String::from_utf8(raw).map_err(|_| WireError::BadUtf8)?;
                 Ok(Frame::StatsResp { json })
-            }
-            kind::HEALTH_REQ => {
-                Cursor::new(body, "health_req").finish()?;
-                Ok(Frame::HealthReq)
-            }
-            kind::HEALTH_RESP => {
-                let mut c = Cursor::new(body, "health_resp");
-                let n = c.u32()? as usize;
-                let raw = c.take(n)?.to_vec();
-                c.finish()?;
-                let shards = raw
-                    .into_iter()
-                    .map(WireHealth::from_code)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Frame::HealthResp { shards })
             }
             kind::SHUTDOWN => {
                 Cursor::new(body, "shutdown").finish()?;
@@ -738,7 +667,6 @@ mod tests {
         assert_eq!(Frame::decode(99, &[]), Err(WireError::UnknownKind(99)));
         assert_eq!(WireOp::from_code(7), Err(WireError::UnknownOp(7)));
         assert_eq!(WireStatus::from_code(8), Err(WireError::UnknownStatus(8)));
-        assert_eq!(WireHealth::from_code(3), Err(WireError::UnknownHealth(3)));
     }
 
     #[test]

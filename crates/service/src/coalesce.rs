@@ -108,6 +108,14 @@ impl CoalesceIndex {
         self.entries.len() as u64
     }
 
+    /// Empties the index, yielding `(tag, addr)` of every parked waiter —
+    /// the requests a dying shard must still answer.
+    pub(crate) fn drain_waiters(&mut self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.entries
+            .drain()
+            .flat_map(|(addr, e)| e.waiters.into_iter().map(move |w| (w.tag, addr)))
+    }
+
     /// Resolves the completed access to `addr`: answers every parked
     /// waiter in arrival order and decides whether a flush write-back is
     /// needed. `data_as_read` is the completion's payload (what the tree

@@ -31,9 +31,13 @@
 //! * **Fail-fast supervision** ([`ShardHealth`], [`ServeError`]) — a
 //!   worker that errors or panics marks its shard *dead*: the queue
 //!   closes (producers get [`SubmitError::ShardDown`] instead of
-//!   spinning on `Busy`), its poisoned locks are recovered, and the run
-//!   returns a structured [`ServeError::Shards`] carrying partial stats
-//!   while the surviving shards drain normally. Deterministic fault
+//!   spinning on `Busy`), every request it accepted and had not answered
+//!   is answered [`CompletionStatus::ShardDown`] (so in external mode
+//!   each accepted request gets exactly one completion), its poisoned
+//!   locks are recovered, and the run returns a structured
+//!   [`ServeError::Shards`] carrying partial stats while the surviving
+//!   shards drain normally. Health is read from the stats snapshot
+//!   ([`ShardSnapshot::health`]). Deterministic fault
 //!   injection ([`fp_core::FaultInjector`], enabled via
 //!   [`ServiceConfig::fault`]) exercises these paths on demand; shards
 //!   that absorbed transient faults through retries report *degraded*.

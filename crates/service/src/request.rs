@@ -56,6 +56,10 @@ pub enum CompletionStatus {
     /// Never executed: its deadline had already passed at admission. The
     /// shard charges no ORAM access for it.
     Expired,
+    /// Not served: the owning shard's worker died (controller error or
+    /// panic) after accepting it. The dying worker answers every request
+    /// it accepted and had not answered with this status.
+    ShardDown,
 }
 
 impl CompletionStatus {
@@ -65,6 +69,7 @@ impl CompletionStatus {
             CompletionStatus::Ok => "ok",
             CompletionStatus::Late => "late",
             CompletionStatus::Expired => "expired",
+            CompletionStatus::ShardDown => "shard_down",
         }
     }
 }
@@ -78,13 +83,14 @@ pub struct ServiceCompletion {
     pub shard: usize,
     /// Global block address.
     pub addr: u64,
-    /// Deadline outcome.
+    /// Outcome: served (`Ok`/`Late`), expired, or shard down.
     pub status: CompletionStatus,
-    /// Simulated completion latency (`done - arrival`); 0 when expired.
+    /// Simulated completion latency (`done - arrival`); 0 when the
+    /// request never executed (expired or shard down).
     pub latency_ps: u64,
     /// Data as read for read requests. Writes acknowledge with empty
-    /// data (their payload echo is never meaningful), as do expired
-    /// requests, which were never served.
+    /// data (their payload echo is never meaningful), as do expired and
+    /// shard-down requests, which were never served.
     pub data: Vec<u8>,
 }
 
@@ -137,6 +143,7 @@ mod tests {
         assert_eq!(CompletionStatus::Ok.name(), "ok");
         assert_eq!(CompletionStatus::Late.name(), "late");
         assert_eq!(CompletionStatus::Expired.name(), "expired");
+        assert_eq!(CompletionStatus::ShardDown.name(), "shard_down");
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! Workers are *supervised*: a controller error or a panic inside one
 //! shard marks that shard [`ShardHealth::Dead`] (closing its queue so
 //! producers get [`SubmitError::ShardDown`] instead of spinning on
-//! `Busy`), while the surviving shards keep serving. The run then returns
+//! `Busy`), while the surviving shards keep serving. The dying worker
+//! answers every request it had accepted with
+//! [`CompletionStatus::ShardDown`](crate::CompletionStatus::ShardDown), so
+//! [`ServiceHandle::drain_completions`] yields exactly one completion per
+//! accepted request, dead shards included. The run then returns
 //! [`ServeError::Shards`] carrying every failure *and* the partial
 //! aggregate statistics — a fault never panics the caller or hangs the
-//! scope.
+//! scope. Shard health is read from the stats snapshot
+//! ([`ServiceHandle::stats`], `per_shard[i].health`).
 //!
 //! [`OramService::run_trace`] runs the deterministic trace-replay mode:
 //! each shard serves its part of a pre-generated request list, so results
@@ -23,11 +28,9 @@
 //! shard embeds a seeded client pool driven by its own completions in
 //! simulated time, so results are a pure function of the configuration.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fp_core::ControllerError;
 use fp_workloads::service::ServiceClientPool;
 use fp_workloads::BenchmarkProfile;
 
@@ -42,8 +45,7 @@ use crate::sync::relock;
 pub struct ShardFailure {
     /// Which shard died.
     pub shard: usize,
-    /// `true` when the worker panicked; `false` for a controller error
-    /// returned through `ShardEngine::run_external`.
+    /// `true` when the worker panicked; `false` for a controller error.
     pub panicked: bool,
     /// Human-readable failure description.
     pub error: String,
@@ -91,17 +93,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Best-effort stringification of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
 
 /// Submission/collection handle passed to the driver of
 /// [`OramService::serve`]. Cloneable across driver threads.
@@ -151,36 +142,19 @@ impl ServiceHandle {
     }
 
     /// Collects completions published so far, across all shards.
-    /// Shard-local addresses are mapped back to global ones.
+    /// Shard-local addresses are mapped back to global ones. Every
+    /// request [`ServiceHandle::submit`] accepted appears exactly once
+    /// over the run, a dead shard's as
+    /// [`CompletionStatus::ShardDown`](crate::CompletionStatus::ShardDown).
     pub fn drain_completions(&self) -> Vec<ServiceCompletion> {
-        let mut out = Vec::new();
-        for (i, shared) in self.shards.iter().enumerate() {
-            let mut done = relock(&shared.completions);
-            for mut c in done.drain(..) {
-                c.addr = self.cfg.global_addr(i, c.addr);
-                out.push(c);
-            }
-        }
-        out
+        take_completions(&self.cfg, &self.shards)
     }
 
     /// Point-in-time aggregate statistics (wall time reported as 0; the
     /// final stats from [`OramService::serve`] carry the real duration).
+    /// The one read path for shard health: `per_shard[i].health`.
     pub fn stats(&self) -> ServiceStats {
         OramService::snapshot(&self.cfg, &self.shards, 0)
-    }
-
-    /// Current liveness of shard `shard`, or `None` for an out-of-range
-    /// shard index. Probing must never be able to crash the process — a
-    /// network front end forwards shard indices that originate from
-    /// untrusted clients.
-    pub fn shard_health(&self, shard: usize) -> Option<ShardHealth> {
-        self.shards.get(shard).map(|s| s.health())
-    }
-
-    /// Number of shards this service runs.
-    pub fn shards(&self) -> usize {
-        self.cfg.shards
     }
 
     /// The service configuration (global geometry, scheme, limits) —
@@ -188,6 +162,19 @@ impl ServiceHandle {
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
     }
+}
+
+/// Takes every shard's published completions, mapping shard-local
+/// addresses back to global ones.
+fn take_completions(cfg: &ServiceConfig, shards: &[Arc<ShardShared>]) -> Vec<ServiceCompletion> {
+    let mut out = Vec::new();
+    for (i, shared) in shards.iter().enumerate() {
+        out.extend(relock(&shared.completions).drain(..).map(|mut c| {
+            c.addr = cfg.global_addr(i, c.addr);
+            c
+        }));
+    }
+    out
 }
 
 /// The sharded ORAM service. See the crate docs for the three run modes.
@@ -217,10 +204,9 @@ impl OramService {
     /// The supervisor every run mode shares: spawns one worker per shard
     /// (`job_for(shard)` builds the worker's job on the calling thread,
     /// just before its spawn), runs `driver` on the calling thread, joins
-    /// the workers and snapshots the shards. A job that returns an error
-    /// has already marked its shard dead (the `ShardEngine::run_*`
-    /// contract); a job that panics is caught here and its shard marked
-    /// dead, which closes its queue at once.
+    /// the workers and snapshots the shards. A job that fails has already
+    /// caught its error or panic and marked its shard dead (the
+    /// `ShardEngine::run_*` contract, kept by `ShardEngine::or_fail`).
     fn supervise<J, R>(
         cfg: &ServiceConfig,
         engines: Vec<ShardEngine>,
@@ -229,7 +215,7 @@ impl OramService {
         driver: impl FnOnce() -> R,
     ) -> Result<(ServiceStats, R), ServeError>
     where
-        J: FnOnce(ShardEngine) -> Result<(), ControllerError> + Send,
+        J: FnOnce(ShardEngine) -> Result<(), ShardFailure> + Send,
     {
         // wall_requests_per_sec only: measures real serving throughput and
         // never feeds back into the simulation.
@@ -238,27 +224,10 @@ impl OramService {
         let (out, failures) = std::thread::scope(|scope| {
             let workers: Vec<_> = engines
                 .into_iter()
-                .zip(shards)
                 .enumerate()
-                .map(|(shard, (engine, shared))| {
+                .map(|(shard, engine)| {
                     let job = job_for(shard);
-                    scope.spawn(move || {
-                        let (panicked, error) =
-                            match catch_unwind(AssertUnwindSafe(move || job(engine))) {
-                                Ok(Ok(())) => return None,
-                                Ok(Err(e)) => (false, e.to_string()),
-                                Err(payload) => {
-                                    let msg = panic_message(payload.as_ref());
-                                    shared.mark_dead(&format!("worker panicked: {msg}"));
-                                    (true, msg)
-                                }
-                            };
-                        Some(ShardFailure {
-                            shard,
-                            panicked,
-                            error,
-                        })
-                    })
+                    scope.spawn(move || job(engine).err())
                 })
                 .collect();
             let out = driver();
@@ -266,8 +235,9 @@ impl OramService {
                 .into_iter()
                 .enumerate()
                 .filter_map(|(shard, w)| {
-                    // catch_unwind should make a join error unreachable;
-                    // record it rather than panic the supervisor.
+                    // `ShardEngine::or_fail` catches the job's panics, so a
+                    // join error means its cleanup itself panicked; record
+                    // it rather than panic the supervisor.
                     w.join().unwrap_or_else(|_| {
                         Some(ShardFailure {
                             shard,
@@ -299,7 +269,9 @@ impl OramService {
     /// Workers are supervised: a controller failure or panic in one shard
     /// marks it dead and closes its queue *immediately* (producers see
     /// [`SubmitError::ShardDown`]), while the other shards keep serving
-    /// and drain normally.
+    /// and drain normally. The dead shard answers every request it had
+    /// accepted and not yet answered with
+    /// [`CompletionStatus::ShardDown`](crate::CompletionStatus::ShardDown).
     ///
     /// # Errors
     ///
@@ -350,7 +322,7 @@ impl OramService {
     ///
     /// [`ServeError::Config`] for invalid configurations or a request
     /// address outside the global space; [`ServeError::Shards`] when
-    /// workers died, carrying the partial statistics.
+    /// workers died, carrying the partial statistics but no completions.
     pub fn run_trace(
         cfg: ServiceConfig,
         requests: Vec<ServiceRequest>,
@@ -374,15 +346,7 @@ impl OramService {
             move |engine: ShardEngine| engine.run_schedule(schedule)
         };
         let (stats, ()) = Self::supervise(&cfg, engines, &shareds, job_for, || ())?;
-        let mut completions = Vec::new();
-        for (i, shared) in shareds.iter().enumerate() {
-            let mut done = relock(&shared.completions);
-            for mut c in done.drain(..) {
-                c.addr = cfg.global_addr(i, c.addr);
-                completions.push(c);
-            }
-        }
-        Ok((stats, completions))
+        Ok((stats, take_completions(&cfg, &shareds)))
     }
 
     /// Runs the deterministic closed-loop mode: each shard gets a private
@@ -515,15 +479,13 @@ mod tests {
     }
 
     #[test]
-    fn probes_tolerate_out_of_range_shards() {
+    fn handle_reads_health_from_the_stats_snapshot() {
         let cfg = ServiceConfig::fast_test(2);
         OramService::serve(cfg, |h| {
-            assert_eq!(h.shards(), 2);
-            assert_eq!(h.shard_health(1), Some(ShardHealth::Healthy));
-            // Out-of-range probes return None instead of panicking: the
-            // network front end probes shards on behalf of clients.
-            assert_eq!(h.shard_health(99), None);
             assert_eq!(h.config().shards, 2);
+            let stats = h.stats();
+            assert_eq!(stats.per_shard.len(), 2);
+            assert_eq!(stats.per_shard[1].health, ShardHealth::Healthy);
         })
         .unwrap();
     }

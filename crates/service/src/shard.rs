@@ -28,8 +28,19 @@
 //! overlapping paths (PAPER.md §3): the same redundancy the paper removes
 //! between back-to-back accesses reappears across concurrent requests
 //! under skewed traffic. See DESIGN.md for the obliviousness caveat.
+//!
+//! A worker that exits abnormally — a controller error or a panic, both
+//! caught in one place — answers every request it accepted and has not
+//! answered with [`CompletionStatus::ShardDown`]: its in-flight client
+//! requests, their coalesced waiters, a batch the engine refused, and
+//! whatever its closed queue still holds. After an error it first
+//! publishes what the engine had finished; after a panic it does not call
+//! the engine again. In external mode every accepted request therefore
+//! gets exactly one completion, so a front end needs no bookkeeping of
+//! which shard owns what.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -44,6 +55,7 @@ use crate::coalesce::{CoalesceIndex, Waiter, WaiterAnswer};
 use crate::config::ServiceConfig;
 use crate::queue::SubmissionQueue;
 use crate::request::{CompletionStatus, ServiceCompletion, ServiceRequest};
+use crate::service::ShardFailure;
 use crate::sync::relock;
 
 /// Liveness of one shard as seen by the service front end.
@@ -88,6 +100,13 @@ impl ShardHealth {
 /// flight): `enqueued == admitted + expired` and `completed == admitted`.
 /// Expired requests are *not* completions — they never execute — so
 /// throughput rates derived from `completed` count served work only.
+///
+/// In external mode ([`crate::OramService::serve`]) the ledger closes on
+/// a dead shard too: `enqueued == completed + expired + failed`, because
+/// the dying worker answers everything it accepted. Trace replay and
+/// closed loop return [`crate::ServeError::Shards`] without per-request
+/// answers for a dead shard, so there the identity holds only on a clean
+/// run (where `failed` is 0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
     /// Requests accepted into the shard's queue (external mode), replayed
@@ -110,6 +129,10 @@ pub struct ShardCounters {
     pub completed: u64,
     /// Completions that finished after their deadline.
     pub completed_late: u64,
+    /// Requests a dying worker answered [`CompletionStatus::ShardDown`]
+    /// (in flight, coalesced, refused by the engine, or still queued).
+    /// Disjoint from `completed` and `expired`.
+    pub failed: u64,
     /// Admission batches handed to the controller.
     pub batches: u64,
     /// Largest single admission batch.
@@ -130,7 +153,7 @@ pub struct ShardShared {
     pub counters: Mutex<ShardCounters>,
     /// The shard controller's trace handle (cloned snapshot source).
     pub trace: TraceHandle,
-    /// Liveness, written by the worker/supervisor, read by the front end.
+    /// Liveness, written by the worker, read by the front end.
     /// Atomic (not under a mutex) so health survives lock poisoning.
     health: AtomicU8,
     /// Description of the failure that killed the shard, if any.
@@ -204,6 +227,9 @@ enum ReqMeta {
     /// A client request; its completion is published to the submitter.
     Client {
         tag: u64,
+        /// Shard-local address, for a `ShardDown` answer the engine
+        /// never gives.
+        addr: u64,
         deadline_ps: Option<u64>,
         /// Writes acknowledge with empty data (the payload echo of a
         /// write completion is never meaningful to the client).
@@ -213,6 +239,17 @@ enum ReqMeta {
     /// last-writer-wins data. Produces no client completion and is not
     /// counted in `admitted`/`completed`.
     Flush,
+}
+
+/// Best-effort stringification of a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
 }
 
 /// Most requests a worker admits into its engine per batch.
@@ -226,6 +263,10 @@ pub struct ShardEngine {
     shared: Arc<ShardShared>,
     block_bytes: usize,
     meta: HashMap<u64, ReqMeta>,
+    /// Metadata of the batch being handed to the engine, in batch order:
+    /// it joins `meta` once `submit_batch` returns the ids, and a dying
+    /// worker answers it if the engine never does.
+    in_hand: Vec<ReqMeta>,
     /// Cross-request coalescing index (`Some` iff
     /// [`ServiceConfig::coalesce`] is set). The pure bookkeeping lives in
     /// [`crate::coalesce`]; this worker wires its results to completions,
@@ -263,6 +304,7 @@ impl ShardEngine {
                 shared: Arc::clone(&shared),
                 block_bytes,
                 meta: HashMap::new(),
+                in_hand: Vec::with_capacity(BATCH_MAX),
                 coalesce: cfg.coalesce.then(CoalesceIndex::new),
             },
             shared,
@@ -273,17 +315,16 @@ impl ShardEngine {
     /// controller, publish completions. Returns when the queue is closed
     /// and all admitted work has completed.
     ///
-    /// On *every* exit path — clean drain or controller failure — the
-    /// shard's queue is closed, completions drained so far are published,
-    /// and final counters are recorded. Without this, an error exit left
-    /// the queue open and producers spun forever on `Busy` against a
-    /// worker that would never pop again (the dead-shard livelock).
+    /// On an abnormal exit the shard is marked dead (closing its queue, so
+    /// producers get `ShardDown` instead of spinning on `Busy`) and every
+    /// request it accepted and has not answered is answered
+    /// [`CompletionStatus::ShardDown`] — see [`ShardEngine::or_fail`].
     ///
     /// # Errors
     ///
-    /// Propagates controller failures (integrity violations, stash
-    /// overflow, config errors) after marking the shard [`ShardHealth::Dead`].
-    pub(crate) fn run_external(self) -> Result<(), ControllerError> {
+    /// A controller failure (integrity violation, stash overflow, config
+    /// error) or a panic, as the [`ShardFailure`] it ended in.
+    pub(crate) fn run_external(self) -> Result<(), ShardFailure> {
         self.or_fail(|shard| {
             shard.serve_batches(|shard| {
                 if shard.ctl.has_pending_work() {
@@ -326,34 +367,84 @@ impl ShardEngine {
         Ok(())
     }
 
-    /// Runs one of the worker loops with the error-exit cleanup every mode
-    /// shares: marks the shard dead (which closes the queue so producers
-    /// stop retrying `Busy`), publishes whatever completions the engine
-    /// had finished, and records final counters. Publishing is
-    /// best-effort: a broken engine may reject the coalescing layer's
-    /// flush write-backs, but client completions drained so far are
-    /// published before any flush is submitted.
+    /// Runs one of the worker loops with the abnormal-exit cleanup every
+    /// mode shares. A controller error or a panic marks the shard dead
+    /// (which closes the queue so producers stop retrying `Busy`). After
+    /// an error the worker publishes whatever completions the engine had
+    /// finished and records final counters; publishing is best-effort: a
+    /// broken engine may reject the coalescing layer's flush write-backs,
+    /// but client completions drained so far are published before any
+    /// flush is submitted. After a panic the engine is not called again.
+    /// Either way, every request still unanswered is then answered
+    /// [`CompletionStatus::ShardDown`] ([`ShardEngine::answer_stranded`]).
     fn or_fail(
         mut self,
         run: impl FnOnce(&mut Self) -> Result<(), ControllerError>,
-    ) -> Result<(), ControllerError> {
-        let result = run(&mut self);
-        if let Err(e) = &result {
-            self.shared.mark_dead(&e.to_string());
+    ) -> Result<(), ShardFailure> {
+        let (panicked, error) = match catch_unwind(AssertUnwindSafe(|| run(&mut self))) {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(e)) => (false, e.to_string()),
+            Err(payload) => (true, panic_message(payload.as_ref())),
+        };
+        if panicked {
+            self.shared.mark_dead(&format!("worker panicked: {error}"));
+            self.answer_stranded();
+        } else {
+            self.shared.mark_dead(&error);
             let _ = self.publish_completions();
+            self.answer_stranded();
             self.finish();
         }
-        result
+        Err(ShardFailure {
+            shard: self.shard,
+            panicked,
+            error,
+        })
+    }
+
+    /// Answers [`CompletionStatus::ShardDown`] to every request the dying
+    /// shard accepted and has not answered: open client entries, the
+    /// batch the engine refused, coalesced waiters, and what the closed
+    /// queue still holds. Internal flushes have no client and are dropped.
+    fn answer_stranded(&mut self) {
+        let mut stranded: Vec<(u64, u64)> = self
+            .in_hand
+            .drain(..)
+            .chain(self.meta.drain().map(|(_, m)| m))
+            .filter_map(|m| match m {
+                ReqMeta::Client { tag, addr, .. } => Some((tag, addr)),
+                ReqMeta::Flush => None,
+            })
+            .collect();
+        if let Some(index) = self.coalesce.as_mut() {
+            stranded.extend(index.drain_waiters());
+        }
+        // The queue is closed: one pop takes everything it will ever hold.
+        if let Some(queued) = self.shared.queue.try_pop_batch(usize::MAX) {
+            stranded.extend(queued.into_iter().map(|r| (r.tag, r.addr)));
+        }
+        relock(&self.shared.counters).failed += stranded.len() as u64;
+        let shard = self.shard;
+        relock(&self.shared.completions).extend(stranded.into_iter().map(|(tag, addr)| {
+            ServiceCompletion {
+                tag,
+                shard,
+                addr,
+                status: CompletionStatus::ShardDown,
+                latency_ps: 0,
+                data: Vec::new(),
+            }
+        }));
     }
 
     /// Admits a batch: expires requests whose deadline already passed,
     /// attaches duplicate-address requests as coalescing waiters (when
     /// enabled), and hands the rest to the controller in one batch
-    /// submission.
+    /// submission. Counters and expirations are published first, so a
+    /// batch the engine refuses leaves only `in_hand` to answer.
     fn admit(&mut self, reqs: Vec<ServiceRequest>) -> Result<(), ControllerError> {
         let clock = self.ctl.clock_ps();
         let mut live = Vec::with_capacity(reqs.len());
-        let mut metas = Vec::with_capacity(reqs.len());
         let mut expired = Vec::new();
         let mut coalesced = 0u64;
         for req in reqs {
@@ -407,8 +498,9 @@ impl ShardEngine {
                     }
                 }
             }
-            metas.push(ReqMeta::Client {
+            self.in_hand.push(ReqMeta::Client {
                 tag: req.tag,
+                addr: req.addr,
                 deadline_ps: deadline,
                 write,
             });
@@ -421,14 +513,6 @@ impl ShardEngine {
             });
         }
         let submitted = live.len() as u64;
-        let ids = if live.is_empty() {
-            Vec::new()
-        } else {
-            self.ctl.submit_batch(live)?
-        };
-        for (id, meta) in ids.into_iter().zip(metas) {
-            self.meta.insert(id, meta);
-        }
         {
             let mut c = relock(&self.shared.counters);
             c.admitted += submitted + coalesced;
@@ -440,6 +524,11 @@ impl ShardEngine {
         }
         if !expired.is_empty() {
             relock(&self.shared.completions).extend(expired);
+        }
+        if !live.is_empty() {
+            let ids = self.ctl.submit_batch(live)?;
+            self.meta
+                .extend(ids.into_iter().zip(self.in_hand.drain(..)));
         }
         Ok(())
     }
@@ -468,12 +557,14 @@ impl ShardEngine {
         let mut flushes: Vec<NewRequest> = Vec::new();
         for c in done {
             match self.meta.remove(&c.id) {
-                // Internal write-back: no client completion.
-                Some(ReqMeta::Flush) => {}
+                // Internal write-back (or an id this worker never handed
+                // out): no client completion.
+                Some(ReqMeta::Flush) | None => {}
                 Some(ReqMeta::Client {
                     tag,
                     deadline_ps,
                     write,
+                    ..
                 }) => {
                     let status = if deadline_ps.is_some_and(|d| c.done_ps > d) {
                         late += 1;
@@ -488,17 +579,6 @@ impl ShardEngine {
                         status,
                         latency_ps: c.done_ps.saturating_sub(c.arrival_ps),
                         data: if write { Vec::new() } else { c.data.clone() },
-                    });
-                }
-                // Unknown id (engine-internal bookkeeping): pass through.
-                None => {
-                    out.push(ServiceCompletion {
-                        tag: c.tag,
-                        shard: self.shard,
-                        addr: c.addr,
-                        status: CompletionStatus::Ok,
-                        latency_ps: c.done_ps.saturating_sub(c.arrival_ps),
-                        data: c.data.clone(),
                     });
                 }
             }
@@ -569,8 +649,9 @@ impl ShardEngine {
     ///
     /// # Errors
     ///
-    /// Propagates controller failures after marking the shard dead.
-    pub(crate) fn run_schedule(self, schedule: Vec<ServiceRequest>) -> Result<(), ControllerError> {
+    /// A controller failure or a panic, after marking the shard dead.
+    /// Requests of the schedule not yet admitted get no answer.
+    pub(crate) fn run_schedule(self, schedule: Vec<ServiceRequest>) -> Result<(), ShardFailure> {
         self.or_fail(|shard| shard.run_schedule_inner(schedule))
     }
 
@@ -618,9 +699,8 @@ impl ShardEngine {
     /// Records the shard's final simulated clock and settles health: a
     /// shard that absorbed injected faults (but recovered via retries)
     /// reports [`ShardHealth::Degraded`] instead of `Healthy`. Called
-    /// from clean drains *and* from [`ShardEngine::or_fail`], so it must
-    /// tolerate in-flight requests left unanswered by a dying engine;
-    /// clean exits assert emptiness via [`ShardEngine::finish_drained`].
+    /// from clean drains *and* after an error in [`ShardEngine::or_fail`]
+    /// (never after a panic: it reads the engine's clock).
     fn finish(&self) {
         {
             let mut c = relock(&self.shared.counters);
@@ -635,13 +715,13 @@ impl ShardEngine {
     /// Completions are folded into counters, not stored, so multi-million
     /// request runs stay flat in memory. Deterministic per shard seed.
     ///
-    /// Like [`ShardEngine::run_external`], every error exit marks the
-    /// shard dead and records final counters before propagating.
+    /// Like [`ShardEngine::run_external`], every abnormal exit marks the
+    /// shard dead before returning.
     ///
     /// # Errors
     ///
-    /// Propagates controller failures.
-    pub(crate) fn run_closed_loop(self, pool: ServiceClientPool) -> Result<(), ControllerError> {
+    /// A controller failure or a panic.
+    pub(crate) fn run_closed_loop(self, pool: ServiceClientPool) -> Result<(), ShardFailure> {
         self.or_fail(|shard| shard.run_closed_loop_inner(pool))
     }
 

@@ -54,6 +54,7 @@ impl ShardSnapshot {
             .field_u64("expired", self.counters.expired)
             .field_u64("completed", self.counters.completed)
             .field_u64("completed_late", self.counters.completed_late)
+            .field_u64("failed", self.counters.failed)
             .field_u64("batches", self.counters.batches)
             .field_u64("max_batch", self.counters.max_batch)
             .field_u64("queue_len", self.queue_len as u64)
@@ -165,6 +166,11 @@ impl ServiceStats {
     /// Total completions past their deadline.
     pub fn completed_late(&self) -> u64 {
         self.total(|c| c.completed_late)
+    }
+
+    /// Total requests dying shards answered `ShardDown`.
+    pub fn failed(&self) -> u64 {
+        self.total(|c| c.failed)
     }
 
     /// The service's simulated makespan: the slowest shard's final clock,
@@ -315,7 +321,8 @@ impl ServiceStats {
             .field_u64("admitted", self.admitted())
             .field_u64("expired", self.expired())
             .field_u64("completed", self.completed())
-            .field_u64("completed_late", self.completed_late());
+            .field_u64("completed_late", self.completed_late())
+            .field_u64("failed", self.failed());
 
         let mut throughput = JsonObject::new();
         throughput

@@ -7,6 +7,9 @@
 //!   returns a structured [`ServeError::Shards`] with partial stats;
 //! * a worker panic is caught, the shard is marked dead, and the final
 //!   snapshot survives (poison-tolerant locks) instead of cascading;
+//! * however the shard dies, every request it accepted gets exactly one
+//!   completion (`ShardDown` when it was not served), so the ledger
+//!   closes on the dead shard too;
 //! * a forced stash overflow surfaces the Path ORAM failure mode as a
 //!   structured error;
 //! * transient faults absorbed by retries leave the run `Ok` but the
@@ -23,6 +26,7 @@
 
 mod common;
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use common::{small_cfg, with_watchdog};
@@ -32,7 +36,8 @@ use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::{NewRequest, Op, OramConfig};
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
-    OramService, ServeError, ServiceRequest, ShardEngine, ShardHealth, ShardSnapshot, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceHandle, ServiceRequest, ShardEngine,
+    ShardHealth, ShardSnapshot, SubmitError,
 };
 use fork_path_oram::workloads::mixes;
 
@@ -187,6 +192,124 @@ fn snapshot_survives_poisoned_shard_locks() {
     let snap = ShardSnapshot::capture(0, &shared);
     assert_eq!(snap.counters.enqueued, 2);
     assert_eq!(snap.health, ShardHealth::Healthy);
+}
+
+// ---------- the ledger closes on a dead shard ------------------------
+
+/// Kills shard 0 of two at its fifth access (`fault`, with or without
+/// coalescing) while 64 requests over eight hot addresses are in flight,
+/// then drains completions until every accepted tag is answered (the
+/// watchdog bounds the wait: a stranded request hangs it). Returns each
+/// accepted tag's shard, each answer's status, any completion published
+/// after the driver returned, and the run's error.
+fn kill_shard_zero(
+    name: &'static str,
+    fault: FaultConfig,
+    coalesce: bool,
+) -> (
+    HashMap<u64, usize>,
+    HashMap<u64, CompletionStatus>,
+    usize,
+    ServeError,
+) {
+    with_watchdog(name, 60, move || {
+        let mut cfg = small_cfg(2);
+        cfg.fault = Some(fault);
+        cfg.fault_shard = Some(0);
+        cfg.coalesce = coalesce;
+        let mut accepted = HashMap::new();
+        let mut answers = HashMap::new();
+        let mut kept: Option<ServiceHandle> = None;
+        let err = OramService::serve(cfg, |h| {
+            kept = Some(h.clone());
+            for tag in 0..64u64 {
+                loop {
+                    match h.submit(ServiceRequest::read(tag % 8, 0, tag)) {
+                        Ok(shard) => {
+                            accepted.insert(tag, shard);
+                            break;
+                        }
+                        Err(SubmitError::Busy) => std::thread::yield_now(),
+                        Err(SubmitError::ShardDown) => break,
+                        Err(e) => panic!("unexpected submit error: {e}"),
+                    }
+                }
+            }
+            while answers.len() < accepted.len() {
+                for c in h.drain_completions() {
+                    assert!(
+                        accepted.contains_key(&c.tag),
+                        "tag {} never accepted",
+                        c.tag
+                    );
+                    assert!(
+                        answers.insert(c.tag, c.status).is_none(),
+                        "tag {} answered twice",
+                        c.tag
+                    );
+                }
+                std::thread::yield_now();
+            }
+        })
+        .expect_err("a dead shard must fail the run");
+        let late = kept.expect("driver ran").drain_completions().len();
+        (accepted, answers, late, err)
+    })
+}
+
+/// In `serve` mode every request `submit` accepted gets exactly one
+/// completion, dead shard included, whether the shard died of a controller
+/// error or a panic, with coalescing off and on. The survivor answers all
+/// of its requests `Ok`; the dead shard answers `Ok` (served before the
+/// death) or `ShardDown`, nothing else; and `enqueued == completed +
+/// expired + failed` on each shard.
+#[test]
+fn dead_shard_answers_every_accepted_request_once() {
+    let error = FaultConfig {
+        fail_at_access: Some(4),
+        ..FaultConfig::default()
+    };
+    let panic = FaultConfig {
+        panic_at_access: Some(4),
+        ..FaultConfig::default()
+    };
+    for (name, fault, coalesce) in [
+        ("ledger-error", error.clone(), false),
+        ("ledger-panic", panic, false),
+        ("ledger-error-coalesced", error, true),
+    ] {
+        let (accepted, answers, late, err) = kill_shard_zero(name, fault, coalesce);
+        assert_eq!(answers.len(), accepted.len(), "{name}: one answer per tag");
+        assert_eq!(late, 0, "{name}: nothing published after the drain");
+        let mut shard_down = 0;
+        for (tag, status) in &answers {
+            match (accepted[tag], status) {
+                (_, CompletionStatus::Ok) => {}
+                (0, CompletionStatus::ShardDown) => shard_down += 1,
+                (shard, s) => panic!("{name}: tag {tag} on shard {shard} answered {}", s.name()),
+            }
+        }
+        assert!(shard_down > 0, "{name}: stranded requests answer ShardDown");
+        let ServeError::Shards { failures, stats } = err else {
+            panic!("{name}: expected ServeError::Shards, got: {err}");
+        };
+        assert_eq!(failures.len(), 1, "{name}");
+        assert_eq!(failures[0].shard, 0, "{name}");
+        assert_eq!(
+            stats.failed(),
+            shard_down,
+            "{name}: failed counts ShardDown"
+        );
+        for s in &stats.per_shard {
+            let c = &s.counters;
+            assert_eq!(
+                c.enqueued,
+                c.completed + c.expired + c.failed,
+                "{name}: shard {} ledger open: {c:?}",
+                s.shard
+            );
+        }
+    }
 }
 
 // ---------- stash overflow ------------------------------------------

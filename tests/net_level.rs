@@ -15,16 +15,15 @@
 mod common;
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use common::{service_request, small_cfg, with_watchdog};
 use fork_path_oram::core::FaultConfig;
 use fork_path_oram::net::{
-    NetClient, NetConfig, NetError, NetServer, WireHealth, WireOp, WireRequest, WireStatus,
+    NetClient, NetConfig, NetError, NetServer, WireOp, WireRequest, WireResponse, WireStatus,
 };
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::propcheck::{run_cases, Gen};
-use fork_path_oram::service::{OramService, ServiceRequest};
+use fork_path_oram::service::{OramService, ServiceRequest, ShardHealth};
 use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::zipf::{self, ScheduledRequest, ZipfConfig};
 
@@ -188,80 +187,102 @@ fn wire_responses_match_in_process_replay() {
 // ---------- fault containment ----------------------------------------
 
 /// A shard killed by deterministic fault injection must not take the
-/// server down: requests routed to the dead shard are answered
-/// [`WireStatus::ShardDown`] (at submit, or via the dispatcher's sweep
-/// for those stranded in flight), the surviving shard keeps serving
-/// `Ok`, the health endpoint reports the death, and the final report
-/// carries the shard failure.
+/// server down, and no request may go unanswered or be answered twice.
+/// 64 requests alternate between the doomed shard 0 (even tags, address 0)
+/// and the survivor (odd tags, address 1), pipelined eight deep, so the
+/// dying shard holds accepted requests when it dies: those come back from
+/// the shard itself as [`WireStatus::ShardDown`], later ones are refused
+/// `ShardDown` at submit. The survivor answers every one of its requests
+/// `Ok`. Health is read where it lives, in the stats snapshot: over the
+/// wire (`"dead":1`) and in the final report, which also carries the one
+/// shard failure and a closed ledger on every shard.
 #[test]
 fn dead_shard_answers_shard_down_while_survivors_serve() {
-    let mut service = small_cfg(2);
-    service.fault = Some(FaultConfig {
-        // Kill shard 0 on its third processed access.
-        fail_at_access: Some(2),
-        ..FaultConfig::default()
-    });
-    service.fault_shard = Some(0);
-    let cfg = NetConfig {
-        service,
-        port: 0,
-        max_connections: 2,
-        max_inflight_per_conn: 8,
-        drain_wait_ms: 2_000,
-    };
-    let server = NetServer::start(cfg).expect("server start");
-    let mut client = NetClient::connect(server.local_addr(), 8).expect("client connect");
+    const REQUESTS: u64 = 64;
+    with_watchdog("dead-shard-over-the-wire", 60, || {
+        let mut service = small_cfg(2);
+        service.fault = Some(FaultConfig {
+            // Kill shard 0 on its third processed access.
+            fail_at_access: Some(2),
+            ..FaultConfig::default()
+        });
+        service.fault_shard = Some(0);
+        let server = NetServer::start(NetConfig {
+            service,
+            port: 0,
+            max_connections: 2,
+            max_inflight_per_conn: 8,
+            drain_wait_ms: 2_000,
+        })
+        .expect("server start");
+        let mut client = NetClient::connect(server.local_addr(), 8).expect("client connect");
 
-    // With 2 shards, even addresses route to shard 0 (the doomed one)
-    // and odd addresses to shard 1 (the survivor).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut tag = 0u64;
-    let mut saw_shard_down = false;
-    let mut survivor_ok_after_death = 0u64;
-    while Instant::now() < deadline && survivor_ok_after_death < 8 {
-        for addr in [0u64, 1] {
+        let mut answers: HashMap<u64, WireStatus> = HashMap::new();
+        let mut file = |resp: WireResponse| {
+            assert!(
+                answers.insert(resp.tag, resp.status).is_none(),
+                "tag {} answered twice",
+                resp.tag
+            );
+        };
+        for tag in 0..REQUESTS {
             client
                 .submit(WireRequest {
                     tag,
                     op: WireOp::Read,
-                    addr,
+                    addr: tag % 2,
                     deadline_rel_ns: 0,
                     payload: Vec::new(),
                 })
                 .expect("submit");
-            tag += 1;
-        }
-        for resp in client.drain().expect("drain") {
-            match resp.status {
-                WireStatus::ShardDown => saw_shard_down = true,
-                // resp.tag parity == address parity (one request per
-                // address per round): odd tags went to the survivor.
-                WireStatus::Ok if saw_shard_down && resp.tag % 2 == 1 => {
-                    survivor_ok_after_death += 1;
-                }
-                WireStatus::Ok | WireStatus::Busy => {}
-                other => panic!("unexpected status {}", other.name()),
+            while client.ready() > 0 {
+                file(client.recv().expect("recv"));
             }
         }
-    }
-    assert!(saw_shard_down, "the dead shard must answer ShardDown");
-    assert!(
-        survivor_ok_after_death >= 8,
-        "the surviving shard must keep serving after the death"
-    );
-    let health = client.health().expect("health");
-    assert_eq!(health[0], WireHealth::Dead, "shard 0 must report dead");
-    assert_eq!(health[1], WireHealth::Healthy, "shard 1 must stay healthy");
+        for resp in client.drain().expect("drain") {
+            file(resp);
+        }
+        assert_eq!(
+            answers.len() as u64,
+            REQUESTS,
+            "every request is answered exactly once"
+        );
+        let mut shard_down = 0;
+        for (tag, status) in &answers {
+            match (tag % 2, status) {
+                (_, WireStatus::Ok) => {}
+                (0, WireStatus::ShardDown) => shard_down += 1,
+                _ => panic!("tag {tag}: unexpected status {}", status.name()),
+            }
+        }
+        assert!(shard_down > 0, "the dead shard must answer ShardDown");
 
-    server.shutdown();
-    let report = server.join().expect("server join");
-    assert_eq!(
-        report.failures.len(),
-        1,
-        "exactly one shard failure: {:?}",
-        report.failures
-    );
-    assert_eq!(report.failures[0].shard, 0);
+        let json = client.stats_json().expect("stats");
+        assert_eq!(json_u64(&json, "dead"), 1, "stats report one dead shard");
+        assert_eq!(json_u64(&json, "healthy"), 1, "and one healthy shard");
+
+        server.shutdown();
+        let report = server.join().expect("server join");
+        assert_eq!(
+            report.failures.len(),
+            1,
+            "exactly one shard failure: {:?}",
+            report.failures
+        );
+        assert_eq!(report.failures[0].shard, 0);
+        let shards = &report.stats.per_shard;
+        assert_eq!(shards[0].health, ShardHealth::Dead);
+        assert_eq!(shards[1].health, ShardHealth::Healthy);
+        for s in shards {
+            let c = &s.counters;
+            assert_eq!(
+                c.enqueued,
+                c.completed + c.expired + c.failed,
+                "shard {} ledger open: {c:?}",
+                s.shard
+            );
+        }
+    });
 }
 
 // ---------- control frames and client edge cases ---------------------

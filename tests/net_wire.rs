@@ -4,9 +4,7 @@
 //! never a panic, a hang, or a silently wrong frame.
 
 use fork_path_oram::net::wire::{read_frame, write_frame, MAGIC, MAX_FRAME, VERSION};
-use fork_path_oram::net::{
-    Frame, WireError, WireHealth, WireOp, WireRequest, WireResponse, WireStatus,
-};
+use fork_path_oram::net::{Frame, WireError, WireOp, WireRequest, WireResponse, WireStatus};
 use fork_path_oram::propcheck::{run_cases, Gen};
 
 /// A random frame of any protocol kind, with field values spanning the
@@ -21,7 +19,7 @@ fn arbitrary_frame(g: &mut Gen) -> Frame {
         let b = g.below(256) as u8;
         vec![b; n]
     };
-    match g.below(9) {
+    match g.below(7) {
         0 => Frame::Hello {
             version: g.below(u64::from(u16::MAX)) as u16,
         },
@@ -54,14 +52,6 @@ fn arbitrary_frame(g: &mut Gen) -> Frame {
             json: (0..g.range_usize(0, 512))
                 .map(|_| (g.range(0x20, 0x7E) as u8) as char)
                 .collect(),
-        },
-        6 => Frame::HealthReq,
-        7 => Frame::HealthResp {
-            shards: g.vec(0, 16, |g| match g.below(3) {
-                0 => WireHealth::Healthy,
-                1 => WireHealth::Degraded,
-                _ => WireHealth::Dead,
-            }),
         },
         _ => Frame::Shutdown,
     }
@@ -115,11 +105,7 @@ fn sample_after(prev: Option<&Frame>) -> Option<Frame> {
         Some(Frame::StatsReq) => Frame::StatsResp {
             json: "{\"ok\":true}".into(),
         },
-        Some(Frame::StatsResp { .. }) => Frame::HealthReq,
-        Some(Frame::HealthReq) => Frame::HealthResp {
-            shards: vec![WireHealth::Healthy, WireHealth::Dead],
-        },
-        Some(Frame::HealthResp { .. }) => Frame::Shutdown,
+        Some(Frame::StatsResp { .. }) => Frame::Shutdown,
         Some(Frame::Shutdown) => return None,
     })
 }
@@ -263,19 +249,6 @@ fn response_with_unknown_status_code_is_typed() {
 }
 
 #[test]
-fn health_resp_with_unknown_health_code_is_typed() {
-    let resp = Frame::HealthResp {
-        shards: vec![WireHealth::Healthy],
-    };
-    let err = corrupt(&resp, |b| {
-        let last = b.len() - 1;
-        b[last] = 7;
-    })
-    .expect_err("undefined health code");
-    assert_eq!(err, WireError::UnknownHealth(7));
-}
-
-#[test]
 fn stats_resp_with_invalid_utf8_is_typed() {
     let resp = Frame::StatsResp { json: "ok".into() };
     let err = corrupt(&resp, |b| {
@@ -325,11 +298,11 @@ fn trailing_body_bytes_are_rejected() {
 fn decoding_stops_at_the_declared_length() {
     let mut buf = Vec::new();
     Frame::Shutdown.encode(&mut buf);
-    Frame::HealthReq.encode(&mut buf);
+    Frame::StatsReq.encode(&mut buf);
     let mut stream = buf.as_slice();
     let (first, n1) = read_frame(&mut stream).unwrap().unwrap();
     assert_eq!(first, Frame::Shutdown);
     let (second, _) = read_frame(&mut stream).unwrap().unwrap();
-    assert_eq!(second, Frame::HealthReq);
+    assert_eq!(second, Frame::StatsReq);
     assert_eq!(n1, 5, "an empty-body frame is [len=1][kind]");
 }

@@ -76,13 +76,39 @@ impl BaselineController {
 
     /// Routes every not-yet-fed completion through `source`, submitting any
     /// follow-up requests it produces, until quiescent.
-    fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) -> Result<(), ControllerError> {
+    fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) {
         while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
-                self.submit(r)?;
+                self.enqueue(r);
             }
         }
-        Ok(())
+    }
+
+    /// Numbers and queues one request: [`OramEngine::submit`] without the
+    /// publish.
+    fn enqueue(&mut self, req: NewRequest) -> u64 {
+        let id = self.completions.open(req.arrival_ps);
+        self.queue.push_back(LlcRequest::new(id, req));
+        id
+    }
+
+    /// Publishes the datapath's counts and the ledger's as one cut: the
+    /// last step of each engine call.
+    fn publish(&mut self) {
+        self.path.publish([self.completions.tally_mut()]);
+    }
+
+    /// Processes the next queued request; see [`OramEngine::process_one`],
+    /// which publishes after it.
+    fn next_request(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
+        self.flush_feedback(source);
+        let Some(req) = self.queue.pop_front() else {
+            return Ok(false);
+        };
+        let done = self.process(req)?;
+        self.completions.push(done);
+        self.flush_feedback(source);
+        Ok(true)
     }
 
     /// Starts recording the externally visible leaf-label sequence.
@@ -107,7 +133,7 @@ impl BaselineController {
         let (mut old, mut new, _) = self.path.state_mut().start_chain(req.addr);
 
         if self.path.state().stash_hit(req.addr) {
-            self.path.trace().bump(Counter::StashHits);
+            self.path.tally_mut().bump(Counter::StashHits);
         }
 
         let mut data = Vec::new();
@@ -123,7 +149,7 @@ impl BaselineController {
                     (data, _) = state.apply_op(u, new, req.data.as_deref());
                     done_ps = self.clock_ps;
                 }
-                self.path.trace().bump(Counter::StashHits);
+                self.path.tally_mut().bump(Counter::StashHits);
                 continue;
             }
             // Read phase: the complete path.
@@ -164,7 +190,7 @@ impl BaselineController {
     /// data is available.
     fn read_full_path(&mut self, leaf: u64) -> Result<u64, ControllerError> {
         let read_end = self.path.read_path(leaf, 0, self.clock_ps)?;
-        self.path.trace().bump(Counter::FullReads);
+        self.path.tally_mut().bump(Counter::FullReads);
         Ok(read_end)
     }
 
@@ -187,7 +213,7 @@ impl BaselineController {
             let label = self.path.state_mut().random_label();
             let read_end = self.read_full_path(label)?;
             self.refill_full_path(label, read_end);
-            self.path.trace().bump(Counter::DummiesExecuted);
+            self.path.tally_mut().bump(Counter::DummiesExecuted);
             guard += 1;
         }
         Ok(())
@@ -196,8 +222,8 @@ impl BaselineController {
 
 impl OramEngine for BaselineController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
-        let id = self.completions.open(req.arrival_ps);
-        self.queue.push_back(LlcRequest::new(id, req));
+        let id = self.enqueue(req);
+        self.publish();
         Ok(id)
     }
 
@@ -212,17 +238,13 @@ impl OramEngine for BaselineController {
     /// has a length the tree store never writes (a framing error or an
     /// injected fault; nothing detects tampering, DESIGN.md §2 item 6).
     fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
-        self.flush_feedback(source)?;
-        let Some(req) = self.queue.pop_front() else {
-            return Ok(false);
-        };
-        let done = self.process(req)?;
-        self.completions.push(done);
-        self.flush_feedback(source)?;
-        Ok(true)
+        let did = self.next_request(source);
+        self.publish();
+        did
     }
 
     fn drain_completions(&mut self) -> Vec<Completion> {
+        self.publish();
         self.completions.drain_fed()
     }
 
@@ -240,6 +262,11 @@ impl OramEngine for BaselineController {
 
     fn trace(&self) -> &TraceHandle {
         self.path.trace()
+    }
+
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        self.publish();
+        self.path.trace().set_capacity(capacity);
     }
 
     fn dram(&self) -> &DramSystem {

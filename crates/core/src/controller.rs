@@ -7,11 +7,11 @@
 //! [`DummyReplacer`] (§3.3/§4.3). The two phases of an access — path read
 //! and streaming refill over tree, stash, bucket cache (§3.5/§4.4) and DRAM
 //! — are the [`Datapath`] the baseline controller drives too; it owns the
-//! trusted ORAM state and the one trace spine every stage reports into,
-//! which is also where the statistics are read from. The facade owns the
-//! address queue, the in-flight posmap chains ([`crate::flight`]), and the
-//! clock, and sequences the stages per access; it is driven through
-//! [`OramEngine`] only. Accessors and the timing-protection surface live
+//! trusted ORAM state and publishes the counts every stage keeps for the
+//! one trace spine, which is also where the statistics are read from. The
+//! facade owns the address queue, the in-flight posmap chains
+//! ([`crate::flight`]), and the clock, and sequences the stages per
+//! access; it is driven through [`OramEngine`] only. Accessors and the timing-protection surface live
 //! in the `controller_api` child module.
 
 use fp_dram::DramSystem;
@@ -141,7 +141,7 @@ impl ForkPathController {
                 // The cancelled write is acknowledged: superseded on chip.
                 // It gets a completion record, but is not a completed
                 // request in the statistics.
-                self.path.trace().bump(Counter::WritesCancelled);
+                self.path.tally_mut().bump(Counter::WritesCancelled);
                 self.completions.push(Completion {
                     id: cancelled_id,
                     addr,
@@ -153,6 +153,25 @@ impl ForkPathController {
             }
         }
         id
+    }
+
+    /// Enqueues one request and pumps: [`OramEngine::submit`] without the
+    /// publish, for feedback submitted inside an engine call.
+    fn admit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
+        let id = self.enqueue_request(req);
+        self.pump()?;
+        Ok(id)
+    }
+
+    /// Publishes every stage's counts, the datapath's included, as one
+    /// cut: the last step of each engine call.
+    fn publish(&mut self) {
+        self.path.publish([
+            self.sched.tally_mut(),
+            self.merge.tally_mut(),
+            self.dummy.tally_mut(),
+            self.completions.tally_mut(),
+        ]);
     }
 
     /// Moves work forward: stalled chain steps first (they are older), then
@@ -190,6 +209,17 @@ impl ForkPathController {
     ///
     /// Surfaces internal bookkeeping invariant violations.
     pub(crate) fn process_one_at<S: ReactiveSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        not_before_ps: u64,
+    ) -> Result<bool, ControllerError> {
+        let did = self.next_access_at(source, not_before_ps);
+        self.publish();
+        did
+    }
+
+    /// [`ForkPathController::process_one_at`] without the publish.
+    fn next_access_at<S: ReactiveSource + ?Sized>(
         &mut self,
         source: &mut S,
         not_before_ps: u64,
@@ -367,9 +397,9 @@ impl ForkPathController {
 
 impl OramEngine for ForkPathController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
-        let id = self.enqueue_request(req);
-        self.pump()?;
-        Ok(id)
+        let id = self.admit(req);
+        self.publish();
+        id
     }
 
     /// Batch admission for external drivers (the serving layer): every
@@ -378,8 +408,9 @@ impl OramEngine for ForkPathController {
     /// requests costs one scheduler fill instead of `n`.
     fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
         let ids = batch.into_iter().map(|r| self.enqueue_request(r)).collect();
-        self.pump()?;
-        Ok(ids)
+        let pumped = self.pump();
+        self.publish();
+        pumped.map(|()| ids)
     }
 
     /// Executes one ORAM access (read phase, block handling, refill).
@@ -391,6 +422,7 @@ impl OramEngine for ForkPathController {
     /// returned; anything newer is delivered by a later drain, after the
     /// next `process_one` flushes it.
     fn drain_completions(&mut self) -> Vec<Completion> {
+        self.publish();
         self.completions.drain_fed()
     }
 
@@ -415,9 +447,14 @@ impl OramEngine for ForkPathController {
     }
 
     /// The shared trace spine every pipeline stage, the stash, and the
-    /// DRAM system report into.
+    /// DRAM system count for, published at the end of each engine call.
     fn trace(&self) -> &TraceHandle {
         self.path.trace()
+    }
+
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        self.publish();
+        self.path.trace().set_capacity(capacity);
     }
 
     fn dram(&self) -> &DramSystem {

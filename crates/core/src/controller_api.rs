@@ -1,13 +1,12 @@
-//! What [`ForkPathController`] offers beyond [`OramEngine`] — the trusted
-//! state, the label trace, the timing-protection hooks — and the helpers
-//! its access loop calls; a child module of `controller` so it can reach
-//! the facade's private fields. The access data path itself and the
+//! What [`ForkPathController`] offers beyond [`crate::OramEngine`] — the
+//! trusted state, the label trace, the timing-protection hooks — and the
+//! helpers its access loop calls; a child module of `controller` so it can
+//! reach the facade's private fields. The access data path itself and the
 //! engine implementation stay in `controller.rs`.
 
 use fp_path_oram::{NoFeedback, OramState, ReactiveSource};
 
 use super::ForkPathController;
-use crate::engine::OramEngine;
 use crate::error::{must, ControllerError};
 use crate::queue::Entry;
 
@@ -25,7 +24,7 @@ impl ForkPathController {
     ) -> Result<(), ControllerError> {
         while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
-                self.submit(r)?;
+                self.admit(r)?;
             }
         }
         Ok(())
@@ -69,7 +68,7 @@ impl ForkPathController {
     /// Enables or disables fixed-rate (timing-protection) mode; see
     /// [`crate::timing::enforce_fixed_rate`]. While enabled, refills always
     /// select a pending request (materializing dummies when idle), so
-    /// [`OramEngine::run_to_idle`] would not terminate — drive the
+    /// [`crate::OramEngine::run_to_idle`] would not terminate — drive the
     /// controller with an explicit horizon instead.
     pub(crate) fn set_fixed_rate(&mut self, on: bool) {
         self.fixed_rate = on;
@@ -80,6 +79,7 @@ impl ForkPathController {
             self.current = None;
             self.merge.reset();
         }
+        self.publish();
     }
 
     /// Executes one dummy ORAM access (timing-protection padding) starting
@@ -97,5 +97,6 @@ impl ForkPathController {
         cur.ready_ps = cur.ready_ps.max(not_before_ps);
         let mut source = NoFeedback;
         must(self.execute(cur, &mut source));
+        self.publish();
     }
 }

@@ -12,7 +12,7 @@
 //!   uncommitted may take the pending slot, cancelling a dummy outright or
 //!   swapping out a lower-overlap real ([`DummyReplacer::try_replace`]).
 
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally, TraceHandle};
 
 use crate::error::ControllerError;
 use crate::queue::{Entry, LabelQueue, ReplacementWindow};
@@ -21,15 +21,23 @@ use crate::queue::{Entry, LabelQueue, ReplacementWindow};
 #[derive(Debug, Clone)]
 pub(crate) struct DummyReplacer {
     replacing: bool,
-    trace: TraceHandle,
+    tally: Tally,
 }
 
 impl DummyReplacer {
-    /// Creates the stage, reporting its counters and events to `trace`;
+    /// Creates the stage, counting its counters and events for `trace`;
     /// `replacing` toggles mid-refill replacement (false = the ablation
     /// baseline where pending dummies always run).
     pub(crate) fn new(replacing: bool, trace: TraceHandle) -> Self {
-        Self { replacing, trace }
+        Self {
+            replacing,
+            tally: Tally::new(trace),
+        }
+    }
+
+    /// The stage's counts, published by the controller with the datapath's.
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Whether mid-refill replacement is active.
@@ -56,10 +64,10 @@ impl DummyReplacer {
     ) -> Option<Entry> {
         if pending.as_ref().is_some_and(Entry::is_dummy) && !work_imminent && !fixed_rate {
             pending = None;
-            self.trace.bump(Counter::DummiesTrailingDiscarded);
+            self.tally.bump(Counter::DummiesTrailingDiscarded);
         }
         if pending.is_none() && (work_imminent || fixed_rate) {
-            self.trace.bump(Counter::DummiesMaterialized);
+            self.tally.bump(Counter::DummiesMaterialized);
             pending = Some(Entry::dummy(fresh_label(), sel_time_ps));
         }
         pending
@@ -95,8 +103,8 @@ impl DummyReplacer {
             .replace(incoming)
             .ok_or(ControllerError::MissingPending)?;
         if old.is_dummy() {
-            self.trace.bump(Counter::DummiesReplaced);
-            self.trace
+            self.tally.bump(Counter::DummiesReplaced);
+            self.tally
                 .record(w.now_ps, EventKind::RequestReplaced { label: new_label });
         } else {
             sched.restore(old);
@@ -106,7 +114,7 @@ impl DummyReplacer {
 
     /// Records that a dummy access executed.
     pub(crate) fn note_executed(&mut self) {
-        self.trace.bump(Counter::DummiesExecuted);
+        self.tally.bump(Counter::DummiesExecuted);
     }
 }
 
@@ -148,8 +156,8 @@ mod tests {
         assert!(picked.as_ref().is_some_and(|e| !e.is_dummy()));
         let out = d.finalize(picked, true, false, 0, || panic!("must not draw a label"));
         assert!(out.is_some_and(|e| !e.is_dummy()));
-        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 0);
-        assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 0);
+        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 0);
+        assert_eq!(d.tally.counter(Counter::DummiesTrailingDiscarded), 0);
     }
 
     #[test]
@@ -157,16 +165,16 @@ mod tests {
         let mut d = DummyReplacer::new(true, TraceHandle::default());
         // Idle, no fixed rate: nothing pending, nothing materialized.
         assert!(d.finalize(None, false, false, 10, || 5).is_none());
-        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 0);
+        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 0);
         // Real work exists but none was schedulable: padding materializes.
         let out = d.finalize(None, true, false, 10, || 5).unwrap();
         assert!(out.is_dummy());
         assert_eq!(out.label, 5);
         assert_eq!(out.ready_ps, 10);
-        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 1);
+        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 1);
         // Fixed-rate mode materializes even when idle.
         assert!(d.finalize(None, false, true, 20, || 6).is_some());
-        assert_eq!(d.trace.counter(Counter::DummiesMaterialized), 2);
+        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 2);
     }
 
     #[test]
@@ -174,11 +182,11 @@ mod tests {
         let mut d = DummyReplacer::new(true, TraceHandle::default());
         let pad = Entry::dummy(9, 0);
         assert!(d.finalize(Some(pad), false, false, 0, || 1).is_none());
-        assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 1);
+        assert_eq!(d.tally.counter(Counter::DummiesTrailingDiscarded), 1);
         // ...but kept under fixed-rate protection.
         let pad = Entry::dummy(9, 0);
         assert!(d.finalize(Some(pad), false, true, 0, || 1).is_some());
-        assert_eq!(d.trace.counter(Counter::DummiesTrailingDiscarded), 1);
+        assert_eq!(d.tally.counter(Counter::DummiesTrailingDiscarded), 1);
     }
 
     #[test]
@@ -195,7 +203,7 @@ mod tests {
             .unwrap();
         assert!(changed);
         assert!(pending.is_some_and(|e| !e.is_dummy()));
-        assert_eq!(d.trace.counter(Counter::DummiesReplaced), 1);
+        assert_eq!(d.tally.counter(Counter::DummiesReplaced), 1);
     }
 
     #[test]
@@ -214,7 +222,7 @@ mod tests {
             .unwrap();
         assert!(changed);
         assert_eq!(
-            d.trace.counter(Counter::DummiesReplaced),
+            d.tally.counter(Counter::DummiesReplaced),
             0,
             "a displaced real is not a replaced dummy"
         );
@@ -309,14 +317,14 @@ mod tests {
                         want = Some((key, e));
                     }
                 }
-                let replaced = d.trace.counter(Counter::DummiesReplaced);
+                let replaced = d.tally.counter(Counter::DummiesReplaced);
                 let changed = d.try_replace(&mut s, w, &mut pending).unwrap();
                 let at = format!("case {case}, level {level}, t {t}");
                 assert_eq!(changed, want.is_some(), "{at}");
                 if let Some((_, e)) = want {
                     assert_eq!(pending, Some(e), "{at}");
                     took[usize::from(p.is_dummy())] += 1;
-                    let counted = d.trace.counter(Counter::DummiesReplaced) - replaced;
+                    let counted = d.tally.counter(Counter::DummiesReplaced) - replaced;
                     assert_eq!(counted, u64::from(p.is_dummy()), "{at}");
                     let back = s.entries().contains(&p);
                     assert_eq!(back, !p.is_dummy(), "{at}: the displaced real, age and all");

@@ -36,7 +36,7 @@ use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, NewRequest, NoFeedback, Op, OramConfig, OramStats,
     ReactiveSource,
 };
-use fp_trace::{Counter, TraceHandle};
+use fp_trace::{Counter, Tally, TraceHandle};
 
 use crate::baseline::BaselineController;
 use crate::config::{CacheChoice, ForkConfig};
@@ -50,7 +50,9 @@ use crate::error::ControllerError;
 /// [`OramEngine::submit_batch`]); [`OramEngine::process_one`] executes one
 /// access end to end, routing completions through the caller's
 /// [`ReactiveSource`] so follow-up requests can join in simulated time;
-/// [`OramEngine::drain_completions`] collects what has been fed back. The
+/// [`OramEngine::drain_completions`] collects what has been fed back. Each
+/// `&mut self` method publishes the engine's counts to its trace spine
+/// before it returns, so a reader on another thread sees whole calls. The
 /// trait is object-safe — drivers hold a `Box<dyn OramEngine + Send>` when
 /// the scheme is chosen at run time.
 pub trait OramEngine {
@@ -97,9 +99,7 @@ pub trait OramEngine {
 
     /// Sizes the trace event ring (0 = counters only). The ring keeps the
     /// most recent `capacity` events.
-    fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace().set_capacity(capacity);
-    }
+    fn set_trace_capacity(&mut self, capacity: usize);
 
     /// The simulated memory system (for command/energy statistics).
     fn dram(&self) -> &DramSystem;
@@ -147,6 +147,9 @@ impl<E: OramEngine + ?Sized> OramEngine for Box<E> {
     }
     fn trace(&self) -> &TraceHandle {
         (**self).trace()
+    }
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        (**self).set_trace_capacity(capacity);
     }
     fn dram(&self) -> &DramSystem {
         (**self).dram()
@@ -243,7 +246,9 @@ pub(crate) struct InsecureEngine {
     completions: CompletionLog,
     clock_ps: u64,
     times: AccessTimes,
-    trace: TraceHandle,
+    /// The engine's own counts, over the spine its DRAM system and
+    /// ledger count for too.
+    tally: Tally,
 }
 
 impl InsecureEngine {
@@ -261,22 +266,21 @@ impl InsecureEngine {
             completions: CompletionLog::new(trace.clone()),
             clock_ps: 0,
             times: AccessTimes::default(),
-            trace,
+            tally: Tally::new(trace),
         }
     }
 
-    fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) -> Result<(), ControllerError> {
+    fn flush_feedback(&mut self, source: &mut dyn ReactiveSource) {
         while let Some(completion) = self.completions.next_unfed() {
             for r in source.on_complete(&completion) {
-                self.submit(r)?;
+                self.enqueue(r);
             }
         }
-        Ok(())
     }
-}
 
-impl OramEngine for InsecureEngine {
-    fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
+    /// Numbers and queues one access: [`OramEngine::submit`] without the
+    /// publish.
+    fn enqueue(&mut self, req: NewRequest) -> u64 {
         let id = self.completions.open(req.arrival_ps);
         self.pending.push(Reverse(PendingAccess {
             arrival_ps: req.arrival_ps,
@@ -285,11 +289,23 @@ impl OramEngine for InsecureEngine {
             op: req.op,
             tag: req.tag,
         }));
-        Ok(id)
+        id
     }
 
-    fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
-        self.flush_feedback(source)?;
+    /// Publishes the engine's, the DRAM system's and the ledger's counts
+    /// as one cut: the last step of each engine call.
+    fn publish(&mut self) {
+        Tally::publish_all([
+            &mut self.tally,
+            self.dram.tally_mut(),
+            self.completions.tally_mut(),
+        ]);
+    }
+
+    /// Issues the next access or retires the earliest outstanding one;
+    /// see [`OramEngine::process_one`], which publishes after it.
+    fn next_event(&mut self, source: &mut dyn ReactiveSource) -> bool {
+        self.flush_feedback(source);
         let next_issue = self.pending.peek().map(|Reverse(p)| p.arrival_ps);
         let next_done = self.outstanding.peek().map(|Reverse(o)| o.finish_ps);
         match (next_issue, next_done) {
@@ -300,7 +316,7 @@ impl OramEngine for InsecureEngine {
                     Op::Read => (AccessKind::Read, Counter::DramBlocksRead),
                     Op::Write => (AccessKind::Write, Counter::DramBlocksWritten),
                 };
-                self.trace.bump(blocks);
+                self.tally.bump(blocks);
                 let finish_ps = self
                     .dram
                     .access_spans(ti, kind, &[p.addr * self.block_bytes], 1);
@@ -312,7 +328,7 @@ impl OramEngine for InsecureEngine {
                     addr: p.addr,
                     tag: p.tag,
                 }));
-                Ok(true)
+                true
             }
             (_, Some(_)) => {
                 let Reverse(OutstandingAccess {
@@ -326,7 +342,7 @@ impl OramEngine for InsecureEngine {
                 self.times.finish_time_ps = self.times.finish_time_ps.max(finish);
                 self.times.access_busy_ps += finish.saturating_sub(arrival);
                 // The access count: one "full read" per plain-DRAM access.
-                self.trace.bump(Counter::FullReads);
+                self.tally.bump(Counter::FullReads);
                 self.completions.push(Completion {
                     id,
                     addr,
@@ -335,16 +351,31 @@ impl OramEngine for InsecureEngine {
                     done_ps: finish,
                     tag,
                 });
-                self.flush_feedback(source)?;
-                Ok(true)
+                self.flush_feedback(source);
+                true
             }
-            (None, None) => Ok(false),
+            (None, None) => false,
             // An issue with nothing outstanding always takes the first arm.
             (Some(_), None) => unreachable!("issue-only case is guard-covered"),
         }
     }
+}
+
+impl OramEngine for InsecureEngine {
+    fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
+        let id = self.enqueue(req);
+        self.publish();
+        Ok(id)
+    }
+
+    fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
+        let did = self.next_event(source);
+        self.publish();
+        Ok(did)
+    }
 
     fn drain_completions(&mut self) -> Vec<Completion> {
+        self.publish();
         self.completions.drain_fed()
     }
 
@@ -359,7 +390,7 @@ impl OramEngine for InsecureEngine {
     fn stats(&self) -> OramStats {
         // One "bucket" in and out per access, so the shared avg-path-length
         // metric reads 1.0 for plain DRAM.
-        let view = OramStats::view(&self.trace, self.times);
+        let view = OramStats::view(self.tally.handle(), self.times);
         OramStats {
             buckets_read: view.oram_accesses,
             buckets_written: view.oram_accesses,
@@ -368,7 +399,12 @@ impl OramEngine for InsecureEngine {
     }
 
     fn trace(&self) -> &TraceHandle {
-        &self.trace
+        self.tally.handle()
+    }
+
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        self.publish();
+        self.tally.handle().set_capacity(capacity);
     }
 
     fn dram(&self) -> &DramSystem {
@@ -625,5 +661,47 @@ mod tests {
                 assert_eq!(engine.stats().sum_latency_ps, latency.sum(), "{case}");
             }
         }
+    }
+
+    /// A reader of the spine on another thread sees whole accesses. A
+    /// traditional access without a cache reads one full path and writes
+    /// `L + 1` buckets (so do its posmap accesses and its background
+    /// evictions), so between accesses `buckets_written` is `(L + 1) x
+    /// full_reads`, and inside one it is not.
+    #[test]
+    fn a_reader_on_another_thread_sees_whole_accesses() {
+        let oram = OramConfig::small_test();
+        let path_len = u64::from(oram.levels) + 1;
+        let mut engine = Scheme::Traditional.build(oram, dram(), 11);
+        let trace = engine.trace().clone();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (snapshots, torn) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut snapshots, mut torn) = (0u64, 0u64);
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    let c = trace.counters();
+                    let (reads, written) = (
+                        c[Counter::FullReads as usize],
+                        c[Counter::BucketsWritten as usize],
+                    );
+                    snapshots += 1;
+                    torn += u64::from(written != path_len * reads);
+                }
+                (snapshots, torn)
+            });
+            for i in 0..400 {
+                engine.submit(NewRequest::read(i * 7 % 256, 0)).unwrap();
+                while engine.process_one(&mut NoFeedback).unwrap() {}
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            reader.join().unwrap()
+        });
+        assert!(snapshots > 0);
+        assert_eq!(
+            torn, 0,
+            "{torn} of {snapshots} snapshots saw part of an access"
+        );
+        let c = trace.counters();
+        assert!(c[Counter::FullReads as usize] >= 400);
     }
 }

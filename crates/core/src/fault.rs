@@ -250,6 +250,10 @@ impl OramEngine for FaultInjector {
         self.inner.trace()
     }
 
+    fn set_trace_capacity(&mut self, capacity: usize) {
+        self.inner.set_trace_capacity(capacity);
+    }
+
     fn dram(&self) -> &DramSystem {
         self.inner.dram()
     }

@@ -381,7 +381,7 @@ impl FlightTable {
             if ctx.path.state().stash_hit(block) {
                 // On-chip fast path: relabel + payload handling, no access.
                 self.release_block(block, flight_id)?;
-                ctx.path.trace().bump(Counter::StashHits);
+                ctx.path.tally_mut().bump(Counter::StashHits);
                 ready += ONCHIP_ANSWER_PS;
                 if idx + 1 < len {
                     self.advance_chain(ctx, flight_id)?;

@@ -14,26 +14,31 @@
 //! merged refill, reset across idle gaps) defines when merging applies.
 
 use fp_path_oram::path::divergence_level;
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally, TraceHandle};
 
 /// The path-merging stage: fork-point computation over consecutive labels.
 #[derive(Debug, Clone)]
 pub struct PathMerger {
     enabled: bool,
     prev_label: Option<u64>,
-    trace: TraceHandle,
+    tally: Tally,
 }
 
 impl PathMerger {
-    /// Creates the stage, reporting its counters and events to `trace`;
+    /// Creates the stage, counting its counters and events for `trace`;
     /// when `enabled` is false every access degenerates to full-path reads
     /// and writes (the ablation baseline).
     pub fn new(enabled: bool, trace: TraceHandle) -> Self {
         Self {
             enabled,
             prev_label: None,
-            trace,
+            tally: Tally::new(trace),
         }
+    }
+
+    /// The stage's counts, published by the controller with the datapath's.
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// The previous access's label (`None` = next read takes a full path).
@@ -53,16 +58,16 @@ impl PathMerger {
         match self.prev_label {
             Some(prev) if self.enabled => {
                 let floor = (divergence_level(levels, prev, label) + 1).min(levels);
-                self.trace.bump(Counter::MergedReads);
-                self.trace.add(Counter::ReadLevelsSkipped, u64::from(floor));
-                self.trace.record_now(EventKind::RequestMerged {
+                self.tally.bump(Counter::MergedReads);
+                self.tally.add(Counter::ReadLevelsSkipped, u64::from(floor));
+                self.tally.record_now(EventKind::RequestMerged {
                     label,
                     fork_level: floor,
                 });
                 floor
             }
             _ => {
-                self.trace.bump(Counter::FullReads);
+                self.tally.bump(Counter::FullReads);
                 0
             }
         }
@@ -92,7 +97,7 @@ impl PathMerger {
     /// the next read must fetch a complete path.
     pub(crate) fn reset(&mut self) {
         if self.prev_label.take().is_some() {
-            self.trace.bump(Counter::MergeResets);
+            self.tally.bump(Counter::MergeResets);
         }
     }
 }
@@ -112,10 +117,10 @@ mod tests {
         // first level below it.
         let shared = divergence_level(levels, 5, 7) + 1;
         assert_eq!(floor, shared);
-        assert_eq!(m.trace.counter(Counter::MergedReads), 1);
-        assert_eq!(m.trace.counter(Counter::FullReads), 1);
+        assert_eq!(m.tally.counter(Counter::MergedReads), 1);
+        assert_eq!(m.tally.counter(Counter::FullReads), 1);
         assert_eq!(
-            m.trace.counter(Counter::ReadLevelsSkipped),
+            m.tally.counter(Counter::ReadLevelsSkipped),
             u64::from(shared)
         );
     }
@@ -156,9 +161,9 @@ mod tests {
         m.commit(4);
         m.reset();
         assert_eq!(m.prev_label(), None);
-        assert_eq!(m.trace.counter(Counter::MergeResets), 1);
+        assert_eq!(m.tally.counter(Counter::MergeResets), 1);
         m.reset(); // idempotent: no anchor to drop
-        assert_eq!(m.trace.counter(Counter::MergeResets), 1);
+        assert_eq!(m.tally.counter(Counter::MergeResets), 1);
         assert_eq!(m.read_floor(10, 4), 0);
     }
 }

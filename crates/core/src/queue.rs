@@ -34,7 +34,7 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use fp_path_oram::path::overlap_degree;
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally, TraceHandle};
 
 #[cfg(test)]
 mod reference;
@@ -172,12 +172,12 @@ pub(crate) struct LabelQueue {
     starve_round: u64,
     /// The latest `now_ps` a call brought.
     now_ps: u64,
-    trace: TraceHandle,
+    tally: Tally,
 }
 
 impl LabelQueue {
-    /// Creates an empty queue with capacity `M`, reporting its counters and
-    /// events to `trace`; `scheduling` toggles overlap-maximizing
+    /// Creates an empty queue with capacity `M`, counting its counters and
+    /// events for `trace`; `scheduling` toggles overlap-maximizing
     /// selection.
     pub(crate) fn new(capacity: usize, scheduling: bool, trace: TraceHandle) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
@@ -194,8 +194,13 @@ impl LabelQueue {
             round: FIRST_ROUND,
             starve_round: u64::MAX,
             now_ps: 0,
-            trace,
+            tally: Tally::new(trace),
         }
+    }
+
+    /// The queue's counts, published by the controller with the datapath's.
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Number of entries (equals capacity once padded).
@@ -256,12 +261,12 @@ impl LabelQueue {
     /// within each (DESIGN.md §7 item 1). Counts a scheduling round.
     pub(crate) fn select_pending(&mut self, current: u64, now_ps: u64) -> Option<Entry> {
         self.wake(now_ps);
-        self.trace
+        self.tally
             .add(Counter::SchedReadyReals, self.eligible as u64);
-        self.trace.bump(Counter::SchedRounds);
+        self.tally.bump(Counter::SchedRounds);
         let picked = self.select(current);
         if let Some(e) = &picked {
-            self.trace
+            self.tally
                 .record(now_ps, EventKind::RequestScheduled { label: e.label });
         }
         picked
@@ -292,7 +297,7 @@ impl LabelQueue {
         }
         self.set_aside = aside;
         if let Some(e) = &picked {
-            self.trace
+            self.tally
                 .record(now_ps, EventKind::RequestScheduled { label: e.label });
         }
         picked
@@ -726,9 +731,9 @@ mod tests {
         q.insert_real(3, real(2), 5_000).unwrap(); // not ready yet
         q.pad_with(|| 0);
         let _ = q.select_pending(1, 0);
-        assert_eq!(q.trace.counter(Counter::SchedRounds), 1);
+        assert_eq!(q.tally.counter(Counter::SchedRounds), 1);
         assert_eq!(
-            q.trace.counter(Counter::SchedReadyReals),
+            q.tally.counter(Counter::SchedReadyReals),
             2,
             "future entry is not ready"
         );
@@ -742,7 +747,7 @@ mod tests {
         let picked = q.select_initial(7, 0).unwrap();
         assert_eq!(picked.kind, real(9), "dummies are skipped, not executed");
         assert_eq!(
-            q.trace.counter(Counter::SchedRounds),
+            q.tally.counter(Counter::SchedRounds),
             0,
             "initial pick is not a scheduling round"
         );

@@ -383,8 +383,12 @@ fn run_case(seed: u64, ops: usize, cov: &mut Coverage) {
             "{at}, op {op}"
         );
     }
-    assert_eq!(queue.trace.counters(), reference.trace.counters(), "{at}");
-    assert_eq!(queue.trace.events(), reference.trace.events(), "{at}");
+    assert_eq!(queue.tally.counters(), reference.trace.counters(), "{at}");
+    assert_eq!(
+        queue.tally.handle().events(),
+        reference.trace.events(),
+        "{at}"
+    );
     cov.rounds = cov.rounds.max(rounds);
 }
 

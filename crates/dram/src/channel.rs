@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally};
 
 use crate::config::{DramConfig, Location};
 use crate::system::AccessKind;
@@ -92,7 +92,7 @@ impl Channel {
         loc: Location,
         kind: AccessKind,
         earliest: u64,
-        trace: &TraceHandle,
+        trace: &mut Tally,
     ) -> Scheduled {
         self.schedule_run(cfg, loc, kind, 1, earliest, trace)
     }
@@ -119,7 +119,7 @@ impl Channel {
         kind: AccessKind,
         n: u64,
         earliest: u64,
-        trace: &TraceHandle,
+        trace: &mut Tally,
     ) -> Scheduled {
         let t = &cfg.timing;
         let bank_idx = loc.rank * self.banks_per_rank + loc.bank;
@@ -259,16 +259,16 @@ mod tests {
         }
     }
 
-    fn setup() -> (DramConfig, Channel, TraceHandle) {
+    fn setup() -> (DramConfig, Channel, Tally) {
         let cfg = DramConfig::ddr3_1600(1);
         let ch = Channel::new(&cfg);
-        (cfg, ch, TraceHandle::default())
+        (cfg, ch, Tally::default())
     }
 
     #[test]
     fn first_access_pays_act_plus_cas() {
-        let (cfg, mut ch, tr) = setup();
-        let s = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &tr);
+        let (cfg, mut ch, mut tr) = setup();
+        let s = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &mut tr);
         let t = &cfg.timing;
         assert_eq!(s.finish, t.t_rcd + t.t_cl + t.t_burst);
         let st = DramStats::view(&tr.counters(), &cfg);
@@ -278,15 +278,15 @@ mod tests {
 
     #[test]
     fn row_hit_is_faster_than_miss() {
-        let (cfg, mut ch, tr) = setup();
-        let first = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &tr);
-        let hit = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, first.finish, &tr);
+        let (cfg, mut ch, mut tr) = setup();
+        let first = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, 0, &mut tr);
+        let hit = ch.schedule(&cfg, loc(0, 5), AccessKind::Read, first.finish, &mut tr);
         assert_eq!(DramStats::view(&tr.counters(), &cfg).row_hits, 1);
         let hit_latency = hit.finish - first.finish;
 
-        let (cfg2, mut ch2, tr2) = setup();
-        let f = ch2.schedule(&cfg2, loc(0, 5), AccessKind::Read, 0, &tr2);
-        let miss = ch2.schedule(&cfg2, loc(0, 9), AccessKind::Read, f.finish, &tr2);
+        let (cfg2, mut ch2, mut tr2) = setup();
+        let f = ch2.schedule(&cfg2, loc(0, 5), AccessKind::Read, 0, &mut tr2);
+        let miss = ch2.schedule(&cfg2, loc(0, 9), AccessKind::Read, f.finish, &mut tr2);
         let miss_latency = miss.finish - f.finish;
         assert!(
             miss_latency > hit_latency,
@@ -299,28 +299,28 @@ mod tests {
 
     #[test]
     fn data_bus_serializes_parallel_banks() {
-        let (cfg, mut ch, tr) = setup();
+        let (cfg, mut ch, mut tr) = setup();
         // Two different banks activated in parallel still share the bus.
-        let a = ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &tr);
-        let b = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &tr);
+        let a = ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &mut tr);
+        let b = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &mut tr);
         assert!(b.finish >= a.finish + cfg.timing.t_burst);
     }
 
     #[test]
     fn write_to_read_turnaround_applies() {
-        let (cfg, mut ch, tr) = setup();
-        let w = ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &tr);
-        let r = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &tr);
+        let (cfg, mut ch, mut tr) = setup();
+        let w = ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &mut tr);
+        let r = ch.schedule(&cfg, loc(1, 1), AccessKind::Read, 0, &mut tr);
         assert!(r.finish >= w.finish + cfg.timing.t_wtr + cfg.timing.t_burst);
     }
 
     #[test]
     fn faw_limits_burst_of_activations() {
-        let (cfg, mut ch, tr) = setup();
+        let (cfg, mut ch, mut tr) = setup();
         // 5 activations to distinct banks at time 0: the 5th must wait tFAW.
         let mut finishes = Vec::new();
         for bank in 0..5 {
-            let s = ch.schedule(&cfg, loc(bank, 1), AccessKind::Read, 0, &tr);
+            let s = ch.schedule(&cfg, loc(bank, 1), AccessKind::Read, 0, &mut tr);
             finishes.push(s.finish);
         }
         let st = DramStats::view(&tr.counters(), &cfg);
@@ -333,9 +333,9 @@ mod tests {
 
     #[test]
     fn energy_accumulates_per_command() {
-        let (cfg, mut ch, tr) = setup();
-        ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &tr);
-        ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &tr);
+        let (cfg, mut ch, mut tr) = setup();
+        ch.schedule(&cfg, loc(0, 1), AccessKind::Read, 0, &mut tr);
+        ch.schedule(&cfg, loc(0, 1), AccessKind::Write, 0, &mut tr);
         let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.act_energy_pj, cfg.act_pre_energy_pj);
         assert_eq!(st.read_energy_pj, cfg.read_energy_pj);
@@ -365,18 +365,18 @@ mod run_tests {
         for kind in [AccessKind::Write, AccessKind::Read] {
             for via_run in [true, false] {
                 let mut ch = Channel::new(&cfg);
-                let tr = TraceHandle::default();
+                let mut tr = Tally::default();
                 let last_finish = if via_run {
-                    ch.schedule_run(&cfg, open, kind, 8, 0, &tr).last_finish
+                    ch.schedule_run(&cfg, open, kind, 8, 0, &mut tr).last_finish
                 } else {
-                    (0..8).fold(0, |_, _| ch.schedule(&cfg, open, kind, 0, &tr).finish)
+                    (0..8).fold(0, |_, _| ch.schedule(&cfg, open, kind, 0, &mut tr).finish)
                 };
                 let pre_at = match kind {
                     AccessKind::Write => last_finish + t.t_wr,
                     AccessKind::Read => last_finish - t.t_burst - t.t_cl + t.t_rtp,
                 };
                 assert!(pre_at > t.t_ras, "tRAS must not be what binds");
-                let conflict = ch.schedule(&cfg, other, AccessKind::Read, 0, &tr);
+                let conflict = ch.schedule(&cfg, other, AccessKind::Read, 0, &mut tr);
                 assert_eq!(
                     conflict.finish,
                     pre_at + t.t_rp + t.t_rcd + t.t_cl + t.t_burst,
@@ -398,7 +398,8 @@ mod run_tests {
                 ..DramConfig::ddr3_1600(1)
             };
             let (mut run, mut each) = (Channel::new(&cfg), Channel::new(&cfg));
-            let (run_trace, each_trace) = (TraceHandle::new(1 << 12), TraceHandle::new(1 << 12));
+            let ring = || Tally::new(fp_trace::TraceHandle::new(1 << 12));
+            let (mut run_trace, mut each_trace) = (ring(), ring());
             let mut now = 0;
             for step in 0..400u64 {
                 let loc = Location {
@@ -409,9 +410,9 @@ mod run_tests {
                 };
                 let kind = [AccessKind::Read, AccessKind::Write][(step / 7 % 2) as usize];
                 let n = 1 + step % 9;
-                let got = run.schedule_run(&cfg, loc, kind, n, now, &run_trace);
+                let got = run.schedule_run(&cfg, loc, kind, n, now, &mut run_trace);
                 let finishes: Vec<u64> = (0..n)
-                    .map(|_| each.schedule(&cfg, loc, kind, now, &each_trace).finish)
+                    .map(|_| each.schedule(&cfg, loc, kind, now, &mut each_trace).finish)
                     .collect();
                 let case = format!("step {step}: {n} x {kind:?} at {loc:?}");
                 let stride = cfg.timing.column_stride();
@@ -419,7 +420,11 @@ mod run_tests {
                 assert_eq!(closed_form, finishes, "{case}");
                 assert_eq!(got.last_finish, finishes[finishes.len() - 1], "{case}");
                 assert_eq!(run, each, "{case}");
-                assert_eq!(run_trace.events(), each_trace.events(), "{case}");
+                assert_eq!(
+                    run_trace.handle().events(),
+                    each_trace.handle().events(),
+                    "{case}"
+                );
                 assert_eq!(run_trace.counters(), each_trace.counters(), "{case}");
                 now = match step % 4 {
                     0 => now,
@@ -443,7 +448,7 @@ mod refresh_tests {
     fn refresh_delays_overlapping_access() {
         let cfg = DramConfig::ddr3_1600(1);
         let mut ch = Channel::new(&cfg);
-        let tr = TraceHandle::default();
+        let mut tr = Tally::default();
         let loc = Location {
             channel: 0,
             rank: 0,
@@ -452,7 +457,7 @@ mod refresh_tests {
         };
         // Land exactly on the first refresh due time.
         let due = cfg.timing.t_refi;
-        let s = ch.schedule(&cfg, loc, AccessKind::Read, due, &tr);
+        let s = ch.schedule(&cfg, loc, AccessKind::Read, due, &mut tr);
         assert!(s.finish >= due + cfg.timing.t_rfc, "command waits out tRFC");
         let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.refreshes, 1);
@@ -465,7 +470,7 @@ mod refresh_tests {
     fn idle_refreshes_advance_schedule_silently() {
         let cfg = DramConfig::ddr3_1600(1);
         let mut ch = Channel::new(&cfg);
-        let tr = TraceHandle::default();
+        let mut tr = Tally::default();
         let loc = Location {
             channel: 0,
             rank: 0,
@@ -477,7 +482,7 @@ mod refresh_tests {
         // executed and charged no energy (the pre-fix code inflated
         // `refreshes` and with it the Fig 15 REF energy).
         let t = cfg.timing.t_refi * 10 + cfg.timing.t_refi / 2;
-        let s = ch.schedule(&cfg, loc, AccessKind::Read, t, &tr);
+        let s = ch.schedule(&cfg, loc, AccessKind::Read, t, &mut tr);
         let st = DramStats::view(&tr.counters(), &cfg);
         assert_eq!(st.refreshes, 0, "idle refreshes are not executed");
         assert!(st.refreshes_skipped >= 10);
@@ -492,7 +497,7 @@ mod refresh_tests {
     fn refresh_energy_matches_idd_expectation() {
         let cfg = DramConfig::ddr3_1600(1);
         let mut ch = Channel::new(&cfg);
-        let tr = TraceHandle::default();
+        let mut tr = Tally::default();
         let loc = Location {
             channel: 0,
             rank: 0,
@@ -504,7 +509,7 @@ mod refresh_tests {
         // the schedule as skips).
         for k in 1..=6u64 {
             let due = cfg.timing.t_refi * (2 * k);
-            ch.schedule(&cfg, loc, AccessKind::Read, due, &tr);
+            ch.schedule(&cfg, loc, AccessKind::Read, due, &mut tr);
         }
         let st = DramStats::view(&tr.counters(), &cfg);
         assert!(st.refreshes >= 6);

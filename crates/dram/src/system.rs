@@ -1,6 +1,6 @@
 //! The top-level DRAM system: request entry points and FR-FCFS batching.
 
-use fp_trace::TraceHandle;
+use fp_trace::{Tally, TraceHandle};
 
 use crate::channel::Channel;
 use crate::config::{AddressMap, DramConfig, Location};
@@ -46,7 +46,8 @@ pub struct DramSystem {
     config: DramConfig,
     map: AddressMap,
     channels: Vec<Channel>,
-    trace: TraceHandle,
+    /// DRAM command events and counters; the engine publishes it.
+    tally: Tally,
     scratch: FrFcfsScratch,
 }
 
@@ -157,17 +158,25 @@ impl DramSystem {
             map: AddressMap::new(&config),
             config,
             channels,
-            trace: TraceHandle::default(),
+            tally: Tally::default(),
             scratch: FrFcfsScratch::default(),
         }
     }
 
     /// Attaches a shared trace spine; DRAM command events and counters
-    /// report there from now on. A method rather than an argument of
+    /// are counted for it from now on (what was counted before is
+    /// published to the old one). A method rather than an argument of
     /// [`DramSystem::new`] because the benchmark builds a system bare and
     /// the datapath takes one already built.
     pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
+        self.tally.publish();
+        self.tally = Tally::new(trace);
+    }
+
+    /// The system's counts, for the engine that owns it to publish
+    /// ([`Tally::publish_all`]) at the end of each of its calls.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// The configuration this system was built with.
@@ -176,10 +185,11 @@ impl DramSystem {
     }
 
     /// Cumulative statistics: a view over the attached spine's DRAM
-    /// command counters (so a spine shared with another DRAM system, or
-    /// swapped by [`DramSystem::attach_trace`] mid-run, is what it shows).
+    /// command counters plus what this system has not published yet (so a
+    /// spine shared with another DRAM system, or swapped by
+    /// [`DramSystem::attach_trace`] mid-run, is what it shows).
     pub fn stats(&self) -> DramStats {
-        DramStats::view(&self.trace.counters(), &self.config)
+        DramStats::view(&self.tally.counters(), &self.config)
     }
 
     /// Performs a batch of accesses all arriving at `now_ps`, scheduled
@@ -249,7 +259,7 @@ impl DramSystem {
                     kind,
                     bursts,
                     now_ps,
-                    &self.trace,
+                    &mut self.tally,
                 );
                 return now_ps.max(sched.last_finish);
             }
@@ -368,7 +378,7 @@ impl DramSystem {
                     run.kind,
                     run.bursts,
                     now_ps,
-                    &self.trace,
+                    &mut self.tally,
                 );
                 run.first_finish = sched.finish;
                 batch_finish = batch_finish.max(sched.last_finish);
@@ -505,8 +515,13 @@ mod tests {
                     .position(|&idx| channel.is_row_hit(locs[idx]))
                     .unwrap_or(0);
                 let idx = pending.remove(pick_pos);
-                let sched =
-                    channel.schedule(&sys.config, locs[idx], accesses[idx].1, now_ps, &sys.trace);
+                let sched = channel.schedule(
+                    &sys.config,
+                    locs[idx],
+                    accesses[idx].1,
+                    now_ps,
+                    &mut sys.tally,
+                );
                 finish[idx] = sched.finish;
                 batch_finish = batch_finish.max(sched.finish);
             }
@@ -539,8 +554,9 @@ mod tests {
 
     /// Same commands at the same times in the same order, nothing dropped.
     fn assert_same_events(fast: &DramSystem, slow: &DramSystem, case: &str) {
-        assert_eq!(fast.trace.events(), slow.trace.events(), "{case}");
-        assert_eq!(fast.trace.dropped(), 0, "{case}: ring too small");
+        let (fast, slow) = (fast.tally.handle(), slow.tally.handle());
+        assert_eq!(fast.events(), slow.events(), "{case}");
+        assert_eq!(fast.dropped(), 0, "{case}: ring too small");
     }
 
     #[test]
@@ -738,7 +754,7 @@ mod tests {
     fn one_base_of_no_bursts_is_an_empty_batch() {
         let (finish, dram) = spans_match_reference(7_000, AccessKind::Write, &[0x4000], 0, "empty");
         assert_eq!(finish, 7_000);
-        assert_eq!(dram.trace.events(), Vec::new(), "nothing recorded");
+        assert_eq!(dram.tally.handle().events(), Vec::new(), "nothing recorded");
         assert_eq!(dram.stats(), DramStats::default());
     }
 

@@ -7,15 +7,17 @@
 //! controller may stop early or retarget mid-stream (Fig 5). [`Datapath`]
 //! owns everything a phase touches — the trusted [`OramState`], the
 //! [`DramSystem`], the [`WritebackEngine`] (bucket cache + burst
-//! generation), the shared trace spine — and exposes exactly those two
-//! phases: [`Datapath::read_path`], and the refill stream
-//! [`Datapath::begin_refill`] + [`Datapath::refill_level`]. The baseline
+//! generation), the counts all of them keep for the trace spine — and
+//! exposes exactly those two phases: [`Datapath::read_path`], and the
+//! refill stream [`Datapath::begin_refill`] + [`Datapath::refill_level`],
+//! plus [`Datapath::publish`], which folds the counts into the spine at
+//! the end of each engine call. The baseline
 //! and Fork Path controllers are orchestration above it (queues, fork
 //! geometry, replacement, the clock); neither reaches a bucket any other
 //! way.
 
 use fp_dram::DramSystem;
-use fp_trace::TraceHandle;
+use fp_trace::{Tally, TraceHandle};
 
 use crate::cache::BucketCache;
 use crate::config::OramConfig;
@@ -49,6 +51,8 @@ pub const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 /// for level in (0..=levels).rev() {
 ///     t = dp.refill_level(level, t);
 /// }
+/// // The counts reach the spine when the engine publishes them.
+/// dp.publish([]);
 /// assert_eq!(dp.trace().counter(fp_trace::Counter::BucketsWritten), 10);
 /// dp.state().check_invariants().unwrap();
 /// ```
@@ -57,9 +61,9 @@ pub struct Datapath {
     state: OramState,
     dram: DramSystem,
     writeback: WritebackEngine,
-    /// The shared trace spine the controller above, the stash, the
-    /// writeback engine and the DRAM system report into.
-    trace: TraceHandle,
+    /// The controller's own counts, over the spine the stash, the
+    /// writeback engine and the DRAM system count for too.
+    tally: Tally,
     label_trace: Option<Vec<u64>>,
     /// Reusable node-id buffer for the read phase.
     nodes: Vec<u64>,
@@ -69,7 +73,7 @@ pub struct Datapath {
 
 impl Datapath {
     /// Builds the datapath for `cfg` over `dram` with the given bucket
-    /// cache policy, everything reporting into one fresh trace spine.
+    /// cache policy, everything counting for one fresh trace spine.
     ///
     /// # Panics
     ///
@@ -88,7 +92,7 @@ impl Datapath {
             state,
             dram,
             writeback,
-            trace,
+            tally: Tally::new(trace),
             label_trace: None,
             nodes: Vec::new(),
             refill_leaf: 0,
@@ -173,7 +177,7 @@ impl Datapath {
     pub fn refill_level(&mut self, level: u32, t_ps: u64) -> u64 {
         let cfg = self.state.config();
         let (levels, z) = (cfg.levels, cfg.z);
-        self.trace.set_now(t_ps);
+        self.tally.handle().set_now(t_ps);
         let node = node_at_level(levels, self.refill_leaf, level);
         let OramState { tree, stash, .. } = &mut self.state;
         stash.evict_next(level, z, |block| tree.push_slot(block));
@@ -197,10 +201,30 @@ impl Datapath {
         &self.dram
     }
 
-    /// The shared trace spine. Counters are always exact; the event ring
-    /// is empty until `TraceHandle::set_capacity` gives it room.
+    /// The shared trace spine. Its counters are exact at every
+    /// [`Datapath::publish`]; the event ring is empty until
+    /// `TraceHandle::set_capacity` gives it room.
     pub fn trace(&self) -> &TraceHandle {
-        &self.trace
+        self.tally.handle()
+    }
+
+    /// The controller's own counts (published with the datapath's).
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
+    }
+
+    /// Publishes the counts of the stash, the DRAM system, the write-back
+    /// engine and the controller, plus the controller's `rest` (tallies of
+    /// the same spine), as one cut. An engine calls it before each of its
+    /// calls returns, so a reader on another thread sees whole accesses.
+    pub fn publish<'a>(&'a mut self, rest: impl IntoIterator<Item = &'a mut Tally>) {
+        let own = [
+            &mut self.tally,
+            self.state.stash.tally_mut(),
+            self.dram.tally_mut(),
+            self.writeback.tally_mut(),
+        ];
+        Tally::publish_all(own.into_iter().chain(rest));
     }
 
     /// Starts recording the externally visible leaf-label sequence.
@@ -259,6 +283,7 @@ mod tests {
             "DRAM time + latency"
         );
         assert_eq!(dp.label_trace(), Some(&[5u64][..]));
+        dp.publish([]);
         assert_eq!(dp.trace().counter(Counter::CacheMisses), path_len);
 
         dp.begin_refill(5, 0);
@@ -268,10 +293,12 @@ mod tests {
             assert!(commit > t, "an uncached bucket pays its DRAM write");
             t = commit;
         }
+        dp.publish([]);
         assert_eq!(dp.trace().counter(Counter::BucketsWritten), path_len);
 
         // A merged read fetches only the levels from its floor down.
         dp.read_path(5, 7, t).unwrap();
+        dp.publish([]);
         assert_eq!(
             dp.trace().counter(Counter::CacheMisses),
             path_len + u64::from(levels - 7 + 1)
@@ -287,6 +314,7 @@ mod tests {
         let mut dp = Datapath::new(cfg, dram, 99, Box::new(cache));
         dp.begin_refill(0, 0);
         assert_eq!(dp.refill_level(0, 500), 500, "the root commits on chip");
+        dp.publish([]);
         assert_eq!(dp.trace().counter(Counter::DramBlocksWritten), 0);
     }
 
@@ -402,9 +430,11 @@ mod tests {
         let _ = dp.state_mut().apply_op(3, new, Some(&[1]));
         let victim = refill(&mut dp, old, 0)[0];
         assert!(dp.state_mut().tree.corrupt_bucket(victim));
+        dp.publish([]);
         let reads_before = dp.trace().counter(Counter::DramBlocksRead);
         let err = dp.read_path(old, 0, 0).unwrap_err();
         assert_eq!(err.node, victim);
+        dp.publish([]);
         assert_eq!(
             dp.trace().counter(Counter::DramBlocksRead),
             reads_before,

@@ -9,7 +9,7 @@
 //! baseline, Fork Path and the insecure reference share one vocabulary,
 //! and one request ledger ([`CompletionLog`]).
 
-use fp_trace::{EventKind, TraceHandle};
+use fp_trace::{EventKind, Tally, TraceHandle};
 
 /// LLC request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,8 +113,9 @@ impl ReactiveSource for NoFeedback {
 /// [`push`]: CompletionLog::push
 #[derive(Debug)]
 pub struct CompletionLog {
-    /// The engine's spine, which the ledger's events and samples go to.
-    trace: TraceHandle,
+    /// The ledger's events, counted for the engine's spine; its latency
+    /// samples go to the spine directly.
+    tally: Tally,
     /// Id of the next request opened; ids count from 0 in submission
     /// order.
     next_id: u64,
@@ -127,7 +128,7 @@ impl CompletionLog {
     /// An empty ledger reporting into `trace`.
     pub fn new(trace: TraceHandle) -> Self {
         Self {
-            trace,
+            tally: Tally::new(trace),
             next_id: 0,
             records: Vec::new(),
             fed: 0,
@@ -139,7 +140,7 @@ impl CompletionLog {
     pub fn open(&mut self, arrival_ps: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.trace
+        self.tally
             .record(arrival_ps, EventKind::RequestSubmitted { id });
         id
     }
@@ -150,11 +151,18 @@ impl CompletionLog {
     /// with `done_ps == arrival_ps`.
     pub fn push(&mut self, completion: Completion) {
         let (id, done_ps) = (completion.id, completion.done_ps);
-        self.trace
+        self.tally
             .record(done_ps, EventKind::RequestCompleted { id });
-        self.trace
+        self.tally
+            .handle()
             .record_latency(done_ps.saturating_sub(completion.arrival_ps));
         self.records.push(completion);
+    }
+
+    /// The ledger's counts, for the engine that owns it to publish
+    /// ([`Tally::publish_all`]) at the end of each of its calls.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// The oldest record not yet fed to the reactive source, marking it

@@ -1,6 +1,6 @@
 //! The on-chip stash and its greedy deepest-first eviction stream.
 
-use fp_trace::{EventKind, TraceHandle};
+use fp_trace::{EventKind, Tally, TraceHandle};
 
 use crate::keyed::{U64Map, U64Set};
 use crate::path::{divergence_level, overlap_degree};
@@ -40,7 +40,7 @@ impl Block {
 /// assert!(stash.contains(7));
 /// assert_eq!(stash.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Stash {
     blocks: U64Map<Block>,
     /// Payload buffers of blocks that left for the tree, for the next
@@ -52,8 +52,8 @@ pub struct Stash {
     pinned: U64Set,
     capacity: usize,
     high_water: usize,
-    /// Trace spine (clones share it); push/evict events report here.
-    trace: TraceHandle,
+    /// Push/evict events, counted for the engine to publish.
+    tally: Tally,
     /// The eviction stream ([`Stash::begin_eviction`]): `(deepest eligible
     /// level, addr)` of every block that was unpinned when it began,
     /// deepest first. A refill runs on every access, so the buffer is
@@ -70,19 +70,30 @@ impl Stash {
     /// capacity is advisory — Path ORAM proves overflow is negligible for
     /// C >= 200 at Z = 4 — and is used for the overflow watermark.
     pub fn new(capacity: usize) -> Self {
+        Self::with_trace(capacity, TraceHandle::default())
+    }
+
+    /// [`Stash::new`] counting its push/evict events for `trace`. Event
+    /// timestamps are phase-granular: the controller stamps the spine's
+    /// clock (`TraceHandle::set_now`) at the start of each access phase.
+    /// A constructor of its own because the benchmark builds a stash bare.
+    pub(crate) fn with_trace(capacity: usize, trace: TraceHandle) -> Self {
         Self {
+            blocks: U64Map::default(),
+            spare: Vec::new(),
+            pinned: U64Set::default(),
             capacity,
-            ..Self::default()
+            high_water: 0,
+            tally: Tally::new(trace),
+            candidates: Vec::new(),
+            cursor: 0,
+            stream_path: (0, 0),
         }
     }
 
-    /// Attaches a shared trace spine; stash push/evict events report
-    /// there from now on. Event timestamps are phase-granular: the
-    /// controller stamps the spine's clock (`TraceHandle::set_now`) at
-    /// the start of each access phase. A method rather than an argument of
-    /// [`Stash::new`] because the benchmark builds a stash bare.
-    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
+    /// The stash's counts, for [`crate::Datapath::publish`].
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Number of blocks currently held.
@@ -121,7 +132,7 @@ impl Stash {
     pub fn insert(&mut self, block: Block) {
         let addr = block.addr;
         if self.blocks.insert(addr, block).is_none() {
-            self.trace.record_now(EventKind::StashPush { addr });
+            self.tally.record_now(EventKind::StashPush { addr });
         }
         self.high_water = self.high_water.max(self.blocks.len());
     }
@@ -142,7 +153,7 @@ impl Stash {
     pub(crate) fn remove(&mut self, addr: u64) -> Option<Block> {
         let removed = self.blocks.remove(&addr);
         if removed.is_some() {
-            self.trace.record_now(EventKind::StashEvict { addr });
+            self.tally.record_now(EventKind::StashEvict { addr });
         }
         removed
     }
@@ -230,7 +241,7 @@ impl Stash {
             self.cursor += 1;
             if let Some(block) = self.blocks.remove(&addr) {
                 debug_assert!(placement_legal(levels, leaf, block.leaf, level));
-                self.trace.record_now(EventKind::StashEvict { addr });
+                self.tally.record_now(EventKind::StashEvict { addr });
                 return Some(block);
             }
         }
@@ -303,20 +314,21 @@ mod tests {
     fn trace_counts_pushes_and_evictions_exactly() {
         use fp_trace::Counter;
         let tr = TraceHandle::default();
-        let mut s = Stash::new(10);
-        s.attach_trace(tr.clone());
+        let mut s = Stash::with_trace(10, tr.clone());
         for i in 0..6 {
             s.insert(block(i, i));
         }
         // Replacing a resident block is not a push.
         s.insert(block(0, 3));
-        assert_eq!(tr.counter(Counter::StashPushes), 6);
+        assert_eq!(s.tally.counter(Counter::StashPushes), 6);
         s.remove(5);
         s.remove(99); // absent: not an eviction
         let plan = evict_path(&mut s, 3, 1, 0, 3, 4);
         let planned: u64 = plan.iter().map(|(_, b)| b.len() as u64).sum();
-        assert_eq!(tr.counter(Counter::StashEvicts), 1 + planned);
-        // Pushes - evictions always equals residency.
+        assert_eq!(s.tally.counter(Counter::StashEvicts), 1 + planned);
+        // Pushes - evictions always equals residency, on the attached
+        // spine once published.
+        s.tally.publish();
         let balance = tr.counter(Counter::StashPushes) - tr.counter(Counter::StashEvicts);
         assert_eq!(balance, s.len() as u64);
     }

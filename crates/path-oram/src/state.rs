@@ -60,11 +60,9 @@ impl OramState {
         let onchip = OnChipMap::new(hierarchy.onchip_entries());
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&seed.to_le_bytes());
-        let mut stash = Stash::new(cfg.stash_capacity);
-        stash.attach_trace(trace);
         Self {
             tree: TreeStore::new(&cfg, key),
-            stash,
+            stash: Stash::with_trace(cfg.stash_capacity, trace),
             hierarchy,
             onchip,
             label_rng: Xoshiro256::new(seed ^ 0x5EED_1ABE1),

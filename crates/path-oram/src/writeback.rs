@@ -10,7 +10,7 @@
 
 use fp_dram::layout::{SubtreeLayout, TreeLayout};
 use fp_dram::{AccessKind, DramConfig, DramSystem};
-use fp_trace::{Counter, TraceHandle};
+use fp_trace::{Counter, Tally, TraceHandle};
 
 use crate::cache::{BucketCache, WriteOutcome};
 use crate::config::OramConfig;
@@ -21,15 +21,15 @@ pub struct WritebackEngine {
     cache: Box<dyn BucketCache + Send>,
     layout: SubtreeLayout,
     bursts_per_bucket: u64,
-    trace: TraceHandle,
+    tally: Tally,
     /// Reusable batch buffer: base addresses of the buckets to read.
     bases: Vec<u64>,
 }
 
 impl WritebackEngine {
     /// Creates the engine around a cache policy for `oram`'s tree
-    /// geometry laid out over `dram`'s rows and bursts, its counters
-    /// reporting into `trace`.
+    /// geometry laid out over `dram`'s rows and bursts, its counts
+    /// published into `trace`.
     pub fn with_cache(
         cache: Box<dyn BucketCache + Send>,
         oram: &OramConfig,
@@ -41,7 +41,7 @@ impl WritebackEngine {
             cache,
             layout: SubtreeLayout::fit_row(oram.path_len(), bucket_bytes, dram.row_bytes),
             bursts_per_bucket: bucket_bytes.div_ceil(dram.burst_bytes).max(1),
-            trace,
+            tally: Tally::new(trace),
             bases: Vec::new(),
         }
     }
@@ -58,13 +58,13 @@ impl WritebackEngine {
             }
         }
         let misses = self.bases.len() as u64;
-        self.trace
+        self.tally
             .add(Counter::CacheHits, nodes.len() as u64 - misses);
-        self.trace.add(Counter::CacheMisses, misses);
+        self.tally.add(Counter::CacheMisses, misses);
         if misses == 0 {
             return now_ps;
         }
-        self.trace
+        self.tally
             .add(Counter::DramBlocksRead, misses * self.bursts_per_bucket);
         dram.access_spans(
             now_ps,
@@ -79,16 +79,21 @@ impl WritebackEngine {
     /// eviction victim pays the DRAM write.
     // Allocation-free once warm, the DRAM batch it issues included: tests/hot_path_alloc.rs.
     pub fn write_bucket(&mut self, dram: &mut DramSystem, node: u64, t_ps: u64) -> u64 {
-        self.trace.bump(Counter::BucketsWritten);
+        self.tally.bump(Counter::BucketsWritten);
         let to_dram = match self.cache.insert_on_write(node) {
             WriteOutcome::Cached => return t_ps,
             WriteOutcome::WriteThrough => node,
             WriteOutcome::CachedEvicting { victim } => victim,
         };
-        self.trace
+        self.tally
             .add(Counter::DramBlocksWritten, self.bursts_per_bucket);
         let base = self.layout.bucket_address(to_dram);
         dram.access_spans(t_ps, AccessKind::Write, &[base], self.bursts_per_bucket)
+    }
+
+    /// The engine's counts, for [`crate::Datapath::publish`].
+    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Buckets currently resident in the on-chip cache.
@@ -102,24 +107,23 @@ mod tests {
     use super::*;
     use crate::cache::{NoCache, TreetopCache};
 
-    fn engine(cache: Box<dyn BucketCache + Send>) -> (WritebackEngine, DramSystem, TraceHandle) {
+    fn engine(cache: Box<dyn BucketCache + Send>) -> (WritebackEngine, DramSystem) {
         let dram = DramSystem::new(DramConfig::ddr3_1600(1));
-        let trace = TraceHandle::default();
         let oram = OramConfig::small_test();
-        let wb = WritebackEngine::with_cache(cache, &oram, dram.config(), trace.clone());
-        (wb, dram, trace)
+        let wb = WritebackEngine::with_cache(cache, &oram, dram.config(), TraceHandle::default());
+        (wb, dram)
     }
 
     #[test]
     fn uncached_path_read_hits_dram_per_bucket() {
-        let (mut wb, mut d, trace) = engine(Box::new(NoCache));
+        let (mut wb, mut d) = engine(Box::new(NoCache));
         let nodes: Vec<u64> = (1..=8).collect();
         let finish = wb.read_path(&mut d, &nodes, 0);
         assert!(finish > 0);
-        assert_eq!(trace.counter(Counter::CacheMisses), 8);
-        assert_eq!(trace.counter(Counter::CacheHits), 0);
+        assert_eq!(wb.tally.counter(Counter::CacheMisses), 8);
+        assert_eq!(wb.tally.counter(Counter::CacheHits), 0);
         assert_eq!(
-            trace.counter(Counter::DramBlocksRead) % 8,
+            wb.tally.counter(Counter::DramBlocksRead) % 8,
             0,
             "whole bursts per bucket"
         );
@@ -127,29 +131,29 @@ mod tests {
 
     #[test]
     fn empty_read_batch_costs_no_dram_time() {
-        let (mut wb, mut d, trace) = engine(Box::new(NoCache));
+        let (mut wb, mut d) = engine(Box::new(NoCache));
         assert_eq!(wb.read_path(&mut d, &[], 42), 42);
-        assert_eq!(trace.counter(Counter::DramBlocksRead), 0);
+        assert_eq!(wb.tally.counter(Counter::DramBlocksRead), 0);
     }
 
     #[test]
     fn no_cache_writes_through() {
-        let (mut wb, mut d, trace) = engine(Box::new(NoCache));
+        let (mut wb, mut d) = engine(Box::new(NoCache));
         let t = wb.write_bucket(&mut d, 5, 0);
         assert!(t > 0, "write-through pays DRAM time");
-        assert!(trace.counter(Counter::DramBlocksWritten) > 0);
-        assert_eq!(trace.counter(Counter::BucketsWritten), 1);
+        assert!(wb.tally.counter(Counter::DramBlocksWritten) > 0);
+        assert_eq!(wb.tally.counter(Counter::BucketsWritten), 1);
         assert_eq!(wb.resident(), 0);
     }
 
     #[test]
     fn cached_buckets_commit_instantly_and_hit_on_read() {
-        let (mut wb, mut d, trace) = engine(Box::new(TreetopCache::new(3)));
+        let (mut wb, mut d) = engine(Box::new(TreetopCache::new(3)));
         let t = wb.write_bucket(&mut d, 2, 1_000);
         assert_eq!(t, 1_000, "cached commit is instantaneous");
         let finish = wb.read_path(&mut d, &[2], 2_000);
         assert_eq!(finish, 2_000, "cache hit needs no DRAM");
-        assert_eq!(trace.counter(Counter::CacheHits), 1);
-        assert_eq!(trace.counter(Counter::DramBlocksWritten), 0);
+        assert_eq!(wb.tally.counter(Counter::CacheHits), 1);
+        assert_eq!(wb.tally.counter(Counter::DramBlocksWritten), 0);
     }
 }

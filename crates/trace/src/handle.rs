@@ -1,6 +1,7 @@
-//! The shared trace spine: lock-free counters, plus an event ring and
-//! two histograms behind one poison-tolerant mutex, all reached through a
-//! cheap-to-clone handle.
+//! The shared trace spine: atomic counters for shared writers, plus an
+//! event ring and two histograms behind one poison-tolerant mutex, all
+//! reached through a cheap-to-clone handle. Engine components count in a
+//! [`crate::Tally`], published at engine-call boundaries.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -23,7 +24,8 @@ struct Ring {
 #[derive(Debug)]
 struct Spine {
     /// The counter table. Counters publish no other data, so every
-    /// access is `Relaxed`.
+    /// access is `Relaxed`; a [`Cut`] and [`TraceHandle::counters`] hold
+    /// `ring`'s lock, which is what makes a tally publish one cut.
     counters: [AtomicU64; Counter::COUNT],
     /// Ring capacity. Written only while `ring` is locked; `record_run`
     /// reads it unlocked first so capacity 0 never takes the lock.
@@ -35,14 +37,17 @@ struct Spine {
 
 /// A shared handle onto one trace spine.
 ///
-/// Clones are shallow: every component the controller attaches a clone to
-/// reports into the same counters, ring, and histograms. Counters are
-/// atomics: [`TraceHandle::bump`], [`TraceHandle::add`] and — at ring
-/// capacity 0, the default — [`TraceHandle::record`] and
-/// [`TraceHandle::record_run`] take no lock. The
-/// mutex is taken only to retain an event (capacity > 0), to add a
-/// histogram sample, or to read the ring, and it is poison-tolerant: a
-/// thread that panicked while holding it costs at most its own update.
+/// Clones are shallow: every clone reports into the same counters, ring,
+/// and histograms. Counters are atomics for shared writers (the shard
+/// worker, the fault injector, the wire front end's threads):
+/// [`TraceHandle::bump`], [`TraceHandle::add`] and — at ring capacity 0,
+/// the default — [`TraceHandle::record`] and [`TraceHandle::record_run`]
+/// take no lock. Engine components count in a [`crate::Tally`] instead,
+/// published at engine-call boundaries. The mutex is taken to retain an
+/// event (capacity > 0), to add a histogram sample, to publish tallies,
+/// or to read the ring or the whole counter table, and it is
+/// poison-tolerant: a thread that panicked while holding it costs at most
+/// its own update.
 #[derive(Debug, Clone)]
 pub struct TraceHandle(Arc<Spine>);
 
@@ -66,6 +71,15 @@ impl TraceHandle {
 
     fn ring(&self) -> MutexGuard<'_, Ring> {
         relock(&self.0.ring)
+    }
+
+    /// Holds the spine still for a publish: readers of the whole table
+    /// wait until the cut is dropped.
+    pub(crate) fn cut(&self) -> Cut<'_> {
+        Cut {
+            counters: &self.0.counters,
+            _ring: self.ring(),
+        }
     }
 
     /// Records a typed event at simulated time `t_ps`, bumping its
@@ -109,6 +123,7 @@ impl TraceHandle {
     }
 
     /// Sets the coarse timestamp used by [`TraceHandle::record_now`].
+    #[inline]
     pub fn set_now(&self, t_ps: u64) {
         self.0.now_ps.store(t_ps, Relaxed);
     }
@@ -140,9 +155,10 @@ impl TraceHandle {
     }
 
     /// Snapshot of the whole counter table, indexed by `Counter as usize`.
-    /// Each counter is read atomically; the table as a whole is not one
-    /// atomic cut, which only matters while other threads still write.
+    /// It is one cut of the tally publishes (an engine's counts are whole
+    /// engine calls); the atomic adds of shared writers land anywhere.
     pub fn counters(&self) -> [u64; Counter::COUNT] {
+        let _ring = self.ring();
         std::array::from_fn(|i| self.0.counters[i].load(Relaxed))
     }
 
@@ -175,6 +191,7 @@ impl TraceHandle {
     }
 
     /// Ring capacity currently in effect.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.0.capacity.load(Relaxed)
     }
@@ -191,7 +208,9 @@ impl TraceHandle {
 
     /// Events recorded but not retained (ring overflow or capacity 0):
     /// every recorded event bumped its counter, so this is the sum of the
-    /// event-backed counters minus what the ring still holds.
+    /// event-backed counters minus what the ring still holds. A tally's
+    /// events count once it publishes; a retained one was counted when it
+    /// was retained, so this never underflows.
     pub fn dropped(&self) -> u64 {
         let ring = self.ring();
         self.recorded() - ring.events.len() as u64
@@ -233,9 +252,34 @@ impl TraceHandle {
     }
 }
 
+/// The spine held still while tallies fold into it
+/// ([`crate::Tally::publish_all`]).
+pub(crate) struct Cut<'a> {
+    counters: &'a [AtomicU64; Counter::COUNT],
+    _ring: MutexGuard<'a, Ring>,
+}
+
+impl Cut<'_> {
+    /// Whether this is a cut of `handle`'s spine.
+    pub(crate) fn is_of(&self, handle: &TraceHandle) -> bool {
+        std::ptr::eq(self.counters, &handle.0.counters)
+    }
+
+    /// Adds each dirty count to its counter and clears counts and mask.
+    pub(crate) fn fold(&self, counts: &mut [u64; Counter::COUNT], dirty: &mut u64) {
+        let mut bits = std::mem::take(dirty);
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.counters[i].fetch_add(std::mem::take(&mut counts[i]), Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tally;
 
     #[test]
     fn counters_survive_ring_overflow() {
@@ -254,22 +298,90 @@ mod tests {
     #[test]
     fn record_run_is_n_records() {
         // Counter, retained events, their order and what overflow drops:
-        // on a ring that never fills, one that fills mid-run, and none.
+        // on a ring that never fills, one that fills mid-run, and none —
+        // and the same calls made through a tally, then published.
         for capacity in [0usize, 3, 64] {
             let (run, each) = (TraceHandle::new(capacity), TraceHandle::new(capacity));
+            let mut tally = Tally::new(TraceHandle::new(capacity));
             for t in [&run, &each] {
                 t.record(5, EventKind::DramAct);
             }
+            tally.record(5, EventKind::DramAct);
             run.record_run(EventKind::DramWrite, 6, 100, 7);
+            tally.record_run(EventKind::DramWrite, 6, 100, 7);
             for k in 0..6 {
                 each.record(100 + k * 7, EventKind::DramWrite);
             }
             run.record_run(EventKind::DramRead, 0, 900, 1);
+            tally.record_run(EventKind::DramRead, 0, 900, 1);
+            tally.publish();
+            let tallied = tally.handle();
             assert_eq!(run.counters(), each.counters(), "capacity {capacity}");
+            assert_eq!(tallied.counters(), each.counters(), "capacity {capacity}");
             assert_eq!(run.counter(Counter::DramWrites), 6);
             assert_eq!(run.events(), each.events(), "capacity {capacity}");
+            assert_eq!(tallied.events(), each.events(), "capacity {capacity}");
             assert_eq!(run.dropped(), each.dropped(), "capacity {capacity}");
+            assert_eq!(tallied.dropped(), each.dropped(), "capacity {capacity}");
         }
+    }
+
+    #[test]
+    fn a_reader_between_publishes_sees_published_counts_only() {
+        // Counted at capacity 0 and not yet published, then retained once
+        // the ring has room: the retained events are counted on the spine,
+        // the unpublished ones are not, and nothing underflows.
+        let t = TraceHandle::new(0);
+        let mut tally = Tally::new(t.clone());
+        for k in 0..5 {
+            tally.record(k, EventKind::DramRead);
+        }
+        tally.bump(Counter::CacheHits);
+        t.set_capacity(4);
+        tally.record_run(EventKind::DramWrite, 2, 10, 1);
+        tally.record_now(EventKind::DramAct);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.counter(Counter::DramReads), 0, "unpublished");
+        assert_eq!(t.counter(Counter::CacheHits), 0, "unpublished");
+        assert_eq!(t.counter(Counter::DramWrites), 2, "retained: counted");
+        assert_eq!(t.dropped(), 0);
+        assert!(t.to_json().contains("\"events_dropped\":0,"));
+        assert_eq!(tally.counter(Counter::DramReads), 5, "spine + pending");
+        tally.publish();
+        assert_eq!(t.counter(Counter::DramReads), 5);
+        assert_eq!(t.counter(Counter::CacheHits), 1);
+        assert_eq!(t.dropped(), 5);
+        assert!(t.to_json().contains("\"events_dropped\":5,"));
+        assert_eq!(tally.counters(), t.counters(), "nothing left to publish");
+    }
+
+    #[test]
+    fn tallies_publish_as_one_cut() {
+        // Two tallies of one spine: a reader of the whole table sees both
+        // or neither, never one of them.
+        let t = TraceHandle::default();
+        let (mut a, mut b) = (Tally::new(t.clone()), Tally::new(t.clone()));
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                for _ in 0..20_000 {
+                    let c = t.counters();
+                    let (hits, misses) = (
+                        c[Counter::CacheHits as usize],
+                        c[Counter::CacheMisses as usize],
+                    );
+                    assert_eq!(hits, misses, "half a publish");
+                }
+            });
+            while !reader.is_finished() {
+                a.bump(Counter::CacheHits);
+                b.bump(Counter::CacheMisses);
+                Tally::publish_all([&mut a, &mut b]);
+            }
+        });
+        assert_eq!(
+            t.counter(Counter::CacheHits),
+            t.counter(Counter::CacheMisses)
+        );
     }
 
     #[test]

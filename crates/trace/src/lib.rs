@@ -4,10 +4,11 @@
 //! Every simulation crate (DRAM channel model, stash, the four controller
 //! pipeline stages) reports into one [`TraceHandle`]:
 //!
-//! * **Monotonic counters** ([`Counter`]) — always on, exact, lock-free
-//!   atomics. This table is the only place an event is counted: the
-//!   `OramStats` / `DramStats` records are by-value views assembled from
-//!   it on demand.
+//! * **Monotonic counters** ([`Counter`]) — always on and exact: atomics
+//!   for shared writers; engine components count in a [`Tally`],
+//!   published at engine-call boundaries. This table is the only place an
+//!   event is counted: the `OramStats` / `DramStats` records are by-value
+//!   views assembled from it on demand.
 //! * **Typed events** ([`EventKind`]) — an optional fixed-capacity ring
 //!   buffer of timestamped records (request lifecycle, DRAM commands,
 //!   stash traffic). Capacity 0 (the default) keeps counters only.
@@ -17,11 +18,13 @@
 //! Everything exports through `fp_stats::json`, so `--trace <path>` runs
 //! and `repro trace` emit one consistent schema for the paper's figures.
 //!
-//! The handle is a cheap-to-clone shared reference: the controller
-//! creates one spine and attaches clones to each component. It is `Send +
+//! The handle is a cheap-to-clone shared reference: an engine creates one
+//! spine and gives each component a [`Tally`] over it. It is `Send +
 //! Sync`; counters are `Relaxed` atomics, and the event ring and
 //! histograms sit behind one poison-tolerant mutex ([`sync::relock`])
-//! that is only taken when an event is retained or a sample is added.
+//! that is taken when an event is retained, a sample is added, or the
+//! engine publishes its tallies — once per engine call, as one cut, so a
+//! reader of the whole table on another thread sees whole engine calls.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -33,7 +36,9 @@ mod event;
 mod handle;
 mod hist;
 pub mod sync;
+mod tally;
 
 pub use event::{Counter, EventKind, TraceEvent};
 pub use handle::TraceHandle;
 pub use hist::Log2Hist;
+pub use tally::Tally;

@@ -28,7 +28,7 @@ use fork_path_oram::path_oram::path::{leaf_node, path_nodes};
 use fork_path_oram::path_oram::{
     Block, CipherMode, Datapath, NewRequest, Op, OramConfig, Stash, TreeStore, WritebackEngine,
 };
-use fork_path_oram::trace::{Counter, EventKind, TraceHandle};
+use fork_path_oram::trace::{Counter, EventKind, Tally, TraceHandle};
 
 thread_local! {
     /// Allocations made by this thread. Per thread, so the harness's own
@@ -134,6 +134,24 @@ fn per_access_kernels_keep_their_allocation_contract() {
     });
     assert_eq!(n, 0, "TraceHandle::{{add, bump, record, record_run}}");
     assert_eq!(ring.len(), 64, "the ring stayed full");
+
+    // An engine component's tally over the same two spines: counted
+    // locally at capacity 0, written through to the full ring, and
+    // published after every run.
+    for (handle, shape) in [(counters_only, "capacity 0"), (ring, "a full ring")] {
+        let mut tally = Tally::new(handle);
+        let (n, bytes) = allocated(|| {
+            for t in 0..CALLS {
+                tally.record_run(EventKind::DramRead, 4, t, 5_000);
+                tally.publish();
+            }
+        });
+        assert_eq!(
+            (n, bytes),
+            (0, 0),
+            "Tally::{{record_run, publish}}, {shape}"
+        );
+    }
 
     // FR-FCFS batch (Channel::schedule_run runs under it) through the
     // per-burst door: 64 unrelated bursts, and one bucket of four
@@ -371,6 +389,8 @@ fn a_warm_path_read_and_refill_allocate_nothing() {
                     now = dp.refill_level(level, now);
                 }
             });
+            // What an engine does before its call returns.
+            dp.publish([]);
             if cycle > 1 {
                 assert_eq!(n, 0, "{mode:?}: read_path + a full refill, cycle {cycle}");
                 let moved = dp.trace().counter(Counter::StashPushes) - pushes;

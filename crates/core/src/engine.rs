@@ -667,18 +667,24 @@ mod tests {
     /// traditional access without a cache reads one full path and writes
     /// `L + 1` buckets (so do its posmap accesses and its background
     /// evictions), so between accesses `buckets_written` is `(L + 1) x
-    /// full_reads`, and inside one it is not.
+    /// full_reads`, and inside one it is not. The accesses start once the
+    /// reader has taken a snapshot and go on until it has taken
+    /// `DURING` more, so every run overlaps the two threads, however late
+    /// the reader is first scheduled.
     #[test]
     fn a_reader_on_another_thread_sees_whole_accesses() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        const DURING: u64 = 200;
         let oram = OramConfig::small_test();
         let path_len = u64::from(oram.levels) + 1;
         let mut engine = Scheme::Traditional.build(oram, dram(), 11);
         let trace = engine.trace().clone();
-        let done = std::sync::atomic::AtomicBool::new(false);
+        let done = AtomicBool::new(false);
+        let taken = AtomicU64::new(0);
         let (snapshots, torn) = std::thread::scope(|s| {
             let reader = s.spawn(|| {
                 let (mut snapshots, mut torn) = (0u64, 0u64);
-                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                while !done.load(Ordering::Relaxed) {
                     let c = trace.counters();
                     let (reads, written) = (
                         c[Counter::FullReads as usize],
@@ -686,14 +692,21 @@ mod tests {
                     );
                     snapshots += 1;
                     torn += u64::from(written != path_len * reads);
+                    taken.store(snapshots, Ordering::Relaxed);
                 }
                 (snapshots, torn)
             });
-            for i in 0..400 {
+            while taken.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let first = taken.load(Ordering::Relaxed);
+            let mut i = 0;
+            while i < 400 || taken.load(Ordering::Relaxed) - first < DURING {
                 engine.submit(NewRequest::read(i * 7 % 256, 0)).unwrap();
                 while engine.process_one(&mut NoFeedback).unwrap() {}
+                i += 1;
             }
-            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            done.store(true, Ordering::Relaxed);
             reader.join().unwrap()
         });
         assert!(snapshots > 0);

@@ -12,8 +12,8 @@
 //! vectors runs one vector instruction where the scalar form runs eight.
 //! Only the key and the constants are shared; each lane has its own block
 //! counter and nonce, so a pass may hold consecutive blocks of one nonce
-//! ([`StreamCipher::apply_keystream`]) or the blocks of several nonces
-//! packed end to end ([`StreamCipher::keystreams`]). [`LANES`] picks the
+//! ([`StreamCipher::apply_keystream`]) or any list of `(nonce, block)`
+//! pairs ([`StreamCipher::keystream_blocks`]). [`LANES`] picks the
 //! count from the build's target features; the keystream is the same bytes
 //! at every count.
 
@@ -196,35 +196,25 @@ impl StreamCipher {
         }
     }
 
-    /// Appends to `out` the first `words` keystream words of each nonce in
-    /// turn, from block counter 0, at lane count `N`. The blocks of all the
-    /// nonces are one sequence dealt to the lanes in order, so a pass
-    /// straddles nonces and only the last one has idle lanes.
-    fn keystreams<const N: usize>(&self, nonces: &[Nonce], words: usize, out: &mut Vec<u32>) {
-        let per_nonce = words.div_ceil(BLOCK_WORDS);
-        let total = nonces.len() * per_nonce;
-        out.reserve(nonces.len() * words);
-        // The next block to deal: block `block` of `nonces[nonce]`.
-        let (mut nonce, mut block) = (0, 0);
-        for dealt in (0..total).step_by(N) {
-            let lanes = (total - dealt).min(N);
+    /// Appends to `out` one keystream block per lane of `lanes`, in order,
+    /// at lane count `N`: `N` lanes to a pass, whatever their nonces and
+    /// block indices, so only the last pass has idle lanes.
+    fn keystream_blocks<const N: usize>(
+        &self,
+        lanes: &[(Nonce, u32)],
+        out: &mut Vec<[u32; BLOCK_WORDS]>,
+    ) {
+        out.reserve(lanes.len());
+        for pass in lanes.chunks(N) {
             let mut tail = [[0u32; N]; 4];
-            let mut kept = [0usize; N];
-            for l in 0..lanes {
-                let [n0, n1, n2] = nonce_words(nonces[nonce].to_bytes());
-                for (row, word) in tail.iter_mut().zip([block as u32, n0, n1, n2]) {
+            for (l, &(nonce, block)) in pass.iter().enumerate() {
+                let [n0, n1, n2] = nonce_words(nonce.to_bytes());
+                for (row, word) in tail.iter_mut().zip([block, n0, n1, n2]) {
                     row[l] = word;
-                }
-                kept[l] = (words - block * BLOCK_WORDS).min(BLOCK_WORDS);
-                block += 1;
-                if block == per_nonce {
-                    (nonce, block) = (nonce + 1, 0);
                 }
             }
             let keystream = blocks::<N>(&self.key_words, tail);
-            for (block, &kept) in keystream[..lanes].iter().zip(&kept) {
-                out.extend_from_slice(&block[..kept]);
-            }
+            out.extend_from_slice(&keystream[..pass.len()]);
         }
     }
 }
@@ -322,29 +312,27 @@ impl BlockCipher {
         self.inner.apply_keystream(0, nonce.to_bytes(), data);
     }
 
-    /// Replaces `out`'s contents with the keystream of each of `nonces` in
-    /// turn, `bytes` bytes each, as little-endian words: nonce `i`'s are
-    /// `out[i * w..][..w]` with `w = bytes.div_ceil(4)`, and XORing a
-    /// buffer of `bytes` bytes with them is [`BlockCipher::encrypt_in_place`]
-    /// under that nonce. The keystream blocks of all the nonces share the
-    /// passes of the lane kernel — at 320 B and eight lanes, eleven nonces
-    /// take 7 passes where eleven calls of `encrypt_in_place` take 11 — and
-    /// `out` keeps its capacity from call to call.
+    /// Replaces `out`'s contents with one keystream block per lane, in
+    /// order: `out[i]` is block `b` of nonce `n`'s keystream for `lanes[i]
+    /// = (n, b)`, as little-endian words, so XORing bytes `64 * b ..` of a
+    /// buffer with it is [`BlockCipher::encrypt_in_place`] under `n`, there.
+    /// Every lane is one block of the lane kernel, whatever its nonce and
+    /// index: a list of the few blocks a reader needs out of many images
+    /// fills whole passes, and `out` keeps its capacity from call to call.
     ///
     /// ```
     /// use fp_crypto::{BlockCipher, Nonce};
     /// let cipher = BlockCipher::new([1u8; 32]);
-    /// let nonces = [Nonce::new(1, 2), Nonce::new(3, 4)];
+    /// let (a, b) = (Nonce::new(1, 2), Nonce::new(3, 4));
     /// let mut keystream = Vec::new();
-    /// cipher.keystreams(&nonces, 8, &mut keystream);
-    /// let mut data = [0u8; 8];
-    /// cipher.encrypt_in_place(nonces[1], &mut data);
-    /// assert_eq!(data[..4], keystream[2].to_le_bytes());
+    /// cipher.keystream_blocks(&[(a, 0), (b, 2)], &mut keystream);
+    /// let mut data = [0u8; 3 * 64];
+    /// cipher.encrypt_in_place(b, &mut data);
+    /// assert_eq!(data[128..132], keystream[1][0].to_le_bytes());
     /// ```
-    pub fn keystreams(&self, nonces: &[Nonce], bytes: usize, out: &mut Vec<u32>) {
+    pub fn keystream_blocks(&self, lanes: &[(Nonce, u32)], out: &mut Vec<[u32; 16]>) {
         out.clear();
-        self.inner
-            .keystreams::<LANES>(nonces, bytes.div_ceil(4), out);
+        self.inner.keystream_blocks::<LANES>(lanes, out);
     }
 }
 
@@ -460,39 +448,56 @@ mod tests {
     }
 
     #[test]
-    fn packed_keystreams_match_one_nonce_at_a_time() {
-        // Nonce counts that fill, straddle and underfill the passes; byte
-        // counts of whole blocks (320 B: a sealed bucket), of a partial
-        // block and of a partial word.
+    fn keystream_blocks_match_apply_keystream_at_every_offset() {
+        // Lane lists that fill, straddle and underfill the passes, over
+        // nonces whose runs of blocks start at any index (the last one next
+        // to the counter's wrap), out of order, repeated and interleaved.
         let cipher = BlockCipher::new(rfc_key());
-        let nonces: Vec<Nonce> = (0..12u64)
-            .map(|i| Nonce::new(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i as u32 * 3))
-            .collect();
+        let inner = &cipher.inner;
+        let mut rng = crate::Xoshiro256::new(0x1A4E5);
         let mut out = Vec::new();
-        for bytes in [0usize, 3, 64, 128, 200, 320, 322] {
-            for count in [0, 1, 2, 5, 8, 11, 12] {
-                let nonces = &nonces[..count];
-                let words = bytes.div_ceil(4);
-                let mut expected = Vec::new();
-                for &nonce in nonces {
-                    let mut stream = vec![0u8; words * 4];
-                    cipher.encrypt_in_place(nonce, &mut stream);
-                    let stream = stream.chunks_exact(4);
-                    expected.extend(stream.map(|w| u32::from_le_bytes(w.try_into().unwrap())));
-                }
-                let inner = &cipher.inner;
-                let mut run = |fill: &dyn Fn(&mut Vec<u32>), what: &str| {
-                    out.clear();
-                    fill(&mut out);
-                    assert_eq!(out, expected, "{what} bytes={bytes} count={count}");
-                };
-                run(&|o| cipher.keystreams(nonces, bytes, o), "LANES");
-                run(&|o| inner.keystreams::<1>(nonces, words, o), "N=1");
-                run(&|o| inner.keystreams::<2>(nonces, words, o), "N=2");
-                run(&|o| inner.keystreams::<4>(nonces, words, o), "N=4");
-                run(&|o| inner.keystreams::<8>(nonces, words, o), "N=8");
-            }
+        for count in [0usize, 1, 2, 3, 5, 7, 8, 9, 16, 17, 40] {
+            let lanes: Vec<(Nonce, u32)> = (0..count)
+                .map(|_| {
+                    let nonce = Nonce::new(rng.next_below(3), rng.next_below(3) as u32);
+                    let block = match rng.next_below(4) {
+                        0 => u32::MAX - rng.next_below(2) as u32,
+                        _ => rng.next_below(12) as u32,
+                    };
+                    (nonce, block)
+                })
+                .collect();
+            let expected: Vec<[u32; BLOCK_WORDS]> = lanes
+                .iter()
+                .map(|&(nonce, block)| {
+                    let mut bytes = [0u8; BLOCK_BYTES];
+                    inner.apply_keystream(block, nonce.to_bytes(), &mut bytes);
+                    std::array::from_fn(|w| {
+                        u32::from_le_bytes(std::array::from_fn(|b| bytes[4 * w + b]))
+                    })
+                })
+                .collect();
+            let mut run = |fill: &dyn Fn(&mut Vec<[u32; BLOCK_WORDS]>), what: &str| {
+                out.clear();
+                fill(&mut out);
+                assert_eq!(out, expected, "{what} count={count} lanes={lanes:?}");
+            };
+            run(&|o| cipher.keystream_blocks(&lanes, o), "LANES");
+            run(&|o| inner.keystream_blocks::<1>(&lanes, o), "N=1");
+            run(&|o| inner.keystream_blocks::<2>(&lanes, o), "N=2");
+            run(&|o| inner.keystream_blocks::<4>(&lanes, o), "N=4");
+            run(&|o| inner.keystream_blocks::<8>(&lanes, o), "N=8");
         }
+        // A whole image's blocks in order are the image's keystream.
+        let nonce = Nonce::new(0x9E37_79B9_7F4A_7C15, 21);
+        let lanes: Vec<_> = (0..5).map(|b| (nonce, b)).collect();
+        cipher.keystream_blocks(&lanes, &mut out);
+        let mut image = [0u8; 5 * BLOCK_BYTES];
+        cipher.encrypt_in_place(nonce, &mut image);
+        let words = image
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()));
+        assert!(words.eq(out.iter().flatten().copied()));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! The keystream is computed several 64-byte blocks at a time, one block
 //! per vector lane, all under one key; each lane has its own block counter
 //! and nonce. [`BlockCipher::encrypt_in_place`] fills a pass with
-//! consecutive blocks of one nonce, and [`BlockCipher::keystreams`] packs
-//! the blocks of a list of nonces end to end, so the images of a whole
-//! tree path share passes. How many lanes is a property of the build —
+//! consecutive blocks of one nonce, and [`BlockCipher::keystream_blocks`]
+//! with a list of `(nonce, block index)` lanes, so the blocks a tree path's
+//! images need — all of them on a write, the headers and real payloads on
+//! a read — share passes. How many lanes is a property of the build —
 //! eight where the compilation target has AVX2 (the workspace's
 //! `.cargo/config.toml` builds for the host CPU), one otherwise — and every
 //! build, and both ways of filling the lanes, produce the same bytes.

@@ -109,9 +109,9 @@ impl Datapath {
     /// leaves the stale tree copy empty (the refill rewrites it), which
     /// keeps the "block is in the stash XOR on its path" invariant
     /// checkable without re-encrypting an empty bucket. The tree store gets
-    /// the whole path at once, so sealed images are unsealed from one
-    /// keystream computation for all of them
-    /// ([`crate::TreeStore`]'s `take_path_with`). The emptied image and the
+    /// the whole path at once, so sealed images are unsealed from two
+    /// keystream computations for all of them, the headers' and then the
+    /// real payloads' ([`crate::TreeStore`]'s `take_path_with`). The emptied image and the
     /// payload buffers are recycled: the phase allocates nothing once warm.
     ///
     /// # Errors
@@ -146,7 +146,7 @@ impl Datapath {
     /// Starts the refill of the path to `leaf`, planned to stop at level
     /// `stop` (0 commits the whole path): the stash collects and orders its
     /// eviction candidates once ([`crate::Stash::begin_eviction`]), and a
-    /// sealed tree computes the keystreams of the planned writes, levels
+    /// sealed tree computes every keystream block of the planned writes, levels
     /// `L` down to `stop`, in one call. The plan binds nothing — a refill
     /// may end above `stop` or go on below it, each extra bucket then
     /// computing its own keystream — and no byte written depends on it.

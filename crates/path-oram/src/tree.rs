@@ -23,10 +23,11 @@
 //! again.
 //!
 //! **One image in both cipher modes.** A slot holds the bucket's serialized
-//! image: Z slots of `[addr: u64 le][leaf: u64 le][payload: block_bytes]`,
-//! a dummy slot being one whose address is [`DUMMY_ADDR`] (the paper's ⊥).
+//! image: the headers `[addr: u64 le][leaf: u64 le]` of its slots, then
+//! their payloads (`block_bytes` each) in the same slot order, a dummy slot
+//! being one whose address is [`DUMMY_ADDR`] (the paper's ⊥).
 //! [`CipherMode::Transparent`] is the identity cipher over those bytes and
-//! leaves out the all-dummy tail, so an empty bucket is a zero-length image
+//! leaves out the dummy slots, so an empty bucket is a zero-length image
 //! that owns no memory. [`CipherMode::Real`] keeps all Z slots, so an
 //! image's length says nothing about its occupancy, encrypts them with
 //! ChaCha20 under a fresh write counter and appends that counter (8 B,
@@ -34,19 +35,26 @@
 //! is read back only to unseal: the next seal's counter is the store's own,
 //! so rewritten memory cannot make two seals share a keystream. Sealing is
 //! confidentiality only; nothing authenticates an image. An image's
-//! buffer is exactly its size. A take decodes the image in slot order and
-//! keeps the emptied buffer, by the slots it holds; a write encodes into
-//! one open bucket and copies that into a kept buffer of its size: neither
-//! phase of an access allocates once warm.
+//! buffer is exactly its size, `16 + block_bytes` a slot: the layout pads
+//! nothing, whatever Z and the block size. A take
+//! decodes the image in slot order and keeps the emptied buffer, by the
+//! slots it holds; a write encodes into one open bucket and copies that
+//! into a kept buffer of its size: neither phase of an access allocates
+//! once warm.
 //!
-//! **A path's keystreams in one call.** Sealed, both phases work a path at
-//! a time: a read computes the keystreams of all the images it is about to
-//! take, a refill those of the writes it plans, in one
-//! [`BlockCipher::keystreams`] call that packs their blocks into shared
-//! lane passes. A write or take that finds no prepared keystream of its
-//! own `(counter, node)` — one past the planned stop, or through a
-//! one-bucket door — computes its own; either way the bytes are those of
-//! a pass per bucket.
+//! **A path's keystream blocks in one call a phase.** Keystream block `b`
+//! of a sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
+//! headers are block 0 exactly and, with 64 B blocks, payload `i` is block
+//! `1 + i`. Sealed, both phases work a path at a time, each block one lane
+//! of [`BlockCipher::keystream_blocks`]. A refill computes every block of
+//! the writes it plans in one call: a dummy payload is fresh ciphertext
+//! too. A read computes the header blocks of all the images it is about to
+//! take in one call, unseals them, and computes in a second only the
+//! blocks that real payloads cover; the rest of an image stays sealed
+//! until the take drops it. A write that finds no prepared keystream of
+//! its own `(counter, node)` — one past the planned stop, or through a
+//! one-bucket door — computes its own; either way every byte is that of
+//! [`BlockCipher::encrypt_in_place`] under the image's nonce.
 
 use fp_crypto::{BlockCipher, Nonce};
 
@@ -63,6 +71,11 @@ const PAGE_SLOTS: usize = (1 << PAGE_LEVELS) - 1;
 const NO_PAGE: u32 = u32::MAX;
 /// Length of a sealed image's write-counter trailer.
 const COUNTER_BYTES: usize = 8;
+/// Length of a slot header, `[addr: u64 le][leaf: u64 le]`.
+const HEADER_BYTES: usize = 16;
+/// Bytes of one ChaCha20 keystream block, one lane of the cipher: block `b`
+/// of a sealed image covers its bytes `64 b .. 64 (b + 1)`.
+const KEYSTREAM_BLOCK: usize = 64;
 /// The address no real block has: it marks a dummy slot. Block addresses
 /// are bounded by the tree's `total_blocks`, far below.
 const DUMMY_ADDR: u64 = u64::MAX;
@@ -211,8 +224,9 @@ impl Pages {
     }
 }
 
-/// The shape of the images a store writes: up to Z slots of
-/// [`Format::slot_bytes`], then the write counter when `sealed`.
+/// The shape of the images a store writes: the headers of up to Z slots,
+/// then their payloads in the same order, then the write counter when
+/// `sealed`.
 #[derive(Debug, Clone, Copy)]
 struct Format {
     z: usize,
@@ -221,10 +235,11 @@ struct Format {
 }
 
 impl Format {
-    /// Address, leaf, payload. At Z = 4 and 64 B blocks a sealed image's
-    /// slots are 320 B, five keystream blocks exactly.
+    /// Header and payload. At Z = 4 and 64 B blocks a sealed image's slots
+    /// are 320 B, five keystream blocks exactly: the headers fill block 0
+    /// and payload `i` is block `1 + i`.
     fn slot_bytes(self) -> usize {
-        8 + 8 + self.block_bytes
+        HEADER_BYTES + self.block_bytes
     }
 
     /// Bytes after the slots: the write counter when sealed.
@@ -236,6 +251,21 @@ impl Format {
         }
     }
 
+    /// Bytes the keystream of a sealed image covers: its Z slots.
+    fn sealed_bytes(self) -> usize {
+        self.z * self.slot_bytes()
+    }
+
+    /// Keystream blocks of a sealed image (five at Z = 4 and 64 B blocks).
+    fn sealed_blocks(self) -> u32 {
+        self.sealed_bytes().div_ceil(KEYSTREAM_BLOCK) as u32
+    }
+
+    /// Keystream blocks the Z headers of a sealed image span (one at Z = 4).
+    fn header_blocks(self) -> u32 {
+        (self.z * HEADER_BYTES).div_ceil(KEYSTREAM_BLOCK) as u32
+    }
+
     /// The slots an image of `bytes` bytes holds, if this store writes
     /// images of that size: exactly Z sealed, up to Z whole ones in the
     /// clear. Found by comparison, not division: both phases ask once per
@@ -245,39 +275,55 @@ impl Format {
         (fewest..=self.z).find(|&k| k * self.slot_bytes() + self.trailer() == bytes)
     }
 
-    /// The one decoder: unseals `image` in place through `sealer` (`Real`)
-    /// and hands `each` the `(addr, leaf, payload)` of every real slot, in
-    /// slot order. An image of a length this store never writes (a framing
-    /// error or an injected fault) is an [`IntegrityError`], and none of it
-    /// is handed out. Nothing else is checked: changed bytes of the right
-    /// length decode to changed blocks.
+    /// The one decoder: hands `each` the `(addr, leaf, payload)` of every
+    /// real slot of `image`, in slot order. A sealed image must have been
+    /// unsealed first, its headers and real payloads at least
+    /// ([`Sealer::unseal_path`]). An image of a length this store never
+    /// writes (a framing error or an injected fault) is an
+    /// [`IntegrityError`], and none of it is handed out. Nothing else is
+    /// checked: changed bytes of the right length decode to changed blocks.
     fn decode(
         self,
-        sealer: Option<&mut Sealer>,
-        image: &mut [u8],
+        image: &[u8],
         node: u64,
         mut each: impl FnMut(u64, u64, &[u8]),
     ) -> Result<(), IntegrityError> {
-        if self.slots_of(image.len()).is_none() {
+        let Some(slots) = self.slots_of(image.len()) else {
             return Err(IntegrityError { node });
-        }
-        let slots = match sealer {
-            None => image,
-            Some(sealer) => {
-                let nonce = Nonce::new(counter_of(image), node as u32);
-                let slots = &mut image[..sealer.bytes];
-                sealer.apply(nonce, slots);
-                slots
-            }
         };
-        for slot in slots.chunks(self.slot_bytes()) {
-            let addr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
+        let (headers, payloads) = image.split_at(slots * HEADER_BYTES);
+        for (i, header) in headers.chunks_exact(HEADER_BYTES).enumerate() {
+            let addr = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
             if addr != DUMMY_ADDR {
-                let leaf = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
-                each(addr, leaf, &slot[16..]);
+                let leaf = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+                each(
+                    addr,
+                    leaf,
+                    &payloads[i * self.block_bytes..][..self.block_bytes],
+                );
             }
         }
         Ok(())
+    }
+
+    /// Calls `f` with every keystream block past the header blocks that
+    /// holds payload bytes of a real slot, given a sealed image's Z
+    /// `headers` in the clear: each block once, in increasing order (one
+    /// per real slot at Z = 4 and 64 B blocks).
+    fn payload_blocks(self, headers: &[u8], mut f: impl FnMut(u32)) {
+        let mut next = self.header_blocks();
+        for (i, header) in headers.chunks_exact(HEADER_BYTES).enumerate() {
+            if header[..8] == DUMMY_ADDR.to_le_bytes() {
+                continue;
+            }
+            let start = headers.len() + i * self.block_bytes;
+            let first = (start / KEYSTREAM_BLOCK) as u32;
+            let last = ((start + self.block_bytes - 1) / KEYSTREAM_BLOCK) as u32;
+            for block in first.max(next)..=last {
+                f(block);
+            }
+            next = next.max(last + 1);
+        }
     }
 }
 
@@ -287,61 +333,149 @@ fn counter_of(image: &[u8]) -> u64 {
     u64::from_le_bytes(trailer.try_into().expect("8 bytes"))
 }
 
-/// [`CipherMode::Real`]'s cipher and the keystreams it computed ahead:
-/// `keystream` holds one per entry of `nonces`, in order, and `next` is
-/// the first entry not used yet. One [`BlockCipher::keystreams`] call fills
-/// it, so the keystream blocks of several buckets share the lane kernel's
-/// passes.
+/// XORs the little-endian `keystream` words into `bytes`, as far as both
+/// go: whole words, then a byte tail.
+fn xor_keystream(bytes: &mut [u8], keystream: &[u32]) {
+    let (whole, tail) = bytes.as_chunks_mut::<4>();
+    for (word, k) in whole.iter_mut().zip(keystream) {
+        *word = (u32::from_le_bytes(*word) ^ k).to_le_bytes();
+    }
+    if let Some(k) = keystream.get(whole.len()) {
+        for (byte, k) in tail.iter_mut().zip(k.to_le_bytes()) {
+            *byte ^= k;
+        }
+    }
+}
+
+/// [`CipherMode::Real`]'s cipher and the keystream blocks it computed
+/// ahead: `keystream[i]` is that of `lanes[i]`, a `(nonce, block index)`
+/// pair, and `next` is the first lane a write has not used yet. Each
+/// [`BlockCipher::keystream_blocks`] call computes the blocks of several
+/// buckets in shared lane passes: every block of every planned write, or
+/// on a read the header blocks of every image and then the blocks real
+/// payloads cover.
 #[derive(Debug)]
 struct Sealer {
     cipher: BlockCipher,
-    /// Bytes one keystream covers: an image's Z slots.
-    bytes: usize,
-    nonces: Vec<Nonce>,
-    keystream: Vec<u32>,
+    format: Format,
+    lanes: Vec<(Nonce, u32)>,
+    keystream: Vec<[u32; 16]>,
     next: usize,
+    /// Keystream blocks computed so far: what the tests weigh a take and a
+    /// write by.
+    #[cfg(test)]
+    computed: u64,
 }
 
 impl Sealer {
-    fn new(cipher: BlockCipher, bytes: usize) -> Self {
+    fn new(cipher: BlockCipher, format: Format) -> Self {
         Self {
             cipher,
-            bytes,
-            nonces: Vec::new(),
+            format,
+            lanes: Vec::new(),
             keystream: Vec::new(),
             next: 0,
+            #[cfg(test)]
+            computed: 0,
         }
     }
 
-    /// Computes the keystreams of `nonces` in one call, in place of what
-    /// was prepared before.
-    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) {
-        self.nonces.clear();
-        self.nonces.extend(nonces);
+    /// Computes the keystream blocks of `lanes`, in one call.
+    fn compute(&mut self) {
         self.cipher
-            .keystreams(&self.nonces, self.bytes, &mut self.keystream);
+            .keystream_blocks(&self.lanes, &mut self.keystream);
+        #[cfg(test)]
+        {
+            self.computed += self.lanes.len() as u64;
+        }
+    }
+
+    /// Computes every keystream block of the images sealed under `nonces`,
+    /// in one call, in place of what was computed before: a dummy payload
+    /// is fresh ciphertext too.
+    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) {
+        let blocks = self.format.sealed_blocks();
+        self.lanes.clear();
+        for nonce in nonces {
+            self.lanes.extend((0..blocks).map(|block| (nonce, block)));
+        }
+        self.compute();
         self.next = 0;
     }
 
-    /// Seals or unseals `slots` — one step, counter mode being an
-    /// involution — under `nonce`: XORs them with the next prepared
-    /// keystream when it is `nonce`'s, else with one prepared for `nonce`
-    /// alone. Either way the bytes are [`BlockCipher::encrypt_in_place`]'s.
-    fn apply(&mut self, nonce: Nonce, slots: &mut [u8]) {
-        if self.nonces.get(self.next) != Some(&nonce) {
+    /// Seals `slots`, an image's Z slots in the clear, under `nonce`: with
+    /// the next prepared keystream when it is `nonce`'s, else with one
+    /// prepared for `nonce` alone. Either way the bytes are
+    /// [`BlockCipher::encrypt_in_place`]'s.
+    fn seal(&mut self, nonce: Nonce, slots: &mut [u8]) {
+        if self.lanes.get(self.next) != Some(&(nonce, 0)) {
             self.prepare([nonce]);
         }
-        let words = self.bytes.div_ceil(4);
-        let keystream = &self.keystream[self.next * words..][..words];
-        self.next += 1;
-        let (whole, tail) = slots.as_chunks_mut::<4>();
-        for (word, k) in whole.iter_mut().zip(keystream) {
-            *word = (u32::from_le_bytes(*word) ^ k).to_le_bytes();
-        }
-        if let Some(k) = keystream.get(whole.len()) {
-            for (byte, k) in tail.iter_mut().zip(k.to_le_bytes()) {
-                *byte ^= k;
+        let blocks = self.format.sealed_blocks() as usize;
+        let keystream = &self.keystream[self.next..][..blocks];
+        xor_keystream(slots, keystream.as_flattened());
+        self.next += blocks;
+    }
+
+    /// Unseals in place, in two calls of the cipher, what the takes of
+    /// `images` decode: each image up to the first whose length is wrong.
+    /// The first call computes their header blocks from the counters in
+    /// their trailers; the second, the blocks that the payloads of the real
+    /// slots those headers name cover, less the ones the first applied.
+    /// Dummy payloads stay sealed: nothing reads them.
+    fn unseal_path(&mut self, images: &mut [(u64, Image)]) {
+        let (format, headers) = (self.format, self.format.header_blocks());
+        self.lanes.clear();
+        Self::each_whole(format, images, |nonce, _| {
+            self.lanes.extend((0..headers).map(|block| (nonce, block)));
+        });
+        self.compute();
+        self.lanes.clear();
+        let mut keystream = self.keystream.chunks_exact(headers as usize);
+        Self::each_whole(format, images, |nonce, slots| {
+            let keystream = keystream.next().expect("one chunk per image");
+            xor_keystream(slots, keystream.as_flattened());
+            let headers = &slots[..format.z * HEADER_BYTES];
+            format.payload_blocks(headers, |block| self.lanes.push((nonce, block)));
+        });
+        self.compute();
+        let mut keystream = self.keystream.iter();
+        Self::each_whole(format, images, |_, slots| {
+            let (headers, payloads) = slots.split_at_mut(format.z * HEADER_BYTES);
+            format.payload_blocks(headers, |block| {
+                let at = block as usize * KEYSTREAM_BLOCK - headers.len();
+                let end = payloads.len().min(at + KEYSTREAM_BLOCK);
+                let keystream = keystream.next().expect("one per lane");
+                xor_keystream(&mut payloads[at..end], keystream);
+            });
+        });
+    }
+
+    /// Calls `f` with the nonce and the sealed slots of each of `images`,
+    /// in order, up to the first whose length is wrong.
+    fn each_whole(
+        format: Format,
+        images: &mut [(u64, Image)],
+        mut f: impl FnMut(Nonce, &mut [u8]),
+    ) {
+        let whole = format.sealed_bytes() + COUNTER_BYTES;
+        for (node, image) in images {
+            if image.len() != whole {
+                break;
             }
+            let nonce = Nonce::new(counter_of(image), *node as u32);
+            f(nonce, &mut image[..whole - COUNTER_BYTES]);
+        }
+    }
+
+    /// Unseals a whole image in place if it has the length this store
+    /// writes, with a pass of its own: what reads a stored image without
+    /// taking it.
+    fn unseal_whole(&self, node: u64, image: &mut [u8]) {
+        let slots = self.format.sealed_bytes();
+        if image.len() == slots + COUNTER_BYTES {
+            let nonce = Nonce::new(counter_of(image), node as u32);
+            self.cipher.encrypt_in_place(nonce, &mut image[..slots]);
         }
     }
 }
@@ -359,9 +493,14 @@ pub struct TreeStore {
     /// [`CipherMode::Real`]'s cipher; `None` is `Transparent`, the identity.
     sealer: Option<Sealer>,
     write_counter: u64,
-    /// The slots pushed since the last [`TreeStore::store`]: the bucket
-    /// being encoded, with room for Z slots once used.
-    open: Image,
+    /// The headers and the payloads of the slots pushed since the last
+    /// [`TreeStore::store`]: the bucket being encoded, with room for Z
+    /// slots once used.
+    open_headers: Vec<u8>,
+    open_payloads: Vec<u8>,
+    /// The sealed images a read phase took, in path order, until it decodes
+    /// them.
+    taken: Vec<(u64, Image)>,
     /// Emptied images by the slots they hold (`spare[k]`: `k` slots, Z
     /// when sealed): what a take leaves behind and a write of that size
     /// fills.
@@ -377,69 +516,80 @@ impl TreeStore {
             block_bytes: cfg.block_bytes,
             sealed: cfg.cipher_mode == CipherMode::Real,
         };
-        let slots = format.z * format.slot_bytes();
         Self {
             pages: Pages::new(cfg.levels),
             format,
             sealer: format
                 .sealed
-                .then(|| Sealer::new(BlockCipher::new(key), slots)),
+                .then(|| Sealer::new(BlockCipher::new(key), format)),
             write_counter: 0,
-            open: Vec::new(),
+            open_headers: Vec::new(),
+            open_payloads: Vec::new(),
+            taken: Vec::new(),
             spare: Vec::new(),
         }
     }
 
-    /// Read phase, one bucket: removes bucket `node` from the store and
-    /// hands `each` its real blocks ([`Format::decode`]). The stale tree
-    /// copy is dead the moment its blocks enter the stash, and the refill
-    /// overwrites it; its buffer is kept for that write. A corrupt image is
-    /// consumed all the same (its bytes are unusable either way). An
-    /// untouched or taken bucket, or a node id outside the tree, holds no
-    /// blocks.
-    pub(crate) fn take_with(
-        &mut self,
-        node: u64,
-        each: impl FnMut(u64, u64, &[u8]),
-    ) -> Result<(), IntegrityError> {
-        let Some(mut image) = self.pages.take(node) else {
-            return Ok(());
-        };
-        let decoded = self
-            .format
-            .decode(self.sealer.as_mut(), &mut image, node, each);
-        self.recycle(image);
-        decoded
-    }
-
-    /// Read phase, a whole path: [`TreeStore::take_with`] on each of
-    /// `nodes` in order, stopping at the first corrupt image, whose error
-    /// it returns — the buckets before it are taken, it is consumed, the
-    /// ones after it are left stored. Sealed, the keystreams of the stored
-    /// images up to that one (the first whose length is wrong) are computed
-    /// first, in one call, from the counters in their trailers; each take
-    /// then unseals from that buffer.
+    /// Read phase: removes the buckets `nodes` from the store, in order, and
+    /// hands `each` their real blocks ([`Format::decode`]), stopping at the
+    /// first corrupt image, whose error it returns — the buckets before it
+    /// are taken, it is consumed (its bytes are unusable either way), the
+    /// ones after it are left stored. The stale tree copy is dead the
+    /// moment its blocks enter the stash, and the refill overwrites it; its
+    /// buffer is kept for that write. An untouched or taken bucket, or a
+    /// node id outside the tree, holds no blocks.
     pub(crate) fn take_path_with(
         &mut self,
         nodes: &[u64],
         mut each: impl FnMut(u64, u64, &[u8]),
     ) -> Result<(), IntegrityError> {
-        if let Some(sealer) = &mut self.sealer {
-            let (pages, whole) = (&mut self.pages, sealer.bytes + COUNTER_BYTES);
-            let stored = nodes.iter().filter_map(|&node| {
-                let image = pages.slot_mut(node)?.as_ref()?;
-                Some((image.len() == whole).then(|| Nonce::new(counter_of(image), node as u32)))
-            });
-            sealer.prepare(stored.map_while(|nonce| nonce));
-        }
+        let Some(sealer) = &mut self.sealer else {
+            // In the clear an image decodes as it is taken.
+            for &node in nodes {
+                if let Some(image) = self.pages.take(node) {
+                    self.consume(node, image, &mut each)?;
+                }
+            }
+            return Ok(());
+        };
+        // Sealed, the images are taken first, up to a corrupt one, so that
+        // their headers and then their real payloads unseal in one cipher
+        // call each ([`Sealer::unseal_path`]).
+        let mut taken = std::mem::take(&mut self.taken);
         for &node in nodes {
-            self.take_with(node, &mut each)?;
+            if let Some(image) = self.pages.take(node) {
+                let corrupt = self.format.slots_of(image.len()).is_none();
+                taken.push((node, image));
+                if corrupt {
+                    break;
+                }
+            }
         }
-        Ok(())
+        sealer.unseal_path(&mut taken);
+        // Only the last image taken can be corrupt.
+        let mut decoded = Ok(());
+        for (node, image) in taken.drain(..) {
+            decoded = self.consume(node, image, &mut each);
+        }
+        self.taken = taken;
+        decoded
     }
 
-    /// Refill, before its first write: computes in one call the keystreams
-    /// the next writes take if they store `nodes`, in this order (write
+    /// Decodes a taken `image` of bucket `node` into `each` and keeps its
+    /// buffer for a write.
+    fn consume(
+        &mut self,
+        node: u64,
+        image: Image,
+        each: impl FnMut(u64, u64, &[u8]),
+    ) -> Result<(), IntegrityError> {
+        let decoded = self.format.decode(&image, node, each);
+        self.recycle(image);
+        decoded
+    }
+
+    /// Refill, before its first write: computes in one call every keystream
+    /// block the next writes take if they store `nodes`, in this order (write
     /// counters `write_counter + 1 ..`). A write that goes elsewhere, or
     /// past the end of `nodes`, computes its own; the next call of either
     /// phase drops what is left. Keystreams depend on the node and the
@@ -470,7 +620,8 @@ impl TreeStore {
     }
 
     /// The one encoder: appends `block` to the open bucket as its next real
-    /// slot.
+    /// slot, its header after the headers and its payload after the
+    /// payloads pushed before it.
     ///
     /// # Panics
     ///
@@ -479,25 +630,31 @@ impl TreeStore {
     /// dummy slots (`u64::MAX`).
     pub(crate) fn push_slot(&mut self, block: &Block) {
         let Format { z, block_bytes, .. } = self.format;
-        let full = z * self.format.slot_bytes();
+        let headers = z * HEADER_BYTES;
         assert!(
-            self.open.len() < full,
+            self.open_headers.len() < headers,
             "bucket overflow: more than Z={z} blocks"
         );
         assert_eq!(block.data.len(), block_bytes, "payload size mismatch");
         assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
-        self.open.reserve_exact(full - self.open.len());
-        self.open.extend_from_slice(&block.addr.to_le_bytes());
-        self.open.extend_from_slice(&block.leaf.to_le_bytes());
-        self.open.extend_from_slice(&block.data);
+        self.open_headers
+            .reserve_exact(headers - self.open_headers.len());
+        self.open_headers
+            .extend_from_slice(&block.addr.to_le_bytes());
+        self.open_headers
+            .extend_from_slice(&block.leaf.to_le_bytes());
+        self.open_payloads
+            .reserve_exact(z * block_bytes - self.open_payloads.len());
+        self.open_payloads.extend_from_slice(&block.data);
     }
 
     /// Write phase, one bucket: stores the open bucket (the slots pushed
     /// since the last store) as bucket `node`, over whatever the slot
     /// held, in a buffer of exactly its size. `Real` pads it with dummy
-    /// slots to Z, seals it under a fresh write counter (with the keystream
-    /// [`TreeStore::prepare_writes`] computed for it, if it did) and appends
-    /// the counter.
+    /// slots to Z — address [`DUMMY_ADDR`], leaf and payload zero — seals
+    /// every block of it under a fresh write counter (with the keystream
+    /// [`TreeStore::prepare_writes`] computed for it, if it did) and
+    /// appends the counter.
     ///
     /// # Panics
     ///
@@ -506,25 +663,23 @@ impl TreeStore {
     pub(crate) fn store(&mut self, node: u64) {
         self.write_counter += 1;
         let format = self.format;
-        let sb = format.slot_bytes();
-        let slots = if format.sealed {
-            format.z
-        } else {
-            format.slots_of(self.open.len()).expect("whole slots")
-        };
-        let bytes = slots * sb + format.trailer();
+        let real = self.open_headers.len() / HEADER_BYTES;
+        let slots = if format.sealed { format.z } else { real };
+        let bytes = slots * format.slot_bytes() + format.trailer();
         let spare = self.spare_of(slots).pop();
         let mut image = spare.unwrap_or_else(|| Vec::with_capacity(bytes));
-        image.extend_from_slice(&self.open);
-        self.open.clear();
+        image.extend_from_slice(&self.open_headers);
+        for _ in real..slots {
+            image.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
+            image.extend_from_slice(&0u64.to_le_bytes());
+        }
+        image.extend_from_slice(&self.open_payloads);
+        image.resize(slots * format.slot_bytes(), 0);
+        self.open_headers.clear();
+        self.open_payloads.clear();
         if let Some(sealer) = &mut self.sealer {
-            while image.len() < slots * sb {
-                let at = image.len();
-                image.resize(at + sb, 0);
-                image[at..at + 8].copy_from_slice(&DUMMY_ADDR.to_le_bytes());
-            }
             let counter = self.write_counter;
-            sealer.apply(Nonce::new(counter, node as u32), &mut image);
+            sealer.seal(Nonce::new(counter, node as u32), &mut image);
             image.extend_from_slice(&counter.to_le_bytes());
         }
         if let Some(old) = self.pages.put(node, image) {
@@ -540,7 +695,7 @@ impl TreeStore {
     /// Panics if the stored image is corrupt.
     pub fn take_bucket(&mut self, node: u64) -> Vec<Block> {
         let mut blocks = Vec::new();
-        self.take_with(node, collect_into(&mut blocks))
+        self.take_path_with(&[node], collect_into(&mut blocks))
             .unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
         blocks
     }
@@ -582,15 +737,13 @@ impl TreeStore {
     ///
     /// Panics on a corrupt image.
     pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, Vec<Block>)> + '_ {
-        // A sealer of its own: the store's prepared keystreams stay put.
-        let fresh = |s: &Sealer| Sealer::new(s.cipher.clone(), s.bytes);
-        let mut sealer = self.sealer.as_ref().map(fresh);
         self.pages.iter().map(move |(node, image)| {
+            let mut image = image.clone();
+            if let Some(sealer) = &self.sealer {
+                sealer.unseal_whole(node, &mut image);
+            }
             let mut blocks = Vec::new();
-            let sink = collect_into(&mut blocks);
-            let decoded = self
-                .format
-                .decode(sealer.as_mut(), &mut image.clone(), node, sink);
+            let decoded = self.format.decode(&image, node, collect_into(&mut blocks));
             decoded.unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
             (node, blocks)
         })
@@ -632,10 +785,10 @@ mod tests {
         c
     }
 
-    /// The fallible take, its blocks collected.
+    /// The fallible take of one bucket, its blocks collected.
     fn try_take(store: &mut TreeStore, node: u64) -> Result<Vec<Block>, IntegrityError> {
         let mut blocks = Vec::new();
-        store.take_with(node, collect_into(&mut blocks))?;
+        store.take_path_with(&[node], collect_into(&mut blocks))?;
         Ok(blocks)
     }
 
@@ -709,8 +862,9 @@ mod tests {
 
     #[test]
     fn transparent_images_leave_out_the_dummy_tail() {
-        // Identity cipher: the image is the real slots in eviction order, in
-        // a buffer of its size, and an empty bucket is unallocated.
+        // Identity cipher: the image is the real slots' headers, then their
+        // payloads, in eviction order, in a buffer of its size, and an empty
+        // bucket is unallocated.
         let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
         store.write_bucket(1, Vec::new());
         assert_eq!(store.raw_bucket(1), Some(Vec::new()));
@@ -722,6 +876,8 @@ mod tests {
         for b in &blocks {
             expected.extend_from_slice(&b.addr.to_le_bytes());
             expected.extend_from_slice(&b.leaf.to_le_bytes());
+        }
+        for b in &blocks {
             expected.extend_from_slice(&b.data);
         }
         assert_eq!(store.raw_bucket(2), Some(expected));
@@ -848,11 +1004,118 @@ mod tests {
         let blocks = vec![Block::new(7, 3, vec![0x5A; 16])];
         store.write_bucket(node, blocks.clone());
         let image = store.pages.slot_mut(node).and_then(Option::as_mut);
-        image.expect("stored")[16] ^= 0x01;
+        // The first payload byte: the Z headers come first.
+        image.expect("stored")[c.z * HEADER_BYTES] ^= 0x01;
         let taken = try_take(&mut store, node).expect("no tag to check");
         assert_eq!((taken[0].addr, taken[0].leaf), (7, 3));
         assert_eq!(taken[0].data[0], 0x5B, "the flip decrypts in place");
         assert_eq!(taken[0].data[1..], blocks[0].data[1..]);
+    }
+
+    /// Keystream blocks the store's sealer has computed so far.
+    fn computed(store: &TreeStore) -> u64 {
+        store.sealer.as_ref().expect("sealed").computed
+    }
+
+    #[test]
+    fn a_sealed_take_computes_the_headers_and_the_real_payloads_only() {
+        // Z = 4, 64 B blocks: header block 0, payload i block 1 + i.
+        let mut c = cfg(CipherMode::Real);
+        c.block_bytes = 64;
+        let mut store = TreeStore::new(&c, [4; 32]);
+        for real in 0..=c.z as u64 {
+            let blocks: Vec<Block> = (0..real)
+                .map(|addr| Block::new(addr, real, vec![addr as u8; 64]))
+                .collect();
+            let before = computed(&store);
+            store.write_bucket(1, blocks.clone());
+            assert_eq!(computed(&store) - before, 5, "a write seals every block");
+            let before = computed(&store);
+            assert_eq!(store.take_bucket(1), blocks);
+            assert_eq!(computed(&store) - before, 1 + real, "{real} real slots");
+        }
+        // A path: its planned refill computes every block of every image in
+        // one call, its read the header blocks and then one per real slot.
+        let path = path_nodes(c.levels, 5);
+        let before = computed(&store);
+        store.prepare_writes(path.iter().rev().copied());
+        for (i, &node) in path.iter().rev().enumerate() {
+            let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
+            store.write_bucket(node, blocks.collect());
+        }
+        assert_eq!(computed(&store) - before, 5 * path.len() as u64);
+        let before = computed(&store);
+        let mut taken = 0;
+        store
+            .take_path_with(&path, |_, _, _| taken += 1)
+            .expect("intact");
+        assert_eq!(computed(&store) - before, path.len() as u64 + taken);
+        assert_eq!(taken, 9);
+    }
+
+    /// Round trips of whole paths, sealed, at every Z and block size the
+    /// list below makes (headers and payloads straddling keystream blocks
+    /// or not): refills of random occupancy, half of them planned first,
+    /// then reads from a random floor, a corrupt image at a random level of
+    /// half of them, against the map model; the whole store after every
+    /// read, once a corrupt image it left above its floor is taken.
+    #[test]
+    fn sealed_paths_round_trip_at_every_alignment() {
+        let levels = 6;
+        for z in [2, 3, 4, 5] {
+            for block_bytes in [16, 24, 64, 100] {
+                let mut c = cfg_with_levels(CipherMode::Real, levels);
+                (c.z, c.block_bytes) = (z, block_bytes);
+                let mut rng = Xoshiro256::new(0xA119_0000 + (z * 1000 + block_bytes) as u64);
+                let mut store = TreeStore::new(&c, [8; 32]);
+                let mut model = Model::default();
+                let mut next_addr = 0u64;
+                for round in 0..80 {
+                    let at = format!("Z={z} B={block_bytes} round {round}");
+                    let path = path_nodes(levels, rng.next_below(1 << levels));
+                    if rng.next_below(2) == 0 {
+                        store.prepare_writes(path.iter().rev().copied());
+                    }
+                    for &node in path.iter().rev() {
+                        if rng.next_below(4) == 0 {
+                            continue;
+                        }
+                        let blocks: Vec<Block> = (0..rng.next_below(z as u64 + 1))
+                            .map(|_| {
+                                next_addr += 1;
+                                let leaf = rng.next_u64();
+                                let data = (0..block_bytes).map(|_| rng.next_u64() as u8);
+                                Block::new(next_addr, leaf, data.collect())
+                            })
+                            .collect();
+                        store.write_bucket(node, blocks.clone());
+                        model.write(node, blocks);
+                    }
+                    if rng.next_below(2) == 0 {
+                        let node = path[rng.next_below(u64::from(levels) + 1) as usize];
+                        let truncate = rng.next_below(2) == 0;
+                        let corrupted = if truncate {
+                            truncate_bucket(&mut store, node)
+                        } else {
+                            store.corrupt_bucket(node)
+                        };
+                        let modelled = model.corrupt(node, truncate, CipherMode::Real);
+                        assert_eq!(corrupted, modelled, "{at}");
+                    }
+                    let floor = rng.next_below(u64::from(levels) + 1) as usize;
+                    let mut taken = Vec::new();
+                    let result = store.take_path_with(&path[floor..], collect_into(&mut taken));
+                    let expected = model.take_path(&path[floor..]);
+                    assert_eq!((taken, result), expected, "{at}");
+                    assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
+                    // A corrupt image above the floor: scrub it.
+                    for node in model.corrupt.clone() {
+                        assert_eq!(try_take(&mut store, node), model.take(node), "{at}");
+                    }
+                    assert_eq!(sorted(&store), model.sorted(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

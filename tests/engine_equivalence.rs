@@ -13,7 +13,7 @@ use fork_path_oram::core::engine::{by_name, registry};
 use fork_path_oram::core::{
     BaselineController, ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine, Scheme,
 };
-use fork_path_oram::crypto::Xoshiro256;
+use fork_path_oram::crypto::{BlockCipher, Nonce, Xoshiro256};
 use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::{Block, CipherMode, Completion, Op, OramConfig, OramState};
 use fork_path_oram::propcheck::{run_cases, Gen};
@@ -245,23 +245,30 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// The sealed bytes themselves, pinned: a seeded `fork+mac` run in `Real`
-/// mode, open pacing (so replacement moves the write stop), digested over
-/// every stored image — ciphertext and write-counter trailer — in node
-/// order. The literal was recorded when every image was sealed by its own
-/// keystream pass; a keystream that differs in one byte, for one nonce,
-/// changes it.
-#[test]
-fn sealed_images_match_the_recorded_digest() {
+/// A seeded `fork+mac` run in `Real` mode, open pacing (so replacement
+/// moves the write stop): the engine whose stored images the two tests
+/// below pin.
+fn sealed_fork_run() -> ForkPathController {
     let Some(Scheme::Fork(fork)) = by_name("fork+mac") else {
         panic!("fork+mac is a Fork Path scheme");
     };
     let oram = small_test(CipherMode::Real);
-    let levels = oram.levels;
     let dram = DramSystem::new(DramConfig::ddr3_1600(2));
     let mut engine = ForkPathController::new(oram, fork, dram, CIPHER_SEED);
     let run = drive(&mut engine, ForkPathController::state, Pacing::Open);
     assert!(run.counters[Counter::DummiesReplaced as usize] > 0);
+    engine
+}
+
+/// The sealed bytes themselves, pinned: [`sealed_fork_run`]'s tree,
+/// digested over every stored image — ciphertext and write-counter
+/// trailer — in node order. The literal was recorded when the headers
+/// moved ahead of the payloads; a keystream that differs in one byte, for
+/// one nonce, or a slot laid out elsewhere, changes it.
+#[test]
+fn sealed_images_match_the_recorded_digest() {
+    let engine = sealed_fork_run();
+    let levels = engine.state().config().levels;
     let tree = engine.state().tree();
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut images = 0;
@@ -274,7 +281,49 @@ fn sealed_images_match_the_recorded_digest() {
     }
     assert_eq!(
         (images, digest),
-        (1022, 0xda5c_6ed6_1785_2908),
+        (1022, 0x642d_9ab3_7e39_0034),
         "sealed images"
     );
+}
+
+/// Every stored image of [`sealed_fork_run`], rebuilt from its blocks
+/// without the tree store's sealer: the Z headers `[addr | leaf]` of the
+/// blocks `iter_buckets` decodes, a dummy's `[u64::MAX | 0]`, then their
+/// payloads, a dummy's zero, encrypted by `encrypt_in_place` under the
+/// trailer's counter and the node id (the engine's key is its seed,
+/// little-endian, zero-padded), then the trailer. Byte for byte what the
+/// store holds, so the digest above pins this layout and this cipher.
+#[test]
+fn sealed_images_rebuild_from_their_blocks() {
+    let engine = sealed_fork_run();
+    let (z, block_bytes) = (
+        engine.state().config().z,
+        engine.state().config().block_bytes,
+    );
+    let mut key = [0u8; 32];
+    key[..8].copy_from_slice(&CIPHER_SEED.to_le_bytes());
+    let cipher = BlockCipher::new(key);
+    let tree = engine.state().tree();
+    let mut images = 0;
+    for (node, blocks) in tree.iter_buckets() {
+        let image = tree.image(node).expect("stored");
+        let (slots, trailer) = image.split_at(image.len() - 8);
+        let counter = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+        let mut rebuilt = Vec::new();
+        for i in 0..z {
+            let (addr, leaf) = blocks.get(i).map_or((u64::MAX, 0), |b| (b.addr, b.leaf));
+            rebuilt.extend_from_slice(&addr.to_le_bytes());
+            rebuilt.extend_from_slice(&leaf.to_le_bytes());
+        }
+        for i in 0..z {
+            match blocks.get(i) {
+                Some(b) => rebuilt.extend_from_slice(&b.data),
+                None => rebuilt.resize(rebuilt.len() + block_bytes, 0),
+            }
+        }
+        cipher.encrypt_in_place(Nonce::new(counter, node as u32), &mut rebuilt);
+        assert_eq!(rebuilt, slots, "node {node}");
+        images += 1;
+    }
+    assert_eq!(images, 1022);
 }

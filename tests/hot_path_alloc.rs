@@ -314,16 +314,21 @@ fn sealed_path_keeps_its_allocation_contract() {
         }
     });
     assert_eq!(n, 0, "BlockCipher::encrypt_in_place over a 320 B image");
-    let mut nonces: Vec<Nonce> = (0..11).map(|node| Nonce::new(0, node)).collect();
+    let mut lanes: Vec<(Nonce, u32)> = (0..11 * 5)
+        .map(|lane| (Nonce::new(0, lane / 5), lane % 5))
+        .collect();
     let mut keystream = Vec::new();
-    cipher.keystreams(&nonces, 320, &mut keystream);
+    cipher.keystream_blocks(&lanes, &mut keystream);
     let n = allocations(|| {
         for counter in 0..CALLS {
-            nonces[0].write_counter = counter;
-            cipher.keystreams(black_box(&nonces), 320, &mut keystream);
+            lanes[0].0.write_counter = counter;
+            cipher.keystream_blocks(black_box(&lanes), &mut keystream);
         }
     });
-    assert_eq!(n, 0, "BlockCipher::keystreams of eleven 320 B images, warm");
+    assert_eq!(
+        n, 0,
+        "BlockCipher::keystream_blocks of eleven 320 B images, warm"
+    );
 
     // A warm store: every node below was written and taken once, so its
     // subtree has a page, the directory never grows again, the open bucket

@@ -15,14 +15,15 @@
 //! * [`wire`] — explicit encode/decode of every frame, typed
 //!   [`WireError`]s, no panics on malformed input. See the frame layout
 //!   table on [`Frame`].
-//! * [`NetServer`] — acceptor + per-connection reader/writer threads +
-//!   one completion dispatcher, all inside the service's own serve
-//!   driver. Responses are pipelined out of order and matched by tag;
-//!   submission failures become per-request statuses, not connection
-//!   teardowns. The dispatcher only routes: the service strips write
-//!   payloads and a dying shard answers every request it accepted
-//!   (`ShardDown`), so every wire request gets exactly one response.
-//!   Shard health is part of the stats JSON (`StatsResp`).
+//! * [`NetServer`] — acceptor + per-connection reader/writer threads
+//!   inside the service's serve driver; the service's completion sink
+//!   routes each answer from the shard worker to its connection's writer.
+//!   Responses are pipelined out of order and matched by tag; submission
+//!   failures become per-request statuses, not connection teardowns. The
+//!   sink only routes: the service strips write payloads and a dying
+//!   shard answers every request it accepted (`ShardDown`), so every wire
+//!   request gets exactly one response. Shard health is part of the stats
+//!   JSON (`StatsResp`).
 //! * [`NetClient`] — single-threaded windowed pipelining: submitting
 //!   past the window first pumps arrived responses off the socket.
 //!

@@ -12,11 +12,15 @@
 //!   an unbounded channel) — responses go out **in completion order**,
 //!   so a fast request on one shard overtakes a slow one on another and
 //!   the wire stays fully pipelined;
-//! * one **dispatcher** thread drains service completions and routes each
-//!   back to its connection by the server-allocated service tag, mapping
-//!   it to the client's own tag. It keeps no copy of the service's
-//!   bookkeeping: the shard strips write payloads and answers every
-//!   request it accepted, so routing is all that is left.
+//! * the service's completion **sink** runs on the shard worker that
+//!   finished the request and routes the answer straight into its
+//!   connection's writer channel, by the server-allocated service tag,
+//!   mapped back to the client's own tag. It keeps no copy of the
+//!   service's bookkeeping: the shard strips write payloads and answers
+//!   every request it accepted, so routing is all that is left.
+//!
+//! A wire request thus crosses three threads — reader, shard worker,
+//! writer — and waits on no timer.
 //!
 //! ## Deadline mapping
 //!
@@ -37,9 +41,9 @@
 //! refuses ([`SubmitError::Busy`], [`SubmitError::ShardDown`], ...) is
 //! answered at once by the reader, and a request a shard accepted and
 //! then could not serve because its worker died comes back from the
-//! dying shard as a `ShardDown` completion, which the dispatcher maps to
-//! [`WireStatus::ShardDown`] like any other. Shard health is read from
-//! the stats snapshot (`StatsResp`).
+//! dying shard as a `ShardDown` completion, which the sink routes like
+//! any other as [`WireStatus::ShardDown`]. Shard health is read from the
+//! stats snapshot (`StatsResp`).
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -51,8 +55,8 @@ use std::time::{Duration, Instant};
 use fp_path_oram::Op;
 use fp_service::sync::relock;
 use fp_service::{
-    CompletionStatus, OramService, ServeError, ServiceConfig, ServiceHandle, ServiceRequest,
-    ServiceStats, ShardFailure, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceCompletion, ServiceConfig, ServiceHandle,
+    ServiceRequest, ServiceStats, ShardFailure, SubmitError,
 };
 use fp_stats::json::JsonObject;
 use fp_trace::{Counter, TraceHandle};
@@ -182,7 +186,7 @@ struct PendingEntry {
 }
 
 /// Per-connection state shared between the acceptor, its reader, and the
-/// dispatcher.
+/// completion sink.
 struct ConnSlot {
     /// Response channel into the connection's writer thread.
     tx: mpsc::Sender<Frame>,
@@ -295,13 +299,15 @@ impl NetServer {
 }
 
 /// The server worker: runs the sharded service with the network plane as
-/// its driver and folds the outcome into a [`NetReport`].
+/// its driver and [`route`] as its completion sink, and folds the outcome
+/// into a [`NetReport`].
 fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport, NetError> {
     let service_cfg = shared.cfg.service.clone();
-    let drive_shared = Arc::clone(&shared);
-    let (stats, failures) = match OramService::serve(service_cfg, move |handle| {
-        drive(&listener, handle, &drive_shared);
-    }) {
+    let (stats, failures) = match OramService::serve(
+        service_cfg,
+        |c| route(&shared, c),
+        |handle| drive(&listener, handle, &shared),
+    ) {
         Ok((stats, ())) => (stats, Vec::new()),
         Err(ServeError::Shards { failures, stats }) => (*stats, failures),
         Err(ServeError::Config(e)) => return Err(NetError::Config(e)),
@@ -313,13 +319,11 @@ fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport
     })
 }
 
-/// The network plane: acceptor + dispatcher + per-connection threads,
-/// all scoped so the service's drain cannot begin until every socket
-/// thread has exited.
-fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &Arc<NetShared>) {
-    let stop_dispatcher = AtomicBool::new(false);
+/// The network plane: the acceptor (this thread) and the per-connection
+/// threads, all scoped so the service's drain cannot begin until every
+/// socket thread has exited.
+fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
     std::thread::scope(|scope| {
-        scope.spawn(|| dispatch_completions(handle, shared, &stop_dispatcher));
         let mut next_conn = 0u64;
         loop {
             let stream = match listener.accept() {
@@ -357,14 +361,14 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &Arc<NetShared>
             scope.spawn(move || serve_connection(reader, conn_id, tx, inflight, handle, shared));
         }
         // Drain: give in-flight requests a bounded chance to complete. The
-        // bound is wall time by definition, hence the two clock reads.
+        // bound is wall time by definition, hence the two clock reads and
+        // the one timed wait of the crate, off the data path.
         #[expect(clippy::disallowed_methods)]
         let deadline = Instant::now() + Duration::from_millis(shared.cfg.drain_wait_ms);
         #[expect(clippy::disallowed_methods)]
         while Instant::now() < deadline && !relock(&shared.pending).is_empty() {
             std::thread::sleep(Duration::from_millis(1));
         }
-        stop_dispatcher.store(true, Ordering::Release);
         // Force-close every connection so blocked readers exit; their
         // writers follow once the channel senders drop.
         for (_, slot) in relock(&shared.conns).drain() {
@@ -491,7 +495,7 @@ fn read_requests(
 }
 
 /// Validates, windows, and submits one wire request; every path answers
-/// the client exactly once (here, or later via the dispatcher).
+/// the client exactly once (here, or later through [`route`]).
 fn handle_request(
     req: WireRequest,
     conn_id: u64,
@@ -536,8 +540,9 @@ fn handle_request(
     let deadline_ps = (req.deadline_rel_ns > 0)
         .then(|| arrival_ps.saturating_add(req.deadline_rel_ns.saturating_mul(1_000)));
     // Register the pending entry AND charge the window slot before
-    // submitting: the completion may be published — and the dispatcher may
-    // release the slot — before submit() even returns, so adding to
+    // submitting: the shard's worker may route the answer — and release
+    // the slot — on its own thread before submit() even returns, so
+    // registering afterwards would lose the answer and adding to
     // `inflight` afterwards would race an underflow.
     relock(&shared.pending).insert(
         service_tag,
@@ -574,31 +579,23 @@ fn handle_request(
     }
 }
 
-/// The dispatcher: routes service completions back to their connections.
-fn dispatch_completions(handle: &ServiceHandle, shared: &NetShared, stop: &AtomicBool) {
-    loop {
-        let completions = handle.drain_completions();
-        let idle = completions.is_empty();
-        for c in completions {
-            let Some(p) = relock(&shared.pending).remove(&c.tag) else {
-                continue; // its connection closed while it was in flight
-            };
-            if let Some(slot) = relock(&shared.conns).get(&p.conn) {
-                slot.inflight.fetch_sub(1, Ordering::AcqRel);
-                let _ = slot.tx.send(Frame::Response(WireResponse {
-                    tag: p.client_tag,
-                    status: completion_status(c.status),
-                    latency_ps: c.latency_ps,
-                    data: c.data,
-                }));
-            }
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        if idle {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+/// The service's completion sink, run on the shard worker that finished
+/// the request: routes the answer to its connection's writer. It takes
+/// the `pending` lock and then the `conns` lock, never both at once, and
+/// never blocks — the writer's channel is unbounded, and an answer whose
+/// connection has closed is dropped.
+fn route(shared: &NetShared, c: ServiceCompletion) {
+    let Some(p) = relock(&shared.pending).remove(&c.tag) else {
+        return; // its connection closed while it was in flight
+    };
+    if let Some(slot) = relock(&shared.conns).get(&p.conn) {
+        slot.inflight.fetch_sub(1, Ordering::AcqRel);
+        let _ = slot.tx.send(Frame::Response(WireResponse {
+            tag: p.client_tag,
+            status: completion_status(c.status),
+            latency_ps: c.latency_ps,
+            data: c.data,
+        }));
     }
 }
 

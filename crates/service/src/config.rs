@@ -126,8 +126,9 @@ impl ServiceConfig {
         self.scheme.validate()
     }
 
-    /// `log2(shards)`.
-    fn shard_shift(&self) -> u32 {
+    /// `log2(shards)`. The shard worker inverts [`Self::local_addr`] with
+    /// it when it answers a request.
+    pub(crate) fn shard_shift(&self) -> u32 {
         self.shards.trailing_zeros()
     }
 
@@ -139,11 +140,6 @@ impl ServiceConfig {
     /// The shard-local address of global address `addr`.
     pub(crate) fn local_addr(&self, addr: u64) -> u64 {
         addr >> self.shard_shift()
-    }
-
-    /// Reconstructs the global address from a shard-local one.
-    pub(crate) fn global_addr(&self, shard: usize, local: u64) -> u64 {
-        (local << self.shard_shift()) | shard as u64
     }
 
     /// Blocks owned by each shard.
@@ -189,7 +185,8 @@ mod tests {
             let shard = cfg.shard_of(addr);
             let local = cfg.local_addr(addr);
             assert!(local < cfg.shard_blocks());
-            assert_eq!(cfg.global_addr(shard, local), addr);
+            // The inverse a shard worker applies to every answer.
+            assert_eq!((local << cfg.shard_shift()) | shard as u64, addr);
         }
         // Interleaved partitioning: consecutive addresses rotate shards.
         assert_eq!(cfg.shard_of(0), 0);

@@ -59,7 +59,9 @@
 //! ## Three run modes
 //!
 //! [`OramService::serve`] accepts external submissions through a
-//! [`ServiceHandle`] (concurrent, backpressured). For benchmarking,
+//! [`ServiceHandle`] (concurrent, backpressured) and pushes every
+//! completion into the caller's sink, on the shard worker that finished
+//! it — nothing is buffered for the caller to poll. For benchmarking,
 //! [`OramService::run_closed_loop`] embeds a deterministic client pool in
 //! each shard worker, driven by shard completions in *simulated* time — so
 //! its results are a pure function of the configuration and seed,
@@ -72,10 +74,13 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::mpsc;
 //! use fp_service::{OramService, ServiceConfig, ServiceRequest};
 //!
-//! let cfg = ServiceConfig::fast_test(2);
-//! let (stats, ()) = OramService::serve(cfg, |handle| {
+//! // The sink runs on the shard's worker thread; a channel send never blocks.
+//! let (tx, rx) = mpsc::channel();
+//! let sink = move |done| tx.send(done).unwrap_or(());
+//! let (stats, ()) = OramService::serve(ServiceConfig::fast_test(2), sink, |handle| {
 //!     for i in 0..8u64 {
 //!         handle
 //!             .submit(ServiceRequest::read(i * 101, i * 1_000_000, i))
@@ -84,6 +89,7 @@
 //! })
 //! .unwrap();
 //! assert_eq!(stats.completed(), 8);
+//! assert!(rx.iter().all(|c| c.addr == c.tag * 101)); // global addresses
 //! ```
 
 #![forbid(unsafe_code)]

@@ -184,6 +184,8 @@ mod tests {
         let q = std::sync::Arc::new(SubmissionQueue::new(4));
         let q2 = q.clone();
         let consumer = std::thread::spawn(move || q2.pop_batch(8));
+        // Gives the consumer time to block, so the push is what wakes it.
+        #[expect(clippy::disallowed_methods)]
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.try_push(req(9)).unwrap();
         let got = consumer.join().unwrap().unwrap();

@@ -3,10 +3,11 @@
 //!
 //! [`OramService::serve`] runs the external-submission mode: shard workers
 //! block on their bounded queues while a caller-supplied driver submits
-//! requests through a [`ServiceHandle`]. When the driver returns, queues
-//! close, workers drain in-flight work, and the scope joins them — shutdown
-//! cannot deadlock because `close()` wakes every blocked consumer and
-//! `pop_batch` returns `None` once closed-and-empty.
+//! requests through a [`ServiceHandle`], and each worker hands every
+//! completion to the caller's sink on its own thread. When the driver
+//! returns, queues close, workers drain in-flight work, and the scope
+//! joins them — shutdown cannot deadlock because `close()` wakes every
+//! blocked consumer and `pop_batch` returns `None` once closed-and-empty.
 //!
 //! Workers are *supervised*: a controller error or a panic inside one
 //! shard marks that shard [`ShardHealth::Dead`] (closing its queue so
@@ -14,8 +15,8 @@
 //! `Busy`), while the surviving shards keep serving. The dying worker
 //! answers every request it had accepted with
 //! [`CompletionStatus::ShardDown`](crate::CompletionStatus::ShardDown), so
-//! [`ServiceHandle::drain_completions`] yields exactly one completion per
-//! accepted request, dead shards included. The run then returns
+//! the sink sees exactly one completion per accepted request, dead shards
+//! included. The run then returns
 //! [`ServeError::Shards`] carrying every failure *and* the partial
 //! aggregate statistics — a fault never panics the caller or hangs the
 //! scope. Shard health is read from the stats snapshot
@@ -28,7 +29,7 @@
 //! shard embeds a seeded client pool driven by its own completions in
 //! simulated time, so results are a pure function of the configuration.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use fp_workloads::service::ServiceClientPool;
@@ -94,8 +95,8 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Submission/collection handle passed to the driver of
-/// [`OramService::serve`]. Cloneable across driver threads.
+/// Submission handle passed to the driver of [`OramService::serve`].
+/// Cloneable across driver threads.
 #[derive(Clone)]
 pub struct ServiceHandle {
     cfg: Arc<ServiceConfig>,
@@ -141,15 +142,6 @@ impl ServiceHandle {
         }
     }
 
-    /// Collects completions published so far, across all shards.
-    /// Shard-local addresses are mapped back to global ones. Every
-    /// request [`ServiceHandle::submit`] accepted appears exactly once
-    /// over the run, a dead shard's as
-    /// [`CompletionStatus::ShardDown`](crate::CompletionStatus::ShardDown).
-    pub fn drain_completions(&self) -> Vec<ServiceCompletion> {
-        take_completions(&self.cfg, &self.shards)
-    }
-
     /// Point-in-time aggregate statistics (wall time reported as 0; the
     /// final stats from [`OramService::serve`] carry the real duration).
     /// The one read path for shard health: `per_shard[i].health`.
@@ -162,19 +154,6 @@ impl ServiceHandle {
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
     }
-}
-
-/// Takes every shard's published completions, mapping shard-local
-/// addresses back to global ones.
-fn take_completions(cfg: &ServiceConfig, shards: &[Arc<ShardShared>]) -> Vec<ServiceCompletion> {
-    let mut out = Vec::new();
-    for (i, shared) in shards.iter().enumerate() {
-        out.extend(relock(&shared.completions).drain(..).map(|mut c| {
-            c.addr = cfg.global_addr(i, c.addr);
-            c
-        }));
-    }
-    out
 }
 
 /// The sharded ORAM service. See the crate docs for the three run modes.
@@ -266,6 +245,13 @@ impl OramService {
     /// returns closes all queues, drains in-flight work, and joins the
     /// workers. Returns the aggregate stats and the driver's result.
     ///
+    /// Every completion goes to `sink`, which the owning shard's worker
+    /// calls on its own thread, once for each request
+    /// [`ServiceHandle::submit`] accepted, with the global address. The
+    /// call may come before `submit` returns, and the last ones after
+    /// `driver` has returned, until `serve` itself returns. The sink must
+    /// not block or panic: the worker serves nothing else meanwhile.
+    ///
     /// Workers are supervised: a controller failure or panic in one shard
     /// marks it dead and closes its queue *immediately* (producers see
     /// [`SubmitError::ShardDown`]), while the other shards keep serving
@@ -280,6 +266,7 @@ impl OramService {
     /// partial aggregate statistics (the driver's result is dropped).
     pub fn serve<R>(
         cfg: ServiceConfig,
+        sink: impl Fn(ServiceCompletion) + Sync,
         driver: impl FnOnce(&ServiceHandle) -> R,
     ) -> Result<(ServiceStats, R), ServeError> {
         cfg.validate().map_err(ServeError::Config)?;
@@ -290,11 +277,12 @@ impl OramService {
             cfg: Arc::clone(&cfg),
             shards: Arc::clone(&shards),
         };
+        let sink = &sink;
         Self::supervise(
             &cfg,
             engines,
             &shards,
-            |_| ShardEngine::run_external,
+            |_| move |engine: ShardEngine| engine.run_external(sink),
             || {
                 let out = driver(&handle);
                 // Begin drain: reject new work, wake idle workers.
@@ -341,12 +329,18 @@ impl OramService {
             per_shard[shard].push(req);
         }
         let (engines, shareds) = Self::build(&cfg);
+        let done = Mutex::new(Vec::new());
+        let sink = |c: ServiceCompletion| relock(&done).push(c);
         let job_for = |shard: usize| {
             let schedule = std::mem::take(&mut per_shard[shard]);
-            move |engine: ShardEngine| engine.run_schedule(schedule)
+            move |engine: ShardEngine| engine.run_schedule(schedule, &sink)
         };
         let (stats, ()) = Self::supervise(&cfg, engines, &shareds, job_for, || ())?;
-        Ok((stats, take_completions(&cfg, &shareds)))
+        let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // Stable: each shard's answers keep their order, so the list does
+        // not depend on how the workers interleaved.
+        done.sort_by_key(|c| c.shard);
+        Ok((stats, done))
     }
 
     /// Runs the deterministic closed-loop mode: each shard gets a private
@@ -398,21 +392,25 @@ mod tests {
     fn serve_round_trips_requests() {
         let cfg = ServiceConfig::fast_test(2);
         let blocks = cfg.oram.data_blocks;
-        let (stats, collected) = OramService::serve(cfg, |h| {
-            let mut accepted = 0u64;
-            for i in 0..64u64 {
-                let addr = (i * 37) % blocks;
-                loop {
-                    match h.submit(ServiceRequest::read(addr, i * 1_000_000, i)) {
-                        Ok(_) => break,
-                        Err(SubmitError::Busy) => std::thread::yield_now(),
-                        Err(e) => panic!("unexpected: {e}"),
+        let (stats, collected) = OramService::serve(
+            cfg,
+            |_| {},
+            |h| {
+                let mut accepted = 0u64;
+                for i in 0..64u64 {
+                    let addr = (i * 37) % blocks;
+                    loop {
+                        match h.submit(ServiceRequest::read(addr, i * 1_000_000, i)) {
+                            Ok(_) => break,
+                            Err(SubmitError::Busy) => std::thread::yield_now(),
+                            Err(e) => panic!("unexpected: {e}"),
+                        }
                     }
+                    accepted += 1;
                 }
-                accepted += 1;
-            }
-            accepted
-        })
+                accepted
+            },
+        )
         .unwrap();
         assert_eq!(collected, 64);
         assert_eq!(stats.enqueued(), 64);
@@ -426,12 +424,16 @@ mod tests {
     fn out_of_range_is_rejected_before_routing() {
         let cfg = ServiceConfig::fast_test(1);
         let blocks = cfg.oram.data_blocks;
-        let ((), ()) = OramService::serve(cfg, |h| {
-            assert_eq!(
-                h.submit(ServiceRequest::read(blocks, 0, 0)),
-                Err(SubmitError::OutOfRange)
-            );
-        })
+        let ((), ()) = OramService::serve(
+            cfg,
+            |_| {},
+            |h| {
+                assert_eq!(
+                    h.submit(ServiceRequest::read(blocks, 0, 0)),
+                    Err(SubmitError::OutOfRange)
+                );
+            },
+        )
         .map(|(_, out)| ((), out))
         .unwrap();
     }
@@ -441,17 +443,20 @@ mod tests {
         let cfg = ServiceConfig::fast_test(4);
         let addrs: Vec<u64> = vec![0, 1, 2, 3, 5, 8, 13, 21];
         let submitted = addrs.clone();
-        let (_, done) = OramService::serve(cfg, move |h| {
-            for (i, &a) in submitted.iter().enumerate() {
-                while h.submit(ServiceRequest::read(a, 0, i as u64)) == Err(SubmitError::Busy) {
-                    std::thread::yield_now();
+        let done = Mutex::new(Vec::new());
+        OramService::serve(
+            cfg,
+            |c| relock(&done).push(c),
+            move |h| {
+                for (i, &a) in submitted.iter().enumerate() {
+                    while h.submit(ServiceRequest::read(a, 0, i as u64)) == Err(SubmitError::Busy) {
+                        std::thread::yield_now();
+                    }
                 }
-            }
-            // Collect after drain in the final handle snapshot.
-            h.clone()
-        })
-        .map(|(stats, h)| (stats, h.drain_completions()))
+            },
+        )
         .unwrap();
+        let done = done.into_inner().unwrap();
         let mut got: Vec<u64> = done.iter().map(|c| c.addr).collect();
         got.sort_unstable();
         assert_eq!(got, addrs);
@@ -481,12 +486,16 @@ mod tests {
     #[test]
     fn handle_reads_health_from_the_stats_snapshot() {
         let cfg = ServiceConfig::fast_test(2);
-        OramService::serve(cfg, |h| {
-            assert_eq!(h.config().shards, 2);
-            let stats = h.stats();
-            assert_eq!(stats.per_shard.len(), 2);
-            assert_eq!(stats.per_shard[1].health, ShardHealth::Healthy);
-        })
+        OramService::serve(
+            cfg,
+            |_| {},
+            |h| {
+                assert_eq!(h.config().shards, 2);
+                let stats = h.stats();
+                assert_eq!(stats.per_shard.len(), 2);
+                assert_eq!(stats.per_shard[1].health, ShardHealth::Healthy);
+            },
+        )
         .unwrap();
     }
 

@@ -36,8 +36,8 @@
 //! whatever its closed queue still holds. After an error it first
 //! publishes what the engine had finished; after a panic it does not call
 //! the engine again. In external mode every accepted request therefore
-//! gets exactly one completion, so a front end needs no bookkeeping of
-//! which shard owns what.
+//! gets exactly one completion — one call of the run mode's [`Sink`] — so
+//! a front end needs no bookkeeping of which shard owns what.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -146,9 +146,6 @@ pub struct ShardCounters {
 pub struct ShardShared {
     /// Bounded submission queue (external mode).
     pub queue: SubmissionQueue,
-    /// Completions awaiting collection (external mode only; closed-loop
-    /// folds them into counters instead of storing them).
-    pub completions: Mutex<Vec<ServiceCompletion>>,
     /// Monotonic counters.
     pub counters: Mutex<ShardCounters>,
     /// The shard controller's trace handle (cloned snapshot source).
@@ -164,7 +161,6 @@ impl ShardShared {
     fn new(queue_depth: usize, trace: TraceHandle) -> Self {
         Self {
             queue: SubmissionQueue::new(queue_depth),
-            completions: Mutex::new(Vec::new()),
             counters: Mutex::new(ShardCounters::default()),
             trace,
             health: AtomicU8::new(0),
@@ -255,10 +251,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Most requests a worker admits into its engine per batch.
 const BATCH_MAX: usize = 16;
 
+/// Where a run mode takes a shard's completions: called on the worker
+/// thread, once per answered request, with the global address.
+pub(crate) type Sink<'s> = &'s dyn Fn(ServiceCompletion);
+
 /// One shard's worker: the scheme-agnostic ORAM engine
 /// [`ServiceConfig::scheme`] builds, plus in-flight request metadata.
 pub struct ShardEngine {
     shard: usize,
+    /// `log2(shards)`, to restore an answer's global address.
+    addr_shift: u32,
     ctl: Box<dyn OramEngine + Send>,
     shared: Arc<ShardShared>,
     block_bytes: usize,
@@ -300,6 +302,7 @@ impl ShardEngine {
         (
             Self {
                 shard,
+                addr_shift: cfg.shard_shift(),
                 ctl,
                 shared: Arc::clone(&shared),
                 block_bytes,
@@ -312,8 +315,8 @@ impl ShardEngine {
     }
 
     /// External-mode worker loop: drain the queue in batches, advance the
-    /// controller, publish completions. Returns when the queue is closed
-    /// and all admitted work has completed.
+    /// controller, hand completions to `sink`. Returns when the queue is
+    /// closed and all admitted work has completed.
     ///
     /// On an abnormal exit the shard is marked dead (closing its queue, so
     /// producers get `ShardDown` instead of spinning on `Busy`) and every
@@ -324,9 +327,9 @@ impl ShardEngine {
     ///
     /// A controller failure (integrity violation, stash overflow, config
     /// error) or a panic, as the [`ShardFailure`] it ended in.
-    pub(crate) fn run_external(self) -> Result<(), ShardFailure> {
-        self.or_fail(|shard| {
-            shard.serve_batches(|shard| {
+    pub(crate) fn run_external(self, sink: Sink<'_>) -> Result<(), ShardFailure> {
+        self.or_fail(sink, |shard| {
+            shard.serve_batches(sink, |shard| {
                 if shard.ctl.has_pending_work() {
                     shard.shared.queue.try_pop_batch(BATCH_MAX)
                 } else {
@@ -340,25 +343,26 @@ impl ShardEngine {
     /// The admission loop of the external and trace-replay modes, which
     /// differ only in where the next batch comes from: `next` returns it
     /// (possibly empty), or `None` once the source is exhausted. Each turn
-    /// admits the batch, runs one access and publishes what completed;
-    /// after `None` the loop finishes what is in flight and records final
-    /// counters.
+    /// admits the batch, runs one access and publishes what completed to
+    /// `sink`; after `None` the loop finishes what is in flight and
+    /// records final counters.
     fn serve_batches(
         &mut self,
+        sink: Sink<'_>,
         mut next: impl FnMut(&mut Self) -> Option<Vec<ServiceRequest>>,
     ) -> Result<(), ControllerError> {
         while let Some(batch) = next(self) {
             if !batch.is_empty() {
-                self.admit(batch)?;
+                self.admit(batch, sink)?;
             }
             self.ctl.process_one(&mut NoFeedback)?;
-            self.publish_completions()?;
+            self.publish_completions(sink)?;
         }
         // The publish/drain loop repeats because resolving coalesced
         // writes submits flush accesses, which are new pending work.
         loop {
             while self.ctl.process_one(&mut NoFeedback)? {}
-            self.publish_completions()?;
+            self.publish_completions(sink)?;
             if !self.ctl.has_pending_work() {
                 break;
             }
@@ -379,6 +383,7 @@ impl ShardEngine {
     /// [`CompletionStatus::ShardDown`] ([`ShardEngine::answer_stranded`]).
     fn or_fail(
         mut self,
+        sink: Sink<'_>,
         run: impl FnOnce(&mut Self) -> Result<(), ControllerError>,
     ) -> Result<(), ShardFailure> {
         let (panicked, error) = match catch_unwind(AssertUnwindSafe(|| run(&mut self))) {
@@ -388,11 +393,11 @@ impl ShardEngine {
         };
         if panicked {
             self.shared.mark_dead(&format!("worker panicked: {error}"));
-            self.answer_stranded();
+            self.answer_stranded(sink);
         } else {
             self.shared.mark_dead(&error);
-            let _ = self.publish_completions();
-            self.answer_stranded();
+            let _ = self.publish_completions(sink);
+            self.answer_stranded(sink);
             self.finish();
         }
         Err(ShardFailure {
@@ -406,7 +411,7 @@ impl ShardEngine {
     /// shard accepted and has not answered: open client entries, the
     /// batch the engine refused, coalesced waiters, and what the closed
     /// queue still holds. Internal flushes have no client and are dropped.
-    fn answer_stranded(&mut self) {
+    fn answer_stranded(&mut self, sink: Sink<'_>) {
         let mut stranded: Vec<(u64, u64)> = self
             .in_hand
             .drain(..)
@@ -423,18 +428,40 @@ impl ShardEngine {
         if let Some(queued) = self.shared.queue.try_pop_batch(usize::MAX) {
             stranded.extend(queued.into_iter().map(|r| (r.tag, r.addr)));
         }
-        relock(&self.shared.counters).failed += stranded.len() as u64;
-        let shard = self.shard;
-        relock(&self.shared.completions).extend(stranded.into_iter().map(|(tag, addr)| {
-            ServiceCompletion {
-                tag,
-                shard,
-                addr,
-                status: CompletionStatus::ShardDown,
-                latency_ps: 0,
-                data: Vec::new(),
+        for (tag, addr) in stranded {
+            self.answer(sink, tag, addr, CompletionStatus::ShardDown, 0, Vec::new());
+        }
+    }
+
+    /// The one way a completion leaves the shard: counted by `status` (so
+    /// whoever holds the answer sees it in the stats), then handed to
+    /// `sink` with `addr` (shard-local) restored to the global address.
+    fn answer(
+        &self,
+        sink: Sink<'_>,
+        tag: u64,
+        addr: u64,
+        status: CompletionStatus,
+        latency_ps: u64,
+        data: Vec<u8>,
+    ) {
+        {
+            let mut c = relock(&self.shared.counters);
+            match status {
+                CompletionStatus::Ok | CompletionStatus::Late => c.completed += 1,
+                CompletionStatus::Expired => c.expired += 1,
+                CompletionStatus::ShardDown => c.failed += 1,
             }
-        }));
+            c.completed_late += u64::from(status == CompletionStatus::Late);
+        }
+        sink(ServiceCompletion {
+            tag,
+            shard: self.shard,
+            addr: (addr << self.addr_shift) | self.shard as u64,
+            status,
+            latency_ps,
+            data,
+        });
     }
 
     /// Admits a batch: expires requests whose deadline already passed,
@@ -442,24 +469,23 @@ impl ShardEngine {
     /// enabled), and hands the rest to the controller in one batch
     /// submission. Counters and expirations are published first, so a
     /// batch the engine refuses leaves only `in_hand` to answer.
-    fn admit(&mut self, reqs: Vec<ServiceRequest>) -> Result<(), ControllerError> {
+    fn admit(&mut self, reqs: Vec<ServiceRequest>, sink: Sink<'_>) -> Result<(), ControllerError> {
         let clock = self.ctl.clock_ps();
         let mut live = Vec::with_capacity(reqs.len());
-        let mut expired = Vec::new();
         let mut coalesced = 0u64;
         for req in reqs {
             let deadline = req.deadline_ps;
             // A deadline in the past at admission time: reject without
             // charging an ORAM access.
             if deadline.is_some_and(|d| d < req.arrival_ps.max(clock)) {
-                expired.push(ServiceCompletion {
-                    tag: req.tag,
-                    shard: self.shard,
-                    addr: req.addr,
-                    status: CompletionStatus::Expired,
-                    latency_ps: 0,
-                    data: Vec::new(),
-                });
+                self.answer(
+                    sink,
+                    req.tag,
+                    req.addr,
+                    CompletionStatus::Expired,
+                    0,
+                    Vec::new(),
+                );
                 continue;
             }
             let write = req.op == Op::Write;
@@ -516,14 +542,10 @@ impl ShardEngine {
         {
             let mut c = relock(&self.shared.counters);
             c.admitted += submitted + coalesced;
-            c.expired += expired.len() as u64;
             if submitted > 0 {
                 c.batches += 1;
                 c.max_batch = c.max_batch.max(submitted);
             }
-        }
-        if !expired.is_empty() {
-            relock(&self.shared.completions).extend(expired);
         }
         if !live.is_empty() {
             let ids = self.ctl.submit_batch(live)?;
@@ -533,8 +555,8 @@ impl ShardEngine {
         Ok(())
     }
 
-    /// Moves finished controller completions into the shared buffer with
-    /// deadline classification, fanning each result out to its coalesced
+    /// Hands finished controller completions to `sink` with deadline
+    /// classification, fanning each result out to its coalesced
     /// waiters. Waiter resolution runs in arrival order: reads observe
     /// the youngest earlier write (the in-flight access's own payload,
     /// else the data as read) and writes acknowledge and become the new
@@ -545,42 +567,32 @@ impl ShardEngine {
     /// # Errors
     ///
     /// Propagates failures submitting flush write-backs. Client
-    /// completions and counters are published before flushes are
-    /// submitted, so nothing drained is lost on that path.
-    fn publish_completions(&mut self) -> Result<(), ControllerError> {
-        let done = self.ctl.drain_completions();
-        if done.is_empty() {
-            return Ok(());
-        }
-        let mut out = Vec::with_capacity(done.len());
-        let mut late = 0u64;
+    /// completions are answered before flushes are submitted, so nothing
+    /// drained is lost on that path.
+    fn publish_completions(&mut self, sink: Sink<'_>) -> Result<(), ControllerError> {
+        // `Late` when a request finished past its deadline.
+        let served = |deadline_ps: Option<u64>, done_ps: u64| {
+            if deadline_ps.is_some_and(|d| done_ps > d) {
+                CompletionStatus::Late
+            } else {
+                CompletionStatus::Ok
+            }
+        };
         let mut flushes: Vec<NewRequest> = Vec::new();
-        for c in done {
-            match self.meta.remove(&c.id) {
-                // Internal write-back (or an id this worker never handed
-                // out): no client completion.
-                Some(ReqMeta::Flush) | None => {}
-                Some(ReqMeta::Client {
-                    tag,
-                    deadline_ps,
-                    write,
-                    ..
-                }) => {
-                    let status = if deadline_ps.is_some_and(|d| c.done_ps > d) {
-                        late += 1;
-                        CompletionStatus::Late
-                    } else {
-                        CompletionStatus::Ok
-                    };
-                    out.push(ServiceCompletion {
-                        tag,
-                        shard: self.shard,
-                        addr: c.addr,
-                        status,
-                        latency_ps: c.done_ps.saturating_sub(c.arrival_ps),
-                        data: if write { Vec::new() } else { c.data.clone() },
-                    });
-                }
+        for c in self.ctl.drain_completions() {
+            // An internal write-back (or an id this worker never handed
+            // out) has no client completion.
+            if let Some(ReqMeta::Client {
+                tag,
+                deadline_ps,
+                write,
+                ..
+            }) = self.meta.remove(&c.id)
+            {
+                let status = served(deadline_ps, c.done_ps);
+                let latency_ps = c.done_ps.saturating_sub(c.arrival_ps);
+                let data = if write { Vec::new() } else { c.data.clone() };
+                self.answer(sink, tag, c.addr, status, latency_ps, data);
             }
             let Some(res) = self
                 .coalesce
@@ -590,24 +602,12 @@ impl ShardEngine {
                 continue;
             };
             for WaiterAnswer { waiter: w, data } in res.answers {
-                let status = if w.deadline_ps.is_some_and(|d| c.done_ps > d) {
-                    late += 1;
-                    CompletionStatus::Late
-                } else {
-                    CompletionStatus::Ok
-                };
                 let latency_ps = c.done_ps.saturating_sub(w.arrival_ps);
                 // Waiters bypass the engine, so their latency samples are
                 // recorded here instead of by the controller.
                 self.shared.trace.record_latency(latency_ps);
-                out.push(ServiceCompletion {
-                    tag: w.tag,
-                    shard: self.shard,
-                    addr: c.addr,
-                    status,
-                    latency_ps,
-                    data,
-                });
+                let status = served(w.deadline_ps, c.done_ps);
+                self.answer(sink, w.tag, c.addr, status, latency_ps, data);
             }
             if let Some(final_data) = res.flush {
                 // The index already re-armed the entry so requests
@@ -622,12 +622,6 @@ impl ShardEngine {
                 });
             }
         }
-        {
-            let mut ctr = relock(&self.shared.counters);
-            ctr.completed += out.len() as u64;
-            ctr.completed_late += late;
-        }
-        relock(&self.shared.completions).extend(out);
         for f in flushes {
             let id = self.ctl.submit(f)?;
             self.meta.insert(id, ReqMeta::Flush);
@@ -651,19 +645,24 @@ impl ShardEngine {
     ///
     /// A controller failure or a panic, after marking the shard dead.
     /// Requests of the schedule not yet admitted get no answer.
-    pub(crate) fn run_schedule(self, schedule: Vec<ServiceRequest>) -> Result<(), ShardFailure> {
-        self.or_fail(|shard| shard.run_schedule_inner(schedule))
+    pub(crate) fn run_schedule(
+        self,
+        schedule: Vec<ServiceRequest>,
+        sink: Sink<'_>,
+    ) -> Result<(), ShardFailure> {
+        self.or_fail(sink, |shard| shard.run_schedule_inner(schedule, sink))
     }
 
     fn run_schedule_inner(
         &mut self,
         mut schedule: Vec<ServiceRequest>,
+        sink: Sink<'_>,
     ) -> Result<(), ControllerError> {
         // Stable sort: same-arrival requests keep their schedule order.
         schedule.sort_by_key(|r| r.arrival_ps);
         let mut pending: VecDeque<ServiceRequest> = schedule.into();
         relock(&self.shared.counters).enqueued += pending.len() as u64;
-        self.serve_batches(|shard| {
+        self.serve_batches(sink, |shard| {
             let busy = shard.ctl.has_pending_work();
             if pending.is_empty() && !busy {
                 return None;
@@ -712,8 +711,9 @@ impl ShardEngine {
     }
 
     /// Closed-loop mode: drives the embedded client `pool` to exhaustion.
-    /// Completions are folded into counters, not stored, so multi-million
-    /// request runs stay flat in memory. Deterministic per shard seed.
+    /// Completions are folded into counters and published nowhere, so
+    /// multi-million request runs stay flat in memory. Deterministic per
+    /// shard seed.
     ///
     /// Like [`ShardEngine::run_external`], every abnormal exit marks the
     /// shard dead before returning.
@@ -722,7 +722,8 @@ impl ShardEngine {
     ///
     /// A controller failure or a panic.
     pub(crate) fn run_closed_loop(self, pool: ServiceClientPool) -> Result<(), ShardFailure> {
-        self.or_fail(|shard| shard.run_closed_loop_inner(pool))
+        // The pool's requests have no submitter: a dying worker answers nobody.
+        self.or_fail(&|_| {}, |shard| shard.run_closed_loop_inner(pool))
     }
 
     fn run_closed_loop_inner(&mut self, pool: ServiceClientPool) -> Result<(), ControllerError> {
@@ -819,6 +820,7 @@ impl ReactiveSource for PoolSource {
 mod tests {
     use super::*;
     use fp_workloads::mixes;
+    use std::cell::RefCell;
 
     #[test]
     fn closed_loop_drains_pool_and_counts() {
@@ -856,7 +858,8 @@ mod tests {
         shared.queue.try_push(dead).unwrap();
         shared.note_enqueued();
         shared.queue.close();
-        engine.run_external().unwrap();
+        let done = RefCell::new(Vec::new());
+        engine.run_external(&|c| done.borrow_mut().push(c)).unwrap();
         let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 8);
@@ -865,7 +868,7 @@ mod tests {
         // completion (this double-count once inflated reported req/s).
         assert_eq!(c.completed, 8);
         assert_eq!(c.enqueued, c.admitted + c.expired);
-        let done = relock(&shared.completions);
+        let done = done.into_inner();
         assert_eq!(
             done.len(),
             9,
@@ -896,7 +899,10 @@ mod tests {
         reqs.push(ServiceRequest::read(5, 7, 7));
         // A cold address for contrast.
         reqs.push(ServiceRequest::read(9, 8, 8));
-        engine.run_schedule(reqs).unwrap();
+        let done = RefCell::new(Vec::new());
+        engine
+            .run_schedule(reqs, &|c| done.borrow_mut().push(c))
+            .unwrap();
         let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 9);
@@ -905,7 +911,7 @@ mod tests {
             + shared.trace.counter(Counter::CoalescedWrites);
         assert!(coalesced > 0, "duplicates must attach as waiters");
         assert!(shared.trace.counter(Counter::CoalesceIndexHighWater) >= 1);
-        let done = relock(&shared.completions);
+        let done = done.into_inner();
         assert_eq!(done.len(), 9);
         // Every write acknowledges with empty data; every read of addr 5
         // observes the youngest earlier write's payload.

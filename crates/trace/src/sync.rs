@@ -4,7 +4,7 @@
 //! this workspace keeps under a shared lock is plain bookkeeping — event
 //! rings, histograms, queues of owned values — that stays structurally
 //! valid even if the last update was cut short, and whoever supervises
-//! the panicked thread still needs it afterwards (to drain completions,
+//! the panicked thread still needs it afterwards (to route completions,
 //! snapshot partial counters, report which shard died). So poison is
 //! never treated as fatal. The helper lives here because fp-trace is the
 //! lowest crate holding a shared lock; `fp_service::sync` re-exports it.

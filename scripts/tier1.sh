@@ -15,9 +15,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
-# Clippy under -D warnings also holds four invariants (DESIGN.md §12): no
-# wall-clock read in simulated code and no poisonable lock or condvar wait
-# outside the sync helpers (both clippy.toml disallowed-methods), no
+# Clippy under -D warnings also holds five invariants (DESIGN.md §12): no
+# wall-clock read in simulated code, no poisonable lock or condvar wait
+# outside the sync helpers and no timer poll (`thread::sleep`) outside a
+# wall-bounded wait (all three clippy.toml disallowed-methods), no
 # process-stream output from library crates (crate-root denies), and no
 # wire kind code assigned twice (unreachable_patterns in Frame::decode).
 # --all-targets lints the tests, examples and `#[cfg(test)]` modules too,

@@ -27,6 +27,7 @@
 mod common;
 
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use common::{small_cfg, with_watchdog};
@@ -36,8 +37,8 @@ use fork_path_oram::dram::{DramConfig, DramSystem};
 use fork_path_oram::path_oram::{NewRequest, Op, OramConfig};
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
-    CompletionStatus, OramService, ServeError, ServiceHandle, ServiceRequest, ShardEngine,
-    ShardHealth, ShardSnapshot, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceRequest, ShardEngine, ShardHealth,
+    ShardSnapshot, SubmitError,
 };
 use fork_path_oram::workloads::mixes;
 
@@ -59,27 +60,31 @@ fn integrity_failure_kills_one_shard_while_survivor_serves() {
         cfg.fault_shard = Some(0);
         let mut saw_down = false;
         let mut survivor_accepted = 0u64;
-        let err = OramService::serve(cfg, |h| {
-            // Feed both shards; with 2 shards, even addresses route to
-            // shard 0 (the doomed one) and odd to shard 1 (the survivor).
-            let deadline = Instant::now() + Duration::from_secs(60);
-            let mut tag = 0u64;
-            while Instant::now() < deadline {
-                match h.submit(ServiceRequest::read(0, 0, tag)) {
-                    Err(SubmitError::ShardDown) => saw_down = true,
-                    Ok(_) | Err(SubmitError::Busy) => {}
-                    Err(e) => panic!("unexpected submit error: {e}"),
+        let err = OramService::serve(
+            cfg,
+            |_| {},
+            |h| {
+                // Feed both shards; with 2 shards, even addresses route to
+                // shard 0 (the doomed one) and odd to shard 1 (the survivor).
+                let deadline = Instant::now() + Duration::from_secs(60);
+                let mut tag = 0u64;
+                while Instant::now() < deadline {
+                    match h.submit(ServiceRequest::read(0, 0, tag)) {
+                        Err(SubmitError::ShardDown) => saw_down = true,
+                        Ok(_) | Err(SubmitError::Busy) => {}
+                        Err(e) => panic!("unexpected submit error: {e}"),
+                    }
+                    if h.submit(ServiceRequest::read(1, 0, tag)).is_ok() {
+                        survivor_accepted += 1;
+                    }
+                    tag += 1;
+                    if saw_down && survivor_accepted >= 16 {
+                        break;
+                    }
+                    std::thread::yield_now();
                 }
-                if h.submit(ServiceRequest::read(1, 0, tag)).is_ok() {
-                    survivor_accepted += 1;
-                }
-                tag += 1;
-                if saw_down && survivor_accepted >= 16 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        })
+            },
+        )
         .expect_err("a dead shard must fail the run");
         assert!(
             saw_down,
@@ -134,15 +139,20 @@ fn worker_panic_yields_structured_error_with_partial_stats() {
             ..FaultConfig::default()
         });
         cfg.fault_shard = Some(0);
-        OramService::serve(cfg, |h| {
-            for tag in 0..16u64 {
-                for addr in [0u64, 1] {
-                    while h.submit(ServiceRequest::read(addr, 0, tag)) == Err(SubmitError::Busy) {
-                        std::thread::yield_now();
+        OramService::serve(
+            cfg,
+            |_| {},
+            |h| {
+                for tag in 0..16u64 {
+                    for addr in [0u64, 1] {
+                        while h.submit(ServiceRequest::read(addr, 0, tag)) == Err(SubmitError::Busy)
+                        {
+                            std::thread::yield_now();
+                        }
                     }
                 }
-            }
-        })
+            },
+        )
         .expect_err("a panicking worker must fail the run")
     });
     match err {
@@ -166,27 +176,22 @@ fn worker_panic_yields_structured_error_with_partial_stats() {
 }
 
 /// Poison recovery at the lock level: a thread that panics while holding
-/// the shared counter/completion locks must not take the snapshot (or the
-/// front-end accounting) down with it.
+/// the shared counter lock must not take the snapshot (or the front-end
+/// accounting) down with it.
 #[test]
 fn snapshot_survives_poisoned_shard_locks() {
     let cfg = small_cfg(1);
     let (_engine, shared) = ShardEngine::new(&cfg, 0);
     shared.note_enqueued();
-    // Poison both front-end mutexes.
+    // Poison the front-end mutex.
     for _ in 0..2 {
         let shared = &shared;
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _counters = shared.counters.lock().unwrap();
             panic!("poison the counters lock");
         }));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _done = shared.completions.lock().unwrap();
-            panic!("poison the completions lock");
-        }));
     }
     assert!(shared.counters.is_poisoned());
-    assert!(shared.completions.is_poisoned());
     // Accounting and snapshots keep working on the poisoned locks.
     shared.note_enqueued();
     let snap = ShardSnapshot::capture(0, &shared);
@@ -198,10 +203,11 @@ fn snapshot_survives_poisoned_shard_locks() {
 
 /// Kills shard 0 of two at its fifth access (`fault`, with or without
 /// coalescing) while 64 requests over eight hot addresses are in flight,
-/// then drains completions until every accepted tag is answered (the
-/// watchdog bounds the wait: a stranded request hangs it). Returns each
-/// accepted tag's shard, each answer's status, any completion published
-/// after the driver returned, and the run's error.
+/// then takes completions from the sink's channel until every accepted
+/// tag is answered (the watchdog bounds the wait: a stranded request
+/// hangs it). Returns each accepted tag's shard, each answer's status,
+/// any completion published after the driver returned, and the run's
+/// error.
 fn kill_shard_zero(
     name: &'static str,
     fault: FaultConfig,
@@ -219,9 +225,11 @@ fn kill_shard_zero(
         cfg.coalesce = coalesce;
         let mut accepted = HashMap::new();
         let mut answers = HashMap::new();
-        let mut kept: Option<ServiceHandle> = None;
-        let err = OramService::serve(cfg, |h| {
-            kept = Some(h.clone());
+        let (tx, rx) = mpsc::channel();
+        let sink = move |c| {
+            let _ = tx.send(c);
+        };
+        let err = OramService::serve(cfg, sink, |h| {
             for tag in 0..64u64 {
                 loop {
                     match h.submit(ServiceRequest::read(tag % 8, 0, tag)) {
@@ -236,23 +244,21 @@ fn kill_shard_zero(
                 }
             }
             while answers.len() < accepted.len() {
-                for c in h.drain_completions() {
-                    assert!(
-                        accepted.contains_key(&c.tag),
-                        "tag {} never accepted",
-                        c.tag
-                    );
-                    assert!(
-                        answers.insert(c.tag, c.status).is_none(),
-                        "tag {} answered twice",
-                        c.tag
-                    );
-                }
-                std::thread::yield_now();
+                let c = rx.recv().expect("the sink lives until serve returns");
+                assert!(
+                    accepted.contains_key(&c.tag),
+                    "tag {} never accepted",
+                    c.tag
+                );
+                assert!(
+                    answers.insert(c.tag, c.status).is_none(),
+                    "tag {} answered twice",
+                    c.tag
+                );
             }
         })
         .expect_err("a dead shard must fail the run");
-        let late = kept.expect("driver ran").drain_completions().len();
+        let late = rx.try_iter().count();
         (accepted, answers, late, err)
     })
 }
@@ -324,13 +330,18 @@ fn forced_stash_overflow_surfaces_structured_error() {
             overflow_at_access: Some(1),
             ..FaultConfig::default()
         });
-        OramService::serve(cfg, |h| {
-            for tag in 0..8u64 {
-                while h.submit(ServiceRequest::read(tag * 3, 0, tag)) == Err(SubmitError::Busy) {
-                    std::thread::yield_now();
+        OramService::serve(
+            cfg,
+            |_| {},
+            |h| {
+                for tag in 0..8u64 {
+                    while h.submit(ServiceRequest::read(tag * 3, 0, tag)) == Err(SubmitError::Busy)
+                    {
+                        std::thread::yield_now();
+                    }
                 }
-            }
-        })
+            },
+        )
         .expect_err("forced overflow must fail the run")
     });
     match err {

@@ -7,6 +7,7 @@ mod common;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 
 use common::{service_request, small_cfg};
 use fork_path_oram::core::engine::registry;
@@ -107,20 +108,24 @@ fn traditional_and_fork_serve_through_the_same_engine_path() {
 fn overload_surfaces_busy_and_loses_nothing() {
     let mut cfg = small_cfg(1);
     cfg.queue_depth = 4;
-    let (stats, (accepted, rejected)) = OramService::serve(cfg, |h| {
-        let mut accepted = 0u64;
-        let mut rejected = 0u64;
-        // Push far more than queue_depth with no pacing: most submissions
-        // must bounce off the full queue.
-        for i in 0..512u64 {
-            match h.submit(ServiceRequest::read(i % 4096, 0, i)) {
-                Ok(_) => accepted += 1,
-                Err(SubmitError::Busy) => rejected += 1,
-                Err(e) => panic!("unexpected: {e}"),
+    let (stats, (accepted, rejected)) = OramService::serve(
+        cfg,
+        |_| {},
+        |h| {
+            let mut accepted = 0u64;
+            let mut rejected = 0u64;
+            // Push far more than queue_depth with no pacing: most submissions
+            // must bounce off the full queue.
+            for i in 0..512u64 {
+                match h.submit(ServiceRequest::read(i % 4096, 0, i)) {
+                    Ok(_) => accepted += 1,
+                    Err(SubmitError::Busy) => rejected += 1,
+                    Err(e) => panic!("unexpected: {e}"),
+                }
             }
-        }
-        (accepted, rejected)
-    })
+            (accepted, rejected)
+        },
+    )
     .unwrap();
     assert!(
         rejected > 0,
@@ -139,21 +144,25 @@ fn overload_surfaces_busy_and_loses_nothing() {
 #[test]
 fn deadlines_classify_expired_and_late() {
     let cfg = small_cfg(1);
-    let (stats, ()) = OramService::serve(cfg, |h| {
-        // Deadline in the past at admission -> Expired.
-        let mut dead = ServiceRequest::read(17, 1_000_000, 1);
-        dead.deadline_ps = Some(999);
-        h.submit(dead).unwrap();
-        // A 1 ps deadline cannot cover a multi-microsecond ORAM access ->
-        // completes, but Late.
-        let mut tight = ServiceRequest::read(33, 0, 2);
-        tight.deadline_ps = Some(1);
-        // arrival 0 with deadline 1 >= arrival: admitted, then late.
-        tight.arrival_ps = 0;
-        h.submit(tight).unwrap();
-        // No deadline -> plain Ok.
-        h.submit(ServiceRequest::read(49, 0, 3)).unwrap();
-    })
+    let (stats, ()) = OramService::serve(
+        cfg,
+        |_| {},
+        |h| {
+            // Deadline in the past at admission -> Expired.
+            let mut dead = ServiceRequest::read(17, 1_000_000, 1);
+            dead.deadline_ps = Some(999);
+            h.submit(dead).unwrap();
+            // A 1 ps deadline cannot cover a multi-microsecond ORAM access ->
+            // completes, but Late.
+            let mut tight = ServiceRequest::read(33, 0, 2);
+            tight.deadline_ps = Some(1);
+            // arrival 0 with deadline 1 >= arrival: admitted, then late.
+            tight.arrival_ps = 0;
+            h.submit(tight).unwrap();
+            // No deadline -> plain Ok.
+            h.submit(ServiceRequest::read(49, 0, 3)).unwrap();
+        },
+    )
     .unwrap();
     assert_eq!(stats.expired(), 1);
     assert_eq!(stats.completed_late(), 1);
@@ -182,22 +191,28 @@ fn accounting_ledger_balances_under_random_expirations() {
         let total = g.range(48, 160);
         let expired_target = g.range(1, total / 2);
         let cfg = small_cfg(shards);
-        let (stats, done) = OramService::serve(cfg, |h| {
-            for i in 0..total {
-                let mut req = ServiceRequest::read((i * 131) % 4096, 1_000, i);
-                if i < expired_target {
-                    // Deadline already passed at the 1000 ps arrival:
-                    // shed at admission, never served.
-                    req.deadline_ps = Some(1);
+        let (tx, rx) = mpsc::channel();
+        let (stats, ()) = OramService::serve(
+            cfg,
+            move |c| {
+                let _ = tx.send(c);
+            },
+            |h| {
+                for i in 0..total {
+                    let mut req = ServiceRequest::read((i * 131) % 4096, 1_000, i);
+                    if i < expired_target {
+                        // Deadline already passed at the 1000 ps arrival:
+                        // shed at admission, never served.
+                        req.deadline_ps = Some(1);
+                    }
+                    while h.submit(req.clone()) == Err(SubmitError::Busy) {
+                        std::thread::yield_now();
+                    }
                 }
-                while h.submit(req.clone()) == Err(SubmitError::Busy) {
-                    std::thread::yield_now();
-                }
-            }
-            h.clone()
-        })
-        .map(|(stats, h)| (stats, h.drain_completions()))
+            },
+        )
         .unwrap();
+        let done: Vec<_> = rx.iter().collect();
         assert_eq!(stats.enqueued(), total, "nothing accepted may vanish");
         assert_eq!(stats.expired(), expired_target);
         assert_eq!(
@@ -231,14 +246,18 @@ fn drain_under_load_terminates_and_accounts() {
     let mut cfg = small_cfg(4);
     cfg.queue_depth = 8;
     let accepted = AtomicU64::new(0);
-    let (stats, ()) = OramService::serve(cfg, |h| {
-        for i in 0..256u64 {
-            if h.submit(ServiceRequest::read(i % 4096, 0, i)).is_ok() {
-                accepted.fetch_add(1, Ordering::Relaxed);
+    let (stats, ()) = OramService::serve(
+        cfg,
+        |_| {},
+        |h| {
+            for i in 0..256u64 {
+                if h.submit(ServiceRequest::read(i % 4096, 0, i)).is_ok() {
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                }
             }
-        }
-        // Return immediately: queues are still loaded, shards mid-flight.
-    })
+            // Return immediately: queues are still loaded, shards mid-flight.
+        },
+    )
     .unwrap();
     let accepted = accepted.load(Ordering::Relaxed);
     assert!(accepted > 0);
@@ -255,7 +274,7 @@ fn drain_under_load_terminates_and_accounts() {
 #[test]
 fn post_drain_submissions_are_refused() {
     let cfg = small_cfg(1);
-    let (_, handle) = OramService::serve(cfg, |h| h.clone()).unwrap();
+    let (_, handle) = OramService::serve(cfg, |_| {}, |h| h.clone()).unwrap();
     assert_eq!(
         handle.submit(ServiceRequest::read(1, 0, 0)),
         Err(SubmitError::Shutdown)
@@ -297,17 +316,23 @@ fn sim_throughput_scales_with_shards() {
 #[test]
 fn completions_carry_global_addresses_and_tags() {
     let cfg = small_cfg(4);
-    let (stats, done) = OramService::serve(cfg, |h| {
-        for i in 0..32u64 {
-            let addr = i * 97 % 4096;
-            while h.submit(ServiceRequest::read(addr, 0, addr)) == Err(SubmitError::Busy) {
-                std::thread::yield_now();
+    let (tx, rx) = mpsc::channel();
+    let (stats, ()) = OramService::serve(
+        cfg,
+        move |c| {
+            let _ = tx.send(c);
+        },
+        |h| {
+            for i in 0..32u64 {
+                let addr = i * 97 % 4096;
+                while h.submit(ServiceRequest::read(addr, 0, addr)) == Err(SubmitError::Busy) {
+                    std::thread::yield_now();
+                }
             }
-        }
-        h.clone()
-    })
-    .map(|(stats, h)| (stats, h.drain_completions()))
+        },
+    )
     .unwrap();
+    let done: Vec<_> = rx.iter().collect();
     assert_eq!(stats.completed(), 32);
     assert_eq!(done.len(), 32);
     for c in &done {

@@ -14,10 +14,15 @@
 //!   the wire stays fully pipelined;
 //! * the service's completion **sink** runs on the shard worker that
 //!   finished the request and routes the answer straight into its
-//!   connection's writer channel, by the server-allocated service tag,
-//!   mapped back to the client's own tag. It keeps no copy of the
-//!   service's bookkeeping: the shard strips write payloads and answers
-//!   every request it accepted, so routing is all that is left.
+//!   connection's writer channel. It keeps no copy of the service's
+//!   bookkeeping: the shard strips write payloads and answers every
+//!   request it accepted, so routing is all that is left.
+//!
+//! A connection's window is its request ledger: each slot holds the
+//! client's tag of the request in flight in it, and the service tag names
+//! the slot (`conn * window + slot`). A full window answers `Busy`, a
+//! closed connection takes its ledger along (late answers are dropped),
+//! and the shutdown drain waits for every window to empty.
 //!
 //! A wire request thus crosses three threads — reader, shard worker,
 //! writer — and waits on no timer.
@@ -48,15 +53,15 @@
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fp_path_oram::Op;
 use fp_service::sync::relock;
 use fp_service::{
-    CompletionStatus, OramService, ServeError, ServiceCompletion, ServiceConfig, ServiceHandle,
-    ServiceRequest, ServiceStats, ShardFailure, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceConfig, ServiceHandle, ServiceRequest,
+    ServiceStats, ShardFailure, SubmitError,
 };
 use fp_stats::json::JsonObject;
 use fp_trace::{Counter, TraceHandle};
@@ -179,22 +184,17 @@ impl NetReport {
     }
 }
 
-/// One network request awaiting its service completion.
-struct PendingEntry {
-    conn: u64,
-    client_tag: u64,
-}
-
 /// Per-connection state shared between the acceptor, its reader, and the
 /// completion sink.
 struct ConnSlot {
     /// Response channel into the connection's writer thread.
     tx: mpsc::Sender<Frame>,
-    /// Requests submitted but not yet answered on this connection.
-    inflight: Arc<AtomicUsize>,
-    /// Socket clone kept so shutdown can force-close the connection and
-    /// unblock its reader.
-    sock: TcpStream,
+    /// The connection's request ledger: one entry per window slot, the
+    /// client tag of the request in flight in it.
+    window: Vec<Option<u64>>,
+    /// The connection's socket, shared with its reader and writer, so
+    /// shutdown can force-close it and unblock the reader.
+    sock: Arc<TcpStream>,
 }
 
 /// The shared network plane handed to every connection thread.
@@ -202,14 +202,51 @@ struct NetShared {
     cfg: NetConfig,
     trace: TraceHandle,
     draining: AtomicBool,
-    next_tag: AtomicU64,
-    pending: Mutex<HashMap<u64, PendingEntry>>,
     conns: Mutex<HashMap<u64, ConnSlot>>,
     start: Instant,
     local: SocketAddr,
 }
 
 impl NetShared {
+    /// Takes a free slot of connection `conn`'s window for the request the
+    /// client tagged `client_tag`, and returns the service tag naming the
+    /// slot; `None` when every slot is taken.
+    fn claim_slot(&self, conn: u64, client_tag: u64) -> Option<u64> {
+        let mut conns = relock(&self.conns);
+        let window = &mut conns.get_mut(&conn)?.window;
+        let slot = window.iter().position(Option::is_none)?;
+        window[slot] = Some(client_tag);
+        Some(conn * window.len() as u64 + slot as u64)
+    }
+
+    /// Frees the slot service tag `tag` names and answers its request on
+    /// the connection's writer, under the client's tag; drops the answer
+    /// when the connection has closed since. The completion sink (on the
+    /// shard worker) and a refused submission both answer here; neither
+    /// blocks, the writer's channel is unbounded.
+    fn answer(&self, tag: u64, status: WireStatus, latency_ps: u64, data: Vec<u8>) {
+        let window = self.cfg.max_inflight_per_conn as u64;
+        let mut conns = relock(&self.conns);
+        let Some(conn) = conns.get_mut(&(tag / window)) else {
+            return; // it closed while the request was in flight
+        };
+        if let Some(client_tag) = conn.window[(tag % window) as usize].take() {
+            let _ = conn.tx.send(Frame::Response(WireResponse {
+                tag: client_tag,
+                status,
+                latency_ps,
+                data,
+            }));
+        }
+    }
+
+    /// Whether no connection has a request in flight.
+    fn idle(&self) -> bool {
+        relock(&self.conns)
+            .values()
+            .all(|c| c.window.iter().all(Option::is_none))
+    }
+
     /// Wall nanoseconds since the server started, as simulated
     /// picoseconds (1 wall ns = 1 simulated ns).
     fn arrival_ps(&self) -> u64 {
@@ -255,8 +292,6 @@ impl NetServer {
             cfg,
             trace: TraceHandle::default(),
             draining: AtomicBool::new(false),
-            next_tag: AtomicU64::new(1),
-            pending: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
             start,
             local,
@@ -299,13 +334,13 @@ impl NetServer {
 }
 
 /// The server worker: runs the sharded service with the network plane as
-/// its driver and [`route`] as its completion sink, and folds the outcome
+/// its driver and [`NetShared::answer`] as its completion sink, and folds the outcome
 /// into a [`NetReport`].
 fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport, NetError> {
     let service_cfg = shared.cfg.service.clone();
     let (stats, failures) = match OramService::serve(
         service_cfg,
-        |c| route(&shared, c),
+        |c| shared.answer(c.tag, completion_status(c.status), c.latency_ps, c.data),
         |handle| drive(&listener, handle, &shared),
     ) {
         Ok((stats, ())) => (stats, Vec::new()),
@@ -339,26 +374,23 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
                 drop(stream);
                 continue;
             }
-            let (reader, writer, keeper) = match (stream.try_clone(), stream.try_clone()) {
-                (Ok(w), Ok(k)) => (stream, w, k),
-                _ => continue,
-            };
-            let _ = reader.set_nodelay(true);
+            let _ = stream.set_nodelay(true);
+            let sock = Arc::new(stream);
             next_conn += 1;
             let conn_id = next_conn;
             let (tx, rx) = mpsc::channel::<Frame>();
-            let inflight = Arc::new(AtomicUsize::new(0));
             relock(&shared.conns).insert(
                 conn_id,
                 ConnSlot {
                     tx: tx.clone(),
-                    inflight: Arc::clone(&inflight),
-                    sock: keeper,
+                    window: vec![None; shared.cfg.max_inflight_per_conn],
+                    sock: Arc::clone(&sock),
                 },
             );
             shared.trace.bump(Counter::NetConnectionsOpened);
-            scope.spawn(move || write_responses(writer, rx, shared));
-            scope.spawn(move || serve_connection(reader, conn_id, tx, inflight, handle, shared));
+            let writer = Arc::clone(&sock);
+            scope.spawn(move || write_responses(&writer, rx, shared));
+            scope.spawn(move || serve_connection(&sock, conn_id, tx, handle, shared));
         }
         // Drain: give in-flight requests a bounded chance to complete. The
         // bound is wall time by definition, hence the two clock reads and
@@ -366,7 +398,7 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
         #[expect(clippy::disallowed_methods)]
         let deadline = Instant::now() + Duration::from_millis(shared.cfg.drain_wait_ms);
         #[expect(clippy::disallowed_methods)]
-        while Instant::now() < deadline && !relock(&shared.pending).is_empty() {
+        while Instant::now() < deadline && !shared.idle() {
             std::thread::sleep(Duration::from_millis(1));
         }
         // Force-close every connection so blocked readers exit; their
@@ -379,7 +411,7 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
 
 /// Writer thread of one connection: serializes frames from the channel
 /// until every sender is gone or the socket dies.
-fn write_responses(mut sock: TcpStream, rx: mpsc::Receiver<Frame>, shared: &NetShared) {
+fn write_responses(mut sock: &TcpStream, rx: mpsc::Receiver<Frame>, shared: &NetShared) {
     for frame in rx {
         match write_frame(&mut sock, &frame) {
             Ok(n) => {
@@ -394,20 +426,18 @@ fn write_responses(mut sock: TcpStream, rx: mpsc::Receiver<Frame>, shared: &NetS
 /// Reader thread of one connection: handshake, then decode/validate/
 /// submit until EOF, a protocol error, or shutdown.
 fn serve_connection(
-    mut sock: TcpStream,
+    mut sock: &TcpStream,
     conn_id: u64,
     tx: mpsc::Sender<Frame>,
-    inflight: Arc<AtomicUsize>,
     handle: &ServiceHandle,
     shared: &NetShared,
 ) {
     if handshake(&mut sock, &tx, handle, shared).is_ok() {
-        read_requests(&mut sock, conn_id, &tx, &inflight, handle, shared);
+        read_requests(&mut sock, conn_id, &tx, handle, shared);
     }
-    // Cleanup: unregister the connection and forget its in-flight
-    // requests — the client is gone, nobody can receive their answers.
+    // Cleanup: unregister the connection, and its ledger with it — the
+    // client is gone, nobody can receive the answers still in flight.
     relock(&shared.conns).remove(&conn_id);
-    relock(&shared.pending).retain(|_, p| p.conn != conn_id);
     shared.trace.bump(Counter::NetConnectionsClosed);
     let _ = sock.shutdown(Shutdown::Both);
 }
@@ -415,7 +445,7 @@ fn serve_connection(
 /// Expects a `Hello` with the right magic and version, answers with the
 /// service geometry.
 fn handshake(
-    sock: &mut TcpStream,
+    sock: &mut &TcpStream,
     tx: &mpsc::Sender<Frame>,
     handle: &ServiceHandle,
     shared: &NetShared,
@@ -447,10 +477,9 @@ fn handshake(
 
 /// The post-handshake read loop.
 fn read_requests(
-    sock: &mut TcpStream,
+    sock: &mut &TcpStream,
     conn_id: u64,
     tx: &mpsc::Sender<Frame>,
-    inflight: &Arc<AtomicUsize>,
     handle: &ServiceHandle,
     shared: &NetShared,
 ) {
@@ -470,7 +499,7 @@ fn read_requests(
         shared.trace.add(Counter::NetWireBytesIn, n as u64);
         match frame {
             Frame::Request(req) => {
-                handle_request(req, conn_id, tx, inflight, handle, shared);
+                handle_request(req, conn_id, tx, handle, shared);
             }
             Frame::StatsReq => {
                 let mut o = JsonObject::new();
@@ -495,12 +524,11 @@ fn read_requests(
 }
 
 /// Validates, windows, and submits one wire request; every path answers
-/// the client exactly once (here, or later through [`route`]).
+/// the client exactly once (here, or later through [`NetShared::answer`]).
 fn handle_request(
     req: WireRequest,
     conn_id: u64,
     tx: &mpsc::Sender<Frame>,
-    inflight: &Arc<AtomicUsize>,
     handle: &ServiceHandle,
     shared: &NetShared,
 ) {
@@ -530,28 +558,17 @@ fn handle_request(
         refuse(WireStatus::Shutdown);
         return;
     }
-    if inflight.load(Ordering::Acquire) >= shared.cfg.max_inflight_per_conn {
+    // Claim the window slot before submitting: the shard's worker may
+    // route the answer — and free the slot — on its own thread before
+    // submit() even returns.
+    let Some(service_tag) = shared.claim_slot(conn_id, req.tag) else {
         shared.trace.bump(Counter::NetBusyRejections);
         refuse(WireStatus::Busy);
         return;
-    }
-    let service_tag = shared.next_tag.fetch_add(1, Ordering::Relaxed);
+    };
     let arrival_ps = shared.arrival_ps();
     let deadline_ps = (req.deadline_rel_ns > 0)
         .then(|| arrival_ps.saturating_add(req.deadline_rel_ns.saturating_mul(1_000)));
-    // Register the pending entry AND charge the window slot before
-    // submitting: the shard's worker may route the answer — and release
-    // the slot — on its own thread before submit() even returns, so
-    // registering afterwards would lose the answer and adding to
-    // `inflight` afterwards would race an underflow.
-    relock(&shared.pending).insert(
-        service_tag,
-        PendingEntry {
-            conn: conn_id,
-            client_tag: req.tag,
-        },
-    );
-    inflight.fetch_add(1, Ordering::AcqRel);
     let service_req = ServiceRequest {
         addr: req.addr,
         op,
@@ -560,42 +577,17 @@ fn handle_request(
         deadline_ps,
         tag: service_tag,
     };
-    match handle.submit(service_req) {
-        Ok(_) => {}
-        Err(e) => {
-            relock(&shared.pending).remove(&service_tag);
-            inflight.fetch_sub(1, Ordering::AcqRel);
-            let status = match e {
-                SubmitError::Busy => {
-                    shared.trace.bump(Counter::NetBusyRejections);
-                    WireStatus::Busy
-                }
-                SubmitError::ShardDown => WireStatus::ShardDown,
-                SubmitError::Shutdown => WireStatus::Shutdown,
-                SubmitError::OutOfRange => WireStatus::OutOfRange,
-            };
-            refuse(status);
-        }
-    }
-}
-
-/// The service's completion sink, run on the shard worker that finished
-/// the request: routes the answer to its connection's writer. It takes
-/// the `pending` lock and then the `conns` lock, never both at once, and
-/// never blocks — the writer's channel is unbounded, and an answer whose
-/// connection has closed is dropped.
-fn route(shared: &NetShared, c: ServiceCompletion) {
-    let Some(p) = relock(&shared.pending).remove(&c.tag) else {
-        return; // its connection closed while it was in flight
-    };
-    if let Some(slot) = relock(&shared.conns).get(&p.conn) {
-        slot.inflight.fetch_sub(1, Ordering::AcqRel);
-        let _ = slot.tx.send(Frame::Response(WireResponse {
-            tag: p.client_tag,
-            status: completion_status(c.status),
-            latency_ps: c.latency_ps,
-            data: c.data,
-        }));
+    if let Err(e) = handle.submit(service_req) {
+        let status = match e {
+            SubmitError::Busy => {
+                shared.trace.bump(Counter::NetBusyRejections);
+                WireStatus::Busy
+            }
+            SubmitError::ShardDown => WireStatus::ShardDown,
+            SubmitError::Shutdown => WireStatus::Shutdown,
+            SubmitError::OutOfRange => WireStatus::OutOfRange,
+        };
+        shared.answer(service_tag, status, 0, Vec::new());
     }
 }
 

@@ -39,8 +39,9 @@
 //!   shards drain normally. Health is read from the stats snapshot
 //!   ([`ShardSnapshot::health`]). Deterministic fault
 //!   injection ([`fp_core::FaultInjector`], enabled via
-//!   [`ServiceConfig::fault`]) exercises these paths on demand; shards
-//!   that absorbed transient faults through retries report *degraded*.
+//!   [`ServiceConfig::fault`]) exercises these paths on demand; a shard
+//!   that absorbs transient faults through retries reports *degraded*
+//!   from its first fault on, while it serves.
 //! * **Cross-request coalescing** ([`ServiceConfig::coalesce`]) — each
 //!   shard can keep an in-flight index (address → pending entry) so a
 //!   duplicate-address request arriving while an access is outstanding

@@ -3,7 +3,10 @@
 //! The queue never blocks producers: a full queue rejects with
 //! [`SubmitError::Busy`] and the caller decides whether to retry, shed, or
 //! slow down. Consumers (shard workers) block in [`SubmissionQueue::pop_batch`]
-//! until work arrives or the queue is closed and fully drained.
+//! until work arrives or the queue is closed and fully drained. A closed
+//! queue refuses every push with the reason it was first closed for:
+//! [`SubmitError::Shutdown`] once the service drains,
+//! [`SubmitError::ShardDown`] once its shard's worker has died.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -14,7 +17,8 @@ use crate::sync::{relock, rewait};
 #[derive(Debug)]
 struct QueueState {
     items: VecDeque<ServiceRequest>,
-    closed: bool,
+    /// Why the queue closed, first reason only; `None` while open.
+    closed: Option<SubmitError>,
     high_water: usize,
 }
 
@@ -37,7 +41,7 @@ impl SubmissionQueue {
         Self {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
-                closed: false,
+                closed: None,
                 high_water: 0,
             }),
             ready: Condvar::new(),
@@ -49,12 +53,12 @@ impl SubmissionQueue {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Busy`] when the queue is at capacity (backpressure),
-    /// [`SubmitError::Shutdown`] once the queue has been closed.
+    /// [`SubmitError::Busy`] when the queue is at capacity (backpressure);
+    /// once the queue has been closed, the reason it was closed for.
     pub fn try_push(&self, req: ServiceRequest) -> Result<(), SubmitError> {
         let mut st = relock(&self.state);
-        if st.closed {
-            return Err(SubmitError::Shutdown);
+        if let Some(reason) = st.closed {
+            return Err(reason);
         }
         if st.items.len() >= self.capacity {
             return Err(SubmitError::Busy);
@@ -81,7 +85,7 @@ impl SubmissionQueue {
                 let take = st.items.len().min(max.max(1));
                 return Some(st.items.drain(..take).collect());
             }
-            if st.closed {
+            if st.closed.is_some() {
                 return None;
             }
             st = rewait(&self.ready, st);
@@ -91,27 +95,26 @@ impl SubmissionQueue {
     /// Non-blocking variant of [`SubmissionQueue::pop_batch`] with the
     /// same termination contract: `Some(batch)` (possibly empty) while
     /// the queue is open or still draining, `None` only once it is closed
-    /// *and* empty. Before this returned a bare `Vec`, "no work right
-    /// now" and "closed and drained" were indistinguishable, so a
-    /// non-blocking poller could never terminate.
+    /// *and* empty, so a non-blocking poller can tell "no work right now"
+    /// from "closed and drained".
     ///
     /// `max == 0` trips the same debug assertion as
     /// [`SubmissionQueue::pop_batch`].
     pub(crate) fn try_pop_batch(&self, max: usize) -> Option<Vec<ServiceRequest>> {
         debug_assert!(max > 0, "try_pop_batch(max = 0) would never take work");
         let mut st = relock(&self.state);
-        if st.items.is_empty() && st.closed {
+        if st.items.is_empty() && st.closed.is_some() {
             return None;
         }
         let take = st.items.len().min(max.max(1));
         Some(st.items.drain(..take).collect())
     }
 
-    /// Closes the queue: subsequent pushes fail with
-    /// [`SubmitError::Shutdown`]; consumers drain what remains, then see
+    /// Closes the queue for `reason`: subsequent pushes fail with it (the
+    /// first close's reason wins); consumers drain what remains, then see
     /// `None`.
-    pub(crate) fn close(&self) {
-        relock(&self.state).closed = true;
+    pub(crate) fn close(&self, reason: SubmitError) {
+        relock(&self.state).closed.get_or_insert(reason);
         self.ready.notify_all();
     }
 
@@ -172,11 +175,20 @@ mod tests {
         let q = SubmissionQueue::new(4);
         q.try_push(req(0)).unwrap();
         q.try_push(req(1)).unwrap();
-        q.close();
+        q.close(SubmitError::Shutdown);
         assert_eq!(q.try_push(req(2)), Err(SubmitError::Shutdown));
         let batch = q.pop_batch(8).expect("queued work survives close");
         assert_eq!(batch.len(), 2);
         assert!(q.pop_batch(8).is_none(), "closed and empty ends the stream");
+    }
+
+    #[test]
+    fn a_closed_queue_refuses_with_its_first_reason() {
+        let q = SubmissionQueue::new(4);
+        q.close(SubmitError::ShardDown);
+        q.close(SubmitError::Shutdown);
+        assert_eq!(q.try_push(req(0)), Err(SubmitError::ShardDown));
+        assert!(q.pop_batch(8).is_none());
     }
 
     #[test]
@@ -208,7 +220,7 @@ mod tests {
         // Open + empty: "no work right now", keep polling.
         assert_eq!(q.try_pop_batch(8), Some(Vec::new()));
         q.try_push(req(1)).unwrap();
-        q.close();
+        q.close(SubmitError::Shutdown);
         // Closed but not yet drained: queued work survives close.
         assert_eq!(q.try_pop_batch(8).unwrap().len(), 1);
         // Closed and drained: the stream has ended.

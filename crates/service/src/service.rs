@@ -37,7 +37,7 @@ use fp_workloads::BenchmarkProfile;
 
 use crate::config::ServiceConfig;
 use crate::request::{ServiceCompletion, ServiceRequest, SubmitError};
-use crate::shard::{ShardEngine, ShardHealth, ShardShared};
+use crate::shard::{ShardEngine, ShardShared};
 use crate::stats::{ServiceStats, ShardSnapshot};
 use crate::sync::relock;
 
@@ -109,9 +109,10 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// [`SubmitError::OutOfRange`] for addresses outside the global space,
-    /// [`SubmitError::Busy`] when the target shard's queue is full,
+    /// [`SubmitError::Busy`] when the target shard's queue is full, and
+    /// whatever its queue was closed for once it is:
     /// [`SubmitError::ShardDown`] when the owning shard's worker has died
-    /// (final — retrying cannot help), and [`SubmitError::Shutdown`] once
+    /// (final — retrying cannot help), [`SubmitError::Shutdown`] once
     /// draining has begun.
     pub fn submit(&self, mut req: ServiceRequest) -> Result<usize, SubmitError> {
         if req.addr >= self.cfg.oram.data_blocks {
@@ -120,9 +121,6 @@ impl ServiceHandle {
         let shard = self.cfg.shard_of(req.addr);
         req.addr = self.cfg.local_addr(req.addr);
         let shared = &self.shards[shard];
-        if shared.health() == ShardHealth::Dead {
-            return Err(SubmitError::ShardDown);
-        }
         match shared.queue.try_push(req) {
             Ok(()) => {
                 shared.note_enqueued();
@@ -131,11 +129,6 @@ impl ServiceHandle {
             Err(e) => {
                 if e == SubmitError::Busy {
                     shared.note_rejected();
-                }
-                // A shard dying between the health check and the push sees
-                // its queue closed; report the stronger signal.
-                if e == SubmitError::Shutdown && shared.health() == ShardHealth::Dead {
-                    return Err(SubmitError::ShardDown);
                 }
                 Err(e)
             }
@@ -287,7 +280,7 @@ impl OramService {
                 let out = driver(&handle);
                 // Begin drain: reject new work, wake idle workers.
                 for shared in shards.iter() {
-                    shared.queue.close();
+                    shared.queue.close(SubmitError::Shutdown);
                 }
                 out
             },
@@ -386,6 +379,7 @@ impl OramService {
 mod tests {
     use super::*;
     use crate::request::CompletionStatus;
+    use crate::shard::ShardHealth;
     use fp_workloads::mixes;
 
     #[test]

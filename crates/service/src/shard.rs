@@ -41,8 +41,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fp_core::engine::OramEngine;
 use fp_core::{ControllerError, FaultInjector, NewRequest, NoFeedback, ReactiveSource};
@@ -54,22 +53,24 @@ use fp_workloads::service::ServiceClientPool;
 use crate::coalesce::{CoalesceIndex, Waiter, WaiterAnswer};
 use crate::config::ServiceConfig;
 use crate::queue::SubmissionQueue;
-use crate::request::{CompletionStatus, ServiceCompletion, ServiceRequest};
+use crate::request::{CompletionStatus, ServiceCompletion, ServiceRequest, SubmitError};
 use crate::service::ShardFailure;
 use crate::sync::relock;
 
-/// Liveness of one shard as seen by the service front end.
-///
-/// Transitions are one-way: `Healthy → Degraded` (the shard absorbed
-/// injected or transient faults but kept serving) and `* → Dead` (its
-/// worker exited with an error or panicked). A dead shard's queue is
-/// closed and [`crate::SubmitError::ShardDown`] is returned for its
-/// addresses; the remaining shards keep serving theirs.
+/// Liveness of one shard as seen by the service front end, derived from
+/// the shard's fault record at the time it is read: `Dead` once its worker
+/// exited with an error or panicked, else `Degraded` once any fault was
+/// injected into its engine (it absorbed them and keeps serving), else
+/// `Healthy`. Neither fact is ever undone, so health never moves back
+/// towards `Healthy`. A dead shard's queue is closed and answers
+/// [`crate::SubmitError::ShardDown`] for its addresses; the remaining
+/// shards keep serving theirs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Serving normally; no faults observed.
     Healthy,
-    /// Serving, but transient faults were absorbed (retries succeeded).
+    /// Serving, but faults were injected into its engine (so far absorbed
+    /// by retries).
     Degraded,
     /// Worker exited abnormally; the shard no longer serves requests.
     Dead,
@@ -82,14 +83,6 @@ impl ShardHealth {
             ShardHealth::Healthy => "healthy",
             ShardHealth::Degraded => "degraded",
             ShardHealth::Dead => "dead",
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => ShardHealth::Healthy,
-            1 => ShardHealth::Degraded,
-            _ => ShardHealth::Dead,
         }
     }
 }
@@ -150,11 +143,9 @@ pub struct ShardShared {
     pub counters: Mutex<ShardCounters>,
     /// The shard controller's trace handle (cloned snapshot source).
     pub trace: TraceHandle,
-    /// Liveness, written by the worker, read by the front end.
-    /// Atomic (not under a mutex) so health survives lock poisoning.
-    health: AtomicU8,
-    /// Description of the failure that killed the shard, if any.
-    fault: Mutex<Option<String>>,
+    /// Description of the failure that killed the shard, written once by
+    /// its dying worker. Lock-free, so it survives lock poisoning.
+    death: OnceLock<String>,
 }
 
 impl ShardShared {
@@ -163,8 +154,7 @@ impl ShardShared {
             queue: SubmissionQueue::new(queue_depth),
             counters: Mutex::new(ShardCounters::default()),
             trace,
-            health: AtomicU8::new(0),
-            fault: Mutex::new(None),
+            death: OnceLock::new(),
         }
     }
 
@@ -178,42 +168,32 @@ impl ShardShared {
         relock(&self.counters).enqueued += 1;
     }
 
-    /// Current liveness of this shard.
+    /// Current liveness of this shard, derived from its fault record (see
+    /// [`ShardHealth`]).
     pub(crate) fn health(&self) -> ShardHealth {
-        ShardHealth::from_u8(self.health.load(Ordering::Acquire))
+        if self.death.get().is_some() {
+            ShardHealth::Dead
+        } else if self.trace.counter(Counter::FaultsInjected) > 0 {
+            ShardHealth::Degraded
+        } else {
+            ShardHealth::Healthy
+        }
     }
 
     /// The failure that killed the shard, if it is dead.
     pub(crate) fn fault(&self) -> Option<String> {
-        relock(&self.fault).clone()
+        self.death.get().cloned()
     }
 
-    /// Marks the shard degraded (faults absorbed, still serving). A dead
-    /// shard stays dead.
-    pub(crate) fn mark_degraded(&self) {
-        let _ = self.health.compare_exchange(
-            ShardHealth::Healthy as u8,
-            ShardHealth::Degraded as u8,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-
-    /// Marks the shard dead: records the failure, closes the queue so
-    /// producers see `Shutdown`/`ShardDown` instead of retrying `Busy`
-    /// forever, and counts a failover in the trace.
+    /// Marks the shard dead: records the failure (the first one wins) and
+    /// counts a failover in the trace, then closes the queue for
+    /// `ShardDown`, so producers see that instead of retrying `Busy`
+    /// forever.
     pub(crate) fn mark_dead(&self, error: &str) {
-        let was = self.health.swap(ShardHealth::Dead as u8, Ordering::AcqRel);
-        if was != ShardHealth::Dead as u8 {
+        if self.death.set(error.to_string()).is_ok() {
             self.trace.bump(Counter::ShardFailovers);
         }
-        {
-            let mut f = relock(&self.fault);
-            if f.is_none() {
-                *f = Some(error.to_string());
-            }
-        }
-        self.queue.close();
+        self.queue.close(SubmitError::ShardDown);
     }
 }
 
@@ -695,19 +675,11 @@ impl ShardEngine {
         self.finish();
     }
 
-    /// Records the shard's final simulated clock and settles health: a
-    /// shard that absorbed injected faults (but recovered via retries)
-    /// reports [`ShardHealth::Degraded`] instead of `Healthy`. Called
-    /// from clean drains *and* after an error in [`ShardEngine::or_fail`]
-    /// (never after a panic: it reads the engine's clock).
+    /// Records the shard's final simulated clock. Called from clean drains
+    /// *and* after an error in [`ShardEngine::or_fail`] (never after a
+    /// panic: it reads the engine's clock).
     fn finish(&self) {
-        {
-            let mut c = relock(&self.shared.counters);
-            c.sim_finish_ps = self.ctl.clock_ps();
-        }
-        if self.shared.trace.counter(Counter::FaultsInjected) > 0 {
-            self.shared.mark_degraded();
-        }
+        relock(&self.shared.counters).sim_finish_ps = self.ctl.clock_ps();
     }
 
     /// Closed-loop mode: drives the embedded client `pool` to exhaustion.
@@ -857,7 +829,7 @@ mod tests {
         dead.arrival_ps = 10;
         shared.queue.try_push(dead).unwrap();
         shared.note_enqueued();
-        shared.queue.close();
+        shared.queue.close(SubmitError::Shutdown);
         let done = RefCell::new(Vec::new());
         engine.run_external(&|c| done.borrow_mut().push(c)).unwrap();
         let c = *relock(&shared.counters);

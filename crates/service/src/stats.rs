@@ -156,9 +156,7 @@ impl ServiceStats {
 
     /// Total client requests *served* to completion (`Ok` + `Late`).
     /// Excludes expirations — they never executed — so this is the
-    /// correct numerator for every throughput rate. (An earlier version
-    /// also counted expirations here, inflating reported req/s exactly
-    /// when the service was shedding load.)
+    /// correct numerator for every throughput rate.
     pub fn completed(&self) -> u64 {
         self.total(|c| c.completed)
     }
@@ -230,58 +228,26 @@ impl ServiceStats {
         totals
     }
 
-    /// Sums one trace counter across shards.
-    fn trace_total(&self, c: Counter) -> u64 {
+    /// One trace counter summed across shards: e.g.
+    /// [`Counter::FaultsInjected`], [`Counter::ShardFailovers`] (each dead
+    /// shard counts once) or [`Counter::CoalescedReads`].
+    pub fn counter(&self, c: Counter) -> u64 {
         self.per_shard
             .iter()
             .map(|s| s.trace_counters[c as usize])
             .sum()
     }
 
-    /// Total faults injected by [`fp_core::FaultInjector`] wrappers.
-    pub fn faults_injected(&self) -> u64 {
-        self.trace_total(Counter::FaultsInjected)
-    }
-
-    /// Total retry attempts spent recovering from injected faults.
-    pub fn fault_retries(&self) -> u64 {
-        self.trace_total(Counter::FaultRetries)
-    }
-
-    /// Total injected latency spikes.
-    pub(crate) fn latency_spikes(&self) -> u64 {
-        self.trace_total(Counter::LatencySpikes)
-    }
-
-    /// Total shard deaths (each dead shard counts once).
-    pub fn shard_failovers(&self) -> u64 {
-        self.trace_total(Counter::ShardFailovers)
-    }
-
     /// Total ORAM tree accesses actually executed (full + merged reads).
     pub fn oram_accesses(&self) -> u64 {
-        self.trace_total(Counter::FullReads) + self.trace_total(Counter::MergedReads)
-    }
-
-    /// Reads answered by attaching to an in-flight access.
-    pub fn coalesced_reads(&self) -> u64 {
-        self.trace_total(Counter::CoalescedReads)
-    }
-
-    /// Writes absorbed by the coalescing index (last-writer-wins).
-    pub fn coalesced_writes(&self) -> u64 {
-        self.trace_total(Counter::CoalescedWrites)
-    }
-
-    /// Write-back accesses issued to flush coalesced write data.
-    pub fn coalesce_flushes(&self) -> u64 {
-        self.trace_total(Counter::CoalesceFlushes)
+        self.counter(Counter::FullReads) + self.counter(Counter::MergedReads)
     }
 
     /// Net ORAM accesses avoided by coalescing: every coalesced request
     /// skipped one access, minus the flush write-backs the layer issued.
-    pub(crate) fn coalesce_accesses_saved(&self) -> u64 {
-        (self.coalesced_reads() + self.coalesced_writes()).saturating_sub(self.coalesce_flushes())
+    fn coalesce_accesses_saved(&self) -> u64 {
+        (self.counter(Counter::CoalescedReads) + self.counter(Counter::CoalescedWrites))
+            .saturating_sub(self.counter(Counter::CoalesceFlushes))
     }
 
     /// Shards currently reporting `health`.
@@ -343,9 +309,9 @@ impl ServiceStats {
 
         let mut coalescing = JsonObject::new();
         coalescing
-            .field_u64("coalesced_reads", self.coalesced_reads())
-            .field_u64("coalesced_writes", self.coalesced_writes())
-            .field_u64("coalesce_flushes", self.coalesce_flushes())
+            .field_u64("coalesced_reads", self.counter(Counter::CoalescedReads))
+            .field_u64("coalesced_writes", self.counter(Counter::CoalescedWrites))
+            .field_u64("coalesce_flushes", self.counter(Counter::CoalesceFlushes))
             .field_u64("oram_accesses", self.oram_accesses())
             .field_u64("accesses_saved", self.coalesce_accesses_saved());
 
@@ -365,10 +331,10 @@ impl ServiceStats {
                 self.shards_with_health(ShardHealth::Degraded) as u64,
             )
             .field_u64("dead", self.shards_with_health(ShardHealth::Dead) as u64)
-            .field_u64("faults_injected", self.faults_injected())
-            .field_u64("fault_retries", self.fault_retries())
-            .field_u64("latency_spikes", self.latency_spikes())
-            .field_u64("shard_failovers", self.shard_failovers());
+            .field_u64("faults_injected", self.counter(Counter::FaultsInjected))
+            .field_u64("fault_retries", self.counter(Counter::FaultRetries))
+            .field_u64("latency_spikes", self.counter(Counter::LatencySpikes))
+            .field_u64("shard_failovers", self.counter(Counter::ShardFailovers));
 
         let mut o = JsonObject::new();
         o.field_u64("shards", self.shards as u64)

@@ -394,161 +394,215 @@ fn handshaken(addr: SocketAddr) -> TcpStream {
     }
 }
 
-/// Hostile peers against a live one-shard server, then a well-formed
-/// client, which must still read back every block it wrote. The peers:
+/// Hostile peers against a live server, then a well-formed client, which
+/// must still read back every block it wrote. Every case runs the same
+/// peers against a different server: one shard, and two shards with
+/// coalescing on. The peers:
 ///
 /// * a client that submits a full window of reads and closes without
 ///   reading: answers that reach the service's sink after the connection
-///   is gone are dropped, and the shard stays healthy;
+///   is gone are dropped, and the shards stay healthy;
 /// * a storm of `STORM` connections that close without a `Hello`;
 /// * a peer that sends half a request frame and then nothing, held open
 ///   until the server has shut down;
+/// * a peer that sends a length prefix and half a request body, then
+///   hangs up;
 /// * a peer whose length prefix is `MAX_FRAME + 1`;
 /// * a peer that writes `OVERRUN` requests at once against a window of
-///   `WINDOW`, reading nothing until it has sent them all.
+///   `WINDOW`, reading nothing until it has sent them all, and repeats
+///   the burst until a request in it is refused.
 ///
-/// After `shutdown` + `join` the run has no shard failure, the shard's
-/// ledger closes and every pinned counter is exact:
+/// After `shutdown` + `join` the run has no shard failure, every shard's
+/// ledger closes (`enqueued == completed + expired + failed`) and every
+/// pinned counter is exact:
 ///
-/// * `net_connections_opened` = 55 = the storm's 50, the four peers and
+/// * `net_connections_opened` = 56 = the storm's 50, the five peers and
 ///   the client. `max_connections` (64) is above what can be open at
 ///   once, so no connection is refused at accept, and the client's
 ///   handshake completes only after the acceptor has taken every earlier
 ///   connection off the backlog. Every one of them closes
-///   (`net_connections_closed` = 55): the stalled peer's when shutdown
+///   (`net_connections_closed` = 56): the stalled peer's when shutdown
 ///   cuts its socket.
 /// * `net_protocol_errors` = 1, the oversize prefix. A connection that
 ///   closes without a `Hello`, a peer that disconnects with answers
-///   unread, and a frame cut short by the server's own shutdown are
-///   disconnects, not protocol errors.
+///   unread, a peer that hangs up mid-frame (`WireError::Closed`) and a
+///   frame cut short by the server's own shutdown are disconnects, not
+///   protocol errors.
 /// * `net_busy_rejections` = the `Busy` answers the overrun peer read.
 ///   Nothing else can be refused: the early closer and the client keep
-///   at most `WINDOW` requests in flight, and the shard queue (64) holds
+///   at most `WINDOW` requests in flight, and a shard queue (64) holds
 ///   every window at once.
 #[test]
 fn hostile_peers_leave_the_server_serving() {
+    for (name, shards, coalesce) in [
+        ("hostile-peers-one-shard", 1, false),
+        ("hostile-peers-two-shards-coalescing", 2, true),
+    ] {
+        with_watchdog(name, 60, move || hostile_peers_case(name, shards, coalesce));
+    }
+}
+
+/// One case of [`hostile_peers_leave_the_server_serving`]: the peers
+/// against a server of `shards` shards, coalescing as `coalesce` says.
+fn hostile_peers_case(name: &str, shards: usize, coalesce: bool) {
     const STORM: u64 = 50;
     const WINDOW: usize = 4;
     const OVERRUN: u64 = 32;
+    const BURSTS: u64 = 8;
     const BLOCKS: u64 = 16;
-    with_watchdog("hostile-peers", 60, || {
-        let service = small_cfg(1);
-        let block_bytes = service.oram.block_bytes;
-        let server = NetServer::start(NetConfig {
-            service,
-            port: 0,
-            max_connections: 64,
-            max_inflight_per_conn: WINDOW,
-            drain_wait_ms: 2_000,
-        })
-        .expect("server start");
-        let addr = server.local_addr();
+    let mut service = small_cfg(shards);
+    service.coalesce = coalesce;
+    let block_bytes = service.oram.block_bytes;
+    let server = NetServer::start(NetConfig {
+        service,
+        port: 0,
+        max_connections: 64,
+        max_inflight_per_conn: WINDOW,
+        drain_wait_ms: 2_000,
+    })
+    .expect("server start");
+    let addr = server.local_addr();
 
-        let mut early = NetClient::connect(addr, WINDOW).expect("client connect");
-        for tag in 0..WINDOW as u64 {
-            early.submit(read_request(tag)).expect("submit");
-        }
-        drop(early);
+    let mut early = NetClient::connect(addr, WINDOW).expect("client connect");
+    for tag in 0..WINDOW as u64 {
+        early.submit(read_request(tag)).expect("submit");
+    }
+    drop(early);
 
-        for _ in 0..STORM {
-            drop(TcpStream::connect(addr).expect("storm connect"));
-        }
+    for _ in 0..STORM {
+        drop(TcpStream::connect(addr).expect("storm connect"));
+    }
 
-        let mut stalled = handshaken(addr);
-        let mut frame = Vec::new();
-        Frame::Request(read_request(0)).encode(&mut frame);
-        stalled
-            .write_all(&frame[..frame.len() / 2])
-            .expect("half a frame");
+    let mut request = Vec::new();
+    Frame::Request(read_request(0)).encode(&mut request);
 
-        let mut oversize = handshaken(addr);
-        oversize
-            .write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
-            .expect("oversize prefix");
-        assert!(
-            matches!(read_frame(&mut oversize), Ok(None)),
-            "the server drops a connection that announces an oversize frame"
-        );
+    let mut stalled = handshaken(addr);
+    stalled
+        .write_all(&request[..request.len() / 2])
+        .expect("half a frame");
 
-        let mut overrun = handshaken(addr);
-        let mut burst = Vec::new();
-        for tag in 0..OVERRUN {
-            Frame::Request(read_request(tag)).encode(&mut burst);
-        }
+    // The 4-byte length prefix, then half of the body it announces.
+    let mut hang_up = handshaken(addr);
+    hang_up
+        .write_all(&request[..4 + (request.len() - 4) / 2])
+        .expect("prefix and half a body");
+    drop(hang_up);
+
+    let mut oversize = handshaken(addr);
+    oversize
+        .write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
+        .expect("oversize prefix");
+    assert!(
+        matches!(read_frame(&mut oversize), Ok(None)),
+        "{name}: the server drops a connection that announces an oversize frame"
+    );
+
+    // A burst overruns the window unless the shard answers each request
+    // before the reader takes the next one, which the host's scheduler
+    // now and then arranges (the reader's submit wakes the worker, and
+    // the worker runs first); so the peer repeats the burst, up to
+    // `BURSTS` times, until one request in it is refused.
+    let mut overrun = handshaken(addr);
+    let mut burst = Vec::new();
+    for tag in 0..OVERRUN {
+        Frame::Request(read_request(tag)).encode(&mut burst);
+    }
+    let (mut sent, mut busy) = (0, 0);
+    while busy == 0 && sent < BURSTS * OVERRUN {
         overrun.write_all(&burst).expect("burst");
-        let mut busy = 0;
+        sent += OVERRUN;
         for _ in 0..OVERRUN {
             match read_frame(&mut overrun) {
                 Ok(Some((Frame::Response(r), _))) => match r.status {
                     WireStatus::Ok => {}
                     WireStatus::Busy => busy += 1,
-                    s => panic!("tag {}: unexpected status {}", r.tag, s.name()),
+                    s => panic!("{name}: tag {}: unexpected status {}", r.tag, s.name()),
                 },
-                other => panic!("expected a response, got {other:?}"),
+                other => panic!("{name}: expected a response, got {other:?}"),
             }
         }
-        assert!(
-            busy > 0,
-            "{OVERRUN} requests at once overrun a window of {WINDOW}"
-        );
-        drop(overrun);
+    }
+    assert!(
+        busy > 0,
+        "{name}: {BURSTS} bursts of {OVERRUN} requests at once overrun a window of {WINDOW}"
+    );
+    drop(overrun);
 
-        let mut client = NetClient::connect(addr, WINDOW).expect("client connect");
-        let payload = |tag: u64| vec![tag as u8 + 1; block_bytes];
-        for tag in 0..BLOCKS {
-            client
-                .submit(WireRequest {
-                    tag,
-                    op: WireOp::Write,
-                    addr: tag * 3,
-                    deadline_rel_ns: 0,
-                    payload: payload(tag),
-                })
-                .expect("submit write");
-        }
-        let acks = client.drain().expect("drain writes");
-        assert_eq!(acks.len() as u64, BLOCKS);
-        assert!(acks.iter().all(|r| r.status == WireStatus::Ok));
-        for tag in 0..BLOCKS {
-            client
-                .submit(WireRequest {
-                    tag: BLOCKS + tag,
-                    ..read_request(tag * 3)
-                })
-                .expect("submit read");
-        }
-        let reads = client.drain().expect("drain reads");
-        assert_eq!(reads.len() as u64, BLOCKS);
-        for r in &reads {
-            assert_eq!(r.status, WireStatus::Ok, "tag {}", r.tag);
-            assert_eq!(r.data, payload(r.tag - BLOCKS), "tag {}: read data", r.tag);
-        }
-
-        server.shutdown();
-        let report = server.join().expect("server join");
-        drop(stalled);
-        assert!(
-            report.failures.is_empty(),
-            "shards died: {:?}",
-            report.failures
+    let mut client = NetClient::connect(addr, WINDOW).expect("client connect");
+    let payload = |tag: u64| vec![tag as u8 + 1; block_bytes];
+    for tag in 0..BLOCKS {
+        client
+            .submit(WireRequest {
+                tag,
+                op: WireOp::Write,
+                addr: tag * 3,
+                deadline_rel_ns: 0,
+                payload: payload(tag),
+            })
+            .expect("submit write");
+    }
+    let acks = client.drain().expect("drain writes");
+    assert_eq!(acks.len() as u64, BLOCKS, "{name}");
+    assert!(acks.iter().all(|r| r.status == WireStatus::Ok), "{name}");
+    for tag in 0..BLOCKS {
+        client
+            .submit(WireRequest {
+                tag: BLOCKS + tag,
+                ..read_request(tag * 3)
+            })
+            .expect("submit read");
+    }
+    let reads = client.drain().expect("drain reads");
+    assert_eq!(reads.len() as u64, BLOCKS, "{name}");
+    for r in &reads {
+        assert_eq!(r.status, WireStatus::Ok, "{name}: tag {}", r.tag);
+        assert_eq!(
+            r.data,
+            payload(r.tag - BLOCKS),
+            "{name}: tag {}: read data",
+            r.tag
         );
-        let shard = &report.stats.per_shard[0];
-        assert_eq!(shard.health, ShardHealth::Healthy);
-        let c = &shard.counters;
+    }
+
+    server.shutdown();
+    let report = server.join().expect("server join");
+    drop(stalled);
+    assert!(
+        report.failures.is_empty(),
+        "{name}: shards died: {:?}",
+        report.failures
+    );
+    assert_eq!(report.stats.per_shard.len(), shards, "{name}");
+    for s in &report.stats.per_shard {
+        assert_eq!(s.health, ShardHealth::Healthy, "{name}: shard {}", s.shard);
+        let c = &s.counters;
         assert_eq!(
             c.enqueued,
             c.completed + c.expired + c.failed,
-            "ledger open: {c:?}"
+            "{name}: shard {} ledger open: {c:?}",
+            s.shard
         );
-        assert_eq!(
-            c.completed,
-            WINDOW as u64 + (OVERRUN - busy) + 2 * BLOCKS,
-            "every accepted request was served"
-        );
-        let opened = STORM + 5;
-        assert_eq!(report.net_counter(Counter::NetConnectionsOpened), opened);
-        assert_eq!(report.net_counter(Counter::NetConnectionsClosed), opened);
-        assert_eq!(report.net_counter(Counter::NetProtocolErrors), 1);
-        assert_eq!(report.net_counter(Counter::NetBusyRejections), busy);
-    });
+    }
+    assert_eq!(
+        report.stats.completed(),
+        WINDOW as u64 + (sent - busy) + 2 * BLOCKS,
+        "{name}: every accepted request was served"
+    );
+    let opened = STORM + 6;
+    assert_eq!(
+        report.net_counter(Counter::NetConnectionsOpened),
+        opened,
+        "{name}"
+    );
+    assert_eq!(
+        report.net_counter(Counter::NetConnectionsClosed),
+        opened,
+        "{name}"
+    );
+    assert_eq!(report.net_counter(Counter::NetProtocolErrors), 1, "{name}");
+    assert_eq!(
+        report.net_counter(Counter::NetBusyRejections),
+        busy,
+        "{name}"
+    );
 }

@@ -411,14 +411,15 @@ fn coalescing_preserves_per_request_results() {
         let submitted = |s: &fork_path_oram::service::ServiceStats| {
             s.trace_counter_totals()[Counter::RequestsSubmitted as usize]
         };
-        let attached = coal.coalesced_reads() + coal.coalesced_writes();
+        let attached =
+            coal.counter(Counter::CoalescedReads) + coal.counter(Counter::CoalescedWrites);
         assert!(
-            coal.coalesced_reads() > 0,
+            coal.counter(Counter::CoalescedReads) > 0,
             "a hot Zipf schedule (theta={:.2}) must coalesce reads",
             zc.theta
         );
         assert_eq!(
-            submitted(&coal) + attached - coal.coalesce_flushes(),
+            submitted(&coal) + attached - coal.counter(Counter::CoalesceFlushes),
             submitted(&plain),
             "every request either reaches an engine or attaches as a waiter"
         );

@@ -218,11 +218,6 @@ impl MergingAwareCache {
         }
     }
 
-    fn cacheable(&self, node: u64) -> bool {
-        let level = node_level(node);
-        (self.m1..=self.deepest_level()).contains(&level)
-    }
-
     /// The fixed-size way slice of the set holding `node`.
     fn set_lines(&mut self, node: u64) -> &mut [Line] {
         let set = self.set_index(node);
@@ -302,6 +297,11 @@ impl BucketCache for MergingAwareCache {
             LineState::Dirty => WriteOutcome::CachedEvicting { victim: old.node },
             LineState::Placeholder => WriteOutcome::Cached,
         }
+    }
+
+    fn cacheable(&self, node: u64) -> bool {
+        let level = node_level(node);
+        (self.m1..=self.deepest_level()).contains(&level)
     }
 
     fn resident(&self) -> usize {

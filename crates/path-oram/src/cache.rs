@@ -7,8 +7,10 @@
 //! on the same interface.
 //!
 //! Caches here track *which buckets* are resident — deciding whether DRAM
-//! timing/energy is charged — while bucket contents remain in the tree
-//! store, which always holds the functional truth.
+//! timing/energy is charged. The contents live in the tree store either
+//! way, which marks a bucket the cache holds as on chip: in the clear,
+//! like the stash, and never in untrusted memory until the cache evicts it
+//! and the store seals it there ([`WriteOutcome::CachedEvicting`]).
 
 use crate::path::node_level;
 
@@ -36,6 +38,11 @@ pub trait BucketCache: std::fmt::Debug {
     /// Refill-phase insertion of bucket `node`.
     fn insert_on_write(&mut self, node: u64) -> WriteOutcome;
 
+    /// Whether the policy ever holds bucket `node`: exactly the nodes whose
+    /// [`BucketCache::insert_on_write`] is not a write-through, whatever
+    /// the cache holds now.
+    fn cacheable(&self, node: u64) -> bool;
+
     /// Buckets currently resident (for stats/tests).
     fn resident(&self) -> usize;
 }
@@ -51,6 +58,10 @@ impl BucketCache for NoCache {
 
     fn insert_on_write(&mut self, _node: u64) -> WriteOutcome {
         WriteOutcome::WriteThrough
+    }
+
+    fn cacheable(&self, _node: u64) -> bool {
+        false
     }
 
     fn resident(&self) -> usize {
@@ -114,6 +125,10 @@ impl BucketCache for TreetopCache {
         } else {
             WriteOutcome::WriteThrough
         }
+    }
+
+    fn cacheable(&self, node: u64) -> bool {
+        self.covers(node)
     }
 
     fn resident(&self) -> usize {

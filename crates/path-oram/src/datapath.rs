@@ -19,7 +19,7 @@
 use fp_dram::DramSystem;
 use fp_trace::{Tally, TraceHandle};
 
-use crate::cache::BucketCache;
+use crate::cache::{BucketCache, WriteOutcome};
 use crate::config::OramConfig;
 use crate::path::node_at_level;
 use crate::state::OramState;
@@ -109,10 +109,12 @@ impl Datapath {
     /// leaves the stale tree copy empty (the refill rewrites it), which
     /// keeps the "block is in the stash XOR on its path" invariant
     /// checkable without re-encrypting an empty bucket. The tree store gets
-    /// the whole path at once, so sealed images are unsealed from two
-    /// keystream computations for all of them, the headers' and then the
-    /// real payloads' ([`crate::TreeStore`]'s `take_path_with`). The emptied image and the
-    /// payload buffers are recycled: the phase allocates nothing once warm.
+    /// the whole path at once, so the sealed images it reads from DRAM —
+    /// the cache misses; a hit is on chip in the clear — are unsealed from
+    /// two keystream computations for all of them, the headers' and then
+    /// the real payloads' ([`crate::TreeStore`]'s `take_path_with`). The
+    /// emptied image and the payload buffers are recycled: the phase
+    /// allocates nothing once warm.
     ///
     /// # Errors
     ///
@@ -146,12 +148,13 @@ impl Datapath {
     /// Starts the refill of the path to `leaf`, planned to stop at level
     /// `stop` (0 commits the whole path): the stash collects and orders its
     /// eviction candidates once ([`crate::Stash::begin_eviction`]), and a
-    /// sealed tree computes every keystream block of the planned writes, levels
-    /// `L` down to `stop`, in one call. The plan binds nothing — a refill
-    /// may end above `stop` or go on below it, each extra bucket then
-    /// computing its own keystream — and no byte written depends on it.
-    /// Call after the access's block handling and before the first
-    /// [`Datapath::refill_level`].
+    /// sealed tree computes every keystream block of the planned writes to
+    /// DRAM, levels `L` down to `stop` less the ones the cache would hold
+    /// ([`BucketCache::cacheable`]), in one call. The plan binds nothing —
+    /// a refill may end above `stop` or go on below it, each extra bucket
+    /// then computing its own keystream — and every image decodes the same
+    /// either way. Call after the access's block handling and before the
+    /// first [`Datapath::refill_level`].
     pub fn begin_refill(&mut self, leaf: u64, stop: u32) {
         let levels = self.state.config().levels;
         debug_assert!(stop <= levels);
@@ -159,14 +162,18 @@ impl Datapath {
         self.state.stash.begin_eviction(levels, leaf);
         let planned = (stop..=levels).rev();
         let nodes = planned.map(|level| node_at_level(levels, leaf, level));
-        self.state.tree.prepare_writes(nodes);
+        let writeback = &self.writeback;
+        let to_dram = nodes.filter(|&node| !writeback.cacheable(node));
+        self.state.tree.prepare_writes(to_dram);
     }
 
     /// Refill phase, one bucket: greedily evicts stash blocks into the
     /// bucket at `level` of the refill's path — each encoded straight into
-    /// the tree store's open bucket — re-encrypts and writes it into a
-    /// recycled image, and commits it through the cache at `t_ps`. Returns
-    /// the commit time.
+    /// the tree store's open bucket — and commits it through the cache at
+    /// `t_ps`; returns the commit time. The cache places it first: the tree
+    /// store seals a write-through into a recycled image, keeps a bucket
+    /// the cache absorbs on chip in the clear, and seals the cache's
+    /// eviction victim, if any, as it goes to DRAM.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -179,10 +186,14 @@ impl Datapath {
         let (levels, z) = (cfg.levels, cfg.z);
         self.tally.handle().set_now(t_ps);
         let node = node_at_level(levels, self.refill_leaf, level);
+        let placed = self.writeback.place(node);
         let OramState { tree, stash, .. } = &mut self.state;
         stash.evict_next(level, z, |block| tree.push_slot(block));
-        tree.store(node);
-        self.writeback.write_bucket(&mut self.dram, node, t_ps)
+        tree.store(node, placed != WriteOutcome::WriteThrough);
+        if let WriteOutcome::CachedEvicting { victim } = placed {
+            tree.spill(victim);
+        }
+        self.writeback.commit(&mut self.dram, node, placed, t_ps)
     }
 
     /// The trusted ORAM state.
@@ -440,6 +451,125 @@ mod tests {
             reads_before,
             "a failed read phase issues no DRAM batch"
         );
+    }
+
+    /// The merging-aware cache's rules at one way: levels `lo..=hi`, one
+    /// line per `node % lines.len()`; a read hit leaves a placeholder, a
+    /// write over a dirty line of another bucket evicts it.
+    #[derive(Debug)]
+    struct DirectMapped {
+        /// `(node, dirty)`; node 0 is an empty line.
+        lines: Vec<(u64, bool)>,
+        lo: u32,
+        hi: u32,
+    }
+
+    impl DirectMapped {
+        fn line(&mut self, node: u64) -> &mut (u64, bool) {
+            let at = node as usize % self.lines.len();
+            &mut self.lines[at]
+        }
+    }
+
+    impl BucketCache for DirectMapped {
+        fn lookup_for_read(&mut self, node: u64) -> bool {
+            let hit = self.cacheable(node) && self.line(node).0 == node;
+            if hit {
+                self.line(node).1 = false;
+            }
+            hit
+        }
+
+        fn insert_on_write(&mut self, node: u64) -> WriteOutcome {
+            if !self.cacheable(node) {
+                return WriteOutcome::WriteThrough;
+            }
+            match std::mem::replace(self.line(node), (node, true)) {
+                (victim, true) if victim != node => WriteOutcome::CachedEvicting { victim },
+                _ => WriteOutcome::Cached,
+            }
+        }
+
+        fn cacheable(&self, node: u64) -> bool {
+            (self.lo..=self.hi).contains(&crate::path::node_level(node))
+        }
+
+        fn resident(&self) -> usize {
+            self.lines.iter().filter(|l| l.0 != 0).count()
+        }
+    }
+
+    /// The sealed tree store seals exactly what crosses the DRAM boundary:
+    /// on a `Real` datapath behind a cache that absorbs the middle levels
+    /// and evicts dirty buckets, random accesses whose refills stop where
+    /// they planned to. Z = 4 and 64 B blocks: an image is five keystream
+    /// blocks, its headers one, each real payload one.
+    ///
+    /// - A refill computes five blocks per DRAM bucket write — its
+    ///   write-throughs and the victims the cache spills — and none for a
+    ///   bucket the cache keeps.
+    /// - A read computes one header block per image it takes from untrusted
+    ///   memory plus one per real payload in them; a bucket the cache
+    ///   holds is taken in the clear and adds none.
+    #[test]
+    fn a_sealed_datapath_seals_what_crosses_the_dram_boundary() {
+        let mut cfg = OramConfig::small_test();
+        (cfg.cipher_mode, cfg.block_bytes) = (crate::config::CipherMode::Real, 64);
+        let levels = cfg.levels;
+        let cache = DirectMapped {
+            lines: vec![(0, false); 12],
+            lo: 3,
+            hi: 6,
+        };
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let bursts = cfg.bucket_bytes().div_ceil(dram.config().burst_bytes);
+        let mut dp = Datapath::new(cfg, dram, 5, Box::new(cache));
+        let computed = |dp: &Datapath| dp.state.tree.computed();
+        let mut rng = fp_crypto::Xoshiro256::new(0x5EA1);
+        let (mut victims, mut clear_takes) = (0, 0);
+        for round in 0..400u64 {
+            // The chain's first block: the one whose label the on-chip map
+            // holds, so the path read is the one it lives on.
+            let addr = rng.next_below(1024);
+            let head = dp.state().chain(addr)[0];
+            let (old, new, _) = dp.state_mut().start_chain(addr);
+            // What the read takes from untrusted memory, and from chip.
+            let (mut lanes, mut on_chip) = (0, 0);
+            for level in 0..=levels {
+                let node = node_at_level(levels, old, level);
+                let tree = &dp.state.tree;
+                match (tree.image(node), tree.bucket(node)) {
+                    (Some(_), Some(blocks)) => lanes += 1 + blocks.len() as u64,
+                    (None, Some(_)) => on_chip += 1,
+                    _ => {}
+                }
+            }
+            let before = computed(&dp);
+            read(&mut dp, old);
+            assert_eq!(computed(&dp) - before, lanes, "round {round}: read");
+            clear_takes += on_chip;
+
+            let data = [round as u8; 64];
+            let _ = dp.state_mut().apply_op(head, new, Some(&data));
+            dp.publish([]);
+            let written = dp.trace().counter(Counter::DramBlocksWritten);
+            let before = computed(&dp);
+            let stop = rng.next_below(4) as u32;
+            let nodes = refill(&mut dp, old, stop);
+            dp.publish([]);
+            let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
+            assert_eq!(computed(&dp) - before, 5 * to_dram, "round {round}: refill");
+            let through = nodes
+                .iter()
+                .filter(|&&n| !dp.writeback.cacheable(n))
+                .count();
+            victims += to_dram - through as u64;
+        }
+        assert!(
+            victims > 0 && clear_takes > 0,
+            "{victims} victims, {clear_takes} clear takes"
+        );
+        dp.state().check_invariants().unwrap();
     }
 
     /// What a sealed read phase leaves behind when the bucket at level `j`

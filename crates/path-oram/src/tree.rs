@@ -1,4 +1,5 @@
-//! The untrusted external memory: a sparse, lazily initialized bucket store.
+//! The untrusted external memory, and the buckets the on-chip cache holds:
+//! a sparse, lazily initialized bucket store.
 //!
 //! The real system holds an 8 GB DRAM image; untouched buckets contain only
 //! encrypted dummies, which are indistinguishable from never having been
@@ -21,6 +22,15 @@
 //! plus the images the slots hold. Pages are never freed and directory
 //! entries never removed: a take empties the slot and the refill writes it
 //! again.
+//!
+//! **Sealed at the DRAM boundary.** A slot holds a bucket either in
+//! untrusted memory or on chip, where the bucket cache holds it: one bit
+//! per slot beside the page says which. A refill bucket the cache absorbs
+//! is stored on chip in the clear — a sealed store's Z slots without the
+//! counter — like the stash; a read hit takes it without the cipher, and
+//! the cache's eviction of it spills it to memory, sealed under a fresh
+//! counter. Untrusted memory ([`TreeStore::image`]) holds sealed images
+//! only, at every moment.
 //!
 //! **One image in both cipher modes.** A slot holds the bucket's serialized
 //! image: the headers `[addr: u64 le][leaf: u64 le]` of its slots, then
@@ -46,14 +56,17 @@
 //! of a sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
 //! headers are block 0 exactly and, with 64 B blocks, payload `i` is block
 //! `1 + i`. Sealed, both phases work a path at a time, each block one lane
-//! of [`BlockCipher::keystream_blocks`]. A refill computes every block of
-//! the writes it plans in one call: a dummy payload is fresh ciphertext
-//! too. A read computes the header blocks of all the images it is about to
-//! take in one call, unseals them, and computes in a second only the
-//! blocks that real payloads cover; the rest of an image stays sealed
-//! until the take drops it. A write that finds no prepared keystream of
-//! its own `(counter, node)` — one past the planned stop, or through a
-//! one-bucket door — computes its own; either way every byte is that of
+//! of [`BlockCipher::keystream_blocks`], and only on what crosses the DRAM
+//! boundary. A refill computes every block of the writes to DRAM it plans
+//! in one call, under counters it reserves for them: a dummy payload is
+//! fresh ciphertext too. A read computes the header blocks of all the
+//! images it is about to take from untrusted memory in one call, unseals
+//! them, and computes in a second only the blocks that real payloads
+//! cover; the rest of an image stays sealed until the take drops it. A
+//! write that is not the next planned one — a victim's spill, one past the
+//! planned stop, or one through a one-bucket door — takes a fresh counter
+//! and computes its own keystream in a pass of its own, leaving the plan
+//! to the writes it is for; either way every byte is that of
 //! [`BlockCipher::encrypt_in_place`] under the image's nonce.
 
 use fp_crypto::{BlockCipher, Nonce};
@@ -83,6 +96,10 @@ const DUMMY_ADDR: u64 = u64::MAX;
 /// A stored bucket: its serialized image (see the module docs).
 type Image = Vec<u8>;
 
+/// A bucket a read phase took: its node, its image and whether the image
+/// was on chip, in the clear.
+type Taken = (u64, Image, bool);
+
 /// A stored image failed the one check untrusted memory gets: its length
 /// is not one this store writes. That catches framing errors and injected
 /// faults, not tampering — nothing authenticates an image (DESIGN.md §2).
@@ -100,17 +117,30 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
+/// The 31 slots of one subtree and which of them the on-chip cache holds.
+#[derive(Debug)]
+struct Page {
+    /// Boxed: a page stays put and the page vector grows by 16 B entries,
+    /// not 744 B pages.
+    slots: Box<[Option<Image>; PAGE_SLOTS]>,
+    /// Bit `s` set: slot `s` holds a bucket on chip, in the clear, which
+    /// untrusted memory does not have.
+    on_chip: u32,
+}
+
+impl Page {
+    fn holds_on_chip(&self, slot: usize) -> bool {
+        self.on_chip >> slot & 1 != 0
+    }
+}
+
 /// Bucket slots paged by subtree.
 #[derive(Debug)]
 struct Pages {
     levels: u32,
     /// Levels the top subtree is short of a whole page, `0..PAGE_LEVELS`.
     pad: u32,
-    #[expect(
-        clippy::vec_box,
-        reason = "a page stays put and the vector grows by 8 B pointers, not 744 B pages"
-    )]
-    pages: Vec<Box<[Option<Image>; PAGE_SLOTS]>>,
+    pages: Vec<Page>,
     /// Subtree root's node id → index into `pages`; one entry per subtree
     /// ever written, grown by use.
     directory: U64Map<u32>,
@@ -176,50 +206,81 @@ impl Pages {
         self.memo.1
     }
 
-    fn get(&self, node: u64) -> Option<&Image> {
+    /// The page and the slot of `node` if its subtree has a page.
+    fn page(&self, node: u64) -> Option<(&Page, usize)> {
         let (root, slot) = self.locate(node)?;
         // `NO_PAGE` indexes past any page vector.
-        self.pages.get(self.peek(root) as usize)?[slot].as_ref()
+        Some((self.pages.get(self.peek(root) as usize)?, slot))
+    }
+
+    #[cfg(test)]
+    fn get(&self, node: u64) -> Option<&Image> {
+        let (page, slot) = self.page(node)?;
+        page.slots[slot].as_ref()
+    }
+
+    /// [`Pages::page`], remembering the subtree for the next call.
+    fn page_mut(&mut self, node: u64) -> Option<(&mut Page, usize)> {
+        let (root, slot) = self.locate(node)?;
+        let page = self.lookup(root) as usize;
+        Some((self.pages.get_mut(page)?, slot))
     }
 
     /// The slot of `node` if its subtree has a page.
+    #[cfg(test)]
     fn slot_mut(&mut self, node: u64) -> Option<&mut Option<Image>> {
-        let (root, slot) = self.locate(node)?;
-        let page = self.lookup(root) as usize;
-        Some(&mut self.pages.get_mut(page)?[slot])
+        let (page, slot) = self.page_mut(node)?;
+        Some(&mut page.slots[slot])
     }
 
-    fn take(&mut self, node: u64) -> Option<Image> {
-        let taken = self.slot_mut(node)?.take();
-        self.stored -= usize::from(taken.is_some());
-        taken
+    /// Empties bucket `node`'s slot: its image and whether it was on chip.
+    fn take(&mut self, node: u64) -> Option<(Image, bool)> {
+        let (page, slot) = self.page_mut(node)?;
+        let image = page.slots[slot].take()?;
+        let on_chip = page.holds_on_chip(slot);
+        page.on_chip &= !(1 << slot);
+        self.stored -= 1;
+        Some((image, on_chip))
     }
 
-    /// Stores `image` as bucket `node`; returns what the slot held.
-    fn put(&mut self, node: u64, image: Image) -> Option<Image> {
+    /// Stores `image` as bucket `node`, on chip or in untrusted memory;
+    /// returns what the slot held.
+    fn put(&mut self, node: u64, image: Image, on_chip: bool) -> Option<Image> {
         let Some((root, slot)) = self.locate(node) else {
             panic!(
                 "node {node} is outside the tree: ids are 1..2^{}",
                 self.levels + 1
             );
         };
-        let mut page = self.lookup(root);
-        if page == NO_PAGE {
-            page = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-            self.pages.push(Box::new(std::array::from_fn(|_| None)));
-            self.directory.insert(root, page);
-            self.memo = (root, page);
+        let mut index = self.lookup(root);
+        if index == NO_PAGE {
+            index = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
+            self.pages.push(Page {
+                slots: Box::new(std::array::from_fn(|_| None)),
+                on_chip: 0,
+            });
+            self.directory.insert(root, index);
+            self.memo = (root, index);
         }
-        let old = self.pages[page as usize][slot].replace(image);
+        let page = &mut self.pages[index as usize];
+        page.on_chip = page.on_chip & !(1 << slot) | u32::from(on_chip) << slot;
+        let old = page.slots[slot].replace(image);
         self.stored += usize::from(old.is_none());
         old
     }
 
-    /// `(node, image)` of every stored bucket, in unspecified order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &Image)> + '_ {
-        self.directory.iter().flat_map(|(&root, &page)| {
-            let slots = self.pages[page as usize].iter().enumerate();
-            slots.filter_map(move |(slot, s)| Some((Self::node_of(root, slot), s.as_ref()?)))
+    /// `(node, image, on chip)` of every stored bucket, in unspecified
+    /// order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Image, bool)> + '_ {
+        self.directory.iter().flat_map(|(&root, &index)| {
+            let page = &self.pages[index as usize];
+            page.slots.iter().enumerate().filter_map(move |(slot, s)| {
+                Some((
+                    Self::node_of(root, slot),
+                    s.as_ref()?,
+                    page.holds_on_chip(slot),
+                ))
+            })
         })
     }
 }
@@ -264,6 +325,16 @@ impl Format {
     /// Keystream blocks the Z headers of a sealed image span (one at Z = 4).
     fn header_blocks(self) -> u32 {
         (self.z * HEADER_BYTES).div_ceil(KEYSTREAM_BLOCK) as u32
+    }
+
+    /// The format of a bucket held on chip: a sealed store's Z slots in
+    /// the clear, without the counter; the store's own when it seals
+    /// nothing.
+    fn on_chip(self) -> Self {
+        Self {
+            sealed: false,
+            ..self
+        }
     }
 
     /// The slots an image of `bytes` bytes holds, if this store writes
@@ -351,9 +422,9 @@ fn xor_keystream(bytes: &mut [u8], keystream: &[u32]) {
 /// ahead: `keystream[i]` is that of `lanes[i]`, a `(nonce, block index)`
 /// pair, and `next` is the first lane a write has not used yet. Each
 /// [`BlockCipher::keystream_blocks`] call computes the blocks of several
-/// buckets in shared lane passes: every block of every planned write, or
-/// on a read the header blocks of every image and then the blocks real
-/// payloads cover.
+/// buckets in shared lane passes: every block of every planned write to
+/// DRAM, or on a read the header blocks of every image taken from DRAM and
+/// then the blocks real payloads cover.
 #[derive(Debug)]
 struct Sealer {
     cipher: BlockCipher,
@@ -392,8 +463,8 @@ impl Sealer {
 
     /// Computes every keystream block of the images sealed under `nonces`,
     /// in one call, in place of what was computed before: a dummy payload
-    /// is fresh ciphertext too.
-    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) {
+    /// is fresh ciphertext too. Returns how many images that is.
+    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) -> u64 {
         let blocks = self.format.sealed_blocks();
         self.lanes.clear();
         for nonce in nonces {
@@ -401,29 +472,46 @@ impl Sealer {
         }
         self.compute();
         self.next = 0;
+        (self.lanes.len() / blocks as usize) as u64
     }
 
-    /// Seals `slots`, an image's Z slots in the clear, under `nonce`: with
-    /// the next prepared keystream when it is `nonce`'s, else with one
-    /// prepared for `nonce` alone. Either way the bytes are
+    /// Seals `slots`, bucket `node`'s Z slots in the clear, and returns the
+    /// write counter it sealed them under: when `node` is the next prepared
+    /// write, its counter and keystream; else a `fresh` counter and a
+    /// keystream of its own, computed beside the prepared ones, which stay
+    /// for the writes they are for. Either way the bytes are
     /// [`BlockCipher::encrypt_in_place`]'s.
-    fn seal(&mut self, nonce: Nonce, slots: &mut [u8]) {
-        if self.lanes.get(self.next) != Some(&(nonce, 0)) {
-            self.prepare([nonce]);
-        }
+    fn seal(&mut self, node: u64, slots: &mut [u8], fresh: impl FnOnce() -> u64) -> u64 {
         let blocks = self.format.sealed_blocks() as usize;
-        let keystream = &self.keystream[self.next..][..blocks];
-        xor_keystream(slots, keystream.as_flattened());
-        self.next += blocks;
+        match self.lanes.get(self.next) {
+            Some(&(nonce, 0)) if nonce.address == node as u32 => {
+                let keystream = &self.keystream[self.next..][..blocks];
+                xor_keystream(slots, keystream.as_flattened());
+                self.next += blocks;
+                nonce.write_counter
+            }
+            _ => {
+                let counter = fresh();
+                let nonce = Nonce::new(counter, node as u32);
+                self.cipher.encrypt_in_place(nonce, slots);
+                #[cfg(test)]
+                {
+                    self.computed += blocks as u64;
+                }
+                counter
+            }
+        }
     }
 
     /// Unseals in place, in two calls of the cipher, what the takes of
-    /// `images` decode: each image up to the first whose length is wrong.
+    /// `images` decode: each image from untrusted memory up to the first
+    /// whose length is wrong; one held on chip is in the clear already.
     /// The first call computes their header blocks from the counters in
     /// their trailers; the second, the blocks that the payloads of the real
     /// slots those headers name cover, less the ones the first applied.
-    /// Dummy payloads stay sealed: nothing reads them.
-    fn unseal_path(&mut self, images: &mut [(u64, Image)]) {
+    /// Dummy payloads stay sealed: nothing reads them. No prepared write
+    /// keystream survives it.
+    fn unseal_path(&mut self, images: &mut [Taken]) {
         let (format, headers) = (self.format, self.format.header_blocks());
         self.lanes.clear();
         Self::each_whole(format, images, |nonce, _| {
@@ -449,17 +537,18 @@ impl Sealer {
                 xor_keystream(&mut payloads[at..end], keystream);
             });
         });
+        self.lanes.clear();
     }
 
-    /// Calls `f` with the nonce and the sealed slots of each of `images`,
-    /// in order, up to the first whose length is wrong.
-    fn each_whole(
-        format: Format,
-        images: &mut [(u64, Image)],
-        mut f: impl FnMut(Nonce, &mut [u8]),
-    ) {
+    /// Calls `f` with the nonce and the sealed slots of each of `images`
+    /// from untrusted memory, in order, up to the first whose length is
+    /// wrong.
+    fn each_whole(format: Format, images: &mut [Taken], mut f: impl FnMut(Nonce, &mut [u8])) {
         let whole = format.sealed_bytes() + COUNTER_BYTES;
-        for (node, image) in images {
+        for (node, image, on_chip) in images {
+            if *on_chip {
+                continue;
+            }
             if image.len() != whole {
                 break;
             }
@@ -480,12 +569,15 @@ impl Sealer {
     }
 }
 
-/// The ORAM tree in untrusted memory.
+/// The ORAM tree: untrusted memory plus the buckets the on-chip cache
+/// holds.
 ///
 /// Buckets are addressed by heap node id (root = 1). Taking an untouched
 /// bucket yields no real blocks (it is all dummies); writing a bucket
 /// replaces its contents and, in [`CipherMode::Real`], re-encrypts with a
-/// fresh write-counter nonce so ciphertexts never repeat (§2.3).
+/// fresh write-counter nonce so ciphertexts never repeat (§2.3) — unless
+/// the write stays on chip, where a bucket is in the clear like the stash
+/// until a read takes it or the cache's eviction seals it to memory.
 #[derive(Debug)]
 pub struct TreeStore {
     pages: Pages,
@@ -498,9 +590,9 @@ pub struct TreeStore {
     /// slots once used.
     open_headers: Vec<u8>,
     open_payloads: Vec<u8>,
-    /// The sealed images a read phase took, in path order, until it decodes
+    /// The images a read phase took, in path order, until it decodes
     /// them.
-    taken: Vec<(u64, Image)>,
+    taken: Vec<Taken>,
     /// Emptied images by the slots they hold (`spare[k]`: `k` slots, Z
     /// when sealed): what a take leaves behind and a write of that size
     /// fills.
@@ -546,20 +638,20 @@ impl TreeStore {
         let Some(sealer) = &mut self.sealer else {
             // In the clear an image decodes as it is taken.
             for &node in nodes {
-                if let Some(image) = self.pages.take(node) {
-                    self.consume(node, image, &mut each)?;
+                if let Some((image, on_chip)) = self.pages.take(node) {
+                    self.consume((node, image, on_chip), &mut each)?;
                 }
             }
             return Ok(());
         };
         // Sealed, the images are taken first, up to a corrupt one, so that
-        // their headers and then their real payloads unseal in one cipher
-        // call each ([`Sealer::unseal_path`]).
+        // the headers and then the real payloads of the ones from untrusted
+        // memory unseal in one cipher call each ([`Sealer::unseal_path`]).
         let mut taken = std::mem::take(&mut self.taken);
         for &node in nodes {
-            if let Some(image) = self.pages.take(node) {
-                let corrupt = self.format.slots_of(image.len()).is_none();
-                taken.push((node, image));
+            if let Some((image, on_chip)) = self.pages.take(node) {
+                let corrupt = !on_chip && self.format.slots_of(image.len()).is_none();
+                taken.push((node, image, on_chip));
                 if corrupt {
                     break;
                 }
@@ -568,37 +660,45 @@ impl TreeStore {
         sealer.unseal_path(&mut taken);
         // Only the last image taken can be corrupt.
         let mut decoded = Ok(());
-        for (node, image) in taken.drain(..) {
-            decoded = self.consume(node, image, &mut each);
+        for bucket in taken.drain(..) {
+            decoded = self.consume(bucket, &mut each);
         }
         self.taken = taken;
         decoded
     }
 
-    /// Decodes a taken `image` of bucket `node` into `each` and keeps its
-    /// buffer for a write.
+    /// Decodes a taken bucket into `each` and keeps its buffer for a write.
     fn consume(
         &mut self,
-        node: u64,
-        image: Image,
+        (node, image, on_chip): Taken,
         each: impl FnMut(u64, u64, &[u8]),
     ) -> Result<(), IntegrityError> {
-        let decoded = self.format.decode(&image, node, each);
+        let format = if on_chip {
+            self.format.on_chip()
+        } else {
+            self.format
+        };
+        let decoded = format.decode(&image, node, each);
         self.recycle(image);
         decoded
     }
 
     /// Refill, before its first write: computes in one call every keystream
-    /// block the next writes take if they store `nodes`, in this order (write
-    /// counters `write_counter + 1 ..`). A write that goes elsewhere, or
-    /// past the end of `nodes`, computes its own; the next call of either
-    /// phase drops what is left. Keystreams depend on the node and the
-    /// counter only, so the sealed bytes are the same either way.
+    /// block the next writes to untrusted memory take if they store
+    /// `nodes`, in this order, under write counters it reserves for them
+    /// (`write_counter + 1 ..`). A write that is not the next of `nodes` —
+    /// a victim's spill, a write elsewhere or past the end of `nodes` —
+    /// seals under a fresh counter above the reserved ones and computes its
+    /// own keystream, and the ones prepared stay for the writes they are
+    /// for; the next prepare or read drops what is left, and a reserved
+    /// counter left over is never used. Keystreams depend on the node and
+    /// the counter only, so every image decodes the same either way.
     pub(crate) fn prepare_writes(&mut self, nodes: impl Iterator<Item = u64>) {
         if let Some(sealer) = &mut self.sealer {
             let counters = self.write_counter + 1..;
             let nonces = nodes.zip(counters);
-            sealer.prepare(nonces.map(|(node, counter)| Nonce::new(counter, node as u32)));
+            self.write_counter +=
+                sealer.prepare(nonces.map(|(node, counter)| Nonce::new(counter, node as u32)));
         }
     }
 
@@ -650,9 +750,11 @@ impl TreeStore {
 
     /// Write phase, one bucket: stores the open bucket (the slots pushed
     /// since the last store) as bucket `node`, over whatever the slot
-    /// held, in a buffer of exactly its size. `Real` pads it with dummy
-    /// slots to Z — address [`DUMMY_ADDR`], leaf and payload zero — seals
-    /// every block of it under a fresh write counter (with the keystream
+    /// held, in a buffer of exactly its sealed size. `Real` pads it with
+    /// dummy slots to Z — address [`DUMMY_ADDR`], leaf and payload zero.
+    /// A bucket the cache holds (`on_chip`) stays so, in the clear;
+    /// otherwise it goes to untrusted memory, and `Real` seals every block
+    /// of it under a fresh write counter (with the keystream
     /// [`TreeStore::prepare_writes`] computed for it, if it did) and
     /// appends the counter.
     ///
@@ -660,8 +762,7 @@ impl TreeStore {
     ///
     /// Panics if `node` is not a node id of the tree (`1 <= node <
     /// 2^(L+1)`).
-    pub(crate) fn store(&mut self, node: u64) {
-        self.write_counter += 1;
+    pub(crate) fn store(&mut self, node: u64, on_chip: bool) {
         let format = self.format;
         let real = self.open_headers.len() / HEADER_BYTES;
         let slots = if format.sealed { format.z } else { real };
@@ -677,14 +778,44 @@ impl TreeStore {
         image.resize(slots * format.slot_bytes(), 0);
         self.open_headers.clear();
         self.open_payloads.clear();
-        if let Some(sealer) = &mut self.sealer {
-            let counter = self.write_counter;
-            sealer.seal(Nonce::new(counter, node as u32), &mut image);
-            image.extend_from_slice(&counter.to_le_bytes());
+        if let Some(sealer) = self.sealer.as_mut().filter(|_| !on_chip) {
+            Self::seal(sealer, &mut self.write_counter, node, &mut image);
         }
-        if let Some(old) = self.pages.put(node, image) {
+        if let Some(old) = self.pages.put(node, image, on_chip) {
             self.recycle(old);
         }
+    }
+
+    /// Write phase, the cache's eviction victim: moves bucket `node` from
+    /// on chip to untrusted memory, in place, in `Real` sealed under a
+    /// fresh write counter with a keystream of its own. A bucket not stored
+    /// has nothing to move.
+    pub(crate) fn spill(&mut self, node: u64) {
+        let Some((page, slot)) = self.pages.page_mut(node) else {
+            return;
+        };
+        if !page.holds_on_chip(slot) {
+            debug_assert!(
+                page.slots[slot].is_none(),
+                "node {node}: a victim is on chip"
+            );
+            return;
+        }
+        page.on_chip &= !(1 << slot);
+        if let (Some(sealer), Some(image)) = (&mut self.sealer, &mut page.slots[slot]) {
+            Self::seal(sealer, &mut self.write_counter, node, image);
+        }
+    }
+
+    /// Seals bucket `node`'s image, its Z slots in the clear, and appends
+    /// the write counter: the one a plan reserved for it, or the next of
+    /// `write_counter`.
+    fn seal(sealer: &mut Sealer, write_counter: &mut u64, node: u64, image: &mut Image) {
+        let counter = sealer.seal(node, image, || {
+            *write_counter += 1;
+            *write_counter
+        });
+        image.extend_from_slice(&counter.to_le_bytes());
     }
 
     /// Removes bucket `node` and returns its real blocks, each with a
@@ -713,7 +844,7 @@ impl TreeStore {
         for block in &blocks {
             self.push_slot(block);
         }
-        self.store(node);
+        self.store(node, false);
     }
 
     /// Raw stored bytes of bucket `node`: the image, without its
@@ -725,38 +856,68 @@ impl TreeStore {
     }
 
     /// The stored image of bucket `node` byte for byte, trailer included:
-    /// what untrusted memory holds, for tests that pin it.
+    /// what untrusted memory holds, for tests that pin it. `None` for a
+    /// bucket on chip, which untrusted memory does not have.
     pub fn image(&self, node: u64) -> Option<&[u8]> {
-        self.pages.get(node).map(Vec::as_slice)
+        let (page, slot) = self.pages.page(node)?;
+        if page.holds_on_chip(slot) {
+            return None;
+        }
+        page.slots[slot].as_deref()
     }
 
-    /// Iterates over `(node, real blocks)` for every stored bucket, each
-    /// decoded from a copy of its image.
+    /// Iterates over `(node, real blocks)` for every stored bucket, on chip
+    /// or in untrusted memory, each decoded from a copy of its image.
     ///
     /// # Panics
     ///
     /// Panics on a corrupt image.
     pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, Vec<Block>)> + '_ {
-        self.pages.iter().map(move |(node, image)| {
-            let mut image = image.clone();
-            if let Some(sealer) = &self.sealer {
-                sealer.unseal_whole(node, &mut image);
-            }
-            let mut blocks = Vec::new();
-            let decoded = self.format.decode(&image, node, collect_into(&mut blocks));
-            decoded.unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
-            (node, blocks)
-        })
+        let pages = self.pages.iter();
+        pages.map(move |(node, image, on_chip)| (node, self.decode_copy(node, image, on_chip)))
     }
 
-    /// Corrupts the stored image of bucket `node` — one byte appended, in
-    /// either mode — so its next take surfaces an [`IntegrityError`].
-    /// Deterministic fault-injection hook; a no-op on an unstored bucket
-    /// (no bytes to change) and on one corrupt already. Returns whether the
-    /// stored bucket is corrupt now.
+    /// The real blocks of bucket `node` if it is stored, on chip or in
+    /// untrusted memory, decoded from a copy of its image.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corrupt image.
+    pub fn bucket(&self, node: u64) -> Option<Vec<Block>> {
+        let (page, slot) = self.pages.page(node)?;
+        let image = page.slots[slot].as_ref()?;
+        Some(self.decode_copy(node, image, page.holds_on_chip(slot)))
+    }
+
+    /// The real blocks of bucket `node`'s stored `image`, decoded from a
+    /// copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a corrupt image.
+    fn decode_copy(&self, node: u64, image: &[u8], on_chip: bool) -> Vec<Block> {
+        let mut image = image.to_vec();
+        let mut format = self.format;
+        if on_chip {
+            format = format.on_chip();
+        } else if let Some(sealer) = &self.sealer {
+            sealer.unseal_whole(node, &mut image);
+        }
+        let mut blocks = Vec::new();
+        let decoded = format.decode(&image, node, collect_into(&mut blocks));
+        decoded.unwrap_or_else(|e| panic!("corrupt bucket: {e}"));
+        blocks
+    }
+
+    /// Corrupts the image of bucket `node` in untrusted memory — one byte
+    /// appended, in either mode — so its next take surfaces an
+    /// [`IntegrityError`]. Deterministic fault-injection hook; a no-op on a
+    /// bucket untrusted memory does not have (no bytes to change) and on
+    /// one corrupt already. Returns whether the stored bucket is corrupt
+    /// now.
     #[cfg(test)]
     pub(crate) fn corrupt_bucket(&mut self, node: u64) -> bool {
-        let Some(len) = self.pages.get(node).map(Vec::len) else {
+        let Some(len) = self.image(node).map(<[u8]>::len) else {
             return false;
         };
         if self.format.slots_of(len).is_some() {
@@ -764,6 +925,14 @@ impl TreeStore {
             image.expect("stored").push(0);
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl TreeStore {
+    /// Keystream blocks the sealer has computed so far.
+    pub(crate) fn computed(&self) -> u64 {
+        self.sealer.as_ref().expect("sealed").computed
     }
 }
 
@@ -1014,7 +1183,7 @@ mod tests {
 
     /// Keystream blocks the store's sealer has computed so far.
     fn computed(store: &TreeStore) -> u64 {
-        store.sealer.as_ref().expect("sealed").computed
+        store.computed()
     }
 
     #[test]
@@ -1051,6 +1220,60 @@ mod tests {
             .expect("intact");
         assert_eq!(computed(&store) - before, path.len() as u64 + taken);
         assert_eq!(taken, 9);
+    }
+
+    /// A bucket stored on chip is in the clear and nowhere in untrusted
+    /// memory: no keystream to store it or to take it, no image, yet it is
+    /// a stored bucket. Its spill seals it under a fresh counter above the
+    /// ones a plan reserved, with a keystream of its own, and the planned
+    /// writes around it still find theirs. The same placement in the clear.
+    #[test]
+    fn an_on_chip_bucket_is_sealed_only_when_it_spills() {
+        for mode in [CipherMode::Transparent, CipherMode::Real] {
+            let mut c = cfg(mode);
+            c.block_bytes = 64;
+            let sealed = mode == CipherMode::Real;
+            let computed = |store: &TreeStore| if sealed { store.computed() } else { 0 };
+            let mut store = TreeStore::new(&c, [6; 32]);
+            let path = path_nodes(c.levels, 9);
+            let (held, planned) = (path[4], [path[6], path[2]]);
+            let blocks = vec![Block::new(3, 9, vec![3; 64]), Block::new(4, 9, vec![4; 64])];
+
+            let hold = |store: &mut TreeStore| {
+                for block in &blocks {
+                    store.push_slot(block);
+                }
+                store.store(held, true);
+            };
+            hold(&mut store);
+            assert_eq!(store.image(held), None, "{mode:?}: on chip");
+            assert_eq!(store.raw_bucket(held), None, "{mode:?}: on chip");
+            assert!(!store.corrupt_bucket(held), "{mode:?}: nothing in memory");
+            assert_eq!(sorted(&store), [(held, blocks.clone())], "{mode:?}");
+            assert_eq!(store.pages.stored, 1);
+            assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
+            assert_eq!(computed(&store), 0, "{mode:?}: held and taken in the clear");
+
+            hold(&mut store);
+            store.prepare_writes(planned.into_iter());
+            store.write_bucket(planned[0], Vec::new());
+            store.spill(held);
+            store.write_bucket(planned[1], Vec::new());
+            assert_eq!(sorted(&store).len(), 3, "{mode:?}");
+            assert_eq!(store.bucket(held), Some(blocks.clone()), "{mode:?}");
+            let image = store.image(held).expect("spilled");
+            if sealed {
+                assert_eq!(image.len(), 4 * 80 + COUNTER_BYTES);
+                let counters: Vec<u64> = [planned[0], held, planned[1]]
+                    .iter()
+                    .map(|&node| counter_of(store.image(node).expect("in memory")))
+                    .collect();
+                // The plan reserved 1 and 2; the spill took the next.
+                assert_eq!(counters, [1, 3, 2]);
+                assert_eq!(computed(&store), 3 * 5);
+            }
+            assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
+        }
     }
 
     /// Round trips of whole paths, sealed, at every Z and block size the

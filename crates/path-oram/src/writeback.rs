@@ -79,8 +79,35 @@ impl WritebackEngine {
     /// eviction victim pays the DRAM write.
     // Allocation-free once warm, the DRAM batch it issues included: tests/hot_path_alloc.rs.
     pub fn write_bucket(&mut self, dram: &mut DramSystem, node: u64, t_ps: u64) -> u64 {
+        let placed = self.place(node);
+        self.commit(dram, node, placed, t_ps)
+    }
+
+    /// The first half of [`WritebackEngine::write_bucket`]: inserts refill
+    /// bucket `node` into the cache and says where it goes, so the tree
+    /// store can seal exactly what reaches DRAM before
+    /// [`WritebackEngine::commit`] charges it.
+    pub(crate) fn place(&mut self, node: u64) -> WriteOutcome {
+        let placed = self.cache.insert_on_write(node);
+        debug_assert_eq!(
+            placed == WriteOutcome::WriteThrough,
+            !self.cache.cacheable(node),
+            "node {node}: a policy writes through exactly what it never holds"
+        );
+        placed
+    }
+
+    /// The second half of [`WritebackEngine::write_bucket`]: counts the
+    /// bucket `node` placed as `placed` and issues its DRAM write, if any.
+    pub(crate) fn commit(
+        &mut self,
+        dram: &mut DramSystem,
+        node: u64,
+        placed: WriteOutcome,
+        t_ps: u64,
+    ) -> u64 {
         self.tally.bump(Counter::BucketsWritten);
-        let to_dram = match self.cache.insert_on_write(node) {
+        let to_dram = match placed {
             WriteOutcome::Cached => return t_ps,
             WriteOutcome::WriteThrough => node,
             WriteOutcome::CachedEvicting { victim } => victim,
@@ -94,6 +121,11 @@ impl WritebackEngine {
     /// The engine's counts, for [`crate::Datapath::publish`].
     pub(crate) fn tally_mut(&mut self) -> &mut Tally {
         &mut self.tally
+    }
+
+    /// Whether the cache ever holds bucket `node` ([`BucketCache::cacheable`]).
+    pub(crate) fn cacheable(&self, node: u64) -> bool {
+        self.cache.cacheable(node)
     }
 
     /// Buckets currently resident in the on-chip cache.

@@ -80,8 +80,11 @@ pub fn compute(
     let dram_background_pj =
         DramStats::background_energy_pj(elapsed_ps, ranks, background_mw_per_rank);
 
-    // Every block moved over the pins is decrypted or encrypted once; every
-    // block touched passes through the stash; cache hits are SRAM reads.
+    // Every block moved over the pins is decrypted or encrypted once, and
+    // only those: the host's tree store seals what goes to DRAM and unseals
+    // what comes from it, and keeps what the bucket cache holds in the
+    // clear. Every block touched passes through the stash; cache hits are
+    // SRAM reads.
     let blocks_moved = dram.reads + dram.writes;
     let stash_ops = oram.buckets_read + oram.buckets_written; // bucket-granular
     let controller_dynamic_pj = blocks_moved * params.crypto_per_block_pj

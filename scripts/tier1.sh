@@ -26,29 +26,31 @@ cargo fmt --all -- --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline
 
-cargo test -q --offline --workspace
+# --no-fail-fast in steps four and five: one red run names every failing
+# test binary, not just the first.
+cargo test -q --offline --workspace --no-fail-fast
 # Step four runs in debug, where the `debug_assert!` oracles live; the
 # benchmark runs --release, where they are compiled out. The golden
 # statistics, the allocation contract and engine equivalence hold there too.
-cargo test -q --offline --release --test stats_golden --test hot_path_alloc --test engine_equivalence
+cargo test -q --offline --release --no-fail-fast --test stats_golden --test hot_path_alloc --test engine_equivalence
 # The DRAM model's run arithmetic multiplies and adds simulated times:
 # debug panics on overflow, --release wraps silently. Its reference
 # propchecks, once more where a wrap would show as a wrong finish time.
-cargo test -q --offline --release -p fp-dram
+cargo test -q --offline --release --no-fail-fast -p fp-dram
 # The tree store's subtree arithmetic (`63 - leading_zeros`, the slot
 # offset, the sealed image's trailer split) is subtractions and shifts: the
 # same split between debug and --release. Its model propcheck over trees of
 # 1..=17 levels, once more where a wrap would store a bucket in the wrong
 # slot.
-cargo test -q --offline --release -p fp-path-oram
+cargo test -q --offline --release --no-fail-fast -p fp-path-oram
 # The label queue ages entries by subtracting round numbers (`round - born`,
 # `select_initial`'s rank arithmetic): its propcheck against the reference
 # queue, and the Fig 5 one, once more where a wrap would pass silently.
-cargo test -q --offline --release -p fp-core --lib
+cargo test -q --offline --release --no-fail-fast -p fp-core --lib
 # Every `repro` target at --fast against results/figures_fast.txt (the
 # `trace` spine by digest): a printed figure that moves fails here. Ignored
 # in the debug step, where the figures take minutes.
-cargo test -q --offline --release -p fp-bench --test figures_fast
+cargo test -q --offline --release --no-fail-fast -p fp-bench --test figures_fast
 # The examples assert what they show (records read back intact, the key-value
 # store's lookups, the fixed-rate stream's last read); each runs once.
 for example in quickstart secure_kv_store fixed_rate_stream scheme_comparison; do

@@ -11,13 +11,18 @@
 
 use fork_path_oram::core::engine::{by_name, registry};
 use fork_path_oram::core::{
-    BaselineController, ForkConfig, ForkPathController, NewRequest, NoFeedback, OramEngine, Scheme,
+    BaselineController, CacheChoice, ForkConfig, ForkPathController, MergingAwareCache, NewRequest,
+    NoFeedback, OramEngine, Scheme,
 };
 use fork_path_oram::crypto::{BlockCipher, Nonce, Xoshiro256};
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::{Block, CipherMode, Completion, Op, OramConfig, OramState};
+use fork_path_oram::path_oram::cache::BucketCache;
+use fork_path_oram::path_oram::{
+    Block, CipherMode, Completion, Op, OramConfig, OramState, TreeStore,
+};
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::trace::{Counter, TraceEvent};
+use std::collections::HashMap;
 
 fn controller(treetop: bool, seed: u64) -> BaselineController {
     let cfg = OramConfig::small_test();
@@ -260,11 +265,14 @@ fn sealed_fork_run() -> ForkPathController {
     engine
 }
 
-/// The sealed bytes themselves, pinned: [`sealed_fork_run`]'s tree,
-/// digested over every stored image — ciphertext and write-counter
-/// trailer — in node order. The literal was recorded when the headers
-/// moved ahead of the payloads; a keystream that differs in one byte, for
-/// one nonce, or a slot laid out elsewhere, changes it.
+/// The sealed bytes themselves, pinned: [`sealed_fork_run`]'s untrusted
+/// memory, digested over every image in it — ciphertext and write-counter
+/// trailer — in node order, beside the count of the stored buckets the
+/// merging-aware cache holds on chip, which untrusted memory does not
+/// have. The literal was recorded when buckets on chip stopped being
+/// sealed; a keystream that differs in one byte, for one nonce, a slot
+/// laid out elsewhere, or a bucket on the wrong side of the DRAM boundary,
+/// changes it.
 #[test]
 fn sealed_images_match_the_recorded_digest() {
     let engine = sealed_fork_run();
@@ -279,51 +287,162 @@ fn sealed_images_match_the_recorded_digest() {
             images += 1;
         }
     }
+    let on_chip = tree.iter_buckets().count() - images;
     assert_eq!(
-        (images, digest),
-        (1022, 0x642d_9ab3_7e39_0034),
+        (images, on_chip, digest),
+        (7, 1015, 0x29e9_ffdb_0f8e_93ca),
         "sealed images"
     );
 }
 
-/// Every stored image of [`sealed_fork_run`], rebuilt from its blocks
-/// without the tree store's sealer: the Z headers `[addr | leaf]` of the
-/// blocks `iter_buckets` decodes, a dummy's `[u64::MAX | 0]`, then their
-/// payloads, a dummy's zero, encrypted by `encrypt_in_place` under the
-/// trailer's counter and the node id (the engine's key is its seed,
-/// little-endian, zero-padded), then the trailer. Byte for byte what the
-/// store holds, so the digest above pins this layout and this cipher.
+/// Bucket `node`'s image rebuilt from its real `blocks` without the tree
+/// store's sealer: the Z headers `[addr | leaf]`, a dummy's `[u64::MAX |
+/// 0]`, then the payloads, a dummy's zero, encrypted by `encrypt_in_place`
+/// under `counter` and the node id, then the counter.
+fn rebuild(
+    cipher: &BlockCipher,
+    cfg: &OramConfig,
+    node: u64,
+    blocks: &[Block],
+    counter: u64,
+) -> Vec<u8> {
+    let mut rebuilt = Vec::new();
+    for i in 0..cfg.z {
+        let (addr, leaf) = blocks.get(i).map_or((u64::MAX, 0), |b| (b.addr, b.leaf));
+        rebuilt.extend_from_slice(&addr.to_le_bytes());
+        rebuilt.extend_from_slice(&leaf.to_le_bytes());
+    }
+    for i in 0..cfg.z {
+        match blocks.get(i) {
+            Some(b) => rebuilt.extend_from_slice(&b.data),
+            None => rebuilt.resize(rebuilt.len() + cfg.block_bytes, 0),
+        }
+    }
+    cipher.encrypt_in_place(Nonce::new(counter, node as u32), &mut rebuilt);
+    rebuilt.extend_from_slice(&counter.to_le_bytes());
+    rebuilt
+}
+
+/// The cipher of an engine seeded [`CIPHER_SEED`]: its key is the seed,
+/// little-endian, zero-padded.
+fn engine_cipher() -> BlockCipher {
+    let mut key = [0u8; 32];
+    key[..8].copy_from_slice(&CIPHER_SEED.to_le_bytes());
+    BlockCipher::new(key)
+}
+
+/// Checks every image in `tree`'s untrusted memory that differs from the
+/// one `seen` holds for its node: it has the sealed length and rebuilds
+/// from its blocks under its trailer's counter ([`rebuild`]). Returns the
+/// nodes that have an image.
+fn check_sealed(tree: &TreeStore, cfg: &OramConfig, seen: &mut HashMap<u64, Vec<u8>>) -> Vec<u64> {
+    let cipher = engine_cipher();
+    let sealed = cfg.z * (16 + cfg.block_bytes) + 8;
+    let mut images = Vec::new();
+    for node in 1..1u64 << (cfg.levels + 1) {
+        let Some(image) = tree.image(node) else {
+            continue;
+        };
+        images.push(node);
+        if seen.get(&node).is_some_and(|old| old[..] == *image) {
+            continue;
+        }
+        assert_eq!(image.len(), sealed, "node {node}: sealed length");
+        let counter = u64::from_le_bytes(image[sealed - 8..].try_into().expect("8 bytes"));
+        let blocks = tree.bucket(node).expect("stored");
+        assert_eq!(
+            rebuild(&cipher, cfg, node, &blocks, counter),
+            image,
+            "node {node}"
+        );
+        seen.insert(node, image.to_vec());
+    }
+    images
+}
+
+/// Untrusted memory is sealed at every moment, not just at the end of a
+/// run: a sealed `fork+mac` engine on [`drive`]'s open-paced stream,
+/// checked after each engine call ([`check_sealed`]) — every submit, then
+/// every `process_one` until the engine idles. The registry's cache holds
+/// every level it caches of this tree whole, so its buckets stay on chip;
+/// one of 4 KiB folds a level into two sets, and the victims it evicts are
+/// sealed as they go to memory.
+#[test]
+fn untrusted_memory_is_sealed_after_every_engine_call() {
+    let Some(Scheme::Fork(registry_fork)) = by_name("fork+mac") else {
+        panic!("fork+mac is a Fork Path scheme");
+    };
+    let small = CacheChoice::MergingAware {
+        bytes: 4 << 10,
+        ways: 4,
+    };
+    for fork in [
+        registry_fork,
+        ForkConfig {
+            cache: small,
+            ..registry_fork
+        },
+    ] {
+        let oram = small_test(CipherMode::Real);
+        let CacheChoice::MergingAware { bytes, ways } = fork.cache else {
+            panic!("a merging-aware cache");
+        };
+        let mac = MergingAwareCache::with_capacity_bytes_for_tree(
+            bytes,
+            oram.bucket_bytes(),
+            ways,
+            fork.derived_mac_bypass(),
+            oram.levels,
+        );
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let mut engine = ForkPathController::new(oram.clone(), fork, dram, CIPHER_SEED);
+        let mut seen = HashMap::new();
+        let mut spilled = 0;
+        let mut check = |engine: &ForkPathController| {
+            let images = check_sealed(engine.state().tree(), &oram, &mut seen);
+            let cached = images.iter().filter(|&&node| mac.cacheable(node)).count();
+            spilled = spilled.max(cached);
+        };
+        let mut rng = Xoshiro256::new(CIPHER_SEED);
+        for tag in 0..240u64 {
+            let (addr, arrival_ps) = (rng.next_below(1024), 800_000 * (tag + 1));
+            let req = if rng.next_below(3) == 0 {
+                NewRequest::write(addr, vec![tag as u8; 16], arrival_ps)
+            } else {
+                NewRequest::read(addr, arrival_ps)
+            };
+            engine.submit(req).expect("submit");
+            check(&engine);
+        }
+        while engine.process_one(&mut NoFeedback).expect("process_one") {
+            check(&engine);
+        }
+        assert_eq!(engine.drain_completions().len(), 240);
+        let tree = engine.state().tree();
+        let on_chip = tree
+            .iter_buckets()
+            .filter(|(node, _)| tree.image(*node).is_none());
+        assert!(
+            on_chip.count() > 0,
+            "{bytes} B: the cache holds buckets on chip"
+        );
+        if bytes == 4 << 10 {
+            assert!(spilled > 0, "{bytes} B: victims went to memory");
+        }
+    }
+}
+
+/// Every image in [`sealed_fork_run`]'s untrusted memory, rebuilt from its
+/// blocks without the tree store's sealer ([`rebuild`]). Byte for byte
+/// what the store holds, so the digest above pins this layout and this
+/// cipher; the stored buckets untrusted memory does not have are the ones
+/// the cache holds on chip.
 #[test]
 fn sealed_images_rebuild_from_their_blocks() {
     let engine = sealed_fork_run();
-    let (z, block_bytes) = (
-        engine.state().config().z,
-        engine.state().config().block_bytes,
-    );
-    let mut key = [0u8; 32];
-    key[..8].copy_from_slice(&CIPHER_SEED.to_le_bytes());
-    let cipher = BlockCipher::new(key);
+    let cfg = engine.state().config();
     let tree = engine.state().tree();
-    let mut images = 0;
-    for (node, blocks) in tree.iter_buckets() {
-        let image = tree.image(node).expect("stored");
-        let (slots, trailer) = image.split_at(image.len() - 8);
-        let counter = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let mut rebuilt = Vec::new();
-        for i in 0..z {
-            let (addr, leaf) = blocks.get(i).map_or((u64::MAX, 0), |b| (b.addr, b.leaf));
-            rebuilt.extend_from_slice(&addr.to_le_bytes());
-            rebuilt.extend_from_slice(&leaf.to_le_bytes());
-        }
-        for i in 0..z {
-            match blocks.get(i) {
-                Some(b) => rebuilt.extend_from_slice(&b.data),
-                None => rebuilt.resize(rebuilt.len() + block_bytes, 0),
-            }
-        }
-        cipher.encrypt_in_place(Nonce::new(counter, node as u32), &mut rebuilt);
-        assert_eq!(rebuilt, slots, "node {node}");
-        images += 1;
-    }
-    assert_eq!(images, 1022);
+    let images = check_sealed(tree, cfg, &mut HashMap::new());
+    let on_chip = tree.iter_buckets().count() - images.len();
+    assert_eq!((images.len(), on_chip), (7, 1015));
 }

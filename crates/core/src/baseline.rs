@@ -13,7 +13,7 @@ use fp_dram::DramSystem;
 use fp_path_oram::cache::{BucketCache, NoCache, TreetopCache};
 use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, Datapath, NewRequest, OramConfig, OramState, OramStats,
-    ReactiveSource, CTRL_PHASE_LATENCY_PS,
+    ReactiveSource,
 };
 use fp_trace::{Counter, TraceHandle};
 
@@ -197,12 +197,12 @@ impl BaselineController {
     /// Refills the full path, leaf to root, and advances the clock past the
     /// write phase.
     fn refill_full_path(&mut self, leaf: u64, read_end: u64) {
-        self.path.begin_refill(leaf, 0);
+        self.path.begin_refill(leaf);
         let mut t = read_end;
         for level in (0..=self.path.state().config().levels).rev() {
             t = self.path.refill_level(level, t);
         }
-        self.clock_ps = t + CTRL_PHASE_LATENCY_PS;
+        self.clock_ps = self.path.end_refill(t);
     }
 
     /// Background eviction (Ren et al. [18]): if the stash exceeds its

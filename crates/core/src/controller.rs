@@ -17,7 +17,7 @@
 use fp_dram::DramSystem;
 use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, Datapath, NewRequest, OramConfig, OramStats,
-    ReactiveSource, CTRL_PHASE_LATENCY_PS,
+    ReactiveSource,
 };
 use fp_trace::{Counter, TraceHandle};
 
@@ -353,7 +353,7 @@ impl ForkPathController {
         // scan here, and by one more after each replacement that fires.
         let mut candidate_ps = self.replacement_candidate_ps(sel_time);
 
-        self.path.begin_refill(leaf, stop);
+        self.path.begin_refill(leaf);
         let mut t = read_end;
         let mut level = levels as i64;
         while level >= stop as i64 {
@@ -383,7 +383,7 @@ impl ForkPathController {
             t = self.path.refill_level(level as u32, t);
             level -= 1;
         }
-        self.clock_ps = t + CTRL_PHASE_LATENCY_PS;
+        self.clock_ps = self.path.end_refill(t);
 
         match &pending {
             // Idle: the full path was written; the next read is full again.

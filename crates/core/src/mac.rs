@@ -203,6 +203,13 @@ impl MergingAwareCache {
         }
     }
 
+    /// Whether the cache ever holds bucket `node`: its level is in the
+    /// window `m1..=deepest_level`. Every other bucket writes through.
+    pub fn cacheable(&self, node: u64) -> bool {
+        let level = node_level(node);
+        (self.m1..=self.deepest_level()).contains(&level)
+    }
+
     /// The set index for a cacheable bucket.
     fn set_index(&self, node: u64) -> usize {
         let x = node_level(node);
@@ -297,11 +304,6 @@ impl BucketCache for MergingAwareCache {
             LineState::Dirty => WriteOutcome::CachedEvicting { victim: old.node },
             LineState::Placeholder => WriteOutcome::Cached,
         }
-    }
-
-    fn cacheable(&self, node: u64) -> bool {
-        let level = node_level(node);
-        (self.m1..=self.deepest_level()).contains(&level)
     }
 
     fn resident(&self) -> usize {

@@ -10,7 +10,8 @@
 //! timing/energy is charged. The contents live in the tree store either
 //! way, which marks a bucket the cache holds as on chip: in the clear,
 //! like the stash, and never in untrusted memory until the cache evicts it
-//! and the store seals it there ([`WriteOutcome::CachedEvicting`]).
+//! ([`WriteOutcome::CachedEvicting`]) and the store seals it there when
+//! the refill ends.
 
 use crate::path::node_level;
 
@@ -38,11 +39,6 @@ pub trait BucketCache: std::fmt::Debug {
     /// Refill-phase insertion of bucket `node`.
     fn insert_on_write(&mut self, node: u64) -> WriteOutcome;
 
-    /// Whether the policy ever holds bucket `node`: exactly the nodes whose
-    /// [`BucketCache::insert_on_write`] is not a write-through, whatever
-    /// the cache holds now.
-    fn cacheable(&self, node: u64) -> bool;
-
     /// Buckets currently resident (for stats/tests).
     fn resident(&self) -> usize;
 }
@@ -58,10 +54,6 @@ impl BucketCache for NoCache {
 
     fn insert_on_write(&mut self, _node: u64) -> WriteOutcome {
         WriteOutcome::WriteThrough
-    }
-
-    fn cacheable(&self, _node: u64) -> bool {
-        false
     }
 
     fn resident(&self) -> usize {
@@ -125,10 +117,6 @@ impl BucketCache for TreetopCache {
         } else {
             WriteOutcome::WriteThrough
         }
-    }
-
-    fn cacheable(&self, node: u64) -> bool {
-        self.covers(node)
     }
 
     fn resident(&self) -> usize {

@@ -9,9 +9,9 @@
 //! [`DramSystem`], the [`WritebackEngine`] (bucket cache + burst
 //! generation), the counts all of them keep for the trace spine — and
 //! exposes exactly those two phases: [`Datapath::read_path`], and the
-//! refill stream [`Datapath::begin_refill`] + [`Datapath::refill_level`],
-//! plus [`Datapath::publish`], which folds the counts into the spine at
-//! the end of each engine call. The baseline
+//! refill stream [`Datapath::begin_refill`] + [`Datapath::refill_level`] +
+//! [`Datapath::end_refill`], plus [`Datapath::publish`], which folds the
+//! counts into the spine at the end of each engine call. The baseline
 //! and Fork Path controllers are orchestration above it (queues, fork
 //! geometry, replacement, the clock); neither reaches a bucket any other
 //! way.
@@ -27,10 +27,10 @@ use crate::tree::IntegrityError;
 use crate::writeback::WritebackEngine;
 
 /// Fixed controller pipeline latency charged once per phase (decrypt,
-/// stash/posmap logic); the rest overlaps DRAM as in §4. The read phase
-/// includes it in the time it returns; a controller adds it to the last
-/// commit time of the refill it chose to end.
-pub const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
+/// stash/posmap logic); the rest overlaps DRAM as in §4. Each phase
+/// includes it in the time it returns: the read in its data time, the
+/// refill in [`Datapath::end_refill`]'s.
+const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 
 /// Trusted state, untrusted memory model and the two access phases.
 ///
@@ -47,10 +47,12 @@ pub const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 /// let leaf = dp.state_mut().random_label();
 /// // Read the whole path, then refill it leaf to root.
 /// let mut t = dp.read_path(leaf, 0, 0).unwrap();
-/// dp.begin_refill(leaf, 0);
+/// dp.begin_refill(leaf);
 /// for level in (0..=levels).rev() {
 ///     t = dp.refill_level(level, t);
 /// }
+/// // Its end seals what went to DRAM and charges the phase latency.
+/// assert!(dp.end_refill(t) > t);
 /// // The counts reach the spine when the engine publishes them.
 /// dp.publish([]);
 /// assert_eq!(dp.trace().counter(fp_trace::Counter::BucketsWritten), 10);
@@ -116,6 +118,10 @@ impl Datapath {
     /// emptied image and the payload buffers are recycled: the phase
     /// allocates nothing once warm.
     ///
+    /// # Panics
+    ///
+    /// In a debug build, if a refill has not ended ([`Datapath::end_refill`]).
+    ///
     /// # Errors
     ///
     /// Stops at the first bucket whose stored image fails to decode
@@ -129,6 +135,10 @@ impl Datapath {
     ) -> Result<u64, IntegrityError> {
         let levels = self.state.config().levels;
         debug_assert!(floor <= levels);
+        debug_assert!(
+            !self.state.tree.has_outgoing(),
+            "read_path before end_refill"
+        );
         if let Some(labels) = &mut self.label_trace {
             labels.push(leaf);
         }
@@ -145,42 +155,39 @@ impl Datapath {
         Ok(batch_end + CTRL_PHASE_LATENCY_PS)
     }
 
-    /// Starts the refill of the path to `leaf`, planned to stop at level
-    /// `stop` (0 commits the whole path): the stash collects and orders its
-    /// eviction candidates once ([`crate::Stash::begin_eviction`]), and a
-    /// sealed tree computes every keystream block of the planned writes to
-    /// DRAM, levels `L` down to `stop` less the ones the cache would hold
-    /// ([`BucketCache::cacheable`]), in one call. The plan binds nothing —
-    /// a refill may end above `stop` or go on below it, each extra bucket
-    /// then computing its own keystream — and every image decodes the same
-    /// either way. Call after the access's block handling and before the
-    /// first [`Datapath::refill_level`].
-    pub fn begin_refill(&mut self, leaf: u64, stop: u32) {
-        let levels = self.state.config().levels;
-        debug_assert!(stop <= levels);
+    /// Starts the refill of the path to `leaf`: the stash collects and
+    /// orders its eviction candidates once
+    /// ([`crate::Stash::begin_eviction`]). Call after the access's block
+    /// handling and before the first [`Datapath::refill_level`].
+    ///
+    /// # Panics
+    ///
+    /// In a debug build, if the last refill has not ended
+    /// ([`Datapath::end_refill`]).
+    pub fn begin_refill(&mut self, leaf: u64) {
+        debug_assert!(
+            !self.state.tree.has_outgoing(),
+            "begin_refill before end_refill"
+        );
         self.refill_leaf = leaf;
+        let levels = self.state.config().levels;
         self.state.stash.begin_eviction(levels, leaf);
-        let planned = (stop..=levels).rev();
-        let nodes = planned.map(|level| node_at_level(levels, leaf, level));
-        let writeback = &self.writeback;
-        let to_dram = nodes.filter(|&node| !writeback.cacheable(node));
-        self.state.tree.prepare_writes(to_dram);
     }
 
     /// Refill phase, one bucket: greedily evicts stash blocks into the
     /// bucket at `level` of the refill's path — each encoded straight into
     /// the tree store's open bucket — and commits it through the cache at
     /// `t_ps`; returns the commit time. The cache places it first: the tree
-    /// store seals a write-through into a recycled image, keeps a bucket
-    /// the cache absorbs on chip in the clear, and seals the cache's
-    /// eviction victim, if any, as it goes to DRAM.
+    /// store keeps a bucket the cache absorbs on chip in the clear, and a
+    /// sealed one keeps a write-through and the cache's eviction victim,
+    /// if any, there too until [`Datapath::end_refill`] seals them.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
     /// defined over — so the caller commits buckets one at a time, deepest
     /// first, and decides after each whether the stream goes on: the whole
     /// path for the baseline, down to a stop level that may move for Fork
-    /// Path.
+    /// Path. [`Datapath::end_refill`] ends it.
     pub fn refill_level(&mut self, level: u32, t_ps: u64) -> u64 {
         let cfg = self.state.config();
         let (levels, z) = (cfg.levels, cfg.z);
@@ -194,6 +201,15 @@ impl Datapath {
             tree.spill(victim);
         }
         self.writeback.commit(&mut self.dram, node, placed, t_ps)
+    }
+
+    /// Ends the refill whose last commit was at `t_ps`: a sealed tree seals
+    /// what the refill sent to DRAM, every keystream block of it in one
+    /// call, before untrusted memory is read again. Returns when the phase
+    /// is over — `t_ps` plus the phase latency.
+    pub fn end_refill(&mut self, t_ps: u64) -> u64 {
+        self.state.tree.seal_outgoing();
+        t_ps + CTRL_PHASE_LATENCY_PS
     }
 
     /// The trusted ORAM state.
@@ -271,14 +287,16 @@ mod tests {
     /// written node ids in commit order.
     fn refill(dp: &mut Datapath, leaf: u64, stop: u32) -> Vec<u64> {
         let levels = dp.state().config().levels;
-        dp.begin_refill(leaf, stop);
-        (stop..=levels)
+        dp.begin_refill(leaf);
+        let nodes = (stop..=levels)
             .rev()
             .map(|level| {
                 dp.refill_level(level, 0);
                 node_at_level(levels, leaf, level)
             })
-            .collect()
+            .collect();
+        dp.end_refill(0);
+        nodes
     }
 
     #[test]
@@ -297,13 +315,15 @@ mod tests {
         dp.publish([]);
         assert_eq!(dp.trace().counter(Counter::CacheMisses), path_len);
 
-        dp.begin_refill(5, 0);
+        dp.begin_refill(5);
         let mut t = read_end;
         for level in (0..=levels).rev() {
             let commit = dp.refill_level(level, t);
             assert!(commit > t, "an uncached bucket pays its DRAM write");
             t = commit;
         }
+        assert_eq!(dp.end_refill(t), t + CTRL_PHASE_LATENCY_PS);
+        t += CTRL_PHASE_LATENCY_PS;
         dp.publish([]);
         assert_eq!(dp.trace().counter(Counter::BucketsWritten), path_len);
 
@@ -323,8 +343,9 @@ mod tests {
         let cfg = OramConfig::small_test();
         let cache = TreetopCache::with_capacity_bytes(16 << 10, cfg.bucket_bytes());
         let mut dp = Datapath::new(cfg, dram, 99, Box::new(cache));
-        dp.begin_refill(0, 0);
+        dp.begin_refill(0);
         assert_eq!(dp.refill_level(0, 500), 500, "the root commits on chip");
+        dp.end_refill(500);
         dp.publish([]);
         assert_eq!(dp.trace().counter(Counter::DramBlocksWritten), 0);
     }
@@ -465,9 +486,23 @@ mod tests {
     }
 
     impl DirectMapped {
+        /// Twelve empty lines over levels 3..=6.
+        fn new() -> Self {
+            Self {
+                lines: vec![(0, false); 12],
+                lo: 3,
+                hi: 6,
+            }
+        }
+
         fn line(&mut self, node: u64) -> &mut (u64, bool) {
             let at = node as usize % self.lines.len();
             &mut self.lines[at]
+        }
+
+        /// Whether the cache ever holds bucket `node`.
+        fn cacheable(&self, node: u64) -> bool {
+            (self.lo..=self.hi).contains(&crate::path::node_level(node))
         }
     }
 
@@ -490,19 +525,26 @@ mod tests {
             }
         }
 
-        fn cacheable(&self, node: u64) -> bool {
-            (self.lo..=self.hi).contains(&crate::path::node_level(node))
-        }
-
         fn resident(&self) -> usize {
             self.lines.iter().filter(|l| l.0 != 0).count()
         }
     }
 
+    /// A sealed datapath, Z = 4 and 64 B blocks, behind a fresh
+    /// [`DirectMapped::new`] cache, and the DRAM bursts of one bucket.
+    fn sealed_behind_direct_mapped() -> (Datapath, u64) {
+        let mut cfg = OramConfig::small_test();
+        (cfg.cipher_mode, cfg.block_bytes) = (crate::config::CipherMode::Real, 64);
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let bursts = cfg.bucket_bytes().div_ceil(dram.config().burst_bytes);
+        let dp = Datapath::new(cfg, dram, 5, Box::new(DirectMapped::new()));
+        (dp, bursts)
+    }
+
     /// The sealed tree store seals exactly what crosses the DRAM boundary:
     /// on a `Real` datapath behind a cache that absorbs the middle levels
-    /// and evicts dirty buckets, random accesses whose refills stop where
-    /// they planned to. Z = 4 and 64 B blocks: an image is five keystream
+    /// and evicts dirty buckets, random accesses whose refills stop at a
+    /// random level. Z = 4 and 64 B blocks: an image is five keystream
     /// blocks, its headers one, each real payload one.
     ///
     /// - A refill computes five blocks per DRAM bucket write — its
@@ -513,17 +555,8 @@ mod tests {
     ///   holds is taken in the clear and adds none.
     #[test]
     fn a_sealed_datapath_seals_what_crosses_the_dram_boundary() {
-        let mut cfg = OramConfig::small_test();
-        (cfg.cipher_mode, cfg.block_bytes) = (crate::config::CipherMode::Real, 64);
-        let levels = cfg.levels;
-        let cache = DirectMapped {
-            lines: vec![(0, false); 12],
-            lo: 3,
-            hi: 6,
-        };
-        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        let bursts = cfg.bucket_bytes().div_ceil(dram.config().burst_bytes);
-        let mut dp = Datapath::new(cfg, dram, 5, Box::new(cache));
+        let (mut dp, bursts) = sealed_behind_direct_mapped();
+        let levels = dp.state().config().levels;
         let computed = |dp: &Datapath| dp.state.tree.computed();
         let mut rng = fp_crypto::Xoshiro256::new(0x5EA1);
         let (mut victims, mut clear_takes) = (0, 0);
@@ -559,10 +592,8 @@ mod tests {
             dp.publish([]);
             let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
             assert_eq!(computed(&dp) - before, 5 * to_dram, "round {round}: refill");
-            let through = nodes
-                .iter()
-                .filter(|&&n| !dp.writeback.cacheable(n))
-                .count();
+            let window = DirectMapped::new();
+            let through = nodes.iter().filter(|&&n| !window.cacheable(n)).count();
             victims += to_dram - through as u64;
         }
         assert!(
@@ -570,6 +601,67 @@ mod tests {
             "{victims} victims, {clear_takes} clear takes"
         );
         dp.state().check_invariants().unwrap();
+    }
+
+    /// A sealed refill seals everything it sent to DRAM — its write-throughs
+    /// and the victims the cache spilled — as it ends, in one
+    /// [`fp_crypto::BlockCipher::keystream_blocks`] call of five lanes a
+    /// bucket: dummy accesses on random paths, so that the cache's lines
+    /// change hands and spill their dirty buckets.
+    #[test]
+    fn a_sealed_refill_seals_what_it_sent_to_dram_in_one_call() {
+        let (mut dp, bursts) = sealed_behind_direct_mapped();
+        let levels = dp.state().config().levels;
+        let keystream = |dp: &Datapath| (dp.state.tree.keystream_calls(), dp.state.tree.computed());
+        let window = DirectMapped::new();
+        let mut rng = fp_crypto::Xoshiro256::new(0xCA11);
+        let mut spills = 0;
+        for round in 0..200 {
+            let leaf = rng.next_below(1 << levels);
+            read(&mut dp, leaf);
+            dp.publish([]);
+            let written = dp.trace().counter(Counter::DramBlocksWritten);
+            let (calls, lanes) = keystream(&dp);
+            let nodes = refill(&mut dp, leaf, 0);
+            dp.publish([]);
+            let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
+            let (calls_after, lanes_after) = keystream(&dp);
+            let sealed = (calls_after - calls, lanes_after - lanes);
+            assert_eq!(sealed, (1, 5 * to_dram), "round {round}");
+            let through = nodes.iter().filter(|&&n| !window.cacheable(n)).count();
+            spills += u64::from(to_dram > through as u64);
+        }
+        assert!(spills > 0, "no refill spilled a victim");
+        dp.state().check_invariants().unwrap();
+    }
+
+    /// A sealed datapath whose refill of leaf 0 has sent its leaf bucket to
+    /// DRAM and not ended.
+    #[cfg(debug_assertions)]
+    fn mid_refill() -> Datapath {
+        let mut cfg = OramConfig::small_test();
+        cfg.cipher_mode = crate::config::CipherMode::Real;
+        let levels = cfg.levels;
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let mut dp = Datapath::new(cfg, dram, 99, Box::new(NoCache));
+        read(&mut dp, 0);
+        dp.begin_refill(0);
+        dp.refill_level(levels, 0);
+        dp
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read_path before end_refill")]
+    fn a_read_before_the_refill_ends_panics() {
+        read(&mut mid_refill(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "begin_refill before end_refill")]
+    fn a_refill_before_the_last_one_ends_panics() {
+        mid_refill().begin_refill(0);
     }
 
     /// What a sealed read phase leaves behind when the bucket at level `j`

@@ -29,8 +29,9 @@
 //! * [`Datapath`] — the one datapath under every controller: owns the
 //!   state, the DRAM system, the [`WritebackEngine`] and the trace spine,
 //!   and exposes the two phases of an access — `read_path` from a floor
-//!   down, and the refill stream `begin_refill` + `refill_level`, leaf to
-//!   root for as many levels as the controller decides.
+//!   down, and the refill stream `begin_refill` + `refill_level` +
+//!   `end_refill`: leaf to root for as many levels as the controller
+//!   decides, its end sealing what it sent to DRAM.
 //! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]), the
 //!   closed-loop feedback ([`ReactiveSource`], [`NoFeedback`]) and the
 //!   request ledger ([`CompletionLog`]) shared by every engine.
@@ -63,7 +64,7 @@ mod tree;
 mod writeback;
 
 pub use config::{CipherMode, OramConfig};
-pub use datapath::{Datapath, CTRL_PHASE_LATENCY_PS};
+pub use datapath::Datapath;
 pub use posmap::PosMapHierarchy;
 pub use reactive::{Completion, CompletionLog, NewRequest, NoFeedback, Op, ReactiveSource};
 pub use stash::{Block, Stash};

@@ -24,13 +24,16 @@
 //! again.
 //!
 //! **Sealed at the DRAM boundary.** A slot holds a bucket either in
-//! untrusted memory or on chip, where the bucket cache holds it: one bit
-//! per slot beside the page says which. A refill bucket the cache absorbs
-//! is stored on chip in the clear — a sealed store's Z slots without the
-//! counter — like the stash; a read hit takes it without the cipher, and
-//! the cache's eviction of it spills it to memory, sealed under a fresh
-//! counter. Untrusted memory ([`TreeStore::image`]) holds sealed images
-//! only, at every moment.
+//! untrusted memory or on chip: one bit per slot beside the page says
+//! which. A refill bucket the cache absorbs is stored on chip in the
+//! clear — a sealed store's Z slots without the counter — like the stash,
+//! and a read hit takes it without the cipher. A sealed store keeps a
+//! bucket bound for DRAM on chip in the clear too, a write-through or the
+//! cache's eviction victim, and lists it as outgoing until the refill
+//! ends; [`TreeStore::seal_outgoing`] then seals every outgoing bucket
+//! under a fresh counter of its own and moves it to memory. Untrusted
+//! memory ([`TreeStore::image`]) holds sealed images only, at every
+//! moment.
 //!
 //! **One image in both cipher modes.** A slot holds the bucket's serialized
 //! image: the headers `[addr: u64 le][leaf: u64 le]` of its slots, then
@@ -57,17 +60,14 @@
 //! headers are block 0 exactly and, with 64 B blocks, payload `i` is block
 //! `1 + i`. Sealed, both phases work a path at a time, each block one lane
 //! of [`BlockCipher::keystream_blocks`], and only on what crosses the DRAM
-//! boundary. A refill computes every block of the writes to DRAM it plans
-//! in one call, under counters it reserves for them: a dummy payload is
-//! fresh ciphertext too. A read computes the header blocks of all the
+//! boundary. A refill's end computes every block of the buckets it sent
+//! to DRAM in one call, counters handed out in send order: a dummy payload
+//! is fresh ciphertext too. A read computes the header blocks of all the
 //! images it is about to take from untrusted memory in one call, unseals
 //! them, and computes in a second only the blocks that real payloads
-//! cover; the rest of an image stays sealed until the take drops it. A
-//! write that is not the next planned one — a victim's spill, one past the
-//! planned stop, or one through a one-bucket door — takes a fresh counter
-//! and computes its own keystream in a pass of its own, leaving the plan
-//! to the writes it is for; either way every byte is that of
-//! [`BlockCipher::encrypt_in_place`] under the image's nonce.
+//! cover; the rest of an image stays sealed until the take drops it.
+//! Every byte is that of [`BlockCipher::encrypt_in_place`] under the
+//! image's nonce.
 
 use fp_crypto::{BlockCipher, Nonce};
 
@@ -147,8 +147,6 @@ struct Pages {
     /// The subtree root looked up last and its page ([`NO_PAGE`] when it
     /// has none). Root 0 is no subtree's: node ids start at 1.
     memo: (u64, u32),
-    /// Slots that hold a bucket.
-    stored: usize,
 }
 
 impl Pages {
@@ -163,7 +161,6 @@ impl Pages {
             pages: Vec::new(),
             directory: U64Map::default(),
             memo: (0, NO_PAGE),
-            stored: 0,
         }
     }
 
@@ -239,7 +236,6 @@ impl Pages {
         let image = page.slots[slot].take()?;
         let on_chip = page.holds_on_chip(slot);
         page.on_chip &= !(1 << slot);
-        self.stored -= 1;
         Some((image, on_chip))
     }
 
@@ -264,9 +260,7 @@ impl Pages {
         }
         let page = &mut self.pages[index as usize];
         page.on_chip = page.on_chip & !(1 << slot) | u32::from(on_chip) << slot;
-        let old = page.slots[slot].replace(image);
-        self.stored += usize::from(old.is_none());
-        old
+        page.slots[slot].replace(image)
     }
 
     /// `(node, image, on chip)` of every stored bucket, in unspecified
@@ -419,23 +413,24 @@ fn xor_keystream(bytes: &mut [u8], keystream: &[u32]) {
 }
 
 /// [`CipherMode::Real`]'s cipher and the keystream blocks it computed
-/// ahead: `keystream[i]` is that of `lanes[i]`, a `(nonce, block index)`
-/// pair, and `next` is the first lane a write has not used yet. Each
-/// [`BlockCipher::keystream_blocks`] call computes the blocks of several
-/// buckets in shared lane passes: every block of every planned write to
-/// DRAM, or on a read the header blocks of every image taken from DRAM and
-/// then the blocks real payloads cover.
+/// last: `keystream[i]` is that of `lanes[i]`, a `(nonce, block index)`
+/// pair. Each [`BlockCipher::keystream_blocks`] call computes the blocks of
+/// several buckets in shared lane passes: every block of every bucket a
+/// refill sent to DRAM, or on a read the header blocks of every image
+/// taken from DRAM and then the blocks real payloads cover.
 #[derive(Debug)]
 struct Sealer {
     cipher: BlockCipher,
     format: Format,
     lanes: Vec<(Nonce, u32)>,
     keystream: Vec<[u32; 16]>,
-    next: usize,
     /// Keystream blocks computed so far: what the tests weigh a take and a
     /// write by.
     #[cfg(test)]
     computed: u64,
+    /// [`BlockCipher::keystream_blocks`] calls so far.
+    #[cfg(test)]
+    calls: u64,
 }
 
 impl Sealer {
@@ -445,9 +440,10 @@ impl Sealer {
             format,
             lanes: Vec::new(),
             keystream: Vec::new(),
-            next: 0,
             #[cfg(test)]
             computed: 0,
+            #[cfg(test)]
+            calls: 0,
         }
     }
 
@@ -458,49 +454,20 @@ impl Sealer {
         #[cfg(test)]
         {
             self.computed += self.lanes.len() as u64;
+            self.calls += 1;
         }
     }
 
     /// Computes every keystream block of the images sealed under `nonces`,
-    /// in one call, in place of what was computed before: a dummy payload
-    /// is fresh ciphertext too. Returns how many images that is.
-    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) -> u64 {
+    /// in one call: `keystream` then holds each image's blocks in turn. A
+    /// dummy payload is fresh ciphertext too.
+    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) {
         let blocks = self.format.sealed_blocks();
         self.lanes.clear();
         for nonce in nonces {
             self.lanes.extend((0..blocks).map(|block| (nonce, block)));
         }
         self.compute();
-        self.next = 0;
-        (self.lanes.len() / blocks as usize) as u64
-    }
-
-    /// Seals `slots`, bucket `node`'s Z slots in the clear, and returns the
-    /// write counter it sealed them under: when `node` is the next prepared
-    /// write, its counter and keystream; else a `fresh` counter and a
-    /// keystream of its own, computed beside the prepared ones, which stay
-    /// for the writes they are for. Either way the bytes are
-    /// [`BlockCipher::encrypt_in_place`]'s.
-    fn seal(&mut self, node: u64, slots: &mut [u8], fresh: impl FnOnce() -> u64) -> u64 {
-        let blocks = self.format.sealed_blocks() as usize;
-        match self.lanes.get(self.next) {
-            Some(&(nonce, 0)) if nonce.address == node as u32 => {
-                let keystream = &self.keystream[self.next..][..blocks];
-                xor_keystream(slots, keystream.as_flattened());
-                self.next += blocks;
-                nonce.write_counter
-            }
-            _ => {
-                let counter = fresh();
-                let nonce = Nonce::new(counter, node as u32);
-                self.cipher.encrypt_in_place(nonce, slots);
-                #[cfg(test)]
-                {
-                    self.computed += blocks as u64;
-                }
-                counter
-            }
-        }
     }
 
     /// Unseals in place, in two calls of the cipher, what the takes of
@@ -509,8 +476,7 @@ impl Sealer {
     /// The first call computes their header blocks from the counters in
     /// their trailers; the second, the blocks that the payloads of the real
     /// slots those headers name cover, less the ones the first applied.
-    /// Dummy payloads stay sealed: nothing reads them. No prepared write
-    /// keystream survives it.
+    /// Dummy payloads stay sealed: nothing reads them.
     fn unseal_path(&mut self, images: &mut [Taken]) {
         let (format, headers) = (self.format, self.format.header_blocks());
         self.lanes.clear();
@@ -575,9 +541,10 @@ impl Sealer {
 /// Buckets are addressed by heap node id (root = 1). Taking an untouched
 /// bucket yields no real blocks (it is all dummies); writing a bucket
 /// replaces its contents and, in [`CipherMode::Real`], re-encrypts with a
-/// fresh write-counter nonce so ciphertexts never repeat (§2.3) — unless
-/// the write stays on chip, where a bucket is in the clear like the stash
-/// until a read takes it or the cache's eviction seals it to memory.
+/// fresh write-counter nonce so ciphertexts never repeat (§2.3) when it
+/// goes to memory: a bucket the cache holds is on chip in the clear, like
+/// the stash, and one a refill sends to DRAM waits there until the refill
+/// ends.
 #[derive(Debug)]
 pub struct TreeStore {
     pages: Pages,
@@ -585,6 +552,10 @@ pub struct TreeStore {
     /// [`CipherMode::Real`]'s cipher; `None` is `Transparent`, the identity.
     sealer: Option<Sealer>,
     write_counter: u64,
+    /// Sealed only: the buckets sent to DRAM since the last
+    /// [`TreeStore::seal_outgoing`], in send order, each still on chip in
+    /// the clear.
+    outgoing: Vec<u64>,
     /// The headers and the payloads of the slots pushed since the last
     /// [`TreeStore::store`]: the bucket being encoded, with room for Z
     /// slots once used.
@@ -615,6 +586,7 @@ impl TreeStore {
                 .sealed
                 .then(|| Sealer::new(BlockCipher::new(key), format)),
             write_counter: 0,
+            outgoing: Vec::new(),
             open_headers: Vec::new(),
             open_payloads: Vec::new(),
             taken: Vec::new(),
@@ -683,25 +655,6 @@ impl TreeStore {
         decoded
     }
 
-    /// Refill, before its first write: computes in one call every keystream
-    /// block the next writes to untrusted memory take if they store
-    /// `nodes`, in this order, under write counters it reserves for them
-    /// (`write_counter + 1 ..`). A write that is not the next of `nodes` —
-    /// a victim's spill, a write elsewhere or past the end of `nodes` —
-    /// seals under a fresh counter above the reserved ones and computes its
-    /// own keystream, and the ones prepared stay for the writes they are
-    /// for; the next prepare or read drops what is left, and a reserved
-    /// counter left over is never used. Keystreams depend on the node and
-    /// the counter only, so every image decodes the same either way.
-    pub(crate) fn prepare_writes(&mut self, nodes: impl Iterator<Item = u64>) {
-        if let Some(sealer) = &mut self.sealer {
-            let counters = self.write_counter + 1..;
-            let nonces = nodes.zip(counters);
-            self.write_counter +=
-                sealer.prepare(nonces.map(|(node, counter)| Nonce::new(counter, node as u32)));
-        }
-    }
-
     /// Keeps an emptied image's buffer for the next write of its size; one
     /// of a size this store never writes (a corrupt image's) is dropped.
     fn recycle(&mut self, mut image: Image) {
@@ -752,11 +705,10 @@ impl TreeStore {
     /// since the last store) as bucket `node`, over whatever the slot
     /// held, in a buffer of exactly its sealed size. `Real` pads it with
     /// dummy slots to Z — address [`DUMMY_ADDR`], leaf and payload zero.
-    /// A bucket the cache holds (`on_chip`) stays so, in the clear;
-    /// otherwise it goes to untrusted memory, and `Real` seals every block
-    /// of it under a fresh write counter (with the keystream
-    /// [`TreeStore::prepare_writes`] computed for it, if it did) and
-    /// appends the counter.
+    /// A bucket the cache holds (`on_chip`) stays so, in the clear; one
+    /// bound for DRAM goes to untrusted memory, in `Real` only once
+    /// [`TreeStore::seal_outgoing`] seals it: until then it waits on chip,
+    /// in the clear, as outgoing.
     ///
     /// # Panics
     ///
@@ -778,18 +730,18 @@ impl TreeStore {
         image.resize(slots * format.slot_bytes(), 0);
         self.open_headers.clear();
         self.open_payloads.clear();
-        if let Some(sealer) = self.sealer.as_mut().filter(|_| !on_chip) {
-            Self::seal(sealer, &mut self.write_counter, node, &mut image);
+        if format.sealed && !on_chip {
+            self.outgoing.push(node);
         }
-        if let Some(old) = self.pages.put(node, image, on_chip) {
+        if let Some(old) = self.pages.put(node, image, on_chip || format.sealed) {
             self.recycle(old);
         }
     }
 
-    /// Write phase, the cache's eviction victim: moves bucket `node` from
-    /// on chip to untrusted memory, in place, in `Real` sealed under a
-    /// fresh write counter with a keystream of its own. A bucket not stored
-    /// has nothing to move.
+    /// Write phase, the cache's eviction victim: sends bucket `node` from
+    /// on chip to untrusted memory — in `Real` as outgoing, sealed by the
+    /// next [`TreeStore::seal_outgoing`]. A bucket not stored has nothing
+    /// to send.
     pub(crate) fn spill(&mut self, node: u64) {
         let Some((page, slot)) = self.pages.page_mut(node) else {
             return;
@@ -801,21 +753,46 @@ impl TreeStore {
             );
             return;
         }
-        page.on_chip &= !(1 << slot);
-        if let (Some(sealer), Some(image)) = (&mut self.sealer, &mut page.slots[slot]) {
-            Self::seal(sealer, &mut self.write_counter, node, image);
+        if self.format.sealed {
+            self.outgoing.push(node);
+        } else {
+            page.on_chip &= !(1 << slot);
         }
     }
 
-    /// Seals bucket `node`'s image, its Z slots in the clear, and appends
-    /// the write counter: the one a plan reserved for it, or the next of
-    /// `write_counter`.
-    fn seal(sealer: &mut Sealer, write_counter: &mut u64, node: u64, image: &mut Image) {
-        let counter = sealer.seal(node, image, || {
-            *write_counter += 1;
-            *write_counter
-        });
-        image.extend_from_slice(&counter.to_le_bytes());
+    /// Ends a refill: gives each outgoing bucket the next write counter, in
+    /// send order, computes every keystream block of them in one call,
+    /// seals each image in place, appends its counter and moves it to
+    /// untrusted memory. Nothing to do in the clear.
+    pub(crate) fn seal_outgoing(&mut self) {
+        let Some(sealer) = &mut self.sealer else {
+            return;
+        };
+        let first = self.write_counter + 1;
+        self.write_counter += self.outgoing.len() as u64;
+        let nonces = self.outgoing.iter().zip(first..);
+        sealer.prepare(nonces.map(|(&node, counter)| Nonce::new(counter, node as u32)));
+        let keystreams = sealer
+            .keystream
+            .chunks_exact(self.format.sealed_blocks() as usize);
+        for ((node, keystream), counter) in self.outgoing.drain(..).zip(keystreams).zip(first..) {
+            let (page, slot) = self
+                .pages
+                .page_mut(node)
+                .expect("an outgoing bucket is stored");
+            let image = page.slots[slot]
+                .as_mut()
+                .expect("an outgoing bucket is stored");
+            xor_keystream(image, keystream.as_flattened());
+            image.extend_from_slice(&counter.to_le_bytes());
+            page.on_chip &= !(1 << slot);
+        }
+    }
+
+    /// Whether a refill has sent buckets to DRAM that
+    /// [`TreeStore::seal_outgoing`] has not sealed yet.
+    pub(crate) fn has_outgoing(&self) -> bool {
+        !self.outgoing.is_empty()
     }
 
     /// Removes bucket `node` and returns its real blocks, each with a
@@ -832,7 +809,7 @@ impl TreeStore {
     }
 
     /// Writes bucket `node` with up to `Z` real blocks (the remainder of the
-    /// bucket is dummies).
+    /// bucket is dummies) to untrusted memory, sealed before it returns.
     ///
     /// # Panics
     ///
@@ -845,6 +822,7 @@ impl TreeStore {
             self.push_slot(block);
         }
         self.store(node, false);
+        self.seal_outgoing();
     }
 
     /// Raw stored bytes of bucket `node`: the image, without its
@@ -934,6 +912,11 @@ impl TreeStore {
     pub(crate) fn computed(&self) -> u64 {
         self.sealer.as_ref().expect("sealed").computed
     }
+
+    /// [`BlockCipher::keystream_blocks`] calls the sealer has made so far.
+    pub(crate) fn keystream_calls(&self) -> u64 {
+        self.sealer.as_ref().expect("sealed").calls
+    }
 }
 
 /// A decoder sink that collects each real slot as a [`Block`] of its own.
@@ -961,6 +944,11 @@ mod tests {
         Ok(blocks)
     }
 
+    /// Buckets the store holds, on chip or in untrusted memory.
+    fn stored(store: &TreeStore) -> usize {
+        store.pages.iter().count()
+    }
+
     /// The stored buckets, decoded, by node id.
     fn sorted(store: &TreeStore) -> Vec<(u64, Vec<Block>)> {
         let mut all: Vec<_> = store.iter_buckets().collect();
@@ -973,7 +961,7 @@ mod tests {
         let mut store = TreeStore::new(&cfg(CipherMode::Transparent), [0; 32]);
         assert_eq!(store.iter_buckets().count(), 0);
         assert!(store.take_bucket(1).is_empty());
-        assert_eq!(store.pages.stored, 0);
+        assert_eq!(stored(&store), 0);
     }
 
     #[test]
@@ -1123,7 +1111,7 @@ mod tests {
             assert_eq!(try_take(&mut store, 10), Err(IntegrityError { node: 10 }));
             store.write_bucket(10, vec![Block::new(6, 3, vec![2; 16])]);
             assert_eq!(try_take(&mut store, 10).unwrap()[0].addr, 6);
-            assert_eq!(store.pages.stored, 0);
+            assert_eq!(stored(&store), 0);
         }
     }
 
@@ -1203,15 +1191,17 @@ mod tests {
             assert_eq!(store.take_bucket(1), blocks);
             assert_eq!(computed(&store) - before, 1 + real, "{real} real slots");
         }
-        // A path: its planned refill computes every block of every image in
-        // one call, its read the header blocks and then one per real slot.
+        // A path: its refill computes every block of every image in one
+        // call as it ends, its read the header blocks and then one per real
+        // slot.
         let path = path_nodes(c.levels, 5);
         let before = computed(&store);
-        store.prepare_writes(path.iter().rev().copied());
         for (i, &node) in path.iter().rev().enumerate() {
             let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
-            store.write_bucket(node, blocks.collect());
+            blocks.for_each(|block| store.push_slot(&block));
+            store.store(node, false);
         }
+        store.seal_outgoing();
         assert_eq!(computed(&store) - before, 5 * path.len() as u64);
         let before = computed(&store);
         let mut taken = 0;
@@ -1224,9 +1214,10 @@ mod tests {
 
     /// A bucket stored on chip is in the clear and nowhere in untrusted
     /// memory: no keystream to store it or to take it, no image, yet it is
-    /// a stored bucket. Its spill seals it under a fresh counter above the
-    /// ones a plan reserved, with a keystream of its own, and the planned
-    /// writes around it still find theirs. The same placement in the clear.
+    /// a stored bucket. Its spill sends it to memory like a write-through:
+    /// sealed, both wait on chip in the clear until the refill's end seals
+    /// them in one call, under counters in send order. The same placement
+    /// in the clear.
     #[test]
     fn an_on_chip_bucket_is_sealed_only_when_it_spills() {
         for mode in [CipherMode::Transparent, CipherMode::Real] {
@@ -1234,9 +1225,10 @@ mod tests {
             c.block_bytes = 64;
             let sealed = mode == CipherMode::Real;
             let computed = |store: &TreeStore| if sealed { store.computed() } else { 0 };
+            let calls = |store: &TreeStore| if sealed { store.keystream_calls() } else { 0 };
             let mut store = TreeStore::new(&c, [6; 32]);
             let path = path_nodes(c.levels, 9);
-            let (held, planned) = (path[4], [path[6], path[2]]);
+            let (held, through) = (path[4], [path[6], path[2]]);
             let blocks = vec![Block::new(3, 9, vec![3; 64]), Block::new(4, 9, vec![4; 64])];
 
             let hold = |store: &mut TreeStore| {
@@ -1250,27 +1242,29 @@ mod tests {
             assert_eq!(store.raw_bucket(held), None, "{mode:?}: on chip");
             assert!(!store.corrupt_bucket(held), "{mode:?}: nothing in memory");
             assert_eq!(sorted(&store), [(held, blocks.clone())], "{mode:?}");
-            assert_eq!(store.pages.stored, 1);
+            assert_eq!(stored(&store), 1);
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
             assert_eq!(computed(&store), 0, "{mode:?}: held and taken in the clear");
 
             hold(&mut store);
-            store.prepare_writes(planned.into_iter());
-            store.write_bucket(planned[0], Vec::new());
+            store.store(through[0], false);
             store.spill(held);
-            store.write_bucket(planned[1], Vec::new());
+            store.store(through[1], false);
+            let sent = [through[0], held, through[1]];
+            let in_memory = sent.map(|node| store.image(node).is_some());
+            assert_eq!(in_memory, [!sealed; 3], "{mode:?}: sealed waits on chip");
+            let before = calls(&store);
+            store.seal_outgoing();
             assert_eq!(sorted(&store).len(), 3, "{mode:?}");
             assert_eq!(store.bucket(held), Some(blocks.clone()), "{mode:?}");
             let image = store.image(held).expect("spilled");
             if sealed {
                 assert_eq!(image.len(), 4 * 80 + COUNTER_BYTES);
-                let counters: Vec<u64> = [planned[0], held, planned[1]]
-                    .iter()
-                    .map(|&node| counter_of(store.image(node).expect("in memory")))
-                    .collect();
-                // The plan reserved 1 and 2; the spill took the next.
-                assert_eq!(counters, [1, 3, 2]);
+                let counters = sent.map(|node| counter_of(store.image(node).expect("in memory")));
+                // Counters in send order, every block in one call.
+                assert_eq!(counters, [1, 2, 3]);
                 assert_eq!(computed(&store), 3 * 5);
+                assert_eq!(calls(&store) - before, 1);
             }
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
         }
@@ -1278,10 +1272,11 @@ mod tests {
 
     /// Round trips of whole paths, sealed, at every Z and block size the
     /// list below makes (headers and payloads straddling keystream blocks
-    /// or not): refills of random occupancy, half of them planned first,
-    /// then reads from a random floor, a corrupt image at a random level of
-    /// half of them, against the map model; the whole store after every
-    /// read, once a corrupt image it left above its floor is taken.
+    /// or not): refills of random occupancy, half of them sealed in one
+    /// call as they end and half one write at a time, then reads from a
+    /// random floor, a corrupt image at a random level of half of them,
+    /// against the map model; the whole store after every read, once a
+    /// corrupt image it left above its floor is taken.
     #[test]
     fn sealed_paths_round_trip_at_every_alignment() {
         let levels = 6;
@@ -1296,9 +1291,7 @@ mod tests {
                 for round in 0..80 {
                     let at = format!("Z={z} B={block_bytes} round {round}");
                     let path = path_nodes(levels, rng.next_below(1 << levels));
-                    if rng.next_below(2) == 0 {
-                        store.prepare_writes(path.iter().rev().copied());
-                    }
+                    let refill = rng.next_below(2) == 0;
                     for &node in path.iter().rev() {
                         if rng.next_below(4) == 0 {
                             continue;
@@ -1311,9 +1304,15 @@ mod tests {
                                 Block::new(next_addr, leaf, data.collect())
                             })
                             .collect();
-                        store.write_bucket(node, blocks.clone());
+                        if refill {
+                            blocks.iter().for_each(|block| store.push_slot(block));
+                            store.store(node, false);
+                        } else {
+                            store.write_bucket(node, blocks.clone());
+                        }
                         model.write(node, blocks);
                     }
+                    store.seal_outgoing();
                     if rng.next_below(2) == 0 {
                         let node = path[rng.next_below(u64::from(levels) + 1) as usize];
                         let truncate = rng.next_below(2) == 0;
@@ -1330,7 +1329,7 @@ mod tests {
                     let result = store.take_path_with(&path[floor..], collect_into(&mut taken));
                     let expected = model.take_path(&path[floor..]);
                     assert_eq!((taken, result), expected, "{at}");
-                    assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
+                    assert_eq!(stored(&store), model.buckets.len(), "{at}");
                     // A corrupt image above the floor: scrub it.
                     for node in model.corrupt.clone() {
                         assert_eq!(try_take(&mut store, node), model.take(node), "{at}");
@@ -1401,7 +1400,7 @@ mod tests {
                 assert_eq!(store.raw_bucket(node), None);
                 assert!(!store.corrupt_bucket(node));
             }
-            assert_eq!(store.pages.stored, 1);
+            assert_eq!(stored(&store), 1);
         }
     }
 
@@ -1434,7 +1433,7 @@ mod tests {
             // the leaf's page at every L.
             store.write_bucket(leaf_node(levels, label) ^ 1, Vec::new());
             assert_eq!(store.pages.pages.len(), pages, "L={levels}");
-            assert_eq!(store.pages.stored, levels as usize + 2);
+            assert_eq!(stored(&store), levels as usize + 2);
         }
     }
 
@@ -1543,10 +1542,10 @@ mod tests {
     /// runs against the model, empty and full buckets alike, the stored
     /// count after every call and `iter_buckets` after every
     /// fourth run if it leaves no bucket corrupt (it decodes infallibly).
-    /// Half the write runs are planned first (`prepare_writes`) — as
-    /// written, cut short, run on into other nodes, or all elsewhere — and
-    /// half the take runs are one `take_path_with`, so a sealed store
-    /// decodes what it sealed whatever keystreams it had prepared.
+    /// Half the write runs are one refill, each bucket stored for DRAM and
+    /// all of them sealed in one call as the run ends, and half the take
+    /// runs are one `take_path_with`, so a sealed store decodes what it
+    /// sealed whichever way it sealed it.
     /// Returns how many times the whole store was compared.
     fn check_against_model(levels: u32, mode: CipherMode) -> u32 {
         let c = cfg_with_levels(mode, levels);
@@ -1561,23 +1560,11 @@ mod tests {
             let op = rng.next_below(16);
             let run = node_run(&mut rng, levels, &leaves);
             let whole_run = rng.next_below(2) == 0;
-            match op {
-                0..=5 if whole_run => {
-                    let mut plan = run.clone();
-                    match rng.next_below(3) {
-                        0 => plan.truncate(rng.next_below(run.len() as u64 + 1) as usize),
-                        1 => plan.extend(node_run(&mut rng, levels, &leaves)),
-                        _ => plan = node_run(&mut rng, levels, &leaves),
-                    }
-                    store.prepare_writes(plan.into_iter());
-                }
-                6..=11 if whole_run => {
-                    let mut taken = Vec::new();
-                    let result = store.take_path_with(&run, collect_into(&mut taken));
-                    assert_eq!((taken, result), model.take_path(&run), "{at}");
-                    assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
-                }
-                _ => {}
+            if (6..=11).contains(&op) && whole_run {
+                let mut taken = Vec::new();
+                let result = store.take_path_with(&run, collect_into(&mut taken));
+                assert_eq!((taken, result), model.take_path(&run), "{at}");
+                assert_eq!(stored(&store), model.buckets.len(), "{at}");
             }
             let per_node = if (6..=11).contains(&op) && whole_run {
                 &[][..]
@@ -1594,7 +1581,12 @@ mod tests {
                                 Block::new(next_addr, rng.next_u64(), vec![next_addr as u8; 16])
                             })
                             .collect();
-                        store.write_bucket(node, blocks.clone());
+                        if whole_run {
+                            blocks.iter().for_each(|block| store.push_slot(block));
+                            store.store(node, false);
+                        } else {
+                            store.write_bucket(node, blocks.clone());
+                        }
                         model.write(node, blocks);
                     }
                     0..=11 => assert_eq!(try_take(&mut store, node), model.take(node), "{at}"),
@@ -1621,8 +1613,9 @@ mod tests {
                         (raw, _) => panic!("{at}: raw_bucket({node}) = {raw:?}"),
                     },
                 }
-                assert_eq!(store.pages.stored, model.buckets.len(), "{at}");
+                assert_eq!(stored(&store), model.buckets.len(), "{at}");
             }
+            store.seal_outgoing();
             // Every 50 runs, a scrub takes whatever is corrupt (each take
             // an `IntegrityError`): a bucket no later run revisits would
             // otherwise end the whole-store comparisons below.

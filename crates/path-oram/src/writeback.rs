@@ -85,16 +85,10 @@ impl WritebackEngine {
 
     /// The first half of [`WritebackEngine::write_bucket`]: inserts refill
     /// bucket `node` into the cache and says where it goes, so the tree
-    /// store can seal exactly what reaches DRAM before
-    /// [`WritebackEngine::commit`] charges it.
+    /// store knows what reaches DRAM before [`WritebackEngine::commit`]
+    /// charges it.
     pub(crate) fn place(&mut self, node: u64) -> WriteOutcome {
-        let placed = self.cache.insert_on_write(node);
-        debug_assert_eq!(
-            placed == WriteOutcome::WriteThrough,
-            !self.cache.cacheable(node),
-            "node {node}: a policy writes through exactly what it never holds"
-        );
-        placed
+        self.cache.insert_on_write(node)
     }
 
     /// The second half of [`WritebackEngine::write_bucket`]: counts the
@@ -121,11 +115,6 @@ impl WritebackEngine {
     /// The engine's counts, for [`crate::Datapath::publish`].
     pub(crate) fn tally_mut(&mut self) -> &mut Tally {
         &mut self.tally
-    }
-
-    /// Whether the cache ever holds bucket `node` ([`BucketCache::cacheable`]).
-    pub(crate) fn cacheable(&self, node: u64) -> bool {
-        self.cache.cacheable(node)
     }
 
     /// Buckets currently resident in the on-chip cache.

@@ -41,7 +41,6 @@ pub(crate) struct CoreModel {
     private_blocks: u64,
     outstanding: usize,
     issued: u64,
-    completed: u64,
     budget: u64,
     next_issue_ps: u64,
     last_addr: u64,
@@ -66,7 +65,6 @@ impl CoreModel {
             private_blocks,
             outstanding: 0,
             issued: 0,
-            completed: 0,
             budget,
             next_issue_ps: 0,
             last_addr: region_base,
@@ -94,7 +92,6 @@ impl CoreModel {
             private_blocks: private,
             outstanding: 0,
             issued: 0,
-            completed: 0,
             budget,
             next_issue_ps: 0,
             last_addr: 0,
@@ -147,7 +144,6 @@ impl CoreModel {
         debug_assert!(self.outstanding > 0);
         let was_blocked = !self.can_issue() && self.issued < self.budget;
         self.outstanding -= 1;
-        self.completed += 1;
         match self.pipeline {
             PipelineKind::InOrder => {
                 // The blocked core resumes compute only after the data

@@ -6,7 +6,8 @@
 # fp-core's unit tests and the `repro --fast` recording again in the
 # release build the benchmark measures, plus one run of each example (step
 # five), the sealed data path's two crates again for the portable x86-64
-# target, rustdoc, and the benchmark package's own check. Every assertion
+# target, rustdoc, and the benchmark package's own check; then it prints
+# the non-test line counts (`scripts/loc.sh`). Every assertion
 # about library behaviour is a named test under steps four and five, or an
 # `assert!` in an example that step five runs; a binary's output is
 # compared only by the named test that holds the `repro` recording. The
@@ -77,4 +78,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q --workspace
 # timing threshold — wall-clock numbers are compared across commits by the
 # benchmark itself, not gated in CI.
 bash benchmark/run.sh --check
+
+# Non-test lines per crate and their total, the size every simplicity
+# change reports: printed only, no threshold.
+bash scripts/loc.sh
 echo "tier1 OK"

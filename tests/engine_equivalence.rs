@@ -16,7 +16,6 @@ use fork_path_oram::core::{
 };
 use fork_path_oram::crypto::{BlockCipher, Nonce, Xoshiro256};
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::cache::BucketCache;
 use fork_path_oram::path_oram::{
     Block, CipherMode, Completion, Op, OramConfig, OramState, TreeStore,
 };
@@ -213,10 +212,9 @@ fn observe(scheme: &Scheme, mode: CipherMode, pacing: Pacing) -> Observed {
 /// clear, in the same order: for every registry scheme with a tree, one
 /// workload gives identical completions, counters, stash high water, clock
 /// and tree contents in both modes. The open pacing moves the Fork Path
-/// write stop mid-refill both ways: a sealed refill computes its
-/// keystreams for the planned stop, leaves some unused above a raised
-/// stop and computes one bucket's at a time below a lowered one, and the
-/// tree must still decode to the same blocks.
+/// write stop mid-refill both ways: a sealed refill seals what it sent to
+/// DRAM when it ends, wherever it stopped, and the tree must still decode
+/// to the same blocks.
 #[test]
 fn cipher_modes_are_one_datapath() {
     for (name, scheme) in registry() {
@@ -269,8 +267,8 @@ fn sealed_fork_run() -> ForkPathController {
 /// memory, digested over every image in it — ciphertext and write-counter
 /// trailer — in node order, beside the count of the stored buckets the
 /// merging-aware cache holds on chip, which untrusted memory does not
-/// have. The literal was recorded when buckets on chip stopped being
-/// sealed; a keystream that differs in one byte, for one nonce, a slot
+/// have. The literal was recorded when a refill began to seal what it
+/// sent to DRAM as it ends, counters handed out in send order; a keystream that differs in one byte, for one nonce, a slot
 /// laid out elsewhere, or a bucket on the wrong side of the DRAM boundary,
 /// changes it.
 #[test]
@@ -290,7 +288,7 @@ fn sealed_images_match_the_recorded_digest() {
     let on_chip = tree.iter_buckets().count() - images;
     assert_eq!(
         (images, on_chip, digest),
-        (7, 1015, 0x29e9_ffdb_0f8e_93ca),
+        (7, 1015, 0xe9f3_4387_dfdf_8759),
         "sealed images"
     );
 }

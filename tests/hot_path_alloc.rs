@@ -363,37 +363,51 @@ fn sealed_path_keeps_its_allocation_contract() {
 /// phase decodes each image into the stash and keeps the emptied buffer,
 /// and the refill encodes what the eviction stream picks and stores it in
 /// one of those buffers, so a warm read of a whole path and its full
-/// refill move every block without the allocator.
+/// refill move every block without the allocator. Behind a merging-aware
+/// cache of one line, over level 2, refills that alternate between two
+/// paths spill a victim each: sealed, it waits on chip with the
+/// write-throughs until the refill's end seals them, and the list of them
+/// keeps its capacity too.
 #[test]
 fn a_warm_path_read_and_refill_allocate_nothing() {
     for mode in [CipherMode::Transparent, CipherMode::Real] {
         let mut oram = OramConfig::small_test();
         oram.cipher_mode = mode;
         let levels = oram.levels;
-        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        let mut dp = Datapath::new(oram.clone(), dram, 7, Box::new(NoCache));
-        // Sixteen blocks the path to leaf 0 holds: ten mapped to it fill
-        // the leaf bucket and the one above and half the next, three share
-        // only the root, three the top three levels.
-        for addr in 0..16u64 {
-            let label = match addr {
-                0..=9 => 0,
-                10..=12 => 1 << (levels - 1),
-                _ => 1 << (levels - 3),
-            };
-            dp.state_mut().apply_op(addr, label, None);
-        }
+        let datapath = |cache: Box<dyn BucketCache + Send>| {
+            let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+            let mut dp = Datapath::new(oram.clone(), dram, 7, cache);
+            // Sixteen blocks the path to leaf 0 holds: ten mapped to it
+            // fill the leaf bucket and the one above and half the next,
+            // three share only the root, three the top three levels.
+            for addr in 0..16u64 {
+                let label = match addr {
+                    0..=9 => 0,
+                    10..=12 => 1 << (levels - 1),
+                    _ => 1 << (levels - 3),
+                };
+                dp.state_mut().apply_op(addr, label, None);
+            }
+            dp
+        };
+        // One access: the read of the path to `leaf` and its full refill.
+        let access = |dp: &mut Datapath, leaf: u64, now: &mut u64| {
+            allocations(|| {
+                *now = dp.read_path(leaf, 0, *now).unwrap();
+                dp.begin_refill(leaf);
+                for level in (0..=levels).rev() {
+                    *now = dp.refill_level(level, *now);
+                }
+                *now = dp.end_refill(*now);
+            })
+        };
+
+        let mut dp = datapath(Box::new(NoCache));
         // The first refill writes the images, the first read keeps them.
         let mut now = 0;
         for cycle in 0..4 {
             let pushes = dp.trace().counter(Counter::StashPushes);
-            let n = allocations(|| {
-                now = dp.read_path(0, 0, now).unwrap();
-                dp.begin_refill(0, 0);
-                for level in (0..=levels).rev() {
-                    now = dp.refill_level(level, now);
-                }
-            });
+            let n = access(&mut dp, 0, &mut now);
             // What an engine does before its call returns.
             dp.publish([]);
             if cycle > 1 {
@@ -412,6 +426,28 @@ fn a_warm_path_read_and_refill_allocate_nothing() {
         sizes.sort_unstable();
         assert_eq!(sizes, [2, 3, 3, 4, 4], "{mode:?}: full and partial buckets");
         assert!(dp.state().stash().is_empty());
+        dp.state().check_invariants().unwrap();
+
+        let mut dp = datapath(Box::new(MergingAwareCache::new_for_tree(1, 1, 2, levels)));
+        let bursts = oram.bucket_bytes().div_ceil(dp.dram().config().burst_bytes);
+        let mut now = 0;
+        for cycle in 0..8 {
+            let written = |dp: &Datapath| {
+                let trace = dp.trace();
+                let counts = [Counter::BucketsWritten, Counter::DramBlocksWritten];
+                counts.map(|counter| trace.counter(counter))
+            };
+            let before = written(&dp);
+            let n = access(&mut dp, [0, (1 << levels) - 1][cycle % 2], &mut now);
+            dp.publish([]);
+            if cycle > 3 {
+                assert_eq!(n, 0, "{mode:?}: an access that spills, cycle {cycle}");
+                let [buckets, blocks] = written(&dp);
+                // The one cached bucket's DRAM write is its victim's.
+                let to_dram = (blocks - before[1]) / bursts;
+                assert_eq!(to_dram, buckets - before[0], "{mode:?}: a victim spilled");
+            }
+        }
         dp.state().check_invariants().unwrap();
     }
 }

@@ -440,10 +440,11 @@ fn state_invariants_hold_under_random_access_mix() {
                     } else {
                         let _ = dp.state_mut().apply_op(u, new, Some(&[addr as u8]));
                     }
-                    dp.begin_refill(leaf, 0);
+                    dp.begin_refill(leaf);
                     for level in (0..=levels).rev() {
                         t = dp.refill_level(level, t);
                     }
+                    t = dp.end_refill(t);
                 }
             }
             assert!(dp.state().check_invariants().is_ok());

@@ -1,8 +1,8 @@
 //! The threaded TCP front end over [`OramService`].
 //!
 //! [`NetServer::start`] binds a loopback listener and runs the sharded
-//! service in external-submission mode, with the serve driver acting as
-//! the network plane:
+//! service ([`OramService::serve`]; [`OramService::replay`] for
+//! [`NetServer::replay`]) with the serve driver as the network plane:
 //!
 //! * an **acceptor** admits connections up to
 //!   [`NetConfig::max_connections`] (excess connections are dropped and
@@ -27,17 +27,15 @@
 //! A wire request thus crosses three threads — reader, shard worker,
 //! writer — and waits on no timer.
 //!
-//! ## Deadline mapping
+//! ## Arrival stamps and deadline mapping
 //!
-//! The service runs on a *simulated* clock; the wire carries *wall-clock*
-//! relative deadlines. The server maps one into the other by stamping
-//! each request's arrival as the wall nanoseconds since the server
-//! started, scaled 1 wall ns = 1 simulated ns. A request with
-//! `deadline_rel_ns = d > 0` therefore gets the absolute simulated
-//! deadline `arrival + d`. The two clocks advance at very different
-//! rates (the simulation is much faster than the hardware it models), so
-//! wire deadlines are a *load-shedding knob*, not a real-time guarantee —
-//! see DESIGN.md.
+//! The service runs on a *simulated* clock. [`NetServer::start`] stamps a
+//! request's arrival as the wall ns since the server started, 1 wall ns =
+//! 1 simulated ns; [`NetServer::replay`] stamps it from its script. A
+//! wire deadline `deadline_rel_ns = d > 0` becomes `arrival + d`, judged
+//! when the shard admits the request. The clocks run at very
+//! different rates, so host-stamped deadlines are a *load-shedding knob*,
+//! not a real-time guarantee — see DESIGN.md.
 //!
 //! ## Failure containment
 //!
@@ -60,8 +58,8 @@ use std::time::{Duration, Instant};
 use fp_path_oram::Op;
 use fp_service::sync::relock;
 use fp_service::{
-    CompletionStatus, OramService, ServeError, ServiceConfig, ServiceHandle, ServiceRequest,
-    ServiceStats, ShardFailure, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceCompletion, ServiceConfig, ServiceHandle,
+    ServiceRequest, ServiceStats, ShardFailure, SubmitError,
 };
 use fp_stats::json::JsonObject;
 use fp_trace::{Counter, TraceHandle};
@@ -197,13 +195,21 @@ struct ConnSlot {
     sock: Arc<TcpStream>,
 }
 
+/// Where a request's arrival stamp comes from (module docs): the host
+/// clock from the server's start, or a replay's script with each entry's
+/// index by client tag.
+enum Arrivals {
+    Host(Instant),
+    Script(Vec<ServiceRequest>, HashMap<u64, usize>),
+}
+
 /// The shared network plane handed to every connection thread.
 struct NetShared {
     cfg: NetConfig,
     trace: TraceHandle,
     draining: AtomicBool,
     conns: Mutex<HashMap<u64, ConnSlot>>,
-    start: Instant,
+    arrivals: Arrivals,
     local: SocketAddr,
 }
 
@@ -247,10 +253,30 @@ impl NetShared {
             .all(|c| c.window.iter().all(Option::is_none))
     }
 
-    /// Wall nanoseconds since the server started, as simulated
-    /// picoseconds (1 wall ns = 1 simulated ns).
-    fn arrival_ps(&self) -> u64 {
-        (self.start.elapsed().as_nanos() as u64).saturating_mul(1_000)
+    /// The request the client tagged `tag`, built by `at(arrival_ps)`
+    /// once stamped, and its script index. The host arm stamps wall ns
+    /// since the server started as simulated ps (1 wall ns = 1 simulated
+    /// ns); the script arm, the entry with that tag, and returns `None`
+    /// unless the request is that entry (its address, direction, payload
+    /// and deadline). The queue refuses an entry sent before.
+    fn stamp(
+        &self,
+        tag: u64,
+        at: impl FnOnce(u64) -> ServiceRequest,
+    ) -> Option<(ServiceRequest, Option<usize>)> {
+        match &self.arrivals {
+            Arrivals::Host(start) => {
+                let ps = (start.elapsed().as_nanos() as u64).saturating_mul(1_000);
+                Some((at(ps), None))
+            }
+            Arrivals::Script(script, by_tag) => {
+                let (i, entry) = by_tag.get(&tag).map(|&i| (i, &script[i]))?;
+                let req = at(entry.arrival_ps);
+                let same = (req.addr, req.op, &req.data, req.deadline_ps)
+                    == (entry.addr, entry.op, &entry.data, entry.deadline_ps);
+                same.then_some((req, Some(i)))
+            }
+        }
     }
 
     /// Begins the drain and unblocks the acceptor (which sits in
@@ -282,18 +308,42 @@ impl NetServer {
     /// [`NetError::Config`] for invalid configurations, [`NetError::Io`]
     /// when the bind fails.
     pub fn start(cfg: NetConfig) -> Result<Self, NetError> {
+        // The wall-clock epoch host stamps count from (module docs).
+        #[expect(clippy::disallowed_methods)]
+        let epoch = Instant::now();
+        Self::launch(cfg, Arrivals::Host(epoch))
+    }
+
+    /// [`NetServer::start`] for [`OramService::replay`] of `script` (a
+    /// run's requests in input order): a request is stamped by its client
+    /// tag from the script, so the answers, per-shard fingerprints and
+    /// latency histogram are [`OramService::run_trace`]'s over `script`.
+    /// A request the script does not hold under its tag (another address,
+    /// direction, payload or deadline), or one sent and accepted before,
+    /// is answered `BadRequest`; one refused `Busy` may be sent again.
+    /// Precondition: distinct tags, and no client window,
+    /// `max_inflight_per_conn` or `queue_depth` that binds. An entry no
+    /// client sends stalls its shard until the drain begins.
+    ///
+    /// # Errors
+    ///
+    /// As [`NetServer::start`]'s.
+    pub fn replay(cfg: NetConfig, script: Vec<ServiceRequest>) -> Result<Self, NetError> {
+        let by_tag = (script.iter().enumerate()).map(|(i, r)| (r.tag, i));
+        let by_tag = by_tag.collect();
+        Self::launch(cfg, Arrivals::Script(script, by_tag))
+    }
+
+    fn launch(cfg: NetConfig, arrivals: Arrivals) -> Result<Self, NetError> {
         cfg.validate().map_err(NetError::Config)?;
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let local = listener.local_addr()?;
-        // The wall-clock epoch wire deadlines are mapped from (module docs).
-        #[expect(clippy::disallowed_methods)]
-        let start = Instant::now();
         let shared = Arc::new(NetShared {
             cfg,
             trace: TraceHandle::default(),
             draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
-            start,
+            arrivals,
             local,
         });
         let worker_shared = Arc::clone(&shared);
@@ -337,12 +387,16 @@ impl NetServer {
 /// its driver and [`NetShared::answer`] as its completion sink, and folds the outcome
 /// into a [`NetReport`].
 fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport, NetError> {
-    let service_cfg = shared.cfg.service.clone();
-    let (stats, failures) = match OramService::serve(
-        service_cfg,
-        |c| shared.answer(c.tag, completion_status(c.status), c.latency_ps, c.data),
-        |handle| drive(&listener, handle, &shared),
-    ) {
+    let cfg = shared.cfg.service.clone();
+    let sink = |c: ServiceCompletion| {
+        shared.answer(c.tag, completion_status(c.status), c.latency_ps, c.data);
+    };
+    let driver = |handle: &ServiceHandle| drive(&listener, handle, &shared);
+    let outcome = match &shared.arrivals {
+        Arrivals::Host(_) => OramService::serve(cfg, sink, driver),
+        Arrivals::Script(script, _) => OramService::replay(cfg, script, sink, driver),
+    };
+    let (stats, failures) = match outcome {
         Ok((stats, ())) => (stats, Vec::new()),
         Err(ServeError::Shards { failures, stats }) => (*stats, failures),
         Err(ServeError::Config(e)) => return Err(NetError::Config(e)),
@@ -355,8 +409,8 @@ fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport
 }
 
 /// The network plane: the acceptor (this thread) and the per-connection
-/// threads, all scoped so the service's drain cannot begin until every
-/// socket thread has exited.
+/// threads, all scoped so the service's run cannot end until every socket
+/// thread has exited.
 fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
     std::thread::scope(|scope| {
         let mut next_conn = 0u64;
@@ -392,9 +446,10 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
             scope.spawn(move || write_responses(&writer, rx, shared));
             scope.spawn(move || serve_connection(&sock, conn_id, tx, handle, shared));
         }
-        // Drain: give in-flight requests a bounded chance to complete. The
-        // bound is wall time by definition, hence the two clock reads and
-        // the one timed wait of the crate, off the data path.
+        // Drain: no new work, no wait for an unsent scripted request, and
+        // a bounded chance for what is in flight, in wall time by
+        // definition: the two clock reads and the one timed wait here.
+        handle.drain();
         #[expect(clippy::disallowed_methods)]
         let deadline = Instant::now() + Duration::from_millis(shared.cfg.drain_wait_ms);
         #[expect(clippy::disallowed_methods)]
@@ -566,18 +621,20 @@ fn handle_request(
         refuse(WireStatus::Busy);
         return;
     };
-    let arrival_ps = shared.arrival_ps();
-    let deadline_ps = (req.deadline_rel_ns > 0)
-        .then(|| arrival_ps.saturating_add(req.deadline_rel_ns.saturating_mul(1_000)));
-    let service_req = ServiceRequest {
+    let at = |arrival_ps: u64| ServiceRequest {
         addr: req.addr,
         op,
         data: req.payload,
         arrival_ps,
-        deadline_ps,
+        deadline_ps: (req.deadline_rel_ns > 0)
+            .then(|| arrival_ps.saturating_add(req.deadline_rel_ns.saturating_mul(1_000))),
         tag: service_tag,
     };
-    if let Err(e) = handle.submit(service_req) {
+    let Some((service_req, index)) = shared.stamp(req.tag, at) else {
+        shared.answer(service_tag, WireStatus::BadRequest, 0, Vec::new());
+        return;
+    };
+    if let Err(e) = handle.submit_scripted(index, service_req) {
         let status = match e {
             SubmitError::Busy => {
                 shared.trace.bump(Counter::NetBusyRejections);
@@ -586,6 +643,7 @@ fn handle_request(
             SubmitError::ShardDown => WireStatus::ShardDown,
             SubmitError::Shutdown => WireStatus::Shutdown,
             SubmitError::OutOfRange => WireStatus::OutOfRange,
+            SubmitError::Unscripted => WireStatus::BadRequest,
         };
         shared.answer(service_tag, status, 0, Vec::new());
     }

@@ -65,7 +65,8 @@
 //! is fresh ciphertext too. A read computes the header blocks of all the
 //! images it is about to take from untrusted memory in one call, unseals
 //! them, and computes in a second only the blocks that real payloads
-//! cover; the rest of an image stays sealed until the take drops it.
+//! cover; the rest of an image stays sealed until the take drops it. A
+//! phase with nothing to seal or unseal makes no call.
 //! Every byte is that of [`BlockCipher::encrypt_in_place`] under the
 //! image's nonce.
 
@@ -447,8 +448,13 @@ impl Sealer {
         }
     }
 
-    /// Computes the keystream blocks of `lanes`, in one call.
+    /// Computes the keystream blocks of `lanes`, in one call; with no
+    /// lanes, in none.
     fn compute(&mut self) {
+        if self.lanes.is_empty() {
+            self.keystream.clear();
+            return;
+        }
         self.cipher
             .keystream_blocks(&self.lanes, &mut self.keystream);
         #[cfg(test)]
@@ -472,8 +478,8 @@ impl Sealer {
 
     /// Unseals in place, in two calls of the cipher, what the takes of
     /// `images` decode: each image from untrusted memory up to the first
-    /// whose length is wrong; one held on chip is in the clear already.
-    /// The first call computes their header blocks from the counters in
+    /// whose length is wrong; one held on chip is in the clear already,
+    /// and a call with no lane is not made. The first call computes their header blocks from the counters in
     /// their trailers; the second, the blocks that the payloads of the real
     /// slots those headers name cover, less the ones the first applied.
     /// Dummy payloads stay sealed: nothing reads them.
@@ -1245,6 +1251,8 @@ mod tests {
             assert_eq!(stored(&store), 1);
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
             assert_eq!(computed(&store), 0, "{mode:?}: held and taken in the clear");
+            store.seal_outgoing();
+            assert_eq!(calls(&store), 0, "{mode:?}: no cipher call without a lane");
 
             hold(&mut store);
             store.store(through[0], false);

@@ -41,7 +41,7 @@ pub struct ServiceConfig {
     /// attach as waiters and share its result instead of submitting a
     /// second ORAM access (reads share data; writes absorb
     /// last-writer-wins and flush once after the anchor completes).
-    /// Honored by the external-queue and trace-replay modes; the
+    /// Honored wherever requests come through the shard queues; the
     /// closed-loop harness gives every client a disjoint address region,
     /// so it never coalesces. See DESIGN.md for the obliviousness caveat.
     pub coalesce: bool,

@@ -17,9 +17,10 @@
 //!   Obliviousness is preserved per shard: routing depends only on public
 //!   address bits, and each shard applies the full Fork Path access
 //!   discipline to its own stream.
-//! * **Backpressure** ([`SubmissionQueue`]) — each shard is fed by a
-//!   bounded queue; a full queue rejects with [`SubmitError::Busy`]
-//!   without blocking the producer.
+//! * **Backpressure and admission** ([`SubmissionQueue`]) — each shard is
+//!   fed by a bounded queue; a full queue rejects with
+//!   [`SubmitError::Busy`] without blocking the producer. The queue also
+//!   holds the one rule by which its shard admits.
 //! * **Deadlines** — requests may carry an absolute deadline (fp-net
 //!   stamps the wire's relative one onto it). Requests already past their
 //!   deadline at admission are dropped as [`CompletionStatus::Expired`]
@@ -32,8 +33,8 @@
 //!   worker that errors or panics marks its shard *dead*: the queue
 //!   closes (producers get [`SubmitError::ShardDown`] instead of
 //!   spinning on `Busy`), every request it accepted and had not answered
-//!   is answered [`CompletionStatus::ShardDown`] (so in external mode
-//!   each accepted request gets exactly one completion), its poisoned
+//!   is answered [`CompletionStatus::ShardDown`] (so each request a
+//!   queue accepted gets exactly one completion), its poisoned
 //!   locks are recovered, and the run returns a structured
 //!   [`ServeError::Shards`] carrying partial stats while the surviving
 //!   shards drain normally. Health is read from the stats snapshot
@@ -57,7 +58,7 @@
 //!   queue high-water marks, coalescing savings, per-shard health, fault
 //!   counters, and JSON.
 //!
-//! ## Three run modes
+//! ## Run modes
 //!
 //! [`OramService::serve`] accepts external submissions through a
 //! [`ServiceHandle`] (concurrent, backpressured) and pushes every
@@ -70,7 +71,10 @@
 //! replays a pre-generated request list (e.g. the Zipfian service
 //! workload from `fp-workloads`) deterministically per shard — the mode
 //! that exercises cross-request coalescing, since its duplicate-address
-//! requests genuinely overlap in flight.
+//! requests genuinely overlap in flight. [`OramService::replay`] takes
+//! such a list as a script of stamps for live submitters and equals
+//! `run_trace` however their submissions race; it, `serve` and
+//! `run_trace` run one shard worker loop.
 //!
 //! # Example
 //!

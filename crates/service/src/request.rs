@@ -108,6 +108,9 @@ pub enum SubmitError {
     /// Retrying cannot help — unlike [`SubmitError::Busy`], this is final
     /// for the address until the service is rebuilt.
     ShardDown,
+    /// Not the replay script's (wrong index, stamp or shard, or sent
+    /// before), or a live submission to a replay.
+    Unscripted,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -117,6 +120,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Shutdown => write!(f, "service is shutting down"),
             SubmitError::OutOfRange => write!(f, "address outside the service address space"),
             SubmitError::ShardDown => write!(f, "owning shard is dead (failed over)"),
+            SubmitError::Unscripted => write!(f, "request not in the replay script"),
         }
     }
 }

@@ -7,7 +7,9 @@
 //! completion to the caller's sink on its own thread. When the driver
 //! returns, queues close, workers drain in-flight work, and the scope
 //! joins them — shutdown cannot deadlock because `close()` wakes every
-//! blocked consumer and `pop_batch` returns `None` once closed-and-empty.
+//! blocked consumer, drops every expectation of a replay, and the queue
+//! ends its worker's loop once closed-and-empty. [`OramService::replay`]
+//! is the same run with a script of stamps the queues expect.
 //!
 //! Workers are *supervised*: a controller error or a panic inside one
 //! shard marks that shard [`ShardHealth::Dead`] (closing its queue so
@@ -24,7 +26,8 @@
 //!
 //! [`OramService::run_trace`] runs the deterministic trace-replay mode:
 //! each shard serves its part of a pre-generated request list, so results
-//! are a pure function of the list and the configuration.
+//! are a pure function of the list and the configuration. All three run
+//! one shard worker loop through one supervised run.
 //! [`OramService::run_closed_loop`] runs the deterministic load mode: each
 //! shard embeds a seeded client pool driven by its own completions in
 //! simulated time, so results are a pure function of the configuration.
@@ -113,15 +116,26 @@ impl ServiceHandle {
     /// whatever its queue was closed for once it is:
     /// [`SubmitError::ShardDown`] when the owning shard's worker has died
     /// (final — retrying cannot help), [`SubmitError::Shutdown`] once
-    /// draining has begun.
-    pub fn submit(&self, mut req: ServiceRequest) -> Result<usize, SubmitError> {
+    /// draining has begun. [`SubmitError::Unscripted`] in a replay.
+    pub fn submit(&self, req: ServiceRequest) -> Result<usize, SubmitError> {
+        self.submit_scripted(None, req)
+    }
+
+    /// [`ServiceHandle::submit`], or with `Some(i)` entry `i` of the
+    /// script [`OramService::replay`] runs: [`SubmitError::Unscripted`]
+    /// unless its shard still expects that entry's stamp.
+    pub fn submit_scripted(
+        &self,
+        index: Option<usize>,
+        mut req: ServiceRequest,
+    ) -> Result<usize, SubmitError> {
         if req.addr >= self.cfg.oram.data_blocks {
             return Err(SubmitError::OutOfRange);
         }
         let shard = self.cfg.shard_of(req.addr);
         req.addr = self.cfg.local_addr(req.addr);
         let shared = &self.shards[shard];
-        match shared.queue.try_push(req) {
+        match shared.queue.push(req, index.map(|i| i as u64)) {
             Ok(()) => {
                 shared.note_enqueued();
                 Ok(shard)
@@ -132,6 +146,15 @@ impl ServiceHandle {
                 }
                 Err(e)
             }
+        }
+    }
+
+    /// Begins the drain, as [`OramService::serve`] does when its driver
+    /// returns: the queues refuse new work with [`SubmitError::Shutdown`]
+    /// and stop waiting for a replay's unsent requests.
+    pub fn drain(&self) {
+        for shared in self.shards.iter() {
+            shared.queue.close(SubmitError::Shutdown);
         }
     }
 
@@ -149,7 +172,7 @@ impl ServiceHandle {
     }
 }
 
-/// The sharded ORAM service. See the crate docs for the three run modes.
+/// The sharded ORAM service. See the crate docs for its run modes.
 pub struct OramService;
 
 impl OramService {
@@ -177,8 +200,9 @@ impl OramService {
     /// (`job_for(shard)` builds the worker's job on the calling thread,
     /// just before its spawn), runs `driver` on the calling thread, joins
     /// the workers and snapshots the shards. A job that fails has already
-    /// caught its error or panic and marked its shard dead (the
-    /// `ShardEngine::run_*` contract, kept by `ShardEngine::or_fail`).
+    /// caught its error or panic and marked its shard dead (the contract
+    /// of `ShardEngine::run` and `run_closed_loop`, kept by
+    /// `ShardEngine::or_fail`).
     fn supervise<J, R>(
         cfg: &ServiceConfig,
         engines: Vec<ShardEngine>,
@@ -262,42 +286,56 @@ impl OramService {
         sink: impl Fn(ServiceCompletion) + Sync,
         driver: impl FnOnce(&ServiceHandle) -> R,
     ) -> Result<(ServiceStats, R), ServeError> {
-        cfg.validate().map_err(ServeError::Config)?;
-        let (engines, shareds) = Self::build(&cfg);
-        let cfg = Arc::new(cfg);
-        let shards = Arc::new(shareds);
-        let handle = ServiceHandle {
-            cfg: Arc::clone(&cfg),
-            shards: Arc::clone(&shards),
+        Self::run(cfg, |_, _| Ok(()), sink, driver)
+    }
+
+    /// Runs [`OramService::serve`] as the replay of `script`, a run's
+    /// requests in input order: entry `i` is submitted by
+    /// [`ServiceHandle::submit_scripted`]`(Some(i), ..)`, stamped
+    /// `script[i].arrival_ps`, to the shard of `script[i].addr`. Shards
+    /// admit by the script's stamps, not by when submissions reach them,
+    /// so the run's completions, per-shard fingerprints and latency
+    /// histogram are [`OramService::run_trace`]'s over `script`, however
+    /// many threads submit it in whatever order.
+    ///
+    /// Precondition: `queue_depth` holds whatever a shard has received
+    /// and not admitted, and no submitter holds a request back until
+    /// another is answered — a binding window is a closed loop, not a
+    /// replay. An unsent entry stalls its shard until the drain begins.
+    ///
+    /// # Errors
+    ///
+    /// As [`OramService::serve`]'s.
+    pub fn replay<R>(
+        cfg: ServiceConfig,
+        script: &[ServiceRequest],
+        sink: impl Fn(ServiceCompletion) + Sync,
+        driver: impl FnOnce(&ServiceHandle) -> R,
+    ) -> Result<(ServiceStats, R), ServeError> {
+        let prepare = |cfg: &ServiceConfig, shards: &[Arc<ShardShared>]| {
+            let mut keys = vec![Vec::new(); cfg.shards];
+            for (i, req) in script.iter().enumerate() {
+                keys[cfg.shard_of(req.addr)].push((req.arrival_ps, i as u64));
+            }
+            for (shared, keys) in shards.iter().zip(keys) {
+                shared.queue.expect(keys);
+            }
+            Ok(())
         };
-        let sink = &sink;
-        Self::supervise(
-            &cfg,
-            engines,
-            &shards,
-            |_| move |engine: ShardEngine| engine.run_external(sink),
-            || {
-                let out = driver(&handle);
-                // Begin drain: reject new work, wake idle workers.
-                for shared in shards.iter() {
-                    shared.queue.close(SubmitError::Shutdown);
-                }
-                out
-            },
-        )
+        Self::run(cfg, prepare, sink, driver)
     }
 
     /// Runs the deterministic trace-replay mode: `requests` (global
     /// addresses) are partitioned across the shards up front, and each
-    /// shard worker replays its slice in arrival order through
-    /// `ShardEngine::run_schedule` — no queue backpressure or
-    /// host-thread timing effects, so the outcome is a pure function of
-    /// the request list and the configuration. This is the mode the
-    /// Zipfian service workload and the coalescing benchmarks use:
-    /// duplicate-address requests genuinely overlap in flight, which the
-    /// closed-loop harness (disjoint per-client regions) can never
-    /// produce. Returns the aggregate statistics and every completion,
-    /// with addresses mapped back to the global space.
+    /// shard's queue receives its slice whole before its worker starts —
+    /// no queue backpressure or host-thread timing effects, so the
+    /// outcome is a pure function of the request list and the
+    /// configuration. This is the mode the Zipfian service workload and
+    /// the coalescing benchmarks use: duplicate-address requests genuinely
+    /// overlap in flight, which the closed-loop harness (disjoint
+    /// per-client regions) can never produce. Returns the aggregate
+    /// statistics and every completion, with addresses mapped back to the
+    /// global space.
     ///
     /// # Errors
     ///
@@ -308,32 +346,62 @@ impl OramService {
         cfg: ServiceConfig,
         requests: Vec<ServiceRequest>,
     ) -> Result<(ServiceStats, Vec<ServiceCompletion>), ServeError> {
-        cfg.validate().map_err(ServeError::Config)?;
-        let mut per_shard: Vec<Vec<ServiceRequest>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-        for mut req in requests {
-            if req.addr >= cfg.oram.data_blocks {
-                return Err(ServeError::Config(format!(
-                    "trace address {} outside the {}-block global space",
-                    req.addr, cfg.oram.data_blocks
-                )));
+        let prepare = |cfg: &ServiceConfig, shards: &[Arc<ShardShared>]| {
+            let mut per_shard = vec![Vec::new(); cfg.shards];
+            for mut req in requests {
+                if req.addr >= cfg.oram.data_blocks {
+                    return Err(ServeError::Config(format!(
+                        "trace address {} outside the {}-block global space",
+                        req.addr, cfg.oram.data_blocks
+                    )));
+                }
+                let shard = cfg.shard_of(req.addr);
+                req.addr = cfg.local_addr(req.addr);
+                per_shard[shard].push(req);
             }
-            let shard = cfg.shard_of(req.addr);
-            req.addr = cfg.local_addr(req.addr);
-            per_shard[shard].push(req);
-        }
-        let (engines, shareds) = Self::build(&cfg);
+            for (shared, schedule) in shards.iter().zip(per_shard) {
+                shared.preload(schedule);
+            }
+            Ok(())
+        };
         let done = Mutex::new(Vec::new());
         let sink = |c: ServiceCompletion| relock(&done).push(c);
-        let job_for = |shard: usize| {
-            let schedule = std::mem::take(&mut per_shard[shard]);
-            move |engine: ShardEngine| engine.run_schedule(schedule, &sink)
-        };
-        let (stats, ()) = Self::supervise(&cfg, engines, &shareds, job_for, || ())?;
+        let (stats, ()) = Self::run(cfg, prepare, sink, |_| ())?;
         let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Stable: each shard's answers keep their order, so the list does
         // not depend on how the workers interleaved.
         done.sort_by_key(|c| c.shard);
         Ok((stats, done))
+    }
+
+    /// Every mode but closed loop: builds the shards, `prepare`s their
+    /// queues and supervises their worker loops; `driver`, then the
+    /// drain, on the calling thread.
+    fn run<R>(
+        cfg: ServiceConfig,
+        prepare: impl FnOnce(&ServiceConfig, &[Arc<ShardShared>]) -> Result<(), ServeError>,
+        sink: impl Fn(ServiceCompletion) + Sync,
+        driver: impl FnOnce(&ServiceHandle) -> R,
+    ) -> Result<(ServiceStats, R), ServeError> {
+        cfg.validate().map_err(ServeError::Config)?;
+        let (engines, shareds) = Self::build(&cfg);
+        prepare(&cfg, &shareds)?;
+        let handle = ServiceHandle {
+            cfg: Arc::new(cfg),
+            shards: Arc::new(shareds),
+        };
+        let sink = &sink;
+        Self::supervise(
+            &handle.cfg,
+            engines,
+            &handle.shards,
+            |_| move |engine: ShardEngine| engine.run(sink),
+            || {
+                let out = driver(&handle);
+                handle.drain();
+                out
+            },
+        )
     }
 
     /// Runs the deterministic closed-loop mode: each shard gets a private

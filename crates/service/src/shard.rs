@@ -1,20 +1,20 @@
-//! Shard worker: one scheme-agnostic [`OramEngine`] fed from a bounded
-//! submission queue (external mode), a pre-generated schedule (trace-replay
-//! mode), or an embedded closed-loop client pool (deterministic load mode).
-//! The engine is built from [`ServiceConfig::scheme`](crate::ServiceConfig),
-//! so the same worker serves traditional Path ORAM, Fork Path, or any
-//! future scheme.
+//! Shard worker: one scheme-agnostic [`OramEngine`] fed from its inbox,
+//! a bounded [`SubmissionQueue`] (the live service, trace replay and
+//! scripted replay), or an embedded closed-loop client pool
+//! (deterministic load mode). The engine is built from
+//! [`ServiceConfig::scheme`](crate::ServiceConfig), so the same worker
+//! serves traditional Path ORAM, Fork Path, or any future scheme.
 //!
-//! External and trace-replay mode run one admission loop and differ only
-//! in where the next batch comes from. In external mode the worker blocks
-//! on its queue only while the controller is idle; with work in flight it
-//! polls the queue without blocking so simulated progress never waits on
-//! producers. In trace-replay mode the batch is the schedule's requests
-//! the engine clock has reached. In closed-loop mode the pool is a
-//! [`ReactiveSource`]: every completion immediately yields the issuing
-//! client's next request in *simulated* time, so the shard's entire
-//! execution is a pure function of its seed — independent of host thread
-//! scheduling.
+//! Every mode fed from the queue runs one worker loop
+//! ([`ShardEngine::run`]); the modes differ only in what the queue has
+//! received and expects. Each turn takes the batch the queue's admission
+//! rule settles (see [`crate::queue`]): the worker blocks on its queue
+//! only while the rule says so, and otherwise runs one access, so
+//! simulated progress never waits on producers it does not need. In
+//! closed-loop mode the pool is a [`ReactiveSource`]: every completion
+//! immediately yields the issuing client's next request in *simulated*
+//! time, so the shard's entire execution is a pure function of its seed —
+//! independent of host thread scheduling.
 //!
 //! With [`ServiceConfig::coalesce`] enabled, the worker keeps a
 //! cross-request **coalescing index** (address → in-flight entry): a
@@ -35,11 +35,11 @@
 //! requests, their coalesced waiters, a batch the engine refused, and
 //! whatever its closed queue still holds. After an error it first
 //! publishes what the engine had finished; after a panic it does not call
-//! the engine again. In external mode every accepted request therefore
-//! gets exactly one completion — one call of the run mode's [`Sink`] — so
-//! a front end needs no bookkeeping of which shard owns what.
+//! the engine again. Every request a queue accepted therefore gets
+//! exactly one completion — one call of the run's [`Sink`] — so a front
+//! end needs no bookkeeping of which shard owns what.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -94,17 +94,14 @@ impl ShardHealth {
 /// Expired requests are *not* completions — they never execute — so
 /// throughput rates derived from `completed` count served work only.
 ///
-/// In external mode ([`crate::OramService::serve`]) the ledger closes on
-/// a dead shard too: `enqueued == completed + expired + failed`, because
-/// the dying worker answers everything it accepted. Trace replay and
-/// closed loop return [`crate::ServeError::Shards`] without per-request
-/// answers for a dead shard, so there the identity holds only on a clean
-/// run (where `failed` is 0).
+/// Where requests come through the queue (every mode but closed loop),
+/// `enqueued == completed + expired + failed` holds on a dead shard too:
+/// the dying worker answers all its queue accepted. Closed loop's requests
+/// have no submitter, so there it holds only on a clean run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
-    /// Requests accepted into the shard's queue (external mode), replayed
-    /// from its schedule (trace mode), or issued by its client pool
-    /// (closed-loop mode).
+    /// Requests accepted into the shard's queue (submitted, or a trace's
+    /// schedule), or issued by its client pool (closed-loop mode).
     pub enqueued: u64,
     /// Submissions rejected with `Busy` (counted by the service handle).
     pub rejected_busy: u64,
@@ -137,7 +134,8 @@ pub struct ShardCounters {
 /// State shared between a shard worker and the service front end.
 #[derive(Debug)]
 pub struct ShardShared {
-    /// Bounded submission queue (external mode).
+    /// The shard's inbox: the bounded queue every request but closed
+    /// loop's comes through.
     pub queue: SubmissionQueue,
     /// Monotonic counters.
     pub counters: Mutex<ShardCounters>,
@@ -161,6 +159,13 @@ impl ShardShared {
     /// Notes a `Busy` rejection observed by the front end.
     pub(crate) fn note_rejected(&self) {
         relock(&self.counters).rejected_busy += 1;
+    }
+
+    /// Receives a whole trace into the queue before the worker starts
+    /// ([`SubmissionQueue::preload`]), counted as enqueued with it.
+    pub(crate) fn preload(&self, schedule: Vec<ServiceRequest>) {
+        relock(&self.counters).enqueued += schedule.len() as u64;
+        self.queue.preload(schedule);
     }
 
     /// Notes an accepted submission.
@@ -294,9 +299,10 @@ impl ShardEngine {
         )
     }
 
-    /// External-mode worker loop: drain the queue in batches, advance the
-    /// controller, hand completions to `sink`. Returns when the queue is
-    /// closed and all admitted work has completed.
+    /// The worker loop of every mode fed from the queue: each turn admits
+    /// the batch the queue's admission rule settles, runs one access and
+    /// hands what completed to `sink`. Returns when the queue is closed
+    /// and empty and all admitted work has completed.
     ///
     /// On an abnormal exit the shard is marked dead (closing its queue, so
     /// producers get `ShardDown` instead of spinning on `Busy`) and every
@@ -307,48 +313,23 @@ impl ShardEngine {
     ///
     /// A controller failure (integrity violation, stash overflow, config
     /// error) or a panic, as the [`ShardFailure`] it ended in.
-    pub(crate) fn run_external(self, sink: Sink<'_>) -> Result<(), ShardFailure> {
+    pub(crate) fn run(self, sink: Sink<'_>) -> Result<(), ShardFailure> {
         self.or_fail(sink, |shard| {
-            shard.serve_batches(sink, |shard| {
-                if shard.ctl.has_pending_work() {
-                    shard.shared.queue.try_pop_batch(BATCH_MAX)
-                } else {
-                    // Idle: block until producers push or the service drains.
-                    shard.shared.queue.pop_batch(BATCH_MAX)
+            let shared = Arc::clone(&shard.shared);
+            while let Some(batch) = shared.queue.admit(
+                BATCH_MAX,
+                shard.ctl.clock_ps(),
+                !shard.ctl.has_pending_work(),
+            ) {
+                if !batch.is_empty() {
+                    shard.admit(batch, sink)?;
                 }
-            })
+                shard.ctl.process_one(&mut NoFeedback)?;
+                shard.publish_completions(sink)?;
+            }
+            shard.finish_drained();
+            Ok(())
         })
-    }
-
-    /// The admission loop of the external and trace-replay modes, which
-    /// differ only in where the next batch comes from: `next` returns it
-    /// (possibly empty), or `None` once the source is exhausted. Each turn
-    /// admits the batch, runs one access and publishes what completed to
-    /// `sink`; after `None` the loop finishes what is in flight and
-    /// records final counters.
-    fn serve_batches(
-        &mut self,
-        sink: Sink<'_>,
-        mut next: impl FnMut(&mut Self) -> Option<Vec<ServiceRequest>>,
-    ) -> Result<(), ControllerError> {
-        while let Some(batch) = next(self) {
-            if !batch.is_empty() {
-                self.admit(batch, sink)?;
-            }
-            self.ctl.process_one(&mut NoFeedback)?;
-            self.publish_completions(sink)?;
-        }
-        // The publish/drain loop repeats because resolving coalesced
-        // writes submits flush accesses, which are new pending work.
-        loop {
-            while self.ctl.process_one(&mut NoFeedback)? {}
-            self.publish_completions(sink)?;
-            if !self.ctl.has_pending_work() {
-                break;
-            }
-        }
-        self.finish_drained();
-        Ok(())
     }
 
     /// Runs one of the worker loops with the abnormal-exit cleanup every
@@ -405,7 +386,7 @@ impl ShardEngine {
             stranded.extend(index.drain_waiters());
         }
         // The queue is closed: one pop takes everything it will ever hold.
-        if let Some(queued) = self.shared.queue.try_pop_batch(usize::MAX) {
+        if let Some(queued) = self.shared.queue.pop_batch(usize::MAX) {
             stranded.extend(queued.into_iter().map(|r| (r.tag, r.addr)));
         }
         for (tag, addr) in stranded {
@@ -609,59 +590,6 @@ impl ShardEngine {
         Ok(())
     }
 
-    /// Deterministic trace-replay mode: serves a pre-generated shard-local
-    /// schedule without queue or host-thread timing effects, so the run is
-    /// a pure function of the schedule and the shard seed — the mode the
-    /// Zipfian service workload and the coalescing-equivalence tests use.
-    ///
-    /// Requests are admitted in arrival order once the engine clock
-    /// reaches them (up to [`BATCH_MAX`] per iteration); when the engine is
-    /// idle with the next arrival still in the future, that request is
-    /// admitted directly and the engine's scheduler advances its clock to
-    /// the request's ready time. Counters are maintained exactly as in
-    /// external mode.
-    ///
-    /// # Errors
-    ///
-    /// A controller failure or a panic, after marking the shard dead.
-    /// Requests of the schedule not yet admitted get no answer.
-    pub(crate) fn run_schedule(
-        self,
-        schedule: Vec<ServiceRequest>,
-        sink: Sink<'_>,
-    ) -> Result<(), ShardFailure> {
-        self.or_fail(sink, |shard| shard.run_schedule_inner(schedule, sink))
-    }
-
-    fn run_schedule_inner(
-        &mut self,
-        mut schedule: Vec<ServiceRequest>,
-        sink: Sink<'_>,
-    ) -> Result<(), ControllerError> {
-        // Stable sort: same-arrival requests keep their schedule order.
-        schedule.sort_by_key(|r| r.arrival_ps);
-        let mut pending: VecDeque<ServiceRequest> = schedule.into();
-        relock(&self.shared.counters).enqueued += pending.len() as u64;
-        self.serve_batches(sink, |shard| {
-            let busy = shard.ctl.has_pending_work();
-            if pending.is_empty() && !busy {
-                return None;
-            }
-            let clock = shard.ctl.clock_ps();
-            let mut batch = Vec::new();
-            while batch.len() < BATCH_MAX && pending.front().is_some_and(|r| r.arrival_ps <= clock)
-            {
-                batch.push(pending.pop_front().expect("front checked"));
-            }
-            if batch.is_empty() && !busy {
-                // Idle with the next arrival in the future: fast-forward
-                // by admitting it; the engine advances to its ready time.
-                batch.extend(pending.pop_front());
-            }
-            Some(batch)
-        })
-    }
-
     /// [`ShardEngine::finish`] for clean drains, where every admitted
     /// client request must have been answered — an entry left in the
     /// meta map means a completion was lost on the way out (the exact
@@ -687,8 +615,8 @@ impl ShardEngine {
     /// multi-million request runs stay flat in memory. Deterministic per
     /// shard seed.
     ///
-    /// Like [`ShardEngine::run_external`], every abnormal exit marks the
-    /// shard dead before returning.
+    /// Like [`ShardEngine::run`], every abnormal exit marks the shard dead
+    /// before returning.
     ///
     /// # Errors
     ///
@@ -813,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn external_mode_serves_and_classifies_deadlines() {
+    fn the_worker_serves_its_queue_and_classifies_deadlines() {
         let cfg = ServiceConfig::fast_test(1);
         let (engine, shared) = ShardEngine::new(&cfg, 0);
         for i in 0..8u64 {
@@ -831,7 +759,7 @@ mod tests {
         shared.note_enqueued();
         shared.queue.close(SubmitError::Shutdown);
         let done = RefCell::new(Vec::new());
-        engine.run_external(&|c| done.borrow_mut().push(c)).unwrap();
+        engine.run(&|c| done.borrow_mut().push(c)).unwrap();
         let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 8);
@@ -855,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_mode_coalesces_duplicates_and_preserves_data() {
+    fn a_preloaded_trace_coalesces_duplicates_and_preserves_data() {
         let mut cfg = ServiceConfig::fast_test(1);
         cfg.coalesce = true;
         let (engine, shared) = ShardEngine::new(&cfg, 0);
@@ -872,9 +800,9 @@ mod tests {
         // A cold address for contrast.
         reqs.push(ServiceRequest::read(9, 8, 8));
         let done = RefCell::new(Vec::new());
-        engine
-            .run_schedule(reqs, &|c| done.borrow_mut().push(c))
-            .unwrap();
+        shared.preload(reqs);
+        shared.queue.close(SubmitError::Shutdown);
+        engine.run(&|c| done.borrow_mut().push(c)).unwrap();
         let c = *relock(&shared.counters);
         assert_eq!(c.enqueued, 9);
         assert_eq!(c.admitted, 9);

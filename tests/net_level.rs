@@ -26,7 +26,7 @@ use fork_path_oram::net::{
 };
 use fork_path_oram::path_oram::Op;
 use fork_path_oram::propcheck::{run_cases, Gen};
-use fork_path_oram::service::{OramService, ServiceRequest, ShardHealth};
+use fork_path_oram::service::{OramService, ServiceConfig, ServiceRequest, ShardHealth};
 use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::zipf::{self, ScheduledRequest, ZipfConfig};
 
@@ -605,4 +605,221 @@ fn hostile_peers_case(name: &str, shards: usize, coalesce: bool) {
         busy,
         "{name}"
     );
+}
+
+// ---------- a scripted wire replays bit for bit ------------------------
+
+/// A replay server for `service` whose every window and queue holds the
+/// whole script, so none ever binds: a binding window would make the run
+/// a closed loop, not a replay.
+fn replay_config(mut service: ServiceConfig, requests: usize) -> NetConfig {
+    service.queue_depth = requests;
+    NetConfig {
+        service,
+        port: 0,
+        max_connections: 8,
+        max_inflight_per_conn: requests,
+        drain_wait_ms: 5_000,
+    }
+}
+
+/// Sends each slice whole over a connection of its own, windowed as wide
+/// as the slice, and returns every answer with its tag.
+fn send_slices(
+    addr: SocketAddr,
+    slices: &[Vec<ScheduledRequest>],
+    block_bytes: usize,
+) -> Vec<WireResponse> {
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (slices.iter())
+            .map(|slice| {
+                scope.spawn(move || {
+                    let mut client = NetClient::connect(addr, slice.len().max(1)).expect("connect");
+                    for r in slice {
+                        client.submit(wire_request(r, block_bytes)).expect("submit");
+                    }
+                    client.drain().expect("drain")
+                })
+            })
+            .collect();
+        (clients.into_iter())
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    })
+}
+
+/// A wire run from [`NetServer::replay`] is [`OramService::run_trace`]'s
+/// bit for bit: over 1, 2 and 4 shards, 2 and 4 connections, uniform and
+/// hot schedules, with each request dealt to a random connection (so one
+/// address crosses several sockets), every tag's `{status, data}`, each
+/// shard's fingerprint and the latency histogram equal the in-process
+/// trace replay's.
+#[test]
+fn scripted_wire_replays_run_trace_bit_for_bit() {
+    type Workload = fn(u64, u64, usize, u64) -> ZipfConfig;
+    let cases: [(usize, usize, Workload, bool); 5] = [
+        (1, 2, ZipfConfig::uniform, false),
+        (2, 4, ZipfConfig::hot, false),
+        (4, 2, ZipfConfig::hot, true),
+        (4, 4, ZipfConfig::uniform, false),
+        (2, 2, ZipfConfig::hot, true),
+    ];
+    let mut cases = cases.into_iter();
+    run_cases("net-scripted-replay", 5, |g: &mut Gen| {
+        let (shards, conns, workload, coalesce) = cases.next().expect("one per case");
+        let mut service = small_cfg(shards);
+        service.coalesce = coalesce;
+        let block_bytes = service.oram.block_bytes;
+        let zc = workload(
+            service.oram.data_blocks,
+            400,
+            block_bytes,
+            g.below(u64::MAX),
+        );
+        let sched = zipf::generate(&zc);
+        let script: Vec<ServiceRequest> = (sched.iter())
+            .map(|r| service_request(r, block_bytes))
+            .collect();
+        let mut slices = vec![Vec::new(); conns];
+        for r in &sched {
+            slices[g.range_usize(0, conns - 1)].push(r.clone());
+        }
+
+        let cfg = replay_config(service.clone(), sched.len());
+        let server = NetServer::replay(cfg, script.clone()).expect("server start");
+        let wire = send_slices(server.local_addr(), &slices, block_bytes);
+        server.shutdown();
+        let report = server.join().expect("server join");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+
+        let (trace, done) = OramService::run_trace(service, script).expect("trace replay");
+        let wire: HashMap<u64, (&'static str, Vec<u8>)> = (wire.into_iter())
+            .map(|r| (r.tag, (r.status.name(), r.data)))
+            .collect();
+        let trace_tags: HashMap<u64, (&'static str, Vec<u8>)> = (done.into_iter())
+            .map(|c| (c.tag, (c.status.name(), c.data)))
+            .collect();
+        assert_eq!(wire.len(), sched.len(), "one answer per request");
+        assert_eq!(wire, trace_tags, "{shards} shards, {conns} connections");
+        assert_eq!(report.stats.fingerprint(), trace.fingerprint());
+        assert_eq!(report.stats.latency, trace.latency);
+    });
+}
+
+/// A replay whose clients leave part of the script unsent stalls each
+/// shard at its first missing stamp, and still shuts down: the drain
+/// stops waiting for the missing requests and the service answers every
+/// request it accepted exactly once. A tag the script does not hold, and
+/// one sent twice, are answered `BadRequest`. The client reads answers
+/// until the drain closes its connection; an answer routed during the
+/// drain may be cut off by that close, so the ledger is read from the
+/// report, and the wire is only held to no tag answered twice.
+#[test]
+fn a_replay_whose_clients_skip_part_of_the_script_still_shuts_down() {
+    with_watchdog("partial-replay", 60, || {
+        let service = small_cfg(2);
+        let block_bytes = service.oram.block_bytes;
+        let zc = ZipfConfig::uniform(service.oram.data_blocks, 120, block_bytes, 0x5C41);
+        let sched = zipf::generate(&zc);
+        let script: Vec<ServiceRequest> = (sched.iter())
+            .map(|r| service_request(r, block_bytes))
+            .collect();
+        let server =
+            NetServer::replay(replay_config(service, sched.len()), script).expect("server start");
+        let sent: Vec<&ScheduledRequest> = sched.iter().filter(|r| r.tag % 3 != 1).collect();
+        let mut client = NetClient::connect(server.local_addr(), sched.len()).expect("connect");
+        for r in &sent {
+            client.submit(wire_request(r, block_bytes)).expect("submit");
+        }
+        let mut unscripted = read_request(1);
+        unscripted.tag = 10_000;
+        client.submit(unscripted).expect("submit");
+        client
+            .submit(wire_request(sent[0], block_bytes))
+            .expect("submit");
+        // The reader answers a stats request after it has submitted every
+        // request before it. Tag 1 never comes, so its shard holds what is
+        // stamped after it until the drain, which must not wait for it.
+        let json = client.stats_json().expect("stats");
+        assert_eq!(json_u64(&json, "enqueued"), sent.len() as u64);
+        assert!(json_u64(&json, "completed") < sent.len() as u64, "stalled");
+        server.shutdown();
+        let mut answers: HashMap<(u64, &str), usize> = HashMap::new();
+        while let Ok(a) = client.recv() {
+            *answers.entry((a.tag, a.status.name())).or_default() += 1;
+        }
+        let report = server.join().expect("server join");
+
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.stats.enqueued(), sent.len() as u64);
+        assert_eq!(report.stats.completed(), sent.len() as u64);
+        assert_eq!(report.stats.failed() + report.stats.expired(), 0);
+        assert!(answers.values().all(|&n| n == 1), "{answers:?}");
+        for ((tag, status), _) in answers {
+            let scripted = sched.iter().any(|r| r.tag == tag) && tag % 3 != 1;
+            let refused = tag == 10_000 || tag == sent[0].tag;
+            match status {
+                "ok" => assert!(scripted, "tag {tag} served"),
+                "bad_request" => assert!(refused, "tag {tag} refused"),
+                other => panic!("tag {tag}: {other}"),
+            }
+        }
+    });
+}
+
+/// A replay stamps a request from its script only if the request is the
+/// entry its tag names: another address or deadline under a scripted tag
+/// is answered `BadRequest`, and the refusal leaves the entry unsent, so
+/// the right request sent after it is served and the run still equals
+/// [`OramService::run_trace`].
+#[test]
+fn a_replay_refuses_a_request_that_is_not_its_tags_entry() {
+    with_watchdog("mismatched-replay", 60, || {
+        let service = small_cfg(2);
+        let block_bytes = service.oram.block_bytes;
+        assert!(service.oram.data_blocks >= 4);
+        let zc = ZipfConfig::hot(service.oram.data_blocks, 60, block_bytes, 0x7A65);
+        let sched = zipf::generate(&zc);
+        let script: Vec<ServiceRequest> = (sched.iter())
+            .map(|r| service_request(r, block_bytes))
+            .collect();
+        let cfg = replay_config(service.clone(), sched.len());
+        let server = NetServer::replay(cfg, script.clone()).expect("server start");
+        let mut client = NetClient::connect(server.local_addr(), sched.len()).expect("connect");
+        let first = wire_request(&sched[0], block_bytes);
+        // Another address on the same shard (two shards: the low bit).
+        let elsewhere = WireRequest {
+            addr: first.addr ^ 2,
+            ..first.clone()
+        };
+        let with_deadline = WireRequest {
+            deadline_rel_ns: 1_000,
+            ..first.clone()
+        };
+        for wrong in [elsewhere, with_deadline] {
+            client.submit(wrong).expect("submit");
+            let refused = client.recv().expect("refusal");
+            assert_eq!(
+                (refused.tag, refused.status.name()),
+                (first.tag, "bad_request")
+            );
+        }
+        for r in &sched {
+            client.submit(wire_request(r, block_bytes)).expect("submit");
+        }
+        let wire = client.drain().expect("drain");
+        server.shutdown();
+        let report = server.join().expect("server join");
+
+        let (trace, done) = OramService::run_trace(service, script).expect("trace replay");
+        let wire: HashMap<u64, (&str, Vec<u8>)> = (wire.into_iter())
+            .map(|r| (r.tag, (r.status.name(), r.data)))
+            .collect();
+        let trace_tags: HashMap<u64, (&str, Vec<u8>)> = (done.into_iter())
+            .map(|c| (c.tag, (c.status.name(), c.data)))
+            .collect();
+        assert_eq!(wire.len(), sched.len(), "one answer per request");
+        assert_eq!(wire, trace_tags);
+        assert_eq!(report.stats.fingerprint(), trace.fingerprint());
+    });
 }

@@ -13,7 +13,8 @@ use common::{service_request, small_cfg};
 use fork_path_oram::core::engine::registry;
 use fork_path_oram::propcheck::{run_cases, Gen};
 use fork_path_oram::service::{
-    CompletionStatus, OramService, ServeError, ServiceConfig, ServiceRequest, SubmitError,
+    CompletionStatus, OramService, ServeError, ServiceCompletion, ServiceConfig, ServiceRequest,
+    ServiceStats, SubmitError,
 };
 use fork_path_oram::trace::Counter;
 use fork_path_oram::workloads::{mixes, zipf};
@@ -427,5 +428,225 @@ fn coalescing_preserves_per_request_results() {
             submitted(&coal) < submitted(&plain),
             "coalescing must shrink engine traffic net of flushes"
         );
+    });
+}
+
+// ---------- trace replay golden -----------------------------------------
+
+/// FNV-1a, 64 bit, over the little-endian bytes of `words`.
+fn fnv1a(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// One replay's pinned values: per shard the fingerprint's digest,
+/// `batches` and `max_batch`; then the latency histogram's count and sum.
+type ReplayPins = (Vec<(u64, u64, u64)>, u64, u64);
+
+fn replay_pins(stats: &ServiceStats) -> ReplayPins {
+    let shards = stats
+        .fingerprint()
+        .iter()
+        .zip(&stats.per_shard)
+        .map(|((_, fp), s)| (fnv1a(fp), s.counters.batches, s.counters.max_batch))
+        .collect();
+    (shards, stats.latency.count(), stats.latency.sum())
+}
+
+/// `run_trace` is a pure function of the schedule and the configuration,
+/// and these are its values: one fixed hot Zipf schedule on two shards,
+/// with coalescing off and on, held against literals recorded at 59c9a5d,
+/// before the live service and trace replay shared one admission loop. A
+/// change to how a shard admits that moves one access, one counter or one
+/// latency sample fails here.
+#[test]
+fn trace_replay_reproduces_the_recorded_fingerprint() {
+    let cfg = small_cfg(2);
+    let hot = zipf::ZipfConfig::hot(cfg.oram.data_blocks, 600, cfg.oram.block_bytes, 0x7ACE_5EED);
+    // The default pacing saturates the shards (full batches); the open one
+    // leaves them idle between arrivals, so admission fast-forwards.
+    let open = zipf::ZipfConfig {
+        mean_gap_ns: 1_500.0,
+        ..hot.clone()
+    };
+    let mut got: Vec<ReplayPins> = Vec::new();
+    for zc in [hot, open] {
+        let schedule = zipf::generate(&zc);
+        for coalesce in [false, true] {
+            got.push(replay_pins(&replay(cfg.clone(), &schedule, coalesce).0));
+        }
+    }
+    let recorded: Vec<ReplayPins> = vec![
+        (
+            vec![(3838750451467185017, 24, 16), (8025189724999398657, 23, 16)],
+            600,
+            9073209178,
+        ),
+        (
+            vec![
+                (13446207782838789201, 23, 9),
+                (10818838531826339039, 24, 10),
+            ],
+            617,
+            13723679057,
+        ),
+        (
+            vec![
+                (13362031903232488284, 334, 3),
+                (5812139258905250007, 231, 3),
+            ],
+            600,
+            787908900,
+        ),
+        (
+            vec![
+                (12948445619453693052, 320, 3),
+                (16842137470596417486, 229, 2),
+            ],
+            602,
+            783858878,
+        ),
+    ];
+    assert_eq!(got, recorded);
+}
+
+// ---------- replay: one admission rule, whatever the interleaving -------
+
+type ByTag = BTreeMap<u64, (CompletionStatus, Vec<u8>)>;
+
+/// `requests` through [`OramService::replay`], submitted by `threads`
+/// driver threads: each request is dealt to a random thread, and each
+/// thread submits its share in a random order.
+fn scrambled_replay(
+    cfg: ServiceConfig,
+    requests: &[ServiceRequest],
+    threads: usize,
+    g: &mut Gen,
+) -> (ServiceStats, ByTag) {
+    let mut shares = vec![Vec::new(); threads];
+    for i in 0..requests.len() {
+        shares[g.below(threads as u64) as usize].push(i);
+    }
+    for share in &mut shares {
+        for i in (1..share.len()).rev() {
+            share.swap(i, g.below(i as u64 + 1) as usize);
+        }
+    }
+    let (tx, rx) = mpsc::channel();
+    let sink = move |c: ServiceCompletion| tx.send((c.tag, (c.status, c.data))).unwrap_or(());
+    let (stats, ()) = OramService::replay(cfg, requests, sink, |h| {
+        std::thread::scope(|scope| {
+            for share in &shares {
+                scope.spawn(move || {
+                    for &i in share {
+                        h.submit_scripted(Some(i), requests[i].clone())
+                            .expect("the queues never bind");
+                    }
+                });
+            }
+        });
+    })
+    .expect("replay must not fail");
+    (stats, rx.into_iter().collect())
+}
+
+/// The replayed run's pins against trace replay's of the same requests:
+/// every answer, each shard's fingerprint and the latency histogram.
+fn assert_replays_the_trace(cfg: &ServiceConfig, requests: &[ServiceRequest], g: &mut Gen) {
+    let (trace, done) = OramService::run_trace(cfg.clone(), requests.to_vec()).expect("trace");
+    let trace_tags: ByTag = done
+        .into_iter()
+        .map(|c| (c.tag, (c.status, c.data)))
+        .collect();
+    let threads = g.range_usize(2, 5);
+    let (replay, replay_tags) = scrambled_replay(cfg.clone(), requests, threads, g);
+    assert_eq!(replay_tags, trace_tags, "{threads} submitters: answers");
+    assert_eq!(
+        replay.fingerprint(),
+        trace.fingerprint(),
+        "{threads} submitters"
+    );
+    assert_eq!(
+        replay.latency, trace.latency,
+        "{threads} submitters: latency"
+    );
+}
+
+/// Several driver threads submit one schedule to a replay in scrambled
+/// interleavings; whatever order the submissions reach the shards in, the
+/// run is trace replay's, bit for bit. The queues hold the whole schedule,
+/// so no submission waits on an answer.
+#[test]
+fn a_replay_equals_run_trace_however_its_submitters_interleave() {
+    run_cases("service-replay-equals-trace", 6, |g: &mut Gen| {
+        let mut cfg = small_cfg(1 << g.range(0, 2));
+        cfg.coalesce = g.bool();
+        cfg.queue_depth = 800;
+        let workload = [zipf::ZipfConfig::uniform, zipf::ZipfConfig::hot][g.range_usize(0, 1)];
+        let mut zc = workload(
+            cfg.oram.data_blocks,
+            g.range(200, 600),
+            cfg.oram.block_bytes,
+            g.below(u64::MAX),
+        );
+        zc.mean_gap_ns = [15.0, 400.0][g.range_usize(0, 1)];
+        let requests: Vec<ServiceRequest> = zipf::generate(&zc)
+            .iter()
+            .map(|r| service_request(r, cfg.oram.block_bytes))
+            .collect();
+        assert_replays_the_trace(&cfg, &requests, g);
+    });
+}
+
+/// Requests with equal stamps are admitted in input order, by trace
+/// replay and by a replay alike: trace replay of a schedule whose stamps
+/// tie in runs equals trace replay of its stable sort by stamp (the order
+/// a shard admits in), and a scrambled replay of it equals both.
+#[test]
+fn equal_stamps_admit_in_input_order() {
+    run_cases("service-tie-order", 4, |g: &mut Gen| {
+        let mut cfg = small_cfg(2);
+        cfg.queue_depth = 800;
+        let mut zc = zipf::ZipfConfig::hot(
+            cfg.oram.data_blocks,
+            400,
+            cfg.oram.block_bytes,
+            g.below(u64::MAX),
+        );
+        zc.write_fraction = 0.4;
+        // Stamps on a 2 us grid tie in runs of several requests, and the
+        // input holds each run in reverse, so input order is not tag order.
+        let mut requests: Vec<ServiceRequest> = zipf::generate(&zc)
+            .iter()
+            .map(|r| {
+                let mut req = service_request(r, cfg.oram.block_bytes);
+                req.arrival_ps -= req.arrival_ps % 2_000_000;
+                req
+            })
+            .collect();
+        requests.reverse();
+        let mut sorted = requests.clone();
+        sorted.sort_by_key(|r| r.arrival_ps);
+        assert!(
+            sorted
+                .windows(2)
+                .any(|w| w[0].arrival_ps == w[1].arrival_ps),
+            "the schedule must tie"
+        );
+        let by_tag = |(stats, done): (ServiceStats, Vec<ServiceCompletion>)| {
+            let tags: ByTag = done
+                .into_iter()
+                .map(|c| (c.tag, (c.status, c.data)))
+                .collect();
+            (stats.fingerprint(), tags)
+        };
+        let input = OramService::run_trace(cfg.clone(), requests.clone()).expect("trace");
+        let stable = OramService::run_trace(cfg.clone(), sorted).expect("trace");
+        assert_eq!(by_tag(input), by_tag(stable));
+        assert_replays_the_trace(&cfg, &requests, g);
     });
 }

@@ -63,14 +63,12 @@ impl BaselineController {
         seed: u64,
         cache: Box<dyn BucketCache + Send>,
     ) -> Self {
-        let path = Datapath::new(cfg, dram, seed, cache);
-        let completions = CompletionLog::new(path.trace().clone());
         Self {
-            path,
+            path: Datapath::new(cfg, dram, seed, cache),
             queue: VecDeque::new(),
             clock_ps: 0,
             times: AccessTimes::default(),
-            completions,
+            completions: CompletionLog::default(),
         }
     }
 
@@ -87,15 +85,9 @@ impl BaselineController {
     /// Numbers and queues one request: [`OramEngine::submit`] without the
     /// publish.
     fn enqueue(&mut self, req: NewRequest) -> u64 {
-        let id = self.completions.open(req.arrival_ps);
+        let id = self.completions.open(req.arrival_ps, self.path.tally_mut());
         self.queue.push_back(LlcRequest::new(id, req));
         id
-    }
-
-    /// Publishes the datapath's counts and the ledger's as one cut: the
-    /// last step of each engine call.
-    fn publish(&mut self) {
-        self.path.publish([self.completions.tally_mut()]);
     }
 
     /// Processes the next queued request; see [`OramEngine::process_one`],
@@ -106,7 +98,7 @@ impl BaselineController {
             return Ok(false);
         };
         let done = self.process(req)?;
-        self.completions.push(done);
+        self.completions.push(done, self.path.tally_mut());
         self.flush_feedback(source);
         Ok(true)
     }
@@ -130,7 +122,7 @@ impl BaselineController {
         self.clock_ps = self.clock_ps.max(req.arrival_ps);
         self.path.trace().set_now(self.clock_ps);
         let chain = self.path.state().chain(req.addr);
-        let (mut old, mut new, _) = self.path.state_mut().start_chain(req.addr);
+        let (mut old, mut new) = self.path.state_mut().start_chain(req.addr);
 
         if self.path.state().stash_hit(req.addr) {
             self.path.tally_mut().bump(Counter::StashHits);
@@ -144,9 +136,9 @@ impl BaselineController {
             let state = self.path.state_mut();
             if state.stash_hit(u) {
                 if i + 1 < chain.len() {
-                    (old, new, _) = state.chain_step(u, new, chain[i + 1]);
+                    (old, new) = state.chain_step(u, new, chain[i + 1]);
                 } else {
-                    (data, _) = state.apply_op(u, new, req.data.as_deref());
+                    data = state.apply_op(u, new, req.data.as_deref());
                     done_ps = self.clock_ps;
                 }
                 self.path.tally_mut().bump(Counter::StashHits);
@@ -159,12 +151,12 @@ impl BaselineController {
             // Block handling between the phases.
             let state = self.path.state_mut();
             if i + 1 < chain.len() {
-                let (o, n, _) = state.chain_step(u, new, chain[i + 1]);
+                let (o, n) = state.chain_step(u, new, chain[i + 1]);
                 self.refill_full_path(old, read_end);
                 old = o;
                 new = n;
             } else {
-                (data, _) = state.apply_op(u, new, req.data.as_deref());
+                data = state.apply_op(u, new, req.data.as_deref());
                 done_ps = read_end;
                 self.refill_full_path(old, read_end);
             }
@@ -223,7 +215,7 @@ impl BaselineController {
 impl OramEngine for BaselineController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         let id = self.enqueue(req);
-        self.publish();
+        self.path.publish();
         Ok(id)
     }
 
@@ -239,12 +231,12 @@ impl OramEngine for BaselineController {
     /// injected fault; nothing detects tampering, DESIGN.md §2 item 6).
     fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
         let did = self.next_request(source);
-        self.publish();
+        self.path.publish();
         did
     }
 
     fn drain_completions(&mut self) -> Vec<Completion> {
-        self.publish();
+        self.path.publish();
         self.completions.drain_fed()
     }
 
@@ -265,7 +257,7 @@ impl OramEngine for BaselineController {
     }
 
     fn set_trace_capacity(&mut self, capacity: usize) {
-        self.publish();
+        self.path.publish();
         self.path.trace().set_capacity(capacity);
     }
 

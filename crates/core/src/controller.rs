@@ -7,9 +7,10 @@
 //! [`DummyReplacer`] (§3.3/§4.3). The two phases of an access — path read
 //! and streaming refill over tree, stash, bucket cache (§3.5/§4.4) and DRAM
 //! — are the [`Datapath`] the baseline controller drives too; it owns the
-//! trusted ORAM state and publishes the counts every stage keeps for the
-//! one trace spine, which is also where the statistics are read from. The
-//! facade owns the address queue, the in-flight posmap chains
+//! trusted ORAM state and the engine's tally, which every stage and the
+//! request ledger count into, and publishes it to the one trace spine,
+//! which is also where the statistics are read from. The facade owns the
+//! address queue, the in-flight posmap chains
 //! ([`crate::flight`]), and the clock, and sequences the stages per
 //! access; it is driven through [`OramEngine`] only. Accessors and the timing-protection surface live
 //! in the `controller_api` child module.
@@ -100,24 +101,19 @@ impl ForkPathController {
     ) -> Result<Self, ControllerError> {
         fork.validate().map_err(ControllerError::InvalidConfig)?;
         let cache = fork.build_cache(cfg.bucket_bytes(), cfg.path_len());
-        let path = Datapath::new(cfg, dram, seed, cache);
-        let trace = path.trace().clone();
-        let sched = LabelQueue::new(fork.label_queue_size, fork.scheduling, trace.clone());
-        let merge = PathMerger::new(fork.merging, trace.clone());
-        let dummy = DummyReplacer::new(fork.replacing, trace.clone());
         Ok(Self {
-            path,
+            path: Datapath::new(cfg, dram, seed, cache),
             aq: AddressQueue::new(),
-            sched,
-            merge,
-            dummy,
+            sched: LabelQueue::new(fork.label_queue_size, fork.scheduling),
+            merge: PathMerger::new(fork.merging),
+            dummy: DummyReplacer::new(fork.replacing),
             flights: FlightTable::default(),
             current: None,
             clock_ps: 0,
             fixed_rate: false,
             plb: PosMapLookasideBuffer::new(fork.plb_blocks),
             times: AccessTimes::default(),
-            completions: CompletionLog::new(trace),
+            completions: CompletionLog::default(),
         })
     }
 
@@ -125,31 +121,38 @@ impl ForkPathController {
     /// hazard shortcuts (forwarding / cancellation may complete requests at
     /// once), and returns its id.
     fn enqueue_request(&mut self, req: NewRequest) -> u64 {
-        let id = self.completions.open(req.arrival_ps);
+        let tally = self.path.tally_mut();
+        let id = self.completions.open(req.arrival_ps, tally);
         let (addr, arrival_ps, tag) = (req.addr, req.arrival_ps, req.tag);
         match self.aq.submit(LlcRequest::new(id, req)) {
             SubmitEffect::Queued => {}
-            SubmitEffect::Forwarded { data } => self.completions.push(Completion {
-                id,
-                addr,
-                data,
-                arrival_ps,
-                done_ps: arrival_ps + ONCHIP_ANSWER_PS,
-                tag,
-            }),
+            SubmitEffect::Forwarded { data } => self.completions.push(
+                Completion {
+                    id,
+                    addr,
+                    data,
+                    arrival_ps,
+                    done_ps: arrival_ps + ONCHIP_ANSWER_PS,
+                    tag,
+                },
+                tally,
+            ),
             SubmitEffect::CancelledOlderWrite { cancelled_id } => {
                 // The cancelled write is acknowledged: superseded on chip.
                 // It gets a completion record, but is not a completed
                 // request in the statistics.
-                self.path.tally_mut().bump(Counter::WritesCancelled);
-                self.completions.push(Completion {
-                    id: cancelled_id,
-                    addr,
-                    data: Vec::new(),
-                    arrival_ps,
-                    done_ps: arrival_ps,
-                    tag,
-                });
+                tally.bump(Counter::WritesCancelled);
+                self.completions.push(
+                    Completion {
+                        id: cancelled_id,
+                        addr,
+                        data: Vec::new(),
+                        arrival_ps,
+                        done_ps: arrival_ps,
+                        tag,
+                    },
+                    tally,
+                );
             }
         }
         id
@@ -161,17 +164,6 @@ impl ForkPathController {
         let id = self.enqueue_request(req);
         self.pump()?;
         Ok(id)
-    }
-
-    /// Publishes every stage's counts, the datapath's included, as one
-    /// cut: the last step of each engine call.
-    fn publish(&mut self) {
-        self.path.publish([
-            self.sched.tally_mut(),
-            self.merge.tally_mut(),
-            self.dummy.tally_mut(),
-            self.completions.tally_mut(),
-        ]);
     }
 
     /// Moves work forward: stalled chain steps first (they are older), then
@@ -188,7 +180,7 @@ impl ForkPathController {
                 break;
             };
             let state = self.path.state_mut();
-            let (old, new, _) = state.start_chain(req.addr);
+            let (old, new) = state.start_chain(req.addr);
             let chain = state.chain(req.addr);
             let arrival = req.arrival_ps;
             let flight_id = self.flights.open(req, chain, old, new);
@@ -214,7 +206,7 @@ impl ForkPathController {
         not_before_ps: u64,
     ) -> Result<bool, ControllerError> {
         let did = self.next_access_at(source, not_before_ps);
-        self.publish();
+        self.path.publish();
         did
     }
 
@@ -268,12 +260,14 @@ impl ForkPathController {
         // The fork floor is clamped to the leaf level, so a merged read
         // always touches at least one bucket (the leaf is re-read even on
         // identical consecutive labels).
-        let read_lo = self.merge.read_floor(levels, cur.label);
+        let read_lo = self
+            .merge
+            .read_floor(levels, cur.label, self.path.tally_mut());
         let read_end = self.path.read_path(cur.label, read_lo, start)?;
 
         // --- Block handling ---
         match cur.kind {
-            EntryKind::Dummy => self.dummy.note_executed(),
+            EntryKind::Dummy => self.path.tally_mut().bump(Counter::DummiesExecuted),
             EntryKind::Real { flight } => {
                 let completed = {
                     let mut ctx = step_ctx!(self);
@@ -317,7 +311,9 @@ impl ForkPathController {
         let sel_time = read_end;
         self.pump()?;
 
-        let selected = self.sched.select_pending(leaf, sel_time);
+        let selected = self
+            .sched
+            .select_pending(leaf, sel_time, self.path.tally_mut());
         // Bridge scheduling bubbles with dummies only while real work is
         // *imminent* — queued work whose ready time is within a few access
         // times of now. Work further out (open-loop schedules can stamp
@@ -336,10 +332,10 @@ impl ForkPathController {
             && next_real_ready
                 .is_some_and(|r| r <= sel_time.saturating_add(DUMMY_BRIDGE_HORIZON_PS));
         let fixed_rate = self.fixed_rate;
-        let state = self.path.state_mut();
+        let (state, tally) = self.path.state_and_tally_mut();
         let mut pending =
             self.dummy
-                .finalize(selected, work_imminent, fixed_rate, sel_time, || {
+                .finalize(selected, work_imminent, fixed_rate, sel_time, tally, || {
                     state.random_label()
                 });
 
@@ -369,9 +365,12 @@ impl ForkPathController {
                 level: level as u32,
             };
             if candidate_ps.is_some_and(|ready| ready <= t)
-                && self
-                    .dummy
-                    .try_replace(&mut self.sched, window, &mut pending)?
+                && self.dummy.try_replace(
+                    &mut self.sched,
+                    window,
+                    &mut pending,
+                    self.path.tally_mut(),
+                )?
             {
                 candidate_ps = self.replacement_candidate_ps(sel_time);
                 let p = pending.as_ref().ok_or(ControllerError::MissingPending)?;
@@ -387,7 +386,7 @@ impl ForkPathController {
 
         match &pending {
             // Idle: the full path was written; the next read is full again.
-            None => self.merge.reset(),
+            None => self.merge.reset(self.path.tally_mut()),
             Some(_) => self.merge.commit(leaf),
         }
         self.current = pending;
@@ -398,7 +397,7 @@ impl ForkPathController {
 impl OramEngine for ForkPathController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         let id = self.admit(req);
-        self.publish();
+        self.path.publish();
         id
     }
 
@@ -409,7 +408,7 @@ impl OramEngine for ForkPathController {
     fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
         let ids = batch.into_iter().map(|r| self.enqueue_request(r)).collect();
         let pumped = self.pump();
-        self.publish();
+        self.path.publish();
         pumped.map(|()| ids)
     }
 
@@ -422,7 +421,7 @@ impl OramEngine for ForkPathController {
     /// returned; anything newer is delivered by a later drain, after the
     /// next `process_one` flushes it.
     fn drain_completions(&mut self) -> Vec<Completion> {
-        self.publish();
+        self.path.publish();
         self.completions.drain_fed()
     }
 
@@ -453,7 +452,7 @@ impl OramEngine for ForkPathController {
     }
 
     fn set_trace_capacity(&mut self, capacity: usize) {
-        self.publish();
+        self.path.publish();
         self.path.trace().set_capacity(capacity);
     }
 

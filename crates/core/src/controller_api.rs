@@ -47,7 +47,7 @@ impl ForkPathController {
         let t = self.clock_ps.max(min_ready);
         self.clock_ps = t;
         self.pump()?;
-        Ok(self.sched.select_initial(anchor, t))
+        Ok(self.sched.select_initial(anchor, t, self.path.tally_mut()))
     }
 
     /// The trusted ORAM state (for invariant checks in tests).
@@ -77,9 +77,9 @@ impl ForkPathController {
             // controller can go idle. Its reveal was part of the protected
             // window that just ended.
             self.current = None;
-            self.merge.reset();
+            self.merge.reset(self.path.tally_mut());
         }
-        self.publish();
+        self.path.publish();
     }
 
     /// Executes one dummy ORAM access (timing-protection padding) starting
@@ -97,6 +97,6 @@ impl ForkPathController {
         cur.ready_ps = cur.ready_ps.max(not_before_ps);
         let mut source = NoFeedback;
         must(self.execute(cur, &mut source));
-        self.publish();
+        self.path.publish();
     }
 }

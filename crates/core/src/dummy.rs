@@ -12,32 +12,23 @@
 //!   uncommitted may take the pending slot, cancelling a dummy outright or
 //!   swapping out a lower-overlap real ([`DummyReplacer::try_replace`]).
 
-use fp_trace::{Counter, EventKind, Tally, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally};
 
 use crate::error::ControllerError;
 use crate::queue::{Entry, LabelQueue, ReplacementWindow};
 
-/// The dummy-request replacing stage.
+/// The dummy-request replacing stage. It counts into the engine's tally,
+/// which its counting calls are handed.
 #[derive(Debug, Clone)]
 pub(crate) struct DummyReplacer {
     replacing: bool,
-    tally: Tally,
 }
 
 impl DummyReplacer {
-    /// Creates the stage, counting its counters and events for `trace`;
-    /// `replacing` toggles mid-refill replacement (false = the ablation
-    /// baseline where pending dummies always run).
-    pub(crate) fn new(replacing: bool, trace: TraceHandle) -> Self {
-        Self {
-            replacing,
-            tally: Tally::new(trace),
-        }
-    }
-
-    /// The stage's counts, published by the controller with the datapath's.
-    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
-        &mut self.tally
+    /// Creates the stage; `replacing` toggles mid-refill replacement
+    /// (false = the ablation baseline where pending dummies always run).
+    pub(crate) fn new(replacing: bool) -> Self {
+        Self { replacing }
     }
 
     /// Whether mid-refill replacement is active.
@@ -54,20 +45,23 @@ impl DummyReplacer {
     /// * when nothing was selected but imminent work (or fixed-rate mode)
     ///   demands a pending request, padding is materialized as a dummy
     ///   with a fresh uniform label, ready at `sel_time_ps`.
+    ///
+    /// Counts either in `tally`.
     pub(crate) fn finalize(
         &mut self,
         mut pending: Option<Entry>,
         work_imminent: bool,
         fixed_rate: bool,
         sel_time_ps: u64,
+        tally: &mut Tally,
         fresh_label: impl FnOnce() -> u64,
     ) -> Option<Entry> {
         if pending.as_ref().is_some_and(Entry::is_dummy) && !work_imminent && !fixed_rate {
             pending = None;
-            self.tally.bump(Counter::DummiesTrailingDiscarded);
+            tally.bump(Counter::DummiesTrailingDiscarded);
         }
         if pending.is_none() && (work_imminent || fixed_rate) {
-            self.tally.bump(Counter::DummiesMaterialized);
+            tally.bump(Counter::DummiesMaterialized);
             pending = Some(Entry::dummy(fresh_label(), sel_time_ps));
         }
         pending
@@ -76,8 +70,8 @@ impl DummyReplacer {
     /// Attempts one mid-refill replacement of `pending` before committing
     /// the bucket at `w.level` (Fig 5). Returns `true` when the pending
     /// request changed — the caller must recompute its write stop. A
-    /// replaced dummy is cancelled outright; a displaced real goes back
-    /// into the label queue, with its age.
+    /// replaced dummy is cancelled outright, and counted in `tally`; a
+    /// displaced real goes back into the label queue, with its age.
     ///
     /// # Errors
     ///
@@ -88,6 +82,7 @@ impl DummyReplacer {
         sched: &mut LabelQueue,
         w: ReplacementWindow,
         pending: &mut Option<Entry>,
+        tally: &mut Tally,
     ) -> Result<bool, ControllerError> {
         if !self.replacing {
             return Ok(false);
@@ -103,18 +98,12 @@ impl DummyReplacer {
             .replace(incoming)
             .ok_or(ControllerError::MissingPending)?;
         if old.is_dummy() {
-            self.tally.bump(Counter::DummiesReplaced);
-            self.tally
-                .record(w.now_ps, EventKind::RequestReplaced { label: new_label });
+            tally.bump(Counter::DummiesReplaced);
+            tally.record(w.now_ps, EventKind::RequestReplaced { label: new_label });
         } else {
             sched.restore(old);
         }
         Ok(true)
-    }
-
-    /// Records that a dummy access executed.
-    pub(crate) fn note_executed(&mut self) {
-        self.tally.bump(Counter::DummiesExecuted);
     }
 }
 
@@ -148,81 +137,96 @@ mod tests {
     /// materialized alongside it.
     #[test]
     fn never_materializes_when_a_real_was_selected() {
-        let mut d = DummyReplacer::new(true, TraceHandle::default());
-        let mut s = LabelQueue::new(4, true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut d = DummyReplacer::new(true);
+        let mut s = LabelQueue::new(4, true);
         real_entry(&mut s, 3, 7, 0);
         s.pad_with(|| 1);
-        let picked = s.select_pending(3, 0);
+        let picked = s.select_pending(3, 0, &mut tally);
         assert!(picked.as_ref().is_some_and(|e| !e.is_dummy()));
-        let out = d.finalize(picked, true, false, 0, || panic!("must not draw a label"));
+        let out = d.finalize(picked, true, false, 0, &mut tally, || {
+            panic!("must not draw a label")
+        });
         assert!(out.is_some_and(|e| !e.is_dummy()));
-        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 0);
-        assert_eq!(d.tally.counter(Counter::DummiesTrailingDiscarded), 0);
+        assert_eq!(tally.counter(Counter::DummiesMaterialized), 0);
+        assert_eq!(tally.counter(Counter::DummiesTrailingDiscarded), 0);
     }
 
     #[test]
     fn materializes_only_when_work_or_fixed_rate_demands_it() {
-        let mut d = DummyReplacer::new(true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut d = DummyReplacer::new(true);
         // Idle, no fixed rate: nothing pending, nothing materialized.
-        assert!(d.finalize(None, false, false, 10, || 5).is_none());
-        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 0);
+        assert!(d
+            .finalize(None, false, false, 10, &mut tally, || 5)
+            .is_none());
+        assert_eq!(tally.counter(Counter::DummiesMaterialized), 0);
         // Real work exists but none was schedulable: padding materializes.
-        let out = d.finalize(None, true, false, 10, || 5).unwrap();
+        let out = d.finalize(None, true, false, 10, &mut tally, || 5).unwrap();
         assert!(out.is_dummy());
         assert_eq!(out.label, 5);
         assert_eq!(out.ready_ps, 10);
-        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 1);
+        assert_eq!(tally.counter(Counter::DummiesMaterialized), 1);
         // Fixed-rate mode materializes even when idle.
-        assert!(d.finalize(None, false, true, 20, || 6).is_some());
-        assert_eq!(d.tally.counter(Counter::DummiesMaterialized), 2);
+        assert!(d
+            .finalize(None, false, true, 20, &mut tally, || 6)
+            .is_some());
+        assert_eq!(tally.counter(Counter::DummiesMaterialized), 2);
     }
 
     #[test]
     fn trailing_dummy_is_dropped_when_draining() {
-        let mut d = DummyReplacer::new(true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut d = DummyReplacer::new(true);
         let pad = Entry::dummy(9, 0);
-        assert!(d.finalize(Some(pad), false, false, 0, || 1).is_none());
-        assert_eq!(d.tally.counter(Counter::DummiesTrailingDiscarded), 1);
+        assert!(d
+            .finalize(Some(pad), false, false, 0, &mut tally, || 1)
+            .is_none());
+        assert_eq!(tally.counter(Counter::DummiesTrailingDiscarded), 1);
         // ...but kept under fixed-rate protection.
         let pad = Entry::dummy(9, 0);
-        assert!(d.finalize(Some(pad), false, true, 0, || 1).is_some());
-        assert_eq!(d.tally.counter(Counter::DummiesTrailingDiscarded), 1);
+        assert!(d
+            .finalize(Some(pad), false, true, 0, &mut tally, || 1)
+            .is_some());
+        assert_eq!(tally.counter(Counter::DummiesTrailingDiscarded), 1);
     }
 
     #[test]
     fn replaces_pending_dummy_with_late_real() {
-        let mut d = DummyReplacer::new(true, TraceHandle::default());
-        let mut s = LabelQueue::new(4, true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut d = DummyReplacer::new(true);
+        let mut s = LabelQueue::new(4, true);
         // A real arriving at t=50, inside the (0, 100] replacement window.
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
         // Refill of leaf 3 still at the leaf level: every cross-bucket is
         // uncommitted, so the late real is eligible.
         let changed = d
-            .try_replace(&mut s, window(3, 3, 0, 100, 3), &mut pending)
+            .try_replace(&mut s, window(3, 3, 0, 100, 3), &mut pending, &mut tally)
             .unwrap();
         assert!(changed);
         assert!(pending.is_some_and(|e| !e.is_dummy()));
-        assert_eq!(d.tally.counter(Counter::DummiesReplaced), 1);
+        assert_eq!(tally.counter(Counter::DummiesReplaced), 1);
     }
 
     #[test]
     fn displaced_real_returns_to_scheduler() {
-        let mut d = DummyReplacer::new(true, TraceHandle::default());
-        let mut s = LabelQueue::new(4, true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut d = DummyReplacer::new(true);
+        let mut s = LabelQueue::new(4, true);
         // Incoming real with perfect overlap (same leaf).
         real_entry(&mut s, 3, 2, 50);
         // Pending real with zero overlap, pulled out of a scratch queue.
-        let mut scratch = LabelQueue::new(1, true, TraceHandle::default());
+        let mut scratch = LabelQueue::new(1, true);
         real_entry(&mut scratch, 4, 9, 0);
-        let mut pending = scratch.select_pending(4, 0);
+        let mut pending = scratch.select_pending(4, 0, &mut tally);
         assert!(pending.as_ref().is_some_and(|e| !e.is_dummy()));
         let changed = d
-            .try_replace(&mut s, window(3, 3, 0, 100, 3), &mut pending)
+            .try_replace(&mut s, window(3, 3, 0, 100, 3), &mut pending, &mut tally)
             .unwrap();
         assert!(changed);
         assert_eq!(
-            d.tally.counter(Counter::DummiesReplaced),
+            tally.counter(Counter::DummiesReplaced),
             0,
             "a displaced real is not a replaced dummy"
         );
@@ -256,10 +260,8 @@ mod tests {
             let levels = 2 + rng.next_below(10) as u32;
             let leaf = rng.next_below(1 << levels);
             let label = |rng: &mut fp_crypto::Xoshiro256| rng.next_below(1 << levels);
-            let (mut d, mut s) = (
-                DummyReplacer::new(true, TraceHandle::default()),
-                LabelQueue::new(16, true, TraceHandle::default()),
-            );
+            let mut tally = Tally::default();
+            let (mut d, mut s) = (DummyReplacer::new(true), LabelQueue::new(16, true));
             // The pending request: padding, or a real that lost some rounds
             // to reals on the refilled path first.
             let mut pending = Some(Entry::dummy(label(&mut rng), 0));
@@ -270,7 +272,7 @@ mod tests {
                     real_entry(&mut s, leaf, flight, 0);
                 }
                 for _ in 0..=lost {
-                    pending = s.select_pending(leaf, 0);
+                    pending = s.select_pending(leaf, 0, &mut tally);
                 }
                 let p = pending.expect("the real is ready");
                 assert_eq!(
@@ -317,14 +319,14 @@ mod tests {
                         want = Some((key, e));
                     }
                 }
-                let replaced = d.tally.counter(Counter::DummiesReplaced);
-                let changed = d.try_replace(&mut s, w, &mut pending).unwrap();
+                let replaced = tally.counter(Counter::DummiesReplaced);
+                let changed = d.try_replace(&mut s, w, &mut pending, &mut tally).unwrap();
                 let at = format!("case {case}, level {level}, t {t}");
                 assert_eq!(changed, want.is_some(), "{at}");
                 if let Some((_, e)) = want {
                     assert_eq!(pending, Some(e), "{at}");
                     took[usize::from(p.is_dummy())] += 1;
-                    let counted = d.tally.counter(Counter::DummiesReplaced) - replaced;
+                    let counted = tally.counter(Counter::DummiesReplaced) - replaced;
                     assert_eq!(counted, u64::from(p.is_dummy()), "{at}");
                     let back = s.entries().contains(&p);
                     assert_eq!(back, !p.is_dummy(), "{at}: the displaced real, age and all");
@@ -348,12 +350,13 @@ mod tests {
 
     #[test]
     fn replacing_off_never_fires() {
-        let mut d = DummyReplacer::new(false, TraceHandle::default());
-        let mut s = LabelQueue::new(4, true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut d = DummyReplacer::new(false);
+        let mut s = LabelQueue::new(4, true);
         real_entry(&mut s, 3, 1, 50);
         let mut pending = Some(Entry::dummy(0, 0));
         assert!(!d
-            .try_replace(&mut s, window(3, 3, 0, 100, 0), &mut pending)
+            .try_replace(&mut s, window(3, 3, 0, 100, 0), &mut pending, &mut tally)
             .unwrap());
         assert!(pending.unwrap().is_dummy());
     }

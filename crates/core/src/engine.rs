@@ -246,8 +246,8 @@ pub(crate) struct InsecureEngine {
     completions: CompletionLog,
     clock_ps: u64,
     times: AccessTimes,
-    /// The engine's own counts, over the spine its DRAM system and
-    /// ledger count for too.
+    /// The engine's counts, its ledger's included, over the spine its
+    /// DRAM system counts for too.
     tally: Tally,
 }
 
@@ -263,7 +263,7 @@ impl InsecureEngine {
             block_bytes: block_bytes as u64,
             pending: BinaryHeap::new(),
             outstanding: BinaryHeap::new(),
-            completions: CompletionLog::new(trace.clone()),
+            completions: CompletionLog::default(),
             clock_ps: 0,
             times: AccessTimes::default(),
             tally: Tally::new(trace),
@@ -281,7 +281,7 @@ impl InsecureEngine {
     /// Numbers and queues one access: [`OramEngine::submit`] without the
     /// publish.
     fn enqueue(&mut self, req: NewRequest) -> u64 {
-        let id = self.completions.open(req.arrival_ps);
+        let id = self.completions.open(req.arrival_ps, &mut self.tally);
         self.pending.push(Reverse(PendingAccess {
             arrival_ps: req.arrival_ps,
             id,
@@ -292,14 +292,10 @@ impl InsecureEngine {
         id
     }
 
-    /// Publishes the engine's, the DRAM system's and the ledger's counts
-    /// as one cut: the last step of each engine call.
+    /// Publishes the engine's counts and the DRAM system's as one cut:
+    /// the last step of each engine call.
     fn publish(&mut self) {
-        Tally::publish_all([
-            &mut self.tally,
-            self.dram.tally_mut(),
-            self.completions.tally_mut(),
-        ]);
+        Tally::publish_all([&mut self.tally, self.dram.tally_mut()]);
     }
 
     /// Issues the next access or retires the earliest outstanding one;
@@ -343,14 +339,15 @@ impl InsecureEngine {
                 self.times.access_busy_ps += finish.saturating_sub(arrival);
                 // The access count: one "full read" per plain-DRAM access.
                 self.tally.bump(Counter::FullReads);
-                self.completions.push(Completion {
+                let completion = Completion {
                     id,
                     addr,
                     data: Vec::new(),
                     arrival_ps: arrival,
                     done_ps: finish,
                     tag,
-                });
+                };
+                self.completions.push(completion, &mut self.tally);
                 self.flush_feedback(source);
                 true
             }
@@ -663,21 +660,19 @@ mod tests {
         }
     }
 
-    /// A reader of the spine on another thread sees whole accesses. A
-    /// traditional access without a cache reads one full path and writes
-    /// `L + 1` buckets (so do its posmap accesses and its background
-    /// evictions), so between accesses `buckets_written` is `(L + 1) x
-    /// full_reads`, and inside one it is not. The accesses start once the
-    /// reader has taken a snapshot and go on until it has taken
+    /// Drives `scheme` on this thread while a second thread snapshots the
+    /// spine's counters in a loop; returns the number of snapshots, the
+    /// number `whole` rejects, and the final counters. The accesses start
+    /// once the reader has taken a snapshot and go on until it has taken
     /// `DURING` more, so every run overlaps the two threads, however late
     /// the reader is first scheduled.
-    #[test]
-    fn a_reader_on_another_thread_sees_whole_accesses() {
+    fn snapshot_while_accessing(
+        scheme: Scheme,
+        whole: impl Fn(&[u64; Counter::COUNT]) -> bool + Sync,
+    ) -> (u64, u64, [u64; Counter::COUNT]) {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         const DURING: u64 = 200;
-        let oram = OramConfig::small_test();
-        let path_len = u64::from(oram.levels) + 1;
-        let mut engine = Scheme::Traditional.build(oram, dram(), 11);
+        let mut engine = scheme.build(OramConfig::small_test(), dram(), 11);
         let trace = engine.trace().clone();
         let done = AtomicBool::new(false);
         let taken = AtomicU64::new(0);
@@ -686,12 +681,8 @@ mod tests {
                 let (mut snapshots, mut torn) = (0u64, 0u64);
                 while !done.load(Ordering::Relaxed) {
                     let c = trace.counters();
-                    let (reads, written) = (
-                        c[Counter::FullReads as usize],
-                        c[Counter::BucketsWritten as usize],
-                    );
                     snapshots += 1;
-                    torn += u64::from(written != path_len * reads);
+                    torn += u64::from(!whole(&c));
                     taken.store(snapshots, Ordering::Relaxed);
                 }
                 (snapshots, torn)
@@ -709,12 +700,54 @@ mod tests {
             done.store(true, Ordering::Relaxed);
             reader.join().unwrap()
         });
+        (snapshots, torn, trace.counters())
+    }
+
+    /// A reader of the spine on another thread sees whole accesses. A
+    /// traditional access without a cache reads one full path and writes
+    /// `L + 1` buckets (so do its posmap accesses and its background
+    /// evictions), so between accesses `buckets_written` is `(L + 1) x
+    /// full_reads`, and inside one it is not.
+    #[test]
+    fn a_reader_on_another_thread_sees_whole_accesses() {
+        let path_len = u64::from(OramConfig::small_test().levels) + 1;
+        let (snapshots, torn, c) = snapshot_while_accessing(Scheme::Traditional, |c| {
+            let (reads, written) = (
+                c[Counter::FullReads as usize],
+                c[Counter::BucketsWritten as usize],
+            );
+            written == path_len * reads
+        });
         assert!(snapshots > 0);
         assert_eq!(
             torn, 0,
             "{torn} of {snapshots} snapshots saw part of an access"
         );
-        let c = trace.counters();
         assert!(c[Counter::FullReads as usize] >= 400);
+    }
+
+    /// The cut spans the stages: on a Fork Path engine with a merging-aware
+    /// cache, the merge stage counts each read (full or merged, and the
+    /// levels a merged one skips) and the datapath counts each bucket it
+    /// reads as a cache hit or miss, so between accesses `cache_hits +
+    /// cache_misses == (L + 1) x (full_reads + merged_reads) -
+    /// read_levels_skipped`, and inside one it is not.
+    #[test]
+    fn a_reader_on_another_thread_sees_whole_fork_accesses() {
+        let path_len = u64::from(OramConfig::small_test().levels) + 1;
+        let scheme = by_name("fork+mac").expect("registered");
+        let (snapshots, torn, c) = snapshot_while_accessing(scheme, |c| {
+            let count = |counter: Counter| c[counter as usize];
+            let reads = count(Counter::FullReads) + count(Counter::MergedReads);
+            count(Counter::CacheHits) + count(Counter::CacheMisses)
+                == path_len * reads - count(Counter::ReadLevelsSkipped)
+        });
+        assert!(snapshots > 0);
+        assert_eq!(
+            torn, 0,
+            "{torn} of {snapshots} snapshots saw part of an access"
+        );
+        assert!(c[Counter::MergedReads as usize] > 0, "reads merged");
+        assert!(c[Counter::CacheHits as usize] > 0, "the cache hit");
     }
 }

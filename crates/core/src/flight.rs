@@ -295,7 +295,7 @@ impl FlightTable {
         let flight = self.get_mut(flight_id)?;
         let (block, next_block) = (flight.chain[flight.idx], flight.chain[flight.idx + 1]);
         let state = ctx.path.state_mut();
-        let (o, n, _) = state.chain_step(block, flight.new_label, next_block);
+        let (o, n) = state.chain_step(block, flight.new_label, next_block);
         flight.idx += 1;
         flight.old_label = o;
         flight.new_label = n;
@@ -319,19 +319,20 @@ impl FlightTable {
             new_label,
             ..
         } = self.remove(flight_id)?;
-        let (data, _) = ctx
+        let data = ctx
             .path
             .state_mut()
             .apply_op(chain[idx], new_label, req.data.as_deref());
         ctx.aq.complete(req.addr, req.op);
-        ctx.completions.push(Completion {
+        let completion = Completion {
             id: req.id,
             addr: req.addr,
             data,
             arrival_ps: req.arrival_ps,
             done_ps,
             tag: req.tag,
-        });
+        };
+        ctx.completions.push(completion, ctx.path.tally_mut());
         Ok(())
     }
 
@@ -408,7 +409,6 @@ mod tests {
     use fp_dram::{DramConfig, DramSystem};
     use fp_path_oram::cache::NoCache;
     use fp_path_oram::{Op, OramConfig};
-    use fp_trace::TraceHandle;
 
     /// A flight table with the controller state a chain step touches, and
     /// no controller: the tests decide when an access returns and when a
@@ -430,14 +430,12 @@ mod tests {
                 ..OramConfig::small_test()
             };
             let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-            let path = Datapath::new(cfg, dram, 7, Box::new(NoCache));
-            let completions = CompletionLog::new(path.trace().clone());
             Self {
-                path,
+                path: Datapath::new(cfg, dram, 7, Box::new(NoCache)),
                 plb: PosMapLookasideBuffer::new(0),
                 aq: AddressQueue::new(),
-                sched: LabelQueue::new(label_queue_size, true, TraceHandle::default()),
-                completions,
+                sched: LabelQueue::new(label_queue_size, true),
+                completions: CompletionLog::default(),
                 flights: FlightTable::default(),
             }
         }
@@ -480,7 +478,8 @@ mod tests {
 
         /// The access of `flight`, the one real in the label queue, returns.
         fn access(&mut self, flight: u64) {
-            let picked = self.sched.select_pending(0, u64::MAX).unwrap();
+            let tally = self.path.tally_mut();
+            let picked = self.sched.select_pending(0, u64::MAX, tally).unwrap();
             assert_eq!(picked.kind, EntryKind::Real { flight });
             let (flights, mut ctx) = self.split();
             flights
@@ -592,7 +591,10 @@ mod tests {
         rig.scan();
         assert_eq!(rig.stalled(), [(waiting, Stall::QueueFull)]);
 
-        let picked = rig.sched.select_pending(0, 0).unwrap();
+        let picked = rig
+            .sched
+            .select_pending(0, 0, rig.path.tally_mut())
+            .unwrap();
         assert_eq!(picked.kind, EntryKind::Real { flight: queued });
         rig.scan();
         assert_eq!(rig.stalled(), []);

@@ -14,31 +14,24 @@
 //! merged refill, reset across idle gaps) defines when merging applies.
 
 use fp_path_oram::path::divergence_level;
-use fp_trace::{Counter, EventKind, Tally, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally};
 
 /// The path-merging stage: fork-point computation over consecutive labels.
+/// It counts into the engine's tally, which its counting calls are handed.
 #[derive(Debug, Clone)]
 pub struct PathMerger {
     enabled: bool,
     prev_label: Option<u64>,
-    tally: Tally,
 }
 
 impl PathMerger {
-    /// Creates the stage, counting its counters and events for `trace`;
-    /// when `enabled` is false every access degenerates to full-path reads
-    /// and writes (the ablation baseline).
-    pub fn new(enabled: bool, trace: TraceHandle) -> Self {
+    /// Creates the stage; when `enabled` is false every access degenerates
+    /// to full-path reads and writes (the ablation baseline).
+    pub fn new(enabled: bool) -> Self {
         Self {
             enabled,
             prev_label: None,
-            tally: Tally::new(trace),
         }
-    }
-
-    /// The stage's counts, published by the controller with the datapath's.
-    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
-        &mut self.tally
     }
 
     /// The previous access's label (`None` = next read takes a full path).
@@ -48,26 +41,27 @@ impl PathMerger {
 
     /// Shallowest level the read phase of an access to `label` must fetch:
     /// one below the divergence with the previous path, or 0 (the root)
-    /// when there is no previous path or merging is disabled.
+    /// when there is no previous path or merging is disabled. Counts the
+    /// read, merged or full, in `tally`.
     ///
     /// The fork level is clamped to `levels` (the leaf): when consecutive
     /// labels are identical the divergence sits at the leaf itself, and an
     /// unclamped `divergence + 1` would name a level below the tree. The
     /// clamp means such an access re-reads exactly the leaf bucket.
-    pub fn read_floor(&mut self, levels: u32, label: u64) -> u32 {
+    pub fn read_floor(&mut self, levels: u32, label: u64, tally: &mut Tally) -> u32 {
         match self.prev_label {
             Some(prev) if self.enabled => {
                 let floor = (divergence_level(levels, prev, label) + 1).min(levels);
-                self.tally.bump(Counter::MergedReads);
-                self.tally.add(Counter::ReadLevelsSkipped, u64::from(floor));
-                self.tally.record_now(EventKind::RequestMerged {
+                tally.bump(Counter::MergedReads);
+                tally.add(Counter::ReadLevelsSkipped, u64::from(floor));
+                tally.record_now(EventKind::RequestMerged {
                     label,
                     fork_level: floor,
                 });
                 floor
             }
             _ => {
-                self.tally.bump(Counter::FullReads);
+                tally.bump(Counter::FullReads);
                 0
             }
         }
@@ -94,10 +88,11 @@ impl PathMerger {
     }
 
     /// Drops the anchor: the controller went idle (full path written), so
-    /// the next read must fetch a complete path.
-    pub(crate) fn reset(&mut self) {
+    /// the next read must fetch a complete path. Counts the reset in
+    /// `tally`.
+    pub(crate) fn reset(&mut self, tally: &mut Tally) {
         if self.prev_label.take().is_some() {
-            self.tally.bump(Counter::MergeResets);
+            tally.bump(Counter::MergeResets);
         }
     }
 }
@@ -109,20 +104,22 @@ mod tests {
     #[test]
     fn read_floor_skips_exactly_the_shared_prefix() {
         let levels = 10u32;
-        let mut m = PathMerger::new(true, TraceHandle::default());
-        assert_eq!(m.read_floor(levels, 5), 0, "cold start reads the full path");
+        let mut tally = Tally::default();
+        let mut m = PathMerger::new(true);
+        assert_eq!(
+            m.read_floor(levels, 5, &mut tally),
+            0,
+            "cold start reads the full path"
+        );
         m.commit(5);
-        let floor = m.read_floor(levels, 7);
+        let floor = m.read_floor(levels, 7, &mut tally);
         // Levels 0..=divergence are the common prefix; `floor` is the
         // first level below it.
         let shared = divergence_level(levels, 5, 7) + 1;
         assert_eq!(floor, shared);
-        assert_eq!(m.tally.counter(Counter::MergedReads), 1);
-        assert_eq!(m.tally.counter(Counter::FullReads), 1);
-        assert_eq!(
-            m.tally.counter(Counter::ReadLevelsSkipped),
-            u64::from(shared)
-        );
+        assert_eq!(tally.counter(Counter::MergedReads), 1);
+        assert_eq!(tally.counter(Counter::FullReads), 1);
+        assert_eq!(tally.counter(Counter::ReadLevelsSkipped), u64::from(shared));
     }
 
     #[test]
@@ -131,9 +128,14 @@ mod tests {
         // fork level clamps to `levels`, so exactly the leaf bucket is
         // re-read and re-written (never a level beyond the tree).
         let levels = 10u32;
-        let mut m = PathMerger::new(true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut m = PathMerger::new(true);
         m.commit(9);
-        assert_eq!(m.read_floor(levels, 9), levels, "only the leaf is read");
+        assert_eq!(
+            m.read_floor(levels, 9, &mut tally),
+            levels,
+            "only the leaf is read"
+        );
         assert_eq!(
             m.write_stop(levels, 9, Some(9)),
             levels,
@@ -143,27 +145,29 @@ mod tests {
 
     #[test]
     fn disabled_merging_always_takes_full_paths() {
-        let mut m = PathMerger::new(false, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut m = PathMerger::new(false);
         m.commit(5);
-        assert_eq!(m.read_floor(10, 5), 0);
+        assert_eq!(m.read_floor(10, 5, &mut tally), 0);
         assert_eq!(m.write_stop(10, 5, Some(5)), 0);
     }
 
     #[test]
     fn write_stop_without_pending_commits_whole_path() {
-        let m = PathMerger::new(true, TraceHandle::default());
+        let m = PathMerger::new(true);
         assert_eq!(m.write_stop(10, 123, None), 0);
     }
 
     #[test]
     fn reset_drops_anchor_and_counts() {
-        let mut m = PathMerger::new(true, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut m = PathMerger::new(true);
         m.commit(4);
-        m.reset();
+        m.reset(&mut tally);
         assert_eq!(m.prev_label(), None);
-        assert_eq!(m.tally.counter(Counter::MergeResets), 1);
-        m.reset(); // idempotent: no anchor to drop
-        assert_eq!(m.tally.counter(Counter::MergeResets), 1);
-        assert_eq!(m.read_floor(10, 4), 0);
+        assert_eq!(tally.counter(Counter::MergeResets), 1);
+        m.reset(&mut tally); // idempotent: no anchor to drop
+        assert_eq!(tally.counter(Counter::MergeResets), 1);
+        assert_eq!(m.read_floor(10, 4, &mut tally), 0);
     }
 }

@@ -34,7 +34,7 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use fp_path_oram::path::overlap_degree;
-use fp_trace::{Counter, EventKind, Tally, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally};
 
 #[cfg(test)]
 mod reference;
@@ -172,14 +172,12 @@ pub(crate) struct LabelQueue {
     starve_round: u64,
     /// The latest `now_ps` a call brought.
     now_ps: u64,
-    tally: Tally,
 }
 
 impl LabelQueue {
-    /// Creates an empty queue with capacity `M`, counting its counters and
-    /// events for `trace`; `scheduling` toggles overlap-maximizing
-    /// selection.
-    pub(crate) fn new(capacity: usize, scheduling: bool, trace: TraceHandle) -> Self {
+    /// Creates an empty queue with capacity `M`; `scheduling` toggles
+    /// overlap-maximizing selection.
+    pub(crate) fn new(capacity: usize, scheduling: bool) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
             reals: Vec::with_capacity(capacity),
@@ -194,13 +192,7 @@ impl LabelQueue {
             round: FIRST_ROUND,
             starve_round: u64::MAX,
             now_ps: 0,
-            tally: Tally::new(trace),
         }
-    }
-
-    /// The queue's counts, published by the controller with the datapath's.
-    pub(crate) fn tally_mut(&mut self) -> &mut Tally {
-        &mut self.tally
     }
 
     /// Number of entries (equals capacity once padded).
@@ -258,16 +250,20 @@ impl LabelQueue {
 
     /// Selects the pending (next) request during a refill of `current`:
     /// any ready real before any dummy padding, the highest overlap degree
-    /// within each (DESIGN.md §7 item 1). Counts a scheduling round.
-    pub(crate) fn select_pending(&mut self, current: u64, now_ps: u64) -> Option<Entry> {
+    /// within each (DESIGN.md §7 item 1). Counts a scheduling round in
+    /// `tally`.
+    pub(crate) fn select_pending(
+        &mut self,
+        current: u64,
+        now_ps: u64,
+        tally: &mut Tally,
+    ) -> Option<Entry> {
         self.wake(now_ps);
-        self.tally
-            .add(Counter::SchedReadyReals, self.eligible as u64);
-        self.tally.bump(Counter::SchedRounds);
+        tally.add(Counter::SchedReadyReals, self.eligible as u64);
+        tally.bump(Counter::SchedRounds);
         let picked = self.select(current);
         if let Some(e) = &picked {
-            self.tally
-                .record(now_ps, EventKind::RequestScheduled { label: e.label });
+            tally.record(now_ps, EventKind::RequestScheduled { label: e.label });
         }
         picked
     }
@@ -279,8 +275,14 @@ impl LabelQueue {
     ///
     /// Algorithm 1 still ages the queue as if each dummy it passed over had
     /// been picked in a round of its own and put back: each is set aside,
-    /// and goes back with its age once the pick is made.
-    pub(crate) fn select_initial(&mut self, anchor: u64, now_ps: u64) -> Option<Entry> {
+    /// and goes back with its age once the pick is made. The pick's event
+    /// goes to `tally`.
+    pub(crate) fn select_initial(
+        &mut self,
+        anchor: u64,
+        now_ps: u64,
+        tally: &mut Tally,
+    ) -> Option<Entry> {
         self.wake(now_ps);
         let picked = loop {
             match self.select(anchor) {
@@ -297,8 +299,7 @@ impl LabelQueue {
         }
         self.set_aside = aside;
         if let Some(e) = &picked {
-            self.tally
-                .record(now_ps, EventKind::RequestScheduled { label: e.label });
+            tally.record(now_ps, EventKind::RequestScheduled { label: e.label });
         }
         picked
     }
@@ -554,7 +555,7 @@ mod tests {
 
     /// The queue with overlap-maximizing selection on.
     fn queue(capacity: usize) -> LabelQueue {
-        LabelQueue::new(capacity, true, TraceHandle::default())
+        LabelQueue::new(capacity, true)
     }
 
     #[test]
@@ -598,53 +599,58 @@ mod tests {
 
     #[test]
     fn select_prefers_highest_overlap() {
+        let mut tally = Tally::default();
         // Fig 6: current = path-1 (L = 3); pending paths 4 and 0.
         let mut q = queue(4);
         q.insert_real(4, real(10), 0).unwrap();
         q.insert_real(0, real(20), 0).unwrap();
         q.pad_with(|| 7); // low-overlap dummies
-        let picked = q.select_pending(1, 0).unwrap();
+        let picked = q.select_pending(1, 0, &mut tally).unwrap();
         assert_eq!(picked.label, 0, "path-0 overlaps path-1 more than path-4");
         assert_eq!(picked.kind, real(20));
     }
 
     #[test]
     fn tie_prefers_real_over_dummy() {
+        let mut tally = Tally::default();
         let mut q = queue(2);
         // Dummy with the same label as the real: identical overlap.
         let mut labels = [3u64].into_iter();
         q.pad_with(|| labels.next().unwrap_or(3));
         q.insert_real(3, real(1), 0).unwrap();
         q.pad_with(|| 3);
-        let picked = q.select_pending(3, 0).unwrap();
+        let picked = q.select_pending(3, 0, &mut tally).unwrap();
         assert!(!picked.is_dummy());
     }
 
     #[test]
     fn unready_entries_are_skipped() {
+        let mut tally = Tally::default();
         let mut q = queue(2);
         q.insert_real(7, real(1), 1_000).unwrap(); // ready in the future
         q.pad_with(|| 0);
-        let picked = q.select_pending(7, 500).unwrap();
+        let picked = q.select_pending(7, 500, &mut tally).unwrap();
         assert!(picked.is_dummy(), "future real must not be schedulable yet");
         assert_eq!(q.real_count(), 1);
     }
 
     #[test]
     fn select_returns_none_when_nothing_ready() {
+        let mut tally = Tally::default();
         let mut q = queue(2);
         q.insert_real(7, real(1), 1_000).unwrap();
-        assert!(q.select_pending(0, 500).is_none());
+        assert!(q.select_pending(0, 500, &mut tally).is_none());
     }
 
     #[test]
     fn starvation_promotes_aged_entry() {
+        let mut tally = Tally::default();
         let mut q = queue(4);
         q.insert_real(4, real(99), 0).unwrap(); // poor overlap with current 0
                                                 // A stream of perfect-overlap competitors keeps winning...
         for i in 0..u64::from(STARVATION_THRESHOLD) {
             q.insert_real(0, real(i), 0).unwrap();
-            let e = q.select_pending(0, 0).unwrap();
+            let e = q.select_pending(0, 0, &mut tally).unwrap();
             assert_eq!(
                 e.kind,
                 real(i),
@@ -653,35 +659,38 @@ mod tests {
         }
         // ...until the old entry's age crosses the threshold.
         q.insert_real(0, real(u64::MAX), 0).unwrap();
-        let e = q.select_pending(0, 0).unwrap();
+        let e = q.select_pending(0, 0, &mut tally).unwrap();
         assert_eq!(e.kind, real(99), "starved entry must be promoted");
     }
 
     #[test]
     fn dummy_only_launches_when_no_real_ready() {
+        let mut tally = Tally::default();
         let mut q = queue(4);
         // Dummy with perfect overlap vs real with the worst overlap.
         q.pad_with(|| 1);
         q.insert_real(7, real(1), 0).unwrap();
-        let e = q.select_pending(1, 0).unwrap();
+        let e = q.select_pending(1, 0, &mut tally).unwrap();
         assert!(!e.is_dummy(), "reals outrank dummy padding outright");
     }
 
     #[test]
     fn fifo_mode_ignores_overlap() {
-        let mut q = LabelQueue::new(4, false, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut q = LabelQueue::new(4, false);
         q.insert_real(4, real(1), 0).unwrap(); // first in
         q.insert_real(0, real(2), 0).unwrap(); // better overlap with current 1
         q.pad_with(|| 6);
-        let picked = q.select_pending(1, 0).unwrap();
+        let picked = q.select_pending(1, 0, &mut tally).unwrap();
         assert_eq!(picked.kind, real(1), "scheduling off = FIFO among reals");
     }
 
     #[test]
     fn restore_displaces_dummy() {
+        let mut tally = Tally::default();
         let mut q = queue(2);
         q.pad_with(|| 0);
-        let e = q.select_pending(0, 0).unwrap();
+        let e = q.select_pending(0, 0, &mut tally).unwrap();
         q.pad_with(|| 0);
         let real_entry = Entry { kind: real(9), ..e };
         q.restore(real_entry);
@@ -692,7 +701,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = LabelQueue::new(0, true, TraceHandle::default());
+        let _ = LabelQueue::new(0, true);
     }
 
     /// (c) Reordering never breaks per-address program order: requests to
@@ -700,6 +709,7 @@ mod tests {
     /// path), so the FIFO tie-break replays them in submission order.
     #[test]
     fn same_address_requests_keep_program_order() {
+        let mut tally = Tally::default();
         let mut q = queue(8);
         // Three same-label (same-address) steps interleaved with traffic to
         // other labels.
@@ -711,7 +721,7 @@ mod tests {
         q.pad_with(|| 3);
         let mut same_addr_order = Vec::new();
         for _ in 0..5 {
-            let e = q.select_pending(13, 0).unwrap();
+            let e = q.select_pending(13, 0, &mut tally).unwrap();
             if e.label == 5 {
                 same_addr_order.push(e.kind);
             }
@@ -725,15 +735,16 @@ mod tests {
 
     #[test]
     fn select_pending_counts_rounds_and_ready_reals() {
+        let mut tally = Tally::default();
         let mut q = queue(4);
         q.insert_real(1, real(0), 0).unwrap();
         q.insert_real(2, real(1), 0).unwrap();
         q.insert_real(3, real(2), 5_000).unwrap(); // not ready yet
         q.pad_with(|| 0);
-        let _ = q.select_pending(1, 0);
-        assert_eq!(q.tally.counter(Counter::SchedRounds), 1);
+        let _ = q.select_pending(1, 0, &mut tally);
+        assert_eq!(tally.counter(Counter::SchedRounds), 1);
         assert_eq!(
-            q.tally.counter(Counter::SchedReadyReals),
+            tally.counter(Counter::SchedReadyReals),
             2,
             "future entry is not ready"
         );
@@ -741,13 +752,14 @@ mod tests {
 
     #[test]
     fn select_initial_discards_padding_and_charges_no_round() {
+        let mut tally = Tally::default();
         let mut q = queue(4);
         q.pad_with(|| 7);
         q.insert_real(1, real(9), 0).unwrap();
-        let picked = q.select_initial(7, 0).unwrap();
+        let picked = q.select_initial(7, 0, &mut tally).unwrap();
         assert_eq!(picked.kind, real(9), "dummies are skipped, not executed");
         assert_eq!(
-            q.tally.counter(Counter::SchedRounds),
+            tally.counter(Counter::SchedRounds),
             0,
             "initial pick is not a scheduling round"
         );
@@ -758,9 +770,10 @@ mod tests {
 
     #[test]
     fn select_initial_returns_none_when_only_padding() {
+        let mut tally = Tally::default();
         let mut q = queue(4);
         q.pad_with(|| 1);
-        assert!(q.select_initial(1, 0).is_none());
+        assert!(q.select_initial(1, 0, &mut tally).is_none());
         assert_eq!(q.len(), 4, "padding restored intact");
     }
 
@@ -796,11 +809,12 @@ mod tests {
 
     #[test]
     fn fifo_mode_disables_overlap_ranking() {
-        let mut q = LabelQueue::new(4, false, TraceHandle::default());
+        let mut tally = Tally::default();
+        let mut q = LabelQueue::new(4, false);
         q.insert_real(4, real(1), 0).unwrap(); // poor overlap, first in
         q.insert_real(0, real(2), 0).unwrap(); // perfect overlap with current 1
         q.pad_with(|| 6);
-        let picked = q.select_pending(1, 0).unwrap();
+        let picked = q.select_pending(1, 0, &mut tally).unwrap();
         assert_eq!(picked.kind, real(1));
     }
 }

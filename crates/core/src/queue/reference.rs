@@ -7,7 +7,7 @@
 
 use fp_crypto::Xoshiro256;
 use fp_path_oram::path::overlap_degree;
-use fp_trace::{Counter, EventKind, TraceHandle};
+use fp_trace::{Counter, EventKind, Tally, TraceHandle};
 
 use super::{Entry, EntryKind, LabelQueue, ReplacementWindow, STARVATION_THRESHOLD};
 
@@ -259,7 +259,8 @@ fn run_case(seed: u64, ops: usize, cov: &mut Coverage) {
     let total: u64 = weights.iter().sum();
     let at = format!("case {seed:#x}: capacity {capacity}, scheduling {scheduling}, L {levels}");
 
-    let mut queue = LabelQueue::new(capacity, scheduling, TraceHandle::new(1 << 16));
+    let mut queue = LabelQueue::new(capacity, scheduling);
+    let mut tally = Tally::new(TraceHandle::new(1 << 16));
     let mut reference = Reference::new(capacity, scheduling, TraceHandle::new(1 << 16));
     let (mut now, mut flight, mut rounds) = (0u64, 0u64, 0u64);
     // Reals taken out, which `restore` may put back.
@@ -304,11 +305,11 @@ fn run_case(seed: u64, ops: usize, cov: &mut Coverage) {
                 let initial = which == Some(3);
                 let before = reference.entries();
                 let (got, want) = if initial {
-                    let got = queue.select_initial(current, now);
+                    let got = queue.select_initial(current, now, &mut tally);
                     (got, reference.select_initial(levels, current, now))
                 } else {
                     rounds += 1;
-                    let got = queue.select_pending(current, now);
+                    let got = queue.select_pending(current, now, &mut tally);
                     (got, reference.select_pending(levels, current, now))
                 };
                 assert_eq!(got, want, "{at}, op {op}");
@@ -383,12 +384,8 @@ fn run_case(seed: u64, ops: usize, cov: &mut Coverage) {
             "{at}, op {op}"
         );
     }
-    assert_eq!(queue.tally.counters(), reference.trace.counters(), "{at}");
-    assert_eq!(
-        queue.tally.handle().events(),
-        reference.trace.events(),
-        "{at}"
-    );
+    assert_eq!(tally.counters(), reference.trace.counters(), "{at}");
+    assert_eq!(tally.handle().events(), reference.trace.events(), "{at}");
     cov.rounds = cov.rounds.max(rounds);
 }
 

@@ -22,7 +22,10 @@
 //! client's tag of the request in flight in it, and the service tag names
 //! the slot (`conn * window + slot`). A full window answers `Busy`, a
 //! closed connection takes its ledger along (late answers are dropped),
-//! and the shutdown drain waits for every window to empty.
+//! and the shutdown drain waits for every window to empty. It then shuts
+//! the sockets' read halves: each reader exits, and each writer sends what
+//! its channel holds and exits once its senders are gone. Only a socket
+//! still open at [`NetConfig::drain_wait_ms`] is closed outright.
 //!
 //! A wire request thus crosses three threads — reader, shard worker,
 //! writer — and waits on no timer.
@@ -52,7 +55,7 @@ use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use fp_path_oram::Op;
@@ -190,9 +193,6 @@ struct ConnSlot {
     /// The connection's request ledger: one entry per window slot, the
     /// client tag of the request in flight in it.
     window: Vec<Option<u64>>,
-    /// The connection's socket, shared with its reader and writer, so
-    /// shutdown can force-close it and unblock the reader.
-    sock: Arc<TcpStream>,
 }
 
 /// Where a request's arrival stamp comes from (module docs): the host
@@ -414,6 +414,9 @@ fn run_server(listener: TcpListener, shared: Arc<NetShared>) -> Result<NetReport
 fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
     std::thread::scope(|scope| {
         let mut next_conn = 0u64;
+        // Every connection's socket, open while its reader or its writer
+        // holds it: what the drain shuts down.
+        let mut socks: Vec<Weak<TcpStream>> = Vec::new();
         loop {
             let stream = match listener.accept() {
                 Ok((s, _)) => s,
@@ -430,6 +433,8 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
             }
             let _ = stream.set_nodelay(true);
             let sock = Arc::new(stream);
+            socks.retain(|s| s.strong_count() > 0);
+            socks.push(Arc::downgrade(&sock));
             next_conn += 1;
             let conn_id = next_conn;
             let (tx, rx) = mpsc::channel::<Frame>();
@@ -438,7 +443,6 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
                 ConnSlot {
                     tx: tx.clone(),
                     window: vec![None; shared.cfg.max_inflight_per_conn],
-                    sock: Arc::clone(&sock),
                 },
             );
             shared.trace.bump(Counter::NetConnectionsOpened);
@@ -448,18 +452,28 @@ fn drive(listener: &TcpListener, handle: &ServiceHandle, shared: &NetShared) {
         }
         // Drain: no new work, no wait for an unsent scripted request, and
         // a bounded chance for what is in flight, in wall time by
-        // definition: the two clock reads and the one timed wait here.
+        // definition: the clock reads and the timed wait here.
         handle.drain();
         #[expect(clippy::disallowed_methods)]
         let deadline = Instant::now() + Duration::from_millis(shared.cfg.drain_wait_ms);
         #[expect(clippy::disallowed_methods)]
-        while Instant::now() < deadline && !shared.idle() {
-            std::thread::sleep(Duration::from_millis(1));
+        let wait_until = |done: &dyn Fn() -> bool| {
+            while Instant::now() < deadline && !done() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_until(&|| shared.idle());
+        // Stop reading: each reader exits and drops its channel senders, so
+        // its writer sends what the channel holds, then exits too.
+        let open = || socks.iter().filter_map(Weak::upgrade);
+        for sock in open() {
+            let _ = sock.shutdown(Shutdown::Read);
         }
-        // Force-close every connection so blocked readers exit; their
-        // writers follow once the channel senders drop.
-        for (_, slot) in relock(&shared.conns).drain() {
-            let _ = slot.sock.shutdown(Shutdown::Both);
+        wait_until(&|| open().next().is_none());
+        // Close what is still open at the deadline: a peer that never reads
+        // must not hold the server up.
+        for sock in open() {
+            let _ = sock.shutdown(Shutdown::Both);
         }
     });
 }
@@ -491,10 +505,14 @@ fn serve_connection(
         read_requests(&mut sock, conn_id, &tx, handle, shared);
     }
     // Cleanup: unregister the connection, and its ledger with it — the
-    // client is gone, nobody can receive the answers still in flight.
+    // client is gone, nobody can receive the answers still in flight. In a
+    // drain the socket stays open for the writer to send what it holds;
+    // the drain closes what outlives its deadline.
     relock(&shared.conns).remove(&conn_id);
     shared.trace.bump(Counter::NetConnectionsClosed);
-    let _ = sock.shutdown(Shutdown::Both);
+    if !shared.draining.load(Ordering::Acquire) {
+        let _ = sock.shutdown(Shutdown::Both);
+    }
 }
 
 /// Expects a `Hello` with the right magic and version, answers with the

@@ -6,25 +6,29 @@
 //! previous one, §3.2) and an ordered leaf-to-root **refill** that the
 //! controller may stop early or retarget mid-stream (Fig 5). [`Datapath`]
 //! owns everything a phase touches — the trusted [`OramState`], the
-//! [`DramSystem`], the [`WritebackEngine`] (bucket cache + burst
-//! generation), the counts all of them keep for the trace spine — and
-//! exposes exactly those two phases: [`Datapath::read_path`], and the
-//! refill stream [`Datapath::begin_refill`] + [`Datapath::refill_level`] +
+//! on-chip bucket cache (§3.5, §4.4), the subtree-aligned DRAM layout, the
+//! [`DramSystem`] — and the engine's [`Tally`], which its controller's
+//! stages and request ledger count into too. It exposes exactly those two
+//! phases: [`Datapath::read_path`], and the refill stream
+//! [`Datapath::begin_refill`] + [`Datapath::refill_level`] +
 //! [`Datapath::end_refill`], plus [`Datapath::publish`], which folds the
-//! counts into the spine at the end of each engine call. The baseline
-//! and Fork Path controllers are orchestration above it (queues, fork
-//! geometry, replacement, the clock); neither reaches a bucket any other
-//! way.
+//! counts into the spine at the end of each engine call. It is the one
+//! place bucket node ids become DRAM traffic: the buckets the cache does
+//! not absorb go to the DRAM model as base addresses, a path's worth per
+//! read batch and one per refill write; the DRAM model cuts them into
+//! bursts and rows. The baseline and Fork Path controllers are
+//! orchestration above it (queues, fork geometry, replacement, the
+//! clock); neither reaches a bucket any other way.
 
-use fp_dram::DramSystem;
-use fp_trace::{Tally, TraceHandle};
+use fp_dram::layout::{SubtreeLayout, TreeLayout};
+use fp_dram::{AccessKind, DramSystem};
+use fp_trace::{Counter, Tally, TraceHandle};
 
 use crate::cache::{BucketCache, WriteOutcome};
 use crate::config::OramConfig;
 use crate::path::node_at_level;
 use crate::state::OramState;
 use crate::tree::IntegrityError;
-use crate::writeback::WritebackEngine;
 
 /// Fixed controller pipeline latency charged once per phase (decrypt,
 /// stash/posmap logic); the rest overlaps DRAM as in §4. Each phase
@@ -54,7 +58,7 @@ const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 /// // Its end seals what went to DRAM and charges the phase latency.
 /// assert!(dp.end_refill(t) > t);
 /// // The counts reach the spine when the engine publishes them.
-/// dp.publish([]);
+/// dp.publish();
 /// assert_eq!(dp.trace().counter(fp_trace::Counter::BucketsWritten), 10);
 /// dp.state().check_invariants().unwrap();
 /// ```
@@ -62,13 +66,18 @@ const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
 pub struct Datapath {
     state: OramState,
     dram: DramSystem,
-    writeback: WritebackEngine,
-    /// The controller's own counts, over the spine the stash, the
-    /// writeback engine and the DRAM system count for too.
+    cache: Box<dyn BucketCache + Send>,
+    layout: SubtreeLayout,
+    bursts_per_bucket: u64,
+    /// The engine's counts — the datapath's, its controller's stages' and
+    /// its request ledger's — over the spine the stash and the DRAM
+    /// system count for too.
     tally: Tally,
     label_trace: Option<Vec<u64>>,
     /// Reusable node-id buffer for the read phase.
     nodes: Vec<u64>,
+    /// Reusable read batch: base addresses of the buckets the cache missed.
+    bases: Vec<u64>,
     /// Path of the refill stream in progress.
     refill_leaf: u64,
 }
@@ -87,16 +96,21 @@ impl Datapath {
         cache: Box<dyn BucketCache + Send>,
     ) -> Self {
         let trace = TraceHandle::default();
-        let writeback = WritebackEngine::with_cache(cache, &cfg, dram.config(), trace.clone());
+        let bucket_bytes = cfg.bucket_bytes();
+        let layout = SubtreeLayout::fit_row(cfg.path_len(), bucket_bytes, dram.config().row_bytes);
+        let bursts_per_bucket = bucket_bytes.div_ceil(dram.config().burst_bytes).max(1);
         let state = OramState::new(cfg, seed, trace.clone());
         dram.attach_trace(trace.clone());
         Self {
             state,
             dram,
-            writeback,
+            cache,
+            layout,
+            bursts_per_bucket,
             tally: Tally::new(trace),
             label_trace: None,
             nodes: Vec::new(),
+            bases: Vec::new(),
             refill_leaf: 0,
         }
     }
@@ -149,9 +163,27 @@ impl Datapath {
         tree.take_path_with(&self.nodes, |addr, leaf, data| {
             stash.insert_with(addr, leaf, |payload| payload.extend_from_slice(data));
         })?;
-        let batch_end = self
-            .writeback
-            .read_path(&mut self.dram, &self.nodes, start_ps);
+        self.bases.clear();
+        for &node in &self.nodes {
+            if !self.cache.lookup_for_read(node) {
+                self.bases.push(self.layout.bucket_address(node));
+            }
+        }
+        let misses = self.bases.len() as u64;
+        self.tally
+            .add(Counter::CacheHits, self.nodes.len() as u64 - misses);
+        self.tally.add(Counter::CacheMisses, misses);
+        if misses == 0 {
+            return Ok(start_ps + CTRL_PHASE_LATENCY_PS);
+        }
+        self.tally
+            .add(Counter::DramBlocksRead, misses * self.bursts_per_bucket);
+        let batch_end = self.dram.access_spans(
+            start_ps,
+            AccessKind::Read,
+            &self.bases,
+            self.bursts_per_bucket,
+        );
         Ok(batch_end + CTRL_PHASE_LATENCY_PS)
     }
 
@@ -180,7 +212,9 @@ impl Datapath {
     /// `t_ps`; returns the commit time. The cache places it first: the tree
     /// store keeps a bucket the cache absorbs on chip in the clear, and a
     /// sealed one keeps a write-through and the cache's eviction victim,
-    /// if any, there too until [`Datapath::end_refill`] seals them.
+    /// if any, there too until [`Datapath::end_refill`] seals them. A
+    /// bucket the cache absorbs commits at `t_ps`; a write-through, or the
+    /// victim of an eviction, pays its DRAM write.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -193,14 +227,25 @@ impl Datapath {
         let (levels, z) = (cfg.levels, cfg.z);
         self.tally.handle().set_now(t_ps);
         let node = node_at_level(levels, self.refill_leaf, level);
-        let placed = self.writeback.place(node);
+        let placed = self.cache.insert_on_write(node);
         let OramState { tree, stash, .. } = &mut self.state;
         stash.evict_next(level, z, |block| tree.push_slot(block));
         tree.store(node, placed != WriteOutcome::WriteThrough);
-        if let WriteOutcome::CachedEvicting { victim } = placed {
-            tree.spill(victim);
-        }
-        self.writeback.commit(&mut self.dram, node, placed, t_ps)
+        self.tally.bump(Counter::BucketsWritten);
+        let to_dram = match placed {
+            WriteOutcome::Cached => return t_ps,
+            WriteOutcome::WriteThrough => node,
+            WriteOutcome::CachedEvicting { victim } => {
+                tree.spill(victim);
+                victim
+            }
+        };
+        self.tally
+            .add(Counter::DramBlocksWritten, self.bursts_per_bucket);
+        let base = self.layout.bucket_address(to_dram);
+        let bursts = self.bursts_per_bucket;
+        self.dram
+            .access_spans(t_ps, AccessKind::Write, &[base], bursts)
     }
 
     /// Ends the refill whose last commit was at `t_ps`: a sealed tree seals
@@ -235,23 +280,28 @@ impl Datapath {
         self.tally.handle()
     }
 
-    /// The controller's own counts (published with the datapath's).
+    /// The engine's tally, for the controller's own counts and for its
+    /// stages and request ledger to count into (published with the
+    /// datapath's).
     pub fn tally_mut(&mut self) -> &mut Tally {
         &mut self.tally
     }
 
-    /// Publishes the counts of the stash, the DRAM system, the write-back
-    /// engine and the controller, plus the controller's `rest` (tallies of
-    /// the same spine), as one cut. An engine calls it before each of its
-    /// calls returns, so a reader on another thread sees whole accesses.
-    pub fn publish<'a>(&'a mut self, rest: impl IntoIterator<Item = &'a mut Tally>) {
-        let own = [
+    /// The trusted state and the engine's tally at once, for a stage that
+    /// counts while it draws from the state (a dummy's fresh label).
+    pub fn state_and_tally_mut(&mut self) -> (&mut OramState, &mut Tally) {
+        (&mut self.state, &mut self.tally)
+    }
+
+    /// Publishes the engine's tally, the stash's and the DRAM system's as
+    /// one cut. An engine calls it before each of its calls returns, so a
+    /// reader on another thread sees whole accesses.
+    pub fn publish(&mut self) {
+        Tally::publish_all([
             &mut self.tally,
             self.state.stash.tally_mut(),
             self.dram.tally_mut(),
-            self.writeback.tally_mut(),
-        ];
-        Tally::publish_all(own.into_iter().chain(rest));
+        ]);
     }
 
     /// Starts recording the externally visible leaf-label sequence.
@@ -269,7 +319,6 @@ impl Datapath {
 mod tests {
     use super::*;
     use crate::cache::{NoCache, TreetopCache};
-    use crate::state::AccessOutcome;
     use fp_dram::DramConfig;
     use fp_trace::Counter;
 
@@ -312,7 +361,7 @@ mod tests {
             "DRAM time + latency"
         );
         assert_eq!(dp.label_trace(), Some(&[5u64][..]));
-        dp.publish([]);
+        dp.publish();
         assert_eq!(dp.trace().counter(Counter::CacheMisses), path_len);
 
         dp.begin_refill(5);
@@ -324,12 +373,12 @@ mod tests {
         }
         assert_eq!(dp.end_refill(t), t + CTRL_PHASE_LATENCY_PS);
         t += CTRL_PHASE_LATENCY_PS;
-        dp.publish([]);
+        dp.publish();
         assert_eq!(dp.trace().counter(Counter::BucketsWritten), path_len);
 
         // A merged read fetches only the levels from its floor down.
         dp.read_path(5, 7, t).unwrap();
-        dp.publish([]);
+        dp.publish();
         assert_eq!(
             dp.trace().counter(Counter::CacheMisses),
             path_len + u64::from(levels - 7 + 1)
@@ -346,15 +395,91 @@ mod tests {
         dp.begin_refill(0);
         assert_eq!(dp.refill_level(0, 500), 500, "the root commits on chip");
         dp.end_refill(500);
-        dp.publish([]);
+        dp.publish();
         assert_eq!(dp.trace().counter(Counter::DramBlocksWritten), 0);
+    }
+
+    /// A datapath over `cache`, and the DRAM bursts of one bucket.
+    fn behind(cache: Box<dyn BucketCache + Send>) -> (Datapath, u64) {
+        let cfg = OramConfig::small_test();
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let bursts = cfg.bucket_bytes().div_ceil(dram.config().burst_bytes);
+        (Datapath::new(cfg, dram, 99, cache), bursts)
+    }
+
+    /// A treetop cache that holds every bucket of the test tree.
+    fn whole_tree() -> Box<dyn BucketCache + Send> {
+        let bucket_bytes = OramConfig::small_test().bucket_bytes();
+        Box::new(TreetopCache::with_capacity_bytes(1 << 20, bucket_bytes))
+    }
+
+    #[test]
+    fn uncached_path_read_hits_dram_per_bucket() {
+        let (mut dp, bursts) = behind(Box::new(NoCache));
+        let path_len = u64::from(dp.state().config().levels) + 1;
+        assert!(dp.read_path(5, 0, 0).unwrap() > CTRL_PHASE_LATENCY_PS);
+        dp.publish();
+        let count = |c| dp.trace().counter(c);
+        assert_eq!(count(Counter::CacheMisses), path_len);
+        assert_eq!(count(Counter::CacheHits), 0);
+        assert_eq!(
+            count(Counter::DramBlocksRead),
+            path_len * bursts,
+            "whole bursts per bucket"
+        );
+    }
+
+    #[test]
+    fn empty_read_batch_costs_no_dram_time() {
+        let (mut dp, _) = behind(whole_tree());
+        let end = dp.read_path(5, 0, 42).unwrap();
+        assert_eq!(
+            end,
+            42 + CTRL_PHASE_LATENCY_PS,
+            "every bucket hit the cache"
+        );
+        dp.publish();
+        assert_eq!(dp.trace().counter(Counter::DramBlocksRead), 0);
+    }
+
+    #[test]
+    fn no_cache_writes_through() {
+        let (mut dp, bursts) = behind(Box::new(NoCache));
+        let levels = dp.state().config().levels;
+        dp.begin_refill(5);
+        let t = dp.refill_level(levels, 0);
+        assert!(t > 0, "write-through pays DRAM time");
+        dp.end_refill(t);
+        dp.publish();
+        assert_eq!(dp.trace().counter(Counter::DramBlocksWritten), bursts);
+        assert_eq!(dp.trace().counter(Counter::BucketsWritten), 1);
+    }
+
+    #[test]
+    fn cached_buckets_commit_instantly_and_hit_on_read() {
+        let (mut dp, _) = behind(whole_tree());
+        let levels = dp.state().config().levels;
+        dp.begin_refill(5);
+        let t = dp.refill_level(2, 1_000);
+        assert_eq!(t, 1_000, "cached commit is instantaneous");
+        dp.end_refill(t);
+        let finish = dp.read_path(5, 2, 2_000).unwrap();
+        assert_eq!(
+            finish,
+            2_000 + CTRL_PHASE_LATENCY_PS,
+            "cache hit needs no DRAM"
+        );
+        dp.publish();
+        let count = |c| dp.trace().counter(c);
+        assert_eq!(count(Counter::CacheHits), u64::from(levels - 1));
+        assert_eq!(count(Counter::DramBlocksWritten), 0);
     }
 
     #[test]
     fn full_access_cycle_preserves_invariants() {
         let mut dp = datapath();
         for addr in 0..16u64 {
-            let (old, new, _) = dp.state_mut().start_chain(addr);
+            let (old, new) = dp.state_mut().start_chain(addr);
             // Non-recursive shortcut: drive the data access directly.
             read(&mut dp, old);
             let _ = dp.state_mut().apply_op(addr, new, Some(&[addr as u8]));
@@ -371,17 +496,17 @@ mod tests {
         // Full hierarchical write then read of data block 37.
         for (pass, write) in [(0, true), (1, false)] {
             let chain = dp.state().chain(37);
-            let (mut old, mut new, _) = dp.state_mut().start_chain(37);
+            let (mut old, mut new) = dp.state_mut().start_chain(37);
             for (i, &u) in chain.iter().enumerate() {
                 read(&mut dp, old);
                 if i + 1 < chain.len() {
-                    let (o, n, _) = dp.state_mut().chain_step(u, new, chain[i + 1]);
+                    let (o, n) = dp.state_mut().chain_step(u, new, chain[i + 1]);
                     refill(&mut dp, old, 0);
                     old = o;
                     new = n;
                 } else {
                     let data = if write { Some(&payload[..]) } else { None };
-                    let (got, _) = dp.state_mut().apply_op(u, new, data);
+                    let got = dp.state_mut().apply_op(u, new, data);
                     refill(&mut dp, old, 0);
                     if pass == 1 {
                         assert_eq!(got, payload, "read back what was written");
@@ -396,20 +521,18 @@ mod tests {
     fn chain_step_persists_child_label() {
         let mut dp = datapath();
         let chain = dp.state().chain(5);
-        let (old, new, _) = dp.state_mut().start_chain(5);
+        let (old, new) = dp.state_mut().start_chain(5);
         read(&mut dp, old);
-        let (_, child_new1, outcome1) = dp.state_mut().chain_step(chain[0], new, chain[1]);
+        let (_, child_new1) = dp.state_mut().chain_step(chain[0], new, chain[1]);
         refill(&mut dp, old, 0);
-        assert_eq!(outcome1, AccessOutcome::Created);
 
-        // Second traversal of the same chain: the stored label must be the
-        // one we just assigned.
-        let (old2, new2, outcome2) = dp.state_mut().start_chain(5);
-        assert_eq!(outcome2, AccessOutcome::Found);
+        // Second traversal of the same chain: the stored labels must be the
+        // ones we just assigned, on chip and in the parent's payload.
+        let (old2, new2) = dp.state_mut().start_chain(5);
+        assert_eq!(old2, new, "the on-chip entry was found");
         read(&mut dp, old2);
-        let (child_old2, _, outcome3) = dp.state_mut().chain_step(chain[0], new2, chain[1]);
+        let (child_old2, _) = dp.state_mut().chain_step(chain[0], new2, chain[1]);
         refill(&mut dp, old2, 0);
-        assert_eq!(outcome3, AccessOutcome::Found);
         assert_eq!(
             child_old2, child_new1,
             "child label survives in parent payload"
@@ -419,13 +542,13 @@ mod tests {
     #[test]
     fn read_clears_tree_copy() {
         let mut dp = datapath();
-        let (old, new, _) = dp.state_mut().start_chain(3);
+        let (old, new) = dp.state_mut().start_chain(3);
         read(&mut dp, old);
         let _ = dp.state_mut().apply_op(3, new, Some(&[1]));
         refill(&mut dp, old, 0);
         // Re-read the same path: every real block must now be in exactly one
         // place.
-        let (old2, _, _) = dp.state_mut().start_chain(3);
+        let (old2, _) = dp.state_mut().start_chain(3);
         read(&mut dp, old2);
         dp.state().check_invariants().unwrap();
         // Clean up for good measure.
@@ -436,7 +559,7 @@ mod tests {
     #[test]
     fn partial_refill_keeps_shared_prefix_in_stash() {
         let mut dp = datapath();
-        let (old, new, _) = dp.state_mut().start_chain(9);
+        let (old, new) = dp.state_mut().start_chain(9);
         read(&mut dp, old);
         let _ = dp.state_mut().apply_op(9, new, Some(&[9]));
         // Merged refill: pretend the next path shares levels 0..=2.
@@ -457,16 +580,16 @@ mod tests {
     #[test]
     fn corrupt_path_bucket_surfaces_integrity_error() {
         let mut dp = datapath();
-        let (old, new, _) = dp.state_mut().start_chain(3);
+        let (old, new) = dp.state_mut().start_chain(3);
         read(&mut dp, old);
         let _ = dp.state_mut().apply_op(3, new, Some(&[1]));
         let victim = refill(&mut dp, old, 0)[0];
         assert!(dp.state_mut().tree.corrupt_bucket(victim));
-        dp.publish([]);
+        dp.publish();
         let reads_before = dp.trace().counter(Counter::DramBlocksRead);
         let err = dp.read_path(old, 0, 0).unwrap_err();
         assert_eq!(err.node, victim);
-        dp.publish([]);
+        dp.publish();
         assert_eq!(
             dp.trace().counter(Counter::DramBlocksRead),
             reads_before,
@@ -565,7 +688,7 @@ mod tests {
             // holds, so the path read is the one it lives on.
             let addr = rng.next_below(1024);
             let head = dp.state().chain(addr)[0];
-            let (old, new, _) = dp.state_mut().start_chain(addr);
+            let (old, new) = dp.state_mut().start_chain(addr);
             // What the read takes from untrusted memory, and from chip.
             let (mut lanes, mut on_chip) = (0, 0);
             for level in 0..=levels {
@@ -584,12 +707,12 @@ mod tests {
 
             let data = [round as u8; 64];
             let _ = dp.state_mut().apply_op(head, new, Some(&data));
-            dp.publish([]);
+            dp.publish();
             let written = dp.trace().counter(Counter::DramBlocksWritten);
             let before = computed(&dp);
             let stop = rng.next_below(4) as u32;
             let nodes = refill(&mut dp, old, stop);
-            dp.publish([]);
+            dp.publish();
             let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
             assert_eq!(computed(&dp) - before, 5 * to_dram, "round {round}: refill");
             let window = DirectMapped::new();
@@ -619,11 +742,11 @@ mod tests {
         for round in 0..200 {
             let leaf = rng.next_below(1 << levels);
             read(&mut dp, leaf);
-            dp.publish([]);
+            dp.publish();
             let written = dp.trace().counter(Counter::DramBlocksWritten);
             let (calls, lanes) = keystream(&dp);
             let nodes = refill(&mut dp, leaf, 0);
-            dp.publish([]);
+            dp.publish();
             let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
             let (calls_after, lanes_after) = keystream(&dp);
             let sealed = (calls_after - calls, lanes_after - lanes);

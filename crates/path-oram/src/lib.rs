@@ -27,11 +27,12 @@
 //!   RNG) with the block handling between the phases (`chain_step`,
 //!   `apply_op`).
 //! * [`Datapath`] — the one datapath under every controller: owns the
-//!   state, the DRAM system, the [`WritebackEngine`] and the trace spine,
-//!   and exposes the two phases of an access — `read_path` from a floor
-//!   down, and the refill stream `begin_refill` + `refill_level` +
-//!   `end_refill`: leaf to root for as many levels as the controller
-//!   decides, its end sealing what it sent to DRAM.
+//!   state, the on-chip bucket cache, the DRAM layout and system, and the
+//!   engine's tally (the one the controller's stages and request ledger
+//!   count into), and exposes the two phases of an access — `read_path`
+//!   from a floor down, and the refill stream `begin_refill` +
+//!   `refill_level` + `end_refill`: leaf to root for as many levels as the
+//!   controller decides, its end sealing what it sent to DRAM.
 //! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]), the
 //!   closed-loop feedback ([`ReactiveSource`], [`NoFeedback`]) and the
 //!   request ledger ([`CompletionLog`]) shared by every engine.
@@ -61,14 +62,12 @@ mod stash;
 mod state;
 mod stats;
 mod tree;
-mod writeback;
 
 pub use config::{CipherMode, OramConfig};
 pub use datapath::Datapath;
 pub use posmap::PosMapHierarchy;
 pub use reactive::{Completion, CompletionLog, NewRequest, NoFeedback, Op, ReactiveSource};
 pub use stash::{Block, Stash};
-pub use state::{AccessOutcome, OramState};
+pub use state::OramState;
 pub use stats::{AccessTimes, OramStats};
 pub use tree::{IntegrityError, TreeStore};
-pub use writeback::WritebackEngine;

@@ -9,7 +9,7 @@
 //! baseline, Fork Path and the insecure reference share one vocabulary,
 //! and one request ledger ([`CompletionLog`]).
 
-use fp_trace::{EventKind, Tally, TraceHandle};
+use fp_trace::{EventKind, Tally};
 
 /// LLC request direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,15 +107,14 @@ impl ReactiveSource for NoFeedback {
 /// the id and records `RequestSubmitted`; [`push`] records
 /// `RequestCompleted` and the latency sample, then holds the record for
 /// the driver's [`ReactiveSource`] (whose follow-up requests may complete
-/// at once and join the log behind the cursor) until it is drained.
+/// at once and join the log behind the cursor) until it is drained. Its
+/// events count in the engine's tally, which each call is handed; its
+/// latency samples go to the tally's spine directly.
 ///
 /// [`open`]: CompletionLog::open
 /// [`push`]: CompletionLog::push
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CompletionLog {
-    /// The ledger's events, counted for the engine's spine; its latency
-    /// samples go to the spine directly.
-    tally: Tally,
     /// Id of the next request opened; ids count from 0 in submission
     /// order.
     next_id: u64,
@@ -125,44 +124,26 @@ pub struct CompletionLog {
 }
 
 impl CompletionLog {
-    /// An empty ledger reporting into `trace`.
-    pub fn new(trace: TraceHandle) -> Self {
-        Self {
-            tally: Tally::new(trace),
-            next_id: 0,
-            records: Vec::new(),
-            fed: 0,
-        }
-    }
-
     /// Numbers a request arriving at `arrival_ps` and records its
-    /// `RequestSubmitted` event; returns the id.
-    pub fn open(&mut self, arrival_ps: u64) -> u64 {
+    /// `RequestSubmitted` event in `tally`; returns the id.
+    pub fn open(&mut self, arrival_ps: u64, tally: &mut Tally) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.tally
-            .record(arrival_ps, EventKind::RequestSubmitted { id });
+        tally.record(arrival_ps, EventKind::RequestSubmitted { id });
         id
     }
 
     /// Closes a request: records its `RequestCompleted` event at
-    /// `done_ps` and the latency sample `done_ps - arrival_ps`, then
-    /// appends the record. A cancelled write comes through here too,
+    /// `done_ps` in `tally` and the latency sample `done_ps - arrival_ps`,
+    /// then appends the record. A cancelled write comes through here too,
     /// with `done_ps == arrival_ps`.
-    pub fn push(&mut self, completion: Completion) {
+    pub fn push(&mut self, completion: Completion, tally: &mut Tally) {
         let (id, done_ps) = (completion.id, completion.done_ps);
-        self.tally
-            .record(done_ps, EventKind::RequestCompleted { id });
-        self.tally
+        tally.record(done_ps, EventKind::RequestCompleted { id });
+        tally
             .handle()
             .record_latency(done_ps.saturating_sub(completion.arrival_ps));
         self.records.push(completion);
-    }
-
-    /// The ledger's counts, for the engine that owns it to publish
-    /// ([`Tally::publish_all`]) at the end of each of its calls.
-    pub fn tally_mut(&mut self) -> &mut Tally {
-        &mut self.tally
     }
 
     /// The oldest record not yet fed to the reactive source, marking it

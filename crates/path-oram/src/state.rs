@@ -21,16 +21,6 @@ use crate::tree::TreeStore;
 /// Marker in a posmap payload for a never-assigned label.
 const INVALID_LABEL: u32 = u32::MAX;
 
-/// Whether a block access found an existing block or materialized a fresh
-/// one (lazy initialization of untouched memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
-    /// The block existed (in the stash after the path read).
-    Found,
-    /// First touch: the block was created inside the trusted boundary.
-    Created,
-}
-
 /// The trusted contents of the ORAM controller plus the untrusted tree.
 #[derive(Debug)]
 pub struct OramState {
@@ -104,23 +94,15 @@ impl OramState {
     /// Starts an access chain for data block `addr`: looks up (and remaps)
     /// the label of the chain's first element in the on-chip map.
     ///
-    /// Returns `(old_label, new_label, outcome)`. When the entry was never
+    /// Returns `(old_label, new_label)`. When the entry was never
     /// assigned, `old_label` is a fresh random path — the access must still
     /// happen for obliviousness.
-    pub fn start_chain(&mut self, addr: u64) -> (u64, u64, AccessOutcome) {
+    pub fn start_chain(&mut self, addr: u64) -> (u64, u64) {
         let idx = self.hierarchy.onchip_index(addr);
         let new = self.random_label();
-        match self.onchip.get(idx) {
-            Some(old) => {
-                self.onchip.set(idx, new);
-                (old, new, AccessOutcome::Found)
-            }
-            None => {
-                self.onchip.set(idx, new);
-                let old = self.random_label();
-                (old, new, AccessOutcome::Created)
-            }
-        }
+        let old = self.onchip.get(idx);
+        self.onchip.set(idx, new);
+        (old.unwrap_or_else(|| self.random_label()), new)
     }
 
     /// The top-down chain of unified addresses for data block `addr`.
@@ -133,7 +115,8 @@ impl OramState {
     /// reads the child's current label from its payload and replaces it with
     /// a freshly drawn one.
     ///
-    /// Returns `(child_old_label, child_new_label, outcome_of_child_entry)`.
+    /// Returns `(child_old_label, child_new_label)`; a child entry never
+    /// assigned has a fresh random path as its old label.
     ///
     /// Drawing the child's new label *now*, while the parent is still in the
     /// stash, is what makes recursion sound: the parent's payload is final
@@ -143,18 +126,17 @@ impl OramState {
         parent_addr: u64,
         parent_new_leaf: u64,
         child_addr: u64,
-    ) -> (u64, u64, AccessOutcome) {
+    ) -> (u64, u64) {
         let slot = self.hierarchy.entry_slot(child_addr);
         let child_new = self.random_label();
-        let (parent, _) = self.fetch_block(parent_addr, parent_new_leaf);
+        let parent = self.fetch_block(parent_addr, parent_new_leaf);
         let offset = (slot * 4) as usize;
         let raw = u32::from_le_bytes(parent.data[offset..offset + 4].try_into().unwrap());
         parent.data[offset..offset + 4].copy_from_slice(&(child_new as u32).to_le_bytes());
         if raw == INVALID_LABEL {
-            let child_old = self.random_label();
-            (child_old, child_new, AccessOutcome::Created)
+            (self.random_label(), child_new)
         } else {
-            (raw as u64, child_new, AccessOutcome::Found)
+            (raw as u64, child_new)
         }
     }
 
@@ -163,21 +145,16 @@ impl OramState {
     ///
     /// For writes, `write_data` replaces the payload (padded/truncated to
     /// the block size). Returns the payload as read (pre-write).
-    pub fn apply_op(
-        &mut self,
-        addr: u64,
-        new_leaf: u64,
-        write_data: Option<&[u8]>,
-    ) -> (Vec<u8>, AccessOutcome) {
+    pub fn apply_op(&mut self, addr: u64, new_leaf: u64, write_data: Option<&[u8]>) -> Vec<u8> {
         let block_bytes = self.cfg.block_bytes;
-        let (block, outcome) = self.fetch_block(addr, new_leaf);
+        let block = self.fetch_block(addr, new_leaf);
         let read = block.data.clone();
         if let Some(data) = write_data {
             let mut payload = data.to_vec();
             payload.resize(block_bytes, 0);
             block.data = payload;
         }
-        (read, outcome)
+        read
     }
 
     /// Whether `addr` currently sits in the stash (the paper's Step 1
@@ -187,10 +164,8 @@ impl OramState {
     }
 
     /// Takes `addr` from the stash or materializes it (first touch).
-    fn fetch_block(&mut self, addr: u64, new_leaf: u64) -> (&mut Block, AccessOutcome) {
-        let outcome = if self.stash.contains(addr) {
-            AccessOutcome::Found
-        } else {
+    fn fetch_block(&mut self, addr: u64, new_leaf: u64) -> &mut Block {
+        if !self.stash.contains(addr) {
             // Posmap blocks start with all entries invalid, data blocks zero.
             let byte = if self.hierarchy.level_of(addr) > 0 {
                 0xFF
@@ -200,11 +175,10 @@ impl OramState {
             let len = self.cfg.block_bytes;
             self.stash
                 .insert_with(addr, new_leaf, |data| data.resize(len, byte));
-            AccessOutcome::Created
-        };
+        }
         let block = self.stash.get_mut(addr).expect("just ensured present");
         block.leaf = new_leaf;
-        (block, outcome)
+        block
     }
 
     /// Verifies the Path ORAM invariants over the whole state. Intended for
@@ -254,9 +228,9 @@ mod tests {
         let mut state = OramState::new(OramConfig::small_test(), 7, TraceHandle::default());
         // First touch of data block 3: the on-chip map assigns its label and
         // the block materializes inside the trusted boundary.
-        let (_old_leaf, new_leaf, _) = state.start_chain(3);
-        let (before, outcome) = state.apply_op(3, new_leaf, Some(&[9]));
-        assert_eq!(outcome, AccessOutcome::Created);
+        let (_old_leaf, new_leaf) = state.start_chain(3);
+        assert!(!state.stash_hit(3));
+        let before = state.apply_op(3, new_leaf, Some(&[9]));
         assert!(before.iter().all(|&b| b == 0));
         assert!(state.stash_hit(3));
         state.check_invariants().unwrap();
@@ -265,9 +239,8 @@ mod tests {
     #[test]
     fn onchip_remap_changes_label() {
         let mut s = state();
-        let (_, new1, _) = s.start_chain(0);
-        let (old2, _, outcome) = s.start_chain(0);
-        assert_eq!(outcome, AccessOutcome::Found);
+        let (_, new1) = s.start_chain(0);
+        let (old2, _) = s.start_chain(0);
         assert_eq!(old2, new1);
     }
 

@@ -246,8 +246,8 @@ mod tests {
         use fp_trace::Counter;
         let cfg = SystemConfig::fast_test();
         let (r, t) = run_workload_traced(&cfg, Scheme::ForkDefault, wl(40), 256);
-        // Two layers, two counters: every burst the writeback engine
-        // issued is one the DRAM channels serviced.
+        // Two layers, two counters: every burst the datapath issued is
+        // one the DRAM channels serviced.
         assert_eq!(t.counter(Counter::DramBlocksRead), r.dram_blocks_read);
         assert_eq!(t.counter(Counter::DramBlocksWritten), r.dram_blocks_written);
         assert_eq!(t.len(), 256, "ring kept the most recent events");

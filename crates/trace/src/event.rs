@@ -73,9 +73,11 @@ counters! {
     CacheHits => "cache_hits",
     /// Bucket reads that had to go to DRAM.
     CacheMisses => "cache_misses",
-    /// Blocks fetched from DRAM by the writeback engine.
+    /// Blocks fetched from DRAM: the datapath's read batches, or the
+    /// insecure engine's reads.
     DramBlocksRead => "dram_blocks_read",
-    /// Blocks stored to DRAM by the writeback engine.
+    /// Blocks stored to DRAM: the datapath's bucket writes, or the
+    /// insecure engine's writes.
     DramBlocksWritten => "dram_blocks_written",
     /// Buckets written back (cached or written through).
     BucketsWritten => "buckets_written",

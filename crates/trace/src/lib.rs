@@ -1,8 +1,8 @@
 //! # fp-trace
 //!
 //! The unified observability spine of the Fork Path ORAM reproduction.
-//! Every simulation crate (DRAM channel model, stash, the four controller
-//! pipeline stages) reports into one [`TraceHandle`]:
+//! Every simulation crate (DRAM channel model, stash, the controllers and
+//! their pipeline stages) reports into one [`TraceHandle`]:
 //!
 //! * **Monotonic counters** ([`Counter`]) — always on and exact: atomics
 //!   for shared writers; engine components count in a [`Tally`],
@@ -19,7 +19,9 @@
 //! and `repro trace` emit one consistent schema for the paper's figures.
 //!
 //! The handle is a cheap-to-clone shared reference: an engine creates one
-//! spine and gives each component a [`Tally`] over it. It is `Send +
+//! spine and counts in a [`Tally`] over it, which its pipeline stages and
+//! request ledger count into too; its stash and DRAM system keep a tally
+//! each over the same spine. It is `Send +
 //! Sync`; counters are `Relaxed` atomics, and the event ring and
 //! histograms sit behind one poison-tolerant mutex ([`sync::relock`])
 //! that is taken when an event is retained, a sample is added, or the

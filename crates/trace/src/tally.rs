@@ -11,10 +11,11 @@ const _: () = assert!(Counter::COUNT <= 64);
 /// [`Tally::publish`].
 ///
 /// Counting is a plain add, not an atomic read-modify-write: one engine
-/// runs on one thread, so its stash, DRAM system, write-back engine and
-/// pipeline stages each count in a tally of their own, and the engine
-/// publishes all of them ([`Tally::publish_all`]) before each of its calls
-/// returns. A reader of the spine then sees whole engine calls.
+/// runs on one thread. The engine counts in a tally of its own, which its
+/// pipeline stages and its request ledger are handed to count into; its
+/// stash and its DRAM system, which also run on their own, keep one each.
+/// The engine publishes them together ([`Tally::publish_all`]) before each
+/// of its calls returns, so a reader of the spine sees whole engine calls.
 ///
 /// Events keep their order and their ring: at ring capacity 0 (the
 /// default) an event's count stays local until the next publish; at

@@ -6,8 +6,9 @@
 # fp-core's unit tests and the `repro --fast` recording again in the
 # release build the benchmark measures, plus one run of each example (step
 # five), the sealed data path's two crates again for the portable x86-64
-# target, rustdoc, and the benchmark package's own check; then it prints
-# the non-test line counts (`scripts/loc.sh`). Every assertion
+# target, rustdoc, and the benchmark package's own check; then it checks
+# the line counter against its fixture and prints the non-test line
+# counts (`scripts/loc.sh`). Every assertion
 # about library behaviour is a named test under steps four and five, or an
 # `assert!` in an example that step five runs; a binary's output is
 # compared only by the named test that holds the `repro` recording. The
@@ -80,6 +81,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q --workspace
 bash benchmark/run.sh --check
 
 # Non-test lines per crate and their total, the size every simplicity
-# change reports: printed only, no threshold.
+# change reports: printed only, no threshold. The counter is checked
+# first against a fixture crate of known counts (a `#[cfg(test)] mod`
+# declaration ahead of code, the test-only file it declares, code after a
+# `#[cfg(test)] impl`, braces inside literals).
+diff scripts/loc_fixture/expected.txt <(bash scripts/loc.sh scripts/loc_fixture)
 bash scripts/loc.sh
 echo "tier1 OK"

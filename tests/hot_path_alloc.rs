@@ -26,7 +26,7 @@ use fork_path_oram::dram::{AccessKind, DramConfig, DramSystem};
 use fork_path_oram::path_oram::cache::{BucketCache, NoCache};
 use fork_path_oram::path_oram::path::{leaf_node, path_nodes};
 use fork_path_oram::path_oram::{
-    Block, CipherMode, Datapath, NewRequest, Op, OramConfig, Stash, TreeStore, WritebackEngine,
+    Block, CipherMode, Datapath, NewRequest, Op, OramConfig, Stash, TreeStore,
 };
 use fork_path_oram::trace::{Counter, EventKind, Tally, TraceHandle};
 
@@ -197,42 +197,9 @@ fn per_access_kernels_keep_their_allocation_contract() {
         assert_eq!(n, 0, "DramSystem::access_spans, {shape}");
     }
 
-    // Writeback without a cache: every call issues exactly one DRAM batch.
-    let path: Vec<u64> = (0..=levels).map(|l| (1u64 << l) + 1).collect();
-    let mut wb =
-        WritebackEngine::with_cache(Box::new(NoCache), &oram, &dram_cfg, TraceHandle::default());
-    now = wb.read_path(&mut dram, &path, now);
-    let n = allocations(|| {
-        for _ in 0..CALLS {
-            now = wb.read_path(&mut dram, &path, now);
-        }
-    });
-    assert_eq!(n, 0, "WritebackEngine::read_path, one batch per call");
-    let n = allocations(|| {
-        for i in 0..CALLS {
-            now = wb.write_bucket(&mut dram, path[(i % 10) as usize], now);
-        }
-    });
-    assert_eq!(n, 0, "WritebackEngine::write_bucket, one batch per call");
-
-    // Writeback behind the MAC: buckets the cache absorbs issue no batch.
-    // 64 sets x 4 ways hold levels 2..=7 whole, one slot per bucket.
-    let absorbed: Vec<u64> = (2..=7).map(|l| (1u64 << l) + 1).collect();
-    let mac: Box<dyn BucketCache + Send> =
-        Box::new(MergingAwareCache::new_for_tree(64, 4, 2, levels));
-    let mut wb = WritebackEngine::with_cache(mac, &oram, &dram_cfg, TraceHandle::default());
-    let n = allocations(|| {
-        for _ in 0..CALLS {
-            for &node in &absorbed {
-                assert_eq!(wb.write_bucket(&mut dram, node, now), now);
-            }
-            assert_eq!(wb.read_path(&mut dram, &absorbed, now), now);
-        }
-    });
-    assert_eq!(
-        n, 0,
-        "cache-absorbed buckets reach neither DRAM nor the heap"
-    );
+    // The datapath's read batch and refill writes, with no cache (one DRAM
+    // batch per call) and behind a cache that absorbs buckets (none): held
+    // warm, blocks and all, by `a_warm_path_read_and_refill_allocate_nothing`.
 
     // Eviction stream on a bare stash, near-empty and at the occupancy the
     // wire workloads run at: once the candidate buffer is sized, starting
@@ -409,7 +376,7 @@ fn a_warm_path_read_and_refill_allocate_nothing() {
             let pushes = dp.trace().counter(Counter::StashPushes);
             let n = access(&mut dp, 0, &mut now);
             // What an engine does before its call returns.
-            dp.publish([]);
+            dp.publish();
             if cycle > 1 {
                 assert_eq!(n, 0, "{mode:?}: read_path + a full refill, cycle {cycle}");
                 let moved = dp.trace().counter(Counter::StashPushes) - pushes;
@@ -439,7 +406,7 @@ fn a_warm_path_read_and_refill_allocate_nothing() {
             };
             let before = written(&dp);
             let n = access(&mut dp, [0, (1 << levels) - 1][cycle % 2], &mut now);
-            dp.publish([]);
+            dp.publish();
             if cycle > 3 {
                 assert_eq!(n, 0, "{mode:?}: an access that spills, cycle {cycle}");
                 let [buckets, blocks] = written(&dp);

@@ -382,6 +382,35 @@ fn stats_and_shutdown_frames_are_served() {
     });
 }
 
+/// The shutdown drain delivers what it counts: a client with a full
+/// window in flight when `shutdown` begins receives an answer for every
+/// request the report counts as completed. The drain once closed each
+/// socket both ways as soon as the last answer reached its writer's
+/// channel, possibly before the writer had sent it; the run is repeated so
+/// that such a race shows.
+#[test]
+fn a_drain_delivers_every_answer_it_counts() {
+    const ROUNDS: u64 = 200;
+    const WINDOW: u64 = 8;
+    with_watchdog("drain-delivers-every-answer", 120, || {
+        for round in 0..ROUNDS {
+            let server = control_plane_server();
+            let mut client =
+                NetClient::connect(server.local_addr(), WINDOW as usize).expect("client connect");
+            for tag in 0..WINDOW {
+                client.submit(read_request(tag)).expect("submit");
+            }
+            server.shutdown();
+            let mut answered = 0;
+            while let Ok(resp) = client.recv() {
+                answered += u64::from(resp.status == WireStatus::Ok);
+            }
+            let report = server.join().expect("server join");
+            assert_eq!(answered, report.stats.completed(), "round {round}");
+        }
+    });
+}
+
 // ---------- hostile peers ---------------------------------------------
 
 /// A raw socket past the handshake: sends `Hello`, takes the `HelloAck`.

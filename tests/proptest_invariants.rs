@@ -429,14 +429,14 @@ fn state_invariants_hold_under_random_access_mix() {
             let mut t = 0;
             for &addr in &addrs {
                 let chain = dp.state().chain(addr);
-                let (mut old, mut new, _) = dp.state_mut().start_chain(addr);
+                let (mut old, mut new) = dp.state_mut().start_chain(addr);
                 for (i, &u) in chain.iter().enumerate() {
                     t = dp
                         .read_path(old, 0, t)
                         .expect("integrity holds on an untampered tree");
                     let leaf = old;
                     if i + 1 < chain.len() {
-                        (old, new, _) = dp.state_mut().chain_step(u, new, chain[i + 1]);
+                        (old, new) = dp.state_mut().chain_step(u, new, chain[i + 1]);
                     } else {
                         let _ = dp.state_mut().apply_op(u, new, Some(&[addr as u8]));
                     }
@@ -531,17 +531,21 @@ fn label_queue_sizes_never_break_ram_semantics() {
 #[test]
 fn fork_floor_stays_inside_the_path() {
     use fork_path_oram::core::PathMerger;
-    use fork_path_oram::trace::TraceHandle;
+    use fork_path_oram::trace::Tally;
     run_cases("fork_floor_stays_inside_the_path", CASES, |g: &mut Gen| {
         let levels = g.range_u32(1, 12);
         let leaves = 1u64 << levels;
         let a = g.below(leaves);
         // Exercise the identical-label corner explicitly in some cases.
         let b = if g.bool() { a } else { g.below(leaves) };
-        let mut m = PathMerger::new(true, TraceHandle::default());
-        assert_eq!(m.read_floor(levels, a), 0, "first access reads fully");
+        let (mut m, mut tally) = (PathMerger::new(true), Tally::default());
+        assert_eq!(
+            m.read_floor(levels, a, &mut tally),
+            0,
+            "first access reads fully"
+        );
         m.commit(a);
-        let floor = m.read_floor(levels, b);
+        let floor = m.read_floor(levels, b, &mut tally);
         assert!(
             floor <= levels,
             "fork floor {floor} escapes the tree (levels={levels})"
@@ -561,13 +565,10 @@ fn fork_floor_stays_inside_the_path() {
         // The refill stop — initial or after a mid-refill replacement —
         // obeys the same clamp, and is the root when the next read will
         // not merge.
-        let mut m2 = PathMerger::new(true, TraceHandle::default());
+        let mut m2 = PathMerger::new(true);
         m2.commit(a);
         assert!(m2.write_stop(levels, a, Some(b)) <= levels);
-        assert_eq!(
-            PathMerger::new(false, TraceHandle::default()).write_stop(levels, a, Some(b)),
-            0
-        );
+        assert_eq!(PathMerger::new(false).write_stop(levels, a, Some(b)), 0);
     });
 }
 

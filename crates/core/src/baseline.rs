@@ -82,8 +82,8 @@ impl BaselineController {
         }
     }
 
-    /// Numbers and queues one request: [`OramEngine::submit`] without the
-    /// publish.
+    /// Numbers and queues one request: [`OramEngine::submit`] without
+    /// ending the call.
     fn enqueue(&mut self, req: NewRequest) -> u64 {
         let id = self.completions.open(req.arrival_ps, self.path.tally_mut());
         self.queue.push_back(LlcRequest::new(id, req));
@@ -91,7 +91,7 @@ impl BaselineController {
     }
 
     /// Processes the next queued request; see [`OramEngine::process_one`],
-    /// which publishes after it.
+    /// which ends the call after it.
     fn next_request(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
         self.flush_feedback(source);
         let Some(req) = self.queue.pop_front() else {
@@ -215,7 +215,7 @@ impl BaselineController {
 impl OramEngine for BaselineController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         let id = self.enqueue(req);
-        self.path.publish();
+        self.path.end_call(false);
         Ok(id)
     }
 
@@ -231,7 +231,7 @@ impl OramEngine for BaselineController {
     /// injected fault; nothing detects tampering, DESIGN.md §2 item 6).
     fn process_one(&mut self, source: &mut dyn ReactiveSource) -> Result<bool, ControllerError> {
         let did = self.next_request(source);
-        self.path.publish();
+        self.path.end_call(!matches!(did, Ok(true)));
         did
     }
 
@@ -249,7 +249,7 @@ impl OramEngine for BaselineController {
     }
 
     fn stats(&self) -> OramStats {
-        OramStats::view(self.path.trace(), self.times)
+        OramStats::view(&self.path.counters(), self.path.trace(), self.times)
     }
 
     fn trace(&self) -> &TraceHandle {

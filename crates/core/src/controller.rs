@@ -158,8 +158,8 @@ impl ForkPathController {
         id
     }
 
-    /// Enqueues one request and pumps: [`OramEngine::submit`] without the
-    /// publish, for feedback submitted inside an engine call.
+    /// Enqueues one request and pumps: [`OramEngine::submit`] without
+    /// ending the call, for feedback submitted inside an engine call.
     fn admit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         let id = self.enqueue_request(req);
         self.pump()?;
@@ -206,11 +206,11 @@ impl ForkPathController {
         not_before_ps: u64,
     ) -> Result<bool, ControllerError> {
         let did = self.next_access_at(source, not_before_ps);
-        self.path.publish();
+        self.path.end_call(!matches!(did, Ok(true)));
         did
     }
 
-    /// [`ForkPathController::process_one_at`] without the publish.
+    /// [`ForkPathController::process_one_at`] without ending the call.
     fn next_access_at<S: ReactiveSource + ?Sized>(
         &mut self,
         source: &mut S,
@@ -397,7 +397,7 @@ impl ForkPathController {
 impl OramEngine for ForkPathController {
     fn submit(&mut self, req: NewRequest) -> Result<u64, ControllerError> {
         let id = self.admit(req);
-        self.path.publish();
+        self.path.end_call(id.is_err());
         id
     }
 
@@ -408,7 +408,7 @@ impl OramEngine for ForkPathController {
     fn submit_batch(&mut self, batch: Vec<NewRequest>) -> Result<Vec<u64>, ControllerError> {
         let ids = batch.into_iter().map(|r| self.enqueue_request(r)).collect();
         let pumped = self.pump();
-        self.path.publish();
+        self.path.end_call(pumped.is_err());
         pumped.map(|()| ids)
     }
 
@@ -442,11 +442,12 @@ impl OramEngine for ForkPathController {
     }
 
     fn stats(&self) -> OramStats {
-        OramStats::view(self.path.trace(), self.times)
+        OramStats::view(&self.path.counters(), self.path.trace(), self.times)
     }
 
     /// The shared trace spine every pipeline stage, the stash, and the
-    /// DRAM system count for, published at the end of each engine call.
+    /// DRAM system count for, published at the end of an engine call
+    /// ([`fp_path_oram::Datapath::end_call`]).
     fn trace(&self) -> &TraceHandle {
         self.path.trace()
     }
@@ -462,5 +463,104 @@ impl OramEngine for ForkPathController {
 
     fn stash_high_water(&self) -> usize {
         self.state().stash().high_water()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{fork_with_mac, Scheme};
+    use fp_dram::DramConfig;
+    use fp_path_oram::NoFeedback;
+
+    /// Accesses each test makes after its one batch submit: with that call,
+    /// not a multiple of 64, so the last calls are not on the spine yet.
+    const ACCESSES: u64 = 100;
+
+    /// A `fork+mac` engine with a batch of reads submitted (one call).
+    fn busy_fork_mac() -> ForkPathController {
+        let Scheme::Fork(fork) = fork_with_mac(256 << 10) else {
+            unreachable!("fork_with_mac builds a fork scheme");
+        };
+        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
+        let mut ctl = ForkPathController::new(OramConfig::small_test(), fork, dram, 5);
+        let batch = (0..64).map(|a| NewRequest::read(a * 7, 0)).collect();
+        ctl.submit_batch(batch).unwrap();
+        ctl
+    }
+
+    /// One access that must find work.
+    fn access(ctl: &mut ForkPathController, i: u64) {
+        assert!(ctl.process_one(&mut NoFeedback).unwrap(), "access {i}");
+    }
+
+    /// Same-thread reads stay exact between publishes: `stats()` counts
+    /// every access as it ends, while the spine trails the busy engine by
+    /// the calls since the last publish, and the idle call makes them
+    /// agree.
+    #[test]
+    fn stats_stay_exact_between_publishes() {
+        let path_len = u64::from(OramConfig::small_test().levels) + 1;
+        let mut ctl = busy_fork_mac();
+        let mut written = 0;
+        for i in 0..ACCESSES {
+            let before = ctl.stats();
+            access(&mut ctl, i);
+            let after = ctl.stats();
+            assert_eq!(after.oram_accesses, before.oram_accesses + 1, "{i}");
+            let wrote = after.buckets_written - before.buckets_written;
+            assert!((1..=path_len).contains(&wrote), "access {i} wrote {wrote}");
+            written += wrote;
+        }
+        let exact = ctl.stats();
+        assert_eq!(exact.oram_accesses, ACCESSES);
+        assert_eq!(exact.buckets_written, written);
+        assert_eq!(
+            ctl.path.counters()[Counter::BucketsWritten as usize],
+            written
+        );
+
+        // The submit and 63 accesses end call 64, the last publish.
+        let spine = ctl.trace().counters();
+        let c = |c: Counter| spine[c as usize];
+        assert_eq!(c(Counter::FullReads) + c(Counter::MergedReads), 63);
+        assert!(c(Counter::BucketsWritten) < written);
+
+        while ctl.process_one(&mut NoFeedback).unwrap() {}
+        assert_eq!(ctl.trace().counters(), ctl.path.counters());
+        let idle = ctl.stats();
+        let times = AccessTimes {
+            access_busy_ps: idle.access_busy_ps,
+            finish_time_ps: idle.finish_time_ps,
+        };
+        let spine = ctl.trace().counters();
+        assert_eq!(OramStats::view(&spine, ctl.trace(), times), idle);
+    }
+
+    /// The stated loss rule: an engine dropped between publishes loses
+    /// the counts of the calls since its last publish, and only those —
+    /// the spine keeps the cut of whole calls that publish made.
+    #[test]
+    fn a_dropped_engine_loses_the_calls_since_its_last_publish() {
+        let mut ctl = busy_fork_mac();
+        let mut at_publish = None;
+        for i in 0..ACCESSES {
+            access(&mut ctl, i);
+            if i == 62 {
+                // Call 64 published: the spine is exact.
+                assert_eq!(ctl.trace().counters(), ctl.path.counters());
+                at_publish = Some(ctl.path.counters());
+            }
+        }
+        let exact = ctl.path.counters();
+        let trace = ctl.trace().clone();
+        drop(ctl);
+        let kept = trace.counters();
+        assert_eq!(Some(kept), at_publish, "whole calls up to the publish");
+        let lost = |c: Counter| exact[c as usize] - kept[c as usize];
+        assert_eq!(
+            lost(Counter::FullReads) + lost(Counter::MergedReads),
+            ACCESSES - 63
+        );
     }
 }

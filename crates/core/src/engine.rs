@@ -50,11 +50,17 @@ use crate::error::ControllerError;
 /// [`OramEngine::submit_batch`]); [`OramEngine::process_one`] executes one
 /// access end to end, routing completions through the caller's
 /// [`ReactiveSource`] so follow-up requests can join in simulated time;
-/// [`OramEngine::drain_completions`] collects what has been fed back. Each
-/// `&mut self` method publishes the engine's counts to its trace spine
-/// before it returns, so a reader on another thread sees whole calls. The
-/// trait is object-safe — drivers hold a `Box<dyn OramEngine + Send>` when
-/// the scheme is chosen at run time.
+/// [`OramEngine::drain_completions`] collects what has been fed back. The
+/// engine publishes its counts to its trace spine at the end of a call:
+/// every 64th call while it is busy (the insecure engine: every call),
+/// every call that leaves it idle (`process_one` returning `Ok(false)` or
+/// an error), and every `drain_completions` and `set_trace_capacity`. So a
+/// reader on another thread sees whole calls, at most 63 behind a busy
+/// engine and exact once it is idle; [`OramEngine::stats`] is exact on the
+/// engine's own thread at any time. An engine dropped between publishes
+/// loses the calls since the last one. The trait is object-safe — drivers
+/// hold a `Box<dyn OramEngine + Send>` when the scheme is chosen at run
+/// time.
 pub trait OramEngine {
     /// Enqueues one request; returns its engine-assigned id.
     ///
@@ -90,11 +96,13 @@ pub trait OramEngine {
     /// Current engine clock, picoseconds.
     fn clock_ps(&self) -> u64;
 
-    /// Aggregate statistics so far — a by-value view assembled from the
-    /// trace spine's counters (see [`OramStats::view`]).
+    /// Aggregate statistics so far, exact at any time — a by-value view
+    /// assembled from the trace spine's counters plus what the engine has
+    /// not published yet (see [`OramStats::view`]).
     fn stats(&self) -> OramStats;
 
-    /// The engine's trace spine (counters, histograms, event ring).
+    /// The engine's trace spine (counters, histograms, event ring). Its
+    /// counters are as of the engine's last publish.
     fn trace(&self) -> &TraceHandle;
 
     /// Sizes the trace event ring (0 = counters only). The ring keeps the
@@ -387,7 +395,7 @@ impl OramEngine for InsecureEngine {
     fn stats(&self) -> OramStats {
         // One "bucket" in and out per access, so the shared avg-path-length
         // metric reads 1.0 for plain DRAM.
-        let view = OramStats::view(self.tally.handle(), self.times);
+        let view = OramStats::view(&self.tally.counters(), self.tally.handle(), self.times);
         OramStats {
             buckets_read: view.oram_accesses,
             buckets_written: view.oram_accesses,

@@ -17,10 +17,16 @@
 //! fetches. One further level folds into the leftover sets by
 //! `y mod region`, with LRU replacement inside each set.
 //!
-//! Storage is a single flat slab of `num_sets * ways` lines; a set is a
-//! fixed-size way slice into it. Lookup and insert touch exactly one such
-//! slice (≤ `ways` entries, typically 4) — no per-set heap allocation, no
-//! unbounded scans on the per-access hot path.
+//! A fully resident bucket owns a slot of its own, so its set never fills
+//! and never picks a victim: the only thing a lookup there asks is whether
+//! the bucket has been written yet. The whole levels are therefore a
+//! presence bitset, one bit per slot, with no tag, state or use tick. Sets
+//! of lines exist only for the folded level: a flat slab of
+//! `partial_sets * ways` lines (the sets from `partial_base` on), a set a
+//! fixed-size way slice into it. A folded lookup or insert touches exactly
+//! one such slice (≤ `ways` entries, typically 4), and only those calls
+//! advance the LRU tick — no per-set heap allocation, no unbounded scans
+//! on the per-access hot path.
 //!
 //! The cacheable window is clamped to the tree's leaf level when the tree
 //! depth is known (`*_for_tree` constructors): a large cache on a shallow
@@ -28,7 +34,7 @@
 //! over-reports coverage and phantom-level buckets would absorb writes.
 
 use fp_path_oram::cache::{BucketCache, WriteOutcome};
-use fp_path_oram::path::{index_in_level, node_level};
+use fp_path_oram::path::node_level;
 
 /// State of a cached bucket line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +47,8 @@ enum LineState {
     Placeholder,
 }
 
-/// One cached bucket line. `node == 0` marks an empty way (real node ids
-/// are 1-based heap indices).
+/// One cached bucket line of the folded level. `node == 0` marks an empty
+/// way (real node ids are 1-based heap indices).
 #[derive(Debug, Clone, Copy)]
 struct Line {
     node: u64,
@@ -55,6 +61,17 @@ const EMPTY: Line = Line {
     last_use: 0,
     state: LineState::Placeholder,
 };
+
+/// Where a bucket lives in the cache.
+#[derive(Debug)]
+enum Place {
+    /// Outside the window `m1..=deepest_level`: written through.
+    Bypass,
+    /// A fully resident level: the bucket's own presence bit.
+    Whole(usize),
+    /// The folded level: the set (counted from `partial_base`) it shares.
+    Folded(usize),
+}
 
 /// The paper's merging-aware, set-associative bucket cache.
 ///
@@ -72,16 +89,21 @@ const EMPTY: Line = Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MergingAwareCache {
-    /// Flat slab: set `s` occupies `lines[s * ways..(s + 1) * ways]`.
+    /// Whole-level presence: slot `s` is bit `s % 64` of word `s / 64`.
+    present: Vec<u64>,
+    /// Folded-level slab: set `s` occupies `lines[s * ways..(s + 1) * ways]`.
     lines: Vec<Line>,
     ways: usize,
-    m1: u32,
-    /// Number of fully resident levels starting at `m1` (may be zero).
-    full_levels: u32,
+    /// First node of level `m1`. The node ids of the whole levels run on
+    /// from it in slot order, so bucket `first + s` owns slot `s`.
+    first: u64,
+    /// First node of the folded level `m2 + 1`.
+    folded: u64,
+    /// One past the last cacheable node.
+    end: u64,
     /// Sets available to the folded partial level `m2 + 1` (0 = none).
     partial_sets: u64,
-    /// First set of the partial region.
-    partial_base: u64,
+    /// LRU clock of the folded level, advanced by its calls only.
     tick: u64,
     resident: usize,
 }
@@ -136,13 +158,21 @@ impl MergingAwareCache {
         } else {
             0
         };
+        // The first node of a level, or u64::MAX for a level no node has.
+        let level_start = |level: u32| 1u64.checked_shl(level).unwrap_or(u64::MAX);
+        let folded = level_start(m1 + full_levels);
         Self {
-            lines: vec![EMPTY; num_sets * ways],
+            present: vec![0; used_slots.div_ceil(64) as usize],
+            lines: vec![EMPTY; partial_sets as usize * ways],
             ways,
-            m1,
-            full_levels,
+            first: level_start(m1),
+            folded,
+            end: if partial_sets > 0 {
+                folded.saturating_mul(2)
+            } else {
+                folded
+            },
             partial_sets,
-            partial_base,
             tick: 0,
             resident: 0,
         }
@@ -183,51 +213,43 @@ impl MergingAwareCache {
     /// Shallowest cached level (`len_overlap + 1`).
     #[cfg(test)]
     pub(crate) fn m1(&self) -> u32 {
-        self.m1
+        node_level(self.first)
     }
 
     /// Deepest fully resident level (`m1 - 1` when the cache is too small
     /// to hold any whole level).
     #[cfg(test)]
     pub(crate) fn m2(&self) -> u32 {
-        // Equals m1 - 1 when full_levels is 0 (guarded by m1 >= 1).
-        self.m1 + self.full_levels - 1
+        node_level(self.folded - 1)
     }
 
     /// Deepest cacheable level (the folded partial level, if it exists).
     pub fn deepest_level(&self) -> u32 {
-        if self.partial_sets > 0 {
-            self.m1 + self.full_levels
-        } else {
-            self.m1 + self.full_levels - 1
-        }
+        node_level(self.end - 1)
     }
 
     /// Whether the cache ever holds bucket `node`: its level is in the
     /// window `m1..=deepest_level`. Every other bucket writes through.
     pub fn cacheable(&self, node: u64) -> bool {
-        let level = node_level(node);
-        (self.m1..=self.deepest_level()).contains(&level)
+        (self.first..self.end).contains(&node)
     }
 
-    /// The set index for a cacheable bucket.
-    fn set_index(&self, node: u64) -> usize {
-        let x = node_level(node);
-        debug_assert!((self.m1..=self.deepest_level()).contains(&x));
-        let y = index_in_level(node);
-        if self.full_levels > 0 && x < self.m1 + self.full_levels {
-            // Fully resident region: one dedicated slot per bucket.
-            let slot = (1u64 << x) - (1u64 << self.m1) + y;
-            (slot / self.ways as u64) as usize
+    /// Where bucket `node` lives: at a whole level its own slot
+    /// `(1 << x) - (1 << m1) + y`, at the folded level the set
+    /// `y mod partial_sets`. Levels are contiguous runs of node ids, so
+    /// both are offsets from a level's first node.
+    fn place(&self, node: u64) -> Place {
+        if !self.cacheable(node) {
+            Place::Bypass
+        } else if node < self.folded {
+            Place::Whole((node - self.first) as usize)
         } else {
-            // Folded partial level.
-            (self.partial_base + (y % self.partial_sets)) as usize
+            Place::Folded(((node - self.folded) % self.partial_sets) as usize)
         }
     }
 
-    /// The fixed-size way slice of the set holding `node`.
-    fn set_lines(&mut self, node: u64) -> &mut [Line] {
-        let set = self.set_index(node);
+    /// The fixed-size way slice of folded set `set`.
+    fn set_lines(&mut self, set: usize) -> &mut [Line] {
         &mut self.lines[set * self.ways..(set + 1) * self.ways]
     }
 }
@@ -235,12 +257,14 @@ impl MergingAwareCache {
 impl BucketCache for MergingAwareCache {
     // Allocation-free once warm: tests/hot_path_alloc.rs.
     fn lookup_for_read(&mut self, node: u64) -> bool {
-        if !self.cacheable(node) {
-            return false;
-        }
+        let set = match self.place(node) {
+            Place::Bypass => return false,
+            Place::Whole(slot) => return self.present[slot / 64] & (1 << (slot % 64)) != 0,
+            Place::Folded(set) => set,
+        };
         self.tick += 1;
         let tick = self.tick;
-        let lines = self.set_lines(node);
+        let lines = self.set_lines(set);
         if let Some(line) = lines.iter_mut().find(|l| l.node == node) {
             // The bucket's blocks are promoted back to the stash (§4); the
             // tag stays as a placeholder so subsequent reads of the
@@ -255,12 +279,21 @@ impl BucketCache for MergingAwareCache {
 
     // Allocation-free once warm: tests/hot_path_alloc.rs.
     fn insert_on_write(&mut self, node: u64) -> WriteOutcome {
-        if !self.cacheable(node) {
-            return WriteOutcome::WriteThrough;
-        }
+        let set = match self.place(node) {
+            Place::Bypass => return WriteOutcome::WriteThrough,
+            Place::Whole(slot) => {
+                // A whole-level bucket never leaves: its first write makes
+                // it resident for good.
+                let (word, bit) = (&mut self.present[slot / 64], 1 << (slot % 64));
+                self.resident += usize::from(*word & bit == 0);
+                *word |= bit;
+                return WriteOutcome::Cached;
+            }
+            Place::Folded(set) => set,
+        };
         self.tick += 1;
         let tick = self.tick;
-        let lines = self.set_lines(node);
+        let lines = self.set_lines(set);
         // One pass over the fixed ways: find the matching line, the first
         // empty way, and the LRU victim (placeholders preferred).
         let mut empty: Option<usize> = None;
@@ -285,21 +318,17 @@ impl BucketCache for MergingAwareCache {
                 victim = i;
             }
         }
-        if let Some(i) = empty {
-            lines[i] = Line {
-                node,
-                last_use: tick,
-                state: LineState::Dirty,
-            };
-            self.resident += 1;
-            return WriteOutcome::Cached;
-        }
-        let old = lines[victim];
-        lines[victim] = Line {
+        let fresh = Line {
             node,
             last_use: tick,
             state: LineState::Dirty,
         };
+        if let Some(i) = empty {
+            lines[i] = fresh;
+            self.resident += 1;
+            return WriteOutcome::Cached;
+        }
+        let old = std::mem::replace(&mut lines[victim], fresh);
         match old.state {
             LineState::Dirty => WriteOutcome::CachedEvicting { victim: old.node },
             LineState::Placeholder => WriteOutcome::Cached,
@@ -431,17 +460,83 @@ mod tests {
     #[test]
     fn distinct_buckets_map_to_distinct_slots_in_resident_levels() {
         let mac = MergingAwareCache::with_capacity_bytes(1 << 20, 256, 4, 7);
-        use std::collections::HashMap;
-        let mut per_set: HashMap<usize, u32> = HashMap::new();
+        let mut slots = Vec::new();
         for level in 7..=12u32 {
             for y in 0..(1u64 << level) {
-                *per_set.entry(mac.set_index(node_at(level, y))).or_insert(0) += 1;
+                match mac.place(node_at(level, y)) {
+                    Place::Whole(slot) => slots.push(slot),
+                    other => panic!("level {level} y {y}: {other:?}"),
+                }
             }
         }
-        assert!(
-            per_set.values().all(|&c| c <= 4),
-            "no set oversubscribed in resident levels"
-        );
+        // One slot per bucket, numbered densely: the bitset holds them all.
+        slots.sort_unstable();
+        assert!(slots.iter().copied().eq(0..slots.len()));
+        assert_eq!(mac.present.len(), slots.len().div_ceil(64));
+    }
+
+    /// The slab holds the folded level's sets only; whole-level reads and
+    /// writes touch no line and do not advance the LRU tick.
+    #[test]
+    fn whole_levels_touch_no_line() {
+        let mut mac = MergingAwareCache::with_capacity_bytes(1 << 20, 256, 4, 7);
+        assert_eq!(mac.lines.len(), mac.partial_sets as usize * mac.ways);
+        assert_eq!(mac.partial_sets, 32);
+        for level in 7..=mac.m2() {
+            for y in 0..(1u64 << level) {
+                assert!(!mac.lookup_for_read(node_at(level, y)));
+                assert_eq!(mac.insert_on_write(node_at(level, y)), WriteOutcome::Cached);
+                assert!(mac.lookup_for_read(node_at(level, y)));
+            }
+        }
+        assert_eq!(mac.resident(), (1 << 13) - (1 << 7));
+        assert_eq!(mac.tick, 0);
+        assert!(mac.lines.iter().all(|l| l.node == 0), "no line filled");
+    }
+
+    /// Whole-level traffic between two folded-level writes does not change
+    /// which line the second write evicts: the LRU order of a folded set
+    /// is the order of the folded level's own calls.
+    #[test]
+    fn whole_level_traffic_leaves_the_folded_victims_alone() {
+        let run = |whole_traffic: bool| {
+            // 1 MiB at m1 = 7: levels 7..=12 whole, level 13 on 32 sets.
+            let mut mac = MergingAwareCache::with_capacity_bytes(1 << 20, 256, 4, 7);
+            let sets = mac.partial_sets;
+            // Every one of these shares folded set 0.
+            let folded = |i: u64| node_at(13, i * sets);
+            let mut outcomes = Vec::new();
+            for (k, i) in [0, 1, 2, 3, 1, 4, 5, 6].into_iter().enumerate() {
+                if whole_traffic {
+                    let whole = node_at(7 + k as u32 % 6, k as u64 * 3);
+                    mac.insert_on_write(whole);
+                    mac.lookup_for_read(whole);
+                }
+                outcomes.push(mac.insert_on_write(folded(i)));
+            }
+            let evicted: Vec<WriteOutcome> = [0, 2, 3]
+                .map(|i| WriteOutcome::CachedEvicting { victim: folded(i) })
+                .into();
+            assert_eq!(outcomes[5..], evicted[..], "least recently used first");
+            outcomes
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// The benchmark's cache (`fork+mac`: 256 KiB, 4-way, 256 B buckets,
+    /// leaf level 15) holds levels 3..=10 whole and folds level 11's 2048
+    /// buckets onto 2 sets, 8 lines in all.
+    #[test]
+    fn the_benchmark_cache_folds_level_11_onto_two_sets() {
+        let crate::engine::Scheme::Fork(fork) = crate::engine::fork_with_mac(256 << 10) else {
+            unreachable!("fork_with_mac builds a fork scheme");
+        };
+        assert_eq!(fork.derived_mac_bypass(), 3);
+        let mac = MergingAwareCache::with_capacity_bytes_for_tree(256 << 10, 256, 4, 3, 15);
+        assert_eq!((mac.m1(), mac.m2(), mac.deepest_level()), (3, 10, 11));
+        assert_eq!(mac.partial_sets, 2);
+        assert_eq!(mac.lines.len(), 8);
+        assert_eq!(mac.present.len(), ((1 << 11) - (1 << 3)) / 64 + 1);
     }
 
     #[test]

@@ -173,8 +173,14 @@ impl DramSystem {
         self.tally = Tally::new(trace);
     }
 
+    /// The system's counts, for the engine that owns it to read with its
+    /// own ([`Tally::counters_of`]).
+    pub fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
     /// The system's counts, for the engine that owns it to publish
-    /// ([`Tally::publish_all`]) at the end of each of its calls.
+    /// ([`Tally::publish_all`]) at the end of its calls.
     pub fn tally_mut(&mut self) -> &mut Tally {
         &mut self.tally
     }

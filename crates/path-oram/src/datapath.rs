@@ -11,8 +11,9 @@
 //! stages and request ledger count into too. It exposes exactly those two
 //! phases: [`Datapath::read_path`], and the refill stream
 //! [`Datapath::begin_refill`] + [`Datapath::refill_level`] +
-//! [`Datapath::end_refill`], plus [`Datapath::publish`], which folds the
-//! counts into the spine at the end of each engine call. It is the one
+//! [`Datapath::end_refill`], plus [`Datapath::end_call`], which folds the
+//! counts into the spine at the end of an engine call (every 64th while
+//! the engine is busy, and each that leaves it idle). It is the one
 //! place bucket node ids become DRAM traffic: the buckets the cache does
 //! not absorb go to the DRAM model as base addresses, a path's worth per
 //! read batch and one per refill write; the DRAM model cuts them into
@@ -35,6 +36,12 @@ use crate::tree::IntegrityError;
 /// includes it in the time it returns: the read in its data time, the
 /// refill in [`Datapath::end_refill`]'s.
 const CTRL_PHASE_LATENCY_PS: u64 = 20_000; // 20 ns
+
+/// Engine calls between two publishes of a busy engine's tallies
+/// ([`Datapath::end_call`]). Each publish takes the spine's lock and folds
+/// every counter touched since the last one; a reader on another thread
+/// trails a busy engine by fewer calls than this.
+const PUBLISH_EVERY: u32 = 64;
 
 /// Trusted state, untrusted memory model and the two access phases.
 ///
@@ -73,6 +80,8 @@ pub struct Datapath {
     /// its request ledger's — over the spine the stash and the DRAM
     /// system count for too.
     tally: Tally,
+    /// Engine calls ended since the last publish.
+    calls: u32,
     label_trace: Option<Vec<u64>>,
     /// Reusable node-id buffer for the read phase.
     nodes: Vec<u64>,
@@ -108,6 +117,7 @@ impl Datapath {
             layout,
             bursts_per_bucket,
             tally: Tally::new(trace),
+            calls: 0,
             label_trace: None,
             nodes: Vec::new(),
             bases: Vec::new(),
@@ -274,10 +284,17 @@ impl Datapath {
     }
 
     /// The shared trace spine. Its counters are exact at every
-    /// [`Datapath::publish`]; the event ring is empty until
-    /// `TraceHandle::set_capacity` gives it room.
+    /// [`Datapath::publish`] and trail the engine between publishes (read
+    /// [`Datapath::counters`] on the engine's thread); the event ring is
+    /// empty until `TraceHandle::set_capacity` gives it room.
     pub fn trace(&self) -> &TraceHandle {
         self.tally.handle()
+    }
+
+    /// Every counter, exact at any time: the spine plus what the engine's
+    /// tally, the stash's and the DRAM system's have not published.
+    pub fn counters(&self) -> [u64; Counter::COUNT] {
+        Tally::counters_of([&self.tally, self.state.stash.tally(), self.dram.tally()])
     }
 
     /// The engine's tally, for the controller's own counts and for its
@@ -293,10 +310,26 @@ impl Datapath {
         (&mut self.state, &mut self.tally)
     }
 
+    /// Ends one engine call: publishes ([`Datapath::publish`]) when the
+    /// call leaves the engine `idle` — no work left, or an error — and
+    /// otherwise every 64th call. So a reader on another thread sees whole
+    /// calls, at most 63 behind while the engine is busy and exact once it
+    /// is idle. Calls after which the spine must be exact whatever the
+    /// engine's state (draining completions, resizing the ring) publish
+    /// instead.
+    pub fn end_call(&mut self, idle: bool) {
+        self.calls += 1;
+        if idle || self.calls == PUBLISH_EVERY {
+            self.publish();
+        }
+    }
+
     /// Publishes the engine's tally, the stash's and the DRAM system's as
-    /// one cut. An engine calls it before each of its calls returns, so a
-    /// reader on another thread sees whole accesses.
+    /// one cut, at the end of an engine call ([`Datapath::end_call`]). An
+    /// engine dropped without publishing loses the calls since its last
+    /// publish; the spine still holds a cut of whole calls.
     pub fn publish(&mut self) {
+        self.calls = 0;
         Tally::publish_all([
             &mut self.tally,
             self.state.stash.tally_mut(),

@@ -91,6 +91,11 @@ impl Stash {
         }
     }
 
+    /// The stash's counts, for [`crate::Datapath::counters`].
+    pub(crate) fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
     /// The stash's counts, for [`crate::Datapath::publish`].
     pub(crate) fn tally_mut(&mut self) -> &mut Tally {
         &mut self.tally

@@ -81,15 +81,16 @@ pub struct OramStats {
 }
 
 impl OramStats {
-    /// Assembles the record from the spine an engine reports into.
+    /// Assembles the record from an engine's counter table (`counters`:
+    /// the spine plus what the engine has not published, so the engine's
+    /// own thread reads it exact) and the spine's histograms.
     ///
     /// The derived fields rest on three facts every engine keeps: each
     /// access's read phase is counted once as a full or a merged read;
     /// each bucket of a read phase is looked up in the bucket cache once
     /// (a hit or a miss); and a cancelled write produces a completion
     /// record but is not a completed request.
-    pub fn view(trace: &TraceHandle, times: AccessTimes) -> Self {
-        let counters = trace.counters();
+    pub fn view(counters: &[u64; Counter::COUNT], trace: &TraceHandle, times: AccessTimes) -> Self {
         let c = |c: Counter| counters[c as usize];
         let occupancy = trace.occupancy_hist();
         let oram_accesses = c(Counter::FullReads) + c(Counter::MergedReads);

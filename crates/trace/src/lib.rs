@@ -25,7 +25,8 @@
 //! Sync`; counters are `Relaxed` atomics, and the event ring and
 //! histograms sit behind one poison-tolerant mutex ([`sync::relock`])
 //! that is taken when an event is retained, a sample is added, or the
-//! engine publishes its tallies — once per engine call, as one cut, so a
+//! engine publishes its tallies — as one cut at the end of an engine call,
+//! every 64th while it is busy and every one that leaves it idle, so a
 //! reader of the whole table on another thread sees whole engine calls.
 
 #![forbid(unsafe_code)]

@@ -14,8 +14,12 @@ const _: () = assert!(Counter::COUNT <= 64);
 /// runs on one thread. The engine counts in a tally of its own, which its
 /// pipeline stages and its request ledger are handed to count into; its
 /// stash and its DRAM system, which also run on their own, keep one each.
-/// The engine publishes them together ([`Tally::publish_all`]) before each
-/// of its calls returns, so a reader of the spine sees whole engine calls.
+/// The engine publishes them together ([`Tally::publish_all`]) at the end
+/// of an engine call — every 64th call while it is busy, and every call
+/// that leaves it idle — so a reader of the spine sees whole engine calls,
+/// a few behind a busy engine. The engine's own thread reads exact counts
+/// at any time through [`Tally::counters_of`]: the spine plus what has not
+/// been published.
 ///
 /// Events keep their order and their ring: at ring capacity 0 (the
 /// default) an event's count stays local until the next publish; at
@@ -116,11 +120,21 @@ impl Tally {
 
     /// [`Tally::counter`] for the whole table.
     pub fn counters(&self) -> [u64; Counter::COUNT] {
-        let mut all = self.handle.counters();
-        for (v, n) in all.iter_mut().zip(self.counts) {
-            *v += n;
+        Self::counters_of([self])
+    }
+
+    /// The whole table as the spine will read it once several tallies of
+    /// one spine publish ([`Tally::publish_all`]): the spine's values plus
+    /// every tally's unpublished counts. All zero for no tally.
+    pub fn counters_of<'a>(tallies: impl IntoIterator<Item = &'a Tally>) -> [u64; Counter::COUNT] {
+        let mut all = None;
+        for tally in tallies {
+            let all = all.get_or_insert_with(|| tally.handle.counters());
+            for (v, n) in all.iter_mut().zip(tally.counts) {
+                *v += n;
+            }
         }
-        all
+        all.unwrap_or([0; Counter::COUNT])
     }
 
     /// Folds the counts into the spine — one atomic add per counter

@@ -2,7 +2,7 @@
 # Tier-1 verification gate, eight steps: format, lint, hermetic release
 # build, the test suite of every workspace member (--workspace: a bare
 # `cargo test` from the root package would skip the crates' own tests),
-# three of its suites, the DRAM model's own, the tree store's crate's own,
+# four of its suites, the DRAM model's own, the tree store's crate's own,
 # fp-core's unit tests and the `repro --fast` recording again in the
 # release build the benchmark measures, plus one run of each example (step
 # five), the sealed data path's two crates again for the portable x86-64
@@ -33,8 +33,10 @@ cargo build --release --offline
 cargo test -q --offline --workspace --no-fail-fast
 # Step four runs in debug, where the `debug_assert!` oracles live; the
 # benchmark runs --release, where they are compiled out. The golden
-# statistics, the allocation contract and engine equivalence hold there too.
-cargo test -q --offline --release --no-fail-fast --test stats_golden --test hot_path_alloc --test engine_equivalence
+# statistics, the allocation contract, engine equivalence and the reference
+# models (the merging-aware cache's, the Fork Path controller against plain
+# RAM) hold there too.
+cargo test -q --offline --release --no-fail-fast --test stats_golden --test hot_path_alloc --test engine_equivalence --test proptest_invariants
 # The DRAM model's run arithmetic multiplies and adds simulated times:
 # debug panics on overflow, --release wraps silently. Its reference
 # propchecks, once more where a wrap would show as a wrong finish time.

@@ -421,10 +421,7 @@ fn fig10(budget: MissBudget) {
 }
 
 fn ablation(budget: MissBudget) {
-    let mac = CacheChoice::MergingAware {
-        bytes: 1 << 20,
-        ways: 4,
-    };
+    let mac = CacheChoice::MergingAware { bytes: 1 << 20 };
     let fork = |label: &str, merging, scheduling, replacing, cache, plb_blocks| {
         let knobs = ForkConfig {
             merging,

@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use fp_dram::DramSystem;
-use fp_path_oram::cache::{BucketCache, NoCache, TreetopCache};
+use fp_path_oram::cache::CacheRange;
 use fp_path_oram::{
     AccessTimes, Completion, CompletionLog, Datapath, NewRequest, OramConfig, OramState, OramStats,
     ReactiveSource,
@@ -48,21 +48,16 @@ pub struct BaselineController {
 impl BaselineController {
     /// Creates a controller with no on-chip bucket cache.
     pub fn new(cfg: OramConfig, dram: DramSystem, seed: u64) -> Self {
-        Self::with_cache(cfg, dram, seed, Box::new(NoCache))
+        Self::with_cache(cfg, dram, seed, CacheRange::NONE)
     }
 
     /// Creates a controller with a treetop cache of `bytes` capacity.
     pub fn with_treetop(cfg: OramConfig, dram: DramSystem, seed: u64, bytes: u64) -> Self {
-        let cache = TreetopCache::with_capacity_bytes(bytes, cfg.bucket_bytes());
-        Self::with_cache(cfg, dram, seed, Box::new(cache))
+        let cache = CacheRange::treetop(bytes, cfg.bucket_bytes());
+        Self::with_cache(cfg, dram, seed, cache)
     }
 
-    fn with_cache(
-        cfg: OramConfig,
-        dram: DramSystem,
-        seed: u64,
-        cache: Box<dyn BucketCache + Send>,
-    ) -> Self {
+    fn with_cache(cfg: OramConfig, dram: DramSystem, seed: u64, cache: CacheRange) -> Self {
         Self {
             path: Datapath::new(cfg, dram, seed, cache),
             queue: VecDeque::new(),
@@ -161,9 +156,8 @@ impl BaselineController {
                 self.refill_full_path(old, read_end);
             }
             self.times.access_busy_ps += self.clock_ps.saturating_sub(access_start);
-            self.path
-                .trace()
-                .record_occupancy(self.path.state().stash().len() as u64);
+            let resident = self.path.state().stash().len() as u64;
+            self.path.tally_mut().record_occupancy(resident);
         }
         self.drain_stash_pressure()?;
 
@@ -236,8 +230,11 @@ impl OramEngine for BaselineController {
     }
 
     fn drain_completions(&mut self) -> Vec<Completion> {
-        self.path.publish();
-        self.completions.drain_fed()
+        let done = self.completions.drain_fed();
+        if !done.is_empty() {
+            self.path.end_call(!self.has_pending_work());
+        }
+        done
     }
 
     fn has_pending_work(&self) -> bool {
@@ -249,7 +246,7 @@ impl OramEngine for BaselineController {
     }
 
     fn stats(&self) -> OramStats {
-        OramStats::view(&self.path.counters(), self.path.trace(), self.times)
+        OramStats::view(&self.path.counters(), self.path.tally(), self.times)
     }
 
     fn trace(&self) -> &TraceHandle {

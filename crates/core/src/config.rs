@@ -1,6 +1,6 @@
 //! Fork Path controller configuration.
 
-use fp_path_oram::cache::{BucketCache, NoCache, TreetopCache};
+use fp_path_oram::cache::CacheRange;
 
 use crate::mac::MergingAwareCache;
 
@@ -19,8 +19,6 @@ pub enum CacheChoice {
     MergingAware {
         /// Capacity in bytes.
         bytes: u64,
-        /// Associativity in buckets per set.
-        ways: usize,
     },
 }
 
@@ -68,10 +66,7 @@ impl ForkConfig {
     /// merging-aware cache.
     pub fn paper_best() -> Self {
         Self {
-            cache: CacheChoice::MergingAware {
-                bytes: 1 << 20,
-                ways: 4,
-            },
+            cache: CacheChoice::MergingAware { bytes: 1 << 20 },
             ..Self::default()
         }
     }
@@ -96,32 +91,18 @@ impl ForkConfig {
         self.derived_len_overlap().saturating_sub(4).max(1)
     }
 
-    /// Builds the configured bucket-cache policy for a tree of `path_len`
+    /// The configured range of buckets on chip for a tree of `path_len`
     /// buckets per path, `bucket_bytes` each — what the controller hands
     /// to [`fp_path_oram::Datapath::new`].
-    pub(crate) fn build_cache(
-        &self,
-        bucket_bytes: u64,
-        path_len: u32,
-    ) -> Box<dyn BucketCache + Send> {
+    pub(crate) fn cache_range(&self, bucket_bytes: u64, path_len: u32) -> CacheRange {
         match self.cache {
-            CacheChoice::None => Box::new(NoCache),
-            CacheChoice::Treetop { bytes } => {
-                Box::new(TreetopCache::with_capacity_bytes(bytes, bucket_bytes))
-            }
-            CacheChoice::MergingAware { bytes, ways } => {
+            CacheChoice::None => CacheRange::NONE,
+            CacheChoice::Treetop { bytes } => CacheRange::treetop(bytes, bucket_bytes),
+            CacheChoice::MergingAware { bytes } => {
                 let m1 = self
                     .mac_bypass_levels
                     .unwrap_or_else(|| self.derived_mac_bypass());
-                // Clamp the cacheable window to the real tree: levels past
-                // the leaf (path_len - 1) must not own cache sets.
-                Box::new(MergingAwareCache::with_capacity_bytes_for_tree(
-                    bytes,
-                    bucket_bytes,
-                    ways,
-                    m1,
-                    path_len.saturating_sub(1),
-                ))
+                MergingAwareCache::range(bytes, bucket_bytes, m1, path_len.saturating_sub(1))
             }
         }
     }
@@ -135,13 +116,8 @@ impl ForkConfig {
         if self.label_queue_size == 0 {
             return Err("label queue must hold at least one entry".into());
         }
-        if let CacheChoice::MergingAware { bytes, ways } = self.cache {
-            if ways == 0 {
-                return Err("cache associativity must be positive".into());
-            }
-            if bytes == 0 {
-                return Err("cache capacity must be positive".into());
-            }
+        if self.cache == (CacheChoice::MergingAware { bytes: 0 }) {
+            return Err("cache capacity must be positive".into());
         }
         Ok(())
     }
@@ -183,14 +159,7 @@ mod tests {
                 ..ForkConfig::default()
             },
             ForkConfig {
-                cache: CacheChoice::MergingAware { bytes: 0, ways: 4 },
-                ..ForkConfig::default()
-            },
-            ForkConfig {
-                cache: CacheChoice::MergingAware {
-                    bytes: 1024,
-                    ways: 0,
-                },
+                cache: CacheChoice::MergingAware { bytes: 0 },
                 ..ForkConfig::default()
             },
         ] {
@@ -201,57 +170,46 @@ mod tests {
 #[cfg(test)]
 mod cache_tests {
     use super::*;
-    use fp_path_oram::cache::{BucketCache, WriteOutcome};
     use fp_path_oram::OramConfig;
 
-    /// The configured cache for a tree of `levels + 1` buckets per path,
+    /// The configured range for a tree of `levels + 1` buckets per path,
     /// 256 B each.
-    fn cache(fork: &ForkConfig, levels: u32) -> Box<dyn BucketCache + Send> {
+    fn range(fork: &ForkConfig, levels: u32) -> CacheRange {
         let oram = OramConfig {
             levels,
             block_bytes: 64,
             ..OramConfig::small_test()
         };
-        fork.build_cache(oram.bucket_bytes(), oram.path_len())
+        fork.cache_range(oram.bucket_bytes(), oram.path_len())
     }
 
     fn mac_64k() -> ForkConfig {
         ForkConfig {
-            cache: CacheChoice::MergingAware {
-                bytes: 64 << 10,
-                ways: 4,
-            },
+            cache: CacheChoice::MergingAware { bytes: 64 << 10 },
             mac_bypass_levels: Some(2),
             ..ForkConfig::default()
         }
     }
 
     #[test]
-    fn mac_buckets_commit_instantly_and_hit_on_read() {
-        let mut c = cache(&mac_64k(), 10);
-        // A deep bucket (level >= m1) is cacheable by the MAC: absorbed on
-        // write (the datapath commits it with no DRAM write) and a hit on
-        // read (no DRAM read).
-        let node = (1u64 << 8) + 3;
-        assert_eq!(c.insert_on_write(node), WriteOutcome::Cached);
-        assert!(c.lookup_for_read(node), "cache hit needs no DRAM");
-        assert!(c.resident() > 0);
+    fn each_choice_is_its_range() {
+        // 64 KiB at 128 B a bucket (Fig 9's density) holds 512 buckets:
+        // levels 2..=8 (508), not 2..=9 (1020).
+        assert_eq!(range(&mac_64k(), 10), CacheRange::levels(2..9));
+        let treetop = ForkConfig {
+            cache: CacheChoice::Treetop { bytes: 64 << 10 },
+            ..ForkConfig::default()
+        };
+        // 64 KiB at 256 B a bucket holds 256: levels 0..=7 (255).
+        assert_eq!(range(&treetop, 10), CacheRange::levels(0..8));
+        assert_eq!(range(&ForkConfig::default(), 10), CacheRange::NONE);
     }
 
     #[test]
-    fn mac_window_is_clamped_to_tree_depth() {
+    fn mac_range_is_clamped_to_tree_depth() {
         // A 64 KiB MAC on a 5-bucket path (leaf level 4): unclamped sizing
-        // dedicates sets to levels 5..=9, so a (buggy) write to a node past
-        // the leaf was silently absorbed by a phantom set and committed
-        // instantly. With the depth threaded through, the MAC refuses the
-        // phantom bucket, which the datapath's layout would then reject
-        // loudly (fp-dram's `subtree_address_rejects_node_outside_tree`).
-        let mut c = cache(&mac_64k(), 4);
-        // Real in-window levels cache and commit instantly.
-        let real = (1u64 << 3) + 1;
-        assert_eq!(c.insert_on_write(real), WriteOutcome::Cached);
-        let phantom = (1u64 << 6) + 1; // level 6 > leaf level 4
-        assert_eq!(c.insert_on_write(phantom), WriteOutcome::WriteThrough);
+        // would run the range to level 8, four levels that do not exist.
+        assert_eq!(range(&mac_64k(), 4), CacheRange::levels(2..5));
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl ForkPathController {
         seed: u64,
     ) -> Result<Self, ControllerError> {
         fork.validate().map_err(ControllerError::InvalidConfig)?;
-        let cache = fork.build_cache(cfg.bucket_bytes(), cfg.path_len());
+        let cache = fork.cache_range(cfg.bucket_bytes(), cfg.path_len());
         Ok(Self {
             path: Datapath::new(cfg, dram, seed, cache),
             aq: AddressQueue::new(),
@@ -285,9 +285,8 @@ impl ForkPathController {
         self.refill(cur.label, read_end)?;
         self.times.access_busy_ps += self.clock_ps.saturating_sub(start);
         self.times.finish_time_ps = self.clock_ps;
-        self.path
-            .trace()
-            .record_occupancy(self.path.state().stash().len() as u64);
+        let resident = self.path.state().stash().len() as u64;
+        self.path.tally_mut().record_occupancy(resident);
         Ok(())
     }
 
@@ -421,8 +420,11 @@ impl OramEngine for ForkPathController {
     /// returned; anything newer is delivered by a later drain, after the
     /// next `process_one` flushes it.
     fn drain_completions(&mut self) -> Vec<Completion> {
-        self.path.publish();
-        self.completions.drain_fed()
+        let done = self.completions.drain_fed();
+        if !done.is_empty() {
+            self.path.end_call(!self.has_pending_work());
+        }
+        done
     }
 
     /// Real work — queued, stalled, in flight, a revealed pending real
@@ -442,7 +444,7 @@ impl OramEngine for ForkPathController {
     }
 
     fn stats(&self) -> OramStats {
-        OramStats::view(&self.path.counters(), self.path.trace(), self.times)
+        OramStats::view(&self.path.counters(), self.path.tally(), self.times)
     }
 
     /// The shared trace spine every pipeline stage, the stash, and the
@@ -534,7 +536,27 @@ mod tests {
             finish_time_ps: idle.finish_time_ps,
         };
         let spine = ctl.trace().counters();
-        assert_eq!(OramStats::view(&spine, ctl.trace(), times), idle);
+        assert_eq!(OramStats::view(&spine, ctl.path.tally(), times), idle);
+    }
+
+    /// A drain is an engine call only when it hands out completions
+    /// (`Datapath::end_call`): on a busy engine between publishes, one
+    /// that hands out none leaves the spine as it was, and one that hands
+    /// some out waits for the 64-call cadence like any other call.
+    #[test]
+    fn a_drain_that_hands_out_nothing_leaves_the_spine_unchanged() {
+        let mut ctl = busy_fork_mac();
+        let spine = ctl.trace().counters();
+        assert_ne!(ctl.path.counters(), spine, "the submit is not published");
+        assert!(ctl.drain_completions().is_empty(), "nothing has completed");
+        assert_eq!(ctl.trace().counters(), spine, "an empty drain");
+        let mut i = 0;
+        while ctl.drain_completions().is_empty() {
+            access(&mut ctl, i);
+            i += 1;
+        }
+        assert!(i < 30 && ctl.has_pending_work(), "{i} accesses, busy");
+        assert_eq!(ctl.trace().counters(), spine, "a drain on a busy engine");
     }
 
     /// The stated loss rule: an engine dropped between publishes loses

@@ -54,10 +54,12 @@ use crate::error::ControllerError;
 /// engine publishes its counts to its trace spine at the end of a call:
 /// every 64th call while it is busy (the insecure engine: every call),
 /// every call that leaves it idle (`process_one` returning `Ok(false)` or
-/// an error), and every `drain_completions` and `set_trace_capacity`. So a
-/// reader on another thread sees whole calls, at most 63 behind a busy
-/// engine and exact once it is idle; [`OramEngine::stats`] is exact on the
-/// engine's own thread at any time. An engine dropped between publishes
+/// an error), and every `set_trace_capacity`; a `drain_completions` that
+/// hands out completions is a call like any other, and one that hands out
+/// none publishes nothing. So a reader on another thread sees whole
+/// calls — counts and histogram samples in one cut — at most 63 behind a
+/// busy engine and exact once it is idle; [`OramEngine::stats`] is exact
+/// on the engine's own thread at any time. An engine dropped between publishes
 /// loses the calls since the last one. The trait is object-safe — drivers
 /// hold a `Box<dyn OramEngine + Send>` when the scheme is chosen at run
 /// time.
@@ -395,7 +397,7 @@ impl OramEngine for InsecureEngine {
     fn stats(&self) -> OramStats {
         // One "bucket" in and out per access, so the shared avg-path-length
         // metric reads 1.0 for plain DRAM.
-        let view = OramStats::view(&self.tally.counters(), self.tally.handle(), self.times);
+        let view = OramStats::view(&self.tally.counters(), &self.tally, self.times);
         OramStats {
             buckets_read: view.oram_accesses,
             buckets_written: view.oram_accesses,
@@ -507,7 +509,7 @@ pub fn fork_with_queue(queue: usize) -> Scheme {
 /// Fork Path (queue 64) with a merging-aware cache of `bytes`.
 pub fn fork_with_mac(bytes: u64) -> Scheme {
     Scheme::Fork(ForkConfig {
-        cache: CacheChoice::MergingAware { bytes, ways: 4 },
+        cache: CacheChoice::MergingAware { bytes },
         ..ForkConfig::default()
     })
 }
@@ -669,11 +671,16 @@ mod tests {
     }
 
     /// Drives `scheme` on this thread while a second thread snapshots the
-    /// spine's counters in a loop; returns the number of snapshots, the
-    /// number `whole` rejects, and the final counters. The accesses start
-    /// once the reader has taken a snapshot and go on until it has taken
-    /// `DURING` more, so every run overlaps the two threads, however late
-    /// the reader is first scheduled.
+    /// spine in a loop — the counters, both histograms, and the counters
+    /// again, kept only if the two counter reads agree, so that no publish
+    /// fell between them; returns the number of snapshots, the number
+    /// torn, and the final counters. A snapshot is torn when `whole`
+    /// rejects its counters, or when it does not hold one latency sample
+    /// per `RequestsCompleted` and one occupancy sample per access: the
+    /// samples join the spine in the cut of the calls that took them. The
+    /// accesses start once the reader has taken a snapshot and go on until
+    /// it has taken `DURING` more, so every run overlaps the two threads,
+    /// however late the reader is first scheduled.
     fn snapshot_while_accessing(
         scheme: Scheme,
         whole: impl Fn(&[u64; Counter::COUNT]) -> bool + Sync,
@@ -689,8 +696,16 @@ mod tests {
                 let (mut snapshots, mut torn) = (0u64, 0u64);
                 while !done.load(Ordering::Relaxed) {
                     let c = trace.counters();
+                    let (latency, occupancy) = (trace.latency_hist(), trace.occupancy_hist());
+                    if trace.counters() != c {
+                        continue;
+                    }
+                    let count = |counter: Counter| c[counter as usize];
+                    let accesses = count(Counter::FullReads) + count(Counter::MergedReads);
+                    let sampled = latency.count() == count(Counter::RequestsCompleted)
+                        && occupancy.count() == accesses;
                     snapshots += 1;
-                    torn += u64::from(!whole(&c));
+                    torn += u64::from(!sampled || !whole(&c));
                     taken.store(snapshots, Ordering::Relaxed);
                 }
                 (snapshots, torn)

@@ -407,7 +407,7 @@ impl FlightTable {
 mod tests {
     use super::*;
     use fp_dram::{DramConfig, DramSystem};
-    use fp_path_oram::cache::NoCache;
+    use fp_path_oram::cache::CacheRange;
     use fp_path_oram::{Op, OramConfig};
 
     /// A flight table with the controller state a chain step touches, and
@@ -431,7 +431,7 @@ mod tests {
             };
             let dram = DramSystem::new(DramConfig::ddr3_1600(2));
             Self {
-                path: Datapath::new(cfg, dram, 7, Box::new(NoCache)),
+                path: Datapath::new(cfg, dram, 7, CacheRange::NONE),
                 plb: PosMapLookasideBuffer::new(0),
                 aq: AddressQueue::new(),
                 sched: LabelQueue::new(label_queue_size, true),

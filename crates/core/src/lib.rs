@@ -26,7 +26,8 @@
 //!
 //! On top of these, the **merging-aware cache** ([`MergingAwareCache`],
 //! §3.5) skips the top `len_overlap` levels — which merging keeps in the
-//! stash anyway — and dedicates its capacity to the mid-tree levels.
+//! stash anyway — and dedicates its capacity to the whole mid-tree levels
+//! below them.
 //!
 //! [`ForkPathController`] (§4) combines everything behind the same
 //! two-queue architecture as Fig 9: an address queue with data-hazard

@@ -220,10 +220,7 @@ fn mac_reduces_dram_traffic() {
         )
     };
     let (plain_r, plain_w) = run(CacheChoice::None);
-    let (mac_r, mac_w) = run(CacheChoice::MergingAware {
-        bytes: 8 << 10,
-        ways: 4,
-    });
+    let (mac_r, mac_w) = run(CacheChoice::MergingAware { bytes: 8 << 10 });
     assert!(mac_r < plain_r, "MAC cuts reads: {mac_r} vs {plain_r}");
     assert!(mac_w < plain_w, "MAC cuts writes: {mac_w} vs {plain_w}");
 }

@@ -1,126 +1,96 @@
-//! On-chip bucket caching for ORAM controllers.
+//! The on-chip bucket cache of an ORAM controller.
 //!
 //! The ORAM controller can dedicate on-chip SRAM to tree buckets so that
 //! part of a path access never reaches DRAM. The prior art is *treetop
 //! caching* (Phantom \[13\]): pin the top levels of the tree, which are
-//! touched by every path. `fp-core` adds the paper's *merging-aware cache*
-//! on the same interface.
+//! touched by every path. `fp-core` adds the paper's *merging-aware cache*,
+//! which pins the levels path merging still fetches instead. Both are a
+//! run of whole levels, and a level's node ids are contiguous, so both are
+//! one [`CacheRange`] of node ids; no cache at all is the empty range.
 //!
-//! Caches here track *which buckets* are resident — deciding whether DRAM
-//! timing/energy is charged. The contents live in the tree store either
-//! way, which marks a bucket the cache holds as on chip: in the clear,
-//! like the stash, and never in untrusted memory until the cache evicts it
-//! ([`WriteOutcome::CachedEvicting`]) and the store seals it there when
-//! the refill ends.
+//! The range decides whether DRAM timing and energy are charged. The
+//! contents live in the tree store either way, which keeps a bucket of the
+//! range on chip: in the clear, like the stash, and never in untrusted
+//! memory.
 
-use crate::path::node_level;
+use std::ops::Range;
 
-/// What happened to a bucket write issued to the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteOutcome {
-    /// The bucket was absorbed by the cache; no DRAM write now.
-    Cached,
-    /// The bucket is not cacheable; write it to DRAM.
-    WriteThrough,
-    /// The bucket was absorbed, but evicted `victim` — the victim's DRAM
-    /// write happens now.
-    CachedEvicting {
-        /// Node id of the evicted bucket.
-        victim: u64,
-    },
-}
-
-/// A bucket-granular on-chip cache policy.
-pub trait BucketCache: std::fmt::Debug {
-    /// Read-phase lookup for bucket `node`. On a hit the bucket's contents
-    /// move to the stash, so a hit also removes the entry.
-    fn lookup_for_read(&mut self, node: u64) -> bool;
-
-    /// Refill-phase insertion of bucket `node`.
-    fn insert_on_write(&mut self, node: u64) -> WriteOutcome;
-
-    /// Buckets currently resident (for stats/tests).
-    fn resident(&self) -> usize;
-}
-
-/// No on-chip caching: every bucket access goes to DRAM.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoCache;
-
-impl BucketCache for NoCache {
-    fn lookup_for_read(&mut self, _node: u64) -> bool {
-        false
-    }
-
-    fn insert_on_write(&mut self, _node: u64) -> WriteOutcome {
-        WriteOutcome::WriteThrough
-    }
-
-    fn resident(&self) -> usize {
-        0
-    }
-}
-
-/// Treetop caching (Phantom \[13\]): the top `cached_levels` of the tree are
-/// pinned on chip. A bucket at level `< cached_levels` always hits; deeper
-/// buckets always go to DRAM.
+/// The on-chip bucket cache: the buckets whose node ids fall in one range,
+/// a run of whole levels, on chip from the start. A read of one of them
+/// hits and a write of one stays on chip; every other bucket is read from
+/// and written to DRAM. Nothing is ever evicted.
 ///
 /// # Example
 ///
 /// ```
-/// use fp_path_oram::cache::{BucketCache, TreetopCache};
+/// use fp_path_oram::cache::CacheRange;
 /// // 1 MiB of 256 B buckets pins levels 0..=11 (4095 buckets).
-/// let mut cache = TreetopCache::with_capacity_bytes(1 << 20, 256);
-/// assert!(cache.lookup_for_read(1), "root is always resident");
-/// assert!(cache.lookup_for_read(1 << 11), "level 11 is resident");
-/// assert!(!cache.lookup_for_read(1 << 12), "level 12 is not");
+/// let cache = CacheRange::treetop(1 << 20, 256);
+/// assert!(cache.holds(1), "the root is on chip");
+/// assert!(cache.holds(1 << 11), "level 11 is on chip");
+/// assert!(!cache.holds(1 << 12), "level 12 is not");
+/// assert!(!CacheRange::NONE.holds(1));
 /// ```
-#[derive(Debug, Clone)]
-pub struct TreetopCache {
-    cached_levels: u32,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheRange {
+    /// First node id on chip.
+    first: u64,
+    /// One past the last node id on chip.
+    end: u64,
 }
 
-impl TreetopCache {
-    /// Pins the top `cached_levels` levels.
-    #[cfg(test)]
-    pub(crate) fn new(cached_levels: u32) -> Self {
-        Self { cached_levels }
+impl CacheRange {
+    /// No on-chip caching: every bucket access goes to DRAM.
+    pub const NONE: Self = Self { first: 0, end: 0 };
+
+    /// The whole levels `levels` (level 0 is the root): node ids
+    /// `2^start..2^end`. A level past 63 has no node id and adds none.
+    pub fn levels(levels: Range<u32>) -> Self {
+        let level_start = |level: u32| 1u64.checked_shl(level).unwrap_or(u64::MAX);
+        Self {
+            first: level_start(levels.start),
+            end: level_start(levels.end.max(levels.start)),
+        }
     }
 
-    /// Sizes the cache from a byte budget: pins as many whole levels as fit.
-    pub fn with_capacity_bytes(capacity_bytes: u64, bucket_bytes: u64) -> Self {
+    /// Treetop caching (Phantom \[13\]): as many whole levels from the root
+    /// as `capacity_bytes` holds of `bucket_bytes` buckets.
+    pub fn treetop(capacity_bytes: u64, bucket_bytes: u64) -> Self {
         let buckets = capacity_bytes / bucket_bytes;
-        // Levels 0..k hold 2^(k+1) - 1 buckets.
+        // Levels 0..k hold 2^k - 1 buckets.
         let mut levels = 0u32;
         while (1u64 << (levels + 1)) - 1 <= buckets {
             levels += 1;
         }
-        Self {
-            cached_levels: levels,
-        }
+        Self::levels(0..levels)
     }
 
-    fn covers(&self, node: u64) -> bool {
-        node_level(node) < self.cached_levels
+    /// Whether bucket `node` is on chip.
+    #[inline]
+    pub fn holds(&self, node: u64) -> bool {
+        (self.first..self.end).contains(&node)
     }
 }
 
-impl BucketCache for TreetopCache {
+/// The cache's two questions, one per phase of an access. [`CacheRange`]
+/// is its one implementor; the datapath asks [`CacheRange::holds`] and the
+/// benchmark's microbenchmark (`benchmark/src/layers.rs`) calls these.
+pub trait BucketCache {
+    /// Read-phase lookup of bucket `node`: whether it is on chip.
+    fn lookup_for_read(&mut self, node: u64) -> bool;
+
+    /// Refill-phase write of bucket `node`: whether it stays on chip
+    /// rather than going to DRAM.
+    fn insert_on_write(&mut self, node: u64) -> bool;
+}
+
+impl BucketCache for CacheRange {
     fn lookup_for_read(&mut self, node: u64) -> bool {
-        // Pinned levels never leave the cache, so a read hit does not evict.
-        self.covers(node)
+        self.holds(node)
     }
 
-    fn insert_on_write(&mut self, node: u64) -> WriteOutcome {
-        if self.covers(node) {
-            WriteOutcome::Cached
-        } else {
-            WriteOutcome::WriteThrough
-        }
-    }
-
-    fn resident(&self) -> usize {
-        ((1u64 << self.cached_levels) - 1) as usize
+    fn insert_on_write(&mut self, node: u64) -> bool {
+        self.holds(node)
     }
 }
 
@@ -129,31 +99,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_cache_always_misses() {
-        let mut c = NoCache;
-        assert!(!c.lookup_for_read(1));
-        assert_eq!(c.insert_on_write(1), WriteOutcome::WriteThrough);
-        assert_eq!(c.resident(), 0);
+    fn no_cache_holds_nothing() {
+        assert!(!CacheRange::NONE.holds(0));
+        assert!(!CacheRange::NONE.holds(1));
+        assert_eq!(CacheRange::default(), CacheRange::NONE);
+        assert!(!CacheRange::levels(3..3).holds(8));
     }
 
     #[test]
     fn treetop_capacity_sizing() {
         // 1 MiB / 256 B = 4096 buckets -> levels 0..=11 (4095 buckets).
-        let c = TreetopCache::with_capacity_bytes(1 << 20, 256);
-        assert_eq!(c.cached_levels, 12);
+        assert_eq!(CacheRange::treetop(1 << 20, 256), CacheRange::levels(0..12));
         // 128 KiB / 256 B = 512 buckets -> 9 levels (511 buckets).
-        let c = TreetopCache::with_capacity_bytes(128 << 10, 256);
-        assert_eq!(c.cached_levels, 9);
+        assert_eq!(
+            CacheRange::treetop(128 << 10, 256),
+            CacheRange::levels(0..9)
+        );
     }
 
     #[test]
-    fn treetop_covers_only_top_levels() {
-        let mut c = TreetopCache::new(2);
-        assert!(c.lookup_for_read(1)); // level 0
-        assert!(c.lookup_for_read(3)); // level 1
-        assert!(!c.lookup_for_read(4)); // level 2
-        assert_eq!(c.insert_on_write(2), WriteOutcome::Cached);
-        assert_eq!(c.insert_on_write(5), WriteOutcome::WriteThrough);
-        assert_eq!(c.resident(), 3);
+    fn a_range_is_its_whole_levels() {
+        let mut c = CacheRange::levels(2..4);
+        for node in 1..64u64 {
+            let level = crate::path::node_level(node);
+            let on_chip = (2..4).contains(&level);
+            assert_eq!(c.holds(node), on_chip, "node {node}");
+            assert_eq!(c.lookup_for_read(node), on_chip, "node {node}");
+            assert_eq!(c.insert_on_write(node), on_chip, "node {node}");
+        }
+        // Past level 63 there is no node id to hold.
+        assert!(!CacheRange::levels(70..80).holds(u64::MAX - 1));
+        assert!(CacheRange::levels(63..80).holds(1 << 63));
     }
 }

@@ -25,7 +25,7 @@ use fp_dram::layout::{SubtreeLayout, TreeLayout};
 use fp_dram::{AccessKind, DramSystem};
 use fp_trace::{Counter, Tally, TraceHandle};
 
-use crate::cache::{BucketCache, WriteOutcome};
+use crate::cache::CacheRange;
 use crate::config::OramConfig;
 use crate::path::node_at_level;
 use crate::state::OramState;
@@ -49,11 +49,11 @@ const PUBLISH_EVERY: u32 = 64;
 ///
 /// ```
 /// use fp_dram::{DramConfig, DramSystem};
-/// use fp_path_oram::cache::NoCache;
+/// use fp_path_oram::cache::CacheRange;
 /// use fp_path_oram::{Datapath, OramConfig};
 ///
 /// let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-/// let mut dp = Datapath::new(OramConfig::small_test(), dram, 7, Box::new(NoCache));
+/// let mut dp = Datapath::new(OramConfig::small_test(), dram, 7, CacheRange::NONE);
 /// let levels = dp.state().config().levels;
 /// let leaf = dp.state_mut().random_label();
 /// // Read the whole path, then refill it leaf to root.
@@ -73,7 +73,7 @@ const PUBLISH_EVERY: u32 = 64;
 pub struct Datapath {
     state: OramState,
     dram: DramSystem,
-    cache: Box<dyn BucketCache + Send>,
+    cache: CacheRange,
     layout: SubtreeLayout,
     bursts_per_bucket: u64,
     /// The engine's counts — the datapath's, its controller's stages' and
@@ -92,18 +92,13 @@ pub struct Datapath {
 }
 
 impl Datapath {
-    /// Builds the datapath for `cfg` over `dram` with the given bucket
-    /// cache policy, everything counting for one fresh trace spine.
+    /// Builds the datapath for `cfg` over `dram` with the given range of
+    /// buckets on chip, everything counting for one fresh trace spine.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid (see `OramState::new`).
-    pub fn new(
-        cfg: OramConfig,
-        mut dram: DramSystem,
-        seed: u64,
-        cache: Box<dyn BucketCache + Send>,
-    ) -> Self {
+    pub fn new(cfg: OramConfig, mut dram: DramSystem, seed: u64, cache: CacheRange) -> Self {
         let trace = TraceHandle::default();
         let bucket_bytes = cfg.bucket_bytes();
         let layout = SubtreeLayout::fit_row(cfg.path_len(), bucket_bytes, dram.config().row_bytes);
@@ -175,7 +170,7 @@ impl Datapath {
         })?;
         self.bases.clear();
         for &node in &self.nodes {
-            if !self.cache.lookup_for_read(node) {
+            if !self.cache.holds(node) {
                 self.bases.push(self.layout.bucket_address(node));
             }
         }
@@ -218,13 +213,12 @@ impl Datapath {
 
     /// Refill phase, one bucket: greedily evicts stash blocks into the
     /// bucket at `level` of the refill's path — each encoded straight into
-    /// the tree store's open bucket — and commits it through the cache at
-    /// `t_ps`; returns the commit time. The cache places it first: the tree
-    /// store keeps a bucket the cache absorbs on chip in the clear, and a
-    /// sealed one keeps a write-through and the cache's eviction victim,
-    /// if any, there too until [`Datapath::end_refill`] seals them. A
-    /// bucket the cache absorbs commits at `t_ps`; a write-through, or the
-    /// victim of an eviction, pays its DRAM write.
+    /// the tree store's open bucket — and commits it at `t_ps`; returns the
+    /// commit time. A bucket of the cache's range stays on chip in the
+    /// clear and commits at `t_ps`; any other is written through to DRAM
+    /// and pays its DRAM write, and a sealed tree keeps it on chip in the
+    /// clear until [`Datapath::end_refill`] seals it. So the refill writes
+    /// to DRAM only buckets of its own path.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -237,22 +231,17 @@ impl Datapath {
         let (levels, z) = (cfg.levels, cfg.z);
         self.tally.handle().set_now(t_ps);
         let node = node_at_level(levels, self.refill_leaf, level);
-        let placed = self.cache.insert_on_write(node);
+        let on_chip = self.cache.holds(node);
         let OramState { tree, stash, .. } = &mut self.state;
         stash.evict_next(level, z, |block| tree.push_slot(block));
-        tree.store(node, placed != WriteOutcome::WriteThrough);
+        tree.store(node, on_chip);
         self.tally.bump(Counter::BucketsWritten);
-        let to_dram = match placed {
-            WriteOutcome::Cached => return t_ps,
-            WriteOutcome::WriteThrough => node,
-            WriteOutcome::CachedEvicting { victim } => {
-                tree.spill(victim);
-                victim
-            }
-        };
+        if on_chip {
+            return t_ps;
+        }
         self.tally
             .add(Counter::DramBlocksWritten, self.bursts_per_bucket);
-        let base = self.layout.bucket_address(to_dram);
+        let base = self.layout.bucket_address(node);
         let bursts = self.bursts_per_bucket;
         self.dram
             .access_spans(t_ps, AccessKind::Write, &[base], bursts)
@@ -297,6 +286,11 @@ impl Datapath {
         Tally::counters_of([&self.tally, self.state.stash.tally(), self.dram.tally()])
     }
 
+    /// The engine's tally: what the engine has counted and not published.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
     /// The engine's tally, for the controller's own counts and for its
     /// stages and request ledger to count into (published with the
     /// datapath's).
@@ -314,9 +308,12 @@ impl Datapath {
     /// call leaves the engine `idle` — no work left, or an error — and
     /// otherwise every 64th call. So a reader on another thread sees whole
     /// calls, at most 63 behind while the engine is busy and exact once it
-    /// is idle. Calls after which the spine must be exact whatever the
-    /// engine's state (draining completions, resizing the ring) publish
-    /// instead.
+    /// is idle. A drain of completions is a call by this rule when it
+    /// hands some out (a shard worker drains after every access, so the
+    /// drain must not publish on its own), and no call when it hands out
+    /// none: it leaves the spine as it was. Calls after which the spine
+    /// must be exact whatever the engine's state (resizing the ring,
+    /// switching fixed-rate mode) publish instead.
     pub fn end_call(&mut self, idle: bool) {
         self.calls += 1;
         if idle || self.calls == PUBLISH_EVERY {
@@ -351,13 +348,13 @@ impl Datapath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{NoCache, TreetopCache};
+    use crate::cache::CacheRange;
     use fp_dram::DramConfig;
     use fp_trace::Counter;
 
     fn datapath() -> Datapath {
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        Datapath::new(OramConfig::small_test(), dram, 99, Box::new(NoCache))
+        Datapath::new(OramConfig::small_test(), dram, 99, CacheRange::NONE)
     }
 
     /// Full-path read of `leaf`.
@@ -423,8 +420,8 @@ mod tests {
     fn cached_levels_cost_no_dram_time() {
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
         let cfg = OramConfig::small_test();
-        let cache = TreetopCache::with_capacity_bytes(16 << 10, cfg.bucket_bytes());
-        let mut dp = Datapath::new(cfg, dram, 99, Box::new(cache));
+        let cache = CacheRange::treetop(16 << 10, cfg.bucket_bytes());
+        let mut dp = Datapath::new(cfg, dram, 99, cache);
         dp.begin_refill(0);
         assert_eq!(dp.refill_level(0, 500), 500, "the root commits on chip");
         dp.end_refill(500);
@@ -433,7 +430,7 @@ mod tests {
     }
 
     /// A datapath over `cache`, and the DRAM bursts of one bucket.
-    fn behind(cache: Box<dyn BucketCache + Send>) -> (Datapath, u64) {
+    fn behind(cache: CacheRange) -> (Datapath, u64) {
         let cfg = OramConfig::small_test();
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
         let bursts = cfg.bucket_bytes().div_ceil(dram.config().burst_bytes);
@@ -441,14 +438,14 @@ mod tests {
     }
 
     /// A treetop cache that holds every bucket of the test tree.
-    fn whole_tree() -> Box<dyn BucketCache + Send> {
+    fn whole_tree() -> CacheRange {
         let bucket_bytes = OramConfig::small_test().bucket_bytes();
-        Box::new(TreetopCache::with_capacity_bytes(1 << 20, bucket_bytes))
+        CacheRange::treetop(1 << 20, bucket_bytes)
     }
 
     #[test]
     fn uncached_path_read_hits_dram_per_bucket() {
-        let (mut dp, bursts) = behind(Box::new(NoCache));
+        let (mut dp, bursts) = behind(CacheRange::NONE);
         let path_len = u64::from(dp.state().config().levels) + 1;
         assert!(dp.read_path(5, 0, 0).unwrap() > CTRL_PHASE_LATENCY_PS);
         dp.publish();
@@ -477,7 +474,7 @@ mod tests {
 
     #[test]
     fn no_cache_writes_through() {
-        let (mut dp, bursts) = behind(Box::new(NoCache));
+        let (mut dp, bursts) = behind(CacheRange::NONE);
         let levels = dp.state().config().levels;
         dp.begin_refill(5);
         let t = dp.refill_level(levels, 0);
@@ -630,92 +627,41 @@ mod tests {
         );
     }
 
-    /// The merging-aware cache's rules at one way: levels `lo..=hi`, one
-    /// line per `node % lines.len()`; a read hit leaves a placeholder, a
-    /// write over a dirty line of another bucket evicts it.
-    #[derive(Debug)]
-    struct DirectMapped {
-        /// `(node, dirty)`; node 0 is an empty line.
-        lines: Vec<(u64, bool)>,
-        lo: u32,
-        hi: u32,
+    /// A cache of the middle levels of the test tree, 3..=6.
+    fn middle_levels() -> CacheRange {
+        CacheRange::levels(3..7)
     }
 
-    impl DirectMapped {
-        /// Twelve empty lines over levels 3..=6.
-        fn new() -> Self {
-            Self {
-                lines: vec![(0, false); 12],
-                lo: 3,
-                hi: 6,
-            }
-        }
-
-        fn line(&mut self, node: u64) -> &mut (u64, bool) {
-            let at = node as usize % self.lines.len();
-            &mut self.lines[at]
-        }
-
-        /// Whether the cache ever holds bucket `node`.
-        fn cacheable(&self, node: u64) -> bool {
-            (self.lo..=self.hi).contains(&crate::path::node_level(node))
-        }
-    }
-
-    impl BucketCache for DirectMapped {
-        fn lookup_for_read(&mut self, node: u64) -> bool {
-            let hit = self.cacheable(node) && self.line(node).0 == node;
-            if hit {
-                self.line(node).1 = false;
-            }
-            hit
-        }
-
-        fn insert_on_write(&mut self, node: u64) -> WriteOutcome {
-            if !self.cacheable(node) {
-                return WriteOutcome::WriteThrough;
-            }
-            match std::mem::replace(self.line(node), (node, true)) {
-                (victim, true) if victim != node => WriteOutcome::CachedEvicting { victim },
-                _ => WriteOutcome::Cached,
-            }
-        }
-
-        fn resident(&self) -> usize {
-            self.lines.iter().filter(|l| l.0 != 0).count()
-        }
-    }
-
-    /// A sealed datapath, Z = 4 and 64 B blocks, behind a fresh
-    /// [`DirectMapped::new`] cache, and the DRAM bursts of one bucket.
-    fn sealed_behind_direct_mapped() -> (Datapath, u64) {
+    /// A sealed datapath, Z = 4 and 64 B blocks, behind
+    /// [`middle_levels`], and the DRAM bursts of one bucket.
+    fn sealed_behind_middle_levels() -> (Datapath, u64) {
         let mut cfg = OramConfig::small_test();
         (cfg.cipher_mode, cfg.block_bytes) = (crate::config::CipherMode::Real, 64);
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
         let bursts = cfg.bucket_bytes().div_ceil(dram.config().burst_bytes);
-        let dp = Datapath::new(cfg, dram, 5, Box::new(DirectMapped::new()));
+        let dp = Datapath::new(cfg, dram, 5, middle_levels());
         (dp, bursts)
     }
 
     /// The sealed tree store seals exactly what crosses the DRAM boundary:
-    /// on a `Real` datapath behind a cache that absorbs the middle levels
-    /// and evicts dirty buckets, random accesses whose refills stop at a
-    /// random level. Z = 4 and 64 B blocks: an image is five keystream
-    /// blocks, its headers one, each real payload one.
+    /// on a `Real` datapath behind a cache of the middle levels, random
+    /// accesses whose refills stop at a random level. Z = 4 and 64 B
+    /// blocks: an image is five keystream blocks, its headers one, each
+    /// real payload one.
     ///
     /// - A refill computes five blocks per DRAM bucket write — its
-    ///   write-throughs and the victims the cache spills — and none for a
-    ///   bucket the cache keeps.
+    ///   write-throughs, the buckets of its path outside the cache — and
+    ///   none for a bucket the cache keeps.
     /// - A read computes one header block per image it takes from untrusted
     ///   memory plus one per real payload in them; a bucket the cache
     ///   holds is taken in the clear and adds none.
     #[test]
     fn a_sealed_datapath_seals_what_crosses_the_dram_boundary() {
-        let (mut dp, bursts) = sealed_behind_direct_mapped();
+        let (mut dp, bursts) = sealed_behind_middle_levels();
         let levels = dp.state().config().levels;
         let computed = |dp: &Datapath| dp.state.tree.computed();
         let mut rng = fp_crypto::Xoshiro256::new(0x5EA1);
-        let (mut victims, mut clear_takes) = (0, 0);
+        let mut clear_takes = 0;
         for round in 0..400u64 {
             // The chain's first block: the one whose label the on-chip map
             // holds, so the path read is the one it lives on.
@@ -748,30 +694,26 @@ mod tests {
             dp.publish();
             let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
             assert_eq!(computed(&dp) - before, 5 * to_dram, "round {round}: refill");
-            let window = DirectMapped::new();
-            let through = nodes.iter().filter(|&&n| !window.cacheable(n)).count();
-            victims += to_dram - through as u64;
+            let through = nodes.iter().filter(|&&n| !middle_levels().holds(n)).count();
+            assert_eq!(
+                to_dram, through as u64,
+                "round {round}: write-throughs only"
+            );
         }
-        assert!(
-            victims > 0 && clear_takes > 0,
-            "{victims} victims, {clear_takes} clear takes"
-        );
+        assert!(clear_takes > 0, "no read took a bucket on chip");
         dp.state().check_invariants().unwrap();
     }
 
-    /// A sealed refill seals everything it sent to DRAM — its write-throughs
-    /// and the victims the cache spilled — as it ends, in one
+    /// A sealed refill seals everything it sent to DRAM — its
+    /// write-throughs — as it ends, in one
     /// [`fp_crypto::BlockCipher::keystream_blocks`] call of five lanes a
-    /// bucket: dummy accesses on random paths, so that the cache's lines
-    /// change hands and spill their dirty buckets.
+    /// bucket: dummy accesses on random paths.
     #[test]
     fn a_sealed_refill_seals_what_it_sent_to_dram_in_one_call() {
-        let (mut dp, bursts) = sealed_behind_direct_mapped();
+        let (mut dp, bursts) = sealed_behind_middle_levels();
         let levels = dp.state().config().levels;
         let keystream = |dp: &Datapath| (dp.state.tree.keystream_calls(), dp.state.tree.computed());
-        let window = DirectMapped::new();
         let mut rng = fp_crypto::Xoshiro256::new(0xCA11);
-        let mut spills = 0;
         for round in 0..200 {
             let leaf = rng.next_below(1 << levels);
             read(&mut dp, leaf);
@@ -784,10 +726,12 @@ mod tests {
             let (calls_after, lanes_after) = keystream(&dp);
             let sealed = (calls_after - calls, lanes_after - lanes);
             assert_eq!(sealed, (1, 5 * to_dram), "round {round}");
-            let through = nodes.iter().filter(|&&n| !window.cacheable(n)).count();
-            spills += u64::from(to_dram > through as u64);
+            let through = nodes.iter().filter(|&&n| !middle_levels().holds(n)).count();
+            assert_eq!(
+                to_dram, through as u64,
+                "round {round}: write-throughs only"
+            );
         }
-        assert!(spills > 0, "no refill spilled a victim");
         dp.state().check_invariants().unwrap();
     }
 
@@ -799,7 +743,7 @@ mod tests {
         cfg.cipher_mode = crate::config::CipherMode::Real;
         let levels = cfg.levels;
         let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        let mut dp = Datapath::new(cfg, dram, 99, Box::new(NoCache));
+        let mut dp = Datapath::new(cfg, dram, 99, CacheRange::NONE);
         read(&mut dp, 0);
         dp.begin_refill(0);
         dp.refill_level(levels, 0);
@@ -832,7 +776,7 @@ mod tests {
         let floor = 2;
         for j in [floor, 4, levels - 1, levels] {
             let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-            let mut dp = Datapath::new(cfg.clone(), dram, 99, Box::new(NoCache));
+            let mut dp = Datapath::new(cfg.clone(), dram, 99, CacheRange::NONE);
             // Blocks on every level of the path to leaf 0: sixteen mapped
             // to it fill the bottom four buckets, four more share only the
             // top levels.

@@ -36,8 +36,9 @@
 //! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]), the
 //!   closed-loop feedback ([`ReactiveSource`], [`NoFeedback`]) and the
 //!   request ledger ([`CompletionLog`]) shared by every engine.
-//! * [`cache`] — the on-chip bucket-cache abstraction with the prior-art
-//!   [`cache::TreetopCache`] policy (Phantom \[13\]).
+//! * [`cache`] — the on-chip bucket cache, one [`cache::CacheRange`] of
+//!   whole levels: the prior-art treetop (Phantom \[13\]) or, from
+//!   `fp-core`, the merging-aware cache's levels.
 //! * [`keyed`] — the `u64`-keyed map and set aliases (one-multiply hasher)
 //!   for keys the program makes itself: node ids, block addresses, tags.
 //!

@@ -108,8 +108,8 @@ impl ReactiveSource for NoFeedback {
 /// `RequestCompleted` and the latency sample, then holds the record for
 /// the driver's [`ReactiveSource`] (whose follow-up requests may complete
 /// at once and join the log behind the cursor) until it is drained. Its
-/// events count in the engine's tally, which each call is handed; its
-/// latency samples go to the tally's spine directly.
+/// events and latency samples count in the engine's tally, which each
+/// call is handed.
 ///
 /// [`open`]: CompletionLog::open
 /// [`push`]: CompletionLog::push
@@ -140,9 +140,7 @@ impl CompletionLog {
     pub fn push(&mut self, completion: Completion, tally: &mut Tally) {
         let (id, done_ps) = (completion.id, completion.done_ps);
         tally.record(done_ps, EventKind::RequestCompleted { id });
-        tally
-            .handle()
-            .record_latency(done_ps.saturating_sub(completion.arrival_ps));
+        tally.record_latency(done_ps.saturating_sub(completion.arrival_ps));
         self.records.push(completion);
     }
 

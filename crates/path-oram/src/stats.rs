@@ -1,7 +1,7 @@
 //! Controller-level statistics shared by every engine — a by-value view
 //! over the engine's fp-trace spine.
 
-use fp_trace::{Counter, TraceHandle};
+use fp_trace::{Counter, Tally};
 
 /// The quantities neither a trace counter nor a histogram carries: the
 /// memory-bus busy sum and the finish time. The engine owns these as plain
@@ -83,16 +83,17 @@ pub struct OramStats {
 impl OramStats {
     /// Assembles the record from an engine's counter table (`counters`:
     /// the spine plus what the engine has not published, so the engine's
-    /// own thread reads it exact) and the spine's histograms.
+    /// own thread reads it exact) and the histograms as the engine's
+    /// `tally`, which takes its samples, will publish them.
     ///
     /// The derived fields rest on three facts every engine keeps: each
     /// access's read phase is counted once as a full or a merged read;
     /// each bucket of a read phase is looked up in the bucket cache once
     /// (a hit or a miss); and a cancelled write produces a completion
     /// record but is not a completed request.
-    pub fn view(counters: &[u64; Counter::COUNT], trace: &TraceHandle, times: AccessTimes) -> Self {
+    pub fn view(counters: &[u64; Counter::COUNT], tally: &Tally, times: AccessTimes) -> Self {
         let c = |c: Counter| counters[c as usize];
-        let occupancy = trace.occupancy_hist();
+        let occupancy = tally.occupancy_hist();
         let oram_accesses = c(Counter::FullReads) + c(Counter::MergedReads);
         let dummy_accesses = c(Counter::DummiesExecuted);
         Self {
@@ -107,7 +108,7 @@ impl OramStats {
             dram_blocks_written: c(Counter::DramBlocksWritten),
             cache_hits: c(Counter::CacheHits),
             cache_misses: c(Counter::CacheMisses),
-            sum_latency_ps: trace.latency_hist().sum(),
+            sum_latency_ps: tally.latency_hist().sum(),
             stash_hits: c(Counter::StashHits),
             finish_time_ps: times.finish_time_ps,
             access_busy_ps: times.access_busy_ps,

@@ -27,13 +27,12 @@
 //! untrusted memory or on chip: one bit per slot beside the page says
 //! which. A refill bucket the cache absorbs is stored on chip in the
 //! clear — a sealed store's Z slots without the counter — like the stash,
-//! and a read hit takes it without the cipher. A sealed store keeps a
-//! bucket bound for DRAM on chip in the clear too, a write-through or the
-//! cache's eviction victim, and lists it as outgoing until the refill
-//! ends; [`TreeStore::seal_outgoing`] then seals every outgoing bucket
-//! under a fresh counter of its own and moves it to memory. Untrusted
-//! memory ([`TreeStore::image`]) holds sealed images only, at every
-//! moment.
+//! and a read hit takes it without the cipher; it never goes to memory.
+//! A sealed store keeps a write-through on chip in the clear too, and
+//! lists it as outgoing until the refill ends;
+//! [`TreeStore::seal_outgoing`] then seals every outgoing bucket under a
+//! fresh counter of its own and moves it to memory. Untrusted memory
+//! ([`TreeStore::image`]) holds sealed images only, at every moment.
 //!
 //! **One image in both cipher modes.** A slot holds the bucket's serialized
 //! image: the headers `[addr: u64 le][leaf: u64 le]` of its slots, then
@@ -744,28 +743,6 @@ impl TreeStore {
         }
     }
 
-    /// Write phase, the cache's eviction victim: sends bucket `node` from
-    /// on chip to untrusted memory — in `Real` as outgoing, sealed by the
-    /// next [`TreeStore::seal_outgoing`]. A bucket not stored has nothing
-    /// to send.
-    pub(crate) fn spill(&mut self, node: u64) {
-        let Some((page, slot)) = self.pages.page_mut(node) else {
-            return;
-        };
-        if !page.holds_on_chip(slot) {
-            debug_assert!(
-                page.slots[slot].is_none(),
-                "node {node}: a victim is on chip"
-            );
-            return;
-        }
-        if self.format.sealed {
-            self.outgoing.push(node);
-        } else {
-            page.on_chip &= !(1 << slot);
-        }
-    }
-
     /// Ends a refill: gives each outgoing bucket the next write counter, in
     /// send order, computes every keystream block of them in one call,
     /// seals each image in place, appends its counter and moves it to
@@ -1220,12 +1197,12 @@ mod tests {
 
     /// A bucket stored on chip is in the clear and nowhere in untrusted
     /// memory: no keystream to store it or to take it, no image, yet it is
-    /// a stored bucket. Its spill sends it to memory like a write-through:
-    /// sealed, both wait on chip in the clear until the refill's end seals
-    /// them in one call, under counters in send order. The same placement
-    /// in the clear.
+    /// a stored bucket. Beside write-throughs it stays so: sealed, the
+    /// write-throughs wait on chip in the clear until the refill's end
+    /// seals them in one call, under counters in send order, and the
+    /// bucket on chip is left out. The same placement in the clear.
     #[test]
-    fn an_on_chip_bucket_is_sealed_only_when_it_spills() {
+    fn an_on_chip_bucket_is_never_sealed() {
         for mode in [CipherMode::Transparent, CipherMode::Real] {
             let mut c = cfg(mode);
             c.block_bytes = 64;
@@ -1254,24 +1231,21 @@ mod tests {
             store.seal_outgoing();
             assert_eq!(calls(&store), 0, "{mode:?}: no cipher call without a lane");
 
-            hold(&mut store);
             store.store(through[0], false);
-            store.spill(held);
+            hold(&mut store);
             store.store(through[1], false);
-            let sent = [through[0], held, through[1]];
-            let in_memory = sent.map(|node| store.image(node).is_some());
-            assert_eq!(in_memory, [!sealed; 3], "{mode:?}: sealed waits on chip");
+            let in_memory = through.map(|node| store.image(node).is_some());
+            assert_eq!(in_memory, [!sealed; 2], "{mode:?}: sealed waits on chip");
             let before = calls(&store);
             store.seal_outgoing();
             assert_eq!(sorted(&store).len(), 3, "{mode:?}");
-            assert_eq!(store.bucket(held), Some(blocks.clone()), "{mode:?}");
-            let image = store.image(held).expect("spilled");
+            assert_eq!(store.image(held), None, "{mode:?}: still on chip");
             if sealed {
-                assert_eq!(image.len(), 4 * 80 + COUNTER_BYTES);
-                let counters = sent.map(|node| counter_of(store.image(node).expect("in memory")));
+                let counters =
+                    through.map(|node| counter_of(store.image(node).expect("in memory")));
                 // Counters in send order, every block in one call.
-                assert_eq!(counters, [1, 2, 3]);
-                assert_eq!(computed(&store), 3 * 5);
+                assert_eq!(counters, [1, 2]);
+                assert_eq!(computed(&store), 2 * 5);
                 assert_eq!(calls(&store) - before, 1);
             }
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");

@@ -78,7 +78,7 @@ impl TraceHandle {
     pub(crate) fn cut(&self) -> Cut<'_> {
         Cut {
             counters: &self.0.counters,
-            _ring: self.ring(),
+            ring: self.ring(),
         }
     }
 
@@ -162,14 +162,10 @@ impl TraceHandle {
         std::array::from_fn(|i| self.0.counters[i].load(Relaxed))
     }
 
-    /// Adds a request latency sample (picoseconds).
+    /// Adds a request latency sample (picoseconds) from a shared writer;
+    /// an engine's samples wait in its [`crate::Tally`].
     pub fn record_latency(&self, ps: u64) {
         self.ring().latency.add(ps);
-    }
-
-    /// Adds a stash occupancy sample (blocks resident after a refill).
-    pub fn record_occupancy(&self, blocks: u64) {
-        self.ring().occupancy.add(blocks);
     }
 
     /// Snapshot of the latency histogram.
@@ -256,7 +252,7 @@ impl TraceHandle {
 /// ([`crate::Tally::publish_all`]).
 pub(crate) struct Cut<'a> {
     counters: &'a [AtomicU64; Counter::COUNT],
-    _ring: MutexGuard<'a, Ring>,
+    ring: MutexGuard<'a, Ring>,
 }
 
 impl Cut<'_> {
@@ -272,6 +268,17 @@ impl Cut<'_> {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             self.counters[i].fetch_add(std::mem::take(&mut counts[i]), Relaxed);
+        }
+    }
+
+    /// Adds the histogram samples to the spine's and empties them.
+    pub(crate) fn merge(&mut self, latency: &mut Vec<u64>, occupancy: &mut Vec<u64>) {
+        let ring = &mut *self.ring;
+        for (spine, samples) in [
+            (&mut ring.latency, latency),
+            (&mut ring.occupancy, occupancy),
+        ] {
+            samples.drain(..).for_each(|v| spine.add(v));
         }
     }
 }
@@ -337,6 +344,8 @@ mod tests {
             tally.record(k, EventKind::DramRead);
         }
         tally.bump(Counter::CacheHits);
+        tally.record_latency(7);
+        tally.record_occupancy(3);
         t.set_capacity(4);
         tally.record_run(EventKind::DramWrite, 2, 10, 1);
         tally.record_now(EventKind::DramAct);
@@ -347,7 +356,17 @@ mod tests {
         assert_eq!(t.dropped(), 0);
         assert!(t.to_json().contains("\"events_dropped\":0,"));
         assert_eq!(tally.counter(Counter::DramReads), 5, "spine + pending");
+        assert_eq!(t.latency_hist().count(), 0, "unpublished");
+        assert_eq!(tally.latency_hist().sum(), 7, "spine + pending");
+        assert_eq!(tally.occupancy_hist().sum(), 3, "spine + pending");
         tally.publish();
+        assert_eq!(t.latency_hist().sum(), 7);
+        assert_eq!(t.occupancy_hist().sum(), 3);
+        assert_eq!(
+            tally.latency_hist(),
+            t.latency_hist(),
+            "nothing left to publish"
+        );
         assert_eq!(t.counter(Counter::DramReads), 5);
         assert_eq!(t.counter(Counter::CacheHits), 1);
         assert_eq!(t.dropped(), 5);
@@ -445,7 +464,9 @@ mod tests {
         t.record(10, EventKind::RequestSubmitted { id: 1 });
         t.record(20, EventKind::RequestCompleted { id: 1 });
         t.record_latency(10);
-        t.record_occupancy(4);
+        let mut tally = Tally::new(t.clone());
+        tally.record_occupancy(4);
+        tally.publish();
         let s = t.to_json();
         assert!(fp_stats::json::validate(&s).is_ok(), "{s}");
         assert!(s.contains("\"requests_submitted\":1"));

@@ -2,6 +2,7 @@
 
 use crate::event::{Counter, EventKind};
 use crate::handle::TraceHandle;
+use crate::hist::Log2Hist;
 
 // The dirty mask has one bit per counter.
 const _: () = assert!(Counter::COUNT <= 64);
@@ -26,13 +27,21 @@ const _: () = assert!(Counter::COUNT <= 64);
 /// capacity > 0 the event goes through [`TraceHandle::record_run`] at
 /// once, counter and ring. So every retained event is already counted on
 /// the spine, and [`TraceHandle::dropped`] never depends on when counts
-/// are published. Histogram samples go straight to the spine
-/// ([`TraceHandle::record_latency`], [`TraceHandle::record_occupancy`]).
+/// are published. Histogram samples wait in the tally too, and join the
+/// spine's histograms in the same cut as the counts of the calls that
+/// took them, so a reader never sees a request's latency before its
+/// `RequestsCompleted`.
 #[derive(Debug)]
 pub struct Tally {
     counts: [u64; Counter::COUNT],
     /// Bit `c` is set when `counts[c]` may be non-zero.
     dirty: u64,
+    /// Latency samples not published yet. Raw values, not a histogram: a
+    /// tally is built with every engine component and most never take a
+    /// sample, and a publish empties the buffer but keeps its capacity.
+    latency: Vec<u64>,
+    /// Stash occupancy samples not published yet.
+    occupancy: Vec<u64>,
     handle: TraceHandle,
 }
 
@@ -60,6 +69,8 @@ impl Tally {
         Self {
             counts: [0; Counter::COUNT],
             dirty: 0,
+            latency: Vec::new(),
+            occupancy: Vec::new(),
             handle,
         }
     }
@@ -111,6 +122,33 @@ impl Tally {
         }
     }
 
+    /// Adds a request latency sample (picoseconds).
+    #[inline]
+    pub fn record_latency(&mut self, ps: u64) {
+        self.latency.push(ps);
+    }
+
+    /// Adds a stash occupancy sample (blocks resident after a refill).
+    #[inline]
+    pub fn record_occupancy(&mut self, blocks: u64) {
+        self.occupancy.push(blocks);
+    }
+
+    /// The latency histogram as the spine will read it once this tally
+    /// publishes: the spine's plus the unpublished samples.
+    pub fn latency_hist(&self) -> Log2Hist {
+        let mut hist = self.handle.latency_hist();
+        self.latency.iter().for_each(|&v| hist.add(v));
+        hist
+    }
+
+    /// [`Tally::latency_hist`] for the occupancy histogram.
+    pub fn occupancy_hist(&self) -> Log2Hist {
+        let mut hist = self.handle.occupancy_hist();
+        self.occupancy.iter().for_each(|&v| hist.add(v));
+        hist
+    }
+
     /// A counter as the spine will read it once this tally publishes
     /// (other writers aside): the spine's value plus the unpublished
     /// count.
@@ -138,30 +176,35 @@ impl Tally {
     }
 
     /// Folds the counts into the spine — one atomic add per counter
-    /// touched since the last publish — and clears them.
+    /// touched since the last publish — and the histogram samples into
+    /// its histograms, and clears them.
     // Allocation-free: tests/hot_path_alloc.rs.
     pub fn publish(&mut self) {
         Self::publish_all([self]);
     }
 
     /// Publishes several tallies of one spine as one cut: a reader of
-    /// [`TraceHandle::counters`] sees all of them or none. Takes the
-    /// spine's lock once, and not at all when no tally counted anything.
+    /// [`TraceHandle::counters`] and the histograms sees all of them or
+    /// none. Takes the spine's lock once, and not at all when no tally
+    /// counted anything.
     pub fn publish_all<'a>(tallies: impl IntoIterator<Item = &'a mut Tally>) {
         let mut cut = None;
         for Tally {
             counts,
             dirty,
+            latency,
+            occupancy,
             handle,
         } in tallies
         {
-            if *dirty == 0 {
+            if *dirty == 0 && latency.is_empty() && occupancy.is_empty() {
                 continue;
             }
             let handle: &TraceHandle = handle;
             let cut = cut.get_or_insert_with(|| handle.cut());
             debug_assert!(cut.is_of(handle), "one spine per cut");
             cut.fold(counts, dirty);
+            cut.merge(latency, occupancy);
         }
     }
 }

@@ -19,7 +19,9 @@
 # neither), the verdict of the guide's rule on those numbers, and whether
 # every `exact` value and `failed_share` matched (an end-to-end metric
 # the runs do not report has no row; a workload with none has one row
-# for that last column):
+# for that last column). Below the table, each `exact` row that differs
+# (and `failed_share`, if it does) is listed with its parent and change
+# values, so a model change shows what it moved:
 #
 #   gain        the change won at least nine tenths of the pairs and the
 #               medians differ by more than the parent's q1-q3 distance
@@ -186,6 +188,23 @@ def verdict(spec, av, bv, wins):
 
 
 runs = [(load(p, "parent"), load(p, "change")) for p in range(1, pairs + 1)]
+
+
+def exact_rows(w):
+    """A run's `exact` block as named values (a --repro run's is one hash)."""
+    rows = w["exact"] if isinstance(w["exact"], dict) else {"stdout sha256": w["exact"]}
+    rows = {k: v["value"] if isinstance(v, dict) else v for k, v in rows.items()}
+    rows["failed_share"] = w["failed"] / w["attempted"] if w["attempted"] else 0
+    return rows
+
+
+def shown(values):
+    """Every distinct value a side read, in first-seen order."""
+    seen = list(dict.fromkeys(f"{v:.10g}" if isinstance(v, float) else str(v) for v in values))
+    return " / ".join(seen)
+
+
+differ = []
 print("| workload | metric | parent median (q1-q3) | change median (q1-q3) "
       "| change | wins | verdict | exact, failed_share |")
 print("|---|---|---|---|---|---|---|---|")
@@ -197,6 +216,12 @@ for name in runs[0][0]:
         a["exact"] == b["exact"]
         and a["failed"] * b["attempted"] == b["failed"] * a["attempted"]
         for a, b in sides)
+    if not pinned:
+        rows = [(exact_rows(a), exact_rows(b)) for a, b in sides]
+        for row in rows[0][0]:
+            if any(a.get(row) != b.get(row) for a, b in rows):
+                differ.append((name, row, shown(a.get(row) for a, _ in rows),
+                               shown(b.get(row) for _, b in rows)))
     reported = [spec for spec in end_to_end
                 if all(spec["name"] in w["metrics"] for pair in sides for w in pair)]
     if not reported:
@@ -212,6 +237,12 @@ for name in runs[0][0]:
               f"{bmed:.4g} ({bq1:.4g}-{bq3:.4g}) | {(bmed - amed) / amed:+.1%} | "
               f"{wins} of {len(sides)} | {verdict(spec, av, bv, wins)} | "
               f"{'match' if pinned else 'DIFFER'} |")
+if differ:
+    print()
+    print("| workload | `exact` row that differs | parent | change |")
+    print("|---|---|---|---|")
+    for name, row, parent, change in differ:
+        print(f"| `{name}` | `{row}` | {parent} | {change} |")
 if layers:
     print()
     print("| workload | per-layer metric | parent median (q1-q3) | change median (q1-q3) "

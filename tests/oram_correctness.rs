@@ -322,10 +322,7 @@ fn caches_do_not_change_functional_results() {
     for cache in [
         CacheChoice::None,
         CacheChoice::Treetop { bytes: 8 << 10 },
-        CacheChoice::MergingAware {
-            bytes: 8 << 10,
-            ways: 4,
-        },
+        CacheChoice::MergingAware { bytes: 8 << 10 },
     ] {
         let cfg = OramConfig::small_test();
         let block = cfg.block_bytes;

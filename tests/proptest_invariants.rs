@@ -12,7 +12,7 @@ use fork_path_oram::core::{
     PosMapLookasideBuffer,
 };
 use fork_path_oram::dram::{DramConfig, DramSystem};
-use fork_path_oram::path_oram::cache::{BucketCache, NoCache, WriteOutcome};
+use fork_path_oram::path_oram::cache::CacheRange;
 use fork_path_oram::path_oram::path::{
     divergence_level, node_at_level, node_level, overlap_degree, path_contains, path_nodes,
 };
@@ -166,33 +166,57 @@ fn eviction_stream_equals_per_level_calls() {
 
 // ---------- MAC geometry --------------------------------------------
 
+/// The merging-aware cache is the run of whole levels from `m1` down that
+/// its budget holds (Fig 9's density: half a bucket a bucket), stopped at
+/// the leaf level: every level is on chip or not as a whole, the levels on
+/// chip start at `m1`, fit the budget, and the next level would not fit
+/// or does not exist.
 #[test]
-fn mac_set_index_stays_in_bounds() {
-    run_cases("mac_set_index_stays_in_bounds", CASES, |g: &mut Gen| {
-        let sets = g.range_usize(1, 512);
-        let ways = g.range_usize(1, 8);
-        let m1 = g.range_u32(1, 8);
-        let y = g.below(65536);
-        let mut mac = MergingAwareCache::new(sets, ways, m1);
-        let deepest = mac.deepest_level();
-        for level in m1..=deepest {
-            let node = (1u64 << level) + (y % (1 << level));
-            // Inserting must never panic and never evict from resident
-            // levels beyond capacity.
-            let _ = mac.insert_on_write(node);
-            let _ = mac.lookup_for_read(node);
-        }
-    });
+fn mac_range_is_the_whole_levels_that_fit() {
+    run_cases(
+        "mac_range_is_the_whole_levels_that_fit",
+        CASES,
+        |g: &mut Gen| {
+            let bucket_bytes = 64 * (1 + g.below(8));
+            let bytes = 1 + g.below(1 << 21);
+            let m1 = g.range_u32(1, 8);
+            let leaf = g.range_u32(1, 20);
+            let mac = MergingAwareCache::range(bytes, bucket_bytes, m1, leaf);
+            let budget = (bytes / (bucket_bytes / 2)).max(1);
+            let held: Vec<u32> = (0..=leaf + 1)
+                .filter(|&level| {
+                    let (first, last) = (1u64 << level, (2u64 << level) - 1);
+                    let on_chip = mac.holds(first);
+                    assert_eq!(mac.holds(last), on_chip, "level {level} is whole");
+                    let inside = first + g.below(1 << level);
+                    assert_eq!(mac.holds(inside), on_chip, "level {level} is whole");
+                    on_chip
+                })
+                .collect();
+            let fits = |end: u32| (1u64 << end) - (1u64 << m1) <= budget;
+            match (held.first(), held.last()) {
+                (Some(&lo), Some(&hi)) => {
+                    assert_eq!(lo, m1, "the range starts at m1");
+                    assert_eq!(held.len() as u32, hi - lo + 1, "one run of levels");
+                    assert!(
+                        hi <= leaf && fits(hi + 1),
+                        "the range fits the tree and budget"
+                    );
+                    assert!(hi == leaf || !fits(hi + 2), "the next level does not fit");
+                }
+                _ => assert!(m1 > leaf || !fits(m1 + 1), "level m1 does not fit"),
+            }
+        },
+    );
 }
 
 // ---------- optimized hot-path structures vs reference models ---------
 //
-// The PLB and the MAC were rewritten for O(1)/single-pass operation (the
-// PLB as a hashmap-indexed intrusive LRU list, the MAC as a flat way-slab).
-// These properties pin the optimized implementations to straightforward
-// reference models — the shapes of the original implementations — over
-// randomized access streams: every observable (return values, membership,
-// occupancy) must agree at every step.
+// The PLB was rewritten for O(1) operation, as a hashmap-indexed intrusive
+// LRU list. This property pins it to a straightforward reference model —
+// the shape of the original implementation — over randomized access
+// streams: every observable (return values, membership, occupancy) must
+// agree at every step.
 
 /// Reference LRU: the `VecDeque` + linear-scan shape the PLB replaced.
 struct RefPlb {
@@ -250,169 +274,6 @@ fn plb_matches_lru_reference_model() {
     });
 }
 
-/// Reference MAC line and per-set `Vec` storage: the growable-sets,
-/// two-pass-scan shape the flat-slab MAC replaced. Geometry (resident
-/// window, fold region) follows the same sizing rule.
-struct RefMac {
-    sets: Vec<Vec<(u64, u64, bool)>>, // (node, last_use, dirty)
-    ways: usize,
-    m1: u32,
-    full_levels: u32,
-    partial_sets: u64,
-    partial_base: u64,
-    tick: u64,
-    resident: usize,
-}
-
-impl RefMac {
-    fn new(num_sets: usize, ways: usize, m1: u32, leaf_level: u32) -> Self {
-        let slots = (num_sets * ways) as u64;
-        let level_budget = leaf_level.saturating_sub(m1).saturating_add(1);
-        let mut full_levels = 0u32;
-        while full_levels < 40.min(level_budget)
-            && (1u128 << (m1 + full_levels + 1)) - (1u128 << m1) <= slots as u128
-        {
-            full_levels += 1;
-        }
-        let used_slots = if full_levels == 0 {
-            0
-        } else {
-            (1u64 << (m1 + full_levels)) - (1u64 << m1)
-        };
-        let partial_base = used_slots.div_ceil(ways as u64);
-        let partial_sets = if m1 + full_levels <= leaf_level {
-            (num_sets as u64).saturating_sub(partial_base)
-        } else {
-            0
-        };
-        Self {
-            sets: vec![Vec::new(); num_sets],
-            ways,
-            m1,
-            full_levels,
-            partial_sets,
-            partial_base,
-            tick: 0,
-            resident: 0,
-        }
-    }
-
-    fn deepest_level(&self) -> u32 {
-        if self.partial_sets > 0 {
-            self.m1 + self.full_levels
-        } else {
-            self.m1 + self.full_levels - 1
-        }
-    }
-
-    fn set_index(&self, node: u64) -> usize {
-        let x = fork_path_oram::path_oram::path::node_level(node);
-        let y = fork_path_oram::path_oram::path::index_in_level(node);
-        if self.full_levels > 0 && x < self.m1 + self.full_levels {
-            let slot = (1u64 << x) - (1u64 << self.m1) + y;
-            (slot / self.ways as u64) as usize
-        } else {
-            (self.partial_base + (y % self.partial_sets)) as usize
-        }
-    }
-
-    fn cacheable(&self, node: u64) -> bool {
-        let level = fork_path_oram::path_oram::path::node_level(node);
-        (self.m1..=self.deepest_level()).contains(&level)
-    }
-
-    fn lookup_for_read(&mut self, node: u64) -> bool {
-        if !self.cacheable(node) {
-            return false;
-        }
-        self.tick += 1;
-        let set = self.set_index(node);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.0 == node) {
-            line.1 = self.tick;
-            line.2 = false; // placeholder
-            true
-        } else {
-            false
-        }
-    }
-
-    fn insert_on_write(&mut self, node: u64) -> WriteOutcome {
-        if !self.cacheable(node) {
-            return WriteOutcome::WriteThrough;
-        }
-        self.tick += 1;
-        let ways = self.ways;
-        let set = self.set_index(node);
-        let lines = &mut self.sets[set];
-        if let Some(line) = lines.iter_mut().find(|l| l.0 == node) {
-            line.1 = self.tick;
-            line.2 = true;
-            return WriteOutcome::Cached;
-        }
-        if lines.len() < ways {
-            lines.push((node, self.tick, true));
-            self.resident += 1;
-            return WriteOutcome::Cached;
-        }
-        // Scan for the LRU victim, placeholders preferred.
-        let victim = (0..lines.len())
-            .min_by_key(|&i| (lines[i].2, lines[i].1))
-            .expect("full set");
-        let old = lines[victim];
-        lines[victim] = (node, self.tick, true);
-        if old.2 {
-            WriteOutcome::CachedEvicting { victim: old.0 }
-        } else {
-            WriteOutcome::Cached
-        }
-    }
-}
-
-#[test]
-fn mac_matches_per_set_reference_model() {
-    run_cases(
-        "mac_matches_per_set_reference_model",
-        CASES,
-        |g: &mut Gen| {
-            let num_sets = g.range_usize(1, 48);
-            let ways = g.range_usize(1, 4);
-            let m1 = g.range_u32(1, 4);
-            // Sometimes unclamped (u32::MAX), sometimes a shallow tree so the
-            // clamp and bypass paths are exercised too.
-            let leaf_level = if g.bool() {
-                u32::MAX
-            } else {
-                m1 + g.range_u32(0, 8)
-            };
-            let mut mac = MergingAwareCache::new_for_tree(num_sets, ways, m1, leaf_level);
-            let mut reference = RefMac::new(num_sets, ways, m1, leaf_level);
-            assert_eq!(mac.deepest_level(), reference.deepest_level());
-            let top = reference.deepest_level().min(20) + 2;
-            let ops = g.vec(1, 300, |g| {
-                let level = g.range_u32(0, top);
-                let node = (1u64 << level) + g.below(1 << level);
-                (node, g.bool())
-            });
-            for &(node, write) in &ops {
-                if write {
-                    assert_eq!(
-                        mac.insert_on_write(node),
-                        reference.insert_on_write(node),
-                        "insert_on_write({node}) diverged"
-                    );
-                } else {
-                    assert_eq!(
-                        mac.lookup_for_read(node),
-                        reference.lookup_for_read(node),
-                        "lookup_for_read({node}) diverged"
-                    );
-                }
-                assert_eq!(mac.resident(), reference.resident);
-            }
-        },
-    );
-}
-
 // ---------- whole-ORAM state ------------------------------------------
 
 #[test]
@@ -425,7 +286,7 @@ fn state_invariants_hold_under_random_access_mix() {
             let addrs = g.vec(1, 40, |g| g.below(512));
             let cfg = OramConfig::small_test();
             let levels = cfg.levels;
-            let mut dp = Datapath::new(cfg, dram(), seed, Box::new(NoCache));
+            let mut dp = Datapath::new(cfg, dram(), seed, CacheRange::NONE);
             let mut t = 0;
             for &addr in &addrs {
                 let chain = dp.state().chain(addr);

@@ -251,41 +251,41 @@ fn golden() -> Vec<Golden> {
         Golden {
             scheme: "fork+mac",
             stash_capacity: 200,
-            stash_high_water: 34,
+            stash_high_water: 29,
             oram: OramStats {
                 completed_requests: 1999,
-                oram_accesses: 5019,
-                real_accesses: 4890,
-                dummy_accesses: 129,
-                dummies_replaced: 7,
-                buckets_read: 62_195,
-                buckets_written: 62_195,
-                dram_blocks_read: 119_000,
-                dram_blocks_written: 110_828,
-                cache_hits: 32_445,
-                cache_misses: 29_750,
-                sum_latency_ps: 27_955_275_784,
-                stash_hits: 1032,
-                finish_time_ps: 7_359_928_750,
-                access_busy_ps: 1_874_512_082,
-                stash_size_sum: 36_474,
-                stash_samples: 5019,
-                sched_ready_reals: 30_932,
-                sched_rounds: 5019,
+                oram_accesses: 5082,
+                real_accesses: 4892,
+                dummy_accesses: 190,
+                dummies_replaced: 10,
+                buckets_read: 62_815,
+                buckets_written: 62_815,
+                dram_blocks_read: 112_376,
+                dram_blocks_written: 112_376,
+                cache_hits: 34_721,
+                cache_misses: 28_094,
+                sum_latency_ps: 25_293_696_916,
+                stash_hits: 1030,
+                finish_time_ps: 7_358_231_250,
+                access_busy_ps: 1_745_663_379,
+                stash_size_sum: 35_793,
+                stash_samples: 5082,
+                sched_ready_reals: 30_399,
+                sched_rounds: 5082,
             },
             dram: DramStats {
-                reads: 119_000,
-                writes: 110_828,
-                activations: 19_156,
-                precharges: 19_140,
-                row_hits: 210_672,
-                row_misses: 19_156,
-                act_energy_pj: 478_900_000,
-                read_energy_pj: 714_000_000,
-                write_energy_pj: 720_382_000,
-                refreshes: 282,
-                refreshes_skipped: 1604,
-                ref_energy_pj: 18_612_000,
+                reads: 112_376,
+                writes: 112_376,
+                activations: 14_451,
+                precharges: 14_435,
+                row_hits: 210_301,
+                row_misses: 14_451,
+                act_energy_pj: 361_275_000,
+                read_energy_pj: 674_256_000,
+                write_energy_pj: 730_444_000,
+                refreshes: 252,
+                refreshes_skipped: 1634,
+                ref_energy_pj: 16_632_000,
             },
         },
         Golden {

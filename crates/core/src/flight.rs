@@ -106,6 +106,8 @@ pub(crate) struct FlightTable {
     /// one, which would let it run with a stale label).
     busy: U64Map<VecDeque<u64>>,
     stalled: VecDeque<StalledStep>,
+    /// Steps of `stalled` on [`Stall::QueueFull`].
+    queue_full: usize,
     /// Keys whose owner left waiters behind, oldest release first; emptied
     /// by the scans (see the wake invariant above).
     released: Vec<u64>,
@@ -171,7 +173,7 @@ impl FlightTable {
         ready_ps: u64,
     ) -> Result<(), ControllerError> {
         if let Some(why) = self.try_enqueue_step(ctx, flight, ready_ps)? {
-            self.stalled.push_back(StalledStep {
+            self.stall(StalledStep {
                 flight,
                 ready_ps,
                 why,
@@ -180,21 +182,37 @@ impl FlightTable {
         Ok(())
     }
 
+    /// Puts `step` at the back of the stalled FIFO.
+    fn stall(&mut self, step: StalledStep) {
+        self.queue_full += usize::from(step.why == Stall::QueueFull);
+        self.stalled.push_back(step);
+    }
+
     /// One scan of the stalled FIFO, oldest step first (they are older than
     /// anything the address queue could produce): re-tries the steps whose
     /// outcome can have changed — see the wake invariant on
-    /// [`FlightTable`] — and keeps the rest, in order.
+    /// [`FlightTable`] — and keeps the rest, in order. With no key released
+    /// and no step on a full queue, no step can move, and the scan ends
+    /// before it starts.
     ///
     /// # Errors
     ///
     /// Propagates invariant violations from step placement.
     // Allocation-free once warm: tests/hot_path_alloc.rs.
     pub(crate) fn retry_stalled(&mut self, ctx: &mut StepCtx<'_>) -> Result<(), ControllerError> {
+        if self.released.is_empty() && self.queue_full == 0 {
+            debug_assert!(
+                self.stalled.iter().all(|step| self.is_parked(step)),
+                "skipped a step that could move"
+            );
+            return Ok(());
+        }
         let released_before = self.released.len();
         for _ in 0..self.stalled.len() {
             let Some(mut step) = self.stalled.pop_front() else {
                 break;
             };
+            self.queue_full -= usize::from(step.why == Stall::QueueFull);
             let woken = match step.why {
                 Stall::QueueFull => true,
                 Stall::Parked(key) => self.released.contains(&key),
@@ -207,7 +225,7 @@ impl FlightTable {
             } else {
                 debug_assert!(self.is_parked(&step), "skipped a step that could move");
             }
-            self.stalled.push_back(step);
+            self.stall(step);
         }
         self.released.drain(..released_before);
         Ok(())
@@ -492,10 +510,18 @@ mod tests {
             flights.retry_stalled(&mut ctx).unwrap();
         }
 
-        /// The stalled FIFO, front first.
+        /// The stalled FIFO, front first; its count of steps on a full
+        /// queue is exact.
         fn stalled(&self) -> Vec<(u64, Stall)> {
-            let steps = self.flights.stalled.iter();
-            steps.map(|s| (s.flight, s.why)).collect()
+            let steps: Vec<_> = self
+                .flights
+                .stalled
+                .iter()
+                .map(|s| (s.flight, s.why))
+                .collect();
+            let full = steps.iter().filter(|(_, why)| *why == Stall::QueueFull);
+            assert_eq!(self.flights.queue_full, full.count());
+            steps
         }
 
         fn done(&self, flight: u64) -> bool {

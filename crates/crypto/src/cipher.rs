@@ -238,14 +238,19 @@ fn nonce_words(nonce: [u8; 12]) -> [u32; 3] {
 
 /// A per-write encryption nonce.
 ///
-/// Path ORAM's counter-mode scheme derives freshness from a global write
-/// counter plus the physical bucket address: each bucket write increments the
-/// counter, so re-encrypting unchanged data still yields a fresh ciphertext.
+/// Path ORAM's counter-mode scheme derives freshness from a write counter:
+/// each bucket write increments it, so re-encrypting unchanged data still
+/// yields a fresh ciphertext. A counter that only ever goes up and belongs
+/// to one key is unique per seal on its own; the tree store seals under
+/// `Nonce::new(counter, 0)`, so the keystream of its next writes is known
+/// before their buckets are. The address half is for callers whose counter
+/// is not unique per key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Nonce {
-    /// Monotonic write counter (global across the ORAM controller).
+    /// Monotonic write counter.
     pub write_counter: u64,
-    /// Physical address (bucket index) being written.
+    /// Physical address being written, or 0 when the counter alone is
+    /// unique.
     pub address: u32,
 }
 
@@ -286,6 +291,13 @@ pub struct BlockCipher {
 }
 
 impl BlockCipher {
+    /// Keystream blocks [`BlockCipher::keystream_blocks`] computes per
+    /// pass of the lane kernel: eight where the build's target has AVX2,
+    /// one otherwise. A list of lanes costs its length rounded up to a
+    /// multiple of this, so a caller with blocks it will need later can
+    /// fill a last pass's idle lanes with them for nothing.
+    pub const LANES: usize = LANES;
+
     /// Creates a block cipher from a 256-bit key.
     pub fn new(key: [u8; 32]) -> Self {
         Self {
@@ -332,6 +344,12 @@ impl BlockCipher {
     /// ```
     pub fn keystream_blocks(&self, lanes: &[(Nonce, u32)], out: &mut Vec<[u32; 16]>) {
         out.clear();
+        self.append_keystream_blocks(lanes, out);
+    }
+
+    /// [`BlockCipher::keystream_blocks`] after what `out` holds: the blocks
+    /// are appended, so a buffer of blocks computed ahead stays one slice.
+    pub fn append_keystream_blocks(&self, lanes: &[(Nonce, u32)], out: &mut Vec<[u32; 16]>) {
         self.inner.keystream_blocks::<LANES>(lanes, out);
     }
 }
@@ -483,6 +501,12 @@ mod tests {
                 assert_eq!(out, expected, "{what} count={count} lanes={lanes:?}");
             };
             run(&|o| cipher.keystream_blocks(&lanes, o), "LANES");
+            let (front, back) = lanes.split_at(count / 3);
+            let appended = |o: &mut Vec<_>| {
+                cipher.append_keystream_blocks(front, o);
+                cipher.append_keystream_blocks(back, o);
+            };
+            run(&appended, "appended");
             run(&|o| inner.keystream_blocks::<1>(&lanes, o), "N=1");
             run(&|o| inner.keystream_blocks::<2>(&lanes, o), "N=2");
             run(&|o| inner.keystream_blocks::<4>(&lanes, o), "N=4");

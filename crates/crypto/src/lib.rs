@@ -20,8 +20,9 @@
 //! and nonce. [`BlockCipher::encrypt_in_place`] fills a pass with
 //! consecutive blocks of one nonce, and [`BlockCipher::keystream_blocks`]
 //! with a list of `(nonce, block index)` lanes, so the blocks a tree path's
-//! images need — all of them on a write, the headers and real payloads on
-//! a read — share passes. How many lanes is a property of the build —
+//! images need — the headers and real payloads on a read, and on a write
+//! the blocks of the next write counters, computed ahead — share passes.
+//! How many lanes is a property of the build, [`BlockCipher::LANES`] —
 //! eight where the compilation target has AVX2 (the workspace's
 //! `.cargo/config.toml` builds for the host CPU), one otherwise — and every
 //! build, and both ways of filling the lanes, produce the same bytes.

@@ -62,7 +62,7 @@ const PUBLISH_EVERY: u32 = 64;
 /// for level in (0..=levels).rev() {
 ///     t = dp.refill_level(level, t);
 /// }
-/// // Its end seals what went to DRAM and charges the phase latency.
+/// // Its end charges the phase latency.
 /// assert!(dp.end_refill(t) > t);
 /// // The counts reach the spine when the engine publishes them.
 /// dp.publish();
@@ -137,10 +137,6 @@ impl Datapath {
     /// emptied image and the payload buffers are recycled: the phase
     /// allocates nothing once warm.
     ///
-    /// # Panics
-    ///
-    /// In a debug build, if a refill has not ended ([`Datapath::end_refill`]).
-    ///
     /// # Errors
     ///
     /// Stops at the first bucket whose stored image fails to decode
@@ -154,10 +150,6 @@ impl Datapath {
     ) -> Result<u64, IntegrityError> {
         let levels = self.state.config().levels;
         debug_assert!(floor <= levels);
-        debug_assert!(
-            !self.state.tree.has_outgoing(),
-            "read_path before end_refill"
-        );
         if let Some(labels) = &mut self.label_trace {
             labels.push(leaf);
         }
@@ -196,16 +188,7 @@ impl Datapath {
     /// orders its eviction candidates once
     /// ([`crate::Stash::begin_eviction`]). Call after the access's block
     /// handling and before the first [`Datapath::refill_level`].
-    ///
-    /// # Panics
-    ///
-    /// In a debug build, if the last refill has not ended
-    /// ([`Datapath::end_refill`]).
     pub fn begin_refill(&mut self, leaf: u64) {
-        debug_assert!(
-            !self.state.tree.has_outgoing(),
-            "begin_refill before end_refill"
-        );
         self.refill_leaf = leaf;
         let levels = self.state.config().levels;
         self.state.stash.begin_eviction(levels, leaf);
@@ -215,10 +198,9 @@ impl Datapath {
     /// bucket at `level` of the refill's path — each encoded straight into
     /// the tree store's open bucket — and commits it at `t_ps`; returns the
     /// commit time. A bucket of the cache's range stays on chip in the
-    /// clear and commits at `t_ps`; any other is written through to DRAM
-    /// and pays its DRAM write, and a sealed tree keeps it on chip in the
-    /// clear until [`Datapath::end_refill`] seals it. So the refill writes
-    /// to DRAM only buckets of its own path.
+    /// clear and commits at `t_ps`; any other is written through to DRAM,
+    /// sealed as it is stored by a sealed tree, and pays its DRAM write. So
+    /// the refill writes to DRAM only buckets of its own path.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -247,12 +229,9 @@ impl Datapath {
             .access_spans(t_ps, AccessKind::Write, &[base], bursts)
     }
 
-    /// Ends the refill whose last commit was at `t_ps`: a sealed tree seals
-    /// what the refill sent to DRAM, every keystream block of it in one
-    /// call, before untrusted memory is read again. Returns when the phase
-    /// is over — `t_ps` plus the phase latency.
-    pub fn end_refill(&mut self, t_ps: u64) -> u64 {
-        self.state.tree.seal_outgoing();
+    /// Ends the refill whose last commit was at `t_ps`. Returns when the
+    /// phase is over — `t_ps` plus the phase latency.
+    pub fn end_refill(&self, t_ps: u64) -> u64 {
         t_ps + CTRL_PHASE_LATENCY_PS
     }
 
@@ -649,17 +628,19 @@ mod tests {
     /// blocks: an image is five keystream blocks, its headers one, each
     /// real payload one.
     ///
-    /// - A refill computes five blocks per DRAM bucket write — its
+    /// - A refill uses five blocks per DRAM bucket write — its
     ///   write-throughs, the buckets of its path outside the cache — and
     ///   none for a bucket the cache keeps.
-    /// - A read computes one header block per image it takes from untrusted
+    /// - A read uses one header block per image it takes from untrusted
     ///   memory plus one per real payload in them; a bucket the cache
     ///   holds is taken in the clear and adds none.
+    ///
+    /// Pads computed ahead for later seals are not counted.
     #[test]
     fn a_sealed_datapath_seals_what_crosses_the_dram_boundary() {
         let (mut dp, bursts) = sealed_behind_middle_levels();
         let levels = dp.state().config().levels;
-        let computed = |dp: &Datapath| dp.state.tree.computed();
+        let used = |dp: &Datapath| dp.state.tree.used();
         let mut rng = fp_crypto::Xoshiro256::new(0x5EA1);
         let mut clear_takes = 0;
         for round in 0..400u64 {
@@ -679,21 +660,21 @@ mod tests {
                     _ => {}
                 }
             }
-            let before = computed(&dp);
+            let before = used(&dp);
             read(&mut dp, old);
-            assert_eq!(computed(&dp) - before, lanes, "round {round}: read");
+            assert_eq!(used(&dp) - before, lanes, "round {round}: read");
             clear_takes += on_chip;
 
             let data = [round as u8; 64];
             let _ = dp.state_mut().apply_op(head, new, Some(&data));
             dp.publish();
             let written = dp.trace().counter(Counter::DramBlocksWritten);
-            let before = computed(&dp);
+            let before = used(&dp);
             let stop = rng.next_below(4) as u32;
             let nodes = refill(&mut dp, old, stop);
             dp.publish();
             let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
-            assert_eq!(computed(&dp) - before, 5 * to_dram, "round {round}: refill");
+            assert_eq!(used(&dp) - before, 5 * to_dram, "round {round}: refill");
             let through = nodes.iter().filter(|&&n| !middle_levels().holds(n)).count();
             assert_eq!(
                 to_dram, through as u64,
@@ -705,27 +686,37 @@ mod tests {
     }
 
     /// A sealed refill seals everything it sent to DRAM — its
-    /// write-throughs — as it ends, in one
-    /// [`fp_crypto::BlockCipher::keystream_blocks`] call of five lanes a
-    /// bucket: dummy accesses on random paths.
+    /// write-throughs — as it stores them, five keystream blocks a bucket,
+    /// in whole passes of [`fp_crypto::BlockCipher::LANES`] blocks: it
+    /// takes what the held pads cover and computes whole passes for the
+    /// rest, and keeps what it does not use, at most two passes, for the
+    /// next seals. Dummy accesses on random paths.
     #[test]
-    fn a_sealed_refill_seals_what_it_sent_to_dram_in_one_call() {
+    fn a_sealed_refill_seals_what_it_sent_to_dram_in_whole_passes() {
         let (mut dp, bursts) = sealed_behind_middle_levels();
         let levels = dp.state().config().levels;
-        let keystream = |dp: &Datapath| (dp.state.tree.keystream_calls(), dp.state.tree.computed());
+        let lanes = fp_crypto::BlockCipher::LANES as u64;
+        let tree = |dp: &Datapath| {
+            let tree = &dp.state.tree;
+            (tree.passes(), tree.used(), tree.pads().len() as u64)
+        };
         let mut rng = fp_crypto::Xoshiro256::new(0xCA11);
         for round in 0..200 {
             let leaf = rng.next_below(1 << levels);
             read(&mut dp, leaf);
             dp.publish();
             let written = dp.trace().counter(Counter::DramBlocksWritten);
-            let (calls, lanes) = keystream(&dp);
+            let (passes, used, held) = tree(&dp);
             let nodes = refill(&mut dp, leaf, 0);
             dp.publish();
             let to_dram = (dp.trace().counter(Counter::DramBlocksWritten) - written) / bursts;
-            let (calls_after, lanes_after) = keystream(&dp);
-            let sealed = (calls_after - calls, lanes_after - lanes);
-            assert_eq!(sealed, (1, 5 * to_dram), "round {round}");
+            let (passes_after, used_after, held_after) = tree(&dp);
+            assert_eq!(used_after - used, 5 * to_dram, "round {round}");
+            let computed = (passes_after - passes) * lanes;
+            assert_eq!(computed, 5 * to_dram - held + held_after, "round {round}");
+            let short = (5 * to_dram).saturating_sub(held);
+            assert_eq!(computed, short.next_multiple_of(lanes), "round {round}");
+            assert!(held_after <= 2 * lanes, "round {round}");
             let through = nodes.iter().filter(|&&n| !middle_levels().holds(n)).count();
             assert_eq!(
                 to_dram, through as u64,
@@ -733,35 +724,6 @@ mod tests {
             );
         }
         dp.state().check_invariants().unwrap();
-    }
-
-    /// A sealed datapath whose refill of leaf 0 has sent its leaf bucket to
-    /// DRAM and not ended.
-    #[cfg(debug_assertions)]
-    fn mid_refill() -> Datapath {
-        let mut cfg = OramConfig::small_test();
-        cfg.cipher_mode = crate::config::CipherMode::Real;
-        let levels = cfg.levels;
-        let dram = DramSystem::new(DramConfig::ddr3_1600(2));
-        let mut dp = Datapath::new(cfg, dram, 99, CacheRange::NONE);
-        read(&mut dp, 0);
-        dp.begin_refill(0);
-        dp.refill_level(levels, 0);
-        dp
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "read_path before end_refill")]
-    fn a_read_before_the_refill_ends_panics() {
-        read(&mut mid_refill(), 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "begin_refill before end_refill")]
-    fn a_refill_before_the_last_one_ends_panics() {
-        mid_refill().begin_refill(0);
     }
 
     /// What a sealed read phase leaves behind when the bucket at level `j`

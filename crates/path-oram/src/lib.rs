@@ -32,7 +32,7 @@
 //!   count into), and exposes the two phases of an access — `read_path`
 //!   from a floor down, and the refill stream `begin_refill` +
 //!   `refill_level` + `end_refill`: leaf to root for as many levels as the
-//!   controller decides, its end sealing what it sent to DRAM.
+//!   controller decides, each bucket sent to DRAM sealed as it is stored.
 //! * The request vocabulary ([`Op`], [`NewRequest`], [`Completion`]), the
 //!   closed-loop feedback ([`ReactiveSource`], [`NoFeedback`]) and the
 //!   request ledger ([`CompletionLog`]) shared by every engine.

@@ -28,10 +28,8 @@
 //! which. A refill bucket the cache absorbs is stored on chip in the
 //! clear — a sealed store's Z slots without the counter — like the stash,
 //! and a read hit takes it without the cipher; it never goes to memory.
-//! A sealed store keeps a write-through on chip in the clear too, and
-//! lists it as outgoing until the refill ends;
-//! [`TreeStore::seal_outgoing`] then seals every outgoing bucket under a
-//! fresh counter of its own and moves it to memory. Untrusted memory
+//! A bucket bound for DRAM is sealed as it is stored, under the next write
+//! counter, and goes straight to memory. Untrusted memory
 //! ([`TreeStore::image`]) holds sealed images only, at every moment.
 //!
 //! **One image in both cipher modes.** A slot holds the bucket's serialized
@@ -43,31 +41,33 @@
 //! that owns no memory. [`CipherMode::Real`] keeps all Z slots, so an
 //! image's length says nothing about its occupancy, encrypts them with
 //! ChaCha20 under a fresh write counter and appends that counter (8 B,
-//! little-endian; the node id is the other half of the nonce). The trailer
-//! is read back only to unseal: the next seal's counter is the store's own,
-//! so rewritten memory cannot make two seals share a keystream. Sealing is
-//! confidentiality only; nothing authenticates an image. An image's
-//! buffer is exactly its size, `16 + block_bytes` a slot: the layout pads
-//! nothing, whatever Z and the block size. A take
+//! little-endian). The counter alone is the nonce: it is the store's own,
+//! one store to a key, and goes up by one per seal. The trailer is read
+//! back only to unseal, so rewritten memory cannot make two seals share a
+//! keystream. Sealing is confidentiality only; nothing authenticates an
+//! image. An image's buffer is exactly its size, `16 + block_bytes` a
+//! slot: the layout pads nothing, whatever Z and the block size. A take
 //! decodes the image in slot order and keeps the emptied buffer, by the
 //! slots it holds; a write encodes into one open bucket and copies that
 //! into a kept buffer of its size: neither phase of an access allocates
 //! once warm.
 //!
-//! **A path's keystream blocks in one call a phase.** Keystream block `b`
-//! of a sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
+//! **Keystream ahead of the write counter.** Keystream block `b` of a
+//! sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
 //! headers are block 0 exactly and, with 64 B blocks, payload `i` is block
-//! `1 + i`. Sealed, both phases work a path at a time, each block one lane
-//! of [`BlockCipher::keystream_blocks`], and only on what crosses the DRAM
-//! boundary. A refill's end computes every block of the buckets it sent
-//! to DRAM in one call, counters handed out in send order: a dummy payload
-//! is fresh ciphertext too. A read computes the header blocks of all the
-//! images it is about to take from untrusted memory in one call, unseals
-//! them, and computes in a second only the blocks that real payloads
-//! cover; the rest of an image stays sealed until the take drops it. A
-//! phase with nothing to seal or unseal makes no call.
-//! Every byte is that of [`BlockCipher::encrypt_in_place`] under the
-//! image's nonce.
+//! `1 + i`. Each block is one lane of [`BlockCipher::keystream_blocks`],
+//! which computes [`BlockCipher::LANES`] of them a pass, and a block of a
+//! seal depends only on its counter, not on the data. So the sealer keeps
+//! a few pads — the blocks of the next counters, in order, at most two
+//! passes — on chip, and every cipher call runs whole passes: a read
+//! computes the header blocks of all the images it takes from untrusted
+//! memory in one call, unseals them, and computes in a second only the
+//! blocks that real payloads cover, each call filling its last pass's idle
+//! lanes with pads; a seal takes an image's blocks from the pads and
+//! computes whole passes of them only when they run short. The rest of a
+//! taken image stays sealed until the take drops it, and a dummy payload
+//! is fresh ciphertext too. Every byte is that of
+//! [`BlockCipher::encrypt_in_place`] under the image's nonce.
 
 use fp_crypto::{BlockCipher, Nonce};
 
@@ -412,25 +412,45 @@ fn xor_keystream(bytes: &mut [u8], keystream: &[u32]) {
     }
 }
 
-/// [`CipherMode::Real`]'s cipher and the keystream blocks it computed
-/// last: `keystream[i]` is that of `lanes[i]`, a `(nonce, block index)`
-/// pair. Each [`BlockCipher::keystream_blocks`] call computes the blocks of
-/// several buckets in shared lane passes: every block of every bucket a
-/// refill sent to DRAM, or on a read the header blocks of every image
-/// taken from DRAM and then the blocks real payloads cover.
-#[derive(Debug)]
+/// [`CipherMode::Real`]'s cipher, its write counter and the keystream it
+/// holds: the blocks of the last read call (`keystream[i]` is that of
+/// `lanes[i]`, a `(nonce, block index)` pair), and the pads of the next
+/// seals.
 struct Sealer {
     cipher: BlockCipher,
     format: Format,
     lanes: Vec<(Nonce, u32)>,
     keystream: Vec<[u32; 16]>,
-    /// Keystream blocks computed so far: what the tests weigh a take and a
-    /// write by.
+    /// `pads[head..]`: the keystream blocks of the next seals, in
+    /// `(counter, block)` order from block 0 of `counter + 1`, at most two
+    /// passes' worth between calls. Compacted when it is refilled, so
+    /// an image's blocks are one slice; sized on first use.
+    pads: Vec<[u32; 16]>,
+    head: usize,
+    /// The write counter of the last seal: the nonce of a seal, alone.
+    counter: u64,
+    /// Passes of the lane kernel so far.
     #[cfg(test)]
-    computed: u64,
-    /// [`BlockCipher::keystream_blocks`] calls so far.
+    passes: u64,
+    /// Keystream blocks a read or a seal used so far, pads computed ahead
+    /// not counted: what the tests weigh a take and a write by.
     #[cfg(test)]
-    calls: u64,
+    used: u64,
+}
+
+/// Lengths only: the keystream and the pads of seals not yet made stay on
+/// chip, like the key.
+impl std::fmt::Debug for Sealer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sealer")
+            .field("cipher", &self.cipher)
+            .field("format", &self.format)
+            .field("lanes", &self.lanes.len())
+            .field("keystream", &self.keystream.len())
+            .field("pads", &self.held())
+            .field("counter", &self.counter)
+            .finish()
+    }
 }
 
 impl Sealer {
@@ -440,48 +460,108 @@ impl Sealer {
             format,
             lanes: Vec::new(),
             keystream: Vec::new(),
+            pads: Vec::new(),
+            head: 0,
+            counter: 0,
             #[cfg(test)]
-            computed: 0,
+            passes: 0,
             #[cfg(test)]
-            calls: 0,
+            used: 0,
         }
     }
 
-    /// Computes the keystream blocks of `lanes`, in one call; with no
-    /// lanes, in none.
+    /// Pads held for the next seals.
+    fn held(&self) -> usize {
+        self.pads.len() - self.head
+    }
+
+    /// Appends to `lanes` the lanes of the next `count` pads, those after
+    /// the ones held, and compacts `pads`: their blocks, computed next,
+    /// append to the held ones as one slice.
+    fn next_pads(&mut self, count: usize) {
+        let blocks = self.format.sealed_blocks() as usize;
+        if self.pads.capacity() == 0 {
+            // A seal fills `pads` to at most `blocks - 1 + LANES`, a read
+            // to two passes.
+            let most = (blocks - 1 + BlockCipher::LANES).max(2 * BlockCipher::LANES);
+            self.pads.reserve_exact(most);
+        }
+        let from = self.held();
+        self.lanes.extend((from..from + count).map(|pad| {
+            let counter = self.counter + 1 + (pad / blocks) as u64;
+            (Nonce::new(counter, 0), (pad % blocks) as u32)
+        }));
+        self.pads.drain(..self.head);
+        self.head = 0;
+    }
+
+    /// Computes the keystream blocks of `lanes` into `keystream`, in one
+    /// call; with no lanes, in none. The idle lanes of its last pass
+    /// compute pads, as many as fit in two passes' worth: the call costs
+    /// its passes either way.
     fn compute(&mut self) {
-        if self.lanes.is_empty() {
+        let wanted = self.lanes.len();
+        if wanted == 0 {
             self.keystream.clear();
             return;
         }
+        let whole = wanted.next_multiple_of(BlockCipher::LANES);
+        let room = (2 * BlockCipher::LANES).saturating_sub(self.held());
+        let pads = (whole - wanted).min(room);
+        if pads > 0 {
+            self.next_pads(pads);
+        }
+        // Room for whole passes whether or not this call fills them: a
+        // later call of the same size allocates nothing.
+        self.keystream.clear();
+        self.keystream.reserve(whole);
         self.cipher
             .keystream_blocks(&self.lanes, &mut self.keystream);
+        self.pads.extend_from_slice(&self.keystream[wanted..]);
+        self.keystream.truncate(wanted);
         #[cfg(test)]
         {
-            self.computed += self.lanes.len() as u64;
-            self.calls += 1;
+            self.passes += whole.div_ceil(BlockCipher::LANES) as u64;
+            self.used += wanted as u64;
         }
     }
 
-    /// Computes every keystream block of the images sealed under `nonces`,
-    /// in one call: `keystream` then holds each image's blocks in turn. A
-    /// dummy payload is fresh ciphertext too.
-    fn prepare(&mut self, nonces: impl IntoIterator<Item = Nonce>) {
-        let blocks = self.format.sealed_blocks();
-        self.lanes.clear();
-        for nonce in nonces {
-            self.lanes.extend((0..blocks).map(|block| (nonce, block)));
+    /// Seals a DRAM-bound image of Z slots in place under the next write
+    /// counter and appends the counter: one XOR over the slots with the
+    /// image's pads, computed now in whole passes if fewer are held.
+    fn seal(&mut self, image: &mut Image) {
+        let blocks = self.format.sealed_blocks() as usize;
+        if self.held() < blocks {
+            let short = blocks - self.held();
+            self.lanes.clear();
+            self.next_pads(short.next_multiple_of(BlockCipher::LANES));
+            self.cipher
+                .append_keystream_blocks(&self.lanes, &mut self.pads);
+            self.lanes.clear();
+            #[cfg(test)]
+            {
+                self.passes += short.div_ceil(BlockCipher::LANES) as u64;
+            }
         }
-        self.compute();
+        let pads = &self.pads[self.head..self.head + blocks];
+        xor_keystream(image, pads.as_flattened());
+        self.head += blocks;
+        self.counter += 1;
+        image.extend_from_slice(&self.counter.to_le_bytes());
+        #[cfg(test)]
+        {
+            self.used += blocks as u64;
+        }
     }
 
     /// Unseals in place, in two calls of the cipher, what the takes of
     /// `images` decode: each image from untrusted memory up to the first
     /// whose length is wrong; one held on chip is in the clear already,
-    /// and a call with no lane is not made. The first call computes their header blocks from the counters in
-    /// their trailers; the second, the blocks that the payloads of the real
-    /// slots those headers name cover, less the ones the first applied.
-    /// Dummy payloads stay sealed: nothing reads them.
+    /// and a call with no lane is not made. The first call computes their
+    /// header blocks from the counters in their trailers; the second, the
+    /// blocks that the payloads of the real slots those headers name
+    /// cover, less the ones the first applied. Dummy payloads stay sealed:
+    /// nothing reads them.
     fn unseal_path(&mut self, images: &mut [Taken]) {
         let (format, headers) = (self.format, self.format.header_blocks());
         self.lanes.clear();
@@ -516,14 +596,14 @@ impl Sealer {
     /// wrong.
     fn each_whole(format: Format, images: &mut [Taken], mut f: impl FnMut(Nonce, &mut [u8])) {
         let whole = format.sealed_bytes() + COUNTER_BYTES;
-        for (node, image, on_chip) in images {
+        for (_, image, on_chip) in images {
             if *on_chip {
                 continue;
             }
             if image.len() != whole {
                 break;
             }
-            let nonce = Nonce::new(counter_of(image), *node as u32);
+            let nonce = Nonce::new(counter_of(image), 0);
             f(nonce, &mut image[..whole - COUNTER_BYTES]);
         }
     }
@@ -531,10 +611,10 @@ impl Sealer {
     /// Unseals a whole image in place if it has the length this store
     /// writes, with a pass of its own: what reads a stored image without
     /// taking it.
-    fn unseal_whole(&self, node: u64, image: &mut [u8]) {
+    fn unseal_whole(&self, image: &mut [u8]) {
         let slots = self.format.sealed_bytes();
         if image.len() == slots + COUNTER_BYTES {
-            let nonce = Nonce::new(counter_of(image), node as u32);
+            let nonce = Nonce::new(counter_of(image), 0);
             self.cipher.encrypt_in_place(nonce, &mut image[..slots]);
         }
     }
@@ -548,19 +628,14 @@ impl Sealer {
 /// replaces its contents and, in [`CipherMode::Real`], re-encrypts with a
 /// fresh write-counter nonce so ciphertexts never repeat (§2.3) when it
 /// goes to memory: a bucket the cache holds is on chip in the clear, like
-/// the stash, and one a refill sends to DRAM waits there until the refill
-/// ends.
+/// the stash, and one bound for DRAM is sealed as it is stored.
 #[derive(Debug)]
 pub struct TreeStore {
     pages: Pages,
     format: Format,
-    /// [`CipherMode::Real`]'s cipher; `None` is `Transparent`, the identity.
+    /// [`CipherMode::Real`]'s cipher and write counter; `None` is
+    /// `Transparent`, the identity.
     sealer: Option<Sealer>,
-    write_counter: u64,
-    /// Sealed only: the buckets sent to DRAM since the last
-    /// [`TreeStore::seal_outgoing`], in send order, each still on chip in
-    /// the clear.
-    outgoing: Vec<u64>,
     /// The headers and the payloads of the slots pushed since the last
     /// [`TreeStore::store`]: the bucket being encoded, with room for Z
     /// slots once used.
@@ -590,8 +665,6 @@ impl TreeStore {
             sealer: format
                 .sealed
                 .then(|| Sealer::new(BlockCipher::new(key), format)),
-            write_counter: 0,
-            outgoing: Vec::new(),
             open_headers: Vec::new(),
             open_payloads: Vec::new(),
             taken: Vec::new(),
@@ -711,9 +784,8 @@ impl TreeStore {
     /// held, in a buffer of exactly its sealed size. `Real` pads it with
     /// dummy slots to Z — address [`DUMMY_ADDR`], leaf and payload zero.
     /// A bucket the cache holds (`on_chip`) stays so, in the clear; one
-    /// bound for DRAM goes to untrusted memory, in `Real` only once
-    /// [`TreeStore::seal_outgoing`] seals it: until then it waits on chip,
-    /// in the clear, as outgoing.
+    /// bound for DRAM goes to untrusted memory, in `Real` sealed under the
+    /// next write counter ([`Sealer::seal`]).
     ///
     /// # Panics
     ///
@@ -735,47 +807,12 @@ impl TreeStore {
         image.resize(slots * format.slot_bytes(), 0);
         self.open_headers.clear();
         self.open_payloads.clear();
-        if format.sealed && !on_chip {
-            self.outgoing.push(node);
+        if let Some(sealer) = self.sealer.as_mut().filter(|_| !on_chip) {
+            sealer.seal(&mut image);
         }
-        if let Some(old) = self.pages.put(node, image, on_chip || format.sealed) {
+        if let Some(old) = self.pages.put(node, image, on_chip) {
             self.recycle(old);
         }
-    }
-
-    /// Ends a refill: gives each outgoing bucket the next write counter, in
-    /// send order, computes every keystream block of them in one call,
-    /// seals each image in place, appends its counter and moves it to
-    /// untrusted memory. Nothing to do in the clear.
-    pub(crate) fn seal_outgoing(&mut self) {
-        let Some(sealer) = &mut self.sealer else {
-            return;
-        };
-        let first = self.write_counter + 1;
-        self.write_counter += self.outgoing.len() as u64;
-        let nonces = self.outgoing.iter().zip(first..);
-        sealer.prepare(nonces.map(|(&node, counter)| Nonce::new(counter, node as u32)));
-        let keystreams = sealer
-            .keystream
-            .chunks_exact(self.format.sealed_blocks() as usize);
-        for ((node, keystream), counter) in self.outgoing.drain(..).zip(keystreams).zip(first..) {
-            let (page, slot) = self
-                .pages
-                .page_mut(node)
-                .expect("an outgoing bucket is stored");
-            let image = page.slots[slot]
-                .as_mut()
-                .expect("an outgoing bucket is stored");
-            xor_keystream(image, keystream.as_flattened());
-            image.extend_from_slice(&counter.to_le_bytes());
-            page.on_chip &= !(1 << slot);
-        }
-    }
-
-    /// Whether a refill has sent buckets to DRAM that
-    /// [`TreeStore::seal_outgoing`] has not sealed yet.
-    pub(crate) fn has_outgoing(&self) -> bool {
-        !self.outgoing.is_empty()
     }
 
     /// Removes bucket `node` and returns its real blocks, each with a
@@ -805,7 +842,6 @@ impl TreeStore {
             self.push_slot(block);
         }
         self.store(node, false);
-        self.seal_outgoing();
     }
 
     /// Raw stored bytes of bucket `node`: the image, without its
@@ -862,7 +898,7 @@ impl TreeStore {
         if on_chip {
             format = format.on_chip();
         } else if let Some(sealer) = &self.sealer {
-            sealer.unseal_whole(node, &mut image);
+            sealer.unseal_whole(&mut image);
         }
         let mut blocks = Vec::new();
         let decoded = format.decode(&image, node, collect_into(&mut blocks));
@@ -891,14 +927,24 @@ impl TreeStore {
 
 #[cfg(test)]
 impl TreeStore {
-    /// Keystream blocks the sealer has computed so far.
-    pub(crate) fn computed(&self) -> u64 {
-        self.sealer.as_ref().expect("sealed").computed
+    fn sealer(&self) -> &Sealer {
+        self.sealer.as_ref().expect("sealed")
     }
 
-    /// [`BlockCipher::keystream_blocks`] calls the sealer has made so far.
-    pub(crate) fn keystream_calls(&self) -> u64 {
-        self.sealer.as_ref().expect("sealed").calls
+    /// Keystream blocks the sealer's reads and seals have used so far.
+    pub(crate) fn used(&self) -> u64 {
+        self.sealer().used
+    }
+
+    /// Passes of the lane kernel the sealer has run so far.
+    pub(crate) fn passes(&self) -> u64 {
+        self.sealer().passes
+    }
+
+    /// The pads the sealer holds for the next seals.
+    pub(crate) fn pads(&self) -> &[[u32; 16]] {
+        let sealer = self.sealer();
+        &sealer.pads[sealer.head..]
     }
 }
 
@@ -1152,11 +1198,6 @@ mod tests {
         assert_eq!(taken[0].data[1..], blocks[0].data[1..]);
     }
 
-    /// Keystream blocks the store's sealer has computed so far.
-    fn computed(store: &TreeStore) -> u64 {
-        store.computed()
-    }
-
     #[test]
     fn a_sealed_take_computes_the_headers_and_the_real_payloads_only() {
         // Z = 4, 64 B blocks: header block 0, payload i block 1 + i.
@@ -1167,51 +1208,122 @@ mod tests {
             let blocks: Vec<Block> = (0..real)
                 .map(|addr| Block::new(addr, real, vec![addr as u8; 64]))
                 .collect();
-            let before = computed(&store);
+            let before = store.used();
             store.write_bucket(1, blocks.clone());
-            assert_eq!(computed(&store) - before, 5, "a write seals every block");
-            let before = computed(&store);
+            assert_eq!(store.used() - before, 5, "a write seals every block");
+            let before = store.used();
             assert_eq!(store.take_bucket(1), blocks);
-            assert_eq!(computed(&store) - before, 1 + real, "{real} real slots");
+            assert_eq!(store.used() - before, 1 + real, "{real} real slots");
         }
-        // A path: its refill computes every block of every image in one
-        // call as it ends, its read the header blocks and then one per real
-        // slot.
+        // A path: its refill uses every block of every image, its read the
+        // header blocks and then one per real slot.
         let path = path_nodes(c.levels, 5);
-        let before = computed(&store);
+        let before = store.used();
         for (i, &node) in path.iter().rev().enumerate() {
             let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
             blocks.for_each(|block| store.push_slot(&block));
             store.store(node, false);
         }
-        store.seal_outgoing();
-        assert_eq!(computed(&store) - before, 5 * path.len() as u64);
-        let before = computed(&store);
+        assert_eq!(store.used() - before, 5 * path.len() as u64);
+        let before = store.used();
         let mut taken = 0;
         store
             .take_path_with(&path, |_, _, _| taken += 1)
             .expect("intact");
-        assert_eq!(computed(&store) - before, path.len() as u64 + taken);
+        assert_eq!(store.used() - before, path.len() as u64 + taken);
         assert_eq!(taken, 9);
+    }
+
+    /// A sealed store of Z = 4 and 64 B blocks: five keystream blocks an
+    /// image.
+    fn five_block_store() -> TreeStore {
+        let mut c = cfg(CipherMode::Real);
+        c.block_bytes = 64;
+        TreeStore::new(&c, [2; 32])
+    }
+
+    #[test]
+    fn back_to_back_seals_cost_whole_passes() {
+        let lanes = BlockCipher::LANES as u64;
+        for n in 1..=12u64 {
+            let mut store = five_block_store();
+            for node in 1..=n {
+                store.write_bucket(node, Vec::new());
+                assert!(store.pads().len() as u64 <= 2 * lanes, "n={n}");
+            }
+            assert_eq!(store.passes(), (5 * n).div_ceil(lanes), "n={n}");
+            assert_eq!(store.used(), 5 * n, "n={n}");
+        }
+    }
+
+    /// A read call whose pads fit in the ring fills its last pass: the
+    /// passes it runs are the blocks it uses plus the pads it adds. After
+    /// `LANES` seals the ring is empty, so both calls of a take have room.
+    #[test]
+    fn a_read_call_with_room_computes_only_whole_passes() {
+        let lanes = BlockCipher::LANES;
+        for real in 0..=4u64 {
+            let mut store = five_block_store();
+            for node in 1..=lanes as u64 {
+                let blocks = (0..real).map(|addr| Block::new(addr, 0, vec![1; 64]));
+                store.write_bucket(node, blocks.collect());
+            }
+            assert!(store.pads().is_empty());
+            let (passes, used) = (store.passes(), store.used());
+            assert_eq!(store.take_bucket(1).len() as u64, real);
+            let computed = (store.passes() - passes) * lanes as u64;
+            let kept = store.pads().len() as u64;
+            assert_eq!(computed, store.used() - used + kept, "{real} real slots");
+            assert_eq!(store.used() - used, 1 + real, "{real} real slots");
+            assert!(kept <= 2 * lanes as u64);
+            // The pads computed ahead seal the next writes.
+            let blocks = vec![Block::new(9, 9, vec![9; 64])];
+            store.write_bucket(1, blocks.clone());
+            assert_eq!(store.take_bucket(1), blocks);
+        }
+    }
+
+    #[test]
+    fn debug_output_shows_no_keystream() {
+        // A warm store: the last take left its keystream behind, and the
+        // ring holds pads of seals not yet made (none at one lane).
+        let mut store = five_block_store();
+        for node in 1..=3 {
+            store.write_bucket(node, vec![Block::new(node, 0, vec![0; 64])]);
+        }
+        store.take_bucket(1);
+        let sealer = store.sealer();
+        let words: Vec<u32> = sealer
+            .pads
+            .iter()
+            .chain(&sealer.keystream)
+            .flatten()
+            .copied()
+            .collect();
+        assert!(!words.is_empty());
+        let shown = format!("{store:?}");
+        let numbers: HashSet<&str> = shown.split(|c: char| !c.is_ascii_digit()).collect();
+        for word in words {
+            assert!(!numbers.contains(word.to_string().as_str()), "{word}");
+        }
     }
 
     /// A bucket stored on chip is in the clear and nowhere in untrusted
     /// memory: no keystream to store it or to take it, no image, yet it is
-    /// a stored bucket. Beside write-throughs it stays so: sealed, the
-    /// write-throughs wait on chip in the clear until the refill's end
-    /// seals them in one call, under counters in send order, and the
-    /// bucket on chip is left out. The same placement in the clear.
+    /// a stored bucket. Beside write-throughs it stays so: sealed, each
+    /// write-through is sealed as it is stored, under counters in send
+    /// order, and the bucket on chip takes no counter. The same placement
+    /// in the clear.
     #[test]
     fn an_on_chip_bucket_is_never_sealed() {
         for mode in [CipherMode::Transparent, CipherMode::Real] {
             let mut c = cfg(mode);
             c.block_bytes = 64;
             let sealed = mode == CipherMode::Real;
-            let computed = |store: &TreeStore| if sealed { store.computed() } else { 0 };
-            let calls = |store: &TreeStore| if sealed { store.keystream_calls() } else { 0 };
+            let used = |store: &TreeStore| if sealed { store.used() } else { 0 };
             let mut store = TreeStore::new(&c, [6; 32]);
             let path = path_nodes(c.levels, 9);
-            let (held, through) = (path[4], [path[6], path[2]]);
+            let (held, through) = (path[4], [path[6], path[5], path[2]]);
             let blocks = vec![Block::new(3, 9, vec![3; 64]), Block::new(4, 9, vec![4; 64])];
 
             let hold = |store: &mut TreeStore| {
@@ -1227,26 +1339,21 @@ mod tests {
             assert_eq!(sorted(&store), [(held, blocks.clone())], "{mode:?}");
             assert_eq!(stored(&store), 1);
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
-            assert_eq!(computed(&store), 0, "{mode:?}: held and taken in the clear");
-            store.seal_outgoing();
-            assert_eq!(calls(&store), 0, "{mode:?}: no cipher call without a lane");
+            assert_eq!(used(&store), 0, "{mode:?}: held and taken in the clear");
 
             store.store(through[0], false);
             hold(&mut store);
             store.store(through[1], false);
+            store.store(through[2], false);
             let in_memory = through.map(|node| store.image(node).is_some());
-            assert_eq!(in_memory, [!sealed; 2], "{mode:?}: sealed waits on chip");
-            let before = calls(&store);
-            store.seal_outgoing();
-            assert_eq!(sorted(&store).len(), 3, "{mode:?}");
+            assert_eq!(in_memory, [true; 3], "{mode:?}: sealed as stored");
+            assert_eq!(sorted(&store).len(), 4, "{mode:?}");
             assert_eq!(store.image(held), None, "{mode:?}: still on chip");
             if sealed {
                 let counters =
                     through.map(|node| counter_of(store.image(node).expect("in memory")));
-                // Counters in send order, every block in one call.
-                assert_eq!(counters, [1, 2]);
-                assert_eq!(computed(&store), 2 * 5);
-                assert_eq!(calls(&store) - before, 1);
+                assert_eq!(counters, [1, 2, 3], "counters in send order");
+                assert_eq!(used(&store), 3 * 5);
             }
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
         }
@@ -1254,8 +1361,9 @@ mod tests {
 
     /// Round trips of whole paths, sealed, at every Z and block size the
     /// list below makes (headers and payloads straddling keystream blocks
-    /// or not): refills of random occupancy, half of them sealed in one
-    /// call as they end and half one write at a time, then reads from a
+    /// or not): refills of random occupancy, half of them through the
+    /// refill's `push_slot` and `store` and half through `write_bucket`,
+    /// then reads from a
     /// random floor, a corrupt image at a random level of half of them,
     /// against the map model; the whole store after every read, once a
     /// corrupt image it left above its floor is taken.
@@ -1294,7 +1402,6 @@ mod tests {
                         }
                         model.write(node, blocks);
                     }
-                    store.seal_outgoing();
                     if rng.next_below(2) == 0 {
                         let node = path[rng.next_below(u64::from(levels) + 1) as usize];
                         let truncate = rng.next_below(2) == 0;
@@ -1524,10 +1631,9 @@ mod tests {
     /// runs against the model, empty and full buckets alike, the stored
     /// count after every call and `iter_buckets` after every
     /// fourth run if it leaves no bucket corrupt (it decodes infallibly).
-    /// Half the write runs are one refill, each bucket stored for DRAM and
-    /// all of them sealed in one call as the run ends, and half the take
-    /// runs are one `take_path_with`, so a sealed store decodes what it
-    /// sealed whichever way it sealed it.
+    /// Half the write runs are one refill, each bucket stored for DRAM,
+    /// and half the take runs are one `take_path_with`, so a sealed store
+    /// decodes what it sealed whichever door it came through.
     /// Returns how many times the whole store was compared.
     fn check_against_model(levels: u32, mode: CipherMode) -> u32 {
         let c = cfg_with_levels(mode, levels);
@@ -1597,7 +1703,6 @@ mod tests {
                 }
                 assert_eq!(stored(&store), model.buckets.len(), "{at}");
             }
-            store.seal_outgoing();
             // Every 50 runs, a scrub takes whatever is corrupt (each take
             // an `IntegrityError`): a bucket no later run revisits would
             // otherwise end the whole-store comparisons below.

@@ -19,7 +19,12 @@
 # neither), the verdict of the guide's rule on those numbers, and whether
 # every `exact` value and `failed_share` matched (an end-to-end metric
 # the runs do not report has no row; a workload with none has one row
-# for that last column). Below the table, each `exact` row that differs
+# for that last column). Besides BENCHMARK.json's metrics it judges
+# `wall_us_per_req`, 10^6 over the host-normalised `detail.wall_req_per_s`
+# every run reports, by the bound of `wall_us_per_access`: wall time per
+# access divides by dummy accesses too, so a change that moves
+# `sim_accesses_per_req` is judged per request, and per access is then a
+# diagnostic. Below the table, each `exact` row that differs
 # (and `failed_share`, if it does) is listed with its parent and change
 # values, so a model change shows what it moved:
 #
@@ -154,10 +159,21 @@ import json, statistics, sys
 out, pairs, figure, layers = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 with open("BENCHMARK.json") as f:
     end_to_end = json.load(f)["end_to_end"]
+spec = {s["name"]: s for s in end_to_end}
 if figure:
-    spec = {s["name"]: s for s in end_to_end}
     end_to_end = [dict(spec["wall_us_per_access"], name="wall_s"),
                   dict(spec["peak_rss_mb"], name="max_rss_mb")]
+else:
+    at = end_to_end.index(spec["wall_us_per_access"]) + 1
+    end_to_end.insert(at, dict(spec["wall_us_per_access"], name="wall_us_per_req"))
+
+
+def metric(w, m):
+    """Run `w`'s value of end-to-end metric `m`, or None if it has none."""
+    if m == "wall_us_per_req":
+        rate = w.get("detail", {}).get("wall_req_per_s", {}).get("value")
+        return 1e6 / rate if rate else None
+    return w["metrics"][m]["value"] if m in w["metrics"] else None
 
 
 def load(pair, side):
@@ -223,13 +239,13 @@ for name in runs[0][0]:
                 differ.append((name, row, shown(a.get(row) for a, _ in rows),
                                shown(b.get(row) for _, b in rows)))
     reported = [spec for spec in end_to_end
-                if all(spec["name"] in w["metrics"] for pair in sides for w in pair)]
+                if all(metric(w, spec["name"]) is not None for pair in sides for w in pair)]
     if not reported:
         print(f"| `{name}` | none reported | | | | | | {'match' if pinned else 'DIFFER'} |")
     for spec in reported:
         m = spec["name"]
-        av = [a["metrics"][m]["value"] for a, _ in sides]
-        bv = [b["metrics"][m]["value"] for _, b in sides]
+        av = [metric(a, m) for a, _ in sides]
+        bv = [metric(b, m) for _, b in sides]
         sign = 1 if spec["better"] == "lower" else -1
         wins = sum(sign * (x - y) > 0 for x, y in zip(av, bv))
         (aq1, amed, aq3), (bq1, bmed, bq3) = quartiles(av), quartiles(bv)

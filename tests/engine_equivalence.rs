@@ -212,9 +212,9 @@ fn observe(scheme: &Scheme, mode: CipherMode, pacing: Pacing) -> Observed {
 /// clear, in the same order: for every registry scheme with a tree, one
 /// workload gives identical completions, counters, stash high water, clock
 /// and tree contents in both modes. The open pacing moves the Fork Path
-/// write stop mid-refill both ways: a sealed refill seals what it sent to
-/// DRAM when it ends, wherever it stopped, and the tree must still decode
-/// to the same blocks.
+/// write stop mid-refill both ways: a sealed refill seals each bucket it
+/// sends to DRAM as it stores it, wherever it stops, and the tree must
+/// still decode to the same blocks.
 #[test]
 fn cipher_modes_are_one_datapath() {
     for (name, scheme) in registry() {
@@ -267,12 +267,10 @@ fn sealed_fork_run() -> ForkPathController {
 /// memory, digested over every image in it — ciphertext and write-counter
 /// trailer — in node order, beside the count of the stored buckets the
 /// merging-aware cache holds on chip, which untrusted memory does not
-/// have. The literal was recorded when the cache's range became resident
-/// from the start (a read of a range bucket never written is a hit, which
-/// moves this run's timing, hence its dummies and its write counters); a
-/// keystream that differs in one byte, for one nonce, a slot laid out
-/// elsewhere, or a bucket on the wrong side of the DRAM boundary, changes
-/// it.
+/// have. The literal was recorded when the write counter alone became the
+/// nonce of a seal; a keystream that differs in one byte, for one nonce, a
+/// slot laid out elsewhere, or a bucket on the wrong side of the DRAM
+/// boundary, changes it.
 #[test]
 fn sealed_images_match_the_recorded_digest() {
     let engine = sealed_fork_run();
@@ -290,22 +288,16 @@ fn sealed_images_match_the_recorded_digest() {
     let on_chip = tree.iter_buckets().count() - images;
     assert_eq!(
         (images, on_chip, digest),
-        (7, 1015, 0x4464_27ac_5021_4b3f),
+        (7, 1015, 0x6268_4232_a37d_df24),
         "sealed images"
     );
 }
 
-/// Bucket `node`'s image rebuilt from its real `blocks` without the tree
+/// A bucket's image rebuilt from its real `blocks` without the tree
 /// store's sealer: the Z headers `[addr | leaf]`, a dummy's `[u64::MAX |
 /// 0]`, then the payloads, a dummy's zero, encrypted by `encrypt_in_place`
-/// under `counter` and the node id, then the counter.
-fn rebuild(
-    cipher: &BlockCipher,
-    cfg: &OramConfig,
-    node: u64,
-    blocks: &[Block],
-    counter: u64,
-) -> Vec<u8> {
+/// under `counter` alone, then the counter.
+fn rebuild(cipher: &BlockCipher, cfg: &OramConfig, blocks: &[Block], counter: u64) -> Vec<u8> {
     let mut rebuilt = Vec::new();
     for i in 0..cfg.z {
         let (addr, leaf) = blocks.get(i).map_or((u64::MAX, 0), |b| (b.addr, b.leaf));
@@ -318,7 +310,7 @@ fn rebuild(
             None => rebuilt.resize(rebuilt.len() + cfg.block_bytes, 0),
         }
     }
-    cipher.encrypt_in_place(Nonce::new(counter, node as u32), &mut rebuilt);
+    cipher.encrypt_in_place(Nonce::new(counter, 0), &mut rebuilt);
     rebuilt.extend_from_slice(&counter.to_le_bytes());
     rebuilt
 }
@@ -351,7 +343,7 @@ fn check_sealed(tree: &TreeStore, cfg: &OramConfig, seen: &mut HashMap<u64, Vec<
         let counter = u64::from_le_bytes(image[sealed - 8..].try_into().expect("8 bytes"));
         let blocks = tree.bucket(node).expect("stored");
         assert_eq!(
-            rebuild(&cipher, cfg, node, &blocks, counter),
+            rebuild(&cipher, cfg, &blocks, counter),
             image,
             "node {node}"
         );

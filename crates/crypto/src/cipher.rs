@@ -344,12 +344,6 @@ impl BlockCipher {
     /// ```
     pub fn keystream_blocks(&self, lanes: &[(Nonce, u32)], out: &mut Vec<[u32; 16]>) {
         out.clear();
-        self.append_keystream_blocks(lanes, out);
-    }
-
-    /// [`BlockCipher::keystream_blocks`] after what `out` holds: the blocks
-    /// are appended, so a buffer of blocks computed ahead stays one slice.
-    pub fn append_keystream_blocks(&self, lanes: &[(Nonce, u32)], out: &mut Vec<[u32; 16]>) {
         self.inner.keystream_blocks::<LANES>(lanes, out);
     }
 }
@@ -501,12 +495,6 @@ mod tests {
                 assert_eq!(out, expected, "{what} count={count} lanes={lanes:?}");
             };
             run(&|o| cipher.keystream_blocks(&lanes, o), "LANES");
-            let (front, back) = lanes.split_at(count / 3);
-            let appended = |o: &mut Vec<_>| {
-                cipher.append_keystream_blocks(front, o);
-                cipher.append_keystream_blocks(back, o);
-            };
-            run(&appended, "appended");
             run(&|o| inner.keystream_blocks::<1>(&lanes, o), "N=1");
             run(&|o| inner.keystream_blocks::<2>(&lanes, o), "N=2");
             run(&|o| inner.keystream_blocks::<4>(&lanes, o), "N=4");

@@ -56,18 +56,27 @@
 //! sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
 //! headers are block 0 exactly and, with 64 B blocks, payload `i` is block
 //! `1 + i`. Each block is one lane of [`BlockCipher::keystream_blocks`],
-//! which computes [`BlockCipher::LANES`] of them a pass, and a block of a
-//! seal depends only on its counter, not on the data. So the sealer keeps
-//! a few pads — the blocks of the next counters, in order, at most two
-//! passes — on chip, and every cipher call runs whole passes: a read
-//! computes the header blocks of all the images it takes from untrusted
-//! memory in one call, unseals them, and computes in a second only the
-//! blocks that real payloads cover, each call filling its last pass's idle
-//! lanes with pads; a seal takes an image's blocks from the pads and
-//! computes whole passes of them only when they run short. The rest of a
-//! taken image stays sealed until the take drops it, and a dummy payload
-//! is fresh ciphertext too. Every byte is that of
-//! [`BlockCipher::encrypt_in_place`] under the image's nonce.
+//! which computes [`BlockCipher::LANES`] of them a pass. A block of a
+//! seal depends only on its counter, not on the data, so the pads — the
+//! blocks of the next counters, in order — are computed off the access, as
+//! a secure processor's encryption unit computes them beside its
+//! controller: the **pad engine**, one thread a sealed store starts at its
+//! first seal, computes them [`PAD_BATCH_SEALS`] seals a batch, whole
+//! passes, one batch ahead, and hands each over a channel; a seal XORs its
+//! image with the next pads of the batch it holds and waits on the channel
+//! only when that batch is spent, and the spent buffer goes back to the
+//! engine on a second channel, so no batch is allocated once warm. Pads
+//! held ahead are on-chip state, like the key. A read computes on the
+//! access thread the header blocks of all the images it takes from
+//! untrusted memory in one call, unseals them, and computes in a second
+//! only the blocks that real payloads cover. The rest of a taken image
+//! stays sealed until the take drops it, and a dummy payload is fresh
+//! ciphertext too. Every byte is that of [`BlockCipher::encrypt_in_place`]
+//! under the image's nonce. Dropping the store drops both channel ends and
+//! joins the engine.
+
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::thread::JoinHandle;
 
 use fp_crypto::{BlockCipher, Nonce};
 
@@ -92,6 +101,23 @@ const KEYSTREAM_BLOCK: usize = 64;
 /// The address no real block has: it marks a dummy slot. Block addresses
 /// are bounded by the tree's `total_blocks`, far below.
 const DUMMY_ADDR: u64 = u64::MAX;
+/// Seals one batch of the pad engine covers: `128 * sealed_blocks()` pads,
+/// a multiple of [`BlockCipher::LANES`] at any lane count, so the engine
+/// computes whole passes only.
+const PAD_BATCH_SEALS: usize = 128;
+/// Depth of the channel the batches cross: none, a rendezvous. The engine
+/// computes one batch ahead of the batch the seals take from and waits to
+/// hand it over; a batch lasts about 24 `sim_fork_mac_real` accesses,
+/// several times what it takes to compute.
+const PAD_DEPTH: usize = 0;
+/// Batch buffers in circulation: the seals', the one the engine hands over,
+/// and one waiting on the return channel for the engine's next batch. Also
+/// that channel's depth, so handing a spent one back never waits.
+const PAD_BUFFERS: usize = 3;
+const _: () = assert!(PAD_BATCH_SEALS.is_multiple_of(BlockCipher::LANES));
+
+/// The pads of [`PAD_BATCH_SEALS`] seals, in `(counter, block)` order.
+type Batch = Vec<[u32; 16]>;
 
 /// A stored bucket: its serialized image (see the module docs).
 type Image = Vec<u8>;
@@ -414,28 +440,32 @@ fn xor_keystream(bytes: &mut [u8], keystream: &[u32]) {
 
 /// [`CipherMode::Real`]'s cipher, its write counter and the keystream it
 /// holds: the blocks of the last read call (`keystream[i]` is that of
-/// `lanes[i]`, a `(nonce, block index)` pair), and the pads of the next
-/// seals.
+/// `lanes[i]`, a `(nonce, block index)` pair), and the batch of pads the
+/// next seals take from.
 struct Sealer {
     cipher: BlockCipher,
     format: Format,
     lanes: Vec<(Nonce, u32)>,
     keystream: Vec<[u32; 16]>,
-    /// `pads[head..]`: the keystream blocks of the next seals, in
-    /// `(counter, block)` order from block 0 of `counter + 1`, at most two
-    /// passes' worth between calls. Compacted when it is refilled, so
-    /// an image's blocks are one slice; sized on first use.
-    pads: Vec<[u32; 16]>,
+    /// The pad engine's batch the seals take from: `pads[head..]` are the
+    /// keystream blocks of the next seals, from block 0 of `counter + 1`.
+    /// Empty, unallocated, until the first seal.
+    pads: Batch,
     head: usize,
+    /// The pad engine, from the first seal on.
+    engine: Option<PadEngine>,
     /// The write counter of the last seal: the nonce of a seal, alone.
     counter: u64,
-    /// Passes of the lane kernel so far.
+    /// Passes of the lane kernel on the access thread so far: a read's.
     #[cfg(test)]
     passes: u64,
-    /// Keystream blocks a read or a seal used so far, pads computed ahead
-    /// not counted: what the tests weigh a take and a write by.
+    /// Keystream blocks a read or a seal used so far: what the tests weigh
+    /// a take and a write by.
     #[cfg(test)]
     used: u64,
+    /// Batches taken from the pad engine so far.
+    #[cfg(test)]
+    batches: u64,
 }
 
 /// Lengths only: the keystream and the pads of seals not yet made stay on
@@ -447,9 +477,106 @@ impl std::fmt::Debug for Sealer {
             .field("format", &self.format)
             .field("lanes", &self.lanes.len())
             .field("keystream", &self.keystream.len())
-            .field("pads", &self.held())
+            .field("pads", &(self.pads.len() - self.head))
+            .field("engine", &self.engine.is_some())
             .field("counter", &self.counter)
             .finish()
+    }
+}
+
+/// The thread that computes a sealed store's pads, and the two channel ends
+/// the store holds: the batches it sends, the spent buffers it gets back.
+struct PadEngine {
+    batches: Receiver<Batch>,
+    spent: SyncSender<Batch>,
+    thread: JoinHandle<()>,
+}
+
+impl PadEngine {
+    /// Starts computing the pads of the seals after write counter
+    /// `counter`, `blocks` a seal.
+    fn start(cipher: BlockCipher, blocks: u32, counter: u64) -> Self {
+        let (send, batches) = sync_channel(PAD_DEPTH);
+        let (spent, returned) = sync_channel(PAD_BUFFERS);
+        let thread = std::thread::Builder::new()
+            .name("pad-engine".into())
+            .spawn(move || Self::run(&cipher, blocks, counter, &send, &returned))
+            .expect("the pad engine's thread starts");
+        Self {
+            batches,
+            spent,
+            thread,
+        }
+    }
+
+    /// The engine's loop: a batch after another, each in one call of the
+    /// lane kernel, into a buffer of its own until [`PAD_BUFFERS`] exist and
+    /// into a returned one after that. Ends when the store drops either
+    /// channel end.
+    fn run(
+        cipher: &BlockCipher,
+        blocks: u32,
+        mut counter: u64,
+        send: &SyncSender<Batch>,
+        returned: &Receiver<Batch>,
+    ) {
+        let mut lanes = Vec::with_capacity(PAD_BATCH_SEALS * blocks as usize);
+        for made in 0.. {
+            let mut batch = if made < PAD_BUFFERS {
+                Vec::with_capacity(lanes.capacity())
+            } else {
+                let Ok(batch) = returned.recv() else { return };
+                batch
+            };
+            lanes.clear();
+            for _ in 0..PAD_BATCH_SEALS {
+                counter += 1;
+                let nonce = Nonce::new(counter, 0);
+                lanes.extend((0..blocks).map(|block| (nonce, block)));
+            }
+            cipher.keystream_blocks(&lanes, &mut batch);
+            let sent = if made == 0 {
+                Self::hand_to_a_waiting_seal(send, batch)
+            } else {
+                send.send(batch).is_ok()
+            };
+            if !sent {
+                return;
+            }
+        }
+    }
+
+    /// Hands the first batch over only once the first seal waits for it,
+    /// so that the seal's receive is the one that blocks. Std allocates
+    /// the first blocked receive of a thread on a channel (its waker
+    /// entry); this way that is the first seal's, and no later wait of the
+    /// same thread allocates. Whether the engine is ahead or behind then
+    /// decides nothing about allocation. False if the store is gone.
+    fn hand_to_a_waiting_seal(send: &SyncSender<Batch>, mut batch: Batch) -> bool {
+        loop {
+            match send.try_send(batch) {
+                Ok(()) => return true,
+                Err(TrySendError::Full(back)) => batch = back,
+                Err(TrySendError::Disconnected(_)) => return false,
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Drop for Sealer {
+    /// Drops both channel ends, so the engine's next wait or send fails and
+    /// it returns, then joins it; whatever it ended with is ignored.
+    fn drop(&mut self) {
+        if let Some(PadEngine {
+            batches,
+            spent,
+            thread,
+        }) = self.engine.take()
+        {
+            drop((batches, spent));
+            let _ = thread.join();
+        }
     }
 }
 
@@ -462,86 +589,38 @@ impl Sealer {
             keystream: Vec::new(),
             pads: Vec::new(),
             head: 0,
+            engine: None,
             counter: 0,
             #[cfg(test)]
             passes: 0,
             #[cfg(test)]
             used: 0,
+            #[cfg(test)]
+            batches: 0,
         }
-    }
-
-    /// Pads held for the next seals.
-    fn held(&self) -> usize {
-        self.pads.len() - self.head
-    }
-
-    /// Appends to `lanes` the lanes of the next `count` pads, those after
-    /// the ones held, and compacts `pads`: their blocks, computed next,
-    /// append to the held ones as one slice.
-    fn next_pads(&mut self, count: usize) {
-        let blocks = self.format.sealed_blocks() as usize;
-        if self.pads.capacity() == 0 {
-            // A seal fills `pads` to at most `blocks - 1 + LANES`, a read
-            // to two passes.
-            let most = (blocks - 1 + BlockCipher::LANES).max(2 * BlockCipher::LANES);
-            self.pads.reserve_exact(most);
-        }
-        let from = self.held();
-        self.lanes.extend((from..from + count).map(|pad| {
-            let counter = self.counter + 1 + (pad / blocks) as u64;
-            (Nonce::new(counter, 0), (pad % blocks) as u32)
-        }));
-        self.pads.drain(..self.head);
-        self.head = 0;
     }
 
     /// Computes the keystream blocks of `lanes` into `keystream`, in one
-    /// call; with no lanes, in none. The idle lanes of its last pass
-    /// compute pads, as many as fit in two passes' worth: the call costs
-    /// its passes either way.
+    /// call on the access thread.
     fn compute(&mut self) {
-        let wanted = self.lanes.len();
-        if wanted == 0 {
-            self.keystream.clear();
-            return;
-        }
-        let whole = wanted.next_multiple_of(BlockCipher::LANES);
-        let room = (2 * BlockCipher::LANES).saturating_sub(self.held());
-        let pads = (whole - wanted).min(room);
-        if pads > 0 {
-            self.next_pads(pads);
-        }
-        // Room for whole passes whether or not this call fills them: a
-        // later call of the same size allocates nothing.
-        self.keystream.clear();
-        self.keystream.reserve(whole);
         self.cipher
             .keystream_blocks(&self.lanes, &mut self.keystream);
-        self.pads.extend_from_slice(&self.keystream[wanted..]);
-        self.keystream.truncate(wanted);
         #[cfg(test)]
         {
-            self.passes += whole.div_ceil(BlockCipher::LANES) as u64;
-            self.used += wanted as u64;
+            self.passes += self.lanes.len().div_ceil(BlockCipher::LANES) as u64;
+            self.used += self.lanes.len() as u64;
         }
     }
 
     /// Seals a DRAM-bound image of Z slots in place under the next write
     /// counter and appends the counter: one XOR over the slots with the
-    /// image's pads, computed now in whole passes if fewer are held.
+    /// image's pads, from the batch held, or from the next one once that
+    /// is spent. A batch holds whole seals, so an image's pads are one
+    /// slice.
     fn seal(&mut self, image: &mut Image) {
         let blocks = self.format.sealed_blocks() as usize;
-        if self.held() < blocks {
-            let short = blocks - self.held();
-            self.lanes.clear();
-            self.next_pads(short.next_multiple_of(BlockCipher::LANES));
-            self.cipher
-                .append_keystream_blocks(&self.lanes, &mut self.pads);
-            self.lanes.clear();
-            #[cfg(test)]
-            {
-                self.passes += short.div_ceil(BlockCipher::LANES) as u64;
-            }
+        if self.head == self.pads.len() {
+            self.next_batch(blocks);
         }
         let pads = &self.pads[self.head..self.head + blocks];
         xor_keystream(image, pads.as_flattened());
@@ -554,14 +633,37 @@ impl Sealer {
         }
     }
 
+    /// Waits for the pad engine's next batch and hands it the spent one;
+    /// the first seal starts the engine. Cold, once every 128 seals: kept
+    /// out of `TreeStore::store`, which a `Transparent` store runs too.
+    #[cold]
+    fn next_batch(&mut self, blocks: usize) {
+        let engine = self.engine.get_or_insert_with(|| {
+            PadEngine::start(self.cipher.clone(), blocks as u32, self.counter)
+        });
+        let batch = engine.batches.recv().expect("the pad engine runs");
+        let spent = std::mem::replace(&mut self.pads, batch);
+        // The first batch replaces no buffer of the engine's. The return
+        // channel holds every buffer, so this send never waits; an engine
+        // that is gone fails the next receive instead.
+        if spent.capacity() > 0 {
+            let _ = engine.spent.send(spent);
+        }
+        self.head = 0;
+        #[cfg(test)]
+        {
+            self.batches += 1;
+        }
+    }
+
     /// Unseals in place, in two calls of the cipher, what the takes of
     /// `images` decode: each image from untrusted memory up to the first
     /// whose length is wrong; one held on chip is in the clear already,
-    /// and a call with no lane is not made. The first call computes their
-    /// header blocks from the counters in their trailers; the second, the
-    /// blocks that the payloads of the real slots those headers name
-    /// cover, less the ones the first applied. Dummy payloads stay sealed:
-    /// nothing reads them.
+    /// and a call with no lane computes nothing. The first call computes
+    /// their header blocks from the counters in their trailers; the
+    /// second, the blocks that the payloads of the real slots those
+    /// headers name cover, less the ones the first applied. Dummy payloads
+    /// stay sealed: nothing reads them.
     fn unseal_path(&mut self, images: &mut [Taken]) {
         let (format, headers) = (self.format, self.format.header_blocks());
         self.lanes.clear();
@@ -936,15 +1038,15 @@ impl TreeStore {
         self.sealer().used
     }
 
-    /// Passes of the lane kernel the sealer has run so far.
+    /// Passes of the lane kernel the sealer has run on the access thread so
+    /// far.
     pub(crate) fn passes(&self) -> u64 {
         self.sealer().passes
     }
 
-    /// The pads the sealer holds for the next seals.
-    pub(crate) fn pads(&self) -> &[[u32; 16]] {
-        let sealer = self.sealer();
-        &sealer.pads[sealer.head..]
+    /// Batches of pads the sealer has taken from its engine so far.
+    fn batches(&self) -> u64 {
+        self.sealer().batches
     }
 }
 
@@ -1242,45 +1344,95 @@ mod tests {
         TreeStore::new(&c, [2; 32])
     }
 
+    /// Seals take the pad engine's pads in counter order, across batch
+    /// boundaries, and compute none on the access thread; every batch is
+    /// whole passes. More than two batches of seals at two keystream
+    /// blocks an image (16 B blocks) and at five (64 B), each image checked
+    /// byte for byte against [`BlockCipher::encrypt_in_place`] under the
+    /// counter in its trailer; then the store is dropped mid-batch, and the
+    /// drop returns. Also a store dropped right after its first seal, while
+    /// the engine computes or offers its second batch.
     #[test]
-    fn back_to_back_seals_cost_whole_passes() {
-        let lanes = BlockCipher::LANES as u64;
-        for n in 1..=12u64 {
-            let mut store = five_block_store();
-            for node in 1..=n {
-                store.write_bucket(node, Vec::new());
-                assert!(store.pads().len() as u64 <= 2 * lanes, "n={n}");
+    fn back_to_back_seals_take_whole_batches_in_counter_order() {
+        let key = [2; 32];
+        let cipher = BlockCipher::new(key);
+        for block_bytes in [16, 64] {
+            let mut c = cfg(CipherMode::Real);
+            c.block_bytes = block_bytes;
+            let mut store = TreeStore::new(&c, key);
+            let blocks = store.format.sealed_blocks() as usize;
+            assert_eq!(blocks, if block_bytes == 16 { 2 } else { 5 });
+            let seals = 2 * PAD_BATCH_SEALS as u64 + 3;
+            for n in 1..=seals {
+                let node = 1 + n % 1000;
+                let data: Vec<u8> = (0..block_bytes).map(|i| (n + i as u64) as u8).collect();
+                store.write_bucket(node, vec![Block::new(n, n + 1, data.clone())]);
+                let mut clear = Vec::new();
+                clear.extend_from_slice(&n.to_le_bytes());
+                clear.extend_from_slice(&(n + 1).to_le_bytes());
+                for _ in 1..c.z {
+                    clear.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
+                    clear.extend_from_slice(&0u64.to_le_bytes());
+                }
+                clear.extend_from_slice(&data);
+                clear.resize(store.format.sealed_bytes(), 0);
+                cipher.encrypt_in_place(Nonce::new(n, 0), &mut clear);
+                let image = store.image(node).expect("in memory");
+                assert_eq!(counter_of(image), n, "B={block_bytes}");
+                assert_eq!(image[..clear.len()], clear, "B={block_bytes} seal {n}");
             }
-            assert_eq!(store.passes(), (5 * n).div_ceil(lanes), "n={n}");
-            assert_eq!(store.used(), 5 * n, "n={n}");
+            assert_eq!(store.batches(), 3, "B={block_bytes}");
+            assert_eq!(
+                store.passes(),
+                0,
+                "B={block_bytes}: none on the access thread"
+            );
+            assert_eq!(store.used(), seals * blocks as u64, "B={block_bytes}");
+            let batch = store.sealer().pads.len();
+            assert_eq!(batch, PAD_BATCH_SEALS * blocks, "B={block_bytes}");
+            assert!(batch.is_multiple_of(BlockCipher::LANES), "whole passes");
+            drop(store);
+
+            let mut store = TreeStore::new(&c, key);
+            store.write_bucket(1, Vec::new());
+            drop(store);
         }
     }
 
-    /// A read call whose pads fit in the ring fills its last pass: the
-    /// passes it runs are the blocks it uses plus the pads it adds. After
-    /// `LANES` seals the ring is empty, so both calls of a take have room.
+    /// A read computes, on the access thread, exactly the whole passes its
+    /// lanes need — its header blocks in one call, its real payloads' in a
+    /// second — and no pads: the batch the seals take from is untouched.
     #[test]
-    fn a_read_call_with_room_computes_only_whole_passes() {
-        let lanes = BlockCipher::LANES;
+    fn a_read_computes_its_lanes_in_whole_passes_and_no_pads() {
+        let lanes = BlockCipher::LANES as u64;
+        let passes = |n: u64| n.div_ceil(lanes);
         for real in 0..=4u64 {
             let mut store = five_block_store();
-            for node in 1..=lanes as u64 {
-                let blocks = (0..real).map(|addr| Block::new(addr, 0, vec![1; 64]));
-                store.write_bucket(node, blocks.collect());
-            }
-            assert!(store.pads().is_empty());
-            let (passes, used) = (store.passes(), store.used());
-            assert_eq!(store.take_bucket(1).len() as u64, real);
-            let computed = (store.passes() - passes) * lanes as u64;
-            let kept = store.pads().len() as u64;
-            assert_eq!(computed, store.used() - used + kept, "{real} real slots");
-            assert_eq!(store.used() - used, 1 + real, "{real} real slots");
-            assert!(kept <= 2 * lanes as u64);
-            // The pads computed ahead seal the next writes.
-            let blocks = vec![Block::new(9, 9, vec![9; 64])];
+            let blocks: Vec<Block> = (0..real)
+                .map(|addr| Block::new(addr, 0, vec![1; 64]))
+                .collect();
             store.write_bucket(1, blocks.clone());
+            let (before, held) = (store.passes(), store.sealer().head);
             assert_eq!(store.take_bucket(1), blocks);
+            assert_eq!(store.passes() - before, 1 + passes(real), "{real} real");
+            assert_eq!(store.sealer().head, held, "{real} real: no pad taken");
         }
+        // A path: ten header lanes, then one lane a real payload.
+        let mut store = five_block_store();
+        let path = path_nodes(store.pages.levels, 5);
+        for (i, &node) in path.iter().rev().enumerate() {
+            let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
+            store.write_bucket(node, blocks.collect());
+        }
+        let (before, used, held) = (store.passes(), store.used(), store.sealer().head);
+        let mut taken = 0;
+        store
+            .take_path_with(&path, |_, _, _| taken += 1)
+            .expect("intact");
+        let headers = path.len() as u64;
+        assert_eq!(store.used() - used, headers + taken);
+        assert_eq!(store.passes() - before, passes(headers) + passes(taken));
+        assert_eq!((store.sealer().head, store.batches()), (held, 1));
     }
 
     #[test]

@@ -49,6 +49,11 @@
 # judged with the bounds of `wall_us_per_access` and `peak_rss_mb`; the
 # last column says whether both sides printed the same.
 #
+# The first line to stderr and the summary's last line print nproc, the
+# CPUs the runs may use: a result that depends on threads is read beside it.
+# `taskset -c 0 scripts/bench_pairs.sh ...` pins every run to one CPU (and
+# prints nproc 1).
+#
 # Needs bash, git, cargo and python3; no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -139,7 +144,7 @@ PY
     cp "$tree/$result" "$out/pair$2.$1.json"
 }
 
-echo "building both sides (parent $commit)" >&2
+echo "building both sides (parent $commit; nproc $(nproc))" >&2
 (cd "$tmp/parent" && CARGO_TARGET_DIR="$tmp/target" \
     cargo build --release --offline --quiet "${package[@]}")
 cargo build --release --offline --quiet "${package[@]}"
@@ -154,7 +159,7 @@ for ((p = 1; p <= pairs; p++)); do
 done
 
 python3 - "$out" "$pairs" "$figure" ${layers[@]+"${layers[@]}"} <<'PY'
-import json, statistics, sys
+import json, os, statistics, sys
 
 out, pairs, figure, layers = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 with open("BENCHMARK.json") as f:
@@ -276,5 +281,6 @@ for name in runs[0][0] if layers else []:
         change = f"{(bmed - amed) / abs(amed):+.1%}" if amed else "n/a"
         print(f"| `{name}` | `{m}` | {amed:.4g} ({aq1:.4g}-{aq3:.4g}) | "
               f"{bmed:.4g} ({bq1:.4g}-{bq3:.4g}) | {change} |")
-print(f"{pairs} pairs, {incorrect} runs not `correct`; every run's file is in {out}")
+print(f"{pairs} pairs, nproc {len(os.sched_getaffinity(0))}, {incorrect} runs not `correct`; "
+      f"every run's file is in {out}")
 PY

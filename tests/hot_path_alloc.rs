@@ -332,9 +332,11 @@ fn sealed_path_keeps_its_allocation_contract() {
 /// one of those buffers, so a warm read of a whole path and its full
 /// refill move every block without the allocator. Behind a cache of levels
 /// 2..=4, refills that alternate between two paths keep those levels on
-/// chip and write the rest through: sealed, the write-throughs wait on
-/// chip until the refill's end seals them, and the list of them keeps its
-/// capacity too.
+/// chip and write the rest through: sealed, each write-through is sealed
+/// as it is stored, with pads the tree store's pad engine computed ahead
+/// on a thread of its own. The allocation counter is per thread, so it
+/// sees the access thread only; the engine's own steady state is held by
+/// its recycled batch buffers, not by this count.
 #[test]
 fn a_warm_path_read_and_refill_allocate_nothing() {
     for mode in [CipherMode::Transparent, CipherMode::Real] {

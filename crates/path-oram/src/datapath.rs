@@ -198,9 +198,11 @@ impl Datapath {
     /// bucket at `level` of the refill's path — each encoded straight into
     /// the tree store's open bucket — and commits it at `t_ps`; returns the
     /// commit time. A bucket of the cache's range stays on chip in the
-    /// clear and commits at `t_ps`; any other is written through to DRAM,
-    /// sealed as it is stored by a sealed tree, and pays its DRAM write. So
-    /// the refill writes to DRAM only buckets of its own path.
+    /// clear and commits at `t_ps`; any other is written through to DRAM
+    /// and pays its DRAM write. Which of the two is known before the
+    /// eviction, so the bucket opens as such: a sealed tree opens a
+    /// write-through on a sealed empty and XORs each block into it. So the
+    /// refill writes to DRAM only buckets of its own path.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -215,8 +217,9 @@ impl Datapath {
         let node = node_at_level(levels, self.refill_leaf, level);
         let on_chip = self.cache.holds(node);
         let OramState { tree, stash, .. } = &mut self.state;
+        tree.open(on_chip);
         stash.evict_next(level, z, |block| tree.push_slot(block));
-        tree.store(node, on_chip);
+        tree.store(node);
         self.tally.bump(Counter::BucketsWritten);
         if on_chip {
             return t_ps;

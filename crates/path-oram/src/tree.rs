@@ -28,8 +28,8 @@
 //! which. A refill bucket the cache absorbs is stored on chip in the
 //! clear — a sealed store's Z slots without the counter — like the stash,
 //! and a read hit takes it without the cipher; it never goes to memory.
-//! A bucket bound for DRAM is sealed as it is stored, under the next write
-//! counter, and goes straight to memory. Untrusted memory
+//! A bucket bound for DRAM is sealed as it is encoded, under the next
+//! write counter, and goes straight to memory. Untrusted memory
 //! ([`TreeStore::image`]) holds sealed images only, at every moment.
 //!
 //! **One image in both cipher modes.** A slot holds the bucket's serialized
@@ -48,32 +48,40 @@
 //! image. An image's buffer is exactly its size, `16 + block_bytes` a
 //! slot: the layout pads nothing, whatever Z and the block size. A take
 //! decodes the image in slot order and keeps the emptied buffer, by the
-//! slots it holds; a write encodes into one open bucket and copies that
-//! into a kept buffer of its size: neither phase of an access allocates
-//! once warm.
+//! slots it holds. A write opens a bucket knowing where it goes: one in
+//! the clear is staged and copied into a kept buffer of its size, one
+//! sealed is encoded in place (below). Real slots come first either way,
+//! and neither phase of an access allocates once warm.
 //!
-//! **Keystream ahead of the write counter.** Keystream block `b` of a
+//! **Sealed empties ahead of the write counter.** Keystream block `b` of a
 //! sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
 //! headers are block 0 exactly and, with 64 B blocks, payload `i` is block
 //! `1 + i`. Each block is one lane of [`BlockCipher::keystream_blocks`],
-//! which computes [`BlockCipher::LANES`] of them a pass. A block of a
-//! seal depends only on its counter, not on the data, so the pads — the
-//! blocks of the next counters, in order — are computed off the access, as
-//! a secure processor's encryption unit computes them beside its
-//! controller: the **pad engine**, one thread a sealed store starts at its
-//! first seal, computes them [`PAD_BATCH_SEALS`] seals a batch, whole
-//! passes, one batch ahead, and hands each over a channel; a seal XORs its
-//! image with the next pads of the batch it holds and waits on the channel
-//! only when that batch is spent, and the spent buffer goes back to the
-//! engine on a second channel, so no batch is allocated once warm. Pads
-//! held ahead are on-chip state, like the key. A read computes on the
-//! access thread the header blocks of all the images it takes from
-//! untrusted memory in one call, unseals them, and computes in a second
-//! only the blocks that real payloads cover. The rest of a taken image
-//! stays sealed until the take drops it, and a dummy payload is fresh
-//! ciphertext too. Every byte is that of [`BlockCipher::encrypt_in_place`]
-//! under the image's nonce. Dropping the store drops both channel ends and
-//! joins the engine.
+//! which computes [`BlockCipher::LANES`] of them a pass. A dummy slot is an
+//! encryption of `(⊥, 0)` and zeros, so the sealed image of an *empty*
+//! bucket, `E_c(∅)`, depends on its counter `c` alone, and the sealed
+//! empties of the next counters are made off the access, as a secure
+//! processor's encryption unit computes its pads beside its controller:
+//! the **pad engine**, one thread a sealed store starts at its first seal,
+//! seals them [`PAD_BATCH_SEALS`] a batch — the pads in whole passes, one
+//! batch ahead — and hands each batch over a channel. A DRAM-bound bucket
+//! opens on the next sealed empty of the batch held, and each real block
+//! is XORed into it: `addr ⊕ ⊥` and `leaf` into its slot's header, its
+//! payload into its payload's bytes. The access thread touches the header
+//! block and one block a real slot, and the image goes to memory as it is.
+//! A seal waits on the channel only when its batch is spent; the spent
+//! batch's container goes back to the engine at the next boundary on a
+//! second channel, carrying the images the reads took meanwhile, which the
+//! engine seals again, so it allocates only when short and the access
+//! thread never for a DRAM-bound bucket. Sealed empties held ahead are
+//! on-chip state, like the key: their dummy payloads are bare pads. A read
+//! computes on the access thread the header blocks of all the images it
+//! takes from untrusted memory in one call, unseals them, and computes in
+//! a second only the blocks that real payloads cover. The rest of a taken
+//! image stays sealed until the take drops it, and a dummy payload is
+//! fresh ciphertext too. Every byte is that of
+//! [`BlockCipher::encrypt_in_place`] under the image's nonce. Dropping the
+//! store drops both channel ends and joins the engine.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
@@ -101,26 +109,28 @@ const KEYSTREAM_BLOCK: usize = 64;
 /// The address no real block has: it marks a dummy slot. Block addresses
 /// are bounded by the tree's `total_blocks`, far below.
 const DUMMY_ADDR: u64 = u64::MAX;
-/// Seals one batch of the pad engine covers: `128 * sealed_blocks()` pads,
-/// a multiple of [`BlockCipher::LANES`] at any lane count, so the engine
-/// computes whole passes only.
+/// Seals one batch of the pad engine covers: `128 * sealed_blocks()`
+/// keystream blocks, a multiple of [`BlockCipher::LANES`] at any lane
+/// count, so the engine computes whole passes only.
 const PAD_BATCH_SEALS: usize = 128;
 /// Depth of the channel the batches cross: none, a rendezvous. The engine
 /// computes one batch ahead of the batch the seals take from and waits to
 /// hand it over; a batch lasts about 24 `sim_fork_mac_real` accesses,
 /// several times what it takes to compute.
 const PAD_DEPTH: usize = 0;
-/// Batch buffers in circulation: the seals', the one the engine hands over,
-/// and one waiting on the return channel for the engine's next batch. Also
-/// that channel's depth, so handing a spent one back never waits.
+/// Batch containers in circulation: the seals', the one the engine hands
+/// over, and one on its way back with the images the reads took. Also the
+/// return channel's depth, so handing one back never waits.
 const PAD_BUFFERS: usize = 3;
 const _: () = assert!(PAD_BATCH_SEALS.is_multiple_of(BlockCipher::LANES));
 
-/// The pads of [`PAD_BATCH_SEALS`] seals, in `(counter, block)` order.
-type Batch = Vec<[u32; 16]>;
-
 /// A stored bucket: its serialized image (see the module docs).
 type Image = Vec<u8>;
+
+/// The sealed empties of [`PAD_BATCH_SEALS`] seals, the next counter's
+/// last, so a seal pops it; or, on its way back to the pad engine, the
+/// emptied images it refills.
+type Batch = Vec<Image>;
 
 /// A bucket a read phase took: its node, its image and whether the image
 /// was on chip, in the clear.
@@ -347,6 +357,18 @@ impl Format {
         (self.z * HEADER_BYTES).div_ceil(KEYSTREAM_BLOCK) as u32
     }
 
+    /// The Z slots of an empty bucket in the clear: Z dummy headers — address
+    /// [`DUMMY_ADDR`], leaf zero — then zero payloads.
+    fn empty(self) -> Vec<u8> {
+        let mut slots = Vec::with_capacity(self.sealed_bytes());
+        for _ in 0..self.z {
+            slots.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
+            slots.extend_from_slice(&0u64.to_le_bytes());
+        }
+        slots.resize(self.sealed_bytes(), 0);
+        slots
+    }
+
     /// The format of a bucket held on chip: a sealed store's Z slots in
     /// the clear, without the counter; the store's own when it seals
     /// nothing.
@@ -438,20 +460,35 @@ fn xor_keystream(bytes: &mut [u8], keystream: &[u32]) {
     }
 }
 
-/// [`CipherMode::Real`]'s cipher, its write counter and the keystream it
-/// holds: the blocks of the last read call (`keystream[i]` is that of
-/// `lanes[i]`, a `(nonce, block index)` pair), and the batch of pads the
-/// next seals take from.
+/// XORs `src` into `dst`, as far as both go.
+fn xor_bytes(dst: &mut [u8], src: &[u8]) {
+    for (byte, s) in dst.iter_mut().zip(src) {
+        *byte ^= s;
+    }
+}
+
+/// [`CipherMode::Real`]'s cipher, its write counter, the keystream it
+/// holds — the blocks of the last read call (`keystream[i]` is that of
+/// `lanes[i]`, a `(nonce, block index)` pair) — and the sealed empties the
+/// next seals take, with the bucket open on one of them.
 struct Sealer {
     cipher: BlockCipher,
     format: Format,
     lanes: Vec<(Nonce, u32)>,
     keystream: Vec<[u32; 16]>,
-    /// The pad engine's batch the seals take from: `pads[head..]` are the
-    /// keystream blocks of the next seals, from block 0 of `counter + 1`.
-    /// Empty, unallocated, until the first seal.
-    pads: Batch,
-    head: usize,
+    /// The pad engine's batch the seals take from: the sealed empties of
+    /// the next write counters, the next one last. Empty, unallocated,
+    /// until the first seal.
+    empties: Batch,
+    /// The open DRAM-bound bucket: a sealed empty that the real slots
+    /// pushed so far are XORed into, `reals` of them. Empty between a
+    /// store and the next open.
+    open: Image,
+    reals: usize,
+    /// The container of the batch spent before `empties` (unallocated
+    /// until the second batch), filling with the images the reads take, up
+    /// to its capacity; it goes back to the engine at the next batch.
+    returns: Batch,
     /// The pad engine, from the first seal on.
     engine: Option<PadEngine>,
     /// The write counter of the last seal: the nonce of a seal, alone.
@@ -466,10 +503,13 @@ struct Sealer {
     /// Batches taken from the pad engine so far.
     #[cfg(test)]
     batches: u64,
+    /// Images the pad engine has allocated so far.
+    #[cfg(test)]
+    allocated: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
-/// Lengths only: the keystream and the pads of seals not yet made stay on
-/// chip, like the key.
+/// Lengths only: the keystream and the sealed empties of seals not yet
+/// made — whose dummy payloads are bare pads — stay on chip, like the key.
 impl std::fmt::Debug for Sealer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sealer")
@@ -477,30 +517,44 @@ impl std::fmt::Debug for Sealer {
             .field("format", &self.format)
             .field("lanes", &self.lanes.len())
             .field("keystream", &self.keystream.len())
-            .field("pads", &(self.pads.len() - self.head))
+            .field("empties", &self.empties.len())
+            .field("open", &self.open.len())
+            .field("returns", &self.returns.len())
             .field("engine", &self.engine.is_some())
             .field("counter", &self.counter)
             .finish()
     }
 }
 
-/// The thread that computes a sealed store's pads, and the two channel ends
-/// the store holds: the batches it sends, the spent buffers it gets back.
+/// The thread that seals a sealed store's empty buckets ahead, and the two
+/// channel ends the store holds: the batches it sends, the containers it
+/// gets back.
 struct PadEngine {
     batches: Receiver<Batch>,
     spent: SyncSender<Batch>,
     thread: JoinHandle<()>,
 }
 
+/// What a pad engine starts from: the cipher, the images' shape, the
+/// write counter of the last seal and, under test, the count of images it
+/// allocates.
+struct EngineStart {
+    cipher: BlockCipher,
+    format: Format,
+    counter: u64,
+    #[cfg(test)]
+    allocated: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
 impl PadEngine {
-    /// Starts computing the pads of the seals after write counter
-    /// `counter`, `blocks` a seal.
-    fn start(cipher: BlockCipher, blocks: u32, counter: u64) -> Self {
+    /// Starts sealing the empties of the seals after write counter
+    /// `start.counter`.
+    fn start(start: EngineStart) -> Self {
         let (send, batches) = sync_channel(PAD_DEPTH);
         let (spent, returned) = sync_channel(PAD_BUFFERS);
         let thread = std::thread::Builder::new()
             .name("pad-engine".into())
-            .spawn(move || Self::run(&cipher, blocks, counter, &send, &returned))
+            .spawn(move || Self::run(&start, &send, &returned))
             .expect("the pad engine's thread starts");
         Self {
             batches,
@@ -509,32 +563,49 @@ impl PadEngine {
         }
     }
 
-    /// The engine's loop: a batch after another, each in one call of the
-    /// lane kernel, into a buffer of its own until [`PAD_BUFFERS`] exist and
-    /// into a returned one after that. Ends when the store drops either
-    /// channel end.
-    fn run(
-        cipher: &BlockCipher,
-        blocks: u32,
-        mut counter: u64,
-        send: &SyncSender<Batch>,
-        returned: &Receiver<Batch>,
-    ) {
-        let mut lanes = Vec::with_capacity(PAD_BATCH_SEALS * blocks as usize);
+    /// The engine's loop: a batch after another, its pads in one call of
+    /// the lane kernel, each sealed empty `E_c(∅)` — Z dummy headers
+    /// `(⊥, 0)` and zero payloads, XORed with counter c's pads, c in the
+    /// trailer — written into an image the container brought back, or one
+    /// it allocates when the container is short. Containers of its own
+    /// until [`PAD_BUFFERS`] exist, returned ones after that. Ends when the
+    /// store drops either channel end.
+    fn run(start: &EngineStart, send: &SyncSender<Batch>, returned: &Receiver<Batch>) {
+        let format = start.format;
+        let blocks = format.sealed_blocks() as usize;
+        let whole = format.sealed_bytes() + COUNTER_BYTES;
+        let empty = format.empty();
+        let mut counter = start.counter;
+        let mut lanes = Vec::with_capacity(PAD_BATCH_SEALS * blocks);
+        let mut pads = Vec::with_capacity(lanes.capacity());
         for made in 0.. {
             let mut batch = if made < PAD_BUFFERS {
-                Vec::with_capacity(lanes.capacity())
+                Vec::with_capacity(PAD_BATCH_SEALS)
             } else {
                 let Ok(batch) = returned.recv() else { return };
                 batch
             };
             lanes.clear();
-            for _ in 0..PAD_BATCH_SEALS {
-                counter += 1;
-                let nonce = Nonce::new(counter, 0);
-                lanes.extend((0..blocks).map(|block| (nonce, block)));
+            for seal in 1..=PAD_BATCH_SEALS as u64 {
+                let nonce = Nonce::new(counter + seal, 0);
+                lanes.extend((0..blocks as u32).map(|block| (nonce, block)));
             }
-            cipher.keystream_blocks(&lanes, &mut batch);
+            start.cipher.keystream_blocks(&lanes, &mut pads);
+            batch.resize_with(PAD_BATCH_SEALS, Image::new);
+            for (image, pads) in batch.iter_mut().rev().zip(pads.chunks_exact(blocks)) {
+                if image.capacity() < whole {
+                    *image = Image::with_capacity(whole);
+                    #[cfg(test)]
+                    start
+                        .allocated
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                counter += 1;
+                image.clear();
+                image.extend_from_slice(&empty);
+                xor_keystream(image, pads.as_flattened());
+                image.extend_from_slice(&counter.to_le_bytes());
+            }
             let sent = if made == 0 {
                 Self::hand_to_a_waiting_seal(send, batch)
             } else {
@@ -587,8 +658,10 @@ impl Sealer {
             format,
             lanes: Vec::new(),
             keystream: Vec::new(),
-            pads: Vec::new(),
-            head: 0,
+            empties: Vec::new(),
+            open: Vec::new(),
+            reals: 0,
+            returns: Vec::new(),
             engine: None,
             counter: 0,
             #[cfg(test)]
@@ -597,6 +670,8 @@ impl Sealer {
             used: 0,
             #[cfg(test)]
             batches: 0,
+            #[cfg(test)]
+            allocated: Default::default(),
         }
     }
 
@@ -612,47 +687,76 @@ impl Sealer {
         }
     }
 
-    /// Seals a DRAM-bound image of Z slots in place under the next write
-    /// counter and appends the counter: one XOR over the slots with the
-    /// image's pads, from the batch held, or from the next one once that
-    /// is spent. A batch holds whole seals, so an image's pads are one
-    /// slice.
-    fn seal(&mut self, image: &mut Image) {
-        let blocks = self.format.sealed_blocks() as usize;
-        if self.head == self.pads.len() {
-            self.next_batch(blocks);
-        }
-        let pads = &self.pads[self.head..self.head + blocks];
-        xor_keystream(image, pads.as_flattened());
-        self.head += blocks;
+    /// Opens a DRAM-bound bucket on the next sealed empty: the batch held's
+    /// last, or the next batch's once that is spent.
+    #[inline(never)]
+    fn open(&mut self) {
+        self.open = match self.empties.pop() {
+            Some(image) => image,
+            None => self.next_batch(),
+        };
+        self.reals = 0;
         self.counter += 1;
-        image.extend_from_slice(&self.counter.to_le_bytes());
         #[cfg(test)]
         {
-            self.used += blocks as u64;
+            self.used += u64::from(self.format.sealed_blocks());
         }
     }
 
-    /// Waits for the pad engine's next batch and hands it the spent one;
-    /// the first seal starts the engine. Cold, once every 128 seals: kept
-    /// out of `TreeStore::store`, which a `Transparent` store runs too.
+    /// XORs `block` into the open bucket as its next real slot: `addr ⊕ ⊥`
+    /// and `leaf` into its header, its payload into its payload's bytes,
+    /// which hold bare pads. The rest stays the sealed empty's. Out of
+    /// line: the sealed branch of [`TreeStore::push_slot`].
+    #[inline(never)]
+    fn push(&mut self, block: &Block) {
+        let Format { z, block_bytes, .. } = self.format;
+        let slot = self.reals;
+        assert!(slot < z, "bucket overflow: more than Z={z} blocks");
+        let (headers, payloads) = self.open.split_at_mut(z * HEADER_BYTES);
+        let header = &mut headers[slot * HEADER_BYTES..][..HEADER_BYTES];
+        xor_bytes(header, &(block.addr ^ DUMMY_ADDR).to_le_bytes());
+        xor_bytes(&mut header[8..], &block.leaf.to_le_bytes());
+        xor_bytes(&mut payloads[slot * block_bytes..], &block.data);
+        self.reals += 1;
+    }
+
+    /// Waits for the pad engine's next batch, hands it the container of the
+    /// batch before with the images the reads took, and returns the first
+    /// sealed empty; the first seal starts the engine. Cold, once every 128
+    /// seals: kept out of `TreeStore::store`, which a `Transparent` store
+    /// runs too.
     #[cold]
-    fn next_batch(&mut self, blocks: usize) {
+    fn next_batch(&mut self) -> Image {
         let engine = self.engine.get_or_insert_with(|| {
-            PadEngine::start(self.cipher.clone(), blocks as u32, self.counter)
+            PadEngine::start(EngineStart {
+                cipher: self.cipher.clone(),
+                format: self.format,
+                counter: self.counter,
+                #[cfg(test)]
+                allocated: self.allocated.clone(),
+            })
         });
         let batch = engine.batches.recv().expect("the pad engine runs");
-        let spent = std::mem::replace(&mut self.pads, batch);
-        // The first batch replaces no buffer of the engine's. The return
-        // channel holds every buffer, so this send never waits; an engine
-        // that is gone fails the next receive instead.
-        if spent.capacity() > 0 {
-            let _ = engine.spent.send(spent);
+        let spent = std::mem::replace(&mut self.empties, batch);
+        let returns = std::mem::replace(&mut self.returns, spent);
+        // The first two batches replace no container of the engine's. The
+        // return channel holds every container, so this send never waits;
+        // an engine that is gone fails the next receive instead.
+        if returns.capacity() > 0 {
+            let _ = engine.spent.send(returns);
         }
-        self.head = 0;
         #[cfg(test)]
         {
             self.batches += 1;
+        }
+        self.empties.pop().expect("a batch is whole")
+    }
+
+    /// Keeps an emptied image of the sealed size for the pad engine, while
+    /// the container on its way back has room; drops it otherwise.
+    fn reclaim(&mut self, image: Image) {
+        if self.returns.len() < self.returns.capacity() {
+            self.returns.push(image);
         }
     }
 
@@ -738,9 +842,11 @@ pub struct TreeStore {
     /// [`CipherMode::Real`]'s cipher and write counter; `None` is
     /// `Transparent`, the identity.
     sealer: Option<Sealer>,
-    /// The headers and the payloads of the slots pushed since the last
-    /// [`TreeStore::store`]: the bucket being encoded, with room for Z
-    /// slots once used.
+    /// What the bucket being encoded is, from [`TreeStore::open`] to
+    /// [`TreeStore::store`].
+    open: Open,
+    /// The headers and the payloads of the slots pushed into a bucket open
+    /// in the clear: with room for Z slots once used.
     open_headers: Vec<u8>,
     open_payloads: Vec<u8>,
     /// The images a read phase took, in path order, until it decodes
@@ -748,8 +854,23 @@ pub struct TreeStore {
     taken: Vec<Taken>,
     /// Emptied images by the slots they hold (`spare[k]`: `k` slots, Z
     /// when sealed): what a take leaves behind and a write of that size
-    /// fills.
+    /// fills. Sealed, only on-chip buckets are written into them, and the
+    /// list holds at most the buckets of a path (its capacity, reserved
+    /// when first used); the rest go back to the pad engine.
     spare: Vec<Vec<Image>>,
+}
+
+/// The bucket a write phase encodes, from [`TreeStore::open`] to
+/// [`TreeStore::store`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Open {
+    /// None: a store panics.
+    Closed,
+    /// Staged in the clear, for the cache (`on_chip`) or, `Transparent`,
+    /// for DRAM.
+    Clear { on_chip: bool },
+    /// The sealer's open bucket, a sealed empty bound for DRAM.
+    Sealed,
 }
 
 impl TreeStore {
@@ -767,6 +888,7 @@ impl TreeStore {
             sealer: format
                 .sealed
                 .then(|| Sealer::new(BlockCipher::new(key), format)),
+            open: Open::Closed,
             open_headers: Vec::new(),
             open_payloads: Vec::new(),
             taken: Vec::new(),
@@ -837,24 +959,59 @@ impl TreeStore {
 
     /// Keeps an emptied image's buffer for the next write of its size; one
     /// of a size this store never writes (a corrupt image's) is dropped.
+    /// Sealed, the spare list takes it while it has room and the pad engine
+    /// after that ([`Sealer::reclaim`]).
     fn recycle(&mut self, mut image: Image) {
         if let Some(slots @ 1..) = self.format.slots_of(image.capacity()) {
             image.clear();
-            self.spare_of(slots).push(image);
+            let bounded = self.sealer.is_some();
+            let spare = self.spare_of(slots);
+            if !bounded || spare.len() < spare.capacity() {
+                spare.push(image);
+            } else if let Some(sealer) = &mut self.sealer {
+                sealer.reclaim(image);
+            }
         }
     }
 
     /// The emptied images of `slots` slots (`0..=Z`; sized on first use).
     fn spare_of(&mut self, slots: usize) -> &mut Vec<Image> {
         if self.spare.is_empty() {
-            self.spare.resize_with(self.format.z + 1, Vec::new);
+            self.size_spare();
         }
         &mut self.spare[slots]
     }
 
+    /// Sizes the spare lists, once; sealed, the list of Z gets room for a
+    /// path's buckets, which it never outgrows ([`TreeStore::recycle`]).
+    /// Cold: kept out of the two phases' per-bucket code.
+    #[cold]
+    fn size_spare(&mut self) {
+        self.spare.resize_with(self.format.z + 1, Vec::new);
+        if self.sealer.is_some() {
+            let path = self.pages.levels as usize + 1;
+            self.spare[self.format.z].reserve_exact(path);
+        }
+    }
+
+    /// Opens the next bucket of a write phase, which the cache keeps
+    /// (`on_chip`) or which goes to DRAM. A sealed store opens a DRAM-bound
+    /// bucket on the next sealed empty of its pad engine
+    /// ([`Sealer::open`]); every other is staged in the clear.
+    pub(crate) fn open(&mut self, on_chip: bool) {
+        self.open = match &mut self.sealer {
+            Some(sealer) if !on_chip => {
+                sealer.open();
+                Open::Sealed
+            }
+            _ => Open::Clear { on_chip },
+        };
+    }
+
     /// The one encoder: appends `block` to the open bucket as its next real
-    /// slot, its header after the headers and its payload after the
-    /// payloads pushed before it.
+    /// slot. In the clear, its header goes after the headers and its
+    /// payload after the payloads pushed before it; sealed, both are XORed
+    /// into their places in the sealed empty ([`Sealer::push`]).
     ///
     /// # Panics
     ///
@@ -863,13 +1020,16 @@ impl TreeStore {
     /// dummy slots (`u64::MAX`).
     pub(crate) fn push_slot(&mut self, block: &Block) {
         let Format { z, block_bytes, .. } = self.format;
+        assert_eq!(block.data.len(), block_bytes, "payload size mismatch");
+        assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
+        if let (Open::Sealed, Some(sealer)) = (self.open, &mut self.sealer) {
+            return sealer.push(block);
+        }
         let headers = z * HEADER_BYTES;
         assert!(
             self.open_headers.len() < headers,
             "bucket overflow: more than Z={z} blocks"
         );
-        assert_eq!(block.data.len(), block_bytes, "payload size mismatch");
-        assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
         self.open_headers
             .reserve_exact(headers - self.open_headers.len());
         self.open_headers
@@ -882,18 +1042,23 @@ impl TreeStore {
     }
 
     /// Write phase, one bucket: stores the open bucket (the slots pushed
-    /// since the last store) as bucket `node`, over whatever the slot
-    /// held, in a buffer of exactly its sealed size. `Real` pads it with
-    /// dummy slots to Z — address [`DUMMY_ADDR`], leaf and payload zero.
-    /// A bucket the cache holds (`on_chip`) stays so, in the clear; one
-    /// bound for DRAM goes to untrusted memory, in `Real` sealed under the
-    /// next write counter ([`Sealer::seal`]).
+    /// since [`TreeStore::open`]) as bucket `node`, over whatever the slot
+    /// held, in a buffer of exactly its sealed size, and closes it. A
+    /// bucket the cache holds (`on_chip`) stays so, in the clear, and
+    /// `Real` pads it with dummy slots to Z — address [`DUMMY_ADDR`], leaf
+    /// and payload zero. One bound for DRAM goes to untrusted memory: in
+    /// `Real`, the sealed empty it was opened on, under its write counter.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not a node id of the tree (`1 <= node <
-    /// 2^(L+1)`).
-    pub(crate) fn store(&mut self, node: u64, on_chip: bool) {
+    /// Panics if no bucket is open or `node` is not a node id of the tree
+    /// (`1 <= node < 2^(L+1)`).
+    pub(crate) fn store(&mut self, node: u64) {
+        let on_chip = match std::mem::replace(&mut self.open, Open::Closed) {
+            Open::Clear { on_chip } => on_chip,
+            Open::Sealed => return self.store_sealed(node),
+            Open::Closed => panic!("store of bucket {node}: no bucket is open"),
+        };
         let format = self.format;
         let real = self.open_headers.len() / HEADER_BYTES;
         let slots = if format.sealed { format.z } else { real };
@@ -909,10 +1074,18 @@ impl TreeStore {
         image.resize(slots * format.slot_bytes(), 0);
         self.open_headers.clear();
         self.open_payloads.clear();
-        if let Some(sealer) = self.sealer.as_mut().filter(|_| !on_chip) {
-            sealer.seal(&mut image);
-        }
         if let Some(old) = self.pages.put(node, image, on_chip) {
+            self.recycle(old);
+        }
+    }
+
+    /// The sealed branch of [`TreeStore::store`], out of line: the open
+    /// sealed bucket goes to untrusted memory as it is.
+    #[inline(never)]
+    fn store_sealed(&mut self, node: u64) {
+        let sealer = self.sealer.as_mut().expect("a sealed bucket is open");
+        let image = std::mem::take(&mut sealer.open);
+        if let Some(old) = self.pages.put(node, image, false) {
             self.recycle(old);
         }
     }
@@ -940,10 +1113,11 @@ impl TreeStore {
     /// size, or a block carries the address reserved for dummy slots
     /// (`u64::MAX`).
     pub fn write_bucket(&mut self, node: u64, blocks: Vec<Block>) {
+        self.open(false);
         for block in &blocks {
             self.push_slot(block);
         }
-        self.store(node, false);
+        self.store(node);
     }
 
     /// Raw stored bytes of bucket `node`: the image, without its
@@ -1044,7 +1218,8 @@ impl TreeStore {
         self.sealer().passes
     }
 
-    /// Batches of pads the sealer has taken from its engine so far.
+    /// Batches of sealed empties the sealer has taken from its engine so
+    /// far.
     fn batches(&self) -> u64 {
         self.sealer().batches
     }
@@ -1323,8 +1498,9 @@ mod tests {
         let before = store.used();
         for (i, &node) in path.iter().rev().enumerate() {
             let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
+            store.open(false);
             blocks.for_each(|block| store.push_slot(&block));
-            store.store(node, false);
+            store.store(node);
         }
         assert_eq!(store.used() - before, 5 * path.len() as u64);
         let before = store.used();
@@ -1344,14 +1520,36 @@ mod tests {
         TreeStore::new(&c, [2; 32])
     }
 
-    /// Seals take the pad engine's pads in counter order, across batch
-    /// boundaries, and compute none on the access thread; every batch is
-    /// whole passes. More than two batches of seals at two keystream
-    /// blocks an image (16 B blocks) and at five (64 B), each image checked
-    /// byte for byte against [`BlockCipher::encrypt_in_place`] under the
-    /// counter in its trailer; then the store is dropped mid-batch, and the
-    /// drop returns. Also a store dropped right after its first seal, while
-    /// the engine computes or offers its second batch.
+    /// The clear image a sealed store seals for `blocks`: their headers,
+    /// Z minus their count dummy headers, their payloads, zero payloads.
+    fn clear_image(format: Format, blocks: &[Block]) -> Vec<u8> {
+        let mut clear = Vec::new();
+        for block in blocks {
+            clear.extend_from_slice(&block.addr.to_le_bytes());
+            clear.extend_from_slice(&block.leaf.to_le_bytes());
+        }
+        for _ in blocks.len()..format.z {
+            clear.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
+            clear.extend_from_slice(&0u64.to_le_bytes());
+        }
+        blocks
+            .iter()
+            .for_each(|block| clear.extend_from_slice(&block.data));
+        clear.resize(format.sealed_bytes(), 0);
+        clear
+    }
+
+    /// Seals take the pad engine's sealed empties in counter order, across
+    /// batch boundaries, and compute nothing on the access thread. More
+    /// than two batches of seals at two keystream blocks an image (16 B
+    /// blocks) and at five (64 B), at every occupancy `0..=Z`, through both
+    /// doors (a refill's `open` / `push_slot` / `store` and `write_bucket`),
+    /// each stored image checked byte for byte against
+    /// [`BlockCipher::encrypt_in_place`] of its clear image under the
+    /// counter in its trailer — at whatever lane count the build has; then
+    /// the store is dropped mid-batch, and the drop returns. Also a store
+    /// dropped right after its first seal, while the engine computes or
+    /// offers its second batch.
     #[test]
     fn back_to_back_seals_take_whole_batches_in_counter_order() {
         let key = [2; 32];
@@ -1360,26 +1558,34 @@ mod tests {
             let mut c = cfg(CipherMode::Real);
             c.block_bytes = block_bytes;
             let mut store = TreeStore::new(&c, key);
-            let blocks = store.format.sealed_blocks() as usize;
+            let format = store.format;
+            let blocks = format.sealed_blocks() as usize;
             assert_eq!(blocks, if block_bytes == 16 { 2 } else { 5 });
+            assert!((PAD_BATCH_SEALS * blocks).is_multiple_of(BlockCipher::LANES));
             let seals = 2 * PAD_BATCH_SEALS as u64 + 3;
             for n in 1..=seals {
                 let node = 1 + n % 1000;
-                let data: Vec<u8> = (0..block_bytes).map(|i| (n + i as u64) as u8).collect();
-                store.write_bucket(node, vec![Block::new(n, n + 1, data.clone())]);
-                let mut clear = Vec::new();
-                clear.extend_from_slice(&n.to_le_bytes());
-                clear.extend_from_slice(&(n + 1).to_le_bytes());
-                for _ in 1..c.z {
-                    clear.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
-                    clear.extend_from_slice(&0u64.to_le_bytes());
+                let real = n % (c.z as u64 + 1);
+                let bucket: Vec<Block> = (0..real)
+                    .map(|i| {
+                        let data = (0..block_bytes).map(|b| (n + i + b as u64) as u8);
+                        Block::new(n * 8 + i, n + i, data.collect())
+                    })
+                    .collect();
+                if n % 2 == 0 {
+                    store.write_bucket(node, bucket.clone());
+                } else {
+                    store.open(false);
+                    bucket.iter().for_each(|block| store.push_slot(block));
+                    store.store(node);
                 }
-                clear.extend_from_slice(&data);
-                clear.resize(store.format.sealed_bytes(), 0);
+                let mut clear = clear_image(format, &bucket);
                 cipher.encrypt_in_place(Nonce::new(n, 0), &mut clear);
+                let at = format!("B={block_bytes} seal {n}, {real} real");
                 let image = store.image(node).expect("in memory");
-                assert_eq!(counter_of(image), n, "B={block_bytes}");
-                assert_eq!(image[..clear.len()], clear, "B={block_bytes} seal {n}");
+                assert_eq!(counter_of(image), n, "{at}");
+                assert_eq!(image[..clear.len()], clear, "{at}");
+                assert_eq!(image.len(), clear.len() + COUNTER_BYTES, "{at}");
             }
             assert_eq!(store.batches(), 3, "B={block_bytes}");
             assert_eq!(
@@ -1388,15 +1594,56 @@ mod tests {
                 "B={block_bytes}: none on the access thread"
             );
             assert_eq!(store.used(), seals * blocks as u64, "B={block_bytes}");
-            let batch = store.sealer().pads.len();
-            assert_eq!(batch, PAD_BATCH_SEALS * blocks, "B={block_bytes}");
-            assert!(batch.is_multiple_of(BlockCipher::LANES), "whole passes");
+            let held = store.sealer().empties.len();
+            assert_eq!(held, PAD_BATCH_SEALS - 3, "B={block_bytes}");
             drop(store);
 
             let mut store = TreeStore::new(&c, key);
             store.write_bucket(1, Vec::new());
             drop(store);
         }
+    }
+
+    /// The images in circulation stay bounded: over twelve batches of
+    /// seals, each taken back by a read, the pad engine allocates images
+    /// for its first containers and the reads' first takes, then refills
+    /// the images the reads returned and allocates none; the spare list
+    /// and the container on its way back never outgrow what was reserved.
+    #[test]
+    fn the_images_in_circulation_stay_bounded() {
+        let mut store = five_block_store();
+        let levels = store.pages.levels as usize;
+        let mut allocated = Vec::new();
+        let mut batches = 0;
+        let mut n = 0u64;
+        while store.batches() < 12 {
+            n += 1;
+            let node = 1 + n % 40;
+            let blocks = vec![Block::new(n, 0, vec![n as u8; 64]); (n % 5) as usize];
+            store.write_bucket(node, blocks.clone());
+            assert_eq!(store.take_bucket(node), blocks, "seal {n}");
+            if store.batches() > batches {
+                batches = store.batches();
+                // What the engine allocated for the batches handed over so
+                // far: they were sealed before the receive returned.
+                let count = &store.sealer().allocated;
+                allocated.push(count.load(std::sync::atomic::Ordering::Relaxed));
+            }
+            let spare = &store.spare[store.format.z];
+            assert!(spare.len() <= levels + 1 && spare.capacity() == levels + 1);
+            let returns = &store.sealer().returns;
+            assert!(returns.capacity() == 0 || returns.capacity() == PAD_BATCH_SEALS);
+        }
+        let first = (PAD_BUFFERS * PAD_BATCH_SEALS) as u64;
+        assert!(allocated[2] >= first, "{allocated:?}");
+        assert!(
+            allocated.last() <= allocated.get(4),
+            "the engine allocates once warm: {allocated:?}"
+        );
+        assert!(
+            *allocated.last().unwrap() <= first + PAD_BATCH_SEALS as u64,
+            "{allocated:?}"
+        );
     }
 
     /// A read computes, on the access thread, exactly the whole passes its
@@ -1412,10 +1659,11 @@ mod tests {
                 .map(|addr| Block::new(addr, 0, vec![1; 64]))
                 .collect();
             store.write_bucket(1, blocks.clone());
-            let (before, held) = (store.passes(), store.sealer().head);
+            let (before, held) = (store.passes(), store.sealer().empties.len());
             assert_eq!(store.take_bucket(1), blocks);
             assert_eq!(store.passes() - before, 1 + passes(real), "{real} real");
-            assert_eq!(store.sealer().head, held, "{real} real: no pad taken");
+            let taken = held - store.sealer().empties.len();
+            assert_eq!(taken, 0, "{real} real: no sealed empty taken");
         }
         // A path: ten header lanes, then one lane a real payload.
         let mut store = five_block_store();
@@ -1424,7 +1672,8 @@ mod tests {
             let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
             store.write_bucket(node, blocks.collect());
         }
-        let (before, used, held) = (store.passes(), store.used(), store.sealer().head);
+        let sealer = store.sealer();
+        let (before, used, held) = (sealer.passes, sealer.used, sealer.empties.len());
         let mut taken = 0;
         store
             .take_path_with(&path, |_, _, _| taken += 1)
@@ -1432,26 +1681,30 @@ mod tests {
         let headers = path.len() as u64;
         assert_eq!(store.used() - used, headers + taken);
         assert_eq!(store.passes() - before, passes(headers) + passes(taken));
-        assert_eq!((store.sealer().head, store.batches()), (held, 1));
+        let held_after = store.sealer().empties.len();
+        assert_eq!((held_after, store.batches()), (held, 1));
     }
 
     #[test]
     fn debug_output_shows_no_keystream() {
         // A warm store: the last take left its keystream behind, and the
-        // ring holds pads of seals not yet made (none at one lane).
+        // sealer holds the sealed empties of seals not yet made, whose
+        // dummy payloads are bare pads.
         let mut store = five_block_store();
         for node in 1..=3 {
             store.write_bucket(node, vec![Block::new(node, 0, vec![0; 64])]);
         }
         store.take_bucket(1);
         let sealer = store.sealer();
-        let words: Vec<u32> = sealer
-            .pads
-            .iter()
-            .chain(&sealer.keystream)
-            .flatten()
-            .copied()
-            .collect();
+        // Their slots: the trailer holds the public write counter.
+        let slots = store.format.sealed_bytes();
+        let empties = sealer.empties.iter().flat_map(|image| {
+            let (words, _) = image[..slots].as_chunks::<4>();
+            words.iter().map(|word| u32::from_le_bytes(*word))
+        });
+        let keystream = sealer.keystream.iter().flatten().copied();
+        let words: Vec<u32> = keystream.chain(empties).collect();
+        assert_eq!(sealer.empties.len(), PAD_BATCH_SEALS - 3);
         assert!(!words.is_empty());
         let shown = format!("{store:?}");
         let numbers: HashSet<&str> = shown.split(|c: char| !c.is_ascii_digit()).collect();
@@ -1479,10 +1732,15 @@ mod tests {
             let blocks = vec![Block::new(3, 9, vec![3; 64]), Block::new(4, 9, vec![4; 64])];
 
             let hold = |store: &mut TreeStore| {
+                store.open(true);
                 for block in &blocks {
                     store.push_slot(block);
                 }
-                store.store(held, true);
+                store.store(held);
+            };
+            let write_through = |store: &mut TreeStore, node| {
+                store.open(false);
+                store.store(node);
             };
             hold(&mut store);
             assert_eq!(store.image(held), None, "{mode:?}: on chip");
@@ -1493,10 +1751,10 @@ mod tests {
             assert_eq!(store.take_bucket(held), blocks, "{mode:?}");
             assert_eq!(used(&store), 0, "{mode:?}: held and taken in the clear");
 
-            store.store(through[0], false);
+            write_through(&mut store, through[0]);
             hold(&mut store);
-            store.store(through[1], false);
-            store.store(through[2], false);
+            write_through(&mut store, through[1]);
+            write_through(&mut store, through[2]);
             let in_memory = through.map(|node| store.image(node).is_some());
             assert_eq!(in_memory, [true; 3], "{mode:?}: sealed as stored");
             assert_eq!(sorted(&store).len(), 4, "{mode:?}");
@@ -1547,8 +1805,9 @@ mod tests {
                             })
                             .collect();
                         if refill {
+                            store.open(false);
                             blocks.iter().for_each(|block| store.push_slot(block));
-                            store.store(node, false);
+                            store.store(node);
                         } else {
                             store.write_bucket(node, blocks.clone());
                         }
@@ -1822,8 +2081,9 @@ mod tests {
                             })
                             .collect();
                         if whole_run {
+                            store.open(false);
                             blocks.iter().for_each(|block| store.push_slot(block));
-                            store.store(node, false);
+                            store.store(node);
                         } else {
                             store.write_bucket(node, blocks.clone());
                         }

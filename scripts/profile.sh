@@ -13,8 +13,11 @@
 # measured region; not the host-speed probe `host::Churn` the benchmark runs
 # between repetitions, nor its own bookkeeping), the flat share (the sampled
 # PC was in the function) and the inclusive share (the function was on the
-# stack) of each function, the flat shares summed per `crate::module`, and
-# the region's share of all samples.
+# stack) of each function, the flat shares summed per `crate::module`, the
+# region's share of all samples and, beside it, the share of the samples
+# whose stack passes through `PadEngine::run`: a sealed store's pad engine,
+# which runs on a thread of its own, outside the region (0 on a row that
+# seals nothing).
 #
 # Needs bash, cargo, gcc, nm, readelf and python3; `perf` is not in the image.
 set -euo pipefail
@@ -49,6 +52,9 @@ import bisect, collections, glob, os, re, subprocess, sys
 
 binary, work, workload = os.path.realpath(sys.argv[1]), sys.argv[2], sys.argv[3]
 REGION = "fp_benchmark::reps::run_rep"
+# The engine thread's frames: its loop, or the spawn closure it is inlined
+# into.
+ENGINE = ("PadEngine::run", "PadEngine::start::{{closure}}")
 
 # A PC maps to a file offset through /proc/self/maps, and a file offset to
 # the address `nm` prints through the PT_LOAD segment holding it: the text
@@ -109,6 +115,10 @@ flat = collections.Counter(s[0] for s in region)
 incl = collections.Counter(n for s in region for n in set(s))
 n = len(region)
 print(f"{workload}: {n} of {len(stacks)} samples ({n / len(stacks):.1%}) under {REGION}")
+# A sealed store's pad engine runs on a thread of its own, outside the
+# region: its load, beside the region's.
+engine = sum(any(x.endswith(ENGINE) for x in s) for s in stacks)
+print(f"PadEngine::run (the pad engine's thread): {engine / len(stacks):.1%} of all samples")
 churn = sum(any(x.startswith("fp_benchmark::host::Churn") for x in s) for s in stacks)
 print(f"host::Churn (outside the region): {churn / len(stacks):.1%} of all samples\n")
 for title, counts in (("flat", flat), ("inclusive", incl)):

@@ -195,14 +195,14 @@ impl Datapath {
     }
 
     /// Refill phase, one bucket: greedily evicts stash blocks into the
-    /// bucket at `level` of the refill's path — each encoded straight into
-    /// the tree store's open bucket — and commits it at `t_ps`; returns the
-    /// commit time. A bucket of the cache's range stays on chip in the
-    /// clear and commits at `t_ps`; any other is written through to DRAM
-    /// and pays its DRAM write. Which of the two is known before the
-    /// eviction, so the bucket opens as such: a sealed tree opens a
-    /// write-through on a sealed empty and XORs each block into it. So the
-    /// refill writes to DRAM only buckets of its own path.
+    /// bucket at `level` of the refill's path — the stash hands the tree
+    /// store the chosen blocks as one slice, and the store writes the
+    /// bucket in one step — and commits it at `t_ps`; returns the commit
+    /// time. A bucket of the cache's range stays on chip in the clear and
+    /// commits at `t_ps`; any other is written through to DRAM and pays its
+    /// DRAM write. Either opens empty and has its blocks XORed in: a sealed
+    /// tree opens a write-through on a sealed empty. So the refill writes
+    /// to DRAM only buckets of its own path.
     ///
     /// The refill is an *ordered* leaf-to-root stream of bucket writes — the
     /// order the adversary observes, which the dummy-replacing window is
@@ -217,9 +217,7 @@ impl Datapath {
         let node = node_at_level(levels, self.refill_leaf, level);
         let on_chip = self.cache.holds(node);
         let OramState { tree, stash, .. } = &mut self.state;
-        tree.open(on_chip);
-        stash.evict_next(level, z, |block| tree.push_slot(block));
-        tree.store(node);
+        stash.evict_next(level, z, |blocks| tree.store(node, on_chip, blocks));
         self.tally.bump(Counter::BucketsWritten);
         if on_chip {
             return t_ps;

@@ -63,6 +63,9 @@ pub struct Stash {
     cursor: usize,
     /// `(levels, leaf)` of the path the stream evicts onto.
     stream_path: (u32, u64),
+    /// The blocks [`Stash::evict_next`] chose for one bucket, while the
+    /// tree store writes them; empty between calls, its room kept.
+    chosen: Vec<Block>,
 }
 
 impl Stash {
@@ -88,6 +91,7 @@ impl Stash {
             candidates: Vec::new(),
             cursor: 0,
             stream_path: (0, 0),
+            chosen: Vec::new(),
         }
     }
 
@@ -218,18 +222,22 @@ impl Stash {
 
     /// Removes from the stash the blocks for the bucket at `level` of the
     /// current stream's path (at most `z`; the tree store pads the bucket
-    /// with dummies) and hands each to `put`, in order: the next candidates
-    /// while they are eligible that deep. Levels are taken leaf to root,
-    /// each at most once; the stream may be abandoned at any level, and
-    /// every block it has not chosen is still in the stash. A chosen
-    /// block's payload buffer stays for the next block to arrive, so the
-    /// stream allocates nothing (tests/hot_path_alloc.rs).
-    pub fn evict_next(&mut self, level: u32, z: usize, mut put: impl FnMut(&Block)) {
-        for _ in 0..z {
+    /// with dummies) and hands them to `write` as one slice, in order: the
+    /// next candidates while they are eligible that deep. Levels are taken
+    /// leaf to root, each at most once; the stream may be abandoned at any
+    /// level, and every block it has not chosen is still in the stash. The
+    /// slice is a buffer the stash reuses, and a chosen block's payload
+    /// buffer stays for the next block to arrive, so the stream allocates
+    /// nothing once warm (tests/hot_path_alloc.rs).
+    pub fn evict_next(&mut self, level: u32, z: usize, write: impl FnOnce(&[Block])) {
+        while self.chosen.len() < z {
             let Some(block) = self.next_chosen(level) else {
                 break;
             };
-            put(&block);
+            self.chosen.push(block);
+        }
+        write(&self.chosen);
+        while let Some(block) = self.chosen.pop() {
             self.recycle(block.data);
         }
     }
@@ -254,10 +262,11 @@ impl Stash {
     }
 
     /// The blocks for the bucket at `level` of the path to `leaf` alone: a
-    /// fresh stream of which one bucket is taken. Per-level calls from the
-    /// leaf up choose what one stream chooses — the reference the stream is
-    /// held against (`tests/proptest_invariants.rs`) — at the cost of
-    /// collecting and ordering the candidates once per bucket.
+    /// fresh stream of which one bucket is taken ([`Stash::evict_next`]),
+    /// each block copied out. Per-level calls from the leaf up choose what
+    /// one stream chooses — the reference the stream is held against
+    /// (`tests/proptest_invariants.rs`) — at the cost of collecting and
+    /// ordering the candidates once per bucket.
     pub fn plan_eviction_level(
         &mut self,
         levels: u32,
@@ -266,7 +275,9 @@ impl Stash {
         z: usize,
     ) -> Vec<Block> {
         self.begin_eviction(levels, leaf);
-        (0..z).map_while(|_| self.next_chosen(level)).collect()
+        let mut bucket = Vec::new();
+        self.evict_next(level, z, |blocks| bucket = blocks.to_vec());
+        bucket
     }
 }
 
@@ -299,7 +310,7 @@ mod tests {
             .rev()
             .map(|l| {
                 let mut bucket = Vec::new();
-                s.evict_next(l, z, |b| bucket.push(b.clone()));
+                s.evict_next(l, z, |blocks| bucket = blocks.to_vec());
                 (l, bucket)
             })
             .collect()

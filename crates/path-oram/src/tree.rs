@@ -48,10 +48,13 @@
 //! image. An image's buffer is exactly its size, `16 + block_bytes` a
 //! slot: the layout pads nothing, whatever Z and the block size. A take
 //! decodes the image in slot order and keeps the emptied buffer, by the
-//! slots it holds. A write opens a bucket knowing where it goes: one in
-//! the clear is staged and copied into a kept buffer of its size, one
-//! sealed is encoded in place (below). Real slots come first either way,
-//! and neither phase of an access allocates once warm.
+//! slots it holds. A write takes a bucket's blocks in one call, knowing
+//! where it goes, and opens an **empty** image: in the clear, a kept
+//! buffer of its size holding `(⊥, 0)` headers and zero payloads; sealed,
+//! a sealed empty (below). One encoder XORs each block into its slot —
+//! `addr ⊕ ⊥` and `leaf` into the header, the payload into its bytes — so
+//! real slots come first either way, and neither phase of an access
+//! allocates once warm.
 //!
 //! **Sealed empties ahead of the write counter.** Keystream block `b` of a
 //! sealed image covers its bytes `64 b .. 64 (b + 1)`; at Z = 4 the
@@ -65,15 +68,15 @@
 //! the **pad engine**, one thread a sealed store starts at its first seal,
 //! seals them [`PAD_BATCH_SEALS`] a batch — the pads in whole passes, one
 //! batch ahead — and hands each batch over a channel. A DRAM-bound bucket
-//! opens on the next sealed empty of the batch held, and each real block
-//! is XORed into it: `addr ⊕ ⊥` and `leaf` into its slot's header, its
-//! payload into its payload's bytes. The access thread touches the header
+//! opens on the next sealed empty of the batch held, and the one encoder
+//! XORs its real blocks into it. The access thread touches the header
 //! block and one block a real slot, and the image goes to memory as it is.
 //! A seal waits on the channel only when its batch is spent; the spent
 //! batch's container goes back to the engine at the next boundary on a
-//! second channel, carrying the images the reads took meanwhile, which the
-//! engine seals again, so it allocates only when short and the access
-//! thread never for a DRAM-bound bucket. Sealed empties held ahead are
+//! second channel, carrying the images the reads took meanwhile (the first
+//! seal gives the reads a container of their own), which the engine seals
+//! again, so it allocates only when short and the access thread never for
+//! a DRAM-bound bucket. Sealed empties held ahead are
 //! on-chip state, like the key: their dummy payloads are bare pads. A read
 //! computes on the access thread the header blocks of all the images it
 //! takes from untrusted memory in one call, unseals them, and computes in
@@ -119,8 +122,9 @@ const PAD_BATCH_SEALS: usize = 128;
 /// several times what it takes to compute.
 const PAD_DEPTH: usize = 0;
 /// Batch containers in circulation: the seals', the one the engine hands
-/// over, and one on its way back with the images the reads took. Also the
-/// return channel's depth, so handing one back never waits.
+/// over, and one filling with the images the reads take on its way back.
+/// The engine makes two; the first seal makes the reads' first one. Also
+/// the return channel's depth, so handing one back never waits.
 const PAD_BUFFERS: usize = 3;
 const _: () = assert!(PAD_BATCH_SEALS.is_multiple_of(BlockCipher::LANES));
 
@@ -357,16 +361,32 @@ impl Format {
         (self.z * HEADER_BYTES).div_ceil(KEYSTREAM_BLOCK) as u32
     }
 
-    /// The Z slots of an empty bucket in the clear: Z dummy headers — address
-    /// [`DUMMY_ADDR`], leaf zero — then zero payloads.
-    fn empty(self) -> Vec<u8> {
-        let mut slots = Vec::with_capacity(self.sealed_bytes());
-        for _ in 0..self.z {
-            slots.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
-            slots.extend_from_slice(&0u64.to_le_bytes());
+    /// Writes into `image`, emptied, the `slots` slots of an empty bucket
+    /// in the clear: dummy headers — address [`DUMMY_ADDR`], leaf zero —
+    /// then zero payloads.
+    fn empty(self, slots: usize, image: &mut Image) {
+        image.clear();
+        for _ in 0..slots {
+            image.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
+            image.extend_from_slice(&0u64.to_le_bytes());
         }
-        slots.resize(self.sealed_bytes(), 0);
-        slots
+        image.resize(slots * self.slot_bytes(), 0);
+    }
+
+    /// The one encoder: XORs `blocks` into the first of the `slots` slots
+    /// of `image`, an empty bucket in the clear or sealed: `addr ⊕ ⊥` and
+    /// `leaf` into each one's header, its payload into its payload's bytes.
+    /// An empty slot holds `(⊥, 0)` and zeros, so in the clear that writes
+    /// the block, and sealed it encrypts it under the pads already there.
+    fn fill(self, image: &mut [u8], slots: usize, blocks: &[Block]) {
+        let (headers, payloads) = image.split_at_mut(slots * HEADER_BYTES);
+        let headers = headers.chunks_exact_mut(HEADER_BYTES);
+        let payloads = payloads.chunks_exact_mut(self.block_bytes);
+        for ((header, payload), block) in headers.zip(payloads).zip(blocks) {
+            xor_bytes(header, &(block.addr ^ DUMMY_ADDR).to_le_bytes());
+            xor_bytes(&mut header[8..], &block.leaf.to_le_bytes());
+            xor_bytes(payload, &block.data);
+        }
     }
 
     /// The format of a bucket held on chip: a sealed store's Z slots in
@@ -470,7 +490,7 @@ fn xor_bytes(dst: &mut [u8], src: &[u8]) {
 /// [`CipherMode::Real`]'s cipher, its write counter, the keystream it
 /// holds — the blocks of the last read call (`keystream[i]` is that of
 /// `lanes[i]`, a `(nonce, block index)` pair) — and the sealed empties the
-/// next seals take, with the bucket open on one of them.
+/// next seals take.
 struct Sealer {
     cipher: BlockCipher,
     format: Format,
@@ -480,14 +500,10 @@ struct Sealer {
     /// the next write counters, the next one last. Empty, unallocated,
     /// until the first seal.
     empties: Batch,
-    /// The open DRAM-bound bucket: a sealed empty that the real slots
-    /// pushed so far are XORed into, `reals` of them. Empty between a
-    /// store and the next open.
-    open: Image,
-    reals: usize,
-    /// The container of the batch spent before `empties` (unallocated
-    /// until the second batch), filling with the images the reads take, up
-    /// to its capacity; it goes back to the engine at the next batch.
+    /// The container filling with the images the reads take, up to its
+    /// capacity, which goes back to the engine at the next batch: one of
+    /// its own from the first seal on, then that of the batch spent before
+    /// `empties`.
     returns: Batch,
     /// The pad engine, from the first seal on.
     engine: Option<PadEngine>,
@@ -518,7 +534,6 @@ impl std::fmt::Debug for Sealer {
             .field("lanes", &self.lanes.len())
             .field("keystream", &self.keystream.len())
             .field("empties", &self.empties.len())
-            .field("open", &self.open.len())
             .field("returns", &self.returns.len())
             .field("engine", &self.engine.is_some())
             .field("counter", &self.counter)
@@ -567,19 +582,18 @@ impl PadEngine {
     /// the lane kernel, each sealed empty `E_c(∅)` — Z dummy headers
     /// `(⊥, 0)` and zero payloads, XORed with counter c's pads, c in the
     /// trailer — written into an image the container brought back, or one
-    /// it allocates when the container is short. Containers of its own
-    /// until [`PAD_BUFFERS`] exist, returned ones after that. Ends when the
+    /// it allocates when the container is short. Two containers of its
+    /// own, returned ones after that ([`PAD_BUFFERS`]). Ends when the
     /// store drops either channel end.
     fn run(start: &EngineStart, send: &SyncSender<Batch>, returned: &Receiver<Batch>) {
         let format = start.format;
         let blocks = format.sealed_blocks() as usize;
         let whole = format.sealed_bytes() + COUNTER_BYTES;
-        let empty = format.empty();
         let mut counter = start.counter;
         let mut lanes = Vec::with_capacity(PAD_BATCH_SEALS * blocks);
         let mut pads = Vec::with_capacity(lanes.capacity());
         for made in 0.. {
-            let mut batch = if made < PAD_BUFFERS {
+            let mut batch = if made < PAD_BUFFERS - 1 {
                 Vec::with_capacity(PAD_BATCH_SEALS)
             } else {
                 let Ok(batch) = returned.recv() else { return };
@@ -601,8 +615,7 @@ impl PadEngine {
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
                 counter += 1;
-                image.clear();
-                image.extend_from_slice(&empty);
+                format.empty(format.z, image);
                 xor_keystream(image, pads.as_flattened());
                 image.extend_from_slice(&counter.to_le_bytes());
             }
@@ -659,8 +672,6 @@ impl Sealer {
             lanes: Vec::new(),
             keystream: Vec::new(),
             empties: Vec::new(),
-            open: Vec::new(),
-            reals: 0,
             returns: Vec::new(),
             engine: None,
             counter: 0,
@@ -687,44 +698,31 @@ impl Sealer {
         }
     }
 
-    /// Opens a DRAM-bound bucket on the next sealed empty: the batch held's
-    /// last, or the next batch's once that is spent.
+    /// Seals `blocks` as the next write counter's bucket: the next sealed
+    /// empty — the batch held's last, or the next batch's once that is
+    /// spent — with the blocks XORed into its first slots
+    /// ([`Format::fill`]). The rest stays the sealed empty's. Out of line:
+    /// the sealed branch of [`TreeStore::store`].
     #[inline(never)]
-    fn open(&mut self) {
-        self.open = match self.empties.pop() {
+    fn seal(&mut self, blocks: &[Block]) -> Image {
+        let mut image = match self.empties.pop() {
             Some(image) => image,
             None => self.next_batch(),
         };
-        self.reals = 0;
         self.counter += 1;
+        self.format.fill(&mut image, self.format.z, blocks);
         #[cfg(test)]
         {
             self.used += u64::from(self.format.sealed_blocks());
         }
-    }
-
-    /// XORs `block` into the open bucket as its next real slot: `addr ⊕ ⊥`
-    /// and `leaf` into its header, its payload into its payload's bytes,
-    /// which hold bare pads. The rest stays the sealed empty's. Out of
-    /// line: the sealed branch of [`TreeStore::push_slot`].
-    #[inline(never)]
-    fn push(&mut self, block: &Block) {
-        let Format { z, block_bytes, .. } = self.format;
-        let slot = self.reals;
-        assert!(slot < z, "bucket overflow: more than Z={z} blocks");
-        let (headers, payloads) = self.open.split_at_mut(z * HEADER_BYTES);
-        let header = &mut headers[slot * HEADER_BYTES..][..HEADER_BYTES];
-        xor_bytes(header, &(block.addr ^ DUMMY_ADDR).to_le_bytes());
-        xor_bytes(&mut header[8..], &block.leaf.to_le_bytes());
-        xor_bytes(&mut payloads[slot * block_bytes..], &block.data);
-        self.reals += 1;
+        image
     }
 
     /// Waits for the pad engine's next batch, hands it the container of the
     /// batch before with the images the reads took, and returns the first
-    /// sealed empty; the first seal starts the engine. Cold, once every 128
-    /// seals: kept out of `TreeStore::store`, which a `Transparent` store
-    /// runs too.
+    /// sealed empty; the first seal starts the engine and gives the reads
+    /// their first container. Cold, once every 128 seals: kept out of
+    /// `TreeStore::store`, which a `Transparent` store runs too.
     #[cold]
     fn next_batch(&mut self) -> Image {
         let engine = self.engine.get_or_insert_with(|| {
@@ -739,11 +737,13 @@ impl Sealer {
         let batch = engine.batches.recv().expect("the pad engine runs");
         let spent = std::mem::replace(&mut self.empties, batch);
         let returns = std::mem::replace(&mut self.returns, spent);
-        // The first two batches replace no container of the engine's. The
-        // return channel holds every container, so this send never waits;
-        // an engine that is gone fails the next receive instead.
+        // The return channel holds every container, so this send never
+        // waits; an engine that is gone fails the next receive instead. The
+        // first batch replaces no container: the reads get one of their own.
         if returns.capacity() > 0 {
             let _ = engine.spent.send(returns);
+        } else {
+            self.returns = Batch::with_capacity(PAD_BATCH_SEALS);
         }
         #[cfg(test)]
         {
@@ -842,13 +842,6 @@ pub struct TreeStore {
     /// [`CipherMode::Real`]'s cipher and write counter; `None` is
     /// `Transparent`, the identity.
     sealer: Option<Sealer>,
-    /// What the bucket being encoded is, from [`TreeStore::open`] to
-    /// [`TreeStore::store`].
-    open: Open,
-    /// The headers and the payloads of the slots pushed into a bucket open
-    /// in the clear: with room for Z slots once used.
-    open_headers: Vec<u8>,
-    open_payloads: Vec<u8>,
     /// The images a read phase took, in path order, until it decodes
     /// them.
     taken: Vec<Taken>,
@@ -858,19 +851,6 @@ pub struct TreeStore {
     /// list holds at most the buckets of a path (its capacity, reserved
     /// when first used); the rest go back to the pad engine.
     spare: Vec<Vec<Image>>,
-}
-
-/// The bucket a write phase encodes, from [`TreeStore::open`] to
-/// [`TreeStore::store`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Open {
-    /// None: a store panics.
-    Closed,
-    /// Staged in the clear, for the cache (`on_chip`) or, `Transparent`,
-    /// for DRAM.
-    Clear { on_chip: bool },
-    /// The sealer's open bucket, a sealed empty bound for DRAM.
-    Sealed,
 }
 
 impl TreeStore {
@@ -888,9 +868,6 @@ impl TreeStore {
             sealer: format
                 .sealed
                 .then(|| Sealer::new(BlockCipher::new(key), format)),
-            open: Open::Closed,
-            open_headers: Vec::new(),
-            open_payloads: Vec::new(),
             taken: Vec::new(),
             spare: Vec::new(),
         }
@@ -994,98 +971,42 @@ impl TreeStore {
         }
     }
 
-    /// Opens the next bucket of a write phase, which the cache keeps
-    /// (`on_chip`) or which goes to DRAM. A sealed store opens a DRAM-bound
-    /// bucket on the next sealed empty of its pad engine
-    /// ([`Sealer::open`]); every other is staged in the clear.
-    pub(crate) fn open(&mut self, on_chip: bool) {
-        self.open = match &mut self.sealer {
-            Some(sealer) if !on_chip => {
-                sealer.open();
-                Open::Sealed
-            }
-            _ => Open::Clear { on_chip },
-        };
-    }
-
-    /// The one encoder: appends `block` to the open bucket as its next real
-    /// slot. In the clear, its header goes after the headers and its
-    /// payload after the payloads pushed before it; sealed, both are XORed
-    /// into their places in the sealed empty ([`Sealer::push`]).
+    /// Write phase, one bucket: stores `blocks` as bucket `node`, over
+    /// whatever the slot held, padded with dummy slots. A bucket the cache
+    /// holds (`on_chip`) stays so, in the clear; one bound for DRAM goes to
+    /// untrusted memory. Either opens empty and has its blocks XORed into
+    /// its first slots ([`Format::fill`]): sealed, a write-through opens
+    /// on the pad engine's next sealed empty ([`Sealer::seal`]); every
+    /// other bucket on a kept buffer of exactly its slots — the real ones,
+    /// or Z for a sealed store's bucket on chip — filled with `(⊥, 0)`
+    /// headers and zero payloads.
     ///
     /// # Panics
     ///
-    /// Panics if the open bucket already holds Z blocks, the payload is not
-    /// `block_bytes` long, or the block carries the address reserved for
-    /// dummy slots (`u64::MAX`).
-    pub(crate) fn push_slot(&mut self, block: &Block) {
-        let Format { z, block_bytes, .. } = self.format;
-        assert_eq!(block.data.len(), block_bytes, "payload size mismatch");
-        assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
-        if let (Open::Sealed, Some(sealer)) = (self.open, &mut self.sealer) {
-            return sealer.push(block);
-        }
-        let headers = z * HEADER_BYTES;
-        assert!(
-            self.open_headers.len() < headers,
-            "bucket overflow: more than Z={z} blocks"
-        );
-        self.open_headers
-            .reserve_exact(headers - self.open_headers.len());
-        self.open_headers
-            .extend_from_slice(&block.addr.to_le_bytes());
-        self.open_headers
-            .extend_from_slice(&block.leaf.to_le_bytes());
-        self.open_payloads
-            .reserve_exact(z * block_bytes - self.open_payloads.len());
-        self.open_payloads.extend_from_slice(&block.data);
-    }
-
-    /// Write phase, one bucket: stores the open bucket (the slots pushed
-    /// since [`TreeStore::open`]) as bucket `node`, over whatever the slot
-    /// held, in a buffer of exactly its sealed size, and closes it. A
-    /// bucket the cache holds (`on_chip`) stays so, in the clear, and
-    /// `Real` pads it with dummy slots to Z — address [`DUMMY_ADDR`], leaf
-    /// and payload zero. One bound for DRAM goes to untrusted memory: in
-    /// `Real`, the sealed empty it was opened on, under its write counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no bucket is open or `node` is not a node id of the tree
+    /// Panics if more than Z blocks are supplied, a payload is not
+    /// `block_bytes` long, a block carries the address reserved for dummy
+    /// slots (`u64::MAX`), or `node` is not a node id of the tree
     /// (`1 <= node < 2^(L+1)`).
-    pub(crate) fn store(&mut self, node: u64) {
-        let on_chip = match std::mem::replace(&mut self.open, Open::Closed) {
-            Open::Clear { on_chip } => on_chip,
-            Open::Sealed => return self.store_sealed(node),
-            Open::Closed => panic!("store of bucket {node}: no bucket is open"),
+    pub(crate) fn store(&mut self, node: u64, on_chip: bool, blocks: &[Block]) {
+        let format @ Format { z, block_bytes, .. } = self.format;
+        assert!(blocks.len() <= z, "bucket overflow: more than Z={z} blocks");
+        for block in blocks {
+            assert_eq!(block.data.len(), block_bytes, "payload size mismatch");
+            assert_ne!(block.addr, DUMMY_ADDR, "address reserved for dummy slots");
+        }
+        let image = match &mut self.sealer {
+            Some(sealer) if !on_chip => sealer.seal(blocks),
+            _ => {
+                let slots = if format.sealed { z } else { blocks.len() };
+                let bytes = slots * format.slot_bytes() + format.trailer();
+                let spare = self.spare_of(slots).pop();
+                let mut image = spare.unwrap_or_else(|| Vec::with_capacity(bytes));
+                format.empty(slots, &mut image);
+                format.fill(&mut image, slots, blocks);
+                image
+            }
         };
-        let format = self.format;
-        let real = self.open_headers.len() / HEADER_BYTES;
-        let slots = if format.sealed { format.z } else { real };
-        let bytes = slots * format.slot_bytes() + format.trailer();
-        let spare = self.spare_of(slots).pop();
-        let mut image = spare.unwrap_or_else(|| Vec::with_capacity(bytes));
-        image.extend_from_slice(&self.open_headers);
-        for _ in real..slots {
-            image.extend_from_slice(&DUMMY_ADDR.to_le_bytes());
-            image.extend_from_slice(&0u64.to_le_bytes());
-        }
-        image.extend_from_slice(&self.open_payloads);
-        image.resize(slots * format.slot_bytes(), 0);
-        self.open_headers.clear();
-        self.open_payloads.clear();
         if let Some(old) = self.pages.put(node, image, on_chip) {
-            self.recycle(old);
-        }
-    }
-
-    /// The sealed branch of [`TreeStore::store`], out of line: the open
-    /// sealed bucket goes to untrusted memory as it is.
-    #[inline(never)]
-    fn store_sealed(&mut self, node: u64) {
-        let sealer = self.sealer.as_mut().expect("a sealed bucket is open");
-        let image = std::mem::take(&mut sealer.open);
-        if let Some(old) = self.pages.put(node, image, false) {
             self.recycle(old);
         }
     }
@@ -1113,11 +1034,7 @@ impl TreeStore {
     /// size, or a block carries the address reserved for dummy slots
     /// (`u64::MAX`).
     pub fn write_bucket(&mut self, node: u64, blocks: Vec<Block>) {
-        self.open(false);
-        for block in &blocks {
-            self.push_slot(block);
-        }
-        self.store(node);
+        self.store(node, false, &blocks);
     }
 
     /// Raw stored bytes of bucket `node`: the image, without its
@@ -1344,6 +1261,30 @@ mod tests {
             expected.extend_from_slice(&b.data);
         }
         assert_eq!(store.raw_bucket(2), Some(expected));
+
+        // Every occupancy through `store`, into a fresh buffer and then into
+        // one a take emptied: in the clear, the real slots alone; a sealed
+        // store's bucket on chip, all Z slots in the clear — the real ones,
+        // then `(⊥, 0)` headers and zero payloads.
+        for mode in [CipherMode::Transparent, CipherMode::Real] {
+            let sealed = mode == CipherMode::Real;
+            let mut store = TreeStore::new(&cfg(mode), [0; 32]);
+            let format = store.format;
+            for round in 0..2 {
+                for real in 0..=format.z {
+                    let blocks: Vec<Block> = (0..real as u64)
+                        .map(|a| Block::new(a, 7 + a, vec![a as u8 + 1; 16]))
+                        .collect();
+                    let node = 4 + real as u64;
+                    store.store(node, sealed, &blocks);
+                    let slots = if sealed { format.z } else { real };
+                    let expected = clear_image(Format { z: slots, ..format }, &blocks);
+                    let image = store.pages.get(node).map(Vec::as_slice);
+                    assert_eq!(image, Some(&expected[..]), "{mode:?} {real} real, {round}");
+                    assert_eq!(store.take_bucket(node), blocks, "{mode:?} {real} real");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1497,10 +1438,10 @@ mod tests {
         let path = path_nodes(c.levels, 5);
         let before = store.used();
         for (i, &node) in path.iter().rev().enumerate() {
-            let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
-            store.open(false);
-            blocks.for_each(|block| store.push_slot(&block));
-            store.store(node);
+            let blocks: Vec<Block> = (0..i as u64 % 3)
+                .map(|a| Block::new(a, 5, vec![1; 64]))
+                .collect();
+            store.store(node, false, &blocks);
         }
         assert_eq!(store.used() - before, 5 * path.len() as u64);
         let before = store.used();
@@ -1542,9 +1483,8 @@ mod tests {
     /// Seals take the pad engine's sealed empties in counter order, across
     /// batch boundaries, and compute nothing on the access thread. More
     /// than two batches of seals at two keystream blocks an image (16 B
-    /// blocks) and at five (64 B), at every occupancy `0..=Z`, through both
-    /// doors (a refill's `open` / `push_slot` / `store` and `write_bucket`),
-    /// each stored image checked byte for byte against
+    /// blocks) and at five (64 B), at every occupancy `0..=Z`, through the
+    /// one door (`store`), each stored image checked byte for byte against
     /// [`BlockCipher::encrypt_in_place`] of its clear image under the
     /// counter in its trailer — at whatever lane count the build has; then
     /// the store is dropped mid-batch, and the drop returns. Also a store
@@ -1572,13 +1512,7 @@ mod tests {
                         Block::new(n * 8 + i, n + i, data.collect())
                     })
                     .collect();
-                if n % 2 == 0 {
-                    store.write_bucket(node, bucket.clone());
-                } else {
-                    store.open(false);
-                    bucket.iter().for_each(|block| store.push_slot(block));
-                    store.store(node);
-                }
+                store.store(node, false, &bucket);
                 let mut clear = clear_image(format, &bucket);
                 cipher.encrypt_in_place(Nonce::new(n, 0), &mut clear);
                 let at = format!("B={block_bytes} seal {n}, {real} real");
@@ -1599,16 +1533,19 @@ mod tests {
             drop(store);
 
             let mut store = TreeStore::new(&c, key);
-            store.write_bucket(1, Vec::new());
+            store.store(1, false, &[]);
             drop(store);
         }
     }
 
     /// The images in circulation stay bounded: over twelve batches of
     /// seals, each taken back by a read, the pad engine allocates images
-    /// for its first containers and the reads' first takes, then refills
-    /// the images the reads returned and allocates none; the spare list
-    /// and the container on its way back never outgrow what was reserved.
+    /// for its own two containers and for the ones the spare list kept
+    /// from the reads' first container — all before the third batch — then
+    /// refills the images the reads returned and allocates none. The reads
+    /// have a container from the first seal on, so none of their images is
+    /// dropped; the spare list and that container never outgrow what was
+    /// reserved.
     #[test]
     fn the_images_in_circulation_stay_bounded() {
         let mut store = five_block_store();
@@ -1632,17 +1569,13 @@ mod tests {
             let spare = &store.spare[store.format.z];
             assert!(spare.len() <= levels + 1 && spare.capacity() == levels + 1);
             let returns = &store.sealer().returns;
-            assert!(returns.capacity() == 0 || returns.capacity() == PAD_BATCH_SEALS);
+            assert_eq!(returns.capacity(), PAD_BATCH_SEALS, "seal {n}");
         }
-        let first = (PAD_BUFFERS * PAD_BATCH_SEALS) as u64;
-        assert!(allocated[2] >= first, "{allocated:?}");
+        let engine = (PAD_BUFFERS - 1) * PAD_BATCH_SEALS;
+        let expected = (engine + levels + 1) as u64;
         assert!(
-            allocated.last() <= allocated.get(4),
-            "the engine allocates once warm: {allocated:?}"
-        );
-        assert!(
-            *allocated.last().unwrap() <= first + PAD_BATCH_SEALS as u64,
-            "{allocated:?}"
+            allocated[2..].iter().all(|&count| count == expected),
+            "the engine allocates nothing from the third batch on: {allocated:?}"
         );
     }
 
@@ -1658,7 +1591,7 @@ mod tests {
             let blocks: Vec<Block> = (0..real)
                 .map(|addr| Block::new(addr, 0, vec![1; 64]))
                 .collect();
-            store.write_bucket(1, blocks.clone());
+            store.store(1, false, &blocks);
             let (before, held) = (store.passes(), store.sealer().empties.len());
             assert_eq!(store.take_bucket(1), blocks);
             assert_eq!(store.passes() - before, 1 + passes(real), "{real} real");
@@ -1669,8 +1602,10 @@ mod tests {
         let mut store = five_block_store();
         let path = path_nodes(store.pages.levels, 5);
         for (i, &node) in path.iter().rev().enumerate() {
-            let blocks = (0..i as u64 % 3).map(|a| Block::new(a, 5, vec![1; 64]));
-            store.write_bucket(node, blocks.collect());
+            let blocks: Vec<Block> = (0..i as u64 % 3)
+                .map(|a| Block::new(a, 5, vec![1; 64]))
+                .collect();
+            store.store(node, false, &blocks);
         }
         let sealer = store.sealer();
         let (before, used, held) = (sealer.passes, sealer.used, sealer.empties.len());
@@ -1731,17 +1666,8 @@ mod tests {
             let (held, through) = (path[4], [path[6], path[5], path[2]]);
             let blocks = vec![Block::new(3, 9, vec![3; 64]), Block::new(4, 9, vec![4; 64])];
 
-            let hold = |store: &mut TreeStore| {
-                store.open(true);
-                for block in &blocks {
-                    store.push_slot(block);
-                }
-                store.store(held);
-            };
-            let write_through = |store: &mut TreeStore, node| {
-                store.open(false);
-                store.store(node);
-            };
+            let hold = |store: &mut TreeStore| store.store(held, true, &blocks);
+            let write_through = |store: &mut TreeStore, node| store.store(node, false, &[]);
             hold(&mut store);
             assert_eq!(store.image(held), None, "{mode:?}: on chip");
             assert_eq!(store.raw_bucket(held), None, "{mode:?}: on chip");
@@ -1771,10 +1697,8 @@ mod tests {
 
     /// Round trips of whole paths, sealed, at every Z and block size the
     /// list below makes (headers and payloads straddling keystream blocks
-    /// or not): refills of random occupancy, half of them through the
-    /// refill's `push_slot` and `store` and half through `write_bucket`,
-    /// then reads from a
-    /// random floor, a corrupt image at a random level of half of them,
+    /// or not): refills of random occupancy through `store`, then reads
+    /// from a random floor, a corrupt image at a random level of half of them,
     /// against the map model; the whole store after every read, once a
     /// corrupt image it left above its floor is taken.
     #[test]
@@ -1791,7 +1715,6 @@ mod tests {
                 for round in 0..80 {
                     let at = format!("Z={z} B={block_bytes} round {round}");
                     let path = path_nodes(levels, rng.next_below(1 << levels));
-                    let refill = rng.next_below(2) == 0;
                     for &node in path.iter().rev() {
                         if rng.next_below(4) == 0 {
                             continue;
@@ -1804,13 +1727,7 @@ mod tests {
                                 Block::new(next_addr, leaf, data.collect())
                             })
                             .collect();
-                        if refill {
-                            store.open(false);
-                            blocks.iter().for_each(|block| store.push_slot(block));
-                            store.store(node);
-                        } else {
-                            store.write_bucket(node, blocks.clone());
-                        }
+                        store.store(node, false, &blocks);
                         model.write(node, blocks);
                     }
                     if rng.next_below(2) == 0 {
@@ -2042,9 +1959,9 @@ mod tests {
     /// runs against the model, empty and full buckets alike, the stored
     /// count after every call and `iter_buckets` after every
     /// fourth run if it leaves no bucket corrupt (it decodes infallibly).
-    /// Half the write runs are one refill, each bucket stored for DRAM,
-    /// and half the take runs are one `take_path_with`, so a sealed store
-    /// decodes what it sealed whichever door it came through.
+    /// Every write is stored for DRAM through `store`, and half the take
+    /// runs are one `take_path_with`, so a sealed store decodes what it
+    /// sealed whichever door it leaves by.
     /// Returns how many times the whole store was compared.
     fn check_against_model(levels: u32, mode: CipherMode) -> u32 {
         let c = cfg_with_levels(mode, levels);
@@ -2080,13 +1997,7 @@ mod tests {
                                 Block::new(next_addr, rng.next_u64(), vec![next_addr as u8; 16])
                             })
                             .collect();
-                        if whole_run {
-                            store.open(false);
-                            blocks.iter().for_each(|block| store.push_slot(block));
-                            store.store(node);
-                        } else {
-                            store.write_bucket(node, blocks.clone());
-                        }
+                        store.store(node, false, &blocks);
                         model.write(node, blocks);
                     }
                     0..=11 => assert_eq!(try_take(&mut store, node), model.take(node), "{at}"),

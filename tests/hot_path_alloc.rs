@@ -204,8 +204,8 @@ fn per_access_kernels_keep_their_allocation_contract() {
     // Eviction stream on a bare stash, near-empty and at the occupancy the
     // wire workloads run at: once the candidate buffer is sized, starting
     // a refill allocates nothing, and neither does taking a level — a
-    // chosen block is handed over by reference and its payload buffer
-    // stays in the stash.
+    // bucket's chosen blocks are handed over as a slice of a buffer the
+    // stash reuses, and their payload buffers stay in the stash.
     for resident in [3u64, 64] {
         const REFILLS: u64 = 256;
         let mut stash = Stash::new(oram.stash_capacity);
@@ -221,9 +221,9 @@ fn per_access_kernels_keep_their_allocation_contract() {
             let take = allocations(|| {
                 for level in (0..=levels).rev() {
                     let mut chosen = 0;
-                    stash.evict_next(level, oram.z, |block| {
-                        black_box(block);
-                        chosen += 1;
+                    stash.evict_next(level, oram.z, |blocks| {
+                        black_box(blocks);
+                        chosen = blocks.len();
                     });
                     filled += u64::from(chosen > 0);
                 }
@@ -298,8 +298,8 @@ fn sealed_path_keeps_its_allocation_contract() {
     );
 
     // A warm store: every node below was written and taken once, so its
-    // subtree has a page, the directory never grows again, the open bucket
-    // has its room and the taken images wait for the next writes.
+    // subtree has a page, the directory never grows again and the taken
+    // images wait for the next writes.
     const NODES: u64 = 64;
     let mut oram = OramConfig::small_test();
     oram.cipher_mode = CipherMode::Real;

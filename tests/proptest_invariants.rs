@@ -98,12 +98,14 @@ fn eviction_only_places_legal_blocks() {
         let mut evicted = 0usize;
         for level in (lo..=hi).rev() {
             let mut placed = 0;
-            stash.evict_next(level, 4, |b| {
+            stash.evict_next(level, 4, |blocks| {
                 // Path ORAM invariant: the block's path passes through the
                 // bucket it is placed in.
                 let bucket = node_at_level(levels, leaf, level);
-                assert!(path_contains(levels, b.leaf, bucket));
-                placed += 1;
+                for b in blocks {
+                    assert!(path_contains(levels, b.leaf, bucket));
+                }
+                placed = blocks.len();
             });
             assert!(placed <= 4, "bucket capacity");
             evicted += placed;
@@ -147,7 +149,7 @@ fn eviction_stream_equals_per_level_calls() {
                 .rev()
                 .map(|level| {
                     let mut bucket = Vec::new();
-                    streamed.evict_next(level, z, |b| bucket.push(b.clone()));
+                    streamed.evict_next(level, z, |blocks| bucket = blocks.to_vec());
                     bucket
                 })
                 .collect();
